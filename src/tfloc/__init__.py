@@ -11,8 +11,8 @@ from .algebra import (Partition, PartitionCloud, commutator_diagnostics,
                       evaluate_on_cloud, invariant_subspace_check,
                       partition_gammas)
 from .atoms import (AdmissibilityError, Atom, admissibility_test_frequencies,
-                    default_scale_grid, default_translation_grid, ell,
-                    make_atom, make_wavelet, make_window)
+                    default_scale_grid, default_translation_grid, make_atom,
+                    make_wavelet, make_window)
 from .fields import (PhasePlaneField, analyze, apply_axis2_fourier, bargmann,
                      bargmann_adjoint, embed, project, random_bandlimited)
 from .fourier import fourier

@@ -31,7 +31,6 @@ __all__ = [
     "AdmissibilityError",
     "make_wavelet",
     "make_window",
-    "ell",
     "default_scale_grid",
     "default_translation_grid",
     "admissibility_test_frequencies",
@@ -160,24 +159,16 @@ class Atom:
         """Fiber profiles on a product grid: shape (g1.count, len(omegas))."""
         g1 = self.g1 if g1 is None else g1
         omegas = np.asarray(omegas, dtype=float)
+        z = g1.nodes
         if self.case == "wavelet":
-            u = g1.nodes
-            return np.sqrt(u)[:, None] * np.conj(self.eval_freq(np.outer(u, omegas)))
-        q = g1.samples
-        return np.conj(self.eval_time(omegas[None, :] - q[:, None]))
-
-    def g1_weights(self, g1=None):
-        """Quadrature weights of the first-coordinate measure on g1."""
-        g1 = self.g1 if g1 is None else g1
-        if isinstance(g1, ScaleGrid):
-            return g1.measure_weights
-        return np.full(g1.count, g1.step)
+            return np.sqrt(z)[:, None] * np.conj(self.eval_freq(np.outer(z, omegas)))
+        return np.conj(self.eval_time(omegas[None, :] - z[:, None]))
 
     def fiber_norms(self, omegas, g1=None):
         """Quadrature of |ell(., omega)|^2 against the first-coordinate measure."""
         g1 = self.g1 if g1 is None else g1
         L = self.ell_matrix(omegas, g1)
-        return np.einsum("ki,k->i", np.abs(L) ** 2, self.g1_weights(g1)).real
+        return np.einsum("ki,k->i", np.abs(L) ** 2, g1.measure_weights).real
 
     # -- admissibility ------------------------------------------------------
 
@@ -242,11 +233,6 @@ class Atom:
 
     def __repr__(self):
         return f"Atom({self.case}:{self.name})"
-
-
-def ell(atom: Atom, z: float, omega: float) -> complex:
-    """Module-level alias for Atom.ell."""
-    return atom.ell(z, omega)
 
 
 # -- Haar frequency-energy quadrature ----------------------------------------

@@ -23,12 +23,19 @@ from .fourier import fourier
 from .grids import LineGrid, SampledFunction
 from .kernels import (boundedness_verdict, gamma, overlap_kernel,
                       spectrum_from_gamma, weighted_overlap_kernel)
-from .operators import (EquivalenceSpec, build_direct, default_operator_grid,
-                        filter_signal, operator_norm, spectrum,
-                        verify_equivalence)
+from .operators import (MAX_DENSE_N, EquivalenceSpec, build_direct,
+                        default_operator_grid, filter_signal, operator_norm,
+                        spectrum, verify_equivalence)
 from .symbols import Symbol1D, SymbolParseError, SymbolSpec, parse_symbol
 
 DEFAULT_ATOM = {"gabor": "gaussian", "wavelet": "shannon"}
+
+
+def _grid_size(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 samples, got {n}")
+    return n
 
 
 def _add_common(p: argparse.ArgumentParser, need_symbol: bool = False):
@@ -38,14 +45,14 @@ def _add_common(p: argparse.ArgumentParser, need_symbol: bool = False):
     if need_symbol:
         p.add_argument("--symbol", required=True,
                        help="const:c | indicator:a,b | power:p | sampled:file")
-    p.add_argument("--n", type=int, default=256)
+    p.add_argument("--n", type=_grid_size, default=256)
     p.add_argument("--xi-min", type=float, default=None)
     p.add_argument("--xi-max", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--allow-large", action="store_true",
-                   help="lift the N<=512 dense-solve cap")
+                   help=f"lift the N<={MAX_DENSE_N} dense-solve cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,8 +131,8 @@ def _config_meta(args, **extra) -> dict:
 
 
 def _check_n(args):
-    if args.n > 512 and not args.allow_large:
-        raise ValueError(f"n={args.n} exceeds the cap 512; "
+    if args.n > MAX_DENSE_N and not args.allow_large:
+        raise ValueError(f"n={args.n} exceeds the cap {MAX_DENSE_N}; "
                          "pass --allow-large to override")
 
 
@@ -140,9 +147,8 @@ def cmd_gamma(args) -> int:
                             "grid_rule_indicator_edges": "O(step)"})
     if args.format == "json":
         tio.write_json(args.out, {
-            **meta, "xi": [float(x) for x in gf.grid.samples],
-            "re": [float(v) for v in gf.values.real],
-            "im": [float(v) for v in gf.values.imag]})
+            **meta, "xi": gf.grid.samples.tolist(),
+            "re": gf.values.real.tolist(), "im": gf.values.imag.tolist()})
     else:
         tio.export_gamma(args.out, gf, metadata=meta)
     return 0
@@ -158,7 +164,8 @@ def cmd_spectrum(args) -> int:
     wide = gamma(atom, symbol,
                  LineGrid(grid.start, 2 * grid.step, grid.count), rule=args.rule)
     verdict = boundedness_verdict([rep, spectrum_from_gamma(wide)])
-    rows = [("gamma", v) for v in rep.values]
+    kinds = ["gamma"] * rep.values.size
+    values = rep.values
     meta = _config_meta(args, symbol=symbol.descriptor,
                         norm_estimate=rep.norm_estimate,
                         interval=list(rep.interval) if rep.interval else None,
@@ -167,19 +174,18 @@ def cmd_spectrum(args) -> int:
         M = build_direct(atom, SymbolSpec.first_variable(symbol), grid,
                          allow_large=args.allow_large)
         erep = spectrum(M, reference=rep.values, allow_large=args.allow_large)
-        rows += [("eig", v) for v in erep.values]
+        kinds += ["eig"] * erep.values.size
+        values = np.concatenate([values, erep.values])
         meta["hausdorff_eigs_vs_gamma"] = erep.hausdorff
         meta["operator_norm"] = erep.norm_estimate
     if args.format == "json":
         tio.write_json(args.out, {
             **meta,
-            "values": [{"kind": k, "re": float(v.real), "im": float(v.imag)}
-                       for k, v in rows]})
+            "values": [{"kind": k, "re": re, "im": im} for k, re, im in zip(
+                kinds, values.real.tolist(), values.imag.tolist())]})
     else:
-        body = "kind,re,im\n" + "".join(
-            f"{k},{v.real:.17g},{v.imag:.17g}\n" for k, v in rows)
-        tio.atomic_write_text(args.out, body)
-        tio.write_json(tio.sidecar_path(args.out), meta)
+        tio.write_table(args.out, ["kind", "re", "im"],
+                        [kinds, values.real, values.imag], meta)
     return 0
 
 
@@ -196,9 +202,8 @@ def cmd_kernel(args) -> int:
                                     "hermitian": 1e-10})
     if args.format == "json":
         tio.write_json(args.out, {
-            **meta, "xi": [float(x) for x in grid.samples],
-            "re": [[float(v) for v in row] for row in km.values.real],
-            "im": [[float(v) for v in row] for row in km.values.imag]})
+            **meta, "xi": grid.samples.tolist(),
+            "re": km.values.real.tolist(), "im": km.values.imag.tolist()})
     else:
         tio.export_kernel(args.out, km, metadata=meta)
     return 0
@@ -316,7 +321,7 @@ def cmd_verify(args) -> int:
 
 def cmd_filter(args) -> int:
     symbol = parse_symbol(args.symbol)
-    atom = make_atom(args.case, args.atom or DEFAULT_ATOM[args.case])
+    atom = _atom(args)
     f = tio.read_signal_csv(args.input)
     spec = SymbolSpec.first_variable(symbol)
     meta = {"case": args.case, "atom": atom.name,
@@ -349,8 +354,8 @@ def cmd_algebra(args) -> int:
                             np.max(np.abs(cloud.points.sum(axis=1) - 1.0))))
     if args.format == "json":
         tio.write_json(args.out, {
-            **meta, "xi": [float(x) for x in cloud.xi_grid.samples],
-            "points": [[float(v) for v in row] for row in cloud.points]})
+            **meta, "xi": cloud.xi_grid.samples.tolist(),
+            "points": cloud.points.tolist()})
     else:
         tio.export_cloud(args.out, cloud, metadata=meta)
     return 0
@@ -371,7 +376,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SymbolParseError, ValueError, OSError) as exc:
+    except (SymbolParseError, ValueError, OSError, ArithmeticError) as exc:
         print(f"tfloc {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

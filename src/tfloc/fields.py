@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .atoms import Atom
-from .fourier import fourier
+from .fourier import _fourier_rows, fourier
 from .grids import (LineGrid, SampledFunction, ScaleGrid, induced_grid,
                     subgrid_indices)
 
@@ -33,21 +33,6 @@ __all__ = [
     "bargmann_adjoint",
     "random_bandlimited",
 ]
-
-
-def _fourier_rows(values: np.ndarray, in_grid: LineGrid, sign: str,
-                  out_grid: LineGrid) -> np.ndarray:
-    """Apply the 1-D continuous Fourier transform to every row of a 2-D array."""
-    n = in_grid.count
-    sgn = -1.0 if sign == "forward" else 1.0
-    j = np.arange(n)
-    pre = np.exp(sgn * 2j * np.pi * in_grid.step * out_grid.start * j)
-    if sgn < 0:
-        core = np.fft.fft(values * pre[None, :], axis=1)
-    else:
-        core = np.fft.ifft(values * pre[None, :], axis=1) * n
-    post = np.exp(sgn * 2j * np.pi * in_grid.start * out_grid.samples)
-    return in_grid.step * post[None, :] * core
 
 
 class PhasePlaneField:
@@ -80,15 +65,10 @@ class PhasePlaneField:
         self.values = values
         self.g2_kind = g2_kind
 
-    def g1_weights(self) -> np.ndarray:
-        if isinstance(self.g1, ScaleGrid):
-            return self.g1.measure_weights
-        return np.full(self.g1.count, self.g1.step)
-
     def weighted_norm(self) -> float:
         """L2 norm under the product measure (first-axis measure x Riemann)."""
         row_energy = np.sum(np.abs(self.values) ** 2, axis=1) * self.g2.step
-        return float(np.sqrt(np.sum(self.g1_weights() * row_energy)))
+        return float(np.sqrt(np.sum(self.g1.measure_weights * row_energy)))
 
     def copy_with(self, values, g2=None, g2_kind=None) -> "PhasePlaneField":
         return PhasePlaneField(self.case, self.g1,
@@ -176,8 +156,8 @@ def project(atom: Atom, field: PhasePlaneField) -> SampledFunction:
         raise ValueError("project expects a diagonal-plane field; apply the "
                          "axis-2 transform first")
     L = atom.ell_matrix(field.g2.samples, field.g1)
-    w = atom.g1_weights(field.g1)
-    vals = np.einsum("k,ki,ki->i", w, np.conj(L), field.values)
+    vals = np.einsum("k,ki,ki->i", field.g1.measure_weights, np.conj(L),
+                     field.values)
     return SampledFunction(field.g2, vals)
 
 

@@ -45,14 +45,21 @@ def fourier(f: SampledFunction, sign: str = "forward",
     out = induced_grid(grid) if out_grid is None else out_grid
     _check_compatible(grid, out)
 
-    n = grid.count
+    return SampledFunction(out, _fourier_rows(f.values[None, :], grid, sign,
+                                              out)[0])
+
+
+def _fourier_rows(values: np.ndarray, in_grid: LineGrid, sign: str,
+                  out_grid: LineGrid) -> np.ndarray:
+    """Apply the 1-D continuous Fourier transform to every row of a 2-D array."""
+    n = in_grid.count
     sgn = -1.0 if sign == "forward" else 1.0
     j = np.arange(n)
     # out_k = step * e^{sgn*2pi*i*start*xi_k} * DFT_k[ f_j * e^{sgn*2pi*i*j*step*out.start} ]
-    pre = np.exp(sgn * 2j * np.pi * grid.step * out.start * j)
+    pre = np.exp(sgn * 2j * np.pi * in_grid.step * out_grid.start * j)
     if sgn < 0:
-        core = np.fft.fft(f.values * pre)
+        core = np.fft.fft(values * pre[None, :], axis=1)
     else:
-        core = np.fft.ifft(f.values * pre) * n
-    post = np.exp(sgn * 2j * np.pi * grid.start * out.samples)
-    return SampledFunction(out, grid.step * post * core)
+        core = np.fft.ifft(values * pre[None, :], axis=1) * n
+    post = np.exp(sgn * 2j * np.pi * in_grid.start * out_grid.samples)
+    return in_grid.step * post[None, :] * core

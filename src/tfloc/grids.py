@@ -11,6 +11,11 @@ Two grid kinds cover every domain in the library:
   exactly on constants; the scale measure ``u^{-2} du`` is obtained by an
   extra ``1/u`` factor per node.
 
+Both kinds serve as the first phase-plane coordinate through one interface:
+``nodes`` and ``measure_weights`` (``step`` each on a LineGrid, the
+``u^{-2} du`` weights on a ScaleGrid).  First-coordinate quadrature uses only
+these two and ``count``, never the grid kind.
+
 Grids are immutable after construction; everything downstream treats them as
 value objects.
 """
@@ -44,6 +49,8 @@ class LineGrid:
         self.samples = self.start + np.arange(self.count) * self.step
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("grid samples overflow")
+        self.nodes = self.samples
+        self.measure_weights = np.full(self.count, self.step)
 
     @property
     def stop(self) -> float:

@@ -19,8 +19,8 @@ Every CSV gets a JSON sidecar at ``<path>.meta.json`` recording provenance.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io as _io
 import json
 import os
 import tempfile
@@ -33,6 +33,7 @@ __all__ = [
     "atomic_write_text",
     "write_json",
     "sidecar_path",
+    "write_table",
     "write_signal_csv",
     "read_signal_csv",
     "export_atom",
@@ -45,23 +46,26 @@ __all__ = [
 ]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def atomic_write_text(path: str, text: str):
-    """Write text to ``path`` via a temporary file and atomic rename."""
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """Text handle on a temporary file that is renamed to ``path`` on success."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, text: str):
+    """Write text to ``path`` via a temporary file and atomic rename."""
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _json_default(o):
@@ -85,22 +89,31 @@ def sidecar_path(path: str) -> str:
     return f"{path}.meta.json"
 
 
-def _rows_to_csv(header: list[str], rows) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def write_table(path: str, header: list[str], columns,
+                metadata: dict | None = None):
+    """Write equal-length columns as CSV rows, formatted one row at a time.
+
+    Numbers are rendered with ``%.17g``; string columns (row labels) are
+    written as they are.  With ``metadata`` a JSON sidecar is written too.
+    """
+    fmt = ",".join("%s" if np.asarray(c).dtype.kind == "U" else "%.17g"
+                   for c in columns) + "\n"
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(fmt % row for row in zip(*columns))
+    if metadata is not None:
+        write_json(sidecar_path(path), metadata)
+
+
+def _grid_meta(grid: LineGrid) -> dict:
+    return {"start": grid.start, "step": grid.step, "count": grid.count}
 
 
 # -- signals -----------------------------------------------------------------
 
 def write_signal_csv(path: str, f: SampledFunction, metadata: dict | None = None):
-    rows = ((_fmt(x), _fmt(v.real), _fmt(v.imag))
-            for x, v in zip(f.grid.samples, f.values))
-    atomic_write_text(path, _rows_to_csv(["x", "re", "im"], rows))
-    if metadata is not None:
-        write_json(sidecar_path(path), metadata)
+    write_table(path, ["x", "re", "im"],
+                [f.grid.samples, f.values.real, f.values.imag], metadata)
 
 
 def read_signal_csv(path: str) -> SampledFunction:
@@ -113,6 +126,9 @@ def read_signal_csv(path: str) -> SampledFunction:
         for row in reader:
             if not row:
                 continue
+            if len(row) < 3:
+                raise ValueError(f"{path}: line {reader.line_num}: expected "
+                                 f"3 fields x,re,im, got {len(row)}")
             xs.append(float(row[0]))
             vals.append(float(row[1]) + 1j * float(row[2]))
     if len(xs) < 2:
@@ -128,8 +144,7 @@ def read_signal_csv(path: str) -> SampledFunction:
 # -- atoms -------------------------------------------------------------------
 
 def export_atom(path: str, atom):
-    write_signal_csv(path, atom.time_samples)
-    write_json(sidecar_path(path), atom.to_metadata())
+    write_signal_csv(path, atom.time_samples, atom.to_metadata())
 
 
 def import_atom(path: str):
@@ -163,72 +178,48 @@ def import_atom(path: str):
 # -- library objects ----------------------------------------------------------
 
 def export_field(path: str, field, metadata: dict | None = None):
-    g1_axis = field.g1.nodes if isinstance(field.g1, ScaleGrid) else field.g1.samples
-    rows = []
-    for k, z in enumerate(g1_axis):
-        for i, w in enumerate(field.g2.samples):
-            v = field.values[k, i]
-            rows.append((_fmt(z), _fmt(w), _fmt(v.real), _fmt(v.imag)))
-    atomic_write_text(path, _rows_to_csv(["z", "omega", "re", "im"], rows))
-    md = {"case": field.case, "g2_kind": field.g2_kind,
-          "shape": [field.g1.count, field.g2.count]}
+    n1, n2 = field.values.shape
+    md = {"case": field.case, "g2_kind": field.g2_kind, "shape": [n1, n2]}
     md.update(metadata or {})
-    write_json(sidecar_path(path), md)
+    write_table(path, ["z", "omega", "re", "im"],
+                [np.repeat(field.g1.nodes, n2), np.tile(field.g2.samples, n1),
+                 field.values.real.ravel(), field.values.imag.ravel()], md)
 
 
 def export_gamma(path: str, gf, metadata: dict | None = None):
-    rows = ((_fmt(x), _fmt(v.real), _fmt(v.imag))
-            for x, v in zip(gf.grid.samples, gf.values))
-    atomic_write_text(path, _rows_to_csv(["xi", "re", "im"], rows))
     md = {"atom": gf.atom_name, "symbol": gf.symbol_descriptor,
           "rule": gf.rule, "unbounded": gf.unbounded,
-          "grid": {"start": gf.grid.start, "step": gf.grid.step,
-                   "count": gf.grid.count}}
+          "grid": _grid_meta(gf.grid)}
     md.update(metadata or {})
-    write_json(sidecar_path(path), md)
+    write_table(path, ["xi", "re", "im"],
+                [gf.grid.samples, gf.values.real, gf.values.imag], md)
 
 
 def export_kernel(path: str, km, metadata: dict | None = None):
-    xs = km.grid.samples
-    rows = []
-    for i, xi in enumerate(xs):
-        for j, om in enumerate(xs):
-            v = km.values[i, j]
-            rows.append((_fmt(xi), _fmt(om), _fmt(v.real), _fmt(v.imag)))
-    atomic_write_text(path, _rows_to_csv(["xi", "omega", "re", "im"], rows))
     md = {"atom": km.atom_name, "kind": km.kind,
-          "symbol": km.symbol_descriptor,
-          "grid": {"start": km.grid.start, "step": km.grid.step,
-                   "count": km.grid.count}}
+          "symbol": km.symbol_descriptor, "grid": _grid_meta(km.grid)}
     md.update(metadata or {})
-    write_json(sidecar_path(path), md)
+    xs, n = km.grid.samples, km.grid.count
+    write_table(path, ["xi", "omega", "re", "im"],
+                [np.repeat(xs, n), np.tile(xs, n),
+                 km.values.real.ravel(), km.values.imag.ravel()], md)
 
 
 def export_matrix(path: str, M, metadata: dict | None = None):
-    n = M.grid.count
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            v = M.values[i, j]
-            rows.append((str(i), str(j), _fmt(v.real), _fmt(v.imag)))
-    atomic_write_text(path, _rows_to_csv(["i", "j", "re", "im"], rows))
     md = {"atom": M.atom_name, "builder": M.builder,
           "symbol": M.symbol_descriptor, "hermitian": M.is_hermitian,
-          "grid": {"start": M.grid.start, "step": M.grid.step,
-                   "count": M.grid.count}}
+          "grid": _grid_meta(M.grid)}
     md.update(metadata or {})
-    write_json(sidecar_path(path), md)
+    n = M.grid.count
+    idx = np.arange(n)
+    write_table(path, ["i", "j", "re", "im"],
+                [np.repeat(idx, n), np.tile(idx, n),
+                 M.values.real.ravel(), M.values.imag.ravel()], md)
 
 
 def export_cloud(path: str, cloud, metadata: dict | None = None):
-    header = ["xi"] + [f"z{k + 1}" for k in range(cloud.m)]
-    rows = []
-    for x, pt in zip(cloud.xi_grid.samples, cloud.points):
-        rows.append((_fmt(x), *(_fmt(v) for v in pt)))
-    atomic_write_text(path, _rows_to_csv(header, rows))
     md = {"atom": cloud.atom_name, "partition": cloud.partition_descriptor,
-          "m": cloud.m,
-          "grid": {"start": cloud.xi_grid.start, "step": cloud.xi_grid.step,
-                   "count": cloud.xi_grid.count}}
+          "m": cloud.m, "grid": _grid_meta(cloud.xi_grid)}
     md.update(metadata or {})
-    write_json(sidecar_path(path), md)
+    write_table(path, ["xi"] + [f"z{k + 1}" for k in range(cloud.m)],
+                [cloud.xi_grid.samples, *cloud.points.T], md)

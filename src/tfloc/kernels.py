@@ -37,7 +37,7 @@ import numpy as np
 from scipy import integrate, signal
 
 from .atoms import Atom
-from .grids import LineGrid, ScaleGrid
+from .grids import LineGrid
 from .symbols import Symbol1D
 
 __all__ = [
@@ -158,14 +158,19 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
     return gf
 
 
-def _gamma_grid(atom: Atom, alpha: Symbol1D, xs: np.ndarray) -> np.ndarray:
-    g1 = atom.g1
-    nodes = g1.nodes if isinstance(g1, ScaleGrid) else g1.samples
-    a_vals = np.asarray(alpha(nodes))
+def _symbol_on_nodes(atom: Atom, alpha: Symbol1D) -> np.ndarray:
+    """alpha sampled on the first-coordinate nodes of the atom's grid."""
+    a_vals = np.asarray(alpha(atom.g1.nodes))
     if not np.all(np.isfinite(a_vals)):
         raise ValueError(f"symbol {alpha.descriptor} not finite on the grid nodes")
+    return a_vals
+
+
+def _gamma_grid(atom: Atom, alpha: Symbol1D, xs: np.ndarray) -> np.ndarray:
+    a_vals = _symbol_on_nodes(atom, alpha)
     L2 = np.abs(atom.ell_matrix(xs)) ** 2
-    return np.einsum("k,ki,k->i", a_vals, L2, atom.g1_weights()).astype(complex)
+    return np.einsum("k,ki,k->i", a_vals, L2,
+                     atom.g1.measure_weights).astype(complex)
 
 
 def _gamma_fft(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
@@ -184,9 +189,7 @@ def _gamma_fft(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
     o = int(round(off))
     if abs(off - o) > 1e-6:
         raise ValueError("fft rule needs the xi grid on the translation lattice")
-    a_vals = np.asarray(alpha(g1.samples))
-    if not np.all(np.isfinite(a_vals)):
-        raise ValueError(f"symbol {alpha.descriptor} not finite on the grid nodes")
+    a_vals = _symbol_on_nodes(atom, alpha)
     nq, nxi = g1.count, xi_grid.count
     dmin = o - (nq - 1)
     dmax = o + (nxi - 1) * stride
@@ -335,15 +338,19 @@ def boundedness_verdict(reports: list[SpectrumReport],
 
 # -- two-point kernels ------------------------------------------------------------
 
+def _fiber_overlap(atom: Atom, w: np.ndarray, xi_grid: LineGrid) -> np.ndarray:
+    """First-coordinate quadrature of w * conj(ell(., xi_i)) * ell(., xi_j)."""
+    L = atom.ell_matrix(xi_grid.samples)
+    return np.einsum("k,ki,kj->ij", w, np.conj(L), L)
+
+
 def overlap_kernel(atom: Atom, xi_grid: LineGrid) -> KernelMatrix:
     """Fiber overlap kernel: quadrature of ell(r, omega) conj(ell(r, xi)).
 
     Hermitian with unit diagonal on the healthy range (the diagonal is the
     fiber norm).  Entry [i, j] pairs xi = xi_i with omega = xi_j.
     """
-    L = atom.ell_matrix(xi_grid.samples)
-    w = atom.g1_weights()
-    vals = np.einsum("k,ki,kj->ij", w, np.conj(L), L)
+    vals = _fiber_overlap(atom, atom.g1.measure_weights, xi_grid)
     return KernelMatrix(xi_grid, vals, "overlap", atom.name,
                         check_hermitian=True)
 
@@ -351,13 +358,8 @@ def overlap_kernel(atom: Atom, xi_grid: LineGrid) -> KernelMatrix:
 def weighted_overlap_kernel(atom: Atom, alpha: Symbol1D,
                             xi_grid: LineGrid) -> KernelMatrix:
     """Symbol-weighted overlap kernel; its diagonal is the grid-rule gamma."""
-    nodes = atom.g1.nodes if isinstance(atom.g1, ScaleGrid) else atom.g1.samples
-    a_vals = np.asarray(alpha(nodes))
-    if not np.all(np.isfinite(a_vals)):
-        raise ValueError(f"symbol {alpha.descriptor} not finite on the grid nodes")
-    L = atom.ell_matrix(xi_grid.samples)
-    w = atom.g1_weights() * a_vals
-    vals = np.einsum("k,ki,kj->ij", w, np.conj(L), L)
+    w = atom.g1.measure_weights * _symbol_on_nodes(atom, alpha)
+    vals = _fiber_overlap(atom, w, xi_grid)
     return KernelMatrix(xi_grid, vals, "weighted_overlap", atom.name,
                         symbol_descriptor=alpha.descriptor,
                         check_hermitian=alpha.is_real)

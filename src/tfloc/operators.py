@@ -43,9 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atoms import Atom
-from .fields import (_fourier_rows, analyze, apply_axis2_fourier,
-                     bargmann, embed, project)
-from .fourier import fourier
+from .fields import analyze, bargmann
+from .fourier import _fourier_rows, fourier
 from .grids import LineGrid, SampledFunction, induced_grid
 from .kernels import (GammaFunction, SpectrumReport, gamma, overlap_kernel,
                       weighted_overlap_kernel)
@@ -60,7 +59,6 @@ __all__ = [
     "build_multiplication",
     "build_integral",
     "build_pseudodiff",
-    "apply_direct",
     "operator_norm",
     "spectrum",
     "hausdorff_distance",
@@ -121,30 +119,12 @@ class OperatorMatrix:
 
 # -- direct (pipeline) route -----------------------------------------------------
 
-def apply_direct(atom: Atom, spec: SymbolSpec, f: SampledFunction,
-                 a_field: np.ndarray | None = None) -> SampledFunction:
-    """One pass of the conjugated pipeline applied to a coefficient vector."""
-    s_grid = induced_grid(f.grid)
-    if a_field is None:
-        a_field = _symbol_field(atom, spec, s_grid)
-    F = embed(atom, f)
-    G = apply_axis2_fourier(F, "backward", out_grid=s_grid)
-    H = G.copy_with(G.values * a_field)
-    Y = apply_axis2_fourier(H, "forward", out_grid=f.grid)
-    return project(atom, Y)
-
-
-def _symbol_field(atom: Atom, spec: SymbolSpec, s_grid: LineGrid) -> np.ndarray:
-    g1 = atom.g1
-    nodes = g1.nodes if hasattr(g1, "nodes") else g1.samples
-    return spec.evaluate_field(nodes, s_grid.samples)
-
-
 def build_direct(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid | None = None,
                  allow_large: bool = False) -> OperatorMatrix:
     """Assemble the pipeline operator column by column on basis vectors.
 
-    Same arithmetic as ``apply_direct`` per column; the fiber matrix and the
+    Each column is one pass of embed, backward axis-2 transform, symbol
+    multiply, forward transform and project.  The fiber matrix and the
     backward transform of the basis vectors are hoisted out of the loop
     (embedding a basis vector gives a rank-one field, so its backward
     transform is an outer product with a precomputed column).
@@ -153,10 +133,10 @@ def build_direct(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid | None = None,
     n = xi_grid.count
     _check_size(n, allow_large)
     s_grid = induced_grid(xi_grid)
-    a_field = _symbol_field(atom, spec, s_grid)
+    a_field = spec.evaluate_field(atom.g1.nodes, s_grid.samples)
     L = atom.ell_matrix(xi_grid.samples)
     Lc = np.conj(L)
-    w = atom.g1_weights()
+    w = atom.g1.measure_weights
     back_sign = "inverse" if atom.case == "wavelet" else "forward"
     fwd_sign = "forward" if atom.case == "wavelet" else "inverse"
     # row j: backward transform of the j-th basis vector, sampled on s_grid
@@ -364,9 +344,10 @@ def verify_equivalence(espec: EquivalenceSpec,
                                  allow_large=allow_large)
     direct = build_direct(atom, spec, grid, allow_large=allow_large)
 
-    dn = operator_norm(direct)
+    direct_spec = spectrum(direct, allow_large=allow_large)
+    dn = direct_spec.norm_estimate
     norm_disc = operator_norm(direct.values - other.values) / dn if dn else 0.0
-    hd = hausdorff_distance(spectrum(direct, allow_large=allow_large).values,
+    hd = hausdorff_distance(direct_spec.values,
                             spectrum(other, allow_large=allow_large).values)
     rng = np.random.default_rng(espec.seed)
     worst = 0.0
@@ -405,7 +386,7 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
 
     def slow_path():
         W = analyze(atom, f)
-        mask = _symbol_field(atom, spec, W.g2)
+        mask = spec.evaluate_field(atom.g1.nodes, W.g2.samples)
         masked = W.copy_with(W.values * mask)
         g = bargmann(atom, masked)
         if atom.case == "wavelet":

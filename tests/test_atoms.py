@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tfloc.atoms import (AdmissibilityError, admissibility_test_frequencies,
-                         ell, make_wavelet)
+                         make_wavelet)
 
 LN2 = math.log(2.0)
 
@@ -83,7 +83,7 @@ def test_rect_window_exact_norm_on_aligned_grid(rect):
 def test_ell_gabor_gaussian_real(gaussian):
     # real window: conjugation is the identity
     for q, w in [(0.0, 0.5), (1.5, -2.0), (-3.0, 1.0)]:
-        v = ell(gaussian, q, w)
+        v = gaussian.ell(q, w)
         assert v.imag == 0.0
         assert abs(v - 2.0 ** 0.25 * math.exp(-math.pi * (w - q) ** 2)) <= 1e-14
 
@@ -93,21 +93,21 @@ def test_ell_shannon_band_formula(shannon):
     c = 1.0 / math.sqrt(LN2)
     for u, w in [(1.0, 1.5), (0.5, 3.0), (2.0, 0.9), (1.0, 2.5), (4.0, -0.4)]:
         expected = math.sqrt(u) * c if 1.0 <= abs(u * w) <= 2.0 else 0.0
-        assert abs(ell(shannon, u, w) - expected) <= 1e-14
+        assert abs(shannon.ell(u, w) - expected) <= 1e-14
 
 
 def test_ell_rejects_nonpositive_scale(shannon):
     with pytest.raises(ValueError, match="positive"):
-        ell(shannon, 0.0, 1.0)
+        shannon.ell(0.0, 1.0)
     with pytest.raises(ValueError, match="positive"):
-        ell(shannon, -2.0, 1.0)
+        shannon.ell(-2.0, 1.0)
 
 
 def test_ell_evenness_wavelet(shannon, haar):
     for atom in (shannon, haar):
         for u in (0.3, 1.0, 5.0):
             for w in (0.25, 1.1, 3.7):
-                assert abs(abs(ell(atom, u, -w)) - abs(ell(atom, u, w))) <= 1e-10
+                assert abs(abs(atom.ell(u, -w)) - abs(atom.ell(u, w))) <= 1e-10
 
 
 def test_fiber_norms_documented_ranges(shannon, haar, gaussian, rect):

@@ -51,6 +51,17 @@ def test_read_signal_rejects_nonuniform(tmp_path):
         read_signal_csv(str(path))
 
 
+def test_read_signal_rejects_short_row(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("x,re,im\n0,1,0\n0.5,1\n1,1,0\n")
+    with pytest.raises(ValueError, match=r"short\.csv: line 3"):
+        read_signal_csv(str(path))
+    out = tmp_path / "o.csv"
+    assert run("filter", "--symbol", "const:1", "--input", str(path),
+               "--out", str(out)) == 2
+    assert not out.exists()
+
+
 # -- gamma command -------------------------------------------------------------------
 
 def test_cmd_gamma_erf_value(tmp_path):
@@ -222,3 +233,25 @@ def test_cmd_n_cap(tmp_path):
     assert run("gamma", "--case", "gabor", "--symbol", "const:1",
                "--n", "1024", "--allow-large",
                "--out", str(tmp_path / "g.csv")) == 0
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_cmd_rejects_n_below_two(tmp_path, capsys, n):
+    out = tmp_path / "g.csv"
+    with pytest.raises(SystemExit) as exc:
+        run("gamma", "--symbol", "const:1", "--n", n, "--out", str(out))
+    assert exc.value.code == 2
+    assert "at least 2 samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cmd_spectrum_eig_failure_exits_2(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    out = tmp_path / "s.csv"
+    assert run("spectrum", "--symbol", "const:0.5", "--rule", "grid",
+               "--n", "32", "--with-eigs", "--out", str(out)) == 2
+    assert "eigenvalue computation failed" in capsys.readouterr().err
+    assert not out.exists()

@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from tfloc.fields import analyze, random_bandlimited
+from tfloc.algebra import PartitionCloud
+from tfloc.fields import PhasePlaneField, analyze, random_bandlimited
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, subgrid_indices
-from tfloc.io import export_field, export_matrix, sidecar_path
-from tfloc.operators import build_direct, default_operator_grid
+from tfloc.io import (export_cloud, export_field, export_gamma, export_kernel,
+                      export_matrix, sidecar_path, write_signal_csv)
+from tfloc.kernels import GammaFunction, KernelMatrix
+from tfloc.operators import (OperatorMatrix, build_direct,
+                             default_operator_grid)
 from tfloc.symbols import Symbol1D, SymbolSpec
 
 
@@ -78,3 +82,63 @@ def test_export_matrix_roundtrips_entries(tmp_path, gaussian):
     assert np.max(np.abs(got - M.values)) == 0.0
     meta = json.loads(open(sidecar_path(path)).read())
     assert meta["builder"] == "direct" and meta["hermitian"] is True
+
+
+def _csv_text(header, rows) -> str:
+    lines = [",".join(header)]
+    lines += [",".join(f"{x:.17g}" for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _exporter_case(kind):
+    """(writer call, expected CSV text) for one exporter on awkward values."""
+    rng = np.random.default_rng(17)
+    grid = LineGrid(-0.75, 1.0 / 3.0, 4)
+    xs = grid.samples
+    vec = rng.standard_normal(4) * 1e3 + 1j * rng.standard_normal(4) * 1e-7
+    vec[1] = complex(-0.0, 1.0 / 7.0)
+    mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    pairs = [(i, j) for i in range(4) for j in range(4)]
+    if kind == "signal":
+        return (lambda p: write_signal_csv(p, SampledFunction(grid, vec)),
+                _csv_text(["x", "re", "im"],
+                          [(x, v.real, v.imag) for x, v in zip(xs, vec)]))
+    if kind == "field":
+        g1 = ScaleGrid(0.5, 4.0, 3)
+        vals = mat[:3]
+        field = PhasePlaneField("wavelet", g1, grid, vals, "zeta2")
+        rows = [(g1.nodes[k], xs[i], vals[k, i].real, vals[k, i].imag)
+                for k in range(3) for i in range(4)]
+        return (lambda p: export_field(p, field),
+                _csv_text(["z", "omega", "re", "im"], rows))
+    if kind == "gamma":
+        gf = GammaFunction(grid, vec, "gaussian", "const:1", "grid")
+        return (lambda p: export_gamma(p, gf),
+                _csv_text(["xi", "re", "im"],
+                          [(x, v.real, v.imag) for x, v in zip(xs, vec)]))
+    if kind == "kernel":
+        km = KernelMatrix(grid, mat, "overlap", "gaussian")
+        rows = [(xs[i], xs[j], mat[i, j].real, mat[i, j].imag)
+                for i, j in pairs]
+        return (lambda p: export_kernel(p, km),
+                _csv_text(["xi", "omega", "re", "im"], rows))
+    if kind == "matrix":
+        M = OperatorMatrix(grid, mat, "direct", "gaussian", "x")
+        rows = [(i, j, mat[i, j].real, mat[i, j].imag) for i, j in pairs]
+        return (lambda p: export_matrix(p, M),
+                _csv_text(["i", "j", "re", "im"], rows))
+    points = np.abs(rng.standard_normal((4, 3)))
+    points /= points.sum(axis=1, keepdims=True)
+    cloud = PartitionCloud(grid, points, "partition", "gaussian")
+    return (lambda p: export_cloud(p, cloud),
+            _csv_text(["xi", "z1", "z2", "z3"],
+                      [(x, *pt) for x, pt in zip(xs, points)]))
+
+
+@pytest.mark.parametrize("kind", ["signal", "field", "gamma", "kernel",
+                                  "matrix", "cloud"])
+def test_exporter_bytes_pinned(tmp_path, kind):
+    write, expected = _exporter_case(kind)
+    path = tmp_path / f"{kind}.csv"
+    write(str(path))
+    assert path.read_bytes() == expected.encode()

@@ -155,7 +155,7 @@ def test_project_kills_fiber_orthogonal_profiles(shannon, gaussian):
     # center (gabor)
     g2 = LineGrid.centered(8.0, 64)
     L = shannon.ell_matrix(g2.samples)
-    w = shannon.g1_weights()
+    w = shannon.g1.measure_weights
     vals = np.zeros_like(L)
     for i, om in enumerate(g2.samples):
         idx = np.nonzero(np.abs(L[:, i]) > 0)[0]
@@ -195,7 +195,7 @@ def test_embed_project_idempotent(gaussian):
 def test_projection_operator_self_adjoint(gaussian):
     # <Lambda x, y> == <x, Lambda y> under the plane measure
     rng = np.random.default_rng(17)
-    g1w = gaussian.g1_weights()
+    g1w = gaussian.g1.measure_weights
     g2 = LineGrid.centered(8.0, 64)
 
     def plane_inner(A, B):
