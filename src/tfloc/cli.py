@@ -4,13 +4,15 @@ Subcommands: gamma, spectrum, kernel, verify, filter, algebra.  Outputs are
 CSV files with JSON sidecars (or single JSON files with --format json),
 written atomically; identical configurations produce byte-identical files.
 Exit codes: 0 success (and, for verify, all checks passed), 1 verification
-failure, 2 usage or runtime error.
+failure, 2 usage or runtime error (an unexpected exception is reported as an
+internal error, with its traceback, and also exits 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 import numpy as np
 
@@ -118,13 +120,16 @@ def _xi_grid(args) -> LineGrid:
     return LineGrid(lo, (hi - lo) / args.n, args.n)
 
 
+def _atom_name(args) -> str:
+    return args.atom or DEFAULT_ATOM[args.case]
+
+
 def _atom(args):
-    name = args.atom or DEFAULT_ATOM[args.case]
-    return make_atom(args.case, name)
+    return make_atom(args.case, _atom_name(args))
 
 
 def _config_meta(args, **extra) -> dict:
-    md = {"case": args.case, "atom": args.atom or DEFAULT_ATOM[args.case],
+    md = {"case": args.case, "atom": _atom_name(args),
           "n": args.n, "seed": args.seed}
     md.update(extra)
     return md
@@ -378,6 +383,12 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (SymbolParseError, ValueError, OSError, ArithmeticError) as exc:
         print(f"tfloc {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # a bug, not bad input; exit 1 is reserved for "verification failed"
+        traceback.print_exc(file=sys.stderr)
+        print(f"tfloc {args.command}: internal error: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -341,7 +341,7 @@ def boundedness_verdict(reports: list[SpectrumReport],
 def _fiber_overlap(atom: Atom, w: np.ndarray, xi_grid: LineGrid) -> np.ndarray:
     """First-coordinate quadrature of w * conj(ell(., xi_i)) * ell(., xi_j)."""
     L = atom.ell_matrix(xi_grid.samples)
-    return np.einsum("k,ki,kj->ij", w, np.conj(L), L)
+    return (np.conj(L) * w[:, None]).T @ L
 
 
 def overlap_kernel(atom: Atom, xi_grid: LineGrid) -> KernelMatrix:

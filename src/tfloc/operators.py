@@ -7,8 +7,17 @@ same operator along different routes:
 
 * ``build_direct`` -- the conjugated pipeline: embed, backward axis-2
   transform, pointwise multiply by the symbol, forward transform, project.
-  This is the reference route; it makes no use of any structure the symbol
-  may have.
+  This is the reference route.  It uses no structure the symbol may have
+  beyond its numerical rank: on the builders' grids the transform sandwich
+  F_fwd diag(a_k) F_back of one first-coordinate row a_k of the sampled
+  symbol depends only on i - j and is linear in a_k, so a rank-r
+  factorization a = sum_r q_r v_r^T of the K x n symbol field assembles the
+  matrix as r Gram GEMMs (one per q_r) times r batched transforms (one per
+  v_r).  The rank is the smallest that column-pivoted QR leaves with a
+  dropped Frobenius tail of at most ``LOWRANK_TAIL`` = 1e-13 relative to
+  the field's norm; the rank and the tail are recorded on the result.  It
+  shares no ingredient with the routes below: neither the overlap kernels
+  nor gamma nor the difference-lattice factor.
 * ``build_multiplication`` -- diagonal matrix of the scalar symbol gamma
   (first-variable symbols diagonalize).
 * ``build_integral`` -- overlap kernel times the transformed second-variable
@@ -41,6 +50,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import linalg
 
 from .atoms import Atom
 from .fields import analyze, bargmann
@@ -90,10 +100,18 @@ def case_sign(case: str) -> float:
 
 
 class OperatorMatrix:
-    """Dense operator over a frequency window, with builder provenance."""
+    """Dense operator over a frequency window, with builder provenance.
+
+    ``lowrank_rank`` and ``lowrank_tail`` are set by ``build_direct``: the
+    rank of the symbol-field factorization it assembled from and the
+    Frobenius tail it dropped, relative to the field's norm.  Other builders
+    leave them ``None``.
+    """
 
     def __init__(self, grid: LineGrid, values, builder: str, atom_name: str,
-                 symbol_descriptor: str, symbol_is_real: bool | None = None):
+                 symbol_descriptor: str, symbol_is_real: bool | None = None,
+                 lowrank_rank: int | None = None,
+                 lowrank_tail: float | None = None):
         values = np.asarray(values, dtype=complex)
         n = grid.count
         if values.shape != (n, n):
@@ -111,6 +129,8 @@ class OperatorMatrix:
         self.builder = builder
         self.atom_name = atom_name
         self.symbol_descriptor = symbol_descriptor
+        self.lowrank_rank = lowrank_rank
+        self.lowrank_tail = lowrank_tail
 
     def __repr__(self):
         return (f"OperatorMatrix({self.builder}, {self.atom_name}, "
@@ -119,35 +139,82 @@ class OperatorMatrix:
 
 # -- direct (pipeline) route -----------------------------------------------------
 
+# Largest dropped Frobenius tail of the symbol field, relative to its norm,
+# that the low-rank assembly of the direct route may leave out.
+LOWRANK_TAIL = 1e-13
+
+
+def _lowrank_factors(a_field: np.ndarray):
+    """Truncated factors of the sampled symbol field: a ~= Q @ V.
+
+    Column-pivoted QR, a[:, P] = Q R, keeps the smallest rank r whose
+    dropped rows R[r:] (which equal the trailing block R[r:, r:], R being
+    upper triangular) have Frobenius norm at most ``LOWRANK_TAIL`` times
+    ||a||_F.  Returns Q[:, :r], the rows of R[:r] scattered back to the
+    unpivoted column order, and the relative tail actually dropped.
+    """
+    a_norm = float(np.linalg.norm(a_field))
+    Q, R, P = linalg.qr(a_field, mode="economic", pivoting=True)
+    # tails[r] = ||R[r:]||_F, for r = 0 .. R.shape[0]
+    row_sq = np.sum(np.abs(R) ** 2, axis=1)
+    tails = np.sqrt(np.append(np.cumsum(row_sq[::-1])[::-1], 0.0))
+    rank = int(np.argmax(tails <= LOWRANK_TAIL * a_norm))
+    V = np.empty((rank, a_field.shape[1]), dtype=R.dtype)
+    V[:, P] = R[:rank]
+    return Q[:, :rank].copy(), V, (tails[rank] / a_norm if a_norm else 0.0)
+
+
 def build_direct(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid | None = None,
                  allow_large: bool = False) -> OperatorMatrix:
-    """Assemble the pipeline operator column by column on basis vectors.
+    """Pipeline operator, assembled from a low-rank factorization of the symbol.
 
-    Each column is one pass of embed, backward axis-2 transform, symbol
-    multiply, forward transform and project.  The fiber matrix and the
-    backward transform of the basis vectors are hoisted out of the loop
-    (embedding a basis vector gives a rank-one field, so its backward
-    transform is an outer product with a precomputed column).
+    The pipeline (embed, backward axis-2 transform, multiply by the symbol
+    a(r_k, s), forward transform, project) has entries
+
+        M[i, j] = sum_k w_k conj(L[k, i]) L[k, j] (F_fwd diag(a_k) F_back)[i, j]
+
+    with L the fiber matrix, w the first-coordinate weights and a_k the k-th
+    row of the sampled symbol field.  On the builders' grids the sandwich
+    F_fwd diag(a_k) F_back depends only on i - j, and it is linear in a_k.
+    So a rank-r factorization a = sum_r q_r v_r^T of the K x n field splits
+    M into r elementwise products,
+
+        M = sum_r G_r * (F_fwd diag(v_r) F_back),   G_r = L^H diag(w q_r) L,
+
+    each one Gram GEMM plus one batched ``_fourier_rows`` transform of the
+    backward-transformed basis, instead of n column passes.  The rank is
+    chosen by column-pivoted QR: the smallest r whose dropped Frobenius tail
+    is at most ``LOWRANK_TAIL`` (1e-13) relative to ||a||_F.  The rank and
+    the relative tail are recorded on the result as ``lowrank_rank`` and
+    ``lowrank_tail``.  First-variable, second-variable and separable symbols
+    have rank 1.
     """
     xi_grid = default_operator_grid(atom.case) if xi_grid is None else xi_grid
     n = xi_grid.count
     _check_size(n, allow_large)
     s_grid = induced_grid(xi_grid)
-    a_field = spec.evaluate_field(atom.g1.nodes, s_grid.samples)
+    Q, V, tail = _lowrank_factors(
+        spec.evaluate_field(atom.g1.nodes, s_grid.samples))
     L = atom.ell_matrix(xi_grid.samples)
-    Lc = np.conj(L)
     w = atom.g1.measure_weights
     back_sign = "inverse" if atom.case == "wavelet" else "forward"
     fwd_sign = "forward" if atom.case == "wavelet" else "inverse"
     # row j: backward transform of the j-th basis vector, sampled on s_grid
     T_back = _fourier_rows(np.eye(n, dtype=complex), xi_grid, back_sign, s_grid)
-    M = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        H = a_field * np.outer(L[:, j], T_back[j])
-        Y = _fourier_rows(H, s_grid, fwd_sign, xi_grid)
-        M[:, j] = np.einsum("k,ki,ki->i", w, Lc, Y)
+    M = np.zeros((n, n), dtype=complex)
+    # in-place products, and each rank's arrays dropped before the next: the
+    # peak stays at six arrays of n x n or K x n entries, whatever the rank
+    for q, v in zip(Q.T, V):
+        D = _fourier_rows(T_back * v, s_grid, fwd_sign, xi_grid)
+        WL = np.conj(L)
+        WL *= (w * q)[:, None]
+        G = WL.T @ L
+        G *= D.T
+        M += G
+        del D, WL, G
     return OperatorMatrix(xi_grid, M, "direct", atom.name, spec.descriptor,
-                          symbol_is_real=spec.is_real)
+                          symbol_is_real=spec.is_real,
+                          lowrank_rank=len(V), lowrank_tail=tail)
 
 
 # -- specialized routes -----------------------------------------------------------
@@ -246,7 +313,11 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
 
 def spectrum(M: OperatorMatrix, reference=None,
              allow_large: bool = False) -> SpectrumReport:
-    """Dense eigenvalue multiset; symmetric solver for Hermitian matrices."""
+    """Dense eigenvalue multiset; symmetric solver for Hermitian matrices.
+
+    The norm estimate is the largest singular value: max |eigenvalue| of the
+    symmetrized matrix when Hermitian, a dense SVD otherwise.
+    """
     _check_size(M.grid.count, allow_large)
     try:
         if M.is_hermitian:
@@ -260,12 +331,15 @@ def spectrum(M: OperatorMatrix, reference=None,
         raise ArithmeticError("eigenvalue computation did not converge")
     interval = ((float(eigs.real.min()), float(eigs.real.max()))
                 if M.is_hermitian else None)
+    # the singular values of a Hermitian matrix are its |eigenvalues|
+    norm = (float(np.max(np.abs(eigs))) if M.is_hermitian
+            else operator_norm(M))
     hd = None
     if reference is not None:
         hd = hausdorff_distance(eigs, np.asarray(reference))
     return SpectrumReport(values=eigs, source=f"operator:{M.builder}",
                           is_real=M.is_hermitian,
-                          norm_estimate=operator_norm(M), interval=interval,
+                          norm_estimate=norm, interval=interval,
                           hausdorff=hd)
 
 
@@ -386,8 +460,9 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
 
     def slow_path():
         W = analyze(atom, f)
-        mask = spec.evaluate_field(atom.g1.nodes, W.g2.samples)
-        masked = W.copy_with(W.values * mask)
+        masked = W.copy_with(
+            W.values * spec.evaluate_field(atom.g1.nodes, W.g2.samples))
+        del W  # the unmasked field need not outlive bargmann's transform
         g = bargmann(atom, masked)
         if atom.case == "wavelet":
             return fourier(g, "inverse", out_grid=f.grid)

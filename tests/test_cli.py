@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from tfloc import cli
 from tfloc.cli import main
 from tfloc.fields import random_bandlimited
 from tfloc.grids import LineGrid, SampledFunction
@@ -254,4 +255,16 @@ def test_cmd_spectrum_eig_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert run("spectrum", "--symbol", "const:0.5", "--rule", "grid",
                "--n", "32", "--with-eigs", "--out", str(out)) == 2
     assert "eigenvalue computation failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cmd_unexpected_exception_exits_2(tmp_path, monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("unexpected state")
+
+    monkeypatch.setitem(cli._COMMANDS, "gamma", boom)
+    out = tmp_path / "g.csv"
+    assert run("gamma", "--symbol", "const:1", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "tfloc gamma: internal error: RuntimeError: unexpected state" in err
     assert not out.exists()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from tfloc.fields import random_bandlimited
-from tfloc.fourier import fourier
-from tfloc.grids import LineGrid
+from tfloc.fourier import _fourier_rows, fourier
+from tfloc.grids import LineGrid, induced_grid
 from tfloc.kernels import gamma, spectrum_from_gamma
 from tfloc.operators import (EquivalenceSpec, build_direct, build_integral,
                              build_multiplication, build_pseudodiff,
@@ -78,6 +78,78 @@ def test_size_cap_enforced(gaussian):
     with pytest.raises(ValueError, match="cap"):
         build_direct(gaussian,
                      SymbolSpec.first_variable(Symbol1D.constant(1.0)), big)
+
+
+# -- low-rank assembly against the column loop ---------------------------------
+
+def _direct_column_loop(atom, spec, xi_grid):
+    """Reference pipeline: one embed/transform/multiply/transform/project
+    pass per basis vector, as the direct route was assembled before its
+    low-rank form.  O(n^2 K log n); small n only."""
+    n = xi_grid.count
+    assert n <= 64
+    s_grid = induced_grid(xi_grid)
+    a_field = spec.evaluate_field(atom.g1.nodes, s_grid.samples)
+    L = atom.ell_matrix(xi_grid.samples)
+    Lc = np.conj(L)
+    w = atom.g1.measure_weights
+    back_sign = "inverse" if atom.case == "wavelet" else "forward"
+    fwd_sign = "forward" if atom.case == "wavelet" else "inverse"
+    T_back = _fourier_rows(np.eye(n, dtype=complex), xi_grid, back_sign, s_grid)
+    M = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        H = a_field * np.outer(L[:, j], T_back[j])
+        Y = _fourier_rows(H, s_grid, fwd_sign, xi_grid)
+        M[:, j] = np.einsum("k,ki,ki->i", w, Lc, Y)
+    return M
+
+
+def _oracle_specs(case):
+    if case == "gabor":
+        alpha, beta = Symbol1D.indicator(-1.0, 1.0), Symbol1D.cosine_window(2.0)
+    else:
+        alpha, beta = Symbol1D.indicator(1.0, 2.0), Symbol1D.gaussian_bump(1.0)
+    return {
+        "first": SymbolSpec.first_variable(alpha),
+        "second": SymbolSpec.second_variable(beta),
+        "separable": SymbolSpec.separable(alpha, beta),
+        "radial": SymbolSpec.general(
+            lambda r, s: np.exp(-np.pi * (r ** 2 + s ** 2)), "radial"),
+        "disk": SymbolSpec.general(
+            lambda r, s: (r ** 2 + s ** 2 <= 4.0).astype(float), "disk:2"),
+        "chirp": SymbolSpec.general(
+            lambda r, s: np.cos(np.pi * r * s) * np.exp(-0.05 * (r ** 2 + s ** 2)),
+            "chirp"),
+        "complex": SymbolSpec.general(
+            lambda r, s: np.exp(-np.pi * ((r - 0.5) ** 2 + s ** 2) + 1j * r * s),
+            "complex"),
+    }
+
+
+@pytest.mark.parametrize("atom_name", ["gaussian", "shannon", "haar"])
+def test_direct_lowrank_matches_column_loop(atom_name, request):
+    atom = request.getfixturevalue(atom_name)
+    grid = _grid_for(atom, 64)
+    for kind, spec in _oracle_specs(atom.case).items():
+        M = build_direct(atom, spec, grid)
+        ref = _direct_column_loop(atom, spec, grid)
+        rel = operator_norm(M.values - ref) / operator_norm(ref)
+        assert rel <= 1e-13, f"{atom.name}/{kind}: {rel:.2e}"
+        assert M.lowrank_tail <= 1e-13
+        if kind in ("first", "second", "separable", "radial"):
+            assert M.lowrank_rank == 1, f"{atom.name}/{kind}"
+        else:
+            assert 1 < M.lowrank_rank <= grid.count
+
+
+def test_direct_zero_symbol_is_zero(gaussian, shannon):
+    for atom in (gaussian, shannon):
+        with np.errstate(divide="raise", invalid="raise"):
+            M = build_direct(
+                atom, SymbolSpec.first_variable(Symbol1D.constant(0.0)),
+                _grid_for(atom, 32))
+        assert not np.any(M.values)
+        assert M.lowrank_rank == 0 and M.lowrank_tail == 0.0
 
 
 # -- multiplication route -----------------------------------------------------------
@@ -203,6 +275,17 @@ def test_spectrum_identity(gaussian):
                      SymbolSpec.first_variable(Symbol1D.constant(1.0)), G128)
     rep = spectrum(M)
     assert np.max(np.abs(rep.values - 1.0)) <= 1e-6
+
+
+def test_spectrum_norm_estimate_is_largest_singular_value(gaussian):
+    herm = build_direct(gaussian, SymbolSpec.separable(
+        Symbol1D.indicator(0.0, math.inf), Symbol1D.cosine_window(2.0)), G128)
+    cplx = build_direct(gaussian, SymbolSpec.first_variable(
+        Symbol1D.piecewise([[(-1.0, 1.0)]], [1j])), G128)
+    assert herm.is_hermitian and not cplx.is_hermitian
+    for M in (herm, cplx):
+        sv = np.linalg.svd(M.values, compute_uv=False)[0]
+        assert abs(spectrum(M).norm_estimate - sv) <= 1e-12 * sv
 
 
 def test_spectrum_diag_interval_for_real_symbol(gaussian):

@@ -264,6 +264,18 @@ def test_weighted_kernel_constant_equals_overlap(gaussian):
     assert np.max(np.abs(W.values - K.values)) <= 1e-10
 
 
+def test_weighted_kernel_matches_quadrature_sum(gaussian, shannon):
+    # reference: the first-coordinate quadrature sum as one einsum
+    sym = Symbol1D.piecewise([[(-1.0, 1.0)], [(1.0, 2.0)]], [1j, 0.5])
+    for atom in (gaussian, shannon):
+        grid = default_operator_grid(atom.case, 64)
+        L = atom.ell_matrix(grid.samples)
+        w = atom.g1.measure_weights * sym(atom.g1.nodes)
+        ref = np.einsum("k,ki,kj->ij", w, np.conj(L), L)
+        W = weighted_overlap_kernel(atom, sym, grid)
+        assert np.max(np.abs(W.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_weighted_kernel_real_symbol_hermitian(gaussian):
     grid = LineGrid.centered(8.0, 128)
     W = weighted_overlap_kernel(gaussian, Symbol1D.smooth_step(4.0), grid)
