@@ -247,15 +247,27 @@ def _haar_energy_integral(lo: float, hi: float) -> float:
         return 4.0 / (np.pi ** 2 * s ** 3)
 
     i0 = 2.0 / np.pi ** 2 * (lo ** -2 - hi ** -2)  # integral of base, exact
-    i1 = _quad_cos(base, lo, hi, np.pi)
-    i2 = _quad_cos(base, lo, hi, 2.0 * np.pi)
+    i1, _ = quad_cos(base, lo, hi, np.pi, epsabs=1e-13)
+    i2, _ = quad_cos(base, lo, hi, 2.0 * np.pi, epsabs=1e-13)
     return 0.375 * i0 - 0.5 * i1 + 0.125 * i2
 
 
-def _quad_cos(fn, lo: float, hi: float, wvar: float) -> float:
-    val, _ = integrate.quad(fn, lo, hi, weight="cos", wvar=wvar,
-                            epsabs=1e-13, limit=400)
-    return val
+def quad_cos(fn, lo: float, hi: float, wvar: float, epsabs: float):
+    """Integral of fn(t) cos(wvar t) over [lo, hi] by QUADPACK's QAWO rule.
+
+    Returns the value and scipy's error estimate.  A complex-valued ``fn``
+    (judged by its value at ``lo``) is integrated as its real and imaginary
+    parts, and the two estimates are added.
+    """
+    def part(g):
+        return integrate.quad(g, lo, hi, weight="cos", wvar=wvar,
+                              epsabs=epsabs, limit=400)
+
+    if not np.iscomplexobj(fn(lo)):
+        return part(fn)
+    re, e_re = part(lambda t: fn(t).real)
+    im, e_im = part(lambda t: fn(t).imag)
+    return re + 1j * im, e_re + e_im
 
 
 # -- catalog ------------------------------------------------------------------

@@ -115,6 +115,30 @@ def test_cmd_gamma_json_format(tmp_path):
     assert len(data["re"]) == 256 and max(abs(v - 1) for v in data["re"]) <= 1e-6
 
 
+def test_cmd_gamma_sidecar_abserr(tmp_path):
+    for cmd in ("gamma", "spectrum"):
+        metas = {}
+        for rule in ("adaptive", "adaptive", "grid"):
+            out = str(tmp_path / f"{cmd}-{rule}.csv")
+            assert run(cmd, "--symbol", "indicator:-1,1", "--rule", rule,
+                       "--n", "64", "--out", out) == 0
+            text = open(sidecar_path(out), "rb").read()
+            assert metas.setdefault(rule, text) == text  # repeats identical
+        adaptive = json.loads(metas["adaptive"])
+        assert 0.0 < adaptive["quadrature_abserr_max"] <= 1e-10
+        assert "quadrature_abserr_max" not in json.loads(metas["grid"])
+
+
+def test_cmd_gamma_unlisted_jumps_exit_2(tmp_path, monkeypatch, capsys,
+                                        square_wave):
+    monkeypatch.setattr(cli, "parse_symbol", lambda text: square_wave)
+    out = tmp_path / "g.csv"
+    assert run("gamma", "--symbol", "square", "--n", "32",
+               "--out", str(out)) == 2
+    assert "did not converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- verify command ------------------------------------------------------------------
 
 def test_cmd_verify_cto1(tmp_path):

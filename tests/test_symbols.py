@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,126 @@ def test_gamma_haar_adaptive_matches_grid(haar):
     gg = gamma(haar, sym, grid, rule="grid")
     # grid rule carries the scale-truncation tail, O(1e-4)
     assert np.max(np.abs(ga.values - gg.values)) <= 1e-3
+
+
+# -- adaptive rule against the per-point scipy loop ------------------------------
+
+def _scipy_gamma_adaptive(atom, alpha, xs):
+    """Reference: one pair of scipy quad calls per xi, scalar callbacks.
+
+    The adaptive rule's former implementation; every quad must converge
+    (IntegrationWarning is turned into an error by the caller).
+    """
+    def quad_complex(fn, lo, hi, pts):
+        opts = dict(points=pts, epsabs=1e-12, epsrel=1e-11, limit=300)
+        re, _ = integrate.quad(lambda t: fn(t).real, lo, hi, **opts)
+        im, _ = integrate.quad(lambda t: fn(t).imag, lo, hi, **opts)
+        return re + 1j * im
+
+    def sym(t):
+        return complex(alpha(np.asarray([t]))[0])
+
+    out = np.zeros(xs.size, dtype=complex)
+    for i, xi in enumerate(float(x) for x in xs):
+        if atom.case == "wavelet":
+            if xi == 0.0:
+                continue
+            a, side = abs(xi), (1.0 if xi > 0 else -1.0)
+            lo = max(atom.freq_support[0] / a, alpha.support[0], 1e-300)
+            hi = min(atom.freq_support[1] / a, alpha.support[1])
+
+            def fn(u, a=a, side=side):
+                prof = complex(atom.eval_freq(np.asarray([side * u * a]))[0])
+                return sym(u) * abs(prof) ** 2 / u
+        else:
+            lo = max(xi - atom.time_support[1], alpha.support[0])
+            hi = min(xi - atom.time_support[0], alpha.support[1])
+
+            def fn(q, xi=xi):
+                return sym(q) * abs(complex(
+                    atom.eval_time(np.asarray([xi - q]))[0])) ** 2
+        if lo < hi:
+            pts = [b for b in alpha.breakpoints if lo < b < hi] or None
+            out[i] = quad_complex(fn, lo, hi, pts)
+    return out
+
+
+def _oracle_symbols(case):
+    """Indicator, half-line, smooth step, bump, power:-1 (scale axis only),
+    a sampled symbol (interpolation kinks, no breakpoints), complex
+    piecewise."""
+    if case == "gabor":
+        sg = LineGrid(-4.0, 1.0, 9)
+        return [Symbol1D.indicator(-1.0, 1.0),
+                Symbol1D.indicator(-math.inf, 0.0),
+                Symbol1D.smooth_step(4.0),
+                Symbol1D.gaussian_bump(2.0, 0.5),
+                Symbol1D.sampled(sg, 1.0 + np.sin(3.0 * sg.samples)),
+                Symbol1D.piecewise([[(-1.0, 0.5)], [(0.5, 2.0), (3.0, 4.0)]],
+                                   [1j, 0.5 - 2j])]
+    sg = LineGrid(0.25, 1.0, 9)
+    return [Symbol1D.indicator(0.7, 3.0),
+            Symbol1D.indicator(1.5, math.inf),
+            Symbol1D.smooth_step(8.0, log2_axis=True),
+            Symbol1D.gaussian_bump(2.0, 0.5),
+            Symbol1D.power(-1.0),
+            Symbol1D.sampled(sg, 1.0 + np.sin(3.0 * sg.samples)),
+            Symbol1D.piecewise([[(0.3, 1.0)], [(1.0, 2.5)]], [1 + 1j, -0.5])]
+
+
+@pytest.mark.parametrize("atom_name", ["gaussian", "rect", "shannon"])
+def test_gamma_adaptive_matches_scipy_loop(atom_name, request):
+    atom = request.getfixturevalue(atom_name)
+    grid = default_operator_grid(atom.case, 32)
+    for sym in _oracle_symbols(atom.case):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", integrate.IntegrationWarning)
+            ref = _scipy_gamma_adaptive(atom, sym, grid.samples)
+        gf = gamma(atom, sym, grid, rule="adaptive")
+        assert np.max(np.abs(gf.values - ref)) <= 1e-12, sym.descriptor
+
+
+def test_gamma_adaptive_repeats_bit_identical(gaussian, shannon):
+    for atom, sym in [(gaussian, Symbol1D.piecewise(
+            [[(-1.0, 0.5)], [(0.5, 2.0)]], [1j, 0.5])),
+            (shannon, Symbol1D.smooth_step(8.0, log2_axis=True))]:
+        grid = default_operator_grid(atom.case, 128)
+        a = gamma(atom, sym, grid, rule="adaptive")
+        b = gamma(atom, sym, grid, rule="adaptive")
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.abserr == b.abserr
+
+
+def test_gamma_adaptive_symbol_calls_batched(gaussian, shannon):
+    for atom in (gaussian, shannon):
+        grid = default_operator_grid(atom.case, 128)
+        for sym in _oracle_symbols(atom.case):
+            calls = []
+
+            def fn(x, sym=sym):
+                calls.append(x.size)
+                return sym(x)
+
+            counted = Symbol1D(fn, sym.descriptor, sym.breakpoints,
+                               sym.support, sym.is_real, sym.sup_bound)
+            gamma(atom, counted, grid, rule="adaptive")
+            assert len(calls) <= 64, (atom.name, sym.descriptor, len(calls))
+
+
+def test_gamma_adaptive_unlisted_jumps_raise(gaussian, square_wave):
+    with pytest.raises(ArithmeticError, match=r"square:10000 at xi=.*300 panels"):
+        gamma(gaussian, square_wave, default_operator_grid("gabor", 32),
+              rule="adaptive")
+
+
+def test_gamma_adaptive_abserr(gaussian):
+    gf = gamma(gaussian, Symbol1D.indicator(-1.0, 1.0), GABOR_GRID,
+               rule="adaptive")
+    ref = gabor_indicator_gamma(-1.0, 1.0, GABOR_GRID.samples)
+    assert 0.0 < gf.abserr <= 1e-10
+    assert np.max(np.abs(gf.values - ref)) <= 1e-10
+    assert gamma(gaussian, Symbol1D.indicator(-1.0, 1.0), GABOR_GRID,
+                 rule="grid").abserr is None
 
 
 # -- gamma invariants -----------------------------------------------------------
