@@ -16,17 +16,20 @@ checked by tests).
 Although operators in this algebra commute exactly, products of two of them
 are not operators of multiplication by the product symbol: the gap
 gamma_a * gamma_b - gamma_{ab} is generically nonzero (the semi-commutator
-obstruction), which ``commutator_diagnostics`` measures.
+obstruction), which ``pool_commutator_diagnostics`` measures for every pair
+of a symbol pool.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
 from .atoms import Atom
 from .grids import LineGrid, ScaleGrid
 from .kernels import gamma
-from .operators import build_direct, operator_norm
+from .operators import build_direct, default_operator_grid, operator_norm
 from .symbols import Symbol1D, SymbolSpec
 
 __all__ = [
@@ -35,6 +38,7 @@ __all__ = [
     "partition_gammas",
     "evaluate_on_cloud",
     "commutator_diagnostics",
+    "pool_commutator_diagnostics",
     "invariant_subspace_check",
 ]
 
@@ -162,43 +166,55 @@ def evaluate_on_cloud(coefficients, cloud: PartitionCloud):
     return samples, float(np.max(np.abs(samples)))
 
 
+def pool_commutator_diagnostics(atom: Atom, pool, xi_grid: LineGrid | None = None,
+                                rule: str = "adaptive") -> dict:
+    """Commutator and semi-commutator diagnostics for every pair of a pool.
+
+    Builds the direct matrix, its operator norm and the gamma values of each
+    first-variable pool symbol once, then forms every pair's diagnostics
+    from them.  Returns ``{(i, j): diagnostics}`` for i < j: the direct
+    matrices commute (relative commutator norm ~ rounding); the
+    semi-commutator symbol gamma_i*gamma_j - gamma_{ij} is generically
+    nonzero and its sup is reported.
+    """
+    xi_grid = default_operator_grid(atom.case) if xi_grid is None else xi_grid
+    mats = [build_direct(atom, SymbolSpec.first_variable(alpha), xi_grid)
+            for alpha in pool]
+    norms = [operator_norm(M) for M in mats]
+    gammas = [gamma(atom, alpha, xi_grid, rule=rule).values for alpha in pool]
+    out = {}
+    for i, j in itertools.combinations(range(len(pool)), 2):
+        A, B = mats[i].values, mats[j].values
+        scale = norms[i] * norms[j]
+        commutator_rel = operator_norm(A @ B - B @ A) / scale if scale else 0.0
+        a1, a2 = pool[i], pool[j]
+        prod = Symbol1D(
+            lambda x, a1=a1, a2=a2: a1(x) * a2(x),
+            f"({a1.descriptor})*({a2.descriptor})",
+            breakpoints=sorted(set(a1.breakpoints) | set(a2.breakpoints)),
+            support=(max(a1.support[0], a2.support[0]),
+                     min(a1.support[1], a2.support[1])),
+            is_real=a1.is_real and a2.is_real)
+        if prod.support[0] >= prod.support[1]:
+            gij = np.zeros(xi_grid.count, dtype=complex)
+        else:
+            gij = gamma(atom, prod, xi_grid, rule=rule).values
+        semi = gammas[i] * gammas[j] - gij
+        out[i, j] = {
+            "commutator_norm_rel": commutator_rel,
+            "semi_commutator_values": semi,
+            "semi_commutator_sup": float(np.max(np.abs(semi))),
+            "xi_grid": xi_grid,
+        }
+    return out
+
+
 def commutator_diagnostics(atom: Atom, alpha1: Symbol1D, alpha2: Symbol1D,
                            xi_grid: LineGrid | None = None,
                            rule: str = "adaptive") -> dict:
-    """Commutator and semi-commutator diagnostics for two first-variable symbols.
-
-    The direct matrices commute (relative commutator norm ~ rounding); the
-    semi-commutator symbol gamma_1*gamma_2 - gamma_{12} is generically
-    nonzero and its sup is reported.
-    """
-    from .operators import default_operator_grid
-    xi_grid = default_operator_grid(atom.case) if xi_grid is None else xi_grid
-    M1 = build_direct(atom, SymbolSpec.first_variable(alpha1), xi_grid)
-    M2 = build_direct(atom, SymbolSpec.first_variable(alpha2), xi_grid)
-    comm = M1.values @ M2.values - M2.values @ M1.values
-    scale = operator_norm(M1) * operator_norm(M2)
-    commutator_rel = operator_norm(comm) / scale if scale else 0.0
-
-    g1v = gamma(atom, alpha1, xi_grid, rule=rule).values
-    g2v = gamma(atom, alpha2, xi_grid, rule=rule).values
-    prod = Symbol1D(
-        lambda x: alpha1(x) * alpha2(x),
-        f"({alpha1.descriptor})*({alpha2.descriptor})",
-        breakpoints=sorted(set(alpha1.breakpoints) | set(alpha2.breakpoints)),
-        support=(max(alpha1.support[0], alpha2.support[0]),
-                 min(alpha1.support[1], alpha2.support[1])),
-        is_real=alpha1.is_real and alpha2.is_real)
-    if prod.support[0] >= prod.support[1]:
-        g12 = np.zeros(xi_grid.count, dtype=complex)
-    else:
-        g12 = gamma(atom, prod, xi_grid, rule=rule).values
-    semi = g1v * g2v - g12
-    return {
-        "commutator_norm_rel": commutator_rel,
-        "semi_commutator_values": semi,
-        "semi_commutator_sup": float(np.max(np.abs(semi))),
-        "xi_grid": xi_grid,
-    }
+    """``pool_commutator_diagnostics`` of the one pair (alpha1, alpha2)."""
+    return pool_commutator_diagnostics(atom, [alpha1, alpha2], xi_grid,
+                                       rule)[0, 1]
 
 
 def invariant_subspace_check(atom: Atom, alpha: Symbol1D, intervals,
@@ -209,7 +225,6 @@ def invariant_subspace_check(atom: Atom, alpha: Symbol1D, intervals,
     by the indicator of any measurable frequency set; discretely:
     || [P_S, M_alpha] || <= tolerance with P_S = diag(chi_S(xi_i)).
     """
-    from .operators import default_operator_grid
     xi_grid = default_operator_grid(atom.case) if xi_grid is None else xi_grid
     M = build_direct(atom, SymbolSpec.first_variable(alpha), xi_grid)
     xs = xi_grid.samples

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io as tio
 from .algebra import (Partition, default_partition_domain, evaluate_on_cloud,
-                      commutator_diagnostics, partition_gammas)
+                      partition_gammas, pool_commutator_diagnostics)
 from .atoms import make_atom
 from .fields import analyze, bargmann, bargmann_adjoint, random_bandlimited
 from .fourier import fourier
@@ -187,6 +187,8 @@ def cmd_spectrum(args) -> int:
         values = np.concatenate([values, erep.values])
         meta["hausdorff_eigs_vs_gamma"] = erep.hausdorff
         meta["operator_norm"] = erep.norm_estimate
+        meta["lowrank_rank"] = M.lowrank_rank
+        meta["lowrank_tail"] = M.lowrank_tail
     if args.format == "json":
         tio.write_json(args.out, {
             **meta,
@@ -287,11 +289,8 @@ def _verify_algebra_suite(args) -> dict:
                 Symbol1D.smooth_step(8.0, log2_axis=True),
                 Symbol1D.constant(0.5)]
         cuts = [1.0]
-    worst_comm = 0.0
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            d = commutator_diagnostics(atom, pool[i], pool[j], grid)
-            worst_comm = max(worst_comm, d["commutator_norm_rel"])
+    worst_comm = max(d["commutator_norm_rel"] for d in
+                     pool_commutator_diagnostics(atom, pool, grid).values())
     part = Partition.from_cuts(args.case, cuts, default_partition_domain(atom))
     cloud = partition_gammas(atom, part, grid)
     sums_dev = float(np.max(np.abs(cloud.points.sum(axis=1) - 1.0)))

@@ -13,9 +13,10 @@ same operator along different routes:
   symbol depends only on i - j and is linear in a_k, so a rank-r
   factorization a = sum_r q_r v_r^T of the K x n symbol field assembles the
   matrix as r Gram GEMMs (one per q_r) times r batched transforms (one per
-  v_r).  The rank is the smallest that column-pivoted QR leaves with a
-  dropped Frobenius tail of at most ``LOWRANK_TAIL`` = 1e-13 relative to
-  the field's norm; the rank and the tail are recorded on the result.  It
+  v_r).  The factors come from greedy column-pivoted deflation of the
+  field, which stops at the first rank whose residual has a Frobenius norm
+  of at most ``LOWRANK_TAIL`` = 1e-13 relative to the field's norm; the
+  rank and the tail are recorded on the result.  It
   shares no ingredient with the routes below: neither the overlap kernels
   nor gamma nor the difference-lattice factor.
 * ``build_multiplication`` -- diagonal matrix of the scalar symbol gamma
@@ -50,7 +51,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from .atoms import Atom
 from .fields import analyze, bargmann
@@ -144,24 +144,44 @@ class OperatorMatrix:
 LOWRANK_TAIL = 1e-13
 
 
+def _column_sq_norms(R: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every column, computed from the entries."""
+    if np.iscomplexobj(R):
+        return np.einsum("ij,ij->j", R.real, R.real) + np.einsum(
+            "ij,ij->j", R.imag, R.imag)
+    return np.einsum("ij,ij->j", R, R)
+
+
 def _lowrank_factors(a_field: np.ndarray):
     """Truncated factors of the sampled symbol field: a ~= Q @ V.
 
-    Column-pivoted QR, a[:, P] = Q R, keeps the smallest rank r whose
-    dropped rows R[r:] (which equal the trailing block R[r:, r:], R being
-    upper triangular) have Frobenius norm at most ``LOWRANK_TAIL`` times
-    ||a||_F.  Returns Q[:, :r], the rows of R[:r] scattered back to the
-    unpivoted column order, and the relative tail actually dropped.
+    Greedy column-pivoted deflation of a working copy R of the field: take
+    the column of largest residual norm, q = R[:, j] / ||R[:, j]||,
+    v = q^H R, and subtract q v^T from R.  The column norms are recomputed
+    from R after every step, never downdated, so the stopping test reads the
+    true residual: the loop stops at the first rank r with
+    ||R||_F <= ``LOWRANK_TAIL`` * ||a||_F.  The work is O(r K n).  Returns
+    Q (K x r), V (r x n) and the relative tail ||R||_F / ||a||_F dropped.
     """
-    a_norm = float(np.linalg.norm(a_field))
-    Q, R, P = linalg.qr(a_field, mode="economic", pivoting=True)
-    # tails[r] = ||R[r:]||_F, for r = 0 .. R.shape[0]
-    row_sq = np.sum(np.abs(R) ** 2, axis=1)
-    tails = np.sqrt(np.append(np.cumsum(row_sq[::-1])[::-1], 0.0))
-    rank = int(np.argmax(tails <= LOWRANK_TAIL * a_norm))
-    V = np.empty((rank, a_field.shape[1]), dtype=R.dtype)
-    V[:, P] = R[:rank]
-    return Q[:, :rank].copy(), V, (tails[rank] / a_norm if a_norm else 0.0)
+    R = np.array(a_field)
+    K, n = R.shape
+    col_sq = _column_sq_norms(R)
+    a_sq = float(col_sq.sum())
+    qs, vs = [], []
+    # in exact arithmetic min(K, n) steps empty the field: bound the loop there
+    while len(qs) < min(K, n) and col_sq.sum() > LOWRANK_TAIL ** 2 * a_sq:
+        j = int(np.argmax(col_sq))
+        q = R[:, j] / math.sqrt(col_sq[j])
+        v = q.conj() @ R
+        R -= np.outer(q, v)
+        col_sq = _column_sq_norms(R)
+        qs.append(q)
+        vs.append(v)
+    tail = math.sqrt(float(col_sq.sum()) / a_sq) if a_sq else 0.0
+    # reshape keeps the shapes (K, 0) and (0, n) for a zero field
+    Q = np.array(qs, dtype=R.dtype).T.reshape(K, len(qs))
+    V = np.array(vs, dtype=R.dtype).reshape(len(vs), n)
+    return Q, V, tail
 
 
 def build_direct(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid | None = None,
@@ -182,10 +202,11 @@ def build_direct(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid | None = None,
         M = sum_r G_r * (F_fwd diag(v_r) F_back),   G_r = L^H diag(w q_r) L,
 
     each one Gram GEMM plus one batched ``_fourier_rows`` transform of the
-    backward-transformed basis, instead of n column passes.  The rank is
-    chosen by column-pivoted QR: the smallest r whose dropped Frobenius tail
-    is at most ``LOWRANK_TAIL`` (1e-13) relative to ||a||_F.  The rank and
-    the relative tail are recorded on the result as ``lowrank_rank`` and
+    backward-transformed basis, instead of n column passes.  The factors
+    come from greedy column-pivoted deflation (``_lowrank_factors``), which
+    stops at the first r whose residual Frobenius norm is at most
+    ``LOWRANK_TAIL`` (1e-13) relative to ||a||_F.  The rank and the relative
+    tail are recorded on the result as ``lowrank_rank`` and
     ``lowrank_tail``.  First-variable, second-variable and separable symbols
     have rank 1.
     """
@@ -437,7 +458,9 @@ def verify_equivalence(espec: EquivalenceSpec,
         case=atom.case, atom=atom.name, symbol=spec.descriptor,
         N=grid.count, norm_discrepancy=norm_disc, hausdorff=hd,
         action_error_max=worst, tolerance=tol, passed=passed,
-        extras={"builder": other.builder, "seed": espec.seed})
+        extras={"builder": other.builder, "seed": espec.seed,
+                "lowrank_rank": direct.lowrank_rank,
+                "lowrank_tail": direct.lowrank_tail})
 
 
 # -- signal filtering ---------------------------------------------------------------

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from tfloc import algebra
 from tfloc.algebra import (Partition, commutator_diagnostics,
                            default_partition_domain, evaluate_on_cloud,
-                           invariant_subspace_check, partition_gammas)
+                           invariant_subspace_check, partition_gammas,
+                           pool_commutator_diagnostics)
 from tfloc.operators import (build_direct, default_operator_grid,
                              operator_norm)
 from tfloc.symbols import Symbol1D, SymbolSpec
@@ -152,6 +154,30 @@ def test_commutator_pool_all_pairs(gaussian):
         for j in range(i + 1, len(pool)):
             d = commutator_diagnostics(gaussian, pool[i], pool[j], GABOR_GRID)
             assert d["commutator_norm_rel"] <= 5e-3
+
+
+def test_pool_builds_each_symbol_once(gaussian, monkeypatch):
+    pool = [Symbol1D.indicator(-1.0, 1.0),
+            Symbol1D.indicator(-math.inf, 0.0),
+            Symbol1D.smooth_step(4.0)]
+    grid = default_operator_grid("gabor", 64)
+    calls = []
+
+    def counting_build_direct(*args, **kwargs):
+        calls.append(args[1].descriptor)
+        return build_direct(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "build_direct", counting_build_direct)
+    diags = pool_commutator_diagnostics(gaussian, pool, grid, rule="grid")
+    assert len(calls) == len(pool)
+    assert sorted(diags) == [(0, 1), (0, 2), (1, 2)]
+    # a pair alone gives the same numbers as the pair within the pool
+    for (i, j), d in diags.items():
+        pair = commutator_diagnostics(gaussian, pool[i], pool[j], grid,
+                                      rule="grid")
+        assert pair["commutator_norm_rel"] == d["commutator_norm_rel"]
+        assert np.array_equal(pair["semi_commutator_values"],
+                              d["semi_commutator_values"])
 
 
 def test_semi_commutator_halfline_split_quarter(gaussian):

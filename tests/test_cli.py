@@ -232,6 +232,25 @@ def test_cmd_spectrum_with_eigs(tmp_path):
     assert abs(meta["operator_norm"] - 0.5) <= 1e-6
 
 
+def test_cmd_reports_lowrank_margin(tmp_path):
+    # an indicator symbol is first-variable: rank 1, tail at rounding level
+    for run_dir in ("a", "b"):
+        d = tmp_path / run_dir
+        d.mkdir()
+        assert run("spectrum", "--case", "gabor", "--symbol", "indicator:-1,1",
+                   "--n", "64", "--rule", "grid", "--with-eigs",
+                   "--out", str(d / "s.csv")) == 0
+        assert run("verify", "cto1", "--case", "wavelet", "--n", "64",
+                   "--out", str(d / "v.json")) == 0
+        for report in (sidecar_path(str(d / "s.csv")), str(d / "v.json")):
+            rep = json.loads(open(report).read())
+            assert rep["lowrank_rank"] == 1
+            assert 0.0 <= rep["lowrank_tail"] <= 1e-13
+    for name in ("s.csv", sidecar_path("s.csv"), "v.json"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+
+
 def test_cmd_kernel_diagonal(tmp_path):
     out = str(tmp_path / "k.csv")
     assert run("kernel", "--case", "gabor", "--n", "64", "--out", out) == 0

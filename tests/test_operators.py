@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfloc.fields import random_bandlimited
 from tfloc.fourier import _fourier_rows, fourier
 from tfloc.grids import LineGrid, induced_grid
 from tfloc.kernels import gamma, spectrum_from_gamma
-from tfloc.operators import (EquivalenceSpec, build_direct, build_integral,
+from tfloc.operators import (LOWRANK_TAIL, EquivalenceSpec, _lowrank_factors,
+                             build_direct, build_integral,
                              build_multiplication, build_pseudodiff,
                              default_operator_grid, filter_signal,
                              hausdorff_distance, operator_norm, spectrum,
@@ -150,6 +153,28 @@ def test_direct_zero_symbol_is_zero(gaussian, shannon):
                 _grid_for(atom, 32))
         assert not np.any(M.values)
         assert M.lowrank_rank == 0 and M.lowrank_tail == 0.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rank=st.sampled_from([0, 1, 2, 5, 20]), complex_field=st.booleans(),
+       shape=st.sampled_from([(64, 48), (48, 64), (128, 32)]),
+       decades=st.floats(0.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_lowrank_factors_contract(rank, complex_field, shape, decades, seed):
+    # a product of random rank-r factors, columns scaled over a few decades
+    rng = np.random.default_rng(seed)
+
+    def draw(*size):
+        x = rng.standard_normal(size)
+        return x + 1j * rng.standard_normal(size) if complex_field else x
+
+    K, n = shape
+    a = (draw(K, rank) @ draw(rank, n)) * 10.0 ** rng.uniform(-decades, 0.0, n)
+    Q, V, tail = _lowrank_factors(a)
+    assert Q.shape == (K, rank) and V.shape == (rank, n)
+    a_norm = np.linalg.norm(a)
+    rel = np.linalg.norm(a - Q @ V) / a_norm if a_norm else 0.0
+    assert rel <= LOWRANK_TAIL and tail <= LOWRANK_TAIL
+    assert abs(rel - tail) <= 1e-14
 
 
 # -- multiplication route -----------------------------------------------------------
