@@ -235,10 +235,10 @@ def invariant_subspace_check(atom: Atom, alpha: Symbol1D, intervals,
         raise ValueError("subspace intervals overlap")
     P = np.diag(mask.astype(complex))
     comm = P @ M.values - M.values @ P
-    nm = operator_norm(M)
+    nm, cn = operator_norm(M), operator_norm(comm)
     return {
-        "commutator_norm": operator_norm(comm),
-        "commutator_norm_rel": operator_norm(comm) / nm if nm else 0.0,
+        "commutator_norm": cn,
+        "commutator_norm_rel": cn / nm if nm else 0.0,
         "projector_rank": int(mask.sum()),
         "xi_grid": xi_grid,
     }

@@ -70,12 +70,10 @@ def default_translation_grid() -> LineGrid:
     return LineGrid(lo, step, DEFAULT_TRANSLATION_COUNT)
 
 
-def admissibility_test_frequencies(count: int = 64,
-                                   lo: float = 2.0 ** -4,
-                                   hi: float = 4.0) -> np.ndarray:
-    """Documented admissibility test set: +/- log-spaced frequencies, no zero."""
-    half = count // 2
-    pos = np.exp(np.linspace(math.log(lo), math.log(hi), half))
+def admissibility_test_frequencies() -> np.ndarray:
+    """Documented admissibility test set: 64 frequencies, +/- 32 log-spaced
+    in [2^-4, 4], no zero."""
+    pos = np.exp(np.linspace(math.log(2.0 ** -4), math.log(4.0), 32))
     return np.concatenate([-pos[::-1], pos])
 
 
@@ -155,20 +153,18 @@ class Atom:
             return complex(math.sqrt(z) * np.conj(self.eval_freq(z * omega)))
         return complex(np.conj(self.eval_time(omega - z)))
 
-    def ell_matrix(self, omegas, g1=None):
-        """Fiber profiles on a product grid: shape (g1.count, len(omegas))."""
-        g1 = self.g1 if g1 is None else g1
+    def ell_matrix(self, omegas):
+        """Fiber profiles on (self.g1 nodes) x omegas: shape (g1.count, len(omegas))."""
         omegas = np.asarray(omegas, dtype=float)
-        z = g1.nodes
+        z = self.g1.nodes
         if self.case == "wavelet":
             return np.sqrt(z)[:, None] * np.conj(self.eval_freq(np.outer(z, omegas)))
         return np.conj(self.eval_time(omegas[None, :] - z[:, None]))
 
-    def fiber_norms(self, omegas, g1=None):
+    def fiber_norms(self, omegas):
         """Quadrature of |ell(., omega)|^2 against the first-coordinate measure."""
-        g1 = self.g1 if g1 is None else g1
-        L = self.ell_matrix(omegas, g1)
-        return np.einsum("ki,k->i", np.abs(L) ** 2, g1.measure_weights).real
+        L = self.ell_matrix(omegas)
+        return np.einsum("ki,k->i", np.abs(L) ** 2, self.g1.measure_weights).real
 
     # -- admissibility ------------------------------------------------------
 
@@ -202,10 +198,10 @@ class Atom:
         s = lo * np.exp((np.arange(n) + 0.5) * dt)
         return float(np.sum(np.abs(self.eval_freq(side * s)) ** 2) * dt)
 
-    def admissibility_residual(self, xis=None) -> float:
-        xis = admissibility_test_frequencies() if xis is None else np.asarray(xis)
+    def admissibility_residual(self) -> float:
+        """Largest |energy integral - 1| over the documented test frequencies."""
         worst = 0.0
-        for xi in xis:
+        for xi in admissibility_test_frequencies():
             worst = max(worst, abs(self.admissibility_integral(float(xi)) - 1.0))
         return worst
 
@@ -310,8 +306,7 @@ def _haar_profiles(c: float):
 
 
 def make_wavelet(name: str, scale_grid: ScaleGrid | None = None,
-                 freq_clip: tuple[float, float] | None = None,
-                 tol: float = 1e-6) -> Atom:
+                 freq_clip: tuple[float, float] | None = None) -> Atom:
     """Construct a catalog wavelet, verified admissible.
 
     Parameters
@@ -320,7 +315,7 @@ def make_wavelet(name: str, scale_grid: ScaleGrid | None = None,
     scale_grid : quadrature grid for the scale axis (default 2^-8..2^8, 512)
     freq_clip : optionally restrict the effective frequency support (in |xi|);
         used to model narrow storage grids.  Construction is rejected when the
-        admissibility residual over the documented test set exceeds ``tol``.
+        admissibility residual over the documented test set exceeds 1e-6.
     """
     if name not in WAVELET_NAMES:
         raise ValueError(f"unknown wavelet {name!r}; catalog: {WAVELET_NAMES}")
@@ -358,16 +353,15 @@ def make_wavelet(name: str, scale_grid: ScaleGrid | None = None,
     imag_max = float(np.max(np.abs(atom.time_samples.values.imag)))
     if imag_max > 1e-12:
         raise AdmissibilityError(f"{name}: wavelet must be real-valued", imag_max)
-    residual = atom.admissibility_residual()
+    residual, tol = atom.admissibility_residual(), 1e-6
     if residual > tol:
         raise AdmissibilityError(
             f"{name}: admissibility tolerance {tol:g} not met", residual)
     return atom
 
 
-def make_window(name: str, translation_grid: LineGrid | None = None,
-                tol: float = 1e-10) -> Atom:
-    """Construct a catalog window with unit L2 norm.
+def make_window(name: str, translation_grid: LineGrid | None = None) -> Atom:
+    """Construct a catalog window with unit L2 norm (to 1e-10).
 
     gaussian: phi(x) = 2^(1/4) exp(-pi x^2); rect: phi = indicator of [0, 1).
     The rect indicator is right-open so that on grids aligned with the unit
@@ -409,7 +403,7 @@ def make_window(name: str, translation_grid: LineGrid | None = None,
         tsupport = (0.0, 1.0)
         l2sq = 1.0
 
-    residual = abs(math.sqrt(l2sq) - 1.0)
+    residual, tol = abs(math.sqrt(l2sq) - 1.0), 1e-10
     if residual > tol:
         raise AdmissibilityError(f"{name}: unit-norm tolerance {tol:g} not met",
                                  residual)

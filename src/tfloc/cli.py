@@ -25,12 +25,15 @@ from .fourier import fourier
 from .grids import LineGrid, SampledFunction
 from .kernels import (boundedness_verdict, gamma, overlap_kernel,
                       spectrum_from_gamma, weighted_overlap_kernel)
-from .operators import (MAX_DENSE_N, EquivalenceSpec, build_direct,
-                        default_operator_grid, filter_signal, operator_norm,
-                        spectrum, verify_equivalence)
+from .operators import (EquivalenceSpec, build_direct, default_operator_grid,
+                        filter_signal, operator_norm, spectrum,
+                        verify_equivalence)
 from .symbols import Symbol1D, SymbolParseError, SymbolSpec, parse_symbol
 
 DEFAULT_ATOM = {"gabor": "gaussian", "wavelet": "shannon"}
+# largest --n the commands accept without --allow-large; the library
+# builders and solvers take any size
+MAX_DENSE_N = 512
 
 
 def _grid_size(text: str) -> int:
@@ -40,7 +43,11 @@ def _grid_size(text: str) -> int:
     return n
 
 
-def _add_common(p: argparse.ArgumentParser, need_symbol: bool = False):
+def _add_common(p: argparse.ArgumentParser, need_symbol: bool = False,
+                xi_window: bool = True):
+    """Options shared by the commands; ``xi_window=False`` leaves out
+    --xi-min, --xi-max and --format (verify uses the default window and
+    always writes JSON)."""
     p.add_argument("--case", choices=("wavelet", "gabor"), default="gabor")
     p.add_argument("--atom", default=None,
                    help="catalog atom name (default per case)")
@@ -48,11 +55,12 @@ def _add_common(p: argparse.ArgumentParser, need_symbol: bool = False):
         p.add_argument("--symbol", required=True,
                        help="const:c | indicator:a,b | power:p | sampled:file")
     p.add_argument("--n", type=_grid_size, default=256)
-    p.add_argument("--xi-min", type=float, default=None)
-    p.add_argument("--xi-max", type=float, default=None)
+    if xi_window:
+        p.add_argument("--xi-min", type=float, default=None)
+        p.add_argument("--xi-max", type=float, default=None)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--allow-large", action="store_true",
                    help=f"lift the N<={MAX_DENSE_N} dense-solve cap")
 
@@ -87,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=("cto1", "cto2", "cto3", "transforms",
                                      "algebra"))
-    _add_common(p)
+    _add_common(p, xi_window=False)
 
     p = sub.add_parser("filter", help="apply a localization operator to a "
                                       "signal")
@@ -180,9 +188,8 @@ def cmd_spectrum(args) -> int:
     if gf.abserr is not None:
         meta["quadrature_abserr_max"] = max(gf.abserr, wide.abserr)
     if args.with_eigs:
-        M = build_direct(atom, SymbolSpec.first_variable(symbol), grid,
-                         allow_large=args.allow_large)
-        erep = spectrum(M, reference=rep.values, allow_large=args.allow_large)
+        M = build_direct(atom, SymbolSpec.first_variable(symbol), grid)
+        erep = spectrum(M, reference=rep.values)
         kinds += ["eig"] * erep.values.size
         values = np.concatenate([values, erep.values])
         meta["hausdorff_eigs_vs_gamma"] = erep.hausdorff
@@ -240,8 +247,7 @@ def _verify_equivalence_suite(args) -> dict:
             beta = Symbol1D.gaussian_bump(1.0)
         espec = EquivalenceSpec("cto3", atom, alpha=alpha, beta=beta,
                                 xi_grid=grid, seed=args.seed)
-    rep = verify_equivalence(espec, allow_large=args.allow_large)
-    return rep.to_dict()
+    return verify_equivalence(espec).to_dict()
 
 
 def _verify_transforms_suite(args) -> dict:

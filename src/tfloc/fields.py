@@ -80,7 +80,7 @@ class PhasePlaneField:
                 f"kind={self.g2_kind})")
 
 
-def analyze(atom: Atom, f: SampledFunction, g1=None,
+def analyze(atom: Atom, f: SampledFunction,
             g2: LineGrid | None = None) -> PhasePlaneField:
     """Analysis transform: inner products of f with the transported atoms.
 
@@ -94,7 +94,6 @@ def analyze(atom: Atom, f: SampledFunction, g1=None,
     """
     if not np.all(np.isfinite(f.values)):
         raise ValueError("signal contains non-finite values")
-    g1 = atom.g1 if g1 is None else g1
     if atom.case == "wavelet":
         full_axis = f.grid
     else:
@@ -107,16 +106,16 @@ def analyze(atom: Atom, f: SampledFunction, g1=None,
 
     if atom.case == "wavelet":
         fhat = fourier(f, "forward")
-        L = atom.ell_matrix(fhat.grid.samples, g1)
+        L = atom.ell_matrix(fhat.grid.samples)
         rows = _fourier_rows(fhat.values[None, :] * L, fhat.grid, "inverse",
                              f.grid)
     else:
         windows = np.conj(atom.eval_time(
-            f.grid.samples[None, :] - g1.samples[:, None]))
+            f.grid.samples[None, :] - atom.g1.samples[:, None]))
         rows = _fourier_rows(f.values[None, :] * windows, f.grid, "forward",
                              full_axis)
     sel = rows[:, offset::stride][:, :g2.count]
-    return PhasePlaneField(atom.case, g1, g2, sel, "zeta2")
+    return PhasePlaneField(atom.case, atom.g1, g2, sel, "zeta2")
 
 
 def apply_axis2_fourier(field: PhasePlaneField, direction: str,
@@ -142,21 +141,30 @@ def apply_axis2_fourier(field: PhasePlaneField, direction: str,
     return field.copy_with(vals, g2=out, g2_kind=kind)
 
 
-def embed(atom: Atom, f: SampledFunction, g1=None) -> PhasePlaneField:
+def embed(atom: Atom, f: SampledFunction) -> PhasePlaneField:
     """Isometric embedding f(omega) -> f(omega) * ell(z, omega)."""
-    g1 = atom.g1 if g1 is None else g1
-    L = atom.ell_matrix(f.grid.samples, g1)
-    return PhasePlaneField(atom.case, g1, f.grid, L * f.values[None, :],
+    L = atom.ell_matrix(f.grid.samples)
+    return PhasePlaneField(atom.case, atom.g1, f.grid, L * f.values[None, :],
                            "omega")
 
 
 def project(atom: Atom, field: PhasePlaneField) -> SampledFunction:
-    """Adjoint of ``embed``: fiberwise quadrature against conj(ell)."""
+    """Adjoint of ``embed``: fiberwise quadrature against conj(ell).
+
+    The quadrature runs on the atom's first-coordinate grid; a field whose
+    first axis differs from it (kind, count or nodes) is rejected.
+    """
     if field.g2_kind != "omega":
         raise ValueError("project expects a diagonal-plane field; apply the "
                          "axis-2 transform first")
-    L = atom.ell_matrix(field.g2.samples, field.g1)
-    vals = np.einsum("k,ki,ki->i", field.g1.measure_weights, np.conj(L),
+    g1 = atom.g1
+    # array_equal is False on a count mismatch too
+    if type(field.g1) is not type(g1) or not np.array_equal(field.g1.nodes,
+                                                            g1.nodes):
+        raise ValueError(f"field first axis {field.g1!r} is not the atom's "
+                         f"grid {g1!r}")
+    L = atom.ell_matrix(field.g2.samples)
+    vals = np.einsum("k,ki,ki->i", g1.measure_weights, np.conj(L),
                      field.values)
     return SampledFunction(field.g2, vals)
 
@@ -173,25 +181,22 @@ def bargmann(atom: Atom, field: PhasePlaneField,
 
 
 def bargmann_adjoint(atom: Atom, f: SampledFunction,
-                     out_grid: LineGrid | None = None,
-                     g1=None) -> PhasePlaneField:
+                     out_grid: LineGrid | None = None) -> PhasePlaneField:
     """Adjoint of ``bargmann``: embed then inverse axis-2 transform."""
-    return apply_axis2_fourier(embed(atom, f, g1), "backward", out_grid)
+    return apply_axis2_fourier(embed(atom, f), "backward", out_grid)
 
 
-def random_bandlimited(grid: LineGrid, seed: int,
-                       band: tuple[float, float] = (0.25, 4.0),
-                       rng: np.random.Generator | None = None) -> SampledFunction:
-    """Unit-norm random signal whose spectrum sits in +/- [band].
+def random_bandlimited(grid: LineGrid, seed: int) -> SampledFunction:
+    """Unit-norm random signal whose spectrum sits in +/- [0.25, 4].
 
-    The band default matches the documented healthy range of the catalog
-    atoms, where fiber norms are within tolerance of 1; transform isometry
+    The band matches the documented healthy range of the catalog atoms,
+    where fiber norms are within tolerance of 1; transform isometry
     statements are quoted for this class.
     """
-    rng = np.random.default_rng(seed) if rng is None else rng
+    rng = np.random.default_rng(seed)
     fgrid = induced_grid(grid)
     xs = np.abs(fgrid.samples)
-    mask = (xs >= band[0]) & (xs <= band[1])
+    mask = (xs >= 0.25) & (xs <= 4.0)
     spec = np.zeros(grid.count, dtype=complex)
     k = int(mask.sum())
     spec[mask] = rng.standard_normal(k) + 1j * rng.standard_normal(k)

@@ -63,11 +63,12 @@ class LineGrid:
         step = 2.0 * half_width / count
         return cls(-(count // 2) * step, step, count)
 
-    def approx_eq(self, other: "LineGrid", tol: float = 1e-9) -> bool:
+    def approx_eq(self, other: "LineGrid") -> bool:
+        """Same count, start and step to a relative 1e-9."""
         return (
             self.count == other.count
-            and abs(self.start - other.start) <= tol * max(1.0, abs(self.start))
-            and abs(self.step - other.step) <= tol * self.step
+            and abs(self.start - other.start) <= 1e-9 * max(1.0, abs(self.start))
+            and abs(self.step - other.step) <= 1e-9 * self.step
         )
 
     def __repr__(self):
@@ -145,12 +146,6 @@ class SampledFunction:
     def norm(self) -> float:
         """L2 norm under the Riemann-sum measure of the grid."""
         return math.sqrt(float(np.sum(np.abs(self.values) ** 2)) * self.grid.step)
-
-    def inner(self, other: "SampledFunction") -> complex:
-        """Riemann-sum inner product <self, other>, conjugating the second slot."""
-        if not self.grid.approx_eq(other.grid):
-            raise ValueError("inner product requires matching grids")
-        return complex(np.sum(self.values * np.conj(other.values)) * self.grid.step)
 
     def __repr__(self):
         return f"SampledFunction({self.grid!r})"

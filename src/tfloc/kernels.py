@@ -35,7 +35,8 @@ frequencies and feed the integral and compound-symbol operator builders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, signal
@@ -127,7 +128,6 @@ class SpectrumReport:
     unbounded: bool = False
     caveat: str = "spectrum and norm are reported from the sampled range only"
     hausdorff: float | None = None
-    extras: dict = field(default_factory=dict)
 
 
 # -- gamma ---------------------------------------------------------------------
@@ -145,7 +145,8 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
     ``abserr``.  A piece that needs more than ``GK_LIMIT`` panels -- typically
     a symbol with jumps not listed as breakpoints -- raises
     ``ArithmeticError``.  The haar wavelet uses scipy's QUADPACK instead
-    (oscillatory split).
+    (oscillatory split); a QUADPACK call that does not converge raises
+    ``ArithmeticError`` as well.
     """
     if rule not in ("grid", "adaptive", "fft"):
         raise ValueError(f"unknown rule {rule!r}")
@@ -246,9 +247,18 @@ def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
     if atom.case == "wavelet" and atom.name == "haar" \
             and atom.freq_profile is not None:
         err = np.zeros(xs.size)
-        for i in np.flatnonzero(live):
-            out[i], err[i] = _gamma_haar(atom, alpha, abs(float(xs[i])),
-                                         float(lo[i]), float(hi[i]))
+        # QUADPACK only warns when it gives up: raise, as the batched rule does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", integrate.IntegrationWarning)
+            for i in np.flatnonzero(live):
+                try:
+                    out[i], err[i] = _gamma_haar(atom, alpha, abs(float(xs[i])),
+                                                 float(lo[i]), float(hi[i]))
+                except integrate.IntegrationWarning as exc:
+                    raise ArithmeticError(
+                        f"gamma of {alpha.descriptor} at xi={xs[i]:.17g}: "
+                        "adaptive quadrature did not converge (QUADPACK: "
+                        f"{' '.join(str(exc).split()).split('. ')[0]})") from exc
         return out, float(np.max(err, initial=0.0))
 
     # segment edges per xi: the breakpoints clipped into [lo, hi]; clipped
@@ -453,15 +463,14 @@ def _gamma_haar(atom: Atom, alpha: Symbol1D, a: float, lo: float,
 
 # -- spectrum read-off -----------------------------------------------------------
 
-def spectrum_from_gamma(gf: GammaFunction,
-                        real_symbol: bool | None = None) -> SpectrumReport:
+def spectrum_from_gamma(gf: GammaFunction) -> SpectrumReport:
     """Spectrum approximation from the sampled diagonal symbol.
 
     The sampled range approximates the spectrum; for real symbols the
     interval [min, max] is reported as well, and sup |gamma| estimates the
     operator norm (the operator is bounded iff gamma is).
     """
-    real = gf.is_real if real_symbol is None else real_symbol
+    real = gf.is_real
     vals = gf.values.real if real else gf.values
     interval = (float(np.min(vals.real)), float(np.max(vals.real))) if real else None
     return SpectrumReport(
@@ -470,18 +479,17 @@ def spectrum_from_gamma(gf: GammaFunction,
         unbounded=gf.unbounded)
 
 
-def boundedness_verdict(reports: list[SpectrumReport],
-                        growth_factor: float = 1.5) -> str:
+def boundedness_verdict(reports: list[SpectrumReport]) -> str:
     """Boundedness verdict from norm estimates over nested sampled ranges.
 
-    Norm estimates that keep growing as the sampled frequency range widens
-    indicate an operator that is unbounded on the full line even though each
-    finite sampling is finite.
+    Norm estimates that keep growing (each more than 1.5 times the last) as
+    the sampled frequency range widens indicate an operator that is
+    unbounded on the full line even though each finite sampling is finite.
     """
     sups = [r.norm_estimate for r in reports]
     if any(r.unbounded or not math.isfinite(s) for r, s in zip(reports, sups)):
         return "unbounded on sampled range"
-    if len(sups) >= 2 and all(b > growth_factor * a
+    if len(sups) >= 2 and all(b > 1.5 * a
                               for a, b in zip(sups, sups[1:])):
         return "unbounded on sampled range"
     return f"bounded on sampled range (sup={max(sups):.6g})"

@@ -74,17 +74,7 @@ __all__ = [
     "hausdorff_distance",
     "verify_equivalence",
     "filter_signal",
-    "MAX_DENSE_N",
 ]
-
-MAX_DENSE_N = 512
-
-
-def _check_size(n: int, allow_large: bool):
-    if n > MAX_DENSE_N and not allow_large:
-        raise ValueError(
-            f"dense operator size {n} exceeds the cap {MAX_DENSE_N}; "
-            "pass allow_large=True to override")
 
 
 def default_operator_grid(case: str, n: int = 256) -> LineGrid:
@@ -184,8 +174,8 @@ def _lowrank_factors(a_field: np.ndarray):
     return Q, V, tail
 
 
-def build_direct(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid | None = None,
-                 allow_large: bool = False) -> OperatorMatrix:
+def build_direct(atom: Atom, spec: SymbolSpec,
+                 xi_grid: LineGrid | None = None) -> OperatorMatrix:
     """Pipeline operator, assembled from a low-rank factorization of the symbol.
 
     The pipeline (embed, backward axis-2 transform, multiply by the symbol
@@ -212,7 +202,6 @@ def build_direct(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid | None = None,
     """
     xi_grid = default_operator_grid(atom.case) if xi_grid is None else xi_grid
     n = xi_grid.count
-    _check_size(n, allow_large)
     s_grid = induced_grid(xi_grid)
     Q, V, tail = _lowrank_factors(
         spec.evaluate_field(atom.g1.nodes, s_grid.samples))
@@ -247,28 +236,20 @@ def build_multiplication(gf: GammaFunction) -> OperatorMatrix:
                           symbol_is_real=gf.is_real)
 
 
-def _default_beta_grid(s_grid: LineGrid, refine: int = 4) -> LineGrid:
-    """Sampling grid for the second-variable factor.
-
-    Same span as the dual axis but ``refine`` times denser: the transformed
-    samples then live on the frequency difference lattice with ``refine``
-    times the reach, so every lattice difference is an exact node.
-    """
-    count = s_grid.count * refine
-    step = s_grid.step / refine
-    return LineGrid(-(count // 2) * step, step, count)
-
-
-def _beta_hat_on_lattice(atom: Atom, beta: Symbol1D, xi_grid: LineGrid,
-                         beta_grid: LineGrid | None) -> np.ndarray:
+def _beta_hat_on_lattice(atom: Atom, beta: Symbol1D,
+                         xi_grid: LineGrid) -> np.ndarray:
     """Transformed second-variable factor at sigma*(xi_i - xi_j).
 
+    beta is sampled on the span of the dual axis, 4 times denser: the
+    transformed samples then live on the frequency difference lattice with
+    4 times the reach, so every lattice difference is an exact node.
     Returns the full difference table, shape (n, n).  Values off the
     transform grid are zero (the factor is assumed decaying; tests use
     smooth bumps).
     """
     s_grid = induced_grid(xi_grid)
-    bg = _default_beta_grid(s_grid) if beta_grid is None else beta_grid
+    count, step = s_grid.count * 4, s_grid.step / 4
+    bg = LineGrid(-(count // 2) * step, step, count)
     b_samples = np.asarray(beta(bg.samples), dtype=complex)
     if not np.all(np.isfinite(b_samples)):
         raise ValueError(f"symbol {beta.descriptor} not finite on its grid")
@@ -284,18 +265,16 @@ def _beta_hat_on_lattice(atom: Atom, beta: Symbol1D, xi_grid: LineGrid,
     return re + 1j * im
 
 
-def build_integral(atom: Atom, beta: Symbol1D, xi_grid: LineGrid | None = None,
-                   beta_grid: LineGrid | None = None,
-                   allow_large: bool = False) -> OperatorMatrix:
+def build_integral(atom: Atom, beta: Symbol1D,
+                   xi_grid: LineGrid | None = None) -> OperatorMatrix:
     """Integral-operator form for second-variable symbols.
 
     Entry [i, j] = overlap_kernel(xi_i, xi_j) * beta_hat(sigma*(xi_i - xi_j))
     * step, with the case-dependent sigma.
     """
     xi_grid = default_operator_grid(atom.case) if xi_grid is None else xi_grid
-    _check_size(xi_grid.count, allow_large)
     K = overlap_kernel(atom, xi_grid)
-    bh = _beta_hat_on_lattice(atom, beta, xi_grid, beta_grid)
+    bh = _beta_hat_on_lattice(atom, beta, xi_grid)
     vals = K.values * bh * xi_grid.step
     return OperatorMatrix(xi_grid, vals, "integral", atom.name,
                           f"a(s)={beta.descriptor}",
@@ -303,9 +282,7 @@ def build_integral(atom: Atom, beta: Symbol1D, xi_grid: LineGrid | None = None,
 
 
 def build_pseudodiff(atom: Atom, alpha: Symbol1D, beta: Symbol1D,
-                     xi_grid: LineGrid | None = None,
-                     beta_grid: LineGrid | None = None,
-                     allow_large: bool = False) -> OperatorMatrix:
+                     xi_grid: LineGrid | None = None) -> OperatorMatrix:
     """Compound-symbol form for separable symbols.
 
     The iterated integral over (y, xi) with compound symbol
@@ -314,9 +291,8 @@ def build_pseudodiff(atom: Atom, alpha: Symbol1D, beta: Symbol1D,
     second-variable factor on the difference lattice.
     """
     xi_grid = default_operator_grid(atom.case) if xi_grid is None else xi_grid
-    _check_size(xi_grid.count, allow_large)
     G = weighted_overlap_kernel(atom, alpha, xi_grid)
-    bh = _beta_hat_on_lattice(atom, beta, xi_grid, beta_grid)
+    bh = _beta_hat_on_lattice(atom, beta, xi_grid)
     vals = G.values * bh * xi_grid.step
     return OperatorMatrix(
         xi_grid, vals, "pseudodiff", atom.name,
@@ -332,14 +308,13 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
     return float(np.linalg.svd(vals, compute_uv=False)[0])
 
 
-def spectrum(M: OperatorMatrix, reference=None,
-             allow_large: bool = False) -> SpectrumReport:
+def spectrum(M: OperatorMatrix, reference=None) -> SpectrumReport:
     """Dense eigenvalue multiset; symmetric solver for Hermitian matrices.
 
     The norm estimate is the largest singular value: max |eigenvalue| of the
-    symmetrized matrix when Hermitian, a dense SVD otherwise.
+    symmetrized matrix when Hermitian, a dense SVD otherwise.  The size is
+    not capped here; the CLI rejects sizes above its dense cap.
     """
-    _check_size(M.grid.count, allow_large)
     try:
         if M.is_hermitian:
             sym = 0.5 * (M.values + M.values.conj().T)
@@ -420,8 +395,7 @@ class VerificationReport:
         }
 
 
-def verify_equivalence(espec: EquivalenceSpec,
-                       allow_large: bool = False) -> VerificationReport:
+def verify_equivalence(espec: EquivalenceSpec) -> VerificationReport:
     """Build the direct and the specialized operator; report discrepancies.
 
     Never raises on failure: the report carries ``passed=False`` instead.
@@ -432,18 +406,16 @@ def verify_equivalence(espec: EquivalenceSpec,
         other = build_multiplication(gamma(atom, espec.alpha, grid, rule="grid"))
     elif espec.tag == "cto2":
         spec = SymbolSpec.second_variable(espec.beta)
-        other = build_integral(atom, espec.beta, grid, allow_large=allow_large)
+        other = build_integral(atom, espec.beta, grid)
     else:
         spec = SymbolSpec.separable(espec.alpha, espec.beta)
-        other = build_pseudodiff(atom, espec.alpha, espec.beta, grid,
-                                 allow_large=allow_large)
-    direct = build_direct(atom, spec, grid, allow_large=allow_large)
+        other = build_pseudodiff(atom, espec.alpha, espec.beta, grid)
+    direct = build_direct(atom, spec, grid)
 
-    direct_spec = spectrum(direct, allow_large=allow_large)
+    direct_spec = spectrum(direct)
     dn = direct_spec.norm_estimate
     norm_disc = operator_norm(direct.values - other.values) / dn if dn else 0.0
-    hd = hausdorff_distance(direct_spec.values,
-                            spectrum(other, allow_large=allow_large).values)
+    hd = hausdorff_distance(direct_spec.values, spectrum(other).values)
     rng = np.random.default_rng(espec.seed)
     worst = 0.0
     for _ in range(10):

@@ -270,13 +270,29 @@ def test_cmd_algebra_split_cloud(tmp_path):
     assert np.max(np.abs(rows[:, 1] - 0.5 * (1 - e))) <= 1e-6
 
 
-def test_cmd_n_cap(tmp_path):
+def test_cmd_n_cap(tmp_path, capsys):
     code = run("gamma", "--case", "gabor", "--symbol", "const:1",
                "--n", "1024", "--out", str(tmp_path / "g.csv"))
     assert code != 0
     assert run("gamma", "--case", "gabor", "--symbol", "const:1",
                "--n", "1024", "--allow-large",
                "--out", str(tmp_path / "g.csv")) == 0
+    # the commands that build dense operators hold the only size cap
+    capsys.readouterr()
+    for argv in (["spectrum", "--symbol", "const:1", "--with-eigs"],
+                 ["verify", "cto1"]):
+        out = tmp_path / "big.out"
+        assert run(*argv, "--n", "1024", "--out", str(out)) == 2
+        assert "--allow-large" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cmd_verify_rejects_ignored_options(tmp_path, capsys):
+    for extra in (["--format", "csv"], ["--xi-min", "0"], ["--xi-max", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run("verify", "cto1", *extra, "--out", str(tmp_path / "r.json"))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

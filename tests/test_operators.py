@@ -76,13 +76,6 @@ def test_direct_rejects_nonfinite_symbol(gaussian):
         build_direct(gaussian, spec, G128)
 
 
-def test_size_cap_enforced(gaussian):
-    big = LineGrid.centered(8.0, 1024)
-    with pytest.raises(ValueError, match="cap"):
-        build_direct(gaussian,
-                     SymbolSpec.first_variable(Symbol1D.constant(1.0)), big)
-
-
 # -- low-rank assembly against the column loop ---------------------------------
 
 def _direct_column_loop(atom, spec, xi_grid):

@@ -132,6 +132,15 @@ def test_gamma_haar_adaptive_matches_grid(haar):
     assert np.max(np.abs(ga.values - gg.values)) <= 1e-3
 
 
+def test_gamma_haar_adaptive_nonconvergence_raises(haar):
+    # QUADPACK gives up on this sampled symbol: its error estimate (6.2e-4)
+    # is far above the 1e-10 the sidecars state
+    sym = Symbol1D.sampled(LineGrid(0.25, 1 / 16, 64),
+                           np.random.default_rng(0).uniform(0, 1, 64))
+    with pytest.raises(ArithmeticError, match=r"at xi=0\.0625: adaptive"):
+        gamma(haar, sym, default_operator_grid("wavelet", 4), rule="adaptive")
+
+
 # -- adaptive rule against the per-point scipy loop ------------------------------
 
 def _scipy_gamma_adaptive(atom, alpha, xs):

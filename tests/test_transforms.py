@@ -7,7 +7,7 @@ from tfloc.fields import (PhasePlaneField, analyze, apply_axis2_fourier,
                           bargmann, bargmann_adjoint, embed, project,
                           random_bandlimited)
 from tfloc.fourier import fourier
-from tfloc.grids import LineGrid, SampledFunction
+from tfloc.grids import LineGrid, SampledFunction, ScaleGrid
 
 SIGNAL_GRID = LineGrid.centered(8.0, 1024)
 
@@ -182,6 +182,32 @@ def test_project_kills_fiber_orthogonal_profiles(shannon, gaussian):
     Fg = PhasePlaneField("gabor", gaussian.g1, g2g,
                          np.stack(cols, axis=1), "omega")
     assert np.max(np.abs(project(gaussian, Fg).values)) <= 1e-6
+
+
+def test_project_checks_first_axis_by_value(gaussian, shannon):
+    g2 = LineGrid.centered(8.0, 64)
+    vals = embed(gaussian, SampledFunction(g2, np.ones(64))).values
+    # an equal grid built apart is accepted, bit for bit
+    copy = LineGrid(gaussian.g1.start, gaussian.g1.step, gaussian.g1.count)
+    same = project(gaussian, PhasePlaneField("gabor", copy, g2, vals, "omega"))
+    ref = project(gaussian, PhasePlaneField("gabor", gaussian.g1, g2, vals,
+                                            "omega"))
+    assert np.array_equal(same.values, ref.values)
+    shifted = LineGrid(copy.start + copy.step / 2, copy.step, copy.count)
+    coarse = LineGrid(copy.start, 2 * copy.step, copy.count // 2)
+    for g1 in (shifted, coarse):
+        F = PhasePlaneField("gabor", g1, g2, np.ones((g1.count, 64)), "omega")
+        with pytest.raises(ValueError, match="first axis"):
+            project(gaussian, F)
+    narrow = ScaleGrid(2.0 ** -4, 2.0 ** 4, shannon.g1.count)
+    F = PhasePlaneField("wavelet", narrow, g2,
+                        np.ones((narrow.count, 64)), "omega")
+    with pytest.raises(ValueError, match="first axis"):
+        project(shannon, F)
+    # a gabor field on a line grid is never on a wavelet atom's scale grid
+    F = PhasePlaneField("gabor", copy, g2, vals, "omega")
+    with pytest.raises(ValueError, match="first axis"):
+        project(shannon, F)
 
 
 def test_embed_project_idempotent(gaussian):
