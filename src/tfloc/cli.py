@@ -20,8 +20,8 @@ from . import io as tio
 from .algebra import (Partition, default_partition_domain, evaluate_on_cloud,
                       partition_gammas, pool_commutator_diagnostics)
 from .atoms import make_atom
-from .fields import analyze, bargmann, bargmann_adjoint, random_bandlimited
-from .fourier import fourier
+from .fields import (analyze, bargmann, bargmann_adjoint, omega_side,
+                     random_bandlimited)
 from .grids import LineGrid, SampledFunction
 from .kernels import (boundedness_verdict, gamma, overlap_kernel,
                       spectrum_from_gamma, weighted_overlap_kernel)
@@ -31,7 +31,7 @@ from .operators import (EquivalenceSpec, build_direct, default_operator_grid,
 from .symbols import Symbol1D, SymbolParseError, SymbolSpec, parse_symbol
 
 DEFAULT_ATOM = {"gabor": "gaussian", "wavelet": "shannon"}
-# largest --n the commands accept without --allow-large; the library
+# largest --n the dense commands accept without --allow-large; the library
 # builders and solvers take any size
 MAX_DENSE_N = 512
 
@@ -44,10 +44,11 @@ def _grid_size(text: str) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, need_symbol: bool = False,
-                xi_window: bool = True):
+                xi_window: bool = True, dense: bool = False):
     """Options shared by the commands; ``xi_window=False`` leaves out
     --xi-min, --xi-max and --format (verify uses the default window and
-    always writes JSON)."""
+    always writes JSON); ``dense=True`` adds --allow-large to the commands
+    that can build n x n matrices."""
     p.add_argument("--case", choices=("wavelet", "gabor"), default="gabor")
     p.add_argument("--atom", default=None,
                    help="catalog atom name (default per case)")
@@ -61,8 +62,9 @@ def _add_common(p: argparse.ArgumentParser, need_symbol: bool = False,
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output path")
-    p.add_argument("--allow-large", action="store_true",
-                   help=f"lift the N<={MAX_DENSE_N} dense-solve cap")
+    if dense:
+        p.add_argument("--allow-large", action="store_true",
+                       help=f"lift the N<={MAX_DENSE_N} dense-solve cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="sampled spectrum, norm and "
                                         "boundedness readout")
-    _add_common(p, need_symbol=True)
+    _add_common(p, need_symbol=True, dense=True)
     p.add_argument("--rule", choices=("grid", "adaptive", "fft"),
                    default="adaptive")
     p.add_argument("--with-eigs", action="store_true",
@@ -89,13 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="two-point overlap kernel "
                                       "(symbol-weighted with --symbol)")
-    _add_common(p)
+    _add_common(p, dense=True)
     p.add_argument("--symbol", default=None)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=("cto1", "cto2", "cto3", "transforms",
                                      "algebra"))
-    _add_common(p, xi_window=False)
+    _add_common(p, xi_window=False, dense=True)
 
     p = sub.add_parser("filter", help="apply a localization operator to a "
                                       "signal")
@@ -152,7 +154,6 @@ def _check_n(args):
 def cmd_gamma(args) -> int:
     symbol = parse_symbol(args.symbol)
     atom = _atom(args)
-    _check_n(args)
     gf = gamma(atom, symbol, _xi_grid(args), rule=args.rule)
     meta = _config_meta(args, symbol=symbol.descriptor, rule=args.rule,
                         unbounded=gf.unbounded, tolerances={
@@ -172,7 +173,8 @@ def cmd_gamma(args) -> int:
 def cmd_spectrum(args) -> int:
     symbol = parse_symbol(args.symbol)
     atom = _atom(args)
-    _check_n(args)
+    if args.with_eigs:
+        _check_n(args)
     grid = _xi_grid(args)
     gf = gamma(atom, symbol, grid, rule=args.rule)
     rep = spectrum_from_gamma(gf)
@@ -260,7 +262,7 @@ def _verify_transforms_suite(args) -> dict:
         W = analyze(atom, f)
         worst_iso = max(worst_iso, abs(W.weighted_norm() - f.norm()))
         out = bargmann(atom, W)
-        ref = fourier(f).values if atom.case == "wavelet" else f.values
+        ref = omega_side(atom.case, f).values
         worst_fact = max(worst_fact, float(
             np.linalg.norm(out.values - ref) / np.linalg.norm(ref)))
     opg = default_operator_grid(args.case, min(args.n, 256))
@@ -272,6 +274,7 @@ def _verify_transforms_suite(args) -> dict:
         worst_round = max(worst_round, float(np.max(np.abs(rr.values - v))))
     passed = worst_iso <= 2e-3 and worst_fact <= 2e-3 and worst_round <= 1e-6
     return {"case": args.case, "atom": atom.name, "N": n,
+            "roundtrip_N": opg.count,
             "isometry_error_max": worst_iso,
             "factorization_error_max": worst_fact,
             "roundtrip_error_max": worst_round,
@@ -282,7 +285,7 @@ def _verify_transforms_suite(args) -> dict:
 
 def _verify_algebra_suite(args) -> dict:
     atom = _atom(args)
-    grid = default_operator_grid(args.case, min(args.n, 256))
+    grid = default_operator_grid(args.case, args.n)
     if args.case == "gabor":
         pool = [Symbol1D.indicator(-1.0, 1.0),
                 Symbol1D.indicator(float("-inf"), 0.0),
@@ -321,13 +324,12 @@ def _verify_algebra_suite(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.suite in ("cto1", "cto2", "cto3"):
-        _check_n(args)  # dense-solve cap applies to the operator suites only
-        report = _verify_equivalence_suite(args)
-    elif args.suite == "transforms":
+    if args.suite == "transforms":
         report = _verify_transforms_suite(args)
     else:
-        report = _verify_algebra_suite(args)
+        _check_n(args)  # every other suite builds n x n matrices
+        report = (_verify_algebra_suite(args) if args.suite == "algebra"
+                  else _verify_equivalence_suite(args))
     report["suite"] = args.suite
     report["seed"] = args.seed
     tio.write_json(args.out, report)
@@ -357,7 +359,6 @@ def cmd_filter(args) -> int:
 
 def cmd_algebra(args) -> int:
     atom = _atom(args)
-    _check_n(args)
     try:
         cuts = [float(c) for c in args.cuts.split(",") if c.strip()]
     except ValueError:

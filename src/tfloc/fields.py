@@ -4,14 +4,15 @@ The analysis transform maps a signal to a field over the product grid
 (g1 x g2): scales x translations in the wavelet case, translations x
 modulations in the Gabor case.  A fiberwise Fourier transform along the
 second axis carries analysis fields onto the diagonal plane (z, omega) where
-they factor as f(omega) * ell(z, omega); projecting out the unit-norm fiber
+they factor as h(omega) * ell(z, omega); projecting out the unit-norm fiber
 profile then lands in L2 of the second coordinate alone.  The composition is
 the diagonalizing (Bargmann-type) transform used by the operator builders.
 
-Axis-2 Fourier directions are case-dependent: the wavelet case uses the
-forward transform, the Gabor case the inverse.  This sign pairing is what
-makes the factorization produce f_hat for wavelets but f itself for windows,
-and it is asserted by tests.
+By the Calderon and Gabor reproducing formulas, analysis is the adjoint of
+the diagonalizing transform applied to the signal's omega side h (f_hat for
+wavelets, f for windows): ``analyze`` is ``bargmann_adjoint`` of h.  The
+axis-2 sign pairing that makes this hold (``axis2_sign``: forward transform
+for wavelets, inverse for windows) is asserted by tests.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ __all__ = [
     "PhasePlaneField",
     "analyze",
     "apply_axis2_fourier",
+    "axis2_sign",
     "embed",
     "project",
     "bargmann",
     "bargmann_adjoint",
+    "omega_side",
     "random_bandlimited",
 ]
 
@@ -80,63 +83,59 @@ class PhasePlaneField:
                 f"kind={self.g2_kind})")
 
 
+def omega_side(case: str, f: SampledFunction,
+               back_to: LineGrid | None = None) -> SampledFunction:
+    """The signal's omega side: f_hat for wavelets, f itself for windows.
+
+    With ``back_to`` an omega-side function is carried back to the signal
+    on ``back_to``; for windows both directions are the identity.
+    """
+    if case == "gabor":
+        return f
+    if back_to is None:
+        return fourier(f, "forward")
+    return fourier(f, "inverse", out_grid=back_to)
+
+
+def axis2_sign(case: str, direction: str) -> str:
+    """Fourier sign of the axis-2 transform: "forward" (analysis fields to
+    the diagonal plane) is the forward transform for wavelet fields and the
+    inverse for Gabor fields; "backward" takes the opposite sign."""
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be forward/backward, got {direction!r}")
+    return ("forward" if (case == "wavelet") == (direction == "forward")
+            else "inverse")
+
+
 def analyze(atom: Atom, f: SampledFunction,
             g2: LineGrid | None = None) -> PhasePlaneField:
     """Analysis transform: inner products of f with the transported atoms.
 
-    Wavelet case: correlation with scaled copies, evaluated per scale by FFT
-    along the translation axis.  Gabor case: windowed Fourier transform,
-    evaluated per translation by FFT along the modulation axis.
-
-    ``g2`` may be any aligned subgrid of the natural full axis (the signal
-    grid for wavelets, its induced grid for windows); values are computed on
-    the full axis and restricted.
+    By the reproducing formula it is the adjoint of the diagonalizing
+    transform applied to the omega side of f.  The second axis is f's own
+    grid for wavelets (translations) and its induced grid for windows
+    (modulations); ``g2`` may be any aligned subgrid of it, to which the
+    full-axis values are restricted.
     """
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("signal contains non-finite values")
-    if atom.case == "wavelet":
-        full_axis = f.grid
-    else:
-        full_axis = induced_grid(f.grid)
+    full_axis = f.grid if atom.case == "wavelet" else induced_grid(f.grid)
+    W = bargmann_adjoint(atom, omega_side(atom.case, f), out_grid=full_axis)
     if g2 is None:
-        g2 = full_axis
-        offset, stride = 0, 1
-    else:
-        offset, stride = subgrid_indices(g2, full_axis)
-
-    if atom.case == "wavelet":
-        fhat = fourier(f, "forward")
-        L = atom.ell_matrix(fhat.grid.samples)
-        rows = _fourier_rows(fhat.values[None, :] * L, fhat.grid, "inverse",
-                             f.grid)
-    else:
-        windows = np.conj(atom.eval_time(
-            f.grid.samples[None, :] - atom.g1.samples[:, None]))
-        rows = _fourier_rows(f.values[None, :] * windows, f.grid, "forward",
-                             full_axis)
-    sel = rows[:, offset::stride][:, :g2.count]
-    return PhasePlaneField(atom.case, atom.g1, g2, sel, "zeta2")
+        return W
+    offset, stride = subgrid_indices(g2, full_axis)
+    return W.copy_with(W.values[:, offset::stride][:, :g2.count], g2=g2)
 
 
 def apply_axis2_fourier(field: PhasePlaneField, direction: str,
                         out_grid: LineGrid | None = None) -> PhasePlaneField:
     """Unitary Fourier transform along the second axis.
 
-    direction "forward" carries analysis fields to the diagonal plane and
-    uses the forward transform for wavelet fields, the inverse transform for
-    Gabor fields; "backward" inverts it.  ``out_grid`` defaults to the
-    centered induced grid of the current second axis.
+    direction "forward" carries analysis fields to the diagonal plane,
+    "backward" inverts it; ``axis2_sign`` picks the sign.  ``out_grid``
+    defaults to the centered induced grid of the current second axis.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward/backward, got {direction!r}")
+    sign = axis2_sign(field.case, direction)
     out = induced_grid(field.g2) if out_grid is None else out_grid
-    wavelet = field.case == "wavelet"
-    if direction == "forward":
-        sign = "forward" if wavelet else "inverse"
-        kind = "omega"
-    else:
-        sign = "inverse" if wavelet else "forward"
-        kind = "zeta2"
+    kind = "omega" if direction == "forward" else "zeta2"
     vals = _fourier_rows(field.values, field.g2, sign, out)
     return field.copy_with(vals, g2=out, g2_kind=kind)
 
@@ -174,8 +173,8 @@ def bargmann(atom: Atom, field: PhasePlaneField,
     """Diagonalizing transform: axis-2 Fourier then fiber projection.
 
     On analysis fields this is an isometry onto L2 of the second coordinate;
-    composed with ``analyze`` it returns the signal's Fourier transform in
-    the wavelet case and the signal itself in the Gabor case.
+    composed with ``analyze`` it returns the signal's omega side, f_hat in
+    the wavelet case and f itself in the Gabor case.
     """
     return project(atom, apply_axis2_fourier(field, "forward", out_grid))
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atoms import Atom
-from .fields import analyze, bargmann
+from .fields import analyze, axis2_sign, bargmann, omega_side
 from .fourier import _fourier_rows, fourier
 from .grids import LineGrid, SampledFunction, induced_grid
 from .kernels import (GammaFunction, SpectrumReport, gamma, overlap_kernel,
@@ -207,8 +207,8 @@ def build_direct(atom: Atom, spec: SymbolSpec,
         spec.evaluate_field(atom.g1.nodes, s_grid.samples))
     L = atom.ell_matrix(xi_grid.samples)
     w = atom.g1.measure_weights
-    back_sign = "inverse" if atom.case == "wavelet" else "forward"
-    fwd_sign = "forward" if atom.case == "wavelet" else "inverse"
+    back_sign = axis2_sign(atom.case, "backward")
+    fwd_sign = axis2_sign(atom.case, "forward")
     # row j: backward transform of the j-th basis vector, sampled on s_grid
     T_back = _fourier_rows(np.eye(n, dtype=complex), xi_grid, back_sign, s_grid)
     M = np.zeros((n, n), dtype=complex)
@@ -441,41 +441,35 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
                   method: str = "fast"):
     """Apply the localization operator with symbol ``spec`` to a signal.
 
-    slow: analysis transform, pointwise mask by the symbol, diagonalizing
-    transform back to the signal domain (via an inverse Fourier transform in
-    the wavelet case).
-
-    fast: first-variable symbols only; one scalar multiplication by gamma on
-    the transformed side (wavelet) or directly in the signal domain (gabor).
+    Both paths act on the signal's omega side h (``fields.omega_side``:
+    f_hat for wavelets, f for windows) and map the result back onto f's
+    grid.  slow: the analysis field (``analyze``, bargmann_adjoint of h with
+    wavelet translations on f's grid) masked by the symbol, then
+    ``bargmann`` onto h's grid.  fast: first-variable symbols only; h times
+    the grid-rule gamma on h's grid.
 
     method="compare" returns (fast, slow, relative_deviation).
     """
     if method not in ("fast", "slow", "compare"):
         raise ValueError(f"unknown method {method!r}")
+    h = omega_side(atom.case, f)
 
     def slow_path():
         W = analyze(atom, f)
         masked = W.copy_with(
             W.values * spec.evaluate_field(atom.g1.nodes, W.g2.samples))
         del W  # the unmasked field need not outlive bargmann's transform
-        g = bargmann(atom, masked)
-        if atom.case == "wavelet":
-            return fourier(g, "inverse", out_grid=f.grid)
-        return SampledFunction(f.grid, g.values)
+        g = bargmann(atom, masked, out_grid=h.grid)
+        return omega_side(atom.case, g, back_to=f.grid)
 
     def fast_path():
         if spec.kind != "first":
             raise ValueError(
                 "the fast path requires a first-variable symbol; got "
                 f"{spec.descriptor}")
-        if atom.case == "wavelet":
-            fgrid = induced_grid(f.grid)
-            gf = gamma(atom, spec.alpha, fgrid, rule="grid")
-            fh = fourier(f, "forward")
-            return fourier(SampledFunction(fgrid, fh.values * gf.values),
-                           "inverse", out_grid=f.grid)
-        gf = gamma(atom, spec.alpha, f.grid, rule="grid")
-        return SampledFunction(f.grid, f.values * gf.values)
+        gf = gamma(atom, spec.alpha, h.grid, rule="grid")
+        g = SampledFunction(h.grid, h.values * gf.values)
+        return omega_side(atom.case, g, back_to=f.grid)
 
     if method == "slow":
         return slow_path()

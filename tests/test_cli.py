@@ -163,6 +163,15 @@ def test_cmd_verify_transforms(tmp_path):
     assert run("verify", "transforms", "--n", "1024", "--out", out) == 0
     rep = json.loads(open(out).read())
     assert rep["pass"] and rep["isometry_error_max"] <= 2e-3
+    # the round trip runs on an operator window of at most 256 points
+    assert rep["N"] == 1024 and rep["roundtrip_N"] == 256
+
+
+def test_cmd_verify_algebra_runs_at_n(tmp_path):
+    out = str(tmp_path / "a.json")
+    assert run("verify", "algebra", "--case", "wavelet", "--n", "288",
+               "--out", out) == 0
+    assert json.loads(open(out).read())["N"] == 288
 
 
 def test_cmd_verify_exit_code_contract(tmp_path):
@@ -202,6 +211,26 @@ def test_cmd_filter_chirp_band_contracts_energy(tmp_path):
     fin = read_signal_csv(path)
     fout = read_signal_csv(out)
     assert fout.norm() < fin.norm()
+
+
+def test_cmd_filter_gabor_compare_signal_starting_at_zero(tmp_path):
+    # a signal grid that is not centered: the slow path must come back on
+    # the signal's own grid, where the fast path lives
+    grid = LineGrid(0.0, 1.0 / 32.0, 1024)
+    xs = grid.samples
+    tone = np.exp(-np.pi * ((xs - 6.0) / 2.0) ** 2) * np.exp(3j * np.pi * xs)
+    path = str(tmp_path / "sig0.csv")
+    write_signal_csv(path, SampledFunction(grid, tone))
+    out = str(tmp_path / "out.csv")
+    assert run("filter", "--case", "gabor", "--symbol", "indicator:0,12",
+               "--input", path, "--out", out, "--compare") == 0
+    meta = json.loads(open(sidecar_path(out)).read())
+    assert meta["relative_deviation"] <= 1e-9
+    slow = read_signal_csv(f"{out}.slow.csv")
+    assert slow.grid.approx_eq(grid)
+    # the symbol covers the tone: the filter keeps almost all of it
+    rel = np.linalg.norm(slow.values - tone) / np.linalg.norm(tone)
+    assert rel <= 1e-3
 
 
 def test_cmd_filter_missing_input(tmp_path):
@@ -271,20 +300,31 @@ def test_cmd_algebra_split_cloud(tmp_path):
 
 
 def test_cmd_n_cap(tmp_path, capsys):
-    code = run("gamma", "--case", "gabor", "--symbol", "const:1",
-               "--n", "1024", "--out", str(tmp_path / "g.csv"))
-    assert code != 0
+    # gamma and spectrum without eigenvalues build no n x n matrix: they take
+    # any size without --allow-large
     assert run("gamma", "--case", "gabor", "--symbol", "const:1",
-               "--n", "1024", "--allow-large",
-               "--out", str(tmp_path / "g.csv")) == 0
+               "--n", "1024", "--out", str(tmp_path / "g.csv")) == 0
+    assert run("spectrum", "--symbol", "const:1", "--rule", "grid",
+               "--n", "1024", "--out", str(tmp_path / "s.csv")) == 0
     # the commands that build dense operators hold the only size cap
     capsys.readouterr()
     for argv in (["spectrum", "--symbol", "const:1", "--with-eigs"],
-                 ["verify", "cto1"]):
+                 ["verify", "cto1"], ["verify", "algebra"]):
         out = tmp_path / "big.out"
         assert run(*argv, "--n", "1024", "--out", str(out)) == 2
         assert "--allow-large" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["gamma", "--symbol", "const:1"],
+                                  ["algebra"]])
+def test_cmd_allow_large_only_on_dense_commands(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--allow-large", "--out", str(out))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --allow-large" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cmd_verify_rejects_ignored_options(tmp_path, capsys):

@@ -395,6 +395,32 @@ def test_filter_fast_slow_agree(gaussian, shannon):
         assert dev <= 5e-3, f"{atom.name}: {dev:.2e}"
 
 
+@st.composite
+def _signal_grids(draw):
+    """Span-16 grids that start at 0, at a negative lattice point or off the
+    lattice of their step; a start >= -16 keeps the signal on the atom's
+    translation grid."""
+    n = draw(st.sampled_from([256, 1024]))
+    k = draw(st.one_of(
+        st.just(0.0), st.integers(-n, -1).map(float),
+        st.floats(-n, 0.99).filter(lambda s: abs(s - round(s)) > 0.01)))
+    return LineGrid(k * 16.0 / n, 16.0 / n, n)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(grid=_signal_grids(), seed=st.integers(0, 2 ** 16))
+def test_filter_compare_agrees_on_any_signal_grid(gaussian, shannon, grid,
+                                                  seed):
+    # both paths must act on the signal's own grid, wherever it starts; the
+    # gabor symbol covers the signal
+    f = random_bandlimited(grid, seed)
+    for atom, sym in [(gaussian, Symbol1D.indicator(grid.start, grid.stop)),
+                      (shannon, Symbol1D.indicator(1.0, 2.0))]:
+        _, _, dev = filter_signal(
+            atom, SymbolSpec.first_variable(sym), f, method="compare")
+        assert dev <= 1e-9, f"{atom.name}, {grid!r}: {dev:.2e}"
+
+
 def test_filter_scale_band_attenuates_as_fast_path_predicts(shannon):
     # scale band [1, 2]: the diagonal symbol is the log-overlap tent peaking
     # at |xi| = 1 and vanishing outside [1/2, 2]; the slow output spectrum
