@@ -20,6 +20,8 @@ fiber tolerances, hence the closed-form route for the catalog.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate
@@ -29,6 +31,7 @@ from .grids import LineGrid, SampledFunction, ScaleGrid
 __all__ = [
     "Atom",
     "AdmissibilityError",
+    "Fibers",
     "make_wavelet",
     "make_window",
     "default_scale_grid",
@@ -163,8 +166,7 @@ class Atom:
 
     def fiber_norms(self, omegas):
         """Quadrature of |ell(., omega)|^2 against the first-coordinate measure."""
-        L = self.ell_matrix(omegas)
-        return np.einsum("ki,k->i", np.abs(L) ** 2, self.g1.measure_weights).real
+        return Fibers.of(self, omegas).norms
 
     # -- admissibility ------------------------------------------------------
 
@@ -229,6 +231,70 @@ class Atom:
 
     def __repr__(self):
         return f"Atom({self.case}:{self.name})"
+
+
+@dataclass(frozen=True, eq=False)
+class Fibers:
+    """An atom's fiber matrix on one omega grid, built once per (atom, grid).
+
+    ``conj_ell[k, i]`` is conj(ell(z_k, omega_i)) on the atom's
+    first-coordinate nodes z_k: the factor ``fields.project`` integrates
+    against, and the conjugate of what ``fields.embed`` multiplies by.  The
+    transform chain (``embed``, ``project``, ``bargmann``,
+    ``bargmann_adjoint``, ``analyze``) and the grid-rule ``gamma`` take a
+    record as ``fibers=`` and build their own when it is omitted; a record
+    whose omegas differ by value from the call's grid is rejected.  The
+    arrays are read-only.
+    """
+
+    omegas: np.ndarray
+    conj_ell: np.ndarray
+    weights: np.ndarray  # first-coordinate measure weights
+
+    @classmethod
+    def of(cls, atom: Atom, omegas) -> "Fibers":
+        """The record of ``atom`` on ``omegas``: one ``ell_matrix`` call."""
+        omegas = np.array(omegas, dtype=float)
+        C = atom.ell_matrix(omegas)
+        np.conj(C, out=C)
+        omegas.flags.writeable = False
+        C.flags.writeable = False
+        return cls(omegas, C, atom.g1.measure_weights)
+
+    @classmethod
+    def on(cls, atom: Atom, grid: LineGrid,
+           fibers: "Fibers | None" = None) -> "Fibers":
+        """``fibers`` checked against ``grid``, or a new record when None."""
+        if fibers is None:
+            return cls.of(atom, grid.samples)
+        return fibers.check(grid)
+
+    def check(self, grid: LineGrid) -> "Fibers":
+        """The record itself; ``ValueError`` unless its omegas equal the
+        samples of ``grid`` by value."""
+        if not np.array_equal(self.omegas, grid.samples):
+            raise ValueError(
+                f"fiber record on {self.omegas.size} omegas in "
+                f"[{self.omegas[0]:g}, {self.omegas[-1]:g}] does not match "
+                f"the grid {grid!r}")
+        return self
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Fiber norms: quadrature of |ell(., omega)|^2 against the
+        first-coordinate measure (computed on first use)."""
+        return np.einsum("ki,k->i", np.abs(self.conj_ell) ** 2,
+                         self.weights).real
+
+    def coverage(self, h: SampledFunction) -> float:
+        """Share of the energy of h, sampled on the record's omegas, that the
+        fibers carry: sum n(omega)|h(omega)|^2 / sum |h(omega)|^2 with n the
+        fiber norm; 1 for h = 0.  Near 1 on the healthy range, near 0 where
+        h lies outside the first-coordinate range."""
+        self.check(h.grid)
+        energy = np.abs(h.values) ** 2
+        total = float(energy.sum())
+        return float(self.norms @ energy) / total if total else 1.0
 
 
 # -- Haar frequency-energy quadrature ----------------------------------------

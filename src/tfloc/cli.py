@@ -19,10 +19,10 @@ import numpy as np
 from . import io as tio
 from .algebra import (Partition, default_partition_domain, evaluate_on_cloud,
                       partition_gammas, pool_commutator_diagnostics)
-from .atoms import make_atom
-from .fields import (analyze, bargmann, bargmann_adjoint, omega_side,
-                     random_bandlimited)
-from .grids import LineGrid, SampledFunction
+from .atoms import Fibers, make_atom
+from .fields import (analyze, bargmann, bargmann_adjoint, omega_grid,
+                     omega_side, random_bandlimited)
+from .grids import LineGrid, SampledFunction, induced_grid
 from .kernels import (boundedness_verdict, gamma, overlap_kernel,
                       spectrum_from_gamma, weighted_overlap_kernel)
 from .operators import (EquivalenceSpec, build_direct, default_operator_grid,
@@ -256,21 +256,37 @@ def _verify_transforms_suite(args) -> dict:
     atom = _atom(args)
     n = max(args.n, 64)
     grid = LineGrid.centered(8.0, n)
+    opg = default_operator_grid(args.case, min(args.n, 256))
+    # one fiber record per distinct grid: analysis embeds on the signals'
+    # omega grid and bargmann projects on the grid induced by the analysis
+    # axis; the round trip embeds and projects on opg
+    records = {}
+
+    def record_for(g):
+        key = (g.start, g.step, g.count)
+        if key not in records:
+            records[key] = Fibers.of(atom, g.samples)
+        return records[key]
+
+    axis = grid if atom.case == "wavelet" else induced_grid(grid)
+    embed_fibers = record_for(omega_grid(atom.case, grid))
+    project_fibers = record_for(induced_grid(axis))
+    round_fibers = record_for(opg)
     worst_iso, worst_fact, worst_round = 0.0, 0.0, 0.0
     for k in range(20):
         f = random_bandlimited(grid, seed=args.seed + k)
-        W = analyze(atom, f)
+        W = analyze(atom, f, fibers=embed_fibers)
         worst_iso = max(worst_iso, abs(W.weighted_norm() - f.norm()))
-        out = bargmann(atom, W)
+        out = bargmann(atom, W, fibers=project_fibers)
         ref = omega_side(atom.case, f).values
         worst_fact = max(worst_fact, float(
             np.linalg.norm(out.values - ref) / np.linalg.norm(ref)))
-    opg = default_operator_grid(args.case, min(args.n, 256))
     rng = np.random.default_rng(args.seed)
     for _ in range(5):
         v = rng.standard_normal(opg.count) + 1j * rng.standard_normal(opg.count)
         h = SampledFunction(opg, v)
-        rr = bargmann(atom, bargmann_adjoint(atom, h), out_grid=opg)
+        rr = bargmann(atom, bargmann_adjoint(atom, h, fibers=round_fibers),
+                      out_grid=opg, fibers=round_fibers)
         worst_round = max(worst_round, float(np.max(np.abs(rr.values - v))))
     passed = worst_iso <= 2e-3 and worst_fact <= 2e-3 and worst_round <= 1e-6
     return {"case": args.case, "atom": atom.name, "N": n,
@@ -341,17 +357,21 @@ def cmd_filter(args) -> int:
     atom = _atom(args)
     f = tio.read_signal_csv(args.input)
     spec = SymbolSpec.first_variable(symbol)
+    h = omega_side(atom.case, f)
+    fibers = Fibers.of(atom, h.grid.samples)
     meta = {"case": args.case, "atom": atom.name,
-            "symbol": symbol.descriptor, "input": args.input}
+            "symbol": symbol.descriptor, "input": args.input,
+            "fiber_coverage": fibers.coverage(h)}
     if args.compare:
-        fast, slow, dev = filter_signal(atom, spec, f, method="compare")
+        fast, slow, dev = filter_signal(atom, spec, f, method="compare",
+                                        fibers=fibers)
         out = fast if args.method == "fast" else slow
         tio.write_signal_csv(args.out, out, metadata={
             **meta, "method": args.method, "compared": True,
             "relative_deviation": dev})
         tio.write_signal_csv(f"{args.out}.slow.csv", slow)
     else:
-        out = filter_signal(atom, spec, f, method=args.method)
+        out = filter_signal(atom, spec, f, method=args.method, fibers=fibers)
         tio.write_signal_csv(args.out, out, metadata={
             **meta, "method": args.method, "compared": False})
     return 0

@@ -51,15 +51,21 @@ def fourier(f: SampledFunction, sign: str = "forward",
 
 def _fourier_rows(values: np.ndarray, in_grid: LineGrid, sign: str,
                   out_grid: LineGrid) -> np.ndarray:
-    """Apply the 1-D continuous Fourier transform to every row of a 2-D array."""
+    """Apply the 1-D continuous Fourier transform to every row of a 2-D array.
+
+    ``values`` is left unchanged; the result is one new array, into which
+    the pre-phased copy is transformed and post-phased in place.
+    """
     n = in_grid.count
     sgn = -1.0 if sign == "forward" else 1.0
     j = np.arange(n)
     # out_k = step * e^{sgn*2pi*i*start*xi_k} * DFT_k[ f_j * e^{sgn*2pi*i*j*step*out.start} ]
     pre = np.exp(sgn * 2j * np.pi * in_grid.step * out_grid.start * j)
+    core = values * pre[None, :]
     if sgn < 0:
-        core = np.fft.fft(values * pre[None, :], axis=1)
+        np.fft.fft(core, axis=1, out=core)
     else:
-        core = np.fft.ifft(values * pre[None, :], axis=1) * n
+        np.fft.ifft(core, axis=1, out=core)
+        core *= n
     post = np.exp(sgn * 2j * np.pi * in_grid.start * out_grid.samples)
-    return in_grid.step * post[None, :] * core
+    return np.multiply(in_grid.step * post, core, out=core)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, signal
 
-from .atoms import Atom, quad_cos
+from .atoms import Atom, Fibers, quad_cos
 from .grids import LineGrid
 from .symbols import Symbol1D
 
@@ -133,7 +133,8 @@ class SpectrumReport:
 # -- gamma ---------------------------------------------------------------------
 
 def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
-          rule: str = "grid") -> GammaFunction:
+          rule: str = "grid", *,
+          fibers: Fibers | None = None) -> GammaFunction:
     """First-coordinate average of alpha against the squared fiber profile.
 
     Wavelet case: integral alpha(u) |psi_hat(u xi)|^2 du/u.
@@ -147,13 +148,19 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
     ``ArithmeticError``.  The haar wavelet uses scipy's QUADPACK instead
     (oscillatory split); a QUADPACK call that does not converge raises
     ``ArithmeticError`` as well.
+
+    ``fibers`` is the atom's record on ``xi_grid``, which the grid rule
+    reads instead of building its own; the other rules evaluate no fiber
+    matrix and reject it.
     """
     if rule not in ("grid", "adaptive", "fft"):
         raise ValueError(f"unknown rule {rule!r}")
+    if fibers is not None and rule != "grid":
+        raise ValueError(f"fibers= applies to the grid rule, not {rule!r}")
     xs = xi_grid.samples
     abserr = None
     if rule == "grid":
-        vals = _gamma_grid(atom, alpha, xs)
+        vals = _gamma_grid(atom, alpha, Fibers.on(atom, xi_grid, fibers))
     elif rule == "fft":
         if atom.case != "gabor":
             raise ValueError("the fft rule applies to the gabor case only")
@@ -183,9 +190,10 @@ def _symbol_on_nodes(atom: Atom, alpha: Symbol1D) -> np.ndarray:
     return a_vals
 
 
-def _gamma_grid(atom: Atom, alpha: Symbol1D, xs: np.ndarray) -> np.ndarray:
+def _gamma_grid(atom: Atom, alpha: Symbol1D, fibers: Fibers) -> np.ndarray:
     a_vals = _symbol_on_nodes(atom, alpha)
-    L2 = np.abs(atom.ell_matrix(xs)) ** 2
+    L2 = np.abs(fibers.conj_ell)
+    L2 *= L2
     return np.einsum("k,ki,k->i", a_vals, L2,
                      atom.g1.measure_weights).astype(complex)
 

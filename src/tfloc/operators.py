@@ -52,10 +52,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atoms import Atom
+from .atoms import Atom, Fibers
 from .fields import analyze, axis2_sign, bargmann, omega_side
 from .fourier import _fourier_rows, fourier
-from .grids import LineGrid, SampledFunction, induced_grid
+from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from .kernels import (GammaFunction, SpectrumReport, gamma, overlap_kernel,
                       weighted_overlap_kernel)
 from .symbols import Symbol1D, SymbolSpec
@@ -74,6 +74,7 @@ __all__ = [
     "hausdorff_distance",
     "verify_equivalence",
     "filter_signal",
+    "MIN_FIBER_COVERAGE",
 ]
 
 
@@ -302,8 +303,20 @@ def build_pseudodiff(atom: Atom, alpha: Symbol1D, beta: Symbol1D,
 
 # -- spectra and comparisons -------------------------------------------------------
 
+def _hermitian_eigvals(M: OperatorMatrix) -> np.ndarray:
+    """Eigenvalues of the symmetrized matrix (M + M^H) / 2."""
+    return np.linalg.eigvalsh(0.5 * (M.values + M.values.conj().T))
+
+
 def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
-    """Largest singular value."""
+    """Largest singular value.
+
+    For an ``OperatorMatrix`` flagged Hermitian it is max |eigenvalue| of
+    the symmetrized matrix, as in ``spectrum``; otherwise, and for every
+    raw array, a dense SVD.
+    """
+    if isinstance(M, OperatorMatrix) and M.is_hermitian:
+        return float(np.max(np.abs(_hermitian_eigvals(M))))
     vals = M.values if isinstance(M, OperatorMatrix) else np.asarray(M)
     return float(np.linalg.svd(vals, compute_uv=False)[0])
 
@@ -317,8 +330,7 @@ def spectrum(M: OperatorMatrix, reference=None) -> SpectrumReport:
     """
     try:
         if M.is_hermitian:
-            sym = 0.5 * (M.values + M.values.conj().T)
-            eigs = np.linalg.eigvalsh(sym).astype(complex)
+            eigs = _hermitian_eigvals(M).astype(complex)
         else:
             eigs = np.linalg.eigvals(M.values)
     except np.linalg.LinAlgError as exc:
@@ -437,8 +449,20 @@ def verify_equivalence(espec: EquivalenceSpec) -> VerificationReport:
 
 # -- signal filtering ---------------------------------------------------------------
 
+# Smallest fiber coverage (``Fibers.coverage``) of a signal's omega side that
+# ``filter_signal`` accepts: below it most of the signal lies outside the
+# atom's first-coordinate range, where every operator returns ~0.
+MIN_FIBER_COVERAGE = 0.5
+
+
+def _first_coordinate_range(g1) -> str:
+    if isinstance(g1, ScaleGrid):
+        return f"scales [{g1.u_min:g}, {g1.u_max:g}]"
+    return f"translations [{g1.start:g}, {g1.stop:g})"
+
+
 def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
-                  method: str = "fast"):
+                  method: str = "fast", *, fibers: Fibers | None = None):
     """Apply the localization operator with symbol ``spec`` to a signal.
 
     Both paths act on the signal's omega side h (``fields.omega_side``:
@@ -448,26 +472,38 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
     ``bargmann`` onto h's grid.  fast: first-variable symbols only; h times
     the grid-rule gamma on h's grid.
 
+    ``fibers`` is the atom's record on h's grid
+    (``fields.omega_grid(atom.case, f.grid)``); one is built when omitted,
+    and both paths share it.  A signal whose fiber coverage
+    (``Fibers.coverage`` of h) is below ``MIN_FIBER_COVERAGE`` lies outside
+    the atom's first-coordinate range and raises ``ValueError``.
+
     method="compare" returns (fast, slow, relative_deviation).
     """
     if method not in ("fast", "slow", "compare"):
         raise ValueError(f"unknown method {method!r}")
+    if method != "slow" and spec.kind != "first":
+        raise ValueError(
+            "the fast path requires a first-variable symbol; got "
+            f"{spec.descriptor}")
     h = omega_side(atom.case, f)
+    fibers = Fibers.on(atom, h.grid, fibers)
+    coverage = fibers.coverage(h)
+    if coverage < MIN_FIBER_COVERAGE:
+        raise ValueError(
+            f"fiber coverage {coverage:.3g} of the signal is below "
+            f"{MIN_FIBER_COVERAGE:g}: the signal lies outside the atom's "
+            f"first-coordinate range, {_first_coordinate_range(atom.g1)}")
 
     def slow_path():
-        W = analyze(atom, f)
-        masked = W.copy_with(
-            W.values * spec.evaluate_field(atom.g1.nodes, W.g2.samples))
-        del W  # the unmasked field need not outlive bargmann's transform
-        g = bargmann(atom, masked, out_grid=h.grid)
+        W = analyze(atom, f, fibers=fibers)
+        # masked in place: W's array belongs to this path alone
+        W.values *= spec.evaluate_field(atom.g1.nodes, W.g2.samples)
+        g = bargmann(atom, W, out_grid=h.grid, fibers=fibers)
         return omega_side(atom.case, g, back_to=f.grid)
 
     def fast_path():
-        if spec.kind != "first":
-            raise ValueError(
-                "the fast path requires a first-variable symbol; got "
-                f"{spec.descriptor}")
-        gf = gamma(atom, spec.alpha, h.grid, rule="grid")
+        gf = gamma(atom, spec.alpha, h.grid, rule="grid", fibers=fibers)
         g = SampledFunction(h.grid, h.values * gf.values)
         return omega_side(atom.case, g, back_to=f.grid)
 

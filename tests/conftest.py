@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tfloc.atoms import make_wavelet, make_window
+from tfloc.atoms import Atom, make_wavelet, make_window
 from tfloc.symbols import Symbol1D
 
 
@@ -37,3 +37,17 @@ def square_wave():
         return np.where(inside, np.floor((x - lo) / width) % 2, 0.0)
 
     return Symbol1D(fn, f"square:{jumps}", support=(lo, hi), sup_bound=1.0)
+
+
+@pytest.fixture()
+def ell_calls(monkeypatch):
+    """Records the omega count of every Atom.ell_matrix call in the test."""
+    calls = []
+    original = Atom.ell_matrix
+
+    def counted(self, omegas):
+        calls.append(len(omegas))
+        return original(self, omegas)
+
+    monkeypatch.setattr(Atom, "ell_matrix", counted)
+    return calls

@@ -233,6 +233,30 @@ def test_cmd_filter_gabor_compare_signal_starting_at_zero(tmp_path):
     assert rel <= 1e-3
 
 
+def test_cmd_filter_writes_fiber_coverage(tmp_path, signal_csv):
+    for case in ("gabor", "wavelet"):
+        out = str(tmp_path / f"{case}.csv")
+        assert run("filter", "--case", case, "--symbol", "const:1",
+                   "--input", signal_csv, "--out", out) == 0
+        meta = json.loads(open(sidecar_path(out)).read())
+        assert 0.999 <= meta["fiber_coverage"] <= 1.0 + 1e-9
+
+
+def test_cmd_filter_signal_off_translation_grid_exits_2(tmp_path, capsys):
+    # a bump at x = 24 on [0, 32) lies outside the window's translations
+    grid = LineGrid(0.0, 32.0 / 1024, 1024)
+    path = str(tmp_path / "bump.csv")
+    write_signal_csv(path, SampledFunction(
+        grid, np.exp(-np.pi * (grid.samples - 24.0) ** 2)))
+    out = str(tmp_path / "o.csv")
+    for flag in (["--method", "fast"], ["--method", "slow"], ["--compare"]):
+        assert run("filter", "--case", "gabor", "--symbol", "const:1",
+                   "--input", path, "--out", out, *flag) == 2
+        err = capsys.readouterr().err
+        assert "fiber coverage" in err and "translations [-16, 16)" in err
+        assert not os.path.exists(out)
+
+
 def test_cmd_filter_missing_input(tmp_path):
     code = run("filter", "--case", "gabor", "--symbol", "const:1",
                "--input", str(tmp_path / "absent.csv"),

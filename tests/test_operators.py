@@ -1,20 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc
 
-from tfloc.fields import random_bandlimited
+from tfloc.atoms import Fibers
+from tfloc.fields import omega_grid, omega_side, random_bandlimited
 from tfloc.fourier import _fourier_rows, fourier
-from tfloc.grids import LineGrid, induced_grid
+from tfloc.grids import LineGrid, SampledFunction, induced_grid
 from tfloc.kernels import gamma, spectrum_from_gamma
-from tfloc.operators import (LOWRANK_TAIL, EquivalenceSpec, _lowrank_factors,
-                             build_direct, build_integral,
-                             build_multiplication, build_pseudodiff,
-                             default_operator_grid, filter_signal,
-                             hausdorff_distance, operator_norm, spectrum,
-                             verify_equivalence)
+from tfloc.operators import (LOWRANK_TAIL, EquivalenceSpec, OperatorMatrix, _lowrank_factors, build_direct,
+                             build_integral, build_multiplication,
+                             build_pseudodiff, default_operator_grid,
+                             filter_signal, hausdorff_distance, operator_norm,
+                             spectrum, verify_equivalence)
 from tfloc.symbols import Symbol1D, SymbolSpec
 
 G128 = default_operator_grid("gabor", 128)
@@ -136,6 +138,32 @@ def test_direct_lowrank_matches_column_loop(atom_name, request):
             assert M.lowrank_rank == 1, f"{atom.name}/{kind}"
         else:
             assert 1 < M.lowrank_rank <= grid.count
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0])
+def test_direct_radial_gaussian_daubechies_eigenvalues(gaussian, sigma):
+    # Daubechies (1988): with the Gaussian window, the radial symbol
+    # exp(-pi (q^2 + p^2) / sigma^2) has the Hermite functions as
+    # eigenfunctions and eigenvalues (1 + sigma^-2)^-(k+1)
+    spec = SymbolSpec.general(
+        lambda q, p: np.exp(-np.pi * (q * q + p * p) / sigma ** 2),
+        f"radial:{sigma:g}")
+    M = build_direct(gaussian, spec, default_operator_grid("gabor", 256))
+    lead = np.sort(spectrum(M).values.real)[::-1][:16]
+    ref = (1.0 + sigma ** -2) ** -(np.arange(16) + 1.0)
+    assert np.max(np.abs(lead - ref)) <= 1e-10
+
+
+def test_direct_disk_daubechies_eigenvalues(gaussian):
+    # Daubechies (1988): the disk of radius R has eigenvalues P(k+1, pi R^2)
+    # (regularized lower incomplete gamma); the sampled disk edge is a
+    # staircase of one grid step, measured 3.5e-3 at n = 256
+    spec = SymbolSpec.general(
+        lambda q, p: (q * q + p * p <= 4.0).astype(float), "disk:2")
+    M = build_direct(gaussian, spec, default_operator_grid("gabor", 256))
+    lead = np.sort(spectrum(M).values.real)[::-1][:20]
+    ref = gammainc(np.arange(20) + 1.0, 4.0 * np.pi)
+    assert np.max(np.abs(lead - ref)) <= 1e-2
 
 
 def test_direct_zero_symbol_is_zero(gaussian, shannon):
@@ -358,6 +386,25 @@ def test_noncompactness_proxy(gaussian):
     assert float(np.mean(eigs > norm / 2)) >= 0.10
 
 
+def test_operator_norm_hermitian_uses_eigenvalues(gaussian, shannon):
+    # a Hermitian OperatorMatrix takes max |eigvalsh|, the value spectrum
+    # reports; it agrees with the SVD to rounding, and raw arrays keep the SVD
+    for atom in (gaussian, shannon):
+        M = build_direct(atom, SymbolSpec.first_variable(
+            Symbol1D.indicator(-1.0, 1.5)), _grid_for(atom))
+        assert M.is_hermitian
+        nm = operator_norm(M)
+        assert nm == spectrum(M).norm_estimate
+        svd = float(np.linalg.svd(M.values, compute_uv=False)[0])
+        assert abs(nm - svd) <= 1e-13 * svd
+        assert operator_norm(M.values) == svd
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    N = OperatorMatrix(LineGrid.centered(8.0, 32), A, "test", "none", "none")
+    assert not N.is_hermitian
+    assert operator_norm(N) == float(np.linalg.svd(A, compute_uv=False)[0])
+
+
 def test_hausdorff_distance_basics():
     assert hausdorff_distance([0.0, 1.0], [0.0, 1.0]) == 0.0
     assert abs(hausdorff_distance([0.0], [0.5, 3.0]) - 3.0) <= 1e-15
@@ -442,3 +489,70 @@ def test_filter_fast_rejects_non_first_variable(gaussian):
     spec = SymbolSpec.second_variable(Symbol1D.gaussian_bump(1.0))
     with pytest.raises(ValueError, match="first-variable"):
         filter_signal(gaussian, spec, f, method="fast")
+
+
+def test_filter_fibers_keyword_is_bit_identical(shannon, haar, gaussian, rect):
+    f = random_bandlimited(SIGNAL_GRID, seed=12)
+    for atom, sym in [(gaussian, Symbol1D.indicator(-1.0, 2.0)),
+                      (rect, Symbol1D.indicator(0.0, 3.0)),
+                      (shannon, Symbol1D.indicator(1.0, 2.0)),
+                      (haar, Symbol1D.indicator(0.5, 4.0))]:
+        spec = SymbolSpec.first_variable(sym)
+        fib = Fibers.of(atom, omega_grid(atom.case, f.grid).samples)
+        for method in ("fast", "slow"):
+            assert np.array_equal(
+                filter_signal(atom, spec, f, method, fibers=fib).values,
+                filter_signal(atom, spec, f, method).values)
+        fast, slow, dev = filter_signal(atom, spec, f, "compare", fibers=fib)
+        rfast, rslow, rdev = filter_signal(atom, spec, f, "compare")
+        assert np.array_equal(fast.values, rfast.values)
+        assert np.array_equal(slow.values, rslow.values)
+        assert dev == rdev
+        with pytest.raises(ValueError, match="fiber record"):
+            filter_signal(atom, spec, f, "fast",
+                          fibers=Fibers.of(atom, W128.samples))
+
+
+def test_filter_builds_one_fiber_matrix(gaussian, shannon, ell_calls):
+    f = random_bandlimited(SIGNAL_GRID, seed=13)
+    for atom, sym in [(gaussian, Symbol1D.indicator(-1.0, 2.0)),
+                      (shannon, Symbol1D.indicator(1.0, 2.0))]:
+        for method in ("fast", "slow", "compare"):
+            ell_calls.clear()
+            filter_signal(atom, SymbolSpec.first_variable(sym), f, method)
+            assert len(ell_calls) == 1, f"{atom.name} {method}: {ell_calls}"
+
+
+def test_filter_slow_peak_memory(gaussian):
+    # the slow path holds the fiber record, the analysis field and one
+    # transform output: about 3 K x N complex arrays (4 when the FFTs ran
+    # out of place and project conjugated its own fiber matrix)
+    n = 4096
+    f = random_bandlimited(LineGrid.centered(16.0, n), seed=3)
+    spec = SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 2.0))
+    tracemalloc.start()
+    try:
+        filter_signal(gaussian, spec, f, "slow")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    K = gaussian.g1.count
+    assert peak <= 3.25 * K * n * 16, f"peak {peak / (K * n * 16):.3f} K*N*16"
+
+
+def test_filter_rejects_signal_off_the_translation_grid(gaussian, shannon):
+    # a bump at x = 24 lies outside the window's translations [-16, 16):
+    # every operator would return ~1e-21 of it
+    grid = LineGrid(0.0, 32.0 / 1024, 1024)
+    bump = SampledFunction(grid, np.exp(-np.pi * (grid.samples - 24.0) ** 2))
+    fib = Fibers.of(gaussian, grid.samples)
+    assert fib.coverage(bump) < 1e-80
+    spec = SymbolSpec.first_variable(Symbol1D.constant(1.0))
+    for method in ("fast", "slow", "compare"):
+        with pytest.raises(ValueError, match=r"translations \[-16, 16\)"):
+            filter_signal(gaussian, spec, bump, method)
+    # on the healthy band the fibers carry the whole signal
+    f = random_bandlimited(SIGNAL_GRID, seed=14)
+    for atom in (gaussian, shannon):
+        h = omega_side(atom.case, f)
+        assert Fibers.of(atom, h.grid.samples).coverage(h) >= 0.999

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from tfloc.atoms import Fibers
+from tfloc.cli import main
 from tfloc.fields import (PhasePlaneField, analyze, apply_axis2_fourier,
-                          bargmann, bargmann_adjoint, embed, project,
-                          random_bandlimited)
-from tfloc.fourier import fourier
-from tfloc.grids import LineGrid, SampledFunction, ScaleGrid
+                          bargmann, bargmann_adjoint, embed, omega_grid,
+                          omega_side, project, random_bandlimited)
+from tfloc.fourier import _fourier_rows, fourier
+from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
+from tfloc.kernels import gamma
+from tfloc.symbols import Symbol1D
 
 SIGNAL_GRID = LineGrid.centered(8.0, 1024)
 
@@ -315,3 +319,112 @@ def test_bargmann_adjoint_projection_idempotent(gaussian):
     once = bargmann_adjoint(gaussian, bargmann(gaussian, F), out_grid=F.g2)
     twice = bargmann_adjoint(gaussian, bargmann(gaussian, once), out_grid=F.g2)
     assert np.max(np.abs(twice.values - once.values)) <= 1e-8
+
+
+# -- fiber records -------------------------------------------------------------------
+
+def test_fibers_record_is_the_conjugate_fiber_matrix(shannon, gaussian):
+    grid = LineGrid.centered(8.0, 64)
+    for atom in (shannon, gaussian):
+        fib = Fibers.of(atom, grid.samples)
+        assert np.array_equal(fib.conj_ell,
+                              np.conj(atom.ell_matrix(grid.samples)))
+        assert np.array_equal(fib.norms, atom.fiber_norms(grid.samples))
+        assert not fib.conj_ell.flags.writeable
+        assert not fib.omegas.flags.writeable
+
+
+def test_fibers_keyword_is_bit_identical(shannon, haar, gaussian, rect):
+    # one record passed down the chain gives the bits each call gets alone
+    for atom in (shannon, haar, gaussian, rect):
+        f = random_bandlimited(SIGNAL_GRID, seed=5)
+        h = omega_side(atom.case, f)
+        assert np.array_equal(omega_grid(atom.case, f.grid).samples,
+                              h.grid.samples)
+        fib = Fibers.of(atom, h.grid.samples)
+        W = analyze(atom, f)
+        assert np.array_equal(analyze(atom, f, fibers=fib).values, W.values)
+        assert np.array_equal(
+            bargmann(atom, W, out_grid=h.grid, fibers=fib).values,
+            bargmann(atom, W, out_grid=h.grid).values)
+        assert np.array_equal(bargmann_adjoint(atom, h, fibers=fib).values,
+                              bargmann_adjoint(atom, h).values)
+
+
+def test_fibers_on_another_grid_rejected(gaussian, shannon):
+    grid = LineGrid.centered(8.0, 64)
+    shifted = LineGrid(grid.start + grid.step / 2, grid.step, grid.count)
+    longer = LineGrid(grid.start, grid.step, grid.count + 1)
+    f = SampledFunction(grid, np.ones(grid.count))
+    for atom in (gaussian, shannon):
+        F = embed(atom, f)
+        for other in (shifted, longer):
+            fib = Fibers.of(atom, other.samples)
+            with pytest.raises(ValueError, match="fiber record"):
+                embed(atom, f, fibers=fib)
+            with pytest.raises(ValueError, match="fiber record"):
+                project(atom, F, fibers=fib)
+            with pytest.raises(ValueError, match="fiber record"):
+                bargmann_adjoint(atom, f, fibers=fib)
+            with pytest.raises(ValueError, match="fiber record"):
+                gamma(atom, Symbol1D.constant(1.0), grid, fibers=fib)
+    # analyze takes the record of the signal's omega grid, not its own grid
+    f = random_bandlimited(SIGNAL_GRID, seed=2)
+    with pytest.raises(ValueError, match="fiber record"):
+        analyze(shannon, f, fibers=Fibers.of(shannon, f.grid.samples))
+    # a record built apart on an equal grid is accepted
+    same = LineGrid(grid.start, grid.step, grid.count)
+    ones = SampledFunction(grid, np.ones(grid.count))
+    fib = Fibers.of(gaussian, same.samples)
+    assert np.array_equal(embed(gaussian, ones, fibers=fib).values,
+                          embed(gaussian, ones).values)
+
+
+def test_fibers_only_for_the_grid_rule(gaussian):
+    grid = LineGrid.centered(8.0, 64)
+    fib = Fibers.of(gaussian, grid.samples)
+    with pytest.raises(ValueError, match="grid rule"):
+        gamma(gaussian, Symbol1D.indicator(-1.0, 1.0), grid, rule="adaptive",
+              fibers=fib)
+
+
+def test_verify_transforms_builds_one_record_per_grid(tmp_path, ell_calls):
+    for case in ("gabor", "wavelet"):
+        ell_calls.clear()
+        out = str(tmp_path / f"t-{case}.json")
+        assert main(["verify", "transforms", "--case", case, "--n", "1024",
+                     "--out", out]) == 0
+        # the signals' omega grid and the round-trip window (50 calls when
+        # every transform built its own)
+        assert len(ell_calls) <= 3, f"{case}: {len(ell_calls)} calls"
+
+
+def _fourier_rows_reference(values, in_grid, sign, out_grid):
+    """The out-of-place formula of _fourier_rows, kept as its oracle."""
+    n = in_grid.count
+    sgn = -1.0 if sign == "forward" else 1.0
+    j = np.arange(n)
+    pre = np.exp(sgn * 2j * np.pi * in_grid.step * out_grid.start * j)
+    if sgn < 0:
+        core = np.fft.fft(values * pre[None, :], axis=1)
+    else:
+        core = np.fft.ifft(values * pre[None, :], axis=1) * n
+    post = np.exp(sgn * 2j * np.pi * in_grid.start * out_grid.samples)
+    return in_grid.step * post[None, :] * core
+
+
+@pytest.mark.parametrize("n", [64, 96, 256, 1000, 4096])
+def test_fourier_rows_in_place_matches_out_of_place(n):
+    rng = np.random.default_rng(n)
+    centred = LineGrid.centered(8.0, n)
+    off = LineGrid(0.3, 16.0 / n, n)
+    pairs = [(centred, induced_grid(centred)),
+             (off, LineGrid(-0.7, 1.0 / 16.0, n))]
+    for in_grid, out_grid in pairs:
+        values = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        before = values.copy()
+        for sign in ("forward", "inverse"):
+            out = _fourier_rows(values, in_grid, sign, out_grid)
+            assert np.array_equal(values, before)
+            assert np.array_equal(
+                out, _fourier_rows_reference(values, in_grid, sign, out_grid))
