@@ -18,9 +18,9 @@ from .fields import (PhasePlaneField, analyze, apply_axis2_fourier, bargmann,
                      bargmann_adjoint, embed, project, random_bandlimited)
 from .fourier import fourier
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
-from .kernels import (GammaFunction, KernelMatrix, SpectrumReport,
-                      boundedness_verdict, gamma, overlap_kernel,
-                      spectrum_from_gamma, weighted_overlap_kernel)
+from .kernels import (GammaFunction, SpectrumReport, boundedness_verdict,
+                      gamma, overlap_kernel, spectrum_from_gamma,
+                      weighted_overlap_kernel)
 from .operators import (EquivalenceSpec, OperatorMatrix, VerificationReport,
                         build_direct, build_integral, build_multiplication,
                         build_pseudodiff, default_operator_grid, filter_signal,

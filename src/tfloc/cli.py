@@ -22,7 +22,7 @@ from .algebra import (Partition, default_partition_domain, evaluate_on_cloud,
 from .atoms import Fibers, make_atom
 from .fields import (analyze, bargmann, bargmann_adjoint, omega_grid,
                      omega_side, random_bandlimited)
-from .grids import LineGrid, SampledFunction, induced_grid
+from .grids import LineGrid, SampledFunction
 from .kernels import (boundedness_verdict, gamma, overlap_kernel,
                       spectrum_from_gamma, weighted_overlap_kernel)
 from .operators import (EquivalenceSpec, build_direct, default_operator_grid,
@@ -217,7 +217,7 @@ def cmd_kernel(args) -> int:
         km = weighted_overlap_kernel(atom, parse_symbol(args.symbol), grid)
     else:
         km = overlap_kernel(atom, grid)
-    meta = _config_meta(args, symbol=km.symbol_descriptor, kind=km.kind,
+    meta = _config_meta(args, symbol=km.symbol_descriptor, kind=km.builder,
                         tolerances={"diag_unit_healthy": 1e-6,
                                     "hermitian": 1e-10})
     if args.format == "json":
@@ -257,27 +257,17 @@ def _verify_transforms_suite(args) -> dict:
     n = max(args.n, 64)
     grid = LineGrid.centered(8.0, n)
     opg = default_operator_grid(args.case, min(args.n, 256))
-    # one fiber record per distinct grid: analysis embeds on the signals'
-    # omega grid and bargmann projects on the grid induced by the analysis
-    # axis; the round trip embeds and projects on opg
-    records = {}
-
-    def record_for(g):
-        key = (g.start, g.step, g.count)
-        if key not in records:
-            records[key] = Fibers.of(atom, g.samples)
-        return records[key]
-
-    axis = grid if atom.case == "wavelet" else induced_grid(grid)
-    embed_fibers = record_for(omega_grid(atom.case, grid))
-    project_fibers = record_for(induced_grid(axis))
-    round_fibers = record_for(opg)
+    # one fiber record for the analysis of the signals, whose omega grid is
+    # also the grid bargmann projects back onto, and one for the round trip
+    omega = omega_grid(atom.case, grid)
+    signal_fibers = Fibers.of(atom, omega.samples)
+    round_fibers = Fibers.of(atom, opg.samples)
     worst_iso, worst_fact, worst_round = 0.0, 0.0, 0.0
     for k in range(20):
         f = random_bandlimited(grid, seed=args.seed + k)
-        W = analyze(atom, f, fibers=embed_fibers)
+        W = analyze(atom, f, fibers=signal_fibers)
         worst_iso = max(worst_iso, abs(W.weighted_norm() - f.norm()))
-        out = bargmann(atom, W, fibers=project_fibers)
+        out = bargmann(atom, W, out_grid=omega, fibers=signal_fibers)
         ref = omega_side(atom.case, f).values
         worst_fact = max(worst_fact, float(
             np.linalg.norm(out.values - ref) / np.linalg.norm(ref)))

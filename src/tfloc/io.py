@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 import tempfile
 
@@ -117,28 +118,47 @@ def write_signal_csv(path: str, f: SampledFunction, metadata: dict | None = None
 
 
 def read_signal_csv(path: str) -> SampledFunction:
+    """Read a signal CSV (header ``x,re,im``) on a uniform grid.
+
+    The step is taken from the end points, (x[n-1] - x[0]) / (n - 1), and
+    every x must lie within 1e-9 step plus 4 ulps of max |x| of that fit:
+    the written samples carry their rounding, which exceeds any fraction of
+    the step once |x| >> step.  A missing, non-numeric or non-finite field,
+    or a row the csv module cannot split, raises ``ValueError`` naming the
+    file and the line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line 1: {exc}") from None
         if header is None or [h.strip() for h in header[:3]] != ["x", "re", "im"]:
             raise ValueError(f"{path}: expected header 'x,re,im', got {header}")
         xs, vals = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < 3:
-                raise ValueError(f"{path}: line {reader.line_num}: expected "
-                                 f"3 fields x,re,im, got {len(row)}")
-            xs.append(float(row[0]))
-            vals.append(float(row[1]) + 1j * float(row[2]))
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < 3:
+                    raise ValueError(f"expected 3 fields x,re,im, got {len(row)}")
+                x, re, im = float(row[0]), float(row[1]), float(row[2])
+                if not (math.isfinite(x) and math.isfinite(re)
+                        and math.isfinite(im)):
+                    raise ValueError(f"non-finite value in {row[:3]}")
+                xs.append(x)
+                vals.append(re + 1j * im)
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(xs) < 2:
         raise ValueError(f"{path}: need at least 2 samples")
     xs = np.asarray(xs)
-    steps = np.diff(xs)
-    step = steps[0]
-    if step <= 0 or np.max(np.abs(steps - step)) > 1e-9 * abs(step):
+    n = xs.size
+    step = (xs[-1] - xs[0]) / (n - 1)
+    tol = 1e-9 * step + 4 * np.spacing(np.max(np.abs(xs)))
+    if not step > 0 or np.max(np.abs(xs - (xs[0] + np.arange(n) * step))) > tol:
         raise ValueError(f"{path}: samples are not uniformly spaced")
-    return SampledFunction(LineGrid(xs[0], step, len(xs)), np.asarray(vals))
+    return SampledFunction(LineGrid(xs[0], step, n), np.asarray(vals))
 
 
 # -- atoms -------------------------------------------------------------------
@@ -196,7 +216,7 @@ def export_gamma(path: str, gf, metadata: dict | None = None):
 
 
 def export_kernel(path: str, km, metadata: dict | None = None):
-    md = {"atom": km.atom_name, "kind": km.kind,
+    md = {"atom": km.atom_name, "kind": km.builder,
           "symbol": km.symbol_descriptor, "grid": _grid_meta(km.grid)}
     md.update(metadata or {})
     xs, n = km.grid.samples, km.grid.count

@@ -30,6 +30,9 @@ as one FFT convolution of the symbol samples with the squared window.
 
 The two-point overlap kernels generalize the same quadrature to pairs of
 frequencies and feed the integral and compound-symbol operator builders.
+They are the integral kernels of those forms, so they are returned as the
+same dense record, ``OperatorMatrix``, that the builders return (it lives
+here because ``operators`` imports this module).
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .symbols import Symbol1D
 
 __all__ = [
     "GammaFunction",
-    "KernelMatrix",
+    "OperatorMatrix",
     "SpectrumReport",
     "gamma",
     "spectrum_from_gamma",
@@ -84,36 +87,47 @@ class GammaFunction:
         # largest per-xi quadrature error estimate (adaptive rule only)
         self.abserr = abserr
 
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def __repr__(self):
         return (f"GammaFunction({self.atom_name}, {self.symbol_descriptor}, "
                 f"rule={self.rule})")
 
 
-class KernelMatrix:
-    """Two-point kernel sampled on a frequency grid."""
+class OperatorMatrix:
+    """Dense operator over a frequency window, with builder provenance.
 
-    def __init__(self, grid: LineGrid, values, kind: str, atom_name: str,
-                 symbol_descriptor: str = "const:1",
-                 check_hermitian: bool = False):
+    ``lowrank_rank`` and ``lowrank_tail`` are set by ``build_direct``: the
+    rank of the symbol-field factorization it assembled from and the
+    Frobenius tail it dropped, relative to the field's norm.  Other builders
+    leave them ``None``.
+    """
+
+    def __init__(self, grid: LineGrid, values, builder: str, atom_name: str,
+                 symbol_descriptor: str, symbol_is_real: bool | None = None,
+                 lowrank_rank: int | None = None,
+                 lowrank_tail: float | None = None):
         values = np.asarray(values, dtype=complex)
         n = grid.count
         if values.shape != (n, n):
-            raise ValueError("kernel must be square over the frequency grid")
-        if check_hermitian:
-            dev = float(np.max(np.abs(values - values.conj().T)))
-            if dev > 1e-8:
-                raise ValueError(f"kernel lost Hermitian symmetry (dev {dev:.2e})")
+            raise ValueError(f"operator must be {n}x{n}, got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("operator contains non-finite entries")
+        scale = float(np.max(np.abs(values))) or 1.0
+        dev = float(np.max(np.abs(values - values.conj().T)))
+        self.is_hermitian = dev <= 1e-8 * max(1.0, scale)
+        if symbol_is_real and not self.is_hermitian:
+            raise ValueError(
+                f"real symbol produced a non-Hermitian matrix (dev {dev:.2e})")
         self.grid = grid
         self.values = values
-        self.kind = kind
+        self.builder = builder
         self.atom_name = atom_name
         self.symbol_descriptor = symbol_descriptor
+        self.lowrank_rank = lowrank_rank
+        self.lowrank_tail = lowrank_tail
 
     def __repr__(self):
-        return f"KernelMatrix({self.kind}, {self.atom_name}, n={self.grid.count})"
+        return (f"OperatorMatrix({self.builder}, {self.atom_name}, "
+                f"{self.symbol_descriptor}, n={self.grid.count})")
 
 
 @dataclass
@@ -121,7 +135,6 @@ class SpectrumReport:
     """Sampled spectrum approximation with norm and boundedness readout."""
 
     values: np.ndarray
-    source: str
     is_real: bool
     norm_estimate: float
     interval: tuple[float, float] | None = None
@@ -482,7 +495,7 @@ def spectrum_from_gamma(gf: GammaFunction) -> SpectrumReport:
     vals = gf.values.real if real else gf.values
     interval = (float(np.min(vals.real)), float(np.max(vals.real))) if real else None
     return SpectrumReport(
-        values=np.array(vals), source="gamma", is_real=real,
+        values=np.array(vals), is_real=real,
         norm_estimate=float(np.max(np.abs(vals))), interval=interval,
         unbounded=gf.unbounded)
 
@@ -511,22 +524,21 @@ def _fiber_overlap(atom: Atom, w: np.ndarray, xi_grid: LineGrid) -> np.ndarray:
     return (np.conj(L) * w[:, None]).T @ L
 
 
-def overlap_kernel(atom: Atom, xi_grid: LineGrid) -> KernelMatrix:
+def overlap_kernel(atom: Atom, xi_grid: LineGrid) -> OperatorMatrix:
     """Fiber overlap kernel: quadrature of ell(r, omega) conj(ell(r, xi)).
 
     Hermitian with unit diagonal on the healthy range (the diagonal is the
     fiber norm).  Entry [i, j] pairs xi = xi_i with omega = xi_j.
     """
     vals = _fiber_overlap(atom, atom.g1.measure_weights, xi_grid)
-    return KernelMatrix(xi_grid, vals, "overlap", atom.name,
-                        check_hermitian=True)
+    return OperatorMatrix(xi_grid, vals, "overlap", atom.name, "const:1",
+                          symbol_is_real=True)
 
 
 def weighted_overlap_kernel(atom: Atom, alpha: Symbol1D,
-                            xi_grid: LineGrid) -> KernelMatrix:
+                            xi_grid: LineGrid) -> OperatorMatrix:
     """Symbol-weighted overlap kernel; its diagonal is the grid-rule gamma."""
     w = atom.g1.measure_weights * _symbol_on_nodes(atom, alpha)
     vals = _fiber_overlap(atom, w, xi_grid)
-    return KernelMatrix(xi_grid, vals, "weighted_overlap", atom.name,
-                        symbol_descriptor=alpha.descriptor,
-                        check_hermitian=alpha.is_real)
+    return OperatorMatrix(xi_grid, vals, "weighted_overlap", atom.name,
+                          alpha.descriptor, symbol_is_real=alpha.is_real)

@@ -56,8 +56,8 @@ from .atoms import Atom, Fibers
 from .fields import analyze, axis2_sign, bargmann, omega_side
 from .fourier import _fourier_rows, fourier
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
-from .kernels import (GammaFunction, SpectrumReport, gamma, overlap_kernel,
-                      weighted_overlap_kernel)
+from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport, gamma,
+                      overlap_kernel, weighted_overlap_kernel)
 from .symbols import Symbol1D, SymbolSpec
 
 __all__ = [
@@ -88,44 +88,6 @@ def default_operator_grid(case: str, n: int = 256) -> LineGrid:
 def case_sign(case: str) -> float:
     """Sign of the difference-lattice argument in the integral form."""
     return 1.0 if case == "wavelet" else -1.0
-
-
-class OperatorMatrix:
-    """Dense operator over a frequency window, with builder provenance.
-
-    ``lowrank_rank`` and ``lowrank_tail`` are set by ``build_direct``: the
-    rank of the symbol-field factorization it assembled from and the
-    Frobenius tail it dropped, relative to the field's norm.  Other builders
-    leave them ``None``.
-    """
-
-    def __init__(self, grid: LineGrid, values, builder: str, atom_name: str,
-                 symbol_descriptor: str, symbol_is_real: bool | None = None,
-                 lowrank_rank: int | None = None,
-                 lowrank_tail: float | None = None):
-        values = np.asarray(values, dtype=complex)
-        n = grid.count
-        if values.shape != (n, n):
-            raise ValueError(f"operator must be {n}x{n}, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("operator contains non-finite entries")
-        scale = float(np.max(np.abs(values))) or 1.0
-        dev = float(np.max(np.abs(values - values.conj().T)))
-        self.is_hermitian = dev <= 1e-8 * max(1.0, scale)
-        if symbol_is_real and not self.is_hermitian:
-            raise ValueError(
-                f"real symbol produced a non-Hermitian matrix (dev {dev:.2e})")
-        self.grid = grid
-        self.values = values
-        self.builder = builder
-        self.atom_name = atom_name
-        self.symbol_descriptor = symbol_descriptor
-        self.lowrank_rank = lowrank_rank
-        self.lowrank_tail = lowrank_tail
-
-    def __repr__(self):
-        return (f"OperatorMatrix({self.builder}, {self.atom_name}, "
-                f"{self.symbol_descriptor}, n={self.grid.count})")
 
 
 # -- direct (pipeline) route -----------------------------------------------------
@@ -345,8 +307,7 @@ def spectrum(M: OperatorMatrix, reference=None) -> SpectrumReport:
     hd = None
     if reference is not None:
         hd = hausdorff_distance(eigs, np.asarray(reference))
-    return SpectrumReport(values=eigs, source=f"operator:{M.builder}",
-                          is_real=M.is_hermitian,
+    return SpectrumReport(values=eigs, is_real=M.is_hermitian,
                           norm_estimate=norm, interval=interval,
                           hausdorff=hd)
 

@@ -5,6 +5,7 @@ import pytest
 
 from tfloc.atoms import (AdmissibilityError, admissibility_test_frequencies,
                          make_wavelet)
+from tfloc.io import export_atom, import_atom
 
 LN2 = math.log(2.0)
 
@@ -45,6 +46,23 @@ def test_admissibility_even_in_frequency(shannon, haar):
             a = atom.admissibility_integral(xi)
             b = atom.admissibility_integral(-xi)
             assert abs(a - b) <= 1e-10
+
+
+def test_admissibility_integral_depends_on_the_sign_alone(shannon, haar,
+                                                         tmp_path):
+    # after s = t|xi| every branch sees only sign(xi): shannon (quad), haar
+    # (QAWO) and, through export/import, the generic log-midpoint rule
+    export_atom(str(tmp_path / "shannon.csv"), shannon)
+    imported = import_atom(str(tmp_path / "shannon.csv"))
+    assert imported.freq_profile is None
+    xis = admissibility_test_frequencies()
+    for atom in (shannon, haar, imported):
+        vals = np.array([atom.admissibility_integral(float(xi)) for xi in xis])
+        for side in (-1.0, 1.0):
+            assert np.all(vals[np.sign(xis) == side]
+                          == atom.admissibility_integral(side))
+        # the residual is the maximum over the documented set, bit for bit
+        assert atom.admissibility_residual() == np.max(np.abs(vals - 1.0))
 
 
 def test_narrow_frequency_clip_rejected_with_residual():

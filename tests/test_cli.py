@@ -63,6 +63,34 @@ def test_read_signal_rejects_short_row(tmp_path):
     assert not out.exists()
 
 
+def test_read_signal_rejects_header_past_csv_limit(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("x" * 140_000 + ",re,im\n0,1,0\n1,1,0\n")
+    with pytest.raises(ValueError, match=r"wide\.csv: line 1: field larger"):
+        read_signal_csv(str(path))
+
+
+@pytest.mark.parametrize("field", ["abc", "nan", "1e400", "9" * 140_000],
+                         ids=["text", "nan", "overflow", "over-csv-limit"])
+@pytest.mark.parametrize("route", ["input", "symbol"])
+def test_cmd_bad_csv_field_names_file_and_line(tmp_path, capsys, field, route):
+    # a non-numeric or non-finite field, or one past the csv module's field
+    # size limit, exits 2 naming the file and the line, read as a signal
+    # (filter --input) or as a symbol (--symbol sampled:)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"x,re,im\n0,1,0\n0.5,{field},0\n1,1,0\n")
+    good = tmp_path / "good.csv"
+    write_signal_csv(str(good), random_bandlimited(LineGrid.centered(8.0, 64),
+                                                   seed=1))
+    signal, symbol = ((bad, "const:1") if route == "input"
+                      else (good, f"sampled:{bad}"))
+    out = tmp_path / "o.csv"
+    assert run("filter", "--symbol", symbol, "--input", str(signal),
+               "--out", str(out)) == 2
+    assert "bad.csv: line 3: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- gamma command -------------------------------------------------------------------
 
 def test_cmd_gamma_erf_value(tmp_path):

@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tfloc.algebra import PartitionCloud
 from tfloc.fields import PhasePlaneField, analyze, random_bandlimited
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, subgrid_indices
 from tfloc.io import (export_cloud, export_field, export_gamma, export_kernel,
-                      export_matrix, sidecar_path, write_signal_csv)
-from tfloc.kernels import GammaFunction, KernelMatrix
+                      export_matrix, read_signal_csv, sidecar_path,
+                      write_signal_csv, write_table)
+from tfloc.kernels import GammaFunction
 from tfloc.operators import (OperatorMatrix, build_direct,
                              default_operator_grid)
 from tfloc.symbols import Symbol1D, SymbolSpec
@@ -117,7 +120,7 @@ def _exporter_case(kind):
                 _csv_text(["xi", "re", "im"],
                           [(x, v.real, v.imag) for x, v in zip(xs, vec)]))
     if kind == "kernel":
-        km = KernelMatrix(grid, mat, "overlap", "gaussian")
+        km = OperatorMatrix(grid, mat, "overlap", "gaussian", "const:1")
         rows = [(xs[i], xs[j], mat[i, j].real, mat[i, j].imag)
                 for i, j in pairs]
         return (lambda p: export_kernel(p, km),
@@ -142,3 +145,53 @@ def test_exporter_bytes_pinned(tmp_path, kind):
     path = tmp_path / f"{kind}.csv"
     write(str(path))
     assert path.read_bytes() == expected.encode()
+
+
+# -- signal CSV reader ----------------------------------------------------------
+
+def _csv_grids():
+    """Grids far from zero relative to their step: |start| up to 1e6, step
+    from 1e-6 to 10, up to 4096 samples."""
+    magnitude = st.floats(-3.0, 6.0).map(lambda e: 10.0 ** e)
+    start = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda v: -v))
+    step = st.floats(-6.0, 1.0).map(lambda e: 10.0 ** e)
+    return st.builds(LineGrid, start, step, st.integers(2, 4096))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(grid=_csv_grids(), seed=st.integers(0, 2 ** 16))
+@example(grid=LineGrid(1e4, 1e-4, 1024), seed=0)
+@example(grid=LineGrid(1e6, 1e-6, 100), seed=0)
+@example(grid=LineGrid(1e3, 1e-3, 4096), seed=0)
+def test_signal_csv_reader_reads_what_the_writer_wrote(tmp_path_factory, grid,
+                                                       seed):
+    # the written samples carry their rounding: the reader takes the step
+    # from the end points and forgives 4 ulps of max |x| on top of 1e-9 step
+    path = str(tmp_path_factory.mktemp("csv") / "f.csv")
+    rng = np.random.default_rng(seed)
+    n = grid.count
+    f = SampledFunction(grid, rng.standard_normal(n)
+                        + 1j * rng.standard_normal(n))
+    write_signal_csv(path, f)
+    back = read_signal_csv(path)
+    assert np.array_equal(back.values, f.values)
+    ulp = np.spacing(np.max(np.abs(grid.samples)))
+    assert np.max(np.abs(back.grid.samples - grid.samples)) <= 4 * ulp
+    # one interior sample moved by 1e-6 step is still rejected, wherever
+    # that move is well above the rounding of the samples
+    if n >= 3 and 1e-6 * grid.step > 16 * ulp:
+        xs = grid.samples.copy()
+        xs[n // 2] += 1e-6 * grid.step
+        write_table(path, ["x", "re", "im"], [xs, f.values.real, f.values.imag])
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            read_signal_csv(path)
+
+
+def test_signal_csv_binary_step_reads_back_exactly(tmp_path):
+    # a step exact in binary gives back the written grid bit for bit
+    path = str(tmp_path / "f.csv")
+    grid = LineGrid.centered(16.0, 4096)
+    write_signal_csv(path, SampledFunction(grid, np.ones(4096)))
+    back = read_signal_csv(path).grid
+    assert (back.start, back.step) == (grid.start, grid.step)
+    assert np.array_equal(back.samples, grid.samples)

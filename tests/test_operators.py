@@ -11,7 +11,8 @@ from tfloc.atoms import Fibers
 from tfloc.fields import omega_grid, omega_side, random_bandlimited
 from tfloc.fourier import _fourier_rows, fourier
 from tfloc.grids import LineGrid, SampledFunction, induced_grid
-from tfloc.kernels import gamma, spectrum_from_gamma
+from tfloc.kernels import (gamma, overlap_kernel, spectrum_from_gamma,
+                           weighted_overlap_kernel)
 from tfloc.operators import (LOWRANK_TAIL, EquivalenceSpec, OperatorMatrix, _lowrank_factors, build_direct,
                              build_integral, build_multiplication,
                              build_pseudodiff, default_operator_grid,
@@ -256,6 +257,20 @@ def test_pseudodiff_alpha_one_reduces_to_integral(gaussian):
     M1 = build_pseudodiff(gaussian, Symbol1D.constant(1.0), beta, G128)
     M2 = build_integral(gaussian, beta, G128)
     assert np.max(np.abs(M1.values - M2.values)) <= 1e-6
+
+
+def test_integral_route_is_the_compound_route_with_alpha_one(gaussian,
+                                                            shannon):
+    # the identity that lets the two builders stay separate: bit for bit,
+    # both for the kernels and for the assembled operators
+    one = Symbol1D.constant(1.0)
+    beta = Symbol1D.gaussian_bump(1.0)
+    for atom in (gaussian, shannon):
+        grid = _grid_for(atom)
+        assert np.array_equal(overlap_kernel(atom, grid).values,
+                              weighted_overlap_kernel(atom, one, grid).values)
+        assert np.array_equal(build_integral(atom, beta, grid).values,
+                              build_pseudodiff(atom, one, beta, grid).values)
 
 
 def test_pseudodiff_beta_one_reduces_to_multiplication(gaussian, shannon):

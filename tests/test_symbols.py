@@ -3,13 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import erf
 
 from tfloc.grids import LineGrid
 from tfloc.kernels import (boundedness_verdict, gamma, overlap_kernel,
                            spectrum_from_gamma, weighted_overlap_kernel)
-from tfloc.operators import default_operator_grid
+from tfloc.operators import OperatorMatrix, default_operator_grid
 from tfloc.symbols import Symbol1D, SymbolParseError, parse_symbol
 
 LN2 = math.log(2.0)
@@ -48,6 +50,25 @@ def test_parse_symbol_forms(tmp_path):
 def test_parse_symbol_rejects_malformed(bad):
     with pytest.raises(SymbolParseError):
         parse_symbol(bad)
+
+
+_DSL_ARGS = st.one_of(st.text(), st.text(alphabet="0123456789.,+-eEinfajJ() "))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=st.one_of(
+    st.text(),
+    st.builds("{}:{}".format,
+              st.sampled_from(["const", "indicator", "power", "sampled", "",
+                               "Const"]), _DSL_ARGS)))
+def test_parse_symbol_raises_only_value_error(text):
+    # any text parses to a Symbol1D or raises ValueError (a SymbolParseError
+    # or the CSV reader's error); parsing only, evaluation may overflow
+    try:
+        sym = parse_symbol(text)
+    except ValueError:
+        return
+    assert isinstance(sym, Symbol1D)
 
 
 def test_parse_sampled_symbol(tmp_path):
@@ -367,6 +388,25 @@ def test_kernel_hermitian(gaussian, shannon, haar):
                        (haar, default_operator_grid("wavelet", 128))]:
         K = overlap_kernel(atom, grid)
         assert np.max(np.abs(K.values - K.values.conj().T)) <= 1e-10
+
+
+def test_kernels_are_operator_matrix_records(gaussian, shannon):
+    # real-symbol kernels are flagged Hermitian; a complex symbol gives a
+    # record flagged non-Hermitian, not an error
+    for atom in (gaussian, shannon):
+        grid = default_operator_grid(atom.case, 64)
+        K = overlap_kernel(atom, grid)
+        R = weighted_overlap_kernel(atom, Symbol1D.smooth_step(4.0), grid)
+        C = weighted_overlap_kernel(atom, Symbol1D.piecewise(
+            [[(-1.0, 1.0)], [(1.0, 2.0)]], [1j, 0.5]), grid)
+        for M in (K, R, C):
+            assert isinstance(M, OperatorMatrix) and M.grid is grid
+            assert M.atom_name == atom.name
+        assert (K.builder, K.symbol_descriptor) == ("overlap", "const:1")
+        assert (R.builder, R.symbol_descriptor) == ("weighted_overlap",
+                                                    "step:4")
+        assert K.is_hermitian and R.is_hermitian
+        assert not C.is_hermitian
 
 
 def test_kernel_gabor_gaussian_closed_form(gaussian):
