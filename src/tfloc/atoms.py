@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy import integrate
@@ -196,6 +196,16 @@ class Atom:
         s = lo * np.exp((np.arange(n) + 0.5) * dt)
         return float(np.sum(np.abs(self.eval_freq(side * s)) ** 2) * dt)
 
+    @property
+    def freq_breakpoints(self) -> np.ndarray:
+        """Frequencies |xi| at which adaptive quadrature over the frequency
+        profile should split: the zeros of the catalog haar profile (the even
+        integers inside ``freq_support``), between which |psi_hat|^2 is one
+        smooth hump.  Empty for every other atom, imported ones included."""
+        if self.name == "haar" and self.freq_profile is not None:
+            return np.arange(2.0, self.freq_support[1], 2.0)
+        return np.empty(0)
+
     def admissibility_residual(self) -> float:
         """Largest |energy integral - 1| over the documented test frequencies.
 
@@ -304,6 +314,7 @@ class Fibers:
 # into one monotone piece plus two cosine-weighted pieces that scipy's
 # oscillatory rule handles accurately over wide ranges.
 
+@cache
 def _haar_energy_integral(lo: float, hi: float) -> float:
     def base(s):
         return 4.0 / (np.pi ** 2 * s ** 3)
@@ -315,21 +326,10 @@ def _haar_energy_integral(lo: float, hi: float) -> float:
 
 
 def quad_cos(fn, lo: float, hi: float, wvar: float, epsabs: float):
-    """Integral of fn(t) cos(wvar t) over [lo, hi] by QUADPACK's QAWO rule.
-
-    Returns the value and scipy's error estimate.  A complex-valued ``fn``
-    (judged by its value at ``lo``) is integrated as its real and imaginary
-    parts, and the two estimates are added.
-    """
-    def part(g):
-        return integrate.quad(g, lo, hi, weight="cos", wvar=wvar,
-                              epsabs=epsabs, limit=400)
-
-    if not np.iscomplexobj(fn(lo)):
-        return part(fn)
-    re, e_re = part(lambda t: fn(t).real)
-    im, e_im = part(lambda t: fn(t).imag)
-    return re + 1j * im, e_re + e_im
+    """Integral of a real fn(t) cos(wvar t) over [lo, hi] by QUADPACK's QAWO
+    rule.  Returns the value and scipy's error estimate."""
+    return integrate.quad(fn, lo, hi, weight="cos", wvar=wvar,
+                          epsabs=epsabs, limit=400)
 
 
 # -- catalog ------------------------------------------------------------------

@@ -17,7 +17,8 @@ Two quadrature rules are provided:
   so all cross-operator consistency statements hold tightly.
 * ``rule="adaptive"`` -- adaptive Gauss-Kronrod quadrature of the defining
   integral over the atom's effective support, split at the symbol's
-  breakpoints, with all frequencies of one call integrated together.
+  breakpoints and (wavelets) at the atom's ``freq_breakpoints``, with all
+  frequencies of one call integrated together, every atom alike.
   Continuum-accurate (epsabs 1e-12, epsrel 1e-11 per piece; the largest
   per-frequency error estimate is kept as ``GammaFunction.abserr``); used
   wherever closed-form oracles are quoted.  Symbol jumps must be listed as
@@ -38,13 +39,12 @@ here because ``operators`` imports this module).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, signal
+from scipy import signal
 
-from .atoms import Atom, Fibers, quad_cos
+from .atoms import Atom, Fibers
 from .grids import LineGrid
 from .symbols import Symbol1D
 
@@ -156,11 +156,10 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
     ``rule="adaptive"`` integrates every (xi, breakpoint segment) piece with
     one batched adaptive Gauss-Kronrod (G10/K21) pass to epsabs 1e-12,
     epsrel 1e-11 per piece, and records the largest per-xi error estimate as
-    ``abserr``.  A piece that needs more than ``GK_LIMIT`` panels -- typically
-    a symbol with jumps not listed as breakpoints -- raises
-    ``ArithmeticError``.  The haar wavelet uses scipy's QUADPACK instead
-    (oscillatory split); a QUADPACK call that does not converge raises
-    ``ArithmeticError`` as well.
+    ``abserr``.  The segments split at the symbol's breakpoints and, for
+    wavelets, at the atom's ``freq_breakpoints`` (haar's profile zeros).  A
+    piece that needs more than ``GK_LIMIT`` panels -- typically a symbol
+    with jumps not listed as breakpoints -- raises ``ArithmeticError``.
 
     ``fibers`` is the atom's record on ``xi_grid``, which the grid rule
     reads instead of building its own; the other rules evaluate no fiber
@@ -244,17 +243,31 @@ def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
 
     The integration range of each xi is the window (gabor) or the scaled
     wavelet band (wavelet) clipped to the symbol's support, split at the
-    symbol's breakpoints; every (xi, segment) integral of the call goes
-    through one batched Gauss-Kronrod pass.  The haar wavelet keeps its
-    per-xi oscillatory split (``_gamma_haar``).
+    symbol's breakpoints and at the atom's ``freq_breakpoints`` / |xi|;
+    every (xi, segment) integral goes through one batched Gauss-Kronrod
+    pass.  The frequencies are halved until the segments of a pass number
+    at most ``GK_MAX_POINTS``, which bounds its memory.
     """
+    bps = np.sort(np.asarray(alpha.breakpoints, dtype=float))
+    fbps = atom.freq_breakpoints  # empty for every atom but haar
+    if xs.size > 1 and xs.size * (bps.size + fbps.size + 1) > GK_MAX_POINTS:
+        # a piece's integral does not depend on the batch it is integrated
+        # in, so halving changes no bit
+        h = xs.size // 2
+        (v0, e0), (v1, e1) = (_gamma_adaptive(atom, alpha, part)
+                              for part in (xs[:h], xs[h:]))
+        return np.concatenate([v0, v1]), max(e0, e1)
+
     a_lo, a_hi = alpha.support
+    cuts = np.broadcast_to(bps, (xs.size, bps.size))
     if atom.case == "wavelet":
         ax = np.abs(xs)
         s_lo, s_hi = atom.freq_support
         with np.errstate(divide="ignore"):
             lo = np.maximum(np.maximum(s_lo / ax, a_lo), 1e-300)
             hi = np.minimum(s_hi / ax, a_hi)
+            # the atom's frequency breakpoints as scales at each xi
+            cuts = np.column_stack([cuts, fbps / ax[:, None]])
         # fibers vanish at zero frequency for zero-mean atoms; the value is
         # excluded from the documented healthy range
         live = (xs != 0.0) & (lo < hi)
@@ -264,33 +277,14 @@ def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
         hi = np.minimum(xs - t_lo, a_hi)
         live = lo < hi
 
-    out = np.zeros(xs.size, dtype=complex)
-    if atom.case == "wavelet" and atom.name == "haar" \
-            and atom.freq_profile is not None:
-        err = np.zeros(xs.size)
-        # QUADPACK only warns when it gives up: raise, as the batched rule does
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", integrate.IntegrationWarning)
-            for i in np.flatnonzero(live):
-                try:
-                    out[i], err[i] = _gamma_haar(atom, alpha, abs(float(xs[i])),
-                                                 float(lo[i]), float(hi[i]))
-                except integrate.IntegrationWarning as exc:
-                    raise ArithmeticError(
-                        f"gamma of {alpha.descriptor} at xi={xs[i]:.17g}: "
-                        "adaptive quadrature did not converge (QUADPACK: "
-                        f"{' '.join(str(exc).split()).split('. ')[0]})") from exc
-        return out, float(np.max(err, initial=0.0))
-
-    # segment edges per xi: the breakpoints clipped into [lo, hi]; clipped
-    # duplicates give empty segments, which are dropped
-    bps = np.sort(np.asarray(alpha.breakpoints, dtype=float))
-    edges = np.column_stack([lo, np.clip(bps[None, :], lo[:, None],
-                                         hi[:, None]), hi])
+    # segment edges per xi: the cuts clipped into [lo, hi] and sorted;
+    # clipped duplicates give empty segments, which are dropped
+    edges = np.column_stack([lo, np.clip(cuts, lo[:, None], hi[:, None]), hi])
+    edges.sort(axis=1)
     seg_lo, seg_hi = edges[:, :-1], edges[:, 1:]
     owner, col = np.nonzero(live[:, None] & (seg_hi > seg_lo))
     if owner.size == 0:
-        return out, 0.0
+        return np.zeros(xs.size, dtype=complex), 0.0
     xi = xs[owner]
 
     if atom.case == "wavelet":
@@ -321,7 +315,7 @@ def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
 GK_EPSABS = 1e-12
 GK_EPSREL = 1e-11
 GK_LIMIT = 300            # panels per integral (QUADPACK's ``limit``)
-GK_MAX_POINTS = 65_536    # points per integrand evaluation
+GK_MAX_POINTS = 65_536    # points per integrand evaluation, pieces per pass
 
 _XGK = np.array([
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
@@ -350,10 +344,9 @@ _WG10[19:10:-2] = _WG
 _EPS = 2.0 ** -52            # double-precision machine epsilon
 
 
-def _kronrod_panels(f: np.ndarray, half: np.ndarray):
-    """K21 values and QUADPACK error estimates of panels, real and imaginary
-    parts separately: f is (panels, 21) complex, results (panels, 2)."""
-    F = np.stack([f.real, f.imag], axis=1)
+def _kronrod_panels(F: np.ndarray, half: np.ndarray):
+    """K21 values and QUADPACK error estimates of panels, one column per
+    part: F is (panels, parts, 21) real, results (panels, parts)."""
     resk = np.sum(F * _WK21, axis=-1)
     diff = np.abs(resk - np.sum(F * _WG10, axis=-1))
     resasc = np.sum(_WK21 * np.abs(F - 0.5 * resk[..., None]), axis=-1)
@@ -397,8 +390,8 @@ def _gauss_kronrod(integrand, lo: np.ndarray, hi: np.ndarray, describe):
     per_call = GK_MAX_POINTS // _NODES.size
     while a.size:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        val = np.empty((a.size, 2))
-        err = np.empty((a.size, 2))
+        val = np.zeros((a.size, 2))
+        err = np.zeros((a.size, 2))
         for s in range(0, a.size, per_call):
             sl = slice(s, s + per_call)
             t = mid[sl, None] + half[sl, None] * _NODES
@@ -407,7 +400,12 @@ def _gauss_kronrod(integrand, lo: np.ndarray, hi: np.ndarray, describe):
             if not np.all(np.isfinite(f)):
                 bad = jj[np.flatnonzero(~np.isfinite(f.ravel()))[0]]
                 raise ValueError(f"{describe(bad)}: integrand is not finite")
-            val[sl], err[sl] = _kronrod_panels(f, half[sl])
+            # a real integrand is one part: its imaginary column stays zero,
+            # which is what a part of zeros would give
+            F = (np.stack([f.real, f.imag], axis=1) if np.iscomplexobj(f)
+                 else f[:, None])
+            p = F.shape[1]
+            val[sl, :p], err[sl, :p] = _kronrod_panels(F, half[sl])
         est = acc_val + _sum_by(j, val, count)
         tol = np.maximum(GK_EPSABS, GK_EPSREL * np.abs(est))
         finished = np.all(acc_err + _sum_by(j, err, count) <= tol, axis=1)
@@ -428,58 +426,6 @@ def _gauss_kronrod(integrand, lo: np.ndarray, hi: np.ndarray, describe):
         a, b, j = (np.concatenate([a, mid]), np.concatenate([mid, b]),
                    np.concatenate([j, j]))
     return acc_val[:, 0] + 1j * acc_val[:, 1], acc_err.sum(axis=1)
-
-
-def _segments(lo: float, hi: float, breakpoints) -> list[tuple[float, float]]:
-    pts = [lo] + [b for b in sorted(breakpoints) if lo < b < hi] + [hi]
-    return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
-
-
-def _quad_complex(fn, lo, hi, points=None, limit=300) -> tuple[complex, float]:
-    re, e_re = integrate.quad(lambda t: fn(t).real, lo, hi, points=points,
-                              epsabs=1e-12, epsrel=1e-11, limit=limit)
-    im, e_im = integrate.quad(lambda t: fn(t).imag, lo, hi, points=points,
-                              epsabs=1e-12, epsrel=1e-11, limit=limit)
-    return re + 1j * im, e_re + e_im
-
-
-def _gamma_haar(atom: Atom, alpha: Symbol1D, a: float, lo: float,
-                hi: float) -> tuple[complex, float]:
-    """Oscillation-aware quadrature of alpha(u)|haar_hat(u a)|^2 / u.
-
-    Below a few oscillation periods the integrand is quadratured directly.
-    Above, sin^4(pi u a/2) is expanded into a monotone piece plus two
-    cosine-weighted pieces; expanding everywhere would subtract huge u^-3
-    integrals whose cancellation destroys the small-u contribution.
-    Returns the value and the combined scipy error estimate.
-    """
-    c2 = atom.normalization ** 2
-    pref = 4.0 * c2 / (np.pi ** 2 * a ** 2)
-    split = min(hi, max(lo, 8.0 / a))
-
-    def direct(u):
-        s = u * a
-        return complex(alpha(np.asarray([u]))[0]) * \
-            np.sin(np.pi * s / 2.0) ** 4 / u ** 3
-
-    def base(u):
-        return complex(alpha(np.asarray([u]))[0]) / u ** 3
-
-    total, err = 0.0 + 0.0j, 0.0
-    if split > lo:
-        pts = [b for b in alpha.breakpoints if lo < b < split] or None
-        v, e = _quad_complex(direct, lo, split, points=pts, limit=400)
-        total += v
-        err += e
-    for seg_lo, seg_hi in _segments(split, hi, alpha.breakpoints):
-        if seg_hi <= seg_lo:
-            continue
-        i0, e0 = _quad_complex(base, seg_lo, seg_hi)
-        i1, e1 = quad_cos(base, seg_lo, seg_hi, np.pi * a, epsabs=1e-12)
-        i2, e2 = quad_cos(base, seg_lo, seg_hi, 2.0 * np.pi * a, epsabs=1e-12)
-        total += 0.375 * i0 - 0.5 * i1 + 0.125 * i2
-        err += 0.375 * e0 + 0.5 * e1 + 0.125 * e2
-    return pref * total, pref * err
 
 
 # -- spectrum read-off -----------------------------------------------------------

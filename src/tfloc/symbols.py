@@ -160,7 +160,7 @@ class Symbol1D:
 
         breaks = sorted({v for ivs in pieces for ab in ivs for v in ab
                          if math.isfinite(v)})
-        desc = "piecewise:" + ",".join(f"{c:g}" if isinstance(c, float)
+        desc = "piecewise:" + ",".join(f"{c.real:g}" if c.imag == 0.0
                                        else f"{c.real:g}{c.imag:+g}j"
                                        for c in coefficients)
         return cls(fn, desc, breakpoints=breaks, is_real=real,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tfloc import atoms
 from tfloc.atoms import (AdmissibilityError, admissibility_test_frequencies,
                          make_wavelet)
 from tfloc.io import export_atom, import_atom
@@ -63,6 +64,38 @@ def test_admissibility_integral_depends_on_the_sign_alone(shannon, haar,
                           == atom.admissibility_integral(side))
         # the residual is the maximum over the documented set, bit for bit
         assert atom.admissibility_residual() == np.max(np.abs(vals - 1.0))
+
+
+def test_haar_energy_integral_evaluated_once(monkeypatch):
+    # normalization and both signs of the residual share one QAWO evaluation
+    # (two quad_cos calls), and every later construction reuses it
+    calls = []
+    quad_cos = atoms.quad_cos
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return quad_cos(*args, **kwargs)
+
+    monkeypatch.setattr(atoms, "quad_cos", counted)
+    atoms._haar_energy_integral.cache_clear()
+    first = make_wavelet("haar")
+    assert len(calls) == 2
+    second = make_wavelet("haar")
+    assert len(calls) == 2
+    assert first.normalization == second.normalization
+    assert first.admissibility_residual() == second.admissibility_residual()
+
+
+def test_freq_breakpoints_are_the_haar_profile_zeros(shannon, haar, gaussian,
+                                                    tmp_path):
+    bps = haar.freq_breakpoints
+    assert bps.size == 2047 and bps[0] == 2.0 and bps[-1] == 4094.0
+    assert np.all(np.diff(bps) == 2.0) and bps[-1] < haar.freq_support[1]
+    assert np.max(np.abs(haar.eval_freq(bps))) <= 1e-12
+    export_atom(str(tmp_path / "haar.csv"), haar)
+    imported = import_atom(str(tmp_path / "haar.csv"))
+    for atom in (shannon, gaussian, imported):
+        assert atom.freq_breakpoints.size == 0, atom
 
 
 def test_narrow_frequency_clip_rejected_with_residual():

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import erf
+from scipy.special import erf, sici
 
 from tfloc.grids import LineGrid
-from tfloc.kernels import (boundedness_verdict, gamma, overlap_kernel,
-                           spectrum_from_gamma, weighted_overlap_kernel)
+from tfloc.kernels import (_gauss_kronrod, boundedness_verdict, gamma,
+                           overlap_kernel, spectrum_from_gamma,
+                           weighted_overlap_kernel)
 from tfloc.operators import OperatorMatrix, default_operator_grid
-from tfloc.symbols import Symbol1D, SymbolParseError, parse_symbol
+from tfloc.symbols import Symbol1D, SymbolParseError, SymbolSpec, parse_symbol
 
 LN2 = math.log(2.0)
 GABOR_GRID = LineGrid.centered(8.0, 256)
@@ -35,6 +36,30 @@ def gabor_indicator_gamma(a, b, xs):
     return 0.5 * (erf(s * (xs - a)) - erf(s * (xs - b)))
 
 
+def haar_indicator_gamma(haar, a, b, xs):
+    """Closed form for the haar wavelet, independent of tfloc's quadrature.
+
+    With s = u|xi| the gamma of [a, b] is the integral of
+    |psi_hat(s)|^2 / s = (4c^2/pi^2) sin^4(pi s/2) / s^3 over [a|xi|, b|xi|]
+    clipped to the atom's frequency support (c the normalization).  With
+    x = pi s/2, sin^4 x = 3/8 - cos(2x)/2 + cos(4x)/8, and
+    integral cos(ws)/s^3 ds = -cos(ws)/(2s^2) + w sin(ws)/(2s) - (w^2/2) Ci(ws).
+    The 1/s^2 terms cancel near s = 0, so keep a|xi| >= 1/64.
+    """
+    def prim(w, s):
+        return (-np.cos(w * s) / (2 * s ** 2) + w * np.sin(w * s) / (2 * s)
+                - 0.5 * w ** 2 * sici(w * s)[1])
+
+    def energy(s):
+        return (-0.375 / (2 * s ** 2) - 0.5 * prim(np.pi, s)
+                + 0.125 * prim(2 * np.pi, s))
+
+    s_lo, s_hi = haar.freq_support
+    lo = np.clip(a * np.abs(xs), s_lo, s_hi)
+    hi = np.clip(b * np.abs(xs), s_lo, s_hi)
+    return 4 * haar.normalization ** 2 / np.pi ** 2 * (energy(hi) - energy(lo))
+
+
 # -- DSL ----------------------------------------------------------------------
 
 def test_parse_symbol_forms(tmp_path):
@@ -43,6 +68,14 @@ def test_parse_symbol_forms(tmp_path):
     assert ind.breakpoints == (-1.0, 1.0)
     assert parse_symbol("power:-1")(np.array([2.0]))[0] == 0.5
     assert parse_symbol("indicator:-inf,0").support[0] == -math.inf
+
+
+def test_piecewise_descriptor_prints_real_coefficients_as_real():
+    assert Symbol1D.piecewise([[(0, 1)]], [1.0]).descriptor == "piecewise:1"
+    assert Symbol1D.piecewise([[(0, 1)], [(1, 2)]],
+                              [2.5, 1j]).descriptor == "piecewise:2.5,0+1j"
+    assert SymbolSpec.piecewise_constant(
+        [[(0, 1)]], [1.0]).descriptor == "a(r)=piecewise:1"
 
 
 @pytest.mark.parametrize("bad", ["nope", "indicator:1", "indicator:2,1",
@@ -154,12 +187,59 @@ def test_gamma_haar_adaptive_matches_grid(haar):
 
 
 def test_gamma_haar_adaptive_nonconvergence_raises(haar):
-    # QUADPACK gives up on this sampled symbol: its error estimate (6.2e-4)
-    # is far above the 1e-10 the sidecars state
+    # the interpolation kinks of this sampled symbol are not breakpoints: a
+    # piece exhausts the batched rule's panel cap with an error estimate
+    # (6.8e-5) far above the 1e-10 the sidecars state
     sym = Symbol1D.sampled(LineGrid(0.25, 1 / 16, 64),
                            np.random.default_rng(0).uniform(0, 1, 64))
     with pytest.raises(ArithmeticError, match=r"at xi=0\.0625: adaptive"):
         gamma(haar, sym, default_operator_grid("wavelet", 4), rule="adaptive")
+
+
+def test_gamma_haar_adaptive_indicator_closed_form(haar):
+    grid = LineGrid(2.0 ** -4, 4.0 / 64, 64)
+    for a, b in [(0.5, 8.0), (1.0, 2.0), (0.25, 64.0), (3.0, 1000.0)]:
+        gf = gamma(haar, Symbol1D.indicator(a, b), grid, rule="adaptive")
+        ref = haar_indicator_gamma(haar, a, b, grid.samples)
+        assert np.max(np.abs(gf.values - ref)) <= 1e-12, (a, b)
+
+
+def test_gamma_haar_adaptive_abserr_within_stated_tolerance(haar):
+    # 1e-10 is the adaptive-rule tolerance the gamma sidecar states
+    grid = default_operator_grid("wavelet", 64)
+    for sym in (Symbol1D.constant(0.5), Symbol1D.power(0.5),
+                Symbol1D.smooth_step(8.0, log2_axis=True),
+                Symbol1D.smooth_step(2.0, log2_axis=True)):
+        gf = gamma(haar, sym, grid, rule="adaptive")
+        assert gf.abserr <= 1e-10, (sym.descriptor, gf.abserr)
+
+
+def test_gamma_adaptive_batches_do_not_change_bits(haar):
+    # 64 haar frequencies hold more than GK_MAX_POINTS segments and are
+    # integrated in halves; two frequencies at a time are not
+    grid = LineGrid(2.0 ** -4, 2.0 ** -4, 64)
+    sym = Symbol1D.indicator(0.5, 8.0)
+    whole = gamma(haar, sym, grid, rule="adaptive").values
+    pairs = np.concatenate([
+        gamma(haar, sym, LineGrid(x, grid.step, 2), rule="adaptive").values
+        for x in grid.samples[::2]])
+    assert whole.tobytes() == pairs.tobytes()
+
+
+def test_gauss_kronrod_real_integrand_is_one_part():
+    # a real integrand and its values cast to complex integrate to the same
+    # bits: the zero imaginary part adds nothing
+    lo, hi = np.array([0.0, 1.0, -2.0]), np.array([1.0, 5.0, 3.0])
+    w = np.array([1.0, 3.0, 0.5])
+
+    def real(t, j):
+        return np.exp(-w[j] * t * t) * np.cos(7.0 * t)
+
+    vr, er = _gauss_kronrod(real, lo, hi, str)
+    vc, ec = _gauss_kronrod(lambda t, j: real(t, j).astype(complex),
+                            lo, hi, str)
+    assert vr.tobytes() == vc.tobytes()
+    assert er.tobytes() == ec.tobytes()
 
 
 # -- adaptive rule against the per-point scipy loop ------------------------------
@@ -239,10 +319,11 @@ def test_gamma_adaptive_matches_scipy_loop(atom_name, request):
         assert np.max(np.abs(gf.values - ref)) <= 1e-12, sym.descriptor
 
 
-def test_gamma_adaptive_repeats_bit_identical(gaussian, shannon):
+def test_gamma_adaptive_repeats_bit_identical(gaussian, shannon, haar):
     for atom, sym in [(gaussian, Symbol1D.piecewise(
             [[(-1.0, 0.5)], [(0.5, 2.0)]], [1j, 0.5])),
-            (shannon, Symbol1D.smooth_step(8.0, log2_axis=True))]:
+            (shannon, Symbol1D.smooth_step(8.0, log2_axis=True)),
+            (haar, Symbol1D.constant(0.5))]:
         grid = default_operator_grid(atom.case, 128)
         a = gamma(atom, sym, grid, rule="adaptive")
         b = gamma(atom, sym, grid, rule="adaptive")
