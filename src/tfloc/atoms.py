@@ -14,19 +14,21 @@ fiber evaluations use the closed forms; the stored samples exist for export,
 plotting and as the (less accurate) fallback for atoms imported from CSV.
 Linear interpolation of a sampled band-limited profile smears its band edges
 by one sample spacing, which is fatal to the 1e-10/1e-6 admissibility and
-fiber tolerances, hence the closed-form route for the catalog.
+fiber tolerances, hence the closed-form route for the catalog.  Admissibility,
+haar's normalization and the gaussian's unit norm integrate the closed forms
+with the package's one adaptive rule, ``quadrature.gauss_kronrod``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 from .grids import LineGrid, SampledFunction, ScaleGrid
+from .quadrature import gauss_kronrod
 
 __all__ = [
     "Atom",
@@ -173,7 +175,9 @@ class Atom:
         """Frequency-energy integral over scales at one test frequency.
 
         Wavelet case only.  Integrates |psi_hat(t*xi)|^2 dt/t over the atom's
-        effective frequency support (substituted to s = t*|xi|, which is exact).
+        effective frequency support (substituted to s = t*|xi|, which is
+        exact), split at ``freq_breakpoints``; an imported atom's samples
+        take a dense log-midpoint rule.
         """
         if self.case != "wavelet":
             raise ValueError("admissibility integral applies to wavelets")
@@ -181,16 +185,10 @@ class Atom:
             raise ValueError("admissibility is evaluated at nonzero frequencies")
         side = 1.0 if xi > 0 else -1.0
         lo, hi = self.freq_support
-        if self.name == "shannon" and self.freq_profile is not None:
-            a, b = max(lo, 1.0), min(hi, 2.0)
-            if b <= a:
-                return 0.0
-            val, _ = integrate.quad(lambda s: abs(self.eval_freq(side * s)) ** 2 / s,
-                                    a, b, epsabs=1e-13, epsrel=1e-12)
-            return val
-        if self.name == "haar" and self.freq_profile is not None:
-            return _haar_energy_integral(lo, hi) * self.normalization ** 2
-        # generic: dense log-midpoint rule on the stored samples
+        if self.freq_profile is not None:
+            cuts = self.freq_breakpoints
+            return _integral(lambda s: np.abs(self.freq_profile(side * s)) ** 2 / s,
+                             [lo, *cuts[(cuts > lo) & (cuts < hi)], hi])
         n = 200_000
         dt = math.log(hi / lo) / n
         s = lo * np.exp((np.arange(n) + 0.5) * dt)
@@ -203,14 +201,14 @@ class Atom:
         integers inside ``freq_support``), between which |psi_hat|^2 is one
         smooth hump.  Empty for every other atom, imported ones included."""
         if self.name == "haar" and self.freq_profile is not None:
-            return np.arange(2.0, self.freq_support[1], 2.0)
+            return _haar_zeros(self.freq_support[1])
         return np.empty(0)
 
     def admissibility_residual(self) -> float:
         """Largest |energy integral - 1| over the documented test frequencies.
 
-        After the substitution s = t*|xi| every branch of
-        ``admissibility_integral`` depends on the sign of xi alone, so the
+        After the substitution s = t*|xi| both rules of
+        ``admissibility_integral`` depend on the sign of xi alone, so the
         64 documented frequencies take two values: those at xi = -1 and +1,
         which are the only ones evaluated.
         """
@@ -307,29 +305,18 @@ class Fibers:
         return float(self.norms @ energy) / total if total else 1.0
 
 
-# -- Haar frequency-energy quadrature ----------------------------------------
-#
-# |haar_hat(s)|^2 = 4 sin^4(pi s/2) / (pi s)^2 for the unnormalized profile.
-# Expanding sin^4 x = 3/8 - cos(2x)/2 + cos(4x)/8 turns the energy integral
-# into one monotone piece plus two cosine-weighted pieces that scipy's
-# oscillatory rule handles accurately over wide ranges.
-
-@cache
-def _haar_energy_integral(lo: float, hi: float) -> float:
-    def base(s):
-        return 4.0 / (np.pi ** 2 * s ** 3)
-
-    i0 = 2.0 / np.pi ** 2 * (lo ** -2 - hi ** -2)  # integral of base, exact
-    i1, _ = quad_cos(base, lo, hi, np.pi, epsabs=1e-13)
-    i2, _ = quad_cos(base, lo, hi, 2.0 * np.pi, epsabs=1e-13)
-    return 0.375 * i0 - 0.5 * i1 + 0.125 * i2
+def _integral(fn, edges) -> float:
+    """Integral of a real fn from edges[0] to edges[-1], split at the edges
+    between: one ``gauss_kronrod`` pass, its pieces summed."""
+    e = np.asarray(edges, dtype=float)
+    vals, _ = gauss_kronrod(lambda t, j: fn(t), e[:-1], e[1:],
+                            lambda j: f"integral on [{e[j]:g}, {e[j + 1]:g}]")
+    return float(np.sum(vals.real))
 
 
-def quad_cos(fn, lo: float, hi: float, wvar: float, epsabs: float):
-    """Integral of a real fn(t) cos(wvar t) over [lo, hi] by QUADPACK's QAWO
-    rule.  Returns the value and scipy's error estimate."""
-    return integrate.quad(fn, lo, hi, weight="cos", wvar=wvar,
-                          epsabs=epsabs, limit=400)
+def _haar_zeros(hi: float) -> np.ndarray:
+    """Zeros of the haar frequency profile in (0, hi): the even integers."""
+    return np.arange(2.0, hi, 2.0)
 
 
 # -- catalog ------------------------------------------------------------------
@@ -397,7 +384,9 @@ def make_wavelet(name: str, scale_grid: ScaleGrid | None = None,
         support = (2.0 ** -12, 2.0 ** 12)
         # normalization always comes from the full effective support; a
         # narrow freq_clip then shows up as an admissibility failure below
-        raw = _haar_energy_integral(*support)
+        _, freq1 = _haar_profiles(1.0)
+        raw = _integral(lambda s: np.abs(freq1(s)) ** 2 / s,
+                        [support[0], *_haar_zeros(support[1]), support[1]])
         norm = 1.0 / math.sqrt(raw)
         time_p, freq_p = _haar_profiles(norm)
         tgrid = LineGrid.centered(2.0, 1024)
@@ -447,8 +436,7 @@ def make_window(name: str, translation_grid: LineGrid | None = None) -> Atom:
         tgrid = LineGrid.centered(8.0, 1024)
         fgrid = LineGrid.centered(8.0, 1024)
         tsupport = (-6.5, 6.5)
-        l2sq, _ = integrate.quad(lambda x: abs(time(x)) ** 2, *tsupport,
-                                 epsabs=1e-14)
+        l2sq = _integral(lambda x: np.abs(time(x)) ** 2, tsupport)
     else:
         norm = 1.0
 

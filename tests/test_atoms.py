@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from tfloc import atoms
 from tfloc.atoms import (AdmissibilityError, admissibility_test_frequencies,
                          make_wavelet)
 from tfloc.io import export_atom, import_atom
@@ -39,6 +38,27 @@ def test_haar_normalization_against_bruteforce_quadrature(haar):
 
 def test_haar_residual_within_tolerance(haar):
     assert haar.admissibility_residual() <= 1e-6
+    for xi in (-1.0, 1.0):
+        assert abs(haar.admissibility_integral(xi) - 1.0) <= 1e-13
+
+
+def test_haar_normalization_closed_form(haar):
+    """The raw energy of haar on [lo, hi] = [2^-12, 2^12] in closed form.
+
+    With |psi_hat(s)|^2 = 4 sin^4(pi s/2)/(pi s)^2 the raw energy over
+    (0, inf) is ln 2.  The lower tail [0, lo] is pi^2 lo^2/8 to leading
+    order, since sin^4 x ~ x^4 there.  In the upper tail [hi, inf), write
+    sin^4 x = 3/8 - cos(2x)/2 + cos(4x)/8: the constant gives
+    (3/8)(4/pi^2)/(2 hi^2) = 3/(4 pi^2 hi^2), and the cosine terms vanish at
+    leading order because hi is an even integer, where sin(pi hi) and
+    sin(2 pi hi) are zero.  So the raw energy is
+    ln 2 - pi^2 lo^2/8 - 3/(4 pi^2 hi^2), within 4e-15 of a 30-digit
+    reference.
+    """
+    lo, hi = haar.freq_support
+    assert (lo, hi) == (2.0 ** -12, 2.0 ** 12)
+    raw = LN2 - math.pi ** 2 * lo ** 2 / 8 - 3.0 / (4.0 * math.pi ** 2 * hi ** 2)
+    assert abs(haar.normalization ** 2 * raw - 1.0) <= 1e-13
 
 
 def test_admissibility_even_in_frequency(shannon, haar):
@@ -51,8 +71,9 @@ def test_admissibility_even_in_frequency(shannon, haar):
 
 def test_admissibility_integral_depends_on_the_sign_alone(shannon, haar,
                                                          tmp_path):
-    # after s = t|xi| every branch sees only sign(xi): shannon (quad), haar
-    # (QAWO) and, through export/import, the generic log-midpoint rule
+    # after s = t|xi| both rules see only sign(xi): the Gauss-Kronrod pass
+    # of the closed-form profiles (shannon, haar) and, through
+    # export/import, the log-midpoint rule of the stored samples
     export_atom(str(tmp_path / "shannon.csv"), shannon)
     imported = import_atom(str(tmp_path / "shannon.csv"))
     assert imported.freq_profile is None
@@ -64,26 +85,6 @@ def test_admissibility_integral_depends_on_the_sign_alone(shannon, haar,
                           == atom.admissibility_integral(side))
         # the residual is the maximum over the documented set, bit for bit
         assert atom.admissibility_residual() == np.max(np.abs(vals - 1.0))
-
-
-def test_haar_energy_integral_evaluated_once(monkeypatch):
-    # normalization and both signs of the residual share one QAWO evaluation
-    # (two quad_cos calls), and every later construction reuses it
-    calls = []
-    quad_cos = atoms.quad_cos
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return quad_cos(*args, **kwargs)
-
-    monkeypatch.setattr(atoms, "quad_cos", counted)
-    atoms._haar_energy_integral.cache_clear()
-    first = make_wavelet("haar")
-    assert len(calls) == 2
-    second = make_wavelet("haar")
-    assert len(calls) == 2
-    assert first.normalization == second.normalization
-    assert first.admissibility_residual() == second.admissibility_residual()
 
 
 def test_freq_breakpoints_are_the_haar_profile_zeros(shannon, haar, gaussian,

@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +10,12 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import erf, sici
 
+import tfloc
 from tfloc.grids import LineGrid
-from tfloc.kernels import (_gauss_kronrod, boundedness_verdict, gamma,
-                           overlap_kernel, spectrum_from_gamma,
-                           weighted_overlap_kernel)
+from tfloc.kernels import (boundedness_verdict, gamma, overlap_kernel,
+                           spectrum_from_gamma, weighted_overlap_kernel)
 from tfloc.operators import OperatorMatrix, default_operator_grid
+from tfloc.quadrature import gauss_kronrod
 from tfloc.symbols import Symbol1D, SymbolParseError, SymbolSpec, parse_symbol
 
 LN2 = math.log(2.0)
@@ -235,11 +238,31 @@ def test_gauss_kronrod_real_integrand_is_one_part():
     def real(t, j):
         return np.exp(-w[j] * t * t) * np.cos(7.0 * t)
 
-    vr, er = _gauss_kronrod(real, lo, hi, str)
-    vc, ec = _gauss_kronrod(lambda t, j: real(t, j).astype(complex),
-                            lo, hi, str)
+    vr, er = gauss_kronrod(real, lo, hi, str)
+    vc, ec = gauss_kronrod(lambda t, j: real(t, j).astype(complex),
+                           lo, hi, str)
     assert vr.tobytes() == vc.tobytes()
     assert er.tobytes() == ec.tobytes()
+
+
+def test_package_has_one_adaptive_quadrature():
+    # tfloc integrates adaptively with quadrature.gauss_kronrod alone; an
+    # import of scipy.integrate would bring a second engine back
+    src = Path(tfloc.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mod = node.module or ""
+                names = [mod] + [f"{mod}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.integrate" or n.startswith("scipy.integrate.")
+                   for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
 
 
 # -- adaptive rule against the per-point scipy loop ------------------------------

@@ -399,6 +399,15 @@ def test_verify_transforms_builds_one_record_per_grid(tmp_path, ell_calls):
         assert len(ell_calls) <= 3, f"{case}: {len(ell_calls)} calls"
 
 
+def test_verify_transforms_gabor_shares_the_round_trip_record(tmp_path,
+                                                              ell_calls):
+    # at n <= 256 the gabor round-trip window is the signals' omega grid,
+    # so one fiber matrix serves both
+    assert main(["verify", "transforms", "--case", "gabor", "--n", "128",
+                 "--out", str(tmp_path / "t.json")]) == 0
+    assert ell_calls == [128]
+
+
 def _fourier_rows_reference(values, in_grid, sign, out_grid):
     """The out-of-place formula of _fourier_rows, kept as its oracle."""
     n = in_grid.count
