@@ -123,6 +123,7 @@ class Atom:
         self.time_support = time_support
         self.healthy_range = healthy_range
         self.fiber_tol = fiber_tol
+        self._last_fibers = None  # (g1, record) of the last ``fibers`` build
 
     # -- profile evaluation -------------------------------------------------
 
@@ -165,9 +166,24 @@ class Atom:
             return np.sqrt(z)[:, None] * np.conj(self.eval_freq(np.outer(z, omegas)))
         return np.conj(self.eval_time(omegas[None, :] - z[:, None]))
 
+    def fibers(self, omegas) -> "Fibers":
+        """The atom's fiber record on ``omegas``.
+
+        The last record built is kept and returned again while its omegas
+        equal ``omegas`` by value and the atom's first-coordinate grid is the
+        one it was built on; any other call builds the record that replaces
+        it.  A record is a pure function of (atom, omegas), so every consumer
+        reading it through this method gets the bits of a fresh build.
+        """
+        last = self._last_fibers
+        if (last is None or last[0] is not self.g1
+                or not np.array_equal(last[1].omegas, omegas)):
+            last = self._last_fibers = (self.g1, Fibers.of(self, omegas))
+        return last[1]
+
     def fiber_norms(self, omegas):
         """Quadrature of |ell(., omega)|^2 against the first-coordinate measure."""
-        return Fibers.of(self, omegas).norms
+        return self.fibers(omegas).norms
 
     # -- admissibility ------------------------------------------------------
 
@@ -243,16 +259,16 @@ class Atom:
 
 @dataclass(frozen=True, eq=False)
 class Fibers:
-    """An atom's fiber matrix on one omega grid, built once per (atom, grid).
+    """An atom's fiber matrix on one omega grid.
 
     ``conj_ell[k, i]`` is conj(ell(z_k, omega_i)) on the atom's
     first-coordinate nodes z_k: the factor ``fields.project`` integrates
-    against, and the conjugate of what ``fields.embed`` multiplies by.  The
-    transform chain (``embed``, ``project``, ``bargmann``,
-    ``bargmann_adjoint``, ``analyze``) and the grid-rule ``gamma`` take a
-    record as ``fibers=`` and build their own when it is omitted; a record
-    whose omegas differ by value from the call's grid is rejected.  The
-    arrays are read-only.
+    against, and the conjugate of what ``fields.embed`` multiplies by.  Every
+    consumer -- the transform chain (``embed``, ``project``, ``bargmann``,
+    ``bargmann_adjoint``, ``analyze``), the grid-rule ``gamma``,
+    ``filter_signal``, ``build_direct`` and the overlap kernels -- reads it
+    through ``Atom.fibers``, which keeps the last record per atom, so calls
+    on one grid share one fiber matrix.  The arrays are read-only.
     """
 
     omegas: np.ndarray
@@ -261,31 +277,13 @@ class Fibers:
 
     @classmethod
     def of(cls, atom: Atom, omegas) -> "Fibers":
-        """The record of ``atom`` on ``omegas``: one ``ell_matrix`` call."""
+        """A new record of ``atom`` on ``omegas``: one ``ell_matrix`` call."""
         omegas = np.array(omegas, dtype=float)
         C = atom.ell_matrix(omegas)
         np.conj(C, out=C)
         omegas.flags.writeable = False
         C.flags.writeable = False
         return cls(omegas, C, atom.g1.measure_weights)
-
-    @classmethod
-    def on(cls, atom: Atom, grid: LineGrid,
-           fibers: "Fibers | None" = None) -> "Fibers":
-        """``fibers`` checked against ``grid``, or a new record when None."""
-        if fibers is None:
-            return cls.of(atom, grid.samples)
-        return fibers.check(grid)
-
-    def check(self, grid: LineGrid) -> "Fibers":
-        """The record itself; ``ValueError`` unless its omegas equal the
-        samples of ``grid`` by value."""
-        if not np.array_equal(self.omegas, grid.samples):
-            raise ValueError(
-                f"fiber record on {self.omegas.size} omegas in "
-                f"[{self.omegas[0]:g}, {self.omegas[-1]:g}] does not match "
-                f"the grid {grid!r}")
-        return self
 
     @cached_property
     def norms(self) -> np.ndarray:
@@ -298,8 +296,13 @@ class Fibers:
         """Share of the energy of h, sampled on the record's omegas, that the
         fibers carry: sum n(omega)|h(omega)|^2 / sum |h(omega)|^2 with n the
         fiber norm; 1 for h = 0.  Near 1 on the healthy range, near 0 where
-        h lies outside the first-coordinate range."""
-        self.check(h.grid)
+        h lies outside the first-coordinate range; ``ValueError`` unless h's
+        grid samples equal the record's omegas by value."""
+        if not np.array_equal(self.omegas, h.grid.samples):
+            raise ValueError(
+                f"fiber record on {self.omegas.size} omegas in "
+                f"[{self.omegas[0]:g}, {self.omegas[-1]:g}] does not match "
+                f"the grid {h.grid!r}")
         energy = np.abs(h.values) ** 2
         total = float(energy.sum())
         return float(self.norms @ energy) / total if total else 1.0

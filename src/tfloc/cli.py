@@ -19,7 +19,7 @@ import numpy as np
 from . import io as tio
 from .algebra import (Partition, default_partition_domain, evaluate_on_cloud,
                       partition_gammas, pool_commutator_diagnostics)
-from .atoms import Fibers, make_atom
+from .atoms import make_atom
 from .fields import (analyze, bargmann, bargmann_adjoint, omega_grid,
                      omega_side, random_bandlimited)
 from .grids import LineGrid, SampledFunction
@@ -178,6 +178,10 @@ def cmd_spectrum(args) -> int:
     grid = _xi_grid(args)
     gf = gamma(atom, symbol, grid, rule=args.rule)
     rep = spectrum_from_gamma(gf)
+    if args.with_eigs:
+        # built before the wide-grid gamma: under the grid rule it then
+        # shares the first gamma's fiber record
+        M = build_direct(atom, SymbolSpec.first_variable(symbol), grid)
     wide = gamma(atom, symbol,
                  LineGrid(grid.start, 2 * grid.step, grid.count), rule=args.rule)
     verdict = boundedness_verdict([rep, spectrum_from_gamma(wide)])
@@ -190,7 +194,6 @@ def cmd_spectrum(args) -> int:
     if gf.abserr is not None:
         meta["quadrature_abserr_max"] = max(gf.abserr, wide.abserr)
     if args.with_eigs:
-        M = build_direct(atom, SymbolSpec.first_variable(symbol), grid)
         erep = spectrum(M, reference=rep.values)
         kinds += ["eig"] * erep.values.size
         values = np.concatenate([values, erep.values])
@@ -257,19 +260,13 @@ def _verify_transforms_suite(args) -> dict:
     n = max(args.n, 64)
     grid = LineGrid.centered(8.0, n)
     opg = default_operator_grid(args.case, min(args.n, 256))
-    # one fiber record for the analysis of the signals, whose omega grid is
-    # also the grid bargmann projects back onto, and one for the round trip
-    # unless its window is that same grid (gabor, n <= 256)
     omega = omega_grid(atom.case, grid)
-    signal_fibers = Fibers.of(atom, omega.samples)
-    round_fibers = (signal_fibers if np.array_equal(omega.samples, opg.samples)
-                    else Fibers.of(atom, opg.samples))
     worst_iso, worst_fact, worst_round = 0.0, 0.0, 0.0
     for k in range(20):
         f = random_bandlimited(grid, seed=args.seed + k)
-        W = analyze(atom, f, fibers=signal_fibers)
+        W = analyze(atom, f)
         worst_iso = max(worst_iso, abs(W.weighted_norm() - f.norm()))
-        out = bargmann(atom, W, out_grid=omega, fibers=signal_fibers)
+        out = bargmann(atom, W, out_grid=omega)
         ref = omega_side(atom.case, f).values
         worst_fact = max(worst_fact, float(
             np.linalg.norm(out.values - ref) / np.linalg.norm(ref)))
@@ -277,8 +274,7 @@ def _verify_transforms_suite(args) -> dict:
     for _ in range(5):
         v = rng.standard_normal(opg.count) + 1j * rng.standard_normal(opg.count)
         h = SampledFunction(opg, v)
-        rr = bargmann(atom, bargmann_adjoint(atom, h, fibers=round_fibers),
-                      out_grid=opg, fibers=round_fibers)
+        rr = bargmann(atom, bargmann_adjoint(atom, h), out_grid=opg)
         worst_round = max(worst_round, float(np.max(np.abs(rr.values - v))))
     passed = worst_iso <= 2e-3 and worst_fact <= 2e-3 and worst_round <= 1e-6
     return {"case": args.case, "atom": atom.name, "N": n,
@@ -350,20 +346,18 @@ def cmd_filter(args) -> int:
     f = tio.read_signal_csv(args.input)
     spec = SymbolSpec.first_variable(symbol)
     h = omega_side(atom.case, f)
-    fibers = Fibers.of(atom, h.grid.samples)
     meta = {"case": args.case, "atom": atom.name,
             "symbol": symbol.descriptor, "input": args.input,
-            "fiber_coverage": fibers.coverage(h)}
+            "fiber_coverage": atom.fibers(h.grid.samples).coverage(h)}
     if args.compare:
-        fast, slow, dev = filter_signal(atom, spec, f, method="compare",
-                                        fibers=fibers)
+        fast, slow, dev = filter_signal(atom, spec, f, method="compare")
         out = fast if args.method == "fast" else slow
         tio.write_signal_csv(args.out, out, metadata={
             **meta, "method": args.method, "compared": True,
             "relative_deviation": dev})
         tio.write_signal_csv(f"{args.out}.slow.csv", slow)
     else:
-        out = filter_signal(atom, spec, f, method=args.method, fibers=fibers)
+        out = filter_signal(atom, spec, f, method=args.method)
         tio.write_signal_csv(args.out, out, metadata={
             **meta, "method": args.method, "compared": False})
     return 0

@@ -15,17 +15,16 @@ axis-2 sign pairing that makes this hold (``axis2_sign``: forward transform
 for wavelets, inverse for windows) is asserted by tests.
 
 Both directions meet in the fiber matrix ell(z, omega) of the atom on an
-omega grid.  ``embed``, ``project`` and the transforms built on them take it
-as one ``atoms.Fibers`` record, ``fibers=``: built once per (atom, grid) by
-the caller and passed down, or built by the call itself when omitted.  A
-record whose omegas differ from the call's grid raises ``ValueError``.
+omega grid.  ``embed`` and ``project``, and so every transform built on
+them, read it as the atom's ``atoms.Fibers`` record on that grid,
+``Atom.fibers``: calls on one grid share one fiber matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .atoms import Atom, Fibers
+from .atoms import Atom
 from .fourier import _fourier_rows, fourier
 from .grids import (LineGrid, SampledFunction, ScaleGrid, induced_grid,
                     subgrid_indices)
@@ -120,20 +119,18 @@ def axis2_sign(case: str, direction: str) -> str:
             else "inverse")
 
 
-def analyze(atom: Atom, f: SampledFunction, g2: LineGrid | None = None, *,
-            fibers: Fibers | None = None) -> PhasePlaneField:
+def analyze(atom: Atom, f: SampledFunction,
+            g2: LineGrid | None = None) -> PhasePlaneField:
     """Analysis transform: inner products of f with the transported atoms.
 
     By the reproducing formula it is the adjoint of the diagonalizing
     transform applied to the omega side of f.  The second axis is f's own
     grid for wavelets (translations) and its induced grid for windows
     (modulations); ``g2`` may be any aligned subgrid of it, to which the
-    full-axis values are restricted.  ``fibers`` is the atom's record on the
-    omega grid (``omega_grid(atom.case, f.grid)``).
+    full-axis values are restricted.
     """
     full_axis = f.grid if atom.case == "wavelet" else induced_grid(f.grid)
-    W = bargmann_adjoint(atom, omega_side(atom.case, f), out_grid=full_axis,
-                         fibers=fibers)
+    W = bargmann_adjoint(atom, omega_side(atom.case, f), out_grid=full_axis)
     if g2 is None:
         return W
     offset, stride = subgrid_indices(g2, full_axis)
@@ -155,25 +152,18 @@ def apply_axis2_fourier(field: PhasePlaneField, direction: str,
     return field.copy_with(vals, g2=out, g2_kind=kind)
 
 
-def embed(atom: Atom, f: SampledFunction, *,
-          fibers: Fibers | None = None) -> PhasePlaneField:
-    """Isometric embedding f(omega) -> f(omega) * ell(z, omega).
-
-    ``fibers`` is the atom's record on f's grid; one is built when omitted.
-    """
-    vals = np.conj(Fibers.on(atom, f.grid, fibers).conj_ell)
+def embed(atom: Atom, f: SampledFunction) -> PhasePlaneField:
+    """Isometric embedding f(omega) -> f(omega) * ell(z, omega)."""
+    vals = np.conj(atom.fibers(f.grid.samples).conj_ell)
     vals *= f.values
     return PhasePlaneField(atom.case, atom.g1, f.grid, vals, "omega")
 
 
-def project(atom: Atom, field: PhasePlaneField, *,
-            fibers: Fibers | None = None) -> SampledFunction:
+def project(atom: Atom, field: PhasePlaneField) -> SampledFunction:
     """Adjoint of ``embed``: fiberwise quadrature against conj(ell).
 
     The quadrature runs on the atom's first-coordinate grid; a field whose
     first axis differs from it (kind, count or nodes) is rejected.
-    ``fibers`` is the atom's record on the field's second axis; one is built
-    when omitted.
     """
     if field.g2_kind != "omega":
         raise ValueError("project expects a diagonal-plane field; apply the "
@@ -184,34 +174,26 @@ def project(atom: Atom, field: PhasePlaneField, *,
                                                             g1.nodes):
         raise ValueError(f"field first axis {field.g1!r} is not the atom's "
                          f"grid {g1!r}")
-    C = Fibers.on(atom, field.g2, fibers).conj_ell
+    C = atom.fibers(field.g2.samples).conj_ell
     vals = np.einsum("k,ki,ki->i", g1.measure_weights, C, field.values)
     return SampledFunction(field.g2, vals)
 
 
 def bargmann(atom: Atom, field: PhasePlaneField,
-             out_grid: LineGrid | None = None, *,
-             fibers: Fibers | None = None) -> SampledFunction:
+             out_grid: LineGrid | None = None) -> SampledFunction:
     """Diagonalizing transform: axis-2 Fourier then fiber projection.
 
     On analysis fields this is an isometry onto L2 of the second coordinate;
     composed with ``analyze`` it returns the signal's omega side, f_hat in
-    the wavelet case and f itself in the Gabor case.  ``fibers`` is the
-    atom's record on the output grid.
+    the wavelet case and f itself in the Gabor case.
     """
-    return project(atom, apply_axis2_fourier(field, "forward", out_grid),
-                   fibers=fibers)
+    return project(atom, apply_axis2_fourier(field, "forward", out_grid))
 
 
 def bargmann_adjoint(atom: Atom, f: SampledFunction,
-                     out_grid: LineGrid | None = None, *,
-                     fibers: Fibers | None = None) -> PhasePlaneField:
-    """Adjoint of ``bargmann``: embed then inverse axis-2 transform.
-
-    ``fibers`` is the atom's record on f's grid.
-    """
-    return apply_axis2_fourier(embed(atom, f, fibers=fibers), "backward",
-                               out_grid)
+                     out_grid: LineGrid | None = None) -> PhasePlaneField:
+    """Adjoint of ``bargmann``: embed then inverse axis-2 transform."""
+    return apply_axis2_fourier(embed(atom, f), "backward", out_grid)
 
 
 def random_bandlimited(grid: LineGrid, seed: int) -> SampledFunction:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
-from .atoms import Atom, Fibers
+from .atoms import Atom
 from .grids import LineGrid
 from .quadrature import GK_MAX_POINTS, gauss_kronrod
 from .symbols import Symbol1D
@@ -148,8 +148,7 @@ class SpectrumReport:
 # -- gamma ---------------------------------------------------------------------
 
 def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
-          rule: str = "grid", *,
-          fibers: Fibers | None = None) -> GammaFunction:
+          rule: str = "grid") -> GammaFunction:
     """First-coordinate average of alpha against the squared fiber profile.
 
     Wavelet case: integral alpha(u) |psi_hat(u xi)|^2 du/u.
@@ -163,18 +162,15 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
     piece that needs more than ``quadrature.GK_LIMIT`` panels -- typically a symbol
     with jumps not listed as breakpoints -- raises ``ArithmeticError``.
 
-    ``fibers`` is the atom's record on ``xi_grid``, which the grid rule
-    reads instead of building its own; the other rules evaluate no fiber
-    matrix and reject it.
+    The grid rule reads the atom's fiber record on ``xi_grid``
+    (``Atom.fibers``); the other rules evaluate no fiber matrix.
     """
     if rule not in ("grid", "adaptive", "fft"):
         raise ValueError(f"unknown rule {rule!r}")
-    if fibers is not None and rule != "grid":
-        raise ValueError(f"fibers= applies to the grid rule, not {rule!r}")
     xs = xi_grid.samples
     abserr = None
     if rule == "grid":
-        vals = _gamma_grid(atom, alpha, Fibers.on(atom, xi_grid, fibers))
+        vals = _gamma_grid(atom, alpha, xi_grid)
     elif rule == "fft":
         if atom.case != "gabor":
             raise ValueError("the fft rule applies to the gabor case only")
@@ -204,9 +200,9 @@ def _symbol_on_nodes(atom: Atom, alpha: Symbol1D) -> np.ndarray:
     return a_vals
 
 
-def _gamma_grid(atom: Atom, alpha: Symbol1D, fibers: Fibers) -> np.ndarray:
+def _gamma_grid(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
     a_vals = _symbol_on_nodes(atom, alpha)
-    L2 = np.abs(fibers.conj_ell)
+    L2 = np.abs(atom.fibers(xi_grid.samples).conj_ell)
     L2 *= L2
     return np.einsum("k,ki,k->i", a_vals, L2,
                      atom.g1.measure_weights).astype(complex)
@@ -346,8 +342,8 @@ def boundedness_verdict(reports: list[SpectrumReport]) -> str:
 
 def _fiber_overlap(atom: Atom, w: np.ndarray, xi_grid: LineGrid) -> np.ndarray:
     """First-coordinate quadrature of w * conj(ell(., xi_i)) * ell(., xi_j)."""
-    L = atom.ell_matrix(xi_grid.samples)
-    return (np.conj(L) * w[:, None]).T @ L
+    C = atom.fibers(xi_grid.samples).conj_ell
+    return (C * w[:, None]).T @ np.conj(C)
 
 
 def overlap_kernel(atom: Atom, xi_grid: LineGrid) -> OperatorMatrix:

@@ -17,8 +17,9 @@ same operator along different routes:
   field, which stops at the first rank whose residual has a Frobenius norm
   of at most ``LOWRANK_TAIL`` = 1e-13 relative to the field's norm; the
   rank and the tail are recorded on the result.  It
-  shares no ingredient with the routes below: neither the overlap kernels
-  nor gamma nor the difference-lattice factor.
+  shares only the atom's fiber record (``Atom.fibers``) with the routes
+  below: neither the overlap kernels nor gamma nor the difference-lattice
+  factor.
 * ``build_multiplication`` -- diagonal matrix of the scalar symbol gamma
   (first-variable symbols diagonalize).
 * ``build_integral`` -- overlap kernel times the transformed second-variable
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atoms import Atom, Fibers
+from .atoms import Atom
 from .fields import analyze, axis2_sign, bargmann, omega_side
 from .fourier import _fourier_rows, fourier
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
@@ -155,7 +156,9 @@ def build_direct(atom: Atom, spec: SymbolSpec,
         M = sum_r G_r * (F_fwd diag(v_r) F_back),   G_r = L^H diag(w q_r) L,
 
     each one Gram GEMM plus one batched ``_fourier_rows`` transform of the
-    backward-transformed basis, instead of n column passes.  The factors
+    backward-transformed basis, instead of n column passes.  L is read from
+    the atom's fiber record C = conj(L) (``Atom.fibers``), which is not
+    copied: G_r = conj((conj(C) diag(conj(w q_r)))^T C), bit for bit.  The factors
     come from greedy column-pivoted deflation (``_lowrank_factors``), which
     stops at the first r whose residual Frobenius norm is at most
     ``LOWRANK_TAIL`` (1e-13) relative to ||a||_F.  The rank and the relative
@@ -168,7 +171,7 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     s_grid = induced_grid(xi_grid)
     Q, V, tail = _lowrank_factors(
         spec.evaluate_field(atom.g1.nodes, s_grid.samples))
-    L = atom.ell_matrix(xi_grid.samples)
+    C = atom.fibers(xi_grid.samples).conj_ell
     w = atom.g1.measure_weights
     back_sign = axis2_sign(atom.case, "backward")
     fwd_sign = axis2_sign(atom.case, "forward")
@@ -179,12 +182,13 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     # peak stays at six arrays of n x n or K x n entries, whatever the rank
     for q, v in zip(Q.T, V):
         D = _fourier_rows(T_back * v, s_grid, fwd_sign, xi_grid)
-        WL = np.conj(L)
-        WL *= (w * q)[:, None]
-        G = WL.T @ L
+        CW = np.conj(C)
+        CW *= np.conj(w * q)[:, None]
+        G = CW.T @ C
+        np.conj(G, out=G)
         G *= D.T
         M += G
-        del D, WL, G
+        del D, CW, G
     return OperatorMatrix(xi_grid, M, "direct", atom.name, spec.descriptor,
                           symbol_is_real=spec.is_real,
                           lowrank_rank=len(V), lowrank_tail=tail)
@@ -228,6 +232,16 @@ def _beta_hat_on_lattice(atom: Atom, beta: Symbol1D,
     return re + 1j * im
 
 
+def _compound(atom: Atom, kernel: OperatorMatrix, beta: Symbol1D) -> np.ndarray:
+    """Entries kernel[i, j] * beta_hat(sigma*(xi_i - xi_j)) * step on the
+    kernel's grid: the one assembly of both compound-symbol builders."""
+    grid = kernel.grid
+    # a named table keeps numpy from multiplying into it in place, which
+    # would swap the operands of each complex product and move the last bit
+    bh = _beta_hat_on_lattice(atom, beta, grid)
+    return kernel.values * bh * grid.step
+
+
 def build_integral(atom: Atom, beta: Symbol1D,
                    xi_grid: LineGrid | None = None) -> OperatorMatrix:
     """Integral-operator form for second-variable symbols.
@@ -236,9 +250,7 @@ def build_integral(atom: Atom, beta: Symbol1D,
     * step, with the case-dependent sigma.
     """
     xi_grid = default_operator_grid(atom.case) if xi_grid is None else xi_grid
-    K = overlap_kernel(atom, xi_grid)
-    bh = _beta_hat_on_lattice(atom, beta, xi_grid)
-    vals = K.values * bh * xi_grid.step
+    vals = _compound(atom, overlap_kernel(atom, xi_grid), beta)
     return OperatorMatrix(xi_grid, vals, "integral", atom.name,
                           f"a(s)={beta.descriptor}",
                           symbol_is_real=beta.is_real)
@@ -254,9 +266,7 @@ def build_pseudodiff(atom: Atom, alpha: Symbol1D, beta: Symbol1D,
     second-variable factor on the difference lattice.
     """
     xi_grid = default_operator_grid(atom.case) if xi_grid is None else xi_grid
-    G = weighted_overlap_kernel(atom, alpha, xi_grid)
-    bh = _beta_hat_on_lattice(atom, beta, xi_grid)
-    vals = G.values * bh * xi_grid.step
+    vals = _compound(atom, weighted_overlap_kernel(atom, alpha, xi_grid), beta)
     return OperatorMatrix(
         xi_grid, vals, "pseudodiff", atom.name,
         f"a(r,s)=[{alpha.descriptor}]x[{beta.descriptor}]",
@@ -423,7 +433,7 @@ def _first_coordinate_range(g1) -> str:
 
 
 def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
-                  method: str = "fast", *, fibers: Fibers | None = None):
+                  method: str = "fast"):
     """Apply the localization operator with symbol ``spec`` to a signal.
 
     Both paths act on the signal's omega side h (``fields.omega_side``:
@@ -433,11 +443,10 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
     ``bargmann`` onto h's grid.  fast: first-variable symbols only; h times
     the grid-rule gamma on h's grid.
 
-    ``fibers`` is the atom's record on h's grid
-    (``fields.omega_grid(atom.case, f.grid)``); one is built when omitted,
-    and both paths share it.  A signal whose fiber coverage
-    (``Fibers.coverage`` of h) is below ``MIN_FIBER_COVERAGE`` lies outside
-    the atom's first-coordinate range and raises ``ValueError``.
+    Both paths read the atom's fiber record on h's grid (``Atom.fibers``),
+    so a call builds at most one fiber matrix.  A signal whose fiber
+    coverage (``Fibers.coverage`` of h) is below ``MIN_FIBER_COVERAGE`` lies
+    outside the atom's first-coordinate range and raises ``ValueError``.
 
     method="compare" returns (fast, slow, relative_deviation).
     """
@@ -448,8 +457,7 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
             "the fast path requires a first-variable symbol; got "
             f"{spec.descriptor}")
     h = omega_side(atom.case, f)
-    fibers = Fibers.on(atom, h.grid, fibers)
-    coverage = fibers.coverage(h)
+    coverage = atom.fibers(h.grid.samples).coverage(h)
     if coverage < MIN_FIBER_COVERAGE:
         raise ValueError(
             f"fiber coverage {coverage:.3g} of the signal is below "
@@ -457,14 +465,14 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
             f"first-coordinate range, {_first_coordinate_range(atom.g1)}")
 
     def slow_path():
-        W = analyze(atom, f, fibers=fibers)
+        W = analyze(atom, f)
         # masked in place: W's array belongs to this path alone
         W.values *= spec.evaluate_field(atom.g1.nodes, W.g2.samples)
-        g = bargmann(atom, W, out_grid=h.grid, fibers=fibers)
+        g = bargmann(atom, W, out_grid=h.grid)
         return omega_side(atom.case, g, back_to=f.grid)
 
     def fast_path():
-        gf = gamma(atom, spec.alpha, h.grid, rule="grid", fibers=fibers)
+        gf = gamma(atom, spec.alpha, h.grid, rule="grid")
         g = SampledFunction(h.grid, h.values * gf.values)
         return omega_side(atom.case, g, back_to=f.grid)
 

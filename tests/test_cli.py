@@ -210,6 +210,16 @@ def test_cmd_verify_exit_code_contract(tmp_path):
     assert (code == 0) == rep["pass"]
 
 
+@pytest.mark.parametrize("suite", ["cto1", "cto2", "cto3", "algebra"])
+@pytest.mark.parametrize("case", ["gabor", "wavelet"])
+def test_cmd_verify_builds_one_fiber_matrix(tmp_path, ell_calls, suite, case):
+    # the direct route, the overlap kernels and the grid-rule gamma read one
+    # fiber record of the job's atom
+    assert run("verify", suite, "--case", case, "--n", "64",
+               "--out", str(tmp_path / "v.json")) == 0
+    assert ell_calls == [64]
+
+
 # -- filter command ------------------------------------------------------------------
 
 def test_cmd_filter_identity_compare(tmp_path, signal_csv):
@@ -311,6 +321,15 @@ def test_cmd_spectrum_with_eigs(tmp_path):
     meta = json.loads(open(sidecar_path(out)).read())
     assert meta["hausdorff_eigs_vs_gamma"] <= 1e-6
     assert abs(meta["operator_norm"] - 0.5) <= 1e-6
+
+
+def test_cmd_spectrum_with_eigs_builds_two_fiber_matrices(tmp_path, ell_calls):
+    # under the grid rule the direct matrix shares the first gamma's record;
+    # only the wide-grid gamma needs another
+    assert run("spectrum", "--symbol", "indicator:-1,1", "--rule", "grid",
+               "--n", "64", "--with-eigs",
+               "--out", str(tmp_path / "s.csv")) == 0
+    assert ell_calls == [64, 64]
 
 
 def test_cmd_reports_lowrank_margin(tmp_path):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
-from tfloc.atoms import Fibers
-from tfloc.fields import omega_grid, omega_side, random_bandlimited
+from tfloc.atoms import Fibers, make_atom
+from tfloc.fields import omega_side, random_bandlimited
 from tfloc.fourier import _fourier_rows, fourier
 from tfloc.grids import LineGrid, SampledFunction, induced_grid
 from tfloc.kernels import (gamma, overlap_kernel, spectrum_from_gamma,
@@ -21,7 +21,6 @@ from tfloc.operators import (LOWRANK_TAIL, EquivalenceSpec, OperatorMatrix, _low
 from tfloc.symbols import Symbol1D, SymbolSpec
 
 G128 = default_operator_grid("gabor", 128)
-W128 = default_operator_grid("wavelet", 128)
 
 
 def _grid_for(atom, n=128):
@@ -101,6 +100,26 @@ def _direct_column_loop(atom, spec, xi_grid):
         Y = _fourier_rows(H, s_grid, fwd_sign, xi_grid)
         M[:, j] = np.einsum("k,ki,ki->i", w, Lc, Y)
     return M
+
+
+def test_build_direct_peak_memory():
+    # T_back, M, the fiber record, one transform output, one conjugated
+    # K x n temporary and the Gram product: six arrays (seven when the route
+    # kept a conjugated copy of the record).  A fresh atom, so the record is
+    # built inside the window.
+    n = 512
+    atom = make_atom("gabor", "gaussian")
+    spec = SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 1.0))
+    grid = default_operator_grid("gabor", n)
+    tracemalloc.start()
+    try:
+        M = build_direct(atom, spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.lowrank_rank == 1
+    K = atom.g1.count
+    assert peak <= 6.25 * K * n * 16, f"peak {peak / (K * n * 16):.3f} K*n*16"
 
 
 def _oracle_specs(case):
@@ -506,33 +525,14 @@ def test_filter_fast_rejects_non_first_variable(gaussian):
         filter_signal(gaussian, spec, f, method="fast")
 
 
-def test_filter_fibers_keyword_is_bit_identical(shannon, haar, gaussian, rect):
-    f = random_bandlimited(SIGNAL_GRID, seed=12)
-    for atom, sym in [(gaussian, Symbol1D.indicator(-1.0, 2.0)),
-                      (rect, Symbol1D.indicator(0.0, 3.0)),
-                      (shannon, Symbol1D.indicator(1.0, 2.0)),
-                      (haar, Symbol1D.indicator(0.5, 4.0))]:
-        spec = SymbolSpec.first_variable(sym)
-        fib = Fibers.of(atom, omega_grid(atom.case, f.grid).samples)
-        for method in ("fast", "slow"):
-            assert np.array_equal(
-                filter_signal(atom, spec, f, method, fibers=fib).values,
-                filter_signal(atom, spec, f, method).values)
-        fast, slow, dev = filter_signal(atom, spec, f, "compare", fibers=fib)
-        rfast, rslow, rdev = filter_signal(atom, spec, f, "compare")
-        assert np.array_equal(fast.values, rfast.values)
-        assert np.array_equal(slow.values, rslow.values)
-        assert dev == rdev
-        with pytest.raises(ValueError, match="fiber record"):
-            filter_signal(atom, spec, f, "fast",
-                          fibers=Fibers.of(atom, W128.samples))
-
-
-def test_filter_builds_one_fiber_matrix(gaussian, shannon, ell_calls):
+def test_filter_builds_one_fiber_matrix(ell_calls):
+    # a fresh atom per call: the session fixtures carry records left by
+    # other tests, which would make the count depend on test order
     f = random_bandlimited(SIGNAL_GRID, seed=13)
-    for atom, sym in [(gaussian, Symbol1D.indicator(-1.0, 2.0)),
-                      (shannon, Symbol1D.indicator(1.0, 2.0))]:
+    for case, name, sym in [("gabor", "gaussian", Symbol1D.indicator(-1.0, 2.0)),
+                            ("wavelet", "shannon", Symbol1D.indicator(1.0, 2.0))]:
         for method in ("fast", "slow", "compare"):
+            atom = make_atom(case, name)
             ell_calls.clear()
             filter_signal(atom, SymbolSpec.first_variable(sym), f, method)
             assert len(ell_calls) == 1, f"{atom.name} {method}: {ell_calls}"

@@ -1,17 +1,18 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tfloc.atoms import Fibers
+import tfloc
+from tfloc.atoms import Fibers, make_atom
 from tfloc.cli import main
 from tfloc.fields import (PhasePlaneField, analyze, apply_axis2_fourier,
-                          bargmann, bargmann_adjoint, embed, omega_grid,
-                          omega_side, project, random_bandlimited)
+                          bargmann, bargmann_adjoint, embed, omega_side,
+                          project, random_bandlimited)
 from tfloc.fourier import _fourier_rows, fourier
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
-from tfloc.kernels import gamma
-from tfloc.symbols import Symbol1D
 
 SIGNAL_GRID = LineGrid.centered(8.0, 1024)
 
@@ -334,58 +335,60 @@ def test_fibers_record_is_the_conjugate_fiber_matrix(shannon, gaussian):
         assert not fib.omegas.flags.writeable
 
 
-def test_fibers_keyword_is_bit_identical(shannon, haar, gaussian, rect):
-    # one record passed down the chain gives the bits each call gets alone
-    for atom in (shannon, haar, gaussian, rect):
-        f = random_bandlimited(SIGNAL_GRID, seed=5)
-        h = omega_side(atom.case, f)
-        assert np.array_equal(omega_grid(atom.case, f.grid).samples,
-                              h.grid.samples)
-        fib = Fibers.of(atom, h.grid.samples)
-        W = analyze(atom, f)
-        assert np.array_equal(analyze(atom, f, fibers=fib).values, W.values)
-        assert np.array_equal(
-            bargmann(atom, W, out_grid=h.grid, fibers=fib).values,
-            bargmann(atom, W, out_grid=h.grid).values)
-        assert np.array_equal(bargmann_adjoint(atom, h, fibers=fib).values,
-                              bargmann_adjoint(atom, h).values)
-
-
-def test_fibers_on_another_grid_rejected(gaussian, shannon):
+def test_atom_keeps_its_last_fiber_record():
+    # fresh atoms: the session fixtures carry records left by other tests
     grid = LineGrid.centered(8.0, 64)
     shifted = LineGrid(grid.start + grid.step / 2, grid.step, grid.count)
     longer = LineGrid(grid.start, grid.step, grid.count + 1)
-    f = SampledFunction(grid, np.ones(grid.count))
-    for atom in (gaussian, shannon):
-        F = embed(atom, f)
-        for other in (shifted, longer):
-            fib = Fibers.of(atom, other.samples)
-            with pytest.raises(ValueError, match="fiber record"):
-                embed(atom, f, fibers=fib)
-            with pytest.raises(ValueError, match="fiber record"):
-                project(atom, F, fibers=fib)
-            with pytest.raises(ValueError, match="fiber record"):
-                bargmann_adjoint(atom, f, fibers=fib)
-            with pytest.raises(ValueError, match="fiber record"):
-                gamma(atom, Symbol1D.constant(1.0), grid, fibers=fib)
-    # analyze takes the record of the signal's omega grid, not its own grid
-    f = random_bandlimited(SIGNAL_GRID, seed=2)
-    with pytest.raises(ValueError, match="fiber record"):
-        analyze(shannon, f, fibers=Fibers.of(shannon, f.grid.samples))
-    # a record built apart on an equal grid is accepted
-    same = LineGrid(grid.start, grid.step, grid.count)
     ones = SampledFunction(grid, np.ones(grid.count))
-    fib = Fibers.of(gaussian, same.samples)
-    assert np.array_equal(embed(gaussian, ones, fibers=fib).values,
-                          embed(gaussian, ones).values)
+    for case, name in (("gabor", "gaussian"), ("wavelet", "shannon")):
+        atom = make_atom(case, name)
+        fib = atom.fibers(grid.samples)
+        # equal omegas by value, from another array, return the same record
+        assert atom.fibers(grid.samples) is fib
+        assert atom.fibers(LineGrid.centered(8.0, 64).samples) is fib
+        for other in (shifted, longer):
+            new = atom.fibers(other.samples)
+            assert new is not fib
+            assert np.array_equal(new.omegas, other.samples)
+            assert np.array_equal(new.conj_ell,
+                                  np.conj(atom.ell_matrix(other.samples)))
+            assert not new.conj_ell.flags.writeable
+            assert not new.omegas.flags.writeable
+            # the coverage of a signal on another grid is refused
+            with pytest.raises(ValueError, match="fiber record"):
+                new.coverage(ones)
+        # a record built on another first-coordinate grid is not returned
+        g1 = atom.g1
+        fib = atom.fibers(grid.samples)
+        atom.g1 = (ScaleGrid(g1.u_min, g1.u_max, g1.count // 2)
+                   if case == "wavelet" else LineGrid.centered(8.0, 256))
+        rebuilt = atom.fibers(grid.samples)
+        assert rebuilt is not fib
+        assert rebuilt.conj_ell.shape == (atom.g1.count, grid.count)
+        assert rebuilt.weights is atom.g1.measure_weights
 
 
-def test_fibers_only_for_the_grid_rule(gaussian):
-    grid = LineGrid.centered(8.0, 64)
-    fib = Fibers.of(gaussian, grid.samples)
-    with pytest.raises(ValueError, match="grid rule"):
-        gamma(gaussian, Symbol1D.indicator(-1.0, 1.0), grid, rule="adaptive",
-              fibers=fib)
+def test_ell_matrix_has_one_caller():
+    # every consumer reads the fiber matrix through Atom.fibers, whose
+    # record constructor Fibers.of is the one place that builds it
+    src = Path(tfloc.__file__).parent
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "ell_matrix"):
+                callers.append(f"{path.name}:{scope}")
+            visit(child, inner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), "")
+    assert callers == ["atoms.py:Fibers.of"]
 
 
 def test_verify_transforms_builds_one_record_per_grid(tmp_path, ell_calls):
@@ -396,7 +399,7 @@ def test_verify_transforms_builds_one_record_per_grid(tmp_path, ell_calls):
                      "--out", out]) == 0
         # the signals' omega grid and the round-trip window (50 calls when
         # every transform built its own)
-        assert len(ell_calls) <= 3, f"{case}: {len(ell_calls)} calls"
+        assert ell_calls == [1024, 256], f"{case}: {ell_calls}"
 
 
 def test_verify_transforms_gabor_shares_the_round_trip_record(tmp_path,
