@@ -28,7 +28,8 @@ Two quadrature rules are provided:
   (~1e-4 at the default grids), inside every operator-level tolerance.
 
 The Gabor case additionally admits ``rule="fft"``: the grid rule evaluated
-as one FFT convolution of the symbol samples with the squared window.
+as one ``numpy.fft`` convolution of the symbol samples with the squared
+window.
 
 The two-point overlap kernels generalize the same quadrature to pairs of
 frequencies and feed the integral and compound-symbol operator builders.
@@ -43,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .atoms import Atom
 from .grids import LineGrid
@@ -230,7 +230,8 @@ def _gamma_fft(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
     dmax = o + (nxi - 1) * stride
     d = np.arange(dmin, dmax + 1)
     prof = np.abs(atom.eval_time(d * h)) ** 2
-    conv = signal.fftconvolve(a_vals.astype(complex), prof.astype(complex))
+    m = a_vals.size + prof.size - 1
+    conv = np.fft.ifft(np.fft.fft(a_vals, m) * np.fft.fft(prof, m))
     idx = o + np.arange(nxi) * stride - dmin
     return h * conv[idx]
 

@@ -86,9 +86,9 @@ def default_operator_grid(case: str, n: int = 256) -> LineGrid:
     return LineGrid(2.0 ** -4, 4.0 / n, n)
 
 
-def case_sign(case: str) -> float:
+def case_sign(case: str) -> int:
     """Sign of the difference-lattice argument in the integral form."""
-    return 1.0 if case == "wavelet" else -1.0
+    return 1 if case == "wavelet" else -1
 
 
 # -- direct (pipeline) route -----------------------------------------------------
@@ -209,10 +209,10 @@ def _beta_hat_on_lattice(atom: Atom, beta: Symbol1D,
 
     beta is sampled on the span of the dual axis, 4 times denser: the
     transformed samples then live on the frequency difference lattice with
-    4 times the reach, so every lattice difference is an exact node.
-    Returns the full difference table, shape (n, n).  Values off the
-    transform grid are zero (the factor is assumed decaying; tests use
-    smooth bumps).
+    4 times the reach.  Node k of the 4n-point transform grid sits at
+    (k - 2n) * xi_grid.step, so the lattice difference sigma*(i - j), of
+    size at most n - 1, is node 2n + sigma*(i - j) and the table is a gather.
+    Returns the full difference table, shape (n, n).
     """
     s_grid = induced_grid(xi_grid)
     count, step = s_grid.count * 4, s_grid.step / 4
@@ -221,15 +221,10 @@ def _beta_hat_on_lattice(atom: Atom, beta: Symbol1D,
     if not np.all(np.isfinite(b_samples)):
         raise ValueError(f"symbol {beta.descriptor} not finite on its grid")
     bhat = fourier(SampledFunction(bg, b_samples), "forward")
-    sigma = case_sign(atom.case)
     n = xi_grid.count
-    # difference lattice: sigma*(xi_i - xi_j) = sigma*step*(i - j)
     idx = np.arange(n)
-    delta = sigma * xi_grid.step * (idx[:, None] - idx[None, :])
-    fg = bhat.grid
-    re = np.interp(delta, fg.samples, bhat.values.real, left=0.0, right=0.0)
-    im = np.interp(delta, fg.samples, bhat.values.imag, left=0.0, right=0.0)
-    return re + 1j * im
+    lag = idx[:, None] - idx[None, :]
+    return bhat.values[2 * n + case_sign(atom.case) * lag]
 
 
 def _compound(atom: Atom, kernel: OperatorMatrix, beta: Symbol1D) -> np.ndarray:

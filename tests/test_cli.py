@@ -125,6 +125,15 @@ def test_cmd_gamma_malformed_symbol_no_partial_file(tmp_path):
     assert leftovers == []
 
 
+def test_cmd_gamma_fft_rule_off_the_lattice_exits_2(tmp_path, capsys):
+    # [-7.97, 8) in 256 steps is not a multiple of the 1/16 translation step
+    out = str(tmp_path / "g.csv")
+    assert run("gamma", "--case", "gabor", "--symbol", "indicator:-1,1",
+               "--rule", "fft", "--xi-min", "-7.97", "--out", out) == 2
+    assert "translation lattice" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_cmd_gamma_deterministic(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     for out in (a, b):

@@ -13,8 +13,9 @@ from tfloc.fourier import _fourier_rows, fourier
 from tfloc.grids import LineGrid, SampledFunction, induced_grid
 from tfloc.kernels import (gamma, overlap_kernel, spectrum_from_gamma,
                            weighted_overlap_kernel)
-from tfloc.operators import (LOWRANK_TAIL, EquivalenceSpec, OperatorMatrix, _lowrank_factors, build_direct,
-                             build_integral, build_multiplication,
+from tfloc.operators import (LOWRANK_TAIL, EquivalenceSpec, OperatorMatrix,
+                             _beta_hat_on_lattice, _lowrank_factors,
+                             build_direct, build_integral, build_multiplication,
                              build_pseudodiff, default_operator_grid,
                              filter_signal, hausdorff_distance, operator_norm,
                              spectrum, verify_equivalence)
@@ -290,6 +291,39 @@ def test_integral_route_is_the_compound_route_with_alpha_one(gaussian,
                               weighted_overlap_kernel(atom, one, grid).values)
         assert np.array_equal(build_integral(atom, beta, grid).values,
                               build_pseudodiff(atom, one, beta, grid).values)
+
+
+def _beta_hat_interp(sign, beta, xi_grid):
+    """The difference table read off the transform by linear interpolation
+    at sign*step*(i - j), the formula the gather replaced."""
+    s_grid = induced_grid(xi_grid)
+    count, step = s_grid.count * 4, s_grid.step / 4
+    bg = LineGrid(-(count // 2) * step, step, count)
+    bhat = fourier(SampledFunction(bg, beta(bg.samples).astype(complex)))
+    idx = np.arange(xi_grid.count)
+    delta = sign * xi_grid.step * (idx[:, None] - idx[None, :])
+    nodes = bhat.grid.samples
+    return (np.interp(delta, nodes, bhat.values.real)
+            + 1j * np.interp(delta, nodes, bhat.values.imag))
+
+
+def test_beta_hat_table_is_a_gather_of_the_transform(gaussian, shannon):
+    # every lattice difference is a node of the 4n-point transform grid, so
+    # on the default grids interpolation returns the node values exactly;
+    # elsewhere the node positions differ from the differences by ulps
+    betas = (Symbol1D.gaussian_bump(1.0), Symbol1D.cosine_window(2.0),
+             Symbol1D.gaussian_bump(1.0, 0.3))
+    for atom, sign in ((gaussian, -1.0), (shannon, 1.0)):
+        for n in (64, 256):
+            grid = _grid_for(atom, n)
+            for beta in betas:
+                assert np.array_equal(_beta_hat_on_lattice(atom, beta, grid),
+                                      _beta_hat_interp(sign, beta, grid))
+        grid = LineGrid(-7.3, 0.07, 100)
+        for beta in betas:
+            ref = _beta_hat_interp(sign, beta, grid)
+            dev = np.max(np.abs(_beta_hat_on_lattice(atom, beta, grid) - ref))
+            assert dev <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_pseudodiff_beta_one_reduces_to_multiplication(gaussian, shannon):

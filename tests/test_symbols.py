@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -246,8 +249,9 @@ def test_gauss_kronrod_real_integrand_is_one_part():
 
 
 def test_package_has_one_adaptive_quadrature():
-    # tfloc integrates adaptively with quadrature.gauss_kronrod alone; an
-    # import of scipy.integrate would bring a second engine back
+    # tfloc integrates adaptively with quadrature.gauss_kronrod alone and
+    # transforms with numpy.fft alone; any scipy import would bring a
+    # second engine back, and a second runtime dependency with it
     src = Path(tfloc.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -255,14 +259,21 @@ def test_package_has_one_adaptive_quadrature():
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
-                mod = node.module or ""
-                names = [mod] + [f"{mod}.{a.name}" for a in node.names]
+                names = [node.module or ""]
             else:
                 continue
-            if any(n == "scipy.integrate" or n.startswith("scipy.integrate.")
-                   for n in names):
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_importing_tfloc_loads_no_scipy():
+    code = ("import sys, tfloc, tfloc.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(tfloc.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # -- adaptive rule against the per-point scipy loop ------------------------------
@@ -425,11 +436,31 @@ def test_gamma_dilation_covariance_shannon(shannon):
     assert np.max(np.abs(g_scaled.values - g_at_cxi.values)) <= 1e-8
 
 
-def test_gamma_fft_rule_matches_direct_quadrature(gaussian):
-    for sym in (Symbol1D.indicator(-1.0, 1.0), Symbol1D.smooth_step(4.0)):
-        g_fft = gamma(gaussian, sym, GABOR_GRID, rule="fft")
-        g_grid = gamma(gaussian, sym, GABOR_GRID, rule="grid")
-        assert np.max(np.abs(g_fft.values - g_grid.values)) <= 1e-8
+@pytest.mark.parametrize("grid", [
+    # strides 4, 2 and 1 on the translation grid
+    pytest.param(default_operator_grid("gabor", 64), id="default-64"),
+    pytest.param(default_operator_grid("gabor", 128), id="default-128"),
+    pytest.param(default_operator_grid("gabor", 256), id="default-256"),
+    # starts left of the translation grid
+    pytest.param(LineGrid(-20.0, 1 / 16, 256), id="left-of-lattice"),
+    pytest.param(LineGrid(10.0, 1 / 8, 200), id="right-stride-2"),
+    pytest.param(LineGrid(-16.0, 1 / 16, 512), id="wide-512"),
+])
+def test_gamma_fft_rule_matches_direct_quadrature(gaussian, grid):
+    for sym in (Symbol1D.indicator(-1.0, 1.0), Symbol1D.smooth_step(4.0),
+                Symbol1D.constant(0.5 + 0.25j),
+                Symbol1D.gaussian_bump(8.0, 3.0)):
+        g_fft = gamma(gaussian, sym, grid, rule="fft")
+        g_grid = gamma(gaussian, sym, grid, rule="grid")
+        assert np.max(np.abs(g_fft.values - g_grid.values)) <= 1e-13
+
+
+def test_gamma_fft_rule_needs_the_translation_lattice(gaussian):
+    sym = Symbol1D.indicator(-1.0, 1.0)
+    for grid in (LineGrid(-8.0, 0.07, 128),           # step off the lattice
+                 LineGrid(-8.0 + 1 / 32, 1 / 16, 256)):  # offset off it
+        with pytest.raises(ValueError, match="translation lattice"):
+            gamma(gaussian, sym, grid, rule="fft")
 
 
 def test_gamma_real_symbol_real_values(gaussian):
