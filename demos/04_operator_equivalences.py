@@ -10,34 +10,38 @@ the three equivalence statements.
 
 import math
 
-from tfloc import EquivalenceSpec, Symbol1D, make_wavelet, make_window, \
+from tfloc import Symbol1D, SymbolSpec, make_wavelet, make_window, \
     verify_equivalence
+from tfloc.cli import VERIFY_TOL
 from tfloc.operators import default_operator_grid
 
 print(__doc__)
 
+# the symbol's kind picks the specialized route: first-variable ->
+# multiplication, second-variable -> integral, separable -> compound symbol
 cases = [
     ("cto1", make_window("gaussian"),
-     dict(alpha=Symbol1D.indicator(-1.0, 1.0)), 256),
+     SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 1.0)), 256),
     ("cto2", make_window("gaussian"),
-     dict(beta=Symbol1D.gaussian_bump(1.0)), 128),
+     SymbolSpec.second_variable(Symbol1D.gaussian_bump(1.0)), 128),
     ("cto2", make_wavelet("shannon"),
-     dict(beta=Symbol1D.gaussian_bump(1.0)), 128),
+     SymbolSpec.second_variable(Symbol1D.gaussian_bump(1.0)), 128),
     ("cto3", make_window("gaussian"),
-     dict(alpha=Symbol1D.indicator(0.0, math.inf),
-          beta=Symbol1D.cosine_window(2.0)), 128),
+     SymbolSpec.separable(Symbol1D.indicator(0.0, math.inf),
+                          Symbol1D.cosine_window(2.0)), 128),
     ("cto3", make_wavelet("shannon"),
-     dict(alpha=Symbol1D.indicator(0.5, 8.0),
-          beta=Symbol1D.gaussian_bump(1.0)), 128),
+     SymbolSpec.separable(Symbol1D.indicator(0.5, 8.0),
+                          Symbol1D.gaussian_bump(1.0)), 128),
 ]
 
-for tag, atom, syms, n in cases:
-    rep = verify_equivalence(EquivalenceSpec(
-        tag, atom, xi_grid=default_operator_grid(atom.case, n), seed=1, **syms))
-    print(f"{tag} {atom.case:7s}/{atom.name:8s} N={rep.N:3d}: "
-          f"norm {rep.norm_discrepancy:.2e}, hausdorff {rep.hausdorff:.2e}, "
-          f"action {rep.action_error_max:.2e} -> "
-          f"{'PASS' if rep.passed else 'FAIL'} (tol {rep.tolerance:g})")
+for tag, atom, spec, n in cases:
+    rep = verify_equivalence(atom, spec, default_operator_grid(atom.case, n),
+                             VERIFY_TOL[tag], seed=1)
+    print(f"{tag} {atom.case:7s}/{atom.name:8s} N={rep['N']:3d}: "
+          f"norm {rep['norm_discrepancy']:.2e}, "
+          f"hausdorff {rep['hausdorff']:.2e}, "
+          f"action {rep['action_error_max']:.2e} -> "
+          f"{'PASS' if rep['pass'] else 'FAIL'} (tol {rep['tolerance']:g})")
 
 print("\nThe wavelet window sits on the positive healthy band "
       "[1/16, 1/16 + 4): at zero frequency the fibers vanish, and symmetric")

@@ -21,9 +21,9 @@ from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from .kernels import (GammaFunction, SpectrumReport, boundedness_verdict,
                       gamma, overlap_kernel, spectrum_from_gamma,
                       weighted_overlap_kernel)
-from .operators import (EquivalenceSpec, OperatorMatrix, VerificationReport,
-                        build_direct, build_integral, build_multiplication,
-                        build_pseudodiff, default_operator_grid, filter_signal,
+from .operators import (OperatorMatrix, build_direct, build_integral,
+                        build_multiplication, build_pseudodiff,
+                        default_operator_grid, filter_signal,
                         hausdorff_distance, operator_norm, spectrum,
                         verify_equivalence)
 from .symbols import Symbol1D, SymbolParseError, SymbolSpec, parse_symbol

@@ -25,15 +25,35 @@ from .fields import (analyze, bargmann, bargmann_adjoint, omega_grid,
 from .grids import LineGrid, SampledFunction
 from .kernels import (boundedness_verdict, gamma, overlap_kernel,
                       spectrum_from_gamma, weighted_overlap_kernel)
-from .operators import (EquivalenceSpec, build_direct, default_operator_grid,
-                        filter_signal, operator_norm, spectrum,
-                        verify_equivalence)
+from .operators import (build_direct, default_operator_grid, filter_signal,
+                        operator_norm, spectrum, verify_equivalence)
 from .symbols import Symbol1D, SymbolParseError, SymbolSpec, parse_symbol
 
 DEFAULT_ATOM = {"gabor": "gaussian", "wavelet": "shannon"}
 # largest --n the dense commands accept without --allow-large; the library
 # builders and solvers take any size
 MAX_DENSE_N = 512
+# cuts of ``algebra`` without --cuts and of ``verify algebra``: the wavelet
+# first coordinate is a scale range, which excludes 0
+DEFAULT_CUTS = {"gabor": [0.0], "wavelet": [1.0]}
+# the symbol of each dual-route suite; its kind picks the specialized route
+EQUIVALENCE_SYMBOLS = {
+    ("cto1", "gabor"): SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 1.0)),
+    ("cto1", "wavelet"): SymbolSpec.first_variable(Symbol1D.indicator(1.0, 2.0)),
+    ("cto2", "gabor"): SymbolSpec.second_variable(Symbol1D.gaussian_bump(1.0)),
+    ("cto2", "wavelet"): SymbolSpec.second_variable(Symbol1D.gaussian_bump(1.0)),
+    ("cto3", "gabor"): SymbolSpec.separable(
+        Symbol1D.indicator(0.0, float("inf")), Symbol1D.cosine_window(2.0)),
+    ("cto3", "wavelet"): SymbolSpec.separable(
+        Symbol1D.indicator(0.5, 8.0), Symbol1D.gaussian_bump(1.0)),
+}
+# every verify suite's tolerances: a suite's pass test and the tolerances
+# its report states read the same entry
+VERIFY_TOL = {
+    "cto1": 1e-3, "cto2": 5e-3, "cto3": 5e-3,
+    "transforms": {"isometry": 2e-3, "factorization": 2e-3, "roundtrip": 1e-6},
+    "algebra": {"commutator": 5e-3, "simplex": 1e-6, "tau_isometry": 2e-3},
+}
 
 
 def _grid_size(text: str) -> int:
@@ -113,9 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("algebra", help="partition gamma-vector cloud")
     _add_common(p)
-    p.add_argument("--cuts", default="0",
+    p.add_argument("--cuts", default=None,
                    help="comma-separated interior cut points of the "
-                        "first-coordinate domain")
+                        "first-coordinate domain (default 0 for gabor, "
+                        "1 for wavelet)")
     return ap
 
 
@@ -233,26 +254,10 @@ def cmd_kernel(args) -> int:
 
 
 def _verify_equivalence_suite(args) -> dict:
-    atom = _atom(args)
-    grid = default_operator_grid(args.case, args.n)
-    if args.suite == "cto1":
-        alpha = (Symbol1D.indicator(-1.0, 1.0) if args.case == "gabor"
-                 else Symbol1D.indicator(1.0, 2.0))
-        espec = EquivalenceSpec("cto1", atom, alpha=alpha, xi_grid=grid,
-                                seed=args.seed)
-    elif args.suite == "cto2":
-        espec = EquivalenceSpec("cto2", atom, beta=Symbol1D.gaussian_bump(1.0),
-                                xi_grid=grid, seed=args.seed)
-    else:
-        if args.case == "gabor":
-            alpha = Symbol1D.indicator(0.0, float("inf"))
-            beta = Symbol1D.cosine_window(2.0)
-        else:
-            alpha = Symbol1D.indicator(0.5, 8.0)
-            beta = Symbol1D.gaussian_bump(1.0)
-        espec = EquivalenceSpec("cto3", atom, alpha=alpha, beta=beta,
-                                xi_grid=grid, seed=args.seed)
-    return verify_equivalence(espec).to_dict()
+    return verify_equivalence(
+        _atom(args), EQUIVALENCE_SYMBOLS[args.suite, args.case],
+        default_operator_grid(args.case, args.n), VERIFY_TOL[args.suite],
+        seed=args.seed)
 
 
 def _verify_transforms_suite(args) -> dict:
@@ -276,14 +281,15 @@ def _verify_transforms_suite(args) -> dict:
         h = SampledFunction(opg, v)
         rr = bargmann(atom, bargmann_adjoint(atom, h), out_grid=opg)
         worst_round = max(worst_round, float(np.max(np.abs(rr.values - v))))
-    passed = worst_iso <= 2e-3 and worst_fact <= 2e-3 and worst_round <= 1e-6
+    tol = VERIFY_TOL["transforms"]
+    passed = (worst_iso <= tol["isometry"] and worst_fact <= tol["factorization"]
+              and worst_round <= tol["roundtrip"])
     return {"case": args.case, "atom": atom.name, "N": n,
             "roundtrip_N": opg.count,
             "isometry_error_max": worst_iso,
             "factorization_error_max": worst_fact,
             "roundtrip_error_max": worst_round,
-            "tolerances": {"isometry": 2e-3, "factorization": 2e-3,
-                           "roundtrip": 1e-6},
+            "tolerances": tol,
             "pass": passed}
 
 
@@ -295,16 +301,15 @@ def _verify_algebra_suite(args) -> dict:
                 Symbol1D.indicator(float("-inf"), 0.0),
                 Symbol1D.smooth_step(4.0),
                 Symbol1D.gaussian_bump(8.0)]
-        cuts = [0.0]
     else:
         pool = [Symbol1D.indicator(1.0, 2.0),
                 Symbol1D.indicator(0.5, 8.0),
                 Symbol1D.smooth_step(8.0, log2_axis=True),
                 Symbol1D.constant(0.5)]
-        cuts = [1.0]
     worst_comm = max(d["commutator_norm_rel"] for d in
                      pool_commutator_diagnostics(atom, pool, grid).values())
-    part = Partition.from_cuts(args.case, cuts, default_partition_domain(atom))
+    part = Partition.from_cuts(args.case, DEFAULT_CUTS[args.case],
+                               default_partition_domain(atom))
     cloud = partition_gammas(atom, part, grid)
     sums_dev = float(np.max(np.abs(cloud.points.sum(axis=1) - 1.0)))
     # the direct route is linear in the symbol: one build per piece
@@ -317,13 +322,14 @@ def _verify_algebra_suite(args) -> dict:
         _, sup = evaluate_on_cloud(coeffs, cloud)
         nm = operator_norm(sum(c * M for c, M in zip(coeffs, basis)))
         worst_iso = max(worst_iso, abs(sup - nm) / nm)
-    passed = worst_comm <= 5e-3 and sums_dev <= 1e-6 and worst_iso <= 2e-3
+    tol = VERIFY_TOL["algebra"]
+    passed = (worst_comm <= tol["commutator"] and sums_dev <= tol["simplex"]
+              and worst_iso <= tol["tau_isometry"])
     return {"case": args.case, "atom": atom.name, "N": grid.count,
             "commutator_rel_max": worst_comm,
             "simplex_sum_deviation": sums_dev,
             "tau_isometry_rel_max": worst_iso,
-            "tolerances": {"commutator": 5e-3, "simplex": 1e-6,
-                           "tau_isometry": 2e-3},
+            "tolerances": tol,
             "pass": passed}
 
 
@@ -366,7 +372,8 @@ def cmd_filter(args) -> int:
 def cmd_algebra(args) -> int:
     atom = _atom(args)
     try:
-        cuts = [float(c) for c in args.cuts.split(",") if c.strip()]
+        cuts = (DEFAULT_CUTS[args.case] if args.cuts is None else
+                [float(c) for c in args.cuts.split(",") if c.strip()])
     except ValueError:
         raise ValueError(f"malformed --cuts {args.cuts!r}") from None
     part = Partition.from_cuts(args.case, cuts, default_partition_domain(atom))

@@ -29,9 +29,9 @@ same operator along different routes:
   phase sums of the iterated integral collapse to a function of x - y, so
   one transform of the second-variable factor assembles every row.)
 
-``verify_equivalence`` builds the direct and the specialized matrix and
-reports their discrepancy in operator norm, eigenvalue Hausdorff distance
-and action on random vectors.
+``verify_equivalence`` builds the direct matrix and the specialized one that
+the symbol's kind picks, and reports their discrepancy in operator norm,
+eigenvalue Hausdorff distance and action on random vectors.
 
 Sign conventions: with the axis-2 transform pairing (wavelet forward, gabor
 inverse), the difference-lattice factor is beta_hat(+(xi - omega)) for the
@@ -49,7 +49,6 @@ mirrored bands across the lattice period of the discrete transform
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,8 +62,6 @@ from .symbols import Symbol1D, SymbolSpec
 
 __all__ = [
     "OperatorMatrix",
-    "EquivalenceSpec",
-    "VerificationReport",
     "default_operator_grid",
     "build_direct",
     "build_multiplication",
@@ -325,92 +322,49 @@ def hausdorff_distance(a, b) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-@dataclass
-class EquivalenceSpec:
-    """Configuration of one dual-route operator comparison."""
+def verify_equivalence(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid,
+                       tolerance: float, seed: int = 0) -> dict:
+    """Build the direct operator and the specialized route that ``spec.kind``
+    picks; report their discrepancies as a JSON-ready dict.
 
-    tag: str                      # cto1 | cto2 | cto3
-    atom: Atom
-    alpha: Symbol1D | None = None
-    beta: Symbol1D | None = None
-    xi_grid: LineGrid | None = None
-    seed: int = 0
-    tolerance: float | None = None
-
-    DEFAULT_TOL = {"cto1": 1e-3, "cto2": 5e-3, "cto3": 5e-3}
-
-    def __post_init__(self):
-        if self.tag not in self.DEFAULT_TOL:
-            raise ValueError(f"unknown equivalence tag {self.tag!r}")
-        if self.xi_grid is None:
-            n = 256 if self.tag == "cto1" else 128
-            self.xi_grid = default_operator_grid(self.atom.case, n)
-        if self.tolerance is None:
-            self.tolerance = self.DEFAULT_TOL[self.tag]
-
-
-@dataclass
-class VerificationReport:
-    case: str
-    atom: str
-    symbol: str
-    N: int
-    norm_discrepancy: float
-    hausdorff: float
-    action_error_max: float
-    tolerance: float
-    passed: bool
-    extras: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case, "atom": self.atom, "symbol": self.symbol,
-            "N": self.N, "norm_discrepancy": self.norm_discrepancy,
-            "hausdorff": self.hausdorff,
-            "action_error_max": self.action_error_max,
-            "tolerance": self.tolerance, "pass": self.passed,
-            **self.extras,
-        }
-
-
-def verify_equivalence(espec: EquivalenceSpec) -> VerificationReport:
-    """Build the direct and the specialized operator; report discrepancies.
-
-    Never raises on failure: the report carries ``passed=False`` instead.
+    first -> ``build_multiplication`` of the grid-rule gamma, second ->
+    ``build_integral``, separable -> ``build_pseudodiff``.  A general symbol
+    has no specialized route and raises ``ValueError``.  A failed comparison
+    never raises: the report carries ``"pass": False`` instead.
     """
-    atom, grid = espec.atom, espec.xi_grid
-    if espec.tag == "cto1":
-        spec = SymbolSpec.first_variable(espec.alpha)
-        other = build_multiplication(gamma(atom, espec.alpha, grid, rule="grid"))
-    elif espec.tag == "cto2":
-        spec = SymbolSpec.second_variable(espec.beta)
-        other = build_integral(atom, espec.beta, grid)
+    if spec.kind == "first":
+        other = build_multiplication(gamma(atom, spec.alpha, xi_grid,
+                                           rule="grid"))
+    elif spec.kind == "second":
+        other = build_integral(atom, spec.beta, xi_grid)
+    elif spec.kind == "separable":
+        other = build_pseudodiff(atom, spec.alpha, spec.beta, xi_grid)
     else:
-        spec = SymbolSpec.separable(espec.alpha, espec.beta)
-        other = build_pseudodiff(atom, espec.alpha, espec.beta, grid)
-    direct = build_direct(atom, spec, grid)
+        raise ValueError(f"no specialized route for the {spec.kind} symbol "
+                         f"{spec.descriptor}")
+    direct = build_direct(atom, spec, xi_grid)
 
     direct_spec = spectrum(direct)
     dn = direct_spec.norm_estimate
     norm_disc = operator_norm(direct.values - other.values) / dn if dn else 0.0
     hd = hausdorff_distance(direct_spec.values, spectrum(other).values)
-    rng = np.random.default_rng(espec.seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(10):
-        v = rng.standard_normal(grid.count) + 1j * rng.standard_normal(grid.count)
+        v = (rng.standard_normal(xi_grid.count)
+             + 1j * rng.standard_normal(xi_grid.count))
         dv = direct.values @ v
         ref = np.linalg.norm(dv)
         err = np.linalg.norm(dv - other.values @ v) / (ref if ref else 1.0)
         worst = max(worst, err)
-    tol = espec.tolerance
-    passed = norm_disc <= tol and hd <= tol * max(1.0, dn) and worst <= tol
-    return VerificationReport(
-        case=atom.case, atom=atom.name, symbol=spec.descriptor,
-        N=grid.count, norm_discrepancy=norm_disc, hausdorff=hd,
-        action_error_max=worst, tolerance=tol, passed=passed,
-        extras={"builder": other.builder, "seed": espec.seed,
-                "lowrank_rank": direct.lowrank_rank,
-                "lowrank_tail": direct.lowrank_tail})
+    passed = (norm_disc <= tolerance and hd <= tolerance * max(1.0, dn)
+              and worst <= tolerance)
+    return {"case": atom.case, "atom": atom.name, "symbol": spec.descriptor,
+            "N": xi_grid.count, "norm_discrepancy": norm_disc,
+            "hausdorff": hd, "action_error_max": worst,
+            "tolerance": tolerance, "pass": passed, "builder": other.builder,
+            "seed": seed, "lowrank_rank": direct.lowrank_rank,
+            "lowrank_tail": direct.lowrank_tail}
 
 
 # -- signal filtering ---------------------------------------------------------------

@@ -24,7 +24,7 @@ from tfloc.grids import LineGrid
 from tfloc.io import sidecar_path, write_signal_csv
 from tfloc.kernels import (boundedness_verdict, gamma, overlap_kernel,
                            spectrum_from_gamma, weighted_overlap_kernel)
-from tfloc.operators import (EquivalenceSpec, build_direct, build_integral,
+from tfloc.operators import (build_direct, build_integral,
                              build_multiplication, build_pseudodiff,
                              default_operator_grid, hausdorff_distance,
                              operator_norm, spectrum, verify_equivalence)
@@ -131,11 +131,11 @@ def test_acceptance_05_spectrum_theorem(gaussian, shannon):
 def test_acceptance_06_cto2_integral_form(gaussian, shannon):
     discs = {}
     for atom in (gaussian, shannon):
-        rep = verify_equivalence(EquivalenceSpec(
-            "cto2", atom, beta=Symbol1D.gaussian_bump(1.0),
-            xi_grid=default_operator_grid(atom.case, 128), seed=2))
-        assert rep.passed and rep.norm_discrepancy <= 5e-3, rep
-        discs[atom.name] = rep.norm_discrepancy
+        rep = verify_equivalence(
+            atom, SymbolSpec.second_variable(Symbol1D.gaussian_bump(1.0)),
+            default_operator_grid(atom.case, 128), 5e-3, seed=2)
+        assert rep["pass"] and rep["norm_discrepancy"] <= 5e-3, rep
+        discs[atom.name] = rep["norm_discrepancy"]
         K = overlap_kernel(atom, default_operator_grid(atom.case, 128))
         assert np.max(np.abs(np.diag(K.values) - 1.0)) <= 1e-6
         assert np.max(np.abs(K.values - K.values.conj().T)) <= 1e-10
@@ -158,10 +158,10 @@ def test_acceptance_07_cto3_compound_symbol(gaussian, shannon):
         alpha = (Symbol1D.indicator(0.0, math.inf) if atom.case == "gabor"
                  else Symbol1D.indicator(0.5, 8.0))
         beta = Symbol1D.cosine_window(2.0)
-        rep = verify_equivalence(EquivalenceSpec(
-            "cto3", atom, alpha=alpha, beta=beta, xi_grid=grid, seed=3))
-        assert rep.passed and rep.norm_discrepancy <= 5e-3, rep
-        discs[atom.name] = rep.norm_discrepancy
+        rep = verify_equivalence(atom, SymbolSpec.separable(alpha, beta),
+                                 grid, 5e-3, seed=3)
+        assert rep["pass"] and rep["norm_discrepancy"] <= 5e-3, rep
+        discs[atom.name] = rep["norm_discrepancy"]
         # degenerate reductions
         m_mult = build_multiplication(gamma(atom, alpha, grid, rule="grid"))
         m_beta1 = build_pseudodiff(atom, alpha, Symbol1D.constant(1.0), grid)

@@ -229,6 +229,29 @@ def test_cmd_verify_builds_one_fiber_matrix(tmp_path, ell_calls, suite, case):
     assert ell_calls == [64]
 
 
+_TOL_ENTRIES = [(suite, key) for suite, tol in cli.VERIFY_TOL.items()
+                for key in (tol if isinstance(tol, dict) else [None])]
+
+
+@pytest.mark.parametrize("suite,key", _TOL_ENTRIES)
+@pytest.mark.parametrize("case", ["gabor", "wavelet"])
+def test_cmd_verify_every_tolerance_reaches_its_pass_test(
+        tmp_path, monkeypatch, suite, key, case):
+    # no suite measures an exact zero at n = 64, so a zero tolerance fails
+    # unless its check was left out of the pass test
+    if key is None:
+        monkeypatch.setitem(cli.VERIFY_TOL, suite, 0.0)
+    else:
+        monkeypatch.setitem(cli.VERIFY_TOL[suite], key, 0.0)
+    out = str(tmp_path / "v.json")
+    assert run("verify", suite, "--case", case, "--n", "64",
+               "--out", out) == 1
+    rep = json.loads(open(out).read())
+    assert rep["pass"] is False
+    assert rep["tolerance" if key is None else "tolerances"] == \
+        cli.VERIFY_TOL[suite]
+
+
 # -- filter command ------------------------------------------------------------------
 
 def test_cmd_filter_identity_compare(tmp_path, signal_csv):
@@ -377,6 +400,17 @@ def test_cmd_algebra_split_cloud(tmp_path):
     assert np.max(np.abs(sums - 1.0)) <= 1e-6
     e = erf(math.sqrt(2 * math.pi) * rows[:, 0])
     assert np.max(np.abs(rows[:, 1] - 0.5 * (1 - e))) <= 1e-6
+
+
+@pytest.mark.parametrize("case,cut", [("gabor", "0"), ("wavelet", "1")])
+def test_cmd_algebra_default_cuts_follow_case(tmp_path, case, cut):
+    # the wavelet first coordinate is a scale range, which excludes 0
+    default, given = str(tmp_path / "d.csv"), str(tmp_path / "g.csv")
+    assert run("algebra", "--case", case, "--n", "64", "--out", default) == 0
+    assert run("algebra", "--case", case, "--n", "64", "--cuts", cut,
+               "--out", given) == 0
+    for suffix in ("", ".meta.json"):
+        assert open(default + suffix).read() == open(given + suffix).read()
 
 
 def test_cmd_n_cap(tmp_path, capsys):

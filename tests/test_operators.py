@@ -13,7 +13,7 @@ from tfloc.fourier import _fourier_rows, fourier
 from tfloc.grids import LineGrid, SampledFunction, induced_grid
 from tfloc.kernels import (gamma, overlap_kernel, spectrum_from_gamma,
                            weighted_overlap_kernel)
-from tfloc.operators import (LOWRANK_TAIL, EquivalenceSpec, OperatorMatrix,
+from tfloc.operators import (LOWRANK_TAIL, OperatorMatrix,
                              _beta_hat_on_lattice, _lowrank_factors,
                              build_direct, build_integral, build_multiplication,
                              build_pseudodiff, default_operator_grid,
@@ -47,17 +47,30 @@ def test_direct_first_variable_hermitian_and_near_diagonal(gaussian):
     assert frac <= 1e-3
 
 
-def test_direct_linear_in_symbol(gaussian):
-    s1 = SymbolSpec.first_variable(Symbol1D.indicator(-2.0, 0.0))
-    s2 = SymbolSpec.second_variable(Symbol1D.gaussian_bump(1.0))
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(["gabor", "wavelet"]), n=st.sampled_from([32, 64]),
+       c1=st.complex_numbers(min_magnitude=0.125, max_magnitude=8.0),
+       c2=st.complex_numbers(min_magnitude=0.125, max_magnitude=8.0),
+       width=st.floats(0.25, 4.0))
+def test_direct_linear_in_symbol(gaussian, shannon, case, n, c1, c2, width):
+    # verify algebra sums one direct matrix per piece of a partition
+    atom = gaussian if case == "gabor" else shannon
+    if case == "gabor":
+        alpha, step = Symbol1D.indicator(-2.0, 0.0), Symbol1D.smooth_step(4.0)
+    else:
+        alpha = Symbol1D.indicator(0.5, 8.0)
+        step = Symbol1D.smooth_step(8.0, log2_axis=True)
+    a1 = SymbolSpec.separable(alpha, Symbol1D.gaussian_bump(width))
+    a2 = SymbolSpec.first_variable(step)
     both = SymbolSpec.general(
-        lambda r, s: ((r >= -2.0) & (r <= 0.0)).astype(float)
-        + np.exp(-np.pi * s ** 2) * np.ones_like(r),
-        descriptor="sum")
-    M1 = build_direct(gaussian, s1, G128)
-    M2 = build_direct(gaussian, s2, G128)
-    M = build_direct(gaussian, both, G128)
-    assert np.max(np.abs(M.values - (M1.values + M2.values))) <= 1e-10
+        lambda r, s: (c1 * a1.evaluate_field(r.ravel(), s.ravel())
+                      + c2 * a2.evaluate_field(r.ravel(), s.ravel())),
+        descriptor="c1*a1+c2*a2")
+    grid = _grid_for(atom, n)
+    parts = (c1 * build_direct(atom, a1, grid).values
+             + c2 * build_direct(atom, a2, grid).values)
+    M = build_direct(atom, both, grid)
+    assert operator_norm(M.values - parts) <= 1e-12 * operator_norm(parts)
 
 
 def test_direct_hermitian_iff_real_symbol(gaussian):
@@ -351,35 +364,56 @@ def test_pseudodiff_matches_direct_separable(gaussian, shannon):
 # -- equivalence harness ------------------------------------------------------------------
 
 def test_verify_equivalence_cto1(gaussian):
-    rep = verify_equivalence(EquivalenceSpec(
-        "cto1", gaussian, alpha=Symbol1D.indicator(-1.0, 1.0),
-        xi_grid=default_operator_grid("gabor", 256), seed=7))
-    assert rep.passed and rep.norm_discrepancy <= 1e-3
+    rep = verify_equivalence(
+        gaussian, SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 1.0)),
+        default_operator_grid("gabor", 256), 1e-3, seed=7)
+    assert rep["pass"] and rep["norm_discrepancy"] <= 1e-3
 
 
 def test_verify_equivalence_cto2(shannon):
-    rep = verify_equivalence(EquivalenceSpec(
-        "cto2", shannon, beta=Symbol1D.gaussian_bump(1.0), seed=11))
-    assert rep.passed and rep.norm_discrepancy <= 5e-3
-    assert rep.N == 128
+    rep = verify_equivalence(
+        shannon, SymbolSpec.second_variable(Symbol1D.gaussian_bump(1.0)),
+        default_operator_grid("wavelet", 128), 5e-3, seed=11)
+    assert rep["pass"] and rep["norm_discrepancy"] <= 5e-3
+    assert rep["N"] == 128
 
 
 def test_verify_equivalence_cto3(gaussian):
-    rep = verify_equivalence(EquivalenceSpec(
-        "cto3", gaussian, alpha=Symbol1D.indicator(0.0, math.inf),
-        beta=Symbol1D.cosine_window(2.0), seed=3))
-    assert rep.passed and rep.norm_discrepancy <= 5e-3
+    rep = verify_equivalence(
+        gaussian, SymbolSpec.separable(Symbol1D.indicator(0.0, math.inf),
+                                       Symbol1D.cosine_window(2.0)),
+        G128, 5e-3, seed=3)
+    assert rep["pass"] and rep["norm_discrepancy"] <= 5e-3
 
 
 def test_verify_reports_failure_without_raising(gaussian):
-    # mismatched routes: compare the direct operator for one symbol against
-    # the multiplication operator of another
-    espec = EquivalenceSpec("cto1", gaussian,
-                            alpha=Symbol1D.indicator(-1.0, 1.0),
-                            xi_grid=G128, seed=0, tolerance=1e-16)
-    rep = verify_equivalence(espec)
-    assert not rep.passed  # rounding exceeds an absurd tolerance
-    assert rep.to_dict()["pass"] is False
+    spec = SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 1.0))
+    rep = verify_equivalence(gaussian, spec, G128, 1e-16, seed=0)
+    assert rep["pass"] is False  # rounding exceeds an absurd tolerance
+
+
+@pytest.mark.parametrize("kind,builder", [("first", "multiplication"),
+                                          ("second", "integral"),
+                                          ("separable", "pseudodiff")])
+def test_verify_equivalence_route_follows_symbol_kind(gaussian, shannon,
+                                                      kind, builder):
+    for atom in (gaussian, shannon):
+        alpha = (Symbol1D.indicator(-1.0, 1.0) if atom.case == "gabor"
+                 else Symbol1D.indicator(1.0, 2.0))
+        beta = Symbol1D.gaussian_bump(1.0)
+        spec = {"first": SymbolSpec.first_variable(alpha),
+                "second": SymbolSpec.second_variable(beta),
+                "separable": SymbolSpec.separable(alpha, beta)}[kind]
+        rep = verify_equivalence(atom, spec, _grid_for(atom, 64), 5e-3)
+        assert rep["builder"] == builder, atom.name
+        assert rep["symbol"] == spec.descriptor
+        assert rep["pass"], (atom.name, rep)
+
+
+def test_verify_equivalence_rejects_general_symbol(gaussian):
+    spec = SymbolSpec.general(lambda r, s: np.cos(r * s), descriptor="cos(rs)")
+    with pytest.raises(ValueError, match=r"cos\(rs\)"):
+        verify_equivalence(gaussian, spec, _grid_for(gaussian, 64), 5e-3)
 
 
 # -- spectra -------------------------------------------------------------------------------
