@@ -269,6 +269,10 @@ class Fibers:
     ``filter_signal``, ``build_direct`` and the overlap kernels -- reads it
     through ``Atom.fibers``, which keeps the last record per atom, so calls
     on one grid share one fiber matrix.  The arrays are read-only.
+
+    The dtype follows the values: float64 when the conjugated fiber matrix
+    has an imaginary part that is exactly zero (gaussian, rect, shannon),
+    complex128 otherwise (haar, imported atoms); consumers are dtype-generic.
     """
 
     omegas: np.ndarray
@@ -281,6 +285,8 @@ class Fibers:
         omegas = np.array(omegas, dtype=float)
         C = atom.ell_matrix(omegas)
         np.conj(C, out=C)
+        if not C.imag.any():
+            C = C.real.copy()
         omegas.flags.writeable = False
         C.flags.writeable = False
         return cls(omegas, C, atom.g1.measure_weights)

@@ -154,7 +154,8 @@ def apply_axis2_fourier(field: PhasePlaneField, direction: str,
 
 def embed(atom: Atom, f: SampledFunction) -> PhasePlaneField:
     """Isometric embedding f(omega) -> f(omega) * ell(z, omega)."""
-    vals = np.conj(atom.fibers(f.grid.samples).conj_ell)
+    C = atom.fibers(f.grid.samples).conj_ell
+    vals = np.conj(C, out=np.empty(C.shape, dtype=complex))
     vals *= f.values
     return PhasePlaneField(atom.case, atom.g1, f.grid, vals, "omega")
 

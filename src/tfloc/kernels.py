@@ -344,7 +344,7 @@ def boundedness_verdict(reports: list[SpectrumReport]) -> str:
 def _fiber_overlap(atom: Atom, w: np.ndarray, xi_grid: LineGrid) -> np.ndarray:
     """First-coordinate quadrature of w * conj(ell(., xi_i)) * ell(., xi_j)."""
     C = atom.fibers(xi_grid.samples).conj_ell
-    return (C * w[:, None]).T @ np.conj(C)
+    return (C * w[:, None]).T @ C.conj()
 
 
 def overlap_kernel(atom: Atom, xi_grid: LineGrid) -> OperatorMatrix:

@@ -113,9 +113,14 @@ def _lowrank_factors(a_field: np.ndarray):
     true residual: the loop stops at the first rank r with
     ||R||_F <= ``LOWRANK_TAIL`` * ||a||_F.  The work is O(r K n).  Returns
     Q (K x r), V (r x n) and the relative tail ||R||_F / ||a||_F dropped.
+
+    R starts as a * 2^-e, e the ``frexp`` exponent of max |a|, and V is scaled
+    back by 2^e: both exact, so no squared entry underflows or overflows.
     """
     R = np.array(a_field)
     K, n = R.shape
+    e = math.frexp(float(np.max(np.abs(R), initial=0.0)))[1]
+    _ldexp(R, -e)
     col_sq = _column_sq_norms(R)
     a_sq = float(col_sq.sum())
     qs, vs = [], []
@@ -132,7 +137,14 @@ def _lowrank_factors(a_field: np.ndarray):
     # reshape keeps the shapes (K, 0) and (0, n) for a zero field
     Q = np.array(qs, dtype=R.dtype).T.reshape(K, len(qs))
     V = np.array(vs, dtype=R.dtype).reshape(len(vs), n)
+    _ldexp(V, e)
     return Q, V, tail
+
+
+def _ldexp(A: np.ndarray, e: int):
+    """A *= 2^e in place, real and imaginary parts alike."""
+    parts = A.view(A.real.dtype)
+    np.ldexp(parts, e, out=parts)
 
 
 def build_direct(atom: Atom, spec: SymbolSpec,
@@ -155,7 +167,8 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     each one Gram GEMM plus one batched ``_fourier_rows`` transform of the
     backward-transformed basis, instead of n column passes.  L is read from
     the atom's fiber record C = conj(L) (``Atom.fibers``), which is not
-    copied: G_r = conj((conj(C) diag(conj(w q_r)))^T C), bit for bit.  The factors
+    copied: G_r = conj((conj(C) diag(conj(w q_r)))^T C), a real GEMM when C and
+    q_r are real.  The factors
     come from greedy column-pivoted deflation (``_lowrank_factors``), which
     stops at the first r whose residual Frobenius norm is at most
     ``LOWRANK_TAIL`` (1e-13) relative to ||a||_F.  The rank and the relative
@@ -176,15 +189,17 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     T_back = _fourier_rows(np.eye(n, dtype=complex), xi_grid, back_sign, s_grid)
     M = np.zeros((n, n), dtype=complex)
     # in-place products, and each rank's arrays dropped before the next: the
-    # peak stays at six arrays of n x n or K x n entries, whatever the rank
+    # peak stays at six arrays of n x n or K x n entries (4.5 with a real
+    # record), whatever the rank
     for q, v in zip(Q.T, V):
         D = _fourier_rows(T_back * v, s_grid, fwd_sign, xi_grid)
-        CW = np.conj(C)
+        CW = np.conj(C, out=np.empty(C.shape, np.result_type(C, q)))
         CW *= np.conj(w * q)[:, None]
         G = CW.T @ C
         np.conj(G, out=G)
-        G *= D.T
-        M += G
+        # G * D.T with G the first factor, written into D
+        np.multiply(G, D.T, out=D.T)
+        M += D.T
         del D, CW, G
     return OperatorMatrix(xi_grid, M, "direct", atom.name, spec.descriptor,
                           symbol_is_real=spec.is_real,
@@ -268,8 +283,15 @@ def build_pseudodiff(atom: Atom, alpha: Symbol1D, beta: Symbol1D,
 # -- spectra and comparisons -------------------------------------------------------
 
 def _hermitian_eigvals(M: OperatorMatrix) -> np.ndarray:
-    """Eigenvalues of the symmetrized matrix (M + M^H) / 2."""
-    return np.linalg.eigvalsh(0.5 * (M.values + M.values.conj().T))
+    """Eigenvalues of the symmetrized matrix H = (M + M^H) / 2, ascending:
+    the sorted real diagonal when H has no nonzero off-diagonal entry (what
+    ``eigvalsh`` returns for it), ``eigvalsh`` otherwise."""
+    H = 0.5 * (M.values + M.values.conj().T)
+    n = H.shape[0]
+    # row r of this view holds the n entries after H[r, r], all off-diagonal
+    if not H.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
+        return np.sort(H.diagonal().real)
+    return np.linalg.eigvalsh(H)
 
 
 def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
@@ -288,9 +310,11 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
 def spectrum(M: OperatorMatrix, reference=None) -> SpectrumReport:
     """Dense eigenvalue multiset; symmetric solver for Hermitian matrices.
 
-    The norm estimate is the largest singular value: max |eigenvalue| of the
-    symmetrized matrix when Hermitian, a dense SVD otherwise.  The size is
-    not capped here; the CLI rejects sizes above its dense cap.
+    A Hermitian matrix whose symmetrized form is diagonal has its spectrum
+    read off the diagonal, with no solver.  The norm estimate is the largest
+    singular value: max |eigenvalue| of the symmetrized matrix when
+    Hermitian, a dense SVD otherwise.  The size is not capped here; the CLI
+    rejects sizes above its dense cap.
     """
     try:
         if M.is_hermitian:

@@ -13,6 +13,7 @@ from tfloc.fields import (PhasePlaneField, analyze, apply_axis2_fourier,
                           project, random_bandlimited)
 from tfloc.fourier import _fourier_rows, fourier
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
+from tfloc.io import export_atom, import_atom
 
 SIGNAL_GRID = LineGrid.centered(8.0, 1024)
 
@@ -333,6 +334,26 @@ def test_fibers_record_is_the_conjugate_fiber_matrix(shannon, gaussian):
         assert np.array_equal(fib.norms, atom.fiber_norms(grid.samples))
         assert not fib.conj_ell.flags.writeable
         assert not fib.omegas.flags.writeable
+
+
+def test_fibers_record_dtype_follows_the_values(shannon, haar, gaussian, rect,
+                                               tmp_path):
+    # real fibers give a float64 record; haar and an imported atom, whose
+    # conjugated fibers have a nonzero imaginary part, keep complex128
+    export_atom(str(tmp_path / "shannon.csv"), shannon)
+    imported = import_atom(str(tmp_path / "shannon.csv"))
+    for atom, dtype in ((gaussian, np.float64), (rect, np.float64),
+                        (shannon, np.float64), (haar, np.complex128),
+                        (imported, np.complex128)):
+        grid = LineGrid.centered(8.0, 64) if atom.case == "gabor" else \
+            LineGrid(2.0 ** -4, 1 / 16, 64)
+        fib = Fibers.of(atom, grid.samples)
+        assert fib.conj_ell.dtype == dtype, atom
+        K, N = fib.conj_ell.shape
+        assert fib.conj_ell.nbytes == K * N * np.dtype(dtype).itemsize
+        assert np.array_equal(fib.conj_ell,
+                              np.conj(atom.ell_matrix(grid.samples)))
+        assert not fib.conj_ell.flags.writeable
 
 
 def test_atom_keeps_its_last_fiber_record():
