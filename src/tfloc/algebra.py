@@ -39,7 +39,6 @@ __all__ = [
     "evaluate_on_cloud",
     "commutator_diagnostics",
     "pool_commutator_diagnostics",
-    "invariant_subspace_check",
 ]
 
 
@@ -215,30 +214,3 @@ def commutator_diagnostics(atom: Atom, alpha1: Symbol1D, alpha2: Symbol1D,
     """``pool_commutator_diagnostics`` of the one pair (alpha1, alpha2)."""
     return pool_commutator_diagnostics(atom, [alpha1, alpha2], xi_grid,
                                        rule)[0, 1]
-
-
-def invariant_subspace_check(atom: Atom, alpha: Symbol1D, intervals,
-                             xi_grid: LineGrid | None = None) -> dict:
-    """Invariance of frequency-window subspaces under first-variable operators.
-
-    On the diagonalized side every such operator commutes with multiplication
-    by the indicator of any measurable frequency set; discretely:
-    || [P_S, M_alpha] || <= tolerance with P_S = diag(chi_S(xi_i)).
-    """
-    xi_grid = default_operator_grid(atom.case) if xi_grid is None else xi_grid
-    M = build_direct(atom, SymbolSpec.first_variable(alpha), xi_grid)
-    xs = xi_grid.samples
-    mask = np.zeros(xi_grid.count)
-    for a, b in intervals:
-        mask += (xs >= a) & (xs < b)
-    if float(mask.max(initial=0.0)) > 1.0:
-        raise ValueError("subspace intervals overlap")
-    P = np.diag(mask.astype(complex))
-    comm = P @ M.values - M.values @ P
-    nm, cn = operator_norm(M), operator_norm(comm)
-    return {
-        "commutator_norm": cn,
-        "commutator_norm_rel": cn / nm if nm else 0.0,
-        "projector_rank": int(mask.sum()),
-        "xi_grid": xi_grid,
-    }

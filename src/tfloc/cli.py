@@ -351,21 +351,20 @@ def cmd_filter(args) -> int:
     atom = _atom(args)
     f = tio.read_signal_csv(args.input)
     spec = SymbolSpec.first_variable(symbol)
-    h = omega_side(atom.case, f)
     meta = {"case": args.case, "atom": atom.name,
             "symbol": symbol.descriptor, "input": args.input,
-            "fiber_coverage": atom.fibers(h.grid.samples).coverage(h)}
+            "method": args.method, "compared": args.compare}
     if args.compare:
-        fast, slow, dev = filter_signal(atom, spec, f, method="compare")
+        fast, slow, dev, coverage = filter_signal(atom, spec, f,
+                                                  method="compare")
         out = fast if args.method == "fast" else slow
         tio.write_signal_csv(args.out, out, metadata={
-            **meta, "method": args.method, "compared": True,
-            "relative_deviation": dev})
+            **meta, "fiber_coverage": coverage, "relative_deviation": dev})
         tio.write_signal_csv(f"{args.out}.slow.csv", slow)
     else:
-        out = filter_signal(atom, spec, f, method=args.method)
+        out, coverage = filter_signal(atom, spec, f, method=args.method)
         tio.write_signal_csv(args.out, out, metadata={
-            **meta, "method": args.method, "compared": False})
+            **meta, "fiber_coverage": coverage})
     return 0
 
 

@@ -11,7 +11,6 @@ signal        header ``x,re,im``
 field         header ``z,omega,re,im``
 gamma         header ``xi,re,im``
 kernel        header ``xi,omega,re,im``
-matrix        header ``i,j,re,im``
 cloud         header ``xi,z1,...,zm``
 atom          time samples as a signal CSV plus a metadata sidecar
 Every CSV gets a JSON sidecar at ``<path>.meta.json`` recording provenance.
@@ -42,7 +41,6 @@ __all__ = [
     "export_field",
     "export_gamma",
     "export_kernel",
-    "export_matrix",
     "export_cloud",
 ]
 
@@ -223,18 +221,6 @@ def export_kernel(path: str, km, metadata: dict | None = None):
     write_table(path, ["xi", "omega", "re", "im"],
                 [np.repeat(xs, n), np.tile(xs, n),
                  km.values.real.ravel(), km.values.imag.ravel()], md)
-
-
-def export_matrix(path: str, M, metadata: dict | None = None):
-    md = {"atom": M.atom_name, "builder": M.builder,
-          "symbol": M.symbol_descriptor, "hermitian": M.is_hermitian,
-          "grid": _grid_meta(M.grid)}
-    md.update(metadata or {})
-    n = M.grid.count
-    idx = np.arange(n)
-    write_table(path, ["i", "j", "re", "im"],
-                [np.repeat(idx, n), np.tile(idx, n),
-                 M.values.real.ravel(), M.values.imag.ravel()], md)
 
 
 def export_cloud(path: str, cloud, metadata: dict | None = None):

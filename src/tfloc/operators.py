@@ -10,13 +10,15 @@ same operator along different routes:
   This is the reference route.  It uses no structure the symbol may have
   beyond its numerical rank: on the builders' grids the transform sandwich
   F_fwd diag(a_k) F_back of one first-coordinate row a_k of the sampled
-  symbol depends only on i - j and is linear in a_k, so a rank-r
+  symbol is linear in a_k and depends only on the lag i - j, periodically
+  with period n (the discrete transform wraps lags around), so a rank-r
   factorization a = sum_r q_r v_r^T of the K x n symbol field assembles the
-  matrix as r Gram GEMMs (one per q_r) times r batched transforms (one per
-  v_r).  The factors come from greedy column-pivoted deflation of the
-  field, which stops at the first rank whose residual has a Frobenius norm
-  of at most ``LOWRANK_TAIL`` = 1e-13 relative to the field's norm; the
-  rank and the tail are recorded on the result.  It
+  matrix as r Gram GEMMs (one per q_r), each times an n x n gather of the
+  lag generator of v_r; one transform gives the generators of all ranks.
+  The factors come from greedy column-pivoted deflation of the field,
+  which stops at the first rank whose residual has a Frobenius norm of at
+  most ``LOWRANK_TAIL`` = 1e-13 relative to the field's norm; the rank and
+  the tail are recorded on the result.  It
   shares only the atom's fiber record (``Atom.fibers``) with the routes
   below: neither the overlap kernels nor gamma nor the difference-lattice
   factor.
@@ -51,6 +53,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .atoms import Atom
 from .fields import analyze, axis2_sign, bargmann, omega_side
@@ -157,24 +160,29 @@ def build_direct(atom: Atom, spec: SymbolSpec,
         M[i, j] = sum_k w_k conj(L[k, i]) L[k, j] (F_fwd diag(a_k) F_back)[i, j]
 
     with L the fiber matrix, w the first-coordinate weights and a_k the k-th
-    row of the sampled symbol field.  On the builders' grids the sandwich
-    F_fwd diag(a_k) F_back depends only on i - j, and it is linear in a_k.
-    So a rank-r factorization a = sum_r q_r v_r^T of the K x n field splits
-    M into r elementwise products,
+    row of the sampled symbol field.  The sandwich is linear in a_k, so a
+    rank-r factorization a = sum_r q_r v_r^T of the K x n field splits M
+    into r elementwise products,
 
-        M = sum_r G_r * (F_fwd diag(v_r) F_back),   G_r = L^H diag(w q_r) L,
+        M = sum_r G_r * S_r,   G_r = L^H diag(w q_r) L,
+        S_r = F_fwd diag(v_r) F_back.
 
-    each one Gram GEMM plus one batched ``_fourier_rows`` transform of the
-    backward-transformed basis, instead of n column passes.  L is read from
-    the atom's fiber record C = conj(L) (``Atom.fibers``), which is not
-    copied: G_r = conj((conj(C) diag(conj(w q_r)))^T C), a real GEMM when C and
-    q_r are real.  The factors
-    come from greedy column-pivoted deflation (``_lowrank_factors``), which
-    stops at the first r whose residual Frobenius norm is at most
-    ``LOWRANK_TAIL`` (1e-13) relative to ||a||_F.  The rank and the relative
-    tail are recorded on the result as ``lowrank_rank`` and
-    ``lowrank_tail``.  First-variable, second-variable and separable symbols
-    have rank 1.
+    The two transforms have opposite signs, so S_r depends only on the lag
+    i - j, and since s_grid is centred it is periodic in the lag with
+    period n: S_r[i, j] = c_r[(i - j + n//2) mod n], where the generator
+    c_r = step * F_fwd(v_r) sits on the centred lag grid
+    ``induced_grid(s_grid)`` (step: the xi_grid step).  One
+    ``_fourier_rows`` call gives the generators of all ranks, and S_r is a
+    strided view of c_r, so each rank costs one Gram GEMM and one n x n
+    gather.  L is read from the atom's fiber record C = conj(L)
+    (``Atom.fibers``), which is not copied: G_r = conj((conj(C)
+    diag(conj(w q_r)))^T C), a real GEMM when C and q_r are real.  The
+    factors come from greedy column-pivoted deflation
+    (``_lowrank_factors``), which stops at the first r whose residual
+    Frobenius norm is at most ``LOWRANK_TAIL`` (1e-13) relative to
+    ||a||_F.  The rank and the relative tail are recorded on the result as
+    ``lowrank_rank`` and ``lowrank_tail``.  First-variable,
+    second-variable and separable symbols have rank 1.
     """
     xi_grid = default_operator_grid(atom.case) if xi_grid is None else xi_grid
     n = xi_grid.count
@@ -183,24 +191,25 @@ def build_direct(atom: Atom, spec: SymbolSpec,
         spec.evaluate_field(atom.g1.nodes, s_grid.samples))
     C = atom.fibers(xi_grid.samples).conj_ell
     w = atom.g1.measure_weights
-    back_sign = axis2_sign(atom.case, "backward")
-    fwd_sign = axis2_sign(atom.case, "forward")
-    # row j: backward transform of the j-th basis vector, sampled on s_grid
-    T_back = _fourier_rows(np.eye(n, dtype=complex), xi_grid, back_sign, s_grid)
+    # row r: the generator c_r, lag (m - n//2) * xi_grid.step at entry m
+    lags = _fourier_rows(V, s_grid, axis2_sign(atom.case, "forward"),
+                         induced_grid(s_grid))
+    lags *= xi_grid.step
+    k0 = n // 2 + 1
     M = np.zeros((n, n), dtype=complex)
-    # in-place products, and each rank's arrays dropped before the next: the
-    # peak stays at six arrays of n x n or K x n entries (4.5 with a real
-    # record), whatever the rank
-    for q, v in zip(Q.T, V):
-        D = _fourier_rows(T_back * v, s_grid, fwd_sign, xi_grid)
+    # each rank's arrays dropped before the next: the peak is M, the fiber
+    # record, one weighted K x n copy, the Gram product and one product,
+    # whatever the rank
+    for q, c in zip(Q.T, lags):
         CW = np.conj(C, out=np.empty(C.shape, np.result_type(C, q)))
         CW *= np.conj(w * q)[:, None]
         G = CW.T @ C
         np.conj(G, out=G)
-        # G * D.T with G the first factor, written into D
-        np.multiply(G, D.T, out=D.T)
-        M += D.T
-        del D, CW, G
+        # ext[t] = c[(t + k0) mod n], so ext[i - j + n - 1] = S_r[i, j]:
+        # window i of ext, read backwards, is row i of S_r
+        ext = np.concatenate((c[k0:], c, c[:k0 - 1]))
+        M += G * sliding_window_view(ext, n)[:, ::-1]
+        del CW, G
     return OperatorMatrix(xi_grid, M, "direct", atom.name, spec.descriptor,
                           symbol_is_real=spec.is_real,
                           lowrank_rank=len(V), lowrank_tail=tail)
@@ -421,7 +430,8 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
     coverage (``Fibers.coverage`` of h) is below ``MIN_FIBER_COVERAGE`` lies
     outside the atom's first-coordinate range and raises ``ValueError``.
 
-    method="compare" returns (fast, slow, relative_deviation).
+    Returns (output, coverage); method="compare" returns
+    (fast, slow, relative_deviation, coverage).
     """
     if method not in ("fast", "slow", "compare"):
         raise ValueError(f"unknown method {method!r}")
@@ -450,11 +460,11 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
         return omega_side(atom.case, g, back_to=f.grid)
 
     if method == "slow":
-        return slow_path()
+        return slow_path(), coverage
     if method == "fast":
-        return fast_path()
+        return fast_path(), coverage
     fast, slow = fast_path(), slow_path()
     ref = slow.norm()
     dev = math.sqrt(np.sum(np.abs(fast.values - slow.values) ** 2)
                     * f.grid.step) / (ref if ref else 1.0)
-    return fast, slow, dev
+    return fast, slow, dev, coverage

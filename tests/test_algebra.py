@@ -7,8 +7,7 @@ from scipy.special import erf
 from tfloc import algebra
 from tfloc.algebra import (Partition, commutator_diagnostics,
                            default_partition_domain, evaluate_on_cloud,
-                           invariant_subspace_check, partition_gammas,
-                           pool_commutator_diagnostics)
+                           partition_gammas, pool_commutator_diagnostics)
 from tfloc.operators import (build_direct, default_operator_grid,
                              operator_norm)
 from tfloc.symbols import Symbol1D, SymbolSpec
@@ -204,23 +203,3 @@ def test_semi_commutator_generic_nonzero(gaussian):
                                Symbol1D.indicator(0.5, math.inf), GABOR_GRID)
     assert d["semi_commutator_sup"] > 0.01
 
-
-# -- invariant subspaces -----------------------------------------------------------------
-
-def test_invariant_subspace_whole_axis(gaussian):
-    r = invariant_subspace_check(gaussian, Symbol1D.indicator(-1.0, 1.0),
-                                 [(-math.inf, math.inf)], GABOR_GRID)
-    assert r["commutator_norm"] == 0.0
-
-
-def test_invariant_subspace_empty(gaussian):
-    r = invariant_subspace_check(gaussian, Symbol1D.indicator(-1.0, 1.0),
-                                 [], GABOR_GRID)
-    assert r["commutator_norm"] == 0.0
-
-
-def test_invariant_subspace_halfline(gaussian):
-    r = invariant_subspace_check(gaussian, Symbol1D.indicator(-1.0, 1.0),
-                                 [(0.0, math.inf)], GABOR_GRID)
-    assert r["commutator_norm"] <= 5e-3
-    assert 0 < r["projector_rank"] < GABOR_GRID.count

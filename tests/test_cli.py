@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
 from tfloc import cli
+from tfloc.atoms import Fibers
 from tfloc.cli import main
 from tfloc.fields import random_bandlimited
 from tfloc.grids import LineGrid, SampledFunction
@@ -310,6 +312,35 @@ def test_cmd_filter_writes_fiber_coverage(tmp_path, signal_csv):
                    "--input", signal_csv, "--out", out) == 0
         meta = json.loads(open(sidecar_path(out)).read())
         assert 0.999 <= meta["fiber_coverage"] <= 1.0 + 1e-9
+
+
+def test_cmd_filter_transforms_and_covers_the_signal_once(tmp_path,
+                                                         monkeypatch):
+    # the fast path transforms the signal to its omega side and back, and
+    # the sidecar's coverage is the one that filter_signal checks
+    calls = {"fourier": 0, "coverage": 0}
+    fourier, coverage = sys.modules["tfloc.fourier"].fourier, Fibers.coverage
+
+    def counted_fourier(*args, **kwargs):
+        calls["fourier"] += 1
+        return fourier(*args, **kwargs)
+
+    def counted_coverage(self, h):
+        calls["coverage"] += 1
+        return coverage(self, h)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tfloc") and getattr(module, "fourier", None) is fourier:
+            monkeypatch.setattr(module, "fourier", counted_fourier)
+    monkeypatch.setattr(Fibers, "coverage", counted_coverage)
+    path = str(tmp_path / "sig.csv")
+    write_signal_csv(path, random_bandlimited(LineGrid.centered(8.0, 512), 5))
+    out = str(tmp_path / "out.csv")
+    calls.update(fourier=0, coverage=0)
+    assert run("filter", "--case", "wavelet", "--symbol", "indicator:1,2",
+               "--input", path, "--out", out) == 0
+    assert calls == {"fourier": 2, "coverage": 1}
+    assert json.loads(open(sidecar_path(out)).read())["fiber_coverage"] > 0.99
 
 
 def test_cmd_filter_signal_off_translation_grid_exits_2(tmp_path, capsys):

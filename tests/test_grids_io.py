@@ -10,12 +10,10 @@ from tfloc.algebra import PartitionCloud
 from tfloc.fields import PhasePlaneField, analyze, random_bandlimited
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, subgrid_indices
 from tfloc.io import (export_cloud, export_field, export_gamma, export_kernel,
-                      export_matrix, read_signal_csv, sidecar_path,
-                      write_signal_csv, write_table)
+                      read_signal_csv, sidecar_path, write_signal_csv,
+                      write_table)
 from tfloc.kernels import GammaFunction
-from tfloc.operators import (OperatorMatrix, build_direct,
-                             default_operator_grid)
-from tfloc.symbols import Symbol1D, SymbolSpec
+from tfloc.operators import OperatorMatrix
 
 
 def test_line_grid_validation():
@@ -72,21 +70,6 @@ def test_export_field_roundtrips_columns(tmp_path, gaussian):
     assert meta["shape"] == [512, 64] and meta["what"] == "spectrogram"
 
 
-def test_export_matrix_roundtrips_entries(tmp_path, gaussian):
-    grid = default_operator_grid("gabor", 32)
-    M = build_direct(gaussian,
-                     SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 1.0)),
-                     grid)
-    path = str(tmp_path / "op.csv")
-    export_matrix(path, M)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape == (1024, 4)
-    got = rows[:, 2].reshape(32, 32) + 1j * rows[:, 3].reshape(32, 32)
-    assert np.max(np.abs(got - M.values)) == 0.0
-    meta = json.loads(open(sidecar_path(path)).read())
-    assert meta["builder"] == "direct" and meta["hermitian"] is True
-
-
 def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
     lines += [",".join(f"{x:.17g}" for x in row) for row in rows]
@@ -125,11 +108,6 @@ def _exporter_case(kind):
                 for i, j in pairs]
         return (lambda p: export_kernel(p, km),
                 _csv_text(["xi", "omega", "re", "im"], rows))
-    if kind == "matrix":
-        M = OperatorMatrix(grid, mat, "direct", "gaussian", "x")
-        rows = [(i, j, mat[i, j].real, mat[i, j].imag) for i, j in pairs]
-        return (lambda p: export_matrix(p, M),
-                _csv_text(["i", "j", "re", "im"], rows))
     points = np.abs(rng.standard_normal((4, 3)))
     points /= points.sum(axis=1, keepdims=True)
     cloud = PartitionCloud(grid, points, "partition", "gaussian")
@@ -139,7 +117,7 @@ def _exporter_case(kind):
 
 
 @pytest.mark.parametrize("kind", ["signal", "field", "gamma", "kernel",
-                                  "matrix", "cloud"])
+                                  "cloud"])
 def test_exporter_bytes_pinned(tmp_path, kind):
     write, expected = _exporter_case(kind)
     path = tmp_path / f"{kind}.csv"
