@@ -17,7 +17,7 @@ for name in ("shannon", "haar"):
     residual = atom.admissibility_residual()
     lo, hi = atom.healthy_range
     omegas = np.concatenate([-np.linspace(lo, hi, 25), np.linspace(lo, hi, 25)])
-    fiber_dev = np.max(np.abs(atom.fiber_norms(omegas) - 1.0))
+    fiber_dev = np.max(np.abs(atom.fibers(omegas).norms - 1.0))
     print(f"wavelet {name:8s}  normalization {atom.normalization:.12f}")
     print(f"  admissibility residual (xi = +/-1): {residual:.2e}")
     print(f"  fiber-norm deviation on |omega| in [{lo:g}, {hi:g}]: "
@@ -26,7 +26,7 @@ for name in ("shannon", "haar"):
 for name in ("gaussian", "rect"):
     atom = make_window(name)
     omegas = np.linspace(-8.0, 8.0, 65, endpoint=False)
-    fiber_dev = np.max(np.abs(atom.fiber_norms(omegas) - 1.0))
+    fiber_dev = np.max(np.abs(atom.fibers(omegas).norms - 1.0))
     print(f"window  {name:8s}  L2 norm {atom.time_samples.norm():.12f}")
     print(f"  fiber-norm deviation on [-8, 8): {fiber_dev:.2e}")
 

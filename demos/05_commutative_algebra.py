@@ -35,8 +35,8 @@ rng = np.random.default_rng(7)
 for trial in range(3):
     coeffs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     _, sup = evaluate_on_cloud(coeffs, cloud)
-    M = build_direct(gw, SymbolSpec.piecewise_constant(part.pieces, coeffs),
-                     grid)
+    M = build_direct(gw, SymbolSpec.first_variable(
+        Symbol1D.piecewise(part.pieces, coeffs)), grid)
     print(f"  coefficients {np.round(coeffs, 3)}: sup over cloud "
           f"{sup:.6f}, operator norm {operator_norm(M):.6f}")
 

@@ -10,8 +10,7 @@ the commutative algebra their first-variable symbols generate.
 from .algebra import (Partition, PartitionCloud, commutator_diagnostics,
                       evaluate_on_cloud, partition_gammas,
                       pool_commutator_diagnostics)
-from .atoms import (AdmissibilityError, Atom, Fibers, default_scale_grid,
-                    default_translation_grid, make_atom, make_wavelet,
+from .atoms import (AdmissibilityError, Atom, Fibers, make_atom, make_wavelet,
                     make_window)
 from .fields import (PhasePlaneField, analyze, apply_axis2_fourier, bargmann,
                      bargmann_adjoint, embed, project, random_bandlimited)

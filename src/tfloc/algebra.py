@@ -30,7 +30,7 @@ from .atoms import Atom
 from .grids import LineGrid, ScaleGrid
 from .kernels import gamma
 from .operators import build_direct, default_operator_grid, operator_norm
-from .symbols import Symbol1D, SymbolSpec
+from .symbols import Symbol1D, SymbolSpec, format_number
 
 __all__ = [
     "Partition",
@@ -94,7 +94,8 @@ class Partition:
         return [Symbol1D.piecewise([ivs], [1.0]) for ivs in self.pieces]
 
     def descriptor(self) -> str:
-        parts = ["+".join(f"[{a:g},{b:g})" for a, b in ivs) for ivs in self.pieces]
+        parts = ["+".join(f"[{format_number(a)},{format_number(b)})"
+                          for a, b in ivs) for ivs in self.pieces]
         return f"partition[{self.case}]:" + ";".join(parts)
 
     def __repr__(self):

@@ -36,8 +36,6 @@ __all__ = [
     "Fibers",
     "make_wavelet",
     "make_window",
-    "default_scale_grid",
-    "default_translation_grid",
     "WAVELET_NAMES",
     "WINDOW_NAMES",
 ]
@@ -64,16 +62,6 @@ class AdmissibilityError(ValueError):
         self.residual = residual
 
 
-def default_scale_grid() -> ScaleGrid:
-    return ScaleGrid(*DEFAULT_SCALE_RANGE, DEFAULT_SCALE_COUNT)
-
-
-def default_translation_grid() -> LineGrid:
-    lo, hi = DEFAULT_TRANSLATION_RANGE
-    step = (hi - lo) / DEFAULT_TRANSLATION_COUNT
-    return LineGrid(lo, step, DEFAULT_TRANSLATION_COUNT)
-
-
 class Atom:
     """An analyzing atom with exact profiles and a default quadrature grid.
 
@@ -90,6 +78,8 @@ class Atom:
         zero outside their grid)
     freq_support : for wavelets, (lo, hi) of |xi| outside which the frequency
         profile is negligible; integration bounds for admissibility.
+    freq_breakpoints : |xi| at which adaptive quadrature over the frequency
+        profile splits (catalog haar: its profile zeros); empty by default.
     time_support : for windows, (lo, hi) support of the window itself.
     healthy_range : documented range of the second coordinate on which the
         default g1 quadrature keeps fiber norms within fiber_tol.
@@ -97,7 +87,7 @@ class Atom:
 
     def __init__(self, case, name, time_samples, freq_samples, normalization,
                  g1, time_profile=None, freq_profile=None,
-                 freq_support=None, time_support=None,
+                 freq_support=None, freq_breakpoints=(), time_support=None,
                  healthy_range=None, fiber_tol=1e-6):
         if case not in ("wavelet", "gabor"):
             raise ValueError(f"unknown case {case!r}")
@@ -112,6 +102,7 @@ class Atom:
         self.time_profile = time_profile
         self.freq_profile = freq_profile
         self.freq_support = freq_support
+        self.freq_breakpoints = np.asarray(freq_breakpoints, dtype=float)
         self.time_support = time_support
         self.healthy_range = healthy_range
         self.fiber_tol = fiber_tol
@@ -138,20 +129,10 @@ class Atom:
 
     # -- fiber profile ------------------------------------------------------
 
-    def ell(self, z, omega):
-        """Fiber profile at a single phase-plane point.
-
-        Wavelet case: sqrt(z) * conj(psi_hat(z*omega)), z > 0.
-        Gabor case:   conj(phi(omega - z)).
-        """
-        if self.case == "wavelet":
-            if z <= 0:
-                raise ValueError(f"scale must be positive, got {z}")
-            return complex(math.sqrt(z) * np.conj(self.eval_freq(z * omega)))
-        return complex(np.conj(self.eval_time(omega - z)))
-
     def ell_matrix(self, omegas):
-        """Fiber profiles on (self.g1 nodes) x omegas: shape (g1.count, len(omegas))."""
+        """Fiber profiles on (self.g1 nodes) x omegas, shape (g1.count, len(omegas)):
+        sqrt(z) conj(psi_hat(z omega)) at scales z (wavelets), conj(phi(omega - z))
+        at translations z (windows)."""
         omegas = np.asarray(omegas, dtype=float)
         z = self.g1.nodes
         if self.case == "wavelet":
@@ -172,10 +153,6 @@ class Atom:
                 or not np.array_equal(last[1].omegas, omegas)):
             last = self._last_fibers = (self.g1, Fibers.of(self, omegas))
         return last[1]
-
-    def fiber_norms(self, omegas):
-        """Quadrature of |ell(., omega)|^2 against the first-coordinate measure."""
-        return self.fibers(omegas).norms
 
     # -- admissibility ------------------------------------------------------
 
@@ -202,16 +179,6 @@ class Atom:
         s = lo * np.exp((np.arange(n) + 0.5) * dt)
         return float(np.sum(np.abs(self.eval_freq(side * s)) ** 2) * dt)
 
-    @property
-    def freq_breakpoints(self) -> np.ndarray:
-        """Frequencies |xi| at which adaptive quadrature over the frequency
-        profile should split: the zeros of the catalog haar profile (the even
-        integers inside ``freq_support``), between which |psi_hat|^2 is one
-        smooth hump.  Empty for every other atom, imported ones included."""
-        if self.name == "haar" and self.freq_profile is not None:
-            return _haar_zeros(self.freq_support[1])
-        return np.empty(0)
-
     def admissibility_residual(self) -> float:
         """Largest |energy integral - 1| at xi = -1 and +1.
 
@@ -221,28 +188,6 @@ class Atom:
         """
         return max(abs(self.admissibility_integral(xi) - 1.0)
                    for xi in (-1.0, 1.0))
-
-    def to_metadata(self) -> dict:
-        md = {
-            "case": self.case,
-            "name": self.name,
-            "normalization": self.normalization,
-            "time_grid": {"start": self.time_samples.grid.start,
-                          "step": self.time_samples.grid.step,
-                          "count": self.time_samples.grid.count},
-            "freq_grid": {"start": self.freq_samples.grid.start,
-                          "step": self.freq_samples.grid.step,
-                          "count": self.freq_samples.grid.count},
-            "healthy_range": list(self.healthy_range),
-            "fiber_tol": self.fiber_tol,
-        }
-        if isinstance(self.g1, ScaleGrid):
-            md["g1"] = {"kind": "scale", "u_min": self.g1.u_min,
-                        "u_max": self.g1.u_max, "count": self.g1.count}
-        else:
-            md["g1"] = {"kind": "line", "start": self.g1.start,
-                        "step": self.g1.step, "count": self.g1.count}
-        return md
 
     def __repr__(self):
         return f"Atom({self.case}:{self.name})"
@@ -314,11 +259,6 @@ def _integral(fn, edges) -> float:
     return float(np.sum(vals.real))
 
 
-def _haar_zeros(hi: float) -> np.ndarray:
-    """Zeros of the haar frequency profile in (0, hi): the even integers."""
-    return np.arange(2.0, hi, 2.0)
-
-
 # -- catalog ------------------------------------------------------------------
 
 def _shannon_profiles():
@@ -358,35 +298,32 @@ def _haar_profiles(c: float):
     return time, freq
 
 
-def make_wavelet(name: str, scale_grid: ScaleGrid | None = None,
-                 freq_clip: tuple[float, float] | None = None) -> Atom:
+def make_wavelet(name: str, scale_grid: ScaleGrid | None = None) -> Atom:
     """Construct a catalog wavelet, verified admissible.
 
     Parameters
     ----------
     name : "shannon" or "haar"
     scale_grid : quadrature grid for the scale axis (default 2^-8..2^8, 512)
-    freq_clip : optionally restrict the effective frequency support (in |xi|);
-        used to model narrow storage grids.  Construction is rejected when the
-        admissibility residual over the documented test set exceeds 1e-6.
     """
     if name not in WAVELET_NAMES:
         raise ValueError(f"unknown wavelet {name!r}; catalog: {WAVELET_NAMES}")
-    g1 = scale_grid if scale_grid is not None else default_scale_grid()
+    g1 = scale_grid if scale_grid is not None else ScaleGrid(
+        *DEFAULT_SCALE_RANGE, DEFAULT_SCALE_COUNT)
 
     if name == "shannon":
         time_p, freq_p, norm = _shannon_profiles()
-        support = (1.0, 2.0)
+        support, zeros = (1.0, 2.0), ()
         tgrid = LineGrid.centered(8.0, 1024)
         fgrid = LineGrid.centered(4.0, 2048)
         healthy, ftol = (2.0 ** -4, 4.0), 1e-6
     else:
         support = (2.0 ** -12, 2.0 ** 12)
-        # normalization always comes from the full effective support; a
-        # narrow freq_clip then shows up as an admissibility failure below
+        # the profile's zeros in the support: the even integers
+        zeros = np.arange(2.0, support[1], 2.0)
         _, freq1 = _haar_profiles(1.0)
         raw = _integral(lambda s: np.abs(freq1(s)) ** 2 / s,
-                        [support[0], *_haar_zeros(support[1]), support[1]])
+                        [support[0], *zeros, support[1]])
         norm = 1.0 / math.sqrt(raw)
         time_p, freq_p = _haar_profiles(norm)
         tgrid = LineGrid.centered(2.0, 1024)
@@ -394,16 +331,12 @@ def make_wavelet(name: str, scale_grid: ScaleGrid | None = None,
         # default-grid fiber norms carry the scale-truncation tail, O(1e-4)
         healthy, ftol = (2.0 ** -2, 4.0), 1e-3
 
-    if freq_clip is not None:
-        support = (max(support[0], freq_clip[0]), min(support[1], freq_clip[1]))
-        if support[0] >= support[1]:
-            raise AdmissibilityError(f"{name}: empty frequency support", 1.0)
-
     atom = Atom("wavelet", name,
                 SampledFunction(tgrid, time_p(tgrid.samples)),
                 SampledFunction(fgrid, freq_p(fgrid.samples)),
                 norm, g1, time_p, freq_p,
-                freq_support=support, healthy_range=healthy, fiber_tol=ftol)
+                freq_support=support, freq_breakpoints=zeros,
+                healthy_range=healthy, fiber_tol=ftol)
 
     imag_max = float(np.max(np.abs(atom.time_samples.values.imag)))
     if imag_max > 1e-12:
@@ -424,7 +357,9 @@ def make_window(name: str, translation_grid: LineGrid | None = None) -> Atom:
     """
     if name not in WINDOW_NAMES:
         raise ValueError(f"unknown window {name!r}; catalog: {WINDOW_NAMES}")
-    g1 = translation_grid if translation_grid is not None else default_translation_grid()
+    lo, hi = DEFAULT_TRANSLATION_RANGE
+    g1 = translation_grid if translation_grid is not None else LineGrid(
+        lo, (hi - lo) / DEFAULT_TRANSLATION_COUNT, DEFAULT_TRANSLATION_COUNT)
 
     if name == "gaussian":
         norm = 2.0 ** 0.25

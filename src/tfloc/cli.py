@@ -80,7 +80,6 @@ def _add_common(p: argparse.ArgumentParser, need_symbol: bool = False,
         p.add_argument("--xi-min", type=float, default=None)
         p.add_argument("--xi-max", type=float, default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output path")
     if dense:
         p.add_argument("--allow-large", action="store_true",
@@ -118,6 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=("cto1", "cto2", "cto3", "transforms",
                                      "algebra"))
     _add_common(p, xi_window=False, dense=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the suite's random test vectors")
 
     p = sub.add_parser("filter", help="apply a localization operator to a "
                                       "signal")
@@ -160,8 +161,7 @@ def _atom(args):
 
 
 def _config_meta(args, **extra) -> dict:
-    md = {"case": args.case, "atom": _atom_name(args),
-          "n": args.n, "seed": args.seed}
+    md = {"case": args.case, "atom": _atom_name(args), "n": args.n}
     md.update(extra)
     return md
 
@@ -237,13 +237,15 @@ def cmd_kernel(args) -> int:
     atom = _atom(args)
     _check_n(args)
     grid = _xi_grid(args)
+    # only the unweighted diagonal, the fiber norm, has a unit target
+    tolerances = {"hermitian": 1e-10}
     if args.symbol:
         km = weighted_overlap_kernel(atom, parse_symbol(args.symbol), grid)
     else:
         km = overlap_kernel(atom, grid)
+        tolerances["diag_unit_healthy"] = atom.fiber_tol
     meta = _config_meta(args, symbol=km.symbol_descriptor, kind=km.builder,
-                        tolerances={"diag_unit_healthy": 1e-6,
-                                    "hermitian": 1e-10})
+                        tolerances=tolerances)
     if args.format == "json":
         tio.write_json(args.out, {
             **meta, "xi": grid.samples.tolist(),

@@ -63,14 +63,6 @@ class LineGrid:
         step = 2.0 * half_width / count
         return cls(-(count // 2) * step, step, count)
 
-    def approx_eq(self, other: "LineGrid") -> bool:
-        """Same count, start and step to a relative 1e-9."""
-        return (
-            self.count == other.count
-            and abs(self.start - other.start) <= 1e-9 * max(1.0, abs(self.start))
-            and abs(self.step - other.step) <= 1e-9 * self.step
-        )
-
     def __repr__(self):
         return f"LineGrid(start={self.start:g}, step={self.step:g}, count={self.count})"
 

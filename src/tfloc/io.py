@@ -30,7 +30,6 @@ import numpy as np
 from .grids import LineGrid, SampledFunction, ScaleGrid
 
 __all__ = [
-    "atomic_write_text",
     "write_json",
     "sidecar_path",
     "write_table",
@@ -61,12 +60,6 @@ def _atomic_open(path: str):
         raise
 
 
-def atomic_write_text(path: str, text: str):
-    """Write text to ``path`` via a temporary file and atomic rename."""
-    with _atomic_open(path) as fh:
-        fh.write(text)
-
-
 def _json_default(o):
     if isinstance(o, (np.bool_,)):
         return bool(o)
@@ -80,8 +73,9 @@ def _json_default(o):
 
 
 def write_json(path: str, obj):
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2,
-                                       default=_json_default) + "\n")
+    text = json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
+    with _atomic_open(path) as fh:
+        fh.write(text + "\n")
 
 
 def sidecar_path(path: str) -> str:
@@ -162,7 +156,19 @@ def read_signal_csv(path: str) -> SampledFunction:
 # -- atoms -------------------------------------------------------------------
 
 def export_atom(path: str, atom):
-    write_signal_csv(path, atom.time_samples, atom.to_metadata())
+    g1 = atom.g1
+    if isinstance(g1, ScaleGrid):
+        g1md = {"kind": "scale", "u_min": g1.u_min, "u_max": g1.u_max,
+                "count": g1.count}
+    else:
+        g1md = {"kind": "line", **_grid_meta(g1)}
+    write_signal_csv(path, atom.time_samples, {
+        "case": atom.case, "name": atom.name,
+        "normalization": atom.normalization,
+        "time_grid": _grid_meta(atom.time_samples.grid),
+        "freq_grid": _grid_meta(atom.freq_samples.grid),
+        "healthy_range": list(atom.healthy_range),
+        "fiber_tol": atom.fiber_tol, "g1": g1md})
 
 
 def import_atom(path: str):

@@ -25,6 +25,17 @@ __all__ = ["Symbol1D", "SymbolSpec", "SymbolParseError", "parse_symbol"]
 _INF = float("inf")
 
 
+def format_number(x) -> str:
+    """A descriptor's number: ``:g`` when it reads back as the same float, else
+    ``repr``, so the descriptor names the symbol computed; ``re+imj`` if complex."""
+    x = complex(x)
+    if x.imag != 0.0:
+        im = format_number(x.imag)
+        return f"{format_number(x.real)}{'' if im[0] == '-' else '+'}{im}j"
+    s = f"{x.real:g}"
+    return s if float(s) == x.real else repr(x.real)
+
+
 class SymbolParseError(ValueError):
     """Malformed symbol descriptor; carries the offending position."""
 
@@ -59,8 +70,8 @@ class Symbol1D:
         def fn(x):
             return np.full_like(x, val, dtype=float if real else complex)
 
-        desc = f"const:{c.real:g}" if real else f"const:{c.real:g}{c.imag:+g}j"
-        return cls(fn, desc, is_real=real, sup_bound=abs(c))
+        return cls(fn, f"const:{format_number(val)}", is_real=real,
+                   sup_bound=abs(c))
 
     @classmethod
     def indicator(cls, a: float, b: float) -> "Symbol1D":
@@ -72,8 +83,8 @@ class Symbol1D:
             return ((x >= a) & (x <= b)).astype(float)
 
         breaks = [v for v in (a, b) if math.isfinite(v)]
-        return cls(fn, f"indicator:{a:g},{b:g}", breakpoints=breaks,
-                   support=(a, b), sup_bound=1.0)
+        return cls(fn, f"indicator:{format_number(a)},{format_number(b)}",
+                   breakpoints=breaks, support=(a, b), sup_bound=1.0)
 
     @classmethod
     def power(cls, p: float) -> "Symbol1D":
@@ -82,7 +93,7 @@ class Symbol1D:
         def fn(x):
             return np.power(x, p)
 
-        return cls(fn, f"power:{p:g}",
+        return cls(fn, f"power:{format_number(p)}",
                    sup_bound=1.0 if p == 0 else None)
 
     @classmethod
@@ -92,11 +103,11 @@ class Symbol1D:
         if log2_axis:
             def fn(x):
                 return 0.5 * (1.0 + np.tanh(np.log2(x) / scale))
-            desc = f"logstep:{scale:g}"
+            desc = f"logstep:{format_number(scale)}"
         else:
             def fn(x):
                 return 0.5 * (1.0 + np.tanh(x / scale))
-            desc = f"step:{scale:g}"
+            desc = f"step:{format_number(scale)}"
         return cls(fn, desc, sup_bound=1.0)
 
     @classmethod
@@ -104,7 +115,8 @@ class Symbol1D:
         def fn(x):
             return np.exp(-np.pi * ((x - center) / width) ** 2)
 
-        return cls(fn, f"bump:{width:g}@{center:g}", sup_bound=1.0)
+        return cls(fn, f"bump:{format_number(width)}@{format_number(center)}",
+                   sup_bound=1.0)
 
     @classmethod
     def cosine_window(cls, half_width: float = 2.0) -> "Symbol1D":
@@ -114,7 +126,7 @@ class Symbol1D:
             inside = np.abs(x) <= half_width
             return np.where(inside, np.cos(np.pi * x / (2 * half_width)) ** 2, 0.0)
 
-        return cls(fn, f"coswin:{half_width:g}",
+        return cls(fn, f"coswin:{format_number(half_width)}",
                     breakpoints=(-half_width, half_width),
                     support=(-half_width, half_width), sup_bound=1.0)
 
@@ -160,9 +172,7 @@ class Symbol1D:
 
         breaks = sorted({v for ivs in pieces for ab in ivs for v in ab
                          if math.isfinite(v)})
-        desc = "piecewise:" + ",".join(f"{c.real:g}" if c.imag == 0.0
-                                       else f"{c.real:g}{c.imag:+g}j"
-                                       for c in coefficients)
+        desc = "piecewise:" + ",".join(map(format_number, coefficients))
         return cls(fn, desc, breakpoints=breaks, is_real=real,
                    sup_bound=max(abs(c) for c in coefficients) if coefficients else 0.0)
 
@@ -231,10 +241,6 @@ class SymbolSpec:
     @classmethod
     def separable(cls, alpha: Symbol1D, beta: Symbol1D) -> "SymbolSpec":
         return cls("separable", alpha=alpha, beta=beta)
-
-    @classmethod
-    def piecewise_constant(cls, pieces, coefficients) -> "SymbolSpec":
-        return cls("first", alpha=Symbol1D.piecewise(pieces, coefficients))
 
     @classmethod
     def general(cls, fn, descriptor: str = "general") -> "SymbolSpec":

@@ -204,9 +204,8 @@ def test_acceptance_08_commutative_algebra(gaussian):
     for _ in range(5):
         coeffs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         _, sup = evaluate_on_cloud(coeffs, cloud)
-        M = build_direct(gaussian,
-                         SymbolSpec.piecewise_constant(part.pieces, coeffs),
-                         big)
+        M = build_direct(gaussian, SymbolSpec.first_variable(
+            Symbol1D.piecewise(part.pieces, coeffs)), big)
         nm = operator_norm(M)
         worst_iso = max(worst_iso, abs(sup - nm) / nm)
     assert worst_iso <= 2e-3

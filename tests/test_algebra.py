@@ -136,8 +136,8 @@ def test_tau_isometry_against_operator_norm(gaussian, shannon):
         for _ in range(5):
             coeffs = rng.standard_normal(part.m) + 1j * rng.standard_normal(part.m)
             _, sup = evaluate_on_cloud(coeffs, cloud)
-            M = build_direct(atom, SymbolSpec.piecewise_constant(part.pieces,
-                                                                 coeffs), grid)
+            M = build_direct(atom, SymbolSpec.first_variable(
+                Symbol1D.piecewise(part.pieces, coeffs)), grid)
             nm = operator_norm(M)
             assert abs(sup - nm) / nm <= 2e-3
 

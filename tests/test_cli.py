@@ -8,7 +8,7 @@ import pytest
 from scipy.special import erf
 
 from tfloc import cli
-from tfloc.atoms import Fibers
+from tfloc.atoms import Fibers, make_atom
 from tfloc.cli import main
 from tfloc.fields import random_bandlimited
 from tfloc.grids import LineGrid, SampledFunction
@@ -36,7 +36,7 @@ def test_signal_csv_roundtrip(tmp_path):
     f = SampledFunction(grid, rng.standard_normal(48) + 1j * rng.standard_normal(48))
     write_signal_csv(path, f)
     g = read_signal_csv(path)
-    assert g.grid.approx_eq(grid)
+    assert (g.grid.start, g.grid.step, g.grid.count) == (-2.0, 0.125, 48)
     assert np.max(np.abs(g.values - f.values)) == 0.0  # %.17g is lossless
 
 
@@ -186,6 +186,7 @@ def test_cmd_verify_cto1(tmp_path):
                "--out", out) == 0
     rep = json.loads(open(out).read())
     assert rep["pass"] and rep["norm_discrepancy"] <= 1e-3
+    assert rep["seed"] == 7
 
 
 def test_cmd_verify_cto2_and_cto3_small(tmp_path):
@@ -299,7 +300,8 @@ def test_cmd_filter_gabor_compare_signal_starting_at_zero(tmp_path):
     meta = json.loads(open(sidecar_path(out)).read())
     assert meta["relative_deviation"] <= 1e-9
     slow = read_signal_csv(f"{out}.slow.csv")
-    assert slow.grid.approx_eq(grid)
+    assert (slow.grid.start, slow.grid.step, slow.grid.count) == (
+        grid.start, grid.step, grid.count)
     # the symbol covers the tone: the filter keeps almost all of it
     rel = np.linalg.norm(slow.values - tone) / np.linalg.norm(tone)
     assert rel <= 1e-3
@@ -422,6 +424,30 @@ def test_cmd_kernel_diagonal(tmp_path):
     assert np.max(np.abs(diag[:, 2] - 1.0)) <= 1e-6
 
 
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("case,atom", [("gabor", "gaussian"), ("gabor", "rect"),
+                                       ("wavelet", "shannon"),
+                                       ("wavelet", "haar")])
+def test_cmd_kernel_meets_its_stated_diagonal_tolerance(tmp_path, case, atom,
+                                                         n):
+    out = str(tmp_path / "k.csv")
+    assert run("kernel", "--case", case, "--atom", atom, "--n", str(n),
+               "--out", out) == 0
+    tol = json.loads(open(sidecar_path(out)).read())["tolerances"]
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    diag = rows[::n + 1]
+    lo, hi = make_atom(case, atom).healthy_range
+    healthy = (diag[:, 0] >= lo) & (diag[:, 0] <= hi)
+    assert healthy.sum() >= n // 2
+    dev = np.max(np.abs(diag[healthy, 2] + 1j * diag[healthy, 3] - 1.0))
+    assert dev <= tol["diag_unit_healthy"]
+    # a symbol-weighted diagonal is the grid-rule gamma: no unit target
+    assert run("kernel", "--case", case, "--atom", atom, "--n", "64",
+               "--symbol", "const:0.5", "--out", out) == 0
+    tol = json.loads(open(sidecar_path(out)).read())["tolerances"]
+    assert "diag_unit_healthy" not in tol
+
+
 def test_cmd_algebra_split_cloud(tmp_path):
     out = str(tmp_path / "c.csv")
     assert run("algebra", "--case", "gabor", "--cuts", "0",
@@ -478,6 +504,21 @@ def test_cmd_verify_rejects_ignored_options(tmp_path, capsys):
             run("verify", "cto1", *extra, "--out", str(tmp_path / "r.json"))
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["gamma", "--symbol", "const:1"],
+                                  ["spectrum", "--symbol", "const:1"],
+                                  ["kernel"], ["algebra"]])
+def test_cmd_seed_only_on_verify(tmp_path, capsys, argv):
+    # only the verify suites draw random test vectors
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--n", "64", "--seed", "3", "--out", str(out))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(*argv, "--n", "64", "--out", str(out)) == 0
+    assert "seed" not in json.loads(open(sidecar_path(str(out))).read())
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

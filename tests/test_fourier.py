@@ -49,7 +49,8 @@ def test_roundtrip_centered_grid():
     f = SampledFunction(grid, rng.standard_normal(256)
                         + 1j * rng.standard_normal(256))
     back = fourier(fourier(f, "forward"), "inverse")
-    assert back.grid.approx_eq(grid)
+    assert (back.grid.start, back.grid.step, back.grid.count) == (
+        grid.start, grid.step, grid.count)
     assert np.max(np.abs(back.values - f.values)) <= 1e-12
 
 
@@ -91,4 +92,5 @@ def test_rejects_incompatible_out_grid():
 def test_induced_grid_is_involutive_on_centered_grids():
     grid = LineGrid.centered(8.0, 256)
     again = induced_grid(induced_grid(grid))
-    assert again.approx_eq(grid)
+    assert (again.start, again.step, again.count) == (
+        grid.start, grid.step, grid.count)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import erf, sici
@@ -80,8 +80,8 @@ def test_piecewise_descriptor_prints_real_coefficients_as_real():
     assert Symbol1D.piecewise([[(0, 1)]], [1.0]).descriptor == "piecewise:1"
     assert Symbol1D.piecewise([[(0, 1)], [(1, 2)]],
                               [2.5, 1j]).descriptor == "piecewise:2.5,0+1j"
-    assert SymbolSpec.piecewise_constant(
-        [[(0, 1)]], [1.0]).descriptor == "a(r)=piecewise:1"
+    assert SymbolSpec.first_variable(Symbol1D.piecewise(
+        [[(0, 1)]], [1.0])).descriptor == "a(r)=piecewise:1"
 
 
 @pytest.mark.parametrize("bad", ["nope", "indicator:1", "indicator:2,1",
@@ -100,6 +100,9 @@ _DSL_ARGS = st.one_of(st.text(), st.text(alphabet="0123456789.,+-eEinfajJ() "))
     st.builds("{}:{}".format,
               st.sampled_from(["const", "indicator", "power", "sampled", "",
                                "Const"]), _DSL_ARGS)))
+@example(text="power:1.0000001")
+@example(text="indicator:0.333333333,2")
+@example(text="const:0.1234567891")
 def test_parse_symbol_raises_only_value_error(text):
     # any text parses to a Symbol1D or raises ValueError (a SymbolParseError
     # or the CSV reader's error); parsing only, evaluation may overflow
@@ -108,6 +111,14 @@ def test_parse_symbol_raises_only_value_error(text):
     except ValueError:
         return
     assert isinstance(sym, Symbol1D)
+    # a descriptor names the symbol computed: it parses back to itself and
+    # to equal values, also at the breakpoints of either symbol
+    if not sym.descriptor.startswith("sampled:"):
+        again = parse_symbol(sym.descriptor)
+        assert again.descriptor == sym.descriptor
+        xs = np.array([0.5, 2.0, 3.0, *sym.breakpoints, *again.breakpoints])
+        with np.errstate(all="ignore"):
+            assert np.array_equal(sym(xs), again(xs), equal_nan=True)
 
 
 def test_parse_sampled_symbol(tmp_path):

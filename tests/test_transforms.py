@@ -331,7 +331,7 @@ def test_fibers_record_is_the_conjugate_fiber_matrix(shannon, gaussian):
         fib = Fibers.of(atom, grid.samples)
         assert np.array_equal(fib.conj_ell,
                               np.conj(atom.ell_matrix(grid.samples)))
-        assert np.array_equal(fib.norms, atom.fiber_norms(grid.samples))
+        assert np.array_equal(fib.norms, atom.fibers(grid.samples).norms)
         assert not fib.conj_ell.flags.writeable
         assert not fib.omegas.flags.writeable
 
