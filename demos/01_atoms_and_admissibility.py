@@ -1,9 +1,9 @@
 """Catalog atoms and their admissibility certificates.
 
 Builds the two wavelets and two windows, prints their normalizations, the
-admissibility residuals at xi = -1 and +1 (the energy integral depends on
-the sign of xi alone), and the fiber-norm quality on the default
-quadrature grids.
+admissibility residuals at xi = 1 (the energy integral depends on the sign
+of xi alone, and for a real wavelet not even on that), and the fiber-norm
+quality on the default quadrature grids.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ for name in ("shannon", "haar"):
     omegas = np.concatenate([-np.linspace(lo, hi, 25), np.linspace(lo, hi, 25)])
     fiber_dev = np.max(np.abs(atom.fibers(omegas).norms - 1.0))
     print(f"wavelet {name:8s}  normalization {atom.normalization:.12f}")
-    print(f"  admissibility residual (xi = +/-1): {residual:.2e}")
+    print(f"  admissibility residual (xi = 1): {residual:.2e}")
     print(f"  fiber-norm deviation on |omega| in [{lo:g}, {hi:g}]: "
           f"{fiber_dev:.2e} (documented tolerance {atom.fiber_tol:g})")
 

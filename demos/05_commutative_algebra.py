@@ -11,8 +11,7 @@ import numpy as np
 
 from tfloc import (Partition, Symbol1D, SymbolSpec, build_direct,
                    commutator_diagnostics, evaluate_on_cloud, make_window,
-                   operator_norm, partition_gammas)
-from tfloc.algebra import default_partition_domain
+                   operator_norm, partition_gammas, semi_commutator)
 from tfloc.io import export_cloud
 from tfloc.operators import default_operator_grid
 
@@ -21,12 +20,13 @@ print(__doc__)
 gw = make_window("gaussian")
 grid = default_operator_grid("gabor", 256)
 
-d = commutator_diagnostics(gw, Symbol1D.indicator(-np.inf, 0.0),
-                           Symbol1D.indicator(0.0, np.inf), grid)
-print(f"half-line split: commutator (rel) {d['commutator_norm_rel']:.2e}, "
-      f"semi-commutator sup {d['semi_commutator_sup']:.6f} (= 1/4 at xi = 0)")
+halves = [Symbol1D.indicator(-np.inf, 0.0), Symbol1D.indicator(0.0, np.inf)]
+comm = commutator_diagnostics(gw, halves, grid)[0, 1]
+semi = semi_commutator(gw, *halves, grid)
+print(f"half-line split: commutator (rel) {comm:.2e}, "
+      f"semi-commutator sup {np.max(np.abs(semi)):.6f} (= 1/4 at xi = 0)")
 
-part = Partition.from_cuts("gabor", [0.0], default_partition_domain(gw))
+part = Partition(gw, [0.0])
 cloud = partition_gammas(gw, part, grid)
 print(f"\ngamma-vector cloud: m = {cloud.m}, "
       f"simplex sums within {np.max(np.abs(cloud.points.sum(axis=1) - 1)):.1e} of 1")

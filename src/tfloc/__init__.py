@@ -8,8 +8,7 @@ the commutative algebra their first-variable symbols generate.
 """
 
 from .algebra import (Partition, PartitionCloud, commutator_diagnostics,
-                      evaluate_on_cloud, partition_gammas,
-                      pool_commutator_diagnostics)
+                      evaluate_on_cloud, partition_gammas, semi_commutator)
 from .atoms import (AdmissibilityError, Atom, Fibers, make_atom, make_wavelet,
                     make_window)
 from .fields import (PhasePlaneField, analyze, apply_axis2_fourier, bargmann,

@@ -1,9 +1,10 @@
 """Commutative operator algebra of first-variable symbols.
 
 First-variable localization operators all diagonalize simultaneously, so
-they generate a commutative algebra.  For piecewise-constant symbols over a
-partition of the first coordinate, the algebra is parameterized by the
-closure of the curve of indicator gamma-vectors
+they generate a commutative algebra.  For symbols that are piecewise
+constant between finitely many cut points of the first coordinate, the
+algebra is parameterized by the closure of the curve of indicator
+gamma-vectors
 
     xi -> (gamma_{Y_1}(xi), ..., gamma_{Y_m}(xi)),
 
@@ -13,11 +14,11 @@ with coefficients (a_1, ..., a_m) maps to the function sum a_k z_k on that
 set; the sup of its modulus reproduces the operator norm (the isometry
 checked by tests).
 
-Although operators in this algebra commute exactly, products of two of them
-are not operators of multiplication by the product symbol: the gap
+Operators in this algebra commute (``commutator_diagnostics`` measures it
+for every pair of a symbol pool), yet products of two of them are not
+operators of multiplication by the product symbol: the gap
 gamma_a * gamma_b - gamma_{ab} is generically nonzero (the semi-commutator
-obstruction), which ``pool_commutator_diagnostics`` measures for every pair
-of a symbol pool.
+obstruction, ``semi_commutator``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .atoms import Atom
 from .grids import LineGrid, ScaleGrid
 from .kernels import gamma
-from .operators import build_direct, default_operator_grid, operator_norm
+from .operators import build_direct, operator_norm
 from .symbols import Symbol1D, SymbolSpec, format_number
 
 __all__ = [
@@ -38,74 +39,47 @@ __all__ = [
     "partition_gammas",
     "evaluate_on_cloud",
     "commutator_diagnostics",
-    "pool_commutator_diagnostics",
+    "semi_commutator",
 ]
 
 
 class Partition:
-    """Disjoint interval-union pieces tiling the truncated first coordinate.
+    """The atom's truncated first coordinate, split at interior cut points.
 
-    ``pieces`` is a list of interval lists [(a, b), ...]; intervals are
-    half-open [a, b) so adjacent pieces share endpoints without overlap.
-    The union must tile ``domain`` exactly.
+    The domain is the range of ``atom.g1`` (the scale range for wavelets,
+    the translation range for windows).  The sorted cuts split it into
+    m = len(cuts) + 1 half-open intervals [a, b), so the pieces tile the
+    domain; ``pieces[k]`` is the interval list [(a, b)] of piece k.
     """
 
-    def __init__(self, case: str, pieces, domain: tuple[float, float]):
-        if case not in ("wavelet", "gabor"):
-            raise ValueError(f"unknown case {case!r}")
-        lo, hi = float(domain[0]), float(domain[1])
-        if case == "wavelet" and lo <= 0:
-            raise ValueError("wavelet partitions live on the positive scale axis")
-        cleaned = []
-        for k, ivs in enumerate(pieces):
-            ivs = [(float(a), float(b)) for a, b in ivs]
-            if not ivs or any(b <= a for a, b in ivs):
-                raise ValueError(f"piece {k} is degenerate")
-            cleaned.append(sorted(ivs))
-        flat = sorted((a, b, k) for k, ivs in enumerate(cleaned) for a, b in ivs)
-        cursor = lo
-        for a, b, k in flat:
-            if abs(a - cursor) > 1e-12 * max(1.0, abs(cursor)):
-                raise ValueError(
-                    f"pieces leave a gap or overlap near {cursor:g} (piece {k})")
-            cursor = b
-        if abs(cursor - hi) > 1e-12 * max(1.0, abs(hi)):
-            raise ValueError(f"pieces do not reach the domain end {hi:g}")
-        self.case = case
-        self.pieces = cleaned
+    def __init__(self, atom: Atom, cuts):
+        g1 = atom.g1
+        lo, hi = ((g1.u_min, g1.u_max) if isinstance(g1, ScaleGrid)
+                  else (g1.start, g1.stop))
+        cuts = sorted(float(c) for c in cuts)
+        if any(not lo < c < hi for c in cuts):
+            raise ValueError(f"cuts must lie strictly inside {(lo, hi)}")
+        if len(set(cuts)) < len(cuts):
+            raise ValueError(f"repeated cut in {cuts}")
+        edges = [lo, *cuts, hi]
+        self.case = atom.case
         self.domain = (lo, hi)
+        self.pieces = [[(a, b)] for a, b in zip(edges, edges[1:])]
 
     @property
     def m(self) -> int:
         return len(self.pieces)
 
-    @classmethod
-    def from_cuts(cls, case: str, cuts, domain: tuple[float, float]) -> "Partition":
-        """Partition into m = len(cuts)+1 pieces split at interior cut points."""
-        lo, hi = domain
-        cuts = sorted(float(c) for c in cuts)
-        if any(not lo < c < hi for c in cuts):
-            raise ValueError(f"cuts must lie strictly inside {domain}")
-        edges = [lo] + cuts + [hi]
-        return cls(case, [[(edges[i], edges[i + 1])] for i in range(len(edges) - 1)],
-                   domain)
-
     def indicator_symbols(self) -> list[Symbol1D]:
         return [Symbol1D.piecewise([ivs], [1.0]) for ivs in self.pieces]
 
     def descriptor(self) -> str:
-        parts = ["+".join(f"[{format_number(a)},{format_number(b)})"
-                          for a, b in ivs) for ivs in self.pieces]
+        parts = [f"[{format_number(a)},{format_number(b)})"
+                 for [(a, b)] in self.pieces]
         return f"partition[{self.case}]:" + ";".join(parts)
 
     def __repr__(self):
         return self.descriptor()
-
-
-def default_partition_domain(atom: Atom) -> tuple[float, float]:
-    if isinstance(atom.g1, ScaleGrid):
-        return (atom.g1.u_min, atom.g1.u_max)
-    return (atom.g1.start, atom.g1.stop)
 
 
 class PartitionCloud:
@@ -142,12 +116,12 @@ class PartitionCloud:
         return f"PartitionCloud(m={self.m}, n={self.xi_grid.count})"
 
 
-def partition_gammas(atom: Atom, partition: Partition, xi_grid: LineGrid,
-                     rule: str = "adaptive") -> PartitionCloud:
-    """Gamma value of each piece indicator, per sampled frequency."""
+def partition_gammas(atom: Atom, partition: Partition,
+                     xi_grid: LineGrid) -> PartitionCloud:
+    """Adaptive-rule gamma value of each piece indicator, per frequency."""
     if partition.case != atom.case:
         raise ValueError("partition and atom case tags differ")
-    cols = [gamma(atom, sym, xi_grid, rule=rule).values.real
+    cols = [gamma(atom, sym, xi_grid, rule="adaptive").values.real
             for sym in partition.indicator_symbols()]
     return PartitionCloud(xi_grid, np.stack(cols, axis=1),
                           partition.descriptor(), atom.name)
@@ -166,52 +140,37 @@ def evaluate_on_cloud(coefficients, cloud: PartitionCloud):
     return samples, float(np.max(np.abs(samples)))
 
 
-def pool_commutator_diagnostics(atom: Atom, pool, xi_grid: LineGrid | None = None,
-                                rule: str = "adaptive") -> dict:
-    """Commutator and semi-commutator diagnostics for every pair of a pool.
+def commutator_diagnostics(atom: Atom, pool, xi_grid: LineGrid) -> dict:
+    """Relative commutator norm of every pair of a first-variable pool.
 
-    Builds the direct matrix, its operator norm and the gamma values of each
-    first-variable pool symbol once, then forms every pair's diagnostics
-    from them.  Returns ``{(i, j): diagnostics}`` for i < j: the direct
-    matrices commute (relative commutator norm ~ rounding); the
-    semi-commutator symbol gamma_i*gamma_j - gamma_{ij} is generically
-    nonzero and its sup is reported.
+    Builds each pool symbol's direct matrix and operator norm once and
+    returns ``{(i, j): ||[A_i, A_j]|| / (||A_i|| ||A_j||)}`` for i < j; the
+    operators commute, so each value is at rounding level.
     """
-    xi_grid = default_operator_grid(atom.case) if xi_grid is None else xi_grid
     mats = [build_direct(atom, SymbolSpec.first_variable(alpha), xi_grid)
             for alpha in pool]
     norms = [operator_norm(M) for M in mats]
-    gammas = [gamma(atom, alpha, xi_grid, rule=rule).values for alpha in pool]
     out = {}
     for i, j in itertools.combinations(range(len(pool)), 2):
         A, B = mats[i].values, mats[j].values
         scale = norms[i] * norms[j]
-        commutator_rel = operator_norm(A @ B - B @ A) / scale if scale else 0.0
-        a1, a2 = pool[i], pool[j]
-        prod = Symbol1D(
-            lambda x, a1=a1, a2=a2: a1(x) * a2(x),
-            f"({a1.descriptor})*({a2.descriptor})",
-            breakpoints=sorted(set(a1.breakpoints) | set(a2.breakpoints)),
-            support=(max(a1.support[0], a2.support[0]),
-                     min(a1.support[1], a2.support[1])),
-            is_real=a1.is_real and a2.is_real)
-        if prod.support[0] >= prod.support[1]:
-            gij = np.zeros(xi_grid.count, dtype=complex)
-        else:
-            gij = gamma(atom, prod, xi_grid, rule=rule).values
-        semi = gammas[i] * gammas[j] - gij
-        out[i, j] = {
-            "commutator_norm_rel": commutator_rel,
-            "semi_commutator_values": semi,
-            "semi_commutator_sup": float(np.max(np.abs(semi))),
-            "xi_grid": xi_grid,
-        }
+        out[i, j] = operator_norm(A @ B - B @ A) / scale if scale else 0.0
     return out
 
 
-def commutator_diagnostics(atom: Atom, alpha1: Symbol1D, alpha2: Symbol1D,
-                           xi_grid: LineGrid | None = None,
-                           rule: str = "adaptive") -> dict:
-    """``pool_commutator_diagnostics`` of the one pair (alpha1, alpha2)."""
-    return pool_commutator_diagnostics(atom, [alpha1, alpha2], xi_grid,
-                                       rule)[0, 1]
+def semi_commutator(atom: Atom, alpha1: Symbol1D, alpha2: Symbol1D,
+                    xi_grid: LineGrid) -> np.ndarray:
+    """Values of gamma_1 * gamma_2 - gamma_{12} on ``xi_grid`` (adaptive
+    rule), with gamma_{12} the gamma of the product symbol alpha1*alpha2."""
+    prod = Symbol1D(
+        lambda x: alpha1(x) * alpha2(x),
+        f"({alpha1.descriptor})*({alpha2.descriptor})",
+        breakpoints=sorted(set(alpha1.breakpoints) | set(alpha2.breakpoints)),
+        support=(max(alpha1.support[0], alpha2.support[0]),
+                 min(alpha1.support[1], alpha2.support[1])),
+        is_real=alpha1.is_real and alpha2.is_real)
+    g1, g2 = (gamma(atom, a, xi_grid, rule="adaptive").values
+              for a in (alpha1, alpha2))
+    if prod.support[0] >= prod.support[1]:
+        return g1 * g2
+    return g1 * g2 - gamma(atom, prod, xi_grid, rule="adaptive").values

@@ -17,8 +17,8 @@ import traceback
 import numpy as np
 
 from . import io as tio
-from .algebra import (Partition, default_partition_domain, evaluate_on_cloud,
-                      partition_gammas, pool_commutator_diagnostics)
+from .algebra import (Partition, commutator_diagnostics, evaluate_on_cloud,
+                      partition_gammas)
 from .atoms import make_atom
 from .fields import (analyze, bargmann, bargmann_adjoint, omega_grid,
                      omega_side, random_bandlimited)
@@ -237,13 +237,15 @@ def cmd_kernel(args) -> int:
     atom = _atom(args)
     _check_n(args)
     grid = _xi_grid(args)
-    # only the unweighted diagonal, the fiber norm, has a unit target
-    tolerances = {"hermitian": 1e-10}
     if args.symbol:
-        km = weighted_overlap_kernel(atom, parse_symbol(args.symbol), grid)
+        symbol = parse_symbol(args.symbol)
+        km = weighted_overlap_kernel(atom, symbol, grid)
+        # a complex symbol's kernel is not Hermitian
+        tolerances = {"hermitian": 1e-10} if symbol.is_real else {}
     else:
         km = overlap_kernel(atom, grid)
-        tolerances["diag_unit_healthy"] = atom.fiber_tol
+        # only the unweighted diagonal, the fiber norm, has a unit target
+        tolerances = {"hermitian": 1e-10, "diag_unit_healthy": atom.fiber_tol}
     meta = _config_meta(args, symbol=km.symbol_descriptor, kind=km.builder,
                         tolerances=tolerances)
     if args.format == "json":
@@ -308,10 +310,8 @@ def _verify_algebra_suite(args) -> dict:
                 Symbol1D.indicator(0.5, 8.0),
                 Symbol1D.smooth_step(8.0, log2_axis=True),
                 Symbol1D.constant(0.5)]
-    worst_comm = max(d["commutator_norm_rel"] for d in
-                     pool_commutator_diagnostics(atom, pool, grid).values())
-    part = Partition.from_cuts(args.case, DEFAULT_CUTS[args.case],
-                               default_partition_domain(atom))
+    worst_comm = max(commutator_diagnostics(atom, pool, grid).values())
+    part = Partition(atom, DEFAULT_CUTS[args.case])
     cloud = partition_gammas(atom, part, grid)
     sums_dev = float(np.max(np.abs(cloud.points.sum(axis=1) - 1.0)))
     # the direct route is linear in the symbol: one build per piece
@@ -377,7 +377,7 @@ def cmd_algebra(args) -> int:
                 [float(c) for c in args.cuts.split(",") if c.strip()])
     except ValueError:
         raise ValueError(f"malformed --cuts {args.cuts!r}") from None
-    part = Partition.from_cuts(args.case, cuts, default_partition_domain(atom))
+    part = Partition(atom, cuts)
     cloud = partition_gammas(atom, part, _xi_grid(args))
     meta = _config_meta(args, partition=part.descriptor(), m=part.m,
                         simplex_sum_deviation=float(

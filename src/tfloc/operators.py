@@ -79,7 +79,7 @@ __all__ = [
 ]
 
 
-def default_operator_grid(case: str, n: int = 256) -> LineGrid:
+def default_operator_grid(case: str, n: int) -> LineGrid:
     """Documented frequency window for operator work."""
     if case == "gabor":
         return LineGrid.centered(8.0, n)
@@ -151,7 +151,7 @@ def _ldexp(A: np.ndarray, e: int):
 
 
 def build_direct(atom: Atom, spec: SymbolSpec,
-                 xi_grid: LineGrid | None = None) -> OperatorMatrix:
+                 xi_grid: LineGrid) -> OperatorMatrix:
     """Pipeline operator, assembled from a low-rank factorization of the symbol.
 
     The pipeline (embed, backward axis-2 transform, multiply by the symbol
@@ -184,7 +184,6 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     ``lowrank_rank`` and ``lowrank_tail``.  First-variable,
     second-variable and separable symbols have rank 1.
     """
-    xi_grid = default_operator_grid(atom.case) if xi_grid is None else xi_grid
     n = xi_grid.count
     s_grid = induced_grid(xi_grid)
     Q, V, tail = _lowrank_factors(
@@ -259,13 +258,12 @@ def _compound(atom: Atom, kernel: OperatorMatrix, beta: Symbol1D) -> np.ndarray:
 
 
 def build_integral(atom: Atom, beta: Symbol1D,
-                   xi_grid: LineGrid | None = None) -> OperatorMatrix:
+                   xi_grid: LineGrid) -> OperatorMatrix:
     """Integral-operator form for second-variable symbols.
 
     Entry [i, j] = overlap_kernel(xi_i, xi_j) * beta_hat(sigma*(xi_i - xi_j))
     * step, with the case-dependent sigma.
     """
-    xi_grid = default_operator_grid(atom.case) if xi_grid is None else xi_grid
     vals = _compound(atom, overlap_kernel(atom, xi_grid), beta)
     return OperatorMatrix(xi_grid, vals, "integral", atom.name,
                           f"a(s)={beta.descriptor}",
@@ -273,7 +271,7 @@ def build_integral(atom: Atom, beta: Symbol1D,
 
 
 def build_pseudodiff(atom: Atom, alpha: Symbol1D, beta: Symbol1D,
-                     xi_grid: LineGrid | None = None) -> OperatorMatrix:
+                     xi_grid: LineGrid) -> OperatorMatrix:
     """Compound-symbol form for separable symbols.
 
     The iterated integral over (y, xi) with compound symbol
@@ -281,7 +279,6 @@ def build_pseudodiff(atom: Atom, alpha: Symbol1D, beta: Symbol1D,
     row by row, to the weighted overlap kernel times the transformed
     second-variable factor on the difference lattice.
     """
-    xi_grid = default_operator_grid(atom.case) if xi_grid is None else xi_grid
     vals = _compound(atom, weighted_overlap_kernel(atom, alpha, xi_grid), beta)
     return OperatorMatrix(
         xi_grid, vals, "pseudodiff", atom.name,

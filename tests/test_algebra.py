@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from tfloc import algebra
+from tfloc import algebra, cli
 from tfloc.algebra import (Partition, commutator_diagnostics,
-                           default_partition_domain, evaluate_on_cloud,
-                           partition_gammas, pool_commutator_diagnostics)
+                           evaluate_on_cloud, partition_gammas,
+                           semi_commutator)
 from tfloc.operators import (build_direct, default_operator_grid,
                              operator_norm)
 from tfloc.symbols import Symbol1D, SymbolSpec
@@ -18,38 +18,43 @@ WAVELET_GRID = default_operator_grid("wavelet", 128)
 
 # -- partitions -----------------------------------------------------------------
 
-def test_partition_validation():
-    Partition("gabor", [[(-16.0, 0.0)], [(0.0, 16.0)]], (-16.0, 16.0))
-    with pytest.raises(ValueError, match="gap|overlap"):
-        Partition("gabor", [[(-16.0, -1.0)], [(0.0, 16.0)]], (-16.0, 16.0))
-    with pytest.raises(ValueError, match="degenerate"):
-        Partition("gabor", [[(-16.0, -16.0)], [(-16.0, 16.0)]], (-16.0, 16.0))
-    with pytest.raises(ValueError, match="end"):
-        Partition("gabor", [[(-16.0, 8.0)]], (-16.0, 16.0))
-    with pytest.raises(ValueError, match="positive"):
-        Partition("wavelet", [[(-1.0, 1.0)]], (-1.0, 1.0))
+def test_partition_validation(gaussian, shannon):
+    # the domain is the range of atom.g1: the translation range of the
+    # gaussian window, the scale range of shannon (which excludes 0)
+    lo, hi = gaussian.g1.start, gaussian.g1.stop
+    for atom, cuts in [(gaussian, [lo - 1.0]), (gaussian, [hi]),
+                       (gaussian, [lo]), (shannon, [0.0]),
+                       (shannon, [shannon.g1.u_max * 2]),
+                       (gaussian, [float("nan")])]:
+        with pytest.raises(ValueError, match="strictly inside"):
+            Partition(atom, cuts)
+    for cuts in ([0.0, 0.0], [1.0, -1.0, 1.0]):
+        with pytest.raises(ValueError, match="repeated"):
+            Partition(gaussian, cuts)
 
 
-def test_partition_from_cuts():
-    p = Partition.from_cuts("gabor", [0.0, 2.0], (-16.0, 16.0))
-    assert p.m == 3
-    assert p.pieces[1] == [(0.0, 2.0)]
-    with pytest.raises(ValueError, match="inside"):
-        Partition.from_cuts("gabor", [-20.0], (-16.0, 16.0))
+def test_partition_from_cuts(gaussian, shannon):
+    lo, hi = gaussian.g1.start, gaussian.g1.stop
+    p = Partition(gaussian, [2.0, 0.0])
+    assert p.m == 3 and p.case == "gabor" and p.domain == (lo, hi)
+    assert p.pieces == [[(lo, 0.0)], [(0.0, 2.0)], [(2.0, hi)]]
+    assert p.descriptor() == f"partition[gabor]:[{lo:g},0);[0,2);[2,{hi:g})"
+    assert Partition(gaussian, []).pieces == [[(lo, hi)]]
+    w = Partition(shannon, [1.0])
+    assert w.domain == (shannon.g1.u_min, shannon.g1.u_max)
+    assert w.descriptor() == "partition[wavelet]:[0.00390625,1);[1,256)"
 
 
 # -- gamma vectors ------------------------------------------------------------------
 
 def test_whole_domain_piece_gives_unit_coordinate(gaussian):
-    part = Partition("gabor", [[default_partition_domain(gaussian)]],
-                     default_partition_domain(gaussian))
+    part = Partition(gaussian, [])
     cloud = partition_gammas(gaussian, part, GABOR_GRID)
     assert np.max(np.abs(cloud.points - 1.0)) <= 1e-6
 
 
 def test_split_at_zero_traces_erf_segment(gaussian):
-    part = Partition.from_cuts("gabor", [0.0],
-                               default_partition_domain(gaussian))
+    part = Partition(gaussian, [0.0])
     cloud = partition_gammas(gaussian, part, GABOR_GRID)
     e = erf(math.sqrt(2 * math.pi) * GABOR_GRID.samples)
     ref = np.stack([0.5 * (1 - e), 0.5 * (1 + e)], axis=1)
@@ -61,27 +66,23 @@ def test_split_at_zero_traces_erf_segment(gaussian):
 def test_coordinate_sums_unit_any_partition(gaussian, shannon):
     for atom, grid, cuts in [(gaussian, GABOR_GRID, [-3.0, 0.5, 4.0]),
                              (shannon, WAVELET_GRID, [0.5, 1.0, 32.0])]:
-        part = Partition.from_cuts(atom.case, cuts,
-                                   default_partition_domain(atom))
+        part = Partition(atom, cuts)
         cloud = partition_gammas(atom, part, grid)
         assert np.max(np.abs(cloud.points.sum(axis=1) - 1.0)) <= 1e-6
 
 
 def test_simplex_constraint_enforced(gaussian):
-    part = Partition.from_cuts("gabor", [0.0],
-                               default_partition_domain(gaussian))
+    part = Partition(gaussian, [0.0])
     cloud = partition_gammas(gaussian, part, GABOR_GRID)
     assert float(cloud.points.min()) >= -1e-8
 
 
 def test_refinement_reproduces_coarse_coordinates(gaussian):
-    # splitting one piece: the two refined coordinates sum to the coarse one;
-    # the grid rule is exactly additive
-    dom = default_partition_domain(gaussian)
-    coarse = Partition.from_cuts("gabor", [0.0], dom)
-    fine = Partition.from_cuts("gabor", [-2.0, 0.0], dom)
-    c1 = partition_gammas(gaussian, coarse, GABOR_GRID, rule="grid")
-    c2 = partition_gammas(gaussian, fine, GABOR_GRID, rule="grid")
+    # splitting one piece: the two refined coordinates sum to the coarse
+    # one, to the adaptive rule's error
+    c1 = partition_gammas(gaussian, Partition(gaussian, [0.0]), GABOR_GRID)
+    c2 = partition_gammas(gaussian, Partition(gaussian, [-2.0, 0.0]),
+                          GABOR_GRID)
     merged = np.stack([c2.points[:, 0] + c2.points[:, 1], c2.points[:, 2]],
                       axis=1)
     assert np.max(np.abs(merged - c1.points)) <= 1e-10
@@ -94,8 +95,7 @@ def test_cloud_refinement_converges(gaussian):
     # 1e-3 itself is out of reach at desk sizes: the curve is traversed at
     # unit-order speed, so the point gap is ~ sqrt(2)*step.
     from tfloc.operators import hausdorff_distance
-    part = Partition.from_cuts("gabor", [0.0],
-                               default_partition_domain(gaussian))
+    part = Partition(gaussian, [0.0])
     clouds = [partition_gammas(gaussian, part, default_operator_grid("gabor", n))
               for n in (256, 512, 1024)]
     zs = [c.points[:, 0] + 1j * c.points[:, 1] for c in clouds]
@@ -110,8 +110,7 @@ def test_cloud_refinement_converges(gaussian):
 # -- the function-algebra map ----------------------------------------------------------
 
 def test_tau_constant_coefficients(gaussian):
-    part = Partition.from_cuts("gabor", [0.0],
-                               default_partition_domain(gaussian))
+    part = Partition(gaussian, [0.0])
     cloud = partition_gammas(gaussian, part, GABOR_GRID)
     samples, sup = evaluate_on_cloud([1.0, 1.0], cloud)
     assert np.max(np.abs(samples - 1.0)) <= 1e-6
@@ -119,8 +118,7 @@ def test_tau_constant_coefficients(gaussian):
 
 
 def test_tau_halfline_sup_approaches_one(gaussian):
-    part = Partition.from_cuts("gabor", [0.0],
-                               default_partition_domain(gaussian))
+    part = Partition(gaussian, [0.0])
     cloud = partition_gammas(gaussian, part, GABOR_GRID)
     _, sup = evaluate_on_cloud([1.0, 0.0], cloud)
     assert sup >= 1.0 - 1e-3
@@ -130,8 +128,7 @@ def test_tau_isometry_against_operator_norm(gaussian, shannon):
     rng = np.random.default_rng(12)
     for atom, grid, cuts in [(gaussian, GABOR_GRID, [0.0]),
                              (shannon, WAVELET_GRID, [1.0])]:
-        part = Partition.from_cuts(atom.case, cuts,
-                                   default_partition_domain(atom))
+        part = Partition(atom, cuts)
         cloud = partition_gammas(atom, part, grid)
         for _ in range(5):
             coeffs = rng.standard_normal(part.m) + 1j * rng.standard_normal(part.m)
@@ -149,10 +146,9 @@ def test_commutator_pool_all_pairs(gaussian):
             Symbol1D.indicator(-math.inf, 0.0),
             Symbol1D.smooth_step(4.0),
             Symbol1D.gaussian_bump(8.0)]
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            d = commutator_diagnostics(gaussian, pool[i], pool[j], GABOR_GRID)
-            assert d["commutator_norm_rel"] <= 5e-3
+    rel = commutator_diagnostics(gaussian, pool, GABOR_GRID)
+    assert sorted(rel) == [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    assert max(rel.values()) <= 5e-3
 
 
 def test_pool_builds_each_symbol_once(gaussian, monkeypatch):
@@ -167,39 +163,49 @@ def test_pool_builds_each_symbol_once(gaussian, monkeypatch):
         return build_direct(*args, **kwargs)
 
     monkeypatch.setattr(algebra, "build_direct", counting_build_direct)
-    diags = pool_commutator_diagnostics(gaussian, pool, grid, rule="grid")
+    rel = commutator_diagnostics(gaussian, pool, grid)
     assert len(calls) == len(pool)
-    assert sorted(diags) == [(0, 1), (0, 2), (1, 2)]
-    # a pair alone gives the same numbers as the pair within the pool
-    for (i, j), d in diags.items():
-        pair = commutator_diagnostics(gaussian, pool[i], pool[j], grid,
-                                      rule="grid")
-        assert pair["commutator_norm_rel"] == d["commutator_norm_rel"]
-        assert np.array_equal(pair["semi_commutator_values"],
-                              d["semi_commutator_values"])
+    assert sorted(rel) == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_verify_algebra_computes_one_gamma_per_piece(monkeypatch, tmp_path):
+    # the suite reports commutators, the simplex and the isometry, none of
+    # which needs a semi-commutator: its only gammas are the partition's
+    calls = []
+    gamma = algebra.gamma
+
+    def counting_gamma(atom, alpha, *args, **kwargs):
+        calls.append(alpha.descriptor)
+        return gamma(atom, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "gamma", counting_gamma)
+    for case in ("gabor", "wavelet"):
+        calls.clear()
+        assert cli.main(["verify", "algebra", "--case", case, "--n", "64",
+                         "--out", str(tmp_path / "v.json")]) == 0
+        assert len(calls) == len(cli.DEFAULT_CUTS[case]) + 1 == 2
 
 
 def test_semi_commutator_halfline_split_quarter(gaussian):
     # alpha1*alpha2 = 0, so the gap is gamma1*gamma2, maximal 1/4 at xi = 0
-    d = commutator_diagnostics(gaussian,
-                               Symbol1D.indicator(-math.inf, 0.0),
-                               Symbol1D.indicator(0.0, math.inf),
-                               GABOR_GRID)
-    assert abs(d["semi_commutator_sup"] - 0.25) <= 1e-6
-    assert d["commutator_norm_rel"] <= 5e-3
+    halves = [Symbol1D.indicator(-math.inf, 0.0),
+              Symbol1D.indicator(0.0, math.inf)]
+    semi = semi_commutator(gaussian, *halves, GABOR_GRID)
+    assert semi.shape == (GABOR_GRID.count,)
+    assert abs(np.max(np.abs(semi)) - 0.25) <= 1e-6
+    assert commutator_diagnostics(gaussian, halves, GABOR_GRID)[0, 1] <= 5e-3
 
 
 def test_semi_commutator_vanishes_for_constant(gaussian):
-    d = commutator_diagnostics(gaussian, Symbol1D.indicator(-1.0, 1.0),
-                               Symbol1D.constant(2.0), GABOR_GRID)
-    assert d["semi_commutator_sup"] <= 1e-10
+    semi = semi_commutator(gaussian, Symbol1D.indicator(-1.0, 1.0),
+                           Symbol1D.constant(2.0), GABOR_GRID)
+    assert np.max(np.abs(semi)) <= 1e-10
 
 
 def test_semi_commutator_generic_nonzero(gaussian):
     # halflines separated by a gap: the product symbol vanishes while both
     # windows leak into the gap, leaving |gamma1*gamma2| ~ 3.5e-2 at the
     # midpoint
-    d = commutator_diagnostics(gaussian, Symbol1D.indicator(-math.inf, 0.0),
-                               Symbol1D.indicator(0.5, math.inf), GABOR_GRID)
-    assert d["semi_commutator_sup"] > 0.01
-
+    semi = semi_commutator(gaussian, Symbol1D.indicator(-math.inf, 0.0),
+                           Symbol1D.indicator(0.5, math.inf), GABOR_GRID)
+    assert np.max(np.abs(semi)) > 0.01

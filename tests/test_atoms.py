@@ -81,8 +81,16 @@ def test_admissibility_integral_depends_on_the_sign_alone(shannon, haar,
         for side in (-1.0, 1.0):
             assert np.all(vals[np.sign(xis) == side]
                           == atom.admissibility_integral(side))
-        # the residual is the maximum over both signs, bit for bit
-        assert atom.admissibility_residual() == np.max(np.abs(vals - 1.0))
+        # the residual reads xi = 1 alone, bit for bit
+        assert atom.admissibility_residual() == abs(vals[xis == 1.0][0] - 1.0)
+    # a real closed-form profile has |psi_hat(-s)| = |psi_hat(s)|: both
+    # signs integrate to the same bits; the imported atom's samples are
+    # within rounding of it
+    for atom in (shannon, haar):
+        assert (atom.admissibility_integral(-1.0)
+                == atom.admissibility_integral(1.0))
+    assert abs(imported.admissibility_integral(-1.0)
+               - imported.admissibility_integral(1.0)) <= 1e-11
 
 
 def test_freq_breakpoints_are_the_haar_profile_zeros(shannon, haar, gaussian,

@@ -448,6 +448,22 @@ def test_cmd_kernel_meets_its_stated_diagonal_tolerance(tmp_path, case, atom,
     assert "diag_unit_healthy" not in tol
 
 
+@pytest.mark.parametrize("symbol", [None, "indicator:1,2", "const:1+1j"])
+def test_cmd_kernel_meets_its_stated_hermitian_tolerance(tmp_path, symbol):
+    # a complex symbol's kernel, (1+i) times a Hermitian one for const:1+1j,
+    # is not Hermitian, so its output states no hermitian tolerance
+    out = str(tmp_path / "k.json")
+    argv = ["kernel", "--n", "64", "--format", "json", "--out", out]
+    assert run(*argv, *(["--symbol", symbol] if symbol else [])) == 0
+    d = json.loads(open(out).read())
+    K = np.array(d["re"]) + 1j * np.array(d["im"])
+    dev = float(np.max(np.abs(K - K.conj().T)))
+    if symbol == "const:1+1j":
+        assert "hermitian" not in d["tolerances"] and dev >= 1.0
+    else:
+        assert dev <= d["tolerances"]["hermitian"]
+
+
 def test_cmd_algebra_split_cloud(tmp_path):
     out = str(tmp_path / "c.csv")
     assert run("algebra", "--case", "gabor", "--cuts", "0",
