@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
+from tfloc.algebra import commutator_diagnostics
 from tfloc.atoms import Fibers, make_atom
 from tfloc.cli import EQUIVALENCE_SYMBOLS
 from tfloc.fields import omega_side, random_bandlimited
@@ -16,7 +17,7 @@ from tfloc.kernels import (gamma, overlap_kernel, spectrum_from_gamma,
                            weighted_overlap_kernel)
 from tfloc.operators import (LOWRANK_TAIL, OperatorMatrix,
                              _beta_hat_on_lattice, _hermitian_eigvals,
-                             _lowrank_factors,
+                             _lanczos_norm, _lowrank_factors,
                              build_direct, build_integral, build_multiplication,
                              build_pseudodiff, default_operator_grid,
                              filter_signal, hausdorff_distance, operator_norm,
@@ -145,6 +146,30 @@ def test_build_direct_peak_memory():
     assert M.lowrank_rank == 1
     K = atom.g1.count
     assert peak <= 3.75 * K * n * 16, f"peak {peak / (K * n * 16):.3f} K*n*16"
+
+
+def test_build_direct_complex_symbol_peak_memory():
+    # a complex symbol on a real fiber record: the Gram product is one real
+    # GEMM on the weighted copy's float view and the product with the lag
+    # view is taken in place, so the record is never cast to complex and the
+    # peak stays near M, the weighted copy, the Gram product and the record
+    # (3.65 K x n x 16 B here; a complex cast of the record per rank and a
+    # separate product array read 4.65).  A fresh atom, so the record is
+    # built inside the window
+    n = 512
+    atom = make_atom("gabor", "gaussian")
+    spec = _oracle_specs("gabor")["complex"]
+    grid = default_operator_grid("gabor", n)
+    tracemalloc.start()
+    try:
+        M = build_direct(atom, spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.lowrank_rank == 13
+    assert atom.fibers(grid.samples).conj_ell.dtype == np.float64
+    K = atom.g1.count
+    assert peak <= 4.0 * K * n * 16, f"peak {peak / (K * n * 16):.3f} K*n*16"
 
 
 def _oracle_specs(case):
@@ -582,23 +607,150 @@ def test_noncompactness_proxy(gaussian):
     assert float(np.mean(eigs > norm / 2)) >= 0.10
 
 
+def _svd_norm(A):
+    return float(np.linalg.svd(A, compute_uv=False)[0])
+
+
 def test_operator_norm_hermitian_uses_eigenvalues(gaussian, shannon):
     # a Hermitian OperatorMatrix takes max |eigvalsh|, the value spectrum
-    # reports; it agrees with the SVD to rounding, and raw arrays keep the SVD
+    # reports; it agrees with the SVD to rounding.  Raw arrays and
+    # non-Hermitian matrices take the certified Lanczos estimate, within
+    # 1e-13 of the SVD
     for atom in (gaussian, shannon):
         M = build_direct(atom, SymbolSpec.first_variable(
             Symbol1D.indicator(-1.0, 1.5)), _grid_for(atom))
         assert M.is_hermitian
         nm = operator_norm(M)
         assert nm == spectrum(M).norm_estimate
-        svd = float(np.linalg.svd(M.values, compute_uv=False)[0])
+        svd = _svd_norm(M.values)
         assert abs(nm - svd) <= 1e-13 * svd
-        assert operator_norm(M.values) == svd
+        assert abs(operator_norm(M.values) - svd) <= 1e-13 * svd
     rng = np.random.default_rng(4)
     A = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
     N = OperatorMatrix(LineGrid.centered(8.0, 32), A, "test", "none", "none")
     assert not N.is_hermitian
-    assert operator_norm(N) == float(np.linalg.svd(A, compute_uv=False)[0])
+    svd = _svd_norm(A)
+    assert abs(operator_norm(N) - svd) <= 1e-13 * svd
+
+
+def _diagonal(top, n):
+    """Diagonal matrix with singular values spread over [0.1, 0.9] and the
+    given top values."""
+    d = np.linspace(0.1, 0.9, n)
+    d[-len(top):] = top
+    return np.diag(d)
+
+
+def _verify_differences(gaussian, shannon):
+    """direct - specialized of each verify-dense comparison, at n = 64 for
+    the six suite/case pairs and n = 128 for cto1, the suite that the
+    workload also runs at a second size."""
+    out = {}
+    for atom in (gaussian, shannon):
+        for suite, n in (("cto1", 64), ("cto2", 64), ("cto3", 64),
+                         ("cto1", 128)):
+            spec = EQUIVALENCE_SYMBOLS[suite, atom.case]
+            grid = _grid_for(atom, n)
+            if spec.kind == "first":
+                other = build_multiplication(gamma(atom, spec.alpha, grid,
+                                                   rule="grid"))
+            elif spec.kind == "second":
+                other = build_integral(atom, spec.beta, grid)
+            else:
+                other = build_pseudodiff(atom, spec.alpha, spec.beta, grid)
+            D = build_direct(atom, spec, grid).values - other.values
+            out[f"{suite}/{atom.case}/{n}"] = D
+    return out
+
+
+def test_operator_norm_matches_svd_on_adversarial_inputs(gaussian, shannon):
+    # the Lanczos estimate is within 1e-13 of the SVD's sigma_1 and never
+    # above it by more than that: single entries, a rank-1 product, a top
+    # pair equal or 1e-12 apart (a certificate of 1e-12 on the Ritz value
+    # reads 3.5e-13 low on the n = 16 pair), a top right singular vector
+    # that is a DFT mode, and the verify-dense differences
+    rng = np.random.default_rng(8)
+    F = np.fft.fft(np.eye(64)) / 8.0
+    Q = np.linalg.qr(rng.standard_normal((64, 64))
+                     + 1j * rng.standard_normal((64, 64)))[0]
+    dft = np.linspace(0.1, 0.9, 64)
+    dft[5] = 1.0
+    cases = {
+        "1x1": np.array([[3.0 - 4.0j]]),
+        "2x2": np.array([[1.0, 2.0], [3.0, 4.0]]),
+        "2x2 complex": rng.standard_normal((2, 2))
+        + 1j * rng.standard_normal((2, 2)),
+        "rank 1": np.outer(rng.standard_normal(64),
+                           rng.standard_normal(64) + 1j),
+        "dft mode": (Q * dft) @ F.conj().T,
+    }
+    for n in (16, 64):
+        cases[f"equal top pair, n = {n}"] = _diagonal([1.0, 1.0], n)
+        cases[f"top pair 1e-12 apart, n = {n}"] = _diagonal(
+            [1.0 - 1e-12, 1.0], n)
+    cases.update(_verify_differences(gaussian, shannon))
+    for name, A in cases.items():
+        svd = _svd_norm(A)
+        nm = operator_norm(A)
+        assert abs(nm - svd) <= 1e-13 * svd, f"{name}: {(nm - svd) / svd:.2e}"
+        assert nm <= svd * (1 + 1e-13), name
+
+
+def test_operator_norm_of_zero_is_zero_without_warnings():
+    for dtype in (float, complex):
+        with np.errstate(all="raise"):
+            assert operator_norm(np.zeros((16, 16), dtype)) == 0.0
+
+
+def test_operator_norm_falls_back_to_the_svd_bit_for_bit():
+    # 256 evenly spread singular values, the top one without a gap: no
+    # certificate within the step cap
+    A = np.diag(np.linspace(0.1, 1.0, 256))
+    assert _lanczos_norm(A) is None
+    assert operator_norm(A) == _svd_norm(A)
+
+
+def test_operator_norm_repeats_and_leaves_the_global_rng_alone():
+    A = np.random.default_rng(5).standard_normal((96, 96)) + 0.5j
+    state = np.random.get_state()
+    first = operator_norm(A)
+    assert operator_norm(A) == first
+    assert operator_norm(A.copy()) == first
+    after = np.random.get_state()
+    assert after[0] == state[0] and np.array_equal(after[1], state[1])
+
+
+@pytest.fixture()
+def no_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd was called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+
+
+@pytest.mark.parametrize("case", ["gabor", "wavelet"])
+def test_verify_runs_without_the_svd(gaussian, shannon, case, no_svd):
+    atom = gaussian if case == "gabor" else shannon
+    for suite in ("cto1", "cto2", "cto3"):
+        rep = verify_equivalence(atom, EQUIVALENCE_SYMBOLS[suite, case],
+                                 _grid_for(atom, 256), 5e-3)
+        assert rep["pass"], (suite, rep)
+
+
+def test_commutators_run_without_the_svd(gaussian, shannon, no_svd):
+    pools = {
+        "gabor": [Symbol1D.indicator(-1.0, 1.0),
+                  Symbol1D.indicator(float("-inf"), 0.0),
+                  Symbol1D.smooth_step(4.0), Symbol1D.gaussian_bump(8.0)],
+        "wavelet": [Symbol1D.indicator(1.0, 2.0),
+                    Symbol1D.indicator(0.5, 8.0),
+                    Symbol1D.smooth_step(8.0, log2_axis=True),
+                    Symbol1D.constant(0.5)],
+    }
+    for atom in (gaussian, shannon):
+        rel = commutator_diagnostics(atom, pools[atom.case],
+                                     _grid_for(atom, 128))
+        assert len(rel) == 6 and max(rel.values()) <= 1e-12, atom.name
 
 
 @pytest.mark.parametrize("case", ["gabor", "wavelet"])
