@@ -145,7 +145,8 @@ def commutator_diagnostics(atom: Atom, pool, xi_grid: LineGrid) -> dict:
 
     Builds each pool symbol's direct matrix and operator norm once and
     returns ``{(i, j): ||[A_i, A_j]|| / (||A_i|| ||A_j||)}`` for i < j; the
-    operators commute, so each value is at rounding level.
+    operators commute, so each value is 0 where the direct matrices are
+    exactly diagonal (the default windows) and at rounding level elsewhere.
     """
     mats = [build_direct(atom, SymbolSpec.first_variable(alpha), xi_grid)
             for alpha in pool]

@@ -16,7 +16,9 @@ Linear interpolation of a sampled band-limited profile smears its band edges
 by one sample spacing, which is fatal to the 1e-10/1e-6 admissibility and
 fiber tolerances, hence the closed-form route for the catalog.  Admissibility,
 haar's normalization and the gaussian's unit norm integrate the closed forms
-with the package's one adaptive rule, ``quadrature.gauss_kronrod``.
+with the package's one adaptive rule, ``quadrature.gauss_kronrod``; every
+integrand over |psi_hat|^2 reads ``Atom.eval_power``, which haar answers
+from the real form of its squared profile.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ class Atom:
     time_profile, freq_profile : exact vectorized callables, or None for
         imported atoms (then stored samples are interpolated linearly,
         zero outside their grid)
+    power_profile : exact vectorized |freq_profile|^2 in a real closed
+        form, or None to square the modulus of ``eval_freq``
     freq_support : for wavelets, (lo, hi) of |xi| outside which the frequency
         profile is negligible; integration bounds for admissibility.
     freq_breakpoints : |xi| at which adaptive quadrature over the frequency
@@ -86,7 +90,7 @@ class Atom:
     """
 
     def __init__(self, case, name, time_samples, freq_samples, normalization,
-                 g1, time_profile=None, freq_profile=None,
+                 g1, time_profile=None, freq_profile=None, power_profile=None,
                  freq_support=None, freq_breakpoints=(), time_support=None,
                  healthy_range=None, fiber_tol=1e-6):
         if case not in ("wavelet", "gabor"):
@@ -101,6 +105,7 @@ class Atom:
         self.g1 = g1
         self.time_profile = time_profile
         self.freq_profile = freq_profile
+        self.power_profile = power_profile
         self.freq_support = freq_support
         self.freq_breakpoints = np.asarray(freq_breakpoints, dtype=float)
         self.time_support = time_support
@@ -126,6 +131,12 @@ class Atom:
         if self.freq_profile is not None:
             return self.freq_profile(np.asarray(xi, dtype=float))
         return self._interp(self.freq_samples, xi)
+
+    def eval_power(self, xi):
+        """|psi_hat(xi)|^2 (|phi_hat|^2 for windows), real."""
+        if self.power_profile is not None:
+            return self.power_profile(np.asarray(xi, dtype=float))
+        return np.abs(self.eval_freq(xi)) ** 2
 
     # -- fiber profile ------------------------------------------------------
 
@@ -172,12 +183,12 @@ class Atom:
         lo, hi = self.freq_support
         if self.freq_profile is not None:
             cuts = self.freq_breakpoints
-            return _integral(lambda s: np.abs(self.freq_profile(side * s)) ** 2 / s,
+            return _integral(lambda s: self.eval_power(side * s) / s,
                              [lo, *cuts[(cuts > lo) & (cuts < hi)], hi])
         n = 200_000
         dt = math.log(hi / lo) / n
         s = lo * np.exp((np.arange(n) + 0.5) * dt)
-        return float(np.sum(np.abs(self.eval_freq(side * s)) ** 2) * dt)
+        return float(np.sum(self.eval_power(side * s)) * dt)
 
     def admissibility_residual(self) -> float:
         """|energy integral - 1| at xi = 1.
@@ -295,7 +306,17 @@ def _haar_profiles(c: float):
         out[nz] = c * (1.0 - np.exp(-1j * np.pi * xs)) ** 2 / (2j * np.pi * xs)
         return out
 
-    return time, freq
+    def power(xi):
+        # |freq|^2 = 4 c^2 sin^4(pi xi / 2) / (pi xi)^2: one real sine
+        xi = np.asarray(xi, dtype=float)
+        out = np.zeros_like(xi)
+        nz = xi != 0
+        xs = xi[nz]
+        h = np.sin(0.5 * np.pi * xs)
+        out[nz] = (2.0 * c * h * h / (np.pi * xs)) ** 2
+        return out
+
+    return time, freq, power
 
 
 def make_wavelet(name: str, scale_grid: ScaleGrid | None = None) -> Atom:
@@ -313,7 +334,7 @@ def make_wavelet(name: str, scale_grid: ScaleGrid | None = None) -> Atom:
 
     if name == "shannon":
         time_p, freq_p, norm = _shannon_profiles()
-        support, zeros = (1.0, 2.0), ()
+        power_p, support, zeros = None, (1.0, 2.0), ()
         tgrid = LineGrid.centered(8.0, 1024)
         fgrid = LineGrid.centered(4.0, 2048)
         healthy, ftol = (2.0 ** -4, 4.0), 1e-6
@@ -321,11 +342,11 @@ def make_wavelet(name: str, scale_grid: ScaleGrid | None = None) -> Atom:
         support = (2.0 ** -12, 2.0 ** 12)
         # the profile's zeros in the support: the even integers
         zeros = np.arange(2.0, support[1], 2.0)
-        _, freq1 = _haar_profiles(1.0)
-        raw = _integral(lambda s: np.abs(freq1(s)) ** 2 / s,
+        power1 = _haar_profiles(1.0)[2]
+        raw = _integral(lambda s: power1(s) / s,
                         [support[0], *zeros, support[1]])
         norm = 1.0 / math.sqrt(raw)
-        time_p, freq_p = _haar_profiles(norm)
+        time_p, freq_p, power_p = _haar_profiles(norm)
         tgrid = LineGrid.centered(2.0, 1024)
         fgrid = LineGrid.centered(32.0, 4096)
         # default-grid fiber norms carry the scale-truncation tail, O(1e-4)
@@ -334,7 +355,7 @@ def make_wavelet(name: str, scale_grid: ScaleGrid | None = None) -> Atom:
     atom = Atom("wavelet", name,
                 SampledFunction(tgrid, time_p(tgrid.samples)),
                 SampledFunction(fgrid, freq_p(fgrid.samples)),
-                norm, g1, time_p, freq_p,
+                norm, g1, time_p, freq_p, power_p,
                 freq_support=support, freq_breakpoints=zeros,
                 healthy_range=healthy, fiber_tol=ftol)
 

@@ -288,7 +288,7 @@ def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
 
     if atom.case == "wavelet":
         def integrand(u, j):
-            return alpha(u) * np.abs(atom.eval_freq(xi[j] * u)) ** 2 / u
+            return alpha(u) * atom.eval_power(xi[j] * u) / u
     else:
         def integrand(q, j):
             return alpha(q) * np.abs(atom.eval_time(xi[j] - q)) ** 2

@@ -35,9 +35,18 @@ same operator along different routes:
 the symbol's kind picks, and reports their discrepancy in operator norm,
 eigenvalue Hausdorff distance and action on random vectors.
 
+The sandwich's phases are exact at quarter turns (``fourier._cis``), and
+on the builders' grids every phase is +-1: the lag generator of a row that
+is constant in s is then an exact delta, so a first-variable direct matrix
+has no nonzero off-diagonal entry.  Diagonal matrices are read off, with no
+solver: ``spectrum`` takes the sorted diagonal and ``operator_norm`` the
+largest diagonal modulus, which covers the cto1 differences, the
+commutators and the linear combinations of first-variable operators.
+
 ``operator_norm`` takes the largest singular value of a matrix flagged
-Hermitian from its eigenvalues.  Any other matrix gets a Lanczos iteration
-on A^H A from a fixed seeded start vector, with full reorthogonalization.
+Hermitian from its eigenvalues.  Any other non-diagonal matrix gets a
+Lanczos iteration on A^H A from a fixed seeded start vector, with full
+reorthogonalization.
 It stops when the top Ritz pair's residual is at most ``NORM_RESIDUAL_TOL``
 (1e-13) of its Ritz value; the estimate is then within half that,
 relative, of a singular value.  Ritz values never exceed sigma_1^2, so the
@@ -307,14 +316,22 @@ def build_pseudodiff(atom: Atom, alpha: Symbol1D, beta: Symbol1D,
 
 # -- spectra and comparisons -------------------------------------------------------
 
+def _is_diagonal(A: np.ndarray) -> bool:
+    """True when A is a nonempty square array with no nonzero
+    off-diagonal entry."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        return False
+    n = A.shape[0]
+    # row r of this view holds the n entries after A[r, r], all off-diagonal
+    return not A.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any()
+
+
 def _hermitian_eigvals(M: OperatorMatrix) -> np.ndarray:
     """Eigenvalues of the symmetrized matrix H = (M + M^H) / 2, ascending:
-    the sorted real diagonal when H has no nonzero off-diagonal entry (what
-    ``eigvalsh`` returns for it), ``eigvalsh`` otherwise."""
+    the sorted real diagonal when H is diagonal (what ``eigvalsh`` returns
+    for it), ``eigvalsh`` otherwise."""
     H = 0.5 * (M.values + M.values.conj().T)
-    n = H.shape[0]
-    # row r of this view holds the n entries after H[r, r], all off-diagonal
-    if not H.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any():
+    if _is_diagonal(H):
         return np.sort(H.diagonal().real)
     return np.linalg.eigvalsh(H)
 
@@ -388,17 +405,20 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
     """Largest singular value.
 
     For an ``OperatorMatrix`` flagged Hermitian it is max |eigenvalue| of
-    the symmetrized matrix, as in ``spectrum``.  Otherwise, and for every
-    raw array, it is the Lanczos estimate of ``_lanczos_norm``: certified
+    the symmetrized matrix, as in ``spectrum``.  A diagonal array (no
+    nonzero off-diagonal entry) has it read off exactly as max |d_i|.
+    Otherwise it is the Lanczos estimate of ``_lanczos_norm``: certified
     to within ``NORM_RESIDUAL_TOL`` / 2 relative of a singular value, never
     above sigma_1 beyond rounding, and the same float on every call with
     the same array.  When the iteration breaks down at a zero Ritz value
-    (the zero matrix) or finds no certificate within ``NORM_MAX_STEPS``
-    steps, the value is the dense SVD's sigma_1.
+    or finds no certificate within ``NORM_MAX_STEPS`` steps, the value is
+    the dense SVD's sigma_1.
     """
     if isinstance(M, OperatorMatrix) and M.is_hermitian:
         return float(np.max(np.abs(_hermitian_eigvals(M))))
     vals = M.values if isinstance(M, OperatorMatrix) else np.asarray(M)
+    if _is_diagonal(vals):
+        return float(np.max(np.abs(vals.diagonal())))
     est = _lanczos_norm(vals)
     if est is not None:
         return est
@@ -408,13 +428,15 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
 def spectrum(M: OperatorMatrix, reference=None) -> SpectrumReport:
     """Dense eigenvalue multiset; symmetric solver for Hermitian matrices.
 
-    A Hermitian matrix whose symmetrized form is diagonal has its spectrum
+    A Hermitian matrix whose symmetrized form is diagonal -- every
+    first-variable direct matrix on the default windows -- has its spectrum
     read off the diagonal, with no solver.  The norm estimate is the largest
     singular value: max |eigenvalue| of the symmetrized matrix when
-    Hermitian, otherwise ``operator_norm``'s certified Lanczos estimate
-    (within ``NORM_RESIDUAL_TOL`` / 2 of a singular value, never above
-    sigma_1 beyond rounding, a dense SVD when uncertified).  The size is
-    not capped here; the CLI rejects sizes above its dense cap.
+    Hermitian, otherwise ``operator_norm`` (the largest diagonal modulus of
+    a diagonal matrix, else the certified Lanczos estimate: within
+    ``NORM_RESIDUAL_TOL`` / 2 of a singular value, never above sigma_1
+    beyond rounding, a dense SVD when uncertified).  The size is not capped
+    here; the CLI rejects sizes above its dense cap.
     """
     try:
         if M.is_hermitian:

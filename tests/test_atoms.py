@@ -105,6 +105,22 @@ def test_freq_breakpoints_are_the_haar_profile_zeros(shannon, haar, gaussian,
         assert atom.freq_breakpoints.size == 0, atom
 
 
+def test_eval_power_is_the_squared_frequency_profile(shannon, haar,
+                                                     gaussian):
+    # haar's real closed form 4c^2 sin^4(pi s / 2) / (pi s)^2 agrees with
+    # |psi_hat|^2 at rounding, vanishes at 0 and at its profile zeros; the
+    # other atoms square the modulus of their profile, bit for bit
+    s = np.linspace(-40.0, 40.0, 8001)
+    p, ref = haar.eval_power(s), np.abs(haar.eval_freq(s)) ** 2
+    assert p.dtype == float and np.all(p >= 0.0)
+    assert np.all(np.abs(p - ref) <= 4e-15 * np.max(ref))
+    assert haar.eval_power(np.array([0.0]))[0] == 0.0
+    assert np.max(haar.eval_power(haar.freq_breakpoints[:50])) <= 1e-30
+    for atom in (shannon, gaussian):
+        assert np.array_equal(atom.eval_power(s),
+                              np.abs(atom.eval_freq(s)) ** 2)
+
+
 def test_wavelets_are_real_valued(shannon, haar):
     for atom in (shannon, haar):
         assert np.max(np.abs(atom.time_samples.values.imag)) <= 1e-12

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from tfloc import cli
+from tfloc import cli, operators
 from tfloc.atoms import Fibers, make_atom
 from tfloc.cli import main
 from tfloc.fields import random_bandlimited
@@ -240,12 +240,13 @@ _TOL_ENTRIES = [(suite, key) for suite, tol in cli.VERIFY_TOL.items()
 @pytest.mark.parametrize("case", ["gabor", "wavelet"])
 def test_cmd_verify_every_tolerance_reaches_its_pass_test(
         tmp_path, monkeypatch, suite, key, case):
-    # no suite measures an exact zero at n = 64, so a zero tolerance fails
-    # unless its check was left out of the pass test
+    # every check measures a nonnegative value (the algebra commutator an
+    # exact 0), so a negative tolerance fails unless its check was left out
+    # of the pass test
     if key is None:
-        monkeypatch.setitem(cli.VERIFY_TOL, suite, 0.0)
+        monkeypatch.setitem(cli.VERIFY_TOL, suite, -1.0)
     else:
-        monkeypatch.setitem(cli.VERIFY_TOL[suite], key, 0.0)
+        monkeypatch.setitem(cli.VERIFY_TOL[suite], key, -1.0)
     out = str(tmp_path / "v.json")
     assert run("verify", suite, "--case", case, "--n", "64",
                "--out", out) == 1
@@ -253,6 +254,30 @@ def test_cmd_verify_every_tolerance_reaches_its_pass_test(
     assert rep["pass"] is False
     assert rep["tolerance" if key is None else "tolerances"] == \
         cli.VERIFY_TOL[suite]
+
+
+@pytest.mark.parametrize("case", ["gabor", "wavelet"])
+def test_first_variable_commands_need_no_solver(tmp_path, monkeypatch, case):
+    # first-variable direct matrices, their differences, commutators and
+    # linear combinations are exactly diagonal on the default windows, and
+    # diagonals are read off
+    def fail(*args, **kwargs):
+        raise AssertionError("a dense solver was called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    monkeypatch.setattr(operators, "_lanczos_norm", fail)
+    out = str(tmp_path / "v.json")
+    for n in ("256", "512"):
+        assert run("verify", "cto1", "--case", case, "--n", n,
+                   "--out", out) == 0
+        assert json.loads(open(out).read())["norm_discrepancy"] <= 1e-15
+    assert run("verify", "algebra", "--case", case, "--n", "128",
+               "--out", out) == 0
+    assert json.loads(open(out).read())["commutator_rel_max"] == 0.0
+    symbol = "indicator:-1,1" if case == "gabor" else "indicator:1,2"
+    assert run("spectrum", "--case", case, "--symbol", symbol, "--rule",
+               "grid", "--with-eigs", "--out", str(tmp_path / "s.csv")) == 0
 
 
 # -- filter command ------------------------------------------------------------------
@@ -548,13 +573,19 @@ def test_cmd_rejects_n_below_two(tmp_path, capsys, n):
 
 
 def test_cmd_spectrum_eig_failure_exits_2(tmp_path, monkeypatch, capsys):
+    calls = []
+
     def fail(*args, **kwargs):
+        calls.append(1)
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     out = tmp_path / "s.csv"
+    # an odd n leaves the direct matrix off-diagonal at rounding, so the
+    # spectrum needs the solver (an exactly diagonal one is read off)
     assert run("spectrum", "--symbol", "const:0.5", "--rule", "grid",
-               "--n", "32", "--with-eigs", "--out", str(out)) == 2
+               "--n", "33", "--with-eigs", "--out", str(out)) == 2
+    assert calls
     assert "eigenvalue computation failed" in capsys.readouterr().err
     assert not out.exists()
 

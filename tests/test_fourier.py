@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tfloc.fourier import fourier
+from tfloc.fourier import _cis, fourier
 from tfloc.grids import LineGrid, SampledFunction, induced_grid
 
 
@@ -94,3 +94,30 @@ def test_induced_grid_is_involutive_on_centered_grids():
     again = induced_grid(induced_grid(grid))
     assert (again.start, again.step, again.count) == (
         grid.start, grid.step, grid.count)
+
+
+# -- phase factors ----------------------------------------------------------------
+
+def test_cis_exact_at_quarter_turns():
+    k = np.arange(-4096, 4097)
+    assert np.array_equal(_cis(k / 4.0), (1j ** (k % 4)).astype(complex))
+    # far from the origin too: x.25 and x.5 are exact up to 2^50 turns
+    big = 2.0 ** np.arange(20, 51)
+    assert np.array_equal(_cis(big + 0.25), np.full(big.size, 1j))
+    assert np.array_equal(_cis(-(big + 0.5)), np.full(big.size, -1 + 0j))
+
+
+def test_cis_within_two_ulp_of_exp_near_zero():
+    t = np.linspace(-0.125, 0.125, 100_001)
+    got, ref = _cis(t), np.exp(2j * np.pi * t)
+    for part in ("real", "imag"):
+        a, b = getattr(got, part), getattr(ref, part)
+        assert np.all(np.abs(a - b) <= 2 * np.spacing(np.abs(b))), part
+
+
+@pytest.mark.parametrize("k", [1, -1, 3, 1000, -65536, 2 ** 20, -2 ** 20])
+def test_cis_periodic_bit_for_bit(k):
+    # dyadic turns with 30 fractional bits: t + k is exact for |k| <= 2^20
+    rng = np.random.default_rng(abs(k))
+    t = rng.integers(-2 ** 30, 2 ** 30, 2000) / 2.0 ** 30
+    assert np.array_equal(_cis(t + k), _cis(t))

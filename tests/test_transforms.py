@@ -11,7 +11,7 @@ from tfloc.cli import main
 from tfloc.fields import (PhasePlaneField, analyze, apply_axis2_fourier,
                           bargmann, bargmann_adjoint, embed, omega_side,
                           project, random_bandlimited)
-from tfloc.fourier import _fourier_rows, fourier
+from tfloc.fourier import _cis, _fourier_rows, fourier
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from tfloc.io import export_atom, import_atom
 
@@ -433,16 +433,17 @@ def test_verify_transforms_gabor_shares_the_round_trip_record(tmp_path,
 
 
 def _fourier_rows_reference(values, in_grid, sign, out_grid):
-    """The out-of-place formula of _fourier_rows, kept as its oracle."""
+    """The out-of-place formula of _fourier_rows, kept as its oracle; the
+    phases, arguments in turns, come from ``_cis`` (pinned on its own)."""
     n = in_grid.count
     sgn = -1.0 if sign == "forward" else 1.0
     j = np.arange(n)
-    pre = np.exp(sgn * 2j * np.pi * in_grid.step * out_grid.start * j)
+    pre = _cis(sgn * (in_grid.step * out_grid.start * j))
     if sgn < 0:
         core = np.fft.fft(values * pre[None, :], axis=1)
     else:
         core = np.fft.ifft(values * pre[None, :], axis=1) * n
-    post = np.exp(sgn * 2j * np.pi * in_grid.start * out_grid.samples)
+    post = _cis(sgn * (in_grid.start * out_grid.samples))
     return in_grid.step * post[None, :] * core
 
 
