@@ -5,9 +5,13 @@ with the opposite sign.  With this convention exp(-pi*x^2) is a fixed point
 and the transform is an exact isometry of the Riemann-sum L2 norms, for any
 grid placement: the discrete map reduces to a DFT sandwiched between
 unit-modulus phase diagonals.  The phases are taken from their arguments in
-turns (``_cis``), so they are exact at quarter turns and within about one
-rounding error elsewhere, however many turns the argument spans.  On the
-builders' grids every phase is a whole number of half turns, +-1 exactly.
+turns (``_cis``), so each is exact at quarter turns and within about one
+rounding error of the argument it is given elsewhere, however many turns
+that argument spans.  The arguments are products of grid parameters, exact
+on the builders' centred power-of-two grids, where every phase is a whole
+number of half turns, +-1 exactly.  On other grids (odd n, off-centre
+windows) the product's own rounding, up to about n*eps turns, still reaches
+the phase.
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ def _cis(turns: np.ndarray) -> np.ndarray:
     exact in binary floating point), and the value is i^q (cos 2 pi r +
     i sin 2 pi r).  So t and t + k give the same bits for every integer k,
     a quarter turn gives +-1 or +-i exactly, and elsewhere the error is
-    about one rounding error whatever the size of t.
+    about one rounding error whatever the size of t.  An error already in t
+    (a rounded product) passes through unchanged.
     """
     t4 = 4.0 * np.asarray(turns, dtype=float)
     q = np.rint(t4)
@@ -86,7 +91,8 @@ def _fourier_rows(values: np.ndarray, in_grid: LineGrid, sign: str,
     diagonals come from ``_cis`` of their arguments in turns, so they are
     exact at quarter turns: on centred power-of-two grids, the builders'
     grids, in_grid.step * out_grid.start is exactly -1/2 and every factor
-    is +-1.
+    is +-1.  Elsewhere the arguments are rounded products, off by up to
+    about n*eps turns, and the factors carry that error.
     """
     n = in_grid.count
     sgn = -1.0 if sign == "forward" else 1.0

@@ -632,9 +632,10 @@ def _svd_norm(A):
 
 def test_operator_norm_hermitian_uses_eigenvalues(gaussian, shannon):
     # a Hermitian OperatorMatrix takes max |eigvalsh|, the value spectrum
-    # reports; it agrees with the SVD to rounding.  Raw arrays and
-    # non-Hermitian matrices take the certified Lanczos estimate, within
-    # 1e-13 of the SVD
+    # reports; it agrees with the SVD to rounding.  A raw diagonal array
+    # (these first-variable matrices are exactly diagonal) is read off its
+    # diagonal, and a non-Hermitian matrix takes the certified Lanczos
+    # estimate, within 1e-13 of the SVD
     for atom in (gaussian, shannon):
         M = build_direct(atom, SymbolSpec.first_variable(
             Symbol1D.indicator(-1.0, 1.5)), _grid_for(atom))
@@ -652,12 +653,20 @@ def test_operator_norm_hermitian_uses_eigenvalues(gaussian, shannon):
     assert abs(operator_norm(N) - svd) <= 1e-13 * svd
 
 
-def _diagonal(top, n):
-    """Diagonal matrix with singular values spread over [0.1, 0.9] and the
-    given top values."""
+def _rotated(d):
+    """Q diag(d) Q^T for a seeded orthogonal Q: the singular values |d|,
+    with nonzero off-diagonal entries, so the norm is not read off."""
+    n = len(d)
+    Q = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))[0]
+    return (Q * d) @ Q.T
+
+
+def _spread(top, n):
+    """Matrix with singular values spread over [0.1, 0.9] and the given
+    top values."""
     d = np.linspace(0.1, 0.9, n)
     d[-len(top):] = top
-    return np.diag(d)
+    return _rotated(d)
 
 
 def _verify_differences(gaussian, shannon):
@@ -704,27 +713,49 @@ def test_operator_norm_matches_svd_on_adversarial_inputs(gaussian, shannon):
         "dft mode": (Q * dft) @ F.conj().T,
     }
     for n in (16, 64):
-        cases[f"equal top pair, n = {n}"] = _diagonal([1.0, 1.0], n)
-        cases[f"top pair 1e-12 apart, n = {n}"] = _diagonal(
+        cases[f"equal top pair, n = {n}"] = _spread([1.0, 1.0], n)
+        cases[f"top pair 1e-12 apart, n = {n}"] = _spread(
             [1.0 - 1e-12, 1.0], n)
     cases.update(_verify_differences(gaussian, shannon))
     for name, A in cases.items():
         svd = _svd_norm(A)
-        nm = operator_norm(A)
-        assert abs(nm - svd) <= 1e-13 * svd, f"{name}: {(nm - svd) / svd:.2e}"
-        assert nm <= svd * (1 + 1e-13), name
+        # operator_norm reads the 1x1 case and the cto1 differences, which
+        # are diagonal, off exactly; the Lanczos estimate is certified and
+        # checked on every case, diagonal or not
+        est = _lanczos_norm(A)
+        assert est is not None, name
+        for nm in (operator_norm(A), est):
+            assert abs(nm - svd) <= 1e-13 * svd, \
+                f"{name}: {(nm - svd) / svd:.2e}"
+            assert nm <= svd * (1 + 1e-13), name
 
 
 def test_operator_norm_of_zero_is_zero_without_warnings():
+    # the zero matrix is diagonal and read off; the Lanczos iteration on
+    # it breaks down at A v_0 = 0 and hands over without a warning
     for dtype in (float, complex):
         with np.errstate(all="raise"):
             assert operator_norm(np.zeros((16, 16), dtype)) == 0.0
+            assert _lanczos_norm(np.zeros((16, 16), dtype)) is None
+
+
+def test_operator_norm_reads_a_diagonal_off(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver was called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr("tfloc.operators._lanczos_norm", refuse)
+    d = np.array([0.5, -3.0 + 4.0j, 1e-300, 2.0j])
+    assert operator_norm(np.diag(d)) == 5.0
+    assert operator_norm(np.diag([-7.25])) == 7.25
+    assert operator_norm(np.zeros((3, 3))) == 0.0
 
 
 def test_operator_norm_falls_back_to_the_svd_bit_for_bit():
     # 256 evenly spread singular values, the top one without a gap: no
     # certificate within the step cap
-    A = np.diag(np.linspace(0.1, 1.0, 256))
+    A = _rotated(np.linspace(0.1, 1.0, 256))
+    assert np.any(A - np.diag(A.diagonal()))
     assert _lanczos_norm(A) is None
     assert operator_norm(A) == _svd_norm(A)
 
