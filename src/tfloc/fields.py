@@ -144,11 +144,21 @@ def apply_axis2_fourier(field: PhasePlaneField, direction: str,
     direction "forward" carries analysis fields to the diagonal plane,
     "backward" inverts it; ``axis2_sign`` picks the sign.  ``out_grid``
     defaults to the centered induced grid of the current second axis.
+    ``field`` is left unchanged.
     """
+    return _axis2_fourier(field, direction, out_grid, in_place=False)
+
+
+def _axis2_fourier(field: PhasePlaneField, direction: str,
+                   out_grid: LineGrid | None, in_place: bool
+                   ) -> PhasePlaneField:
+    """``apply_axis2_fourier``; with ``in_place`` the transform overwrites
+    ``field.values``, which the caller owns and no longer reads."""
     sign = axis2_sign(field.case, direction)
     out = induced_grid(field.g2) if out_grid is None else out_grid
     kind = "omega" if direction == "forward" else "zeta2"
-    vals = _fourier_rows(field.values, field.g2, sign, out)
+    vals = _fourier_rows(field.values, field.g2, sign, out,
+                         out=field.values if in_place else None)
     return field.copy_with(vals, g2=out, g2_kind=kind)
 
 
@@ -186,15 +196,20 @@ def bargmann(atom: Atom, field: PhasePlaneField,
 
     On analysis fields this is an isometry onto L2 of the second coordinate;
     composed with ``analyze`` it returns the signal's omega side, f_hat in
-    the wavelet case and f itself in the Gabor case.
+    the wavelet case and f itself in the Gabor case.  ``field`` is left
+    unchanged.
     """
     return project(atom, apply_axis2_fourier(field, "forward", out_grid))
 
 
 def bargmann_adjoint(atom: Atom, f: SampledFunction,
                      out_grid: LineGrid | None = None) -> PhasePlaneField:
-    """Adjoint of ``bargmann``: embed then inverse axis-2 transform."""
-    return apply_axis2_fourier(embed(atom, f), "backward", out_grid)
+    """Adjoint of ``bargmann``: embed then inverse axis-2 transform.
+
+    The transform runs in place on ``embed``'s new array, so the field is
+    the one array of its size the call allocates.
+    """
+    return _axis2_fourier(embed(atom, f), "backward", out_grid, in_place=True)
 
 
 def random_bandlimited(grid: LineGrid, seed: int) -> SampledFunction:

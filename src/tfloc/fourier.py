@@ -83,11 +83,14 @@ def _cis(turns: np.ndarray) -> np.ndarray:
 
 
 def _fourier_rows(values: np.ndarray, in_grid: LineGrid, sign: str,
-                  out_grid: LineGrid) -> np.ndarray:
+                  out_grid: LineGrid, out: np.ndarray | None = None
+                  ) -> np.ndarray:
     """Apply the 1-D continuous Fourier transform to every row of a 2-D array.
 
-    ``values`` is left unchanged; the result is one new array, into which
-    the pre-phased copy is transformed and post-phased in place.  Both phase
+    The pre-phased values are transformed and post-phased in one array:
+    a new one, leaving ``values`` unchanged, or ``out``.  ``out=values``
+    transforms a complex C-contiguous array the caller owns in place, with
+    the same bits and no second array of its size.  Both phase
     diagonals come from ``_cis`` of their arguments in turns, so they are
     exact at quarter turns: on centred power-of-two grids, the builders'
     grids, in_grid.step * out_grid.start is exactly -1/2 and every factor
@@ -99,7 +102,7 @@ def _fourier_rows(values: np.ndarray, in_grid: LineGrid, sign: str,
     j = np.arange(n)
     # out_k = step * e^{sgn*2pi*i*start*xi_k} * DFT_k[ f_j * e^{sgn*2pi*i*j*step*out.start} ]
     pre = _cis(sgn * (in_grid.step * out_grid.start * j))
-    core = values * pre[None, :]
+    core = np.multiply(values, pre[None, :], out=out)
     if sgn < 0:
         np.fft.fft(core, axis=1, out=core)
     else:

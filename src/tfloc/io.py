@@ -5,6 +5,12 @@ then rename), so failed runs never leave partial outputs.  Floats are
 rendered with ``%.17g`` (full double precision) and JSON objects are written
 with sorted keys, making repeated runs byte-identical.
 
+Every CSV goes through ``write_table``, which formats a table in blocks of
+``_BLOCK_ROWS`` rows and each distinct value of a block's column once: the
+grid columns of a field or kernel repeat a few values, and a Toeplitz
+kernel repeats its lags.  The bytes are those of formatting every row in
+turn, and the memory the writer holds is bounded by one block.
+
 Formats
 -------
 signal        header ``x,re,im``
@@ -82,18 +88,70 @@ def sidecar_path(path: str) -> str:
     return f"{path}.meta.json"
 
 
+# rows formatted together by write_table: enough that a repeated value is
+# formatted once for thousands of rows, few enough that a block's texts stay
+# a few MiB whatever the table's length
+_BLOCK_ROWS = 16384
+
+
+def _column_texts(col: np.ndarray, sep: str) -> np.ndarray:
+    """Text of every value of one block of a column, ``sep`` appended.
+
+    Numbers are formatted with ``%.17g`` once per distinct bit pattern, so
+    -0.0 and 0.0, and every nan and inf, keep the text they would get
+    alone; strings pass through as they are.
+    """
+    if col.dtype.kind == "U":
+        return col.astype(object) + sep
+    bits = np.ascontiguousarray(col, dtype=float).view(np.int64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    fmt = "%.17g" + sep
+    texts = np.array(list(map(fmt.__mod__, distinct.view(float).tolist())),
+                     dtype=object)
+    return texts.take(index)
+
+
+def _block_text(columns, start: int, stop: int) -> str:
+    """Rows ``start:stop`` of the table as CSV text.
+
+    The cell texts are freed on return, before the caller writes the text
+    and the file encodes it, so one block's texts and its encoded copy are
+    never held together.
+    """
+    seps = [","] * (len(columns) - 1) + ["\n"]
+    cells = np.empty((stop - start, len(columns)), dtype=object)
+    for j, (col, sep) in enumerate(zip(columns, seps)):
+        cells[:, j] = _column_texts(col[start:stop], sep)
+    return "".join(cells.ravel().tolist())
+
+
 def write_table(path: str, header: list[str], columns,
                 metadata: dict | None = None):
-    """Write equal-length columns as CSV rows, formatted one row at a time.
+    """Write equal-length columns as CSV rows.
 
-    Numbers are rendered with ``%.17g``; string columns (row labels) are
-    written as they are.  With ``metadata`` a JSON sidecar is written too.
+    Numbers (bool, int or float columns) are rendered with ``%.17g``;
+    string columns (row labels) are written as they are.  Rows are
+    formatted in blocks of ``_BLOCK_ROWS``, each distinct number of a
+    block's column once, with the same bytes as formatting row by row.
+    Columns of unequal length, or of another dtype (complex among them),
+    raise ``ValueError`` before any file is opened.  With ``metadata`` a
+    JSON sidecar is written too.
     """
-    fmt = ",".join("%s" if np.asarray(c).dtype.kind == "U" else "%.17g"
-                   for c in columns) + "\n"
+    columns = [np.asarray(c) for c in columns]
+    shapes = [c.shape for c in columns]
+    if any(len(sh) != 1 for sh in shapes) or len(set(shapes)) > 1:
+        raise ValueError(f"columns must be 1-D of one length, got shapes "
+                         f"{shapes}")
+    for c in columns:
+        if c.dtype.kind not in "biufU":
+            raise ValueError(f"cannot write a column of dtype {c.dtype}: "
+                             "expected bool, int, float or str")
+    rows = shapes[0][0] if shapes else 0
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(fmt % row for row in zip(*columns))
+        for start in range(0, rows, _BLOCK_ROWS):
+            fh.write(_block_text(columns, start,
+                                 min(start + _BLOCK_ROWS, rows)))
     if metadata is not None:
         write_json(sidecar_path(path), metadata)
 

@@ -75,7 +75,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .atoms import Atom
-from .fields import analyze, axis2_sign, bargmann, omega_side
+from .fields import _axis2_fourier, analyze, axis2_sign, omega_side, project
 from .fourier import _fourier_rows, fourier
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport, gamma,
@@ -562,9 +562,10 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
 
     def slow_path():
         W = analyze(atom, f)
-        # masked in place: W's array belongs to this path alone
+        # masked and transformed in place: W's array belongs to this path
+        # alone; the transform is bargmann's without a copy of W
         W.values *= spec.evaluate_field(atom.g1.nodes, W.g2.samples)
-        g = bargmann(atom, W, out_grid=h.grid)
+        g = project(atom, _axis2_fourier(W, "forward", h.grid, in_place=True))
         return omega_side(atom.case, g, back_to=f.grid)
 
     def fast_path():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from tfloc.algebra import PartitionCloud
 from tfloc.fields import PhasePlaneField, analyze, random_bandlimited
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, subgrid_indices
-from tfloc.io import (export_cloud, export_field, export_gamma, export_kernel,
-                      read_signal_csv, sidecar_path, write_signal_csv,
-                      write_table)
+from tfloc.io import (_BLOCK_ROWS, export_cloud, export_field, export_gamma,
+                      export_kernel, read_signal_csv, sidecar_path,
+                      write_signal_csv, write_table)
 from tfloc.kernels import GammaFunction
 from tfloc.operators import OperatorMatrix
 
@@ -123,6 +124,82 @@ def test_exporter_bytes_pinned(tmp_path, kind):
     path = tmp_path / f"{kind}.csv"
     write(str(path))
     assert path.read_bytes() == expected.encode()
+
+
+# -- the table writer ------------------------------------------------------------
+
+def _rows_text(header, columns) -> str:
+    """The writer's output formatted one row at a time: the reference."""
+    fmt = ",".join("%s" if np.asarray(c).dtype.kind == "U" else "%.17g"
+                   for c in columns) + "\n"
+    return ",".join(header) + "\n" + "".join(fmt % row
+                                              for row in zip(*columns))
+
+
+def _writer_cases():
+    rng = np.random.default_rng(5)
+    tiny = np.nextafter(0.0, 1.0)
+    special = np.array([0.0, -0.0, tiny, -tiny, np.inf, -np.inf, np.nan,
+                        -np.nan, 1.0, np.finfo(float).max, 0.1, 1e-300])
+    yield pytest.param([special, special[::-1].copy()], id="special values")
+    yield pytest.param([np.array(["gamma"] * 3 + ["eig"] * 2 + ["a,b"]),
+                        rng.standard_normal(6), np.zeros(6)], id="labels")
+    yield pytest.param([np.array([0, -3, 2 ** 53 + 1, 2 ** 62, -1]),
+                        np.array([True, False, True, True, False]),
+                        np.arange(5, dtype=np.int32),
+                        np.float32([0.1, -0.5, 3.3, 0.0, 1e-40])],
+                       id="int and bool")
+    yield pytest.param([rng.standard_normal(1000) for _ in range(3)],
+                       id="distinct")
+    yield pytest.param([np.full(1000, 0.1), np.zeros(1000),
+                        np.full(1000, -0.0)], id="equal")
+    yield pytest.param([np.zeros(0), np.zeros(0)], id="no rows")
+    yield pytest.param([np.array([np.pi]), np.array([-0.0])], id="one row")
+    for rows in (_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1):
+        # runs of 7 and a cycle of 13 values straddle the block edge
+        pool = rng.standard_normal(13)
+        yield pytest.param([np.repeat(np.arange(rows // 7 + 1) / 3, 7)[:rows],
+                            np.tile(pool, rows // 13 + 1)[:rows],
+                            rng.standard_normal(rows)], id=f"{rows} rows")
+
+
+@pytest.mark.parametrize("columns", _writer_cases())
+def test_write_table_bytes_match_rows_formatted_one_at_a_time(tmp_path,
+                                                             columns):
+    header = [f"c{j}" for j in range(len(columns))]
+    path = tmp_path / "t.csv"
+    write_table(str(path), header, columns)
+    assert path.read_bytes() == _rows_text(header, columns).encode()
+
+
+def test_write_table_memory_is_bounded_by_one_block(tmp_path):
+    # 2^20 distinct rows of 4 floats, 32 MiB of input: formatting whole
+    # columns at once would hold hundreds of MiB of text
+    rng = np.random.default_rng(11)
+    columns = [rng.standard_normal(1 << 20) for _ in range(4)]
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_table(str(path), ["a", "b", "c", "d"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(path) as fh:
+        assert sum(1 for _ in fh) == (1 << 20) + 1
+    path.unlink()
+    assert peak <= 8 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+@pytest.mark.parametrize("columns,match", [
+    ([np.zeros(3), np.zeros(5)], r"shapes \[\(3,\), \(5,\)\]"),
+    ([np.zeros((2, 2)), np.zeros((2, 2))], "1-D"),
+    ([np.zeros(3), np.ones(3) * 1j], "complex128"),
+])
+def test_write_table_rejects_malformed_columns(tmp_path, columns, match):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match=match):
+        write_table(str(path), ["a", "b"], columns, metadata={"x": 1})
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- signal CSV reader ----------------------------------------------------------

@@ -940,21 +940,23 @@ def test_filter_builds_one_fiber_matrix(ell_calls):
 
 
 def test_filter_slow_peak_memory(gaussian):
-    # the slow path holds the fiber record, real for the gaussian window, the
-    # analysis field and one transform output: about 2.5 K x N complex arrays
-    # (3 with a complex record, 4 when the FFTs ran out of place and project
-    # conjugated its own fiber matrix)
+    # the slow path holds the analysis field, transformed in place both
+    # ways, and the real symbol mask: about 1.57 K x N complex arrays (2.07
+    # when the forward transform copied the field), and one more for the
+    # fiber record, real for the gaussian window, when the call builds it
     n = 4096
     f = random_bandlimited(LineGrid.centered(16.0, n), seed=3)
     spec = SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 2.0))
-    tracemalloc.start()
-    try:
-        filter_signal(gaussian, spec, f, "slow")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     K = gaussian.g1.count
-    assert peak <= 2.75 * K * n * 16, f"peak {peak / (K * n * 16):.3f} K*N*16"
+    for bound in (2.25, 1.7):  # the first call may build the fiber record
+        tracemalloc.start()
+        try:
+            filter_signal(gaussian, spec, f, "slow")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        units = peak / (K * n * 16)
+        assert units <= bound, f"peak {units:.3f} K*N*16 (bound {bound})"
 
 
 def test_filter_rejects_signal_off_the_translation_grid(gaussian, shannon):

@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from tfloc.fields import (PhasePlaneField, analyze, apply_axis2_fourier,
 from tfloc.fourier import _cis, _fourier_rows, fourier
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from tfloc.io import export_atom, import_atom
+from tfloc.operators import filter_signal
+from tfloc.symbols import Symbol1D, SymbolSpec
 
 SIGNAL_GRID = LineGrid.centered(8.0, 1024)
 
@@ -321,6 +324,66 @@ def test_bargmann_adjoint_projection_idempotent(gaussian):
     once = bargmann_adjoint(gaussian, bargmann(gaussian, F), out_grid=F.g2)
     twice = bargmann_adjoint(gaussian, bargmann(gaussian, once), out_grid=F.g2)
     assert np.max(np.abs(twice.values - once.values)) <= 1e-8
+
+
+# -- in-place transforms ------------------------------------------------------------
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("name,band", [("gaussian", (-1.0, 1.0)),
+                                       ("shannon", (1.0, 2.0)),
+                                       ("haar", (1.0, 2.0))])
+def test_in_place_transforms_equal_the_out_of_place_composition(request, name,
+                                                                band):
+    # analyze, bargmann_adjoint and the slow filter transform arrays they
+    # own in place; the bits are those of the public composition
+    atom = request.getfixturevalue(name)
+    f = random_bandlimited(SIGNAL_GRID, seed=8)
+    h = omega_side(atom.case, f)
+    full_axis = f.grid if atom.case == "wavelet" else induced_grid(f.grid)
+    W = apply_axis2_fourier(embed(atom, h), "backward", full_axis)
+    assert _bits(analyze(atom, f).values) == _bits(W.values)
+    assert _bits(bargmann_adjoint(atom, h, out_grid=full_axis).values) \
+        == _bits(W.values)
+    spec = SymbolSpec.first_variable(Symbol1D.indicator(*band))
+    masked = W.copy_with(
+        W.values * spec.evaluate_field(atom.g1.nodes, full_axis.samples))
+    ref = omega_side(atom.case, bargmann(atom, masked, out_grid=h.grid),
+                     back_to=f.grid)
+    out, _ = filter_signal(atom, spec, f, "slow")
+    assert _bits(out.values) == _bits(ref.values)
+
+
+def test_public_transforms_leave_their_inputs_unchanged(gaussian, shannon):
+    for atom in (gaussian, shannon):
+        F = _random_field(atom, seed=3)
+        field_before = F.values.copy()
+        bargmann(atom, F)
+        apply_axis2_fourier(F, "forward")
+        assert _bits(F.values) == _bits(field_before)
+        h = SampledFunction(F.g2, field_before[0].copy())
+        bargmann_adjoint(atom, h)
+        assert _bits(h.values) == _bits(field_before[0])
+
+
+def test_analyze_peak_memory(gaussian, shannon):
+    # with the fiber record built, analyze holds embed's array, transformed
+    # in place, and little else: about 1.06 K x N complex arrays (2.06 when
+    # the transform copied it)
+    n = 4096
+    f = random_bandlimited(LineGrid.centered(16.0, n), seed=3)
+    for atom in (gaussian, shannon):
+        analyze(atom, f)  # builds the fiber record the atom keeps
+        tracemalloc.start()
+        try:
+            analyze(atom, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        units = peak / (atom.g1.count * n * 16)
+        assert units <= 1.2, f"{atom.name}: peak {units:.3f} K*N*16"
 
 
 # -- fiber records -------------------------------------------------------------------
