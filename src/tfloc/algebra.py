@@ -87,7 +87,7 @@ class PartitionCloud:
 
     Points live (up to quadrature slack) on the standard simplex: every
     coordinate is a nonnegative fiber-mass fraction and coordinates sum to
-    the fiber norm.
+    the fiber norm.  ``simplex_sum_deviation`` is the largest |sum - 1|.
     """
 
     def __init__(self, xi_grid: LineGrid, points, partition_descriptor: str,
@@ -98,13 +98,13 @@ class PartitionCloud:
         if float(points.min()) < -1e-8:
             raise ValueError(
                 f"negative simplex coordinate {points.min():.2e}")
-        sums = points.sum(axis=1)
-        dev = float(np.max(np.abs(sums - 1.0)))
+        dev = float(np.max(np.abs(points.sum(axis=1) - 1.0)))
         if dev > 1e-6:
             raise ValueError(f"simplex sums deviate from 1 by {dev:.2e}; "
                              "sample inside the healthy range")
         self.xi_grid = xi_grid
         self.points = points
+        self.simplex_sum_deviation = dev
         self.partition_descriptor = partition_descriptor
         self.atom_name = atom_name
 

@@ -20,13 +20,14 @@ from . import io as tio
 from .algebra import (Partition, commutator_diagnostics, evaluate_on_cloud,
                       partition_gammas)
 from .atoms import make_atom
-from .fields import (analyze, bargmann, bargmann_adjoint, omega_grid,
-                     omega_side, random_bandlimited)
+from .fields import (analyze, bargmann, bargmann_adjoint, omega_side,
+                     random_bandlimited)
 from .grids import LineGrid, SampledFunction
 from .kernels import (boundedness_verdict, gamma, overlap_kernel,
                       spectrum_from_gamma, weighted_overlap_kernel)
 from .operators import (build_direct, default_operator_grid, filter_signal,
-                        operator_norm, spectrum, verify_equivalence)
+                        hausdorff_distance, operator_norm, spectrum,
+                        verify_equivalence)
 from .symbols import Symbol1D, SymbolParseError, SymbolSpec, parse_symbol
 
 DEFAULT_ATOM = {"gabor": "gaussian", "wavelet": "shannon"}
@@ -215,10 +216,11 @@ def cmd_spectrum(args) -> int:
     if gf.abserr is not None:
         meta["quadrature_abserr_max"] = max(gf.abserr, wide.abserr)
     if args.with_eigs:
-        erep = spectrum(M, reference=rep.values)
+        erep = spectrum(M)
         kinds += ["eig"] * erep.values.size
         values = np.concatenate([values, erep.values])
-        meta["hausdorff_eigs_vs_gamma"] = erep.hausdorff
+        meta["hausdorff_eigs_vs_gamma"] = hausdorff_distance(erep.values,
+                                                             rep.values)
         meta["operator_norm"] = erep.norm_estimate
         meta["lowrank_rank"] = M.lowrank_rank
         meta["lowrank_tail"] = M.lowrank_tail
@@ -269,16 +271,15 @@ def _verify_transforms_suite(args) -> dict:
     n = max(args.n, 64)
     grid = LineGrid.centered(8.0, n)
     opg = default_operator_grid(args.case, min(args.n, 256))
-    omega = omega_grid(atom.case, grid)
     worst_iso, worst_fact, worst_round = 0.0, 0.0, 0.0
     for k in range(20):
         f = random_bandlimited(grid, seed=args.seed + k)
         W = analyze(atom, f)
         worst_iso = max(worst_iso, abs(W.weighted_norm() - f.norm()))
-        out = bargmann(atom, W, out_grid=omega)
-        ref = omega_side(atom.case, f).values
+        h = omega_side(atom.case, f)
+        out = bargmann(atom, W, out_grid=h.grid)
         worst_fact = max(worst_fact, float(
-            np.linalg.norm(out.values - ref) / np.linalg.norm(ref)))
+            np.linalg.norm(out.values - h.values) / np.linalg.norm(h.values)))
     rng = np.random.default_rng(args.seed)
     for _ in range(5):
         v = rng.standard_normal(opg.count) + 1j * rng.standard_normal(opg.count)
@@ -313,7 +314,6 @@ def _verify_algebra_suite(args) -> dict:
     worst_comm = max(commutator_diagnostics(atom, pool, grid).values())
     part = Partition(atom, DEFAULT_CUTS[args.case])
     cloud = partition_gammas(atom, part, grid)
-    sums_dev = float(np.max(np.abs(cloud.points.sum(axis=1) - 1.0)))
     # the direct route is linear in the symbol: one build per piece
     basis = [build_direct(atom, SymbolSpec.first_variable(ind), grid).values
              for ind in part.indicator_symbols()]
@@ -325,11 +325,12 @@ def _verify_algebra_suite(args) -> dict:
         nm = operator_norm(sum(c * M for c, M in zip(coeffs, basis)))
         worst_iso = max(worst_iso, abs(sup - nm) / nm)
     tol = VERIFY_TOL["algebra"]
-    passed = (worst_comm <= tol["commutator"] and sums_dev <= tol["simplex"]
+    passed = (worst_comm <= tol["commutator"]
+              and cloud.simplex_sum_deviation <= tol["simplex"]
               and worst_iso <= tol["tau_isometry"])
     return {"case": args.case, "atom": atom.name, "N": grid.count,
             "commutator_rel_max": worst_comm,
-            "simplex_sum_deviation": sums_dev,
+            "simplex_sum_deviation": cloud.simplex_sum_deviation,
             "tau_isometry_rel_max": worst_iso,
             "tolerances": tol,
             "pass": passed}
@@ -380,8 +381,7 @@ def cmd_algebra(args) -> int:
     part = Partition(atom, cuts)
     cloud = partition_gammas(atom, part, _xi_grid(args))
     meta = _config_meta(args, partition=part.descriptor(), m=part.m,
-                        simplex_sum_deviation=float(
-                            np.max(np.abs(cloud.points.sum(axis=1) - 1.0))))
+                        simplex_sum_deviation=cloud.simplex_sum_deviation)
     if args.format == "json":
         tio.write_json(args.out, {
             **meta, "xi": cloud.xi_grid.samples.tolist(),

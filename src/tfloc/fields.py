@@ -26,8 +26,7 @@ import numpy as np
 
 from .atoms import Atom
 from .fourier import _fourier_rows, fourier
-from .grids import (LineGrid, SampledFunction, ScaleGrid, induced_grid,
-                    subgrid_indices)
+from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 
 __all__ = [
     "PhasePlaneField",
@@ -38,7 +37,6 @@ __all__ = [
     "project",
     "bargmann",
     "bargmann_adjoint",
-    "omega_grid",
     "omega_side",
     "random_bandlimited",
 ]
@@ -103,12 +101,6 @@ def omega_side(case: str, f: SampledFunction,
     return fourier(f, "inverse", out_grid=back_to)
 
 
-def omega_grid(case: str, grid: LineGrid) -> LineGrid:
-    """Grid of the omega side of a signal sampled on ``grid``: the grid
-    itself for windows, its induced grid for wavelets."""
-    return grid if case == "gabor" else induced_grid(grid)
-
-
 def axis2_sign(case: str, direction: str) -> str:
     """Fourier sign of the axis-2 transform: "forward" (analysis fields to
     the diagonal plane) is the forward transform for wavelet fields and the
@@ -119,22 +111,16 @@ def axis2_sign(case: str, direction: str) -> str:
             else "inverse")
 
 
-def analyze(atom: Atom, f: SampledFunction,
-            g2: LineGrid | None = None) -> PhasePlaneField:
+def analyze(atom: Atom, f: SampledFunction) -> PhasePlaneField:
     """Analysis transform: inner products of f with the transported atoms.
 
     By the reproducing formula it is the adjoint of the diagonalizing
     transform applied to the omega side of f.  The second axis is f's own
     grid for wavelets (translations) and its induced grid for windows
-    (modulations); ``g2`` may be any aligned subgrid of it, to which the
-    full-axis values are restricted.
+    (modulations).
     """
-    full_axis = f.grid if atom.case == "wavelet" else induced_grid(f.grid)
-    W = bargmann_adjoint(atom, omega_side(atom.case, f), out_grid=full_axis)
-    if g2 is None:
-        return W
-    offset, stride = subgrid_indices(g2, full_axis)
-    return W.copy_with(W.values[:, offset::stride][:, :g2.count], g2=g2)
+    g2 = f.grid if atom.case == "wavelet" else induced_grid(f.grid)
+    return bargmann_adjoint(atom, omega_side(atom.case, f), out_grid=g2)
 
 
 def apply_axis2_fourier(field: PhasePlaneField, direction: str,

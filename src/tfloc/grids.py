@@ -31,7 +31,6 @@ __all__ = [
     "ScaleGrid",
     "SampledFunction",
     "induced_grid",
-    "subgrid_indices",
 ]
 
 
@@ -76,24 +75,6 @@ def induced_grid(grid: LineGrid) -> LineGrid:
     """
     step = 1.0 / (grid.count * grid.step)
     return LineGrid(-(grid.count // 2) * step, step, grid.count)
-
-
-def subgrid_indices(sub: LineGrid, full: LineGrid) -> tuple[int, int]:
-    """Return (offset, stride) such that sub.samples == full.samples[offset::stride][:sub.count].
-
-    Raises ValueError when ``sub`` is not an aligned subgrid of ``full``.
-    """
-    ratio = sub.step / full.step
-    stride = int(round(ratio))
-    if stride < 1 or abs(ratio - stride) > 1e-9:
-        raise ValueError(f"step {sub.step} is not a multiple of {full.step}")
-    off = (sub.start - full.start) / full.step
-    offset = int(round(off))
-    if abs(off - offset) > 1e-6 or offset < 0:
-        raise ValueError("subgrid start does not sit on the full grid")
-    if offset + (sub.count - 1) * stride >= full.count:
-        raise ValueError("subgrid extends past the full grid")
-    return offset, stride
 
 
 class ScaleGrid:

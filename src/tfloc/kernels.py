@@ -142,7 +142,6 @@ class SpectrumReport:
     interval: tuple[float, float] | None = None
     unbounded: bool = False
     caveat: str = "spectrum and norm are reported from the sampled range only"
-    hausdorff: float | None = None
 
 
 # -- gamma ---------------------------------------------------------------------

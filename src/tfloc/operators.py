@@ -24,12 +24,14 @@ same operator along different routes:
   factor.
 * ``build_multiplication`` -- diagonal matrix of the scalar symbol gamma
   (first-variable symbols diagonalize).
-* ``build_integral`` -- overlap kernel times the transformed second-variable
-  factor evaluated on the frequency difference lattice.
 * ``build_pseudodiff`` -- compound-symbol form for separable symbols: the
-  weighted overlap kernel times the same difference-lattice factor.  (The
-  phase sums of the iterated integral collapse to a function of x - y, so
-  one transform of the second-variable factor assembles every row.)
+  weighted overlap kernel times the transformed second-variable factor
+  evaluated on the frequency difference lattice.  (The phase sums of the
+  iterated integral collapse to a function of x - y, so one transform of
+  the second-variable factor assembles every row.)
+* ``build_integral`` -- integral form for second-variable symbols, which
+  is the compound-symbol form with alpha = 1: the weighted kernel is then
+  the overlap kernel.  Both routes are one assembly, ``_compound``.
 
 ``verify_equivalence`` builds the direct matrix and the specialized one that
 the symbol's kind picks, and reports their discrepancy in operator norm,
@@ -44,15 +46,9 @@ largest diagonal modulus, which covers the cto1 differences, the
 commutators and the linear combinations of first-variable operators.
 
 ``operator_norm`` takes the largest singular value of a matrix flagged
-Hermitian from its eigenvalues.  Any other non-diagonal matrix gets a
-Lanczos iteration on A^H A from a fixed seeded start vector, with full
-reorthogonalization.
-It stops when the top Ritz pair's residual is at most ``NORM_RESIDUAL_TOL``
-(1e-13) of its Ritz value; the estimate is then within half that,
-relative, of a singular value.  Ritz values never exceed sigma_1^2, so the
-estimate is a lower bound up to rounding.  Without that certificate
-within ``NORM_MAX_STEPS`` steps, or at a zero Ritz value, the norm is the
-dense SVD's sigma_1.
+Hermitian from its eigenvalues, and of any other non-diagonal matrix from
+the certified Lanczos estimate of ``_lanczos_norm`` (the dense SVD when it
+has no certificate).
 
 Sign conventions: with the axis-2 transform pairing (wavelet forward, gabor
 inverse), the difference-lattice factor is beta_hat(+(xi - omega)) for the
@@ -275,43 +271,41 @@ def _beta_hat_on_lattice(atom: Atom, beta: Symbol1D,
     return bhat.values[2 * n + case_sign(atom.case) * lag]
 
 
-def _compound(atom: Atom, kernel: OperatorMatrix, beta: Symbol1D) -> np.ndarray:
-    """Entries kernel[i, j] * beta_hat(sigma*(xi_i - xi_j)) * step on the
-    kernel's grid: the one assembly of both compound-symbol builders."""
-    grid = kernel.grid
+def _compound(atom: Atom, spec: SymbolSpec,
+              xi_grid: LineGrid) -> OperatorMatrix:
+    """Compound-symbol route of a second-variable or separable ``spec``.
+
+    Entry [i, j] = K[i, j] * beta_hat(sigma*(xi_i - xi_j)) * step, with the
+    case-dependent sigma and K the overlap kernel weighted by spec.alpha,
+    unweighted when the spec has none (alpha = 1, the integral route).
+    """
+    kernel = (overlap_kernel(atom, xi_grid) if spec.alpha is None
+              else weighted_overlap_kernel(atom, spec.alpha, xi_grid))
     # a named table keeps numpy from multiplying into it in place, which
     # would swap the operands of each complex product and move the last bit
-    bh = _beta_hat_on_lattice(atom, beta, grid)
-    return kernel.values * bh * grid.step
+    bh = _beta_hat_on_lattice(atom, spec.beta, xi_grid)
+    return OperatorMatrix(xi_grid, kernel.values * bh * xi_grid.step,
+                          "integral" if spec.alpha is None else "pseudodiff",
+                          atom.name, spec.descriptor,
+                          symbol_is_real=spec.is_real)
 
 
 def build_integral(atom: Atom, beta: Symbol1D,
                    xi_grid: LineGrid) -> OperatorMatrix:
-    """Integral-operator form for second-variable symbols.
-
-    Entry [i, j] = overlap_kernel(xi_i, xi_j) * beta_hat(sigma*(xi_i - xi_j))
-    * step, with the case-dependent sigma.
-    """
-    vals = _compound(atom, overlap_kernel(atom, xi_grid), beta)
-    return OperatorMatrix(xi_grid, vals, "integral", atom.name,
-                          f"a(s)={beta.descriptor}",
-                          symbol_is_real=beta.is_real)
+    """Integral-operator form for second-variable symbols (``_compound``)."""
+    return _compound(atom, SymbolSpec.second_variable(beta), xi_grid)
 
 
 def build_pseudodiff(atom: Atom, alpha: Symbol1D, beta: Symbol1D,
                      xi_grid: LineGrid) -> OperatorMatrix:
-    """Compound-symbol form for separable symbols.
+    """Compound-symbol form for separable symbols (``_compound``).
 
     The iterated integral over (y, xi) with compound symbol
     Gamma(x, y) * beta(xi) and the case-dependent oscillatory phase reduces,
     row by row, to the weighted overlap kernel times the transformed
     second-variable factor on the difference lattice.
     """
-    vals = _compound(atom, weighted_overlap_kernel(atom, alpha, xi_grid), beta)
-    return OperatorMatrix(
-        xi_grid, vals, "pseudodiff", atom.name,
-        f"a(r,s)=[{alpha.descriptor}]x[{beta.descriptor}]",
-        symbol_is_real=alpha.is_real and beta.is_real)
+    return _compound(atom, SymbolSpec.separable(alpha, beta), xi_grid)
 
 
 # -- spectra and comparisons -------------------------------------------------------
@@ -407,12 +401,8 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
     For an ``OperatorMatrix`` flagged Hermitian it is max |eigenvalue| of
     the symmetrized matrix, as in ``spectrum``.  A diagonal array (no
     nonzero off-diagonal entry) has it read off exactly as max |d_i|.
-    Otherwise it is the Lanczos estimate of ``_lanczos_norm``: certified
-    to within ``NORM_RESIDUAL_TOL`` / 2 relative of a singular value, never
-    above sigma_1 beyond rounding, and the same float on every call with
-    the same array.  When the iteration breaks down at a zero Ritz value
-    or finds no certificate within ``NORM_MAX_STEPS`` steps, the value is
-    the dense SVD's sigma_1.
+    Otherwise it is the certified Lanczos estimate of ``_lanczos_norm``, or
+    the dense SVD's sigma_1 where that has no certificate.
     """
     if isinstance(M, OperatorMatrix) and M.is_hermitian:
         return float(np.max(np.abs(_hermitian_eigvals(M))))
@@ -425,18 +415,15 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
     return float(np.linalg.svd(vals, compute_uv=False)[0])
 
 
-def spectrum(M: OperatorMatrix, reference=None) -> SpectrumReport:
+def spectrum(M: OperatorMatrix) -> SpectrumReport:
     """Dense eigenvalue multiset; symmetric solver for Hermitian matrices.
 
     A Hermitian matrix whose symmetrized form is diagonal -- every
     first-variable direct matrix on the default windows -- has its spectrum
     read off the diagonal, with no solver.  The norm estimate is the largest
     singular value: max |eigenvalue| of the symmetrized matrix when
-    Hermitian, otherwise ``operator_norm`` (the largest diagonal modulus of
-    a diagonal matrix, else the certified Lanczos estimate: within
-    ``NORM_RESIDUAL_TOL`` / 2 of a singular value, never above sigma_1
-    beyond rounding, a dense SVD when uncertified).  The size is not capped
-    here; the CLI rejects sizes above its dense cap.
+    Hermitian, otherwise ``operator_norm``.  The size is not capped here;
+    the CLI rejects sizes above its dense cap.
     """
     try:
         if M.is_hermitian:
@@ -452,12 +439,8 @@ def spectrum(M: OperatorMatrix, reference=None) -> SpectrumReport:
     # the singular values of a Hermitian matrix are its |eigenvalues|
     norm = (float(np.max(np.abs(eigs))) if M.is_hermitian
             else operator_norm(M))
-    hd = None
-    if reference is not None:
-        hd = hausdorff_distance(eigs, np.asarray(reference))
     return SpectrumReport(values=eigs, is_real=M.is_hermitian,
-                          norm_estimate=norm, interval=interval,
-                          hausdorff=hd)
+                          norm_estimate=norm, interval=interval)
 
 
 def hausdorff_distance(a, b) -> float:

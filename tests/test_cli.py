@@ -8,6 +8,7 @@ import pytest
 from scipy.special import erf
 
 from tfloc import cli, operators
+from tfloc.algebra import Partition, partition_gammas
 from tfloc.atoms import Fibers, make_atom
 from tfloc.cli import main
 from tfloc.fields import random_bandlimited
@@ -413,6 +414,23 @@ def test_cmd_spectrum_with_eigs(tmp_path):
     assert abs(meta["operator_norm"] - 0.5) <= 1e-6
 
 
+def test_cmd_spectrum_hausdorff_is_that_of_its_rows(tmp_path):
+    # the sidecar's distance is hausdorff_distance of the CSV's eig and
+    # gamma rows; the adaptive gamma differs from the eigenvalues by O(step)
+    out = str(tmp_path / "s.csv")
+    assert run("spectrum", "--symbol", "indicator:-1,1", "--n", "64",
+               "--with-eigs", "--out", out) == 0
+    meta = json.loads(open(sidecar_path(out)).read())
+    with open(out) as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh][1:]
+    values = {kind: np.array([complex(float(re), float(im))
+                              for k, re, im in rows if k == kind])
+              for kind in ("gamma", "eig")}
+    assert values["gamma"].size == values["eig"].size == 64
+    hd = operators.hausdorff_distance(values["eig"], values["gamma"])
+    assert hd > 0 and meta["hausdorff_eigs_vs_gamma"] == hd
+
+
 def test_cmd_spectrum_with_eigs_builds_two_fiber_matrices(tmp_path, ell_calls):
     # under the grid rule the direct matrix shares the first gamma's record;
     # only the wide-grid gamma needs another
@@ -509,6 +527,24 @@ def test_cmd_algebra_default_cuts_follow_case(tmp_path, case, cut):
                "--out", given) == 0
     for suffix in ("", ".meta.json"):
         assert open(default + suffix).read() == open(given + suffix).read()
+
+
+@pytest.mark.parametrize("case", ["gabor", "wavelet"])
+def test_simplex_sum_deviation_is_the_clouds(tmp_path, case):
+    # the algebra sidecar and the verify algebra report both state the
+    # deviation that the cloud computed
+    atom = make_atom(case, cli.DEFAULT_ATOM[case])
+    cloud = partition_gammas(atom, Partition(atom, cli.DEFAULT_CUTS[case]),
+                             operators.default_operator_grid(case, 64))
+    dev = cloud.simplex_sum_deviation
+    assert dev == float(np.max(np.abs(cloud.points.sum(axis=1) - 1.0)))
+    out, report = str(tmp_path / "c.csv"), str(tmp_path / "v.json")
+    assert run("algebra", "--case", case, "--n", "64", "--out", out) == 0
+    assert run("verify", "algebra", "--case", case, "--n", "64",
+               "--out", report) == 0
+    assert json.loads(open(sidecar_path(out)).read())[
+        "simplex_sum_deviation"] == dev
+    assert json.loads(open(report).read())["simplex_sum_deviation"] == dev
 
 
 def test_cmd_n_cap(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tfloc.algebra import PartitionCloud
 from tfloc.fields import PhasePlaneField, analyze, random_bandlimited
-from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, subgrid_indices
+from tfloc.grids import LineGrid, SampledFunction, ScaleGrid
 from tfloc.io import (_BLOCK_ROWS, export_cloud, export_field, export_gamma,
                       export_kernel, read_signal_csv, sidecar_path,
                       write_signal_csv, write_table)
@@ -42,14 +42,6 @@ def test_scale_grid_validation():
         ScaleGrid(2.0, 1.0, 16)
 
 
-def test_subgrid_indices():
-    full = LineGrid(-8.0, 1.0 / 64, 1024)
-    sub = LineGrid(-8.0, 1.0 / 16, 256)
-    assert subgrid_indices(sub, full) == (0, 4)
-    with pytest.raises(ValueError):
-        subgrid_indices(LineGrid(-8.0, 0.3, 10), full)
-
-
 def test_sampled_function_norm_matches_direct_sum():
     grid = LineGrid(0.0, 0.25, 16)
     f = SampledFunction(grid, np.ones(16))
@@ -58,7 +50,11 @@ def test_sampled_function_norm_matches_direct_sum():
 
 def test_export_field_roundtrips_columns(tmp_path, gaussian):
     f = random_bandlimited(LineGrid.centered(8.0, 1024), seed=3)
-    W = analyze(gaussian, f, g2=LineGrid.centered(8.0, 64))
+    full = analyze(gaussian, f)
+    # every 4th modulation from -8: the induced axis has step 1/16 from -32
+    W = full.copy_with(full.values[:, 384::4][:, :64],
+                       g2=LineGrid.centered(8.0, 64))
+    assert np.array_equal(W.g2.samples, full.g2.samples[384::4][:64])
     path = str(tmp_path / "field.csv")
     export_field(path, W, metadata={"what": "spectrogram"})
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -173,10 +169,11 @@ def test_write_table_bytes_match_rows_formatted_one_at_a_time(tmp_path,
 
 
 def test_write_table_memory_is_bounded_by_one_block(tmp_path):
-    # 2^20 distinct rows of 4 floats, 32 MiB of input: formatting whole
-    # columns at once would hold hundreds of MiB of text
+    # 2^17 distinct rows of 4 floats, 8 blocks: the blocked writer peaks
+    # near 6.6 MiB, a whole-table one near 53 MiB
+    rows = 8 * _BLOCK_ROWS
     rng = np.random.default_rng(11)
-    columns = [rng.standard_normal(1 << 20) for _ in range(4)]
+    columns = [rng.standard_normal(rows) for _ in range(4)]
     path = tmp_path / "big.csv"
     tracemalloc.start()
     try:
@@ -185,7 +182,7 @@ def test_write_table_memory_is_bounded_by_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     with open(path) as fh:
-        assert sum(1 for _ in fh) == (1 << 20) + 1
+        assert sum(1 for _ in fh) == rows + 1
     path.unlink()
     assert peak <= 8 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 

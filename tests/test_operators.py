@@ -432,16 +432,61 @@ def test_pseudodiff_alpha_one_reduces_to_integral(gaussian):
 
 def test_integral_route_is_the_compound_route_with_alpha_one(gaussian,
                                                             shannon):
-    # the identity that lets the two builders stay separate: bit for bit,
-    # both for the kernels and for the assembled operators
+    # the identity that makes the two builders one assembly: bit for bit,
+    # both for the kernels and for the assembled operators, which keep
+    # their own labels
     one = Symbol1D.constant(1.0)
     beta = Symbol1D.gaussian_bump(1.0)
     for atom in (gaussian, shannon):
         grid = _grid_for(atom)
         assert np.array_equal(overlap_kernel(atom, grid).values,
                               weighted_overlap_kernel(atom, one, grid).values)
-        assert np.array_equal(build_integral(atom, beta, grid).values,
-                              build_pseudodiff(atom, one, beta, grid).values)
+        integral = build_integral(atom, beta, grid)
+        pseudodiff = build_pseudodiff(atom, one, beta, grid)
+        assert np.array_equal(integral.values, pseudodiff.values)
+        assert (integral.builder, integral.symbol_descriptor) == (
+            "integral", "a(s)=bump:1@0")
+        assert (pseudodiff.builder, pseudodiff.symbol_descriptor) == (
+            "pseudodiff", "a(r,s)=[const:1]x[bump:1@0]")
+
+
+def _real_smooth_factor(draw, case, variable):
+    """A real smooth factor: a gaussian bump, a smooth step (in log2 of the
+    scale for the wavelet first variable) or a C^1 cosine window."""
+    scales = (case, variable) == ("wavelet", "r")
+    kind = draw(st.sampled_from(["bump", "step", "coswin"]))
+    if kind == "bump":
+        lo, hi = (0.25, 4.0) if scales else (-2.0, 2.0)
+        return Symbol1D.gaussian_bump(draw(st.floats(0.25, 8.0)),
+                                      draw(st.floats(lo, hi)))
+    if kind == "step":
+        return Symbol1D.smooth_step(draw(st.floats(0.5, 8.0)),
+                                    log2_axis=scales)
+    return Symbol1D.cosine_window(draw(st.floats(0.5, 4.0)))
+
+
+# max |M - M^H| / max |M| reached 4.2e-16 over 760 random draws of such
+# symbols on these atoms at n = 32 and 64
+HERMITIAN_REL_DEV = 2e-15
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(["gabor", "wavelet"]), n=st.sampled_from([32, 64]),
+       data=st.data())
+def test_real_smooth_symbols_give_hermitian_matrices(gaussian, shannon, case,
+                                                     n, data):
+    atom = gaussian if case == "gabor" else shannon
+    alpha = _real_smooth_factor(data.draw, case, "r")
+    beta = _real_smooth_factor(data.draw, case, "s")
+    grid = _grid_for(atom, n)
+    for M in (build_direct(atom, SymbolSpec.second_variable(beta), grid),
+              build_direct(atom, SymbolSpec.separable(alpha, beta), grid),
+              build_integral(atom, beta, grid),
+              build_pseudodiff(atom, alpha, beta, grid)):
+        dev = np.max(np.abs(M.values - M.values.conj().T))
+        assert M.is_hermitian
+        assert dev <= HERMITIAN_REL_DEV * np.max(np.abs(M.values)), (
+            M.builder, M.symbol_descriptor)
 
 
 def _beta_hat_interp(sign, beta, xi_grid):

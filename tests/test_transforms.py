@@ -84,21 +84,6 @@ def test_analyze_wavelet_against_bruteforce_inner_products(haar):
         assert abs(W.values[k, i] - brute) <= 2e-2
 
 
-def test_analyze_rejects_incompatible_grid(gaussian):
-    f = SampledFunction(SIGNAL_GRID, np.ones(1024))
-    with pytest.raises(ValueError):
-        analyze(gaussian, f, g2=LineGrid(0.0, 0.333, 64))
-
-
-def test_analyze_restricts_to_subgrid(gaussian):
-    f = random_bandlimited(SIGNAL_GRID, seed=9)
-    full = analyze(gaussian, f)
-    sub_grid = LineGrid.centered(8.0, 256)
-    sub = analyze(gaussian, f, g2=sub_grid)
-    offset = int(round((sub_grid.start - full.g2.start) / full.g2.step))
-    assert np.max(np.abs(sub.values - full.values[:, offset:offset + 256])) == 0.0
-
-
 # -- axis-2 transform ---------------------------------------------------------------
 
 def test_axis2_roundtrip(gaussian, shannon):
