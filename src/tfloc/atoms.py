@@ -55,6 +55,17 @@ DEFAULT_SCALE_COUNT = 512
 DEFAULT_TRANSLATION_RANGE = (-16.0, 16.0)
 DEFAULT_TRANSLATION_COUNT = 512
 
+# first-coordinate rows per block of every streamed pass over a fiber
+# record (``Atom.ell_matrix``, ``Fibers.power_sums`` and the transform chain
+# of ``fields``): a 64 x 4096 complex block is 4 MiB
+_BLOCK_ROWS = 64
+
+
+def _row_blocks(count: int):
+    """Slices of ``_BLOCK_ROWS`` consecutive rows covering ``count`` rows."""
+    for start in range(0, count, _BLOCK_ROWS):
+        yield slice(start, min(start + _BLOCK_ROWS, count))
+
 
 class AdmissibilityError(ValueError):
     """Atom construction failed its admissibility / normalization check."""
@@ -143,12 +154,31 @@ class Atom:
     def ell_matrix(self, omegas):
         """Fiber profiles on (self.g1 nodes) x omegas, shape (g1.count, len(omegas)):
         sqrt(z) conj(psi_hat(z omega)) at scales z (wavelets), conj(phi(omega - z))
-        at translations z (windows)."""
+        at translations z (windows).
+
+        The profile is evaluated on blocks of ``_BLOCK_ROWS`` nodes, each
+        written into the result as it comes, so the temporaries are a
+        block's size.  The result takes the first block's dtype: float64
+        for a real profile, complex128 for a complex one.  It is allocated
+        before the blocks' temporaries: allocated after the first block, a
+        real record raised the peak RSS of the ``verify-dense`` benchmark
+        by about 0.5 MiB (glibc heap layout).
+        """
         omegas = np.asarray(omegas, dtype=float)
         z = self.g1.nodes
-        if self.case == "wavelet":
-            return np.sqrt(z)[:, None] * np.conj(self.eval_freq(np.outer(z, omegas)))
-        return np.conj(self.eval_time(omegas[None, :] - z[:, None]))
+        out = np.empty((z.size, omegas.size))
+        for rows in _row_blocks(z.size):
+            if self.case == "wavelet":
+                block = np.sqrt(z[rows])[:, None] * np.conj(
+                    self.eval_freq(np.outer(z[rows], omegas)))
+            else:
+                block = np.conj(self.eval_time(omegas[None, :]
+                                               - z[rows, None]))
+            if rows.start == 0 and np.iscomplexobj(block):
+                out = np.empty(out.shape, dtype=complex)
+            # same-kind casting: a complex block never lands in a real result
+            np.copyto(out[rows], block)
+        return out
 
     def fibers(self, omegas) -> "Fibers":
         """The atom's fiber record on ``omegas``.
@@ -217,9 +247,12 @@ class Fibers:
     through ``Atom.fibers``, which keeps the last record per atom, so calls
     on one grid share one fiber matrix.  The arrays are read-only.
 
-    The dtype follows the values: float64 when the conjugated fiber matrix
-    has an imaginary part that is exactly zero (gaussian, rect, shannon),
-    complex128 otherwise (haar, imported atoms); consumers are dtype-generic.
+    The dtype follows the values: float64 for a real profile, complex128
+    otherwise (haar, imported atoms); consumers are dtype-generic.  The
+    catalog's real profiles (gaussian, rect, shannon) return float arrays,
+    so their record meets no complex temporary.  ``ell_matrix`` and the
+    reductions over the nodes (``norms``, ``power_sums``) run over blocks of
+    ``_BLOCK_ROWS`` rows, so no temporary has the record's size.
     """
 
     omegas: np.ndarray
@@ -228,12 +261,17 @@ class Fibers:
 
     @classmethod
     def of(cls, atom: Atom, omegas) -> "Fibers":
-        """A new record of ``atom`` on ``omegas``: one ``ell_matrix`` call."""
+        """A new record of ``atom`` on ``omegas``: one ``ell_matrix`` call.
+
+        A real ``ell_matrix`` is kept as it is.  A complex one is conjugated
+        in place and kept as its real part when its imaginary part is zero.
+        """
         omegas = np.array(omegas, dtype=float)
         C = atom.ell_matrix(omegas)
-        np.conj(C, out=C)
-        if not C.imag.any():
-            C = C.real.copy()
+        if np.iscomplexobj(C):
+            np.conj(C, out=C)
+            if not C.imag.any():
+                C = C.real.copy()
         omegas.flags.writeable = False
         C.flags.writeable = False
         return cls(omegas, C, atom.g1.measure_weights)
@@ -242,8 +280,32 @@ class Fibers:
     def norms(self) -> np.ndarray:
         """Fiber norms: quadrature of |ell(., omega)|^2 against the
         first-coordinate measure (computed on first use)."""
-        return np.einsum("ki,k->i", np.abs(self.conj_ell) ** 2,
-                         self.weights).real
+        return self.power_sums(self.weights)
+
+    def power_sums(self, *row_factors) -> np.ndarray:
+        """sum_k |ell(z_k, omega_i)|^2 f_1[k] f_2[k] ... for every omega_i,
+        with f_1, f_2, ... the ``row_factors`` (each one value per node).
+
+        The terms are formed and summed over k in order, the bits of
+        ``np.einsum("ki,k,...->i", |C|^2, f_1, ...)``, one block of
+        ``_BLOCK_ROWS`` rows at a time: no array of the record's size is
+        made.  The dtype is complex when a factor is.
+        """
+        C = self.conj_ell
+        count, n = C.shape
+        acc = np.zeros(n, dtype=np.result_type(float, *row_factors))
+        block = np.empty((min(_BLOCK_ROWS, count), n), dtype=acc.dtype)
+        for rows in _row_blocks(count):
+            t = block[:rows.stop - rows.start]
+            c = np.abs(C[rows]) if np.iscomplexobj(C) else C[rows]
+            np.multiply(c, c, out=t)
+            for f in row_factors:
+                t *= f[rows, None]
+            # the running sum enters as the first term: the rows then add
+            # up in order, as one reduction over k would add them
+            t[0] += acc
+            np.sum(t, axis=0, out=acc)
+        return acc
 
     def coverage(self, h: SampledFunction) -> float:
         """Share of the energy of h, sampled on the record's omegas, that the
@@ -278,11 +340,11 @@ def _shannon_profiles():
     def freq(xi):
         xi = np.asarray(xi, dtype=float)
         band = (np.abs(xi) >= 1.0) & (np.abs(xi) <= 2.0)
-        return band * complex(c)
+        return band * c
 
     def time(x):
         x = np.asarray(x, dtype=float)
-        out = np.empty_like(x, dtype=complex)
+        out = np.empty_like(x)
         nz = x != 0
         xs = x[nz]
         out[nz] = c * (np.sin(4 * np.pi * xs) - np.sin(2 * np.pi * xs)) / (np.pi * xs)
@@ -387,7 +449,7 @@ def make_window(name: str, translation_grid: LineGrid | None = None) -> Atom:
         norm = 2.0 ** 0.25
 
         def time(x):
-            return norm * np.exp(-np.pi * np.asarray(x, dtype=float) ** 2) + 0j
+            return norm * np.exp(-np.pi * np.asarray(x, dtype=float) ** 2)
 
         freq = time  # self-dual in this convention
         tgrid = LineGrid.centered(8.0, 1024)
@@ -399,7 +461,7 @@ def make_window(name: str, translation_grid: LineGrid | None = None) -> Atom:
 
         def time(x):
             x = np.asarray(x, dtype=float)
-            return ((x >= 0) & (x < 1.0)).astype(complex)
+            return ((x >= 0) & (x < 1.0)).astype(float)
 
         def freq(xi):
             xi = np.asarray(xi, dtype=float)

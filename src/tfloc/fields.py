@@ -15,17 +15,30 @@ axis-2 sign pairing that makes this hold (``axis2_sign``: forward transform
 for wavelets, inverse for windows) is asserted by tests.
 
 Both directions meet in the fiber matrix ell(z, omega) of the atom on an
-omega grid.  ``embed`` and ``project``, and so every transform built on
-them, read it as the atom's ``atoms.Fibers`` record on that grid,
-``Atom.fibers``: calls on one grid share one fiber matrix.
+omega grid.  Every function here reads it as the atom's ``atoms.Fibers``
+record on that grid, ``Atom.fibers``: calls on one grid share one fiber
+matrix.  The record is float64 for the real catalog profiles (gaussian,
+rect, shannon) and complex128 otherwise; fields are always complex128.
+
+``bargmann``, ``bargmann_adjoint`` (so ``analyze``) and the slow path of
+``operators.filter_signal`` run one core, ``_stream``: embed, backward
+axis-2 transform, symbol mask, forward transform and fiber projection, each
+on blocks of ``atoms._BLOCK_ROWS`` first-axis rows.  A call that returns a
+function on the second axis never holds a K x N field or mask, and
+``bargmann_adjoint`` holds its field as the one array of its size.  Row
+transforms do not depend on the block they sit in, so analysis fields have
+the bits of the whole-array composition ``apply_axis2_fourier(embed(.))``;
+a projection sums its blocks in turn, which moves it at rounding against
+``project`` of the whole field.  ``embed``, ``project`` and
+``apply_axis2_fourier`` stay whole-array steps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .atoms import Atom
-from .fourier import _fourier_rows, fourier
+from .atoms import Atom, _BLOCK_ROWS, _row_blocks
+from .fourier import _fourier_rows, _sandwich, fourier
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 
 __all__ = [
@@ -111,6 +124,13 @@ def axis2_sign(case: str, direction: str) -> str:
             else "inverse")
 
 
+def _analysis_axis(case: str, grid: LineGrid) -> LineGrid:
+    """Second axis of the analysis field of a signal on ``grid``: the grid
+    itself for wavelets (translations), its induced grid for windows
+    (modulations)."""
+    return grid if case == "wavelet" else induced_grid(grid)
+
+
 def analyze(atom: Atom, f: SampledFunction) -> PhasePlaneField:
     """Analysis transform: inner products of f with the transported atoms.
 
@@ -119,8 +139,8 @@ def analyze(atom: Atom, f: SampledFunction) -> PhasePlaneField:
     grid for wavelets (translations) and its induced grid for windows
     (modulations).
     """
-    g2 = f.grid if atom.case == "wavelet" else induced_grid(f.grid)
-    return bargmann_adjoint(atom, omega_side(atom.case, f), out_grid=g2)
+    return bargmann_adjoint(atom, omega_side(atom.case, f),
+                            out_grid=_analysis_axis(atom.case, f.grid))
 
 
 def apply_axis2_fourier(field: PhasePlaneField, direction: str,
@@ -132,20 +152,11 @@ def apply_axis2_fourier(field: PhasePlaneField, direction: str,
     defaults to the centered induced grid of the current second axis.
     ``field`` is left unchanged.
     """
-    return _axis2_fourier(field, direction, out_grid, in_place=False)
-
-
-def _axis2_fourier(field: PhasePlaneField, direction: str,
-                   out_grid: LineGrid | None, in_place: bool
-                   ) -> PhasePlaneField:
-    """``apply_axis2_fourier``; with ``in_place`` the transform overwrites
-    ``field.values``, which the caller owns and no longer reads."""
     sign = axis2_sign(field.case, direction)
     out = induced_grid(field.g2) if out_grid is None else out_grid
     kind = "omega" if direction == "forward" else "zeta2"
-    vals = _fourier_rows(field.values, field.g2, sign, out,
-                         out=field.values if in_place else None)
-    return field.copy_with(vals, g2=out, g2_kind=kind)
+    return field.copy_with(_fourier_rows(field.values, field.g2, sign, out),
+                           g2=out, g2_kind=kind)
 
 
 def embed(atom: Atom, f: SampledFunction) -> PhasePlaneField:
@@ -154,6 +165,17 @@ def embed(atom: Atom, f: SampledFunction) -> PhasePlaneField:
     vals = np.conj(C, out=np.empty(C.shape, dtype=complex))
     vals *= f.values
     return PhasePlaneField(atom.case, atom.g1, f.grid, vals, "omega")
+
+
+def _check_first_axis(atom: Atom, field: PhasePlaneField):
+    """Reject a field whose first axis differs from the atom's grid (kind,
+    count or nodes): the fiber quadrature runs on the atom's grid."""
+    g1 = atom.g1
+    # array_equal is False on a count mismatch too
+    if type(field.g1) is not type(g1) or not np.array_equal(field.g1.nodes,
+                                                            g1.nodes):
+        raise ValueError(f"field first axis {field.g1!r} is not the atom's "
+                         f"grid {g1!r}")
 
 
 def project(atom: Atom, field: PhasePlaneField) -> SampledFunction:
@@ -165,15 +187,62 @@ def project(atom: Atom, field: PhasePlaneField) -> SampledFunction:
     if field.g2_kind != "omega":
         raise ValueError("project expects a diagonal-plane field; apply the "
                          "axis-2 transform first")
-    g1 = atom.g1
-    # array_equal is False on a count mismatch too
-    if type(field.g1) is not type(g1) or not np.array_equal(field.g1.nodes,
-                                                            g1.nodes):
-        raise ValueError(f"field first axis {field.g1!r} is not the atom's "
-                         f"grid {g1!r}")
+    _check_first_axis(atom, field)
     C = atom.fibers(field.g2.samples).conj_ell
-    vals = np.einsum("k,ki,ki->i", g1.measure_weights, C, field.values)
+    vals = np.einsum("k,ki,ki->i", atom.g1.measure_weights, C, field.values)
     return SampledFunction(field.g2, vals)
+
+
+def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
+            field: PhasePlaneField | None = None, spec=None,
+            out_grid: LineGrid | None = None) -> np.ndarray:
+    """The transform chain on blocks of ``_BLOCK_ROWS`` first-axis rows.
+
+    A block enters as ``embed(h)`` carried by the backward axis-2 transform
+    onto ``g2`` (``h`` given) or as rows of ``field``, whose second axis is
+    ``g2``.  With ``spec`` (a ``SymbolSpec``) it is multiplied by the
+    symbol on its rows, ``spec.evaluate_field``.  With ``out_grid`` it is
+    then carried by the forward transform onto ``out_grid`` and projected,
+    and the blocks' projections, summed in turn, are returned: values on
+    ``out_grid``.  Without ``out_grid`` the blocks are the rows of the
+    returned K x g2.count field.
+
+    Each transform's phases are formed once per call.  A block that is not
+    finite after the forward transform raises the ``ValueError`` of a
+    non-finite ``PhasePlaneField``; one of the symbol raises
+    ``evaluate_field``'s.
+    """
+    g1 = atom.g1
+    count = g1.count
+    if h is not None:
+        C_in = atom.fibers(h.grid.samples).conj_ell
+        backward = _sandwich(h.grid, axis2_sign(atom.case, "backward"), g2)
+    if out_grid is None:
+        out = np.empty((count, g2.count), dtype=complex)
+    else:
+        forward = _sandwich(g2, axis2_sign(atom.case, "forward"), out_grid)
+        C_out = atom.fibers(out_grid.samples).conj_ell
+        weights = g1.measure_weights
+        out = np.zeros(out_grid.count, dtype=complex)
+        buf = np.empty((min(_BLOCK_ROWS, count), g2.count), dtype=complex)
+    for rows in _row_blocks(count):
+        block = (out[rows] if out_grid is None
+                 else buf[:rows.stop - rows.start])
+        if h is None:
+            block[...] = field.values[rows]
+        else:
+            np.conj(C_in[rows], out=block)
+            block *= h.values
+            backward(block, out=block)
+        if spec is not None:
+            block *= spec.evaluate_field(g1.nodes[rows], g2.samples)
+        if out_grid is not None:
+            forward(block, out=block)
+            if not np.isfinite(block).all():
+                raise ValueError("field contains non-finite values")
+            block *= C_out[rows]
+            out += weights[rows] @ block
+    return out
 
 
 def bargmann(atom: Atom, field: PhasePlaneField,
@@ -182,20 +251,27 @@ def bargmann(atom: Atom, field: PhasePlaneField,
 
     On analysis fields this is an isometry onto L2 of the second coordinate;
     composed with ``analyze`` it returns the signal's omega side, f_hat in
-    the wavelet case and f itself in the Gabor case.  ``field`` is left
-    unchanged.
+    the wavelet case and f itself in the Gabor case.  It streams the field
+    through ``_stream`` a block of rows at a time, so besides its result it
+    holds one block; ``field`` is left unchanged.
     """
-    return project(atom, apply_axis2_fourier(field, "forward", out_grid))
+    _check_first_axis(atom, field)
+    out = induced_grid(field.g2) if out_grid is None else out_grid
+    return SampledFunction(out, _stream(atom, field.g2, field=field,
+                                        out_grid=out))
 
 
 def bargmann_adjoint(atom: Atom, f: SampledFunction,
                      out_grid: LineGrid | None = None) -> PhasePlaneField:
     """Adjoint of ``bargmann``: embed then inverse axis-2 transform.
 
-    The transform runs in place on ``embed``'s new array, so the field is
-    the one array of its size the call allocates.
+    ``_stream`` embeds and transforms a block of rows at a time in the
+    field's own array, so the field is the one array of its size the call
+    allocates.
     """
-    return _axis2_fourier(embed(atom, f), "backward", out_grid, in_place=True)
+    out = induced_grid(f.grid) if out_grid is None else out_grid
+    return PhasePlaneField(atom.case, atom.g1, out, _stream(atom, out, h=f),
+                           "zeta2")
 
 
 def random_bandlimited(grid: LineGrid, seed: int) -> SampledFunction:

@@ -82,31 +82,43 @@ def _cis(turns: np.ndarray) -> np.ndarray:
     return z
 
 
-def _fourier_rows(values: np.ndarray, in_grid: LineGrid, sign: str,
-                  out_grid: LineGrid, out: np.ndarray | None = None
-                  ) -> np.ndarray:
-    """Apply the 1-D continuous Fourier transform to every row of a 2-D array.
+def _sandwich(in_grid: LineGrid, sign: str, out_grid: LineGrid):
+    """The 1-D continuous Fourier transform from ``in_grid`` to ``out_grid``
+    as a function ``apply(values, out=None)`` of a 2-D array of rows.
 
-    The pre-phased values are transformed and post-phased in one array:
-    a new one, leaving ``values`` unchanged, or ``out``.  ``out=values``
+    The two phase diagonals are formed here, once, and every ``apply``
+    call reuses them: a caller streaming blocks of rows pays for them once.
+    ``apply`` pre-phases, transforms and post-phases in one array: a new
+    one, leaving ``values`` unchanged, or ``out``.  ``out=values``
     transforms a complex C-contiguous array the caller owns in place, with
-    the same bits and no second array of its size.  Both phase
-    diagonals come from ``_cis`` of their arguments in turns, so they are
-    exact at quarter turns: on centred power-of-two grids, the builders'
-    grids, in_grid.step * out_grid.start is exactly -1/2 and every factor
-    is +-1.  Elsewhere the arguments are rounded products, off by up to
-    about n*eps turns, and the factors carry that error.
+    the same bits and no second array of its size.  Both phase diagonals
+    come from ``_cis`` of their arguments in turns, so they are exact at
+    quarter turns: on centred power-of-two grids, the builders' grids,
+    in_grid.step * out_grid.start is exactly -1/2 and every factor is +-1.
+    Elsewhere the arguments are rounded products, off by up to about n*eps
+    turns, and the factors carry that error.
     """
     n = in_grid.count
     sgn = -1.0 if sign == "forward" else 1.0
     j = np.arange(n)
     # out_k = step * e^{sgn*2pi*i*start*xi_k} * DFT_k[ f_j * e^{sgn*2pi*i*j*step*out.start} ]
     pre = _cis(sgn * (in_grid.step * out_grid.start * j))
-    core = np.multiply(values, pre[None, :], out=out)
-    if sgn < 0:
-        np.fft.fft(core, axis=1, out=core)
-    else:
-        np.fft.ifft(core, axis=1, out=core)
-        core *= n
-    post = _cis(sgn * (in_grid.start * out_grid.samples))
-    return np.multiply(in_grid.step * post, core, out=core)
+    post = in_grid.step * _cis(sgn * (in_grid.start * out_grid.samples))
+
+    def apply(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        core = np.multiply(values, pre[None, :], out=out)
+        if sgn < 0:
+            np.fft.fft(core, axis=1, out=core)
+        else:
+            np.fft.ifft(core, axis=1, out=core)
+            core *= n
+        return np.multiply(post, core, out=core)
+
+    return apply
+
+
+def _fourier_rows(values: np.ndarray, in_grid: LineGrid, sign: str,
+                  out_grid: LineGrid) -> np.ndarray:
+    """Apply the 1-D continuous Fourier transform to every row of a 2-D
+    array, into a new array: ``_sandwich(in_grid, sign, out_grid)(values)``."""
+    return _sandwich(in_grid, sign, out_grid)(values)

@@ -9,7 +9,9 @@ Every CSV goes through ``write_table``, which formats a table in blocks of
 ``_BLOCK_ROWS`` rows and each distinct value of a block's column once: the
 grid columns of a field or kernel repeat a few values, and a Toeplitz
 kernel repeats its lags.  The bytes are those of formatting every row in
-turn, and the memory the writer holds is bounded by one block.
+turn, and the memory the writer holds is bounded by one block.  Fields and
+kernels hand the writer one block of their rows at a time, gathered from
+the matrix, so exporting one holds no column of the table's length.
 
 Formats
 -------
@@ -111,18 +113,31 @@ def _column_texts(col: np.ndarray, sep: str) -> np.ndarray:
     return texts.take(index)
 
 
-def _block_text(columns, start: int, stop: int) -> str:
-    """Rows ``start:stop`` of the table as CSV text.
+def _block_text(columns) -> str:
+    """One block of the table, its equal-length columns, as CSV text.
 
     The cell texts are freed on return, before the caller writes the text
     and the file encodes it, so one block's texts and its encoded copy are
     never held together.
     """
     seps = [","] * (len(columns) - 1) + ["\n"]
-    cells = np.empty((stop - start, len(columns)), dtype=object)
+    cells = np.empty((len(columns[0]), len(columns)), dtype=object)
     for j, (col, sep) in enumerate(zip(columns, seps)):
-        cells[:, j] = _column_texts(col[start:stop], sep)
+        cells[:, j] = _column_texts(col, sep)
     return "".join(cells.ravel().tolist())
+
+
+def _write_blocks(path: str, header: list[str], rows: int, block,
+                  metadata: dict | None):
+    """The CSV writer: ``block(start, stop)`` gives the columns of rows
+    ``start:stop``, asked for one ``_BLOCK_ROWS`` block at a time, so a
+    caller can build each block's columns when it is written."""
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, _BLOCK_ROWS):
+            fh.write(_block_text(block(start, min(start + _BLOCK_ROWS, rows))))
+    if metadata is not None:
+        write_json(sidecar_path(path), metadata)
 
 
 def write_table(path: str, header: list[str], columns,
@@ -147,13 +162,24 @@ def write_table(path: str, header: list[str], columns,
             raise ValueError(f"cannot write a column of dtype {c.dtype}: "
                              "expected bool, int, float or str")
     rows = shapes[0][0] if shapes else 0
-    with _atomic_open(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, rows, _BLOCK_ROWS):
-            fh.write(_block_text(columns, start,
-                                 min(start + _BLOCK_ROWS, rows)))
-    if metadata is not None:
-        write_json(sidecar_path(path), metadata)
+    _write_blocks(path, header, rows,
+                  lambda start, stop: [c[start:stop] for c in columns],
+                  metadata)
+
+
+def _write_grid_table(path: str, header: list[str], nodes1, nodes2, values,
+                      metadata: dict):
+    """A complex matrix as rows ``nodes1[i], nodes2[j], re, im`` in row-major
+    order, through ``_write_blocks``: each block's columns are gathered when
+    it is written, so no column of the table's length is ever made."""
+    n2 = values.shape[1]
+
+    def block(start, stop):
+        i, j = np.divmod(np.arange(start, stop), n2)
+        v = values[i, j]
+        return [nodes1[i], nodes2[j], v.real, v.imag]
+
+    _write_blocks(path, header, values.size, block, metadata)
 
 
 def _grid_meta(grid: LineGrid) -> dict:
@@ -263,9 +289,8 @@ def export_field(path: str, field, metadata: dict | None = None):
     n1, n2 = field.values.shape
     md = {"case": field.case, "g2_kind": field.g2_kind, "shape": [n1, n2]}
     md.update(metadata or {})
-    write_table(path, ["z", "omega", "re", "im"],
-                [np.repeat(field.g1.nodes, n2), np.tile(field.g2.samples, n1),
-                 field.values.real.ravel(), field.values.imag.ravel()], md)
+    _write_grid_table(path, ["z", "omega", "re", "im"], field.g1.nodes,
+                      field.g2.samples, field.values, md)
 
 
 def export_gamma(path: str, gf, metadata: dict | None = None):
@@ -281,10 +306,8 @@ def export_kernel(path: str, km, metadata: dict | None = None):
     md = {"atom": km.atom_name, "kind": km.builder,
           "symbol": km.symbol_descriptor, "grid": _grid_meta(km.grid)}
     md.update(metadata or {})
-    xs, n = km.grid.samples, km.grid.count
-    write_table(path, ["xi", "omega", "re", "im"],
-                [np.repeat(xs, n), np.tile(xs, n),
-                 km.values.real.ravel(), km.values.imag.ravel()], md)
+    xs = km.grid.samples
+    _write_grid_table(path, ["xi", "omega", "re", "im"], xs, xs, km.values, md)
 
 
 def export_cloud(path: str, cloud, metadata: dict | None = None):

@@ -201,10 +201,8 @@ def _symbol_on_nodes(atom: Atom, alpha: Symbol1D) -> np.ndarray:
 
 def _gamma_grid(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
     a_vals = _symbol_on_nodes(atom, alpha)
-    L2 = np.abs(atom.fibers(xi_grid.samples).conj_ell)
-    L2 *= L2
-    return np.einsum("k,ki,k->i", a_vals, L2,
-                     atom.g1.measure_weights).astype(complex)
+    return atom.fibers(xi_grid.samples).power_sums(
+        a_vals, atom.g1.measure_weights).astype(complex)
 
 
 def _gamma_fft(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:

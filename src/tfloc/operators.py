@@ -71,7 +71,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .atoms import Atom
-from .fields import _axis2_fourier, analyze, axis2_sign, omega_side, project
+from .fields import _analysis_axis, _stream, axis2_sign, omega_side
 from .fourier import _fourier_rows, fourier
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport, gamma,
@@ -518,8 +518,12 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
     f_hat for wavelets, f for windows) and map the result back onto f's
     grid.  slow: the analysis field (``analyze``, bargmann_adjoint of h with
     wavelet translations on f's grid) masked by the symbol, then
-    ``bargmann`` onto h's grid.  fast: first-variable symbols only; h times
-    the grid-rule gamma on h's grid.
+    ``bargmann`` onto h's grid, for any symbol kind.  It runs through the
+    row-block core ``fields._stream``, so it holds one block of
+    ``atoms._BLOCK_ROWS`` rows of the field and of the mask, never the
+    K x N field or mask; its output has the bits of ``bargmann`` of the
+    whole masked field.  fast: first-variable symbols only; h times the
+    grid-rule gamma on h's grid.
 
     Both paths read the atom's fiber record on h's grid (``Atom.fibers``),
     so a call builds at most one fiber matrix.  A signal whose fiber
@@ -544,11 +548,11 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
             f"first-coordinate range, {_first_coordinate_range(atom.g1)}")
 
     def slow_path():
-        W = analyze(atom, f)
-        # masked and transformed in place: W's array belongs to this path
-        # alone; the transform is bargmann's without a copy of W
-        W.values *= spec.evaluate_field(atom.g1.nodes, W.g2.samples)
-        g = project(atom, _axis2_fourier(W, "forward", h.grid, in_place=True))
+        # both transforms and the mask for every symbol kind: the fast
+        # path's gamma is the oracle this route is compared against
+        g2 = _analysis_axis(atom.case, f.grid)
+        g = SampledFunction(h.grid, _stream(atom, g2, h=h, spec=spec,
+                                            out_grid=h.grid))
         return omega_side(atom.case, g, back_to=f.grid)
 
     def fast_path():

@@ -13,8 +13,8 @@ from tfloc.grids import LineGrid, SampledFunction, ScaleGrid
 from tfloc.io import (_BLOCK_ROWS, export_cloud, export_field, export_gamma,
                       export_kernel, read_signal_csv, sidecar_path,
                       write_signal_csv, write_table)
-from tfloc.kernels import GammaFunction
-from tfloc.operators import OperatorMatrix
+from tfloc.kernels import GammaFunction, overlap_kernel
+from tfloc.operators import OperatorMatrix, default_operator_grid
 
 
 def test_line_grid_validation():
@@ -185,6 +185,52 @@ def test_write_table_memory_is_bounded_by_one_block(tmp_path):
         assert sum(1 for _ in fh) == rows + 1
     path.unlink()
     assert peak <= 8 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+def _grid_columns(nodes1, nodes2, values):
+    """The whole-length columns of a field or kernel table: the reference
+    of the streamed exporters."""
+    n1, n2 = values.shape
+    return [np.repeat(nodes1, n2), np.tile(nodes2, n1),
+            values.real.ravel(), values.imag.ravel()]
+
+
+def test_streamed_exports_match_whole_columns(tmp_path):
+    # 4 and 1.8 writer blocks: the exporters gather each block's rows from
+    # the matrix; the bytes are those of the whole columns
+    rng = np.random.default_rng(23)
+    grid = LineGrid.centered(8.0, 256)
+    mat = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    mat[::7] = np.round(mat[::7], 2)  # repeated values within a block
+    km = OperatorMatrix(grid, mat, "overlap", "gaussian", "const:1")
+    g1, g2 = ScaleGrid(0.5, 4.0, 300), LineGrid(-1.3, 0.1, 99)
+    field = PhasePlaneField("wavelet", g1, g2, np.resize(mat, (300, 99)),
+                            "zeta2")
+    for name, export, header, cols in [
+            ("kernel", lambda p: export_kernel(p, km), ["xi", "omega"],
+             _grid_columns(grid.samples, grid.samples, mat)),
+            ("field", lambda p: export_field(p, field), ["z", "omega"],
+             _grid_columns(g1.nodes, g2.samples, field.values))]:
+        path, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}-ref.csv"
+        export(str(path))
+        write_table(str(ref), header + ["re", "im"], cols)
+        assert path.read_bytes() == ref.read_bytes(), name
+
+
+def test_export_kernel_memory_is_bounded_by_one_block(tmp_path, gaussian):
+    # the 4 MiB gaussian overlap kernel at n = 512, 16 writer blocks: about
+    # 0.57 times the matrix (2.4 with whole-length columns); a block of
+    # distinct random values reads 1.15
+    km = overlap_kernel(gaussian, default_operator_grid("gabor", 512))
+    path = tmp_path / "kernel.csv"
+    tracemalloc.start()
+    try:
+        export_kernel(str(path), km)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    units = peak / km.values.nbytes
+    assert units <= 1.2, f"peak {units:.2f} x matrix"
 
 
 @pytest.mark.parametrize("columns,match", [

@@ -6,12 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 import tfloc
-from tfloc.atoms import Fibers, make_atom
+from tfloc.atoms import (_BLOCK_ROWS, Fibers, make_atom, make_wavelet,
+                         make_window)
 from tfloc.cli import main
 from tfloc.fields import (PhasePlaneField, analyze, apply_axis2_fourier,
-                          bargmann, bargmann_adjoint, embed, omega_side,
-                          project, random_bandlimited)
+                          axis2_sign, bargmann, bargmann_adjoint, embed,
+                          omega_side, project, random_bandlimited)
 from tfloc.fourier import _cis, _fourier_rows, fourier
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from tfloc.io import export_atom, import_atom
@@ -371,6 +375,28 @@ def test_analyze_peak_memory(gaussian, shannon):
         assert units <= 1.2, f"{atom.name}: peak {units:.3f} K*N*16"
 
 
+def test_fibers_of_peak_memory():
+    # the profile is evaluated a block of 64 of the 512 nodes at a time into
+    # the record: a real one (0.5 K x N complex arrays) peaks at 0.70-0.75,
+    # the complex haar record (1.0) near 1.64 (2.0 and 4.07 when the whole
+    # matrix went through complex temporaries)
+    n = 4096
+    grid = LineGrid.centered(16.0, n)
+    for case, name, bound in (("gabor", "gaussian", 0.85),
+                              ("gabor", "rect", 0.85),
+                              ("wavelet", "shannon", 0.85),
+                              ("wavelet", "haar", 1.8)):
+        atom = make_atom(case, name)
+        tracemalloc.start()
+        try:
+            Fibers.of(atom, grid.samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        units = peak / (atom.g1.count * n * 16)
+        assert units <= bound, f"{name}: peak {units:.3f} K*N*16"
+
+
 # -- fiber records -------------------------------------------------------------------
 
 def test_fibers_record_is_the_conjugate_fiber_matrix(shannon, gaussian):
@@ -510,3 +536,134 @@ def test_fourier_rows_in_place_matches_out_of_place(n):
             assert np.array_equal(values, before)
             assert np.array_equal(
                 out, _fourier_rows_reference(values, in_grid, sign, out_grid))
+
+
+# -- the streamed chain ---------------------------------------------------------------
+
+def _whole_array_chain(atom, g2, h=None, field=None, spec=None,
+                       out_grid=None):
+    """The transform chain on whole K x N arrays, the oracle of the streamed
+    core ``fields._stream``: embed, backward transform onto g2 (from h) or
+    the field's values, the symbol mask, then with ``out_grid`` the forward
+    transform and one fiber projection of the whole field."""
+    if h is not None:
+        C = Fibers.of(atom, h.grid.samples).conj_ell
+        W = _fourier_rows_reference(np.conj(C) * h.values, h.grid,
+                                    axis2_sign(atom.case, "backward"), g2)
+    else:
+        W = field.values
+    if spec is not None:
+        W = W * spec.evaluate_field(atom.g1.nodes, g2.samples)
+    if out_grid is None:
+        return W
+    D = _fourier_rows_reference(W, g2, axis2_sign(atom.case, "forward"),
+                                out_grid)
+    C = Fibers.of(atom, out_grid.samples).conj_ell
+    return np.einsum("k,ki,ki->i", atom.g1.measure_weights, C, D)
+
+
+def _rel(out, ref) -> float:
+    scale = np.linalg.norm(ref)
+    return float(np.linalg.norm(out - ref) / (scale if scale else 1.0))
+
+
+@st.composite
+def _streamed_setups(draw, min_rows=2):
+    """An atom on a first axis of K nodes (K rarely a multiple of the block
+    size), real records (gaussian, rect, shannon) and a complex one (haar),
+    and a signal grid of odd or even N, centred or not."""
+    name = draw(st.sampled_from(["gaussian", "rect", "shannon", "haar"]))
+    count = draw(st.integers(min_rows, 3 * _BLOCK_ROWS + 7))
+    if name in ("gaussian", "rect"):
+        atom = make_window(name, LineGrid(-16.0, 32.0 / count, count))
+    else:
+        atom = make_wavelet(name, ScaleGrid(2.0 ** -8, 2.0 ** 8, count))
+    n = draw(st.integers(33, 160))
+    start = draw(st.one_of(st.just(-n / 32), st.floats(-4.0, 1.0)))
+    return atom, LineGrid(start, 1.0 / 16.0, n)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(setup=_streamed_setups(), seed=st.integers(0, 2 ** 16))
+@example(setup=(make_window("gaussian"), LineGrid(0.3, 1.0 / 16.0, 63)),
+         seed=1)
+def test_streamed_transforms_match_the_whole_array_chain(setup, seed):
+    # the adjoint's rows are transformed alone, so its bits are those of the
+    # whole-array chain; bargmann sums its blocks' projections in turn
+    atom, grid = setup
+    h = random_bandlimited(grid, seed)
+    g2 = LineGrid(-grid.start / 2, 1.0 / (grid.count * grid.step), grid.count)
+    W = bargmann_adjoint(atom, h, out_grid=g2)
+    assert _bits(W.values) == _bits(_whole_array_chain(atom, g2, h=h))
+    out = bargmann(atom, W, out_grid=grid)
+    ref = _whole_array_chain(atom, g2, field=W, out_grid=grid)
+    assert _rel(out.values, ref) <= 1e-15
+    # the round trip multiplies by the fiber norms, so it is an isometry
+    # where they are 1 (the atom's healthy range); off the lattice grids
+    # the two transforms' phases carry up to about n*eps each
+    norms = Fibers.of(atom, grid.samples).norms
+    assert _rel(out.values, norms * h.values) <= 1e-13
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(setup=_streamed_setups(min_rows=_BLOCK_ROWS + 1),
+       seed=st.integers(0, 2 ** 16))
+def test_slow_filter_matches_the_whole_array_chain(setup, seed):
+    atom, grid = setup
+    f = random_bandlimited(grid, seed)
+    h = omega_side(atom.case, f)
+    band = (-1.0, 1.0) if atom.case == "gabor" else (1.0, 2.0)
+    spec = SymbolSpec.first_variable(Symbol1D.indicator(*band))
+    g2 = f.grid if atom.case == "wavelet" else induced_grid(f.grid)
+    ref = omega_side(atom.case, SampledFunction(
+        h.grid, _whole_array_chain(atom, g2, h=h, spec=spec,
+                                   out_grid=h.grid)), back_to=f.grid)
+    out, _ = filter_signal(atom, spec, f, "slow")
+    assert _rel(out.values, ref.values) <= 1e-15
+
+
+@pytest.mark.parametrize("block", ["first", "last"])
+def test_streamed_chain_rejects_a_non_finite_block(gaussian, block):
+    # translations [-16, 16) in 512 rows: 8 blocks; the signal covers them
+    K = gaussian.g1.count
+    rows = slice(0, _BLOCK_ROWS) if block == "first" else \
+        slice(K - _BLOCK_ROWS, K)
+    lo, hi = gaussian.g1.nodes[rows][[0, -1]]
+    f = random_bandlimited(LineGrid.centered(16.0, 1024), seed=4)
+    big = SampledFunction(f.grid, 1e10 * f.values)
+
+    def spike(value):
+        return SymbolSpec.first_variable(Symbol1D(
+            lambda x: np.where((x >= lo) & (x <= hi), value, 1.0),
+            f"spike:{value:g}"))
+
+    with pytest.raises(ValueError, match=r"symbol a\(r\)=spike:inf is not "
+                                         "finite on the grid"):
+        filter_signal(gaussian, spike(np.inf), f, "slow")
+    # finite symbol values whose product with the field overflows
+    with pytest.raises(ValueError, match="field contains non-finite values"):
+        filter_signal(gaussian, spike(1e308), big, "slow")
+    # a finite field whose forward transform overflows in that block
+    g2 = LineGrid.centered(8.0, 64)
+    vals = np.zeros((K, 64), dtype=complex)
+    vals[rows] = 1e308
+    F = PhasePlaneField("gabor", gaussian.g1, g2, vals, "zeta2")
+    with pytest.raises(ValueError, match="field contains non-finite values"):
+        bargmann(gaussian, F)
+
+
+def test_power_sums_have_the_bits_of_the_one_shot_einsum(gaussian, shannon,
+                                                        haar):
+    # summed block by block in order, the fiber norms and the grid-rule
+    # gamma keep the bits of one einsum over |C|^2
+    rng = np.random.default_rng(9)
+    for atom in (gaussian, shannon, haar):
+        for n in (63, 256):
+            fib = Fibers.of(atom, LineGrid(0.3, 3.4 / n, n).samples)
+            P = np.abs(fib.conj_ell) ** 2
+            w = atom.g1.measure_weights
+            a = rng.standard_normal(w.size)
+            for factors in ((w,), (a, w), (a + 1j * a[::-1], w)):
+                subs = ",".join(["ki"] + ["k"] * len(factors)) + "->i"
+                ref = np.einsum(subs, P, *factors)
+                assert _bits(fib.power_sums(*factors)) == _bits(ref)
