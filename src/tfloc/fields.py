@@ -235,13 +235,20 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
             block *= h.values
             backward(block, out=block)
         if spec is not None:
-            block *= spec.evaluate_field(g1.nodes[rows], g2.samples)
+            mask = spec.evaluate_field(g1.nodes[rows], g2.samples)
         if out_grid is not None:
-            forward(block, out=block)
+            # an overflow of the mask product or of the transform is not
+            # silent: the finiteness check below raises it as a ValueError
+            with np.errstate(over="ignore", invalid="ignore"):
+                if spec is not None:
+                    block *= mask
+                forward(block, out=block)
             if not np.isfinite(block).all():
                 raise ValueError("field contains non-finite values")
             block *= C_out[rows]
             out += weights[rows] @ block
+        elif spec is not None:
+            block *= mask
     return out
 
 
