@@ -1,4 +1,4 @@
-"""The transform chain: analysis, axis-2 Fourier, embedding, projection.
+"""The transform chain: analysis and the diagonalizing transform.
 
 Shows the isometry of the analysis transform, the factorization exhibited by
 the diagonalizing transform (wavelet case returns the spectrum, Gabor case

@@ -11,8 +11,8 @@ from .algebra import (Partition, PartitionCloud, commutator_diagnostics,
                       evaluate_on_cloud, partition_gammas, semi_commutator)
 from .atoms import (AdmissibilityError, Atom, Fibers, make_atom, make_wavelet,
                     make_window)
-from .fields import (PhasePlaneField, analyze, apply_axis2_fourier, bargmann,
-                     bargmann_adjoint, embed, project, random_bandlimited)
+from .fields import (PhasePlaneField, analyze, bargmann, bargmann_adjoint,
+                     random_bandlimited)
 from .fourier import fourier
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from .kernels import (GammaFunction, SpectrumReport, boundedness_verdict,

@@ -239,10 +239,10 @@ class Fibers:
     """An atom's fiber matrix on one omega grid.
 
     ``conj_ell[k, i]`` is conj(ell(z_k, omega_i)) on the atom's
-    first-coordinate nodes z_k: the factor ``fields.project`` integrates
-    against, and the conjugate of what ``fields.embed`` multiplies by.  Every
-    consumer -- the transform chain (``embed``, ``project``, ``bargmann``,
-    ``bargmann_adjoint``, ``analyze``), the grid-rule ``gamma``,
+    first-coordinate nodes z_k: the factor the fiber projection integrates
+    against, and the conjugate of what the embedding multiplies by.  Every
+    consumer -- the transform chain (``bargmann``, ``bargmann_adjoint``,
+    ``analyze``), the grid-rule ``gamma``,
     ``filter_signal``, ``build_direct`` and the overlap kernels -- reads it
     through ``Atom.fibers``, which keeps the last record per atom, so calls
     on one grid share one fiber matrix.  The arrays are read-only.

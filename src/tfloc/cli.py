@@ -380,8 +380,12 @@ def cmd_algebra(args) -> int:
         raise ValueError(f"malformed --cuts {args.cuts!r}") from None
     part = Partition(atom, cuts)
     cloud = partition_gammas(atom, part, _xi_grid(args))
+    dev = cloud.simplex_sum_deviation
+    if dev > VERIFY_TOL["algebra"]["simplex"]:
+        raise ValueError(f"simplex sums deviate from 1 by {dev:.2e}; "
+                         "sample inside the healthy range")
     meta = _config_meta(args, partition=part.descriptor(), m=part.m,
-                        simplex_sum_deviation=cloud.simplex_sum_deviation)
+                        simplex_sum_deviation=dev)
     if args.format == "json":
         tio.write_json(args.out, {
             **meta, "xi": cloud.xi_grid.samples.tolist(),

@@ -20,17 +20,17 @@ record on that grid, ``Atom.fibers``: calls on one grid share one fiber
 matrix.  The record is float64 for the real catalog profiles (gaussian,
 rect, shannon) and complex128 otherwise; fields are always complex128.
 
-``bargmann``, ``bargmann_adjoint`` (so ``analyze``) and the slow path of
-``operators.filter_signal`` run one core, ``_stream``: embed, backward
-axis-2 transform, symbol mask, forward transform and fiber projection, each
-on blocks of ``atoms._BLOCK_ROWS`` first-axis rows.  A call that returns a
+``_stream`` is the one implementation of the chain: ``bargmann``,
+``bargmann_adjoint`` (so ``analyze``) and the slow path of
+``operators.filter_signal`` all run it.  It takes the embedding, backward
+axis-2 transform, symbol mask, forward transform and fiber projection on
+blocks of ``atoms._BLOCK_ROWS`` first-axis rows.  A call that returns a
 function on the second axis never holds a K x N field or mask, and
 ``bargmann_adjoint`` holds its field as the one array of its size.  Row
 transforms do not depend on the block they sit in, so analysis fields have
-the bits of the whole-array composition ``apply_axis2_fourier(embed(.))``;
-a projection sums its blocks in turn, which moves it at rounding against
-``project`` of the whole field.  ``embed``, ``project`` and
-``apply_axis2_fourier`` stay whole-array steps.
+the bits of the same steps on the whole array; a projection sums its blocks
+in turn, which moves it at rounding against one quadrature of the whole
+field.
 """
 
 from __future__ import annotations
@@ -38,16 +38,13 @@ from __future__ import annotations
 import numpy as np
 
 from .atoms import Atom, _BLOCK_ROWS, _row_blocks
-from .fourier import _fourier_rows, _sandwich, fourier
+from .fourier import _sandwich, fourier
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 
 __all__ = [
     "PhasePlaneField",
     "analyze",
-    "apply_axis2_fourier",
     "axis2_sign",
-    "embed",
-    "project",
     "bargmann",
     "bargmann_adjoint",
     "omega_side",
@@ -56,22 +53,17 @@ __all__ = [
 
 
 class PhasePlaneField:
-    """Complex field on a product grid with the case-dependent plane measure.
+    """Analysis field on a product grid with the case-dependent plane
+    measure: the second axis is the translation (wavelets) or modulation
+    (windows) axis."""
 
-    ``g2_kind`` records which side of the axis-2 transform the field lives on:
-    "zeta2" for analysis fields (translation/modulation axis), "omega" for
-    diagonal-plane fields.
-    """
-
-    def __init__(self, case: str, g1, g2: LineGrid, values, g2_kind: str):
+    def __init__(self, case: str, g1, g2: LineGrid, values):
         if case not in ("wavelet", "gabor"):
             raise ValueError(f"unknown case {case!r}")
         if case == "wavelet" and not isinstance(g1, ScaleGrid):
             raise ValueError("wavelet fields need a ScaleGrid first axis")
         if case == "gabor" and not isinstance(g1, LineGrid):
             raise ValueError("gabor fields need a LineGrid first axis")
-        if g2_kind not in ("zeta2", "omega"):
-            raise ValueError(f"unknown g2_kind {g2_kind!r}")
         values = np.asarray(values, dtype=complex)
         if values.shape != (g1.count, g2.count):
             raise ValueError(
@@ -83,21 +75,18 @@ class PhasePlaneField:
         self.g1 = g1
         self.g2 = g2
         self.values = values
-        self.g2_kind = g2_kind
 
     def weighted_norm(self) -> float:
         """L2 norm under the product measure (first-axis measure x Riemann)."""
         row_energy = np.sum(np.abs(self.values) ** 2, axis=1) * self.g2.step
         return float(np.sqrt(np.sum(self.g1.measure_weights * row_energy)))
 
-    def copy_with(self, values, g2=None, g2_kind=None) -> "PhasePlaneField":
+    def copy_with(self, values, g2=None) -> "PhasePlaneField":
         return PhasePlaneField(self.case, self.g1,
-                               self.g2 if g2 is None else g2, values,
-                               self.g2_kind if g2_kind is None else g2_kind)
+                               self.g2 if g2 is None else g2, values)
 
     def __repr__(self):
-        return (f"PhasePlaneField({self.case}, {self.g1!r} x {self.g2!r}, "
-                f"kind={self.g2_kind})")
+        return f"PhasePlaneField({self.case}, {self.g1!r} x {self.g2!r})"
 
 
 def omega_side(case: str, f: SampledFunction,
@@ -143,30 +132,6 @@ def analyze(atom: Atom, f: SampledFunction) -> PhasePlaneField:
                             out_grid=_analysis_axis(atom.case, f.grid))
 
 
-def apply_axis2_fourier(field: PhasePlaneField, direction: str,
-                        out_grid: LineGrid | None = None) -> PhasePlaneField:
-    """Unitary Fourier transform along the second axis.
-
-    direction "forward" carries analysis fields to the diagonal plane,
-    "backward" inverts it; ``axis2_sign`` picks the sign.  ``out_grid``
-    defaults to the centered induced grid of the current second axis.
-    ``field`` is left unchanged.
-    """
-    sign = axis2_sign(field.case, direction)
-    out = induced_grid(field.g2) if out_grid is None else out_grid
-    kind = "omega" if direction == "forward" else "zeta2"
-    return field.copy_with(_fourier_rows(field.values, field.g2, sign, out),
-                           g2=out, g2_kind=kind)
-
-
-def embed(atom: Atom, f: SampledFunction) -> PhasePlaneField:
-    """Isometric embedding f(omega) -> f(omega) * ell(z, omega)."""
-    C = atom.fibers(f.grid.samples).conj_ell
-    vals = np.conj(C, out=np.empty(C.shape, dtype=complex))
-    vals *= f.values
-    return PhasePlaneField(atom.case, atom.g1, f.grid, vals, "omega")
-
-
 def _check_first_axis(atom: Atom, field: PhasePlaneField):
     """Reject a field whose first axis differs from the atom's grid (kind,
     count or nodes): the fiber quadrature runs on the atom's grid."""
@@ -178,34 +143,20 @@ def _check_first_axis(atom: Atom, field: PhasePlaneField):
                          f"grid {g1!r}")
 
 
-def project(atom: Atom, field: PhasePlaneField) -> SampledFunction:
-    """Adjoint of ``embed``: fiberwise quadrature against conj(ell).
-
-    The quadrature runs on the atom's first-coordinate grid; a field whose
-    first axis differs from it (kind, count or nodes) is rejected.
-    """
-    if field.g2_kind != "omega":
-        raise ValueError("project expects a diagonal-plane field; apply the "
-                         "axis-2 transform first")
-    _check_first_axis(atom, field)
-    C = atom.fibers(field.g2.samples).conj_ell
-    vals = np.einsum("k,ki,ki->i", atom.g1.measure_weights, C, field.values)
-    return SampledFunction(field.g2, vals)
-
-
 def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
             field: PhasePlaneField | None = None, spec=None,
             out_grid: LineGrid | None = None) -> np.ndarray:
     """The transform chain on blocks of ``_BLOCK_ROWS`` first-axis rows.
 
-    A block enters as ``embed(h)`` carried by the backward axis-2 transform
-    onto ``g2`` (``h`` given) or as rows of ``field``, whose second axis is
-    ``g2``.  With ``spec`` (a ``SymbolSpec``) it is multiplied by the
-    symbol on its rows, ``spec.evaluate_field``.  With ``out_grid`` it is
-    then carried by the forward transform onto ``out_grid`` and projected,
-    and the blocks' projections, summed in turn, are returned: values on
-    ``out_grid``.  Without ``out_grid`` the blocks are the rows of the
-    returned K x g2.count field.
+    A block enters as the embedding h(omega) * ell(z, omega) carried by the
+    backward axis-2 transform onto ``g2`` (``h`` given) or as rows of
+    ``field``, whose second axis is ``g2``.  Without ``out_grid`` the blocks
+    are the rows of the returned K x g2.count field.  With ``out_grid`` a
+    block is multiplied by the symbol ``spec`` (a ``SymbolSpec``, if given)
+    on its rows, ``spec.evaluate_field``, carried by the forward transform
+    onto ``out_grid`` and projected against the fibers there, and the
+    blocks' projections, summed in turn, are returned: values on
+    ``out_grid``.
 
     Each transform's phases are formed once per call.  A block that is not
     finite after the forward transform raises the ``ValueError`` of a
@@ -234,21 +185,20 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
             np.conj(C_in[rows], out=block)
             block *= h.values
             backward(block, out=block)
+        if out_grid is None:
+            continue
         if spec is not None:
             mask = spec.evaluate_field(g1.nodes[rows], g2.samples)
-        if out_grid is not None:
-            # an overflow of the mask product or of the transform is not
-            # silent: the finiteness check below raises it as a ValueError
-            with np.errstate(over="ignore", invalid="ignore"):
-                if spec is not None:
-                    block *= mask
-                forward(block, out=block)
-            if not np.isfinite(block).all():
-                raise ValueError("field contains non-finite values")
-            block *= C_out[rows]
-            out += weights[rows] @ block
-        elif spec is not None:
-            block *= mask
+        # an overflow of the mask product or of the transform is not
+        # silent: the finiteness check below raises it as a ValueError
+        with np.errstate(over="ignore", invalid="ignore"):
+            if spec is not None:
+                block *= mask
+            forward(block, out=block)
+        if not np.isfinite(block).all():
+            raise ValueError("field contains non-finite values")
+        block *= C_out[rows]
+        out += weights[rows] @ block
     return out
 
 
@@ -270,15 +220,14 @@ def bargmann(atom: Atom, field: PhasePlaneField,
 
 def bargmann_adjoint(atom: Atom, f: SampledFunction,
                      out_grid: LineGrid | None = None) -> PhasePlaneField:
-    """Adjoint of ``bargmann``: embed then inverse axis-2 transform.
+    """Adjoint of ``bargmann``: embedding then backward axis-2 transform.
 
     ``_stream`` embeds and transforms a block of rows at a time in the
     field's own array, so the field is the one array of its size the call
     allocates.
     """
     out = induced_grid(f.grid) if out_grid is None else out_grid
-    return PhasePlaneField(atom.case, atom.g1, out, _stream(atom, out, h=f),
-                           "zeta2")
+    return PhasePlaneField(atom.case, atom.g1, out, _stream(atom, out, h=f))
 
 
 def random_bandlimited(grid: LineGrid, seed: int) -> SampledFunction:

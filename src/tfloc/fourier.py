@@ -12,6 +12,11 @@ on the builders' centred power-of-two grids, where every phase is a whole
 number of half turns, +-1 exactly.  On other grids (odd n, off-centre
 windows) the product's own rounding, up to about n*eps turns, still reaches
 the phase.
+
+``_sandwich`` is the one implementation of that map, on the rows of a 2-D
+array: ``fourier`` applies it to one row, ``fields._stream`` to blocks of
+phase-plane rows (the axis-2 transforms) and ``operators.build_direct`` to
+the rows of its lag generators.
 """
 
 from __future__ import annotations
@@ -52,8 +57,8 @@ def fourier(f: SampledFunction, sign: str = "forward",
     out = induced_grid(grid) if out_grid is None else out_grid
     _check_compatible(grid, out)
 
-    return SampledFunction(out, _fourier_rows(f.values[None, :], grid, sign,
-                                              out)[0])
+    return SampledFunction(out,
+                           _sandwich(grid, sign, out)(f.values[None, :])[0])
 
 
 # i^q for q mod 4: multiplying by one of them is exact
@@ -116,9 +121,3 @@ def _sandwich(in_grid: LineGrid, sign: str, out_grid: LineGrid):
 
     return apply
 
-
-def _fourier_rows(values: np.ndarray, in_grid: LineGrid, sign: str,
-                  out_grid: LineGrid) -> np.ndarray:
-    """Apply the 1-D continuous Fourier transform to every row of a 2-D
-    array, into a new array: ``_sandwich(in_grid, sign, out_grid)(values)``."""
-    return _sandwich(in_grid, sign, out_grid)(values)

@@ -287,7 +287,8 @@ def import_atom(path: str):
 
 def export_field(path: str, field, metadata: dict | None = None):
     n1, n2 = field.values.shape
-    md = {"case": field.case, "g2_kind": field.g2_kind, "shape": [n1, n2]}
+    # every field is an analysis field: its second axis is zeta2
+    md = {"case": field.case, "g2_kind": "zeta2", "shape": [n1, n2]}
     md.update(metadata or {})
     _write_grid_table(path, ["z", "omega", "re", "im"], field.g1.nodes,
                       field.g2.samples, field.values, md)

@@ -5,8 +5,8 @@ operator to a finite frequency window, acting on coefficient vectors over
 that window with the Riemann-sum inner product.  Four builders produce the
 same operator along different routes:
 
-* ``build_direct`` -- the conjugated pipeline: embed, backward axis-2
-  transform, pointwise multiply by the symbol, forward transform, project.
+* ``build_direct`` -- the conjugated pipeline: embedding, backward axis-2
+  transform, pointwise multiply by the symbol, forward transform, projection.
   This is the reference route.  It uses no structure the symbol may have
   beyond its numerical rank: on the builders' grids the transform sandwich
   F_fwd diag(a_k) F_back of one first-coordinate row a_k of the sampled
@@ -72,7 +72,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .atoms import Atom
 from .fields import _analysis_axis, _stream, axis2_sign, omega_side
-from .fourier import _fourier_rows, fourier
+from .fourier import _sandwich, fourier
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport, gamma,
                       overlap_kernel, weighted_overlap_kernel)
@@ -169,8 +169,8 @@ def build_direct(atom: Atom, spec: SymbolSpec,
                  xi_grid: LineGrid) -> OperatorMatrix:
     """Pipeline operator, assembled from a low-rank factorization of the symbol.
 
-    The pipeline (embed, backward axis-2 transform, multiply by the symbol
-    a(r_k, s), forward transform, project) has entries
+    The pipeline (embedding, backward axis-2 transform, multiply by the
+    symbol a(r_k, s), forward transform, fiber projection) has entries
 
         M[i, j] = sum_k w_k conj(L[k, i]) L[k, j] (F_fwd diag(a_k) F_back)[i, j]
 
@@ -187,7 +187,7 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     period n: S_r[i, j] = c_r[(i - j + n//2) mod n], where the generator
     c_r = step * F_fwd(v_r) sits on the centred lag grid
     ``induced_grid(s_grid)`` (step: the xi_grid step).  One
-    ``_fourier_rows`` call gives the generators of all ranks, and S_r is a
+    ``_sandwich`` call gives the generators of all ranks, and S_r is a
     strided view of c_r, so each rank costs one Gram GEMM and one n x n
     gather.  L is read from the atom's fiber record C = conj(L)
     (``Atom.fibers``), which is not copied: G_r = conj((conj(C)
@@ -208,8 +208,8 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     C = atom.fibers(xi_grid.samples).conj_ell
     w = atom.g1.measure_weights
     # row r: the generator c_r, lag (m - n//2) * xi_grid.step at entry m
-    lags = _fourier_rows(V, s_grid, axis2_sign(atom.case, "forward"),
-                         induced_grid(s_grid))
+    lags = _sandwich(s_grid, axis2_sign(atom.case, "forward"),
+                     induced_grid(s_grid))(V)
     lags *= xi_grid.step
     k0 = n // 2 + 1
     M = np.zeros((n, n), dtype=complex)

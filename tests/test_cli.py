@@ -547,6 +547,26 @@ def test_simplex_sum_deviation_is_the_clouds(tmp_path, case):
     assert json.loads(open(report).read())["simplex_sum_deviation"] == dev
 
 
+def test_simplex_deviation_over_tolerance_fails_verify(tmp_path, capsys):
+    # haar's fiber norms fall short of 1 at the window's edge: the verify
+    # suite reports the deviation against its tolerance and fails (exit 1),
+    # while the algebra command refuses to write the cloud (exit 2)
+    report = str(tmp_path / "v.json")
+    assert run("verify", "algebra", "--case", "wavelet", "--atom", "haar",
+               "--n", "64", "--out", report) == 1
+    d = json.loads(open(report).read())
+    assert d["pass"] is False
+    assert abs(d["simplex_sum_deviation"] - 4.34e-4) <= 5e-7
+    assert d["tolerances"]["simplex"] == cli.VERIFY_TOL["algebra"]["simplex"]
+    capsys.readouterr()
+    out = str(tmp_path / "c.csv")
+    assert run("algebra", "--case", "wavelet", "--atom", "haar",
+               "--n", "64", "--out", out) == 2
+    assert ("simplex sums deviate from 1 by 4.34e-04"
+            in capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
 def test_cmd_n_cap(tmp_path, capsys):
     # gamma and spectrum without eigenvalues build no n x n matrix: they take
     # any size without --allow-large

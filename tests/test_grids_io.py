@@ -89,7 +89,7 @@ def _exporter_case(kind):
     if kind == "field":
         g1 = ScaleGrid(0.5, 4.0, 3)
         vals = mat[:3]
-        field = PhasePlaneField("wavelet", g1, grid, vals, "zeta2")
+        field = PhasePlaneField("wavelet", g1, grid, vals)
         rows = [(g1.nodes[k], xs[i], vals[k, i].real, vals[k, i].imag)
                 for k in range(3) for i in range(4)]
         return (lambda p: export_field(p, field),
@@ -204,8 +204,7 @@ def test_streamed_exports_match_whole_columns(tmp_path):
     mat[::7] = np.round(mat[::7], 2)  # repeated values within a block
     km = OperatorMatrix(grid, mat, "overlap", "gaussian", "const:1")
     g1, g2 = ScaleGrid(0.5, 4.0, 300), LineGrid(-1.3, 0.1, 99)
-    field = PhasePlaneField("wavelet", g1, g2, np.resize(mat, (300, 99)),
-                            "zeta2")
+    field = PhasePlaneField("wavelet", g1, g2, np.resize(mat, (300, 99)))
     for name, export, header, cols in [
             ("kernel", lambda p: export_kernel(p, km), ["xi", "omega"],
              _grid_columns(grid.samples, grid.samples, mat)),

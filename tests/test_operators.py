@@ -11,7 +11,7 @@ from tfloc.algebra import commutator_diagnostics
 from tfloc.atoms import Fibers, make_atom
 from tfloc.cli import EQUIVALENCE_SYMBOLS
 from tfloc.fields import omega_side, random_bandlimited
-from tfloc.fourier import _fourier_rows, fourier
+from tfloc.fourier import _sandwich, fourier
 from tfloc.grids import LineGrid, SampledFunction, induced_grid
 from tfloc.kernels import (gamma, overlap_kernel, spectrum_from_gamma,
                            weighted_overlap_kernel)
@@ -137,11 +137,12 @@ def _direct_column_loop(atom, spec, xi_grid):
     w = atom.g1.measure_weights
     back_sign = "inverse" if atom.case == "wavelet" else "forward"
     fwd_sign = "forward" if atom.case == "wavelet" else "inverse"
-    T_back = _fourier_rows(np.eye(n, dtype=complex), xi_grid, back_sign, s_grid)
+    T_back = _sandwich(xi_grid, back_sign, s_grid)(np.eye(n, dtype=complex))
+    forward = _sandwich(s_grid, fwd_sign, xi_grid)
     M = np.empty((n, n), dtype=complex)
     for j in range(n):
         H = a_field * np.outer(L[:, j], T_back[j])
-        Y = _fourier_rows(H, s_grid, fwd_sign, xi_grid)
+        Y = forward(H)
         M[:, j] = np.einsum("k,ki,ki->i", w, Lc, Y)
     return M
 
@@ -226,10 +227,11 @@ def _direct_batched(atom, spec, xi_grid):
     w = atom.g1.measure_weights
     back_sign = "inverse" if atom.case == "wavelet" else "forward"
     fwd_sign = "forward" if atom.case == "wavelet" else "inverse"
-    T_back = _fourier_rows(np.eye(n, dtype=complex), xi_grid, back_sign, s_grid)
+    T_back = _sandwich(xi_grid, back_sign, s_grid)(np.eye(n, dtype=complex))
+    forward = _sandwich(s_grid, fwd_sign, xi_grid)
     M = np.zeros((n, n), dtype=complex)
     for q, v in zip(Q.T, V):
-        D = _fourier_rows(T_back * v, s_grid, fwd_sign, xi_grid)
+        D = forward(T_back * v)
         G = np.conj((np.conj(C) * np.conj(w * q)[:, None]).T @ C)
         M += G * D.T
     return M
@@ -267,11 +269,16 @@ def test_build_direct_transforms_once_whatever_the_rank(gaussian, shannon,
                                                         monkeypatch):
     shapes = []
 
-    def counted(values, *args):
-        shapes.append(values.shape)
-        return _fourier_rows(values, *args)
+    def counted(*grids):
+        apply = _sandwich(*grids)
 
-    monkeypatch.setattr("tfloc.operators._fourier_rows", counted)
+        def counted_apply(values, out=None):
+            shapes.append(values.shape)
+            return apply(values, out=out)
+
+        return counted_apply
+
+    monkeypatch.setattr("tfloc.operators._sandwich", counted)
     for atom in (gaussian, shannon):
         grid = _grid_for(atom, 64)
         for kind, spec in _oracle_specs(atom.case).items():

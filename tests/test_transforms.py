@@ -13,10 +13,9 @@ import tfloc
 from tfloc.atoms import (_BLOCK_ROWS, Fibers, make_atom, make_wavelet,
                          make_window)
 from tfloc.cli import main
-from tfloc.fields import (PhasePlaneField, analyze, apply_axis2_fourier,
-                          axis2_sign, bargmann, bargmann_adjoint, embed,
-                          omega_side, project, random_bandlimited)
-from tfloc.fourier import _cis, _fourier_rows, fourier
+from tfloc.fields import (PhasePlaneField, analyze, axis2_sign, bargmann,
+                          bargmann_adjoint, omega_side, random_bandlimited)
+from tfloc.fourier import _cis, _sandwich, fourier
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from tfloc.io import export_atom, import_atom
 from tfloc.operators import filter_signal
@@ -30,7 +29,7 @@ def _random_field(atom, seed, n2=256):
     g2 = LineGrid.centered(8.0, n2)
     vals = rng.standard_normal((atom.g1.count, n2)) \
         + 1j * rng.standard_normal((atom.g1.count, n2))
-    return PhasePlaneField(atom.case, atom.g1, g2, vals, "zeta2")
+    return PhasePlaneField(atom.case, atom.g1, g2, vals)
 
 
 # -- analyze -----------------------------------------------------------------------
@@ -90,10 +89,19 @@ def test_analyze_wavelet_against_bruteforce_inner_products(haar):
 
 # -- axis-2 transform ---------------------------------------------------------------
 
+def _axis2(field, direction, out_grid):
+    """Rows of ``field`` carried by the axis-2 transform onto ``out_grid``:
+    the DFT sandwich ``fields._stream`` applies, with its sign."""
+    sign = axis2_sign(field.case, direction)
+    return field.copy_with(_sandwich(field.g2, sign, out_grid)(field.values),
+                           g2=out_grid)
+
+
 def test_axis2_roundtrip(gaussian, shannon):
     for atom in (gaussian, shannon):
         F = _random_field(atom, seed=11)
-        back = apply_axis2_fourier(apply_axis2_fourier(F, "forward"), "backward")
+        D = _axis2(F, "forward", induced_grid(F.g2))
+        back = _axis2(D, "backward", F.g2)
         assert np.max(np.abs(back.values - F.values)) <= 1e-10
 
 
@@ -103,8 +111,8 @@ def test_axis2_pure_modulation_concentrates(shannon):
     rng = np.random.default_rng(0)
     g = rng.standard_normal(shannon.g1.count)
     vals = g[:, None] * np.exp(2j * np.pi * g2.samples[None, :] * c)
-    F = PhasePlaneField("wavelet", shannon.g1, g2, vals, "zeta2")
-    out = apply_axis2_fourier(F, "forward")
+    F = PhasePlaneField("wavelet", shannon.g1, g2, vals)
+    out = _axis2(F, "forward", induced_grid(g2))
     col = int(np.argmin(np.abs(out.g2.samples - c)))
     energy = np.abs(out.values) ** 2
     assert energy[:, col].sum() / energy.sum() >= 1.0 - 1e-20
@@ -114,7 +122,7 @@ def test_axis2_preserves_weighted_norm(gaussian, shannon):
     # oracle: direct quadrature of both fields
     for atom in (gaussian, shannon):
         F = _random_field(atom, seed=13)
-        out = apply_axis2_fourier(F, "forward")
+        out = _axis2(F, "forward", induced_grid(F.g2))
         a = F.weighted_norm()
         b = out.weighted_norm()
         assert abs(a - b) / a <= 1e-10
@@ -131,29 +139,32 @@ def _healthy_vector(atom, grid, seed):
     return SampledFunction(grid, vals)
 
 
-def test_embed_zero(gaussian):
-    g2 = LineGrid.centered(8.0, 128)
-    F = embed(gaussian, SampledFunction(g2, np.zeros(128)))
-    assert np.all(F.values == 0)
-
-
 def test_embed_isometry_and_projection_identity(shannon, gaussian):
     g2 = LineGrid.centered(8.0, 256)
     for atom in (shannon, gaussian):
         f = _healthy_vector(atom, g2, seed=21)
-        F = embed(atom, f)
+        F = bargmann_adjoint(atom, f)
         assert abs(F.weighted_norm() - f.norm()) <= 1e-6 * f.norm()
-        back = project(atom, F)
+        back = bargmann(atom, F, out_grid=g2)
         assert np.max(np.abs(back.values - f.values)) <= 1e-6
+
+
+def _diagonal_plane_field(atom, g2, vals):
+    """The field whose forward axis-2 transform onto ``g2`` is ``vals``:
+    the oracle's backward transform of the diagonal-plane rows."""
+    z_grid = induced_grid(g2)
+    back = _fourier_rows_reference(vals, g2, axis2_sign(atom.case, "backward"),
+                                   z_grid)
+    return PhasePlaneField(atom.case, atom.g1, z_grid, back)
 
 
 def test_project_kills_fiber_orthogonal_profiles(shannon, gaussian):
     # explicit profiles orthogonal to the fiber: an odd +/- pattern across
     # the 32 in-band nodes (wavelet), an odd function about the window
-    # center (gabor)
+    # center (gabor); bargmann carries them back onto the diagonal plane
+    # and projects them out
     g2 = LineGrid.centered(8.0, 64)
     L = shannon.ell_matrix(g2.samples)
-    w = shannon.g1.measure_weights
     vals = np.zeros_like(L)
     for i, om in enumerate(g2.samples):
         idx = np.nonzero(np.abs(L[:, i]) > 0)[0]
@@ -164,8 +175,8 @@ def test_project_kills_fiber_orthogonal_profiles(shannon, gaussian):
         h[idx[:half]] = 1.0
         h[idx[half:2 * half]] = -1.0
         vals[:, i] = h * L[:, i]
-    F = PhasePlaneField("wavelet", shannon.g1, g2, vals, "omega")
-    out = project(shannon, F)
+    F = _diagonal_plane_field(shannon, g2, vals)
+    out = bargmann(shannon, F, out_grid=g2)
     assert np.max(np.abs(out.values)) <= 1e-6
 
     # gabor: profile odd about the window center omega (zero at the center
@@ -177,47 +188,37 @@ def test_project_kills_fiber_orthogonal_profiles(shannon, gaussian):
     for i, om in enumerate(g2g.samples):
         odd = np.sign(om - q)
         cols.append(odd * Lg[:, i])
-    Fg = PhasePlaneField("gabor", gaussian.g1, g2g,
-                         np.stack(cols, axis=1), "omega")
-    assert np.max(np.abs(project(gaussian, Fg).values)) <= 1e-6
+    Fg = _diagonal_plane_field(gaussian, g2g, np.stack(cols, axis=1))
+    assert np.max(np.abs(bargmann(gaussian, Fg, out_grid=g2g).values)) <= 1e-6
 
 
 def test_project_checks_first_axis_by_value(gaussian, shannon):
-    g2 = LineGrid.centered(8.0, 64)
-    vals = embed(gaussian, SampledFunction(g2, np.ones(64))).values
+    W = bargmann_adjoint(gaussian, SampledFunction(LineGrid.centered(8.0, 64),
+                                                   np.ones(64)))
+    g2, vals = W.g2, W.values
     # an equal grid built apart is accepted, bit for bit
     copy = LineGrid(gaussian.g1.start, gaussian.g1.step, gaussian.g1.count)
-    same = project(gaussian, PhasePlaneField("gabor", copy, g2, vals, "omega"))
-    ref = project(gaussian, PhasePlaneField("gabor", gaussian.g1, g2, vals,
-                                            "omega"))
+    same = bargmann(gaussian, PhasePlaneField("gabor", copy, g2, vals))
+    ref = bargmann(gaussian, W)
     assert np.array_equal(same.values, ref.values)
     shifted = LineGrid(copy.start + copy.step / 2, copy.step, copy.count)
     coarse = LineGrid(copy.start, 2 * copy.step, copy.count // 2)
     for g1 in (shifted, coarse):
-        F = PhasePlaneField("gabor", g1, g2, np.ones((g1.count, 64)), "omega")
+        F = PhasePlaneField("gabor", g1, g2, np.ones((g1.count, 64)))
         with pytest.raises(ValueError, match="first axis"):
-            project(gaussian, F)
+            bargmann(gaussian, F)
     narrow = ScaleGrid(2.0 ** -4, 2.0 ** 4, shannon.g1.count)
-    F = PhasePlaneField("wavelet", narrow, g2,
-                        np.ones((narrow.count, 64)), "omega")
+    F = PhasePlaneField("wavelet", narrow, g2, np.ones((narrow.count, 64)))
     with pytest.raises(ValueError, match="first axis"):
-        project(shannon, F)
+        bargmann(shannon, F)
     # a gabor field on a line grid is never on a wavelet atom's scale grid
-    F = PhasePlaneField("gabor", copy, g2, vals, "omega")
+    F = PhasePlaneField("gabor", copy, g2, vals)
     with pytest.raises(ValueError, match="first axis"):
-        project(shannon, F)
-
-
-def test_embed_project_idempotent(gaussian):
-    # embed(project(.)) applied twice equals applied once
-    F = apply_axis2_fourier(_random_field(gaussian, seed=31), "forward")
-    once = embed(gaussian, project(gaussian, F))
-    twice = embed(gaussian, project(gaussian, once))
-    assert np.max(np.abs(twice.values - once.values)) <= 1e-8
+        bargmann(shannon, F)
 
 
 def test_projection_operator_self_adjoint(gaussian):
-    # <Lambda x, y> == <x, Lambda y> under the plane measure
+    # <R*R X, Y> == <X, R*R Y> under the plane measure
     rng = np.random.default_rng(17)
     g1w = gaussian.g1.measure_weights
     g2 = LineGrid.centered(8.0, 64)
@@ -225,16 +226,16 @@ def test_projection_operator_self_adjoint(gaussian):
     def plane_inner(A, B):
         return np.einsum("k,ki,ki->", g1w, A.values, np.conj(B.values)) * g2.step
 
+    def reproduce(F):
+        return bargmann_adjoint(gaussian, bargmann(gaussian, F), out_grid=g2)
+
     for _ in range(5):
         shape = (gaussian.g1.count, 64)
         X = PhasePlaneField("gabor", gaussian.g1, g2,
-                            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-                            "omega")
+                            rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         Y = PhasePlaneField("gabor", gaussian.g1, g2,
-                            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-                            "omega")
-        LX = embed(gaussian, project(gaussian, X))
-        LY = embed(gaussian, project(gaussian, Y))
+                            rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        LX, LY = reproduce(X), reproduce(Y)
         assert abs(plane_inner(LX, Y) - plane_inner(X, LY)) <= 1e-8
 
 
@@ -265,7 +266,7 @@ def test_case_tag_validation_prevents_mixed_fields(shannon):
     f = random_bandlimited(SIGNAL_GRID, seed=77)
     W = analyze(shannon, f)
     with pytest.raises(ValueError):
-        PhasePlaneField("gabor", W.g1, W.g2, W.values, "zeta2")
+        PhasePlaneField("gabor", W.g1, W.g2, W.values)
 
 
 def test_wrong_sign_breaks_factorization(shannon):
@@ -327,18 +328,20 @@ def _bits(a) -> bytes:
 def test_in_place_transforms_equal_the_out_of_place_composition(request, name,
                                                                 band):
     # analyze, bargmann_adjoint and the slow filter transform arrays they
-    # own in place; the bits are those of the public composition
+    # own in place; the bits are those of the whole-array chain, and the
+    # slow filter's those of bargmann of its masked field
     atom = request.getfixturevalue(name)
     f = random_bandlimited(SIGNAL_GRID, seed=8)
     h = omega_side(atom.case, f)
     full_axis = f.grid if atom.case == "wavelet" else induced_grid(f.grid)
-    W = apply_axis2_fourier(embed(atom, h), "backward", full_axis)
-    assert _bits(analyze(atom, f).values) == _bits(W.values)
+    W = _whole_array_chain(atom, full_axis, h=h)
+    assert _bits(analyze(atom, f).values) == _bits(W)
     assert _bits(bargmann_adjoint(atom, h, out_grid=full_axis).values) \
-        == _bits(W.values)
+        == _bits(W)
     spec = SymbolSpec.first_variable(Symbol1D.indicator(*band))
-    masked = W.copy_with(
-        W.values * spec.evaluate_field(atom.g1.nodes, full_axis.samples))
+    masked = PhasePlaneField(
+        atom.case, atom.g1, full_axis,
+        W * spec.evaluate_field(atom.g1.nodes, full_axis.samples))
     ref = omega_side(atom.case, bargmann(atom, masked, out_grid=h.grid),
                      back_to=f.grid)
     out, _ = filter_signal(atom, spec, f, "slow")
@@ -350,7 +353,6 @@ def test_public_transforms_leave_their_inputs_unchanged(gaussian, shannon):
         F = _random_field(atom, seed=3)
         field_before = F.values.copy()
         bargmann(atom, F)
-        apply_axis2_fourier(F, "forward")
         assert _bits(F.values) == _bits(field_before)
         h = SampledFunction(F.g2, field_before[0].copy())
         bargmann_adjoint(atom, h)
@@ -358,8 +360,8 @@ def test_public_transforms_leave_their_inputs_unchanged(gaussian, shannon):
 
 
 def test_analyze_peak_memory(gaussian, shannon):
-    # with the fiber record built, analyze holds embed's array, transformed
-    # in place, and little else: about 1.06 K x N complex arrays (2.06 when
+    # with the fiber record built, analyze holds the field's array, embedded
+    # and transformed in place, and little else: about 1.06 K x N complex arrays (2.06 when
     # the transform copied it)
     n = 4096
     f = random_bandlimited(LineGrid.centered(16.0, n), seed=3)
@@ -464,26 +466,51 @@ def test_atom_keeps_its_last_fiber_record():
         assert rebuilt.weights is atom.g1.measure_weights
 
 
-def test_ell_matrix_has_one_caller():
-    # every consumer reads the fiber matrix through Atom.fibers, whose
-    # record constructor Fibers.of is the one place that builds it
+def _scopes_where(match):
+    """"file:scope" of every node of the package's modules for which
+    ``match`` holds, scope being the dotted class and function path."""
     src = Path(tfloc.__file__).parent
-    callers = []
+    found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            if (isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "ell_matrix"):
-                callers.append(f"{path.name}:{scope}")
+            if match(child):
+                found.append(f"{path.name}:{scope}")
             visit(child, inner)
 
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), "")
-    assert callers == ["atoms.py:Fibers.of"]
+    return found
+
+
+def test_ell_matrix_has_one_caller():
+    # every consumer reads the fiber matrix through Atom.fibers, whose
+    # record constructor Fibers.of is the one place that builds it
+    def calls_ell_matrix(node):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "ell_matrix")
+
+    assert _scopes_where(calls_ell_matrix) == ["atoms.py:Fibers.of"]
+
+
+def test_one_dft_sandwich():
+    # the continuous Fourier transform of rows has one implementation, the
+    # DFT sandwich; the only other DFT is the fft gamma rule's convolution
+    def uses_fft(node):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [a.name for a in node.names]
+            modules.append(getattr(node, "module", None) or "")
+            return any("fft" in m for m in modules)
+        return (isinstance(node, ast.Attribute) and node.attr == "fft"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+
+    assert sorted(set(_scopes_where(uses_fft))) == [
+        "fourier.py:_sandwich.apply", "kernels.py:_gamma_fft"]
 
 
 def test_verify_transforms_builds_one_record_per_grid(tmp_path, ell_calls):
@@ -507,8 +534,9 @@ def test_verify_transforms_gabor_shares_the_round_trip_record(tmp_path,
 
 
 def _fourier_rows_reference(values, in_grid, sign, out_grid):
-    """The out-of-place formula of _fourier_rows, kept as its oracle; the
-    phases, arguments in turns, come from ``_cis`` (pinned on its own)."""
+    """The out-of-place formula of ``fourier._sandwich``, kept as its
+    oracle; the phases, arguments in turns, come from ``_cis`` (pinned on
+    its own)."""
     n = in_grid.count
     sgn = -1.0 if sign == "forward" else 1.0
     j = np.arange(n)
@@ -532,10 +560,14 @@ def test_fourier_rows_in_place_matches_out_of_place(n):
         values = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
         before = values.copy()
         for sign in ("forward", "inverse"):
-            out = _fourier_rows(values, in_grid, sign, out_grid)
+            apply = _sandwich(in_grid, sign, out_grid)
+            ref = _fourier_rows_reference(values, in_grid, sign, out_grid)
+            out = apply(values)
             assert np.array_equal(values, before)
-            assert np.array_equal(
-                out, _fourier_rows_reference(values, in_grid, sign, out_grid))
+            assert np.array_equal(out, ref)
+            inplace = values.copy()
+            assert apply(inplace, out=inplace) is inplace
+            assert np.array_equal(inplace, ref)
 
 
 # -- the streamed chain ---------------------------------------------------------------
@@ -647,7 +679,7 @@ def test_streamed_chain_rejects_a_non_finite_block(gaussian, block):
     g2 = LineGrid.centered(8.0, 64)
     vals = np.zeros((K, 64), dtype=complex)
     vals[rows] = 1e308
-    F = PhasePlaneField("gabor", gaussian.g1, g2, vals, "zeta2")
+    F = PhasePlaneField("gabor", gaussian.g1, g2, vals)
     with pytest.raises(ValueError, match="field contains non-finite values"):
         bargmann(gaussian, F)
 
