@@ -58,6 +58,20 @@ class PhasePlaneField:
     (windows) axis."""
 
     def __init__(self, case: str, g1, g2: LineGrid, values):
+        self._bind(case, g1, g2, values)
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("field contains non-finite values")
+
+    @classmethod
+    def _of_finite(cls, case: str, g1, g2: LineGrid,
+                   values: np.ndarray) -> "PhasePlaneField":
+        """A field of complex ``values`` whose finiteness the caller has
+        checked (``_stream``, block by block): no second pass over them."""
+        field = cls.__new__(cls)
+        field._bind(case, g1, g2, values)
+        return field
+
+    def _bind(self, case, g1, g2, values):
         if case not in ("wavelet", "gabor"):
             raise ValueError(f"unknown case {case!r}")
         if case == "wavelet" and not isinstance(g1, ScaleGrid):
@@ -69,16 +83,18 @@ class PhasePlaneField:
             raise ValueError(
                 f"field shape {values.shape} does not match grids "
                 f"({g1.count}, {g2.count})")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field contains non-finite values")
         self.case = case
         self.g1 = g1
         self.g2 = g2
         self.values = values
 
     def weighted_norm(self) -> float:
-        """L2 norm under the product measure (first-axis measure x Riemann)."""
-        row_energy = np.sum(np.abs(self.values) ** 2, axis=1) * self.g2.step
+        """L2 norm under the product measure (first-axis measure x Riemann).
+
+        Each row's energy is the dot product of its float view with itself,
+        so no temporary has the field's size."""
+        v = np.ascontiguousarray(self.values).view(float)
+        row_energy = np.einsum("ij,ij->i", v, v) * self.g2.step
         return float(np.sqrt(np.sum(self.g1.measure_weights * row_energy)))
 
     def copy_with(self, values, g2=None) -> "PhasePlaneField":
@@ -143,6 +159,13 @@ def _check_first_axis(atom: Atom, field: PhasePlaneField):
                          f"grid {g1!r}")
 
 
+def _require_finite(a: np.ndarray):
+    """The ``ValueError`` of a non-finite field unless every entry of the
+    complex C-contiguous ``a`` is finite (checked on its float view)."""
+    if not np.isfinite(a.view(float)).all():
+        raise ValueError("field contains non-finite values")
+
+
 def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
             field: PhasePlaneField | None = None, spec=None,
             out_grid: LineGrid | None = None) -> np.ndarray:
@@ -158,48 +181,78 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     blocks' projections, summed in turn, are returned: values on
     ``out_grid``.
 
-    Each transform's phases are formed once per call.  A block that is not
-    finite after the forward transform raises the ``ValueError`` of a
-    non-finite ``PhasePlaneField``; one of the symbol raises
+    Each transform is a DFT core between two phase diagonals, the post-phase
+    carrying the grid step (``fourier._sandwich``).  The diagonals depend
+    on the column alone, so the blocks meet only the cores, and each
+    diagonal rides on a vector the chain applies anyway:
+
+    - the backward pre-phase on h, formed once: the embedding is one pass,
+      conj(C) * (h * pre_b);
+    - the forward pre-phase on the copy of ``field``'s rows into a block;
+    - between the two cores, one diagonal: the backward post-phase, times
+      the forward pre-phase when a forward transform follows;
+    - the forward post-phase on the summed projection, an out_grid vector.
+
+    On centred power-of-two grids every phase is +-1 and every step a power
+    of two, so this moves no bit against the diagonals applied to every
+    block, except where a projection's terms are subnormal.
+
+    A block that is not finite after its last transform raises the
+    ``ValueError`` of a non-finite ``PhasePlaneField``, so the returned
+    field is finite; a symbol that is not finite raises
     ``evaluate_field``'s.
     """
     g1 = atom.g1
     count = g1.count
-    if h is not None:
-        C_in = atom.fibers(h.grid.samples).conj_ell
-        backward = _sandwich(h.grid, axis2_sign(atom.case, "backward"), g2)
     if out_grid is None:
         out = np.empty((count, g2.count), dtype=complex)
     else:
         forward = _sandwich(g2, axis2_sign(atom.case, "forward"), out_grid)
         C_out = atom.fibers(out_grid.samples).conj_ell
         weights = g1.measure_weights
-        out = np.zeros(out_grid.count, dtype=complex)
+        acc = np.zeros(out_grid.count, dtype=complex)
         buf = np.empty((min(_BLOCK_ROWS, count), g2.count), dtype=complex)
+    if h is not None:
+        backward = _sandwich(h.grid, axis2_sign(atom.case, "backward"), g2)
+        C_in = atom.fibers(h.grid.samples).conj_ell
+        h_pre = h.values * backward.pre
+        diag = (backward.post if out_grid is None
+                else backward.post * forward.pre)
     for rows in _row_blocks(count):
         block = (out[rows] if out_grid is None
                  else buf[:rows.stop - rows.start])
-        if h is None:
-            block[...] = field.values[rows]
-        else:
-            np.conj(C_in[rows], out=block)
-            block *= h.values
-            backward(block, out=block)
-        if out_grid is None:
-            continue
         if spec is not None:
             mask = spec.evaluate_field(g1.nodes[rows], g2.samples)
-        # an overflow of the mask product or of the transform is not
-        # silent: the finiteness check below raises it as a ValueError
+        # an overflow in the chain is not silent: the finiteness check
+        # below raises it as a ValueError
         with np.errstate(over="ignore", invalid="ignore"):
-            if spec is not None:
-                block *= mask
-            forward(block, out=block)
-        if not np.isfinite(block).all():
-            raise ValueError("field contains non-finite values")
-        block *= C_out[rows]
-        out += weights[rows] @ block
-    return out
+            if h is None:
+                np.multiply(field.values[rows], forward.pre, out=block)
+            else:
+                if np.iscomplexobj(C_in):
+                    np.conj(C_in[rows], out=block)
+                    block *= h_pre
+                else:
+                    np.multiply(C_in[rows], h_pre, out=block)
+                backward.core(block)
+                np.multiply(diag, block, out=block)
+            if out_grid is not None:
+                if spec is not None:
+                    block *= mask
+                forward.core(block)
+        _require_finite(block)
+        if out_grid is not None:
+            block *= C_out[rows]
+            acc += weights[rows] @ block
+    if out_grid is None:
+        return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc *= forward.post
+    # a zero projection is +0, as a sum of the blocks' terms gives it; a
+    # negative post-phase would leave it -0, which a CSV writes as "-0"
+    acc += 0.0
+    _require_finite(acc)
+    return acc
 
 
 def bargmann(atom: Atom, field: PhasePlaneField,
@@ -223,11 +276,13 @@ def bargmann_adjoint(atom: Atom, f: SampledFunction,
     """Adjoint of ``bargmann``: embedding then backward axis-2 transform.
 
     ``_stream`` embeds and transforms a block of rows at a time in the
-    field's own array, so the field is the one array of its size the call
-    allocates.
+    field's own array, and checks each block's finiteness, so the field is
+    the one array of its size the call allocates and no second pass over it
+    checks it.
     """
     out = induced_grid(f.grid) if out_grid is None else out_grid
-    return PhasePlaneField(atom.case, atom.g1, out, _stream(atom, out, h=f))
+    return PhasePlaneField._of_finite(atom.case, atom.g1, out,
+                                      _stream(atom, out, h=f))
 
 
 def random_bandlimited(grid: LineGrid, seed: int) -> SampledFunction:

@@ -14,12 +14,17 @@ windows) the product's own rounding, up to about n*eps turns, still reaches
 the phase.
 
 ``_sandwich`` is the one implementation of that map, on the rows of a 2-D
-array: ``fourier`` applies it to one row, ``fields._stream`` to blocks of
-phase-plane rows (the axis-2 transforms) and ``operators.build_direct`` to
-the rows of its lag generators.
+array.  ``fourier`` applies it to one row and ``operators.build_direct`` to
+the rows of its lag generators: the pre-phase, the DFT core and the
+post-phase, which carries the scale, each a pass over the array.
+``fields._stream`` (the axis-2 transforms on blocks of phase-plane rows)
+runs only the core on its blocks; the two diagonals depend on the column
+alone, and it folds them into the n-vectors it applies anyway.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,21 +92,18 @@ def _cis(turns: np.ndarray) -> np.ndarray:
     return z
 
 
-def _sandwich(in_grid: LineGrid, sign: str, out_grid: LineGrid):
+def _sandwich(in_grid: LineGrid, sign: str, out_grid: LineGrid) -> "_Sandwich":
     """The 1-D continuous Fourier transform from ``in_grid`` to ``out_grid``
-    as a function ``apply(values, out=None)`` of a 2-D array of rows.
+    on the rows of a 2-D array, as a ``_Sandwich``: post * DFT(pre * x).
 
-    The two phase diagonals are formed here, once, and every ``apply``
-    call reuses them: a caller streaming blocks of rows pays for them once.
-    ``apply`` pre-phases, transforms and post-phases in one array: a new
-    one, leaving ``values`` unchanged, or ``out``.  ``out=values``
-    transforms a complex C-contiguous array the caller owns in place, with
-    the same bits and no second array of its size.  Both phase diagonals
-    come from ``_cis`` of their arguments in turns, so they are exact at
-    quarter turns: on centred power-of-two grids, the builders' grids,
+    The two phase diagonals are formed here, once, and every call reuses
+    them: a caller streaming blocks of rows pays for them once.  Both come
+    from ``_cis`` of their arguments in turns, so they are exact at quarter
+    turns: on centred power-of-two grids, the builders' grids,
     in_grid.step * out_grid.start is exactly -1/2 and every factor is +-1.
     Elsewhere the arguments are rounded products, off by up to about n*eps
-    turns, and the factors carry that error.
+    turns, and the factors carry that error.  The scale in_grid.step rides
+    on ``post``.
     """
     n = in_grid.count
     sgn = -1.0 if sign == "forward" else 1.0
@@ -109,15 +111,35 @@ def _sandwich(in_grid: LineGrid, sign: str, out_grid: LineGrid):
     # out_k = step * e^{sgn*2pi*i*start*xi_k} * DFT_k[ f_j * e^{sgn*2pi*i*j*step*out.start} ]
     pre = _cis(sgn * (in_grid.step * out_grid.start * j))
     post = in_grid.step * _cis(sgn * (in_grid.start * out_grid.samples))
+    return _Sandwich(pre, post, sgn < 0)
 
-    def apply(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        core = np.multiply(values, pre[None, :], out=out)
-        if sgn < 0:
-            np.fft.fft(core, axis=1, out=core)
-        else:
-            np.fft.ifft(core, axis=1, out=core)
-            core *= n
-        return np.multiply(post, core, out=core)
 
-    return apply
+@dataclass(frozen=True, eq=False)
+class _Sandwich:
+    """A DFT between two phase diagonals, the per-column vectors ``pre``
+    and ``post`` (``post`` carries the input grid's step).
 
+    Calling it applies post * core(pre * x) to the rows of ``values`` in
+    one array: a new one, leaving ``values`` unchanged, or ``out``.
+    ``out=values`` transforms a complex C-contiguous array the caller owns
+    in place, with the same bits and no second array of its size.  A
+    caller that keeps its own per-column vectors, as ``fields._stream``
+    does, folds ``pre`` and ``post`` into them and runs ``core`` alone.
+    """
+
+    pre: np.ndarray
+    post: np.ndarray
+    forward: bool  # the DFT's sign: e^{-2 pi i jk/n} when True
+
+    def core(self, block: np.ndarray) -> np.ndarray:
+        """The unscaled DFT of every row of ``block`` (complex,
+        C-contiguous), in place: ``np.fft.fft``, or the inverse DFT times
+        n, ``ifft(norm="forward")``, which never scales by 1/n."""
+        if self.forward:
+            return np.fft.fft(block, axis=1, out=block)
+        return np.fft.ifft(block, axis=1, norm="forward", out=block)
+
+    def __call__(self, values: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+        core = self.core(np.multiply(values, self.pre[None, :], out=out))
+        return np.multiply(self.post, core, out=core)

@@ -270,15 +270,19 @@ class SymbolSpec:
         r = np.asarray(r_nodes, dtype=float)
         s = np.asarray(s_nodes, dtype=float)
         if self.kind == "first":
-            col = np.asarray(self.alpha(r))
-            vals = np.broadcast_to(col[:, None], (r.size, s.size)).copy()
-        elif self.kind == "second":
-            row = np.asarray(self.beta(s))
-            vals = np.broadcast_to(row[None, :], (r.size, s.size)).copy()
-        elif self.kind == "separable":
-            vals = np.outer(self.alpha(r), self.beta(s))
-        else:
-            vals = np.asarray(self.general_fn(r[:, None], s[None, :]))
+            col = self._finite(np.asarray(self.alpha(r)))
+            return np.broadcast_to(col[:, None], (r.size, s.size)).copy()
+        if self.kind == "second":
+            row = self._finite(np.asarray(self.beta(s)))
+            return np.broadcast_to(row[None, :], (r.size, s.size)).copy()
+        if self.kind == "separable":
+            return self._finite(np.outer(self.alpha(r), self.beta(s)))
+        return self._finite(np.asarray(self.general_fn(r[:, None],
+                                                       s[None, :])))
+
+    def _finite(self, vals: np.ndarray) -> np.ndarray:
+        """``vals``, or the ``ValueError`` of a symbol that is not finite on
+        the grid; a one-variable symbol is checked before it is broadcast."""
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"symbol {self.descriptor} is not finite on the grid")
         return vals

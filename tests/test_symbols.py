@@ -596,3 +596,27 @@ def test_weighted_kernel_real_symbol_hermitian(gaussian):
     grid = LineGrid.centered(8.0, 128)
     W = weighted_overlap_kernel(gaussian, Symbol1D.smooth_step(4.0), grid)
     assert np.max(np.abs(W.values - W.values.conj().T)) <= 1e-10
+
+
+def test_evaluate_field_of_each_kind_and_its_non_finite_values():
+    # one-variable symbols are checked on their column or row, before the
+    # broadcast copy; the values and the error are those of the whole field
+    r = np.linspace(-2.0, 2.0, 5)
+    s = np.linspace(-1.0, 3.0, 7)
+    a = Symbol1D.indicator(-1.0, 1.0)
+    b = Symbol1D.gaussian_bump(1.0)
+    specs = {"a(r)": (SymbolSpec.first_variable(a), np.outer(a(r), 0 * s + 1)),
+             "a(s)": (SymbolSpec.second_variable(b), np.outer(0 * r + 1, b(s))),
+             "sep": (SymbolSpec.separable(a, b), np.outer(a(r), b(s))),
+             "gen": (SymbolSpec.general(lambda x, y: x * y), np.outer(r, s))}
+    for label, (spec, ref) in specs.items():
+        vals = spec.evaluate_field(r, s)
+        assert vals.shape == (5, 7) and vals.flags.writeable, label
+        assert np.array_equal(vals, ref), label
+    spike = Symbol1D(lambda x: np.where(x > 0.5, np.inf, 1.0), "spike")
+    for spec in (SymbolSpec.first_variable(spike),
+                 SymbolSpec.second_variable(spike),
+                 SymbolSpec.separable(spike, b),
+                 SymbolSpec.general(lambda x, y: spike(x) * y, "g")):
+        with pytest.raises(ValueError, match="is not finite on the grid"):
+            spec.evaluate_field(r, s)
