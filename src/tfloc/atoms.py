@@ -127,11 +127,14 @@ class Atom:
     # -- profile evaluation -------------------------------------------------
 
     def _interp(self, samples: SampledFunction, x):
+        """Linear interpolation of stored samples, zero outside their grid:
+        float64 when their imaginary part is zero, complex128 otherwise."""
         x = np.asarray(x, dtype=float)
-        g = samples.grid
-        re = np.interp(x, g.samples, samples.values.real, left=0.0, right=0.0)
-        im = np.interp(x, g.samples, samples.values.imag, left=0.0, right=0.0)
-        return re + 1j * im
+        g, v = samples.grid, samples.values
+        re = np.interp(x, g.samples, v.real, left=0.0, right=0.0)
+        if not v.imag.any():
+            return re
+        return re + 1j * np.interp(x, g.samples, v.imag, left=0.0, right=0.0)
 
     def eval_time(self, x):
         if self.time_profile is not None:
@@ -156,28 +159,25 @@ class Atom:
         sqrt(z) conj(psi_hat(z omega)) at scales z (wavelets), conj(phi(omega - z))
         at translations z (windows).
 
-        The profile is evaluated on blocks of ``_BLOCK_ROWS`` nodes, each
-        written into the result as it comes, so the temporaries are a
-        block's size.  The result takes the first block's dtype: float64
-        for a real profile, complex128 for a complex one.  It is allocated
-        before the blocks' temporaries: allocated after the first block, a
-        real record raised the peak RSS of the ``verify-dense`` benchmark
-        by about 0.5 MiB (glibc heap layout).
+        The dtype is the profile's at one probe sample: float64 for a real
+        profile, complex128 for a complex one.  The result is allocated
+        once, before the blocks' temporaries (allocated after the first
+        block, a real record raised the peak RSS of the ``verify-dense``
+        benchmark by about 0.5 MiB, glibc heap layout), and the profile is
+        evaluated on blocks of ``_BLOCK_ROWS`` nodes, each written into it
+        as it comes, so the temporaries are a block's size.
         """
         omegas = np.asarray(omegas, dtype=float)
         z = self.g1.nodes
-        out = np.empty((z.size, omegas.size))
+        profile = self.eval_freq if self.case == "wavelet" else self.eval_time
+        out = np.empty((z.size, omegas.size), profile(np.zeros(1)).dtype)
         for rows in _row_blocks(z.size):
             if self.case == "wavelet":
-                block = np.sqrt(z[rows])[:, None] * np.conj(
-                    self.eval_freq(np.outer(z[rows], omegas)))
+                np.multiply(np.sqrt(z[rows])[:, None],
+                            profile(np.outer(z[rows], omegas)).conj(),
+                            out=out[rows])
             else:
-                block = np.conj(self.eval_time(omegas[None, :]
-                                               - z[rows, None]))
-            if rows.start == 0 and np.iscomplexobj(block):
-                out = np.empty(out.shape, dtype=complex)
-            # same-kind casting: a complex block never lands in a real result
-            np.copyto(out[rows], block)
+                out[rows] = profile(omegas[None, :] - z[rows, None]).conj()
         return out
 
     def fibers(self, omegas) -> "Fibers":
@@ -238,43 +238,37 @@ class Atom:
 class Fibers:
     """An atom's fiber matrix on one omega grid.
 
-    ``conj_ell[k, i]`` is conj(ell(z_k, omega_i)) on the atom's
-    first-coordinate nodes z_k: the factor the fiber projection integrates
-    against, and the conjugate of what the embedding multiplies by.  Every
-    consumer -- the transform chain (``bargmann``, ``bargmann_adjoint``,
-    ``analyze``), the grid-rule ``gamma``,
+    ``ell[k, i]`` is ell(z_k, omega_i) on the atom's first-coordinate nodes
+    z_k, the array ``Atom.ell_matrix`` returns: the embedding multiplies by
+    it, and the fiber projection and the Gram products integrate against
+    its conjugate.  Every consumer -- the transform chain (``bargmann``,
+    ``bargmann_adjoint``, ``analyze``), the grid-rule ``gamma``,
     ``filter_signal``, ``build_direct`` and the overlap kernels -- reads it
     through ``Atom.fibers``, which keeps the last record per atom, so calls
     on one grid share one fiber matrix.  The arrays are read-only.
 
-    The dtype follows the values: float64 for a real profile, complex128
-    otherwise (haar, imported atoms); consumers are dtype-generic.  The
-    catalog's real profiles (gaussian, rect, shannon) return float arrays,
-    so their record meets no complex temporary.  ``ell_matrix`` and the
-    reductions over the nodes (``norms``, ``power_sums``) run over blocks of
-    ``_BLOCK_ROWS`` rows, so no temporary has the record's size.
+    The dtype is ``ell_matrix``'s: float64 for a real profile, complex128
+    otherwise (haar, imported atoms with complex samples); consumers are
+    dtype-generic.  The catalog's real profiles (gaussian, rect, shannon)
+    return float arrays, so their record meets no complex temporary.
+    ``ell_matrix`` and the reductions over the nodes (``norms``,
+    ``power_sums``) run over blocks of ``_BLOCK_ROWS`` rows, so no
+    temporary has the record's size.
     """
 
     omegas: np.ndarray
-    conj_ell: np.ndarray
+    ell: np.ndarray
     weights: np.ndarray  # first-coordinate measure weights
 
     @classmethod
     def of(cls, atom: Atom, omegas) -> "Fibers":
-        """A new record of ``atom`` on ``omegas``: one ``ell_matrix`` call.
-
-        A real ``ell_matrix`` is kept as it is.  A complex one is conjugated
-        in place and kept as its real part when its imaginary part is zero.
-        """
+        """A new record of ``atom`` on ``omegas``: one ``ell_matrix`` call,
+        kept as it is and flagged read-only."""
         omegas = np.array(omegas, dtype=float)
-        C = atom.ell_matrix(omegas)
-        if np.iscomplexobj(C):
-            np.conj(C, out=C)
-            if not C.imag.any():
-                C = C.real.copy()
+        L = atom.ell_matrix(omegas)
         omegas.flags.writeable = False
-        C.flags.writeable = False
-        return cls(omegas, C, atom.g1.measure_weights)
+        L.flags.writeable = False
+        return cls(omegas, L, atom.g1.measure_weights)
 
     @cached_property
     def norms(self) -> np.ndarray:
@@ -287,17 +281,17 @@ class Fibers:
         with f_1, f_2, ... the ``row_factors`` (each one value per node).
 
         The terms are formed and summed over k in order, the bits of
-        ``np.einsum("ki,k,...->i", |C|^2, f_1, ...)``, one block of
+        ``np.einsum("ki,k,...->i", |L|^2, f_1, ...)``, one block of
         ``_BLOCK_ROWS`` rows at a time: no array of the record's size is
         made.  The dtype is complex when a factor is.
         """
-        C = self.conj_ell
-        count, n = C.shape
+        L = self.ell
+        count, n = L.shape
         acc = np.zeros(n, dtype=np.result_type(float, *row_factors))
         block = np.empty((min(_BLOCK_ROWS, count), n), dtype=acc.dtype)
         for rows in _row_blocks(count):
             t = block[:rows.stop - rows.start]
-            c = np.abs(C[rows]) if np.iscomplexobj(C) else C[rows]
+            c = np.abs(L[rows]) if np.iscomplexobj(L) else L[rows]
             np.multiply(c, c, out=t)
             for f in row_factors:
                 t *= f[rows, None]

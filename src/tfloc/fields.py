@@ -187,7 +187,7 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     diagonal rides on a vector the chain applies anyway:
 
     - the backward pre-phase on h, formed once: the embedding is one pass,
-      conj(C) * (h * pre_b);
+      L * (h * pre_b) with L the fiber record;
     - the forward pre-phase on the copy of ``field``'s rows into a block;
     - between the two cores, one diagonal: the backward post-phase, times
       the forward pre-phase when a forward transform follows;
@@ -208,13 +208,13 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
         out = np.empty((count, g2.count), dtype=complex)
     else:
         forward = _sandwich(g2, axis2_sign(atom.case, "forward"), out_grid)
-        C_out = atom.fibers(out_grid.samples).conj_ell
+        L_out = atom.fibers(out_grid.samples).ell
         weights = g1.measure_weights
         acc = np.zeros(out_grid.count, dtype=complex)
         buf = np.empty((min(_BLOCK_ROWS, count), g2.count), dtype=complex)
     if h is not None:
         backward = _sandwich(h.grid, axis2_sign(atom.case, "backward"), g2)
-        C_in = atom.fibers(h.grid.samples).conj_ell
+        L_in = atom.fibers(h.grid.samples).ell
         h_pre = h.values * backward.pre
         diag = (backward.post if out_grid is None
                 else backward.post * forward.pre)
@@ -229,20 +229,19 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
             if h is None:
                 np.multiply(field.values[rows], forward.pre, out=block)
             else:
-                if np.iscomplexobj(C_in):
-                    np.conj(C_in[rows], out=block)
-                    block *= h_pre
-                else:
-                    np.multiply(C_in[rows], h_pre, out=block)
+                np.multiply(L_in[rows], h_pre, out=block)
                 backward.core(block)
                 np.multiply(diag, block, out=block)
             if out_grid is not None:
                 if spec is not None:
                     block *= mask
+                    del mask  # freed before the projection's temporary
                 forward.core(block)
         _require_finite(block)
         if out_grid is not None:
-            block *= C_out[rows]
+            # conj() of a real record is the record; of a complex one, a
+            # block-sized temporary
+            block *= L_out[rows].conj()
             acc += weights[rows] @ block
     if out_grid is None:
         return out

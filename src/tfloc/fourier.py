@@ -120,11 +120,9 @@ class _Sandwich:
     and ``post`` (``post`` carries the input grid's step).
 
     Calling it applies post * core(pre * x) to the rows of ``values`` in
-    one array: a new one, leaving ``values`` unchanged, or ``out``.
-    ``out=values`` transforms a complex C-contiguous array the caller owns
-    in place, with the same bits and no second array of its size.  A
-    caller that keeps its own per-column vectors, as ``fields._stream``
-    does, folds ``pre`` and ``post`` into them and runs ``core`` alone.
+    a new array, leaving ``values`` unchanged.  A caller that keeps its
+    own per-column vectors, as ``fields._stream`` does, folds ``pre`` and
+    ``post`` into them and runs ``core`` alone.
     """
 
     pre: np.ndarray
@@ -139,7 +137,6 @@ class _Sandwich:
             return np.fft.fft(block, axis=1, out=block)
         return np.fft.ifft(block, axis=1, norm="forward", out=block)
 
-    def __call__(self, values: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-        core = self.core(np.multiply(values, self.pre[None, :], out=out))
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        core = self.core(values * self.pre[None, :])
         return np.multiply(self.post, core, out=core)

@@ -188,12 +188,12 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     c_r = step * F_fwd(v_r) sits on the centred lag grid
     ``induced_grid(s_grid)`` (step: the xi_grid step).  One
     ``_sandwich`` call gives the generators of all ranks, and S_r is a
-    strided view of c_r, so each rank costs one Gram GEMM and one n x n
-    gather.  L is read from the atom's fiber record C = conj(L)
-    (``Atom.fibers``), which is not copied: G_r = conj((conj(C)
-    diag(conj(w q_r)))^T C), a real GEMM when C and q_r are real, and one
-    real GEMM on the interleaved float view of the weighted copy when only
-    q_r is complex, so a real record is never cast to complex.  The
+    strided view of c_r tiled three times (``_lag_table``), so each rank
+    costs one Gram GEMM and one elementwise product.  L is the atom's
+    fiber record (``Atom.fibers``), which is not copied: G_r = X^T L with
+    X = conj(L) diag(w q_r), a real GEMM when L and q_r are real, and one
+    real GEMM on the interleaved float view of X when only q_r is complex,
+    so a real record is never cast to complex.  The
     factors come from greedy column-pivoted deflation
     (``_lowrank_factors``), which stops at the first r whose residual
     Frobenius norm is at most ``LOWRANK_TAIL`` (1e-13) relative to
@@ -205,32 +205,27 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     s_grid = induced_grid(xi_grid)
     Q, V, tail = _lowrank_factors(
         spec.evaluate_field(atom.g1.nodes, s_grid.samples))
-    C = atom.fibers(xi_grid.samples).conj_ell
+    L = atom.fibers(xi_grid.samples).ell
     w = atom.g1.measure_weights
     # row r: the generator c_r, lag (m - n//2) * xi_grid.step at entry m
     lags = _sandwich(s_grid, axis2_sign(atom.case, "forward"),
                      induced_grid(s_grid))(V)
     lags *= xi_grid.step
-    k0 = n // 2 + 1
     M = np.zeros((n, n), dtype=complex)
     # each rank's arrays dropped before the next: the peak is M, the fiber
-    # record, one weighted K x n copy and the Gram product, whatever the rank
+    # record, X and the Gram product, whatever the rank
     for q, c in zip(Q.T, lags):
-        CW = np.conj(C, out=np.empty(C.shape, np.result_type(C, q)))
-        CW *= np.conj(w * q)[:, None]
-        if CW.dtype == C.dtype:
-            G = CW.T @ C
+        X = np.conj(L, out=np.empty(L.shape, np.result_type(L, q)))
+        X *= (w * q)[:, None]
+        if X.dtype == L.dtype:
+            G = X.T @ L
         else:
-            # complex weights on a real record: C^T CW as one real GEMM on
-            # CW's interleaved float view, so the record is never cast
-            G = (C.T @ CW.view(C.dtype)).view(CW.dtype).T
-        del CW
-        np.conj(G, out=G)
-        # ext[t] = c[(t + k0) mod n], so ext[i - j + n - 1] = S_r[i, j]:
-        # window i of ext, read backwards, is row i of S_r
-        ext = np.concatenate((c[k0:], c, c[:k0 - 1]))
+            # complex weights on a real record: L^T X as one real GEMM on
+            # X's interleaved float view, so the record is never cast
+            G = (L.T @ X.view(L.dtype)).view(X.dtype).T
+        del X
         # a complex G takes the product in place, with no n x n temporary
-        M += np.multiply(G, sliding_window_view(ext, n)[:, ::-1],
+        M += np.multiply(G, _lag_table(np.tile(c, 3), n + n // 2, 1, n),
                          out=G if np.iscomplexobj(G) else None)
         del G
     return OperatorMatrix(xi_grid, M, "direct", atom.name, spec.descriptor,
@@ -247,6 +242,14 @@ def build_multiplication(gf: GammaFunction) -> OperatorMatrix:
                           symbol_is_real=gf.is_real)
 
 
+def _lag_table(gen: np.ndarray, zero: int, sign: int, n: int) -> np.ndarray:
+    """The n x n read-only view T[i, j] = gen[zero + sign*(i - j)] of the
+    lag generator ``gen``, whose entry ``zero`` is lag 0; gen must reach
+    n - 1 entries either side of it."""
+    W = sliding_window_view(gen, n)[zero - n + 1:zero + 1]
+    return W[:, ::-1] if sign > 0 else W[::-1]
+
+
 def _beta_hat_on_lattice(atom: Atom, beta: Symbol1D,
                          xi_grid: LineGrid) -> np.ndarray:
     """Transformed second-variable factor at sigma*(xi_i - xi_j).
@@ -255,8 +258,8 @@ def _beta_hat_on_lattice(atom: Atom, beta: Symbol1D,
     transformed samples then live on the frequency difference lattice with
     4 times the reach.  Node k of the 4n-point transform grid sits at
     (k - 2n) * xi_grid.step, so the lattice difference sigma*(i - j), of
-    size at most n - 1, is node 2n + sigma*(i - j) and the table is a gather.
-    Returns the full difference table, shape (n, n).
+    size at most n - 1, is node 2n + sigma*(i - j).  Returns the full
+    difference table, shape (n, n), as a ``_lag_table`` view.
     """
     s_grid = induced_grid(xi_grid)
     count, step = s_grid.count * 4, s_grid.step / 4
@@ -266,9 +269,7 @@ def _beta_hat_on_lattice(atom: Atom, beta: Symbol1D,
         raise ValueError(f"symbol {beta.descriptor} not finite on its grid")
     bhat = fourier(SampledFunction(bg, b_samples), "forward")
     n = xi_grid.count
-    idx = np.arange(n)
-    lag = idx[:, None] - idx[None, :]
-    return bhat.values[2 * n + case_sign(atom.case) * lag]
+    return _lag_table(bhat.values, 2 * n, case_sign(atom.case), n)
 
 
 def _compound(atom: Atom, spec: SymbolSpec,
@@ -281,8 +282,6 @@ def _compound(atom: Atom, spec: SymbolSpec,
     """
     kernel = (overlap_kernel(atom, xi_grid) if spec.alpha is None
               else weighted_overlap_kernel(atom, spec.alpha, xi_grid))
-    # a named table keeps numpy from multiplying into it in place, which
-    # would swap the operands of each complex product and move the last bit
     bh = _beta_hat_on_lattice(atom, spec.beta, xi_grid)
     return OperatorMatrix(xi_grid, kernel.values * bh * xi_grid.step,
                           "integral" if spec.alpha is None else "pseudodiff",

@@ -17,7 +17,7 @@ from tfloc.kernels import (gamma, overlap_kernel, spectrum_from_gamma,
                            weighted_overlap_kernel)
 from tfloc.operators import (LOWRANK_TAIL, OperatorMatrix,
                              _beta_hat_on_lattice, _hermitian_eigvals,
-                             _lanczos_norm, _lowrank_factors,
+                             _lag_table, _lanczos_norm, _lowrank_factors,
                              build_direct, build_integral, build_multiplication,
                              build_pseudodiff, default_operator_grid,
                              filter_signal, hausdorff_distance, operator_norm,
@@ -187,7 +187,7 @@ def test_build_direct_complex_symbol_peak_memory():
     finally:
         tracemalloc.stop()
     assert M.lowrank_rank == 13
-    assert atom.fibers(grid.samples).conj_ell.dtype == np.float64
+    assert atom.fibers(grid.samples).ell.dtype == np.float64
     K = atom.g1.count
     assert peak <= 4.0 * K * n * 16, f"peak {peak / (K * n * 16):.3f} K*n*16"
 
@@ -223,7 +223,7 @@ def _direct_batched(atom, spec, xi_grid):
     s_grid = induced_grid(xi_grid)
     Q, V, _ = _lowrank_factors(
         spec.evaluate_field(atom.g1.nodes, s_grid.samples))
-    C = atom.fibers(xi_grid.samples).conj_ell
+    L = atom.fibers(xi_grid.samples).ell
     w = atom.g1.measure_weights
     back_sign = "inverse" if atom.case == "wavelet" else "forward"
     fwd_sign = "forward" if atom.case == "wavelet" else "inverse"
@@ -232,7 +232,7 @@ def _direct_batched(atom, spec, xi_grid):
     M = np.zeros((n, n), dtype=complex)
     for q, v in zip(Q.T, V):
         D = forward(T_back * v)
-        G = np.conj((np.conj(C) * np.conj(w * q)[:, None]).T @ C)
+        G = (np.conj(L) * (w * q)[:, None]).T @ L
         M += G * D.T
     return M
 
@@ -272,9 +272,9 @@ def test_build_direct_transforms_once_whatever_the_rank(gaussian, shannon,
     def counted(*grids):
         apply = _sandwich(*grids)
 
-        def counted_apply(values, out=None):
+        def counted_apply(values):
             shapes.append(values.shape)
-            return apply(values, out=out)
+            return apply(values)
 
         return counted_apply
 
@@ -527,6 +527,29 @@ def test_beta_hat_table_is_a_gather_of_the_transform(gaussian, shannon):
             ref = _beta_hat_interp(sign, beta, grid)
             dev = np.max(np.abs(_beta_hat_on_lattice(atom, beta, grid) - ref))
             assert dev <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_lag_table_is_the_index_formula():
+    # T[i, j] = gen[zero + sign*(i - j)] for both signs at even and odd n,
+    # as a read-only view of gen; the two routes' generators: the direct
+    # route's tiled three times around zero = n + n//2, the compound
+    # route's 4n-point transform around zero = 2n
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 7, 64, 65):
+        idx = np.arange(n)
+        lag = idx[:, None] - idx[None, :]
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        tiled = np.tile(c, 3)
+        T = _lag_table(tiled, n + n // 2, 1, n)
+        assert T.shape == (n, n) and not T.flags.writeable
+        assert np.shares_memory(T, tiled)
+        assert np.array_equal(T, tiled[n + n // 2 + lag])
+        assert np.array_equal(T, c[(lag + n // 2) % n])
+        gen = rng.standard_normal(4 * n) + 1j * rng.standard_normal(4 * n)
+        for sign in (1, -1):
+            T = _lag_table(gen, 2 * n, sign, n)
+            assert not T.flags.writeable
+            assert np.array_equal(T, gen[2 * n + sign * lag])
 
 
 def test_pseudodiff_beta_one_reduces_to_multiplication(gaussian, shannon):
