@@ -126,25 +126,15 @@ class Atom:
 
     # -- profile evaluation -------------------------------------------------
 
-    def _interp(self, samples: SampledFunction, x):
-        """Linear interpolation of stored samples, zero outside their grid:
-        float64 when their imaginary part is zero, complex128 otherwise."""
-        x = np.asarray(x, dtype=float)
-        g, v = samples.grid, samples.values
-        re = np.interp(x, g.samples, v.real, left=0.0, right=0.0)
-        if not v.imag.any():
-            return re
-        return re + 1j * np.interp(x, g.samples, v.imag, left=0.0, right=0.0)
-
     def eval_time(self, x):
         if self.time_profile is not None:
             return self.time_profile(np.asarray(x, dtype=float))
-        return self._interp(self.time_samples, x)
+        return self.time_samples.interp(x)
 
     def eval_freq(self, xi):
         if self.freq_profile is not None:
             return self.freq_profile(np.asarray(xi, dtype=float))
-        return self._interp(self.freq_samples, xi)
+        return self.freq_samples.interp(xi)
 
     def eval_power(self, xi):
         """|psi_hat(xi)|^2 (|phi_hat|^2 for windows), real."""

@@ -120,5 +120,15 @@ class SampledFunction:
         """L2 norm under the Riemann-sum measure of the grid."""
         return math.sqrt(float(np.sum(np.abs(self.values) ** 2)) * self.grid.step)
 
+    def interp(self, x):
+        """Linear interpolation between the samples, zero outside the grid:
+        float64 when the imaginary part is zero, complex128 otherwise."""
+        x = np.asarray(x, dtype=float)
+        xs, v = self.grid.samples, self.values
+        re = np.interp(x, xs, v.real, left=0.0, right=0.0)
+        if not v.imag.any():
+            return re
+        return re + 1j * np.interp(x, xs, v.imag, left=0.0, right=0.0)
+
     def __repr__(self):
         return f"SampledFunction({self.grid!r})"

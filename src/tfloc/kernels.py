@@ -77,7 +77,7 @@ class GammaFunction:
             raise ValueError("gamma values must match the frequency grid")
         if is_real:
             dev = float(np.max(np.abs(values.imag)))
-            if dev > 1e-10:
+            if dev > 1e-10 * max(1.0, float(np.max(np.abs(values.real)))):
                 raise ValueError(
                     f"real symbol produced imaginary gamma (dev {dev:.2e})")
             values = values.real.astype(complex)
@@ -187,22 +187,14 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
                        abserr=abserr)
     if alpha.sup_bound is not None:
         over = float(np.max(np.abs(gf.values))) - alpha.sup_bound
-        if over > 1e-8:
+        if over > 1e-8 * max(1.0, alpha.sup_bound):
             raise ValueError(
                 f"gamma exceeded its symbol bound by {over:.2e}; quadrature bug")
     return gf
 
 
-def _symbol_on_nodes(atom: Atom, alpha: Symbol1D) -> np.ndarray:
-    """alpha sampled on the first-coordinate nodes of the atom's grid."""
-    a_vals = np.asarray(alpha(atom.g1.nodes))
-    if not np.all(np.isfinite(a_vals)):
-        raise ValueError(f"symbol {alpha.descriptor} not finite on the grid nodes")
-    return a_vals
-
-
 def _gamma_grid(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
-    a_vals = _symbol_on_nodes(atom, alpha)
+    a_vals = alpha.sample(atom.g1.nodes)
     return atom.fibers(xi_grid.samples).power_sums(
         a_vals, atom.g1.measure_weights).astype(complex)
 
@@ -223,7 +215,7 @@ def _gamma_fft(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
     o = int(round(off))
     if abs(off - o) > 1e-6:
         raise ValueError("fft rule needs the xi grid on the translation lattice")
-    a_vals = _symbol_on_nodes(atom, alpha)
+    a_vals = alpha.sample(g1.nodes)
     nq, nxi = g1.count, xi_grid.count
     dmin = o - (nq - 1)
     dmax = o + (nxi - 1) * stride
@@ -360,7 +352,7 @@ def overlap_kernel(atom: Atom, xi_grid: LineGrid) -> OperatorMatrix:
 def weighted_overlap_kernel(atom: Atom, alpha: Symbol1D,
                             xi_grid: LineGrid) -> OperatorMatrix:
     """Symbol-weighted overlap kernel; its diagonal is the grid-rule gamma."""
-    w = atom.g1.measure_weights * _symbol_on_nodes(atom, alpha)
+    w = atom.g1.measure_weights * alpha.sample(atom.g1.nodes)
     vals = _fiber_overlap(atom, w, xi_grid)
     return OperatorMatrix(xi_grid, vals, "weighted_overlap", atom.name,
                           alpha.descriptor, symbol_is_real=alpha.is_real)

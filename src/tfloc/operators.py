@@ -264,10 +264,7 @@ def _beta_hat_on_lattice(atom: Atom, beta: Symbol1D,
     s_grid = induced_grid(xi_grid)
     count, step = s_grid.count * 4, s_grid.step / 4
     bg = LineGrid(-(count // 2) * step, step, count)
-    b_samples = np.asarray(beta(bg.samples), dtype=complex)
-    if not np.all(np.isfinite(b_samples)):
-        raise ValueError(f"symbol {beta.descriptor} not finite on its grid")
-    bhat = fourier(SampledFunction(bg, b_samples), "forward")
+    bhat = fourier(SampledFunction(bg, beta.sample(bg.samples)), "forward")
     n = xi_grid.count
     return _lag_table(bhat.values, 2 * n, case_sign(atom.case), n)
 

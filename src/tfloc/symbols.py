@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .grids import LineGrid
+from .grids import LineGrid, SampledFunction
 
 __all__ = ["Symbol1D", "SymbolSpec", "SymbolParseError", "parse_symbol"]
 
@@ -34,6 +34,13 @@ def format_number(x) -> str:
         return f"{format_number(x.real)}{'' if im[0] == '-' else '+'}{im}j"
     s = f"{x.real:g}"
     return s if float(s) == x.real else repr(x.real)
+
+
+def _finite(vals: np.ndarray, descriptor: str) -> np.ndarray:
+    """``vals``, or the ``ValueError`` of a symbol not finite on the grid."""
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"symbol {descriptor} is not finite on the grid")
+    return vals
 
 
 class SymbolParseError(ValueError):
@@ -58,6 +65,11 @@ class Symbol1D:
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
+
+    def sample(self, x) -> np.ndarray:
+        """The symbol's values at ``x``, or the ``ValueError`` of a symbol
+        that is not finite there."""
+        return _finite(np.asarray(self(x)), self.descriptor)
 
     # -- constructors ---------------------------------------------------------
 
@@ -132,24 +144,11 @@ class Symbol1D:
 
     @classmethod
     def sampled(cls, grid: LineGrid, values, descriptor: str = "sampled") -> "Symbol1D":
-        values = np.asarray(values)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("sampled symbol contains non-finite values")
-        real = bool(np.max(np.abs(values.imag)) == 0.0) if np.iscomplexobj(values) else True
-        xs = grid.samples
-
-        if real:
-            re = values.real.astype(float)
-
-            def fn(x):
-                return np.interp(x, xs, re, left=0.0, right=0.0)
-        else:
-            def fn(x):
-                return (np.interp(x, xs, values.real, left=0.0, right=0.0)
-                        + 1j * np.interp(x, xs, values.imag, left=0.0, right=0.0))
-
-        return cls(fn, descriptor, support=(xs[0], xs[-1]), is_real=real,
-                   sup_bound=float(np.max(np.abs(values))))
+        """Linear interpolation of samples on ``grid``, zero outside it."""
+        f = SampledFunction(grid, values)
+        return cls(f.interp, descriptor, support=(grid.samples[0], grid.samples[-1]),
+                   is_real=not f.values.imag.any(),
+                   sup_bound=float(np.max(np.abs(f.values))))
 
     @classmethod
     def piecewise(cls, pieces, coefficients) -> "Symbol1D":
@@ -266,23 +265,17 @@ class SymbolSpec:
         return all(p.is_real for p in parts)
 
     def evaluate_field(self, r_nodes, s_nodes) -> np.ndarray:
-        """Sample a(r, s) on the product grid, shape (len(r), len(s))."""
+        """Sample a(r, s) on the product grid, shape (len(r), len(s)); a
+        one-variable symbol is checked before it is broadcast."""
         r = np.asarray(r_nodes, dtype=float)
         s = np.asarray(s_nodes, dtype=float)
+        d = self.descriptor
         if self.kind == "first":
-            col = self._finite(np.asarray(self.alpha(r)))
+            col = _finite(np.asarray(self.alpha(r)), d)
             return np.broadcast_to(col[:, None], (r.size, s.size)).copy()
         if self.kind == "second":
-            row = self._finite(np.asarray(self.beta(s)))
+            row = _finite(np.asarray(self.beta(s)), d)
             return np.broadcast_to(row[None, :], (r.size, s.size)).copy()
         if self.kind == "separable":
-            return self._finite(np.outer(self.alpha(r), self.beta(s)))
-        return self._finite(np.asarray(self.general_fn(r[:, None],
-                                                       s[None, :])))
-
-    def _finite(self, vals: np.ndarray) -> np.ndarray:
-        """``vals``, or the ``ValueError`` of a symbol that is not finite on
-        the grid; a one-variable symbol is checked before it is broadcast."""
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"symbol {self.descriptor} is not finite on the grid")
-        return vals
+            return _finite(np.outer(self.alpha(r), self.beta(s)), d)
+        return _finite(np.asarray(self.general_fn(r[:, None], s[None, :])), d)

@@ -179,6 +179,34 @@ def test_cmd_gamma_unlisted_jumps_exit_2(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [("gamma", "--rule", "grid"),
+                                  ("gamma", "--rule", "fft"), ("kernel",)],
+                         ids=["gamma-grid", "gamma-fft", "kernel"])
+def test_cmd_symbol_not_finite_on_the_grid_exits_2(tmp_path, capsys, argv):
+    # u^-1 is infinite at the translation node 0
+    out = tmp_path / "o.csv"
+    with np.errstate(divide="ignore"):
+        assert run(*argv, "--symbol", "power:-1", "--n", "64",
+                   "--out", str(out)) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: symbol power:-1 is not finite on the grid\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gamma", "--symbol", "const:1", "--xi-min", "2", "--xi-max", "1"),
+     "need xi-min < xi-max, got [2.0, 1.0]"),
+    (("algebra", "--cuts=abc"), "malformed --cuts 'abc'"),
+    (("gamma", "--symbol", "const:inf", "--rule", "adaptive"),
+     "gamma of const:inf at xi=-8: integrand is not finite"),
+], ids=["xi-window", "cuts", "infinite-integrand"])
+def test_cmd_bad_values_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "o.csv"
+    assert run(*argv, "--n", "16", "--out", str(out)) == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    assert os.listdir(tmp_path) == []
+
+
 # -- verify command ------------------------------------------------------------------
 
 def test_cmd_verify_cto1(tmp_path):
@@ -527,6 +555,38 @@ def test_cmd_algebra_default_cuts_follow_case(tmp_path, case, cut):
                "--out", given) == 0
     for suffix in ("", ".meta.json"):
         assert open(default + suffix).read() == open(given + suffix).read()
+
+
+def _csv_rows(path):
+    with open(path) as fh:
+        return [line.split(",") for line in fh.read().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("case", ["gabor", "wavelet"])
+def test_cmd_json_floats_equal_csv_floats(tmp_path, case):
+    # the CSV's %.17g and JSON's repr must parse back to the same bits
+    base = ("--case", case, "--n", "64")
+    paths = {fmt: str(tmp_path / f"s.{fmt}") for fmt in ("csv", "json")}
+    for fmt, path in paths.items():
+        assert run("spectrum", "--with-eigs", "--rule", "grid", "--symbol",
+                   "indicator:1,2" if case == "wavelet" else "indicator:-1,1",
+                   *base, "--format", fmt, "--out", path) == 0
+    rows = _csv_rows(paths["csv"])
+    values = json.load(open(paths["json"]))["values"]
+    assert [r[0] for r in rows] == [v["kind"] for v in values]
+    assert "eig" in {v["kind"] for v in values}
+    csv_vals = np.array([[float(x) for x in r[1:]] for r in rows])
+    json_vals = np.array([[v["re"], v["im"]] for v in values])
+    assert csv_vals.tobytes() == json_vals.tobytes()
+
+    for fmt, path in paths.items():
+        assert run("algebra", *base, "--format", fmt, "--out", path) == 0
+    cloud = json.load(open(paths["json"]))
+    json_vals = np.column_stack([cloud["xi"], cloud["points"]])
+    csv_vals = np.array([[float(x) for x in r]
+                         for r in _csv_rows(paths["csv"])])
+    assert csv_vals.shape == (64, 3)
+    assert csv_vals.tobytes() == json_vals.tobytes()
 
 
 @pytest.mark.parametrize("case", ["gabor", "wavelet"])

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from tfloc.algebra import PartitionCloud
 from tfloc.fields import PhasePlaneField, analyze, random_bandlimited
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid
-from tfloc.io import (_BLOCK_ROWS, export_cloud, export_field, export_gamma,
-                      export_kernel, read_signal_csv, sidecar_path,
-                      write_signal_csv, write_table)
+from tfloc.io import (_BLOCK_ROWS, _write_blocks, export_cloud, export_field,
+                      export_gamma, export_kernel, read_signal_csv,
+                      sidecar_path, write_signal_csv, write_table)
 from tfloc.kernels import GammaFunction, overlap_kernel
 from tfloc.operators import OperatorMatrix, default_operator_grid
 
@@ -46,6 +47,41 @@ def test_sampled_function_norm_matches_direct_sum():
     grid = LineGrid(0.0, 0.25, 16)
     f = SampledFunction(grid, np.ones(16))
     assert abs(f.norm() - 2.0) <= 1e-14  # sqrt(16 * 0.25)
+
+
+def test_sampled_function_interp_is_the_linear_interpolation_formula():
+    # real, complex and zero-imaginary samples at points inside, on and
+    # outside the grid: np.interp's values bit for bit, zero outside, and
+    # float64 unless the imaginary part is nonzero
+    grid = LineGrid(-1.5, 0.25, 13)
+    xs = grid.samples
+    x = np.concatenate([np.linspace(-3.0, 3.0, 101), xs,
+                        [-1.5 - 1e-12, 1.5 + 1e-12]])
+    outside = (x < -1.5) | (x > 1.5)
+    assert outside.sum() == 52
+    re, im = np.random.default_rng(3).standard_normal((2, 13))
+    for values, real in [(re, True), (re + 1j * im, False), (re + 0j, True)]:
+        got = SampledFunction(grid, values).interp(x)
+        ref = np.interp(x, xs, re, left=0.0, right=0.0)
+        if not real:
+            ref = ref + 1j * np.interp(x, xs, im, left=0.0, right=0.0)
+        assert got.dtype == (np.float64 if real else np.complex128)
+        assert got.tobytes() == ref.tobytes() and not got[outside].any()
+
+
+def test_failed_write_keeps_the_old_file_and_no_temporary(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old\n")
+
+    def block(start, stop):
+        # the temporary file exists and holds the header by now
+        assert [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
+        raise RuntimeError("block failed")
+
+    with pytest.raises(RuntimeError, match="block failed"):
+        _write_blocks(str(path), ["x"], 3, block, {"k": 1})
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["t.csv"]
 
 
 def test_export_field_roundtrips_columns(tmp_path, gaussian):

@@ -14,8 +14,9 @@ from scipy import integrate
 from scipy.special import erf, sici
 
 import tfloc
-from tfloc.grids import LineGrid
-from tfloc.kernels import (boundedness_verdict, gamma, overlap_kernel,
+from tfloc.grids import LineGrid, SampledFunction
+from tfloc.kernels import (GammaFunction, boundedness_verdict, gamma,
+                           overlap_kernel,
                            spectrum_from_gamma, weighted_overlap_kernel)
 from tfloc.operators import OperatorMatrix, default_operator_grid
 from tfloc.quadrature import gauss_kronrod
@@ -186,6 +187,31 @@ def test_gamma_flags_overflow_as_unbounded(shannon):
     # u^-24 exceeds the 1e12 overflow guard on the sampled window
     gf = gamma(shannon, Symbol1D.power(-24.0), WAVELET_GRID, rule="grid")
     assert gf.unbounded
+
+
+def test_gamma_self_checks_are_relative_to_the_scale(gaussian):
+    # a large constant passes the realness and symbol-bound checks under
+    # every rule; values over the declared bound by 1e-6 relative do not
+    grid = default_operator_grid("gabor", 64)
+    over = Symbol1D(lambda x: np.full_like(x, 1e8 * (1 + 1e-6)), "over",
+                    sup_bound=1e8)
+    for rule in ("grid", "adaptive", "fft"):
+        gf = gamma(gaussian, Symbol1D.constant(1e8), grid, rule=rule)
+        assert gf.is_real and not gf.unbounded, rule
+        assert np.max(np.abs(gf.values - 1e8)) <= 1e8 * 1e-6, rule
+        with pytest.raises(ValueError, match="exceeded its symbol bound"):
+            gamma(gaussian, over, grid, rule=rule)
+    assert gamma(gaussian, Symbol1D.constant(1e6), grid, rule="fft").is_real
+
+
+def test_gamma_function_realness_check_is_relative():
+    grid = LineGrid(0.0, 1.0, 4)
+    re = np.array([1e6, -2e6, 3.0, 0.0])
+    gf = GammaFunction(grid, re + 1e-12 * 2e6j, "a", "s", "grid",
+                       is_real=True)
+    assert gf.values.tobytes() == re.astype(complex).tobytes()
+    with pytest.raises(ValueError, match="real symbol produced imaginary"):
+        GammaFunction(grid, re * (1 + 1e-6j), "a", "s", "grid", is_real=True)
 
 
 def test_gamma_rejects_nonfinite_symbol(gaussian):
@@ -596,6 +622,44 @@ def test_weighted_kernel_real_symbol_hermitian(gaussian):
     grid = LineGrid.centered(8.0, 128)
     W = weighted_overlap_kernel(gaussian, Symbol1D.smooth_step(4.0), grid)
     assert np.max(np.abs(W.values - W.values.conj().T)) <= 1e-10
+
+
+def test_sampled_symbol_interpolates_its_samples():
+    # real, complex and zero-imaginary samples, read inside and outside the
+    # grid: the values of SampledFunction.interp, whose formula
+    # test_grids_io pins, with the same dtype
+    grid = LineGrid(-3.0, 1 / 16, 97)
+    x = np.linspace(-40.0, 40.0, 20011)
+    re, im = np.random.default_rng(5).standard_normal((2, 97))
+    for values, real in [(re, True), (re + 1j * im, False), (re + 0j, True)]:
+        sym = Symbol1D.sampled(grid, values, "s")
+        vals, ref = sym(x), SampledFunction(grid, values).interp(x)
+        assert vals.dtype == ref.dtype and vals.tobytes() == ref.tobytes()
+        assert vals.dtype == (np.float64 if real else np.complex128)
+        assert sym.is_real is real and sym.support == (-3.0, 3.0)
+        assert sym.sup_bound == float(np.max(np.abs(values)))
+    with pytest.raises(ValueError,
+                       match="sampled function contains non-finite values"):
+        Symbol1D.sampled(grid, np.where(grid.samples > 0, np.inf, 1.0))
+
+
+def test_symbol_sample_is_the_call_or_its_error(monkeypatch):
+    calls = []
+    original = Symbol1D.__call__
+
+    def counted(self, x):
+        calls.append(np.size(x))
+        return original(self, x)
+
+    monkeypatch.setattr(Symbol1D, "__call__", counted)
+    x = np.linspace(-2.0, 2.0, 9)
+    sym = Symbol1D.gaussian_bump(1.0)
+    assert sym.sample(x).tobytes() == sym(x).tobytes()
+    assert calls == [9, 9]
+    spike = Symbol1D(lambda x: np.where(x > 0.5, np.inf, 1.0), "spike")
+    with pytest.raises(ValueError,
+                       match=r"^symbol spike is not finite on the grid$"):
+        spike.sample(x)
 
 
 def test_evaluate_field_of_each_kind_and_its_non_finite_values():
