@@ -244,11 +244,19 @@ class Fibers:
     ``ell_matrix`` and the reductions over the nodes (``norms``,
     ``power_sums``) run over blocks of ``_BLOCK_ROWS`` rows, so no
     temporary has the record's size.
+
+    ``live`` has one flag per block of ``_BLOCK_ROWS`` rows, False when the
+    block is *empty*: every entry has the bit pattern of +0 (a block holding
+    -0 is live).  A band-limited wavelet (shannon) or a compactly supported
+    window (rect) has empty blocks at the ends of the first coordinate;
+    ``power_sums`` and the transform chain of ``fields`` skip them, and
+    keep every bit of their outputs.
     """
 
     omegas: np.ndarray
     ell: np.ndarray
     weights: np.ndarray  # first-coordinate measure weights
+    live: tuple  # per block of rows: False when every entry is +0
 
     @classmethod
     def of(cls, atom: Atom, omegas) -> "Fibers":
@@ -258,7 +266,12 @@ class Fibers:
         L = atom.ell_matrix(omegas)
         omegas.flags.writeable = False
         L.flags.writeable = False
-        return cls(omegas, L, atom.g1.measure_weights)
+        # +0 is the one float whose bits are all zero: a block is empty when
+        # the largest and smallest of its words as integers are both 0
+        bits = L.view(np.int64)
+        live = tuple(bool(bits[rows].max() or bits[rows].min())
+                     for rows in _row_blocks(len(L)))
+        return cls(omegas, L, atom.g1.measure_weights, live)
 
     @cached_property
     def norms(self) -> np.ndarray:
@@ -274,12 +287,19 @@ class Fibers:
         ``np.einsum("ki,k,...->i", |L|^2, f_1, ...)``, one block of
         ``_BLOCK_ROWS`` rows at a time: no array of the record's size is
         made.  The dtype is complex when a factor is.
+
+        An empty block (``live``) whose factors are finite on its rows adds
+        only signed zeros, so it is skipped: the sum starts at +0 and adding
+        +-0 leaves every value as it is.
         """
         L = self.ell
         count, n = L.shape
         acc = np.zeros(n, dtype=np.result_type(float, *row_factors))
         block = np.empty((min(_BLOCK_ROWS, count), n), dtype=acc.dtype)
-        for rows in _row_blocks(count):
+        for live, rows in zip(self.live, _row_blocks(count)):
+            if not live and all(np.isfinite(f[rows]).all()
+                                for f in row_factors):
+                continue
             t = block[:rows.stop - rows.start]
             c = np.abs(L[rows]) if np.iscomplexobj(L) else L[rows]
             np.multiply(c, c, out=t)

@@ -11,6 +11,7 @@ internal error, with its traceback, and also exits 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 
@@ -405,9 +406,12 @@ _COMMANDS = {
 }
 
 
+# parsing leaves the parser as it was, so one per process serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (SymbolParseError, ValueError, OSError, ArithmeticError) as exc:

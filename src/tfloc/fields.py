@@ -31,6 +31,15 @@ transforms do not depend on the block they sit in, so analysis fields have
 the bits of the same steps on the whole array; a projection sums its blocks
 in turn, which moves it at rounding against one quadrature of the whole
 field.
+
+A band-limited wavelet (shannon) or a compactly supported window (rect) has
+whole blocks of first-axis rows where the fiber record is exactly +0: the
+record's *empty* blocks, ``Fibers.live``.  ``_stream`` does not transform
+them.  With h, the rows of an empty block all embed to one row, which it
+transforms once per call and copies into the field (or, in a projection,
+leaves out: its terms are signed zeros).  From a field, it skips a block
+whose output fibers are empty when the block cannot overflow the forward
+transform.  Every output keeps its bits, signs of zero included.
 """
 
 from __future__ import annotations
@@ -166,6 +175,16 @@ def _require_finite(a: np.ndarray):
         raise ValueError("field contains non-finite values")
 
 
+def _core_bounded(block: np.ndarray) -> bool:
+    """Whether the DFT of every row of the complex C-contiguous ``block``
+    stays far from overflow: n times the largest absolute component of its
+    float view is below 2^960.  A DFT's outputs are sums of n terms, each
+    of modulus at most sqrt(2) times that component, so the bound leaves
+    more than 2^63 for the rounding and the intermediate sums of any FFT."""
+    v = block.view(float)
+    return max(v.max(), -v.min()) * block.shape[1] < 2.0 ** 960
+
+
 def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
             field: PhasePlaneField | None = None, spec=None,
             out_grid: LineGrid | None = None) -> np.ndarray:
@@ -201,6 +220,22 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     ``ValueError`` of a non-finite ``PhasePlaneField``, so the returned
     field is finite; a symbol that is not finite raises
     ``evaluate_field``'s.
+
+    Blocks of empty fiber rows (``Fibers.live``) are skipped, and every
+    output keeps its bits, signs of zero included:
+
+    - with ``h``, every row of a block whose input fibers are empty embeds
+      to the same row, (+0) * (h * pre_b).  That row is transformed once per
+      call, through the same core and diagonal, and checked finite.  A
+      returned field takes a copy of it in each such row (a +0 fill would
+      drop the signs of its zeros); a projection skips the block, whose
+      terms are then signed zeros, and adding +-0 to the running sum,
+      which starts at +0, changes no bit.  The symbol is still evaluated on
+      every block, so a symbol not finite on a skipped block raises.
+    - from ``field``, with no symbol, a block whose output fibers are empty
+      projects to signed zeros and is skipped when its forward transform
+      cannot overflow (``_core_bounded``); otherwise it runs, and raises
+      where it would.
     """
     g1 = atom.g1
     count = g1.count
@@ -208,26 +243,42 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
         out = np.empty((count, g2.count), dtype=complex)
     else:
         forward = _sandwich(g2, axis2_sign(atom.case, "forward"), out_grid)
-        L_out = atom.fibers(out_grid.samples).ell
+        fibers_out = atom.fibers(out_grid.samples)
+        L_out = fibers_out.ell
         weights = g1.measure_weights
         acc = np.zeros(out_grid.count, dtype=complex)
         buf = np.empty((min(_BLOCK_ROWS, count), g2.count), dtype=complex)
     if h is not None:
         backward = _sandwich(h.grid, axis2_sign(atom.case, "backward"), g2)
-        L_in = atom.fibers(h.grid.samples).ell
+        fibers_in = atom.fibers(h.grid.samples)
+        L_in = fibers_in.ell
         h_pre = h.values * backward.pre
         diag = (backward.post if out_grid is None
                 else backward.post * forward.pre)
-    for rows in _row_blocks(count):
+        empty_row = None  # the transformed embedding of an empty block's row
+    for b, rows in enumerate(_row_blocks(count)):
         block = (out[rows] if out_grid is None
                  else buf[:rows.stop - rows.start])
         if spec is not None:
-            mask = spec.evaluate_field(g1.nodes[rows], g2.samples)
-        # an overflow in the chain is not silent: the finiteness check
-        # below raises it as a ValueError
+            mask = spec._compact_field(g1.nodes[rows], g2.samples)
+        # an overflow in the chain is not silent: the finiteness checks
+        # below raise it as a ValueError
         with np.errstate(over="ignore", invalid="ignore"):
             if h is None:
                 np.multiply(field.values[rows], forward.pre, out=block)
+                if (out_grid is not None and spec is None
+                        and not fibers_out.live[b] and _core_bounded(block)):
+                    continue
+            elif not fibers_in.live[b]:
+                if empty_row is None:
+                    empty_row = np.multiply(L_in[rows.start:rows.start + 1],
+                                            h_pre)
+                    backward.core(empty_row)
+                    np.multiply(diag, empty_row, out=empty_row)
+                    _require_finite(empty_row)
+                if out_grid is None:
+                    out[rows] = empty_row
+                continue
             else:
                 np.multiply(L_in[rows], h_pre, out=block)
                 backward.core(block)

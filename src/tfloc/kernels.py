@@ -66,6 +66,21 @@ __all__ = [
 OVERFLOW_GUARD = 1e12
 
 
+def _ldexp(A: np.ndarray, e: int):
+    """A *= 2^e in place, real and imaginary parts alike."""
+    parts = A.view(A.real.dtype)
+    np.ldexp(parts, e, out=parts)
+
+
+def _unit_scaled(a) -> tuple[np.ndarray, int]:
+    """A copy of ``a`` times 2^-e, and e, the ``frexp`` exponent of max |a|:
+    exact, and every entry of the copy is below 1 in modulus."""
+    out = np.array(a)
+    e = math.frexp(float(np.max(np.abs(out), initial=0.0)))[1]
+    _ldexp(out, -e)
+    return out, e
+
+
 class GammaFunction:
     """Sampled diagonal symbol of a first-variable localization operator."""
 
@@ -203,7 +218,10 @@ def _gamma_fft(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
     """Grid rule evaluated by FFT convolution (gabor case).
 
     Requires the frequency grid to sit on the translation lattice; the sums
-    are then identical to the direct rule up to FFT rounding.
+    are then identical to the direct rule up to FFT rounding.  The symbol's
+    samples enter scaled by a power of two below 1 (``_unit_scaled``) and
+    the result takes the scale back, so the transforms' sums cannot
+    overflow on a symbol near the largest float.
     """
     g1 = atom.g1
     h = g1.step
@@ -215,7 +233,7 @@ def _gamma_fft(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
     o = int(round(off))
     if abs(off - o) > 1e-6:
         raise ValueError("fft rule needs the xi grid on the translation lattice")
-    a_vals = alpha.sample(g1.nodes)
+    a_vals, e = _unit_scaled(alpha.sample(g1.nodes))
     nq, nxi = g1.count, xi_grid.count
     dmin = o - (nq - 1)
     dmax = o + (nxi - 1) * stride
@@ -224,7 +242,9 @@ def _gamma_fft(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
     m = a_vals.size + prof.size - 1
     conv = np.fft.ifft(np.fft.fft(a_vals, m) * np.fft.fft(prof, m))
     idx = o + np.arange(nxi) * stride - dmin
-    return h * conv[idx]
+    vals = h * conv[idx]
+    _ldexp(vals, e)
+    return vals
 
 
 def _gamma_adaptive(atom: Atom, alpha: Symbol1D,

@@ -74,8 +74,9 @@ from .atoms import Atom
 from .fields import _analysis_axis, _stream, axis2_sign, omega_side
 from .fourier import _sandwich, fourier
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
-from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport, gamma,
-                      overlap_kernel, weighted_overlap_kernel)
+from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport, _ldexp,
+                      _unit_scaled, gamma, overlap_kernel,
+                      weighted_overlap_kernel)
 from .symbols import Symbol1D, SymbolSpec
 
 __all__ = [
@@ -132,13 +133,14 @@ def _lowrank_factors(a_field: np.ndarray):
     ||R||_F <= ``LOWRANK_TAIL`` * ||a||_F.  The work is O(r K n).  Returns
     Q (K x r), V (r x n) and the relative tail ||R||_F / ||a||_F dropped.
 
-    R starts as a * 2^-e, e the ``frexp`` exponent of max |a|, and V is scaled
+    R starts as a * 2^-e, e the ``frexp`` exponent of max |a|, and Q is scaled
     back by 2^e: both exact, so no squared entry underflows or overflows.
+    Q's columns have unit norm, so its entries times 2^e stay below
+    2 max |a|; V's would reach sqrt(K) max |a| and overflow near the
+    largest float (const:1e307).
     """
-    R = np.array(a_field)
+    R, e = _unit_scaled(a_field)
     K, n = R.shape
-    e = math.frexp(float(np.max(np.abs(R), initial=0.0)))[1]
-    _ldexp(R, -e)
     col_sq = _column_sq_norms(R)
     a_sq = float(col_sq.sum())
     qs, vs = [], []
@@ -152,17 +154,11 @@ def _lowrank_factors(a_field: np.ndarray):
         qs.append(q)
         vs.append(v)
     tail = math.sqrt(float(col_sq.sum()) / a_sq) if a_sq else 0.0
-    # reshape keeps the shapes (K, 0) and (0, n) for a zero field
-    Q = np.array(qs, dtype=R.dtype).T.reshape(K, len(qs))
+    # reshape keeps the shapes (0, K) and (0, n) for a zero field
+    Qt = np.array(qs, dtype=R.dtype).reshape(len(qs), K)
     V = np.array(vs, dtype=R.dtype).reshape(len(vs), n)
-    _ldexp(V, e)
-    return Q, V, tail
-
-
-def _ldexp(A: np.ndarray, e: int):
-    """A *= 2^e in place, real and imaginary parts alike."""
-    parts = A.view(A.real.dtype)
-    np.ldexp(parts, e, out=parts)
+    _ldexp(Qt, e)
+    return Qt.T, V, tail
 
 
 def build_direct(atom: Atom, spec: SymbolSpec,

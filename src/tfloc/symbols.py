@@ -265,17 +265,26 @@ class SymbolSpec:
         return all(p.is_real for p in parts)
 
     def evaluate_field(self, r_nodes, s_nodes) -> np.ndarray:
-        """Sample a(r, s) on the product grid, shape (len(r), len(s)); a
-        one-variable symbol is checked before it is broadcast."""
+        """Sample a(r, s) on the product grid, shape (len(r), len(s)): a
+        writable copy of ``_compact_field`` broadcast to the grid."""
+        shape = (np.size(r_nodes), np.size(s_nodes))
+        vals = self._compact_field(r_nodes, s_nodes)
+        if vals.shape == shape:
+            return vals
+        return np.broadcast_to(vals, shape).copy()
+
+    def _compact_field(self, r_nodes, s_nodes) -> np.ndarray:
+        """a(r, s) on the product grid in the smallest array that broadcasts
+        to it: the column a(r)[:, None] of a first-variable symbol, the row
+        a(s)[None, :] of a second-variable one, the full table otherwise.  A
+        one-variable symbol is checked before it is shaped."""
         r = np.asarray(r_nodes, dtype=float)
         s = np.asarray(s_nodes, dtype=float)
         d = self.descriptor
         if self.kind == "first":
-            col = _finite(np.asarray(self.alpha(r)), d)
-            return np.broadcast_to(col[:, None], (r.size, s.size)).copy()
+            return _finite(np.asarray(self.alpha(r)), d)[:, None]
         if self.kind == "second":
-            row = _finite(np.asarray(self.beta(s)), d)
-            return np.broadcast_to(row[None, :], (r.size, s.size)).copy()
+            return _finite(np.asarray(self.beta(s)), d)[None, :]
         if self.kind == "separable":
             return _finite(np.outer(self.alpha(r), self.beta(s)), d)
         return _finite(np.asarray(self.general_fn(r[:, None], s[None, :])), d)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,62 @@ def test_cmd_bad_values_exit_2(tmp_path, capsys, argv, message):
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
     assert os.listdir(tmp_path) == []
 
+
+
+def _all_finite(doc) -> bool:
+    """Whether every number in a parsed JSON document is finite."""
+    if isinstance(doc, dict):
+        return all(_all_finite(v) for v in doc.values())
+    if isinstance(doc, list):
+        return all(_all_finite(v) for v in doc)
+    return not isinstance(doc, float) or math.isfinite(doc)
+
+
+@pytest.mark.parametrize("argv", [("gamma", "--rule", "grid"),
+                                  ("gamma", "--rule", "adaptive"),
+                                  ("gamma", "--rule", "fft"),
+                                  ("spectrum", "--with-eigs")],
+                         ids=["gamma-grid", "gamma-adaptive", "gamma-fft",
+                              "spectrum-eigs"])
+def test_cmd_symbol_near_the_largest_float(tmp_path, argv):
+    # const:1e307: gamma is finite under every rule; no transform of the
+    # fft rule or the direct operator's factors, and no adaptive error
+    # estimate, overflows on the way
+    out = tmp_path / "o.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--symbol", "const:1e307", "--n", "64",
+                   "--format", "json", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert _all_finite(doc)
+    re = np.array(doc["re"] if argv[0] == "gamma"
+                  else [v["re"] for v in doc["values"]])
+    assert np.max(np.abs(re / 1e307 - 1.0)) <= 1e-6
+
+
+def test_main_builds_its_parser_once(tmp_path):
+    # one parser serves every call of a process: commands parse as with a
+    # fresh parser, write the same bytes when repeated, and a bad argument
+    # still exits 2 without disturbing the next call
+    assert cli._parser() is cli._parser()
+    argvs = [["gamma", "--symbol", "indicator:-1,1", "--n", "32"],
+             ["kernel", "--case", "wavelet", "--n", "32"]]
+    for argv in argvs:
+        assert vars(cli._parser().parse_args(argv + ["--out", "x"])) == \
+            vars(cli.build_parser().parse_args(argv + ["--out", "x"]))
+    first = []
+    for i, argv in enumerate(argvs):
+        out = tmp_path / f"first-{i}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        first.append(out.read_bytes())
+    with pytest.raises(SystemExit) as exc:
+        main(["gamma", "--rule", "simpson", "--symbol", "const:1",
+              "--out", str(tmp_path / "bad.csv")])
+    assert exc.value.code == 2
+    for i, argv in enumerate(argvs):
+        out = tmp_path / f"again-{i}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == first[i]
 
 # -- verify command ------------------------------------------------------------------
 

@@ -362,10 +362,13 @@ def test_lowrank_factors_contract(rank, complex_field, shape, decades, seed):
     assert abs(rel - tail) <= 1e-14
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e300,
+                                   1e307])
 def test_direct_exact_at_extreme_symbol_scales(gaussian, scale):
     # the factorization scales the field by a power of two first, so its
-    # squared entries neither underflow nor overflow
+    # squared entries neither underflow nor overflow, and gives the scale
+    # back to the unit columns of Q, so V does not overflow near the
+    # largest float
     grid = _grid_for(gaussian, 64)
     ref = build_direct(gaussian, SymbolSpec.first_variable(
         Symbol1D.indicator(-1.0, 1.0)), grid)

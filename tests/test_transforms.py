@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -10,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tfloc
-from tfloc.atoms import (_BLOCK_ROWS, Fibers, make_atom, make_wavelet,
-                         make_window)
+from tfloc.atoms import (_BLOCK_ROWS, Atom, Fibers, make_atom,
+                         make_wavelet, make_window)
 from tfloc.cli import main
 from tfloc.fields import (PhasePlaneField, _analysis_axis, _stream, analyze,
                           axis2_sign, bargmann, bargmann_adjoint, omega_side,
@@ -823,3 +824,135 @@ def test_power_sums_have_the_bits_of_the_one_shot_einsum(gaussian, shannon,
                 subs = ",".join(["ki"] + ["k"] * len(factors)) + "->i"
                 ref = np.einsum(subs, P, *factors)
                 assert _bits(fib.power_sums(*factors)) == _bits(ref)
+
+
+# -- empty blocks -------------------------------------------------------------------
+
+# a centred power-of-two signal grid and an off-centre one of odd length;
+# on both, rect and shannon records have empty blocks, gaussian and haar none
+_EMPTY_BLOCK_GRIDS = {"centred": LineGrid.centered(8.0, 1024),
+                      "off-centre": LineGrid(0.3, 1.0 / 32.0, 251)}
+
+
+def _all_live(fibers):
+    """The record with every block flagged live: its consumers run every
+    block, as they did before empty blocks were skipped."""
+    return dataclasses.replace(fibers, live=(True,) * len(fibers.live))
+
+
+@pytest.mark.parametrize("where", sorted(_EMPTY_BLOCK_GRIDS))
+@pytest.mark.parametrize("name", ["gaussian", "rect", "shannon", "haar"])
+def test_skipped_empty_blocks_keep_every_bit(monkeypatch, name, where):
+    atom = make_atom("gabor" if name in ("gaussian", "rect") else "wavelet",
+                     name)
+    f = random_bandlimited(_EMPTY_BLOCK_GRIDS[where], seed=5)
+    h = omega_side(atom.case, f)
+    g2 = _analysis_axis(atom.case, f.grid)
+    band = (-1.0, 1.0) if atom.case == "gabor" else (1.0, 2.0)
+    spec = SymbolSpec.first_variable(Symbol1D.indicator(*band))
+    fib = atom.fibers(h.grid.samples)
+    assert (False in fib.live) == (name in ("rect", "shannon"))
+    assert fib.live == Fibers.of(atom, h.grid.samples).live
+
+    W = bargmann_adjoint(atom, h, out_grid=g2)
+    back = bargmann(atom, W, out_grid=h.grid).values
+    slow = _stream(atom, g2, h=h, spec=spec, out_grid=h.grid)
+    filtered, _ = filter_signal(atom, spec, f, "slow")
+    w = atom.g1.measure_weights
+    a = np.random.default_rng(2).standard_normal(w.size)
+    factor_sets = ((w,), (a, w), (a + 1j * a[::-1], w))
+    sums = [fib.power_sums(*fs) for fs in factor_sets]
+
+    # the oracles
+    assert _bits(W.values) == _bits(_whole_array_chain(atom, g2, h=h))
+    P = np.abs(fib.ell) ** 2
+    for fs, s in zip(factor_sets, sums):
+        subs = ",".join(["ki"] + ["k"] * len(fs)) + "->i"
+        assert _bits(s) == _bits(np.einsum(subs, P, *fs))
+    if where == "centred" and name != "gaussian":
+        # the gaussian's projection moves against the oracle where its
+        # products are subnormal (test_folded_phases_keep_the_bits_...)
+        assert _bits(back) == _bits(
+            _unfused_stream(atom, g2, field=W, out_grid=h.grid))
+        assert _bits(slow) == _bits(
+            _unfused_stream(atom, g2, h=h, spec=spec, out_grid=h.grid))
+
+    # the same consumers running every block
+    fibers = atom.fibers
+    monkeypatch.setattr(atom, "fibers", lambda omegas: _all_live(fibers(omegas)))
+    assert _bits(bargmann_adjoint(atom, h, out_grid=g2).values) == _bits(W.values)
+    assert _bits(bargmann(atom, W, out_grid=h.grid).values) == _bits(back)
+    assert _bits(_stream(atom, g2, h=h, spec=spec, out_grid=h.grid)) == \
+        _bits(slow)
+    assert _bits(filter_signal(atom, spec, f, "slow")[0].values) == \
+        _bits(filtered.values)
+    for fs, s in zip(factor_sets, sums):
+        assert _bits(_all_live(fib).power_sums(*fs)) == _bits(s)
+
+
+def test_a_block_of_negative_zeros_is_live(rect):
+    # a rect window that is -0 off [0, 1): its record has the zeros of
+    # rect's, with the other sign, and no empty block
+    def time(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x >= 0) & (x < 1.0), 1.0, -0.0)
+
+    atom = Atom("gabor", "rect-0", rect.time_samples, rect.freq_samples, 1.0,
+                rect.g1, time, rect.freq_profile, time_support=(0.0, 1.0),
+                healthy_range=rect.healthy_range)
+    grid = _EMPTY_BLOCK_GRIDS["centred"]
+    plus, minus = Fibers.of(rect, grid.samples), Fibers.of(atom, grid.samples)
+    assert np.array_equal(plus.ell, minus.ell)
+    assert False in plus.live and all(minus.live)
+    h = random_bandlimited(grid, seed=5)
+    g2 = induced_grid(grid)
+    assert _bits(bargmann_adjoint(atom, h).values) == \
+        _bits(_whole_array_chain(atom, g2, h=h))
+    assert _bits(minus.power_sums(minus.weights)) == \
+        _bits(plus.power_sums(plus.weights))
+
+
+def test_a_symbol_not_finite_on_a_skipped_block_raises(shannon):
+    # shannon's first block (scales below 2^-6) is empty on this signal's
+    # omega side; the symbol is infinite there alone
+    f = random_bandlimited(_EMPTY_BLOCK_GRIDS["centred"], seed=6)
+    assert not shannon.fibers(omega_side("wavelet", f).grid.samples).live[0]
+    top = shannon.g1.nodes[_BLOCK_ROWS - 1]
+    spec = SymbolSpec.first_variable(Symbol1D(
+        lambda x: np.where(x <= top, np.inf, 1.0), "spike:inf"))
+    with pytest.raises(ValueError, match=r"symbol a\(r\)=spike:inf is not "
+                                         "finite on the grid"):
+        filter_signal(shannon, spec, f, "slow")
+
+
+def test_a_field_overflowing_a_skipped_block_raises(shannon):
+    # the first block projects onto empty fibers: it is skipped while its
+    # forward transform cannot overflow, and run, and raises, when it can
+    g2 = LineGrid.centered(8.0, 1024)
+    rows = slice(0, _BLOCK_ROWS)
+    assert not shannon.fibers(induced_grid(g2).samples).live[0]
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal((shannon.g1.count, g2.count)) + 0j
+    ref = bargmann(shannon, PhasePlaneField("wavelet", shannon.g1, g2, vals))
+    for big in (1e280, 1e300):
+        vals[rows] = big
+        out = bargmann(shannon, PhasePlaneField("wavelet", shannon.g1, g2, vals))
+        assert _bits(out.values) == _bits(ref.values)
+    vals[rows] = 1e308
+    F = PhasePlaneField("wavelet", shannon.g1, g2, vals)
+    with pytest.raises(ValueError, match="field contains non-finite values"):
+        bargmann(shannon, F)
+
+
+def test_power_sums_run_an_empty_block_whose_factor_is_not_finite(shannon):
+    # 0 * inf is NaN: an empty block is skipped only where its factors are
+    # finite, so the sums keep the NaNs of the one-shot einsum
+    fib = shannon.fibers(induced_grid(_EMPTY_BLOCK_GRIDS["centred"]).samples)
+    assert not fib.live[0]
+    a = np.ones(shannon.g1.count)
+    a[3] = np.inf
+    with np.errstate(invalid="ignore"):
+        ref = np.einsum("ki,k,k->i", np.abs(fib.ell) ** 2, a, fib.weights)
+        out = fib.power_sums(a, fib.weights)
+    assert np.isnan(ref).all()
+    np.testing.assert_array_equal(out, ref)
