@@ -98,6 +98,10 @@ class Atom:
     time_support : for windows, (lo, hi) support of the window itself.
     healthy_range : documented range of the second coordinate on which the
         default g1 quadrature keeps fiber norms within fiber_tol.
+
+    A profile is called with a float64 array and converts nothing:
+    ``eval_time``, ``eval_freq`` and ``eval_power`` convert their input,
+    and every other caller passes float64 grid samples or quadrature nodes.
     """
 
     def __init__(self, case, name, time_samples, freq_samples, normalization,
@@ -342,12 +346,10 @@ def _shannon_profiles():
     c = 1.0 / math.sqrt(LN2)
 
     def freq(xi):
-        xi = np.asarray(xi, dtype=float)
         band = (np.abs(xi) >= 1.0) & (np.abs(xi) <= 2.0)
         return band * c
 
     def time(x):
-        x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
         nz = x != 0
         xs = x[nz]
@@ -360,12 +362,10 @@ def _shannon_profiles():
 
 def _haar_profiles(c: float):
     def time(x):
-        x = np.asarray(x, dtype=float)
         return (((x >= 0) & (x < 0.5)).astype(float)
                 - ((x >= 0.5) & (x < 1.0)).astype(float)) * complex(c)
 
     def freq(xi):
-        xi = np.asarray(xi, dtype=float)
         out = np.zeros_like(xi, dtype=complex)
         nz = xi != 0
         xs = xi[nz]
@@ -374,7 +374,6 @@ def _haar_profiles(c: float):
 
     def power(xi):
         # |freq|^2 = 4 c^2 sin^4(pi xi / 2) / (pi xi)^2: one real sine
-        xi = np.asarray(xi, dtype=float)
         out = np.zeros_like(xi)
         nz = xi != 0
         xs = xi[nz]
@@ -453,7 +452,7 @@ def make_window(name: str, translation_grid: LineGrid | None = None) -> Atom:
         norm = 2.0 ** 0.25
 
         def time(x):
-            return norm * np.exp(-np.pi * np.asarray(x, dtype=float) ** 2)
+            return norm * np.exp(-np.pi * x ** 2)
 
         freq = time  # self-dual in this convention
         tgrid = LineGrid.centered(8.0, 1024)
@@ -464,11 +463,9 @@ def make_window(name: str, translation_grid: LineGrid | None = None) -> Atom:
         norm = 1.0
 
         def time(x):
-            x = np.asarray(x, dtype=float)
             return ((x >= 0) & (x < 1.0)).astype(float)
 
         def freq(xi):
-            xi = np.asarray(xi, dtype=float)
             out = np.ones_like(xi, dtype=complex)
             nz = xi != 0
             xs = xi[nz]

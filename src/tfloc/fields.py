@@ -232,10 +232,10 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
       terms are then signed zeros, and adding +-0 to the running sum,
       which starts at +0, changes no bit.  The symbol is still evaluated on
       every block, so a symbol not finite on a skipped block raises.
-    - from ``field``, with no symbol, a block whose output fibers are empty
-      projects to signed zeros and is skipped when its forward transform
-      cannot overflow (``_core_bounded``); otherwise it runs, and raises
-      where it would.
+    - from ``field`` (``bargmann``'s path: ``out_grid`` and no symbol), a
+      block whose output fibers are empty projects to signed zeros and is
+      skipped when its forward transform cannot overflow
+      (``_core_bounded``); otherwise it runs, and raises where it would.
     """
     g1 = atom.g1
     count = g1.count
@@ -266,8 +266,7 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
         with np.errstate(over="ignore", invalid="ignore"):
             if h is None:
                 np.multiply(field.values[rows], forward.pre, out=block)
-                if (out_grid is not None and spec is None
-                        and not fibers_out.live[b] and _core_bounded(block)):
+                if not fibers_out.live[b] and _core_bounded(block):
                     continue
             elif not fibers_in.live[b]:
                 if empty_row is None:

@@ -68,20 +68,11 @@ def _atomic_open(path: str):
         raise
 
 
-def _json_default(o):
-    if isinstance(o, (np.bool_,)):
-        return bool(o)
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o).__name__}")
-
-
 def write_json(path: str, obj):
-    text = json.dumps(obj, sort_keys=True, indent=2, default=_json_default)
+    """Write ``obj`` as sorted, indented JSON, converting nothing: every
+    report and sidecar is made of Python values where its numbers are
+    made, and a numpy bool, integer or array raises ``TypeError``."""
+    text = json.dumps(obj, sort_keys=True, indent=2)
     with _atomic_open(path) as fh:
         fh.write(text + "\n")
 

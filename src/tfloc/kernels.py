@@ -196,7 +196,10 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
     finite = np.isfinite(vals)
     if not np.all(finite):
         raise ValueError(f"gamma for {alpha.descriptor} is not finite on the grid")
-    unbounded = bool(np.max(np.abs(vals)) > OVERFLOW_GUARD)
+    # a symbol with a sup bound gives a bounded operator (||H_a|| <= sup|a|),
+    # and the check below holds gamma to that bound
+    unbounded = (alpha.sup_bound is None
+                 and bool(np.max(np.abs(vals)) > OVERFLOW_GUARD))
     gf = GammaFunction(xi_grid, vals, atom.name, alpha.descriptor, rule,
                        unbounded=unbounded, is_real=alpha.is_real,
                        abserr=abserr)

@@ -316,7 +316,10 @@ def _hermitian_eigvals(M: OperatorMatrix) -> np.ndarray:
     """Eigenvalues of the symmetrized matrix H = (M + M^H) / 2, ascending:
     the sorted real diagonal when H is diagonal (what ``eigvalsh`` returns
     for it), ``eigvalsh`` otherwise."""
-    H = 0.5 * (M.values + M.values.conj().T)
+    # halved before the sum, so entries near the largest float cannot
+    # overflow it
+    H = 0.5 * M.values
+    H += H.conj().T
     if _is_diagonal(H):
         return np.sort(H.diagonal().real)
     return np.linalg.eigvalsh(H)
@@ -477,7 +480,7 @@ def verify_equivalence(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid,
         dv = direct.values @ v
         ref = np.linalg.norm(dv)
         err = np.linalg.norm(dv - other.values @ v) / (ref if ref else 1.0)
-        worst = max(worst, err)
+        worst = max(worst, float(err))
     passed = (norm_disc <= tolerance and hd <= tolerance * max(1.0, dn)
               and worst <= tolerance)
     return {"case": atom.case, "atom": atom.name, "symbol": spec.descriptor,

@@ -52,12 +52,14 @@ def _kronrod_panels(F: np.ndarray, half: np.ndarray):
     diff = np.abs(resk - np.sum(F * _WG10, axis=-1))
     resasc = np.sum(_WK21 * np.abs(F - 0.5 * resk[..., None]), axis=-1)
     resabs = np.sum(_WK21 * np.abs(F), axis=-1)
-    # 200 * diff may overflow: min(1, inf) is the 1 the estimate needs
+    # 200 * diff may overflow: min(1, inf) is the 1 the estimate needs; so
+    # may the estimate times the half width, and an infinite panel
+    # estimate is bisected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5)
-    err = np.where((resasc != 0.0) & (diff != 0.0), scaled, diff)
-    err = np.maximum(50.0 * _EPS * resabs, err)
-    return resk * half[:, None], err * half[:, None]
+        err = np.where((resasc != 0.0) & (diff != 0.0), scaled, diff)
+        err = np.maximum(50.0 * _EPS * resabs, err)
+        return resk * half[:, None], err * half[:, None]
 
 
 def _sum_by(index: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:

@@ -74,6 +74,14 @@ def test_read_signal_rejects_header_past_csv_limit(tmp_path):
         read_signal_csv(str(path))
 
 
+def test_read_signal_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("x,re,im\n\n0,1,0\n\n0.5,2,0\n1,3,1\n\n")
+    f = read_signal_csv(str(path))
+    assert (f.grid.start, f.grid.step, f.grid.count) == (0.0, 0.5, 3)
+    assert f.values.tolist() == [1, 2, 3 + 1j]
+
+
 @pytest.mark.parametrize("field", ["abc", "nan", "1e400", "9" * 140_000],
                          ids=["text", "nan", "overflow", "over-csv-limit"])
 @pytest.mark.parametrize("route", ["input", "symbol"])
@@ -208,6 +216,47 @@ def test_cmd_bad_values_exit_2(tmp_path, capsys, argv, message):
     assert os.listdir(tmp_path) == []
 
 
+def _wide_gaussian_csv(path: str):
+    # width 2000: the spectrum lies within 1/2000 of zero, below the lowest
+    # frequency, 2^-8, that the default scales reach
+    grid = LineGrid(-8192.0, 64.0, 256)
+    write_signal_csv(path, SampledFunction(
+        grid, np.exp(-np.pi * (grid.samples / 2000.0) ** 2)))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gamma", "--case", "wavelet", "--atom", "nosuch",
+      "--symbol", "indicator:1,2"),
+     "error: unknown wavelet 'nosuch'; catalog: ('shannon', 'haar')"),
+    (("gamma", "--case", "gabor", "--atom", "nosuch",
+      "--symbol", "indicator:-1,1"),
+     "error: unknown window 'nosuch'; catalog: ('gaussian', 'rect')"),
+    (("gamma", "--case", "wavelet", "--rule", "fft",
+      "--symbol", "indicator:1,2"),
+     "error: the fft rule applies to the gabor case only"),
+    (("filter", "--symbol", "const:1", "--input", "{one}"),
+     "error: {one}: need at least 2 samples"),
+    (("filter", "--case", "wavelet", "--symbol", "indicator:1,2",
+      "--input", "{wide}"),
+     "the signal lies outside the atom's first-coordinate range, "
+     "scales [0.00390625, 256]"),
+], ids=["wavelet-atom", "window-atom", "wavelet-fft-rule", "one-sample-signal",
+        "signal-below-the-scales"])
+def test_cmd_input_checks_exit_2(tmp_path, capsys, argv, message):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    paths = {"one": str(inputs / "one.csv"), "wide": str(inputs / "wide.csv")}
+    (inputs / "one.csv").write_text("x,re,im\n0,1,0\n")
+    _wide_gaussian_csv(paths["wide"])
+    assert run(*(a.format(**paths) for a in argv),
+               "--out", str(tmp_path / "o.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tfloc {argv[0]}: error: ")
+    assert err.endswith(message.format(**paths) + "\n")
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["in"]
+
+
 
 def _all_finite(doc) -> bool:
     """Whether every number in a parsed JSON document is finite."""
@@ -238,6 +287,44 @@ def test_cmd_symbol_near_the_largest_float(tmp_path, argv):
     re = np.array(doc["re"] if argv[0] == "gamma"
                   else [v["re"] for v in doc["values"]])
     assert np.max(np.abs(re / 1e307 - 1.0)) <= 1e-6
+
+
+@pytest.mark.parametrize("argv", [("gamma", "--rule", "grid"),
+                                  ("gamma", "--rule", "adaptive"),
+                                  ("gamma", "--rule", "fft"),
+                                  ("spectrum", "--with-eigs", "--rule", "grid"),
+                                  ("spectrum", "--with-eigs",
+                                   "--rule", "adaptive")],
+                         ids=["gamma-grid", "gamma-adaptive", "gamma-fft",
+                              "spectrum-eigs-grid", "spectrum-eigs-adaptive"])
+def test_cmd_symbol_at_the_largest_float(tmp_path, argv):
+    # const:1e308: the direct operator's Hermitian part is halved before
+    # its sum, and the adaptive error estimate times its panel's half
+    # width may overflow (that panel is bisected), with no warning
+    out = tmp_path / "o.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--symbol", "const:1e308", "--n", "64",
+                   "--format", "json", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert _all_finite(doc)
+    re = np.array(doc["re"] if argv[0] == "gamma"
+                  else [v["re"] for v in doc["values"]])
+    assert np.max(np.abs(re / 1e308 - 1.0)) <= 1e-6
+
+
+@pytest.mark.parametrize("symbol", ["const:1e13", "const:1e308"])
+def test_cmd_bounded_symbol_over_the_overflow_guard(tmp_path, symbol):
+    # ||H_a|| <= sup|a|: a |gamma| over the guard (1e12) marks only a symbol
+    # with no sup bound unbounded
+    s, g = str(tmp_path / "s.csv"), str(tmp_path / "g.csv")
+    assert run("spectrum", "--symbol", symbol, "--rule", "grid", "--n", "64",
+               "--out", s) == 0
+    verdict = json.loads(open(sidecar_path(s)).read())["verdict"]
+    assert verdict.startswith("bounded on sampled range")
+    assert run("gamma", "--symbol", symbol, "--rule", "grid", "--n", "64",
+               "--out", g) == 0
+    assert json.loads(open(sidecar_path(g)).read())["unbounded"] is False
 
 
 def test_main_builds_its_parser_once(tmp_path):
@@ -306,6 +393,34 @@ def test_cmd_verify_exit_code_contract(tmp_path):
     code = run("verify", "cto1", "--n", "64", "--seed", "1", "--out", out)
     rep = json.loads(open(out).read())
     assert (code == 0) == rep["pass"]
+
+
+def _plain(doc) -> bool:
+    """Whether doc is made of Python bool, int, float, str and None, in
+    lists and str-keyed dicts: no numpy value, not even a float64."""
+    if type(doc) is dict:
+        return all(type(k) is str and _plain(v) for k, v in doc.items())
+    if type(doc) is list:
+        return all(_plain(v) for v in doc)
+    return type(doc) in (bool, int, float, str, type(None))
+
+
+@pytest.mark.parametrize("case", ["gabor", "wavelet"])
+def test_verify_reports_hold_python_values_only(tmp_path, monkeypatch, case):
+    # the JSON writer converts nothing, so each report is JSON-ready as made
+    rep = operators.verify_equivalence(
+        make_atom(case, cli.DEFAULT_ATOM[case]),
+        cli.EQUIVALENCE_SYMBOLS["cto1", case],
+        operators.default_operator_grid(case, 64), cli.VERIFY_TOL["cto1"])
+    assert _plain(rep)
+    handed = []
+    monkeypatch.setattr(cli.tio, "write_json",
+                        lambda path, doc: handed.append(doc))
+    for suite in ("cto1", "cto2", "cto3", "transforms", "algebra"):
+        assert run("verify", suite, "--case", case, "--n", "64",
+                   "--out", str(tmp_path / "v.json")) == 0
+    assert len(handed) == 5
+    assert all(_plain(doc) for doc in handed)
 
 
 @pytest.mark.parametrize("suite", ["cto1", "cto2", "cto3", "algebra"])

@@ -1,0 +1,129 @@
+"""The library's input checks: each call raises its exception with its
+message.  The command-line side of the same contract (exit 2, the message
+on stderr, no traceback, no output file) is pinned in ``test_cli.py``."""
+
+import re
+
+import numpy as np
+import pytest
+
+from tfloc.algebra import (Partition, PartitionCloud, evaluate_on_cloud,
+                           partition_gammas)
+from tfloc.atoms import Atom
+from tfloc.fields import PhasePlaneField, axis2_sign
+from tfloc.fourier import fourier
+from tfloc.grids import LineGrid, SampledFunction, ScaleGrid
+from tfloc.kernels import GammaFunction, gamma
+from tfloc.operators import OperatorMatrix, filter_signal
+from tfloc.symbols import Symbol1D, SymbolSpec
+
+G2 = LineGrid(0.0, 1.0, 2)
+G4 = LineGrid(0.0, 1.0, 4)
+SIGNAL = SampledFunction(G4, np.ones(4))
+
+
+def _operator(values, **kw):
+    return OperatorMatrix(G2 if np.shape(values) == (2, 2) else G4, values,
+                          "test", "atom", "symbol", **kw)
+
+
+def _atom(case, normalization):
+    return Atom(case, "test", SIGNAL, SIGNAL, normalization, G4)
+
+
+def _field(case, g1, values):
+    return PhasePlaneField(case, g1, G2, values)
+
+
+# (call of the session atoms shannon and gaussian, exception, message)
+CHECKS = {
+    "gamma-values-shape": (
+        lambda s, g: GammaFunction(G4, np.zeros(3), "atom", "symbol", "grid"),
+        ValueError, "gamma values must match the frequency grid"),
+    "operator-shape": (
+        lambda s, g: _operator(np.zeros((3, 3))),
+        ValueError, "operator must be 4x4, got (3, 3)"),
+    "operator-non-finite": (
+        lambda s, g: _operator([[np.inf, 0.0], [0.0, 0.0]]),
+        ValueError, "operator contains non-finite entries"),
+    "operator-real-symbol-not-hermitian": (
+        lambda s, g: _operator([[0.0, 1.0], [0.0, 0.0]], symbol_is_real=True),
+        ValueError, "real symbol produced a non-Hermitian matrix (dev 1.00e+00)"),
+    "gamma-rule": (
+        lambda s, g: gamma(g, Symbol1D.constant(1.0), G4, rule="nosuch"),
+        ValueError, "unknown rule 'nosuch'"),
+    "filter-method": (
+        lambda s, g: filter_signal(
+            g, SymbolSpec.first_variable(Symbol1D.constant(1.0)), SIGNAL,
+            method="nosuch"),
+        ValueError, "unknown method 'nosuch'"),
+    "fourier-out-grid-count": (
+        lambda s, g: fourier(SIGNAL, "forward", out_grid=LineGrid(0.0, 0.25, 5)),
+        ValueError, "output grid must have the same sample count"),
+    "fourier-sign": (
+        lambda s, g: fourier(SIGNAL, "sideways"),
+        ValueError, "sign must be 'forward' or 'inverse', got 'sideways'"),
+    "field-non-finite": (
+        lambda s, g: _field("gabor", G2, [[np.nan, 0.0], [0.0, 0.0]]),
+        ValueError, "field contains non-finite values"),
+    "field-case": (
+        lambda s, g: _field("other", G2, np.zeros((2, 2))),
+        ValueError, "unknown case 'other'"),
+    "field-wavelet-first-axis": (
+        lambda s, g: _field("wavelet", G2, np.zeros((2, 2))),
+        ValueError, "wavelet fields need a ScaleGrid first axis"),
+    "field-shape": (
+        lambda s, g: _field("gabor", G2, np.zeros((2, 3))),
+        ValueError, "field shape (2, 3) does not match grids (2, 2)"),
+    "axis2-direction": (
+        lambda s, g: axis2_sign("gabor", "sideways"),
+        ValueError, "direction must be forward/backward, got 'sideways'"),
+    "scale-grid-count": (
+        lambda s, g: ScaleGrid(1.0, 2.0, 1),
+        ValueError, "scale grid needs at least 2 nodes, got 1"),
+    "sampled-function-shape": (
+        lambda s, g: SampledFunction(G4, [1.0, 2.0]),
+        ValueError, "expected 4 values, got shape (2,)"),
+    "indicator-empty": (
+        lambda s, g: Symbol1D.indicator(1.0, 1.0),
+        ValueError, "indicator needs a < b, got [1.0, 1.0]"),
+    "piecewise-coefficients": (
+        lambda s, g: Symbol1D.piecewise([[(0.0, 1.0)]], [1.0, 2.0]),
+        ValueError, "one coefficient per piece required"),
+    "symbol-kind": (
+        lambda s, g: SymbolSpec("other"),
+        ValueError, "unknown symbol kind 'other'"),
+    "atom-case": (
+        lambda s, g: _atom("other", 1.0),
+        ValueError, "unknown case 'other'"),
+    "atom-normalization": (
+        lambda s, g: _atom("gabor", 0.0),
+        ValueError, "normalization must be positive"),
+    "admissibility-of-a-window": (
+        lambda s, g: g.admissibility_integral(1.0),
+        ValueError, "admissibility integral applies to wavelets"),
+    "admissibility-at-zero": (
+        lambda s, g: s.admissibility_integral(0.0),
+        ValueError, "admissibility is evaluated at nonzero frequencies"),
+    "cloud-shape": (
+        lambda s, g: PartitionCloud(G4, np.zeros((3, 2)), "p", "atom"),
+        ValueError, "points must be (xi_count, m)"),
+    "cloud-negative-coordinate": (
+        lambda s, g: PartitionCloud(G4, np.full((4, 2), -1.0), "p", "atom"),
+        ValueError, "negative simplex coordinate -1.00e+00"),
+    "partition-case": (
+        lambda s, g: partition_gammas(s, Partition(g, [0.0]), G4),
+        ValueError, "partition and atom case tags differ"),
+    "cloud-coefficients": (
+        lambda s, g: evaluate_on_cloud(
+            [1.0, 2.0, 3.0], PartitionCloud(G4, np.full((4, 2), 0.5), "p",
+                                            "atom")),
+        ValueError, "need 2 coefficients, got (3,)"),
+}
+
+
+@pytest.mark.parametrize("label", CHECKS)
+def test_input_check_raises_its_message(shannon, gaussian, label):
+    call, exc, message = CHECKS[label]
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call(shannon, gaussian)
