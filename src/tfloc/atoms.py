@@ -67,6 +67,13 @@ def _row_blocks(count: int):
         yield slice(start, min(start + _BLOCK_ROWS, count))
 
 
+def _hull(flags) -> slice:
+    """The smallest slice holding every True entry of the 1-D ``flags``;
+    the empty slice at 0 when there is none."""
+    at = np.flatnonzero(flags)
+    return slice(int(at[0]), int(at[-1]) + 1) if at.size else slice(0, 0)
+
+
 class AdmissibilityError(ValueError):
     """Atom construction failed its admissibility / normalization check."""
 
@@ -249,18 +256,22 @@ class Fibers:
     ``power_sums``) run over blocks of ``_BLOCK_ROWS`` rows, so no
     temporary has the record's size.
 
-    ``live`` has one flag per block of ``_BLOCK_ROWS`` rows, False when the
-    block is *empty*: every entry has the bit pattern of +0 (a block holding
-    -0 is live).  A band-limited wavelet (shannon) or a compactly supported
-    window (rect) has empty blocks at the ends of the first coordinate;
-    ``power_sums`` and the transform chain of ``fields`` skip them, and
-    keep every bit of their outputs.
+    A row is *empty* when every entry has the bit pattern of +0 (a row
+    holding -0 is not).  ``live`` has one flag per block of ``_BLOCK_ROWS``
+    rows, False when every row of the block is empty, and ``span`` is the
+    slice from the first to the last row that is not.  A band-limited
+    wavelet (shannon) or a compactly supported window (rect) has empty rows
+    at the ends of the first coordinate.  ``power_sums`` and the transform
+    chain of ``fields`` skip the empty blocks and keep every bit of their
+    outputs; the Gram products of ``build_direct`` and the overlap kernels
+    run on the rows of ``rows_for`` their weights, inside the span.
     """
 
     omegas: np.ndarray
     ell: np.ndarray
     weights: np.ndarray  # first-coordinate measure weights
     live: tuple  # per block of rows: False when every entry is +0
+    span: slice  # first to last row holding a word other than +0
 
     @classmethod
     def of(cls, atom: Atom, omegas) -> "Fibers":
@@ -270,12 +281,20 @@ class Fibers:
         L = atom.ell_matrix(omegas)
         omegas.flags.writeable = False
         L.flags.writeable = False
-        # +0 is the one float whose bits are all zero: a block is empty when
-        # the largest and smallest of its words as integers are both 0
-        bits = L.view(np.int64)
-        live = tuple(bool(bits[rows].max() or bits[rows].min())
+        # +0 is the one float whose bits are all zero: a row is empty when
+        # every one of its words as an integer is 0
+        nonempty = L.view(np.int64).any(axis=1)
+        live = tuple(bool(nonempty[rows].any())
                      for rows in _row_blocks(len(L)))
-        return cls(omegas, L, atom.g1.measure_weights, live)
+        return cls(omegas, L, atom.g1.measure_weights, live, _hull(nonempty))
+
+    def rows_for(self, weights) -> slice:
+        """The contiguous hull of the rows where ``weights`` (one value per
+        node) is nonzero, inside ``span``: every row outside it adds only
+        zeros to a sum over the nodes weighted by ``weights``."""
+        flags = np.zeros(len(self.ell), dtype=bool)
+        flags[self.span] = np.asarray(weights)[self.span] != 0
+        return _hull(flags)
 
     @cached_property
     def norms(self) -> np.ndarray:

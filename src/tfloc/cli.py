@@ -225,6 +225,7 @@ def cmd_spectrum(args) -> int:
         meta["operator_norm"] = erep.norm_estimate
         meta["lowrank_rank"] = M.lowrank_rank
         meta["lowrank_tail"] = M.lowrank_tail
+        meta["gram_rows"] = M.gram_rows
     if args.format == "json":
         tio.write_json(args.out, {
             **meta,

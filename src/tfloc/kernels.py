@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import Atom
+from .atoms import Atom, _row_blocks
 from .grids import LineGrid
 from .quadrature import GK_MAX_POINTS, gauss_kronrod
 from .symbols import Symbol1D
@@ -79,6 +79,16 @@ def _unit_scaled(a) -> tuple[np.ndarray, int]:
     e = math.frexp(float(np.max(np.abs(out), initial=0.0)))[1]
     _ldexp(out, -e)
     return out, e
+
+
+def _is_diagonal(A: np.ndarray) -> bool:
+    """True when A is a nonempty square array with no nonzero
+    off-diagonal entry."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        return False
+    n = A.shape[0]
+    # row r of this view holds the n entries after A[r, r], all off-diagonal
+    return not A.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any()
 
 
 class GammaFunction:
@@ -114,24 +124,31 @@ class GammaFunction:
 class OperatorMatrix:
     """Dense operator over a frequency window, with builder provenance.
 
-    ``lowrank_rank`` and ``lowrank_tail`` are set by ``build_direct``: the
-    rank of the symbol-field factorization it assembled from and the
-    Frobenius tail it dropped, relative to the field's norm.  Other builders
-    leave them ``None``.
+    ``lowrank_rank``, ``lowrank_tail`` and ``gram_rows`` are set by
+    ``build_direct``: the rank of the symbol-field factorization it
+    assembled from, the Frobenius tail it dropped, relative to the field's
+    norm, and the most first-coordinate rows any rank's Gram product ran
+    over (0 for a zero symbol).  Other builders leave them ``None``.
     """
 
     def __init__(self, grid: LineGrid, values, builder: str, atom_name: str,
                  symbol_descriptor: str, symbol_is_real: bool | None = None,
                  lowrank_rank: int | None = None,
-                 lowrank_tail: float | None = None):
+                 lowrank_tail: float | None = None,
+                 gram_rows: int | None = None):
         values = np.asarray(values, dtype=complex)
         n = grid.count
         if values.shape != (n, n):
             raise ValueError(f"operator must be {n}x{n}, got {values.shape}")
-        if not np.all(np.isfinite(values)):
+        # the off-diagonal entries of a diagonal matrix are +-0, which add
+        # nothing to the checks: only its diagonal is read
+        read = values.diagonal() if _is_diagonal(values) else values
+        if not np.all(np.isfinite(read)):
             raise ValueError("operator contains non-finite entries")
-        scale = float(np.max(np.abs(values))) or 1.0
-        dev = float(np.max(np.abs(values - values.conj().T)))
+        scale = float(np.max(np.abs(read))) or 1.0
+        # max |M - M^H|, a block of rows at a time: no n x n temporary
+        dev = max(float(np.max(np.abs(read[rows] - read[..., rows].conj().T)))
+                  for rows in _row_blocks(n))
         self.is_hermitian = dev <= 1e-8 * max(1.0, scale)
         if symbol_is_real and not self.is_hermitian:
             raise ValueError(
@@ -143,6 +160,7 @@ class OperatorMatrix:
         self.symbol_descriptor = symbol_descriptor
         self.lowrank_rank = lowrank_rank
         self.lowrank_tail = lowrank_tail
+        self.gram_rows = gram_rows
 
     def __repr__(self):
         return (f"OperatorMatrix({self.builder}, {self.atom_name}, "
@@ -212,9 +230,19 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
 
 
 def _gamma_grid(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
-    a_vals = alpha.sample(atom.g1.nodes)
-    return atom.fibers(xi_grid.samples).power_sums(
+    """The grid rule: ``Fibers.power_sums`` of the symbol's samples and the
+    measure weights.  Samples larger than 1 enter scaled by a power of two
+    below 1 (``_unit_scaled``) and the sums take the scale back, as in the
+    fft rule, so their products cannot overflow on a symbol near the
+    largest float.  Samples bounded by 1 enter as they are: scaling down
+    would round the subnormal products of a gaussian record's far rows."""
+    a_vals, e = alpha.sample(atom.g1.nodes), 0
+    if np.max(np.abs(a_vals), initial=0.0) > 1.0:
+        a_vals, e = _unit_scaled(a_vals)
+    vals = atom.fibers(xi_grid.samples).power_sums(
         a_vals, atom.g1.measure_weights).astype(complex)
+    _ldexp(vals, e)
+    return vals
 
 
 def _gamma_fft(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
@@ -356,9 +384,13 @@ def boundedness_verdict(reports: list[SpectrumReport]) -> str:
 # -- two-point kernels ------------------------------------------------------------
 
 def _fiber_overlap(atom: Atom, w: np.ndarray, xi_grid: LineGrid) -> np.ndarray:
-    """First-coordinate quadrature of w * conj(ell(., xi_i)) * ell(., xi_j)."""
-    L = atom.fibers(xi_grid.samples).ell
-    return (L.conj() * w[:, None]).T @ L
+    """First-coordinate quadrature of w * conj(ell(., xi_i)) * ell(., xi_j),
+    over the rows that carry it (``Fibers.rows_for`` w): every other row
+    adds only zeros.  An empty slice gives the zero kernel."""
+    fib = atom.fibers(xi_grid.samples)
+    rows = fib.rows_for(w)
+    L = fib.ell[rows]
+    return (L.conj() * w[rows, None]).T @ L
 
 
 def overlap_kernel(atom: Atom, xi_grid: LineGrid) -> OperatorMatrix:

@@ -15,10 +15,14 @@ same operator along different routes:
   factorization a = sum_r q_r v_r^T of the K x n symbol field assembles the
   matrix as r Gram GEMMs (one per q_r), each times an n x n gather of the
   lag generator of v_r; one transform gives the generators of all ranks.
-  The factors come from greedy column-pivoted deflation of the field,
-  which stops at the first rank whose residual has a Frobenius norm of at
-  most ``LOWRANK_TAIL`` = 1e-13 relative to the field's norm; the rank and
-  the tail are recorded on the result.  It
+  Each Gram GEMM runs over the first-coordinate rows where w q_r and the
+  fiber record are nonzero, and a generator that is a delta at lag 0 (every
+  first-variable symbol on the builders' grids) adds to the diagonal only.
+  The factors come from greedy column-pivoted deflation of the field's
+  nonzero rows, which stops at the first rank whose residual has a
+  Frobenius norm of at most ``LOWRANK_TAIL`` = 1e-13 relative to the
+  field's norm; the rank, the tail and the most rows a Gram GEMM ran over
+  are recorded on the result.  It
   shares only the atom's fiber record (``Atom.fibers``) with the routes
   below: neither the overlap kernels nor gamma nor the difference-lattice
   factor.
@@ -70,13 +74,13 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .atoms import Atom
+from .atoms import Atom, _hull, _row_blocks
 from .fields import _analysis_axis, _stream, axis2_sign, omega_side
 from .fourier import _sandwich, fourier
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
-from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport, _ldexp,
-                      _unit_scaled, gamma, overlap_kernel,
-                      weighted_overlap_kernel)
+from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport,
+                      _is_diagonal, _ldexp, _unit_scaled, gamma,
+                      overlap_kernel, weighted_overlap_kernel)
 from .symbols import Symbol1D, SymbolSpec
 
 __all__ = [
@@ -125,13 +129,15 @@ def _column_sq_norms(R: np.ndarray) -> np.ndarray:
 def _lowrank_factors(a_field: np.ndarray):
     """Truncated factors of the sampled symbol field: a ~= Q @ V.
 
-    Greedy column-pivoted deflation of a working copy R of the field: take
-    the column of largest residual norm, q = R[:, j] / ||R[:, j]||,
-    v = q^H R, and subtract q v^T from R.  The column norms are recomputed
-    from R after every step, never downdated, so the stopping test reads the
-    true residual: the loop stops at the first rank r with
-    ||R||_F <= ``LOWRANK_TAIL`` * ||a||_F.  The work is O(r K n).  Returns
-    Q (K x r), V (r x n) and the relative tail ||R||_F / ||a||_F dropped.
+    Greedy column-pivoted deflation of a working copy R of the field's
+    nonzero row hull, the K' rows from the first to the last that hold a
+    nonzero entry (Q is zero outside them): take the column of largest
+    residual norm, q = R[:, j] / ||R[:, j]||, v = q^H R, and subtract
+    q v^T from R.  The column norms are recomputed from R after every step,
+    never downdated, so the stopping test reads the true residual: the loop
+    stops at the first rank r with ||R||_F <= ``LOWRANK_TAIL`` * ||a||_F.
+    The work is O(r K' n).  Returns Q (K x r), V (r x n) and the relative
+    tail ||R||_F / ||a||_F dropped.
 
     R starts as a * 2^-e, e the ``frexp`` exponent of max |a|, and Q is scaled
     back by 2^e: both exact, so no squared entry underflows or overflows.
@@ -139,13 +145,15 @@ def _lowrank_factors(a_field: np.ndarray):
     2 max |a|; V's would reach sqrt(K) max |a| and overflow near the
     largest float (const:1e307).
     """
-    R, e = _unit_scaled(a_field)
-    K, n = R.shape
+    K, n = a_field.shape
+    rows = _hull(a_field.any(axis=1))
+    R, e = _unit_scaled(a_field[rows])
     col_sq = _column_sq_norms(R)
     a_sq = float(col_sq.sum())
     qs, vs = [], []
-    # in exact arithmetic min(K, n) steps empty the field: bound the loop there
-    while len(qs) < min(K, n) and col_sq.sum() > LOWRANK_TAIL ** 2 * a_sq:
+    # in exact arithmetic min(K', n) steps empty the field: bound the loop
+    # there
+    while len(qs) < min(R.shape) and col_sq.sum() > LOWRANK_TAIL ** 2 * a_sq:
         j = int(np.argmax(col_sq))
         q = R[:, j] / math.sqrt(col_sq[j])
         v = q.conj() @ R
@@ -154,8 +162,9 @@ def _lowrank_factors(a_field: np.ndarray):
         qs.append(q)
         vs.append(v)
     tail = math.sqrt(float(col_sq.sum()) / a_sq) if a_sq else 0.0
-    # reshape keeps the shapes (0, K) and (0, n) for a zero field
-    Qt = np.array(qs, dtype=R.dtype).reshape(len(qs), K)
+    # reshape keeps the shapes (0, K') and (0, n) for a zero field
+    Qt = np.zeros((len(qs), K), dtype=R.dtype)
+    Qt[:, rows] = np.array(qs, dtype=R.dtype).reshape(len(qs), len(R))
     V = np.array(vs, dtype=R.dtype).reshape(len(vs), n)
     _ldexp(Qt, e)
     return Qt.T, V, tail
@@ -185,34 +194,45 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     ``induced_grid(s_grid)`` (step: the xi_grid step).  One
     ``_sandwich`` call gives the generators of all ranks, and S_r is a
     strided view of c_r tiled three times (``_lag_table``), so each rank
-    costs one Gram GEMM and one elementwise product.  L is the atom's
-    fiber record (``Atom.fibers``), which is not copied: G_r = X^T L with
-    X = conj(L) diag(w q_r), a real GEMM when L and q_r are real, and one
-    real GEMM on the interleaved float view of X when only q_r is complex,
-    so a real record is never cast to complex.  The
-    factors come from greedy column-pivoted deflation
-    (``_lowrank_factors``), which stops at the first r whose residual
-    Frobenius norm is at most ``LOWRANK_TAIL`` (1e-13) relative to
-    ||a||_F.  The rank and the relative tail are recorded on the result as
-    ``lowrank_rank`` and ``lowrank_tail``.  First-variable,
-    second-variable and separable symbols have rank 1.
+    costs one Gram GEMM and one elementwise product (``_add_lag_product``;
+    a generator whose one nonzero entry is lag 0 multiplies only G_r's
+    diagonal).  L is the atom's fiber record (``Atom.fibers``), and the
+    GEMM reads the slice of its rows that ``Fibers.rows_for`` gives for
+    w q_r, a view: the hull of the rows where w q_r is nonzero, inside the
+    record's nonzero span.  Every other row adds only zeros, so G_r is the
+    full product up to the GEMM's summation order.  G_r = X^T L_s with
+    X = conj(L_s) diag(w q_r) on that slice L_s, a real GEMM when L and
+    q_r are real, and one real GEMM on the interleaved float view of X when
+    only q_r is complex, so a real record is never cast to complex.  The
+    factors come from greedy column-pivoted deflation of the field's
+    nonzero rows (``_lowrank_factors``), which stops at the first r whose
+    residual Frobenius norm is at most ``LOWRANK_TAIL`` (1e-13) relative to
+    ||a||_F.  The rank, the relative tail and the most rows any Gram GEMM
+    ran over are recorded on the result as ``lowrank_rank``,
+    ``lowrank_tail`` and ``gram_rows``.  First-variable, second-variable
+    and separable symbols have rank 1.
     """
     n = xi_grid.count
     s_grid = induced_grid(xi_grid)
     Q, V, tail = _lowrank_factors(
         spec.evaluate_field(atom.g1.nodes, s_grid.samples))
-    L = atom.fibers(xi_grid.samples).ell
+    fib = atom.fibers(xi_grid.samples)
     w = atom.g1.measure_weights
     # row r: the generator c_r, lag (m - n//2) * xi_grid.step at entry m
     lags = _sandwich(s_grid, axis2_sign(atom.case, "forward"),
                      induced_grid(s_grid))(V)
     lags *= xi_grid.step
     M = np.zeros((n, n), dtype=complex)
+    gram_rows = 0
     # each rank's arrays dropped before the next: the peak is M, the fiber
     # record, X and the Gram product, whatever the rank
     for q, c in zip(Q.T, lags):
+        wq = w * q
+        rows = fib.rows_for(wq)
+        L = fib.ell[rows]
+        gram_rows = max(gram_rows, len(L))
         X = np.conj(L, out=np.empty(L.shape, np.result_type(L, q)))
-        X *= (w * q)[:, None]
+        X *= wq[rows, None]
         if X.dtype == L.dtype:
             G = X.T @ L
         else:
@@ -220,13 +240,31 @@ def build_direct(atom: Atom, spec: SymbolSpec,
             # X's interleaved float view, so the record is never cast
             G = (L.T @ X.view(L.dtype)).view(X.dtype).T
         del X
-        # a complex G takes the product in place, with no n x n temporary
-        M += np.multiply(G, _lag_table(np.tile(c, 3), n + n // 2, 1, n),
-                         out=G if np.iscomplexobj(G) else None)
+        _add_lag_product(M, G, c)
         del G
     return OperatorMatrix(xi_grid, M, "direct", atom.name, spec.descriptor,
                           symbol_is_real=spec.is_real,
-                          lowrank_rank=len(V), lowrank_tail=tail)
+                          lowrank_rank=len(V), lowrank_tail=tail,
+                          gram_rows=gram_rows)
+
+
+def _add_lag_product(M: np.ndarray, G: np.ndarray, c: np.ndarray):
+    """M += G * S in place, S[i, j] = c[(i - j + n//2) mod n] the lag table
+    of the generator c.
+
+    When c's one nonzero entry is lag 0, S is diagonal and only G's
+    diagonal is multiplied, with the bits of the full product: its other
+    terms are +-0, and adding +-0 to M, which starts at +0 and never holds
+    -0, changes nothing.
+    """
+    n = len(c)
+    if c[n // 2] != 0 and np.count_nonzero(c) == 1:
+        M.reshape(-1)[::n + 1] += G.diagonal() * c[n // 2]
+        return
+    # a block of rows at a time: no n x n temporary
+    S = _lag_table(np.tile(c, 3), n + n // 2, 1, n)
+    for rows in _row_blocks(n):
+        M[rows] += G[rows] * S[rows]
 
 
 # -- specialized routes -----------------------------------------------------------
@@ -302,22 +340,17 @@ def build_pseudodiff(atom: Atom, alpha: Symbol1D, beta: Symbol1D,
 
 # -- spectra and comparisons -------------------------------------------------------
 
-def _is_diagonal(A: np.ndarray) -> bool:
-    """True when A is a nonempty square array with no nonzero
-    off-diagonal entry."""
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
-        return False
-    n = A.shape[0]
-    # row r of this view holds the n entries after A[r, r], all off-diagonal
-    return not A.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any()
-
-
 def _hermitian_eigvals(M: OperatorMatrix) -> np.ndarray:
     """Eigenvalues of the symmetrized matrix H = (M + M^H) / 2, ascending:
     the sorted real diagonal when H is diagonal (what ``eigvalsh`` returns
-    for it), ``eigvalsh`` otherwise."""
+    for it), ``eigvalsh`` otherwise.  A diagonal M gives H's diagonal from
+    its own, entry by entry as H would hold it, without forming H."""
     # halved before the sum, so entries near the largest float cannot
     # overflow it
+    if _is_diagonal(M.values):
+        d = 0.5 * M.values.diagonal()
+        d += d.conj()
+        return np.sort(d.real)
     H = 0.5 * M.values
     H += H.conj().T
     if _is_diagonal(H):
@@ -488,7 +521,8 @@ def verify_equivalence(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid,
             "hausdorff": hd, "action_error_max": worst,
             "tolerance": tolerance, "pass": passed, "builder": other.builder,
             "seed": seed, "lowrank_rank": direct.lowrank_rank,
-            "lowrank_tail": direct.lowrank_tail}
+            "lowrank_tail": direct.lowrank_tail,
+            "gram_rows": direct.gram_rows}
 
 
 # -- signal filtering ---------------------------------------------------------------

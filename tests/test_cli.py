@@ -294,13 +294,20 @@ def test_cmd_symbol_near_the_largest_float(tmp_path, argv):
                                   ("gamma", "--rule", "fft"),
                                   ("spectrum", "--with-eigs", "--rule", "grid"),
                                   ("spectrum", "--with-eigs",
-                                   "--rule", "adaptive")],
+                                   "--rule", "adaptive"),
+                                  ("gamma", "--case", "wavelet",
+                                   "--rule", "grid"),
+                                  ("spectrum", "--case", "wavelet",
+                                   "--with-eigs", "--rule", "grid")],
                          ids=["gamma-grid", "gamma-adaptive", "gamma-fft",
-                              "spectrum-eigs-grid", "spectrum-eigs-adaptive"])
+                              "spectrum-eigs-grid", "spectrum-eigs-adaptive",
+                              "wavelet-gamma-grid",
+                              "wavelet-spectrum-eigs-grid"])
 def test_cmd_symbol_at_the_largest_float(tmp_path, argv):
     # const:1e308: the direct operator's Hermitian part is halved before
-    # its sum, and the adaptive error estimate times its panel's half
-    # width may overflow (that panel is bisected), with no warning
+    # its sum, the adaptive error estimate times its panel's half width may
+    # overflow (that panel is bisected), with no warning, and the grid
+    # rule's power sums take the symbol scaled below 1
     out = tmp_path / "o.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -657,6 +664,19 @@ def test_cmd_reports_lowrank_margin(tmp_path):
     for name in ("s.csv", sidecar_path("s.csv"), "v.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def test_cmd_reports_gram_rows(tmp_path):
+    # the most first-coordinate rows a Gram product of the direct route ran
+    # over: the 32 of 512 scales in the octave [1, 2], the 33 translations
+    # in [-1, 1], all 512 for a second-variable symbol on the gaussian window
+    s, v = str(tmp_path / "s.csv"), str(tmp_path / "v.json")
+    assert run("spectrum", "--case", "wavelet", "--symbol", "indicator:1,2",
+               "--n", "64", "--rule", "grid", "--with-eigs", "--out", s) == 0
+    assert json.loads(open(sidecar_path(s)).read())["gram_rows"] == 32
+    for suite, rows in (("cto1", 33), ("cto2", 512)):
+        assert run("verify", suite, "--n", "64", "--out", v) == 0
+        assert json.loads(open(v).read())["gram_rows"] == rows
 
 
 def test_cmd_kernel_diagonal(tmp_path):

@@ -15,7 +15,7 @@ from tfloc.fourier import _sandwich, fourier
 from tfloc.grids import LineGrid, SampledFunction, induced_grid
 from tfloc.kernels import (gamma, overlap_kernel, spectrum_from_gamma,
                            weighted_overlap_kernel)
-from tfloc.operators import (LOWRANK_TAIL, OperatorMatrix,
+from tfloc.operators import (LOWRANK_TAIL, OperatorMatrix, _add_lag_product,
                              _beta_hat_on_lattice, _hermitian_eigvals,
                              _lag_table, _lanczos_norm, _lowrank_factors,
                              build_direct, build_integral, build_multiplication,
@@ -44,8 +44,8 @@ def test_direct_first_variable_hermitian_and_near_diagonal(gaussian, rect,
                                                            shannon, haar):
     # first-variable operators are diagonal on the diagonalized side.  On
     # the default windows the sandwich's phases are exactly +-1, so the lag
-    # generator of a row constant in s is an exact delta and the matrix has
-    # no nonzero off-diagonal entry: [P_S, M] = 0 for every diagonal
+    # generator of a row constant in s is an exact delta and every
+    # off-diagonal word of the matrix is +0: [P_S, M] = 0 for every diagonal
     # projector P_S, so each window subspace is invariant
     for atom in (gaussian, rect, shannon, haar):
         pool = ([Symbol1D.indicator(-1.0, 1.0), Symbol1D.smooth_step(4.0),
@@ -58,8 +58,9 @@ def test_direct_first_variable_hermitian_and_near_diagonal(gaussian, rect,
                 M = build_direct(atom, SymbolSpec.first_variable(alpha),
                                  _grid_for(atom, n))
                 assert M.is_hermitian
-                off = M.values - np.diag(np.diag(M.values))
-                assert not off.any(), f"{atom.name} {alpha.descriptor}, {n}"
+                words = M.values.view(np.int64).reshape(n, n, 2)
+                assert not words[~np.eye(n, dtype=bool)].any(), \
+                    f"{atom.name} {alpha.descriptor}, {n}"
 
 
 def test_direct_first_variable_odd_windows_off_diagonal_at_rounding(
@@ -148,11 +149,12 @@ def _direct_column_loop(atom, spec, xi_grid):
 
 
 def test_build_direct_peak_memory():
-    # M and the product of the Gram matrix with the lag view, complex, plus
-    # the fiber record, one weighted K x n copy and the Gram product, real
-    # for the gaussian window: 3.5 complex arrays of K x n = n x n entries
-    # (five when the record is complex).  No n x n transform and no copy of
-    # the lag matrix.  A fresh atom, so the record is built inside the window.
+    # M, the fiber record and the Gram product, real for the gaussian
+    # window, and a weighted copy of the indicator's 33 rows: 2.07 complex
+    # arrays of K x n = n x n entries.  The delta lag adds G's diagonal
+    # alone, and there is no n x n transform, no copy of the lag matrix and
+    # no n x n temporary of the Hermitian check.  A fresh atom, so the
+    # record is built inside the window.
     n = 512
     atom = make_atom("gabor", "gaussian")
     spec = SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 1.0))
@@ -171,11 +173,11 @@ def test_build_direct_peak_memory():
 def test_build_direct_complex_symbol_peak_memory():
     # a complex symbol on a real fiber record: the Gram product is one real
     # GEMM on the weighted copy's float view and the product with the lag
-    # view is taken in place, so the record is never cast to complex and the
-    # peak stays near M, the weighted copy, the Gram product and the record
-    # (3.65 K x n x 16 B here; a complex cast of the record per rank and a
-    # separate product array read 4.65).  A fresh atom, so the record is
-    # built inside the window
+    # view is taken a block of rows at a time, so the record is never cast
+    # to complex and the peak stays near M, the weighted copy (493 of 512
+    # rows), the Gram product and the record (3.55 K x n x 16 B here; a
+    # complex cast of the record per rank and a separate product array
+    # read 4.65).  A fresh atom, so the record is built inside the window
     n = 512
     atom = make_atom("gabor", "gaussian")
     spec = _oracle_specs("gabor")["complex"]
@@ -302,6 +304,199 @@ def test_direct_lowrank_matches_column_loop(atom_name, request):
             assert M.lowrank_rank == 1, f"{atom.name}/{kind}"
         else:
             assert 1 < M.lowrank_rank <= grid.count
+
+
+# -- assembly over the support -------------------------------------------------
+
+def _support_specs(case):
+    """The first-variable indicator of the case, the disk of radius 2 and an
+    indicator times a bump."""
+    band = (-1.0, 1.0) if case == "gabor" else (1.0, 2.0)
+    return {
+        "first": SymbolSpec.first_variable(Symbol1D.indicator(*band)),
+        "disk": SymbolSpec.general(
+            lambda r, s: (r ** 2 + s ** 2 <= 4.0).astype(float), "disk:2"),
+        "separable": SymbolSpec.separable(Symbol1D.indicator(*band),
+                                          Symbol1D.gaussian_bump(1.0)),
+    }
+
+
+def _untrimmed_overlap(atom, w, xi_grid):
+    L = atom.ell_matrix(xi_grid.samples)
+    return (L.conj() * w[:, None]).T @ L
+
+
+@pytest.mark.parametrize("atom_name", ["gaussian", "rect", "shannon", "haar"])
+def test_fiber_record_span_is_its_nonzero_row_hull(atom_name, request):
+    # rect and shannon have empty rows at both ends of the first coordinate,
+    # the gaussian and haar (a complex record) none
+    atom = request.getfixturevalue(atom_name)
+    for grid in (_grid_for(atom, 64), _grid_for(atom, 512),
+                 _off_centre_grid(atom.case, 257)):
+        fib = Fibers.of(atom, grid.samples)
+        full = np.flatnonzero(fib.ell.view(np.int64).any(axis=1))
+        assert fib.span == slice(full[0], full[-1] + 1)
+        K = atom.g1.count
+        assert (fib.span != slice(0, K)) == (atom_name in ("rect", "shannon"))
+        assert fib.rows_for(np.ones(K)) == fib.span
+        # no weight outside the span counts, and -0 weighs nothing
+        w = np.zeros(K, dtype=complex)
+        w[:fib.span.start] = w[fib.span.stop:] = 5.0
+        assert fib.rows_for(w) == slice(0, 0)
+        lo, hi = fib.span.start + 2, fib.span.stop - 3
+        w[[lo, (lo + hi) // 2, hi]] = [1.0, -0.0, 2.0j]
+        assert fib.rows_for(w) == slice(lo, hi + 1)
+        w[[lo, hi]] = -0.0
+        assert fib.rows_for(w) == slice(0, 0)
+
+
+@pytest.mark.parametrize("atom_name", ["gaussian", "rect", "shannon", "haar"])
+def test_direct_over_the_support_matches_column_loop(atom_name, request):
+    # the Gram products run over rows where both the symbol field and the
+    # record are nonzero: the indicator's 33 of 512, the disk's 65 (gabor)
+    # or 288 (wavelet), fewer where the record has empty rows
+    atom = request.getfixturevalue(atom_name)
+    grid = _grid_for(atom, 64)
+    record = np.flatnonzero(atom.ell_matrix(grid.samples).any(axis=1))
+    for kind, spec in _support_specs(atom.case).items():
+        M = build_direct(atom, spec, grid)
+        ref = _direct_column_loop(atom, spec, grid)
+        rel = operator_norm(M.values - ref) / operator_norm(ref)
+        assert rel <= 1e-13, f"{atom.name}/{kind}: {rel:.2e}"
+        field = np.flatnonzero(spec.evaluate_field(
+            atom.g1.nodes, induced_grid(grid).samples).any(axis=1))
+        carried = (min(field[-1], record[-1]) + 1
+                   - max(field[0], record[0]))
+        assert 0 < M.gram_rows <= carried < atom.g1.count, \
+            f"{atom.name}/{kind}: {M.gram_rows} of {carried}"
+
+
+@pytest.mark.parametrize("atom_name", ["gaussian", "rect", "shannon", "haar"])
+def test_overlap_kernels_over_the_support_match_all_rows(atom_name, request):
+    atom = request.getfixturevalue(atom_name)
+    w = atom.g1.measure_weights
+    for n in (64, 256):
+        grid = _grid_for(atom, n)
+        kernels = {"const:1": (overlap_kernel(atom, grid), w)}
+        for kind, spec in _support_specs(atom.case).items():
+            if spec.alpha is not None:
+                alpha = spec.alpha
+                kernels[alpha.descriptor] = (
+                    weighted_overlap_kernel(atom, alpha, grid),
+                    w * alpha.sample(atom.g1.nodes))
+        for name, (km, weights) in kernels.items():
+            ref = _untrimmed_overlap(atom, weights, grid)
+            rel = np.max(np.abs(km.values - ref)) / np.max(np.abs(ref))
+            assert rel <= 1e-15, f"{atom.name}/{name}, n={n}: {rel:.2e}"
+
+
+@pytest.mark.parametrize("atom_name,band", [("rect", (10.0, 12.0)),
+                                            ("shannon", (64.0, 128.0))])
+def test_symbol_off_the_record_gives_zero(atom_name, band, request):
+    # the symbol is nonzero only on empty rows of the record: every Gram
+    # product runs over an empty slice of rows
+    atom = request.getfixturevalue(atom_name)
+    grid = _grid_for(atom, 64)
+    alpha = Symbol1D.indicator(*band)
+    assert np.any(alpha.sample(atom.g1.nodes))
+    for spec in (SymbolSpec.first_variable(alpha),
+                 SymbolSpec.separable(alpha, Symbol1D.gaussian_bump(1.0))):
+        M = build_direct(atom, spec, grid)
+        assert M.lowrank_rank == 1 and M.gram_rows == 0
+        assert not M.values.view(np.int64).any()
+    km = weighted_overlap_kernel(atom, alpha, grid)
+    assert not km.values.view(np.int64).any()
+
+
+@pytest.mark.parametrize("complex_gram", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 257])
+def test_delta_lag_product_is_the_full_product(n, complex_gram):
+    # a generator whose one nonzero entry is lag 0 adds G's diagonal times
+    # it: every bit of M as the full product with the lag table gives it,
+    # on an M holding an earlier rank's values and on an empty one (both
+    # free of -0, which M never holds: -0 + 0.0 is +0)
+    rng = np.random.default_rng(n)
+
+    def draw(cplx):
+        x = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-200, 200, (n, n))
+        if cplx:
+            x = x + 1j * rng.standard_normal((n, n))
+        x[rng.random((n, n)) < 0.1] = 0.0
+        x[rng.random((n, n)) < 0.1] = -0.0
+        return x
+
+    G = draw(complex_gram)
+    for start in (np.zeros((n, n), dtype=complex), draw(True) + 0.0):
+        c = np.zeros(n, dtype=complex)
+        c[n // 2] = complex(rng.standard_normal(), rng.standard_normal())
+        full = start.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            full += G * _lag_table(np.tile(c, 3), n + n // 2, 1, n)
+            M = start.copy()
+            _add_lag_product(M, G.copy(), c)
+        assert M.tobytes() == full.tobytes()
+
+
+def test_diagonal_spectrum_is_read_without_forming_h(gaussian, shannon):
+    # a diagonal M: the bits of the sorted diagonal of H = M/2 + (M/2)^H
+    # as the n x n H holds it, complex, near-overflow and subnormal entries
+    # included (halving rounds an odd subnormal)
+    rng = np.random.default_rng(4)
+    diags = [build_direct(atom, EQUIVALENCE_SYMBOLS["cto1", atom.case],
+                          _grid_for(atom, 256)).values.diagonal()
+             for atom in (gaussian, shannon)]
+    diags.append(rng.uniform(-1.7, 1.7, 64) * 1e308 + 0j)
+    diags.append(rng.standard_normal(64) + 1e-9j * rng.standard_normal(64))
+    diags.append(np.arange(1.0, 65.0) * 5e-324 + 0j)
+    for d in diags:
+        n = d.size
+        M = OperatorMatrix(LineGrid.centered(8.0, n), np.diag(d), "test",
+                           "none", "none")
+        H = 0.5 * M.values
+        H += H.conj().T
+        ref = np.sort(H.diagonal().real)
+        assert _hermitian_eigvals(M).tobytes() == ref.tobytes()
+        if M.is_hermitian:
+            assert spectrum(M).values.tobytes() == \
+                ref.astype(complex).tobytes()
+
+
+def test_diagonal_operator_checks_read_the_diagonal():
+    # the finiteness and Hermitian checks of a diagonal matrix read its
+    # diagonal alone, with the verdicts of the whole matrix
+    grid = LineGrid.centered(8.0, 4)
+    assert OperatorMatrix(grid, np.diag([1.0, 2.0, 3.0, 4.0]), "t", "a",
+                          "s", symbol_is_real=True).is_hermitian
+    assert not OperatorMatrix(grid, np.diag([1.0, 2.0j, 3.0, 4.0]), "t", "a",
+                              "s").is_hermitian
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        OperatorMatrix(grid, np.diag([1.0, 2.0j, 3.0, 4.0]), "t", "a", "s",
+                       symbol_is_real=True)
+    with pytest.raises(ValueError, match="non-finite"):
+        OperatorMatrix(grid, np.diag([1.0, np.inf, 3.0, 4.0]), "t", "a", "s")
+
+
+def test_build_direct_disk_peak_memory():
+    # the rank-20 disk: each Gram product runs over the disk's 65 of 512
+    # rows, and the products with the lag tables and the Hermitian check
+    # take a block of rows at a time.  The peak is M, the record, one
+    # real Gram product and a weighted copy of 65 rows: 2.28-2.31 K x n x
+    # 16 B measured.  A weighted copy of all 512 rows reads 2.58, and the
+    # K x n symbol field held through the assembly 2.8.  A fresh atom, so
+    # the record is built inside the window
+    n = 512
+    atom = make_atom("gabor", "gaussian")
+    spec = _support_specs("gabor")["disk"]
+    grid = default_operator_grid("gabor", n)
+    tracemalloc.start()
+    try:
+        M = build_direct(atom, spec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.lowrank_rank == 20 and M.gram_rows == 65
+    K = atom.g1.count
+    assert peak <= 2.35 * K * n * 16, f"peak {peak / (K * n * 16):.3f} K*n*16"
 
 
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
