@@ -124,7 +124,9 @@ class GammaFunction:
 class OperatorMatrix:
     """Dense operator over a frequency window, with builder provenance.
 
-    ``lowrank_rank``, ``lowrank_tail`` and ``gram_rows`` are set by
+    ``is_diagonal`` is True when no off-diagonal entry is nonzero; the
+    checks here, ``spectrum`` and ``operator_norm`` then read the diagonal
+    alone.  ``lowrank_rank``, ``lowrank_tail`` and ``gram_rows`` are set by
     ``build_direct``: the rank of the symbol-field factorization it
     assembled from, the Frobenius tail it dropped, relative to the field's
     norm, and the most first-coordinate rows any rank's Gram product ran
@@ -142,7 +144,8 @@ class OperatorMatrix:
             raise ValueError(f"operator must be {n}x{n}, got {values.shape}")
         # the off-diagonal entries of a diagonal matrix are +-0, which add
         # nothing to the checks: only its diagonal is read
-        read = values.diagonal() if _is_diagonal(values) else values
+        self.is_diagonal = _is_diagonal(values)
+        read = values.diagonal() if self.is_diagonal else values
         if not np.all(np.isfinite(read)):
             raise ValueError("operator contains non-finite entries")
         scale = float(np.max(np.abs(read))) or 1.0
@@ -230,19 +233,22 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
 
 
 def _gamma_grid(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
-    """The grid rule: ``Fibers.power_sums`` of the symbol's samples and the
-    measure weights.  Samples larger than 1 enter scaled by a power of two
-    below 1 (``_unit_scaled``) and the sums take the scale back, as in the
-    fft rule, so their products cannot overflow on a symbol near the
-    largest float.  Samples bounded by 1 enter as they are: scaling down
-    would round the subnormal products of a gaussian record's far rows."""
-    a_vals, e = alpha.sample(atom.g1.nodes), 0
-    if np.max(np.abs(a_vals), initial=0.0) > 1.0:
-        a_vals, e = _unit_scaled(a_vals)
-    vals = atom.fibers(xi_grid.samples).power_sums(
-        a_vals, atom.g1.measure_weights).astype(complex)
-    _ldexp(vals, e)
-    return vals
+    """The grid rule: ``Fibers.power_sums`` of the symbol's samples (finite,
+    ``Symbol1D.sample``) and the measure weights.  Sums that are not finite
+    come of products that overflow, on a symbol near the largest float:
+    they are taken again with the samples scaled by a power of two below 1
+    (``_unit_scaled``), and the scale is given back, as in the fft rule.
+    Only then: scaling would round the subnormal products of a record's
+    far rows, so every sum that does not overflow keeps its bits."""
+    fib = atom.fibers(xi_grid.samples)
+    a_vals, w = alpha.sample(atom.g1.nodes), atom.g1.measure_weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = fib.power_sums(a_vals, w)
+    if not np.isfinite(vals).all():
+        scaled, e = _unit_scaled(a_vals)
+        vals = fib.power_sums(scaled, w)
+        _ldexp(vals, e)
+    return vals.astype(complex)
 
 
 def _gamma_fft(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:

@@ -342,19 +342,17 @@ def build_pseudodiff(atom: Atom, alpha: Symbol1D, beta: Symbol1D,
 
 def _hermitian_eigvals(M: OperatorMatrix) -> np.ndarray:
     """Eigenvalues of the symmetrized matrix H = (M + M^H) / 2, ascending:
-    the sorted real diagonal when H is diagonal (what ``eigvalsh`` returns
-    for it), ``eigvalsh`` otherwise.  A diagonal M gives H's diagonal from
-    its own, entry by entry as H would hold it, without forming H."""
+    ``eigvalsh`` of H, or for a diagonal M the sorted real diagonal of H
+    (what ``eigvalsh`` returns for it), taken from M's own diagonal entry
+    by entry as H would hold it, without forming H."""
     # halved before the sum, so entries near the largest float cannot
     # overflow it
-    if _is_diagonal(M.values):
+    if M.is_diagonal:
         d = 0.5 * M.values.diagonal()
         d += d.conj()
         return np.sort(d.real)
     H = 0.5 * M.values
     H += H.conj().T
-    if _is_diagonal(H):
-        return np.sort(H.diagonal().real)
     return np.linalg.eigvalsh(H)
 
 
@@ -432,10 +430,14 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
     Otherwise it is the certified Lanczos estimate of ``_lanczos_norm``, or
     the dense SVD's sigma_1 where that has no certificate.
     """
-    if isinstance(M, OperatorMatrix) and M.is_hermitian:
-        return float(np.max(np.abs(_hermitian_eigvals(M))))
-    vals = M.values if isinstance(M, OperatorMatrix) else np.asarray(M)
-    if _is_diagonal(vals):
+    if isinstance(M, OperatorMatrix):
+        if M.is_hermitian:
+            return float(np.max(np.abs(_hermitian_eigvals(M))))
+        vals, diagonal = M.values, M.is_diagonal
+    else:
+        vals = np.asarray(M)
+        diagonal = _is_diagonal(vals)
+    if diagonal:
         return float(np.max(np.abs(vals.diagonal())))
     est = _lanczos_norm(vals)
     if est is not None:
@@ -446,9 +448,9 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
 def spectrum(M: OperatorMatrix) -> SpectrumReport:
     """Dense eigenvalue multiset; symmetric solver for Hermitian matrices.
 
-    A Hermitian matrix whose symmetrized form is diagonal -- every
-    first-variable direct matrix on the default windows -- has its spectrum
-    read off the diagonal, with no solver.  The norm estimate is the largest
+    A diagonal Hermitian matrix -- every first-variable direct matrix on
+    the default windows -- has its spectrum read off the diagonal, with no
+    solver.  The norm estimate is the largest
     singular value: max |eigenvalue| of the symmetrized matrix when
     Hermitian, otherwise ``operator_norm``.  The size is not capped here;
     the CLI rejects sizes above its dense cap.

@@ -467,8 +467,10 @@ def test_diagonal_operator_checks_read_the_diagonal():
     grid = LineGrid.centered(8.0, 4)
     assert OperatorMatrix(grid, np.diag([1.0, 2.0, 3.0, 4.0]), "t", "a",
                           "s", symbol_is_real=True).is_hermitian
-    assert not OperatorMatrix(grid, np.diag([1.0, 2.0j, 3.0, 4.0]), "t", "a",
-                              "s").is_hermitian
+    N = OperatorMatrix(grid, np.diag([1.0, 2.0j, 3.0, 4.0]), "t", "a", "s")
+    assert N.is_diagonal and not N.is_hermitian
+    # the flag set here is what operator_norm reads: max |d_i|
+    assert operator_norm(N) == 4.0
     with pytest.raises(ValueError, match="non-Hermitian"):
         OperatorMatrix(grid, np.diag([1.0, 2.0j, 3.0, 4.0]), "t", "a", "s",
                        symbol_is_real=True)
@@ -1108,8 +1110,16 @@ def test_nondiagonal_hermitian_spectrum_uses_the_solver(monkeypatch):
         return solver(H)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert not M.is_diagonal
     assert np.array_equal(_hermitian_eigvals(M), solver(A))
     assert calls == [(8, 8)]
+    # an anti-Hermitian off-diagonal pair leaves H diagonal; M is not, so
+    # the solver runs, and returns the sorted diagonal
+    A[6, 1], A[1, 6] = 1e-300, -1e-300
+    M = OperatorMatrix(LineGrid.centered(8.0, 8), A, "test", "none", "none")
+    assert M.is_hermitian and not M.is_diagonal
+    assert np.array_equal(_hermitian_eigvals(M), np.arange(8.0))
+    assert calls == [(8, 8)] * 2
 
 
 def test_hausdorff_distance_basics():

@@ -189,6 +189,39 @@ def test_gamma_flags_overflow_as_unbounded(shannon):
     assert gf.unbounded
 
 
+def test_gamma_grid_keeps_the_bits_of_the_unscaled_power_sums(gaussian,
+                                                              shannon):
+    # symbols between 1 and the overflow range enter the power sums as they
+    # are: scaling them down by a power of two would round the subnormal
+    # products of the gaussian record's far rows on the wide window
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    for atom, grid in ((gaussian, GABOR_GRID),
+                       (gaussian, LineGrid.centered(32.0, 256)),
+                       (shannon, WAVELET_GRID)):
+        fib = atom.fibers(grid.samples)
+        for text in ("const:3", "const:1.5", "const:1e13",
+                     "indicator:-1,1"):
+            sym = parse_symbol(text)
+            ref = fib.power_sums(sym.sample(atom.g1.nodes),
+                                 atom.g1.measure_weights).astype(complex)
+            got = gamma(atom, sym, grid, rule="grid").values
+            assert np.array_equal(bits(got), bits(ref)), (atom.name, text)
+
+
+def test_gamma_grid_scales_only_a_symbol_that_overflows(shannon):
+    # const:1e308 overflows the unscaled products; the scaled sums are
+    # 1e308 times those of const:1 up to rounding, with no warning
+    one = gamma(shannon, Symbol1D.constant(1.0), WAVELET_GRID, rule="grid")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = gamma(shannon, Symbol1D.constant(1e308), WAVELET_GRID,
+                    rule="grid")
+    assert np.all(np.isfinite(big.values))
+    assert np.max(np.abs(big.values / 1e308 - one.values)) <= 1e-15
+
+
 def test_gamma_self_checks_are_relative_to_the_scale(gaussian):
     # a large constant passes the realness and symbol-bound checks under
     # every rule; values over the declared bound by 1e-6 relative do not
