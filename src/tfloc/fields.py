@@ -49,6 +49,7 @@ import numpy as np
 from .atoms import Atom, _BLOCK_ROWS, _row_blocks
 from .fourier import _sandwich, fourier
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
+from .symbols import OVERFLOW_MARGIN
 
 __all__ = [
     "PhasePlaneField",
@@ -178,11 +179,12 @@ def _require_finite(a: np.ndarray):
 def _core_bounded(block: np.ndarray) -> bool:
     """Whether the DFT of every row of the complex C-contiguous ``block``
     stays far from overflow: n times the largest absolute component of its
-    float view is below 2^960.  A DFT's outputs are sums of n terms, each
-    of modulus at most sqrt(2) times that component, so the bound leaves
-    more than 2^63 for the rounding and the intermediate sums of any FFT."""
+    float view is below ``OVERFLOW_MARGIN`` (2^960).  A DFT's outputs are
+    sums of n terms, each of modulus at most sqrt(2) times that component,
+    so the bound leaves more than 2^63 for the rounding and the
+    intermediate sums of any FFT."""
     v = block.view(float)
-    return max(v.max(), -v.min()) * block.shape[1] < 2.0 ** 960
+    return max(v.max(), -v.min()) * block.shape[1] < OVERFLOW_MARGIN
 
 
 def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,

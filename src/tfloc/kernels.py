@@ -33,6 +33,13 @@ The Gabor case additionally admits ``rule="fft"``: the grid rule evaluated
 as one ``numpy.fft`` convolution of the symbol samples with the squared
 window.
 
+A symbol whose ``sup_bound`` is above ``symbols.OVERFLOW_MARGIN`` (2^960)
+is carried as 2^e times a symbol bounded by 1 (``Symbol1D.unit_scaled``):
+the three gamma rules, the weighted overlap kernel and the second-variable
+factor of the compound routes run on it and take 2^e back once, exactly
+unless a scaled product is subnormal (such outputs may move at rounding).
+The direct route scales its sampled field instead.
+
 The two-point overlap kernels generalize the same quadrature to pairs of
 frequencies and feed the integral and compound-symbol operator builders.
 They are the integral kernels of those forms, so they are returned as the
@@ -68,17 +75,9 @@ OVERFLOW_GUARD = 1e12
 
 def _ldexp(A: np.ndarray, e: int):
     """A *= 2^e in place, real and imaginary parts alike."""
-    parts = A.view(A.real.dtype)
-    np.ldexp(parts, e, out=parts)
-
-
-def _unit_scaled(a) -> tuple[np.ndarray, int]:
-    """A copy of ``a`` times 2^-e, and e, the ``frexp`` exponent of max |a|:
-    exact, and every entry of the copy is below 1 in modulus."""
-    out = np.array(a)
-    e = math.frexp(float(np.max(np.abs(out), initial=0.0)))[1]
-    _ldexp(out, -e)
-    return out, e
+    if e:
+        parts = A.view(A.real.dtype)
+        np.ldexp(parts, e, out=parts)
 
 
 def _is_diagonal(A: np.ndarray) -> bool:
@@ -204,18 +203,21 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
     """
     if rule not in ("grid", "adaptive", "fft"):
         raise ValueError(f"unknown rule {rule!r}")
-    xs = xi_grid.samples
+    if rule == "fft" and atom.case != "gabor":
+        raise ValueError("the fft rule applies to the gabor case only")
+    scaled, e = alpha.unit_scaled()
     abserr = None
     if rule == "grid":
-        vals = _gamma_grid(atom, alpha, xi_grid)
+        # the power sums of the symbol's samples, finite (Symbol1D.sample)
+        vals = atom.fibers(xi_grid.samples).power_sums(
+            scaled.sample(atom.g1.nodes), atom.g1.measure_weights)
     elif rule == "fft":
-        if atom.case != "gabor":
-            raise ValueError("the fft rule applies to the gabor case only")
-        vals = _gamma_fft(atom, alpha, xi_grid)
+        vals = _gamma_fft(atom, scaled, xi_grid)
     else:
-        vals, abserr = _gamma_adaptive(atom, alpha, xs)
-    finite = np.isfinite(vals)
-    if not np.all(finite):
+        vals, abserr = _gamma_adaptive(atom, scaled, xi_grid.samples)
+        abserr = math.ldexp(abserr, e)
+    _ldexp(vals, e)
+    if not np.all(np.isfinite(vals)):
         raise ValueError(f"gamma for {alpha.descriptor} is not finite on the grid")
     # a symbol with a sup bound gives a bounded operator (||H_a|| <= sup|a|),
     # and the check below holds gamma to that bound
@@ -232,33 +234,11 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
     return gf
 
 
-def _gamma_grid(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
-    """The grid rule: ``Fibers.power_sums`` of the symbol's samples (finite,
-    ``Symbol1D.sample``) and the measure weights.  Sums that are not finite
-    come of products that overflow, on a symbol near the largest float:
-    they are taken again with the samples scaled by a power of two below 1
-    (``_unit_scaled``), and the scale is given back, as in the fft rule.
-    Only then: scaling would round the subnormal products of a record's
-    far rows, so every sum that does not overflow keeps its bits."""
-    fib = atom.fibers(xi_grid.samples)
-    a_vals, w = alpha.sample(atom.g1.nodes), atom.g1.measure_weights
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = fib.power_sums(a_vals, w)
-    if not np.isfinite(vals).all():
-        scaled, e = _unit_scaled(a_vals)
-        vals = fib.power_sums(scaled, w)
-        _ldexp(vals, e)
-    return vals.astype(complex)
-
-
 def _gamma_fft(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
     """Grid rule evaluated by FFT convolution (gabor case).
 
     Requires the frequency grid to sit on the translation lattice; the sums
-    are then identical to the direct rule up to FFT rounding.  The symbol's
-    samples enter scaled by a power of two below 1 (``_unit_scaled``) and
-    the result takes the scale back, so the transforms' sums cannot
-    overflow on a symbol near the largest float.
+    are then identical to the direct rule up to FFT rounding.
     """
     g1 = atom.g1
     h = g1.step
@@ -270,7 +250,7 @@ def _gamma_fft(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
     o = int(round(off))
     if abs(off - o) > 1e-6:
         raise ValueError("fft rule needs the xi grid on the translation lattice")
-    a_vals, e = _unit_scaled(alpha.sample(g1.nodes))
+    a_vals = alpha.sample(g1.nodes)
     nq, nxi = g1.count, xi_grid.count
     dmin = o - (nq - 1)
     dmax = o + (nxi - 1) * stride
@@ -279,9 +259,7 @@ def _gamma_fft(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
     m = a_vals.size + prof.size - 1
     conv = np.fft.ifft(np.fft.fft(a_vals, m) * np.fft.fft(prof, m))
     idx = o + np.arange(nxi) * stride - dmin
-    vals = h * conv[idx]
-    _ldexp(vals, e)
-    return vals
+    return h * conv[idx]
 
 
 def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
@@ -413,7 +391,9 @@ def overlap_kernel(atom: Atom, xi_grid: LineGrid) -> OperatorMatrix:
 def weighted_overlap_kernel(atom: Atom, alpha: Symbol1D,
                             xi_grid: LineGrid) -> OperatorMatrix:
     """Symbol-weighted overlap kernel; its diagonal is the grid-rule gamma."""
-    w = atom.g1.measure_weights * alpha.sample(atom.g1.nodes)
+    scaled, e = alpha.unit_scaled()
+    w = atom.g1.measure_weights * scaled.sample(atom.g1.nodes)
     vals = _fiber_overlap(atom, w, xi_grid)
+    _ldexp(vals, e)
     return OperatorMatrix(xi_grid, vals, "weighted_overlap", atom.name,
                           alpha.descriptor, symbol_is_real=alpha.is_real)

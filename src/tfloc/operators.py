@@ -79,7 +79,7 @@ from .fields import _analysis_axis, _stream, axis2_sign, omega_side
 from .fourier import _sandwich, fourier
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport,
-                      _is_diagonal, _ldexp, _unit_scaled, gamma,
+                      _is_diagonal, _ldexp, gamma,
                       overlap_kernel, weighted_overlap_kernel)
 from .symbols import Symbol1D, SymbolSpec
 
@@ -147,7 +147,9 @@ def _lowrank_factors(a_field: np.ndarray):
     """
     K, n = a_field.shape
     rows = _hull(a_field.any(axis=1))
-    R, e = _unit_scaled(a_field[rows])
+    R = np.array(a_field[rows])
+    e = math.frexp(float(np.max(np.abs(R), initial=0.0)))[1]
+    _ldexp(R, -e)
     col_sq = _column_sq_norms(R)
     a_sq = float(col_sq.sum())
     qs, vs = [], []
@@ -309,12 +311,16 @@ def _compound(atom: Atom, spec: SymbolSpec,
 
     Entry [i, j] = K[i, j] * beta_hat(sigma*(xi_i - xi_j)) * step, with the
     case-dependent sigma and K the overlap kernel weighted by spec.alpha,
-    unweighted when the spec has none (alpha = 1, the integral route).
+    unweighted when the spec has none (alpha = 1, the integral route);
+    beta_hat is that of ``spec.beta.unit_scaled()``, times its 2^e.
     """
     kernel = (overlap_kernel(atom, xi_grid) if spec.alpha is None
               else weighted_overlap_kernel(atom, spec.alpha, xi_grid))
-    bh = _beta_hat_on_lattice(atom, spec.beta, xi_grid)
-    return OperatorMatrix(xi_grid, kernel.values * bh * xi_grid.step,
+    beta, e = spec.beta.unit_scaled()
+    vals = kernel.values * _beta_hat_on_lattice(atom, beta, xi_grid)
+    vals *= xi_grid.step
+    _ldexp(vals, e)
+    return OperatorMatrix(xi_grid, vals,
                           "integral" if spec.alpha is None else "pseudodiff",
                           atom.name, spec.descriptor,
                           symbol_is_real=spec.is_real)
@@ -367,14 +373,14 @@ def _lanczos_norm(A: np.ndarray) -> float | None:
     """Largest singular value of A, certified, or None for the SVD fall-back.
 
     Lanczos on H = A^H A scaled by 4^-e (2^e the ``frexp`` scale of
-    ||A v_0||, exact), with full reorthogonalization (classical Gram-Schmidt
-    applied twice) and a fixed seeded start vector v_0, so repeats are
-    bit-identical.  Step k gives the tridiagonal T_k = V_k^H H V_k; its top
-    eigenpair (theta, s) has the residual ||H y - theta y|| = beta_k |s_k|
-    (beta_k the next off-diagonal entry), so once beta_k |s_k| <=
-    ``NORM_RESIDUAL_TOL`` * theta an eigenvalue of H lies within that
-    distance of theta, and sqrt(theta) within half the tolerance, relative,
-    of a singular value.  A Ritz value never exceeds the largest eigenvalue,
+    max |A v_0|, exact, so no square in a norm overflows), with full
+    reorthogonalization (classical Gram-Schmidt applied twice) and a fixed
+    seeded start vector v_0, so repeats are bit-identical.  Step k gives
+    the tridiagonal T_k = V_k^H H V_k; its top eigenpair (theta, s) has the
+    residual ||H y - theta y|| = beta_k |s_k| (beta_k the next off-diagonal
+    entry), so once beta_k |s_k| <= ``NORM_RESIDUAL_TOL`` * theta an
+    eigenvalue of H lies within that distance of theta, and sqrt(theta)
+    within half the tolerance, relative, of a singular value.  A Ritz value never exceeds the largest eigenvalue,
     so the estimate never exceeds sigma_1 beyond rounding; it is sigma_1
     unless v_0 is nearly orthogonal to the top right singular space, which
     for a random start has small probability (Kuczynski & Wozniakowski
@@ -390,7 +396,7 @@ def _lanczos_norm(A: np.ndarray) -> float | None:
         v = v + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     u = A @ v
-    c = float(np.linalg.norm(u))
+    c = float(np.max(np.abs(u)))
     if not (0.0 < c < math.inf):
         return None
     e = math.frexp(c)[1]
@@ -508,14 +514,19 @@ def verify_equivalence(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid,
     norm_disc = operator_norm(direct.values - other.values) / dn if dn else 0.0
     hd = hausdorff_distance(direct_spec.values, spectrum(other).values)
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errs = []
     for _ in range(10):
         v = (rng.standard_normal(xi_grid.count)
              + 1j * rng.standard_normal(xi_grid.count))
         dv = direct.values @ v
+        diff = dv - other.values @ v
+        # scaled exactly, so no square in the norms overflows or underflows
+        e = math.frexp(float(np.max(np.abs(dv))))[1]
+        _ldexp(dv, -e)
+        _ldexp(diff, -e)
         ref = np.linalg.norm(dv)
-        err = np.linalg.norm(dv - other.values @ v) / (ref if ref else 1.0)
-        worst = max(worst, float(err))
+        errs.append(np.linalg.norm(diff) / (ref if ref else 1.0))
+    worst = float(np.max(errs))  # NaN (a product overflowed) is the worst
     passed = (norm_disc <= tolerance and hd <= tolerance * max(1.0, dn)
               and worst <= tolerance)
     return {"case": atom.case, "atom": atom.name, "symbol": spec.descriptor,

@@ -24,6 +24,10 @@ __all__ = ["Symbol1D", "SymbolSpec", "SymbolParseError", "parse_symbol"]
 
 _INF = float("inf")
 
+# Magnitudes below 2^960 are far from overflow (2^63 times one is finite);
+# a symbol bounded above it is carried scaled (``Symbol1D.unit_scaled``)
+OVERFLOW_MARGIN = 2.0 ** 960
+
 
 def format_number(x) -> str:
     """A descriptor's number: ``:g`` when it reads back as the same float, else
@@ -70,6 +74,17 @@ class Symbol1D:
         """The symbol's values at ``x``, or the ``ValueError`` of a symbol
         that is not finite there."""
         return _finite(np.asarray(self(x)), self.descriptor)
+
+    def unit_scaled(self) -> tuple["Symbol1D", int]:
+        """(self, 0), or above ``OVERFLOW_MARGIN`` the symbol times 2^-e,
+        bounded by 1, and e, the ``frexp`` exponent of ``sup_bound``."""
+        if self.sup_bound is None or not self.sup_bound > OVERFLOW_MARGIN:
+            return self, 0
+        e = math.frexp(self.sup_bound)[1]
+        fn, scale = self.fn, math.ldexp(1.0, -e)
+        return Symbol1D(lambda x: fn(x) * scale, self.descriptor,
+                        self.breakpoints, self.support, self.is_real,
+                        math.ldexp(self.sup_bound, -e)), e
 
     # -- constructors ---------------------------------------------------------
 

@@ -289,6 +289,14 @@ def test_cmd_symbol_near_the_largest_float(tmp_path, argv):
     assert np.max(np.abs(re / 1e307 - 1.0)) <= 1e-6
 
 
+def _complex_values(doc) -> np.ndarray:
+    """The complex values of a ``gamma``, ``kernel`` or ``spectrum`` JSON
+    output."""
+    if "values" in doc:
+        return np.array([v["re"] + 1j * v["im"] for v in doc["values"]])
+    return np.array(doc["re"]) + 1j * np.array(doc["im"])
+
+
 @pytest.mark.parametrize("argv", [("gamma", "--rule", "grid"),
                                   ("gamma", "--rule", "adaptive"),
                                   ("gamma", "--rule", "fft"),
@@ -298,26 +306,42 @@ def test_cmd_symbol_near_the_largest_float(tmp_path, argv):
                                   ("gamma", "--case", "wavelet",
                                    "--rule", "grid"),
                                   ("spectrum", "--case", "wavelet",
-                                   "--with-eigs", "--rule", "grid")],
+                                   "--with-eigs", "--rule", "grid"),
+                                  ("gamma", "--case", "wavelet", "--atom",
+                                   "shannon", "--rule", "adaptive"),
+                                  ("gamma", "--case", "wavelet", "--atom",
+                                   "haar", "--rule", "adaptive"),
+                                  ("gamma", "--atom", "rect",
+                                   "--rule", "adaptive"),
+                                  ("spectrum", "--case", "wavelet",
+                                   "--rule", "adaptive", "--with-eigs"),
+                                  ("kernel", "--case", "wavelet")],
                          ids=["gamma-grid", "gamma-adaptive", "gamma-fft",
                               "spectrum-eigs-grid", "spectrum-eigs-adaptive",
                               "wavelet-gamma-grid",
-                              "wavelet-spectrum-eigs-grid"])
+                              "wavelet-spectrum-eigs-grid",
+                              "shannon-gamma-adaptive", "haar-gamma-adaptive",
+                              "rect-gamma-adaptive",
+                              "wavelet-spectrum-eigs-adaptive",
+                              "wavelet-kernel"])
 def test_cmd_symbol_at_the_largest_float(tmp_path, argv):
-    # const:1e308: the direct operator's Hermitian part is halved before
-    # its sum, the adaptive error estimate times its panel's half width may
-    # overflow (that panel is bisected), with no warning, and the grid
-    # rule's power sums take the symbol scaled below 1
-    out = tmp_path / "o.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(*argv, "--symbol", "const:1e308", "--n", "64",
-                   "--format", "json", "--out", str(out)) == 0
-    doc = json.loads(out.read_text())
-    assert _all_finite(doc)
-    re = np.array(doc["re"] if argv[0] == "gamma"
-                  else [v["re"] for v in doc["values"]])
-    assert np.max(np.abs(re / 1e308 - 1.0)) <= 1e-6
+    # const:1e308 is above 2^960: every route runs on the symbol scaled by
+    # 2^-1024 and takes the scale back once, and the direct operator's
+    # Hermitian part is halved before its sum, so nothing overflows on the
+    # way and no warning is raised; the outputs are 1e308 times const:1's
+    outs = {}
+    for c in ("1", "1e308"):
+        out = tmp_path / f"o-{c}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv, "--symbol", f"const:{c}", "--n", "64",
+                       "--format", "json", "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        assert _all_finite(doc)
+        outs[c] = _complex_values(doc)
+    one = outs["1"]
+    assert np.max(np.abs(outs["1e308"] / 1e308 - one)) <= 1e-6 * np.max(
+        np.abs(one))
 
 
 @pytest.mark.parametrize("symbol", ["const:1e13", "const:1e308"])

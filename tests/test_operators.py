@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -803,6 +804,57 @@ def test_verify_reports_failure_without_raising(gaussian):
     spec = SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 1.0))
     rep = verify_equivalence(gaussian, spec, G128, 1e-16, seed=0)
     assert rep["pass"] is False  # rounding exceeds an absurd tolerance
+
+
+@pytest.mark.parametrize("c", [1e160, 1e300, 2.0 ** 1000])
+def test_verify_action_error_at_large_symbols(gaussian, c):
+    # the action check scales each product by a power of two before its
+    # norm, so c x bump reads the action error of 1 x bump; unscaled, the
+    # norms' squares overflow above ~1e154 and the check read 0
+    grid = _grid_for(gaussian, 64)
+    bump = Symbol1D.gaussian_bump(1.0)
+    ref = verify_equivalence(gaussian, SymbolSpec.separable(
+        Symbol1D.constant(1.0), bump), grid, 5e-3)
+    rep = verify_equivalence(gaussian, SymbolSpec.separable(
+        Symbol1D.constant(c), bump), grid, 5e-3)
+    assert rep["pass"] and ref["action_error_max"] > 0.0
+    assert rep["action_error_max"] == pytest.approx(
+        ref["action_error_max"], rel=1e-6)
+
+
+def test_verify_action_error_nan_fails(gaussian):
+    # at const:1e308 the products of the seeded vectors overflow, so the
+    # action errors are NaN: the worst error is NaN and the report fails
+    spec = SymbolSpec.first_variable(Symbol1D.constant(1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = verify_equivalence(gaussian, spec, _grid_for(gaussian, 64), 1e-3)
+    assert math.isnan(rep["action_error_max"]) and rep["pass"] is False
+    assert rep["norm_discrepancy"] <= 1e-3
+
+
+@pytest.mark.parametrize("c", [1e307, 1e308])
+def test_compound_routes_near_the_largest_float(gaussian, rect, shannon, haar,
+                                                c):
+    # the integral and compound-symbol routes and the weighted kernel run
+    # on the symbol scaled below 1 and take the scale back once: c times
+    # their const:1 result, with no warning
+    one, big, bump = (Symbol1D.constant(1.0), Symbol1D.constant(c),
+                      Symbol1D.gaussian_bump(1.0))
+    routes = {"integral": lambda a, g, s: build_integral(a, s, g),
+              "pseudodiff-alpha": lambda a, g, s: build_pseudodiff(a, s, bump,
+                                                                   g),
+              "pseudodiff-beta": lambda a, g, s: build_pseudodiff(a, bump, s,
+                                                                  g),
+              "weighted": lambda a, g, s: weighted_overlap_kernel(a, s, g)}
+    for atom in (gaussian, rect, shannon, haar):
+        grid = _grid_for(atom, 64)
+        for name, route in routes.items():
+            ref = route(atom, grid, one).values
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = route(atom, grid, big).values
+            rel = np.max(np.abs(got / c - ref)) / np.max(np.abs(ref))
+            assert rel <= 1e-13, (atom.name, name, rel)
 
 
 @pytest.mark.parametrize("kind,builder", [("first", "multiplication"),

@@ -191,9 +191,9 @@ def test_gamma_flags_overflow_as_unbounded(shannon):
 
 def test_gamma_grid_keeps_the_bits_of_the_unscaled_power_sums(gaussian,
                                                               shannon):
-    # symbols between 1 and the overflow range enter the power sums as they
-    # are: scaling them down by a power of two would round the subnormal
-    # products of the gaussian record's far rows on the wide window
+    # symbols bounded by 2^960 enter the power sums as they are: scaling
+    # them down by a power of two would round the subnormal products of the
+    # gaussian record's far rows on the wide window
     def bits(a):
         return np.ascontiguousarray(a).view(np.uint64)
 
@@ -201,8 +201,8 @@ def test_gamma_grid_keeps_the_bits_of_the_unscaled_power_sums(gaussian,
                        (gaussian, LineGrid.centered(32.0, 256)),
                        (shannon, WAVELET_GRID)):
         fib = atom.fibers(grid.samples)
-        for text in ("const:3", "const:1.5", "const:1e13",
-                     "indicator:-1,1"):
+        for text in ("const:3", "const:1.5", "const:1e13", "const:1e280",
+                     f"const:{2.0 ** 960!r}", "indicator:-1,1"):
             sym = parse_symbol(text)
             ref = fib.power_sums(sym.sample(atom.g1.nodes),
                                  atom.g1.measure_weights).astype(complex)
@@ -211,8 +211,9 @@ def test_gamma_grid_keeps_the_bits_of_the_unscaled_power_sums(gaussian,
 
 
 def test_gamma_grid_scales_only_a_symbol_that_overflows(shannon):
-    # const:1e308 overflows the unscaled products; the scaled sums are
-    # 1e308 times those of const:1 up to rounding, with no warning
+    # const:1e308 would overflow the unscaled products; the sums of the
+    # symbol scaled below 1 are 1e308 times those of const:1 up to
+    # rounding, with no warning
     one = gamma(shannon, Symbol1D.constant(1.0), WAVELET_GRID, rule="grid")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -220,6 +221,63 @@ def test_gamma_grid_scales_only_a_symbol_that_overflows(shannon):
                     rule="grid")
     assert np.all(np.isfinite(big.values))
     assert np.max(np.abs(big.values / 1e308 - one.values)) <= 1e-15
+
+
+def test_unit_scaled_symbol():
+    # at or below 2^960, and with no bound, the symbol itself; above it the
+    # symbol times 2^-e, e the frexp exponent of the bound, with the same
+    # metadata
+    for sym in (Symbol1D.constant(2.0 ** 960), Symbol1D.power(2.0),
+                Symbol1D.indicator(-1.0, 1.0)):
+        assert sym.unit_scaled() == (sym, 0)
+    x = np.linspace(-3.0, 3.0, 7)
+    for c in (1e300, 2.0 ** 1000, 1e308, -1e308j):
+        sym = Symbol1D.constant(c)
+        scaled, e = sym.unit_scaled()
+        assert e == math.frexp(abs(c))[1]
+        assert 0.5 <= scaled.sup_bound < 1.0
+        assert np.array_equal(scaled(x), sym(x) * 2.0 ** -e)
+        assert (scaled.descriptor, scaled.is_real) == (sym.descriptor,
+                                                       sym.is_real)
+    piece = Symbol1D.piecewise([[(-1.0, 2.0)]], [1e300])
+    scaled, e = piece.unit_scaled()
+    assert (scaled.breakpoints, scaled.support) == (piece.breakpoints,
+                                                    piece.support)
+
+
+def test_gamma_of_a_scaled_symbol_keeps_the_bits(rect, shannon):
+    # the grid and fft rules of const:2^1000 run on const:0.5 and take
+    # 2^1001 back: on records with no subnormal product every step scales
+    # exactly, so the result is 2^1000 times gamma of const:1, bit for bit
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    one, big = Symbol1D.constant(1.0), Symbol1D.constant(2.0 ** 1000)
+    for atom, grid, rule in ((rect, default_operator_grid("gabor", 64), "grid"),
+                             (rect, default_operator_grid("gabor", 64), "fft"),
+                             (rect, GABOR_GRID, "fft"),
+                             (shannon, WAVELET_GRID, "grid")):
+        ref = gamma(atom, one, grid, rule=rule).values
+        got = gamma(atom, big, grid, rule=rule).values
+        ref = np.ldexp(ref.view(float), 1000).view(complex)
+        assert np.array_equal(bits(got), bits(ref)), (atom.name, rule)
+
+
+@pytest.mark.parametrize("c", [1e307, 1e308])
+def test_gamma_adaptive_near_the_largest_float(gaussian, rect, shannon, haar,
+                                               c):
+    # the adaptive rule integrates the symbol scaled below 1, and its
+    # values and error estimate take the scale back, with no warning
+    for atom in (gaussian, rect, shannon, haar):
+        grid = default_operator_grid(atom.case, 64)
+        one = gamma(atom, Symbol1D.constant(1.0), grid, rule="adaptive")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = gamma(atom, Symbol1D.constant(c), grid, rule="adaptive")
+        rel = np.max(np.abs(big.values / c - one.values)) / np.max(
+            np.abs(one.values))
+        assert rel <= 1e-10, (atom.name, rel)
+        assert math.isfinite(big.abserr) and big.abserr <= c * 1e-10
 
 
 def test_gamma_self_checks_are_relative_to_the_scale(gaussian):
