@@ -144,17 +144,21 @@ def commutator_diagnostics(atom: Atom, pool, xi_grid: LineGrid) -> dict:
 
     Builds each pool symbol's direct matrix and operator norm once and
     returns ``{(i, j): ||[A_i, A_j]|| / (||A_i|| ||A_j||)}`` for i < j; the
-    operators commute, so each value is 0 where the direct matrices are
-    exactly diagonal (the default windows) and at rounding level elsewhere.
+    operators commute, so each value is at rounding level.  Two diagonal
+    matrices (the default windows) commute exactly, a_k b_k == b_k a_k in
+    IEEE arithmetic, so their value is read off as 0 with no product.
     """
     mats = [build_direct(atom, SymbolSpec.first_variable(alpha), xi_grid)
             for alpha in pool]
     norms = [operator_norm(M) for M in mats]
     out = {}
     for i, j in itertools.combinations(range(len(pool)), 2):
-        A, B = mats[i].values, mats[j].values
         scale = norms[i] * norms[j]
-        out[i, j] = operator_norm(A @ B - B @ A) / scale if scale else 0.0
+        if not scale or mats[i].is_diagonal and mats[j].is_diagonal:
+            out[i, j] = 0.0
+            continue
+        A, B = mats[i].values, mats[j].values
+        out[i, j] = operator_norm(A @ B - B @ A) / scale
     return out
 
 

@@ -44,10 +44,13 @@ eigenvalue Hausdorff distance and action on random vectors.
 The sandwich's phases are exact at quarter turns (``fourier._cis``), and
 on the builders' grids every phase is +-1: the lag generator of a row that
 is constant in s is then an exact delta, so a first-variable direct matrix
-has no nonzero off-diagonal entry.  Diagonal matrices are read off, with no
-solver: ``spectrum`` takes the sorted diagonal and ``operator_norm`` the
-largest diagonal modulus, which covers the cto1 differences, the
-commutators and the linear combinations of first-variable operators.
+has no nonzero off-diagonal entry.  What a diagonal matrix or a real
+spectrum gives is read off, with no dense product or solver: spectrum
+(sorted diagonal), norm (largest diagonal modulus), commutator of a
+diagonal pair (0), action check of a diagonal pair (elementwise), the
+``verify algebra`` tau-isometry (sums of diagonals) and the Hausdorff
+distance of real spectra (sorted neighbours).  Non-diagonal matrices and
+complex spectra keep the dense paths: odd n, off-centre windows, cto2/cto3.
 
 ``operator_norm`` takes the largest singular value of a matrix flagged
 Hermitian from its eigenvalues, and of any other non-diagonal matrix from
@@ -480,11 +483,30 @@ def spectrum(M: OperatorMatrix) -> SpectrumReport:
 
 
 def hausdorff_distance(a, b) -> float:
-    """Hausdorff distance between two finite complex multisets."""
+    """Hausdorff distance between two finite complex multisets.
+
+    Two real multisets (zero imaginary parts) skip the n x m table: fl(x - y)
+    is monotone in y, since rounding is, so the nearest points below and
+    above x in the other set, sorted, give the table's row minimum bit for
+    bit.  A NaN entry gives NaN, as the table does.
+    """
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
-    d = np.abs(a[:, None] - b[None, :])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    if not (a.size and b.size):
+        raise ValueError("the Hausdorff distance of an empty multiset is "
+                         "undefined")
+    if a.imag.any() or b.imag.any():
+        d = np.abs(a[:, None] - b[None, :])
+        return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+    def farthest(x, y):
+        # the largest distance of a point of x to the sorted y
+        k = np.searchsorted(y, x)
+        return np.max(np.minimum(np.abs(x - y[np.maximum(k - 1, 0)]),
+                                 np.abs(x - y[np.minimum(k, len(y) - 1)])))
+
+    a, b = np.sort(a.real), np.sort(b.real)
+    return float(np.maximum(farthest(a, b), farthest(b, a)))
 
 
 def verify_equivalence(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid,
@@ -513,13 +535,17 @@ def verify_equivalence(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid,
     dn = direct_spec.norm_estimate
     norm_disc = operator_norm(direct.values - other.values) / dn if dn else 0.0
     hd = hausdorff_distance(direct_spec.values, spectrum(other).values)
+    # a diagonal pair acts entry by entry: the matvecs' other terms are +-0
+    A, B = (M.values.diagonal() if direct.is_diagonal and other.is_diagonal
+            else M.values for M in (direct, other))
+    apply = np.multiply if A.ndim == 1 else np.matmul
     rng = np.random.default_rng(seed)
     errs = []
     for _ in range(10):
         v = (rng.standard_normal(xi_grid.count)
              + 1j * rng.standard_normal(xi_grid.count))
-        dv = direct.values @ v
-        diff = dv - other.values @ v
+        dv = apply(A, v)
+        diff = dv - apply(B, v)
         # scaled exactly, so no square in the norms overflows or underflows
         e = math.frexp(float(np.max(np.abs(dv))))[1]
         _ldexp(dv, -e)
@@ -591,11 +617,23 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
 
     def slow_path():
         # both transforms and the mask for every symbol kind: the fast
-        # path's gamma is the oracle this route is compared against
+        # path's gamma is the oracle this route is compared against.  The
+        # mask takes the factors' ``Symbol1D.unit_scaled`` (a general spec
+        # has none) and their 2^e comes back once on the result
+        (alpha, ea), (beta, eb) = (p.unit_scaled() if p is not None
+                                   else (None, 0)
+                                   for p in (spec.alpha, spec.beta))
+        e = ea + eb
+        masked = SymbolSpec(spec.kind, alpha, beta) if e else spec
         g2 = _analysis_axis(atom.case, f.grid)
-        g = SampledFunction(h.grid, _stream(atom, g2, h=h, spec=spec,
-                                            out_grid=h.grid))
-        return omega_side(atom.case, g, back_to=f.grid)
+        vals = _stream(atom, g2, h=h, spec=masked, out_grid=h.grid)
+        with np.errstate(over="ignore"):
+            _ldexp(vals, e)
+        if not np.isfinite(vals.view(float)).all():
+            raise ValueError(f"the filtered signal of {spec.descriptor} "
+                             "overflows the float range")
+        return omega_side(atom.case, SampledFunction(h.grid, vals),
+                          back_to=f.grid)
 
     def fast_path():
         gf = gamma(atom, spec.alpha, h.grid, rule="grid")
@@ -607,7 +645,13 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
     if method == "fast":
         return fast_path(), coverage
     fast, slow = fast_path(), slow_path()
-    ref = slow.norm()
-    dev = math.sqrt(np.sum(np.abs(fast.values - slow.values) ** 2)
+    # both scaled exactly by 2^-e, 2^e the frexp scale of the slow output's
+    # largest component, so no difference or square overflows
+    fv, sv = (np.array(g.values, dtype=complex) for g in (fast, slow))
+    e = math.frexp(float(np.max(np.abs(sv.view(float)))))[1]
+    _ldexp(fv, -e)
+    _ldexp(sv, -e)
+    ref = SampledFunction(f.grid, sv).norm()
+    dev = math.sqrt(np.sum(np.abs(fv - sv) ** 2)
                     * f.grid.step) / (ref if ref else 1.0)
     return fast, slow, dev, coverage

@@ -15,6 +15,7 @@ from tfloc.cli import main
 from tfloc.fields import random_bandlimited
 from tfloc.grids import LineGrid, SampledFunction
 from tfloc.io import read_signal_csv, sidecar_path, write_signal_csv
+from tfloc.symbols import SymbolSpec
 
 
 def run(*argv) -> int:
@@ -418,6 +419,34 @@ def test_cmd_verify_algebra_runs_at_n(tmp_path):
     assert json.loads(open(out).read())["N"] == 288
 
 
+@pytest.mark.parametrize("case", ["gabor", "wavelet"])
+@pytest.mark.parametrize("n, seed", [(64, 0), (128, 7)])
+def test_cmd_verify_algebra_tau_isometry_is_the_dense_sum(tmp_path, case, n,
+                                                          seed):
+    # the suite combines the diagonal pieces on their diagonals; the norms
+    # of the n x n combinations give the same value bit for bit
+    out = str(tmp_path / "a.json")
+    assert run("verify", "algebra", "--case", case, "--n", str(n),
+               "--seed", str(seed), "--out", out) == 0
+    atom = make_atom(case, cli.DEFAULT_ATOM[case])
+    grid = operators.default_operator_grid(case, n)
+    part = Partition(atom, cli.DEFAULT_CUTS[case])
+    cloud = partition_gammas(atom, part, grid)
+    basis = [operators.build_direct(atom, SymbolSpec.first_variable(ind),
+                                    grid).values
+             for ind in part.indicator_symbols()]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(5):
+        coeffs = rng.standard_normal(part.m) + 1j * rng.standard_normal(part.m)
+        sup = np.max(np.abs(cloud.points @ coeffs))
+        nm = operators.operator_norm(sum(c * M for c, M in zip(coeffs,
+                                                               basis)))
+        worst = max(worst, abs(sup - nm) / nm)
+    rep = json.loads(open(out).read())
+    assert rep["tau_isometry_rel_max"] == worst
+
+
 def test_cmd_verify_exit_code_contract(tmp_path):
     # report always written; exit code mirrors the pass flag
     out = str(tmp_path / "v.json")
@@ -524,6 +553,30 @@ def test_cmd_filter_identity_compare(tmp_path, signal_csv):
     g = read_signal_csv(out)
     rel = np.linalg.norm(g.values - f.values) / np.linalg.norm(f.values)
     assert rel <= 2e-3
+
+
+@pytest.mark.parametrize("case", ["gabor", "wavelet"])
+def test_cmd_filter_slow_near_the_largest_float(tmp_path, signal_csv, case):
+    # const:1e307 runs the slow mask as 2^e times a symbol bounded by 1:
+    # slow and --compare exit 0 with no warning, and the slow output is
+    # 1e307 times const:1's
+    outs = {}
+    for c in ("1", "1e307"):
+        for method in (("--method", "slow"), ("--compare",)):
+            out = str(tmp_path / f"{c}{method[0]}.csv")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run("filter", "--case", case, *method, "--symbol",
+                           f"const:{c}", "--input", signal_csv,
+                           "--out", out) == 0
+            if method[0] == "--compare":
+                meta = json.loads(open(sidecar_path(out)).read())
+                assert meta["relative_deviation"] <= 1e-9
+            else:
+                outs[c] = read_signal_csv(out).values
+    one = outs["1"]
+    assert np.max(np.abs(outs["1e307"] / 1e307 - one)) <= 1e-12 * np.max(
+        np.abs(one))
 
 
 def test_cmd_filter_chirp_band_contracts_energy(tmp_path):

@@ -14,7 +14,7 @@ from tfloc.fields import PhasePlaneField, axis2_sign
 from tfloc.fourier import fourier
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid
 from tfloc.kernels import GammaFunction, gamma
-from tfloc.operators import OperatorMatrix, filter_signal
+from tfloc.operators import OperatorMatrix, filter_signal, hausdorff_distance
 from tfloc.symbols import Symbol1D, SymbolSpec
 
 G2 = LineGrid(0.0, 1.0, 2)
@@ -49,6 +49,10 @@ CHECKS = {
     "operator-real-symbol-not-hermitian": (
         lambda s, g: _operator([[0.0, 1.0], [0.0, 0.0]], symbol_is_real=True),
         ValueError, "real symbol produced a non-Hermitian matrix (dev 1.00e+00)"),
+    "hausdorff-empty": (
+        lambda s, g: hausdorff_distance([1.0, 2.0], []),
+        ValueError, "the Hausdorff distance of an empty multiset is "
+                    "undefined"),
     "gamma-rule": (
         lambda s, g: gamma(g, Symbol1D.constant(1.0), G4, rule="nosuch"),
         ValueError, "unknown rule 'nosuch'"),

@@ -14,7 +14,7 @@ from tfloc.cli import EQUIVALENCE_SYMBOLS
 from tfloc.fields import omega_side, random_bandlimited
 from tfloc.fourier import _sandwich, fourier
 from tfloc.grids import LineGrid, SampledFunction, induced_grid
-from tfloc.kernels import (gamma, overlap_kernel, spectrum_from_gamma,
+from tfloc.kernels import (_ldexp, gamma, overlap_kernel, spectrum_from_gamma,
                            weighted_overlap_kernel)
 from tfloc.operators import (LOWRANK_TAIL, OperatorMatrix, _add_lag_product,
                              _beta_hat_on_lattice, _hermitian_eigvals,
@@ -1114,20 +1114,110 @@ def test_verify_runs_without_the_svd(gaussian, shannon, case, no_svd):
         assert rep["pass"], (suite, rep)
 
 
+# the symbol pools of the ``verify algebra`` suite
+ALGEBRA_POOLS = {
+    "gabor": [Symbol1D.indicator(-1.0, 1.0),
+              Symbol1D.indicator(float("-inf"), 0.0),
+              Symbol1D.smooth_step(4.0), Symbol1D.gaussian_bump(8.0)],
+    "wavelet": [Symbol1D.indicator(1.0, 2.0),
+                Symbol1D.indicator(0.5, 8.0),
+                Symbol1D.smooth_step(8.0, log2_axis=True),
+                Symbol1D.constant(0.5)],
+}
+
+
 def test_commutators_run_without_the_svd(gaussian, shannon, no_svd):
-    pools = {
-        "gabor": [Symbol1D.indicator(-1.0, 1.0),
-                  Symbol1D.indicator(float("-inf"), 0.0),
-                  Symbol1D.smooth_step(4.0), Symbol1D.gaussian_bump(8.0)],
-        "wavelet": [Symbol1D.indicator(1.0, 2.0),
-                    Symbol1D.indicator(0.5, 8.0),
-                    Symbol1D.smooth_step(8.0, log2_axis=True),
-                    Symbol1D.constant(0.5)],
-    }
     for atom in (gaussian, shannon):
-        rel = commutator_diagnostics(atom, pools[atom.case],
+        rel = commutator_diagnostics(atom, ALGEBRA_POOLS[atom.case],
                                      _grid_for(atom, 128))
         assert len(rel) == 6 and max(rel.values()) <= 1e-12, atom.name
+
+
+def _dense_commutators(atom, pool, grid):
+    """||AB - BA|| / (||A|| ||B||) of every pair, from dense products and
+    SVDs."""
+    mats = [build_direct(atom, SymbolSpec.first_variable(a), grid).values
+            for a in pool]
+    norms = [np.linalg.norm(A, 2) for A in mats]
+    return {(i, j): np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i], 2)
+            / (norms[i] * norms[j])
+            for i in range(len(pool)) for j in range(i + 1, len(pool))}
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_diagonal_commutators_are_read_off_as_zero(gaussian, rect, shannon,
+                                                   haar, n, monkeypatch):
+    # on the default windows every pool matrix is diagonal: the pairs'
+    # commutators are exactly 0, read off with no product and no norm
+    for atom in (gaussian, rect, shannon, haar):
+        grid = _grid_for(atom, n)
+        dense = _dense_commutators(atom, ALGEBRA_POOLS[atom.case], grid)
+        assert set(dense.values()) == {0.0}, atom.name
+        calls = []
+        monkeypatch.setattr("tfloc.algebra.operator_norm",
+                            lambda M: calls.append(M) or operator_norm(M))
+        rel = commutator_diagnostics(atom, ALGEBRA_POOLS[atom.case], grid)
+        monkeypatch.undo()
+        assert rel == dict.fromkeys(dense, 0.0), atom.name
+        assert len(calls) == 4  # the pool's own norms
+
+
+@pytest.mark.parametrize("case, lo, hi, n", [("wavelet", 0.3, 3.7, 63),
+                                             ("gabor", -3.0, 5.0, 65)])
+def test_commutators_off_the_lattice_take_the_dense_products(
+        gaussian, rect, shannon, haar, case, lo, hi, n):
+    # odd n on an off-centre window: the pool matrices are not diagonal,
+    # and each commutator is the dense formula, at rounding level
+    grid = LineGrid(lo, (hi - lo) / n, n)
+    atoms = (gaussian, rect) if case == "gabor" else (shannon, haar)
+    for atom in atoms:
+        pool = ALGEBRA_POOLS[case]
+        assert not any(build_direct(atom, SymbolSpec.first_variable(a),
+                                    grid).is_diagonal for a in pool)
+        rel = commutator_diagnostics(atom, pool, grid)
+        dense = _dense_commutators(atom, pool, grid)
+        assert rel.keys() == dense.keys()
+        for key, value in rel.items():
+            assert 0.0 < value <= 1e-13, (atom.name, key, value)
+            assert value == pytest.approx(dense[key], rel=1e-12, abs=0.0)
+
+
+def _dense_action_error(direct, other, seed):
+    """The seeded action check of ``verify_equivalence`` with dense
+    matvecs."""
+    rng = np.random.default_rng(seed)
+    n = direct.values.shape[0]
+    errs = []
+    for _ in range(10):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        dv = direct.values @ v
+        errs.append(np.linalg.norm(dv - other.values @ v)
+                    / np.linalg.norm(dv))
+    return max(errs)
+
+
+@pytest.mark.parametrize("n", [64, 256, 512])
+def test_cto1_action_check_matches_the_dense_matvecs(gaussian, rect, shannon,
+                                                     haar, n):
+    # both cto1 matrices are diagonal, so the check multiplies entry by
+    # entry.  Real diagonals give the dense matvecs' bits: their other
+    # terms are +-0.  haar's direct diagonal carries imaginary parts of
+    # about 2e-17, which the elementwise and the BLAS complex products
+    # round differently, so its value agrees to a few eps
+    eps = np.finfo(float).eps
+    for atom in (gaussian, rect, shannon, haar):
+        spec = EQUIVALENCE_SYMBOLS["cto1", atom.case]
+        grid = _grid_for(atom, n)
+        direct = build_direct(atom, spec, grid)
+        other = build_multiplication(gamma(atom, spec.alpha, grid,
+                                           rule="grid"))
+        assert direct.is_diagonal and other.is_diagonal
+        rep = verify_equivalence(atom, spec, grid, 1e-3, seed=n)
+        dense = _dense_action_error(direct, other, n)
+        if atom is haar:
+            assert abs(rep["action_error_max"] - dense) <= 2 * eps
+        else:
+            assert rep["action_error_max"] == dense, atom.name
 
 
 @pytest.mark.parametrize("case", ["gabor", "wavelet"])
@@ -1178,6 +1268,46 @@ def test_hausdorff_distance_basics():
     assert hausdorff_distance([0.0, 1.0], [0.0, 1.0]) == 0.0
     assert abs(hausdorff_distance([0.0], [0.5, 3.0]) - 3.0) <= 1e-15
     assert abs(hausdorff_distance([0.0, 1.0], [0.25]) - 0.75) <= 1e-15
+
+
+def _table_hausdorff(a, b):
+    """The Hausdorff distance from the full table of |a_i - b_j|."""
+    d = np.abs(np.asarray(a, dtype=complex)[:, None]
+               - np.asarray(b, dtype=complex)[None, :])
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+_POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e300]),
+    st.floats(-1e300, 1e300),
+    st.builds(lambda m, e, s: s * m * 10.0 ** e, st.floats(1.0, 10.0),
+              st.integers(-300, 299), st.sampled_from([1.0, -1.0])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), a=st.lists(_POINTS, min_size=1, max_size=12))
+def test_hausdorff_of_real_sets_equals_the_table(data, a):
+    # the sorted neighbours give the table's value bit for bit: ties,
+    # duplicates, signed zeros, unequal lengths and length 1 included
+    b = data.draw(st.lists(st.one_of(_POINTS, st.sampled_from(a)),
+                           min_size=1, max_size=12))
+    ref = _table_hausdorff(a, b)
+    assert hausdorff_distance(a, b) == ref
+    assert hausdorff_distance(b, a) == ref
+    # an imaginary part equal to zero, of either sign, is a real set
+    assert hausdorff_distance(np.array(a) - 0j, b) == ref
+
+
+def test_hausdorff_distance_with_nan_is_nan():
+    for a, b in [([0.0, np.nan], [1.0]), ([1.0], [np.nan, 0.0, 2.0]),
+                 ([np.nan], [np.nan]), ([1j, np.nan], [0.0])]:
+        assert math.isnan(hausdorff_distance(a, b)), (a, b)
+        assert math.isnan(hausdorff_distance(b, a)), (a, b)
+
+
+def test_hausdorff_of_complex_sets_uses_the_table():
+    a, b = [0.0, 1 + 1j, -2j], [1.0, 1e-3j]
+    assert hausdorff_distance(a, b) == _table_hausdorff(a, b) == abs(-2j - 1e-3j)
 
 
 # -- signal filtering --------------------------------------------------------------------
@@ -1252,6 +1382,39 @@ def test_filter_scale_band_attenuates_as_fast_path_predicts(shannon):
     xs = np.abs(fh.grid.samples)
     kill = (xs < 0.5 - 1e-9) | (xs > 2.0 + 1e-9)
     assert np.max(np.abs(oh.values[kill])) <= 5e-3
+
+
+@pytest.mark.parametrize("kind", ["first", "second", "separable"])
+def test_filter_slow_scales_near_overflow_symbols(gaussian, shannon, kind):
+    # a factor above 2^960 masks as 2^e times a factor bounded by 1, and the
+    # 2^e comes back once on the result: c times the const:1 output.  A
+    # result past the largest float raises, and 2^959 keeps its bits
+    def spec(c):
+        one = Symbol1D.gaussian_bump(1.0)
+        return {"first": SymbolSpec.first_variable(Symbol1D.constant(c)),
+                "second": SymbolSpec.second_variable(Symbol1D.constant(c)),
+                "separable": SymbolSpec.separable(Symbol1D.constant(c),
+                                                  one)}[kind]
+
+    f = random_bandlimited(LineGrid.centered(8.0, 256), seed=3)
+    for atom in (gaussian, shannon):
+        one, _ = filter_signal(atom, spec(1.0), f, method="slow")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big, _ = filter_signal(atom, spec(1e307), f, method="slow")
+            with pytest.raises(ValueError, match="overflows the float range"):
+                filter_signal(atom, spec(1e307), SampledFunction(
+                    f.grid, 1e10 * f.values), method="slow")
+        assert np.max(np.abs(big.values / 1e307 - one.values)) <= 1e-12 * \
+            np.max(np.abs(one.values))
+        below, _ = filter_signal(atom, spec(2.0 ** 959), f, method="slow")
+        assert np.array_equal(below.values, _ldexp_copy(one.values, 959))
+
+
+def _ldexp_copy(values, e):
+    out = np.array(values)
+    _ldexp(out, e)
+    return out
 
 
 def test_filter_fast_rejects_non_first_variable(gaussian):
