@@ -125,7 +125,9 @@ class OperatorMatrix:
 
     ``is_diagonal`` is True when no off-diagonal entry is nonzero; the
     checks here, ``spectrum`` and ``operator_norm`` then read the diagonal
-    alone.  ``lowrank_rank``, ``lowrank_tail`` and ``gram_rows`` are set by
+    alone.  ``is_real`` is True when no entry has a nonzero imaginary part;
+    ``spectrum`` and ``operator_norm`` then run in real arithmetic.
+    ``lowrank_rank``, ``lowrank_tail`` and ``gram_rows`` are set by
     ``build_direct``: the rank of the symbol-field factorization it
     assembled from, the Frobenius tail it dropped, relative to the field's
     norm, and the most first-coordinate rows any rank's Gram product ran
@@ -147,6 +149,7 @@ class OperatorMatrix:
         read = values.diagonal() if self.is_diagonal else values
         if not np.all(np.isfinite(read)):
             raise ValueError("operator contains non-finite entries")
+        self.is_real = not read.imag.any()
         scale = float(np.max(np.abs(read))) or 1.0
         # max |M - M^H|, a block of rows at a time: no n x n temporary
         dev = max(float(np.max(np.abs(read[rows] - read[..., rows].conj().T)))

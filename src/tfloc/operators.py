@@ -51,6 +51,11 @@ diagonal pair (0), action check of a diagonal pair (elementwise), the
 ``verify algebra`` tau-isometry (sums of diagonals) and the Hausdorff
 distance of real spectra (sorted neighbours).  Non-diagonal matrices and
 complex spectra keep the dense paths: odd n, off-centre windows, cto2/cto3.
+Both routes take the transform of a row that is real and even mod n as
+real (``_Sandwich.real_where_even``): with a real symbol even in s on a
+real record and the builders' grids, the matrix is exactly real
+(``OperatorMatrix.is_real``), and an exactly real Hermitian matrix goes to
+the real symmetric solver.
 
 ``operator_norm`` takes the largest singular value of a matrix flagged
 Hermitian from its eigenvalues, and of any other non-diagonal matrix from
@@ -79,7 +84,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .atoms import Atom, _hull, _row_blocks
 from .fields import _analysis_axis, _stream, axis2_sign, omega_side
-from .fourier import _sandwich, fourier
+from .fourier import _sandwich
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport,
                       _is_diagonal, _ldexp, gamma,
@@ -225,7 +230,7 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     w = atom.g1.measure_weights
     # row r: the generator c_r, lag (m - n//2) * xi_grid.step at entry m
     lags = _sandwich(s_grid, axis2_sign(atom.case, "forward"),
-                     induced_grid(s_grid))(V)
+                     induced_grid(s_grid)).real_where_even(V)
     lags *= xi_grid.step
     M = np.zeros((n, n), dtype=complex)
     gram_rows = 0
@@ -303,9 +308,10 @@ def _beta_hat_on_lattice(atom: Atom, beta: Symbol1D,
     s_grid = induced_grid(xi_grid)
     count, step = s_grid.count * 4, s_grid.step / 4
     bg = LineGrid(-(count // 2) * step, step, count)
-    bhat = fourier(SampledFunction(bg, beta.sample(bg.samples)), "forward")
+    bhat = _sandwich(bg, "forward", induced_grid(bg)).real_where_even(
+        beta.sample(bg.samples)[None, :])[0]
     n = xi_grid.count
-    return _lag_table(bhat.values, 2 * n, case_sign(atom.case), n)
+    return _lag_table(bhat, 2 * n, case_sign(atom.case), n)
 
 
 def _compound(atom: Atom, spec: SymbolSpec,
@@ -353,14 +359,16 @@ def _hermitian_eigvals(M: OperatorMatrix) -> np.ndarray:
     """Eigenvalues of the symmetrized matrix H = (M + M^H) / 2, ascending:
     ``eigvalsh`` of H, or for a diagonal M the sorted real diagonal of H
     (what ``eigvalsh`` returns for it), taken from M's own diagonal entry
-    by entry as H would hold it, without forming H."""
+    by entry as H would hold it, without forming H.  An exactly real M
+    forms H, the complex H's real part, in real arithmetic, and takes the
+    real symmetric solver."""
     # halved before the sum, so entries near the largest float cannot
     # overflow it
     if M.is_diagonal:
         d = 0.5 * M.values.diagonal()
         d += d.conj()
         return np.sort(d.real)
-    H = 0.5 * M.values
+    H = 0.5 * (M.values.real if M.is_real else M.values)
     H += H.conj().T
     return np.linalg.eigvalsh(H)
 
@@ -437,17 +445,21 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
     the symmetrized matrix, as in ``spectrum``.  A diagonal array (no
     nonzero off-diagonal entry) has it read off exactly as max |d_i|.
     Otherwise it is the certified Lanczos estimate of ``_lanczos_norm``, or
-    the dense SVD's sigma_1 where that has no certificate.
+    the dense SVD's sigma_1 where that has no certificate, both on the real
+    part alone when no entry has a nonzero imaginary part.
     """
     if isinstance(M, OperatorMatrix):
         if M.is_hermitian:
             return float(np.max(np.abs(_hermitian_eigvals(M))))
-        vals, diagonal = M.values, M.is_diagonal
+        vals, diagonal, real = M.values, M.is_diagonal, M.is_real
     else:
         vals = np.asarray(M)
         diagonal = _is_diagonal(vals)
+        real = not (np.iscomplexobj(vals) and vals.imag.any())
     if diagonal:
         return float(np.max(np.abs(vals.diagonal())))
+    if real:
+        vals = np.ascontiguousarray(vals.real)
     est = _lanczos_norm(vals)
     if est is not None:
         return est
@@ -591,7 +603,9 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
     ``atoms._BLOCK_ROWS`` rows of the field and of the mask, never the
     K x N field or mask; its output has the bits of ``bargmann`` of the
     whole masked field.  fast: first-variable symbols only; h times the
-    grid-rule gamma on h's grid.
+    grid-rule gamma on h's grid.  Both mask with ``Symbol1D.unit_scaled``
+    factors and give their 2^e back once; an output past the largest
+    float raises ``ValueError``.
 
     Both paths read the atom's fiber record on h's grid (``Atom.fibers``),
     so a call builds at most one fiber matrix.  A signal whose fiber
@@ -615,18 +629,8 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
             f"{MIN_FIBER_COVERAGE:g}: the signal lies outside the atom's "
             f"first-coordinate range, {_first_coordinate_range(atom.g1)}")
 
-    def slow_path():
-        # both transforms and the mask for every symbol kind: the fast
-        # path's gamma is the oracle this route is compared against.  The
-        # mask takes the factors' ``Symbol1D.unit_scaled`` (a general spec
-        # has none) and their 2^e comes back once on the result
-        (alpha, ea), (beta, eb) = (p.unit_scaled() if p is not None
-                                   else (None, 0)
-                                   for p in (spec.alpha, spec.beta))
-        e = ea + eb
-        masked = SymbolSpec(spec.kind, alpha, beta) if e else spec
-        g2 = _analysis_axis(atom.case, f.grid)
-        vals = _stream(atom, g2, h=h, spec=masked, out_grid=h.grid)
+    def scaled_back(vals, e):
+        # the output of a symbol scaled by 2^-e: 2^e comes back once
         with np.errstate(over="ignore"):
             _ldexp(vals, e)
         if not np.isfinite(vals.view(float)).all():
@@ -635,10 +639,24 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
         return omega_side(atom.case, SampledFunction(h.grid, vals),
                           back_to=f.grid)
 
+    def slow_path():
+        # both transforms and the mask for every symbol kind: the fast
+        # path's gamma is the oracle this route is compared against.  The
+        # mask takes the factors' ``Symbol1D.unit_scaled`` (a general spec
+        # has none)
+        (alpha, ea), (beta, eb) = (p.unit_scaled() if p is not None
+                                   else (None, 0)
+                                   for p in (spec.alpha, spec.beta))
+        e = ea + eb
+        masked = SymbolSpec(spec.kind, alpha, beta) if e else spec
+        g2 = _analysis_axis(atom.case, f.grid)
+        return scaled_back(_stream(atom, g2, h=h, spec=masked,
+                                   out_grid=h.grid), e)
+
     def fast_path():
-        gf = gamma(atom, spec.alpha, h.grid, rule="grid")
-        g = SampledFunction(h.grid, h.values * gf.values)
-        return omega_side(atom.case, g, back_to=f.grid)
+        alpha, e = spec.alpha.unit_scaled()
+        gf = gamma(atom, alpha, h.grid, rule="grid")
+        return scaled_back(h.values * gf.values, e)
 
     if method == "slow":
         return slow_path(), coverage

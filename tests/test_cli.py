@@ -579,6 +579,31 @@ def test_cmd_filter_slow_near_the_largest_float(tmp_path, signal_csv, case):
         np.abs(one))
 
 
+def test_cmd_filter_fast_at_the_largest_float(tmp_path, capsys):
+    # the fast path multiplies by the gamma of the symbol scaled below 1 and
+    # gives 2^e back once, with no warning: gabor's output stays finite, and
+    # the wavelet's, past the largest float, exits 2 with the slow path's
+    # message (64 samples of exp(-pi x^2 / 4) on [-8, 8))
+    x = (np.arange(64) - 32) / 4
+    path = str(tmp_path / "sig.csv")
+    write_signal_csv(path, SampledFunction(LineGrid.centered(8.0, 64),
+                                           np.exp(-np.pi * x ** 2 / 4)))
+    out = str(tmp_path / "f.csv")
+    for case, symbol, code in (("gabor", "const:1e308", 0),
+                               ("gabor", "const:1.7e308", 0),
+                               ("wavelet", "const:1e308", 2)):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("filter", "--case", case, "--method", "fast",
+                       "--symbol", symbol, "--input", path,
+                       "--out", out) == code, (case, symbol)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert "overflows the float range" in err
+
+
 def test_cmd_filter_chirp_band_contracts_energy(tmp_path):
     # chirp through the scale band: output energy strictly below input
     grid = LineGrid.centered(8.0, 1024)

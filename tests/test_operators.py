@@ -11,8 +11,8 @@ from scipy.special import gammainc
 from tfloc.algebra import commutator_diagnostics
 from tfloc.atoms import Fibers, make_atom
 from tfloc.cli import EQUIVALENCE_SYMBOLS
-from tfloc.fields import omega_side, random_bandlimited
-from tfloc.fourier import _sandwich, fourier
+from tfloc.fields import axis2_sign, omega_side, random_bandlimited
+from tfloc.fourier import _Sandwich, _sandwich, fourier
 from tfloc.grids import LineGrid, SampledFunction, induced_grid
 from tfloc.kernels import (_ldexp, gamma, overlap_kernel, spectrum_from_gamma,
                            weighted_overlap_kernel)
@@ -271,17 +271,13 @@ def test_direct_lag_generator_matches_batched_transform(atom_name, request):
 def test_build_direct_transforms_once_whatever_the_rank(gaussian, shannon,
                                                         monkeypatch):
     shapes = []
+    core = _Sandwich.core
 
-    def counted(*grids):
-        apply = _sandwich(*grids)
+    def counted(self, block):
+        shapes.append(block.shape)
+        return core(self, block)
 
-        def counted_apply(values):
-            shapes.append(values.shape)
-            return apply(values)
-
-        return counted_apply
-
-    monkeypatch.setattr("tfloc.operators._sandwich", counted)
+    monkeypatch.setattr(_Sandwich, "core", counted)
     for atom in (gaussian, shannon):
         grid = _grid_for(atom, 64)
         for kind, spec in _oracle_specs(atom.case).items():
@@ -721,8 +717,15 @@ def test_beta_hat_table_is_a_gather_of_the_transform(gaussian, shannon):
         for n in (64, 256):
             grid = _grid_for(atom, n)
             for beta in betas:
-                assert np.array_equal(_beta_hat_on_lattice(atom, beta, grid),
-                                      _beta_hat_interp(sign, beta, grid))
+                table = _beta_hat_on_lattice(atom, beta, grid)
+                ref = _beta_hat_interp(sign, beta, grid)
+                assert np.array_equal(table.real, ref.real)
+                # an even beta's transform is taken as real: every
+                # imaginary part is +0; the others keep the reference's
+                if beta is betas[-1]:
+                    assert np.array_equal(table.imag, ref.imag)
+                else:
+                    assert _all_plus_zero(table.imag)
         grid = LineGrid(-7.3, 0.07, 100)
         for beta in betas:
             ref = _beta_hat_interp(sign, beta, grid)
@@ -1310,6 +1313,195 @@ def test_hausdorff_of_complex_sets_uses_the_table():
     assert hausdorff_distance(a, b) == _table_hausdorff(a, b) == abs(-2j - 1e-3j)
 
 
+# -- real operators in real arithmetic ----------------------------------------------------
+
+# Rounding allowance c of c*n*eps*||A||, shared by two pins: the real and
+# the complex symmetric solver on one matrix, and the Weyl bound between
+# two matrices.  Measured at most 0.12 (real against complex solver, radial
+# sigma = 2 at n = 64) and 0.068 (Weyl, rect cto2 at n = 256).
+EIG_ROUNDING_C = 0.5
+
+
+def _radial_and_disk():
+    """The radial Gaussians e^{-pi (r^2 + s^2) / sigma^2}, sigma = 1 and 2,
+    and the disk of radius 2 (Daubechies 1988): even in s."""
+    return [SymbolSpec.general(
+        lambda r, s, s2=s2: np.exp(-np.pi * (r * r + s * s) / s2),
+        f"radial:{s2:g}") for s2 in (1.0, 4.0)] + [SymbolSpec.general(
+            lambda r, s: (r * r + s * s <= 4.0).astype(float), "disk:2")]
+
+
+def _specialized(atom, spec, grid):
+    """The route ``verify_equivalence`` compares the direct matrix with."""
+    if spec.kind == "first":
+        return build_multiplication(gamma(atom, spec.alpha, grid, rule="grid"))
+    if spec.kind == "second":
+        return build_integral(atom, spec.beta, grid)
+    return build_pseudodiff(atom, spec.alpha, spec.beta, grid)
+
+
+def _real_operators(gaussian, rect, shannon, n):
+    """Every matrix the real path covers: both routes of the cto2/cto3
+    symbols on the real catalog atoms, and the direct matrices of the
+    radial Gaussians and the disk on the gaussian window."""
+    for atom in (gaussian, rect, shannon):
+        grid = _grid_for(atom, n)
+        for suite in ("cto2", "cto3"):
+            spec = EQUIVALENCE_SYMBOLS[suite, atom.case]
+            yield f"{atom.name}/{suite}/direct", build_direct(atom, spec, grid)
+            yield f"{atom.name}/{suite}/compound", _specialized(atom, spec,
+                                                                grid)
+    for spec in _radial_and_disk():
+        yield spec.descriptor, build_direct(gaussian, spec,
+                                            _grid_for(gaussian, n))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_even_real_symbols_give_exactly_real_matrices(gaussian, rect,
+                                                      shannon, n):
+    for label, M in _real_operators(gaussian, rect, shannon, n):
+        assert M.is_real and not M.values.imag.any(), label
+
+
+def test_complex_paths_stay_complex(gaussian, shannon, haar):
+    # haar's complex record, a beta that is not even, and the odd,
+    # off-centre grids of CI, whose phases are not +-1
+    cases = [(haar, EQUIVALENCE_SYMBOLS[suite, "wavelet"], _grid_for(haar, 64))
+             for suite in ("cto2", "cto3")]
+    odd = SymbolSpec.second_variable(Symbol1D.gaussian_bump(1.0, 0.3))
+    cases += [(atom, odd, _grid_for(atom, 64)) for atom in (gaussian, shannon)]
+    for atom, grid in ((shannon, LineGrid(0.3, 3.4 / 63, 63)),
+                       (gaussian, LineGrid(-3.0, 8.0 / 65, 65))):
+        cases += [(atom, EQUIVALENCE_SYMBOLS[suite, atom.case], grid)
+                  for suite in ("cto1", "cto2", "cto3")]
+    for atom, spec, grid in cases:
+        routes = [build_direct(atom, spec, grid)]
+        if spec.kind != "first" and atom is not haar:
+            routes.append(_specialized(atom, spec, grid))
+        for M in routes:
+            assert not M.is_real and M.values.imag.any(), \
+                (atom.name, spec.descriptor, grid.count, M.builder)
+
+
+def test_even_real_transforms_keep_the_real_parts(gaussian, rect, shannon,
+                                                   monkeypatch):
+    # the lag generators of an even real symbol get +0 imaginary parts and
+    # keep the real parts of the complex transform bit for bit; a beta that
+    # is not even keeps both.  The matrices of both routes, from a real
+    # record and a real kernel, keep their real values (a product that is
+    # zero may change the sign of its zero)
+    odd = SymbolSpec.second_variable(Symbol1D.gaussian_bump(1.0, 0.3))
+    for atom in (gaussian, shannon):
+        for n in (64, 256):
+            s_grid = induced_grid(_grid_for(atom, n))
+            sw = _sandwich(s_grid, axis2_sign(atom.case, "forward"),
+                           induced_grid(s_grid))
+            for spec in [EQUIVALENCE_SYMBOLS[suite, atom.case]
+                         for suite in ("cto2", "cto3")] + [odd]:
+                _, V, _ = _lowrank_factors(
+                    spec.evaluate_field(atom.g1.nodes, s_grid.samples))
+                got, ref = sw.real_where_even(V), sw(V)
+                assert _bits(got.real) == _bits(ref.real)
+                if spec is odd:
+                    assert _bits(got.imag) == _bits(ref.imag)
+                else:
+                    assert ref.imag.any() and _all_plus_zero(got.imag)
+    real = {label: M.values for label, M in
+            _real_operators(gaussian, rect, shannon, 64)}
+    monkeypatch.setattr(_Sandwich, "real_where_even", _Sandwich.__call__)
+    for label, M in _real_operators(gaussian, rect, shannon, 64):
+        assert np.array_equal(real[label].real, M.values.real), label
+        assert _all_plus_zero(real[label].imag), label
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _all_plus_zero(a):
+    return not (a.any() or np.signbit(a).any())
+
+
+def test_real_solver_matches_the_complex_solver(gaussian, rect, shannon,
+                                                monkeypatch):
+    # an exactly real Hermitian matrix goes to the real symmetric solver;
+    # its eigenvalues are those of the complex solver on the complex H up
+    # to rounding
+    solver, args = np.linalg.eigvalsh, []
+
+    def spied(H):
+        args.append(H.dtype)
+        return solver(H)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spied)
+    eps = np.finfo(float).eps
+    for n in (64, 256):
+        for label, M in _real_operators(gaussian, rect, shannon, n):
+            args.clear()
+            got = _hermitian_eigvals(M)
+            assert args == [np.float64], label
+            H = 0.5 * (M.values + M.values.conj().T)
+            ref = solver(H)
+            bound = EIG_ROUNDING_C * n * eps * np.max(np.abs(ref))
+            assert np.max(np.abs(got - ref)) <= bound, label
+
+
+def test_real_operator_norm_runs_on_the_real_part(gaussian, rect, shannon,
+                                                  monkeypatch):
+    # the difference of two exactly real matrices has a certified Lanczos
+    # norm taken in real arithmetic
+    lanczos, args = _lanczos_norm, []
+
+    def spied(A):
+        args.append(A.dtype)
+        return lanczos(A)
+
+    monkeypatch.setattr("tfloc.operators._lanczos_norm", spied)
+    mats = dict(_real_operators(gaussian, rect, shannon, 256))
+    for atom in (gaussian, rect, shannon):
+        for suite in ("cto2", "cto3"):
+            A, B = (mats[f"{atom.name}/{suite}/{route}"].values
+                    for route in ("direct", "compound"))
+            args.clear()
+            got = operator_norm(A - B)
+            assert args == [np.float64]
+            assert got == lanczos(np.ascontiguousarray((A - B).real))
+            assert abs(got - _svd_norm(A - B)) <= 1e-13 * got
+
+
+def test_real_operators_repeat_byte_for_byte(gaussian, rect, shannon):
+    first = [(M.values, spectrum(M).values)
+             for _, M in _real_operators(gaussian, rect, shannon, 64)]
+    again = [(M.values, spectrum(M).values)
+             for _, M in _real_operators(gaussian, rect, shannon, 64)]
+    assert [tuple(map(_bits, x)) for x in first] == \
+        [tuple(map(_bits, x)) for x in again]
+    for atom in (gaussian, rect, shannon):
+        spec = EQUIVALENCE_SYMBOLS["cto3", atom.case]
+        grid = _grid_for(atom, 256)
+        assert verify_equivalence(atom, spec, grid, 1e-3) == \
+            verify_equivalence(atom, spec, grid, 1e-3)
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_hausdorff_within_the_weyl_bound(gaussian, rect, shannon, haar, n):
+    # Weyl: sorted eigenvalues of the Hermitian parts differ by at most
+    # ||H_A - H_B|| <= ||A - B||, which bounds the Hausdorff distance of the
+    # two spectra; each solver adds its rounding, c*n*eps*||A||.  Haar's
+    # pairs run the complex solver, the others the real one
+    eps = np.finfo(float).eps
+    for atom in (gaussian, rect, shannon, haar):
+        grid = _grid_for(atom, n)
+        for suite in ("cto1", "cto2", "cto3"):
+            spec = EQUIVALENCE_SYMBOLS[suite, atom.case]
+            hd = verify_equivalence(atom, spec, grid, 1.0)["hausdorff"]
+            A = build_direct(atom, spec, grid).values
+            B = _specialized(atom, spec, grid).values
+            bound = (_svd_norm(A - B)
+                     + EIG_ROUNDING_C * n * eps * _svd_norm(A))
+            assert hd <= bound, f"{atom.name}/{suite}: {hd:.3e} > {bound:.3e}"
+
+
 # -- signal filtering --------------------------------------------------------------------
 
 SIGNAL_GRID = LineGrid.centered(8.0, 1024)
@@ -1408,6 +1600,28 @@ def test_filter_slow_scales_near_overflow_symbols(gaussian, shannon, kind):
         assert np.max(np.abs(big.values / 1e307 - one.values)) <= 1e-12 * \
             np.max(np.abs(one.values))
         below, _ = filter_signal(atom, spec(2.0 ** 959), f, method="slow")
+        assert np.array_equal(below.values, _ldexp_copy(one.values, 959))
+
+
+def test_filter_fast_scales_near_overflow_symbols(gaussian, shannon):
+    # the fast path multiplies h by the gamma of alpha.unit_scaled() and
+    # gives 2^e back once: c times the const:1 output, a result past the
+    # largest float raises, and 2^959 keeps its bits
+    def spec(c):
+        return SymbolSpec.first_variable(Symbol1D.constant(c))
+
+    f = random_bandlimited(LineGrid.centered(8.0, 256), seed=3)
+    for atom in (gaussian, shannon):
+        one, _ = filter_signal(atom, spec(1.0), f, method="fast")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big, _ = filter_signal(atom, spec(1e307), f, method="fast")
+            with pytest.raises(ValueError, match="overflows the float range"):
+                filter_signal(atom, spec(1e307), SampledFunction(
+                    f.grid, 1e10 * f.values), method="fast")
+        assert np.max(np.abs(big.values / 1e307 - one.values)) <= 1e-12 * \
+            np.max(np.abs(one.values))
+        below, _ = filter_signal(atom, spec(2.0 ** 959), f, method="fast")
         assert np.array_equal(below.values, _ldexp_copy(one.values, 959))
 
 
