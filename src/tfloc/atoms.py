@@ -31,6 +31,7 @@ import numpy as np
 
 from .grids import LineGrid, SampledFunction, ScaleGrid
 from .quadrature import gauss_kronrod
+from .symbols import OVERFLOW_MARGIN
 
 __all__ = [
     "Atom",
@@ -72,6 +73,28 @@ def _hull(flags) -> slice:
     the empty slice at 0 when there is none."""
     at = np.flatnonzero(flags)
     return slice(int(at[0]), int(at[-1]) + 1) if at.size else slice(0, 0)
+
+
+def _exponent(a) -> float:
+    """The ``frexp`` exponent e of the largest real or imaginary part in
+    ``a``, so every part is below 2^e: 0 when all are 0, inf when one is
+    not finite."""
+    v = np.ascontiguousarray(a)
+    v = v.view(v.real.dtype)
+    m = max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
+    return math.frexp(m)[1] if math.isfinite(m) else math.inf
+
+
+def _products_bounded(*exponents, n: int = 1) -> bool:
+    """Whether every sum of ``n`` products of one entry of each of some
+    arrays, and every partial product, stays below ``OVERFLOW_MARGIN``
+    (2^960), given the arrays' ``exponents`` (``_exponent``): an entry is
+    below 2^(e + 1/2) in modulus.  The margin leaves more than 2^63 for
+    the rounding and the intermediate sums of any FFT.  The power of two
+    is compared as an integer, so the bound never overflows itself; it
+    fails when an array is not finite (e = inf)."""
+    e = sum(exponents) + len(exponents) + n.bit_length()
+    return 2 ** e <= OVERFLOW_MARGIN
 
 
 class AdmissibilityError(ValueError):
@@ -256,15 +279,21 @@ class Fibers:
     ``power_sums``) run over blocks of ``_BLOCK_ROWS`` rows, so no
     temporary has the record's size.
 
+    The record is finite by construction: the catalog's closed forms and
+    the linear interpolation of an imported atom's finite samples give
+    finite values.  The skips below bound every block they skip all the
+    same, so a block that is not finite runs.
+
     A row is *empty* when every entry has the bit pattern of +0 (a row
     holding -0 is not).  ``live`` has one flag per block of ``_BLOCK_ROWS``
     rows, False when every row of the block is empty, and ``span`` is the
     slice from the first to the last row that is not.  A band-limited
     wavelet (shannon) or a compactly supported window (rect) has empty rows
     at the ends of the first coordinate.  ``power_sums`` and the transform
-    chain of ``fields`` skip the empty blocks and keep every bit of their
-    outputs; the Gram products of ``build_direct`` and the overlap kernels
-    run on the rows of ``rows_for`` their weights, inside the span.
+    chain of ``fields`` skip the empty blocks, and the blocks where a row
+    factor or a symbol is zero, and keep every bit of their outputs; the
+    Gram products of ``build_direct`` and the overlap kernels run on the
+    rows of ``rows_for`` their weights, inside the span.
     """
 
     omegas: np.ndarray
@@ -311,23 +340,27 @@ class Fibers:
         ``_BLOCK_ROWS`` rows at a time: no array of the record's size is
         made.  The dtype is complex when a factor is.
 
-        An empty block (``live``) whose factors are finite on its rows adds
-        only signed zeros, so it is skipped: the sum starts at +0 and adding
-        +-0 leaves every value as it is.
+        A block that is empty (``live``) or where some factor is zero on
+        every row adds only signed zeros when no product of its terms
+        overflows (``_products_bounded``, which fails on a factor not finite
+        there), so it is skipped: the sum starts at +0, never holds -0, and
+        adding +-0 leaves every value as it is.
         """
         L = self.ell
         count, n = L.shape
         acc = np.zeros(n, dtype=np.result_type(float, *row_factors))
         block = np.empty((min(_BLOCK_ROWS, count), n), dtype=acc.dtype)
         for live, rows in zip(self.live, _row_blocks(count)):
-            if not live and all(np.isfinite(f[rows]).all()
-                                for f in row_factors):
-                continue
+            fs = [f[rows] for f in row_factors]
+            if not live or not all(f.any() for f in fs):
+                e = _exponent(L[rows])  # |L|^2: twice
+                if _products_bounded(e, e, *map(_exponent, fs)):
+                    continue
             t = block[:rows.stop - rows.start]
             c = np.abs(L[rows]) if np.iscomplexobj(L) else L[rows]
             np.multiply(c, c, out=t)
-            for f in row_factors:
-                t *= f[rows, None]
+            for f in fs:
+                t *= f[:, None]
             # the running sum enters as the first term: the rows then add
             # up in order, as one reduction over k would add them
             t[0] += acc
@@ -345,7 +378,12 @@ class Fibers:
                 f"fiber record on {self.omegas.size} omegas in "
                 f"[{self.omegas[0]:g}, {self.omegas[-1]:g}] does not match "
                 f"the grid {h.grid!r}")
-        energy = np.abs(h.values) ** 2
+        # scaled exactly by 2^-e, 2^e the frexp scale of h's largest part,
+        # so no square overflows or underflows: the ratio is scale-invariant
+        v = np.array(h.values, dtype=complex)
+        parts = v.view(float)
+        np.ldexp(parts, -_exponent(parts), out=parts)
+        energy = np.abs(v) ** 2
         total = float(energy.sum())
         return float(self.norms @ energy) / total if total else 1.0
 

@@ -39,17 +39,19 @@ them.  With h, the rows of an empty block all embed to one row, which it
 transforms once per call and copies into the field (or, in a projection,
 leaves out: its terms are signed zeros).  From a field, it skips a block
 whose output fibers are empty when the block cannot overflow the forward
-transform.  Every output keeps its bits, signs of zero included.
+transform.  A slow filter skips each block that its symbol zeroes, so its
+cost follows the blocks the symbol touches.  Every output keeps its bits,
+signs of zero included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .atoms import Atom, _BLOCK_ROWS, _row_blocks
+from .atoms import (Atom, _BLOCK_ROWS, _exponent, _products_bounded,
+                    _row_blocks)
 from .fourier import _sandwich, fourier
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
-from .symbols import OVERFLOW_MARGIN
 
 __all__ = [
     "PhasePlaneField",
@@ -176,17 +178,6 @@ def _require_finite(a: np.ndarray):
         raise ValueError("field contains non-finite values")
 
 
-def _core_bounded(block: np.ndarray) -> bool:
-    """Whether the DFT of every row of the complex C-contiguous ``block``
-    stays far from overflow: n times the largest absolute component of its
-    float view is below ``OVERFLOW_MARGIN`` (2^960).  A DFT's outputs are
-    sums of n terms, each of modulus at most sqrt(2) times that component,
-    so the bound leaves more than 2^63 for the rounding and the
-    intermediate sums of any FFT."""
-    v = block.view(float)
-    return max(v.max(), -v.min()) * block.shape[1] < OVERFLOW_MARGIN
-
-
 def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
             field: PhasePlaneField | None = None, spec=None,
             out_grid: LineGrid | None = None) -> np.ndarray:
@@ -237,7 +228,15 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     - from ``field`` (``bargmann``'s path: ``out_grid`` and no symbol), a
       block whose output fibers are empty projects to signed zeros and is
       skipped when its forward transform cannot overflow
-      (``_core_bounded``); otherwise it runs, and raises where it would.
+      (``atoms._products_bounded``); otherwise it runs, and raises where it
+      would.
+    - with ``h`` and a symbol, a block whose mask has no nonzero entry is
+      skipped, embedding, both cores and projection, when the product of
+      max|L_in|, max|h * pre_b|, the row length, max|diag| and max|L_out|
+      on its rows stays below ``symbols.OVERFLOW_MARGIN``: the block is
+      then finite after its backward transform, the mask makes it +-0, and
+      so are its projection terms.  Where the bound fails, the block runs
+      and raises where it would.
     """
     g1 = atom.g1
     count = g1.count
@@ -268,8 +267,13 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
         with np.errstate(over="ignore", invalid="ignore"):
             if h is None:
                 np.multiply(field.values[rows], forward.pre, out=block)
-                if not fibers_out.live[b] and _core_bounded(block):
+                if not fibers_out.live[b] and _products_bounded(
+                        _exponent(block), n=g2.count):
                     continue
+            elif spec is not None and not mask.any() and _products_bounded(
+                    *map(_exponent, (L_in[rows], h_pre, diag, L_out[rows])),
+                    n=g2.count):
+                continue
             elif not fibers_in.live[b]:
                 if empty_row is None:
                     empty_row = np.multiply(L_in[rows.start:rows.start + 1],

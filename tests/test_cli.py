@@ -695,6 +695,45 @@ def test_cmd_filter_signal_off_translation_grid_exits_2(tmp_path, capsys):
         assert not os.path.exists(out)
 
 
+def test_cmd_filter_coverage_ignores_the_signal_scale(tmp_path, capsys):
+    # a two-sample wavelet signal below the coverage gate stays below it at
+    # 1e-200, where the squares of its samples underflow
+    for scale in (1.0, 1e-200):
+        path = str(tmp_path / "two.csv")
+        write_signal_csv(path, SampledFunction(
+            LineGrid(0.0, 1.0, 2), scale * np.array([1.0, 2.0])))
+        capsys.readouterr()
+        assert run("filter", "--case", "wavelet", "--symbol", "indicator:1,2",
+                   "--input", path, "--out", str(tmp_path / "o.csv")) == 2
+        assert "fiber coverage 0.1 " in capsys.readouterr().err
+
+
+def test_cmd_filter_at_2_to_930_writes_a_finite_coverage(tmp_path):
+    # 64 samples of 2^930 exp(-pi x^2 / 4) on [-8, 8): the squares of the
+    # samples overflow, the coverage of the scaled signal does not, and no
+    # warning is raised; the sidecar is JSON with no NaN
+    x = (np.arange(64) - 32) / 4
+    path = str(tmp_path / "sig.csv")
+    write_signal_csv(path, SampledFunction(
+        LineGrid.centered(8.0, 64), np.ldexp(np.exp(-np.pi * x ** 2 / 4), 930)))
+
+    def no_constant(name):
+        raise ValueError(f"{name} in the sidecar")
+
+    for case, symbol in (("gabor", "indicator:-1,1"),
+                         ("wavelet", "indicator:1,2")):
+        for method in (("--method", "fast"), ("--method", "slow"),
+                       ("--compare",)):
+            out = str(tmp_path / f"{case}{method[-1]}.csv")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run("filter", "--case", case, *method, "--symbol",
+                           symbol, "--input", path, "--out", out) == 0
+            with open(sidecar_path(out)) as fh:
+                meta = json.load(fh, parse_constant=no_constant)
+            assert 0.5 <= meta["fiber_coverage"] <= 1.0
+
+
 def test_cmd_filter_missing_input(tmp_path):
     code = run("filter", "--case", "gabor", "--symbol", "const:1",
                "--input", str(tmp_path / "absent.csv"),

@@ -1704,3 +1704,18 @@ def test_filter_rejects_signal_off_the_translation_grid(gaussian, shannon):
     for atom in (gaussian, shannon):
         h = omega_side(atom.case, f)
         assert Fibers.of(atom, h.grid.samples).coverage(h) >= 0.999
+
+
+@pytest.mark.parametrize("name", ["gaussian", "shannon", "haar"])
+def test_fiber_coverage_is_scale_invariant(name):
+    # h is scaled by the power of two of its largest part before squaring:
+    # at 2^930 the squares would overflow (NaN coverage), at 2^-700
+    # underflow (coverage 1)
+    atom = make_atom("gabor" if name == "gaussian" else "wavelet", name)
+    h = omega_side(atom.case, random_bandlimited(SIGNAL_GRID, seed=15))
+    fib = atom.fibers(h.grid.samples)
+    ref = fib.coverage(h)
+    assert 0.999 <= ref <= 1.0 + 1e-9
+    for k in (-700, -300, 300, 600, 930):
+        scaled = SampledFunction(h.grid, h.values * 2.0 ** k)
+        assert fib.coverage(scaled) == ref, k

@@ -11,13 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tfloc
-from tfloc.atoms import (_BLOCK_ROWS, Atom, Fibers, make_atom,
+from tfloc.atoms import (_BLOCK_ROWS, Atom, Fibers, _row_blocks, make_atom,
                          make_wavelet, make_window)
 from tfloc.cli import main
 from tfloc.fields import (PhasePlaneField, _analysis_axis, _stream, analyze,
                           axis2_sign, bargmann, bargmann_adjoint, omega_side,
                           random_bandlimited)
-from tfloc.fourier import _cis, _sandwich, fourier
+from tfloc.fourier import _cis, _Sandwich, _sandwich, fourier
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from tfloc.io import export_atom, import_atom
 from tfloc.operators import filter_signal
@@ -944,7 +944,8 @@ def test_a_field_overflowing_a_skipped_block_raises(shannon):
         bargmann(shannon, F)
 
 
-def test_power_sums_run_an_empty_block_whose_factor_is_not_finite(shannon):
+def test_power_sums_run_an_empty_block_whose_factor_is_not_finite(shannon,
+                                                                gaussian):
     # 0 * inf is NaN: an empty block is skipped only where its factors are
     # finite, so the sums keep the NaNs of the one-shot einsum
     fib = shannon.fibers(induced_grid(_EMPTY_BLOCK_GRIDS["centred"]).samples)
@@ -956,3 +957,131 @@ def test_power_sums_run_an_empty_block_whose_factor_is_not_finite(shannon):
         out = fib.power_sums(a, fib.weights)
     assert np.isnan(ref).all()
     np.testing.assert_array_equal(out, ref)
+    # likewise a live block where another factor is zero on every row: a
+    # factor with inf or NaN there, or finite factors whose product
+    # overflows before the zero, gives the einsum's NaN
+    fib = gaussian.fibers(SIGNAL_GRID.samples)
+    assert all(fib.live)
+    K = gaussian.g1.count
+    zero = np.ones(K)
+    zero[:_BLOCK_ROWS] = 0.0
+    big = np.ones(K)
+    big[:_BLOCK_ROWS] = 1e300
+    P = np.abs(fib.ell) ** 2
+    for bad in (np.inf, np.nan, None):
+        if bad is None:
+            factor_sets = ((big, big, zero, fib.weights),)
+        else:
+            a = np.ones(K)
+            a[3] = bad
+            factor_sets = ((a, zero, fib.weights), (zero, a, fib.weights))
+        for fs in factor_sets:
+            subs = ",".join(["ki"] + ["k"] * len(fs)) + "->i"
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref = np.einsum(subs, P, *fs)
+                out = fib.power_sums(*fs)
+            assert np.isnan(ref).any()
+            np.testing.assert_array_equal(out, ref)
+
+
+# -- zero-mask blocks ---------------------------------------------------------------
+
+def _box_minus_zero(a, b):
+    """1 on [a, b] and -0 elsewhere: a mask of -0 on whole blocks."""
+    return Symbol1D(lambda x: np.where((x >= a) & (x <= b), 1.0, -0.0),
+                    f"box-0:{a:g},{b:g}")
+
+
+# translations [-16, 16) and scales 2^-8..2^8 in 512 rows: 8 blocks of 4
+# units or 2 octaves.  (atom, symbol, blocks with a nonzero mask)
+_ZERO_MASK_CASES = {
+    "inside one block": ("gaussian", Symbol1D.indicator(0.5, 3.5), 1),
+    "across a block boundary": ("gaussian", Symbol1D.indicator(-1.0, 1.0), 2),
+    "zero on every block": ("gaussian", Symbol1D.indicator(40.0, 50.0), 0),
+    "-0 on whole blocks": ("rect", _box_minus_zero(-1.0, 1.0), 2),
+    "complex record": ("haar", Symbol1D.indicator(1.0, 2.0), 1),
+}
+
+
+def _zero_mask_setup(case):
+    name, alpha, touched = _ZERO_MASK_CASES[case]
+    atom = make_atom("gabor" if name in ("gaussian", "rect") else "wavelet",
+                     name)
+    f = random_bandlimited(SIGNAL_GRID, seed=8)
+    h = omega_side(atom.case, f)
+    g2 = _analysis_axis(atom.case, f.grid)
+    spec = SymbolSpec.first_variable(alpha)
+    masked = [spec._compact_field(atom.g1.nodes[rows], g2.samples).any()
+              for rows in _row_blocks(atom.g1.count)]
+    assert sum(masked) == touched
+    return atom, alpha, spec, f, h, g2
+
+
+@pytest.mark.parametrize("case", sorted(_ZERO_MASK_CASES))
+def test_skipped_zero_mask_blocks_keep_every_bit(monkeypatch, case):
+    atom, alpha, spec, f, h, g2 = _zero_mask_setup(case)
+    fib = atom.fibers(h.grid.samples)
+    factors = (alpha.sample(atom.g1.nodes), fib.weights)
+    slow = _stream(atom, g2, h=h, spec=spec, out_grid=h.grid)
+    filtered, _ = filter_signal(atom, spec, f, "slow")
+    sums = fib.power_sums(*factors)
+
+    # the oracles
+    assert _bits(sums) == _bits(
+        np.einsum("ki,k,k->i", np.abs(fib.ell) ** 2, *factors))
+    if atom.name != "gaussian":
+        # (the gaussian's subnormal products: test_folded_phases_keep_...)
+        assert _bits(slow) == _bits(
+            _unfused_stream(atom, g2, h=h, spec=spec, out_grid=h.grid))
+    if case == "zero on every block":
+        assert _bits(filtered.values) == _bits(np.zeros(f.grid.count, complex))
+
+    # the same consumers running every block: every record live and no
+    # bound met
+    fibers = atom.fibers
+    monkeypatch.setattr(atom, "fibers", lambda omegas: _all_live(fibers(omegas)))
+    for module in (tfloc.atoms, tfloc.fields):
+        monkeypatch.setattr(module, "_products_bounded", lambda *a, **k: False)
+    assert _bits(_stream(atom, g2, h=h, spec=spec, out_grid=h.grid)) == \
+        _bits(slow)
+    assert _bits(filter_signal(atom, spec, f, "slow")[0].values) == \
+        _bits(filtered.values)
+    assert _bits(atom.fibers(h.grid.samples).power_sums(*factors)) == \
+        _bits(sums)
+
+
+def test_only_blocks_with_a_nonzero_mask_are_transformed(monkeypatch):
+    # every block of these records is live on the signal's omega side, so
+    # the chain runs two cores on each block its symbol touches and none on
+    # the others
+    cores = []
+    core = _Sandwich.core
+
+    def counted(self, block):
+        cores.append(len(block))
+        return core(self, block)
+
+    monkeypatch.setattr(_Sandwich, "core", counted)
+    for case, (_, _, touched) in sorted(_ZERO_MASK_CASES.items()):
+        atom, _, spec, _, h, g2 = _zero_mask_setup(case)
+        assert all(atom.fibers(h.grid.samples).live[b] for b, rows in
+                   enumerate(_row_blocks(atom.g1.count)) if
+                   spec._compact_field(atom.g1.nodes[rows], g2.samples).any())
+        cores.clear()
+        _stream(atom, g2, h=h, spec=spec, out_grid=h.grid)
+        assert cores == [_BLOCK_ROWS] * (2 * touched), case
+
+
+def test_a_zero_mask_block_that_can_overflow_runs_and_raises(gaussian):
+    # 1e308 on half a unit at the outer edge of the first block overflows
+    # that block's backward transform alone (test_adjoint_rejects_a_...);
+    # the symbol is zero there, and the bound keeps the block running
+    edge = gaussian.g1.nodes[0]
+    grid = LineGrid.centered(16.0, 1024)
+    f = SampledFunction(grid, np.where(np.abs(grid.samples - edge) <= 0.5,
+                                       1e308, 0.0))
+    spec = SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 1.0))
+    assert not spec._compact_field(gaussian.g1.nodes[:_BLOCK_ROWS],
+                                   induced_grid(grid).samples).any()
+    with pytest.raises(ValueError, match="field contains non-finite values"):
+        filter_signal(gaussian, spec, f, "slow")
