@@ -31,7 +31,7 @@ import numpy as np
 
 from .grids import LineGrid, SampledFunction, ScaleGrid
 from .quadrature import gauss_kronrod
-from .symbols import OVERFLOW_MARGIN
+from .symbols import _exponent, _ldexp, _products_bounded
 
 __all__ = [
     "Atom",
@@ -73,28 +73,6 @@ def _hull(flags) -> slice:
     the empty slice at 0 when there is none."""
     at = np.flatnonzero(flags)
     return slice(int(at[0]), int(at[-1]) + 1) if at.size else slice(0, 0)
-
-
-def _exponent(a) -> float:
-    """The ``frexp`` exponent e of the largest real or imaginary part in
-    ``a``, so every part is below 2^e: 0 when all are 0, inf when one is
-    not finite."""
-    v = np.ascontiguousarray(a)
-    v = v.view(v.real.dtype)
-    m = max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
-    return math.frexp(m)[1] if math.isfinite(m) else math.inf
-
-
-def _products_bounded(*exponents, n: int = 1) -> bool:
-    """Whether every sum of ``n`` products of one entry of each of some
-    arrays, and every partial product, stays below ``OVERFLOW_MARGIN``
-    (2^960), given the arrays' ``exponents`` (``_exponent``): an entry is
-    below 2^(e + 1/2) in modulus.  The margin leaves more than 2^63 for
-    the rounding and the intermediate sums of any FFT.  The power of two
-    is compared as an integer, so the bound never overflows itself; it
-    fails when an array is not finite (e = inf)."""
-    e = sum(exponents) + len(exponents) + n.bit_length()
-    return 2 ** e <= OVERFLOW_MARGIN
 
 
 class AdmissibilityError(ValueError):
@@ -381,8 +359,7 @@ class Fibers:
         # scaled exactly by 2^-e, 2^e the frexp scale of h's largest part,
         # so no square overflows or underflows: the ratio is scale-invariant
         v = np.array(h.values, dtype=complex)
-        parts = v.view(float)
-        np.ldexp(parts, -_exponent(parts), out=parts)
+        _ldexp(v, -_exponent(v))
         energy = np.abs(v) ** 2
         total = float(energy.sum())
         return float(self.norms @ energy) / total if total else 1.0

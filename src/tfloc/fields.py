@@ -41,17 +41,18 @@ leaves out: its terms are signed zeros).  From a field, it skips a block
 whose output fibers are empty when the block cannot overflow the forward
 transform.  A slow filter skips each block that its symbol zeroes, so its
 cost follows the blocks the symbol touches.  Every output keeps its bits,
-signs of zero included.
+signs of zero included.  The overflow bounds follow the scale rule of
+``symbols`` (``_products_bounded``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .atoms import (Atom, _BLOCK_ROWS, _exponent, _products_bounded,
-                    _row_blocks)
+from .atoms import Atom, _BLOCK_ROWS, _row_blocks
 from .fourier import _sandwich, fourier
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
+from .symbols import _exponent, _products_bounded
 
 __all__ = [
     "PhasePlaneField",
@@ -228,7 +229,7 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     - from ``field`` (``bargmann``'s path: ``out_grid`` and no symbol), a
       block whose output fibers are empty projects to signed zeros and is
       skipped when its forward transform cannot overflow
-      (``atoms._products_bounded``); otherwise it runs, and raises where it
+      (``symbols._products_bounded``); otherwise it runs, and raises where it
       would.
     - with ``h`` and a symbol, a block whose mask has no nonzero entry is
       skipped, embedding, both cores and projection, when the product of

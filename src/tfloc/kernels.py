@@ -33,12 +33,9 @@ The Gabor case additionally admits ``rule="fft"``: the grid rule evaluated
 as one ``numpy.fft`` convolution of the symbol samples with the squared
 window.
 
-A symbol whose ``sup_bound`` is above ``symbols.OVERFLOW_MARGIN`` (2^960)
-is carried as 2^e times a symbol bounded by 1 (``Symbol1D.unit_scaled``):
-the three gamma rules, the weighted overlap kernel and the second-variable
-factor of the compound routes run on it and take 2^e back once, exactly
-unless a scaled product is subnormal (such outputs may move at rounding).
-The direct route scales its sampled field instead.
+The three gamma rules, the weighted overlap kernel and the second-variable
+factor of the compound routes carry a symbol near overflow by the scale
+rule of ``symbols`` (``Symbol1D.unit_scaled``).
 
 The two-point overlap kernels generalize the same quadrature to pairs of
 frequencies and feed the integral and compound-symbol operator builders.
@@ -57,7 +54,7 @@ import numpy as np
 from .atoms import Atom, _row_blocks
 from .grids import LineGrid
 from .quadrature import GK_MAX_POINTS, gauss_kronrod
-from .symbols import Symbol1D
+from .symbols import Symbol1D, _ldexp
 
 __all__ = [
     "GammaFunction",
@@ -71,13 +68,6 @@ __all__ = [
 ]
 
 OVERFLOW_GUARD = 1e12
-
-
-def _ldexp(A: np.ndarray, e: int):
-    """A *= 2^e in place, real and imaginary parts alike."""
-    if e:
-        parts = A.view(A.real.dtype)
-        np.ldexp(parts, e, out=parts)
 
 
 def _is_diagonal(A: np.ndarray) -> bool:

@@ -60,7 +60,8 @@ the real symmetric solver.
 ``operator_norm`` takes the largest singular value of a matrix flagged
 Hermitian from its eigenvalues, and of any other non-diagonal matrix from
 the certified Lanczos estimate of ``_lanczos_norm`` (the dense SVD when it
-has no certificate).
+has no certificate).  Values near the float range (a symbol near overflow,
+a large signal, a tiny matrix) follow the scale rule of ``symbols``.
 
 Sign conventions: with the axis-2 transform pairing (wavelet forward, gabor
 inverse), the difference-lattice factor is beta_hat(+(xi - omega)) for the
@@ -87,9 +88,10 @@ from .fields import _analysis_axis, _stream, axis2_sign, omega_side
 from .fourier import _sandwich
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport,
-                      _is_diagonal, _ldexp, gamma,
-                      overlap_kernel, weighted_overlap_kernel)
-from .symbols import Symbol1D, SymbolSpec
+                      _is_diagonal, gamma, overlap_kernel,
+                      weighted_overlap_kernel)
+from .symbols import (OVERFLOW_MARGIN, Symbol1D, SymbolSpec, _exponent,
+                      _ldexp)
 
 __all__ = [
     "OperatorMatrix",
@@ -147,7 +149,7 @@ def _lowrank_factors(a_field: np.ndarray):
     The work is O(r K' n).  Returns Q (K x r), V (r x n) and the relative
     tail ||R||_F / ||a||_F dropped.
 
-    R starts as a * 2^-e, e the ``frexp`` exponent of max |a|, and Q is scaled
+    R starts as a * 2^-e, e the ``_exponent`` of a, and Q is scaled
     back by 2^e: both exact, so no squared entry underflows or overflows.
     Q's columns have unit norm, so its entries times 2^e stay below
     2 max |a|; V's would reach sqrt(K) max |a| and overflow near the
@@ -156,7 +158,7 @@ def _lowrank_factors(a_field: np.ndarray):
     K, n = a_field.shape
     rows = _hull(a_field.any(axis=1))
     R = np.array(a_field[rows])
-    e = math.frexp(float(np.max(np.abs(R), initial=0.0)))[1]
+    e = _exponent(R)
     _ldexp(R, -e)
     col_sq = _column_sq_norms(R)
     a_sq = float(col_sq.sum())
@@ -383,10 +385,11 @@ NORM_MAX_STEPS = 64
 def _lanczos_norm(A: np.ndarray) -> float | None:
     """Largest singular value of A, certified, or None for the SVD fall-back.
 
-    Lanczos on H = A^H A scaled by 4^-e (2^e the ``frexp`` scale of
-    max |A v_0|, exact, so no square in a norm overflows), with full
-    reorthogonalization (classical Gram-Schmidt applied twice) and a fixed
-    seeded start vector v_0, so repeats are bit-identical.  Step k gives
+    Lanczos on H = A^H A scaled by 4^-e, 2^e twice the ``_exponent`` scale
+    of A v_0, whose entries then have moduli below 1 (exact, so no square
+    in a norm overflows or underflows, subnormal matrices included), with
+    full reorthogonalization (classical Gram-Schmidt applied twice) and a
+    fixed seeded start vector v_0, so repeats are bit-identical.  Step k gives
     the tridiagonal T_k = V_k^H H V_k; its top eigenpair (theta, s) has the
     residual ||H y - theta y|| = beta_k |s_k| (beta_k the next off-diagonal
     entry), so once beta_k |s_k| <= ``NORM_RESIDUAL_TOL`` * theta an
@@ -407,11 +410,9 @@ def _lanczos_norm(A: np.ndarray) -> float | None:
         v = v + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     u = A @ v
-    c = float(np.max(np.abs(u)))
-    if not (0.0 < c < math.inf):
+    e = _exponent(u) + 1
+    if not u.any() or e == math.inf:
         return None
-    e = math.frexp(c)[1]
-    scale = math.ldexp(1.0, -e)
     steps = min(NORM_MAX_STEPS, n)
     V = np.empty((steps, n), dtype=v.dtype)
     T = np.zeros((steps, steps))
@@ -419,9 +420,9 @@ def _lanczos_norm(A: np.ndarray) -> float | None:
         V[k] = v
         if k:
             u = A @ v
-        u *= scale
+        _ldexp(u, -e)
         w = np.conj(np.conj(u) @ A)
-        w *= scale
+        _ldexp(w, -e)
         T[k, k] = np.vdot(v, w).real
         Vk = V[:k + 1]
         for _ in range(2):
@@ -558,8 +559,9 @@ def verify_equivalence(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid,
              + 1j * rng.standard_normal(xi_grid.count))
         dv = apply(A, v)
         diff = dv - apply(B, v)
-        # scaled exactly, so no square in the norms overflows or underflows
-        e = math.frexp(float(np.max(np.abs(dv))))[1]
+        # scaled exactly, so no square in the norms overflows or underflows;
+        # a product that overflowed keeps its inf or NaN
+        e = _exponent(dv)
         _ldexp(dv, -e)
         _ldexp(diff, -e)
         ref = np.linalg.norm(dv)
@@ -604,8 +606,8 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
     K x N field or mask; its output has the bits of ``bargmann`` of the
     whole masked field.  fast: first-variable symbols only; h times the
     grid-rule gamma on h's grid.  Both mask with ``Symbol1D.unit_scaled``
-    factors and give their 2^e back once; an output past the largest
-    float raises ``ValueError``.
+    factors, the slow path carries h by the same rule, and each gives its
+    2^e back once; an output past the largest float raises ``ValueError``.
 
     Both paths read the atom's fiber record on h's grid (``Atom.fibers``),
     so a call builds at most one fiber matrix.  A signal whose fiber
@@ -643,15 +645,17 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
         # both transforms and the mask for every symbol kind: the fast
         # path's gamma is the oracle this route is compared against.  The
         # mask takes the factors' ``Symbol1D.unit_scaled`` (a general spec
-        # has none)
-        (alpha, ea), (beta, eb) = (p.unit_scaled() if p is not None
-                                   else (None, 0)
+        # has none), and h is carried by the same rule
+        (alpha, ea), (beta, eb) = (p.unit_scaled() if p else (None, 0)
                                    for p in (spec.alpha, spec.beta))
-        e = ea + eb
-        masked = SymbolSpec(spec.kind, alpha, beta) if e else spec
+        masked = SymbolSpec(spec.kind, alpha, beta) if ea + eb else spec
+        eh = _exponent(h.values)
+        eh = eh if 2 ** eh > OVERFLOW_MARGIN else 0
+        hs = SampledFunction(h.grid, h.values.copy())
+        _ldexp(hs.values, -eh)
         g2 = _analysis_axis(atom.case, f.grid)
-        return scaled_back(_stream(atom, g2, h=h, spec=masked,
-                                   out_grid=h.grid), e)
+        return scaled_back(_stream(atom, g2, h=hs, spec=masked,
+                                   out_grid=h.grid), ea + eb + eh)
 
     def fast_path():
         alpha, e = spec.alpha.unit_scaled()
@@ -663,10 +667,10 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
     if method == "fast":
         return fast_path(), coverage
     fast, slow = fast_path(), slow_path()
-    # both scaled exactly by 2^-e, 2^e the frexp scale of the slow output's
-    # largest component, so no difference or square overflows
+    # both scaled exactly by 2^-e, 2^e the ``_exponent`` scale of the slow
+    # output, so no difference or square overflows
     fv, sv = (np.array(g.values, dtype=complex) for g in (fast, slow))
-    e = math.frexp(float(np.max(np.abs(sv.view(float)))))[1]
+    e = _exponent(sv)
     _ldexp(fv, -e)
     _ldexp(sv, -e)
     ref = SampledFunction(f.grid, sv).norm()

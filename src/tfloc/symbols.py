@@ -10,6 +10,16 @@ One-variable factors are ``Symbol1D`` objects: a vectorized callable plus
 the metadata the quadrature rules need (breakpoints, support, realness, a
 sup bound when known).  The CLI's tiny symbol DSL (const:c, indicator:a,b,
 power:p, sampled:file) parses into Symbol1D.
+
+Values near the largest float follow one rule on every route.  A symbol
+whose ``sup_bound`` is above ``OVERFLOW_MARGIN``, or a signal whose largest
+real or imaginary part is (2^e above it, e the ``frexp`` exponent that
+``_exponent`` reads), is carried as 2^e times a value bounded by 1
+(``Symbol1D.unit_scaled``; ``_ldexp`` scales an array in place) and 2^e
+comes back once on the result.  ``_products_bounded`` bounds a product from
+its factors' exponents before it is formed.  Scaling by a power of two is
+exact unless a scaled value is subnormal, where outputs may move at
+rounding.
 """
 
 from __future__ import annotations
@@ -24,9 +34,37 @@ __all__ = ["Symbol1D", "SymbolSpec", "SymbolParseError", "parse_symbol"]
 
 _INF = float("inf")
 
-# Magnitudes below 2^960 are far from overflow (2^63 times one is finite);
-# a symbol bounded above it is carried scaled (``Symbol1D.unit_scaled``)
+# Magnitudes below 2^960 are far from overflow (2^63 times one is finite)
 OVERFLOW_MARGIN = 2.0 ** 960
+
+
+def _exponent(a) -> float:
+    """The ``frexp`` exponent e of the largest real or imaginary part in
+    ``a`` (an array or a scalar), so every part is below 2^e: 0 when all
+    are 0, inf when one is not finite."""
+    v = np.ascontiguousarray(a)
+    v = v.view(v.real.dtype)
+    m = max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
+    return math.frexp(m)[1] if math.isfinite(m) else _INF
+
+
+def _ldexp(A: np.ndarray, e) -> None:
+    """A *= 2^e in place, real and imaginary parts alike; A is left as it
+    is for e = 0 and for a non-finite e."""
+    if e and math.isfinite(e):
+        parts = A.view(A.real.dtype)
+        np.ldexp(parts, e, out=parts)
+
+
+def _products_bounded(*exponents, n: int = 1) -> bool:
+    """Whether every sum of ``n`` products of one entry of each of some
+    arrays, and every partial product, stays below ``OVERFLOW_MARGIN``,
+    given the arrays' ``exponents`` (``_exponent``; an entry is below
+    2^(e + 1/2) in modulus), leaving more than 2^63 for the rounding and
+    intermediate sums of any FFT.  Compared as integers, the bound never
+    overflows itself; it fails when an array is not finite (e = inf)."""
+    e = sum(exponents) + len(exponents) + n.bit_length()
+    return 2 ** e <= OVERFLOW_MARGIN
 
 
 def format_number(x) -> str:
@@ -77,10 +115,10 @@ class Symbol1D:
 
     def unit_scaled(self) -> tuple["Symbol1D", int]:
         """(self, 0), or above ``OVERFLOW_MARGIN`` the symbol times 2^-e,
-        bounded by 1, and e, the ``frexp`` exponent of ``sup_bound``."""
-        if self.sup_bound is None or not self.sup_bound > OVERFLOW_MARGIN:
+        bounded by 1, and e, the ``_exponent`` of a finite ``sup_bound``."""
+        if not OVERFLOW_MARGIN < (self.sup_bound or 0.0) < _INF:
             return self, 0
-        e = math.frexp(self.sup_bound)[1]
+        e = _exponent(self.sup_bound)
         fn, scale = self.fn, math.ldexp(1.0, -e)
         return Symbol1D(lambda x: fn(x) * scale, self.descriptor,
                         self.breakpoints, self.support, self.is_real,

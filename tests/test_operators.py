@@ -14,7 +14,7 @@ from tfloc.cli import EQUIVALENCE_SYMBOLS
 from tfloc.fields import axis2_sign, omega_side, random_bandlimited
 from tfloc.fourier import _Sandwich, _sandwich, fourier
 from tfloc.grids import LineGrid, SampledFunction, induced_grid
-from tfloc.kernels import (_ldexp, gamma, overlap_kernel, spectrum_from_gamma,
+from tfloc.kernels import (gamma, overlap_kernel, spectrum_from_gamma,
                            weighted_overlap_kernel)
 from tfloc.operators import (LOWRANK_TAIL, OperatorMatrix, _add_lag_product,
                              _beta_hat_on_lattice, _hermitian_eigvals,
@@ -23,7 +23,7 @@ from tfloc.operators import (LOWRANK_TAIL, OperatorMatrix, _add_lag_product,
                              build_pseudodiff, default_operator_grid,
                              filter_signal, hausdorff_distance, operator_norm,
                              spectrum, verify_equivalence)
-from tfloc.symbols import Symbol1D, SymbolSpec
+from tfloc.symbols import Symbol1D, SymbolSpec, _exponent, _ldexp
 
 G128 = default_operator_grid("gabor", 128)
 
@@ -1081,6 +1081,40 @@ def test_operator_norm_reads_a_diagonal_off(monkeypatch):
     assert operator_norm(np.zeros((3, 3))) == 0.0
 
 
+def test_operator_norm_of_a_subnormal_matrix():
+    # the Lanczos vectors are scaled by 2^-e in place, so a matrix below
+    # 2^-1022 runs (math.ldexp(1, -e) overflowed there) and its certified
+    # norm is that of the matrix scaled exactly into the normal range,
+    # scaled back: to one subnormal ulp at 1e-320
+    A = np.random.default_rng(4).standard_normal((32, 32))
+    for tiny in (1e-310, 1e-320):
+        for B in (A * tiny, (A + 1j * A[::-1]) * tiny):
+            up = np.array(B)
+            _ldexp(up, 1074)
+            ref = math.ldexp(_svd_norm(up), -1074)
+            assert _lanczos_norm(B) is not None
+            got = operator_norm(B)
+            assert abs(got - ref) <= 1e-13 * ref + math.ulp(0.0), (tiny, got)
+
+
+def test_verify_equivalence_of_a_tiny_separable_symbol(gaussian, shannon):
+    # const:1e-300 x bump:1 leaves a direct-minus-compound difference below
+    # 2^-1022: its norm runs, and the report passes with the discrepancies
+    # of const:1 scaled by 1e-300
+    def report(atom, c):
+        spec = SymbolSpec.separable(Symbol1D.constant(c),
+                                    Symbol1D.gaussian_bump(1.0))
+        return verify_equivalence(atom, spec, _grid_for(atom, 64), 5e-3)
+
+    for atom in (gaussian, shannon):
+        one, tiny = report(atom, 1.0), report(atom, 1e-300)
+        assert tiny["pass"]
+        for key in ("norm_discrepancy", "action_error_max"):
+            assert tiny[key] == pytest.approx(one[key], rel=1e-6), key
+        assert tiny["hausdorff"] == pytest.approx(1e-300 * one["hausdorff"],
+                                                  rel=1e-6)
+
+
 def test_operator_norm_falls_back_to_the_svd_bit_for_bit():
     # 256 evenly spread singular values, the top one without a gap: no
     # certificate within the step cap
@@ -1623,6 +1657,35 @@ def test_filter_fast_scales_near_overflow_symbols(gaussian, shannon):
             np.max(np.abs(one.values))
         below, _ = filter_signal(atom, spec(2.0 ** 959), f, method="fast")
         assert np.array_equal(below.values, _ldexp_copy(one.values, 959))
+
+
+@pytest.mark.parametrize("case, top", [("gabor", 1022), ("wavelet", 1020)])
+def test_slow_filter_of_a_scaled_signal_keeps_the_bits(case, top):
+    # a signal whose largest part is above 2^960 is carried as 2^e times a
+    # signal bounded by 1, as the symbol is: slow(2^k h) is 2^k slow(h)
+    # bit for bit, with no warning, also at 2^top, where the transforms of
+    # the unscaled signal overflow (and a larger f_hat would overflow the
+    # wavelet case's input FFT); --compare agrees
+    atom = make_atom(case, {"gabor": "gaussian", "wavelet": "shannon"}[case])
+    spec = SymbolSpec.first_variable(
+        {"gabor": Symbol1D.indicator(-1.0, 1.0),
+         "wavelet": Symbol1D.indicator(1.0, 2.0)}[case])
+    f = random_bandlimited(LineGrid.centered(8.0, 256), seed=3)
+    # h's largest part in [1/2, 1): the scaled signal enters as h itself
+    f = SampledFunction(f.grid, _ldexp_copy(
+        f.values, -_exponent(omega_side(case, f).values)))
+    one, _ = filter_signal(atom, spec, f, method="slow")
+    for k in (1000, top):
+        big = SampledFunction(f.grid, _ldexp_copy(f.values, k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, _ = filter_signal(atom, spec, big, method="slow")
+            _, slow, dev, _ = filter_signal(atom, spec, big, method="compare")
+        ref = _ldexp_copy(one.values, k)
+        assert np.array_equal(got.values.view(np.uint64),
+                              ref.view(np.uint64)), k
+        assert np.array_equal(slow.values, got.values)
+        assert dev <= 1e-12
 
 
 def _ldexp_copy(values, e):

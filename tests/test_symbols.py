@@ -20,7 +20,8 @@ from tfloc.kernels import (GammaFunction, boundedness_verdict, gamma,
                            spectrum_from_gamma, weighted_overlap_kernel)
 from tfloc.operators import OperatorMatrix, default_operator_grid
 from tfloc.quadrature import gauss_kronrod
-from tfloc.symbols import Symbol1D, SymbolParseError, SymbolSpec, parse_symbol
+from tfloc.symbols import (Symbol1D, SymbolParseError, SymbolSpec, _exponent,
+                           _ldexp, _products_bounded, parse_symbol)
 
 LN2 = math.log(2.0)
 GABOR_GRID = LineGrid.centered(8.0, 256)
@@ -243,6 +244,54 @@ def test_unit_scaled_symbol():
     scaled, e = piece.unit_scaled()
     assert (scaled.breakpoints, scaled.support) == (piece.breakpoints,
                                                     piece.support)
+
+
+def test_the_scale_helpers():
+    # _exponent: the frexp exponent of the largest real or imaginary part,
+    # 0 for zeros, inf when a part is not finite; a scalar's is frexp's
+    assert _exponent(np.zeros(3)) == _exponent(np.zeros((2, 2), complex)) == 0
+    assert _exponent(np.array([])) == 0
+    for bad in (math.nan, math.inf, -math.inf):
+        assert _exponent(np.array([1.0, bad])) == math.inf
+        assert _exponent(np.array([1.0, complex(0.0, bad)])) == math.inf
+    assert _exponent(np.array([-3.0, 2.0])) == 2
+    assert _exponent(np.array([1.0 - 5.0j])) == 3
+    # |0.75 + 0.75j| = 1.06 has exponent 1, its parts 0
+    assert _exponent(np.array([0.75 + 0.75j])) == 0
+    for x in (0.0, 0.5, -3.0, 5e-324, 1e-320, 2.0 ** -1022, 1.7e308):
+        assert _exponent(x) == math.frexp(x)[1], x
+    assert _exponent(-1e308j) == math.frexp(1e308)[1]
+
+    # _ldexp: A *= 2^e in place, exact down to the smallest subnormal, and
+    # a no-op for e = 0 and a non-finite e
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    tiny = np.array([5e-324, 3 * 5e-324, -2.0 ** -1073, 2.0 ** -1022])
+    up = tiny.copy()
+    _ldexp(up, 1074)
+    assert np.array_equal(up, [1.0, 3.0, -2.0, 2.0 ** 52])
+    _ldexp(up, -1074)
+    assert np.array_equal(bits(up), bits(tiny))
+    z = tiny + 1j * tiny[::-1]
+    _ldexp(z, 1074)
+    assert np.array_equal(z, [1.0 + 2.0 ** 52 * 1j, 3.0 - 2.0j,
+                              -2.0 + 3.0j, 2.0 ** 52 + 1.0j])
+    for e in (0, math.inf, -math.inf):
+        a = np.array([1.5, -0.0, 1e308, 5e-324])
+        _ldexp(a, e)
+        assert np.array_equal(bits(a), bits([1.5, -0.0, 1e308, 5e-324]))
+
+    # _products_bounded: products and sums of n of them below 2^960, from
+    # the exponents alone, with no overflow of its own
+    assert _products_bounded(0, 0, n=1)
+    assert _products_bounded(958) and not _products_bounded(959)
+    # 2^(955 + 2 + n.bit_length()): 2^960 at n = 4, 2^961 at n = 8
+    assert _products_bounded(500, 455, n=4) and not _products_bounded(
+        500, 455, n=8)
+    assert not _products_bounded(1024, 1024, n=4096)
+    assert not _products_bounded(math.inf)
+    assert not _products_bounded(0, math.inf, n=4)
 
 
 def test_gamma_of_a_scaled_symbol_keeps_the_bits(rect, shannon):

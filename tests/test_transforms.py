@@ -527,6 +527,25 @@ def test_one_dft_sandwich():
         "fourier.py:_Sandwich.core", "kernels.py:_gamma_fft"]
 
 
+def test_one_scale_rule_near_the_float_range():
+    # the frexp exponent of an array or a bound, the exact scale of an
+    # array by a power of two and the product bound have one definition
+    # each, in symbols beside OVERFLOW_MARGIN, and every route calls them
+    def attribute(name, modules):
+        return lambda node: (isinstance(node, ast.Attribute)
+                             and node.attr == name
+                             and isinstance(node.value, ast.Name)
+                             and node.value.id in modules)
+
+    assert _scopes_where(attribute("frexp", ("math", "np", "numpy"))) == [
+        "symbols.py:_exponent"]
+    assert _scopes_where(attribute("ldexp", ("np", "numpy"))) == [
+        "symbols.py:_ldexp"]
+    helpers = ("_exponent", "_ldexp", "_products_bounded")
+    assert _scopes_where(lambda node: isinstance(node, ast.FunctionDef)
+                         and node.name in helpers) == ["symbols.py:"] * 3
+
+
 def test_verify_transforms_builds_one_record_per_grid(tmp_path, ell_calls):
     for case in ("gabor", "wavelet"):
         ell_calls.clear()
@@ -1075,7 +1094,9 @@ def test_only_blocks_with_a_nonzero_mask_are_transformed(monkeypatch):
 def test_a_zero_mask_block_that_can_overflow_runs_and_raises(gaussian):
     # 1e308 on half a unit at the outer edge of the first block overflows
     # that block's backward transform alone (test_adjoint_rejects_a_...);
-    # the symbol is zero there, and the bound keeps the block running
+    # the symbol is zero there, and the bound keeps the block running.
+    # filter_signal carries such a signal scaled below 1 (test_slow_filter_
+    # of_a_scaled_signal_...) and returns, so the chain takes it as it is
     edge = gaussian.g1.nodes[0]
     grid = LineGrid.centered(16.0, 1024)
     f = SampledFunction(grid, np.where(np.abs(grid.samples - edge) <= 0.5,
@@ -1083,5 +1104,8 @@ def test_a_zero_mask_block_that_can_overflow_runs_and_raises(gaussian):
     spec = SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 1.0))
     assert not spec._compact_field(gaussian.g1.nodes[:_BLOCK_ROWS],
                                    induced_grid(grid).samples).any()
+    filter_signal(gaussian, spec, f, "slow")
+    h = omega_side(gaussian.case, f)
     with pytest.raises(ValueError, match="field contains non-finite values"):
-        filter_signal(gaussian, spec, f, "slow")
+        _stream(gaussian, _analysis_axis(gaussian.case, grid), h=h,
+                spec=spec, out_grid=h.grid)
