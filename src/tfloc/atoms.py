@@ -31,7 +31,7 @@ import numpy as np
 
 from .grids import LineGrid, SampledFunction, ScaleGrid
 from .quadrature import gauss_kronrod
-from .symbols import _exponent, _ldexp, _products_bounded
+from .symbols import _exponent, _ldexp
 
 __all__ = [
     "Atom",
@@ -259,8 +259,7 @@ class Fibers:
 
     The record is finite by construction: the catalog's closed forms and
     the linear interpolation of an imported atom's finite samples give
-    finite values.  The skips below bound every block they skip all the
-    same, so a block that is not finite runs.
+    finite values.
 
     A row is *empty* when every entry has the bit pattern of +0 (a row
     holding -0 is not).  ``live`` has one flag per block of ``_BLOCK_ROWS``
@@ -319,10 +318,10 @@ class Fibers:
         made.  The dtype is complex when a factor is.
 
         A block that is empty (``live``) or where some factor is zero on
-        every row adds only signed zeros when no product of its terms
-        overflows (``_products_bounded``, which fails on a factor not finite
-        there), so it is skipped: the sum starts at +0, never holds -0, and
-        adding +-0 leaves every value as it is.
+        every row adds only signed zeros, since no product of a finite
+        record and factors in the supported range (``symbols``) overflows,
+        so it is skipped: the sum starts at +0, never holds -0, and adding
+        +-0 leaves every value as it is.
         """
         L = self.ell
         count, n = L.shape
@@ -331,9 +330,7 @@ class Fibers:
         for live, rows in zip(self.live, _row_blocks(count)):
             fs = [f[rows] for f in row_factors]
             if not live or not all(f.any() for f in fs):
-                e = _exponent(L[rows])  # |L|^2: twice
-                if _products_bounded(e, e, *map(_exponent, fs)):
-                    continue
+                continue
             t = block[:rows.stop - rows.start]
             c = np.abs(L[rows]) if np.iscomplexobj(L) else L[rows]
             np.multiply(c, c, out=t)

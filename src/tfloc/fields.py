@@ -38,11 +38,11 @@ record's *empty* blocks, ``Fibers.live``.  ``_stream`` does not transform
 them.  With h, the rows of an empty block all embed to one row, which it
 transforms once per call and copies into the field (or, in a projection,
 leaves out: its terms are signed zeros).  From a field, it skips a block
-whose output fibers are empty when the block cannot overflow the forward
-transform.  A slow filter skips each block that its symbol zeroes, so its
-cost follows the blocks the symbol touches.  Every output keeps its bits,
-signs of zero included.  The overflow bounds follow the scale rule of
-``symbols`` (``_products_bounded``).
+whose output fibers are empty.  A slow filter skips each block that its
+symbol zeroes, so its cost follows the blocks the symbol touches.  Every
+output keeps its bits, signs of zero included: a skipped block is finite,
+since its inputs are in the supported range of ``symbols``, which
+``analyze``, ``bargmann_adjoint`` and ``bargmann`` check on theirs.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import numpy as np
 from .atoms import Atom, _BLOCK_ROWS, _row_blocks
 from .fourier import _sandwich, fourier
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
-from .symbols import _exponent, _products_bounded
+from .symbols import RANGE_EXPONENT, _in_range
 
 __all__ = [
     "PhasePlaneField",
@@ -155,8 +155,10 @@ def analyze(atom: Atom, f: SampledFunction) -> PhasePlaneField:
     By the reproducing formula it is the adjoint of the diagonalizing
     transform applied to the omega side of f.  The second axis is f's own
     grid for wavelets (translations) and its induced grid for windows
-    (modulations).
+    (modulations).  A signal out of the supported range of ``symbols``
+    raises ``ValueError``.
     """
+    _in_range(f.values, "signal")
     return bargmann_adjoint(atom, omega_side(atom.case, f),
                             out_grid=_analysis_axis(atom.case, f.grid))
 
@@ -228,16 +230,11 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
       every block, so a symbol not finite on a skipped block raises.
     - from ``field`` (``bargmann``'s path: ``out_grid`` and no symbol), a
       block whose output fibers are empty projects to signed zeros and is
-      skipped when its forward transform cannot overflow
-      (``symbols._products_bounded``); otherwise it runs, and raises where it
-      would.
+      skipped.
     - with ``h`` and a symbol, a block whose mask has no nonzero entry is
-      skipped, embedding, both cores and projection, when the product of
-      max|L_in|, max|h * pre_b|, the row length, max|diag| and max|L_out|
-      on its rows stays below ``symbols.OVERFLOW_MARGIN``: the block is
-      then finite after its backward transform, the mask makes it +-0, and
-      so are its projection terms.  Where the bound fails, the block runs
-      and raises where it would.
+      skipped, embedding, both cores and projection: the block is finite
+      after its backward transform, the mask makes it +-0, and so are its
+      projection terms.
     """
     g1 = atom.g1
     count = g1.count
@@ -263,37 +260,31 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
                  else buf[:rows.stop - rows.start])
         if spec is not None:
             mask = spec._compact_field(g1.nodes[rows], g2.samples)
-        # an overflow in the chain is not silent: the finiteness checks
-        # below raise it as a ValueError
-        with np.errstate(over="ignore", invalid="ignore"):
-            if h is None:
-                np.multiply(field.values[rows], forward.pre, out=block)
-                if not fibers_out.live[b] and _products_bounded(
-                        _exponent(block), n=g2.count):
-                    continue
-            elif spec is not None and not mask.any() and _products_bounded(
-                    *map(_exponent, (L_in[rows], h_pre, diag, L_out[rows])),
-                    n=g2.count):
+        if h is None:
+            if not fibers_out.live[b]:
                 continue
-            elif not fibers_in.live[b]:
-                if empty_row is None:
-                    empty_row = np.multiply(L_in[rows.start:rows.start + 1],
-                                            h_pre)
-                    backward.core(empty_row)
-                    np.multiply(diag, empty_row, out=empty_row)
-                    _require_finite(empty_row)
-                if out_grid is None:
-                    out[rows] = empty_row
-                continue
-            else:
-                np.multiply(L_in[rows], h_pre, out=block)
-                backward.core(block)
-                np.multiply(diag, block, out=block)
-            if out_grid is not None:
-                if spec is not None:
-                    block *= mask
-                    del mask  # freed before the projection's temporary
-                forward.core(block)
+            np.multiply(field.values[rows], forward.pre, out=block)
+        elif spec is not None and not mask.any():
+            continue
+        elif not fibers_in.live[b]:
+            if empty_row is None:
+                empty_row = np.multiply(L_in[rows.start:rows.start + 1],
+                                        h_pre)
+                backward.core(empty_row)
+                np.multiply(diag, empty_row, out=empty_row)
+                _require_finite(empty_row)
+            if out_grid is None:
+                out[rows] = empty_row
+            continue
+        else:
+            np.multiply(L_in[rows], h_pre, out=block)
+            backward.core(block)
+            np.multiply(diag, block, out=block)
+        if out_grid is not None:
+            if spec is not None:
+                block *= mask
+                del mask  # freed before the projection's temporary
+            forward.core(block)
         _require_finite(block)
         if out_grid is not None:
             # conj() of a real record is the record; of a complex one, a
@@ -302,8 +293,7 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
             acc += weights[rows] @ block
     if out_grid is None:
         return out
-    with np.errstate(over="ignore", invalid="ignore"):
-        acc *= forward.post
+    acc *= forward.post
     # a zero projection is +0, as a sum of the blocks' terms gives it; a
     # negative post-phase would leave it -0, which a CSV writes as "-0"
     acc += 0.0
@@ -319,9 +309,12 @@ def bargmann(atom: Atom, field: PhasePlaneField,
     composed with ``analyze`` it returns the signal's omega side, f_hat in
     the wavelet case and f itself in the Gabor case.  It streams the field
     through ``_stream`` a block of rows at a time, so besides its result it
-    holds one block; ``field`` is left unchanged.
+    holds one block; ``field`` is left unchanged.  A field above 2^(2B),
+    past what a signal in the supported range of ``symbols`` analyzes to,
+    raises ``ValueError``.
     """
     _check_first_axis(atom, field)
+    _in_range(field.values, "field", exponent=2 * RANGE_EXPONENT)
     out = induced_grid(field.g2) if out_grid is None else out_grid
     return SampledFunction(out, _stream(atom, field.g2, field=field,
                                         out_grid=out))
@@ -334,8 +327,10 @@ def bargmann_adjoint(atom: Atom, f: SampledFunction,
     ``_stream`` embeds and transforms a block of rows at a time in the
     field's own array, and checks each block's finiteness, so the field is
     the one array of its size the call allocates and no second pass over it
-    checks it.
+    checks it.  A function above 2^(2B), past the omega side of a signal in
+    the supported range of ``symbols``, raises ``ValueError``.
     """
+    _in_range(f.values, "omega-side function", exponent=2 * RANGE_EXPONENT)
     out = induced_grid(f.grid) if out_grid is None else out_grid
     return PhasePlaneField._of_finite(atom.case, atom.g1, out,
                                       _stream(atom, out, h=f))

@@ -33,10 +33,6 @@ The Gabor case additionally admits ``rule="fft"``: the grid rule evaluated
 as one ``numpy.fft`` convolution of the symbol samples with the squared
 window.
 
-The three gamma rules, the weighted overlap kernel and the second-variable
-factor of the compound routes carry a symbol near overflow by the scale
-rule of ``symbols`` (``Symbol1D.unit_scaled``).
-
 The two-point overlap kernels generalize the same quadrature to pairs of
 frequencies and feed the integral and compound-symbol operator builders.
 They are the integral kernels of those forms, so they are returned as the
@@ -54,7 +50,7 @@ import numpy as np
 from .atoms import Atom, _row_blocks
 from .grids import LineGrid
 from .quadrature import GK_MAX_POINTS, gauss_kronrod
-from .symbols import Symbol1D, _ldexp
+from .symbols import Symbol1D
 
 __all__ = [
     "GammaFunction",
@@ -198,18 +194,15 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
         raise ValueError(f"unknown rule {rule!r}")
     if rule == "fft" and atom.case != "gabor":
         raise ValueError("the fft rule applies to the gabor case only")
-    scaled, e = alpha.unit_scaled()
     abserr = None
     if rule == "grid":
-        # the power sums of the symbol's samples, finite (Symbol1D.sample)
+        # the power sums of the symbol's samples, in range (Symbol1D.sample)
         vals = atom.fibers(xi_grid.samples).power_sums(
-            scaled.sample(atom.g1.nodes), atom.g1.measure_weights)
+            alpha.sample(atom.g1.nodes), atom.g1.measure_weights)
     elif rule == "fft":
-        vals = _gamma_fft(atom, scaled, xi_grid)
+        vals = _gamma_fft(atom, alpha, xi_grid)
     else:
-        vals, abserr = _gamma_adaptive(atom, scaled, xi_grid.samples)
-        abserr = math.ldexp(abserr, e)
-    _ldexp(vals, e)
+        vals, abserr = _gamma_adaptive(atom, alpha, xi_grid.samples)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"gamma for {alpha.descriptor} is not finite on the grid")
     # a symbol with a sup bound gives a bounded operator (||H_a|| <= sup|a|),
@@ -384,9 +377,7 @@ def overlap_kernel(atom: Atom, xi_grid: LineGrid) -> OperatorMatrix:
 def weighted_overlap_kernel(atom: Atom, alpha: Symbol1D,
                             xi_grid: LineGrid) -> OperatorMatrix:
     """Symbol-weighted overlap kernel; its diagonal is the grid-rule gamma."""
-    scaled, e = alpha.unit_scaled()
-    w = atom.g1.measure_weights * scaled.sample(atom.g1.nodes)
+    w = atom.g1.measure_weights * alpha.sample(atom.g1.nodes)
     vals = _fiber_overlap(atom, w, xi_grid)
-    _ldexp(vals, e)
     return OperatorMatrix(xi_grid, vals, "weighted_overlap", atom.name,
                           alpha.descriptor, symbol_is_real=alpha.is_real)

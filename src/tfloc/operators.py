@@ -60,8 +60,8 @@ the real symmetric solver.
 ``operator_norm`` takes the largest singular value of a matrix flagged
 Hermitian from its eigenvalues, and of any other non-diagonal matrix from
 the certified Lanczos estimate of ``_lanczos_norm`` (the dense SVD when it
-has no certificate).  Values near the float range (a symbol near overflow,
-a large signal, a tiny matrix) follow the scale rule of ``symbols``.
+has no certificate).  Values are in the supported range of ``symbols``,
+and a bare array passed to ``operator_norm`` is checked against it.
 
 Sign conventions: with the axis-2 transform pairing (wavelet forward, gabor
 inverse), the difference-lattice factor is beta_hat(+(xi - omega)) for the
@@ -90,8 +90,8 @@ from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport,
                       _is_diagonal, gamma, overlap_kernel,
                       weighted_overlap_kernel)
-from .symbols import (OVERFLOW_MARGIN, Symbol1D, SymbolSpec, _exponent,
-                      _ldexp)
+from .symbols import (RANGE_EXPONENT, Symbol1D, SymbolSpec, _exponent,
+                      _in_range, _ldexp)
 
 __all__ = [
     "OperatorMatrix",
@@ -150,10 +150,7 @@ def _lowrank_factors(a_field: np.ndarray):
     tail ||R||_F / ||a||_F dropped.
 
     R starts as a * 2^-e, e the ``_exponent`` of a, and Q is scaled
-    back by 2^e: both exact, so no squared entry underflows or overflows.
-    Q's columns have unit norm, so its entries times 2^e stay below
-    2 max |a|; V's would reach sqrt(K) max |a| and overflow near the
-    largest float (const:1e307).
+    back by 2^e: both exact, so no squared entry underflows.
     """
     K, n = a_field.shape
     rows = _hull(a_field.any(axis=1))
@@ -322,15 +319,12 @@ def _compound(atom: Atom, spec: SymbolSpec,
 
     Entry [i, j] = K[i, j] * beta_hat(sigma*(xi_i - xi_j)) * step, with the
     case-dependent sigma and K the overlap kernel weighted by spec.alpha,
-    unweighted when the spec has none (alpha = 1, the integral route);
-    beta_hat is that of ``spec.beta.unit_scaled()``, times its 2^e.
+    unweighted when the spec has none (alpha = 1, the integral route).
     """
     kernel = (overlap_kernel(atom, xi_grid) if spec.alpha is None
               else weighted_overlap_kernel(atom, spec.alpha, xi_grid))
-    beta, e = spec.beta.unit_scaled()
-    vals = kernel.values * _beta_hat_on_lattice(atom, beta, xi_grid)
+    vals = kernel.values * _beta_hat_on_lattice(atom, spec.beta, xi_grid)
     vals *= xi_grid.step
-    _ldexp(vals, e)
     return OperatorMatrix(xi_grid, vals,
                           "integral" if spec.alpha is None else "pseudodiff",
                           atom.name, spec.descriptor,
@@ -364,8 +358,7 @@ def _hermitian_eigvals(M: OperatorMatrix) -> np.ndarray:
     by entry as H would hold it, without forming H.  An exactly real M
     forms H, the complex H's real part, in real arithmetic, and takes the
     real symmetric solver."""
-    # halved before the sum, so entries near the largest float cannot
-    # overflow it
+    # halved before the sum, the order the pinned spectra's bits come from
     if M.is_diagonal:
         d = 0.5 * M.values.diagonal()
         d += d.conj()
@@ -411,7 +404,7 @@ def _lanczos_norm(A: np.ndarray) -> float | None:
     v /= np.linalg.norm(v)
     u = A @ v
     e = _exponent(u) + 1
-    if not u.any() or e == math.inf:
+    if not u.any():
         return None
     steps = min(NORM_MAX_STEPS, n)
     V = np.empty((steps, n), dtype=v.dtype)
@@ -447,14 +440,17 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
     nonzero off-diagonal entry) has it read off exactly as max |d_i|.
     Otherwise it is the certified Lanczos estimate of ``_lanczos_norm``, or
     the dense SVD's sigma_1 where that has no certificate, both on the real
-    part alone when no entry has a nonzero imaginary part.
+    part alone when no entry has a nonzero imaginary part.  A bare array
+    with a part above 2^(2B), past what a symbol in the supported range of
+    ``symbols`` builds, or not finite raises ``ValueError``.
     """
     if isinstance(M, OperatorMatrix):
         if M.is_hermitian:
             return float(np.max(np.abs(_hermitian_eigvals(M))))
         vals, diagonal, real = M.values, M.is_diagonal, M.is_real
     else:
-        vals = np.asarray(M)
+        vals = _in_range(np.asarray(M), "matrix",
+                         exponent=2 * RANGE_EXPONENT)
         diagonal = _is_diagonal(vals)
         real = not (np.iscomplexobj(vals) and vals.imag.any())
     if diagonal:
@@ -559,14 +555,13 @@ def verify_equivalence(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid,
              + 1j * rng.standard_normal(xi_grid.count))
         dv = apply(A, v)
         diff = dv - apply(B, v)
-        # scaled exactly, so no square in the norms overflows or underflows;
-        # a product that overflowed keeps its inf or NaN
+        # scaled exactly, so no square in the norms underflows
         e = _exponent(dv)
         _ldexp(dv, -e)
         _ldexp(diff, -e)
         ref = np.linalg.norm(dv)
         errs.append(np.linalg.norm(diff) / (ref if ref else 1.0))
-    worst = float(np.max(errs))  # NaN (a product overflowed) is the worst
+    worst = float(np.max(errs))
     passed = (norm_disc <= tolerance and hd <= tolerance * max(1.0, dn)
               and worst <= tolerance)
     return {"case": atom.case, "atom": atom.name, "symbol": spec.descriptor,
@@ -605,9 +600,8 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
     ``atoms._BLOCK_ROWS`` rows of the field and of the mask, never the
     K x N field or mask; its output has the bits of ``bargmann`` of the
     whole masked field.  fast: first-variable symbols only; h times the
-    grid-rule gamma on h's grid.  Both mask with ``Symbol1D.unit_scaled``
-    factors, the slow path carries h by the same rule, and each gives its
-    2^e back once; an output past the largest float raises ``ValueError``.
+    grid-rule gamma on h's grid.  A signal out of the supported range of
+    ``symbols`` raises ``ValueError`` before either path runs.
 
     Both paths read the atom's fiber record on h's grid (``Atom.fibers``),
     so a call builds at most one fiber matrix.  A signal whose fiber
@@ -623,6 +617,7 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
         raise ValueError(
             "the fast path requires a first-variable symbol; got "
             f"{spec.descriptor}")
+    _in_range(f.values, "signal")
     h = omega_side(atom.case, f)
     coverage = atom.fibers(h.grid.samples).coverage(h)
     if coverage < MIN_FIBER_COVERAGE:
@@ -631,36 +626,19 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
             f"{MIN_FIBER_COVERAGE:g}: the signal lies outside the atom's "
             f"first-coordinate range, {_first_coordinate_range(atom.g1)}")
 
-    def scaled_back(vals, e):
-        # the output of a symbol scaled by 2^-e: 2^e comes back once
-        with np.errstate(over="ignore"):
-            _ldexp(vals, e)
-        if not np.isfinite(vals.view(float)).all():
-            raise ValueError(f"the filtered signal of {spec.descriptor} "
-                             "overflows the float range")
+    def back(vals):
         return omega_side(atom.case, SampledFunction(h.grid, vals),
                           back_to=f.grid)
 
     def slow_path():
         # both transforms and the mask for every symbol kind: the fast
-        # path's gamma is the oracle this route is compared against.  The
-        # mask takes the factors' ``Symbol1D.unit_scaled`` (a general spec
-        # has none), and h is carried by the same rule
-        (alpha, ea), (beta, eb) = (p.unit_scaled() if p else (None, 0)
-                                   for p in (spec.alpha, spec.beta))
-        masked = SymbolSpec(spec.kind, alpha, beta) if ea + eb else spec
-        eh = _exponent(h.values)
-        eh = eh if 2 ** eh > OVERFLOW_MARGIN else 0
-        hs = SampledFunction(h.grid, h.values.copy())
-        _ldexp(hs.values, -eh)
+        # path's gamma is the oracle this route is compared against
         g2 = _analysis_axis(atom.case, f.grid)
-        return scaled_back(_stream(atom, g2, h=hs, spec=masked,
-                                   out_grid=h.grid), ea + eb + eh)
+        return back(_stream(atom, g2, h=h, spec=spec, out_grid=h.grid))
 
     def fast_path():
-        alpha, e = spec.alpha.unit_scaled()
-        gf = gamma(atom, alpha, h.grid, rule="grid")
-        return scaled_back(h.values * gf.values, e)
+        gf = gamma(atom, spec.alpha, h.grid, rule="grid")
+        return back(h.values * gf.values)
 
     if method == "slow":
         return slow_path(), coverage
@@ -668,7 +646,7 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
         return fast_path(), coverage
     fast, slow = fast_path(), slow_path()
     # both scaled exactly by 2^-e, 2^e the ``_exponent`` scale of the slow
-    # output, so no difference or square overflows
+    # output, so no square of a difference overflows or underflows
     fv, sv = (np.array(g.values, dtype=complex) for g in (fast, slow))
     e = _exponent(sv)
     _ldexp(fv, -e)

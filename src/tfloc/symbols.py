@@ -11,15 +11,24 @@ the metadata the quadrature rules need (breakpoints, support, realness, a
 sup bound when known).  The CLI's tiny symbol DSL (const:c, indicator:a,b,
 power:p, sampled:file) parses into Symbol1D.
 
-Values near the largest float follow one rule on every route.  A symbol
-whose ``sup_bound`` is above ``OVERFLOW_MARGIN``, or a signal whose largest
-real or imaginary part is (2^e above it, e the ``frexp`` exponent that
-``_exponent`` reads), is carried as 2^e times a value bounded by 1
-(``Symbol1D.unit_scaled``; ``_ldexp`` scales an array in place) and 2^e
-comes back once on the result.  ``_products_bounded`` bounds a product from
-its factors' exponents before it is formed.  Scaling by a power of two is
-exact unless a scaled value is subnormal, where outputs may move at
-rounding.
+Supported range.  A symbol's ``sup_bound`` (a bound on its modulus), and
+the real and imaginary parts of its samples and of a signal's, are at most
+2^B, B = ``RANGE_EXPONENT`` = 256 (about 1.16e77).  B comes from the
+longest product chain, the slow filter's projection: fiber record x symbol
+x signal x N x Riemann weights.  Its two inputs stay below 2^(2B + 1),
+which leaves 2^511 below the largest float for the rest, FFT sums
+included, so no route overflows and none rescales.  Arrays made from
+values in range (an omega side, a field, an operator's matrix) stay below
+2^(2B), which ``bargmann_adjoint``, ``bargmann`` and ``operator_norm``
+check on an array passed to them.  ``_in_range`` is the one check, where
+values come in (``Symbol1D`` construction and ``sample``, ``SymbolSpec``
+sampling, a signal entering ``filter_signal`` or ``analyze``): a value out
+of range or not finite raises ``ValueError`` naming the bound, and the CLI
+exits 2.  A norm squares its data, which underflows when small and
+overflows for a filtered signal, so the norms (low-rank factors, Lanczos,
+action check, ``--compare`` deviation, fiber coverage) scale it first by
+2^-e, e the ``frexp`` exponent of its largest part (``_exponent``,
+``_ldexp``): exact, subnormal data included.
 """
 
 from __future__ import annotations
@@ -34,17 +43,37 @@ __all__ = ["Symbol1D", "SymbolSpec", "SymbolParseError", "parse_symbol"]
 
 _INF = float("inf")
 
-# Magnitudes below 2^960 are far from overflow (2^63 times one is finite)
-OVERFLOW_MARGIN = 2.0 ** 960
+# B of the supported range: symbol and signal values are at most 2^B
+RANGE_EXPONENT = 256
+
+
+def _largest_part(a) -> float:
+    """The largest modulus of a real or imaginary part in ``a`` (an array or
+    a scalar): 0 when all are 0, NaN or inf when one is not finite."""
+    v = np.ascontiguousarray(a)
+    v = v.view(v.real.dtype)
+    return max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
+
+
+def _in_range(a, subject: str, where: str = "",
+              exponent: int = RANGE_EXPONENT):
+    """``a``, or the ``ValueError`` of ``subject`` (``where`` appended) when
+    a real or imaginary part of ``a`` is not finite or is above
+    2^``exponent``."""
+    m = _largest_part(a)
+    if m <= 2.0 ** exponent:
+        return a
+    if not math.isfinite(m):
+        raise ValueError(f"{subject} is not finite{where}")
+    raise ValueError(f"{subject} exceeds the supported range{where}: a value "
+                     f"above 2^{exponent} ({2.0 ** exponent:.6g})")
 
 
 def _exponent(a) -> float:
     """The ``frexp`` exponent e of the largest real or imaginary part in
     ``a`` (an array or a scalar), so every part is below 2^e: 0 when all
     are 0, inf when one is not finite."""
-    v = np.ascontiguousarray(a)
-    v = v.view(v.real.dtype)
-    m = max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
+    m = _largest_part(a)
     return math.frexp(m)[1] if math.isfinite(m) else _INF
 
 
@@ -56,17 +85,6 @@ def _ldexp(A: np.ndarray, e) -> None:
         np.ldexp(parts, e, out=parts)
 
 
-def _products_bounded(*exponents, n: int = 1) -> bool:
-    """Whether every sum of ``n`` products of one entry of each of some
-    arrays, and every partial product, stays below ``OVERFLOW_MARGIN``,
-    given the arrays' ``exponents`` (``_exponent``; an entry is below
-    2^(e + 1/2) in modulus), leaving more than 2^63 for the rounding and
-    intermediate sums of any FFT.  Compared as integers, the bound never
-    overflows itself; it fails when an array is not finite (e = inf)."""
-    e = sum(exponents) + len(exponents) + n.bit_length()
-    return 2 ** e <= OVERFLOW_MARGIN
-
-
 def format_number(x) -> str:
     """A descriptor's number: ``:g`` when it reads back as the same float, else
     ``repr``, so the descriptor names the symbol computed; ``re+imj`` if complex."""
@@ -76,13 +94,6 @@ def format_number(x) -> str:
         return f"{format_number(x.real)}{'' if im[0] == '-' else '+'}{im}j"
     s = f"{x.real:g}"
     return s if float(s) == x.real else repr(x.real)
-
-
-def _finite(vals: np.ndarray, descriptor: str) -> np.ndarray:
-    """``vals``, or the ``ValueError`` of a symbol not finite on the grid."""
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"symbol {descriptor} is not finite on the grid")
-    return vals
 
 
 class SymbolParseError(ValueError):
@@ -103,6 +114,8 @@ class Symbol1D:
         self.breakpoints = tuple(float(b) for b in breakpoints)
         self.support = (float(support[0]), float(support[1]))
         self.is_real = bool(is_real)
+        if sup_bound is not None:
+            _in_range(sup_bound, f"symbol {descriptor}")
         self.sup_bound = sup_bound
 
     def __call__(self, x):
@@ -110,19 +123,9 @@ class Symbol1D:
 
     def sample(self, x) -> np.ndarray:
         """The symbol's values at ``x``, or the ``ValueError`` of a symbol
-        that is not finite there."""
-        return _finite(np.asarray(self(x)), self.descriptor)
-
-    def unit_scaled(self) -> tuple["Symbol1D", int]:
-        """(self, 0), or above ``OVERFLOW_MARGIN`` the symbol times 2^-e,
-        bounded by 1, and e, the ``_exponent`` of a finite ``sup_bound``."""
-        if not OVERFLOW_MARGIN < (self.sup_bound or 0.0) < _INF:
-            return self, 0
-        e = _exponent(self.sup_bound)
-        fn, scale = self.fn, math.ldexp(1.0, -e)
-        return Symbol1D(lambda x: fn(x) * scale, self.descriptor,
-                        self.breakpoints, self.support, self.is_real,
-                        math.ldexp(self.sup_bound, -e)), e
+        that is not finite or out of range there."""
+        return _in_range(np.asarray(self(x)), f"symbol {self.descriptor}",
+                         " on the grid")
 
     # -- constructors ---------------------------------------------------------
 
@@ -237,9 +240,10 @@ def parse_symbol(text: str) -> Symbol1D:
     pos = len(kind) + 1
     if kind == "const":
         try:
-            return Symbol1D.constant(complex(args))
+            c = complex(args)
         except ValueError:
             raise SymbolParseError(text, pos, f"bad constant {args!r}") from None
+        return Symbol1D.constant(c)
     if kind == "indicator":
         parts = args.split(",")
         if len(parts) != 2:
@@ -329,15 +333,16 @@ class SymbolSpec:
     def _compact_field(self, r_nodes, s_nodes) -> np.ndarray:
         """a(r, s) on the product grid in the smallest array that broadcasts
         to it: the column a(r)[:, None] of a first-variable symbol, the row
-        a(s)[None, :] of a second-variable one, the full table otherwise.  A
-        one-variable symbol is checked before it is shaped."""
+        a(s)[None, :] of a second-variable one, the full table otherwise,
+        checked by ``_in_range``."""
         r = np.asarray(r_nodes, dtype=float)
         s = np.asarray(s_nodes, dtype=float)
-        d = self.descriptor
         if self.kind == "first":
-            return _finite(np.asarray(self.alpha(r)), d)[:, None]
-        if self.kind == "second":
-            return _finite(np.asarray(self.beta(s)), d)[None, :]
-        if self.kind == "separable":
-            return _finite(np.outer(self.alpha(r), self.beta(s)), d)
-        return _finite(np.asarray(self.general_fn(r[:, None], s[None, :])), d)
+            vals = np.asarray(self.alpha(r))[:, None]
+        elif self.kind == "second":
+            vals = np.asarray(self.beta(s))[None, :]
+        elif self.kind == "separable":
+            vals = np.outer(self.alpha(r), self.beta(s))
+        else:
+            vals = np.asarray(self.general_fn(r[:, None], s[None, :]))
+        return _in_range(vals, f"symbol {self.descriptor}", " on the grid")

@@ -15,7 +15,7 @@ from tfloc.cli import main
 from tfloc.fields import random_bandlimited
 from tfloc.grids import LineGrid, SampledFunction
 from tfloc.io import read_signal_csv, sidecar_path, write_signal_csv
-from tfloc.symbols import SymbolSpec
+from tfloc.symbols import RANGE_EXPONENT, SymbolSpec
 
 
 def run(*argv) -> int:
@@ -208,7 +208,7 @@ def test_cmd_symbol_not_finite_on_the_grid_exits_2(tmp_path, capsys, argv):
      "need xi-min < xi-max, got [2.0, 1.0]"),
     (("algebra", "--cuts=abc"), "malformed --cuts 'abc'"),
     (("gamma", "--symbol", "const:inf", "--rule", "adaptive"),
-     "gamma of const:inf at xi=-8: integrand is not finite"),
+     "symbol const:inf is not finite"),
 ], ids=["xi-window", "cuts", "infinite-integrand"])
 def test_cmd_bad_values_exit_2(tmp_path, capsys, argv, message):
     out = tmp_path / "o.csv"
@@ -259,6 +259,24 @@ def test_cmd_input_checks_exit_2(tmp_path, capsys, argv, message):
 
 
 
+# the top of the supported range, the next float, and the error above it
+TOP = 2.0 ** RANGE_EXPONENT
+OVER = float(np.nextafter(TOP, math.inf))
+RANGE_ERROR = "exceeds the supported range: a value above 2^256 (1.15792e+77)\n"
+
+
+def _rejects(capsys, out, *argv):
+    """``argv`` exits 2 with the range error and writes nothing, warnings
+    raised."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--out", str(out)) == 2, argv
+    err = capsys.readouterr().err
+    assert err.endswith(RANGE_ERROR) and "Traceback" not in err, err
+    assert not os.path.exists(out)
+
+
 def _all_finite(doc) -> bool:
     """Whether every number in a parsed JSON document is finite."""
     if isinstance(doc, dict):
@@ -274,20 +292,12 @@ def _all_finite(doc) -> bool:
                                   ("spectrum", "--with-eigs")],
                          ids=["gamma-grid", "gamma-adaptive", "gamma-fft",
                               "spectrum-eigs"])
-def test_cmd_symbol_near_the_largest_float(tmp_path, argv):
-    # const:1e307: gamma is finite under every rule; no transform of the
-    # fft rule or the direct operator's factors, and no adaptive error
-    # estimate, overflows on the way
-    out = tmp_path / "o.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run(*argv, "--symbol", "const:1e307", "--n", "64",
-                   "--format", "json", "--out", str(out)) == 0
-    doc = json.loads(out.read_text())
-    assert _all_finite(doc)
-    re = np.array(doc["re"] if argv[0] == "gamma"
-                  else [v["re"] for v in doc["values"]])
-    assert np.max(np.abs(re / 1e307 - 1.0)) <= 1e-6
+def test_cmd_symbol_near_the_largest_float(tmp_path, capsys, argv):
+    # const:1e307, like every constant above 2^256, is out of the supported
+    # range: exit 2 naming the bound, with no warning and no output
+    for c in (OVER, 1e307):
+        _rejects(capsys, tmp_path / "o.json", *argv, "--symbol",
+                 f"const:{c!r}", "--n", "64", "--format", "json")
 
 
 def _complex_values(doc) -> np.ndarray:
@@ -325,27 +335,27 @@ def _complex_values(doc) -> np.ndarray:
                               "rect-gamma-adaptive",
                               "wavelet-spectrum-eigs-adaptive",
                               "wavelet-kernel"])
-def test_cmd_symbol_at_the_largest_float(tmp_path, argv):
-    # const:1e308 is above 2^960: every route runs on the symbol scaled by
-    # 2^-1024 and takes the scale back once, and the direct operator's
-    # Hermitian part is halved before its sum, so nothing overflows on the
-    # way and no warning is raised; the outputs are 1e308 times const:1's
+def test_cmd_symbol_at_the_largest_float(tmp_path, capsys, argv):
+    # const:1e308 exits 2; const:2^256, the top of the supported range,
+    # runs every route with no warning, and its outputs are 2^256 times
+    # const:1's
+    _rejects(capsys, tmp_path / "o.json", *argv, "--symbol", "const:1e308",
+             "--n", "64", "--format", "json")
     outs = {}
-    for c in ("1", "1e308"):
+    for c in (1.0, TOP):
         out = tmp_path / f"o-{c}.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(*argv, "--symbol", f"const:{c}", "--n", "64",
+            assert run(*argv, "--symbol", f"const:{c!r}", "--n", "64",
                        "--format", "json", "--out", str(out)) == 0
         doc = json.loads(out.read_text())
         assert _all_finite(doc)
         outs[c] = _complex_values(doc)
-    one = outs["1"]
-    assert np.max(np.abs(outs["1e308"] / 1e308 - one)) <= 1e-6 * np.max(
-        np.abs(one))
+    one = outs[1.0]
+    assert np.max(np.abs(outs[TOP] / TOP - one)) <= 1e-6 * np.max(np.abs(one))
 
 
-@pytest.mark.parametrize("symbol", ["const:1e13", "const:1e308"])
+@pytest.mark.parametrize("symbol", ["const:1e13", f"const:{TOP!r}"])
 def test_cmd_bounded_symbol_over_the_overflow_guard(tmp_path, symbol):
     # ||H_a|| <= sup|a|: a |gamma| over the guard (1e12) marks only a symbol
     # with no sup bound unbounded
@@ -556,52 +566,49 @@ def test_cmd_filter_identity_compare(tmp_path, signal_csv):
 
 
 @pytest.mark.parametrize("case", ["gabor", "wavelet"])
-def test_cmd_filter_slow_near_the_largest_float(tmp_path, signal_csv, case):
-    # const:1e307 runs the slow mask as 2^e times a symbol bounded by 1:
-    # slow and --compare exit 0 with no warning, and the slow output is
-    # 1e307 times const:1's
+def test_cmd_filter_slow_near_the_largest_float(tmp_path, capsys, signal_csv,
+                                              case):
+    # const:2^256 runs slow and --compare with no warning, and the slow
+    # output is 2^256 times const:1's; one float above 2^256 exits 2
     outs = {}
-    for c in ("1", "1e307"):
+    for c in (1.0, TOP):
         for method in (("--method", "slow"), ("--compare",)):
             out = str(tmp_path / f"{c}{method[0]}.csv")
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert run("filter", "--case", case, *method, "--symbol",
-                           f"const:{c}", "--input", signal_csv,
+                           f"const:{c!r}", "--input", signal_csv,
                            "--out", out) == 0
             if method[0] == "--compare":
                 meta = json.loads(open(sidecar_path(out)).read())
                 assert meta["relative_deviation"] <= 1e-9
             else:
                 outs[c] = read_signal_csv(out).values
-    one = outs["1"]
-    assert np.max(np.abs(outs["1e307"] / 1e307 - one)) <= 1e-12 * np.max(
-        np.abs(one))
+    one = outs[1.0]
+    assert np.max(np.abs(outs[TOP] / TOP - one)) <= 1e-12 * np.max(np.abs(one))
+    _rejects(capsys, tmp_path / "over.csv", "filter", "--case", case,
+             "--method", "slow", "--symbol", f"const:{OVER!r}",
+             "--input", signal_csv)
 
 
 def test_cmd_filter_fast_at_the_largest_float(tmp_path, capsys):
-    # the fast path multiplies by the gamma of the symbol scaled below 1 and
-    # gives 2^e back once, with no warning: gabor's output stays finite, and
-    # the wavelet's, past the largest float, exits 2 with the slow path's
-    # message (64 samples of exp(-pi x^2 / 4) on [-8, 8))
+    # constants near the largest float exit 2 with the range error in both
+    # cases; const:2^256 runs with no warning (64 samples of
+    # exp(-pi x^2 / 4) on [-8, 8))
     x = (np.arange(64) - 32) / 4
     path = str(tmp_path / "sig.csv")
     write_signal_csv(path, SampledFunction(LineGrid.centered(8.0, 64),
                                            np.exp(-np.pi * x ** 2 / 4)))
-    out = str(tmp_path / "f.csv")
-    for case, symbol, code in (("gabor", "const:1e308", 0),
-                               ("gabor", "const:1.7e308", 0),
-                               ("wavelet", "const:1e308", 2)):
-        capsys.readouterr()
+    for case in ("gabor", "wavelet"):
+        out = str(tmp_path / f"{case}.csv")
+        for symbol in ("const:1e308", "const:1.7e308"):
+            _rejects(capsys, out, "filter", "--case", case, "--method",
+                     "fast", "--symbol", symbol, "--input", path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("filter", "--case", case, "--method", "fast",
-                       "--symbol", symbol, "--input", path,
-                       "--out", out) == code, (case, symbol)
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        if code:
-            assert "overflows the float range" in err
+                       "--symbol", f"const:{TOP!r}", "--input", path,
+                       "--out", out) == 0, case
 
 
 def test_cmd_filter_chirp_band_contracts_energy(tmp_path):
@@ -708,14 +715,20 @@ def test_cmd_filter_coverage_ignores_the_signal_scale(tmp_path, capsys):
         assert "fiber coverage 0.1 " in capsys.readouterr().err
 
 
-def test_cmd_filter_at_2_to_930_writes_a_finite_coverage(tmp_path):
-    # 64 samples of 2^930 exp(-pi x^2 / 4) on [-8, 8): the squares of the
-    # samples overflow, the coverage of the scaled signal does not, and no
-    # warning is raised; the sidecar is JSON with no NaN
+def test_cmd_filter_at_2_to_930_writes_a_finite_coverage(tmp_path, capsys):
+    # 64 samples of exp(-pi x^2 / 4) on [-8, 8), peak 1, times 2^930, or 2^256
+    # with the peak one float above, and a 256-sample signal at 2^1021 (its
+    # f_hat overflowed) exit 2; times 2^256 the first runs with no warning,
+    # and the sidecar is JSON with no NaN
     x = (np.arange(64) - 32) / 4
-    path = str(tmp_path / "sig.csv")
-    write_signal_csv(path, SampledFunction(
-        LineGrid.centered(8.0, 64), np.ldexp(np.exp(-np.pi * x ** 2 / 4), 930)))
+    top = np.ldexp(np.exp(-np.pi * x ** 2 / 4), RANGE_EXPONENT)
+    big = random_bandlimited(LineGrid.centered(8.0, 256), 3)
+    paths = [str(tmp_path / f"{i}.csv") for i in range(4)]
+    for path, vals in zip(paths, (top, np.ldexp(top, 674),
+                                  np.where(x == 0, OVER, top),
+                                  big.values * 2.0 ** 1021)):
+        write_signal_csv(path, SampledFunction(
+            big.grid if vals.size == 256 else LineGrid.centered(8.0, 64), vals))
 
     def no_constant(name):
         raise ValueError(f"{name} in the sidecar")
@@ -725,10 +738,13 @@ def test_cmd_filter_at_2_to_930_writes_a_finite_coverage(tmp_path):
         for method in (("--method", "fast"), ("--method", "slow"),
                        ("--compare",)):
             out = str(tmp_path / f"{case}{method[-1]}.csv")
+            for path in paths[1:]:
+                _rejects(capsys, out, "filter", "--case", case, *method,
+                         "--symbol", symbol, "--input", path)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert run("filter", "--case", case, *method, "--symbol",
-                           symbol, "--input", path, "--out", out) == 0
+                           symbol, "--input", paths[0], "--out", out) == 0
             with open(sidecar_path(out)) as fh:
                 meta = json.load(fh, parse_constant=no_constant)
             assert 0.5 <= meta["fiber_coverage"] <= 1.0

@@ -23,9 +23,14 @@ from tfloc.operators import (LOWRANK_TAIL, OperatorMatrix, _add_lag_product,
                              build_pseudodiff, default_operator_grid,
                              filter_signal, hausdorff_distance, operator_norm,
                              spectrum, verify_equivalence)
-from tfloc.symbols import Symbol1D, SymbolSpec, _exponent, _ldexp
+from tfloc.symbols import (RANGE_EXPONENT, Symbol1D, SymbolSpec, _exponent,
+                           _ldexp)
 
 G128 = default_operator_grid("gabor", 128)
+# the top of the supported range, the next float, and the error above it
+TOP = 2.0 ** RANGE_EXPONENT
+OVER = float(np.nextafter(TOP, math.inf))
+OUT_OF_RANGE = r"exceeds the supported range.*above 2\^256"
 
 
 def _grid_for(atom, n=128):
@@ -556,19 +561,26 @@ def test_lowrank_factors_contract(rank, complex_field, shape, decades, seed):
     assert abs(rel - tail) <= 1e-14
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e300,
-                                   1e307])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, TOP, OVER,
+                                   1e300, 1e307])
 def test_direct_exact_at_extreme_symbol_scales(gaussian, scale):
     # the factorization scales the field by a power of two first, so its
-    # squared entries neither underflow nor overflow, and gives the scale
-    # back to the unit columns of Q, so V does not overflow near the
-    # largest float
+    # squared entries do not underflow; a general symbol above 2^256 is out
+    # of the supported range in build_direct and the slow filter
     grid = _grid_for(gaussian, 64)
     ref = build_direct(gaussian, SymbolSpec.first_variable(
         Symbol1D.indicator(-1.0, 1.0)), grid)
-    M = build_direct(gaussian, SymbolSpec.general(
+    spec = SymbolSpec.general(
         lambda r, s: scale * ((r >= -1.0) & (r <= 1.0)) + 0.0 * s,
-        f"{scale:g}*indicator"), grid)
+        f"{scale:g}*indicator")
+    if scale > TOP:
+        with pytest.raises(ValueError, match=OUT_OF_RANGE):
+            build_direct(gaussian, spec, grid)
+        with pytest.raises(ValueError, match=OUT_OF_RANGE):
+            filter_signal(gaussian, spec, random_bandlimited(
+                LineGrid.centered(8.0, 64), seed=3), method="slow")
+        return
+    M = build_direct(gaussian, spec, grid)
     assert M.lowrank_rank == 1 and math.isfinite(M.lowrank_tail)
     rel = operator_norm(M.values / scale - ref.values) / operator_norm(ref)
     assert rel <= 1e-13, f"{rel:.2e}"
@@ -811,37 +823,31 @@ def test_verify_reports_failure_without_raising(gaussian):
 
 @pytest.mark.parametrize("c", [1e160, 1e300, 2.0 ** 1000])
 def test_verify_action_error_at_large_symbols(gaussian, c):
-    # the action check scales each product by a power of two before its
-    # norm, so c x bump reads the action error of 1 x bump; unscaled, the
-    # norms' squares overflow above ~1e154 and the check read 0
+    # c is out of the supported range; at 2^256 the action check scales
+    # each product by a power of two before its norm, so 2^256 x bump
+    # reads the action error of 1 x bump
+    with pytest.raises(ValueError, match=OUT_OF_RANGE):
+        Symbol1D.constant(c)
     grid = _grid_for(gaussian, 64)
     bump = Symbol1D.gaussian_bump(1.0)
     ref = verify_equivalence(gaussian, SymbolSpec.separable(
         Symbol1D.constant(1.0), bump), grid, 5e-3)
     rep = verify_equivalence(gaussian, SymbolSpec.separable(
-        Symbol1D.constant(c), bump), grid, 5e-3)
+        Symbol1D.constant(TOP), bump), grid, 5e-3)
     assert rep["pass"] and ref["action_error_max"] > 0.0
     assert rep["action_error_max"] == pytest.approx(
         ref["action_error_max"], rel=1e-6)
 
 
-def test_verify_action_error_nan_fails(gaussian):
-    # at const:1e308 the products of the seeded vectors overflow, so the
-    # action errors are NaN: the worst error is NaN and the report fails
-    spec = SymbolSpec.first_variable(Symbol1D.constant(1e308))
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = verify_equivalence(gaussian, spec, _grid_for(gaussian, 64), 1e-3)
-    assert math.isnan(rep["action_error_max"]) and rep["pass"] is False
-    assert rep["norm_discrepancy"] <= 1e-3
-
-
 @pytest.mark.parametrize("c", [1e307, 1e308])
 def test_compound_routes_near_the_largest_float(gaussian, rect, shannon, haar,
                                                 c):
-    # the integral and compound-symbol routes and the weighted kernel run
-    # on the symbol scaled below 1 and take the scale back once: c times
-    # their const:1 result, with no warning
-    one, big, bump = (Symbol1D.constant(1.0), Symbol1D.constant(c),
+    # c is out of the supported range; at 2^256 the integral and
+    # compound-symbol routes and the weighted kernel are 2^256 times their
+    # const:1 result, with no warning
+    with pytest.raises(ValueError, match=OUT_OF_RANGE):
+        Symbol1D.constant(c)
+    one, top, bump = (Symbol1D.constant(1.0), Symbol1D.constant(TOP),
                       Symbol1D.gaussian_bump(1.0))
     routes = {"integral": lambda a, g, s: build_integral(a, s, g),
               "pseudodiff-alpha": lambda a, g, s: build_pseudodiff(a, s, bump,
@@ -855,8 +861,8 @@ def test_compound_routes_near_the_largest_float(gaussian, rect, shannon, haar,
             ref = route(atom, grid, one).values
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = route(atom, grid, big).values
-            rel = np.max(np.abs(got / c - ref)) / np.max(np.abs(ref))
+                got = route(atom, grid, top).values
+            rel = np.max(np.abs(got / TOP - ref)) / np.max(np.abs(ref))
             assert rel <= 1e-13, (atom.name, name, rel)
 
 
@@ -1079,6 +1085,26 @@ def test_operator_norm_reads_a_diagonal_off(monkeypatch):
     assert operator_norm(np.diag(d)) == 5.0
     assert operator_norm(np.diag([-7.25])) == 7.25
     assert operator_norm(np.zeros((3, 3))) == 0.0
+
+
+def test_operator_norm_rejects_an_array_out_of_range():
+    # a bare array above 2^512, past any built operator, where the Lanczos
+    # products would overflow, raises with no warning; at 2^512 it runs
+    A = np.random.default_rng(4).standard_normal((32, 32))
+    C = (A + 1j * A[::-1]) / (2 * np.max(np.abs(A)))
+    C[0, 0] = 1.0
+    top = 2.0 ** (2 * RANGE_EXPONENT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (C * 1.7e308, C * np.nextafter(top, math.inf),
+                    np.where(C == 1.0, np.inf, C)):
+            with pytest.raises(ValueError, match=r"^matrix (exceeds the "
+                               r"supported range: a value above 2\^512 |is "
+                               r"not finite)"):
+                operator_norm(bad)
+        got = operator_norm(C * top)
+    ref = math.ldexp(_svd_norm(C), 2 * RANGE_EXPONENT)
+    assert abs(got - ref) <= 1e-13 * ref
 
 
 def test_operator_norm_of_a_subnormal_matrix():
@@ -1612,9 +1638,9 @@ def test_filter_scale_band_attenuates_as_fast_path_predicts(shannon):
 
 @pytest.mark.parametrize("kind", ["first", "second", "separable"])
 def test_filter_slow_scales_near_overflow_symbols(gaussian, shannon, kind):
-    # a factor above 2^960 masks as 2^e times a factor bounded by 1, and the
-    # 2^e comes back once on the result: c times the const:1 output.  A
-    # result past the largest float raises, and 2^959 keeps its bits
+    # no factor is scaled: at 2^256, the top of the supported range, the
+    # output is 2^256 times the const:1 output, bit for bit, with no
+    # warning; one float above it is out of range
     def spec(c):
         one = Symbol1D.gaussian_bump(1.0)
         return {"first": SymbolSpec.first_variable(Symbol1D.constant(c)),
@@ -1622,25 +1648,21 @@ def test_filter_slow_scales_near_overflow_symbols(gaussian, shannon, kind):
                 "separable": SymbolSpec.separable(Symbol1D.constant(c),
                                                   one)}[kind]
 
+    with pytest.raises(ValueError, match=OUT_OF_RANGE):
+        spec(OVER)
     f = random_bandlimited(LineGrid.centered(8.0, 256), seed=3)
     for atom in (gaussian, shannon):
         one, _ = filter_signal(atom, spec(1.0), f, method="slow")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            big, _ = filter_signal(atom, spec(1e307), f, method="slow")
-            with pytest.raises(ValueError, match="overflows the float range"):
-                filter_signal(atom, spec(1e307), SampledFunction(
-                    f.grid, 1e10 * f.values), method="slow")
-        assert np.max(np.abs(big.values / 1e307 - one.values)) <= 1e-12 * \
-            np.max(np.abs(one.values))
-        below, _ = filter_signal(atom, spec(2.0 ** 959), f, method="slow")
-        assert np.array_equal(below.values, _ldexp_copy(one.values, 959))
+            top, _ = filter_signal(atom, spec(TOP), f, method="slow")
+        assert np.array_equal(top.values,
+                              _ldexp_copy(one.values, RANGE_EXPONENT))
 
 
 def test_filter_fast_scales_near_overflow_symbols(gaussian, shannon):
-    # the fast path multiplies h by the gamma of alpha.unit_scaled() and
-    # gives 2^e back once: c times the const:1 output, a result past the
-    # largest float raises, and 2^959 keeps its bits
+    # no factor is scaled: h times the gamma of const:2^256 is 2^256 times
+    # the const:1 output, bit for bit, with no warning
     def spec(c):
         return SymbolSpec.first_variable(Symbol1D.constant(c))
 
@@ -1649,43 +1671,36 @@ def test_filter_fast_scales_near_overflow_symbols(gaussian, shannon):
         one, _ = filter_signal(atom, spec(1.0), f, method="fast")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            big, _ = filter_signal(atom, spec(1e307), f, method="fast")
-            with pytest.raises(ValueError, match="overflows the float range"):
-                filter_signal(atom, spec(1e307), SampledFunction(
-                    f.grid, 1e10 * f.values), method="fast")
-        assert np.max(np.abs(big.values / 1e307 - one.values)) <= 1e-12 * \
-            np.max(np.abs(one.values))
-        below, _ = filter_signal(atom, spec(2.0 ** 959), f, method="fast")
-        assert np.array_equal(below.values, _ldexp_copy(one.values, 959))
+            top, _ = filter_signal(atom, spec(TOP), f, method="fast")
+        assert np.array_equal(top.values,
+                              _ldexp_copy(one.values, RANGE_EXPONENT))
 
 
 @pytest.mark.parametrize("case, top", [("gabor", 1022), ("wavelet", 1020)])
 def test_slow_filter_of_a_scaled_signal_keeps_the_bits(case, top):
-    # a signal whose largest part is above 2^960 is carried as 2^e times a
-    # signal bounded by 1, as the symbol is: slow(2^k h) is 2^k slow(h)
-    # bit for bit, with no warning, also at 2^top, where the transforms of
-    # the unscaled signal overflow (and a larger f_hat would overflow the
-    # wavelet case's input FFT); --compare agrees
+    # no signal is scaled: with f's largest part in (1/2, 1), slow(2^256 f) is
+    # 2^256 slow(f) bit for bit, with no warning, and --compare agrees; 2^257 f
+    # and 2^top f (whose transforms would overflow) raise the range error
     atom = make_atom(case, {"gabor": "gaussian", "wavelet": "shannon"}[case])
     spec = SymbolSpec.first_variable(
         {"gabor": Symbol1D.indicator(-1.0, 1.0),
          "wavelet": Symbol1D.indicator(1.0, 2.0)}[case])
     f = random_bandlimited(LineGrid.centered(8.0, 256), seed=3)
-    # h's largest part in [1/2, 1): the scaled signal enters as h itself
-    f = SampledFunction(f.grid, _ldexp_copy(
-        f.values, -_exponent(omega_side(case, f).values)))
+    f = SampledFunction(f.grid, _ldexp_copy(f.values, -_exponent(f.values)))
     one, _ = filter_signal(atom, spec, f, method="slow")
-    for k in (1000, top):
-        big = SampledFunction(f.grid, _ldexp_copy(f.values, k))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got, _ = filter_signal(atom, spec, big, method="slow")
-            _, slow, dev, _ = filter_signal(atom, spec, big, method="compare")
-        ref = _ldexp_copy(one.values, k)
-        assert np.array_equal(got.values.view(np.uint64),
-                              ref.view(np.uint64)), k
-        assert np.array_equal(slow.values, got.values)
-        assert dev <= 1e-12
+    big = SampledFunction(f.grid, _ldexp_copy(f.values, RANGE_EXPONENT))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _ = filter_signal(atom, spec, big, method="slow")
+        _, slow, dev, _ = filter_signal(atom, spec, big, method="compare")
+        for k in (RANGE_EXPONENT + 1, top):
+            with pytest.raises(ValueError, match=OUT_OF_RANGE):
+                filter_signal(atom, spec, SampledFunction(
+                    f.grid, _ldexp_copy(f.values, k)), method="compare")
+    ref = _ldexp_copy(one.values, RANGE_EXPONENT)
+    assert np.array_equal(got.values.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(slow.values, got.values)
+    assert dev <= 1e-12
 
 
 def _ldexp_copy(values, e):

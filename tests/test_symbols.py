@@ -20,11 +20,16 @@ from tfloc.kernels import (GammaFunction, boundedness_verdict, gamma,
                            spectrum_from_gamma, weighted_overlap_kernel)
 from tfloc.operators import OperatorMatrix, default_operator_grid
 from tfloc.quadrature import gauss_kronrod
-from tfloc.symbols import (Symbol1D, SymbolParseError, SymbolSpec, _exponent,
-                           _ldexp, _products_bounded, parse_symbol)
+from tfloc.symbols import (RANGE_EXPONENT, Symbol1D, SymbolParseError,
+                           SymbolSpec, _exponent, _in_range, _ldexp,
+                           parse_symbol)
 
 LN2 = math.log(2.0)
 GABOR_GRID = LineGrid.centered(8.0, 256)
+# the top of the supported range, the next float, and the error above it
+TOP = 2.0 ** RANGE_EXPONENT
+OVER = float(np.nextafter(TOP, math.inf))
+OUT_OF_RANGE = r"exceeds the supported range.*above 2\^256"
 WAVELET_GRID = default_operator_grid("wavelet", 256)
 
 
@@ -192,9 +197,9 @@ def test_gamma_flags_overflow_as_unbounded(shannon):
 
 def test_gamma_grid_keeps_the_bits_of_the_unscaled_power_sums(gaussian,
                                                               shannon):
-    # symbols bounded by 2^960 enter the power sums as they are: scaling
-    # them down by a power of two would round the subnormal products of the
-    # gaussian record's far rows on the wide window
+    # symbols in the supported range enter the power sums as they are:
+    # scaling them by a power of two would round the subnormal products of
+    # the gaussian record's far rows on the wide window
     def bits(a):
         return np.ascontiguousarray(a).view(np.uint64)
 
@@ -202,8 +207,8 @@ def test_gamma_grid_keeps_the_bits_of_the_unscaled_power_sums(gaussian,
                        (gaussian, LineGrid.centered(32.0, 256)),
                        (shannon, WAVELET_GRID)):
         fib = atom.fibers(grid.samples)
-        for text in ("const:3", "const:1.5", "const:1e13", "const:1e280",
-                     f"const:{2.0 ** 960!r}", "indicator:-1,1"):
+        for text in ("const:3", "const:1.5", "const:1e13", "const:1e-300",
+                     f"const:{TOP!r}", "indicator:-1,1"):
             sym = parse_symbol(text)
             ref = fib.power_sums(sym.sample(atom.g1.nodes),
                                  atom.g1.measure_weights).astype(complex)
@@ -211,39 +216,23 @@ def test_gamma_grid_keeps_the_bits_of_the_unscaled_power_sums(gaussian,
             assert np.array_equal(bits(got), bits(ref)), (atom.name, text)
 
 
-def test_gamma_grid_scales_only_a_symbol_that_overflows(shannon):
-    # const:1e308 would overflow the unscaled products; the sums of the
-    # symbol scaled below 1 are 1e308 times those of const:1 up to
-    # rounding, with no warning
-    one = gamma(shannon, Symbol1D.constant(1.0), WAVELET_GRID, rule="grid")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        big = gamma(shannon, Symbol1D.constant(1e308), WAVELET_GRID,
-                    rule="grid")
-    assert np.all(np.isfinite(big.values))
-    assert np.max(np.abs(big.values / 1e308 - one.values)) <= 1e-15
+def test_gamma_grid_scales_only_a_symbol_that_overflows(shannon, rect):
+    # no symbol is scaled: a symbol with no bound whose samples are above
+    # 2^256 raises the range error of the grid and fft rules' sampling, and
+    # at 2^256 the sums are 2^256 times those of 1, bit for bit
+    def flat(c):
+        return Symbol1D(lambda x: np.full_like(x, c), f"flat:{c!r}")
 
-
-def test_unit_scaled_symbol():
-    # at or below 2^960, and with no bound, the symbol itself; above it the
-    # symbol times 2^-e, e the frexp exponent of the bound, with the same
-    # metadata
-    for sym in (Symbol1D.constant(2.0 ** 960), Symbol1D.power(2.0),
-                Symbol1D.indicator(-1.0, 1.0)):
-        assert sym.unit_scaled() == (sym, 0)
-    x = np.linspace(-3.0, 3.0, 7)
-    for c in (1e300, 2.0 ** 1000, 1e308, -1e308j):
-        sym = Symbol1D.constant(c)
-        scaled, e = sym.unit_scaled()
-        assert e == math.frexp(abs(c))[1]
-        assert 0.5 <= scaled.sup_bound < 1.0
-        assert np.array_equal(scaled(x), sym(x) * 2.0 ** -e)
-        assert (scaled.descriptor, scaled.is_real) == (sym.descriptor,
-                                                       sym.is_real)
-    piece = Symbol1D.piecewise([[(-1.0, 2.0)]], [1e300])
-    scaled, e = piece.unit_scaled()
-    assert (scaled.breakpoints, scaled.support) == (piece.breakpoints,
-                                                    piece.support)
+    for rule, atom, grid in (("grid", shannon, WAVELET_GRID),
+                             ("fft", rect, GABOR_GRID)):
+        one = gamma(atom, flat(1.0), grid, rule=rule).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = gamma(atom, flat(TOP), grid, rule=rule).values
+            with pytest.raises(ValueError, match=OUT_OF_RANGE):
+                gamma(atom, flat(OVER), grid, rule=rule)
+        assert top.tobytes() == np.ldexp(one.view(float),
+                                         RANGE_EXPONENT).tobytes(), rule
 
 
 def test_the_scale_helpers():
@@ -282,51 +271,67 @@ def test_the_scale_helpers():
         _ldexp(a, e)
         assert np.array_equal(bits(a), bits([1.5, -0.0, 1e308, 5e-324]))
 
-    # _products_bounded: products and sums of n of them below 2^960, from
-    # the exponents alone, with no overflow of its own
-    assert _products_bounded(0, 0, n=1)
-    assert _products_bounded(958) and not _products_bounded(959)
-    # 2^(955 + 2 + n.bit_length()): 2^960 at n = 4, 2^961 at n = 8
-    assert _products_bounded(500, 455, n=4) and not _products_bounded(
-        500, 455, n=8)
-    assert not _products_bounded(1024, 1024, n=4096)
-    assert not _products_bounded(math.inf)
-    assert not _products_bounded(0, math.inf, n=4)
+    # _in_range: the array itself up to 2^exponent in every part; above it,
+    # or not finite, the ValueError naming the subject and the bound
+    a = np.array([TOP, -TOP * 1j])
+    assert _in_range(a, "x") is a
+    with pytest.raises(ValueError, match=r"^x exceeds the supported range "
+                                         r"here: a value above 2\^3 \(8\)$"):
+        _in_range(np.array([1.0, -8.5j]), "x", " here", exponent=3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^x is not finite here$"):
+            _in_range(np.array([complex(0.0, bad)]), "x", " here")
+
+    # a symbol's bound is checked as it is made, by every constructor and
+    # the CLI's parser
+    assert Symbol1D.constant(-TOP).sup_bound == TOP
+    for make in (lambda: Symbol1D.constant(-OVER * 1j),
+                 lambda: Symbol1D.constant(TOP * (1 + 1j)),
+                 lambda: Symbol1D.piecewise([[(0.0, 1.0)]], [OVER]),
+                 lambda: Symbol1D.sampled(LineGrid(0.0, 1.0, 2), [1.0, OVER]),
+                 lambda: parse_symbol(f"const:{OVER!r}")):
+        with pytest.raises(ValueError, match=OUT_OF_RANGE):
+            make()
+    with pytest.raises(ValueError, match=r"^symbol const:inf is not finite$"):
+        parse_symbol("const:inf")
 
 
 def test_gamma_of_a_scaled_symbol_keeps_the_bits(rect, shannon):
-    # the grid and fft rules of const:2^1000 run on const:0.5 and take
-    # 2^1001 back: on records with no subnormal product every step scales
-    # exactly, so the result is 2^1000 times gamma of const:1, bit for bit
+    # on records with no subnormal product every step of the grid and fft
+    # rules is exact under a power of two, so gamma of const:2^256 is 2^256
+    # times gamma of const:1, bit for bit
     def bits(a):
         return np.ascontiguousarray(a).view(np.uint64)
 
-    one, big = Symbol1D.constant(1.0), Symbol1D.constant(2.0 ** 1000)
+    one, top = Symbol1D.constant(1.0), Symbol1D.constant(TOP)
     for atom, grid, rule in ((rect, default_operator_grid("gabor", 64), "grid"),
                              (rect, default_operator_grid("gabor", 64), "fft"),
                              (rect, GABOR_GRID, "fft"),
                              (shannon, WAVELET_GRID, "grid")):
         ref = gamma(atom, one, grid, rule=rule).values
-        got = gamma(atom, big, grid, rule=rule).values
-        ref = np.ldexp(ref.view(float), 1000).view(complex)
+        got = gamma(atom, top, grid, rule=rule).values
+        ref = np.ldexp(ref.view(float), RANGE_EXPONENT).view(complex)
         assert np.array_equal(bits(got), bits(ref)), (atom.name, rule)
 
 
 @pytest.mark.parametrize("c", [1e307, 1e308])
 def test_gamma_adaptive_near_the_largest_float(gaussian, rect, shannon, haar,
                                                c):
-    # the adaptive rule integrates the symbol scaled below 1, and its
-    # values and error estimate take the scale back, with no warning
+    # a constant near the largest float is out of range; at 2^256 the
+    # adaptive rule's values and error estimate are 2^256 times those of
+    # const:1 up to rounding, with no warning
+    with pytest.raises(ValueError, match=OUT_OF_RANGE):
+        Symbol1D.constant(c)
     for atom in (gaussian, rect, shannon, haar):
         grid = default_operator_grid(atom.case, 64)
         one = gamma(atom, Symbol1D.constant(1.0), grid, rule="adaptive")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            big = gamma(atom, Symbol1D.constant(c), grid, rule="adaptive")
-        rel = np.max(np.abs(big.values / c - one.values)) / np.max(
+            top = gamma(atom, Symbol1D.constant(TOP), grid, rule="adaptive")
+        rel = np.max(np.abs(top.values / TOP - one.values)) / np.max(
             np.abs(one.values))
         assert rel <= 1e-10, (atom.name, rel)
-        assert math.isfinite(big.abserr) and big.abserr <= c * 1e-10
+        assert math.isfinite(top.abserr) and top.abserr <= TOP * 1e-10
 
 
 def test_gamma_self_checks_are_relative_to_the_scale(gaussian):
@@ -559,9 +564,14 @@ def test_gamma_adaptive_symbol_calls_batched(gaussian, shannon):
 
 
 def test_gamma_adaptive_unlisted_jumps_raise(gaussian, square_wave):
+    grid = default_operator_grid("gabor", 32)
     with pytest.raises(ArithmeticError, match=r"square:10000 at xi=.*300 panels"):
-        gamma(gaussian, square_wave, default_operator_grid("gabor", 32),
-              rule="adaptive")
+        gamma(gaussian, square_wave, grid, rule="adaptive")
+    # likewise a symbol with no bound that is infinite where it is integrated
+    inf = Symbol1D(lambda x: np.full_like(x, math.inf), "inf")
+    with pytest.raises(ValueError, match=r"^gamma of inf at xi=-8: "
+                                         "integrand is not finite$"):
+        gamma(gaussian, inf, grid, rule="adaptive")
 
 
 def test_gamma_adaptive_abserr(gaussian):

@@ -528,9 +528,10 @@ def test_one_dft_sandwich():
 
 
 def test_one_scale_rule_near_the_float_range():
-    # the frexp exponent of an array or a bound, the exact scale of an
-    # array by a power of two and the product bound have one definition
-    # each, in symbols beside OVERFLOW_MARGIN, and every route calls them
+    # values are checked against the supported range, not scaled: the
+    # frexp exponent of an array, its exact scale by a power of two and the
+    # range check have one definition each, in symbols, and the names of
+    # the old scale rule are gone
     def attribute(name, modules):
         return lambda node: (isinstance(node, ast.Attribute)
                              and node.attr == name
@@ -541,9 +542,13 @@ def test_one_scale_rule_near_the_float_range():
         "symbols.py:_exponent"]
     assert _scopes_where(attribute("ldexp", ("np", "numpy"))) == [
         "symbols.py:_ldexp"]
-    helpers = ("_exponent", "_ldexp", "_products_bounded")
+    helpers = ("_exponent", "_ldexp", "_in_range")
     assert _scopes_where(lambda node: isinstance(node, ast.FunctionDef)
                          and node.name in helpers) == ["symbols.py:"] * 3
+    gone = ("OVERFLOW_MARGIN", "unit_scaled", "_products_bounded",
+            "scaled_back")
+    assert not [path.name for path in Path(tfloc.__file__).parent.glob("*.py")
+                if any(name in path.read_text() for name in gone)]
 
 
 def test_verify_transforms_builds_one_record_per_grid(tmp_path, ell_calls):
@@ -704,7 +709,6 @@ def test_streamed_chain_rejects_a_non_finite_block(gaussian, block):
         slice(K - _BLOCK_ROWS, K)
     lo, hi = gaussian.g1.nodes[rows][[0, -1]]
     f = random_bandlimited(LineGrid.centered(16.0, 1024), seed=4)
-    big = SampledFunction(f.grid, 1e10 * f.values)
 
     def spike(value):
         return SymbolSpec.first_variable(Symbol1D(
@@ -714,16 +718,21 @@ def test_streamed_chain_rejects_a_non_finite_block(gaussian, block):
     with pytest.raises(ValueError, match=r"symbol a\(r\)=spike:inf is not "
                                          "finite on the grid"):
         filter_signal(gaussian, spike(np.inf), f, "slow")
-    # finite symbol values whose product with the field overflows
-    with pytest.raises(ValueError, match="field contains non-finite values"):
-        filter_signal(gaussian, spike(1e308), big, "slow")
-    # a finite field whose forward transform overflows in that block
+    # finite symbol values above the supported range
+    with pytest.raises(ValueError, match=r"spike:1e\+308 exceeds the "
+                                         "supported range on the grid"):
+        filter_signal(gaussian, spike(1e308), f, "slow")
+    # a finite field above the range raises in bargmann; the chain raises
+    # where the forward transform of that block overflows
     g2 = LineGrid.centered(8.0, 64)
     vals = np.zeros((K, 64), dtype=complex)
     vals[rows] = 1e308
     F = PhasePlaneField("gabor", gaussian.g1, g2, vals)
-    with pytest.raises(ValueError, match="field contains non-finite values"):
+    with pytest.raises(ValueError, match="field exceeds the supported range"):
         bargmann(gaussian, F)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="field contains non-finite values"):
+        _stream(gaussian, g2, field=F, out_grid=induced_grid(g2))
 
 
 def _unfused_sandwich(in_grid, sign, out_grid):
@@ -809,8 +818,8 @@ def test_folded_phases_keep_the_bits_on_power_of_two_grids(name):
 def test_adjoint_rejects_a_non_finite_block(gaussian, block):
     # translations [-16, 16) in 512 rows: 8 blocks of 4 units.  A signal of
     # 1e308 on half a unit at the outer edge of the first or last block
-    # overflows the backward transform of rows in that block only; the
-    # adjoint raises, and analyze with it
+    # overflows the backward transform of rows in that block only: the
+    # chain raises there, and the adjoint and analyze raise the range error
     K = gaussian.g1.count
     first = block == "first"
     rows = slice(0, _BLOCK_ROWS) if first else slice(K - _BLOCK_ROWS, K)
@@ -822,9 +831,14 @@ def test_adjoint_rejects_a_non_finite_block(gaussian, block):
         W = _whole_array_chain(gaussian, induced_grid(grid), h=f)
     bad = np.flatnonzero(~np.isfinite(W).all(axis=1))
     assert bad.size and rows.start <= bad[0] and bad[-1] < rows.stop
-    with pytest.raises(ValueError, match="field contains non-finite values"):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="field contains non-finite values"):
+        _stream(gaussian, induced_grid(grid), h=f)
+    with pytest.raises(ValueError, match="function exceeds the supported "
+                                         r"range: a value above 2\^512"):
         bargmann_adjoint(gaussian, f)
-    with pytest.raises(ValueError, match="field contains non-finite values"):
+    with pytest.raises(ValueError, match="signal exceeds the supported "
+                                         r"range: a value above 2\^256"):
         analyze(gaussian, f)
 
 
@@ -945,62 +959,23 @@ def test_a_symbol_not_finite_on_a_skipped_block_raises(shannon):
 
 
 def test_a_field_overflowing_a_skipped_block_raises(shannon):
-    # the first block projects onto empty fibers: it is skipped while its
-    # forward transform cannot overflow, and run, and raises, when it can
+    # the first block projects onto empty fibers and is skipped: a field up
+    # to 2^512 there moves no bit, and above it bargmann raises the range
+    # error
     g2 = LineGrid.centered(8.0, 1024)
     rows = slice(0, _BLOCK_ROWS)
     assert not shannon.fibers(induced_grid(g2).samples).live[0]
     rng = np.random.default_rng(3)
     vals = rng.standard_normal((shannon.g1.count, g2.count)) + 0j
     ref = bargmann(shannon, PhasePlaneField("wavelet", shannon.g1, g2, vals))
-    for big in (1e280, 1e300):
+    for big in (1e150, 2.0 ** 512):
         vals[rows] = big
         out = bargmann(shannon, PhasePlaneField("wavelet", shannon.g1, g2, vals))
         assert _bits(out.values) == _bits(ref.values)
     vals[rows] = 1e308
     F = PhasePlaneField("wavelet", shannon.g1, g2, vals)
-    with pytest.raises(ValueError, match="field contains non-finite values"):
+    with pytest.raises(ValueError, match="field exceeds the supported range"):
         bargmann(shannon, F)
-
-
-def test_power_sums_run_an_empty_block_whose_factor_is_not_finite(shannon,
-                                                                gaussian):
-    # 0 * inf is NaN: an empty block is skipped only where its factors are
-    # finite, so the sums keep the NaNs of the one-shot einsum
-    fib = shannon.fibers(induced_grid(_EMPTY_BLOCK_GRIDS["centred"]).samples)
-    assert not fib.live[0]
-    a = np.ones(shannon.g1.count)
-    a[3] = np.inf
-    with np.errstate(invalid="ignore"):
-        ref = np.einsum("ki,k,k->i", np.abs(fib.ell) ** 2, a, fib.weights)
-        out = fib.power_sums(a, fib.weights)
-    assert np.isnan(ref).all()
-    np.testing.assert_array_equal(out, ref)
-    # likewise a live block where another factor is zero on every row: a
-    # factor with inf or NaN there, or finite factors whose product
-    # overflows before the zero, gives the einsum's NaN
-    fib = gaussian.fibers(SIGNAL_GRID.samples)
-    assert all(fib.live)
-    K = gaussian.g1.count
-    zero = np.ones(K)
-    zero[:_BLOCK_ROWS] = 0.0
-    big = np.ones(K)
-    big[:_BLOCK_ROWS] = 1e300
-    P = np.abs(fib.ell) ** 2
-    for bad in (np.inf, np.nan, None):
-        if bad is None:
-            factor_sets = ((big, big, zero, fib.weights),)
-        else:
-            a = np.ones(K)
-            a[3] = bad
-            factor_sets = ((a, zero, fib.weights), (zero, a, fib.weights))
-        for fs in factor_sets:
-            subs = ",".join(["ki"] + ["k"] * len(fs)) + "->i"
-            with np.errstate(over="ignore", invalid="ignore"):
-                ref = np.einsum(subs, P, *fs)
-                out = fib.power_sums(*fs)
-            assert np.isnan(ref).any()
-            np.testing.assert_array_equal(out, ref)
 
 
 # -- zero-mask blocks ---------------------------------------------------------------
@@ -1055,12 +1030,16 @@ def test_skipped_zero_mask_blocks_keep_every_bit(monkeypatch, case):
     if case == "zero on every block":
         assert _bits(filtered.values) == _bits(np.zeros(f.grid.count, complex))
 
-    # the same consumers running every block: every record live and no
-    # bound met
-    fibers = atom.fibers
+    # the same consumers running every block: every record live and every
+    # mask reporting a nonzero entry
+    class NeverZero(np.ndarray):
+        def any(self, *args, **kwargs):
+            return True
+
+    fibers, compact = atom.fibers, SymbolSpec._compact_field
     monkeypatch.setattr(atom, "fibers", lambda omegas: _all_live(fibers(omegas)))
-    for module in (tfloc.atoms, tfloc.fields):
-        monkeypatch.setattr(module, "_products_bounded", lambda *a, **k: False)
+    monkeypatch.setattr(SymbolSpec, "_compact_field",
+                        lambda *args: compact(*args).view(NeverZero))
     assert _bits(_stream(atom, g2, h=h, spec=spec, out_grid=h.grid)) == \
         _bits(slow)
     assert _bits(filter_signal(atom, spec, f, "slow")[0].values) == \
@@ -1089,23 +1068,3 @@ def test_only_blocks_with_a_nonzero_mask_are_transformed(monkeypatch):
         cores.clear()
         _stream(atom, g2, h=h, spec=spec, out_grid=h.grid)
         assert cores == [_BLOCK_ROWS] * (2 * touched), case
-
-
-def test_a_zero_mask_block_that_can_overflow_runs_and_raises(gaussian):
-    # 1e308 on half a unit at the outer edge of the first block overflows
-    # that block's backward transform alone (test_adjoint_rejects_a_...);
-    # the symbol is zero there, and the bound keeps the block running.
-    # filter_signal carries such a signal scaled below 1 (test_slow_filter_
-    # of_a_scaled_signal_...) and returns, so the chain takes it as it is
-    edge = gaussian.g1.nodes[0]
-    grid = LineGrid.centered(16.0, 1024)
-    f = SampledFunction(grid, np.where(np.abs(grid.samples - edge) <= 0.5,
-                                       1e308, 0.0))
-    spec = SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 1.0))
-    assert not spec._compact_field(gaussian.g1.nodes[:_BLOCK_ROWS],
-                                   induced_grid(grid).samples).any()
-    filter_signal(gaussian, spec, f, "slow")
-    h = omega_side(gaussian.case, f)
-    with pytest.raises(ValueError, match="field contains non-finite values"):
-        _stream(gaussian, _analysis_axis(gaussian.case, grid), h=h,
-                spec=spec, out_grid=h.grid)
