@@ -300,10 +300,10 @@ def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
 
     if atom.case == "wavelet":
         def integrand(u, j):
-            return alpha(u) * atom.eval_power(xi[j] * u) / u
+            return alpha.sample(u) * atom.eval_power(xi[j] * u) / u
     else:
         def integrand(q, j):
-            return alpha(q) * np.abs(atom.eval_time(xi[j] - q)) ** 2
+            return alpha.sample(q) * np.abs(atom.eval_time(xi[j] - q)) ** 2
 
     def describe(j):
         return f"gamma of {alpha.descriptor} at xi={xi[j]:.17g}"

@@ -22,12 +22,13 @@ values in range (an omega side, a field, an operator's matrix) stay below
 2^(2B), which ``bargmann_adjoint``, ``bargmann`` and ``operator_norm``
 check on an array passed to them.  ``_in_range`` is the one check, where
 values come in (``Symbol1D`` construction and ``sample``, ``SymbolSpec``
-sampling, a signal entering ``filter_signal`` or ``analyze``): a value out
-of range or not finite raises ``ValueError`` naming the bound, and the CLI
-exits 2.  A norm squares its data, which underflows when small and
-overflows for a filtered signal, so the norms (low-rank factors, Lanczos,
-action check, ``--compare`` deviation, fiber coverage) scale it first by
-2^-e, e the ``frexp`` exponent of its largest part (``_exponent``,
+sampling, a signal entering ``filter_signal`` or ``analyze``, the product
+of a separable spec's factor bounds as it is built, so its routes agree):
+a value out of range or not finite raises ``ValueError`` naming the bound,
+and the CLI exits 2.  A norm squares its data, which underflows when small
+and overflows for a filtered signal, so the norms (low-rank factors,
+Lanczos, action check, ``--compare`` deviation, fiber coverage) scale it
+first by 2^-e, e the ``frexp`` exponent of its largest part (``_exponent``,
 ``_ldexp``): exact, subnormal data included.
 """
 
@@ -283,6 +284,8 @@ class SymbolSpec:
         self.beta = beta
         self.general_fn = general_fn
         self._descriptor = descriptor
+        if kind == "separable" and None not in (alpha.sup_bound, beta.sup_bound):
+            _in_range(alpha.sup_bound * beta.sup_bound, f"symbol {self.descriptor}")
 
     # -- constructors ---------------------------------------------------------
 

@@ -33,6 +33,10 @@ OUT_OF_RANGE = r"exceeds the supported range.*above 2\^256"
 WAVELET_GRID = default_operator_grid("wavelet", 256)
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def shannon_indicator_gamma(a, b, xs):
     """Log-overlap closed form: overlap of [a,b] with [1/|x|, 2/|x|] in du/u."""
     out = np.zeros_like(xs)
@@ -200,9 +204,6 @@ def test_gamma_grid_keeps_the_bits_of_the_unscaled_power_sums(gaussian,
     # symbols in the supported range enter the power sums as they are:
     # scaling them by a power of two would round the subnormal products of
     # the gaussian record's far rows on the wide window
-    def bits(a):
-        return np.ascontiguousarray(a).view(np.uint64)
-
     for atom, grid in ((gaussian, GABOR_GRID),
                        (gaussian, LineGrid.centered(32.0, 256)),
                        (shannon, WAVELET_GRID)):
@@ -253,9 +254,6 @@ def test_the_scale_helpers():
 
     # _ldexp: A *= 2^e in place, exact down to the smallest subnormal, and
     # a no-op for e = 0 and a non-finite e
-    def bits(a):
-        return np.ascontiguousarray(a).view(np.uint64)
-
     tiny = np.array([5e-324, 3 * 5e-324, -2.0 ** -1073, 2.0 ** -1022])
     up = tiny.copy()
     _ldexp(up, 1074)
@@ -283,13 +281,15 @@ def test_the_scale_helpers():
             _in_range(np.array([complex(0.0, bad)]), "x", " here")
 
     # a symbol's bound is checked as it is made, by every constructor and
-    # the CLI's parser
+    # the CLI's parser; a separable spec's is the product of its factors'
     assert Symbol1D.constant(-TOP).sup_bound == TOP
     for make in (lambda: Symbol1D.constant(-OVER * 1j),
                  lambda: Symbol1D.constant(TOP * (1 + 1j)),
                  lambda: Symbol1D.piecewise([[(0.0, 1.0)]], [OVER]),
                  lambda: Symbol1D.sampled(LineGrid(0.0, 1.0, 2), [1.0, OVER]),
-                 lambda: parse_symbol(f"const:{OVER!r}")):
+                 lambda: parse_symbol(f"const:{OVER!r}"),
+                 lambda: SymbolSpec.separable(Symbol1D.constant(2.0 ** 200),
+                                              Symbol1D.constant(2.0 ** 200))):
         with pytest.raises(ValueError, match=OUT_OF_RANGE):
             make()
     with pytest.raises(ValueError, match=r"^symbol const:inf is not finite$"):
@@ -300,9 +300,6 @@ def test_gamma_of_a_scaled_symbol_keeps_the_bits(rect, shannon):
     # on records with no subnormal product every step of the grid and fft
     # rules is exact under a power of two, so gamma of const:2^256 is 2^256
     # times gamma of const:1, bit for bit
-    def bits(a):
-        return np.ascontiguousarray(a).view(np.uint64)
-
     one, top = Symbol1D.constant(1.0), Symbol1D.constant(TOP)
     for atom, grid, rule in ((rect, default_operator_grid("gabor", 64), "grid"),
                              (rect, default_operator_grid("gabor", 64), "fft"),
@@ -567,11 +564,13 @@ def test_gamma_adaptive_unlisted_jumps_raise(gaussian, square_wave):
     grid = default_operator_grid("gabor", 32)
     with pytest.raises(ArithmeticError, match=r"square:10000 at xi=.*300 panels"):
         gamma(gaussian, square_wave, grid, rule="adaptive")
-    # likewise a symbol with no bound that is infinite where it is integrated
-    inf = Symbol1D(lambda x: np.full_like(x, math.inf), "inf")
-    with pytest.raises(ValueError, match=r"^gamma of inf at xi=-8: "
-                                         "integrand is not finite$"):
-        gamma(gaussian, inf, grid, rule="adaptive")
+    # a symbol with no bound, infinite or above 2^256 where it is
+    # integrated, fails the range check of its samples
+    for c, error in ((math.inf, r"^symbol c is not finite on the grid$"),
+                     (OVER, OUT_OF_RANGE)):
+        with pytest.raises(ValueError, match=error):
+            gamma(gaussian, Symbol1D(lambda x: np.full_like(x, c), "c"), grid,
+                  rule="adaptive")
 
 
 def test_gamma_adaptive_abserr(gaussian):
