@@ -161,13 +161,12 @@ class Atom:
         sqrt(z) conj(psi_hat(z omega)) at scales z (wavelets), conj(phi(omega - z))
         at translations z (windows).
 
-        The dtype is the profile's at one probe sample: float64 for a real
-        profile, complex128 for a complex one.  The result is allocated
-        once, before the blocks' temporaries (allocated after the first
-        block, a real record raised the peak RSS of the ``verify-dense``
-        benchmark by about 0.5 MiB, glibc heap layout), and the profile is
-        evaluated on blocks of ``_BLOCK_ROWS`` nodes, each written into it
-        as it comes, so the temporaries are a block's size.
+        The general evaluator, the oracle of a window's lattice record
+        (``Fibers``).  The dtype is the profile's at one probe sample:
+        float64 for a real profile, complex128 for a complex one.  The
+        result is allocated once, before the blocks' temporaries (a glibc
+        heap layout that saves about 0.5 MiB of peak RSS), and the profile
+        is evaluated on blocks of ``_BLOCK_ROWS`` nodes written into it.
         """
         omegas = np.asarray(omegas, dtype=float)
         z = self.g1.nodes
@@ -241,7 +240,7 @@ class Fibers:
     """An atom's fiber matrix on one omega grid.
 
     ``ell[k, i]`` is ell(z_k, omega_i) on the atom's first-coordinate nodes
-    z_k, the array ``Atom.ell_matrix`` returns: the embedding multiplies by
+    z_k, with the bits of ``Atom.ell_matrix``: the embedding multiplies by
     it, and the fiber projection and the Gram products integrate against
     its conjugate.  Every consumer -- the transform chain (``bargmann``,
     ``bargmann_adjoint``, ``analyze``), the grid-rule ``gamma``,
@@ -249,13 +248,22 @@ class Fibers:
     through ``Atom.fibers``, which keeps the last record per atom, so calls
     on one grid share one fiber matrix.  The arrays are read-only.
 
+    A window's fibers are translates, conj phi(omega - z).  On a *lattice*
+    grid (the builders', the CLI's and the benchmark's), the omegas and the
+    nodes are progressions (a + p i) u and (b + q k) u of integers below
+    2^52 times one power of two u, checked in O(N + K), so every
+    omega_i - z_k is exact, (a - b + p i - q k) u: ``ell`` is a strided
+    view (strides -q, p) of the window on the p(N - 1) + q(K - 1) + 1
+    differences, 64 KiB at N = 4096, K = 512 against 16 MiB, and ``live``
+    and ``span`` are read from that vector.  Other grids and wavelets take
+    ``ell_matrix``'s K x N array.
+
     The dtype is ``ell_matrix``'s: float64 for a real profile, complex128
     otherwise (haar, imported atoms with complex samples); consumers are
     dtype-generic.  The catalog's real profiles (gaussian, rect, shannon)
-    return float arrays, so their record meets no complex temporary.
-    ``ell_matrix`` and the reductions over the nodes (``norms``,
-    ``power_sums``) run over blocks of ``_BLOCK_ROWS`` rows, so no
-    temporary has the record's size.
+    return float arrays, so their record meets no complex temporary.  The
+    reductions over the nodes (``norms``, ``power_sums``) run over blocks
+    of ``_BLOCK_ROWS`` rows, so no temporary has a dense record's size.
 
     The record is finite by construction: the catalog's closed forms and
     the linear interpolation of an imported atom's finite samples give
@@ -269,8 +277,9 @@ class Fibers:
     at the ends of the first coordinate.  ``power_sums`` and the transform
     chain of ``fields`` skip the empty blocks, and the blocks where a row
     factor or a symbol is zero, and keep every bit of their outputs; the
-    Gram products of ``build_direct`` and the overlap kernels run on the
-    rows of ``rows_for`` their weights, inside the span.
+    Gram products of ``build_direct`` and the overlap kernels run on a
+    contiguous copy of the rows of ``rows_for`` their weights, inside the
+    span (a GEMM on the strided view is slower, with the same bits).
     """
 
     omegas: np.ndarray
@@ -281,15 +290,19 @@ class Fibers:
 
     @classmethod
     def of(cls, atom: Atom, omegas) -> "Fibers":
-        """A new record of ``atom`` on ``omegas``: one ``ell_matrix`` call,
-        kept as it is and flagged read-only."""
+        """A new read-only record of ``atom`` on ``omegas``: a view of one
+        window vector on a lattice grid, else one ``ell_matrix`` call."""
         omegas = np.array(omegas, dtype=float)
-        L = atom.ell_matrix(omegas)
         omegas.flags.writeable = False
-        L.flags.writeable = False
-        # +0 is the one float whose bits are all zero: a row is empty when
-        # every one of its words as an integer is 0
-        nonempty = L.view(np.int64).any(axis=1)
+        lattice = _lattice_record(atom, omegas)
+        if lattice is None:
+            L = atom.ell_matrix(omegas)
+            L.flags.writeable = False
+            # +0 is the one float whose bits are all zero: a row is empty
+            # when every one of its words as an integer is 0
+            nonempty = L.view(np.int64).any(axis=1)
+        else:
+            L, nonempty = lattice
         live = tuple(bool(nonempty[rows].any())
                      for rows in _row_blocks(len(L)))
         return cls(omegas, L, atom.g1.measure_weights, live, _hull(nonempty))
@@ -360,6 +373,41 @@ class Fibers:
         energy = np.abs(v) ** 2
         total = float(energy.sum())
         return float(self.norms @ energy) / total if total else 1.0
+
+
+def _lattice_record(atom: Atom, omegas: np.ndarray):
+    """(record, flags of its nonempty rows) of a window on a lattice grid,
+    from one window vector (``Fibers``); None on any other grid."""
+    z = atom.g1.nodes
+    K, N = z.size, omegas.size
+    if atom.case != "gabor" or N < 2:
+        return None
+    u = min(omegas[1] - omegas[0], z[1] - z[0])
+    with np.errstate(all="ignore"):  # a value out of range fails a check
+        a, b = omegas / u, z / u  # exact when u is a power of two
+        p, q = a[1] - a[0], b[1] - b[0]
+        if u != 2.0 ** (_exponent(u) - 1) or not all(
+                abs(x) < 2.0 ** 52 and x % 1 == 0
+                for x in (a[0], a[-1], b[0], b[-1], p, q)):
+            return None
+        p, q = int(p), int(q)
+        m = p * (N - 1) + q * (K - 1) + 1
+        if m >= K * N or any(
+                not np.array_equal(x.view(np.int64), y.view(np.int64))
+                for x, y in ((omegas, (a[0] + p * np.arange(N)) * u),
+                             (z, (b[0] + q * np.arange(K)) * u))):
+            return None
+    v = atom.eval_time((a[0] - b[-1] + np.arange(m)) * u).conj().astype(
+        atom.eval_time(np.zeros(1)).dtype, copy=False)
+    # row k reads v[s + p i], s = q (K - 1 - k), nonzero words counted by a
+    # difference of running counts down the residue class of s mod p
+    c = np.zeros((-(-m // p) + 1, p), np.int64)
+    c.reshape(-1)[p:p + m] = v.view(np.int64).reshape(m, -1).any(axis=1)
+    np.cumsum(c, axis=0, out=c)
+    s, t = np.divmod(q * np.arange(K - 1, -1, -1), p)
+    return (np.lib.stride_tricks.as_strided(
+        v[q * (K - 1):], (K, N), (-q * v.itemsize, p * v.itemsize),
+        writeable=False), c[s + N, t] > c[s, t])
 
 
 def _integral(fn, edges) -> float:

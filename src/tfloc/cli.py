@@ -282,6 +282,7 @@ def _verify_transforms_suite(args) -> dict:
         out = bargmann(atom, W, out_grid=h.grid)
         worst_fact = max(worst_fact, float(
             np.linalg.norm(out.values - h.values) / np.linalg.norm(h.values)))
+        del W  # freed before the next analyze allocates its field
     rng = np.random.default_rng(args.seed)
     for _ in range(5):
         v = rng.standard_normal(opg.count) + 1j * rng.standard_normal(opg.count)

@@ -359,7 +359,7 @@ def _fiber_overlap(atom: Atom, w: np.ndarray, xi_grid: LineGrid) -> np.ndarray:
     adds only zeros.  An empty slice gives the zero kernel."""
     fib = atom.fibers(xi_grid.samples)
     rows = fib.rows_for(w)
-    L = fib.ell[rows]
+    L = np.ascontiguousarray(fib.ell[rows])
     return (L.conj() * w[rows, None]).T @ L
 
 

@@ -206,8 +206,8 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     costs one Gram GEMM and one elementwise product (``_add_lag_product``;
     a generator whose one nonzero entry is lag 0 multiplies only G_r's
     diagonal).  L is the atom's fiber record (``Atom.fibers``), and the
-    GEMM reads the slice of its rows that ``Fibers.rows_for`` gives for
-    w q_r, a view: the hull of the rows where w q_r is nonzero, inside the
+    GEMM reads a contiguous copy of the rows that ``Fibers.rows_for``
+    gives for w q_r: the hull of the rows where w q_r is nonzero, inside the
     record's nonzero span.  Every other row adds only zeros, so G_r is the
     full product up to the GEMM's summation order.  G_r = X^T L_s with
     X = conj(L_s) diag(w q_r) on that slice L_s, a real GEMM when L and
@@ -238,7 +238,7 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     for q, c in zip(Q.T, lags):
         wq = w * q
         rows = fib.rows_for(wq)
-        L = fib.ell[rows]
+        L = np.ascontiguousarray(fib.ell[rows])
         gram_rows = max(gram_rows, len(L))
         X = np.conj(L, out=np.empty(L.shape, np.result_type(L, q)))
         X *= wq[rows, None]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tfloc.atoms import Atom, make_wavelet, make_window
+from tfloc.atoms import Fibers, make_wavelet, make_window
 from tfloc.symbols import Symbol1D
 
 
@@ -40,14 +40,15 @@ def square_wave():
 
 
 @pytest.fixture()
-def ell_calls(monkeypatch):
-    """Records the omega count of every Atom.ell_matrix call in the test."""
+def fiber_builds(monkeypatch):
+    """Records the omega count of every fiber record built in the test,
+    a lattice view or an ``Atom.ell_matrix`` array alike (``Fibers.of``)."""
     calls = []
-    original = Atom.ell_matrix
+    original = Fibers.of.__func__
 
-    def counted(self, omegas):
+    def counted(cls, atom, omegas):
         calls.append(len(omegas))
-        return original(self, omegas)
+        return original(cls, atom, omegas)
 
-    monkeypatch.setattr(Atom, "ell_matrix", counted)
+    monkeypatch.setattr(Fibers, "of", classmethod(counted))
     return calls

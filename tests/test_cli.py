@@ -495,12 +495,13 @@ def test_verify_reports_hold_python_values_only(tmp_path, monkeypatch, case):
 
 @pytest.mark.parametrize("suite", ["cto1", "cto2", "cto3", "algebra"])
 @pytest.mark.parametrize("case", ["gabor", "wavelet"])
-def test_cmd_verify_builds_one_fiber_matrix(tmp_path, ell_calls, suite, case):
+def test_cmd_verify_builds_one_fiber_matrix(tmp_path, fiber_builds, suite,
+                                           case):
     # the direct route, the overlap kernels and the grid-rule gamma read one
     # fiber record of the job's atom
     assert run("verify", suite, "--case", case, "--n", "64",
                "--out", str(tmp_path / "v.json")) == 0
-    assert ell_calls == [64]
+    assert fiber_builds == [64]
 
 
 _TOL_ENTRIES = [(suite, key) for suite, tol in cli.VERIFY_TOL.items()
@@ -795,13 +796,14 @@ def test_cmd_spectrum_hausdorff_is_that_of_its_rows(tmp_path):
     assert hd > 0 and meta["hausdorff_eigs_vs_gamma"] == hd
 
 
-def test_cmd_spectrum_with_eigs_builds_two_fiber_matrices(tmp_path, ell_calls):
+def test_cmd_spectrum_with_eigs_builds_two_fiber_matrices(tmp_path,
+                                                         fiber_builds):
     # under the grid rule the direct matrix shares the first gamma's record;
     # only the wide-grid gamma needs another
     assert run("spectrum", "--symbol", "indicator:-1,1", "--rule", "grid",
                "--n", "64", "--with-eigs",
                "--out", str(tmp_path / "s.csv")) == 0
-    assert ell_calls == [64, 64]
+    assert fiber_builds == [64, 64]
 
 
 def test_cmd_reports_lowrank_margin(tmp_path):

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from tfloc.fields import (PhasePlaneField, _analysis_axis, _stream, analyze,
 from tfloc.fourier import _cis, _Sandwich, _sandwich, fourier
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from tfloc.io import export_atom, import_atom
-from tfloc.operators import filter_signal
+from tfloc.operators import default_operator_grid, filter_signal
 from tfloc.symbols import Symbol1D, SymbolSpec
 
 SIGNAL_GRID = LineGrid.centered(8.0, 1024)
@@ -388,27 +389,31 @@ def test_analyze_peak_memory(gaussian, shannon):
 
 
 def test_fibers_of_peak_memory():
-    # the record is allocated once, in the dtype of a one-sample probe, and
-    # the profile is evaluated a block of 64 of the 512 nodes at a time into
-    # it: a real one (0.5 K x N complex arrays) peaks at 0.63-0.69, the
-    # complex haar record (1.0) near 1.51 (1.64 when the record was
-    # conjugated a second time, 2.0 and 4.07 when the whole matrix went
-    # through complex temporaries)
+    # ell_matrix allocates the record once, in the dtype of a one-sample
+    # probe, and evaluates the profile a block of 64 of the 512 nodes at a
+    # time into it: a real one (0.5 K x N complex arrays) peaks at
+    # 0.63-0.69, the complex haar record (1.0) near 1.51 (1.64 when the
+    # record was conjugated a second time, 2.0 and 4.07 when the whole
+    # matrix went through complex temporaries).  The windows take that
+    # route on a grid off the lattice; on the lattice their record is one
+    # window vector, about 0.008 (0.63-0.69 when it was ell_matrix's)
     n = 4096
     grid = LineGrid.centered(16.0, n)
-    for case, name, bound in (("gabor", "gaussian", 0.72),
-                              ("gabor", "rect", 0.67),
-                              ("wavelet", "shannon", 0.67),
-                              ("wavelet", "haar", 1.56)):
+    off = LineGrid(grid.start + 0.3, grid.step, n)
+    for case, name, on_grid, off_grid in (("gabor", "gaussian", 0.01, 0.72),
+                                          ("gabor", "rect", 0.01, 0.67),
+                                          ("wavelet", "shannon", 0.67, 0.67),
+                                          ("wavelet", "haar", 1.56, 1.56)):
         atom = make_atom(case, name)
-        tracemalloc.start()
-        try:
-            Fibers.of(atom, grid.samples)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        units = peak / (atom.g1.count * n * 16)
-        assert units <= bound, f"{name}: peak {units:.3f} K*N*16"
+        for g, bound in ((grid, on_grid), (off, off_grid)):
+            tracemalloc.start()
+            try:
+                Fibers.of(atom, g.samples)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            units = peak / (atom.g1.count * n * 16)
+            assert units <= bound, f"{name} {g}: peak {units:.3f} K*N*16"
 
 
 # -- fiber records -------------------------------------------------------------------
@@ -445,6 +450,109 @@ def test_fibers_record_dtype_follows_the_values(shannon, haar, gaussian, rect,
         assert fib.ell.nbytes == K * N * np.dtype(dtype).itemsize
         assert _bits(fib.ell) == _bits(atom.ell_matrix(grid.samples))
         assert not fib.ell.flags.writeable
+
+
+def _footprint(a) -> int:
+    """Bytes from the lowest to the highest address an array reads."""
+    low, high = np.lib.array_utils.byte_bounds(a)
+    return high - low
+
+
+def _materialized(atom, omegas):
+    """ell_matrix's array with the live flags and span found from it."""
+    L = atom.ell_matrix(omegas)
+    nonempty = L.view(np.int64).reshape(len(L), -1).any(axis=1)
+    live = tuple(bool(nonempty[rows].any()) for rows in _row_blocks(len(L)))
+    at = np.flatnonzero(nonempty)
+    span = slice(int(at[0]), int(at[-1]) + 1) if at.size else slice(0, 0)
+    return L, live, span
+
+
+def _windows(tmp_path):
+    """gaussian, rect, an imported gaussian and a complex window (a chirp
+    on [0, 1), -0j outside so that its conjugate holds empty rows)."""
+    gaussian, rect = make_window("gaussian"), make_window("rect")
+    export_atom(str(tmp_path / "gaussian.csv"), gaussian)
+
+    def chirp(x):
+        return np.where((x >= 0) & (x < 1), np.exp(2j * np.pi * x * x),
+                        complex(0.0, -0.0))
+
+    return [gaussian, rect, import_atom(str(tmp_path / "gaussian.csv")),
+            Atom("gabor", "chirp", rect.time_samples, rect.freq_samples, 1.0,
+                 rect.g1, chirp)]
+
+
+LATTICE_GRIDS = ([default_operator_grid("gabor", n)
+                  for n in (64, 128, 256, 512)]
+                 + [LineGrid(-16.0, 32 / n, n) for n in (1024, 4096)]
+                 + [LineGrid.centered(8.0, 1024)])
+
+
+@pytest.mark.parametrize("grid", LATTICE_GRIDS, ids=repr)
+def test_lattice_record_keeps_the_bits_of_ell_matrix(grid, tmp_path):
+    # the grid steps and starts are multiples of one power of two, so the
+    # record is a read-only strided view of p(N - 1) + q(K - 1) + 1 window
+    # values: the bits, dtype, live flags and span of ell_matrix's array
+    for atom in _windows(tmp_path):
+        fib = Fibers.of(atom, grid.samples)
+        L, live, span = _materialized(atom, grid.samples)
+        K, N = L.shape
+        u = min(grid.step, atom.g1.step)
+        p, q = grid.step / u, atom.g1.step / u
+        assert fib.ell.base is not None
+        assert _footprint(fib.ell) == (p * (N - 1) + q * (K - 1) + 1) \
+            * L.itemsize, atom
+        assert fib.ell.dtype == L.dtype and fib.ell.shape == L.shape
+        assert np.array_equal(np.ascontiguousarray(fib.ell).view(np.int64),
+                              L.view(np.int64)), atom
+        assert (fib.live, fib.span) == (live, span), atom
+        assert not fib.ell.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            fib.ell[0, 0] = 1.0
+
+
+def test_lattice_record_at_4096_holds_one_window_vector(gaussian):
+    # N + 8K floats, 64 KiB, where ell_matrix's array is 16 MiB
+    n, K = 4096, gaussian.g1.count
+    fib = Fibers.of(gaussian, LineGrid(-16.0, 32 / n, n).samples)
+    assert fib.ell.shape == (K, n)
+    assert _footprint(fib.ell) <= (n + 8 * K) * 8 == 64 * 2 ** 10
+
+
+@pytest.mark.parametrize("grid,g1", [
+    # the CI's 1001-sample off-centre grid: its start is off the unit
+    (LineGrid(0.3 - 500 / 64, 1 / 64, 1001), None),
+    # steps that are not powers of two
+    (LineGrid(-8.0, 0.016, 1000), None),
+    (LineGrid(-8.0, 0.01, 1000), None),
+    # translation nodes off the unit of a lattice signal grid
+    (LineGrid.centered(8.0, 1024), LineGrid(-16.0 + 1 / 3, 1 / 16, 512)),
+], ids=["off-centre-1001", "step-0.016", "step-0.01", "nodes-off-the-unit"])
+def test_record_off_the_lattice_is_ell_matrix(grid, g1, tmp_path):
+    for atom in _windows(tmp_path):
+        if g1 is not None:
+            atom.g1 = g1
+        fib = Fibers.of(atom, grid.samples)
+        L, live, span = _materialized(atom, grid.samples)
+        assert fib.ell.flags.owndata and fib.ell.flags.c_contiguous
+        assert np.array_equal(fib.ell.view(np.int64), L.view(np.int64)), atom
+        assert (fib.live, fib.span) == (live, span), atom
+        assert not fib.ell.flags.writeable
+
+
+@pytest.mark.parametrize("omegas", [
+    [0.0], [0.5, 0.25, 0.0], [-0.0, 0.25, 0.5],
+    [0.0, 2.0 ** -1074, 1.0], [0.0, 0.25, 2.0 ** 60]],
+    ids=["one", "decreasing", "minus-zero", "subnormal-step", "huge"])
+def test_lattice_check_falls_back_without_a_warning(omegas, gaussian):
+    # omegas that are no lattice, or whose quotients by the unit leave the
+    # float range, take ell_matrix's array, and the check warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fib = Fibers.of(gaussian, omegas)
+    assert fib.ell.flags.owndata
+    assert _bits(fib.ell) == _bits(gaussian.ell_matrix(omegas))
 
 
 def test_atom_keeps_its_last_fiber_record():
@@ -551,24 +659,45 @@ def test_one_scale_rule_near_the_float_range():
                 if any(name in path.read_text() for name in gone)]
 
 
-def test_verify_transforms_builds_one_record_per_grid(tmp_path, ell_calls):
+def test_verify_transforms_builds_one_record_per_grid(tmp_path, fiber_builds):
     for case in ("gabor", "wavelet"):
-        ell_calls.clear()
+        fiber_builds.clear()
         out = str(tmp_path / f"t-{case}.json")
         assert main(["verify", "transforms", "--case", case, "--n", "1024",
                      "--out", out]) == 0
         # the signals' omega grid and the round-trip window (50 calls when
         # every transform built its own)
-        assert ell_calls == [1024, 256], f"{case}: {ell_calls}"
+        assert fiber_builds == [1024, 256], f"{case}: {fiber_builds}"
+
+
+def test_verify_transforms_holds_one_field(tmp_path):
+    # each signal's field is freed before the next analyze allocates its
+    # own: the suite peaks at one K x n complex field, the fiber record and
+    # the streamed blocks, 1.17-1.30 fields beside the record (2.07-2.19
+    # when the previous field was still held)
+    n = 1024
+    for case, name in (("gabor", "gaussian"), ("wavelet", "shannon")):
+        atom = make_atom(case, name)
+        record = _footprint(
+            Fibers.of(atom, LineGrid.centered(8.0, n).samples).ell)
+        tracemalloc.start()
+        try:
+            assert main(["verify", "transforms", "--case", case, "--n", str(n),
+                         "--out", str(tmp_path / f"t-{case}.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fields = (peak - record) / (atom.g1.count * n * 16)
+        assert fields <= 1.4, f"{case}: {fields:.3f} fields beside the record"
 
 
 def test_verify_transforms_gabor_shares_the_round_trip_record(tmp_path,
-                                                              ell_calls):
+                                                              fiber_builds):
     # at n <= 256 the gabor round-trip window is the signals' omega grid,
     # so one fiber matrix serves both
     assert main(["verify", "transforms", "--case", "gabor", "--n", "128",
                  "--out", str(tmp_path / "t.json")]) == 0
-    assert ell_calls == [128]
+    assert fiber_builds == [128]
 
 
 def _phases(in_grid, sign, out_grid):
