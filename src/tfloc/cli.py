@@ -35,6 +35,9 @@ DEFAULT_ATOM = {"gabor": "gaussian", "wavelet": "shannon"}
 # largest --n the dense commands accept without --allow-large; the library
 # builders and solvers take any size
 MAX_DENSE_N = 512
+# largest --n of ``verify transforms`` without --allow-large: its analysis
+# fields hold 512 x n complex values, 256 MiB at the cap
+MAX_FIELD_N = 32768
 # cuts of ``algebra`` without --cuts and of ``verify algebra``: the wavelet
 # first coordinate is a scale range, which excludes 0
 DEFAULT_CUTS = {"gabor": [0.0], "wavelet": [1.0]}
@@ -85,7 +88,8 @@ def _add_common(p: argparse.ArgumentParser, need_symbol: bool = False,
     p.add_argument("--out", required=True, help="output path")
     if dense:
         p.add_argument("--allow-large", action="store_true",
-                       help=f"lift the N<={MAX_DENSE_N} dense-solve cap")
+                       help=f"lift the size caps: N<={MAX_DENSE_N} for dense "
+                            f"solves, N<={MAX_FIELD_N} for verify transforms")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,9 +172,9 @@ def _config_meta(args, **extra) -> dict:
     return md
 
 
-def _check_n(args):
-    if args.n > MAX_DENSE_N and not args.allow_large:
-        raise ValueError(f"n={args.n} exceeds the cap {MAX_DENSE_N}; "
+def _check_n(args, cap: int = MAX_DENSE_N):
+    if args.n > cap and not args.allow_large:
+        raise ValueError(f"n={args.n} exceeds the cap {cap}; "
                          "pass --allow-large to override")
 
 
@@ -346,6 +350,7 @@ def _verify_algebra_suite(args) -> dict:
 
 def cmd_verify(args) -> int:
     if args.suite == "transforms":
+        _check_n(args, MAX_FIELD_N)  # checked before any field is allocated
         report = _verify_transforms_suite(args)
     else:
         _check_n(args)  # every other suite builds n x n matrices

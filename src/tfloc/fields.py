@@ -43,9 +43,27 @@ symbol zeroes, so its cost follows the blocks the symbol touches.  Every
 output keeps its bits, signs of zero included: a skipped block is finite,
 since its inputs are in the supported range of ``symbols``, which
 ``analyze``, ``bargmann_adjoint`` and ``bargmann`` check on theirs.
+
+On two CPUs ``_stream`` splits the row-wise passes of each block (the
+embedding, both DFT cores, the diagonal, the symbol mask, the finiteness
+check and the fiber multiply) into the block's two row halves, which the
+caller and one pooled worker thread take in turn; a half the worker has not
+started when the caller is free runs on the caller.  The symbol evaluation,
+the empty-row transform and every BLAS call, the projection included, stay
+on the caller in block order.  Every pass works on each row alone, so every
+output keeps its bits, and the chain holds the buffers it holds on one CPU.
+The part count is the CPUs of the process's affinity mask, at most 2
+(``_PARTS``), and rows shorter than ``_SPLIT_COLUMNS`` samples are not
+split.  Restricting the affinity (``taskset -c 0``) is the only way to keep
+the chain on one CPU: BLAS thread settings do not govern it.
 """
 
 from __future__ import annotations
+
+import contextvars
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -181,6 +199,104 @@ def _require_finite(a: np.ndarray):
         raise ValueError("field contains non-finite values")
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# row parts of a block that ``_stream`` runs at once, capped at 2: the only
+# count measured
+_PARTS = min(2, _cpus())
+# the shortest rows that ``_stream`` splits: half a block must outlast its
+# hand-off and the interpreter-lock switches of two threads.  On a 2-CPU
+# EPYC, splitting rows of 256 samples slowed ``bargmann`` and the slow
+# filter by up to 40 %; at 512 samples the calls ran up to 40 % faster
+_SPLIT_COLUMNS = 512
+
+
+def _new_worker():
+    """A fresh pool of one thread, which starts on the first submit.  A
+    forked child has no thread of its parent's pool, which would never run
+    the child's tasks, so the child takes a new one."""
+    global _WORKER
+    _WORKER = ThreadPoolExecutor(max_workers=1,
+                                 thread_name_prefix="tfloc-stream")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_worker)
+
+
+def _parts(k: int, rows: slice, block: np.ndarray, mask) -> list:
+    """(rows, block rows, mask rows) of each of the ``k`` row parts of a
+    block, one part for a one-row block.  A mask of one row (a
+    second-variable symbol's) or of no rows broadcasts to every part."""
+    n = rows.stop - rows.start
+    k = min(k, n)
+    cuts = [n * i // k for i in range(k + 1)]
+    whole = mask is None or np.ndim(mask) < 2 or len(mask) == 1
+    return [(slice(rows.start + a, rows.start + b), block[a:b],
+             mask if whole else mask[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def _take(todo: queue.SimpleQueue):
+    """Run the parts of ``todo`` until it is empty: (index, exception) of a
+    part that raised, which ends this thread's turn, else None."""
+    while True:
+        try:
+            i, passes, part = todo.get_nowait()
+        except queue.Empty:
+            return None
+        try:
+            passes(*part)
+        except Exception as exc:
+            return i, exc
+
+
+def _run_parts(k: int, passes, parts: list):
+    """``passes(*part)`` for every part: with ``k`` = 2 parts per block, on
+    the caller and on the pooled worker at once; with 1, in order on the
+    caller.
+
+    The two threads take the parts from one queue, in order, so a part the
+    worker has not started when the caller is free runs on the caller: a
+    worker that starts late costs at most its hand-off.  The worker runs in
+    a copy of the caller's ``contextvars`` context, which holds NumPy's
+    ``errstate``.  An exception waits until both threads are done, and then
+    the one of the first part that raised is raised in the caller: the one a
+    serial run raises.  The task handed to the worker holds the queue and
+    the context copy alone, and the queue is empty when both threads are
+    done, so no array outlives the call in a task the worker has yet to
+    drop.
+    """
+    if k == 1 or len(parts) < 2:
+        for part in parts:
+            passes(*part)
+        return
+    todo = queue.SimpleQueue()
+    for i, part in enumerate(parts):
+        todo.put((i, passes, part))
+    try:
+        task = _WORKER.submit(contextvars.copy_context().run, _take, todo)
+    except RuntimeError:
+        # no thread can start (the interpreter is shutting down, as in an
+        # atexit handler): the caller runs every part
+        task = None
+    try:
+        mine = _take(todo)
+    finally:
+        # a task the worker never started is cancelled: the caller ran its
+        # parts.  Otherwise wait for it, also when the caller raised
+        theirs = None if task is None or task.cancel() else task.result()
+    failed = [f for f in (mine, theirs) if f is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+
+
 def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
             field: PhasePlaneField | None = None, spec=None,
             out_grid: LineGrid | None = None) -> np.ndarray:
@@ -212,6 +328,20 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     of two, so this moves no bit against the diagonals applied to every
     block, except where a projection's terms are subnormal.
 
+    The row-wise passes (embedding, cores, diagonal, mask, finiteness check
+    and fiber multiply) run on k row parts of each block, ``_run_parts``:
+    with ``_PARTS`` = 2 CPUs and rows of at least ``_SPLIT_COLUMNS``
+    samples, the caller and one pooled worker take the two halves at once;
+    otherwise k = 1 and the caller runs each block whole.  Every pass works
+    on each row alone, so the parts give the bits of the whole block.  The
+    caller evaluates the symbol, transforms the empty row and runs every
+    BLAS call, the projection ``weights[rows] @ block`` included, in block
+    order; a returned field hands all of its blocks' parts to one
+    ``_run_parts`` call, a projection each block's.  The buffers are those
+    of one CPU: the block, and the parts' conjugated fiber rows of a complex
+    record, one block together.  A symbol mask with a row per node
+    (separable or general symbols) is held until the block's projection.
+
     A block that is not finite after its last transform raises the
     ``ValueError`` of a non-finite ``PhasePlaneField``, so the returned
     field is finite; a symbol that is not finite raises
@@ -238,8 +368,10 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     """
     g1 = atom.g1
     count = g1.count
+    k = _PARTS if g2.count >= _SPLIT_COLUMNS else 1  # parts per block
     if out_grid is None:
         out = np.empty((count, g2.count), dtype=complex)
+        field_parts = []  # every live block's parts, run in one call
     else:
         forward = _sandwich(g2, axis2_sign(atom.case, "forward"), out_grid)
         fibers_out = atom.fibers(out_grid.samples)
@@ -255,15 +387,34 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
         diag = (backward.post if out_grid is None
                 else backward.post * forward.pre)
         empty_row = None  # the transformed embedding of an empty block's row
+
+    def passes(rows, block, mask):
+        """The row-wise passes on ``rows``, in ``block``."""
+        if h is None:
+            np.multiply(field.values[rows], forward.pre, out=block)
+        else:
+            np.multiply(L_in[rows], h_pre, out=block)
+            backward.core(block)
+            np.multiply(diag, block, out=block)
+        if out_grid is not None:
+            if mask is not None:
+                block *= mask
+            forward.core(block)
+        _require_finite(block)
+        if out_grid is not None:
+            # conj() of a real record is the record; of a complex one, a
+            # temporary of the part's size
+            block *= L_out[rows].conj()
+
     for b, rows in enumerate(_row_blocks(count)):
         block = (out[rows] if out_grid is None
                  else buf[:rows.stop - rows.start])
+        mask = None
         if spec is not None:
             mask = spec._compact_field(g1.nodes[rows], g2.samples)
         if h is None:
             if not fibers_out.live[b]:
                 continue
-            np.multiply(field.values[rows], forward.pre, out=block)
         elif spec is not None and not mask.any():
             continue
         elif not fibers_in.live[b]:
@@ -276,22 +427,13 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
             if out_grid is None:
                 out[rows] = empty_row
             continue
-        else:
-            np.multiply(L_in[rows], h_pre, out=block)
-            backward.core(block)
-            np.multiply(diag, block, out=block)
-        if out_grid is not None:
-            if spec is not None:
-                block *= mask
-                del mask  # freed before the projection's temporary
-            forward.core(block)
-        _require_finite(block)
-        if out_grid is not None:
-            # conj() of a real record is the record; of a complex one, a
-            # block-sized temporary
-            block *= L_out[rows].conj()
-            acc += weights[rows] @ block
+        if out_grid is None:
+            field_parts += _parts(k, rows, block, mask)
+            continue
+        _run_parts(k, passes, _parts(k, rows, block, mask))
+        acc += weights[rows] @ block
     if out_grid is None:
+        _run_parts(k, passes, field_parts)
         return out
     acc *= forward.post
     # a zero projection is +0, as a sum of the blocks' terms gives it; a

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -993,6 +994,35 @@ def test_cmd_n_cap(tmp_path, capsys):
         assert run(*argv, "--n", "1024", "--out", str(out)) == 2
         assert "--allow-large" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_cmd_verify_transforms_caps_n_before_allocating(tmp_path, capsys,
+                                                       monkeypatch):
+    # each analysis field holds K x n complex values, K = 512: the cap keeps
+    # it at 256 MiB.  n = 10^8 (763 GiB a field) exits 2 with the cap's
+    # message and allocates nothing first
+    assert make_atom("gabor", "gaussian").g1.count == 512
+    assert cli.MAX_FIELD_N * 512 * 16 == 256 * 2 ** 20
+    out = tmp_path / "t.json"
+    tracemalloc.start()
+    try:
+        code = run("verify", "transforms", "--case", "gabor",
+                   "--n", "100000000", "--out", str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert (f"n=100000000 exceeds the cap {cli.MAX_FIELD_N}; pass "
+            "--allow-large to override") in capsys.readouterr().err
+    assert peak < 2 ** 20, f"peak {peak} B"
+    assert not out.exists()
+    # --allow-large lifts the cap, shown on a lowered one so that no size
+    # over the real cap runs
+    monkeypatch.setattr(cli, "MAX_FIELD_N", 64)
+    assert run("verify", "transforms", "--n", "128", "--out", str(out)) == 2
+    assert "n=128 exceeds the cap 64" in capsys.readouterr().err
+    assert run("verify", "transforms", "--n", "128", "--allow-large",
+               "--out", str(out)) == 0
 
 
 @pytest.mark.parametrize("argv", [["gamma", "--symbol", "const:1"],

@@ -1,6 +1,13 @@
 import ast
+import collections
 import dataclasses
+import hashlib
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -12,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tfloc
+from tfloc import fields
 from tfloc.atoms import (_BLOCK_ROWS, Atom, Fibers, _row_blocks, make_atom,
                          make_wavelet, make_window)
 from tfloc.cli import main
@@ -1179,21 +1187,293 @@ def test_skipped_zero_mask_blocks_keep_every_bit(monkeypatch, case):
 
 def test_only_blocks_with_a_nonzero_mask_are_transformed(monkeypatch):
     # every block of these records is live on the signal's omega side, so
-    # the chain runs two cores on each block its symbol touches and none on
-    # the others
-    cores = []
+    # the chain transforms all 64 rows of each block its symbol touches in
+    # both directions, in one or more parts, and no row of the others.  The
+    # symbol is evaluated on each block before its rows are transformed, so
+    # a core call belongs to the block of the last evaluation
+    starts, block, rows = {}, [None], collections.Counter()
+    core, compact = _Sandwich.core, SymbolSpec._compact_field
+
+    def counted(self, part):
+        rows[block[0], self.forward] += len(part)
+        return core(self, part)
+
+    def evaluated(self, r_nodes, s_nodes):
+        block[0] = starts.get(r_nodes[0])
+        return compact(self, r_nodes, s_nodes)
+
+    monkeypatch.setattr(_Sandwich, "core", counted)
+    monkeypatch.setattr(SymbolSpec, "_compact_field", evaluated)
+    for case, (_, _, touched) in sorted(_ZERO_MASK_CASES.items()):
+        atom, _, spec, _, h, g2 = _zero_mask_setup(case)
+        starts.clear()
+        starts.update((atom.g1.nodes[r.start], b) for b, r in
+                      enumerate(_row_blocks(atom.g1.count)))
+        masked = [b for b, r in enumerate(_row_blocks(atom.g1.count))
+                  if compact(spec, atom.g1.nodes[r], g2.samples).any()]
+        assert len(masked) == touched
+        assert all(atom.fibers(h.grid.samples).live[b] for b in masked)
+        rows.clear()
+        _stream(atom, g2, h=h, spec=spec, out_grid=h.grid)
+        assert rows == {(b, d): _BLOCK_ROWS for b in masked
+                        for d in (False, True)}, case
+
+
+# -- the chain on two CPUs -----------------------------------------------------------
+
+def _short_last_block(name, rows):
+    """The catalog atom ``name`` on a first axis of two blocks and ``rows``
+    more rows, so its last block is shorter than the others."""
+    count = 2 * _BLOCK_ROWS + rows
+    if name in ("gaussian", "rect"):
+        return make_window(name, LineGrid(-16.0, 32.0 / count, count))
+    return make_wavelet(name, ScaleGrid(2.0 ** -8, 2.0 ** 8, count))
+
+
+# the catalog's real records (rect and shannon with empty blocks on
+# SIGNAL_GRID), haar's complex one, and last blocks of 1, 7 and 33 rows
+_SPLIT_ATOMS = {
+    "gaussian": lambda: make_atom("gabor", "gaussian"),
+    "rect": lambda: make_atom("gabor", "rect"),
+    "shannon": lambda: make_atom("wavelet", "shannon"),
+    "haar": lambda: make_atom("wavelet", "haar"),
+    "gaussian, last block of 1 row": lambda: _short_last_block("gaussian", 1),
+    "shannon, last block of 7 rows": lambda: _short_last_block("shannon", 7),
+    "haar, last block of 33 rows": lambda: _short_last_block("haar", 33),
+}
+
+
+def _chain_outputs(atom, f) -> dict:
+    """The bytes of every output of the streamed chain on ``f``: analysis,
+    the diagonalizing transform, and slow filters with a first-variable
+    symbol that zeroes some blocks, one that zeroes every block, and a
+    second-variable symbol (a one-row mask)."""
+    h = omega_side(atom.case, f)
+    W = analyze(atom, f)
+    band, far = (((-1.0, 1.0), (40.0, 50.0)) if atom.case == "gabor"
+                 else ((1.0, 2.0), (600.0, 700.0)))
+    specs = {"first": SymbolSpec.first_variable(Symbol1D.indicator(*band)),
+             "zero": SymbolSpec.first_variable(Symbol1D.indicator(*far)),
+             "second": SymbolSpec.second_variable(Symbol1D.gaussian_bump(1.0))}
+    out = {"analyze": _bits(W.values),
+           "bargmann": _bits(bargmann(atom, W, out_grid=h.grid).values)}
+    for kind, spec in specs.items():
+        out[kind] = _bits(filter_signal(atom, spec, f, "slow")[0].values)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_ATOMS))
+def test_the_split_chain_gives_the_serial_bytes(monkeypatch, name):
+    atom = _SPLIT_ATOMS[name]()
+    f = random_bandlimited(SIGNAL_GRID, seed=21)
+    lengths = []
     core = _Sandwich.core
 
     def counted(self, block):
-        cores.append(len(block))
+        lengths.append(len(block))
         return core(self, block)
 
     monkeypatch.setattr(_Sandwich, "core", counted)
-    for case, (_, _, touched) in sorted(_ZERO_MASK_CASES.items()):
-        atom, _, spec, _, h, g2 = _zero_mask_setup(case)
-        assert all(atom.fibers(h.grid.samples).live[b] for b, rows in
-                   enumerate(_row_blocks(atom.g1.count)) if
-                   spec._compact_field(atom.g1.nodes[rows], g2.samples).any())
-        cores.clear()
-        _stream(atom, g2, h=h, spec=spec, out_grid=h.grid)
-        assert cores == [_BLOCK_ROWS] * (2 * touched), case
+    runs = {}
+    for parts in (1, 2):
+        monkeypatch.setattr(fields, "_PARTS", parts)
+        lengths.clear()
+        runs[parts] = _chain_outputs(atom, f)
+        # one CPU transforms whole blocks, two transform halves of them
+        assert (max(lengths) == _BLOCK_ROWS) == (parts == 1), name
+    for output, serial in runs[1].items():
+        assert runs[2][output] == serial, f"{name}: {output}"
+
+
+def _one_part_each(ran: list, worker_step=lambda i: None,
+                   caller_step=lambda i: None):
+    """``fields._run_parts`` on two parts with the split on: the part the
+    pooled worker takes runs ``worker_step(i)``, and the caller's runs
+    ``caller_step(i)`` once the worker's is done (waiting at most 30 s), so
+    each thread runs one part.  ``ran`` receives who ran each step."""
+    done = threading.Event()
+
+    def passes(i):
+        if threading.current_thread() is threading.main_thread():
+            done.wait(30)
+            ran.append("caller")
+            caller_step(i)
+            return
+        ran.append("worker")
+        try:
+            worker_step(i)
+        finally:
+            done.set()
+
+    fields._run_parts(2, passes, [(0,), (1,)])
+
+
+def _overflow(i):
+    return np.float64(1e308) * 10.0
+
+
+def test_the_worker_runs_in_the_callers_float_state():
+    for state in ("ignore", "raise"):
+        ran = []
+        with np.errstate(over=state):
+            if state == "ignore":
+                _one_part_each(ran, _overflow)
+            else:
+                with pytest.raises(FloatingPointError, match="overflow"):
+                    _one_part_each(ran, _overflow)
+        assert sorted(ran) == ["caller", "worker"], state
+
+
+def test_a_warning_raised_in_the_worker_reaches_the_caller():
+    ran = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            _one_part_each(ran, _overflow)
+    assert sorted(ran) == ["caller", "worker"]
+
+
+def test_an_error_in_either_half_reaches_the_caller(gaussian, monkeypatch):
+    def fail(i):
+        raise ValueError(f"part {i} failed")
+
+    for side in ("worker", "caller"):
+        ran = []
+        with pytest.raises(ValueError, match=r"part \d failed"):
+            _one_part_each(ran, **{f"{side}_step": fail})
+        assert sorted(ran) == ["caller", "worker"], side
+    # when both halves raise, the first part's error is raised, as a serial
+    # run raises it
+    ran = []
+    with pytest.raises(ValueError, match="part 0 failed"):
+        _one_part_each(ran, fail, fail)
+    # and the next split call runs, with the bits of one CPU
+    f = random_bandlimited(SIGNAL_GRID, seed=22)
+    monkeypatch.setattr(fields, "_PARTS", 2)
+    split = _bits(analyze(gaussian, f).values)
+    monkeypatch.setattr(fields, "_PARTS", 1)
+    assert _bits(analyze(gaussian, f).values) == split
+
+
+def _analyze_in_child(atom, f, send):
+    """In a forked child: the bytes of ``analyze(atom, f)`` and whether the
+    pooled worker ran one of its parts; the caller's first transform waits
+    for the worker's first one (at most 20 s), so a pool without a thread
+    shows."""
+    try:
+        worker_ran, waited = threading.Event(), []
+        core = _Sandwich.core
+
+        def ordered(self, block):
+            if threading.current_thread() is not threading.main_thread():
+                worker_ran.set()
+            elif not waited:
+                waited.append(worker_ran.wait(20))
+            return core(self, block)
+
+        _Sandwich.core = ordered
+        send.send((_bits(analyze(atom, f).values), worker_ran.is_set()))
+    except BaseException as exc:
+        send.send(repr(exc))
+
+
+def test_a_forked_child_runs_the_split_chain(gaussian, monkeypatch):
+    # the parent's worker thread is running when the child forks; the child
+    # has none of its threads and must start its own
+    monkeypatch.setattr(fields, "_PARTS", 2)
+    f = random_bandlimited(SIGNAL_GRID, seed=23)
+    ref = _bits(analyze(gaussian, f).values)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_analyze_in_child, args=(gaussian, f, send))
+    child.start()
+    try:
+        assert recv.poll(60), "the forked child's analyze did not return"
+        result = recv.recv()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert not isinstance(result, str), result
+    values, worker_ran = result
+    assert values == ref
+    assert worker_ran
+
+
+def test_concurrent_callers_share_the_worker(monkeypatch):
+    # four threads on two CPUs run the split chain at once through the one
+    # pooled worker, the interpreter switching threads every microsecond:
+    # every part runs once, into its own rows, so every result has the
+    # serial bytes.  Each thread has its own atoms
+    f = random_bandlimited(SIGNAL_GRID, seed=24)
+
+    def chain(atom):
+        W = analyze(atom, f)
+        h = omega_side(atom.case, f)
+        return _bits(W.values), _bits(bargmann(atom, W, out_grid=h.grid).values)
+
+    names = [("gabor", "gaussian"), ("wavelet", "shannon")] * 2
+    monkeypatch.setattr(fields, "_PARTS", 1)
+    refs = {name: chain(make_atom(case, name)) for case, name in names[:2]}
+    monkeypatch.setattr(fields, "_PARTS", 2)
+    results, errors = [], []
+
+    def run(case, name):
+        try:
+            atom = make_atom(case, name)
+            for _ in range(5):
+                results.append((name, chain(atom)))
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=pair) for pair in names]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert len(results) == 20
+    assert all(out == refs[name] for name, out in results)
+
+
+_AT_EXIT = """
+import atexit, hashlib
+from tfloc import fields
+from tfloc.atoms import make_atom
+from tfloc.fields import analyze, random_bandlimited
+from tfloc.grids import LineGrid
+
+fields._PARTS = 2
+f = random_bandlimited(LineGrid.centered(8.0, 1024), seed=25)
+analyze(make_atom("gabor", "gaussian"), f)  # the worker thread is running
+
+
+def at_exit():
+    W = analyze(make_atom("gabor", "gaussian"), f)
+    print(hashlib.sha256(W.values.tobytes()).hexdigest())
+
+
+atexit.register(at_exit)
+"""
+
+
+def test_the_split_chain_runs_in_an_atexit_handler(gaussian, monkeypatch):
+    # at interpreter exit the pool takes no new task: the caller runs every
+    # part, with the serial bytes
+    monkeypatch.setattr(fields, "_PARTS", 1)
+    f = random_bandlimited(SIGNAL_GRID, seed=25)
+    ref = hashlib.sha256(analyze(gaussian, f).values.tobytes()).hexdigest()
+    src = str(Path(tfloc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep +
+           os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", _AT_EXIT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [ref], done.stderr
