@@ -5,13 +5,25 @@ then rename), so failed runs never leave partial outputs.  Floats are
 rendered with ``%.17g`` (full double precision) and JSON objects are written
 with sorted keys, making repeated runs byte-identical.
 
-Every CSV goes through ``write_table``, which formats a table in blocks of
-``_BLOCK_ROWS`` rows and each distinct value of a block's column once: the
-grid columns of a field or kernel repeat a few values, and a Toeplitz
-kernel repeats its lags.  The bytes are those of formatting every row in
-turn, and the memory the writer holds is bounded by one block.  Fields and
-kernels hand the writer one block of their rows at a time, gathered from
-the matrix, so exporting one holds no column of the table's length.
+Every CSV goes through ``write_table``'s block writer, which formats a
+table in blocks of ``_BLOCK_ROWS`` rows with the bytes of formatting every
+row in turn, holding memory bounded by one block.  It keys each column of
+a block on the number of distinct bit patterns it holds: a column of
+mostly distinct numbers (samples, field values) is formatted with the
+block's rows in one ``%`` pass; a column that repeats values (the zeros of
+a real table's imaginary part, a Toeplitz kernel's lags) is formatted once
+per distinct value, and its texts are carried into the next block, so a
+value repeated in neighbouring blocks is formatted once.  Fields and
+kernels format their node columns once per table from the grid nodes and
+hand the writer one block of rows at a time, gathered from the matrix, so
+exporting one holds no column of the table's length.
+
+``read_signal_csv`` parses with numpy's C reader, which converts each field
+with the correctly rounded conversion ``float()`` uses.  Input the C reader
+refuses or reads as non-finite, or might read otherwise (quotes, bytes
+outside printable ASCII, lines over the csv field limit), is read row by
+row with the csv module instead, so it reads, or fails with the message
+naming the file and the line, exactly as the row loop alone would.
 
 Formats
 -------
@@ -28,6 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -87,35 +100,68 @@ def sidecar_path(path: str) -> str:
 _BLOCK_ROWS = 16384
 
 
-def _column_texts(col: np.ndarray, sep: str) -> np.ndarray:
-    """Text of every value of one block of a column, ``sep`` appended.
-
-    Numbers are formatted with ``%.17g`` once per distinct bit pattern, so
-    -0.0 and 0.0, and every nan and inf, keep the text they would get
-    alone; strings pass through as they are.
-    """
-    if col.dtype.kind == "U":
-        return col.astype(object) + sep
-    bits = np.ascontiguousarray(col, dtype=float).view(np.int64)
-    distinct, index = np.unique(bits, return_inverse=True)
+def _texts(values, sep: str) -> np.ndarray:
+    """``%.17g`` text of every number of ``values``, ``sep`` appended."""
     fmt = "%.17g" + sep
-    texts = np.array(list(map(fmt.__mod__, distinct.view(float).tolist())),
-                     dtype=object)
-    return texts.take(index)
+    return np.array(list(map(fmt.__mod__, values.tolist())), dtype=object)
 
 
-def _block_text(columns) -> str:
+def _repeated_texts(distinct: np.ndarray, sep: str, carried) -> np.ndarray:
+    """Texts of a block's sorted distinct bit patterns: those the column's
+    previous block ``carried`` (its patterns and texts) are taken from it,
+    the others formatted."""
+    texts = np.empty(distinct.size, dtype=object)
+    fresh = np.ones(distinct.size, dtype=bool)
+    if carried is not None:
+        known, known_texts = carried
+        at = np.searchsorted(known, distinct).clip(max=known.size - 1)
+        fresh = known[at] != distinct
+        texts[~fresh] = known_texts[at[~fresh]]
+    texts[fresh] = _texts(distinct[fresh].view(float), sep)
+    return texts
+
+
+def _block_text(columns, carried: dict) -> str:
     """One block of the table, its equal-length columns, as CSV text.
 
-    The cell texts are freed on return, before the caller writes the text
-    and the file encodes it, so one block's texts and its encoded copy are
-    never held together.
+    Each cell's text ends in its separator.  A string column (labels)
+    gets its separator appended; an object column (a grid table's node
+    texts) already holds its cells' texts.  A number column whose bit
+    patterns are mostly distinct is formatted with the block's rows in one
+    ``%`` pass.  A column that repeats values is formatted once per
+    distinct bit pattern, so -0.0 and 0.0, and every nan and inf, keep the
+    text they would get alone; its patterns and texts are kept in
+    ``carried``, by column index, for the next block.  The cells are freed
+    on return, before the caller writes the text and the file encodes it,
+    so one block's cells and its encoded copy are never held together.
     """
+    rows = len(columns[0])
     seps = [","] * (len(columns) - 1) + ["\n"]
-    cells = np.empty((len(columns[0]), len(columns)), dtype=object)
+    cells = np.empty((rows, len(columns)), dtype=object)
+    formats = []
     for j, (col, sep) in enumerate(zip(columns, seps)):
-        cells[:, j] = _column_texts(col, sep)
-    return "".join(cells.ravel().tolist())
+        if col.dtype.kind == "U":
+            col = col.astype(object) + sep
+        if col.dtype.kind == "O":
+            cells[:, j] = col
+            formats.append("%s")
+            continue
+        values = np.ascontiguousarray(col, dtype=float)
+        bits = values.view(np.int64)
+        ordered = np.sort(bits)
+        if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > rows:
+            carried.pop(j, None)
+            cells[:, j] = values
+            formats.append("%.17g" + sep)
+            continue
+        distinct, index = np.unique(bits, return_inverse=True)
+        texts = _repeated_texts(distinct, sep, carried.get(j))
+        carried[j] = (distinct, texts)
+        cells[:, j] = texts.take(index)
+        formats.append("%s")
+    if all(f == "%s" for f in formats):
+        return "".join(cells.ravel().tolist())
+    return "".join(formats) * rows % tuple(cells.ravel().tolist())
 
 
 def _write_blocks(path: str, header: list[str], rows: int, block,
@@ -125,8 +171,10 @@ def _write_blocks(path: str, header: list[str], rows: int, block,
     caller can build each block's columns when it is written."""
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
+        carried = {}
         for start in range(0, rows, _BLOCK_ROWS):
-            fh.write(_block_text(block(start, min(start + _BLOCK_ROWS, rows))))
+            fh.write(_block_text(block(start, min(start + _BLOCK_ROWS, rows)),
+                                 carried))
     if metadata is not None:
         write_json(sidecar_path(path), metadata)
 
@@ -137,8 +185,8 @@ def write_table(path: str, header: list[str], columns,
 
     Numbers (bool, int or float columns) are rendered with ``%.17g``;
     string columns (row labels) are written as they are.  Rows are
-    formatted in blocks of ``_BLOCK_ROWS``, each distinct number of a
-    block's column once, with the same bytes as formatting row by row.
+    formatted in blocks of ``_BLOCK_ROWS`` (see ``_block_text``), with the
+    same bytes as formatting row by row.
     Columns of unequal length, or of another dtype (complex among them),
     raise ``ValueError`` before any file is opened.  With ``metadata`` a
     JSON sidecar is written too.
@@ -161,14 +209,17 @@ def write_table(path: str, header: list[str], columns,
 def _write_grid_table(path: str, header: list[str], nodes1, nodes2, values,
                       metadata: dict):
     """A complex matrix as rows ``nodes1[i], nodes2[j], re, im`` in row-major
-    order, through ``_write_blocks``: each block's columns are gathered when
-    it is written, so no column of the table's length is ever made."""
+    order, through ``_write_blocks``.  The node texts are formatted once
+    per table and each block's columns gathered by row index when it is
+    written, so no column of the table's length is ever made."""
     n2 = values.shape[1]
+    texts1 = _texts(np.asarray(nodes1, dtype=float), ",")
+    texts2 = _texts(np.asarray(nodes2, dtype=float), ",")
 
     def block(start, stop):
         i, j = np.divmod(np.arange(start, stop), n2)
         v = values[i, j]
-        return [nodes1[i], nodes2[j], v.real, v.imag]
+        return [texts1[i], texts2[j], v.real, v.imag]
 
     _write_blocks(path, header, values.size, block, metadata)
 
@@ -184,25 +235,62 @@ def write_signal_csv(path: str, f: SampledFunction, metadata: dict | None = None
                 [f.grid.samples, f.values.real, f.values.imag], metadata)
 
 
-def read_signal_csv(path: str) -> SampledFunction:
-    """Read a signal CSV (header ``x,re,im``) on a uniform grid.
+# bytes the C reader may read otherwise than the csv module and float():
+# quotes, non-ASCII, and control characters other than the line ends (the C
+# reader takes \x1c-\x1f as padding, float() refuses them)
+_C_REFUSED = np.ones(256, dtype=bool)
+_C_REFUSED[[10, 13, *range(32, 127)]] = False
+_C_REFUSED[ord('"')] = True
 
-    The step is taken from the end points, (x[n-1] - x[0]) / (n - 1), and
-    every x must lie within 1e-9 step plus 4 ulps of max |x| of that fit:
-    the written samples carry their rounding, which exceeds any fraction of
-    the step once |x| >> step.  A missing, non-numeric or non-finite field,
-    or a row the csv module cannot split, raises ``ValueError`` naming the
-    file and the line.
-    """
+
+def _check_header(path: str, reader):
+    """Read the header row of a signal CSV and check that it is x,re,im."""
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line 1: {exc}") from None
+    if header is None or [h.strip() for h in header[:3]] != ["x", "re", "im"]:
+        raise ValueError(f"{path}: expected header 'x,re,im', got {header}")
+
+
+def _parsed_rows(path: str) -> np.ndarray | None:
+    """The x, re, im fields of a signal CSV as an (n, 3) array, parsed by
+    numpy's C reader with the correctly rounded conversion ``float()``
+    uses; ``None`` for input the C reader refuses or reads as non-finite,
+    and for input it might read otherwise than ``_csv_rows``: quotes,
+    bytes outside printable ASCII and line ends, lines as long as the csv
+    field limit or longer, and bytes that do not decode (the row loop
+    names the line where it meets them)."""
+    with open(path, newline="") as fh:
+        _check_header(path, csv.reader(fh))
+        try:
+            body = fh.read()
+        except UnicodeDecodeError:
+            return None
+    codes = np.frombuffer(body.encode(), dtype=np.uint8)
+    lines = np.diff(np.flatnonzero(codes == 10), prepend=-1,
+                    append=codes.size)
+    if (_C_REFUSED[codes].any() or lines.max() > csv.field_size_limit()
+            or not body.strip()):
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", usecols=(0, 1, 2),
+                          comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return rows if np.isfinite(rows).all() else None
+
+
+def _csv_rows(path: str) -> np.ndarray:
+    """The x, re, im fields of a signal CSV as an (n, 3) array, read row
+    by row with the csv module and ``float()``: blank rows are skipped and
+    fields past the third ignored.  A missing, non-numeric or non-finite
+    field, or a row the csv module cannot split, raises ``ValueError``
+    naming the file and the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line 1: {exc}") from None
-        if header is None or [h.strip() for h in header[:3]] != ["x", "re", "im"]:
-            raise ValueError(f"{path}: expected header 'x,re,im', got {header}")
-        xs, vals = [], []
+        _check_header(path, reader)
+        rows = []
         try:
             for row in reader:
                 if not row:
@@ -213,19 +301,38 @@ def read_signal_csv(path: str) -> SampledFunction:
                 if not (math.isfinite(x) and math.isfinite(re)
                         and math.isfinite(im)):
                     raise ValueError(f"non-finite value in {row[:3]}")
-                xs.append(x)
-                vals.append(re + 1j * im)
+                rows.append((x, re, im))
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    if len(xs) < 2:
+    return np.array(rows, dtype=float).reshape(-1, 3)
+
+
+def read_signal_csv(path: str) -> SampledFunction:
+    """Read a signal CSV (header ``x,re,im``) on a uniform grid.
+
+    The rows are parsed by numpy's C reader; input it refuses, or might
+    read otherwise, is read row by row with the csv module instead
+    (``_csv_rows``), which gives the same values or the error naming the
+    file and the line.  The step is taken from the end points,
+    (x[n-1] - x[0]) / (n - 1), and every x must lie within 1e-9 step plus
+    4 ulps of max |x| of that fit: the written samples carry their
+    rounding, which exceeds any fraction of the step once |x| >> step.  A
+    missing, non-numeric or non-finite field, or a row the csv module
+    cannot split, raises ``ValueError`` naming the file and the line.
+    """
+    rows = _parsed_rows(path)
+    if rows is None:
+        rows = _csv_rows(path)
+    n = rows.shape[0]
+    if n < 2:
         raise ValueError(f"{path}: need at least 2 samples")
-    xs = np.asarray(xs)
-    n = xs.size
+    xs = rows[:, 0]
     step = (xs[-1] - xs[0]) / (n - 1)
     tol = 1e-9 * step + 4 * np.spacing(np.max(np.abs(xs)))
     if not step > 0 or np.max(np.abs(xs - (xs[0] + np.arange(n) * step))) > tol:
         raise ValueError(f"{path}: samples are not uniformly spaced")
-    return SampledFunction(LineGrid(xs[0], step, n), np.asarray(vals))
+    return SampledFunction(LineGrid(xs[0], step, n),
+                           rows[:, 1] + 1j * rows[:, 2])
 
 
 # -- atoms -------------------------------------------------------------------

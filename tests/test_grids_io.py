@@ -1,21 +1,26 @@
+import csv
 import json
 import math
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tfloc import io as tio
 from tfloc.algebra import PartitionCloud
 from tfloc.fields import PhasePlaneField, analyze, random_bandlimited
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid
 from tfloc.io import (_BLOCK_ROWS, _write_blocks, export_cloud, export_field,
-                      export_gamma, export_kernel, read_signal_csv,
-                      sidecar_path, write_signal_csv, write_table)
+                      export_gamma, export_kernel, import_atom,
+                      read_signal_csv, sidecar_path, write_json,
+                      write_signal_csv, write_table)
 from tfloc.kernels import GammaFunction, overlap_kernel
 from tfloc.operators import OperatorMatrix, default_operator_grid
+from tfloc.symbols import parse_symbol
 
 
 def test_line_grid_validation():
@@ -193,6 +198,27 @@ def _writer_cases():
         yield pytest.param([np.repeat(np.arange(rows // 7 + 1) / 3, 7)[:rows],
                             np.tile(pool, rows // 13 + 1)[:rows],
                             rng.standard_normal(rows)], id=f"{rows} rows")
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]
+    # 2.5 blocks: a column drawing on a pool that neighbouring blocks share
+    # (texts carried across each block edge, and fresh ones), a column of
+    # distinct values in blocks 0 and 2 and repeated ones in block 1, and a
+    # column of distinct values, each with the special values scattered
+    rows = 2 * _BLOCK_ROWS + _BLOCK_ROWS // 2
+    block = np.arange(rows) // _BLOCK_ROWS
+    shared = rng.standard_normal(4000)[1000 * block
+                                       + rng.integers(0, 2000, rows)]
+    switching = np.where(block == 1, np.round(rng.standard_normal(rows), 1),
+                         rng.standard_normal(rows))
+    distinct = rng.standard_normal(rows)
+    for col in (shared, switching, distinct):
+        col[rng.integers(0, rows, 60)] = np.resize(special, 60)
+    yield pytest.param([shared, switching, distinct],
+                       id="texts carried across blocks")
+    # the spectrum table: a label column beside distinct numbers
+    re, im = rng.standard_normal((2, 500))
+    re[::50], im[7::50] = np.resize(special, 10), np.resize(special, 10)
+    yield pytest.param([np.array(["gamma"] * 300 + ["eig"] * 200), re, im],
+                       id="labels beside distinct")
 
 
 @pytest.mark.parametrize("columns", _writer_cases())
@@ -233,7 +259,8 @@ def _grid_columns(nodes1, nodes2, values):
 
 def test_streamed_exports_match_whole_columns(tmp_path):
     # 4 and 1.8 writer blocks: the exporters gather each block's rows from
-    # the matrix; the bytes are those of the whole columns
+    # the matrix; the bytes are those of the whole columns formatted row by
+    # row
     rng = np.random.default_rng(23)
     grid = LineGrid.centered(8.0, 256)
     mat = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
@@ -246,10 +273,10 @@ def test_streamed_exports_match_whole_columns(tmp_path):
              _grid_columns(grid.samples, grid.samples, mat)),
             ("field", lambda p: export_field(p, field), ["z", "omega"],
              _grid_columns(g1.nodes, g2.samples, field.values))]:
-        path, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}-ref.csv"
+        path = tmp_path / f"{name}.csv"
         export(str(path))
-        write_table(str(ref), header + ["re", "im"], cols)
-        assert path.read_bytes() == ref.read_bytes(), name
+        assert path.read_bytes() == _rows_text(header + ["re", "im"],
+                                               cols).encode(), name
 
 
 def test_export_kernel_memory_is_bounded_by_one_block(tmp_path, gaussian):
@@ -328,3 +355,174 @@ def test_signal_csv_binary_step_reads_back_exactly(tmp_path):
     back = read_signal_csv(path).grid
     assert (back.start, back.step) == (grid.start, grid.step)
     assert np.array_equal(back.samples, grid.samples)
+
+
+# -- the C reader against the csv-module row loop -----------------------------
+
+_PADS = [" ", "  ", "\t", "\x0c", "\x1c", "\xa0"]
+_FIELD_VARIATIONS = ("pad", "quote", "underscore", "bad")
+_ROW_VARIATIONS = ("extra", "short", "blank", "spaces")
+
+
+def _varied_field(draw, text, kind):
+    """``text`` padded, quoted, with an underscore between two digits, or
+    replaced by a field the row loop refuses, by ``kind``; else as it is."""
+    if kind == "pad":
+        return (draw(st.sampled_from(_PADS)) + text
+                + draw(st.sampled_from(_PADS + [""])))
+    if kind == "quote":
+        return f'"{text}"'
+    if kind == "underscore":
+        at = [k for k in range(1, len(text))
+              if text[k - 1].isdigit() and text[k].isdigit()]
+        return text[:at[0]] + "_" + text[at[0]:] if at else text
+    if kind == "bad":
+        # "\udcff" is written as the byte 0xff, which does not decode
+        return draw(st.sampled_from(["nan", "-inf", "1e400", "abc", "",
+                                     "0x10", "1\x00", "\udcff1"]))
+    return text
+
+
+@st.composite
+def _signal_texts(draw):
+    """A signal CSV as a hand-made file may hold it.  Each file takes up to
+    three variations, applied to about a quarter of its fields or rows:
+    padded, quoted or underscored fields, fields the row loop refuses,
+    extra columns, short, blank and blank-looking rows, a field at the csv
+    field limit, CRLF line ends, or LF, CRLF and CR mixed."""
+    varied = draw(st.sets(st.sampled_from(
+        _FIELD_VARIATIONS + _ROW_VARIATIONS + ("long", "crlf", "mixed")),
+        max_size=3))
+
+    def vary(choices):
+        options = sorted(varied.intersection(choices))
+        if options and draw(st.integers(0, 3)) == 0:
+            return draw(st.sampled_from(options))
+        return None
+
+    header = draw(st.sampled_from(["x,re,im"] * 8 + [" x , re ,im",
+                                                     "x,re,im,extra",
+                                                     '"x",re,im', "x,re"]))
+    start = draw(st.sampled_from([0.0, -1.0, 1e3]))
+    step = draw(st.sampled_from([0.25, 0.1, 1 / 3]))
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.0, -0.0, 5e-324, 0.1]))
+    lines = [header]
+    for k in range(draw(st.integers(0, 8))):
+        fields = [f"{start + k * step:.17g}",
+                  *(repr(draw(values)) for _ in range(2))]
+        fields = [_varied_field(draw, f, vary(_FIELD_VARIATIONS))
+                  for f in fields]
+        row = vary(_ROW_VARIATIONS)
+        if row == "extra":
+            fields += draw(st.sampled_from([["7"], ["", "a b"], ['"q,r"']]))
+        elif row == "short":
+            fields = fields[:draw(st.integers(1, 2))]
+        elif row is not None:
+            lines.append("" if row == "blank" else "  ")
+        lines.append(",".join(fields))
+    if "long" in varied and len(lines) > 1:
+        # a first field of the limit's length, one less or one more
+        row = draw(st.integers(1, len(lines) - 1))
+        pad = csv.field_size_limit() - len(lines[row].split(",")[0])
+        lines[row] = " " * (pad + draw(st.integers(-1, 1))) + lines[row]
+    text = ""
+    for line in lines:
+        if "mixed" in varied:
+            text += line + draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        else:
+            text += line + ("\r\n" if "crlf" in varied else "\n")
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _read_signal(path):
+    f = read_signal_csv(path)
+    return (np.array([f.grid.start, f.grid.step]).tobytes(), f.grid.count,
+            f.values.tobytes())
+
+
+def _read_symbol(path):
+    sym = parse_symbol(f"sampled:{path}")
+    return sym.descriptor, sym(np.linspace(-2.0, 1004.0, 41)).tobytes()
+
+
+def _read_atom(path):
+    atom = import_atom(path)
+    return (_read_signal(path), atom.time_samples.values.tobytes(),
+            atom.freq_samples.values.tobytes())
+
+
+def _outcome(read, path):
+    """What ``read(path)`` returns, or the message of its ``ValueError``."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _parsed(path):
+    rows = tio._parsed_rows(path)
+    return None if rows is None else (rows.shape, rows.tobytes())
+
+
+def _looped(path):
+    rows = tio._csv_rows(path)
+    return rows.shape, rows.tobytes()
+
+
+# the metadata of an atom sidecar: import_atom rebuilds an atom from it and
+# the samples of the CSV beside it
+_ATOM_META = {"case": "gabor", "name": "gaussian", "normalization": 1.0,
+              "healthy_range": [-8.0, 8.0], "fiber_tol": 1e-6,
+              "g1": {"kind": "line", "start": -16.0, "step": 0.0625,
+                     "count": 512}}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(text=_signal_texts())
+@example(text="x,re,im\r\n0,1,0\r\n\r\n 0.5 ,2,0,7\r\n1,3,1\r\n")
+@example(text="x,re,im\n0,1,0\n0.5,\x1c2,0\n1,3,1\n")
+@example(text="x,re,im\n0,1,0\n0.5,2_0,0\n1,3,1\n")
+@example(text='x,re,im\n0,1,0\n0.5,2,0,"a\n1,3,1,"\n1,3,1\n')
+@example(text="x,re,im\n0,1,0\n0.5," + " " * 131072 + "2,0\n1,3,1\n")
+@example(text="x,re,im\n0,1,0\n\n")
+@example(text="x,re,im\n" + "".join(f"{k},1,0\n" for k in range(2000))
+         + "2000,\udcff1,0\n")  # past the first 8 KiB the file decodes
+@pytest.mark.parametrize("read", [_read_signal, _read_symbol, _read_atom],
+                         ids=["read_signal_csv", "sampled symbol",
+                              "import_atom"])
+def test_signal_csv_reader_matches_the_row_loop(tmp_path_factory, read, text):
+    # the C reader gives the bits of the csv-module row loop or refuses
+    # the input, and read_signal_csv and its callers return what they
+    # return with the row loop alone, or raise its message with the same
+    # file and line
+    path = str(tmp_path_factory.mktemp("csv") / "f.csv")
+    with open(path, "w", newline="", errors="surrogateescape") as fh:
+        fh.write(text)
+    write_json(sidecar_path(path), _ATOM_META)
+    fast = _outcome(_parsed, path)
+    if fast is not None:
+        assert fast == _outcome(_looped, path)
+    got = _outcome(read, path)
+    with mock.patch.object(tio, "_parsed_rows", return_value=None):
+        assert got == _outcome(read, path)
+
+
+def test_signal_csv_c_reader_takes_the_common_variations(tmp_path):
+    # CRLF line ends, blank rows, extra columns and space padding are read
+    # by the C reader, to the bits of the row loop; the first written by
+    # the writer too
+    path = str(tmp_path / "f.csv")
+    f = random_bandlimited(LineGrid.centered(8.0, 64), seed=5)
+    write_signal_csv(path, f)
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines()
+    assert tio._parsed_rows(path).tobytes() == tio._csv_rows(path).tobytes()
+    lines[1:] = [f" {ln} ,7" if k % 2 else ln + "\r\n"
+                 for k, ln in enumerate(lines[1:])]
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
+    rows = tio._parsed_rows(path)
+    assert rows is not None and rows.tobytes() == tio._csv_rows(path).tobytes()
+    back = read_signal_csv(path)
+    assert back.values.tobytes() == f.values.tobytes()
