@@ -326,7 +326,7 @@ def _verify_algebra_suite(args) -> dict:
             for ind in part.indicator_symbols()]
     # diagonal pieces combine on their diagonals: the norm is read off
     diagonal = all(M.is_diagonal for M in mats)
-    basis = [M.values.diagonal() if diagonal else M.values for M in mats]
+    basis = [M.diagonal if diagonal else M.values for M in mats]
     rng = np.random.default_rng(args.seed)
     worst_iso = 0.0
     for _ in range(5):

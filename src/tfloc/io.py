@@ -253,20 +253,45 @@ def _check_header(path: str, reader):
         raise ValueError(f"{path}: expected header 'x,re,im', got {header}")
 
 
+def _undecodable(path: str) -> ValueError:
+    """The error naming the file and the line of the first byte of ``path``
+    that does not decode as UTF-8, its lines ended as the csv reader ends
+    them (LF, CRLF or CR)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return ValueError(f"{path}: line {line}: byte "
+                          f"0x{data[exc.start]:02x} does not decode as UTF-8")
+    return ValueError(f"{path}: does not decode as UTF-8")
+
+
+@contextlib.contextmanager
+def _utf8_text(path: str):
+    """``path`` opened as UTF-8 text for the csv reader.  A byte that does
+    not decode raises the ``ValueError`` of ``_undecodable``: the text
+    reader decodes ahead of the rows, so its own error names no line."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise _undecodable(path) from None
+
+
 def _parsed_rows(path: str) -> np.ndarray | None:
     """The x, re, im fields of a signal CSV as an (n, 3) array, parsed by
     numpy's C reader with the correctly rounded conversion ``float()``
     uses; ``None`` for input the C reader refuses or reads as non-finite,
     and for input it might read otherwise than ``_csv_rows``: quotes,
-    bytes outside printable ASCII and line ends, lines as long as the csv
-    field limit or longer, and bytes that do not decode (the row loop
-    names the line where it meets them)."""
-    with open(path, newline="") as fh:
+    bytes outside printable ASCII and line ends, and lines as long as the
+    csv field limit or longer.  A byte that does not decode as UTF-8 raises
+    ``ValueError`` naming the file and its line."""
+    with _utf8_text(path) as fh:
         _check_header(path, csv.reader(fh))
-        try:
-            body = fh.read()
-        except UnicodeDecodeError:
-            return None
+        body = fh.read()
     codes = np.frombuffer(body.encode(), dtype=np.uint8)
     lines = np.diff(np.flatnonzero(codes == 10), prepend=-1,
                     append=codes.size)
@@ -285,9 +310,9 @@ def _csv_rows(path: str) -> np.ndarray:
     """The x, re, im fields of a signal CSV as an (n, 3) array, read row
     by row with the csv module and ``float()``: blank rows are skipped and
     fields past the third ignored.  A missing, non-numeric or non-finite
-    field, or a row the csv module cannot split, raises ``ValueError``
-    naming the file and the line."""
-    with open(path, newline="") as fh:
+    field, a row the csv module cannot split, or a byte that does not
+    decode as UTF-8 raises ``ValueError`` naming the file and the line."""
+    with _utf8_text(path) as fh:
         reader = csv.reader(fh)
         _check_header(path, reader)
         rows = []
@@ -302,6 +327,8 @@ def _csv_rows(path: str) -> np.ndarray:
                         and math.isfinite(im)):
                     raise ValueError(f"non-finite value in {row[:3]}")
                 rows.append((x, re, im))
+        except UnicodeDecodeError:
+            raise  # named by _utf8_text
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return np.array(rows, dtype=float).reshape(-1, 3)

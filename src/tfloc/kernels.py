@@ -36,8 +36,8 @@ window.
 The two-point overlap kernels generalize the same quadrature to pairs of
 frequencies and feed the integral and compound-symbol operator builders.
 They are the integral kernels of those forms, so they are returned as the
-same dense record, ``OperatorMatrix``, that the builders return (it lives
-here because ``operators`` imports this module).
+same record, ``OperatorMatrix``, that the builders return (it lives here
+because ``operators`` imports this module).
 """
 
 from __future__ import annotations
@@ -107,17 +107,22 @@ class GammaFunction:
 
 
 class OperatorMatrix:
-    """Dense operator over a frequency window, with builder provenance.
+    """Operator over a frequency window, with builder provenance.
 
-    ``is_diagonal`` is True when no off-diagonal entry is nonzero; the
-    checks here, ``spectrum`` and ``operator_norm`` then read the diagonal
-    alone.  ``is_real`` is True when no entry has a nonzero imaginary part;
-    ``spectrum`` and ``operator_norm`` then run in real arithmetic.
-    ``lowrank_rank``, ``lowrank_tail`` and ``gram_rows`` are set by
-    ``build_direct``: the rank of the symbol-field factorization it
-    assembled from, the Frobenius tail it dropped, relative to the field's
-    norm, and the most first-coordinate rows any rank's Gram product ran
-    over (0 for a zero symbol).  Other builders leave them ``None``.
+    ``values`` passed in is the n x n matrix, or the n diagonal entries of
+    a diagonal operator.  ``is_diagonal`` is True when no off-diagonal
+    entry is nonzero, and ``diagonal`` then holds the n diagonal entries;
+    a diagonal operator given by its entries is held as them alone, and
+    its ``values`` is the n x n ``np.diag`` of them, built on each read.
+    The checks here, ``spectrum`` and ``operator_norm`` read a diagonal
+    operator's ``diagonal`` alone.  ``is_real`` is True when no entry has a
+    nonzero imaginary part; ``spectrum`` and ``operator_norm`` then run in
+    real arithmetic.  ``lowrank_rank``, ``lowrank_tail`` and ``gram_rows``
+    are set by ``build_direct``: the rank of the symbol-field factorization
+    it assembled from, the Frobenius tail it dropped, relative to the
+    field's norm, and the most first-coordinate rows any rank's Gram
+    product ran over (0 for a zero symbol).  Other builders leave them
+    ``None``.
     """
 
     def __init__(self, grid: LineGrid, values, builder: str, atom_name: str,
@@ -127,12 +132,17 @@ class OperatorMatrix:
                  gram_rows: int | None = None):
         values = np.asarray(values, dtype=complex)
         n = grid.count
-        if values.shape != (n, n):
+        if values.shape == (n,):
+            self._dense, self.diagonal = None, values
+        elif values.shape == (n, n):
+            self._dense = values
+            self.diagonal = values.diagonal() if _is_diagonal(values) else None
+        else:
             raise ValueError(f"operator must be {n}x{n}, got {values.shape}")
+        self.is_diagonal = self.diagonal is not None
         # the off-diagonal entries of a diagonal matrix are +-0, which add
         # nothing to the checks: only its diagonal is read
-        self.is_diagonal = _is_diagonal(values)
-        read = values.diagonal() if self.is_diagonal else values
+        read = self.diagonal if self.is_diagonal else values
         if not np.all(np.isfinite(read)):
             raise ValueError("operator contains non-finite entries")
         self.is_real = not read.imag.any()
@@ -145,13 +155,18 @@ class OperatorMatrix:
             raise ValueError(
                 f"real symbol produced a non-Hermitian matrix (dev {dev:.2e})")
         self.grid = grid
-        self.values = values
         self.builder = builder
         self.atom_name = atom_name
         self.symbol_descriptor = symbol_descriptor
         self.lowrank_rank = lowrank_rank
         self.lowrank_tail = lowrank_tail
         self.gram_rows = gram_rows
+
+    @property
+    def values(self) -> np.ndarray:
+        """The n x n matrix: as passed in, or ``np.diag`` of the diagonal
+        entries of an operator given by them."""
+        return np.diag(self.diagonal) if self._dense is None else self._dense
 
     def __repr__(self):
         return (f"OperatorMatrix({self.builder}, {self.atom_name}, "

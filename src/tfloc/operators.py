@@ -17,7 +17,9 @@ same operator along different routes:
   lag generator of v_r; one transform gives the generators of all ranks.
   Each Gram GEMM runs over the first-coordinate rows where w q_r and the
   fiber record are nonzero, and a generator that is a delta at lag 0 (every
-  first-variable symbol on the builders' grids) adds to the diagonal only.
+  first-variable symbol on the builders' grids) adds to the diagonal only;
+  when every rank's generator is one, the result is held as its n diagonal
+  entries.
   The factors come from greedy column-pivoted deflation of the field's
   nonzero rows, which stops at the first rank whose residual has a
   Frobenius norm of at most ``LOWRANK_TAIL`` = 1e-13 relative to the
@@ -26,8 +28,8 @@ same operator along different routes:
   shares only the atom's fiber record (``Atom.fibers``) with the routes
   below: neither the overlap kernels nor gamma nor the difference-lattice
   factor.
-* ``build_multiplication`` -- diagonal matrix of the scalar symbol gamma
-  (first-variable symbols diagonalize).
+* ``build_multiplication`` -- diagonal operator of the scalar symbol gamma
+  (first-variable symbols diagonalize), held as its n diagonal entries.
 * ``build_pseudodiff`` -- compound-symbol form for separable symbols: the
   weighted overlap kernel times the transformed second-variable factor
   evaluated on the frequency difference lattice.  (The phase sums of the
@@ -44,13 +46,17 @@ eigenvalue Hausdorff distance and action on random vectors.
 The sandwich's phases are exact at quarter turns (``fourier._cis``), and
 on the builders' grids every phase is +-1: the lag generator of a row that
 is constant in s is then an exact delta, so a first-variable direct matrix
-has no nonzero off-diagonal entry.  What a diagonal matrix or a real
-spectrum gives is read off, with no dense product or solver: spectrum
+has no nonzero off-diagonal entry.  A diagonal operator is held as its n
+diagonal entries (``OperatorMatrix.diagonal``); its n x n ``values`` are
+built only when read.  What a diagonal operator or a real spectrum gives
+is read off, with no n x n array, product or solver: spectrum
 (sorted diagonal), norm (largest diagonal modulus), commutator of a
-diagonal pair (0), action check of a diagonal pair (elementwise), the
-``verify algebra`` tau-isometry (sums of diagonals) and the Hausdorff
-distance of real spectra (sorted neighbours).  Non-diagonal matrices and
-complex spectra keep the dense paths: odd n, off-centre windows, cto2/cto3.
+diagonal pair (0), norm discrepancy of a diagonal pair (max |d_A - d_B|),
+action check of a diagonal pair (elementwise), the ``verify algebra``
+tau-isometry (sums of diagonals) and the Hausdorff distance of real
+spectra (sorted neighbours).  Non-diagonal matrices and complex spectra
+keep the dense paths: odd n, off-centre windows, cto2/cto3, and the
+eigenvalues of a non-Hermitian diagonal operator.
 Both routes take the transform of a row that is real and even mod n as
 real (``_Sandwich.real_where_even``): with a real symbol even in s on a
 real record and the builders' grids, the matrix is exactly real
@@ -219,7 +225,10 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     ||a||_F.  The rank, the relative tail and the most rows any Gram GEMM
     ran over are recorded on the result as ``lowrank_rank``,
     ``lowrank_tail`` and ``gram_rows``.  First-variable, second-variable
-    and separable symbols have rank 1.
+    and separable symbols have rank 1.  When every generator is a lag-0
+    delta -- first-variable symbols on the builders' grids -- M is
+    diagonal and accumulated as its n diagonal entries, from the diagonals
+    of the same Gram products.
     """
     n = xi_grid.count
     s_grid = induced_grid(xi_grid)
@@ -231,7 +240,10 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     lags = _sandwich(s_grid, axis2_sign(atom.case, "forward"),
                      induced_grid(s_grid)).real_where_even(V)
     lags *= xi_grid.step
-    M = np.zeros((n, n), dtype=complex)
+    # when every generator is a lag-0 delta, M is diagonal: held as its n
+    # diagonal entries
+    M = np.zeros(n if all(map(_is_lag0_delta, lags)) else (n, n),
+                 dtype=complex)
     gram_rows = 0
     # each rank's arrays dropped before the next: the peak is M, the fiber
     # record, X and the Gram product, whatever the rank
@@ -257,18 +269,25 @@ def build_direct(atom: Atom, spec: SymbolSpec,
                           gram_rows=gram_rows)
 
 
+def _is_lag0_delta(c: np.ndarray) -> bool:
+    """True when the lag generator c's one nonzero entry is lag 0."""
+    return c[len(c) // 2] != 0 and np.count_nonzero(c) == 1
+
+
 def _add_lag_product(M: np.ndarray, G: np.ndarray, c: np.ndarray):
     """M += G * S in place, S[i, j] = c[(i - j + n//2) mod n] the lag table
-    of the generator c.
+    of the generator c; M is n x n, or the n diagonal entries of a diagonal
+    M when c is a lag-0 delta.
 
-    When c's one nonzero entry is lag 0, S is diagonal and only G's
-    diagonal is multiplied, with the bits of the full product: its other
-    terms are +-0, and adding +-0 to M, which starts at +0 and never holds
-    -0, changes nothing.
+    When c is a lag-0 delta, S is diagonal and only G's diagonal is
+    multiplied, with the bits of the full product: its other terms are
+    +-0, and adding +-0 to M, which starts at +0 and never holds -0,
+    changes nothing.
     """
     n = len(c)
-    if c[n // 2] != 0 and np.count_nonzero(c) == 1:
-        M.reshape(-1)[::n + 1] += G.diagonal() * c[n // 2]
+    if _is_lag0_delta(c):
+        d = M if M.ndim == 1 else M.reshape(-1)[::n + 1]
+        d += G.diagonal() * c[n // 2]
         return
     # a block of rows at a time: no n x n temporary
     S = _lag_table(np.tile(c, 3), n + n // 2, 1, n)
@@ -279,8 +298,9 @@ def _add_lag_product(M: np.ndarray, G: np.ndarray, c: np.ndarray):
 # -- specialized routes -----------------------------------------------------------
 
 def build_multiplication(gf: GammaFunction) -> OperatorMatrix:
-    """Diagonal operator of a sampled scalar symbol."""
-    return OperatorMatrix(gf.grid, np.diag(gf.values), "multiplication",
+    """Diagonal operator of a sampled scalar symbol, held as a copy of its
+    samples."""
+    return OperatorMatrix(gf.grid, gf.values.copy(), "multiplication",
                           gf.atom_name, gf.symbol_descriptor,
                           symbol_is_real=gf.is_real)
 
@@ -360,7 +380,7 @@ def _hermitian_eigvals(M: OperatorMatrix) -> np.ndarray:
     real symmetric solver."""
     # halved before the sum, the order the pinned spectra's bits come from
     if M.is_diagonal:
-        d = 0.5 * M.values.diagonal()
+        d = 0.5 * M.diagonal
         d += d.conj()
         return np.sort(d.real)
     H = 0.5 * (M.values.real if M.is_real else M.values)
@@ -436,8 +456,9 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
     """Largest singular value.
 
     For an ``OperatorMatrix`` flagged Hermitian it is max |eigenvalue| of
-    the symmetrized matrix, as in ``spectrum``.  A diagonal array (no
-    nonzero off-diagonal entry) has it read off exactly as max |d_i|.
+    the symmetrized matrix, as in ``spectrum``.  A diagonal operator or
+    array (no nonzero off-diagonal entry) has it read off exactly as
+    max |d_i|.
     Otherwise it is the certified Lanczos estimate of ``_lanczos_norm``, or
     the dense SVD's sigma_1 where that has no certificate, both on the real
     part alone when no entry has a nonzero imaginary part.  A bare array
@@ -447,14 +468,15 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
     if isinstance(M, OperatorMatrix):
         if M.is_hermitian:
             return float(np.max(np.abs(_hermitian_eigvals(M))))
-        vals, diagonal, real = M.values, M.is_diagonal, M.is_real
+        if M.is_diagonal:
+            return float(np.max(np.abs(M.diagonal)))
+        vals, real = M.values, M.is_real
     else:
         vals = _in_range(np.asarray(M), "matrix",
                          exponent=2 * RANGE_EXPONENT)
-        diagonal = _is_diagonal(vals)
+        if _is_diagonal(vals):
+            return float(np.max(np.abs(vals.diagonal())))
         real = not (np.iscomplexobj(vals) and vals.imag.any())
-    if diagonal:
-        return float(np.max(np.abs(vals.diagonal())))
     if real:
         vals = np.ascontiguousarray(vals.real)
     est = _lanczos_norm(vals)
@@ -542,12 +564,21 @@ def verify_equivalence(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid,
 
     direct_spec = spectrum(direct)
     dn = direct_spec.norm_estimate
-    norm_disc = operator_norm(direct.values - other.values) / dn if dn else 0.0
+    # a diagonal pair: the difference is diagonal, its norm the largest
+    # modulus of d_A - d_B, and the pair acts entry by entry (the matvecs'
+    # other terms are +-0)
+    diagonal = direct.is_diagonal and other.is_diagonal
+    A, B = ((direct.diagonal, other.diagonal) if diagonal
+            else (direct.values, other.values))
+    if not dn:
+        norm_disc = 0.0
+    elif diagonal:
+        gap = _in_range(A - B, "matrix", exponent=2 * RANGE_EXPONENT)
+        norm_disc = float(np.max(np.abs(gap))) / dn
+    else:
+        norm_disc = operator_norm(A - B) / dn
     hd = hausdorff_distance(direct_spec.values, spectrum(other).values)
-    # a diagonal pair acts entry by entry: the matvecs' other terms are +-0
-    A, B = (M.values.diagonal() if direct.is_diagonal and other.is_diagonal
-            else M.values for M in (direct, other))
-    apply = np.multiply if A.ndim == 1 else np.matmul
+    apply = np.multiply if diagonal else np.matmul
     rng = np.random.default_rng(seed)
     errs = []
     for _ in range(10):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from tfloc import io as tio
 from tfloc.algebra import PartitionCloud
+from tfloc.cli import main
 from tfloc.fields import PhasePlaneField, analyze, random_bandlimited
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid
 from tfloc.io import (_BLOCK_ROWS, _write_blocks, export_cloud, export_field,
@@ -506,6 +507,31 @@ def test_signal_csv_reader_matches_the_row_loop(tmp_path_factory, read, text):
     got = _outcome(read, path)
     with mock.patch.object(tio, "_parsed_rows", return_value=None):
         assert got == _outcome(read, path)
+
+
+@pytest.mark.parametrize("line, ends", [(3, "\n"), (3002, "\n"),
+                                        (3002, "\r\n"), (3002, "\r")])
+def test_undecodable_byte_names_the_file_and_its_line(tmp_path, capsys, line,
+                                                      ends):
+    # a byte 0xff in a 3,002-line signal CSV: on line 3 it is inside the
+    # text reader's first 8 KiB chunk, which the header row decodes; on the
+    # last line the reader has decoded past the rows the csv module has
+    # read.  Either way filter exits 2 naming the file and the byte's line
+    rows = ["x,re,im"] + [f"{(k - 1500) / 64!r},1,0" for k in range(3001)]
+    rows[line - 1] = rows[line - 1].replace(",1,", ",\udcff1,")
+    path = tmp_path / "bad.csv"
+    path.write_bytes((ends.join(rows) + ends).encode("utf-8",
+                                                     "surrogateescape"))
+    out = tmp_path / "o.csv"
+    assert main(["filter", "--symbol", "const:1", "--input", str(path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"tfloc filter: error: {path}: line {line}: byte 0xff does not "
+        "decode as UTF-8\n")
+    assert not out.exists()
+    for read in (tio._parsed_rows, tio._csv_rows):
+        with pytest.raises(ValueError, match=f"bad.csv: line {line}: byte"):
+            read(str(path))
 
 
 def test_signal_csv_c_reader_takes_the_common_variations(tmp_path):
