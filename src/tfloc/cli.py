@@ -4,8 +4,9 @@ Subcommands: gamma, spectrum, kernel, verify, filter, algebra.  Outputs are
 CSV files with JSON sidecars (or single JSON files with --format json),
 written atomically; identical configurations produce byte-identical files.
 Exit codes: 0 success (and, for verify, all checks passed), 1 verification
-failure, 2 usage or runtime error (an unexpected exception is reported as an
-internal error, with its traceback, and also exits 2).
+failure, 2 usage or runtime error, running out of memory included (an
+unexpected exception is reported as an internal error, with its traceback,
+and also exits 2).
 """
 
 from __future__ import annotations
@@ -426,8 +427,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SymbolParseError, ValueError, OSError, ArithmeticError) as exc:
-        print(f"tfloc {args.command}: error: {exc}", file=sys.stderr)
+    except (SymbolParseError, ValueError, OSError, ArithmeticError,
+            MemoryError) as exc:
+        print(f"tfloc {args.command}: error: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 2
     except Exception as exc:
         # a bug, not bad input; exit 1 is reserved for "verification failed"

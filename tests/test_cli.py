@@ -1097,3 +1097,17 @@ def test_cmd_unexpected_exception_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "tfloc gamma: internal error: RuntimeError: unexpected state" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB", ""])
+def test_cmd_out_of_memory_is_one_error_line(monkeypatch, capsys, message):
+    # a size too large to allocate exits 2 like bad input, without a
+    # traceback; the command is replaced, so nothing is allocated
+    def exhausted(args):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli._COMMANDS, "gamma", exhausted)
+    assert run("gamma", "--symbol", "indicator:-1,1", "--n", "10000000000",
+               "--out", "g.csv") == 2
+    assert capsys.readouterr().err == \
+        f"tfloc gamma: error: {message or 'MemoryError'}\n"

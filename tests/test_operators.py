@@ -1,4 +1,3 @@
-import hashlib
 import math
 import tracemalloc
 import warnings
@@ -344,57 +343,6 @@ def test_first_variable_operators_are_held_as_their_diagonal(atom_name,
             assert rel <= 1e-13, f"{label}: {rel:.2e}"
         odd = build_direct(atom, spec, _off_centre_grid(atom.case, 63))
         assert not odd.is_diagonal and odd._dense is not None
-
-
-# verify cto1 (seed 0) before the diagonal storage: norm discrepancy,
-# Hausdorff distance and action error, as float.hex
-CTO1_REPORTS = {
-    ("gaussian", 256): ("0x1.001054b9e3c1bp-51", "0x1.0000000000000p-51",
-                        "0x1.30586a1f353f3p-52"),
-    ("gaussian", 512): ("0x1.001054b9e3c1bp-51", "0x1.0000000000000p-51",
-                        "0x1.32d3b978bddd4p-52"),
-    ("rect", 256): ("0x1.0000000000001p-53", "0x1.0000000000000p-53",
-                    "0x1.6f3b5b3bd03d6p-53"),
-    ("rect", 512): ("0x1.0000000000001p-53", "0x1.0000000000000p-53",
-                    "0x1.7a792acf47ecep-53"),
-    ("shannon", 256): ("0x1.0000000000002p-51", "0x1.0000000000000p-51",
-                       "0x1.63394fff7ec74p-52"),
-    ("shannon", 512): ("0x1.0000000000002p-51", "0x1.0000000000000p-51",
-                       "0x1.53da5786cd31dp-52"),
-    ("haar", 256): ("0x1.4b82924041512p-51", "0x1.4000000000000p-52",
-                    "0x1.163a45c5104ccp-52"),
-    ("haar", 512): ("0x1.4b82924041512p-51", "0x1.4000000000000p-52",
-                    "0x1.3f7ff877d58e5p-52"),
-}
-
-
-@pytest.mark.parametrize("atom_name, n", list(CTO1_REPORTS))
-def test_cto1_reports_keep_their_bits(atom_name, n, request):
-    atom = request.getfixturevalue(atom_name)
-    rep = verify_equivalence(atom, EQUIVALENCE_SYMBOLS["cto1", atom.case],
-                             _grid_for(atom, n), 1e-3, seed=0)
-    got = tuple(rep[key].hex() for key in ("norm_discrepancy", "hausdorff",
-                                           "action_error_max"))
-    assert got == CTO1_REPORTS[atom_name, n]
-
-
-# sha256 of the direct route's spectrum bytes of const:1+1j at n = 64
-# before the diagonal storage, first 16 hex digits
-COMPLEX_SPECTRA = {"gaussian": "37accad254477131", "rect": "8e50a375541f1046",
-                   "shannon": "ebd8f396fe598a6e", "haar": "b96e220d5dad7f2b"}
-
-
-@pytest.mark.parametrize("atom_name", list(COMPLEX_SPECTRA))
-def test_complex_first_variable_spectrum_keeps_its_bytes(atom_name, request):
-    # a complex first-variable symbol gives a diagonal, non-Hermitian
-    # operator; its eigenvalues come from the solver on the n x n values
-    atom = request.getfixturevalue(atom_name)
-    M = build_direct(atom, SymbolSpec.first_variable(Symbol1D.constant(1 + 1j)),
-                     _grid_for(atom, 64))
-    assert M.is_diagonal and not M.is_hermitian
-    vals = spectrum(M).values
-    assert hashlib.sha256(vals.tobytes()).hexdigest()[:16] == \
-        COMPLEX_SPECTRA[atom_name]
 
 
 @pytest.mark.parametrize("name", ["gaussian", "shannon"])
