@@ -307,7 +307,7 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     ``field``, whose second axis is ``g2``.  Without ``out_grid`` the blocks
     are the rows of the returned K x g2.count field.  With ``out_grid`` a
     block is multiplied by the symbol ``spec`` (a ``SymbolSpec``, if given)
-    on its rows, ``spec.evaluate_field``, carried by the forward transform
+    on its rows, ``spec._compact_field``, carried by the forward transform
     onto ``out_grid`` and projected against the fibers there, and the
     blocks' projections, summed in turn, are returned: values on
     ``out_grid``.
@@ -345,7 +345,7 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     A block that is not finite after its last transform raises the
     ``ValueError`` of a non-finite ``PhasePlaneField``, so the returned
     field is finite; a symbol that is not finite raises
-    ``evaluate_field``'s.
+    ``_compact_field``'s.
 
     Blocks of empty fiber rows (``Fibers.live``) are skipped, and every
     output keeps its bits, signs of zero included:

@@ -45,7 +45,9 @@ class LineGrid:
         self.start = float(start)
         self.step = float(step)
         self.count = int(count)
-        self.samples = self.start + np.arange(self.count) * self.step
+        # an overflow is reported by the check below, not warned of
+        with np.errstate(over="ignore"):
+            self.samples = self.start + np.arange(self.count) * self.step
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("grid samples overflow")
         self.nodes = self.samples

@@ -66,16 +66,6 @@ __all__ = [
 OVERFLOW_GUARD = 1e12
 
 
-def _is_diagonal(A: np.ndarray) -> bool:
-    """True when A is a nonempty square array with no nonzero
-    off-diagonal entry."""
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
-        return False
-    n = A.shape[0]
-    # row r of this view holds the n entries after A[r, r], all off-diagonal
-    return not A.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n].any()
-
-
 class GammaFunction:
     """Sampled diagonal symbol of a first-variable localization operator."""
 
@@ -110,12 +100,13 @@ class OperatorMatrix:
     """Operator over a frequency window, with builder provenance.
 
     ``values`` passed in is the n x n matrix, or the n diagonal entries of
-    a diagonal operator.  ``is_diagonal`` is True when no off-diagonal
-    entry is nonzero, and ``diagonal`` then holds the n diagonal entries;
-    a diagonal operator given by its entries is held as them alone, and
-    its ``values`` is the n x n ``np.diag`` of them, built on each read.
-    The checks here, ``spectrum`` and ``operator_norm`` read a diagonal
-    operator's ``diagonal`` alone.  ``is_real`` is True when no entry has a
+    a diagonal operator.  An operator given by its entries is held as them
+    alone: ``is_diagonal`` is True, ``diagonal`` holds them, and ``values``
+    is the n x n ``np.diag`` of them, built on each read.  An n x n matrix
+    is held dense, with ``is_diagonal`` False and ``diagonal`` None, even
+    where no off-diagonal entry is nonzero.  The checks here, ``spectrum``
+    and ``operator_norm`` read a diagonal operator's ``diagonal`` alone.
+    ``is_real`` is True when no entry has a
     nonzero imaginary part; ``spectrum`` and ``operator_norm`` then run in
     real arithmetic.  ``lowrank_rank``, ``lowrank_tail`` and ``gram_rows``
     are set by ``build_direct``: the rank of the symbol-field factorization
@@ -135,20 +126,18 @@ class OperatorMatrix:
         if values.shape == (n,):
             self._dense, self.diagonal = None, values
         elif values.shape == (n, n):
-            self._dense = values
-            self.diagonal = values.diagonal() if _is_diagonal(values) else None
+            self._dense, self.diagonal = values, None
         else:
             raise ValueError(f"operator must be {n}x{n}, got {values.shape}")
         self.is_diagonal = self.diagonal is not None
-        # the off-diagonal entries of a diagonal matrix are +-0, which add
-        # nothing to the checks: only its diagonal is read
-        read = self.diagonal if self.is_diagonal else values
-        if not np.all(np.isfinite(read)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("operator contains non-finite entries")
-        self.is_real = not read.imag.any()
-        scale = float(np.max(np.abs(read))) or 1.0
-        # max |M - M^H|, a block of rows at a time: no n x n temporary
-        dev = max(float(np.max(np.abs(read[rows] - read[..., rows].conj().T)))
+        self.is_real = not values.imag.any()
+        scale = float(np.max(np.abs(values))) or 1.0
+        # max |M - M^H|, a block of rows at a time: no n x n temporary (the
+        # entries of a diagonal operator are their own transpose)
+        dev = max(float(np.max(np.abs(values[rows]
+                                      - values[..., rows].conj().T)))
                   for rows in _row_blocks(n))
         self.is_hermitian = dev <= 1e-8 * max(1.0, scale)
         if symbol_is_real and not self.is_hermitian:

@@ -46,17 +46,18 @@ eigenvalue Hausdorff distance and action on random vectors.
 The sandwich's phases are exact at quarter turns (``fourier._cis``), and
 on the builders' grids every phase is +-1: the lag generator of a row that
 is constant in s is then an exact delta, so a first-variable direct matrix
-has no nonzero off-diagonal entry.  A diagonal operator is held as its n
-diagonal entries (``OperatorMatrix.diagonal``); its n x n ``values`` are
-built only when read.  What a diagonal operator or a real spectrum gives
-is read off, with no n x n array, product or solver: spectrum
-(sorted diagonal), norm (largest diagonal modulus), commutator of a
-diagonal pair (0), norm discrepancy of a diagonal pair (max |d_A - d_B|),
-action check of a diagonal pair (elementwise), the ``verify algebra``
-tau-isometry (sums of diagonals) and the Hausdorff distance of real
-spectra (sorted neighbours).  Non-diagonal matrices and complex spectra
-keep the dense paths: odd n, off-centre windows, cto2/cto3, and the
-eigenvalues of a non-Hermitian diagonal operator.
+has no nonzero off-diagonal entry.  A diagonal operator is one given as
+its n diagonal entries, and is held as them (``OperatorMatrix.diagonal``);
+its n x n ``values`` are built only when read.  What a diagonal operator
+or a real spectrum gives is read off, with no n x n array, product or
+solver: spectrum (sorted diagonal), norm (largest diagonal modulus),
+commutator of a diagonal pair (0), norm discrepancy of a diagonal pair
+(max |d_A - d_B|), action check of a diagonal pair (elementwise), the
+``verify algebra`` tau-isometry (sums of diagonals) and the Hausdorff
+distance of real spectra (sorted neighbours).  Matrices given n x n,
+whatever their entries, and complex spectra keep the dense paths: odd n,
+off-centre windows, cto2/cto3, and the eigenvalues of a non-Hermitian
+diagonal operator.
 Both routes take the transform of a row that is real and even mod n as
 real (``_Sandwich.real_where_even``): with a real symbol even in s on a
 real record and the builders' grids, the matrix is exactly real
@@ -64,8 +65,8 @@ real record and the builders' grids, the matrix is exactly real
 the real symmetric solver.
 
 ``operator_norm`` takes the largest singular value of a matrix flagged
-Hermitian from its eigenvalues, and of any other non-diagonal matrix from
-the certified Lanczos estimate of ``_lanczos_norm`` (the dense SVD when it
+Hermitian from its eigenvalues, and of any other dense matrix from the
+certified Lanczos estimate of ``_lanczos_norm`` (the dense SVD when it
 has no certificate).  Values are in the supported range of ``symbols``,
 and a bare array passed to ``operator_norm`` is checked against it.
 
@@ -93,9 +94,8 @@ from .atoms import Atom, _hull, _row_blocks
 from .fields import _analysis_axis, _stream, axis2_sign, omega_side
 from .fourier import _sandwich
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
-from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport,
-                      _is_diagonal, gamma, overlap_kernel,
-                      weighted_overlap_kernel)
+from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport, gamma,
+                      overlap_kernel, weighted_overlap_kernel)
 from .symbols import (RANGE_EXPONENT, Symbol1D, SymbolSpec, _exponent,
                       _in_range, _ldexp)
 
@@ -456,27 +456,26 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
     """Largest singular value.
 
     For an ``OperatorMatrix`` flagged Hermitian it is max |eigenvalue| of
-    the symmetrized matrix, as in ``spectrum``.  A diagonal operator or
-    array (no nonzero off-diagonal entry) has it read off exactly as
-    max |d_i|.
-    Otherwise it is the certified Lanczos estimate of ``_lanczos_norm``, or
-    the dense SVD's sigma_1 where that has no certificate, both on the real
-    part alone when no entry has a nonzero imaginary part.  A bare array
-    with a part above 2^(2B), past what a symbol in the supported range of
-    ``symbols`` builds, or not finite raises ``ValueError``.
+    the symmetrized matrix, as in ``spectrum``.  A diagonal operator, an
+    ``OperatorMatrix`` given by its entries or a 1-D array of them, has it
+    read off exactly as max |d_i|.  Of an n x n matrix it is the certified
+    Lanczos estimate of ``_lanczos_norm``, or the dense SVD's sigma_1 where
+    that has no certificate, both on the real part alone when no entry has
+    a nonzero imaginary part.  A bare array, 1-D or 2-D, with a part above
+    2^(2B), past what a symbol in the supported range of ``symbols``
+    builds, or not finite raises ``ValueError``.
     """
     if isinstance(M, OperatorMatrix):
         if M.is_hermitian:
             return float(np.max(np.abs(_hermitian_eigvals(M))))
-        if M.is_diagonal:
-            return float(np.max(np.abs(M.diagonal)))
-        vals, real = M.values, M.is_real
+        vals = M.diagonal if M.is_diagonal else M.values
+        real = M.is_real
     else:
         vals = _in_range(np.asarray(M), "matrix",
                          exponent=2 * RANGE_EXPONENT)
-        if _is_diagonal(vals):
-            return float(np.max(np.abs(vals.diagonal())))
         real = not (np.iscomplexobj(vals) and vals.imag.any())
+    if vals.ndim == 1:
+        return float(np.max(np.abs(vals)))
     if real:
         vals = np.ascontiguousarray(vals.real)
     est = _lanczos_norm(vals)
@@ -488,9 +487,9 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
 def spectrum(M: OperatorMatrix) -> SpectrumReport:
     """Dense eigenvalue multiset; symmetric solver for Hermitian matrices.
 
-    A diagonal Hermitian matrix -- every first-variable direct matrix on
-    the default windows -- has its spectrum read off the diagonal, with no
-    solver.  The norm estimate is the largest
+    A diagonal Hermitian operator -- every first-variable direct matrix on
+    the default windows, held as its entries -- has its spectrum read off
+    the diagonal, with no solver.  The norm estimate is the largest
     singular value: max |eigenvalue| of the symmetrized matrix when
     Hermitian, otherwise ``operator_norm``.  The size is not capped here;
     the CLI rejects sizes above its dense cap.
@@ -570,13 +569,7 @@ def verify_equivalence(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid,
     diagonal = direct.is_diagonal and other.is_diagonal
     A, B = ((direct.diagonal, other.diagonal) if diagonal
             else (direct.values, other.values))
-    if not dn:
-        norm_disc = 0.0
-    elif diagonal:
-        gap = _in_range(A - B, "matrix", exponent=2 * RANGE_EXPONENT)
-        norm_disc = float(np.max(np.abs(gap))) / dn
-    else:
-        norm_disc = operator_norm(A - B) / dn
+    norm_disc = operator_norm(A - B) / dn if dn else 0.0
     hd = hausdorff_distance(direct_spec.values, spectrum(other).values)
     apply = np.multiply if diagonal else np.matmul
     rng = np.random.default_rng(seed)

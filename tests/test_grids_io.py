@@ -29,9 +29,9 @@ def test_line_grid_validation():
         LineGrid(0.0, -1.0, 8)
     with pytest.raises(ValueError):
         LineGrid(0.0, 1.0, 1)
-    # finite start and step whose last sample overflows
-    with np.errstate(over="ignore"), \
-            pytest.raises(ValueError, match="grid samples overflow"):
+    # finite start and step whose last sample overflows: the error, with
+    # no overflow warning before it
+    with pytest.raises(ValueError, match="grid samples overflow"):
         LineGrid(1.0, 1e308, 3)
     g = LineGrid(-1.0, 0.5, 5)
     assert np.allclose(g.samples, [-1.0, -0.5, 0.0, 0.5, 1.0])

@@ -510,15 +510,16 @@ def test_diagonal_spectrum_is_read_without_forming_h(gaussian, shannon):
     # included (halving rounds an odd subnormal)
     rng = np.random.default_rng(4)
     diags = [build_direct(atom, EQUIVALENCE_SYMBOLS["cto1", atom.case],
-                          _grid_for(atom, 256)).values.diagonal()
+                          _grid_for(atom, 256)).diagonal
              for atom in (gaussian, shannon)]
     diags.append(rng.uniform(-1.7, 1.7, 64) * 1e308 + 0j)
     diags.append(rng.standard_normal(64) + 1e-9j * rng.standard_normal(64))
     diags.append(np.arange(1.0, 65.0) * 5e-324 + 0j)
     for d in diags:
         n = d.size
-        M = OperatorMatrix(LineGrid.centered(8.0, n), np.diag(d), "test",
-                           "none", "none")
+        M = OperatorMatrix(LineGrid.centered(8.0, n), d, "test", "none",
+                           "none")
+        assert M.is_diagonal
         H = 0.5 * M.values
         H += H.conj().T
         ref = np.sort(H.diagonal().real)
@@ -529,20 +530,49 @@ def test_diagonal_spectrum_is_read_without_forming_h(gaussian, shannon):
 
 
 def test_diagonal_operator_checks_read_the_diagonal():
-    # the finiteness and Hermitian checks of a diagonal matrix read its
-    # diagonal alone, with the verdicts of the whole matrix
+    # the finiteness and Hermitian checks of an operator given by its
+    # diagonal entries read them alone, with the verdicts of the whole
+    # matrix
     grid = LineGrid.centered(8.0, 4)
-    assert OperatorMatrix(grid, np.diag([1.0, 2.0, 3.0, 4.0]), "t", "a",
-                          "s", symbol_is_real=True).is_hermitian
-    N = OperatorMatrix(grid, np.diag([1.0, 2.0j, 3.0, 4.0]), "t", "a", "s")
+    assert OperatorMatrix(grid, [1.0, 2.0, 3.0, 4.0], "t", "a", "s",
+                          symbol_is_real=True).is_hermitian
+    N = OperatorMatrix(grid, [1.0, 2.0j, 3.0, 4.0], "t", "a", "s")
     assert N.is_diagonal and not N.is_hermitian
     # the flag set here is what operator_norm reads: max |d_i|
     assert operator_norm(N) == 4.0
     with pytest.raises(ValueError, match="non-Hermitian"):
-        OperatorMatrix(grid, np.diag([1.0, 2.0j, 3.0, 4.0]), "t", "a", "s",
+        OperatorMatrix(grid, [1.0, 2.0j, 3.0, 4.0], "t", "a", "s",
                        symbol_is_real=True)
     with pytest.raises(ValueError, match="non-finite"):
-        OperatorMatrix(grid, np.diag([1.0, np.inf, 3.0, 4.0]), "t", "a", "s")
+        OperatorMatrix(grid, [1.0, np.inf, 3.0, 4.0], "t", "a", "s")
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_a_diagonal_matrix_given_dense_is_held_dense(gaussian, shannon, n):
+    # only an operator given by its entries d is diagonal: np.diag(d) is
+    # held as the n x n matrix it is, and its spectrum and norm come from
+    # the solvers.  They agree with those read off d to c n eps, c = 1,
+    # relative to max |d|; measured, they are equal but for a complex d's
+    # Lanczos norm, 0.011 n eps off at n = 64
+    eps = np.finfo(float).eps
+    diags = [build_direct(atom, EQUIVALENCE_SYMBOLS["cto1", atom.case],
+                          _grid_for(atom, n)).diagonal
+             for atom in (gaussian, shannon)]
+    rng = np.random.default_rng(4)
+    diags.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    grid = LineGrid.centered(8.0, n)
+    for d in diags:
+        held = OperatorMatrix(grid, d, "t", "a", "s")
+        dense = OperatorMatrix(grid, np.diag(d), "t", "a", "s")
+        assert held.is_diagonal and held._dense is None
+        assert not dense.is_diagonal and dense.diagonal is None
+        assert dense.is_hermitian == held.is_hermitian
+        bound = n * eps * float(np.max(np.abs(d)))
+        a, b = spectrum(dense), spectrum(held)
+        assert np.max(np.abs(np.sort_complex(a.values)
+                             - np.sort_complex(b.values))) <= bound
+        assert abs(a.norm_estimate - b.norm_estimate) <= bound
+        assert abs(operator_norm(dense) - operator_norm(held)) <= bound
 
 
 def test_build_direct_disk_peak_memory():
@@ -1120,9 +1150,8 @@ def test_operator_norm_matches_svd_on_adversarial_inputs(gaussian, shannon):
     cases.update(_verify_differences(gaussian, shannon))
     for name, A in cases.items():
         svd = _svd_norm(A)
-        # operator_norm reads the 1x1 case and the cto1 differences, which
-        # are diagonal, off exactly; the Lanczos estimate is certified and
-        # checked on every case, diagonal or not
+        # the Lanczos estimate is certified on every case, the 1x1 case and
+        # the diagonal cto1 differences included
         est = _lanczos_norm(A)
         assert est is not None, name
         for nm in (operator_norm(A), est):
@@ -1132,8 +1161,8 @@ def test_operator_norm_matches_svd_on_adversarial_inputs(gaussian, shannon):
 
 
 def test_operator_norm_of_zero_is_zero_without_warnings():
-    # the zero matrix is diagonal and read off; the Lanczos iteration on
-    # it breaks down at A v_0 = 0 and hands over without a warning
+    # the Lanczos iteration on the zero matrix breaks down at A v_0 = 0 and
+    # hands over to the SVD without a warning
     for dtype in (float, complex):
         with np.errstate(all="raise"):
             assert operator_norm(np.zeros((16, 16), dtype)) == 0.0
@@ -1144,30 +1173,35 @@ def test_operator_norm_reads_a_diagonal_off(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a solver was called")
 
+    # a 1-D array is a diagonal operator's entries: max |d_i|, no solver
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr("tfloc.operators._lanczos_norm", refuse)
-    d = np.array([0.5, -3.0 + 4.0j, 1e-300, 2.0j])
-    assert operator_norm(np.diag(d)) == 5.0
-    assert operator_norm(np.diag([-7.25])) == 7.25
-    assert operator_norm(np.zeros((3, 3))) == 0.0
+    assert operator_norm(np.array([0.5, -3.0 + 4.0j, 1e-300, 2.0j])) == 5.0
+    assert operator_norm(np.array([-7.25])) == 7.25
+    assert operator_norm(np.zeros(3)) == 0.0
 
 
 def test_operator_norm_rejects_an_array_out_of_range():
     # a bare array above 2^512, past any built operator, where the Lanczos
-    # products would overflow, raises with no warning; at 2^512 it runs
+    # products would overflow, raises with no warning; at 2^512 it runs.
+    # A 1-D array of a diagonal operator's entries (C's diagonal) is
+    # checked as the n x n matrix is
     A = np.random.default_rng(4).standard_normal((32, 32))
     C = (A + 1j * A[::-1]) / (2 * np.max(np.abs(A)))
     C[0, 0] = 1.0
     top = 2.0 ** (2 * RANGE_EXPONENT)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for bad in (C * 1.7e308, C * np.nextafter(top, math.inf),
-                    np.where(C == 1.0, np.inf, C)):
-            with pytest.raises(ValueError, match=r"^matrix (exceeds the "
-                               r"supported range: a value above 2\^512 |is "
-                               r"not finite)"):
-                operator_norm(bad)
+        for M in (C, C.diagonal().copy()):
+            for bad in (M * 1.7e308, M * np.nextafter(top, math.inf),
+                        np.where(M == 1.0, np.inf, M)):
+                with pytest.raises(ValueError, match=r"^matrix (exceeds the "
+                                   r"supported range: a value above "
+                                   r"2\^512 |is not finite)"):
+                    operator_norm(bad)
         got = operator_norm(C * top)
+        assert operator_norm(C.diagonal() * top) == \
+            float(np.max(np.abs(C.diagonal()))) * top
     ref = math.ldexp(_svd_norm(C), 2 * RANGE_EXPONENT)
     assert abs(got - ref) <= 1e-13 * ref
 
@@ -1368,7 +1402,7 @@ def test_diagonal_spectrum_is_the_sorted_diagonal(gaussian, shannon, case, n,
 
 
 def test_nondiagonal_hermitian_spectrum_uses_the_solver(monkeypatch):
-    # one off-diagonal pair is enough to send the matrix to eigvalsh
+    # a matrix given n x n goes to eigvalsh: here with one off-diagonal pair
     A = np.diag(np.arange(8.0)).astype(complex)
     A[6, 1], A[1, 6] = 1e-300j, -1e-300j
     M = OperatorMatrix(LineGrid.centered(8.0, 8), A, "test", "none", "none")
