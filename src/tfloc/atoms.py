@@ -276,10 +276,11 @@ class Fibers:
     wavelet (shannon) or a compactly supported window (rect) has empty rows
     at the ends of the first coordinate.  ``power_sums`` and the transform
     chain of ``fields`` skip the empty blocks, and the blocks where a row
-    factor or a symbol is zero, and keep every bit of their outputs; the
-    Gram products of ``build_direct`` and the overlap kernels run on a
-    contiguous copy of the rows of ``rows_for`` their weights, inside the
-    span (a GEMM on the strided view is slower, with the same bits).
+    factor or a symbol is zero, and keep every bit of their outputs.  The
+    direct route and the overlap kernels run over the rows of ``rows_for``
+    their weights, inside the span: the diagonal of a diagonal direct
+    matrix reads them in place, and the Gram products take a contiguous
+    copy of them (a GEMM on the strided view is slower, with the same bits).
     """
 
     omegas: np.ndarray

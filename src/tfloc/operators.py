@@ -15,19 +15,19 @@ same operator along different routes:
   factorization a = sum_r q_r v_r^T of the K x n symbol field assembles the
   matrix as r Gram GEMMs (one per q_r), each times an n x n gather of the
   lag generator of v_r; one transform gives the generators of all ranks.
-  Each Gram GEMM runs over the first-coordinate rows where w q_r and the
-  fiber record are nonzero, and a generator that is a delta at lag 0 (every
-  first-variable symbol on the builders' grids) adds to the diagonal only;
-  when every rank's generator is one, the result is held as its n diagonal
-  entries.
+  Each rank runs over the first-coordinate rows where w q_r and the fiber
+  record are nonzero.  When every rank's generator is a delta at lag 0
+  (every first-variable symbol on the builders' grids) the matrix is
+  diagonal: its n entries are summed from those rows of the record, with
+  no Gram product, and held as they are.
   The factors come from greedy column-pivoted deflation of the field's
-  nonzero rows, which stops at the first rank whose residual has a
-  Frobenius norm of at most ``LOWRANK_TAIL`` = 1e-13 relative to the
-  field's norm; the rank, the tail and the most rows a Gram GEMM ran over
-  are recorded on the result.  It
+  nonzero rows (of the K x 1 column alpha(r) for a first-variable symbol),
+  which stops at the first rank whose residual has a Frobenius norm of at
+  most ``LOWRANK_TAIL`` = 1e-13 relative to the field's norm; the rank, the
+  tail and the most rows a rank ran over are recorded on the result.  It
   shares only the atom's fiber record (``Atom.fibers``) with the routes
-  below: neither the overlap kernels nor gamma nor the difference-lattice
-  factor.
+  below: neither the overlap kernels nor gamma (nor the record's
+  ``power_sums``) nor the difference-lattice factor.
 * ``build_multiplication`` -- diagonal operator of the scalar symbol gamma
   (first-variable symbols diagonalize), held as its n diagonal entries.
 * ``build_pseudodiff`` -- compound-symbol form for separable symbols: the
@@ -207,66 +207,104 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     period n: S_r[i, j] = c_r[(i - j + n//2) mod n], where the generator
     c_r = step * F_fwd(v_r) sits on the centred lag grid
     ``induced_grid(s_grid)`` (step: the xi_grid step).  One
-    ``_sandwich`` call gives the generators of all ranks, and S_r is a
-    strided view of c_r tiled three times (``_lag_table``), so each rank
-    costs one Gram GEMM and one elementwise product (``_add_lag_product``;
-    a generator whose one nonzero entry is lag 0 multiplies only G_r's
-    diagonal).  L is the atom's fiber record (``Atom.fibers``), and the
-    GEMM reads a contiguous copy of the rows that ``Fibers.rows_for``
-    gives for w q_r: the hull of the rows where w q_r is nonzero, inside the
-    record's nonzero span.  Every other row adds only zeros, so G_r is the
-    full product up to the GEMM's summation order.  G_r = X^T L_s with
-    X = conj(L_s) diag(w q_r) on that slice L_s, a real GEMM when L and
-    q_r are real, and one real GEMM on the interleaved float view of X when
-    only q_r is complex, so a real record is never cast to complex.  The
-    factors come from greedy column-pivoted deflation of the field's
-    nonzero rows (``_lowrank_factors``), which stops at the first r whose
-    residual Frobenius norm is at most ``LOWRANK_TAIL`` (1e-13) relative to
-    ||a||_F.  The rank, the relative tail and the most rows any Gram GEMM
-    ran over are recorded on the result as ``lowrank_rank``,
-    ``lowrank_tail`` and ``gram_rows``.  First-variable, second-variable
-    and separable symbols have rank 1.  When every generator is a lag-0
-    delta -- first-variable symbols on the builders' grids -- M is
-    diagonal and accumulated as its n diagonal entries, from the diagonals
-    of the same Gram products.
+    ``_sandwich`` call gives the generators of all ranks.  The factors
+    come from greedy column-pivoted deflation of the field's nonzero rows
+    (``_lowrank_factors``), which stops at the first r whose residual
+    Frobenius norm is at most ``LOWRANK_TAIL`` (1e-13) relative to
+    ||a||_F.  A first-variable symbol is factored from its K x 1 column
+    alpha(r) (``SymbolSpec._compact_field``), every column of its field,
+    and V is that column's factor repeated n times: the K x n field is
+    never formed.  First-variable, second-variable and separable symbols
+    have rank 1.
+
+    Only the rows where w q_r and the fiber record (``Atom.fibers``) are
+    both nonzero add to rank r: ``Fibers.rows_for`` gives their hull, and
+    every other row adds only zeros.  The rank, the relative tail and the
+    most rows any rank ran over are recorded on the result as
+    ``lowrank_rank``, ``lowrank_tail`` and ``gram_rows``.
+
+    When every generator is a lag-0 delta -- first-variable symbols on the
+    builders' grids -- S_r is c_r[n//2] times the identity, M is diagonal
+    and held as its n diagonal entries,
+
+        d_i = sum_r c_r[n//2] sum_k (w q_r)_k conj(L[k, i]) L[k, i],
+
+    summed over those rows read in place from the record
+    (``_diagonal_gram``), in O(K' n) per rank: no Gram product and no
+    copy of the rows.  Any other M is dense: each rank costs one Gram GEMM
+    and one elementwise product with S_r, a strided view of c_r tiled
+    three times (``_add_lag_product``).  The GEMM reads a contiguous copy
+    of the rows: G_r = X^T L_s with X = conj(L_s) diag(w q_r), a real GEMM
+    when L and q_r are real, and one real GEMM on the interleaved float
+    view of X when only q_r is complex, so a real record is never cast to
+    complex.
     """
     n = xi_grid.count
     s_grid = induced_grid(xi_grid)
-    Q, V, tail = _lowrank_factors(
-        spec.evaluate_field(atom.g1.nodes, s_grid.samples))
+    if spec.kind == "first":
+        Q, V, tail = _lowrank_factors(
+            spec._compact_field(atom.g1.nodes, s_grid.samples))
+        V = np.repeat(V, n, axis=1)
+    else:
+        Q, V, tail = _lowrank_factors(
+            spec.evaluate_field(atom.g1.nodes, s_grid.samples))
     fib = atom.fibers(xi_grid.samples)
     w = atom.g1.measure_weights
     # row r: the generator c_r, lag (m - n//2) * xi_grid.step at entry m
     lags = _sandwich(s_grid, axis2_sign(atom.case, "forward"),
                      induced_grid(s_grid)).real_where_even(V)
     lags *= xi_grid.step
-    # when every generator is a lag-0 delta, M is diagonal: held as its n
-    # diagonal entries
-    M = np.zeros(n if all(map(_is_lag0_delta, lags)) else (n, n),
-                 dtype=complex)
+    diagonal = all(map(_is_lag0_delta, lags))
+    M = np.zeros(n if diagonal else (n, n), dtype=complex)
     gram_rows = 0
     # each rank's arrays dropped before the next: the peak is M, the fiber
-    # record, X and the Gram product, whatever the rank
+    # record and one rank's temporaries, whatever the rank
     for q, c in zip(Q.T, lags):
         wq = w * q
         rows = fib.rows_for(wq)
-        L = np.ascontiguousarray(fib.ell[rows])
-        gram_rows = max(gram_rows, len(L))
-        X = np.conj(L, out=np.empty(L.shape, np.result_type(L, q)))
-        X *= wq[rows, None]
-        if X.dtype == L.dtype:
-            G = X.T @ L
+        gram_rows = max(gram_rows, rows.stop - rows.start)
+        if diagonal:
+            M += _diagonal_gram(fib.ell[rows], wq[rows]) * c[n // 2]
         else:
-            # complex weights on a real record: L^T X as one real GEMM on
-            # X's interleaved float view, so the record is never cast
-            G = (L.T @ X.view(L.dtype)).view(X.dtype).T
-        del X
-        _add_lag_product(M, G, c)
-        del G
+            _add_lag_product(M, _gram(fib.ell[rows], wq[rows]), c)
     return OperatorMatrix(xi_grid, M, "direct", atom.name, spec.descriptor,
                           symbol_is_real=spec.is_real,
                           lowrank_rank=len(V), lowrank_tail=tail,
                           gram_rows=gram_rows)
+
+
+def _gram(L: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The Gram product L^H diag(weights) L, as one GEMM X^T L on a
+    contiguous copy of L with X = conj(L) diag(weights)."""
+    L = np.ascontiguousarray(L)
+    X = np.conj(L, out=np.empty(L.shape, np.result_type(L, weights)))
+    X *= weights[:, None]
+    if X.dtype == L.dtype:
+        return X.T @ L
+    # complex weights on a real record: L^T X as one real GEMM on X's
+    # interleaved float view, so the record is never cast
+    return (L.T @ X.view(L.dtype)).view(X.dtype).T
+
+
+def _diagonal_gram(L: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] conj(L[k, i]) L[k, i] for every column i of L: the
+    diagonal of the Gram product L^H diag(weights) L, without forming it.
+
+    L is read in place, a block of ``_BLOCK_ROWS`` rows at a time: each
+    block's |L|^2, real, is summed against the weights in one real product,
+    on the interleaved float view of complex weights, so a real record is
+    never cast to complex.  The dtype is complex when the weights are.
+    """
+    # one column of real weights, or the real and imaginary parts
+    W = weights.view(float).reshape(-1, 2 if np.iscomplexobj(weights) else 1)
+    acc = np.zeros((L.shape[1], W.shape[1]))
+    for rows in _row_blocks(len(L)):
+        B = L[rows]
+        P = B.real * B.real
+        if np.iscomplexobj(B):
+            P += np.square(B.imag)
+        acc += P.T @ W[rows]
+    return acc.view(complex)[:, 0] if W.shape[1] == 2 else acc[:, 0]
 
 
 def _is_lag0_delta(c: np.ndarray) -> bool:
@@ -275,9 +313,8 @@ def _is_lag0_delta(c: np.ndarray) -> bool:
 
 
 def _add_lag_product(M: np.ndarray, G: np.ndarray, c: np.ndarray):
-    """M += G * S in place, S[i, j] = c[(i - j + n//2) mod n] the lag table
-    of the generator c; M is n x n, or the n diagonal entries of a diagonal
-    M when c is a lag-0 delta.
+    """M += G * S in place, for the n x n M, with S[i, j] =
+    c[(i - j + n//2) mod n] the lag table of the generator c.
 
     When c is a lag-0 delta, S is diagonal and only G's diagonal is
     multiplied, with the bits of the full product: its other terms are
@@ -286,7 +323,7 @@ def _add_lag_product(M: np.ndarray, G: np.ndarray, c: np.ndarray):
     """
     n = len(c)
     if _is_lag0_delta(c):
-        d = M if M.ndim == 1 else M.reshape(-1)[::n + 1]
+        d = M.reshape(-1)[::n + 1]
         d += G.diagonal() * c[n // 2]
         return
     # a block of rows at a time: no n x n temporary

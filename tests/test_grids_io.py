@@ -314,6 +314,14 @@ def test_write_table_rejects_malformed_columns(tmp_path, columns, match):
 
 # -- signal CSV reader ----------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    """One directory for the hypothesis reader tests: each example writes
+    its files over the last example's, so a test makes one directory, not
+    one per example."""
+    return tmp_path_factory.mktemp("csv")
+
+
 def _csv_grids():
     """Grids far from zero relative to their step: |start| up to 1e6, step
     from 1e-6 to 10, up to 4096 samples."""
@@ -328,11 +336,10 @@ def _csv_grids():
 @example(grid=LineGrid(1e4, 1e-4, 1024), seed=0)
 @example(grid=LineGrid(1e6, 1e-6, 100), seed=0)
 @example(grid=LineGrid(1e3, 1e-3, 4096), seed=0)
-def test_signal_csv_reader_reads_what_the_writer_wrote(tmp_path_factory, grid,
-                                                       seed):
+def test_signal_csv_reader_reads_what_the_writer_wrote(csv_dir, grid, seed):
     # the written samples carry their rounding: the reader takes the step
     # from the end points and forgives 4 ulps of max |x| on top of 1e-9 step
-    path = str(tmp_path_factory.mktemp("csv") / "f.csv")
+    path = str(csv_dir / "written.csv")
     rng = np.random.default_rng(seed)
     n = grid.count
     f = SampledFunction(grid, rng.standard_normal(n)
@@ -496,12 +503,12 @@ _ATOM_META = {"case": "gabor", "name": "gaussian", "normalization": 1.0,
 @pytest.mark.parametrize("read", [_read_signal, _read_symbol, _read_atom],
                          ids=["read_signal_csv", "sampled symbol",
                               "import_atom"])
-def test_signal_csv_reader_matches_the_row_loop(tmp_path_factory, read, text):
+def test_signal_csv_reader_matches_the_row_loop(csv_dir, read, text):
     # the C reader gives the bits of the csv-module row loop or refuses
     # the input, and read_signal_csv and its callers return what they
     # return with the row loop alone, or raise its message with the same
     # file and line
-    path = str(tmp_path_factory.mktemp("csv") / "f.csv")
+    path = str(csv_dir / "text.csv")
     with open(path, "w", newline="", errors="surrogateescape") as fh:
         fh.write(text)
     write_json(sidecar_path(path), _ATOM_META)

@@ -155,13 +155,13 @@ def _direct_column_loop(atom, spec, xi_grid):
 
 
 def test_build_direct_peak_memory():
-    # the delta lag adds G's diagonal alone, to M held as its n diagonal
-    # entries: the peak is the real K x n symbol field or the real Gram
-    # product of the gaussian window, with a weighted copy of the
-    # indicator's 33 rows, 0.61 complex arrays of K x n = n x n entries
-    # (a dense M read 1.61).  There is no n x n transform, no copy of the
-    # lag matrix and no n x n temporary of the Hermitian check.  A fresh
-    # atom, so the record is built inside the window.
+    # M is held as its n diagonal entries, summed from the record's rows
+    # with no Gram product, and the symbol is factored from its K x 1
+    # column: 0.08-0.11 complex arrays of K x n = n x n entries measured
+    # (0.61 with the K x n symbol field and the Gram product, 1.61 with a
+    # dense M).  There is no n x n transform, no copy of the lag matrix and
+    # no n x n temporary of the Hermitian check.  A fresh atom, so the
+    # record is built inside the window.
     n = 512
     atom = make_atom("gabor", "gaussian")
     spec = SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 1.0))
@@ -174,7 +174,7 @@ def test_build_direct_peak_memory():
         tracemalloc.stop()
     assert M.lowrank_rank == 1
     K = atom.g1.count
-    assert peak <= 0.75 * K * n * 16, f"peak {peak / (K * n * 16):.3f} K*n*16"
+    assert peak <= 0.25 * K * n * 16, f"peak {peak / (K * n * 16):.3f} K*n*16"
 
 
 def test_build_direct_complex_symbol_peak_memory():
@@ -345,14 +345,135 @@ def test_first_variable_operators_are_held_as_their_diagonal(atom_name,
         assert not odd.is_diagonal and odd._dense is not None
 
 
+def _diagonal_specs(case):
+    """Symbols whose direct matrix is held as its diagonal: the first-variable
+    symbol of ``_oracle_specs``, a complex multiple of it, and its complex
+    symbol with the dependence on s dropped, a general symbol that takes the
+    diagonal path from its K x n field."""
+    band = (-1.0, 1.0) if case == "gabor" else (1.0, 2.0)
+    return {
+        "first": _oracle_specs(case)["first"],
+        "first-complex": SymbolSpec.first_variable(
+            Symbol1D.piecewise([[band]], [0.5 + 2j])),
+        "complex-in-r": SymbolSpec.general(
+            lambda r, s: np.exp(-np.pi * (r - 0.5) ** 2 + 1j * r) + 0.0 * s,
+            "complex-in-r"),
+    }
+
+
+# the column loop's and the direct sum's rounding, relative to the largest
+# entry: 1.2e-15 measured
+DIAGONAL_ORACLE_REL = 2.5e-15
+
+
+@pytest.mark.parametrize("atom_name", ["gaussian", "rect", "shannon", "haar"])
+def test_direct_diagonal_matches_column_loop(atom_name, request):
+    # the diagonal summed from the record against the pipeline run once per
+    # basis vector, at rounding (``DIAGONAL_ORACLE_REL``)
+    atom = request.getfixturevalue(atom_name)
+    for n in (32, 64):
+        grid = _grid_for(atom, n)
+        for kind, spec in _diagonal_specs(atom.case).items():
+            M = build_direct(atom, spec, grid)
+            assert M.is_diagonal and M.lowrank_rank == 1, kind
+            ref = _direct_column_loop(atom, spec, grid)
+            top = np.max(np.abs(ref))
+            rel = np.max(np.abs(M.diagonal - ref.diagonal())) / top
+            assert rel <= DIAGONAL_ORACLE_REL, \
+                f"{atom.name}/{kind}, n={n}: {rel:.2e}"
+
+
+def _gram_diagonal(atom, spec, xi_grid):
+    """The diagonal of the direct matrix as the n x n Gram products give it:
+    factors of the K x n field, G_r = L^H diag(w q_r) L over every row of
+    the record, and d = sum_r diag(G_r) c_r[n//2]."""
+    n = xi_grid.count
+    s_grid = induced_grid(xi_grid)
+    Q, V, _ = _lowrank_factors(
+        spec.evaluate_field(atom.g1.nodes, s_grid.samples))
+    lags = _sandwich(s_grid, axis2_sign(atom.case, "forward"),
+                     induced_grid(s_grid)).real_where_even(V) * xi_grid.step
+    L = atom.fibers(xi_grid.samples).ell
+    w = atom.g1.measure_weights
+    d = np.zeros(n, dtype=complex)
+    for q, c in zip(Q.T, lags):
+        assert np.count_nonzero(c) == 1 and c[n // 2] != 0
+        d += ((np.conj(L) * (w * q)[:, None]).T @ L).diagonal() * c[n // 2]
+    return d
+
+
+# the Gram products' and the direct sum's rounding, relative to the largest
+# entry: 1.2e-15 measured, the smooth step over all 512 gabor translations
+GRAM_DIAGONAL_REL = 2.5e-15
+
+
+@pytest.mark.parametrize("atom_name", ["gaussian", "rect", "shannon", "haar"])
+def test_direct_diagonal_matches_the_gram_diagonal(atom_name, request):
+    atom = request.getfixturevalue(atom_name)
+    specs = dict(_diagonal_specs(atom.case))
+    specs["step"] = SymbolSpec.first_variable(
+        _first_variable_pool(atom.case)[1])
+    for n in (128, 256, 512):
+        grid = _grid_for(atom, n)
+        for kind, spec in specs.items():
+            d = build_direct(atom, spec, grid).diagonal
+            ref = _gram_diagonal(atom, spec, grid)
+            rel = np.max(np.abs(d - ref)) / np.max(np.abs(ref))
+            assert rel <= GRAM_DIAGONAL_REL, \
+                f"{atom.name}/{kind}, n={n}: {rel:.2e}"
+
+
+def test_direct_diagonal_reads_no_gamma(gaussian, rect, shannon, haar,
+                                        monkeypatch):
+    # the direct route is the multiplication route's independent check: its
+    # diagonal is summed in operators, never by the grid-rule gamma's power
+    # sums or any gamma rule
+    def refuse(*args, **kwargs):
+        raise AssertionError("the direct route called a gamma route")
+
+    for name in ("tfloc.atoms.Fibers.power_sums", "tfloc.kernels.gamma",
+                 "tfloc.kernels._gamma_fft", "tfloc.kernels._gamma_adaptive",
+                 "tfloc.operators.gamma"):
+        monkeypatch.setattr(name, refuse)
+    for atom in (gaussian, rect, shannon, haar):
+        for n in (64, 512):
+            for kind, spec in _diagonal_specs(atom.case).items():
+                assert build_direct(atom, spec,
+                                    _grid_for(atom, n)).is_diagonal, kind
+
+
+@pytest.mark.parametrize("name", ["gaussian", "shannon", "haar"])
+def test_first_variable_direct_peak_memory(name):
+    # the diagonal is summed from the record a block of 64 rows at a time,
+    # and a first-variable symbol is factored from its K x 1 column: no
+    # K x n field, Gram product, weighted copy or copy of the record's rows.
+    # Measured 0.30, 0.17 and 0.29 MiB for the cto1 symbols at n = 512,
+    # 0.42 for the gaussian as the first call of a process (2.4, 2.4 and
+    # 4.3 MiB with the Gram products); the record is built beforehand
+    n = 512
+    case = "gabor" if name == "gaussian" else "wavelet"
+    atom = make_atom(case, name)
+    grid = default_operator_grid(case, n)
+    atom.fibers(grid.samples)
+    tracemalloc.start()
+    try:
+        M = build_direct(atom, EQUIVALENCE_SYMBOLS["cto1", case], grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.is_diagonal
+    assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
 @pytest.mark.parametrize("name", ["gaussian", "shannon"])
 def test_cto1_verify_peak_memory(name):
-    # verify cto1 at n = 512 holds both diagonals, the direct route's Gram
-    # product (real for these records) and small row slices: 2.4 MiB
-    # measured, below one n x n complex array (4 MiB); dense matrices for
-    # M, diag(gamma) and their difference read 12-14 MiB.  A fresh atom,
-    # its fiber record (shared by both routes, 2 MiB for shannon) built
-    # before the trace
+    # verify cto1 at n = 512 holds both diagonals and blocks of the
+    # record's rows: 0.39 and 0.32 MiB measured (1.0 MiB for the gaussian
+    # as the first call of a process), below one n x n complex array
+    # (4 MiB); the direct route's Gram product read 2.4 MiB, and dense
+    # matrices for M, diag(gamma) and their difference 12-14 MiB.  A fresh
+    # atom, its fiber record (shared by both routes, 2 MiB for shannon)
+    # built before the trace
     n = 512
     case = "gabor" if name == "gaussian" else "wavelet"
     atom = make_atom(case, name)
@@ -497,11 +618,7 @@ def test_delta_lag_product_is_the_full_product(n, complex_gram):
             full += G * _lag_table(np.tile(c, 3), n + n // 2, 1, n)
             M = start.copy()
             _add_lag_product(M, G.copy(), c)
-            # a diagonal M held as its n diagonal entries
-            d = start.diagonal().copy()
-            _add_lag_product(d, G.copy(), c)
         assert M.tobytes() == full.tobytes()
-        assert d.tobytes() == full.diagonal().tobytes()
 
 
 def test_diagonal_spectrum_is_read_without_forming_h(gaussian, shannon):
