@@ -233,11 +233,15 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     (``_diagonal_gram``), in O(K' n) per rank: no Gram product and no
     copy of the rows.  Any other M is dense: each rank costs one Gram GEMM
     and one elementwise product with S_r, a strided view of c_r tiled
-    three times (``_add_lag_product``).  The GEMM reads a contiguous copy
-    of the rows: G_r = X^T L_s with X = conj(L_s) diag(w q_r), a real GEMM
-    when L and q_r are real, and one real GEMM on the interleaved float
-    view of X when only q_r is complex, so a real record is never cast to
-    complex.
+    three times (``_add_lag_product``).  The GEMM reads the rows as
+    ``Fibers.gemm_rows`` gives them: contiguous (a copy for a lattice
+    record) and with every real and imaginary part below 2^-511 set to +0,
+    since subnormal products slow the GEMM about 5x on the gaussian's
+    tails.  That moves G_r by at most 2^-510 max|L| sum_k |w q_r|, about
+    1e-152 for the gaussian; no other catalog record has such parts.
+    G_r = X^T L_s with X = conj(L_s) diag(w q_r), a real GEMM when L and
+    q_r are real, and one real GEMM on the interleaved float view of X when
+    only q_r is complex, so a real record is never cast to complex.
     """
     n = xi_grid.count
     s_grid = induced_grid(xi_grid)
@@ -266,7 +270,7 @@ def build_direct(atom: Atom, spec: SymbolSpec,
         if diagonal:
             M += _diagonal_gram(fib.ell[rows], wq[rows]) * c[n // 2]
         else:
-            _add_lag_product(M, _gram(fib.ell[rows], wq[rows]), c)
+            _add_lag_product(M, _gram(fib.gemm_rows(rows), wq[rows]), c)
     return OperatorMatrix(xi_grid, M, "direct", atom.name, spec.descriptor,
                           symbol_is_real=spec.is_real,
                           lowrank_rank=len(V), lowrank_tail=tail,
@@ -274,9 +278,11 @@ def build_direct(atom: Atom, spec: SymbolSpec,
 
 
 def _gram(L: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The Gram product L^H diag(weights) L, as one GEMM X^T L on a
-    contiguous copy of L with X = conj(L) diag(weights)."""
-    L = np.ascontiguousarray(L)
+    """The Gram product L^H diag(weights) L, as one GEMM X^T L with
+    X = conj(L) diag(weights), on L the record's rows as
+    ``Fibers.gemm_rows`` gives them: contiguous, and with the parts below
+    2^-511 set to +0, so that no product in the GEMM is subnormal, which
+    moves an entry by at most 2^-510 max|L| sum_k |weights[k]|."""
     X = np.conj(L, out=np.empty(L.shape, np.result_type(L, weights)))
     X *= weights[:, None]
     if X.dtype == L.dtype:

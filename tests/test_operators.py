@@ -383,20 +383,26 @@ def test_direct_diagonal_matches_column_loop(atom_name, request):
                 f"{atom.name}/{kind}, n={n}: {rel:.2e}"
 
 
-def _gram_diagonal(atom, spec, xi_grid):
-    """The diagonal of the direct matrix as the n x n Gram products give it:
-    factors of the K x n field, G_r = L^H diag(w q_r) L over every row of
-    the record, and d = sum_r diag(G_r) c_r[n//2]."""
-    n = xi_grid.count
+def _field_ranks(atom, spec, xi_grid):
+    """(q_r, c_r) per rank: the factors of the K x n field and the lag
+    generators of their sandwiches, as ``build_direct`` forms them."""
     s_grid = induced_grid(xi_grid)
     Q, V, _ = _lowrank_factors(
         spec.evaluate_field(atom.g1.nodes, s_grid.samples))
     lags = _sandwich(s_grid, axis2_sign(atom.case, "forward"),
                      induced_grid(s_grid)).real_where_even(V) * xi_grid.step
+    return zip(Q.T, lags)
+
+
+def _gram_diagonal(atom, spec, xi_grid):
+    """The diagonal of the direct matrix as the n x n Gram products give it:
+    factors of the K x n field, G_r = L^H diag(w q_r) L over every row of
+    the record, and d = sum_r diag(G_r) c_r[n//2]."""
+    n = xi_grid.count
     L = atom.fibers(xi_grid.samples).ell
     w = atom.g1.measure_weights
     d = np.zeros(n, dtype=complex)
-    for q, c in zip(Q.T, lags):
+    for q, c in _field_ranks(atom, spec, xi_grid):
         assert np.count_nonzero(c) == 1 and c[n // 2] != 0
         d += ((np.conj(L) * (w * q)[:, None]).T @ L).diagonal() * c[n // 2]
     return d
@@ -488,6 +494,116 @@ def test_cto1_verify_peak_memory(name):
         tracemalloc.stop()
     assert rep["pass"]
     assert peak < n * n * 16, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+# -- the rows a Gram product reads ---------------------------------------------
+
+FLUSH_BELOW = 2.0 ** -511
+# the rounding of a Gram product over the rows of ``rows_for`` against the
+# plain GEMM over every row, in units of K eps max|L|^2 sum_k |v_k| per
+# entry, v the weights: 1.04e-3 measured (haar, cto3, n = 63 off centre)
+GRAM_ROUNDING_C = 4e-3
+
+
+def _plain_gram(L, v):
+    return (np.conj(L) * v[:, None]).T @ L
+
+
+def _plain_direct(atom, spec, xi_grid, L):
+    """The dense direct matrix from the plain GEMM on every row of ``L``:
+    sum_r G_r * S_r as ``build_direct`` forms it, and the sum over the
+    ranks of sum_k |w q_r| max|c_r|, what scales a Gram entry's error."""
+    n = xi_grid.count
+    w = atom.g1.measure_weights
+    M = np.zeros((n, n), dtype=complex)
+    scale = 0.0
+    for q, c in _field_ranks(atom, spec, xi_grid):
+        _add_lag_product(M, _plain_gram(L, w * q), c)
+        scale += np.sum(np.abs(w * q)) * np.max(np.abs(c))
+    return M, scale
+
+
+@pytest.mark.parametrize("atom_name", ["gaussian", "rect", "shannon", "haar"])
+def test_gram_products_are_the_plain_gemm_within_the_flush_bound(
+        atom_name, request, monkeypatch):
+    # the Gram products read the record's rows with every part below 2^-511
+    # set to +0, which moves an entry by at most 2^-510 max|L| sum_k |v_k|,
+    # on top of the rounding (``GRAM_ROUNDING_C``): the direct matrices of
+    # the cto2 and cto3 symbols and both overlap kernels, on the lattice
+    # grids (copies of a strided record) and off centre (a K x N record)
+    atom = request.getfixturevalue(atom_name)
+    K = atom.g1.count
+    w = atom.g1.measure_weights
+    alpha = Symbol1D.constant(0.5 + 2j)
+    v = w * alpha.sample(atom.g1.nodes)
+    read = []
+
+    def spy(self, rows):
+        read.append(original(self, rows))
+        return read[-1]
+
+    original = Fibers.gemm_rows
+    monkeypatch.setattr(Fibers, "gemm_rows", spy)
+    grids = [_grid_for(atom, n) for n in (64, 256, 512)]
+    grids.append(_off_centre_grid(atom.case, 63))
+    for grid in grids:
+        L = atom.ell_matrix(grid.samples)
+        top = np.max(np.abs(L))
+        built = {"overlap": (overlap_kernel(atom, grid).values,
+                             _plain_gram(L, w), np.sum(w)),
+                 "weighted": (weighted_overlap_kernel(atom, alpha, grid).values,
+                              _plain_gram(L, v), np.sum(np.abs(v)))}
+        for suite in ("cto2", "cto3"):
+            spec = EQUIVALENCE_SYMBOLS[suite, atom.case]
+            built[suite] = (build_direct(atom, spec, grid).values,
+                            *_plain_direct(atom, spec, grid, L))
+        for kind, (got, ref, scale) in built.items():
+            bound = scale * (2.0 ** -510 * top + GRAM_ROUNDING_C * K
+                             * np.finfo(float).eps * top ** 2)
+            err = np.max(np.abs(got - ref))
+            assert err <= bound, \
+                f"{atom.name}/{kind}, n={grid.count}: {err:.2e} > {bound:.2e}"
+
+        fib = atom.fibers(grid.samples)
+        assert np.ascontiguousarray(fib.ell).tobytes() == L.tobytes()
+        # every part below 2^-511 is +0 in what the products read, every
+        # other part keeps its bits; the gaussian's tails have such parts
+        parts = L.view(float)
+        tiny = np.abs(parts) < FLUSH_BELOW
+        flushed = tiny & (parts != 0)
+        assert flushed.any() == (atom.name == "gaussian"), atom.name
+        C = fib.gemm_rows(slice(0, K)).view(np.int64)
+        assert not C[tiny].any()
+        assert np.array_equal(C[~tiny], L.view(np.int64)[~tiny])
+    # one read per kernel, per rank of each direct build, and the check's
+    assert len(read) == 5 * len(grids)
+    for C in read:
+        parts = C.view(float)
+        assert not np.any((np.abs(parts) < FLUSH_BELOW) & (parts != 0))
+
+
+@pytest.mark.parametrize("name", ["gaussian", "shannon", "haar"])
+def test_second_variable_direct_peak_memory(name):
+    # the cto2 path at n = 512, its record built beforehand: M, the rows
+    # the Gram product reads (a flushed copy for the gaussian's lattice
+    # record, the record's own rows for the wavelets), the weighted copy X
+    # and the Gram product.  Measured 2.54, 1.73 and 3.01 K x n x 16 B
+    # (10.2, 6.9 and 12.0 MiB), as before the flush
+    n = 512
+    case = "gabor" if name == "gaussian" else "wavelet"
+    atom = make_atom(case, name)
+    grid = default_operator_grid(case, n)
+    atom.fibers(grid.samples)
+    tracemalloc.start()
+    try:
+        M = build_direct(atom, EQUIVALENCE_SYMBOLS["cto2", case], grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not M.is_diagonal and M.lowrank_rank == 1
+    K = atom.g1.count
+    bound = {"gaussian": 2.6, "shannon": 1.8, "haar": 3.1}[name]
+    assert peak <= bound * K * n * 16, f"peak {peak / (K * n * 16):.3f} K*n*16"
 
 
 # -- assembly over the support -------------------------------------------------
