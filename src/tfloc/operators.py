@@ -231,13 +231,13 @@ def build_direct(atom: Atom, spec: SymbolSpec,
 
     summed over those rows read in place from the record
     (``_diagonal_gram``), in O(K' n) per rank: no Gram product and no
-    copy of the rows.  Any other M is dense: each rank costs one Gram GEMM
-    and one elementwise product with S_r, a strided view of c_r tiled
-    three times (``_add_lag_product``).  The GEMM reads the rows as
-    ``Fibers.gemm_rows`` gives them: contiguous (a copy for a lattice
-    record) and with every real and imaginary part below 2^-511 set to +0,
-    since subnormal products slow the GEMM about 5x on the gaussian's
-    tails.  That moves G_r by at most 2^-510 max|L| sum_k |w q_r|, about
+    copy of the rows.  Any other M is dense: each rank, a lag-0 delta
+    among them, costs one Gram GEMM and one elementwise product with S_r, a
+    strided view of c_r tiled three times (``_add_lag_product``).  The GEMM
+    reads the rows as ``Fibers.gemm_rows`` gives them: contiguous (a copy
+    for a lattice record) and with every real and imaginary part below
+    2^-511 set to +0, since subnormal products slow the GEMM about 5x on
+    the gaussian's tails.  That moves G_r by at most 2^-510 max|L| sum_k |w q_r|, about
     1e-152 for the gaussian; no other catalog record has such parts.
     G_r = X^T L_s with X = conj(L_s) diag(w q_r), a real GEMM when L and
     q_r are real, and one real GEMM on the interleaved float view of X when
@@ -320,18 +320,8 @@ def _is_lag0_delta(c: np.ndarray) -> bool:
 
 def _add_lag_product(M: np.ndarray, G: np.ndarray, c: np.ndarray):
     """M += G * S in place, for the n x n M, with S[i, j] =
-    c[(i - j + n//2) mod n] the lag table of the generator c.
-
-    When c is a lag-0 delta, S is diagonal and only G's diagonal is
-    multiplied, with the bits of the full product: its other terms are
-    +-0, and adding +-0 to M, which starts at +0 and never holds -0,
-    changes nothing.
-    """
+    c[(i - j + n//2) mod n] the lag table of the generator c."""
     n = len(c)
-    if _is_lag0_delta(c):
-        d = M.reshape(-1)[::n + 1]
-        d += G.diagonal() * c[n // 2]
-        return
     # a block of rows at a time: no n x n temporary
     S = _lag_table(np.tile(c, 3), n + n // 2, 1, n)
     for rows in _row_blocks(n):

@@ -287,20 +287,6 @@ def _all_finite(doc) -> bool:
     return not isinstance(doc, float) or math.isfinite(doc)
 
 
-@pytest.mark.parametrize("argv", [("gamma", "--rule", "grid"),
-                                  ("gamma", "--rule", "adaptive"),
-                                  ("gamma", "--rule", "fft"),
-                                  ("spectrum", "--with-eigs")],
-                         ids=["gamma-grid", "gamma-adaptive", "gamma-fft",
-                              "spectrum-eigs"])
-def test_cmd_symbol_near_the_largest_float(tmp_path, capsys, argv):
-    # const:1e307, like every constant above 2^256, is out of the supported
-    # range: exit 2 naming the bound, with no warning and no output
-    for c in (OVER, 1e307):
-        _rejects(capsys, tmp_path / "o.json", *argv, "--symbol",
-                 f"const:{c!r}", "--n", "64", "--format", "json")
-
-
 def _complex_values(doc) -> np.ndarray:
     """The complex values of a ``gamma``, ``kernel`` or ``spectrum`` JSON
     output."""
@@ -337,11 +323,13 @@ def _complex_values(doc) -> np.ndarray:
                               "wavelet-spectrum-eigs-adaptive",
                               "wavelet-kernel"])
 def test_cmd_symbol_at_the_largest_float(tmp_path, capsys, argv):
-    # const:1e308 exits 2; const:2^256, the top of the supported range,
-    # runs every route with no warning, and its outputs are 2^256 times
-    # const:1's
-    _rejects(capsys, tmp_path / "o.json", *argv, "--symbol", "const:1e308",
-             "--n", "64", "--format", "json")
+    # const:1e308, const:1e307 and one float above 2^256 exit 2 naming the
+    # bound, with no warning and no output; const:2^256, the top of the
+    # supported range, runs every route with no warning, and its outputs
+    # are 2^256 times const:1's
+    for c in (1e308, 1e307, OVER):
+        _rejects(capsys, tmp_path / "o.json", *argv, "--symbol",
+                 f"const:{c!r}", "--n", "64", "--format", "json")
     outs = {}
     for c in (1.0, TOP):
         out = tmp_path / f"o-{c}.json"
@@ -576,7 +564,8 @@ def test_cmd_filter_identity_compare(tmp_path, signal_csv):
 def test_cmd_filter_slow_near_the_largest_float(tmp_path, capsys, signal_csv,
                                               case):
     # const:2^256 runs slow and --compare with no warning, and the slow
-    # output is 2^256 times const:1's; one float above 2^256 exits 2
+    # output is 2^256 times const:1's; one float above 2^256, and 1e307,
+    # exit 2 on both
     outs = {}
     for c in (1.0, TOP):
         for method in (("--method", "slow"), ("--compare",)):
@@ -593,24 +582,26 @@ def test_cmd_filter_slow_near_the_largest_float(tmp_path, capsys, signal_csv,
                 outs[c] = read_signal_csv(out).values
     one = outs[1.0]
     assert np.max(np.abs(outs[TOP] / TOP - one)) <= 1e-12 * np.max(np.abs(one))
-    _rejects(capsys, tmp_path / "over.csv", "filter", "--case", case,
-             "--method", "slow", "--symbol", f"const:{OVER!r}",
-             "--input", signal_csv)
+    for method in (("--method", "slow"), ("--compare",)):
+        for c in (OVER, 1e307):
+            _rejects(capsys, tmp_path / "over.csv", "filter", "--case", case,
+                     *method, "--symbol", f"const:{c!r}", "--input",
+                     signal_csv)
 
 
 def test_cmd_filter_fast_at_the_largest_float(tmp_path, capsys):
-    # constants near the largest float exit 2 with the range error in both
-    # cases; const:2^256 runs with no warning (64 samples of
-    # exp(-pi x^2 / 4) on [-8, 8))
+    # constants from one float above 2^256 to near the largest float exit 2
+    # with the range error in both cases; const:2^256 runs with no warning
+    # (64 samples of exp(-pi x^2 / 4) on [-8, 8))
     x = (np.arange(64) - 32) / 4
     path = str(tmp_path / "sig.csv")
     write_signal_csv(path, SampledFunction(LineGrid.centered(8.0, 64),
                                            np.exp(-np.pi * x ** 2 / 4)))
     for case in ("gabor", "wavelet"):
         out = str(tmp_path / f"{case}.csv")
-        for symbol in ("const:1e308", "const:1.7e308"):
+        for c in (OVER, 1e307, 1e308, 1.7e308):
             _rejects(capsys, out, "filter", "--case", case, "--method",
-                     "fast", "--symbol", symbol, "--input", path)
+                     "fast", "--symbol", f"const:{c!r}", "--input", path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run("filter", "--case", case, "--method", "fast",
@@ -725,13 +716,15 @@ def test_cmd_filter_coverage_ignores_the_signal_scale(tmp_path, capsys):
 def test_cmd_filter_at_2_to_930_writes_a_finite_coverage(tmp_path, capsys):
     # 64 samples of exp(-pi x^2 / 4) on [-8, 8), peak 1, times 2^930, or 2^256
     # with the peak one float above, and a 256-sample signal at 2^1021 (its
-    # f_hat overflowed) exit 2; times 2^256 the first runs with no warning,
+    # f_hat overflowed) exit 2; times 2^256, or 2^-700, where the squares of
+    # the fiber coverage would underflow unscaled, it runs with no warning,
     # and the sidecar is JSON with no NaN
     x = (np.arange(64) - 32) / 4
     top = np.ldexp(np.exp(-np.pi * x ** 2 / 4), RANGE_EXPONENT)
     big = random_bandlimited(LineGrid.centered(8.0, 256), 3)
-    paths = [str(tmp_path / f"{i}.csv") for i in range(4)]
-    for path, vals in zip(paths, (top, np.ldexp(top, 674),
+    paths = [str(tmp_path / f"{i}.csv") for i in range(5)]
+    for path, vals in zip(paths, (top, np.ldexp(top, -956),
+                                  np.ldexp(top, 674),
                                   np.where(x == 0, OVER, top),
                                   big.values * 2.0 ** 1021)):
         write_signal_csv(path, SampledFunction(
@@ -745,16 +738,17 @@ def test_cmd_filter_at_2_to_930_writes_a_finite_coverage(tmp_path, capsys):
         for method in (("--method", "fast"), ("--method", "slow"),
                        ("--compare",)):
             out = str(tmp_path / f"{case}{method[-1]}.csv")
-            for path in paths[1:]:
+            for path in paths[2:]:
                 _rejects(capsys, out, "filter", "--case", case, *method,
                          "--symbol", symbol, "--input", path)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert run("filter", "--case", case, *method, "--symbol",
-                           symbol, "--input", paths[0], "--out", out) == 0
-            with open(sidecar_path(out)) as fh:
-                meta = json.load(fh, parse_constant=no_constant)
-            assert 0.5 <= meta["fiber_coverage"] <= 1.0
+            for path in paths[:2]:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert run("filter", "--case", case, *method, "--symbol",
+                               symbol, "--input", path, "--out", out) == 0
+                with open(sidecar_path(out)) as fh:
+                    meta = json.load(fh, parse_constant=no_constant)
+                assert 0.5 <= meta["fiber_coverage"] <= 1.0, path
 
 
 def test_cmd_filter_missing_input(tmp_path):
@@ -787,19 +781,28 @@ def test_cmd_spectrum_with_eigs(tmp_path):
 
 def test_cmd_spectrum_hausdorff_is_that_of_its_rows(tmp_path):
     # the sidecar's distance is hausdorff_distance of the CSV's eig and
-    # gamma rows; the adaptive gamma differs from the eigenvalues by O(step)
+    # gamma rows; the adaptive gamma differs from the eigenvalues by O(step),
+    # and the grid gamma is their spectrum, on odd n and off-centre windows
+    # too, where the direct matrix is dense and gathered from its lag tables
     out = str(tmp_path / "s.csv")
-    assert run("spectrum", "--symbol", "indicator:-1,1", "--n", "64",
-               "--with-eigs", "--out", out) == 0
-    meta = json.loads(open(sidecar_path(out)).read())
-    with open(out) as fh:
-        rows = [line.rstrip("\n").split(",") for line in fh][1:]
-    values = {kind: np.array([complex(float(re), float(im))
-                              for k, re, im in rows if k == kind])
-              for kind in ("gamma", "eig")}
-    assert values["gamma"].size == values["eig"].size == 64
-    hd = operators.hausdorff_distance(values["eig"], values["gamma"])
-    assert hd > 0 and meta["hausdorff_eigs_vs_gamma"] == hd
+    for n, argv in ((64, ("--symbol", "indicator:-1,1")),
+                    (63, ("--case", "wavelet", "--symbol", "indicator:1,2",
+                          "--rule", "grid", "--xi-min", "0.3",
+                          "--xi-max", "3.7")),
+                    (65, ("--symbol", "indicator:-1,1", "--rule", "grid",
+                          "--xi-min", "-3", "--xi-max", "5"))):
+        assert run("spectrum", *argv, "--n", str(n), "--with-eigs",
+                   "--out", out) == 0
+        meta = json.loads(open(sidecar_path(out)).read())
+        with open(out) as fh:
+            rows = [line.rstrip("\n").split(",") for line in fh][1:]
+        values = {kind: np.array([complex(float(re), float(im))
+                                  for k, re, im in rows if k == kind])
+                  for kind in ("gamma", "eig")}
+        assert values["gamma"].size == values["eig"].size == n
+        hd = operators.hausdorff_distance(values["eig"], values["gamma"])
+        assert meta["hausdorff_eigs_vs_gamma"] == hd
+        assert hd <= 1e-12 if "grid" in argv else hd > 0, (argv, hd)
 
 
 def test_cmd_spectrum_with_eigs_builds_two_fiber_matrices(tmp_path,

@@ -287,7 +287,9 @@ def test_streamed_exports_match_whole_columns(tmp_path):
 def test_export_kernel_memory_is_bounded_by_one_block(tmp_path, gaussian):
     # the 4 MiB gaussian overlap kernel at n = 512, 16 writer blocks: about
     # 0.57 times the matrix (2.4 with whole-length columns); a block of
-    # distinct random values reads 1.15
+    # distinct random values reads 1.15.  Each of its 262,144 rows is the
+    # %.17g text of its four values, so every float reads back to the bits
+    # that JSON (repr) writes
     km = overlap_kernel(gaussian, default_operator_grid("gabor", 512))
     path = tmp_path / "kernel.csv"
     tracemalloc.start()
@@ -298,6 +300,10 @@ def test_export_kernel_memory_is_bounded_by_one_block(tmp_path, gaussian):
         tracemalloc.stop()
     units = peak / km.values.nbytes
     assert units <= 1.2, f"peak {units:.2f} x matrix"
+    xs = km.grid.samples
+    assert path.read_bytes() == _rows_text(
+        ["xi", "omega", "re", "im"], _grid_columns(xs, xs, km.values)).encode()
+    path.unlink()
 
 
 @pytest.mark.parametrize("columns,match", [

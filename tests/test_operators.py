@@ -708,35 +708,6 @@ def test_symbol_off_the_record_gives_zero(atom_name, band, request):
     assert not km.values.view(np.int64).any()
 
 
-@pytest.mark.parametrize("complex_gram", [False, True])
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 257])
-def test_delta_lag_product_is_the_full_product(n, complex_gram):
-    # a generator whose one nonzero entry is lag 0 adds G's diagonal times
-    # it: every bit of M as the full product with the lag table gives it,
-    # on an M holding an earlier rank's values and on an empty one (both
-    # free of -0, which M never holds: -0 + 0.0 is +0)
-    rng = np.random.default_rng(n)
-
-    def draw(cplx):
-        x = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-200, 200, (n, n))
-        if cplx:
-            x = x + 1j * rng.standard_normal((n, n))
-        x[rng.random((n, n)) < 0.1] = 0.0
-        x[rng.random((n, n)) < 0.1] = -0.0
-        return x
-
-    G = draw(complex_gram)
-    for start in (np.zeros((n, n), dtype=complex), draw(True) + 0.0):
-        c = np.zeros(n, dtype=complex)
-        c[n // 2] = complex(rng.standard_normal(), rng.standard_normal())
-        full = start.copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            full += G * _lag_table(np.tile(c, 3), n + n // 2, 1, n)
-            M = start.copy()
-            _add_lag_product(M, G.copy(), c)
-        assert M.tobytes() == full.tobytes()
-
-
 def test_diagonal_spectrum_is_read_without_forming_h(gaussian, shannon):
     # a diagonal M: the bits of the sorted diagonal of H = M/2 + (M/2)^H
     # as the n x n H holds it, complex, near-overflow and subnormal entries

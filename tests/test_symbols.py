@@ -194,9 +194,12 @@ def test_gamma_shannon_inverse_scale_linear_growth(shannon):
 
 
 def test_gamma_flags_overflow_as_unbounded(shannon):
-    # u^-24 exceeds the 1e12 overflow guard on the sampled window
+    # u^-24 exceeds the 1e12 overflow guard on the sampled window, and one
+    # report flagged unbounded makes the verdict, whatever its norm
     gf = gamma(shannon, Symbol1D.power(-24.0), WAVELET_GRID, rule="grid")
     assert gf.unbounded
+    assert boundedness_verdict([spectrum_from_gamma(gf)]) == \
+        "unbounded on sampled range"
 
 
 def test_gamma_grid_keeps_the_bits_of_the_unscaled_power_sums(gaussian,
