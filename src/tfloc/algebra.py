@@ -14,6 +14,12 @@ with coefficients (a_1, ..., a_m) maps to the function sum a_k z_k on that
 set; the sup of its modulus reproduces the operator norm (the isometry
 checked by tests).
 
+On the adaptive rule's table path (``kernels``) a cloud's pieces
+telescope: a coordinate sum is P at the domain's two ends, so
+``simplex_sum_deviation`` reads the first coordinate's truncation (4.4e-4
+for haar) and rounding, not the pieces' quadrature error, which the tests
+pin by checking the table against the adaptive pass.
+
 Operators in this algebra commute (``commutator_diagnostics`` measures it
 for every pair of a symbol pool), yet products of two of them are not
 operators of multiplication by the product symbol: the gap
@@ -117,7 +123,8 @@ class PartitionCloud:
 
 def partition_gammas(atom: Atom, partition: Partition,
                      xi_grid: LineGrid) -> PartitionCloud:
-    """Adaptive-rule gamma value of each piece indicator, per frequency."""
+    """Adaptive-rule gamma value of each piece indicator, per frequency:
+    two table lookups per frequency and piece, which telescope."""
     if partition.case != atom.case:
         raise ValueError("partition and atom case tags differ")
     cols = [gamma(atom, sym, xi_grid, rule="adaptive").values.real

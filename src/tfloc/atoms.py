@@ -159,6 +159,34 @@ class Atom:
             return self.power_profile(np.asarray(xi, dtype=float))
         return np.abs(self.eval_freq(xi)) ** 2
 
+    def _profile_density(self, t):
+        """|phi(t)|^2 (windows) or |psi_hat(t)|^2 / t (wavelets)."""
+        if self.case == "wavelet":
+            return self.eval_power(t) / t
+        return np.abs(self.eval_time(t)) ** 2
+
+    @cached_property
+    def _profile_table(self):
+        """(edges, P at the edges, summed panel error estimates) of P, the
+        integral of ``_profile_density`` from the support's start: one
+        ``gauss_kronrod`` integral per unit panel (log2 panel on the scale
+        axis) split at the support's ends and ``freq_breakpoints``, summed
+        in order.  One table serves both signs of xi: catalog wavelets are
+        real, so |psi_hat| is even."""
+        if self.case == "wavelet":
+            lo, hi = self.freq_support
+            cuts = np.exp2(np.arange(math.ceil(math.log2(lo)),
+                                     math.floor(math.log2(hi)) + 1.0))
+        else:
+            lo, hi = self.time_support
+            cuts = np.arange(math.ceil(lo), math.floor(hi) + 1.0)
+        e = np.array(sorted(set(np.clip([lo, hi, *cuts, *self.freq_breakpoints],
+                                        lo, hi))))
+        vals, errs = gauss_kronrod(
+            lambda t, j: self._profile_density(t), e[:-1], e[1:],
+            lambda j: f"{self!r} profile on [{e[j]:g}, {e[j + 1]:g}]")
+        return e, np.concatenate([[0.0], np.cumsum(vals.real)]), errs.sum()
+
     # -- fiber profile ------------------------------------------------------
 
     def ell_matrix(self, omegas):

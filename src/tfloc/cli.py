@@ -440,7 +440,3 @@ def main(argv=None) -> int:
         print(f"tfloc {args.command}: internal error: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

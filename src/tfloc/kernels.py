@@ -15,7 +15,12 @@ Two quadrature rules are provided:
 * ``rule="grid"`` -- the same discrete first-coordinate rule the operator
   builders use.  diag(build_direct(alpha)) reproduces this gamma to rounding,
   so all cross-operator consistency statements hold tightly.
-* ``rule="adaptive"`` -- adaptive Gauss-Kronrod quadrature
+* ``rule="adaptive"`` -- a piecewise-constant symbol (``Symbol1D._pieces``)
+  on a catalog atom reads the atom's cumulative profile P
+  (``Atom._profile_table``): a piece c on [a, b] is c (P(xi - a) - P(xi - b))
+  (windows) or c (P(b|xi|) - P(a|xi|)) (wavelets), each P a table entry plus
+  one K21 panel.  Any other symbol, or an imported atom, takes the adaptive
+  pass, the table's oracle in the tests: adaptive Gauss-Kronrod quadrature
   (``quadrature.gauss_kronrod``) of the defining integral over the atom's
   effective support, split at the symbol's breakpoints and (wavelets) at the
   atom's ``freq_breakpoints``, with all frequencies of one call integrated
@@ -49,7 +54,8 @@ import numpy as np
 
 from .atoms import Atom, _row_blocks
 from .grids import LineGrid
-from .quadrature import GK_MAX_POINTS, gauss_kronrod
+from .quadrature import (GK_MAX_POINTS, _NODES, _kronrod_panels,
+                         gauss_kronrod)
 from .symbols import Symbol1D
 
 __all__ = [
@@ -183,7 +189,12 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
     Wavelet case: integral alpha(u) |psi_hat(u xi)|^2 du/u.
     Gabor case:   integral alpha(q) |phi(xi - q)|^2 dq.
 
-    ``rule="adaptive"`` integrates every (xi, breakpoint segment) piece with
+    ``rule="adaptive"`` reads a symbol built by ``Symbol1D.constant``,
+    ``indicator`` or ``piecewise`` on a catalog atom from the atom's
+    cumulative-profile table (module docstring); ``abserr`` is then the
+    largest per-xi sum over the pieces of |c| times the table's summed panel
+    estimates plus the two lookups'.  Any other symbol takes the adaptive
+    pass: every (xi, breakpoint segment) piece with
     one batched adaptive Gauss-Kronrod (G10/K21) pass to epsabs 1e-12,
     epsrel 1e-11 per piece, and records the largest per-xi error estimate as
     ``abserr``.  The segments split at the symbol's breakpoints and, for
@@ -263,6 +274,8 @@ def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
     pass.  The frequencies are halved until the segments of a pass number
     at most ``GK_MAX_POINTS``, which bounds its memory.
     """
+    if alpha._pieces is not None and atom.time_profile is not None:
+        return _gamma_pieces(atom, alpha._pieces, xs)  # the table path
     bps = np.sort(np.asarray(alpha.breakpoints, dtype=float))
     fbps = atom.freq_breakpoints  # empty for every atom but haar
     if xs.size > 1 and xs.size * (bps.size + fbps.size + 1) > GK_MAX_POINTS:
@@ -319,6 +332,29 @@ def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
            + 1j * np.bincount(owner, vals.imag, minlength=n))
     err = np.bincount(owner, errs, minlength=n)
     return out, float(np.max(err))
+
+
+def _gamma_pieces(atom: Atom, pieces, xs: np.ndarray) -> tuple[np.ndarray, float]:
+    """The table path (module docstring): P at each distinct end of the
+    pieces, clipped into the table's range, is the entry at its panel's
+    left edge plus one K21 panel from that edge."""
+    edges, cum, table_err = atom._profile_table
+    ends = np.array(sorted({e for a, b, _ in pieces for e in (a, b)}))
+    wavelet = atom.case == "wavelet"
+    live = xs != 0 if wavelet else slice(None)  # a wavelet's gamma(0) is 0
+    x = np.abs(xs[live, None]) * ends if wavelet else xs[live, None] - ends
+    x = np.clip(x, edges[0], edges[-1])
+    k = np.searchsorted(edges, x, side="right") - 1
+    mid, half = 0.5 * (x + edges[k]), 0.5 * (x - edges[k])
+    F = atom._profile_density(mid[..., None] + half[..., None] * _NODES)
+    P, e = _kronrod_panels(F.reshape(-1, 1, _NODES.size), half.ravel())
+    P, e = cum[k] + P.reshape(x.shape), e.reshape(x.shape)
+    vals, errs = np.zeros(xs.size, dtype=complex), np.zeros(xs.size)
+    for a, b, c in pieces:
+        i, j = np.searchsorted(ends, (a, b))
+        vals[live] += c * (P[:, j] - P[:, i] if wavelet else P[:, i] - P[:, j])
+        errs[live] += abs(c) * (table_err + e[:, i] + e[:, j])
+    return vals, float(errs.max(initial=0.0))
 
 
 # -- spectrum read-off -----------------------------------------------------------

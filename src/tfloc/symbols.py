@@ -108,6 +108,9 @@ class SymbolParseError(ValueError):
 class Symbol1D:
     """Scalar function of one real variable with quadrature metadata."""
 
+    # (a, b, c) per piece, c on [a, b], of constant, indicator and piecewise
+    _pieces = None
+
     def __init__(self, fn, descriptor: str, breakpoints=(), support=(-_INF, _INF),
                  is_real: bool = True, sup_bound: float | None = None):
         self.fn = fn
@@ -139,8 +142,10 @@ class Symbol1D:
         def fn(x):
             return np.full_like(x, val, dtype=float if real else complex)
 
-        return cls(fn, f"const:{format_number(val)}", is_real=real,
-                   sup_bound=abs(c))
+        sym = cls(fn, f"const:{format_number(val)}", is_real=real,
+                  sup_bound=abs(c))
+        sym._pieces = ((-_INF, _INF, val),)
+        return sym
 
     @classmethod
     def indicator(cls, a: float, b: float) -> "Symbol1D":
@@ -152,8 +157,10 @@ class Symbol1D:
             return ((x >= a) & (x <= b)).astype(float)
 
         breaks = [v for v in (a, b) if math.isfinite(v)]
-        return cls(fn, f"indicator:{format_number(a)},{format_number(b)}",
-                   breakpoints=breaks, support=(a, b), sup_bound=1.0)
+        sym = cls(fn, f"indicator:{format_number(a)},{format_number(b)}",
+                  breakpoints=breaks, support=(a, b), sup_bound=1.0)
+        sym._pieces = ((a, b, 1.0),)
+        return sym
 
     @classmethod
     def power(cls, p: float) -> "Symbol1D":
@@ -229,8 +236,12 @@ class Symbol1D:
         breaks = sorted({v for ivs in pieces for ab in ivs for v in ab
                          if math.isfinite(v)})
         desc = "piecewise:" + ",".join(map(format_number, coefficients))
-        return cls(fn, desc, breakpoints=breaks, is_real=real,
-                   sup_bound=max(abs(c) for c in coefficients) if coefficients else 0.0)
+        sym = cls(fn, desc, breakpoints=breaks, is_real=real,
+                  sup_bound=max(abs(c) for c in coefficients) if coefficients else 0.0)
+        sym._pieces = tuple((a, b, c.real if real else c)
+                            for ivs, c in zip(pieces, coefficients)
+                            for a, b in ivs if a < b)
+        return sym
 
 
 def parse_symbol(text: str) -> Symbol1D:

@@ -14,6 +14,9 @@ from scipy import integrate
 from scipy.special import erf, sici
 
 import tfloc
+import tfloc.kernels
+from tfloc.algebra import Partition
+from tfloc.atoms import Atom, make_wavelet
 from tfloc.grids import LineGrid, SampledFunction
 from tfloc.kernels import (GammaFunction, boundedness_verdict, gamma,
                            overlap_kernel,
@@ -403,15 +406,18 @@ def test_gamma_haar_adaptive_abserr_within_stated_tolerance(haar):
 
 
 def test_gamma_adaptive_batches_do_not_change_bits(haar):
-    # 64 haar frequencies hold more than GK_MAX_POINTS segments and are
-    # integrated in halves; two frequencies at a time are not
-    grid = LineGrid(2.0 ** -4, 2.0 ** -4, 64)
+    # 64 haar frequencies hold more than GK_MAX_POINTS segments, and the
+    # adaptive pass integrates them in halves; two frequencies at a time
+    # are not.  The table path reads each frequency's P alone, 512 at once
+    # or two at a time
     sym = Symbol1D.indicator(0.5, 8.0)
-    whole = gamma(haar, sym, grid, rule="adaptive").values
-    pairs = np.concatenate([
-        gamma(haar, sym, LineGrid(x, grid.step, 2), rule="adaptive").values
-        for x in grid.samples[::2]])
-    assert whole.tobytes() == pairs.tobytes()
+    for sym, n in ((sym, 512), (_without_pieces(sym), 64)):
+        grid = LineGrid(2.0 ** -4, 2.0 ** -4, n)
+        whole = gamma(haar, sym, grid, rule="adaptive").values
+        pairs = np.concatenate([
+            gamma(haar, sym, LineGrid(x, grid.step, 2), rule="adaptive").values
+            for x in grid.samples[::2]])
+        assert whole.tobytes() == pairs.tobytes()
 
 
 def test_gauss_kronrod_real_integrand_is_one_part():
@@ -584,6 +590,120 @@ def test_gamma_adaptive_abserr(gaussian):
     assert np.max(np.abs(gf.values - ref)) <= 1e-10
     assert gamma(gaussian, Symbol1D.indicator(-1.0, 1.0), GABOR_GRID,
                  rule="grid").abserr is None
+
+
+# -- the cumulative-profile table against the adaptive pass ----------------------
+
+# the table's largest difference from the adaptive pass is 3.9 eps (haar,
+# indicator:1,inf at n = 512, where a 30-digit mpmath integral is the nearer
+# to the table's value); the bound is 8 eps
+TABLE_BOUND = 8 * np.finfo(float).eps
+
+
+def _without_pieces(sym):
+    """``sym`` as a plain callable symbol, with its metadata but no recorded
+    pieces: the adaptive rule then integrates it with the adaptive pass."""
+    return Symbol1D(sym.fn, sym.descriptor, sym.breakpoints, sym.support,
+                    sym.is_real, sym.sup_bound)
+
+
+def _table_symbols(atom):
+    """An indicator, a half-line, a complex constant, the indicators of a
+    3-piece partition and a complex combination of them."""
+    if atom.case == "gabor":
+        syms, cuts = ["indicator:-1,1", "indicator:-inf,0"], [-1.0, 1.0]
+    else:
+        syms, cuts = ["indicator:1,2", "indicator:1,inf"], [0.5, 2.0]
+    part = Partition(atom, cuts)
+    return [*map(parse_symbol, syms), parse_symbol("const:1+1j"),
+            *part.indicator_symbols(),
+            Symbol1D.piecewise(part.pieces, [1.0, 2j, -0.5 + 0.25j])]
+
+
+@pytest.mark.parametrize("n", [64, 128, 512])
+@pytest.mark.parametrize("atom_name", ["gaussian", "rect", "shannon", "haar"])
+def test_gamma_table_matches_the_adaptive_pass(atom_name, n, request):
+    atom = request.getfixturevalue(atom_name)
+    grid = default_operator_grid(atom.case, n)
+    if atom.case == "wavelet" and n == 64:
+        # both signs of frequency, and zero
+        grid = LineGrid(-2.0, 1.0 / 16, 64)
+    # the adaptive pass integrates haar's half-lines across its 2,047
+    # profile zeros, about 2 s a call at n = 512: there the oracle reads
+    # every 4th frequency of the table's grid
+    stride = 4 if n == 512 else 1
+    sub = LineGrid(grid.samples[1 % stride], stride * grid.step, n // stride)
+    assert np.array_equal(sub.samples, grid.samples[1 % stride::stride])
+    for sym in _table_symbols(atom):
+        table = gamma(atom, sym, grid, rule="adaptive")
+        ref = gamma(atom, _without_pieces(sym), sub, rule="adaptive")
+        diff = table.values[1 % stride::stride] - ref.values
+        assert np.max(np.abs(diff)) <= TABLE_BOUND, sym.descriptor
+        assert table.abserr <= 1e-11 * max(1.0, sym.sup_bound)
+
+
+def test_profile_tables_reach_the_fiber_norm(gaussian, rect, shannon, haar):
+    # P rises from 0 over the support to the fiber norm: 1 for a unit-norm
+    # window, the admissibility integral at either sign of xi for a real
+    # wavelet; the table's summed panel error estimates are at most 1e-12
+    for atom in (gaussian, rect, shannon, haar):
+        edges, P, err = atom._profile_table
+        if atom.case == "wavelet":
+            support = atom.freq_support
+            norms = [atom.admissibility_integral(s) for s in (1.0, -1.0)]
+        else:
+            support, norms = atom.time_support, [1.0]
+        assert (edges[0], edges[-1]) == support
+        assert P[0] == 0.0 and np.all(np.diff(P) >= 0.0)
+        for norm in norms:
+            assert abs(P[-1] - norm) <= 4 * np.finfo(float).eps, atom.name
+        assert 0.0 < err <= 1e-12, (atom.name, err)
+
+
+def test_gamma_adaptive_path_of_each_symbol(gaussian, haar, monkeypatch):
+    # a symbol built by constant, indicator or piecewise takes the table;
+    # a plain callable with an indicator's values and a sampled symbol
+    # take the adaptive pass, as an imported atom does
+    passes = []
+    adaptive = tfloc.kernels.gauss_kronrod
+    monkeypatch.setattr(tfloc.kernels, "gauss_kronrod",
+                        lambda *a: passes.append(1) or adaptive(*a))
+    grid = default_operator_grid("wavelet", 64)
+    indicator = Symbol1D.indicator(1.0, 2.0)
+    sampled = Symbol1D.sampled(LineGrid(0.5, 0.25, 9), np.ones(9))
+    for sym, pass_taken in ((indicator, False),
+                            (Symbol1D.constant(0.5), False),
+                            (Symbol1D.piecewise([[(1.0, 2.0)]], [1j]), False),
+                            (_without_pieces(indicator), True),
+                            (sampled, True)):
+        passes.clear()
+        gamma(haar, sym, grid, rule="adaptive")
+        assert bool(passes) == pass_taken, sym.descriptor
+    imported = Atom(gaussian.case, "imported", gaussian.time_samples,
+                    gaussian.freq_samples, 1.0, gaussian.g1,
+                    time_support=gaussian.time_support)
+    passes.clear()
+    gamma(imported, indicator, default_operator_grid("gabor", 8),
+          rule="adaptive")
+    assert passes
+
+
+def test_gamma_table_profile_evaluations_are_bounded(monkeypatch):
+    # haar const:1+1j at n = 512 reads the table at 2 ends per frequency,
+    # one 21-point panel each, once the table is built; the adaptive pass
+    # integrated every frequency across haar's 2,047 profile zeros
+    atom = make_wavelet("haar")
+    points = []
+    power = atom.eval_power
+    monkeypatch.setattr(atom, "eval_power",
+                        lambda xi: points.append(np.size(xi)) or power(xi))
+    edges = atom._profile_table[0]
+    assert 0 < sum(points) <= 2 * 21 * len(edges)
+    points.clear()
+    grid = default_operator_grid("wavelet", 512)
+    sym = parse_symbol("const:1+1j")
+    gamma(atom, sym, grid, rule="adaptive")
+    assert sum(points) <= 2 * 21 * grid.count * len(sym._pieces)
 
 
 # -- gamma invariants -----------------------------------------------------------
