@@ -28,8 +28,9 @@ from .atoms import make_atom
 from .fields import (analyze, bargmann, bargmann_adjoint, omega_side,
                      random_bandlimited)
 from .grids import LineGrid, SampledFunction
-from .kernels import (boundedness_verdict, gamma, overlap_kernel,
-                      spectrum_from_gamma, weighted_overlap_kernel)
+from .kernels import (GAMMA_RULES, boundedness_verdict, gamma,
+                      overlap_kernel, spectrum_from_gamma,
+                      weighted_overlap_kernel)
 from .operators import (build_direct, default_operator_grid, filter_signal,
                         hausdorff_distance, operator_norm, spectrum,
                         verify_equivalence)
@@ -74,8 +75,9 @@ def _grid_size(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser, need_symbol: bool = False,
                 xi_window: bool = True, dense: bool = False):
-    """Options shared by the commands; ``xi_window=False`` leaves out
-    --xi-min, --xi-max and --format (verify uses the default window and
+    """Options shared by the commands; ``need_symbol=True`` adds --symbol
+    and the gamma rule --rule (gamma, spectrum); ``xi_window=False`` leaves
+    out --xi-min, --xi-max and --format (verify uses the default window and
     always writes JSON); ``dense=True`` adds --allow-large to the commands
     that can build n x n matrices."""
     p.add_argument("--case", choices=("wavelet", "gabor"), default="gabor")
@@ -84,6 +86,9 @@ def _add_common(p: argparse.ArgumentParser, need_symbol: bool = False,
     if need_symbol:
         p.add_argument("--symbol", required=True,
                        help="const:c | indicator:a,b | power:p | sampled:file")
+        p.add_argument("--rule", choices=GAMMA_RULES, default="adaptive",
+                       help="gamma quadrature: grid or adaptive; fft is a "
+                            "second name for grid, kept for the benchmark")
     p.add_argument("--n", type=_grid_size, default=256)
     if xi_window:
         p.add_argument("--xi-min", type=float, default=None)
@@ -106,14 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="scalar diagonal symbol of a "
                                      "first-variable operator")
     _add_common(p, need_symbol=True)
-    p.add_argument("--rule", choices=("grid", "adaptive", "fft"),
-                   default="adaptive")
 
     p = sub.add_parser("spectrum", help="sampled spectrum, norm and "
                                         "boundedness readout")
     _add_common(p, need_symbol=True, dense=True)
-    p.add_argument("--rule", choices=("grid", "adaptive", "fft"),
-                   default="adaptive")
     p.add_argument("--with-eigs", action="store_true",
                    help="overlay eigenvalues of the direct operator and "
                         "report the Hausdorff distance")

@@ -10,7 +10,9 @@ gamma determines boundedness (iff gamma is bounded), the operator norm
 (sup |gamma|) and the spectrum (closure of the range; the interval
 [inf gamma, sup gamma] for real symbols).
 
-Two quadrature rules are provided:
+Two quadrature rules are provided (``GAMMA_RULES`` lists their names;
+``"fft"`` is a second name for the grid rule, kept while the benchmark's
+signal-io workload runs and names it):
 
 * ``rule="grid"`` -- the same discrete first-coordinate rule the operator
   builders use.  diag(build_direct(alpha)) reproduces this gamma to rounding,
@@ -33,10 +35,6 @@ Two quadrature rules are provided:
   at n = 256 on the default windows, the ``cto1`` indicators read a largest
   |grid - adaptive| of 4.4e-2 (gaussian), 6.25e-2 (rect), 1.5e-2 (shannon)
   and 4.0e-5 (haar).  The cross-route comparisons all read the grid rule.
-
-The Gabor case additionally admits ``rule="fft"``: the grid rule evaluated
-as one ``numpy.fft`` convolution of the symbol samples with the squared
-window.
 
 The two-point overlap kernels generalize the same quadrature to pairs of
 frequencies and feed the integral and compound-symbol operator builders.
@@ -70,6 +68,9 @@ __all__ = [
 ]
 
 OVERFLOW_GUARD = 1e12
+
+# the names ``gamma`` and the CLI's ``--rule`` accept; "fft" runs the grid rule
+GAMMA_RULES = ("grid", "adaptive", "fft")
 
 
 class GammaFunction:
@@ -203,21 +204,19 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
     with jumps not listed as breakpoints -- raises ``ArithmeticError``.
 
     The grid rule reads the atom's fiber record on ``xi_grid``
-    (``Atom.fibers``); the other rules evaluate no fiber matrix.
+    (``Atom.fibers``); the adaptive rule evaluates no fiber matrix.
+    ``rule="fft"`` is the grid rule under a second name, recorded as
+    ``GammaFunction.rule``.
     """
-    if rule not in ("grid", "adaptive", "fft"):
+    if rule not in GAMMA_RULES:
         raise ValueError(f"unknown rule {rule!r}")
-    if rule == "fft" and atom.case != "gabor":
-        raise ValueError("the fft rule applies to the gabor case only")
     abserr = None
-    if rule == "grid":
+    if rule == "adaptive":
+        vals, abserr = _gamma_adaptive(atom, alpha, xi_grid.samples)
+    else:
         # the power sums of the symbol's samples, in range (Symbol1D.sample)
         vals = atom.fibers(xi_grid.samples).power_sums(
             alpha.sample(atom.g1.nodes), atom.g1.measure_weights)
-    elif rule == "fft":
-        vals = _gamma_fft(atom, alpha, xi_grid)
-    else:
-        vals, abserr = _gamma_adaptive(atom, alpha, xi_grid.samples)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"gamma for {alpha.descriptor} is not finite on the grid")
     # a symbol with a sup bound gives a bounded operator (||H_a|| <= sup|a|),
@@ -233,34 +232,6 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
             raise ValueError(
                 f"gamma exceeded its symbol bound by {over:.2e}; quadrature bug")
     return gf
-
-
-def _gamma_fft(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid) -> np.ndarray:
-    """Grid rule evaluated by FFT convolution (gabor case).
-
-    Requires the frequency grid to sit on the translation lattice; the sums
-    are then identical to the direct rule up to FFT rounding.
-    """
-    g1 = atom.g1
-    h = g1.step
-    ratio = xi_grid.step / h
-    stride = int(round(ratio))
-    if abs(ratio - stride) > 1e-9:
-        raise ValueError("fft rule needs the xi grid on the translation lattice")
-    off = (xi_grid.start - g1.start) / h
-    o = int(round(off))
-    if abs(off - o) > 1e-6:
-        raise ValueError("fft rule needs the xi grid on the translation lattice")
-    a_vals = alpha.sample(g1.nodes)
-    nq, nxi = g1.count, xi_grid.count
-    dmin = o - (nq - 1)
-    dmax = o + (nxi - 1) * stride
-    d = np.arange(dmin, dmax + 1)
-    prof = np.abs(atom.eval_time(d * h)) ** 2
-    m = a_vals.size + prof.size - 1
-    conv = np.fft.ifft(np.fft.fft(a_vals, m) * np.fft.fft(prof, m))
-    idx = o + np.arange(nxi) * stride - dmin
-    return h * conv[idx]
 
 
 def _gamma_adaptive(atom: Atom, alpha: Symbol1D,

@@ -50,14 +50,13 @@ has no nonzero off-diagonal entry.  A diagonal operator is one given as
 its n diagonal entries, and is held as them (``OperatorMatrix.diagonal``);
 its n x n ``values`` are built only when read.  What a diagonal operator
 or a real spectrum gives is read off, with no n x n array, product or
-solver: spectrum (sorted diagonal), norm (largest diagonal modulus),
-commutator of a diagonal pair (0), norm discrepancy of a diagonal pair
-(max |d_A - d_B|), action check of a diagonal pair (elementwise), the
-``verify algebra`` tau-isometry (sums of diagonals) and the Hausdorff
-distance of real spectra (sorted neighbours).  Matrices given n x n,
-whatever their entries, and complex spectra keep the dense paths: odd n,
-off-centre windows, cto2/cto3, and the eigenvalues of a non-Hermitian
-diagonal operator.
+solver: spectrum (the diagonal, sorted when Hermitian), norm (largest
+diagonal modulus), commutator of a diagonal pair (0), norm discrepancy of
+a diagonal pair (max |d_A - d_B|), action check of a diagonal pair
+(elementwise), the ``verify algebra`` tau-isometry (sums of diagonals)
+and the Hausdorff distance of real spectra (sorted neighbours).  Matrices
+given n x n, whatever their entries, and complex spectra keep the dense
+paths: odd n, off-centre windows and cto2/cto3.
 Both routes take the transform of a row that is real and even mod n as
 real (``_Sandwich.real_where_even``): with a real symbol even in s on a
 real record and the builders' grids, the matrix is exactly real
@@ -520,16 +519,19 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
 def spectrum(M: OperatorMatrix) -> SpectrumReport:
     """Dense eigenvalue multiset; symmetric solver for Hermitian matrices.
 
-    A diagonal Hermitian operator -- every first-variable direct matrix on
-    the default windows, held as its entries -- has its spectrum read off
-    the diagonal, with no solver.  The norm estimate is the largest
-    singular value: max |eigenvalue| of the symmetrized matrix when
-    Hermitian, otherwise ``operator_norm``.  The size is not capped here;
-    the CLI rejects sizes above its dense cap.
+    A diagonal operator -- every first-variable direct matrix on the
+    default windows, held as its entries -- has its spectrum read off the
+    diagonal, with no solver: sorted when Hermitian, as ``eigvalsh``
+    returns it, and in order otherwise, as ``eigvals`` does.  The norm
+    estimate is the largest singular value: max |eigenvalue| of the
+    symmetrized matrix when Hermitian, otherwise ``operator_norm``.  The
+    size is not capped here; the CLI rejects sizes above its dense cap.
     """
     try:
         if M.is_hermitian:
             eigs = _hermitian_eigvals(M).astype(complex)
+        elif M.is_diagonal:
+            eigs = M.diagonal.copy()
         else:
             eigs = np.linalg.eigvals(M.values)
     except np.linalg.LinAlgError as exc:

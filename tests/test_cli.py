@@ -16,7 +16,8 @@ from tfloc.cli import main
 from tfloc.fields import random_bandlimited
 from tfloc.grids import LineGrid, SampledFunction
 from tfloc.io import read_signal_csv, sidecar_path, write_signal_csv
-from tfloc.symbols import RANGE_EXPONENT, SymbolSpec
+from tfloc.kernels import gamma
+from tfloc.symbols import RANGE_EXPONENT, Symbol1D, SymbolSpec, parse_symbol
 
 
 def run(*argv) -> int:
@@ -139,13 +140,36 @@ def test_cmd_gamma_malformed_symbol_no_partial_file(tmp_path):
     assert leftovers == []
 
 
-def test_cmd_gamma_fft_rule_off_the_lattice_exits_2(tmp_path, capsys):
-    # [-7.97, 8) in 256 steps is not a multiple of the 1/16 translation step
-    out = str(tmp_path / "g.csv")
-    assert run("gamma", "--case", "gabor", "--symbol", "indicator:-1,1",
-               "--rule", "fft", "--xi-min", "-7.97", "--out", out) == 2
-    assert "translation lattice" in capsys.readouterr().err
-    assert not os.path.exists(out)
+@pytest.mark.parametrize("atom", ["gaussian", "rect", "shannon", "haar"])
+@pytest.mark.parametrize("window", [("--n", "64"), ("--n", "512"),
+                                    ("--xi-min", "-7.97")],
+                         ids=["default-64", "default-512", "off-lattice"])
+def test_gamma_fft_rule_is_the_grid_rule(tmp_path, atom, window):
+    # fft is a second name for the grid rule: on the default windows and
+    # on [-7.97, xi_max) in 256 steps, off the 1/16 translation lattice,
+    # gamma(rule="fft") and --rule fft give the grid rule's bytes, and the
+    # sidecar records the rule asked for
+    case = "gabor" if atom in ("gaussian", "rect") else "wavelet"
+    symbol = "indicator:-1,1" if case == "gabor" else "indicator:1,2"
+    outputs = {}
+    for rule in ("grid", "fft"):
+        out = str(tmp_path / f"{rule}.csv")
+        assert run("gamma", "--case", case, "--atom", atom, "--symbol",
+                   symbol, "--rule", rule, *window, "--out", out) == 0
+        meta = json.loads(open(sidecar_path(out)).read())
+        assert meta.pop("rule") == rule
+        outputs[rule] = open(out, "rb").read(), meta
+    assert outputs["fft"] == outputs["grid"]
+
+    n = int(window[1]) if window[0] == "--n" else 256
+    grid = operators.default_operator_grid(case, n)
+    if window[0] == "--xi-min":
+        grid = LineGrid(-7.97, (grid.stop + 7.97) / n, n)
+    a = make_atom(case, atom)
+    for sym in (parse_symbol(symbol), Symbol1D.constant(0.5 + 0.25j)):
+        got, ref = (gamma(a, sym, grid, rule=rule) for rule in ("fft", "grid"))
+        assert got.rule == "fft"
+        assert got.values.tobytes() == ref.values.tobytes(), sym.descriptor
 
 
 def test_cmd_gamma_deterministic(tmp_path):
@@ -233,16 +257,13 @@ def _wide_gaussian_csv(path: str):
     (("gamma", "--case", "gabor", "--atom", "nosuch",
       "--symbol", "indicator:-1,1"),
      "error: unknown window 'nosuch'; catalog: ('gaussian', 'rect')"),
-    (("gamma", "--case", "wavelet", "--rule", "fft",
-      "--symbol", "indicator:1,2"),
-     "error: the fft rule applies to the gabor case only"),
     (("filter", "--symbol", "const:1", "--input", "{one}"),
      "error: {one}: need at least 2 samples"),
     (("filter", "--case", "wavelet", "--symbol", "indicator:1,2",
       "--input", "{wide}"),
      "the signal lies outside the atom's first-coordinate range, "
      "scales [0.00390625, 256]"),
-], ids=["wavelet-atom", "window-atom", "wavelet-fft-rule", "one-sample-signal",
+], ids=["wavelet-atom", "window-atom", "one-sample-signal",
         "signal-below-the-scales"])
 def test_cmd_input_checks_exit_2(tmp_path, capsys, argv, message):
     inputs = tmp_path / "in"

@@ -629,7 +629,7 @@ def test_ell_matrix_has_one_caller():
 
 def test_one_dft_sandwich():
     # the continuous Fourier transform of rows has one implementation, the
-    # DFT sandwich; the only other DFT is the fft gamma rule's convolution
+    # DFT sandwich, and it is the package's only DFT
     def uses_fft(node):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             modules = [a.name for a in node.names]
@@ -639,8 +639,7 @@ def test_one_dft_sandwich():
                 and isinstance(node.value, ast.Name)
                 and node.value.id in ("np", "numpy"))
 
-    assert sorted(set(_scopes_where(uses_fft))) == [
-        "fourier.py:_Sandwich.core", "kernels.py:_gamma_fft"]
+    assert sorted(set(_scopes_where(uses_fft))) == ["fourier.py:_Sandwich.core"]
 
 
 def test_one_scale_rule_near_the_float_range():
