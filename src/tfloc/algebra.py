@@ -172,14 +172,10 @@ def commutator_diagnostics(atom: Atom, pool, xi_grid: LineGrid) -> dict:
 def semi_commutator(atom: Atom, alpha1: Symbol1D, alpha2: Symbol1D,
                     xi_grid: LineGrid) -> np.ndarray:
     """Values of gamma_1 * gamma_2 - gamma_{12} on ``xi_grid`` (adaptive
-    rule), with gamma_{12} the gamma of the product symbol alpha1*alpha2."""
-    prod = Symbol1D(
-        lambda x: alpha1(x) * alpha2(x),
-        f"({alpha1.descriptor})*({alpha2.descriptor})",
-        breakpoints=sorted(set(alpha1.breakpoints) | set(alpha2.breakpoints)),
-        support=(max(alpha1.support[0], alpha2.support[0]),
-                 min(alpha1.support[1], alpha2.support[1])),
-        is_real=alpha1.is_real and alpha2.is_real)
+    rule), with gamma_{12} the gamma of the product symbol alpha1*alpha2
+    (``Symbol1D.product``): read from the atom's table when both factors
+    are piecewise constant."""
+    prod = Symbol1D.product(alpha1, alpha2)
     g1, g2 = (gamma(atom, a, xi_grid, rule="adaptive").values
               for a in (alpha1, alpha2))
     if prod.support[0] >= prod.support[1]:

@@ -73,6 +73,21 @@ def _row_blocks(count: int):
         yield slice(start, min(start + _BLOCK_ROWS, count))
 
 
+def _flushed_words(words: np.ndarray) -> np.ndarray:
+    """Whether the float parts ``words`` (the last axis) hold a word that
+    the flush changes, one flag per leading index: a part below
+    ``_FLUSH_BELOW`` in magnitude that is not +0 (a -0 included)."""
+    return ((np.abs(words) < _FLUSH_BELOW)
+            & (words.view(np.int64) != 0)).any(axis=-1)
+
+
+def _flush(part: np.ndarray):
+    """Set every real and imaginary part of ``part`` below ``_FLUSH_BELOW``
+    in magnitude to +0, in place."""
+    words = part.view(float)
+    words[np.abs(words) < _FLUSH_BELOW] = 0.0
+
+
 def _hull(flags) -> slice:
     """The smallest slice holding every True entry of the 1-D ``flags``;
     the empty slice at 0 when there is none."""
@@ -287,9 +302,9 @@ class Fibers:
     2^52 times one power of two u, checked in O(N + K), so every
     omega_i - z_k is exact, (a - b + p i - q k) u: ``ell`` is a strided
     view (strides -q, p) of the window on the p(N - 1) + q(K - 1) + 1
-    differences, 64 KiB at N = 4096, K = 512 against 16 MiB, and ``live``
-    and ``span`` are read from that vector.  Other grids and wavelets take
-    ``ell_matrix``'s K x N array.
+    differences, 64 KiB at N = 4096, K = 512 against 16 MiB, and ``live``,
+    ``span`` and ``tiny`` are read from that vector.  Other grids and
+    wavelets take ``ell_matrix``'s K x N array.
 
     The dtype is ``ell_matrix``'s: float64 for a real profile, complex128
     otherwise (haar, imported atoms with complex samples); consumers are
@@ -316,6 +331,8 @@ class Fibers:
     ``gemm_rows`` gives them: contiguous (a copy of a lattice record's
     rows, since a GEMM on the strided view is slower) and with every part
     below 2^-511 set to +0, so that no product in the GEMM is subnormal.
+    The rows where that flush changes a word are found once per record,
+    like the empty ones, so a copy flushes only its blocks that hold one.
     """
 
     omegas: np.ndarray
@@ -323,6 +340,10 @@ class Fibers:
     weights: np.ndarray  # first-coordinate measure weights
     live: tuple  # per block of rows: False when every entry is +0
     span: slice  # first to last row holding a word other than +0
+    # per row of a lattice record: whether the flush changes a word there
+    # (``gemm_rows``); None for a K x N record, whose flags are found on
+    # first use
+    tiny: np.ndarray | None = None
 
     @classmethod
     def of(cls, atom: Atom, omegas) -> "Fibers":
@@ -336,12 +357,13 @@ class Fibers:
             L.flags.writeable = False
             # +0 is the one float whose bits are all zero: a row is empty
             # when every one of its words as an integer is 0
-            nonempty = L.view(np.int64).any(axis=1)
+            nonempty, tiny = L.view(np.int64).any(axis=1), None
         else:
-            L, nonempty = lattice
+            L, nonempty, tiny = lattice
         live = tuple(bool(nonempty[rows].any())
                      for rows in _row_blocks(len(L)))
-        return cls(omegas, L, atom.g1.measure_weights, live, _hull(nonempty))
+        return cls(omegas, L, atom.g1.measure_weights, live, _hull(nonempty),
+                   tiny)
 
     def rows_for(self, weights) -> slice:
         """The contiguous hull of the rows where ``weights`` (one value per
@@ -354,10 +376,12 @@ class Fibers:
     def gemm_rows(self, rows: slice) -> np.ndarray:
         """``ell[rows]`` as a Gram product reads it: C-contiguous, with every
         real and imaginary part below ``_FLUSH_BELOW`` (2^-511) in magnitude
-        set to +0.  The record's own rows when they are both already (a
-        K x N record without such parts: the wavelets' and rect's off the
-        lattice), else a copy made a block of ``_BLOCK_ROWS`` rows at a
-        time.  The record is not changed.
+        set to +0.  The record's own rows when they are both already (rows
+        of a K x N record that the flush would not change: the wavelets'
+        and rect's off the lattice, and the gaussian's inside its
+        normal-number band), else a copy made a block of ``_BLOCK_ROWS``
+        rows at a time, flushed only where a row holds a word that the
+        flush changes (``_tiny_rows``).  The record is not changed.
 
         A GEMM on parts that small forms subnormal products, and each costs
         a microcode assist on x86: the catalog gaussian's tails fall below
@@ -369,28 +393,28 @@ class Fibers:
         kernel.  The rect, shannon and haar records have no nonzero part
         that small."""
         src = self.ell[rows]
-        if src.flags.c_contiguous and not self._tiny_parts:
+        tiny = self._tiny_rows[rows]
+        if src.flags.c_contiguous and not tiny.any():
             return src
         out = np.empty(src.shape, src.dtype)
         for block in _row_blocks(len(src)):
             part = out[block]
             part[...] = src[block]
-            words = part.view(float)
-            words[np.abs(words) < _FLUSH_BELOW] = 0.0
+            if tiny[block].any():
+                _flush(part)
         return out
 
     @cached_property
-    def _tiny_parts(self) -> bool:
-        """Whether some real or imaginary part of the record is nonzero and
-        below ``_FLUSH_BELOW`` in magnitude (computed on first use, a block
-        of ``_BLOCK_ROWS`` rows at a time)."""
+    def _tiny_rows(self) -> np.ndarray:
+        """Per row, whether the flush changes a word there: ``tiny`` of a
+        lattice record, else found on first use a block of ``_BLOCK_ROWS``
+        rows at a time."""
+        if self.tiny is not None:
+            return self.tiny
+        flags = np.empty(len(self.ell), dtype=bool)
         for rows in _row_blocks(len(self.ell)):
-            block = self.ell[rows]
-            for part in (block.real, block.imag):
-                size = np.abs(part)
-                if np.any((size < _FLUSH_BELOW) & (size > 0)):
-                    return True
-        return False
+            flags[rows] = _flushed_words(self.ell[rows].view(float))
+        return flags
 
     @cached_property
     def norms(self) -> np.ndarray:
@@ -453,8 +477,9 @@ class Fibers:
 
 
 def _lattice_record(atom: Atom, omegas: np.ndarray):
-    """(record, flags of its nonempty rows) of a window on a lattice grid,
-    from one window vector (``Fibers``); None on any other grid."""
+    """(record, flags of its nonempty rows, flags of the rows where the
+    flush changes a word) of a window on a lattice grid, from one window
+    vector (``Fibers``); None on any other grid."""
     z = atom.g1.nodes
     K, N = z.size, omegas.size
     if atom.case != "gabor" or N < 2:
@@ -476,15 +501,22 @@ def _lattice_record(atom: Atom, omegas: np.ndarray):
             return None
     v = atom.eval_time((a[0] - b[-1] + np.arange(m)) * u).conj().astype(
         atom.eval_time(np.zeros(1)).dtype, copy=False)
-    # row k reads v[s + p i], s = q (K - 1 - k), nonzero words counted by a
-    # difference of running counts down the residue class of s mod p
-    c = np.zeros((-(-m // p) + 1, p), np.int64)
-    c.reshape(-1)[p:p + m] = v.view(np.int64).reshape(m, -1).any(axis=1)
-    np.cumsum(c, axis=0, out=c)
+    # row k reads v[s + p i], s = q (K - 1 - k): the flagged entries of v it
+    # reads are counted by a difference of running counts down the residue
+    # class of s mod p
     s, t = np.divmod(q * np.arange(K - 1, -1, -1), p)
+
+    def rows_reading(flags):
+        c = np.zeros((-(-m // p) + 1, p), np.int64)
+        c.reshape(-1)[p:p + m] = flags
+        np.cumsum(c, axis=0, out=c)
+        return c[s + N, t] > c[s, t]
+
+    words = v.view(float).reshape(m, -1)
     return (np.lib.stride_tricks.as_strided(
         v[q * (K - 1):], (K, N), (-q * v.itemsize, p * v.itemsize),
-        writeable=False), c[s + N, t] > c[s, t])
+        writeable=False), rows_reading(words.view(np.int64).any(axis=1)),
+        rows_reading(_flushed_words(words)))
 
 
 def _integral(fn, edges) -> float:

@@ -25,8 +25,8 @@ from . import io as tio
 from .algebra import (Partition, commutator_diagnostics, evaluate_on_cloud,
                       partition_gammas)
 from .atoms import make_atom
-from .fields import (analyze, bargmann, bargmann_adjoint, omega_side,
-                     random_bandlimited)
+from .fields import (_analysis_axis, omega_side, random_bandlimited,
+                     round_trip)
 from .grids import LineGrid, SampledFunction
 from .kernels import (GAMMA_RULES, boundedness_verdict, gamma,
                       overlap_kernel, spectrum_from_gamma,
@@ -40,8 +40,10 @@ DEFAULT_ATOM = {"gabor": "gaussian", "wavelet": "shannon"}
 # largest --n the dense commands accept without --allow-large; the library
 # builders and solvers take any size
 MAX_DENSE_N = 512
-# largest --n of ``verify transforms`` without --allow-large: its analysis
-# fields hold 512 x n complex values, 256 MiB at the cap
+# largest --n of ``verify transforms`` without --allow-large: it holds no
+# analysis field, but a wavelet's fiber record on the signals' grid is
+# 512 x n, 128 MiB (real) or 256 MiB (haar's complex one) at the cap, and
+# each CPU holds a 64 x n complex block
 MAX_FIELD_N = 32768
 # cuts of ``algebra`` without --cuts and of ``verify algebra``: the wavelet
 # first coordinate is a scale range, which excludes 0
@@ -283,20 +285,20 @@ def _verify_transforms_suite(args) -> dict:
     grid = LineGrid.centered(8.0, n)
     opg = default_operator_grid(args.case, min(args.n, 256))
     worst_iso, worst_fact, worst_round = 0.0, 0.0, 0.0
+    # each signal's analysis field is formed, measured and carried back a
+    # block of rows at a time (round_trip): no field is held
+    axis = _analysis_axis(atom.case, grid)
     for k in range(20):
         f = random_bandlimited(grid, seed=args.seed + k)
-        W = analyze(atom, f)
-        worst_iso = max(worst_iso, abs(W.weighted_norm() - f.norm()))
         h = omega_side(atom.case, f)
-        out = bargmann(atom, W, out_grid=h.grid)
+        out, field_norm = round_trip(atom, h, field_grid=axis)
+        worst_iso = max(worst_iso, abs(field_norm - f.norm()))
         worst_fact = max(worst_fact, float(
             np.linalg.norm(out.values - h.values) / np.linalg.norm(h.values)))
-        del W  # freed before the next analyze allocates its field
     rng = np.random.default_rng(args.seed)
     for _ in range(5):
         v = rng.standard_normal(opg.count) + 1j * rng.standard_normal(opg.count)
-        h = SampledFunction(opg, v)
-        rr = bargmann(atom, bargmann_adjoint(atom, h), out_grid=opg)
+        rr, _ = round_trip(atom, SampledFunction(opg, v))
         worst_round = max(worst_round, float(np.max(np.abs(rr.values - v))))
     tol = VERIFY_TOL["transforms"]
     passed = (worst_iso <= tol["isometry"] and worst_fact <= tol["factorization"]
@@ -354,7 +356,7 @@ def _verify_algebra_suite(args) -> dict:
 
 def cmd_verify(args) -> int:
     if args.suite == "transforms":
-        _check_n(args, MAX_FIELD_N)  # checked before any field is allocated
+        _check_n(args, MAX_FIELD_N)  # checked before any record is built
         report = _verify_transforms_suite(args)
     else:
         _check_n(args)  # every other suite builds n x n matrices

@@ -21,7 +21,7 @@ matrix.  The record is float64 for the real catalog profiles (gaussian,
 rect, shannon) and complex128 otherwise; fields are always complex128.
 
 ``_stream`` is the one implementation of the chain: ``bargmann``,
-``bargmann_adjoint`` (so ``analyze``) and the slow path of
+``bargmann_adjoint`` (so ``analyze``), ``round_trip`` and the slow path of
 ``operators.filter_signal`` all run it.  It takes the embedding, backward
 axis-2 transform, symbol mask, forward transform and fiber projection on
 blocks of ``atoms._BLOCK_ROWS`` first-axis rows.  A call that returns a
@@ -30,7 +30,10 @@ function on the second axis never holds a K x N field or mask, and
 transforms do not depend on the block they sit in, so analysis fields have
 the bits of the same steps on the whole array; a projection sums its blocks
 in turn, which moves it at rounding against one quadrature of the whole
-field.
+field.  ``round_trip`` is the reproducing formula in one pass: each block of
+an analysis field is formed, its row energies taken for the field's norm,
+and carried back at once, with the bits of ``bargmann_adjoint``, then
+``weighted_norm``, then ``bargmann``, and no field held.
 
 A band-limited wavelet (shannon) or a compactly supported window (rect) has
 whole blocks of first-axis rows where the fiber record is exactly +0: the
@@ -42,20 +45,25 @@ whose output fibers are empty.  A slow filter skips each block that its
 symbol zeroes, so its cost follows the blocks the symbol touches.  Every
 output keeps its bits, signs of zero included: a skipped block is finite,
 since its inputs are in the supported range of ``symbols``, which
-``analyze``, ``bargmann_adjoint`` and ``bargmann`` check on theirs.
+``analyze``, ``bargmann_adjoint``, ``round_trip`` and ``bargmann`` check on
+theirs.
 
-On two CPUs ``_stream`` splits the row-wise passes of each block (the
-embedding, both DFT cores, the diagonal, the symbol mask, the finiteness
-check and the fiber multiply) into the block's two row halves, which the
-caller and one pooled worker thread take in turn; a half the worker has not
-started when the caller is free runs on the caller.  The symbol evaluation,
-the empty-row transform and every BLAS call, the projection included, stay
-on the caller in block order.  Every pass works on each row alone, so every
-output keeps its bits, and the chain holds the buffers it holds on one CPU.
-The part count is the CPUs of the process's affinity mask, at most 2
-(``_PARTS``), and rows shorter than ``_SPLIT_COLUMNS`` samples are not
-split.  Restricting the affinity (``taskset -c 0``) is the only way to keep
-the chain on one CPU: BLAS thread settings do not govern it.
+On two CPUs ``_stream`` shares its blocks between the caller and one pooled
+worker thread, which take parts from one queue in order; a part the worker
+has not started when the caller is free runs on the caller.  A projection
+without a symbol mask (``bargmann``, ``round_trip``) hands out whole blocks
+in one hand-off: the thread that takes a block runs all of it, the
+projection GEMV included, in a block buffer of its own, and the caller sums
+the blocks' projections in block order.  A masked projection (the slow
+filter) and a returned field split each block into its two row halves, and
+the caller evaluates the symbol and runs a masked projection's GEMV, in
+block order; a whole-block split there would hold a second block per CPU,
+4 MiB at N = 4096.  Every pass works on each row alone and every sum runs
+in block order, so every output keeps its bits.  The part count is the CPUs
+of the process's affinity mask, at most 2 (``_PARTS``), and rows shorter
+than ``_SPLIT_COLUMNS`` samples are not split.  Restricting the affinity
+(``taskset -c 0``) is the only way to keep the chain on one CPU: BLAS thread
+settings do not govern it.
 """
 
 from __future__ import annotations
@@ -80,6 +88,7 @@ __all__ = [
     "bargmann_adjoint",
     "omega_side",
     "random_bandlimited",
+    "round_trip",
 ]
 
 
@@ -207,7 +216,7 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-# row parts of a block that ``_stream`` runs at once, capped at 2: the only
+# threads that take ``_stream``'s parts at once, capped at 2: the only
 # count measured
 _PARTS = min(2, _cpus())
 # the shortest rows that ``_stream`` splits: half a block must outlast its
@@ -258,9 +267,9 @@ def _take(todo: queue.SimpleQueue):
 
 
 def _run_parts(k: int, passes, parts: list):
-    """``passes(*part)`` for every part: with ``k`` = 2 parts per block, on
-    the caller and on the pooled worker at once; with 1, in order on the
-    caller.
+    """``passes(*part)`` for every part (a block's half, or a whole
+    block): with ``k`` = 2 CPUs, on the caller and on the pooled worker at
+    once; with 1, in order on the caller.
 
     The two threads take the parts from one queue, in order, so a part the
     worker has not started when the caller is free runs on the caller: a
@@ -299,7 +308,8 @@ def _run_parts(k: int, passes, parts: list):
 
 def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
             field: PhasePlaneField | None = None, spec=None,
-            out_grid: LineGrid | None = None) -> np.ndarray:
+            out_grid: LineGrid | None = None,
+            energy: np.ndarray | None = None) -> np.ndarray:
     """The transform chain on blocks of ``_BLOCK_ROWS`` first-axis rows.
 
     A block enters as the embedding h(omega) * ell(z, omega) carried by the
@@ -309,8 +319,11 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     block is multiplied by the symbol ``spec`` (a ``SymbolSpec``, if given)
     on its rows, ``spec._compact_field``, carried by the forward transform
     onto ``out_grid`` and projected against the fibers there, and the
-    blocks' projections, summed in turn, are returned: values on
-    ``out_grid``.
+    blocks' projections, summed in block order, are returned: values on
+    ``out_grid``.  With ``h``, ``out_grid`` and no symbol the chain is the
+    fused round trip (``round_trip``): ``energy`` (K floats), if given,
+    receives each row's energy sum |W[k, j]|^2 of the field W between the
+    two transforms, the einsum of ``PhasePlaneField.weighted_norm``.
 
     Each transform is a DFT core between two phase diagonals, the post-phase
     carrying the grid step (``fourier._sandwich``).  The diagonals depend
@@ -320,32 +333,46 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     - the backward pre-phase on h, formed once: the embedding is one pass,
       L * (h * pre_b) with L the fiber record;
     - the forward pre-phase on the copy of ``field``'s rows into a block;
-    - between the two cores, one diagonal: the backward post-phase, times
-      the forward pre-phase when a forward transform follows;
+    - between the two cores, the backward post-phase, times the forward
+      pre-phase when a masked forward transform follows.  The round trip
+      applies the two one after the other, so its field rows, and thus its
+      output, have the bits of ``bargmann_adjoint`` and then ``bargmann``
+      on every grid;
     - the forward post-phase on the summed projection, an out_grid vector.
 
     On centred power-of-two grids every phase is +-1 and every step a power
     of two, so this moves no bit against the diagonals applied to every
     block, except where a projection's terms are subnormal.
 
-    The row-wise passes (embedding, cores, diagonal, mask, finiteness check
-    and fiber multiply) run on k row parts of each block, ``_run_parts``:
-    with ``_PARTS`` = 2 CPUs and rows of at least ``_SPLIT_COLUMNS``
-    samples, the caller and one pooled worker take the two halves at once;
-    otherwise k = 1 and the caller runs each block whole.  Every pass works
-    on each row alone, so the parts give the bits of the whole block.  The
-    caller evaluates the symbol, transforms the empty row and runs every
-    BLAS call, the projection ``weights[rows] @ block`` included, in block
-    order; a returned field hands all of its blocks' parts to one
-    ``_run_parts`` call, a projection each block's.  The buffers are those
-    of one CPU: the block, and the parts' conjugated fiber rows of a complex
-    record, one block together.  A symbol mask with a row per node
-    (separable or general symbols) is held until the block's projection.
+    The chain splits its work between the caller and one pooled worker
+    thread, ``_run_parts``, when ``_PARTS`` = 2 CPUs and the rows hold at
+    least ``_SPLIT_COLUMNS`` samples; otherwise the caller runs every part
+    in order.  Every pass works on each row alone, so either way every
+    output keeps its bits.  The parts are:
+
+    - an unmasked projection (``bargmann``, ``round_trip``): whole blocks,
+      every live block in one call.  The thread that takes a block runs its
+      whole chain in a block buffer of its own, the projection GEMV
+      ``weights[rows] @ block`` included, into the block's own vector; the
+      caller then sums those vectors in block order, the bits of the serial
+      sum.  Two CPUs hold two block buffers, both made by the caller;
+    - a masked projection (the slow filter): the two row halves of each
+      block, one call per block, in the caller's one block buffer.  The
+      caller evaluates the symbol and runs the GEMV, in block order.  A
+      symbol mask with a row per node (separable or general symbols) is
+      held until the block's projection;
+    - a returned field: the two row halves of every live block, in one
+      call, in the field's own rows.
+
+    The caller also transforms the empty row.  A complex record's
+    projection takes the conjugate of the block's fiber rows, one block
+    more per thread.
 
     A block that is not finite after its last transform raises the
     ``ValueError`` of a non-finite ``PhasePlaneField``, so the returned
     field is finite; a symbol that is not finite raises
-    ``_compact_field``'s.
+    ``_compact_field``'s.  With the split, the error raised is the lowest
+    block's, as in a serial run.
 
     Blocks of empty fiber rows (``Fibers.live``) are skipped, and every
     output keeps its bits, signs of zero included:
@@ -354,7 +381,8 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
       to the same row, (+0) * (h * pre_b).  That row is transformed once per
       call, through the same core and diagonal, and checked finite.  A
       returned field takes a copy of it in each such row (a +0 fill would
-      drop the signs of its zeros); a projection skips the block, whose
+      drop the signs of its zeros), and ``energy`` its energy; a projection
+      (onto h's grid, whose fibers are the input's) skips the block, whose
       terms are then signed zeros, and adding +-0 to the running sum,
       which starts at +0, changes no bit.  The symbol is still evaluated on
       every block, so a symbol not finite on a skipped block raises.
@@ -368,24 +396,30 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     """
     g1 = atom.g1
     count = g1.count
-    k = _PARTS if g2.count >= _SPLIT_COLUMNS else 1  # parts per block
+    k = _PARTS if g2.count >= _SPLIT_COLUMNS else 1  # CPUs that take parts
+    whole = out_grid is not None and spec is None  # parts are whole blocks
+    parts = []  # the parts of one _run_parts call after the loop
     if out_grid is None:
         out = np.empty((count, g2.count), dtype=complex)
-        field_parts = []  # every live block's parts, run in one call
     else:
         forward = _sandwich(g2, axis2_sign(atom.case, "forward"), out_grid)
         fibers_out = atom.fibers(out_grid.samples)
         L_out = fibers_out.ell
         weights = g1.measure_weights
         acc = np.zeros(out_grid.count, dtype=complex)
-        buf = np.empty((min(_BLOCK_ROWS, count), g2.count), dtype=complex)
+        shape = (min(_BLOCK_ROWS, count), g2.count)
+        # block buffers no thread is using: a masked projection's one, and
+        # an unmasked one's, one per thread, made by the caller once its
+        # parts are known, so that a block never sits in the worker's heap
+        buffers = [] if whole else [np.empty(shape, dtype=complex)]
+        projections = {}  # per block of an unmasked projection
     if h is not None:
         backward = _sandwich(h.grid, axis2_sign(atom.case, "backward"), g2)
         fibers_in = atom.fibers(h.grid.samples)
         L_in = fibers_in.ell
         h_pre = h.values * backward.pre
-        diag = (backward.post if out_grid is None
-                else backward.post * forward.pre)
+        folded = spec is not None
+        diag = backward.post * forward.pre if folded else backward.post
         empty_row = None  # the transformed embedding of an empty block's row
 
     def passes(rows, block, mask):
@@ -396,6 +430,10 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
             np.multiply(L_in[rows], h_pre, out=block)
             backward.core(block)
             np.multiply(diag, block, out=block)
+            if energy is not None:
+                energy[rows] = _row_energies(block)
+            if out_grid is not None and not folded:
+                np.multiply(block, forward.pre, out=block)
         if out_grid is not None:
             if mask is not None:
                 block *= mask
@@ -406,9 +444,16 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
             # temporary of the part's size
             block *= L_out[rows].conj()
 
+    def project(b, rows):
+        """Block ``b``'s whole chain and projection, in a free buffer: each
+        thread holds one at a time, so one is free."""
+        buf = buffers.pop()
+        block = buf[:rows.stop - rows.start]
+        passes(rows, block, None)
+        projections[b] = weights[rows] @ block
+        buffers.append(buf)
+
     for b, rows in enumerate(_row_blocks(count)):
-        block = (out[rows] if out_grid is None
-                 else buf[:rows.stop - rows.start])
         mask = None
         if spec is not None:
             mask = spec._compact_field(g1.nodes[rows], g2.samples)
@@ -426,21 +471,39 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
                 _require_finite(empty_row)
             if out_grid is None:
                 out[rows] = empty_row
+            if energy is not None:
+                energy[rows] = _row_energies(empty_row)
             continue
         if out_grid is None:
-            field_parts += _parts(k, rows, block, mask)
-            continue
-        _run_parts(k, passes, _parts(k, rows, block, mask))
-        acc += weights[rows] @ block
+            parts += _parts(k, rows, out[rows], mask)
+        elif whole:
+            parts.append((b, rows))
+        else:
+            block = buffers[0][:rows.stop - rows.start]
+            _run_parts(k, passes, _parts(k, rows, block, mask))
+            acc += weights[rows] @ block
     if out_grid is None:
-        _run_parts(k, passes, field_parts)
+        _run_parts(k, passes, parts)
         return out
+    if whole:
+        buffers += [np.empty(shape, dtype=complex)
+                    for _ in range(min(k, len(parts)))]
+        _run_parts(k, project, parts)
+        for b, _ in parts:
+            acc += projections[b]
     acc *= forward.post
     # a zero projection is +0, as a sum of the blocks' terms gives it; a
     # negative post-phase would leave it -0, which a CSV writes as "-0"
     acc += 0.0
     _require_finite(acc)
     return acc
+
+
+def _row_energies(block: np.ndarray) -> np.ndarray:
+    """sum_j |block[k, j]|^2 of each row of the complex C-contiguous
+    ``block``: the dot product of its float view with itself."""
+    v = block.view(float)
+    return np.einsum("ij,ij->i", v, v)
 
 
 def bargmann(atom: Atom, field: PhasePlaneField,
@@ -476,6 +539,33 @@ def bargmann_adjoint(atom: Atom, f: SampledFunction,
     out = induced_grid(f.grid) if out_grid is None else out_grid
     return PhasePlaneField._of_finite(atom.case, atom.g1, out,
                                       _stream(atom, out, h=f))
+
+
+def round_trip(atom: Atom, h: SampledFunction,
+               field_grid: LineGrid | None = None
+               ) -> tuple[SampledFunction, float]:
+    """``bargmann`` of ``bargmann_adjoint`` of h, back onto h's grid, and
+    the field's ``weighted_norm``, in one streamed pass that holds no field.
+
+    The field is ``bargmann_adjoint(atom, h, out_grid=field_grid)``, on the
+    second axis ``field_grid`` (default ``induced_grid(h.grid)``); for h the
+    omega side of a signal f on f's grid (``omega_side``) and
+    ``field_grid = _analysis_axis(case, f.grid)``, it is ``analyze(atom,
+    f)``.  Each block of its rows is formed, its row energies taken, and it
+    is carried back at once (``_stream``), with the bits of the two calls
+    and of ``PhasePlaneField.weighted_norm``: the reproducing formula
+    (Calderon for wavelets, Gabor for windows) checked without the K x N
+    field.  A function above 2^(2B) raises ``bargmann_adjoint``'s
+    ``ValueError``.  No field is held for ``bargmann``'s range check: a
+    block that a transform overflows raises the non-finite field's.
+    """
+    _in_range(h.values, "omega-side function", exponent=2 * RANGE_EXPONENT)
+    g2 = induced_grid(h.grid) if field_grid is None else field_grid
+    energy = np.empty(atom.g1.count)
+    back = _stream(atom, g2, h=h, out_grid=h.grid, energy=energy)
+    row_energy = energy * g2.step
+    norm = float(np.sqrt(np.sum(atom.g1.measure_weights * row_energy)))
+    return SampledFunction(h.grid, back), norm
 
 
 def random_bandlimited(grid: LineGrid, seed: int) -> SampledFunction:

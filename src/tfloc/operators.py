@@ -550,10 +550,14 @@ def spectrum(M: OperatorMatrix) -> SpectrumReport:
 def hausdorff_distance(a, b) -> float:
     """Hausdorff distance between two finite complex multisets.
 
-    Two real multisets (zero imaginary parts) skip the n x m table: fl(x - y)
-    is monotone in y, since rounding is, so the nearest points below and
-    above x in the other set, sorted, give the table's row minimum bit for
-    bit.  A NaN entry gives NaN, as the table does.
+    The distances |a_i - b_j| are taken over blocks of ``_BLOCK_ROWS``
+    points of a at a time: each block gives its rows' minima and updates
+    the running column minima, so no n x m table is made, and a minimum,
+    which does not depend on the order of its terms, has the bits of the
+    whole table's.  Two real multisets (zero imaginary parts) skip the
+    distances: fl(x - y) is monotone in y, since rounding is, so the
+    nearest points below and above x in the other set, sorted, give the
+    row minimum bit for bit.  A NaN entry gives NaN, as the table does.
     """
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
@@ -561,8 +565,14 @@ def hausdorff_distance(a, b) -> float:
         raise ValueError("the Hausdorff distance of an empty multiset is "
                          "undefined")
     if a.imag.any() or b.imag.any():
-        d = np.abs(a[:, None] - b[None, :])
-        return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+        # the largest row minimum, and the column minima; np.maximum and
+        # np.minimum carry a NaN on
+        far, cols = -np.inf, np.full(b.size, np.inf)
+        for rows in _row_blocks(a.size):
+            d = np.abs(a[rows, None] - b[None, :])
+            far = np.maximum(far, d.min(axis=1).max())
+            np.minimum(cols, d.min(axis=0), out=cols)
+        return float(max(far, cols.max()))
 
     def farthest(x, y):
         # the largest distance of a point of x to the sorted y

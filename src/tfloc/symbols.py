@@ -243,6 +243,26 @@ class Symbol1D:
                             for a, b in ivs if a < b)
         return sym
 
+    @classmethod
+    def product(cls, a: "Symbol1D", b: "Symbol1D") -> "Symbol1D":
+        """The pointwise product a * b, with both factors' breakpoints and
+        the intersection of their supports.  When both record their pieces
+        (``constant``, ``indicator``, ``piecewise``, or such a product), so
+        does the product: the nonempty pairwise intersections of the
+        pieces, each with the product of their values, so the adaptive
+        gamma reads it from the atom's table."""
+        sym = cls(lambda x: a(x) * b(x), f"({a.descriptor})*({b.descriptor})",
+                  breakpoints=sorted(set(a.breakpoints) | set(b.breakpoints)),
+                  support=(max(a.support[0], b.support[0]),
+                           min(a.support[1], b.support[1])),
+                  is_real=a.is_real and b.is_real)
+        if a._pieces is not None and b._pieces is not None:
+            sym._pieces = tuple((max(lo, lo2), min(hi, hi2), c * c2)
+                                for lo, hi, c in a._pieces
+                                for lo2, hi2, c2 in b._pieces
+                                if max(lo, lo2) < min(hi, hi2))
+        return sym
+
 
 def parse_symbol(text: str) -> Symbol1D:
     """Parse the CLI symbol DSL: const:c | indicator:a,b | power:p | sampled:file."""

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from tfloc import algebra, cli
+from tfloc import algebra, cli, kernels
 from tfloc.algebra import (Partition, commutator_diagnostics,
                            evaluate_on_cloud, partition_gammas,
                            semi_commutator)
+from tfloc.kernels import gamma
 from tfloc.operators import (build_direct, default_operator_grid,
                              operator_norm)
 from tfloc.symbols import Symbol1D, SymbolSpec
@@ -200,6 +201,54 @@ def test_semi_commutator_vanishes_for_constant(gaussian):
     semi = semi_commutator(gaussian, Symbol1D.indicator(-1.0, 1.0),
                            Symbol1D.constant(2.0), GABOR_GRID)
     assert np.max(np.abs(semi)) <= 1e-10
+
+
+def _pairs(case):
+    """Pairs of piecewise-constant factors: overlapping indicators, a
+    half-line and an indicator, a complex constant and a complex 3-piece
+    symbol, and two piecewise symbols with no common piece."""
+    if case == "gabor":
+        a, b, cuts = (-1.0, 1.0), (0.0, 2.0), [(-2.0, -1.0), (-1.0, 1.0),
+                                              (1.0, 3.0)]
+        half = Symbol1D.indicator(-math.inf, 0.5)
+    else:
+        a, b, cuts = (1.0, math.inf), (0.5, 4.0), [(0.5, 1.0), (1.0, 2.0),
+                                                  (2.0, 8.0)]
+        half = Symbol1D.indicator(1.5, math.inf)
+    three = Symbol1D.piecewise([[iv] for iv in cuts], [1.0, 2j, -0.5 + 0.25j])
+    return [(Symbol1D.indicator(*a), Symbol1D.indicator(*b)),
+            (half, Symbol1D.indicator(*b)),
+            (Symbol1D.constant(0.5 - 2j), three),
+            (Symbol1D.piecewise([[cuts[0]]], [3.0]),
+             Symbol1D.piecewise([[cuts[2]]], [1j]))]
+
+
+@pytest.mark.parametrize("atom_name", ["gaussian", "rect", "shannon", "haar"])
+def test_semi_commutator_reads_the_table(atom_name, request, monkeypatch):
+    # the product of two piecewise-constant symbols records its pieces, so
+    # semi_commutator runs no adaptive pass: the product's gamma reads the
+    # atom's cumulative-profile table, within 8 eps of the adaptive pass
+    # over the product as a plain callable
+    atom = request.getfixturevalue(atom_name)
+    grid = default_operator_grid(atom.case, 64)
+    passes = []
+    adaptive = kernels.gauss_kronrod
+    monkeypatch.setattr(kernels, "gauss_kronrod",
+                        lambda *a: passes.append(1) or adaptive(*a))
+    for alpha1, alpha2 in _pairs(atom.case):
+        prod = Symbol1D.product(alpha1, alpha2)
+        passes.clear()
+        semi = semi_commutator(atom, alpha1, alpha2, grid)
+        assert not passes, prod.descriptor
+        g1, g2, table = (gamma(atom, a, grid, rule="adaptive").values
+                         for a in (alpha1, alpha2, prod))
+        assert np.array_equal(semi, g1 * g2 - table), prod.descriptor
+        plain = Symbol1D(prod.fn, prod.descriptor, prod.breakpoints,
+                         prod.support, prod.is_real)
+        ref = gamma(atom, plain, grid, rule="adaptive").values
+        assert passes, prod.descriptor
+        assert np.max(np.abs(table - ref)) <= 8 * np.finfo(float).eps, \
+            prod.descriptor
 
 
 def test_semi_commutator_generic_nonzero(gaussian):

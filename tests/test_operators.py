@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from tfloc.algebra import commutator_diagnostics
-from tfloc.atoms import Fibers, make_atom
+from tfloc import atoms
+from tfloc.atoms import _BLOCK_ROWS, Fibers, make_atom
 from tfloc.cli import EQUIVALENCE_SYMBOLS
 from tfloc.fields import axis2_sign, omega_side, random_bandlimited
 from tfloc.fourier import _Sandwich, _sandwich, fourier
@@ -579,6 +580,26 @@ def test_gram_products_are_the_plain_gemm_within_the_flush_bound(
     for C in read:
         parts = C.view(float)
         assert not np.any((np.abs(parts) < FLUSH_BELOW) & (parts != 0))
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_the_rank_20_disk_has_no_block_to_flush(monkeypatch, n):
+    # the disk of radius 2 reads the 65 rows |z| <= 2 of the gaussian's
+    # lattice record, where every fiber value is at least exp(-100 pi), far
+    # above 2^-511: its 20 Gram products copy those rows and flush none of
+    # their blocks.  The overlap kernel reads all 512 rows, and each of its
+    # 8 blocks holds tail rows to flush
+    flushes = []
+    flush = atoms._flush
+    monkeypatch.setattr(atoms, "_flush",
+                        lambda part: flushes.append(len(part)) or flush(part))
+    atom = make_atom("gabor", "gaussian")
+    grid = default_operator_grid("gabor", n)
+    M = build_direct(atom, _support_specs("gabor")["disk"], grid)
+    assert M.lowrank_rank == 20 and M.gram_rows == 65
+    assert flushes == []
+    overlap_kernel(atom, grid)
+    assert flushes == [_BLOCK_ROWS] * 8
 
 
 @pytest.mark.parametrize("name", ["gaussian", "shannon", "haar"])
@@ -1700,6 +1721,23 @@ def test_hausdorff_distance_with_nan_is_nan():
 def test_hausdorff_of_complex_sets_uses_the_table():
     a, b = [0.0, 1 + 1j, -2j], [1.0, 1e-3j]
     assert hausdorff_distance(a, b) == _table_hausdorff(a, b) == abs(-2j - 1e-3j)
+
+
+def test_hausdorff_of_complex_sets_over_blocks_is_the_table():
+    # sets of 1 to 3 blocks of 64 points and a last block of 1 or 7: the
+    # row and column minima taken a block at a time have the bits of the
+    # whole table's, and a NaN in any block gives NaN
+    rng = np.random.default_rng(17)
+    for n, m in ((1, 200), (64, 65), (129, 7), (135, 300)):
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        assert hausdorff_distance(a, b) == _table_hausdorff(a, b), (n, m)
+        assert hausdorff_distance(b, a) == _table_hausdorff(b, a), (n, m)
+        for i in {0, n // 2, n - 1}:
+            bad = a.copy()
+            bad[i] = complex(np.nan, 1.0)
+            assert math.isnan(hausdorff_distance(bad, b)), (n, i)
+            assert math.isnan(hausdorff_distance(b, bad)), (n, i)
 
 
 # -- real operators in real arithmetic ----------------------------------------------------

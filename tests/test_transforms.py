@@ -2,6 +2,7 @@ import ast
 import collections
 import dataclasses
 import hashlib
+import json
 import math
 import multiprocessing
 import os
@@ -22,10 +23,10 @@ import tfloc
 from tfloc import fields
 from tfloc.atoms import (_BLOCK_ROWS, Atom, Fibers, _row_blocks, make_atom,
                          make_wavelet, make_window)
-from tfloc.cli import main
+from tfloc.cli import VERIFY_TOL, main
 from tfloc.fields import (PhasePlaneField, _analysis_axis, _stream, analyze,
                           axis2_sign, bargmann, bargmann_adjoint, omega_side,
-                          random_bandlimited)
+                          random_bandlimited, round_trip)
 from tfloc.fourier import _cis, _Sandwich, _sandwich, fourier
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from tfloc.io import export_atom, import_atom
@@ -467,13 +468,18 @@ def _footprint(a) -> int:
 
 
 def _materialized(atom, omegas):
-    """ell_matrix's array with the live flags and span found from it."""
+    """ell_matrix's array with the live flags, span and flush flags found
+    from it: a row is flushed where it holds a part below 2^-511 in
+    magnitude that is not +0."""
     L = atom.ell_matrix(omegas)
-    nonempty = L.view(np.int64).reshape(len(L), -1).any(axis=1)
+    words = L.view(np.int64).reshape(len(L), -1)
+    nonempty = words.any(axis=1)
     live = tuple(bool(nonempty[rows].any()) for rows in _row_blocks(len(L)))
     at = np.flatnonzero(nonempty)
     span = slice(int(at[0]), int(at[-1]) + 1) if at.size else slice(0, 0)
-    return L, live, span
+    tiny = ((np.abs(words.view(float)) < 2.0 ** -511) & (words != 0)).any(
+        axis=1)
+    return L, live, span, tiny
 
 
 def _windows(tmp_path):
@@ -504,7 +510,7 @@ def test_lattice_record_keeps_the_bits_of_ell_matrix(grid, tmp_path):
     # values: the bits, dtype, live flags and span of ell_matrix's array
     for atom in _windows(tmp_path):
         fib = Fibers.of(atom, grid.samples)
-        L, live, span = _materialized(atom, grid.samples)
+        L, live, span, tiny = _materialized(atom, grid.samples)
         K, N = L.shape
         u = min(grid.step, atom.g1.step)
         p, q = grid.step / u, atom.g1.step / u
@@ -515,6 +521,8 @@ def test_lattice_record_keeps_the_bits_of_ell_matrix(grid, tmp_path):
         assert np.array_equal(np.ascontiguousarray(fib.ell).view(np.int64),
                               L.view(np.int64)), atom
         assert (fib.live, fib.span) == (live, span), atom
+        # the rows to flush, read from the window vector
+        assert np.array_equal(fib.tiny, tiny), atom
         assert not fib.ell.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             fib.ell[0, 0] = 1.0
@@ -542,10 +550,11 @@ def test_record_off_the_lattice_is_ell_matrix(grid, g1, tmp_path):
         if g1 is not None:
             atom.g1 = g1
         fib = Fibers.of(atom, grid.samples)
-        L, live, span = _materialized(atom, grid.samples)
+        L, live, span, tiny = _materialized(atom, grid.samples)
         assert fib.ell.flags.owndata and fib.ell.flags.c_contiguous
         assert np.array_equal(fib.ell.view(np.int64), L.view(np.int64)), atom
         assert (fib.live, fib.span) == (live, span), atom
+        assert fib.tiny is None and np.array_equal(fib._tiny_rows, tiny), atom
         assert not fib.ell.flags.writeable
 
 
@@ -678,10 +687,11 @@ def test_verify_transforms_builds_one_record_per_grid(tmp_path, fiber_builds):
 
 
 def test_verify_transforms_holds_one_field(tmp_path):
-    # each signal's field is freed before the next analyze allocates its
-    # own: the suite peaks at one K x n complex field, the fiber record and
-    # the streamed blocks, 1.17-1.30 fields beside the record (2.07-2.19
-    # when the previous field was still held)
+    # each signal's field is formed, measured and carried back a block of
+    # rows at a time (fields.round_trip), so the suite holds no K x n
+    # field: beside the fiber record it peaks at a block per CPU and the
+    # embedding's temporaries, 0.33-0.36 fields measured (1.17-1.30 when
+    # it held one field, 2.07-2.19 when it held two)
     n = 1024
     for case, name in (("gabor", "gaussian"), ("wavelet", "shannon")):
         atom = make_atom(case, name)
@@ -695,7 +705,57 @@ def test_verify_transforms_holds_one_field(tmp_path):
         finally:
             tracemalloc.stop()
         fields = (peak - record) / (atom.g1.count * n * 16)
-        assert fields <= 1.4, f"{case}: {fields:.3f} fields beside the record"
+        assert fields <= 0.42, f"{case}: {fields:.3f} fields beside the record"
+
+
+def _unfused_transforms_report(case, name, n, seed) -> dict:
+    """The ``verify transforms`` report made from whole fields, as the suite
+    made it before its round trips were fused: ``analyze``, then
+    ``weighted_norm``, then ``bargmann`` for each signal, and ``bargmann``
+    of ``bargmann_adjoint`` for the round trips."""
+    atom = make_atom(case, name)
+    grid = LineGrid.centered(8.0, max(n, 64))
+    opg = default_operator_grid(case, min(n, 256))
+    iso = fact = rnd = 0.0
+    for k in range(20):
+        f = random_bandlimited(grid, seed=seed + k)
+        W = analyze(atom, f)
+        iso = max(iso, abs(W.weighted_norm() - f.norm()))
+        h = omega_side(case, f)
+        out = bargmann(atom, W, out_grid=h.grid)
+        fact = max(fact, float(np.linalg.norm(out.values - h.values)
+                               / np.linalg.norm(h.values)))
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        v = (rng.standard_normal(opg.count)
+             + 1j * rng.standard_normal(opg.count))
+        rr = bargmann(atom, bargmann_adjoint(atom, SampledFunction(opg, v)),
+                      out_grid=opg)
+        rnd = max(rnd, float(np.max(np.abs(rr.values - v))))
+    tol = VERIFY_TOL["transforms"]
+    return {"case": case, "atom": name, "N": grid.count,
+            "roundtrip_N": opg.count, "isometry_error_max": iso,
+            "factorization_error_max": fact, "roundtrip_error_max": rnd,
+            "tolerances": tol,
+            "pass": (iso <= tol["isometry"] and fact <= tol["factorization"]
+                     and rnd <= tol["roundtrip"]),
+            "suite": "transforms", "seed": seed}
+
+
+@pytest.mark.parametrize("n", [64, 100, 1024])
+@pytest.mark.parametrize("case,name", [
+    ("gabor", "gaussian"), ("gabor", "rect"), ("wavelet", "shannon"),
+    ("wavelet", "haar")])
+def test_verify_transforms_reports_the_unfused_bytes(tmp_path, case, name, n):
+    # the fused round trips keep every byte of the report made from whole
+    # fields; n = 100 gives phases that are not +-1, and haar fails the
+    # suite's fixed tolerances (exit 1) with the same bytes
+    out = tmp_path / "t.json"
+    code = main(["verify", "transforms", "--case", case, "--atom", name,
+                 "--n", str(n), "--seed", "3", "--out", str(out)])
+    ref = _unfused_transforms_report(case, name, n, seed=3)
+    assert code == (0 if ref["pass"] else 1)
+    assert out.read_text() == json.dumps(ref, sort_keys=True, indent=2) + "\n"
 
 
 def test_verify_transforms_gabor_shares_the_round_trip_record(tmp_path,
@@ -813,6 +873,11 @@ def test_streamed_transforms_match_the_whole_array_chain(setup, seed):
     out = bargmann(atom, W, out_grid=grid)
     ref = _whole_array_chain(atom, g2, field=W, out_grid=grid)
     assert _rel(out.values, ref) <= 1e-15
+    # the fused round trip has the bits of the two calls and of the norm,
+    # off the lattice grids too
+    back, norm = round_trip(atom, h, field_grid=g2)
+    assert _bits(back.values) == _bits(out.values)
+    assert norm == W.weighted_norm()
     # the round trip multiplies by the fiber norms, so it is an isometry
     # where they are 1 (the atom's healthy range); off the lattice grids
     # the two transforms' phases carry up to about n*eps each
@@ -1242,23 +1307,38 @@ _SPLIT_ATOMS = {
 }
 
 
-def _chain_outputs(atom, f) -> dict:
-    """The bytes of every output of the streamed chain on ``f``: analysis,
-    the diagonalizing transform, and slow filters with a first-variable
-    symbol that zeroes some blocks, one that zeroes every block, and a
-    second-variable symbol (a one-row mask)."""
+def _chain_outputs(atom, f, lengths: list) -> tuple[dict, dict]:
+    """The bytes of every output of the streamed chain on ``f``, and the
+    rows of every block that its DFT cores transformed, read from
+    ``lengths`` (cleared per output): analysis, the diagonalizing transform,
+    the fused round trip (its norm too), and slow filters with a
+    first-variable symbol that zeroes some blocks, one that zeroes every
+    block, and a second-variable symbol (a one-row mask)."""
     h = omega_side(atom.case, f)
     W = analyze(atom, f)
+    axis = _analysis_axis(atom.case, f.grid)
     band, far = (((-1.0, 1.0), (40.0, 50.0)) if atom.case == "gabor"
                  else ((1.0, 2.0), (600.0, 700.0)))
     specs = {"first": SymbolSpec.first_variable(Symbol1D.indicator(*band)),
              "zero": SymbolSpec.first_variable(Symbol1D.indicator(*far)),
              "second": SymbolSpec.second_variable(Symbol1D.gaussian_bump(1.0))}
-    out = {"analyze": _bits(W.values),
-           "bargmann": _bits(bargmann(atom, W, out_grid=h.grid).values)}
+
+    def fused():
+        back, norm = round_trip(atom, h, field_grid=axis)
+        return np.append(back.values, norm)
+
+    calls = {"analyze": lambda: analyze(atom, f).values,
+             "bargmann": lambda: bargmann(atom, W, out_grid=h.grid).values,
+             "round trip": fused}
     for kind, spec in specs.items():
-        out[kind] = _bits(filter_signal(atom, spec, f, "slow")[0].values)
-    return out
+        calls[kind] = lambda spec=spec: filter_signal(atom, spec, f,
+                                                      "slow")[0].values
+    out, rows = {}, {}
+    for output, call in calls.items():
+        lengths.clear()
+        out[output] = _bits(call())
+        rows[output] = list(lengths)
+    return out, rows
 
 
 @pytest.mark.parametrize("name", sorted(_SPLIT_ATOMS))
@@ -1276,12 +1356,63 @@ def test_the_split_chain_gives_the_serial_bytes(monkeypatch, name):
     runs = {}
     for parts in (1, 2):
         monkeypatch.setattr(fields, "_PARTS", parts)
-        lengths.clear()
-        runs[parts] = _chain_outputs(atom, f)
-        # one CPU transforms whole blocks, two transform halves of them
-        assert (max(lengths) == _BLOCK_ROWS) == (parts == 1), name
+        runs[parts], rows = _chain_outputs(atom, f, lengths)
+        del rows["zero"]  # every block skipped: the signal's own DFTs
+        for output, seen in rows.items():
+            # one CPU transforms whole blocks; two transform whole blocks
+            # of a projection without a symbol mask, and halves of the
+            # others (a returned field, the slow filters)
+            whole = parts == 1 or output in ("bargmann", "round trip")
+            assert (max(seen) == _BLOCK_ROWS) == whole, f"{name}: {output}"
     for output, serial in runs[1].items():
         assert runs[2][output] == serial, f"{name}: {output}"
+
+
+@pytest.mark.parametrize("bad", [(1, 3), (0, 1)])
+def test_a_non_finite_block_of_the_worker_raises_the_serial_error(
+        gaussian, monkeypatch, bad):
+    # bargmann's chain on a field of 8 blocks, two of them not finite: the
+    # lower in one row, the upper in two.  The caller's first transform
+    # waits (at most 20 s) until the worker has started one, so each thread
+    # takes a bad block, whichever takes block 0.  The finiteness check
+    # names the rows it found, and the split chain raises the serial run's
+    # error, the lower block's
+    g2 = SIGNAL_GRID
+    vals = np.ones((gaussian.g1.count, g2.count), dtype=complex)
+    for i, b in enumerate(bad):
+        vals[b * _BLOCK_ROWS:b * _BLOCK_ROWS + i + 1, 5] = np.nan
+    F = PhasePlaneField._of_finite("gabor", gaussian.g1, g2, vals)
+    check, core = fields._require_finite, _Sandwich.core
+    raised_in, worker_ran, waited = [], threading.Event(), []
+
+    def named(a):
+        try:
+            check(a)
+        except ValueError as exc:
+            raised_in.append(threading.current_thread().name)
+            rows = np.count_nonzero(~np.isfinite(a).all(axis=1))
+            raise ValueError(f"{exc} in {rows} rows") from None
+
+    def gated(self, block):
+        if threading.current_thread() is not threading.main_thread():
+            worker_ran.set()
+        elif not waited:
+            waited.append(worker_ran.wait(20))
+        return core(self, block)
+
+    monkeypatch.setattr(fields, "_require_finite", named)
+    errors = {}
+    for parts in (1, 2):
+        monkeypatch.setattr(fields, "_PARTS", parts)
+        monkeypatch.setattr(_Sandwich, "core", gated if parts == 2 else core)
+        raised_in.clear()
+        with pytest.raises(ValueError) as info:
+            _stream(gaussian, g2, field=F, out_grid=induced_grid(g2))
+        errors[parts] = str(info.value)
+    assert waited == [True]
+    assert errors[1] == errors[2] == \
+        "field contains non-finite values in 1 rows"
+    assert len(raised_in) == 2 and "MainThread" in raised_in
 
 
 def _one_part_each(ran: list, worker_step=lambda i: None,
@@ -1403,14 +1534,16 @@ def test_a_forked_child_runs_the_split_chain(gaussian, monkeypatch):
 def test_concurrent_callers_share_the_worker(monkeypatch):
     # four threads on two CPUs run the split chain at once through the one
     # pooled worker, the interpreter switching threads every microsecond:
-    # every part runs once, into its own rows, so every result has the
-    # serial bytes.  Each thread has its own atoms
+    # every part runs once, into its own rows or block buffer, so every
+    # result has the serial bytes.  Each thread has its own atoms
     f = random_bandlimited(SIGNAL_GRID, seed=24)
 
     def chain(atom):
         W = analyze(atom, f)
         h = omega_side(atom.case, f)
-        return _bits(W.values), _bits(bargmann(atom, W, out_grid=h.grid).values)
+        back, norm = round_trip(atom, h, _analysis_axis(atom.case, f.grid))
+        out = bargmann(atom, W, out_grid=h.grid)
+        return _bits(W.values), _bits(out.values), _bits(back.values), norm
 
     names = [("gabor", "gaussian"), ("wavelet", "shannon")] * 2
     monkeypatch.setattr(fields, "_PARTS", 1)
