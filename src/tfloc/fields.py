@@ -37,16 +37,16 @@ and carried back at once, with the bits of ``bargmann_adjoint``, then
 
 A band-limited wavelet (shannon) or a compactly supported window (rect) has
 whole blocks of first-axis rows where the fiber record is exactly +0: the
-record's *empty* blocks, ``Fibers.live``.  ``_stream`` does not transform
-them.  With h, the rows of an empty block all embed to one row, which it
-transforms once per call and copies into the field (or, in a projection,
-leaves out: its terms are signed zeros).  From a field, it skips a block
-whose output fibers are empty.  A slow filter skips each block that its
-symbol zeroes, so its cost follows the blocks the symbol touches.  Every
-output keeps its bits, signs of zero included: a skipped block is finite,
-since its inputs are in the supported range of ``symbols``, which
-``analyze``, ``bargmann_adjoint``, ``round_trip`` and ``bargmann`` check on
-theirs.
+record's *empty* blocks, ``Fibers.live``.  ``_stream`` does not transform them.
+With h, the rows of an empty block all embed to one row, which it transforms
+once per call and copies into the field (or, in a projection, leaves out: its
+terms are signed zeros).  From a field, it skips a block whose output fibers
+are empty.  A slow filter skips each block that its symbol mask
+(``SymbolSpec.cell_field``, the seam) zeroes, so its cost follows the blocks
+the symbol touches.  Every output keeps its bits, signs of zero included: a
+skipped block is finite, since its inputs are in the supported range of
+``symbols``, which ``analyze``, ``bargmann_adjoint``, ``round_trip`` and
+``bargmann`` check on theirs.
 
 On two CPUs ``_stream`` shares its blocks between the caller and one pooled
 worker thread, which take parts from one queue in order; a part the worker
@@ -129,13 +129,10 @@ class PhasePlaneField:
         self.values = values
 
     def weighted_norm(self) -> float:
-        """L2 norm under the product measure (first-axis measure x Riemann).
-
-        Each row's energy is the dot product of its float view with itself,
-        so no temporary has the field's size."""
-        v = np.ascontiguousarray(self.values).view(float)
-        row_energy = np.einsum("ij,ij->i", v, v) * self.g2.step
-        return float(np.sqrt(np.sum(self.g1.measure_weights * row_energy)))
+        """L2 norm under the product measure (first-axis measure x Riemann):
+        ``_weighted_norm`` of the ``_row_energies``, no field-sized array."""
+        return _weighted_norm(self.g1, self.g2, _row_energies(
+            np.ascontiguousarray(self.values)))
 
     def copy_with(self, values, g2=None) -> "PhasePlaneField":
         return PhasePlaneField(self.case, self.g1,
@@ -317,13 +314,13 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     ``field``, whose second axis is ``g2``.  Without ``out_grid`` the blocks
     are the rows of the returned K x g2.count field.  With ``out_grid`` a
     block is multiplied by the symbol ``spec`` (a ``SymbolSpec``, if given)
-    on its rows, ``spec._compact_field``, carried by the forward transform
+    on its rows' cells, ``spec.cell_field``, carried by the forward transform
     onto ``out_grid`` and projected against the fibers there, and the
     blocks' projections, summed in block order, are returned: values on
     ``out_grid``.  With ``h``, ``out_grid`` and no symbol the chain is the
     fused round trip (``round_trip``): ``energy`` (K floats), if given,
     receives each row's energy sum |W[k, j]|^2 of the field W between the
-    two transforms, the einsum of ``PhasePlaneField.weighted_norm``.
+    two transforms, as ``PhasePlaneField.weighted_norm`` takes them.
 
     Each transform is a DFT core between two phase diagonals, the post-phase
     carrying the grid step (``fourier._sandwich``).  The diagonals depend
@@ -371,7 +368,7 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     A block that is not finite after its last transform raises the
     ``ValueError`` of a non-finite ``PhasePlaneField``, so the returned
     field is finite; a symbol that is not finite raises
-    ``_compact_field``'s.  With the split, the error raised is the lowest
+    ``cell_field``'s.  With the split, the error raised is the lowest
     block's, as in a serial run.
 
     Blocks of empty fiber rows (``Fibers.live``) are skipped, and every
@@ -456,7 +453,7 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     for b, rows in enumerate(_row_blocks(count)):
         mask = None
         if spec is not None:
-            mask = spec._compact_field(g1.nodes[rows], g2.samples)
+            mask = spec.cell_field(g1, g2, rows)
         if h is None:
             if not fibers_out.live[b]:
                 continue
@@ -504,6 +501,11 @@ def _row_energies(block: np.ndarray) -> np.ndarray:
     ``block``: the dot product of its float view with itself."""
     v = block.view(float)
     return np.einsum("ij,ij->i", v, v)
+
+
+def _weighted_norm(g1, g2: LineGrid, energy: np.ndarray) -> float:
+    """sqrt(sum_k w_k step E_k) of a field on g1 x g2 with row energies E_k."""
+    return float(np.sqrt(np.sum(g1.measure_weights * (energy * g2.step))))
 
 
 def bargmann(atom: Atom, field: PhasePlaneField,
@@ -563,9 +565,7 @@ def round_trip(atom: Atom, h: SampledFunction,
     g2 = induced_grid(h.grid) if field_grid is None else field_grid
     energy = np.empty(atom.g1.count)
     back = _stream(atom, g2, h=h, out_grid=h.grid, energy=energy)
-    row_energy = energy * g2.step
-    norm = float(np.sqrt(np.sum(atom.g1.measure_weights * row_energy)))
-    return SampledFunction(h.grid, back), norm
+    return SampledFunction(h.grid, back), _weighted_norm(atom.g1, g2, energy)
 
 
 def random_bandlimited(grid: LineGrid, seed: int) -> SampledFunction:

@@ -34,17 +34,24 @@ __all__ = [
 ]
 
 
+def _count(count, least: str) -> int:
+    """``count`` as an int; ValueError below 2 (``least``) or not whole."""
+    if not count >= 2:
+        raise ValueError(f"{least}, got {count}")
+    if not float(count).is_integer():
+        raise ValueError(f"grid count {count} is not a whole number")
+    return int(count)
+
+
 class LineGrid:
     """Uniform grid x_j = start + j*step, j = 0..count-1."""
 
     def __init__(self, start: float, step: float, count: int):
         if not (step > 0 and math.isfinite(step) and math.isfinite(start)):
             raise ValueError(f"invalid grid: start={start}, step={step}")
-        if count < 2:
-            raise ValueError(f"grid needs at least 2 samples, got {count}")
+        self.count = _count(count, "grid needs at least 2 samples")
         self.start = float(start)
         self.step = float(step)
-        self.count = int(count)
         # an overflow is reported by the check below, not warned of
         with np.errstate(over="ignore"):
             self.samples = self.start + np.arange(self.count) * self.step
@@ -61,6 +68,7 @@ class LineGrid:
     @classmethod
     def centered(cls, half_width: float, count: int) -> "LineGrid":
         """Grid on [-half_width, half_width) with ``count`` samples."""
+        count = _count(count, "grid needs at least 2 samples")
         step = 2.0 * half_width / count
         return cls(-(count // 2) * step, step, count)
 
@@ -91,16 +99,17 @@ class ScaleGrid:
     def __init__(self, u_min: float, u_max: float, count: int):
         if not (0 < u_min < u_max):
             raise ValueError(f"need 0 < u_min < u_max, got [{u_min}, {u_max}]")
-        if count < 2:
-            raise ValueError(f"scale grid needs at least 2 nodes, got {count}")
+        self.count = _count(count, "scale grid needs at least 2 nodes")
         self.u_min = float(u_min)
         self.u_max = float(u_max)
-        self.count = int(count)
         self.log_step = math.log(self.u_max / self.u_min) / self.count
         k = np.arange(self.count)
-        self.nodes = self.u_min * np.exp((k + 0.5) * self.log_step)
-        self.weights = np.full(self.count, self.log_step)
-        self.measure_weights = self.weights / self.nodes
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            self.nodes = self.u_min * np.exp((k + 0.5) * self.log_step)
+            self.weights = np.full(self.count, self.log_step)
+            self.measure_weights = self.weights / self.nodes
+        if not np.all(np.isfinite(self.measure_weights)):
+            raise ValueError(f"scale grid [{u_min}, {u_max}] overflows")
 
     def __repr__(self):
         return f"ScaleGrid(u_min={self.u_min:g}, u_max={self.u_max:g}, count={self.count})"

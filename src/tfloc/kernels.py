@@ -14,11 +14,11 @@ Two quadrature rules are provided (``GAMMA_RULES`` lists their names;
 ``"fft"`` is a second name for the grid rule, kept while the benchmark's
 signal-io workload runs and names it):
 
-* ``rule="grid"`` -- the same discrete first-coordinate rule the operator
-  builders use.  diag(build_direct(alpha)) reproduces this gamma to rounding,
-  so all cross-operator consistency statements hold tightly.
-* ``rule="adaptive"`` -- a piecewise-constant symbol (``Symbol1D._pieces``)
-  on a catalog atom reads the atom's cumulative profile P
+* ``rule="grid"`` -- the operator builders' first-coordinate rule on the
+  seam, ``Symbol1D.cell_values``: diag(build_direct(alpha)) reproduces it
+  to rounding, so all cross-operator consistency statements hold tightly.
+* ``rule="adaptive"`` -- a piecewise-constant symbol (``Symbol1D._pieces``) on
+  a catalog atom reads the atom's cumulative profile P
   (``Atom._profile_table``): a piece c on [a, b] is c (P(xi - a) - P(xi - b))
   (windows) or c (P(b|xi|) - P(a|xi|)) (wavelets), each P a table entry plus
   one K21 panel.  Any other symbol, or an imported atom, takes the adaptive
@@ -26,15 +26,15 @@ signal-io workload runs and names it):
   (``quadrature.gauss_kronrod``) of the defining integral over the atom's
   effective support, split at the symbol's breakpoints and (wavelets) at the
   atom's ``freq_breakpoints``, with all frequencies of one call integrated
-  together, every atom alike.
-  Continuum-accurate (epsabs 1e-12, epsrel 1e-11 per piece; the largest
-  per-frequency error estimate is kept as ``GammaFunction.abserr``); used
-  wherever closed-form oracles are quoted.  Symbol jumps must be listed as
+  together, every atom alike.  Continuum-accurate, it samples the symbol at its
+  quadrature points, off the seam (epsabs 1e-12, epsrel 1e-11 per piece; the
+  largest per-frequency error estimate is kept as ``GammaFunction.abserr``);
+  used wherever closed-form oracles are quoted.  Symbol jumps must be listed as
   breakpoints: unlisted ones exhaust the panel cap and raise
-  ``ArithmeticError``.  The two rules differ by O(step) at indicator edges:
-  at n = 256 on the default windows, the ``cto1`` indicators read a largest
-  |grid - adaptive| of 4.4e-2 (gaussian), 6.25e-2 (rect), 1.5e-2 (shannon)
-  and 4.0e-5 (haar).  The cross-route comparisons all read the grid rule.
+  ``ArithmeticError``.  The two rules differ by O(step) at indicator edges: at
+  n = 256 on the default windows, the ``cto1`` indicators read a largest
+  |grid - adaptive| of 4.4e-2 (gaussian), 6.25e-2 (rect), 1.5e-2 (shannon) and
+  4.0e-5 (haar).  The cross-route comparisons all read the grid rule.
 
 The two-point overlap kernels generalize the same quadrature to pairs of
 frequencies and feed the integral and compound-symbol operator builders.
@@ -195,16 +195,16 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
     cumulative-profile table (module docstring); ``abserr`` is then the
     largest per-xi sum over the pieces of |c| times the table's summed panel
     estimates plus the two lookups'.  Any other symbol takes the adaptive
-    pass: every (xi, breakpoint segment) piece with
-    one batched adaptive Gauss-Kronrod (G10/K21) pass to epsabs 1e-12,
-    epsrel 1e-11 per piece, and records the largest per-xi error estimate as
-    ``abserr``.  The segments split at the symbol's breakpoints and, for
-    wavelets, at the atom's ``freq_breakpoints`` (haar's profile zeros).  A
-    piece that needs more than ``quadrature.GK_LIMIT`` panels -- typically a symbol
-    with jumps not listed as breakpoints -- raises ``ArithmeticError``.
+    pass: every (xi, breakpoint segment) piece with one batched adaptive
+    Gauss-Kronrod (G10/K21) pass to epsabs 1e-12, epsrel 1e-11 per piece,
+    and records the largest per-xi error estimate as ``abserr``.  The
+    segments split at the symbol's breakpoints and, for wavelets, at the
+    atom's ``freq_breakpoints`` (haar's profile zeros).  A piece that needs
+    more than ``quadrature.GK_LIMIT`` panels -- typically a symbol with
+    jumps not listed as breakpoints -- raises ``ArithmeticError``.
 
-    The grid rule reads the atom's fiber record on ``xi_grid``
-    (``Atom.fibers``); the adaptive rule evaluates no fiber matrix.
+    The grid rule reads ``alpha.cell_values`` and the atom's fiber record on
+    ``xi_grid`` (``Atom.fibers``); the adaptive rule evaluates no fiber matrix.
     ``rule="fft"`` is the grid rule under a second name, recorded as
     ``GammaFunction.rule``.
     """
@@ -214,9 +214,9 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
     if rule == "adaptive":
         vals, abserr = _gamma_adaptive(atom, alpha, xi_grid.samples)
     else:
-        # the power sums of the symbol's samples, in range (Symbol1D.sample)
+        # the power sums of the symbol on the cells, in range (Symbol1D.sample)
         vals = atom.fibers(xi_grid.samples).power_sums(
-            alpha.sample(atom.g1.nodes), atom.g1.measure_weights)
+            alpha.cell_values(atom.g1), atom.g1.measure_weights)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"gamma for {alpha.descriptor} is not finite on the grid")
     # a symbol with a sup bound gives a bounded operator (||H_a|| <= sup|a|),
@@ -391,7 +391,7 @@ def overlap_kernel(atom: Atom, xi_grid: LineGrid) -> OperatorMatrix:
 def weighted_overlap_kernel(atom: Atom, alpha: Symbol1D,
                             xi_grid: LineGrid) -> OperatorMatrix:
     """Symbol-weighted overlap kernel; its diagonal is the grid-rule gamma."""
-    w = atom.g1.measure_weights * alpha.sample(atom.g1.nodes)
+    w = atom.g1.measure_weights * alpha.cell_values(atom.g1)
     vals = _fiber_overlap(atom, w, xi_grid)
     return OperatorMatrix(xi_grid, vals, "weighted_overlap", atom.name,
                           alpha.descriptor, symbol_is_real=alpha.is_real)

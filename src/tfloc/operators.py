@@ -20,14 +20,15 @@ same operator along different routes:
   (every first-variable symbol on the builders' grids) the matrix is
   diagonal: its n entries are summed from those rows of the record, with
   no Gram product, and held as they are.
-  The factors come from greedy column-pivoted deflation of the field's
-  nonzero rows (of the K x 1 column alpha(r) for a first-variable symbol),
-  which stops at the first rank whose residual has a Frobenius norm of at
-  most ``LOWRANK_TAIL`` = 1e-13 relative to the field's norm; the rank, the
-  tail and the most rows a rank ran over are recorded on the result.  It
-  shares only the atom's fiber record (``Atom.fibers``) with the routes
-  below: neither the overlap kernels nor gamma (nor the record's
-  ``power_sums``) nor the difference-lattice factor.
+  The field is the symbol on the grid cells, ``SymbolSpec.cell_field``, the
+  one place a symbol meets the grid.  The factors come from greedy
+  column-pivoted deflation of its nonzero rows, which stops at the first
+  rank whose residual has a Frobenius norm of at most ``LOWRANK_TAIL`` =
+  1e-13 relative to the field's norm; the rank, the tail and the most rows
+  a rank ran over are recorded on the result.  It shares only the atom's
+  fiber record (``Atom.fibers``) and the seam with the routes below:
+  neither the overlap kernels nor gamma (nor the record's ``power_sums``)
+  nor the difference-lattice factor.
 * ``build_multiplication`` -- diagonal operator of the scalar symbol gamma
   (first-variable symbols diagonalize), held as its n diagonal entries.
 * ``build_pseudodiff`` -- compound-symbol form for separable symbols: the
@@ -146,20 +147,21 @@ def _lowrank_factors(a_field: np.ndarray):
 
     Greedy column-pivoted deflation of a working copy R of the field's
     nonzero row hull, the K' rows from the first to the last that hold a
-    nonzero entry (Q is zero outside them): take the column of largest
-    residual norm, q = R[:, j] / ||R[:, j]||, v = q^H R, and subtract
-    q v^T from R.  The column norms are recomputed from R after every step,
-    never downdated, so the stopping test reads the true residual: the loop
-    stops at the first rank r with ||R||_F <= ``LOWRANK_TAIL`` * ||a||_F.
-    The work is O(r K' n).  Returns Q (K x r), V (r x n) and the relative
-    tail ||R||_F / ||a||_F dropped.
+    nonzero entry (Q is zero outside them), copied in C order whatever the
+    field's strides (a broadcast included), so the sums round one way: take
+    the column of largest residual norm, q = R[:, j] / ||R[:, j]||,
+    v = q^H R, and subtract q v^T from R.  The column norms are recomputed
+    from R after every step, never downdated, so the stopping test reads the
+    true residual: the loop stops at the first rank r with ||R||_F <=
+    ``LOWRANK_TAIL`` * ||a||_F.  The work is O(r K' n).  Returns Q (K x r),
+    V (r x n) and the relative tail ||R||_F / ||a||_F dropped.
 
     R starts as a * 2^-e, e the ``_exponent`` of a, and Q is scaled
     back by 2^e: both exact, so no squared entry underflows.
     """
     K, n = a_field.shape
     rows = _hull(a_field.any(axis=1))
-    R = np.array(a_field[rows])
+    R = np.array(a_field[rows], order="C")
     e = _exponent(R)
     _ldexp(R, -e)
     col_sq = _column_sq_norms(R)
@@ -205,16 +207,13 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     i - j, and since s_grid is centred it is periodic in the lag with
     period n: S_r[i, j] = c_r[(i - j + n//2) mod n], where the generator
     c_r = step * F_fwd(v_r) sits on the centred lag grid
-    ``induced_grid(s_grid)`` (step: the xi_grid step).  One
-    ``_sandwich`` call gives the generators of all ranks.  The factors
-    come from greedy column-pivoted deflation of the field's nonzero rows
-    (``_lowrank_factors``), which stops at the first r whose residual
-    Frobenius norm is at most ``LOWRANK_TAIL`` (1e-13) relative to
-    ||a||_F.  A first-variable symbol is factored from its K x 1 column
-    alpha(r) (``SymbolSpec._compact_field``), every column of its field,
-    and V is that column's factor repeated n times: the K x n field is
-    never formed.  First-variable, second-variable and separable symbols
-    have rank 1.
+    ``induced_grid(s_grid)`` (step: the xi_grid step).  One ``_sandwich``
+    call gives the generators of all ranks.  Every kind is factored one
+    way: ``_lowrank_factors`` (greedy deflation to a Frobenius tail of
+    ``LOWRANK_TAIL`` = 1e-13 relative to ||a||_F) of the field the seam
+    ``SymbolSpec.cell_field`` gives, broadcast to K rows; the sandwich
+    broadcasts a one-column V, so no one-variable field is formed K x n.
+    First-variable, second-variable and separable symbols have rank 1.
 
     Only the rows where w q_r and the fiber record (``Atom.fibers``) are
     both nonzero add to rank r: ``Fibers.rows_for`` gives their hull, and
@@ -244,13 +243,10 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     """
     n = xi_grid.count
     s_grid = induced_grid(xi_grid)
-    if spec.kind == "first":
-        Q, V, tail = _lowrank_factors(
-            spec._compact_field(atom.g1.nodes, s_grid.samples))
-        V = np.repeat(V, n, axis=1)
-    else:
-        Q, V, tail = _lowrank_factors(
-            spec.evaluate_field(atom.g1.nodes, s_grid.samples))
+    field = np.atleast_2d(spec.cell_field(atom.g1, s_grid))
+    Q, V, tail = _lowrank_factors(
+        np.broadcast_to(field, (atom.g1.count, field.shape[1])))
+    del field  # not held through the Gram products
     fib = atom.fibers(xi_grid.samples)
     w = atom.g1.measure_weights
     # row r: the generator c_r, lag (m - n//2) * xi_grid.step at entry m
@@ -360,7 +356,7 @@ def _beta_hat_on_lattice(atom: Atom, beta: Symbol1D,
     count, step = s_grid.count * 4, s_grid.step / 4
     bg = LineGrid(-(count // 2) * step, step, count)
     bhat = _sandwich(bg, "forward", induced_grid(bg)).real_where_even(
-        beta.sample(bg.samples)[None, :])[0]
+        beta.cell_values(bg)[None, :])[0]
     n = xi_grid.count
     return _lag_table(bhat, 2 * n, case_sign(atom.case), n)
 
@@ -446,8 +442,6 @@ def _lanczos_norm(A: np.ndarray) -> float | None:
     1992).  None when A v_0 = 0, at a zero Ritz value (breakdown), or
     without the certificate after ``NORM_MAX_STEPS`` steps.
     """
-    if A.ndim != 2 or not A.size:
-        return None
     n = A.shape[1]
     rng = np.random.default_rng(0x5EED)
     v = rng.standard_normal(n)
@@ -493,9 +487,9 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
     read off exactly as max |d_i|.  Of an n x n matrix it is the certified
     Lanczos estimate of ``_lanczos_norm``, or the dense SVD's sigma_1 where
     that has no certificate, both on the real part alone when no entry has
-    a nonzero imaginary part.  A bare array, 1-D or 2-D, with a part above
-    2^(2B), past what a symbol in the supported range of ``symbols``
-    builds, or not finite raises ``ValueError``.
+    a nonzero imaginary part.  A bare array that is not non-empty 1-D or
+    2-D, or has a part above 2^(2B), past what a symbol in the supported
+    range of ``symbols`` builds, or not finite, raises ``ValueError``.
     """
     if isinstance(M, OperatorMatrix):
         if M.is_hermitian:
@@ -505,6 +499,9 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
     else:
         vals = _in_range(np.asarray(M), "matrix",
                          exponent=2 * RANGE_EXPONENT)
+        if vals.ndim not in (1, 2) or not vals.size:
+            raise ValueError("operator_norm needs a non-empty 1-D or 2-D "
+                             f"array, got shape {vals.shape}")
         real = not (np.iscomplexobj(vals) and vals.imag.any())
     if vals.ndim == 1:
         return float(np.max(np.abs(vals)))

@@ -9,7 +9,8 @@ partition, and a generic sampled escape hatch.
 One-variable factors are ``Symbol1D`` objects: a vectorized callable plus
 the metadata the quadrature rules need (breakpoints, support, realness, a
 sup bound when known).  The CLI's tiny symbol DSL (const:c, indicator:a,b,
-power:p, sampled:file) parses into Symbol1D.
+power:p, sampled:file) parses into Symbol1D.  Every route reads a symbol on the
+grid through one seam, ``SymbolSpec.cell_field`` and ``Symbol1D.cell_values``.
 
 Supported range.  A symbol's ``sup_bound`` (a bound on its modulus), and
 the real and imaginary parts of its samples and of a signal's, are at most
@@ -130,6 +131,10 @@ class Symbol1D:
         that is not finite or out of range there."""
         return _in_range(np.asarray(self(x)), f"symbol {self.descriptor}",
                          " on the grid")
+
+    def cell_values(self, grid) -> np.ndarray:
+        """The seam: the symbol on ``grid``'s cells, its nodes' ``sample``."""
+        return self.sample(grid.nodes)
 
     # -- constructors ---------------------------------------------------------
 
@@ -356,13 +361,17 @@ class SymbolSpec:
         return all(p.is_real for p in parts)
 
     def evaluate_field(self, r_nodes, s_nodes) -> np.ndarray:
-        """Sample a(r, s) on the product grid, shape (len(r), len(s)): a
-        writable copy of ``_compact_field`` broadcast to the grid."""
+        """A writable copy of ``_compact_field`` broadcast to the product
+        grid, shape (len(r), len(s)); the routes read ``cell_field``."""
         shape = (np.size(r_nodes), np.size(s_nodes))
         vals = self._compact_field(r_nodes, s_nodes)
         if vals.shape == shape:
             return vals
         return np.broadcast_to(vals, shape).copy()
+
+    def cell_field(self, g1, g2, rows=slice(None)) -> np.ndarray:
+        """The seam: ``_compact_field`` on the cells of g1[rows] x g2."""
+        return self._compact_field(g1.nodes[rows], g2.samples)
 
     def _compact_field(self, r_nodes, s_nodes) -> np.ndarray:
         """a(r, s) on the product grid in the smallest array that broadcasts

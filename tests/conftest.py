@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tfloc
 from tfloc.atoms import Fibers, make_wavelet, make_window
 from tfloc.symbols import Symbol1D
 
@@ -52,3 +56,31 @@ def fiber_builds(monkeypatch):
 
     monkeypatch.setattr(Fibers, "of", classmethod(counted))
     return calls
+
+
+def _scopes_where(match):
+    """"file:scope" of every node of the package's modules for which
+    ``match`` holds, scope being the dotted class and function path."""
+    src = Path(tfloc.__file__).parent
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if match(child):
+                found.append(f"{path.name}:{scope}")
+            visit(child, inner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), "")
+    return found
+
+
+@pytest.fixture(scope="session")
+def scopes_where():
+    """The structural pins' AST search: ``scopes_where(match)`` lists
+    "file:scope" of every node of the package's modules that ``match``
+    holds for."""
+    return _scopes_where

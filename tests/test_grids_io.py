@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from tfloc import io as tio
 from tfloc.algebra import PartitionCloud
 from tfloc.cli import main
 from tfloc.fields import PhasePlaneField, analyze, random_bandlimited
-from tfloc.grids import LineGrid, SampledFunction, ScaleGrid
+from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from tfloc.io import (_BLOCK_ROWS, _write_blocks, export_cloud, export_field,
                       export_gamma, export_kernel, import_atom,
                       read_signal_csv, sidecar_path, write_json,
@@ -51,6 +52,61 @@ def test_scale_grid_validation():
         ScaleGrid(-1.0, 2.0, 16)
     with pytest.raises(ValueError):
         ScaleGrid(2.0, 1.0, 16)
+
+
+# grid bounds and counts: any float (NaN, infinities and subnormals
+# included), positive floats, and counts that are not whole numbers
+_BOUNDS = st.floats(min_value=0.0) | st.floats()
+_COUNTS = st.integers(-1, 40) | st.floats(-1.0, 40.0) | st.just(math.nan)
+
+
+def _grid_or_none(make, count):
+    """``make()``, a grid of ``count`` finite nodes and weights, or None
+    for its ``ValueError``; no warning is raised either way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            grid = make()
+        except ValueError:
+            return None
+    assert isinstance(grid.count, int) and grid.count == count
+    for a in (grid.nodes, grid.measure_weights,
+              getattr(grid, "weights", grid.measure_weights)):
+        assert a.shape == (count,) and np.all(np.isfinite(a))
+    return grid
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(start=st.floats(), step=_BOUNDS, count=_COUNTS)
+@example(start=0.0, step=1.0, count=2.9)
+@example(start=-1.7e308, step=1e307, count=34)
+@example(start=0.0, step=5e-324, count=2)
+def test_line_grid_and_its_induced_grid_are_finite_or_refused(start, step,
+                                                              count):
+    grid = _grid_or_none(lambda: LineGrid(start, step, count), count)
+    if grid is not None:
+        _grid_or_none(lambda: induced_grid(grid), count)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(half_width=_BOUNDS, count=_COUNTS)
+@example(half_width=1.0, count=0)
+@example(half_width=1.0, count=2.5)
+def test_centered_grid_is_finite_or_refused(half_width, count):
+    _grid_or_none(lambda: LineGrid.centered(half_width, count), count)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(u_min=_BOUNDS, u_max=_BOUNDS, count=_COUNTS)
+@example(u_min=1e-320, u_max=1.0, count=4)
+@example(u_min=1e-300, u_max=1e300, count=4)
+@example(u_min=1.0, u_max=math.inf, count=4)
+@example(u_min=5e-324, u_max=1e-300, count=2)
+@example(u_min=1.0, u_max=2.0, count=2.5)
+def test_scale_grid_is_finite_or_refused(u_min, u_max, count):
+    # a log ratio ln(u_max / u_min) that is not finite, or measure weights
+    # that overflow, raise instead of building inf and NaN weights
+    _grid_or_none(lambda: ScaleGrid(u_min, u_max, count), count)
 
 
 def test_sampled_function_norm_matches_direct_sum():

@@ -14,7 +14,8 @@ from tfloc.fields import PhasePlaneField, axis2_sign
 from tfloc.fourier import fourier
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid
 from tfloc.kernels import GammaFunction, gamma
-from tfloc.operators import OperatorMatrix, filter_signal, hausdorff_distance
+from tfloc.operators import (OperatorMatrix, filter_signal, hausdorff_distance,
+                             operator_norm)
 from tfloc.symbols import Symbol1D, SymbolSpec
 
 G2 = LineGrid(0.0, 1.0, 2)
@@ -85,6 +86,37 @@ CHECKS = {
     "scale-grid-count": (
         lambda s, g: ScaleGrid(1.0, 2.0, 1),
         ValueError, "scale grid needs at least 2 nodes, got 1"),
+    "scale-grid-count-not-whole": (
+        lambda s, g: ScaleGrid(1.0, 2.0, 2.5),
+        ValueError, "grid count 2.5 is not a whole number"),
+    "scale-grid-log-ratio": (
+        lambda s, g: ScaleGrid(1.0, np.inf, 4),
+        ValueError, "scale grid [1.0, inf] overflows"),
+    "scale-grid-measure-weights": (
+        lambda s, g: ScaleGrid(5e-324, 1e-300, 2),
+        ValueError, "scale grid [5e-324, 1e-300] overflows"),
+    "line-grid-count-not-whole": (
+        lambda s, g: LineGrid(0.0, 1.0, 2.9),
+        ValueError, "grid count 2.9 is not a whole number"),
+    "centered-grid-count": (
+        lambda s, g: LineGrid.centered(1.0, 0),
+        ValueError, "grid needs at least 2 samples, got 0"),
+    "operator-norm-empty": (
+        lambda s, g: operator_norm(np.zeros((0, 0))),
+        ValueError, "operator_norm needs a non-empty 1-D or 2-D array, "
+                    "got shape (0, 0)"),
+    "operator-norm-empty-1d": (
+        lambda s, g: operator_norm(np.zeros(0)),
+        ValueError, "operator_norm needs a non-empty 1-D or 2-D array, "
+                    "got shape (0,)"),
+    "operator-norm-3d": (
+        lambda s, g: operator_norm(np.eye(2)[None].repeat(2, axis=0)),
+        ValueError, "operator_norm needs a non-empty 1-D or 2-D array, "
+                    "got shape (2, 2, 2)"),
+    "operator-norm-0d": (
+        lambda s, g: operator_norm(np.array(1.0)),
+        ValueError, "operator_norm needs a non-empty 1-D or 2-D array, "
+                    "got shape ()"),
     "sampled-function-shape": (
         lambda s, g: SampledFunction(G4, [1.0, 2.0]),
         ValueError, "expected 4 values, got shape (2,)"),

@@ -123,6 +123,31 @@ def test_direct_hermitian_iff_real_symbol(gaussian):
     assert not cplx.is_hermitian
 
 
+def test_direct_factors_a_general_field_by_its_shape(gaussian, shannon):
+    # a general symbol's field is broadcast to the grid as its shape
+    # shows: a scalar or a column factors as a first-variable symbol, a row
+    # as a second-variable one, bit for bit, and the slow filter takes each
+    bump, step = Symbol1D.gaussian_bump(1.0, 0.3), Symbol1D.smooth_step(2.0)
+    signal = random_bandlimited(LineGrid.centered(8.0, 64), seed=3)
+    for atom in (gaussian, shannon):
+        grid = _grid_for(atom, 64)
+        cases = {
+            "scalar": (lambda r, s: 0.5,
+                       SymbolSpec.first_variable(Symbol1D.constant(0.5))),
+            "column": (lambda r, s: step(r) + 0.0 * r,
+                       SymbolSpec.first_variable(step)),
+            "row": (lambda r, s: bump(s[0]),
+                    SymbolSpec.second_variable(bump)),
+        }
+        for label, (fn, twin) in cases.items():
+            spec = SymbolSpec.general(fn, label)
+            got, ref = (build_direct(atom, a, grid) for a in (spec, twin))
+            assert _bits(got.values) == _bits(ref.values), (atom.name, label)
+            assert got.lowrank_tail == ref.lowrank_tail, (atom.name, label)
+            assert np.all(np.isfinite(filter_signal(
+                atom, spec, signal, "slow")[0].values))
+
+
 def test_direct_rejects_nonfinite_symbol(gaussian):
     spec = SymbolSpec.general(
         lambda r, s: np.full((r.size, s.size), np.inf), descriptor="inf")

@@ -17,11 +17,14 @@ import tfloc
 import tfloc.kernels
 from tfloc.algebra import Partition
 from tfloc.atoms import Atom, make_wavelet
+from tfloc.fields import random_bandlimited
 from tfloc.grids import LineGrid, SampledFunction
 from tfloc.kernels import (GammaFunction, boundedness_verdict, gamma,
                            overlap_kernel,
                            spectrum_from_gamma, weighted_overlap_kernel)
-from tfloc.operators import OperatorMatrix, default_operator_grid
+from tfloc.operators import (OperatorMatrix, build_direct, build_integral,
+                             build_pseudodiff, default_operator_grid,
+                             filter_signal)
 from tfloc.quadrature import gauss_kronrod
 from tfloc.symbols import (RANGE_EXPONENT, Symbol1D, SymbolParseError,
                            SymbolSpec, _exponent, _in_range, _ldexp,
@@ -952,3 +955,112 @@ def test_evaluate_field_of_each_kind_and_its_non_finite_values():
                  SymbolSpec.general(lambda x, y: spike(x) * y, "g")):
         with pytest.raises(ValueError, match="is not finite on the grid"):
             spec.evaluate_field(r, s)
+
+
+# -- the seam where a symbol meets the grid -------------------------------------
+
+def test_one_seam_where_a_symbol_meets_the_grid(scopes_where):
+    # a symbol is evaluated at a grid's nodes or samples only inside the
+    # seam, cell_values and cell_field; every other sample of a symbol is
+    # the adaptive gamma's, at its quadrature points, and no route calls
+    # evaluate_field
+    evaluators = ("sample", "_compact_field", "evaluate_field", "fn",
+                  "general_fn", "alpha", "beta")
+
+    def reads_a_grid(node):
+        return any(isinstance(n, ast.Attribute) and n.attr in ("nodes",
+                                                               "samples")
+                   for arg in node.args for n in ast.walk(arg))
+
+    def calls(names):
+        return lambda node: (isinstance(node, ast.Call)
+                             and isinstance(node.func, ast.Attribute)
+                             and node.func.attr in names)
+
+    at_grid_nodes = scopes_where(lambda node: calls(evaluators)(node)
+                                 and reads_a_grid(node))
+    assert sorted(at_grid_nodes) == ["symbols.py:Symbol1D.cell_values",
+                                     "symbols.py:SymbolSpec.cell_field"]
+    assert sorted(scopes_where(calls(("sample",)))) == [
+        "kernels.py:_gamma_adaptive.integrand"] * 2 + [
+        "symbols.py:Symbol1D.cell_values"]
+    assert sorted(scopes_where(calls(("_compact_field",)))) == [
+        "symbols.py:SymbolSpec.cell_field",
+        "symbols.py:SymbolSpec.evaluate_field"]
+    assert scopes_where(calls(("evaluate_field",))) == []
+
+
+def _grid_routes(atom, alpha, beta, general, grid, signal):
+    """The bits of every route that reads a symbol on the grid, for the
+    first-variable alpha, the second-variable beta and a general spec."""
+    first = SymbolSpec.first_variable(alpha)
+    separable = SymbolSpec.separable(alpha, beta)
+    out = {f"build_direct {spec.kind}": build_direct(atom, spec, grid).values
+           for spec in (first, SymbolSpec.second_variable(beta), separable,
+                        general)}
+    for rule in ("grid", "fft"):
+        out[f"gamma {rule}"] = gamma(atom, alpha, grid, rule=rule).values
+    out["weighted_overlap_kernel"] = weighted_overlap_kernel(
+        atom, alpha, grid).values
+    out["build_integral"] = build_integral(atom, beta, grid).values
+    out["build_pseudodiff"] = build_pseudodiff(atom, alpha, beta, grid).values
+    out["fast filter"] = filter_signal(atom, first, signal, "fast")[0].values
+    for spec in (first, separable, general):
+        out[f"slow filter {spec.kind}"] = filter_signal(
+            atom, spec, signal, "slow")[0].values
+    return {route: bits(values).tobytes() for route, values in out.items()}
+
+
+def test_every_grid_route_reads_the_symbol_through_the_seam(
+        monkeypatch, gaussian, shannon):
+    # with the seam patched to hand each symbol's grid values to another,
+    # every route that reads the grid gives the other symbol's bits; the
+    # adaptive gamma, the continuum reference, reads the symbol itself and
+    # does not move
+    signal = random_bandlimited(LineGrid.centered(8.0, 256), seed=5)
+    swap = {}  # a symbol, or a general symbol's function -> its stand-in
+
+    def swapped(x):
+        return swap.get(x, x)
+
+    values, field = Symbol1D.cell_values, SymbolSpec.cell_field
+    for atom in (gaussian, shannon):
+        grid = default_operator_grid(atom.case, 64)
+        if atom.case == "gabor":
+            alpha, alpha2 = (Symbol1D.indicator(-1.0, 1.0),
+                             Symbol1D.smooth_step(2.0))
+        else:
+            alpha, alpha2 = (Symbol1D.indicator(1.0, 2.0),
+                             Symbol1D.smooth_step(4.0, log2_axis=True))
+        beta, beta2 = (Symbol1D.cosine_window(2.0),
+                       Symbol1D.gaussian_bump(1.0, 0.3))
+        disk = SymbolSpec.general(
+            lambda r, s: (r * r + s * s <= 4.0).astype(float), "disk:2")
+        radial = SymbolSpec.general(
+            lambda r, s: np.exp(-np.pi * (r * r + s * s)), "radial")
+        own_args = (atom, alpha, beta, disk, grid, signal)
+        own = _grid_routes(*own_args)
+        stand_in = _grid_routes(atom, alpha2, beta2, radial, grid, signal)
+        adaptive = {a: gamma(atom, a, grid, rule="adaptive").values.tobytes()
+                    for a in (alpha, alpha2)}
+        assert all(own[route] != stand_in[route] for route in own)
+
+        swap.clear()
+        swap.update({alpha: alpha2, beta: beta2,
+                     disk.general_fn: radial.general_fn, alpha2: alpha})
+        with monkeypatch.context() as m:
+            m.setattr(Symbol1D, "cell_values",
+                      lambda self, grid: values(swapped(self), grid))
+            m.setattr(SymbolSpec, "cell_field",
+                      lambda self, g1, g2, rows=slice(None): field(
+                          SymbolSpec(self.kind, swapped(self.alpha),
+                                     swapped(self.beta),
+                                     swapped(self.general_fn),
+                                     self.descriptor),
+                          g1, g2, rows))
+            patched = _grid_routes(*own_args)
+            for a in (alpha, alpha2):
+                assert gamma(atom, a, grid, rule="adaptive").values.tobytes() \
+                    == adaptive[a], a.descriptor
+        for route in own:
+            assert patched[route] == stand_in[route], (atom.name, route)

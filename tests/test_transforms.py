@@ -605,27 +605,7 @@ def test_atom_keeps_its_last_fiber_record():
         assert rebuilt.weights is atom.g1.measure_weights
 
 
-def _scopes_where(match):
-    """"file:scope" of every node of the package's modules for which
-    ``match`` holds, scope being the dotted class and function path."""
-    src = Path(tfloc.__file__).parent
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-                inner = f"{scope}.{child.name}" if scope else child.name
-            if match(child):
-                found.append(f"{path.name}:{scope}")
-            visit(child, inner)
-
-    for path in sorted(src.glob("*.py")):
-        visit(ast.parse(path.read_text(), str(path)), "")
-    return found
-
-
-def test_ell_matrix_has_one_caller():
+def test_ell_matrix_has_one_caller(scopes_where):
     # every consumer reads the fiber matrix through Atom.fibers, whose
     # record constructor Fibers.of is the one place that builds it
     def calls_ell_matrix(node):
@@ -633,10 +613,10 @@ def test_ell_matrix_has_one_caller():
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "ell_matrix")
 
-    assert _scopes_where(calls_ell_matrix) == ["atoms.py:Fibers.of"]
+    assert scopes_where(calls_ell_matrix) == ["atoms.py:Fibers.of"]
 
 
-def test_one_dft_sandwich():
+def test_one_dft_sandwich(scopes_where):
     # the continuous Fourier transform of rows has one implementation, the
     # DFT sandwich, and it is the package's only DFT
     def uses_fft(node):
@@ -648,10 +628,10 @@ def test_one_dft_sandwich():
                 and isinstance(node.value, ast.Name)
                 and node.value.id in ("np", "numpy"))
 
-    assert sorted(set(_scopes_where(uses_fft))) == ["fourier.py:_Sandwich.core"]
+    assert sorted(set(scopes_where(uses_fft))) == ["fourier.py:_Sandwich.core"]
 
 
-def test_one_scale_rule_near_the_float_range():
+def test_one_scale_rule_near_the_float_range(scopes_where):
     # values are checked against the supported range, not scaled: the
     # frexp exponent of an array, its exact scale by a power of two and the
     # range check have one definition each, in symbols, and the names of
@@ -662,12 +642,12 @@ def test_one_scale_rule_near_the_float_range():
                              and isinstance(node.value, ast.Name)
                              and node.value.id in modules)
 
-    assert _scopes_where(attribute("frexp", ("math", "np", "numpy"))) == [
+    assert scopes_where(attribute("frexp", ("math", "np", "numpy"))) == [
         "symbols.py:_exponent"]
-    assert _scopes_where(attribute("ldexp", ("np", "numpy"))) == [
+    assert scopes_where(attribute("ldexp", ("np", "numpy"))) == [
         "symbols.py:_ldexp"]
     helpers = ("_exponent", "_ldexp", "_in_range")
-    assert _scopes_where(lambda node: isinstance(node, ast.FunctionDef)
+    assert scopes_where(lambda node: isinstance(node, ast.FunctionDef)
                          and node.name in helpers) == ["symbols.py:"] * 3
     gone = ("OVERFLOW_MARGIN", "unit_scaled", "_products_bounded",
             "scaled_back")
