@@ -73,14 +73,6 @@ def _row_blocks(count: int):
         yield slice(start, min(start + _BLOCK_ROWS, count))
 
 
-def _flushed_words(words: np.ndarray) -> np.ndarray:
-    """Whether the float parts ``words`` (the last axis) hold a word that
-    the flush changes, one flag per leading index: a part below
-    ``_FLUSH_BELOW`` in magnitude that is not +0 (a -0 included)."""
-    return ((np.abs(words) < _FLUSH_BELOW)
-            & (words.view(np.int64) != 0)).any(axis=-1)
-
-
 def _flush(part: np.ndarray):
     """Set every real and imaginary part of ``part`` below ``_FLUSH_BELOW``
     in magnitude to +0, in place."""
@@ -302,9 +294,8 @@ class Fibers:
     2^52 times one power of two u, checked in O(N + K), so every
     omega_i - z_k is exact, (a - b + p i - q k) u: ``ell`` is a strided
     view (strides -q, p) of the window on the p(N - 1) + q(K - 1) + 1
-    differences, 64 KiB at N = 4096, K = 512 against 16 MiB, and ``live``,
-    ``span`` and ``tiny`` are read from that vector.  Other grids and
-    wavelets take ``ell_matrix``'s K x N array.
+    differences, 64 KiB at N = 4096, K = 512 against 16 MiB.  Other grids
+    and wavelets take ``ell_matrix``'s K x N array.
 
     The dtype is ``ell_matrix``'s: float64 for a real profile, complex128
     otherwise (haar, imported atoms with complex samples); consumers are
@@ -318,21 +309,18 @@ class Fibers:
     finite values.
 
     A row is *empty* when every entry has the bit pattern of +0 (a row
-    holding -0 is not).  ``live`` has one flag per block of ``_BLOCK_ROWS``
-    rows, False when every row of the block is empty, and ``span`` is the
-    slice from the first to the last row that is not.  A band-limited
-    wavelet (shannon) or a compactly supported window (rect) has empty rows
-    at the ends of the first coordinate.  ``power_sums`` and the transform
-    chain of ``fields`` skip the empty blocks, and the blocks where a row
-    factor or a symbol is zero, and keep every bit of their outputs.  The
-    direct route and the overlap kernels run over the rows of ``rows_for``
-    their weights, inside the span: the diagonal of a diagonal direct
-    matrix reads them in place, and the Gram products read them as
-    ``gemm_rows`` gives them: contiguous (a copy of a lattice record's
-    rows, since a GEMM on the strided view is slower) and with every part
-    below 2^-511 set to +0, so that no product in the GEMM is subnormal.
-    The rows where that flush changes a word are found once per record,
-    like the empty ones, so a copy flushes only its blocks that hold one.
+    holding -0 is not), found by one scan of the record's words (the real
+    and imaginary parts of a complex record).  ``live`` has one flag per
+    block of ``_BLOCK_ROWS`` rows, False when every row of the block is
+    empty, and ``span`` is the slice from the first to the last row that is
+    not.  A band-limited wavelet (shannon) or a compactly supported window
+    (rect) has empty rows at the ends of the first coordinate.
+    ``power_sums`` and the transform chain of ``fields`` skip the empty
+    blocks, and the blocks where a row factor or a symbol is zero, and keep
+    every bit of their outputs.  The direct route and the overlap kernels
+    run over the rows of ``rows_for`` their weights, inside the span: the
+    diagonal of a diagonal direct matrix reads them in place, and the Gram
+    products read ``gemm_rows``, slices of the record's one flushed copy.
     """
 
     omegas: np.ndarray
@@ -340,10 +328,6 @@ class Fibers:
     weights: np.ndarray  # first-coordinate measure weights
     live: tuple  # per block of rows: False when every entry is +0
     span: slice  # first to last row holding a word other than +0
-    # per row of a lattice record: whether the flush changes a word there
-    # (``gemm_rows``); None for a K x N record, whose flags are found on
-    # first use
-    tiny: np.ndarray | None = None
 
     @classmethod
     def of(cls, atom: Atom, omegas) -> "Fibers":
@@ -351,19 +335,18 @@ class Fibers:
         window vector on a lattice grid, else one ``ell_matrix`` call."""
         omegas = np.array(omegas, dtype=float)
         omegas.flags.writeable = False
-        lattice = _lattice_record(atom, omegas)
-        if lattice is None:
+        L = _lattice_record(atom, omegas)
+        if L is None:
             L = atom.ell_matrix(omegas)
             L.flags.writeable = False
-            # +0 is the one float whose bits are all zero: a row is empty
-            # when every one of its words as an integer is 0
-            nonempty, tiny = L.view(np.int64).any(axis=1), None
-        else:
-            L, nonempty, tiny = lattice
+        # +0 is the one float whose bits are all zero: a row is empty when
+        # the bitwise or of its words as integers is 0
+        parts = (L.real, L.imag) if np.iscomplexobj(L) else (L,)
+        nonempty = np.bitwise_or.reduce([np.bitwise_or.reduce(
+            part.view(np.int64), axis=1) for part in parts]) != 0
         live = tuple(bool(nonempty[rows].any())
                      for rows in _row_blocks(len(L)))
-        return cls(omegas, L, atom.g1.measure_weights, live, _hull(nonempty),
-                   tiny)
+        return cls(omegas, L, atom.g1.measure_weights, live, _hull(nonempty))
 
     def rows_for(self, weights) -> slice:
         """The contiguous hull of the rows where ``weights`` (one value per
@@ -374,14 +357,11 @@ class Fibers:
         return _hull(flags)
 
     def gemm_rows(self, rows: slice) -> np.ndarray:
-        """``ell[rows]`` as a Gram product reads it: C-contiguous, with every
-        real and imaginary part below ``_FLUSH_BELOW`` (2^-511) in magnitude
-        set to +0.  The record's own rows when they are both already (rows
-        of a K x N record that the flush would not change: the wavelets'
-        and rect's off the lattice, and the gaussian's inside its
-        normal-number band), else a copy made a block of ``_BLOCK_ROWS``
-        rows at a time, flushed only where a row holds a word that the
-        flush changes (``_tiny_rows``).  The record is not changed.
+        """``ell[rows]`` as a Gram product reads it: a slice of
+        ``_gemm_span``, read-only, C-contiguous, with every real and
+        imaginary part below ``_FLUSH_BELOW`` (2^-511) in magnitude set to
+        +0.  ``rows`` is empty or inside ``span``, as ``rows_for`` gives
+        it; any other slice raises ``ValueError``.
 
         A GEMM on parts that small forms subnormal products, and each costs
         a microcode assist on x86: the catalog gaussian's tails fall below
@@ -392,29 +372,32 @@ class Fibers:
         2^-510 max|L| sum_k |v_k|, 1.1e-152 for the gaussian's overlap
         kernel.  The rect, shannon and haar records have no nonzero part
         that small."""
-        src = self.ell[rows]
-        tiny = self._tiny_rows[rows]
-        if src.flags.c_contiguous and not tiny.any():
-            return src
-        out = np.empty(src.shape, src.dtype)
-        for block in _row_blocks(len(src)):
-            part = out[block]
-            part[...] = src[block]
-            if tiny[block].any():
-                _flush(part)
-        return out
+        start, stop, step = rows.indices(len(self.ell))
+        if not range(start, stop, step):
+            return self.ell[:0]  # reads nothing, so makes no copy
+        if step != 1 or start < self.span.start or stop > self.span.stop:
+            raise ValueError(f"{rows} is not inside the record's span "
+                             f"{self.span}")
+        return self._gemm_span[start - self.span.start:stop - self.span.start]
 
     @cached_property
-    def _tiny_rows(self) -> np.ndarray:
-        """Per row, whether the flush changes a word there: ``tiny`` of a
-        lattice record, else found on first use a block of ``_BLOCK_ROWS``
-        rows at a time."""
-        if self.tiny is not None:
-            return self.tiny
-        flags = np.empty(len(self.ell), dtype=bool)
-        for rows in _row_blocks(len(self.ell)):
-            flags[rows] = _flushed_words(self.ell[rows].view(float))
-        return flags
+    def _gemm_span(self) -> np.ndarray:
+        """The record's ``span`` rows as ``gemm_rows`` reads them, made on
+        first use: the record's own rows when they are contiguous and the
+        flush changes none of their words (no part below 2^-511 but +0, as
+        in the wavelets' and rect's records off the lattice), else a copy
+        flushed a block of ``_BLOCK_ROWS`` rows at a time."""
+        L = self.ell[self.span]
+        if L.flags.c_contiguous and not any(
+                ((np.abs(w) < _FLUSH_BELOW) & (w.view(np.int64) != 0)).any()
+                for w in map(L.view(float).__getitem__,
+                             _row_blocks(len(L)))):
+            return L
+        out = np.array(L, order="C")
+        for rows in _row_blocks(len(out)):
+            _flush(out[rows])
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def norms(self) -> np.ndarray:
@@ -477,9 +460,8 @@ class Fibers:
 
 
 def _lattice_record(atom: Atom, omegas: np.ndarray):
-    """(record, flags of its nonempty rows, flags of the rows where the
-    flush changes a word) of a window on a lattice grid, from one window
-    vector (``Fibers``); None on any other grid."""
+    """The record of a window on a lattice grid, a read-only strided view of
+    one window vector (``Fibers``); None on any other grid."""
     z = atom.g1.nodes
     K, N = z.size, omegas.size
     if atom.case != "gabor" or N < 2:
@@ -501,22 +483,10 @@ def _lattice_record(atom: Atom, omegas: np.ndarray):
             return None
     v = atom.eval_time((a[0] - b[-1] + np.arange(m)) * u).conj().astype(
         atom.eval_time(np.zeros(1)).dtype, copy=False)
-    # row k reads v[s + p i], s = q (K - 1 - k): the flagged entries of v it
-    # reads are counted by a difference of running counts down the residue
-    # class of s mod p
-    s, t = np.divmod(q * np.arange(K - 1, -1, -1), p)
-
-    def rows_reading(flags):
-        c = np.zeros((-(-m // p) + 1, p), np.int64)
-        c.reshape(-1)[p:p + m] = flags
-        np.cumsum(c, axis=0, out=c)
-        return c[s + N, t] > c[s, t]
-
-    words = v.view(float).reshape(m, -1)
-    return (np.lib.stride_tricks.as_strided(
+    # row k reads v[q (K - 1 - k) + p i]
+    return np.lib.stride_tricks.as_strided(
         v[q * (K - 1):], (K, N), (-q * v.itemsize, p * v.itemsize),
-        writeable=False), rows_reading(words.view(np.int64).any(axis=1)),
-        rows_reading(_flushed_words(words)))
+        writeable=False)
 
 
 def _integral(fn, edges) -> float:

@@ -75,6 +75,14 @@ def _grid_size(text: str) -> int:
     return n
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"need a non-negative integer, got {seed}")
+    return seed
+
+
 def _add_common(p: argparse.ArgumentParser, need_symbol: bool = False,
                 xi_window: bool = True, dense: bool = False):
     """Options shared by the commands; ``need_symbol=True`` adds --symbol
@@ -130,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=("cto1", "cto2", "cto3", "transforms",
                                      "algebra"))
     _add_common(p, xi_window=False, dense=True)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="seed of the suite's random test vectors")
 
     p = sub.add_parser("filter", help="apply a localization operator to a "

@@ -38,15 +38,16 @@ and carried back at once, with the bits of ``bargmann_adjoint``, then
 A band-limited wavelet (shannon) or a compactly supported window (rect) has
 whole blocks of first-axis rows where the fiber record is exactly +0: the
 record's *empty* blocks, ``Fibers.live``.  ``_stream`` does not transform them.
-With h, the rows of an empty block all embed to one row, which it transforms
-once per call and copies into the field (or, in a projection, leaves out: its
-terms are signed zeros).  From a field, it skips a block whose output fibers
-are empty.  A slow filter skips each block that its symbol mask
-(``SymbolSpec.cell_field``, the seam) zeroes, so its cost follows the blocks
-the symbol touches.  Every output keeps its bits, signs of zero included: a
-skipped block is finite, since its inputs are in the supported range of
-``symbols``, which ``analyze``, ``bargmann_adjoint``, ``round_trip`` and
-``bargmann`` check on theirs.
+With h, the rows of an empty block all embed to one row of signed zeros,
+which a returned field transforms once per call and copies into its rows; a
+projection leaves the block out (its terms are signed zeros, its row energies
++0).  From a field, it skips a block whose output fibers are empty.  A slow
+filter skips each block that its symbol mask (``SymbolSpec.cell_field``, the
+seam) zeroes, so its cost follows the blocks the symbol touches.  Every
+output keeps its bits, signs of zero included: a skipped block is finite,
+since its inputs are in the supported range of ``symbols``, which
+``analyze``, ``bargmann_adjoint``, ``round_trip`` and ``bargmann`` check on
+theirs.
 
 On two CPUs ``_stream`` shares its blocks between the caller and one pooled
 worker thread, which take parts from one queue in order; a part the worker
@@ -361,9 +362,9 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     - a returned field: the two row halves of every live block, in one
       call, in the field's own rows.
 
-    The caller also transforms the empty row.  A complex record's
-    projection takes the conjugate of the block's fiber rows, one block
-    more per thread.
+    The caller also transforms a returned field's empty row.  A complex
+    record's projection takes the conjugate of the block's fiber rows, one
+    block more per thread.
 
     A block that is not finite after its last transform raises the
     ``ValueError`` of a non-finite ``PhasePlaneField``, so the returned
@@ -375,14 +376,14 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     output keeps its bits, signs of zero included:
 
     - with ``h``, every row of a block whose input fibers are empty embeds
-      to the same row, (+0) * (h * pre_b).  That row is transformed once per
-      call, through the same core and diagonal, and checked finite.  A
-      returned field takes a copy of it in each such row (a +0 fill would
-      drop the signs of its zeros), and ``energy`` its energy; a projection
-      (onto h's grid, whose fibers are the input's) skips the block, whose
-      terms are then signed zeros, and adding +-0 to the running sum,
-      which starts at +0, changes no bit.  The symbol is still evaluated on
-      every block, so a symbol not finite on a skipped block raises.
+      to the same row of signed zeros, (+0) * (h * pre_b).  A returned
+      field transforms it once per call, through the same core and
+      diagonal, and copies it into each such row (a +0 fill would drop the
+      signs of its zeros).  A projection (onto h's grid, whose fibers are
+      the input's) skips the block: its terms are signed zeros, adding +-0
+      to the running sum, which starts at +0, changes no bit, and its row
+      energies are +0.  The symbol is still evaluated on every block, so a
+      symbol not finite on a skipped block raises.
     - from ``field`` (``bargmann``'s path: ``out_grid`` and no symbol), a
       block whose output fibers are empty projects to signed zeros and is
       skipped.
@@ -460,16 +461,17 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
         elif spec is not None and not mask.any():
             continue
         elif not fibers_in.live[b]:
+            if out_grid is not None:
+                if energy is not None:
+                    energy[rows] = 0.0
+                continue
             if empty_row is None:
                 empty_row = np.multiply(L_in[rows.start:rows.start + 1],
                                         h_pre)
                 backward.core(empty_row)
                 np.multiply(diag, empty_row, out=empty_row)
                 _require_finite(empty_row)
-            if out_grid is None:
-                out[rows] = empty_row
-            if energy is not None:
-                energy[rows] = _row_energies(empty_row)
+            out[rows] = empty_row
             continue
         if out_grid is None:
             parts += _parts(k, rows, out[rows], mask)

@@ -368,9 +368,9 @@ def _fiber_overlap(atom: Atom, w: np.ndarray, xi_grid: LineGrid) -> np.ndarray:
     """First-coordinate quadrature of w * conj(ell(., xi_i)) * ell(., xi_j),
     over the rows that carry it (``Fibers.rows_for`` w): every other row
     adds only zeros.  An empty slice gives the zero kernel.  The GEMM reads
-    ``Fibers.gemm_rows`` of those rows, with the parts below 2^-511 set to
-    +0 so that no product in it is subnormal: an entry moves by at most
-    2^-510 max|ell| sum_k |w_k|."""
+    ``Fibers.gemm_rows`` of those rows, a slice of the record's one copy
+    with the parts below 2^-511 set to +0 so that no product in it is
+    subnormal: an entry moves by at most 2^-510 max|ell| sum_k |w_k|."""
     fib = atom.fibers(xi_grid.samples)
     rows = fib.rows_for(w)
     L = fib.gemm_rows(rows)

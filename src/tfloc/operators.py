@@ -232,11 +232,10 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     copy of the rows.  Any other M is dense: each rank, a lag-0 delta
     among them, costs one Gram GEMM and one elementwise product with S_r, a
     strided view of c_r tiled three times (``_add_lag_product``).  The GEMM
-    reads the rows as ``Fibers.gemm_rows`` gives them: contiguous (a copy
-    for a lattice record) and with every real and imaginary part below
-    2^-511 set to +0, since subnormal products slow the GEMM about 5x on
-    the gaussian's tails.  That moves G_r by at most 2^-510 max|L| sum_k |w q_r|, about
-    1e-152 for the gaussian; no other catalog record has such parts.
+    reads ``Fibers.gemm_rows``, a slice of the record's one contiguous copy
+    with every part below 2^-511 set to +0 (subnormal products slow the
+    GEMM about 5x on the gaussian's tails), which moves G_r by at most
+    2^-510 max|L| sum_k |w q_r|, about 1e-152 for the gaussian.
     G_r = X^T L_s with X = conj(L_s) diag(w q_r), a real GEMM when L and
     q_r are real, and one real GEMM on the interleaved float view of X when
     only q_r is complex, so a real record is never cast to complex.
@@ -275,9 +274,9 @@ def build_direct(atom: Atom, spec: SymbolSpec,
 def _gram(L: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The Gram product L^H diag(weights) L, as one GEMM X^T L with
     X = conj(L) diag(weights), on L the record's rows as
-    ``Fibers.gemm_rows`` gives them: contiguous, and with the parts below
-    2^-511 set to +0, so that no product in the GEMM is subnormal, which
-    moves an entry by at most 2^-510 max|L| sum_k |weights[k]|."""
+    ``Fibers.gemm_rows`` gives them, with the parts below 2^-511 set to +0
+    so that no product is subnormal: an entry moves by at most
+    2^-510 max|L| sum_k |weights[k]|."""
     X = np.conj(L, out=np.empty(L.shape, np.result_type(L, weights)))
     X *= weights[:, None]
     if X.dtype == L.dtype:

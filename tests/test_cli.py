@@ -1115,6 +1115,19 @@ def test_cmd_rejects_n_below_two(tmp_path, capsys, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("suite", ["cto1", "transforms"])
+def test_cmd_verify_rejects_a_negative_seed(tmp_path, capsys, suite):
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        run("verify", suite, "--n", "64", "--seed", "-1", "--out", str(out))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("tfloc verify: error: argument --seed: need a "
+                        "non-negative integer, got -1\n")
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_cmd_spectrum_eig_failure_exits_2(tmp_path, monkeypatch, capsys):
     calls = []
 

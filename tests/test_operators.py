@@ -1,3 +1,4 @@
+import ast
 import math
 import tracemalloc
 import warnings
@@ -597,9 +598,10 @@ def test_gram_products_are_the_plain_gemm_within_the_flush_bound(
         tiny = np.abs(parts) < FLUSH_BELOW
         flushed = tiny & (parts != 0)
         assert flushed.any() == (atom.name == "gaussian"), atom.name
-        C = fib.gemm_rows(slice(0, K)).view(np.int64)
+        span = fib.span
+        C, tiny = fib.gemm_rows(span).view(np.int64), tiny[span]
         assert not C[tiny].any()
-        assert np.array_equal(C[~tiny], L.view(np.int64)[~tiny])
+        assert np.array_equal(C[~tiny], L[span].view(np.int64)[~tiny])
     # one read per kernel, per rank of each direct build, and the check's
     assert len(read) == 5 * len(grids)
     for C in read:
@@ -607,24 +609,58 @@ def test_gram_products_are_the_plain_gemm_within_the_flush_bound(
         assert not np.any((np.abs(parts) < FLUSH_BELOW) & (parts != 0))
 
 
-@pytest.mark.parametrize("n", [256, 512])
-def test_the_rank_20_disk_has_no_block_to_flush(monkeypatch, n):
-    # the disk of radius 2 reads the 65 rows |z| <= 2 of the gaussian's
-    # lattice record, where every fiber value is at least exp(-100 pi), far
-    # above 2^-511: its 20 Gram products copy those rows and flush none of
-    # their blocks.  The overlap kernel reads all 512 rows, and each of its
-    # 8 blocks holds tail rows to flush
-    flushes = []
-    flush = atoms._flush
+def test_a_record_is_flushed_once_for_all_its_gram_products(monkeypatch):
+    # the rank-20 disk (20 Gram products over the 65 rows |z| <= 2), the
+    # overlap kernel and a weighted overlap kernel (all 512 rows) on one
+    # gaussian lattice record at n = 256 read slices of one flushed copy of
+    # the record's span: its 8 blocks are flushed once, by the first Gram
+    # product, and every product reads the memory of that one array
+    flushes, read = [], []
+    flush, original = atoms._flush, Fibers.gemm_rows
     monkeypatch.setattr(atoms, "_flush",
                         lambda part: flushes.append(len(part)) or flush(part))
+    monkeypatch.setattr(Fibers, "gemm_rows", lambda self, rows: read.append(
+        original(self, rows)) or read[-1])
     atom = make_atom("gabor", "gaussian")
-    grid = default_operator_grid("gabor", n)
+    grid = default_operator_grid("gabor", 256)
     M = build_direct(atom, _support_specs("gabor")["disk"], grid)
     assert M.lowrank_rank == 20 and M.gram_rows == 65
-    assert flushes == []
     overlap_kernel(atom, grid)
+    weighted_overlap_kernel(atom, Symbol1D.gaussian_bump(1.0), grid)
     assert flushes == [_BLOCK_ROWS] * 8
+    assert len(read) == 22
+    whole = read[20]
+    assert whole.shape == (atom.g1.count, grid.count)
+    assert whole.flags.c_contiguous and not whole.flags.writeable
+    assert all(np.shares_memory(C, whole) for C in read)
+
+
+@pytest.mark.parametrize("atom_name", ["gaussian", "rect", "shannon", "haar"])
+def test_gemm_rows_are_read_inside_the_span(atom_name, request):
+    # rows_for's slices: an empty one, or unit steps inside the span; any
+    # other is refused (rect and shannon have rows outside their span)
+    atom = request.getfixturevalue(atom_name)
+    fib = Fibers.of(atom, _grid_for(atom, 64).samples)
+    lo, hi = fib.span.start, fib.span.stop
+    # an empty slice reads nothing and makes no copy
+    assert fib.gemm_rows(slice(0, 0)).shape == (0, 64)
+    assert "_gemm_span" not in vars(fib)
+    assert fib.gemm_rows(fib.span).shape == (hi - lo, 64)
+    outside = [slice(lo, hi, 2), slice(hi - 1, lo, -1)]
+    if atom_name in ("rect", "shannon"):
+        outside += [slice(0, hi), slice(lo, atom.g1.count)]
+    for rows in outside:
+        with pytest.raises(ValueError, match="not inside the record's span"):
+            fib.gemm_rows(rows)
+
+
+def test_the_flush_has_one_call_site(scopes_where):
+    # the record's flushed copy is the one place that flushes
+    def calls_flush(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_flush")
+
+    assert scopes_where(calls_flush) == ["atoms.py:Fibers._gemm_span"]
 
 
 @pytest.mark.parametrize("name", ["gaussian", "shannon", "haar"])

@@ -468,18 +468,13 @@ def _footprint(a) -> int:
 
 
 def _materialized(atom, omegas):
-    """ell_matrix's array with the live flags, span and flush flags found
-    from it: a row is flushed where it holds a part below 2^-511 in
-    magnitude that is not +0."""
+    """ell_matrix's array with the live flags and span found from it."""
     L = atom.ell_matrix(omegas)
-    words = L.view(np.int64).reshape(len(L), -1)
-    nonempty = words.any(axis=1)
+    nonempty = L.view(np.int64).reshape(len(L), -1).any(axis=1)
     live = tuple(bool(nonempty[rows].any()) for rows in _row_blocks(len(L)))
     at = np.flatnonzero(nonempty)
     span = slice(int(at[0]), int(at[-1]) + 1) if at.size else slice(0, 0)
-    tiny = ((np.abs(words.view(float)) < 2.0 ** -511) & (words != 0)).any(
-        axis=1)
-    return L, live, span, tiny
+    return L, live, span
 
 
 def _windows(tmp_path):
@@ -510,7 +505,7 @@ def test_lattice_record_keeps_the_bits_of_ell_matrix(grid, tmp_path):
     # values: the bits, dtype, live flags and span of ell_matrix's array
     for atom in _windows(tmp_path):
         fib = Fibers.of(atom, grid.samples)
-        L, live, span, tiny = _materialized(atom, grid.samples)
+        L, live, span = _materialized(atom, grid.samples)
         K, N = L.shape
         u = min(grid.step, atom.g1.step)
         p, q = grid.step / u, atom.g1.step / u
@@ -521,8 +516,6 @@ def test_lattice_record_keeps_the_bits_of_ell_matrix(grid, tmp_path):
         assert np.array_equal(np.ascontiguousarray(fib.ell).view(np.int64),
                               L.view(np.int64)), atom
         assert (fib.live, fib.span) == (live, span), atom
-        # the rows to flush, read from the window vector
-        assert np.array_equal(fib.tiny, tiny), atom
         assert not fib.ell.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             fib.ell[0, 0] = 1.0
@@ -550,11 +543,10 @@ def test_record_off_the_lattice_is_ell_matrix(grid, g1, tmp_path):
         if g1 is not None:
             atom.g1 = g1
         fib = Fibers.of(atom, grid.samples)
-        L, live, span, tiny = _materialized(atom, grid.samples)
+        L, live, span = _materialized(atom, grid.samples)
         assert fib.ell.flags.owndata and fib.ell.flags.c_contiguous
         assert np.array_equal(fib.ell.view(np.int64), L.view(np.int64)), atom
         assert (fib.live, fib.span) == (live, span), atom
-        assert fib.tiny is None and np.array_equal(fib._tiny_rows, tiny), atom
         assert not fib.ell.flags.writeable
 
 
