@@ -635,6 +635,39 @@ def test_a_record_is_flushed_once_for_all_its_gram_products(monkeypatch):
     assert all(np.shares_memory(C, whole) for C in read)
 
 
+@pytest.mark.parametrize("n", [256, 512])
+def test_the_rank_20_disk_has_no_block_to_flush(monkeypatch, n):
+    # the disk of radius 2 reads the 65 rows |z| <= 2 of the gaussian's
+    # lattice record, where every fiber value is at least exp(-100 pi), far
+    # above 2^-511: its 20 Gram products read those rows bit for bit, with
+    # no part flushed.  The record's copy is flushed once, by the first of
+    # them, and the overlap kernel, which reads all 512 rows, flushes no
+    # block again but reads the tail rows with their tiny parts at +0
+    flushes, read = [], []
+    flush, original = atoms._flush, Fibers.gemm_rows
+    monkeypatch.setattr(atoms, "_flush",
+                        lambda part: flushes.append(len(part)) or flush(part))
+    monkeypatch.setattr(Fibers, "gemm_rows", lambda self, rows: read.append(
+        (rows, original(self, rows))) or read[-1][1])
+    atom = make_atom("gabor", "gaussian")
+    grid = default_operator_grid("gabor", n)
+    M = build_direct(atom, _support_specs("gabor")["disk"], grid)
+    assert M.lowrank_rank == 20 and M.gram_rows == 65
+    L = atom.fibers(grid.samples).ell
+    assert len(read) == 20
+    for rows, C in read:
+        assert C.tobytes() == np.ascontiguousarray(L[rows]).tobytes()
+    assert flushes == [_BLOCK_ROWS] * 8
+    overlap_kernel(atom, grid)
+    assert flushes == [_BLOCK_ROWS] * 8
+    rows, C = read[-1]
+    assert (C.shape[0], rows) == (atom.g1.count, slice(0, atom.g1.count))
+    parts = L.view(float)
+    flushed = (np.abs(parts) < FLUSH_BELOW) & (parts != 0)
+    assert flushed.any()
+    assert not C.view(float)[flushed].any()
+
+
 @pytest.mark.parametrize("atom_name", ["gaussian", "rect", "shannon", "haar"])
 def test_gemm_rows_are_read_inside_the_span(atom_name, request):
     # rows_for's slices: an empty one, or unit steps inside the span; any
