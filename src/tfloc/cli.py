@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: gamma, spectrum, kernel, verify, filter, algebra.  Outputs are
-CSV files with JSON sidecars (or single JSON files with --format json),
-written atomically; identical configurations produce byte-identical files.
+Subcommands: gamma, spectrum, kernel, verify, filter, algebra.  Each writes
+through one ``io`` writer, atomically: a CSV file with a JSON sidecar, or
+verify's JSON report.  Identical configurations produce byte-identical files.
 The BLAS thread count is part of the configuration: on two OpenBLAS threads
 the dense eigensolves of some ``verify`` suites write other bits than on
 one (``OPENBLAS_NUM_THREADS=1``).
@@ -87,9 +87,9 @@ def _add_common(p: argparse.ArgumentParser, need_symbol: bool = False,
                 xi_window: bool = True, dense: bool = False):
     """Options shared by the commands; ``need_symbol=True`` adds --symbol
     and the gamma rule --rule (gamma, spectrum); ``xi_window=False`` leaves
-    out --xi-min, --xi-max and --format (verify uses the default window and
-    always writes JSON); ``dense=True`` adds --allow-large to the commands
-    that can build n x n matrices."""
+    out --xi-min and --xi-max (verify uses the default window);
+    ``dense=True`` adds --allow-large to the commands that can build n x n
+    matrices."""
     p.add_argument("--case", choices=("wavelet", "gabor"), default="gabor")
     p.add_argument("--atom", default=None,
                    help="catalog atom name (default per case)")
@@ -103,7 +103,6 @@ def _add_common(p: argparse.ArgumentParser, need_symbol: bool = False,
     if xi_window:
         p.add_argument("--xi-min", type=float, default=None)
         p.add_argument("--xi-max", type=float, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", required=True, help="output path")
     if dense:
         p.add_argument("--allow-large", action="store_true",
@@ -203,12 +202,7 @@ def cmd_gamma(args) -> int:
                             "grid_rule_indicator_edges": "O(step)"})
     if gf.abserr is not None:
         meta["quadrature_abserr_max"] = gf.abserr
-    if args.format == "json":
-        tio.write_json(args.out, {
-            **meta, "xi": gf.grid.samples.tolist(),
-            "re": gf.values.real.tolist(), "im": gf.values.imag.tolist()})
-    else:
-        tio.export_gamma(args.out, gf, metadata=meta)
+    tio.export_gamma(args.out, gf, metadata=meta)
     return 0
 
 
@@ -245,14 +239,8 @@ def cmd_spectrum(args) -> int:
         meta["lowrank_rank"] = M.lowrank_rank
         meta["lowrank_tail"] = M.lowrank_tail
         meta["gram_rows"] = M.gram_rows
-    if args.format == "json":
-        tio.write_json(args.out, {
-            **meta,
-            "values": [{"kind": k, "re": re, "im": im} for k, re, im in zip(
-                kinds, values.real.tolist(), values.imag.tolist())]})
-    else:
-        tio.write_table(args.out, ["kind", "re", "im"],
-                        [kinds, values.real, values.imag], meta)
+    tio.write_table(args.out, ["kind", "re", "im"],
+                    [kinds, values.real, values.imag], meta)
     return 0
 
 
@@ -271,12 +259,7 @@ def cmd_kernel(args) -> int:
         tolerances = {"hermitian": 1e-10, "diag_unit_healthy": atom.fiber_tol}
     meta = _config_meta(args, symbol=km.symbol_descriptor, kind=km.builder,
                         tolerances=tolerances)
-    if args.format == "json":
-        tio.write_json(args.out, {
-            **meta, "xi": grid.samples.tolist(),
-            "re": km.values.real.tolist(), "im": km.values.imag.tolist()})
-    else:
-        tio.export_kernel(args.out, km, metadata=meta)
+    tio.export_kernel(args.out, km, metadata=meta)
     return 0
 
 
@@ -413,12 +396,7 @@ def cmd_algebra(args) -> int:
                          "sample inside the healthy range")
     meta = _config_meta(args, partition=part.descriptor(), m=part.m,
                         simplex_sum_deviation=dev)
-    if args.format == "json":
-        tio.write_json(args.out, {
-            **meta, "xi": cloud.xi_grid.samples.tolist(),
-            "points": cloud.points.tolist()})
-    else:
-        tio.export_cloud(args.out, cloud, metadata=meta)
+    tio.export_cloud(args.out, cloud, metadata=meta)
     return 0
 
 

@@ -26,14 +26,17 @@ rect, shannon) and complex128 otherwise; fields are always complex128.
 axis-2 transform, symbol mask, forward transform and fiber projection on
 blocks of ``atoms._BLOCK_ROWS`` first-axis rows.  A call that returns a
 function on the second axis never holds a K x N field or mask, and
-``bargmann_adjoint`` holds its field as the one array of its size.  Row
-transforms do not depend on the block they sit in, so analysis fields have
-the bits of the same steps on the whole array; a projection sums its blocks
-in turn, which moves it at rounding against one quadrature of the whole
-field.  ``round_trip`` is the reproducing formula in one pass: each block of
-an analysis field is formed, its row energies taken for the field's norm,
-and carried back at once, with the bits of ``bargmann_adjoint``, then
-``weighted_norm``, then ``bargmann``, and no field held.
+``bargmann_adjoint`` holds its field as the one array of its size.  Its two
+DFT sandwiches (``fourier._sandwich``) are made first, and a second-axis
+grid they cannot pair (another count or step) raises ``ValueError`` before
+any field or block buffer is made.  Row transforms do not depend on the
+block they sit in, so analysis fields have the bits of the same steps on the
+whole array; a projection sums its blocks in turn, which moves it at
+rounding against one quadrature of the whole field.  ``round_trip`` is
+the reproducing formula in one pass: each block of an analysis field is
+formed, its row energies taken for the field's norm, and carried back at
+once, with the bits of ``bargmann_adjoint``, then ``weighted_norm``, then
+``bargmann``, and no field held.
 
 A band-limited wavelet (shannon) or a compactly supported window (rect) has
 whole blocks of first-axis rows where the fiber record is exactly +0: the
@@ -397,10 +400,14 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     k = _PARTS if g2.count >= _SPLIT_COLUMNS else 1  # CPUs that take parts
     whole = out_grid is not None and spec is None  # parts are whole blocks
     parts = []  # the parts of one _run_parts call after the loop
+    # the sandwiches check that their grids pair (module docstring)
+    if out_grid is not None:
+        forward = _sandwich(g2, axis2_sign(atom.case, "forward"), out_grid)
+    if h is not None:
+        backward = _sandwich(h.grid, axis2_sign(atom.case, "backward"), g2)
     if out_grid is None:
         out = np.empty((count, g2.count), dtype=complex)
     else:
-        forward = _sandwich(g2, axis2_sign(atom.case, "forward"), out_grid)
         fibers_out = atom.fibers(out_grid.samples)
         L_out = fibers_out.ell
         weights = g1.measure_weights
@@ -412,7 +419,6 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
         buffers = [] if whole else [np.empty(shape, dtype=complex)]
         projections = {}  # per block of an unmasked projection
     if h is not None:
-        backward = _sandwich(h.grid, axis2_sign(atom.case, "backward"), g2)
         fibers_in = atom.fibers(h.grid.samples)
         L_in = fibers_in.ell
         h_pre = h.values * backward.pre

@@ -14,9 +14,10 @@ windows) the product's own rounding, up to about n*eps turns, still reaches
 the phase.
 
 ``_sandwich`` is the one implementation of that map, on the rows of a 2-D
-array.  ``fourier`` applies it to one row and ``operators.build_direct`` to
-the rows of its lag generators: the pre-phase, the DFT core and the
-post-phase, which carries the scale, each a pass over the array.
+array, and the one check that its two grids pair.  ``fourier`` applies it
+to one row and ``operators.build_direct`` to the rows of its lag
+generators: the pre-phase, the DFT core and the post-phase, which carries
+the scale, each a pass over the array.
 ``fields._stream`` (the axis-2 transforms on blocks of phase-plane rows)
 runs only the core on its blocks; the two diagonals depend on the column
 alone, and it folds them into the n-vectors it applies anyway.  The
@@ -62,8 +63,6 @@ def fourier(f: SampledFunction, sign: str = "forward",
         raise ValueError("input contains non-finite values")
     grid = f.grid
     out = induced_grid(grid) if out_grid is None else out_grid
-    _check_compatible(grid, out)
-
     return SampledFunction(out,
                            _sandwich(grid, sign, out)(f.values[None, :])[0])
 
@@ -105,8 +104,10 @@ def _sandwich(in_grid: LineGrid, sign: str, out_grid: LineGrid) -> "_Sandwich":
     in_grid.step * out_grid.start is exactly -1/2 and every factor is +-1.
     Elsewhere the arguments are rounded products, off by up to about n*eps
     turns, and the factors carry that error.  The scale in_grid.step rides
-    on ``post``.
+    on ``post``.  Grids the DFT cannot pair (another count, or a step
+    other than 1/(count*step)) raise ``ValueError``.
     """
+    _check_compatible(in_grid, out_grid)
     n = in_grid.count
     sgn = -1.0 if sign == "forward" else 1.0
     j = np.arange(n)

@@ -1,7 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 
+from tfloc import atoms
+from tfloc.atoms import AdmissibilityError, make_wavelet, make_window
 from tfloc.io import export_atom, import_atom
 
 LN2 = math.log(2.0)
@@ -124,6 +127,32 @@ def test_eval_power_is_the_squared_frequency_profile(shannon, haar,
 def test_wavelets_are_real_valued(shannon, haar):
     for atom in (shannon, haar):
         assert np.max(np.abs(atom.time_samples.values.imag)) <= 1e-12
+
+
+def _complex_shannon(original=atoms._shannon_profiles):
+    """Shannon's profiles with an imaginary part of 1e-9 of the time one."""
+    time, freq, c = original()
+    return (lambda x: time(x) * (1 + 1e-9j)), freq, c
+
+
+@pytest.mark.parametrize("name,patch,message,residual", [
+    ("shannon", (atoms, "_shannon_profiles", _complex_shannon),
+     "shannon: wavelet must be real-valued", 2 / math.sqrt(LN2) * 1e-9),
+    ("shannon", (atoms.Atom, "admissibility_residual", lambda self: 1e-3),
+     "shannon: admissibility tolerance 1e-06 not met", 1e-3),
+    ("gaussian", (atoms, "_integral", lambda fn, edges: 1.44),
+     "gaussian: unit-norm tolerance 1e-10 not met", 0.2),
+], ids=["not-real", "not-admissible", "not-unit-norm"])
+def test_catalog_certificates_raise_admissibility_error(
+        monkeypatch, name, patch, message, residual):
+    # no catalog atom fails its certificate; each patch makes one fail
+    monkeypatch.setattr(*patch)
+    make = make_wavelet if name == "shannon" else make_window
+    with pytest.raises(AdmissibilityError) as exc:
+        make(name)
+    assert math.isclose(exc.value.residual, residual, rel_tol=1e-9)
+    assert str(exc.value) == f"{message} (achieved residual {residual:.3e})"
+    assert isinstance(exc.value, ValueError)
 
 
 # -- windows ---------------------------------------------------------------------

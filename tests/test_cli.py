@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import sys
 import tracemalloc
 import warnings
@@ -182,12 +183,24 @@ def test_cmd_gamma_deterministic(tmp_path):
             == open(sidecar_path(b), "rb").read())
 
 
-def test_cmd_gamma_json_format(tmp_path):
-    out = str(tmp_path / "g.json")
-    assert run("gamma", "--case", "gabor", "--symbol", "const:1",
-               "--format", "json", "--out", out) == 0
-    data = json.loads(open(out).read())
-    assert len(data["re"]) == 256 and max(abs(v - 1) for v in data["re"]) <= 1e-6
+def test_python_m_tfloc_exits_with_the_code_of_main(tmp_path, monkeypatch,
+                                                   capsys):
+    # ``python -m tfloc`` runs tfloc/__main__.py, which exits with main's
+    # code and writes main's bytes
+    argv = ["gamma", "--symbol", "const:1", "--n", "16", "--out"]
+    via_m, direct = str(tmp_path / "m.csv"), str(tmp_path / "d.csv")
+    for args, code in (([*argv, via_m], 0),
+                       (["gamma", "--symbol", "nosuch:1", "--out", direct], 2)):
+        monkeypatch.setattr(sys, "argv", ["tfloc", *args])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("tfloc", run_name="__main__")
+        assert exc.value.code == code
+    assert "tfloc gamma: error:" in capsys.readouterr().err
+    assert not os.path.exists(direct)
+    assert run(*argv, direct) == 0
+    for suffix in ("", ".meta.json"):
+        assert (open(via_m + suffix, "rb").read()
+                == open(direct + suffix, "rb").read())
 
 
 def test_cmd_gamma_sidecar_abserr(tmp_path):
@@ -297,6 +310,7 @@ def _rejects(capsys, out, *argv):
     err = capsys.readouterr().err
     assert err.endswith(RANGE_ERROR) and "Traceback" not in err, err
     assert not os.path.exists(out)
+    assert not os.path.exists(sidecar_path(str(out)))
 
 
 def _all_finite(doc) -> bool:
@@ -308,12 +322,16 @@ def _all_finite(doc) -> bool:
     return not isinstance(doc, float) or math.isfinite(doc)
 
 
-def _complex_values(doc) -> np.ndarray:
-    """The complex values of a ``gamma``, ``kernel`` or ``spectrum`` JSON
-    output."""
-    if "values" in doc:
-        return np.array([v["re"] + 1j * v["im"] for v in doc["values"]])
-    return np.array(doc["re"]) + 1j * np.array(doc["im"])
+def _csv_rows(path):
+    with open(path) as fh:
+        return [line.split(",") for line in fh.read().splitlines()[1:]]
+
+
+def _complex_values(path) -> np.ndarray:
+    """The complex values of a ``gamma``, ``kernel`` or ``spectrum`` CSV:
+    its last two columns, re and im, in row order."""
+    return np.array([complex(float(r[-2]), float(r[-1]))
+                     for r in _csv_rows(path)])
 
 
 @pytest.mark.parametrize("argv", [("gamma", "--rule", "grid"),
@@ -349,18 +367,19 @@ def test_cmd_symbol_at_the_largest_float(tmp_path, capsys, argv):
     # supported range, runs every route with no warning, and its outputs
     # are 2^256 times const:1's
     for c in (1e308, 1e307, OVER):
-        _rejects(capsys, tmp_path / "o.json", *argv, "--symbol",
-                 f"const:{c!r}", "--n", "64", "--format", "json")
+        _rejects(capsys, tmp_path / "o.csv", *argv, "--symbol",
+                 f"const:{c!r}", "--n", "64")
     outs = {}
     for c in (1.0, TOP):
-        out = tmp_path / f"o-{c}.json"
+        out = str(tmp_path / f"o-{c}.csv")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(*argv, "--symbol", f"const:{c!r}", "--n", "64",
-                       "--format", "json", "--out", str(out)) == 0
-        doc = json.loads(out.read_text())
-        assert _all_finite(doc)
-        outs[c] = _complex_values(doc)
+                       "--out", out) == 0
+        values = _complex_values(out)
+        assert np.all(np.isfinite(values))
+        assert _all_finite(json.loads(open(sidecar_path(out)).read()))
+        outs[c] = values
     one = outs[1.0]
     assert np.max(np.abs(outs[TOP] / TOP - one)) <= 1e-6 * np.max(np.abs(one))
 
@@ -921,16 +940,17 @@ def test_cmd_kernel_meets_its_stated_diagonal_tolerance(tmp_path, case, atom,
 def test_cmd_kernel_meets_its_stated_hermitian_tolerance(tmp_path, symbol):
     # a complex symbol's kernel, (1+i) times a Hermitian one for const:1+1j,
     # is not Hermitian, so its output states no hermitian tolerance
-    out = str(tmp_path / "k.json")
-    argv = ["kernel", "--n", "64", "--format", "json", "--out", out]
+    out = str(tmp_path / "k.csv")
+    argv = ["kernel", "--n", "64", "--out", out]
     assert run(*argv, *(["--symbol", symbol] if symbol else [])) == 0
-    d = json.loads(open(out).read())
-    K = np.array(d["re"]) + 1j * np.array(d["im"])
+    tol = json.loads(open(sidecar_path(out)).read())["tolerances"]
+    # the CSV lists the 64 x 64 kernel row by row
+    K = _complex_values(out).reshape(64, 64)
     dev = float(np.max(np.abs(K - K.conj().T)))
     if symbol == "const:1+1j":
-        assert "hermitian" not in d["tolerances"] and dev >= 1.0
+        assert "hermitian" not in tol and dev >= 1.0
     else:
-        assert dev <= d["tolerances"]["hermitian"]
+        assert dev <= tol["hermitian"]
 
 
 def test_cmd_algebra_split_cloud(tmp_path):
@@ -953,38 +973,6 @@ def test_cmd_algebra_default_cuts_follow_case(tmp_path, case, cut):
                "--out", given) == 0
     for suffix in ("", ".meta.json"):
         assert open(default + suffix).read() == open(given + suffix).read()
-
-
-def _csv_rows(path):
-    with open(path) as fh:
-        return [line.split(",") for line in fh.read().splitlines()[1:]]
-
-
-@pytest.mark.parametrize("case", ["gabor", "wavelet"])
-def test_cmd_json_floats_equal_csv_floats(tmp_path, case):
-    # the CSV's %.17g and JSON's repr must parse back to the same bits
-    base = ("--case", case, "--n", "64")
-    paths = {fmt: str(tmp_path / f"s.{fmt}") for fmt in ("csv", "json")}
-    for fmt, path in paths.items():
-        assert run("spectrum", "--with-eigs", "--rule", "grid", "--symbol",
-                   "indicator:1,2" if case == "wavelet" else "indicator:-1,1",
-                   *base, "--format", fmt, "--out", path) == 0
-    rows = _csv_rows(paths["csv"])
-    values = json.load(open(paths["json"]))["values"]
-    assert [r[0] for r in rows] == [v["kind"] for v in values]
-    assert "eig" in {v["kind"] for v in values}
-    csv_vals = np.array([[float(x) for x in r[1:]] for r in rows])
-    json_vals = np.array([[v["re"], v["im"]] for v in values])
-    assert csv_vals.tobytes() == json_vals.tobytes()
-
-    for fmt, path in paths.items():
-        assert run("algebra", *base, "--format", fmt, "--out", path) == 0
-    cloud = json.load(open(paths["json"]))
-    json_vals = np.column_stack([cloud["xi"], cloud["points"]])
-    csv_vals = np.array([[float(x) for x in r]
-                         for r in _csv_rows(paths["csv"])])
-    assert csv_vals.shape == (64, 3)
-    assert csv_vals.tobytes() == json_vals.tobytes()
 
 
 @pytest.mark.parametrize("case", ["gabor", "wavelet"])
@@ -1103,6 +1091,19 @@ def test_cmd_seed_only_on_verify(tmp_path, capsys, argv):
     assert not out.exists()
     assert run(*argv, "--n", "64", "--out", str(out)) == 0
     assert "seed" not in json.loads(open(sidecar_path(str(out))).read())
+
+
+@pytest.mark.parametrize("argv", [["gamma", "--symbol", "const:1"],
+                                  ["spectrum", "--symbol", "const:1"],
+                                  ["kernel"], ["algebra"]])
+def test_cmd_tables_have_one_output_format(tmp_path, capsys, argv):
+    # each table command writes its CSV and sidecar; there is no JSON mode
+    out = tmp_path / "o.json"
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--format", "json", "--out", str(out))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfloc import io as tio
-from tfloc.algebra import PartitionCloud
+from tfloc.algebra import Partition, PartitionCloud
 from tfloc.cli import main
 from tfloc.fields import PhasePlaneField, analyze, random_bandlimited
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
@@ -133,6 +133,25 @@ def test_sampled_function_interp_is_the_linear_interpolation_formula():
             ref = ref + 1j * np.interp(x, xs, im, left=0.0, right=0.0)
         assert got.dtype == (np.float64 if real else np.complex128)
         assert got.tobytes() == ref.tobytes() and not got[outside].any()
+
+
+def test_reprs_name_their_objects(gaussian):
+    g = LineGrid(0.0, 1.0, 2)
+    reprs = [
+        (g, "LineGrid(start=0, step=1, count=2)"),
+        (Partition(gaussian, [0.0]), "partition[gabor]:[-16,0);[0,16)"),
+        (PartitionCloud(g, np.full((2, 2), 0.5), "p", "atom"),
+         "PartitionCloud(m=2, n=2)"),
+        (PhasePlaneField("gabor", g, g, np.zeros((2, 2))),
+         f"PhasePlaneField(gabor, {g!r} x {g!r})"),
+        (SampledFunction(g, [1.0, 2.0]), f"SampledFunction({g!r})"),
+        (GammaFunction(g, np.zeros(2), "atom", "symbol", "grid"),
+         "GammaFunction(atom, symbol, rule=grid)"),
+        (OperatorMatrix(g, np.eye(2), "test", "atom", "symbol"),
+         "OperatorMatrix(test, atom, symbol, n=2)"),
+    ]
+    for obj, text in reprs:
+        assert repr(obj) == text
 
 
 def test_failed_write_keeps_the_old_file_and_no_temporary(tmp_path):
@@ -580,6 +599,16 @@ def test_signal_csv_reader_matches_the_row_loop(csv_dir, read, text):
     got = _outcome(read, path)
     with mock.patch.object(tio, "_parsed_rows", return_value=None):
         assert got == _outcome(read, path)
+
+
+def test_undecodable_names_the_file_alone_when_its_bytes_decode(tmp_path):
+    # the text reader's decode failed, but the bytes read again decode: the
+    # file changed between the two reads, and no line can be named
+    path = tmp_path / "mended.csv"
+    path.write_text("x,re,im\n0,1,0\n")
+    err = tio._undecodable(str(path))
+    assert type(err) is ValueError
+    assert str(err) == f"{path}: does not decode as UTF-8"
 
 
 @pytest.mark.parametrize("line, ends", [(3, "\n"), (3002, "\n"),

@@ -10,7 +10,8 @@ import pytest
 from tfloc.algebra import (Partition, PartitionCloud, evaluate_on_cloud,
                            partition_gammas)
 from tfloc.atoms import Atom
-from tfloc.fields import PhasePlaneField, axis2_sign
+from tfloc.fields import (PhasePlaneField, axis2_sign, bargmann,
+                          bargmann_adjoint, round_trip)
 from tfloc.fourier import fourier
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid
 from tfloc.kernels import GammaFunction, gamma
@@ -21,6 +22,12 @@ from tfloc.symbols import Symbol1D, SymbolSpec
 G2 = LineGrid(0.0, 1.0, 2)
 G4 = LineGrid(0.0, 1.0, 4)
 SIGNAL = SampledFunction(G4, np.ones(4))
+# grids the DFT cannot pair with G4 (induced step 1/4): a wrong step and a
+# wrong count
+OFF_STEP = LineGrid(0.0, 0.5, 4)
+OFF_COUNT = LineGrid(0.0, 0.25, 5)
+COUNT_MESSAGE = "output grid must have the same sample count"
+STEP_MESSAGE = "output grid step must be 1/(count*step) of the input grid"
 
 
 def _operator(values, **kw):
@@ -32,8 +39,34 @@ def _atom(case, normalization):
     return Atom(case, "test", SIGNAL, SIGNAL, normalization, G4)
 
 
-def _field(case, g1, values):
-    return PhasePlaneField(case, g1, G2, values)
+def _field(case, g1, values, g2=G2):
+    return PhasePlaneField(case, g1, g2, values)
+
+
+def _spoiled_signal():
+    """A signal whose values turned non-finite after it was made (its
+    constructor rejects non-finite values)."""
+    f = SampledFunction(G4, np.ones(4))
+    f.values[1] = np.nan
+    return f
+
+
+def _huge_window_gamma(rule):
+    """gamma of const:1 for a window of 1e200 on [0, 1), whose |phi|^2
+    overflows (no catalog window does)."""
+    def huge(x):
+        return 1e200 * ((x >= 0) & (x < 1)).astype(float)
+
+    atom = Atom("gabor", "huge", SIGNAL, SIGNAL, 1.0, G4, huge,
+                time_support=(0.0, 1.0))
+    with np.errstate(over="ignore"):
+        return gamma(atom, Symbol1D.constant(1.0), G4, rule=rule)
+
+
+def _bargmann(atom, out_grid):
+    """``bargmann`` of a zero field on the atom's grid x G4."""
+    field = _field(atom.case, atom.g1, np.zeros((atom.g1.count, 4)), G4)
+    return bargmann(atom, field, out_grid=out_grid)
 
 
 # (call of the session atoms shannon and gaussian, exception, message)
@@ -57,14 +90,43 @@ CHECKS = {
     "gamma-rule": (
         lambda s, g: gamma(g, Symbol1D.constant(1.0), G4, rule="nosuch"),
         ValueError, "unknown rule 'nosuch'"),
+    "gamma-grid-not-finite": (
+        lambda s, g: _huge_window_gamma("grid"),
+        ValueError, "gamma for const:1 is not finite on the grid"),
+    "gamma-adaptive-integrand-not-finite": (
+        lambda s, g: _huge_window_gamma("adaptive"),
+        ValueError, "Atom(gabor:huge) profile on [0, 1]: integrand is not "
+                    "finite"),
     "filter-method": (
         lambda s, g: filter_signal(
             g, SymbolSpec.first_variable(Symbol1D.constant(1.0)), SIGNAL,
             method="nosuch"),
         ValueError, "unknown method 'nosuch'"),
     "fourier-out-grid-count": (
-        lambda s, g: fourier(SIGNAL, "forward", out_grid=LineGrid(0.0, 0.25, 5)),
-        ValueError, "output grid must have the same sample count"),
+        lambda s, g: fourier(SIGNAL, "forward", out_grid=OFF_COUNT),
+        ValueError, COUNT_MESSAGE),
+    "fourier-out-grid-step": (
+        lambda s, g: fourier(SIGNAL, "forward", out_grid=OFF_STEP),
+        ValueError, STEP_MESSAGE),
+    "bargmann-out-grid-count": (
+        lambda s, g: _bargmann(g, OFF_COUNT), ValueError, COUNT_MESSAGE),
+    "bargmann-out-grid-step": (
+        lambda s, g: _bargmann(g, OFF_STEP), ValueError, STEP_MESSAGE),
+    "bargmann-adjoint-out-grid-count": (
+        lambda s, g: bargmann_adjoint(g, SIGNAL, out_grid=OFF_COUNT),
+        ValueError, COUNT_MESSAGE),
+    "bargmann-adjoint-out-grid-step": (
+        lambda s, g: bargmann_adjoint(g, SIGNAL, out_grid=OFF_STEP),
+        ValueError, STEP_MESSAGE),
+    "round-trip-field-grid-count": (
+        lambda s, g: round_trip(g, SIGNAL, field_grid=OFF_COUNT),
+        ValueError, COUNT_MESSAGE),
+    "round-trip-field-grid-step": (
+        lambda s, g: round_trip(g, SIGNAL, field_grid=OFF_STEP),
+        ValueError, STEP_MESSAGE),
+    "fourier-non-finite": (
+        lambda s, g: fourier(_spoiled_signal()),
+        ValueError, "input contains non-finite values"),
     "fourier-sign": (
         lambda s, g: fourier(SIGNAL, "sideways"),
         ValueError, "sign must be 'forward' or 'inverse', got 'sideways'"),

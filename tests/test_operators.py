@@ -1487,6 +1487,29 @@ def test_operator_norm_of_zero_is_zero_without_warnings():
             assert _lanczos_norm(np.zeros((16, 16), dtype)) is None
 
 
+def test_operator_norm_falls_back_to_the_svd_at_a_zero_ritz_value(monkeypatch):
+    # the top Ritz value is at least ||A v_0||^2 4^-e >= 1/16 for A v_0 != 0,
+    # so only a solver that returns no positive one reaches the breakdown
+    A = np.arange(16.0).reshape(4, 4)
+    svd = float(np.linalg.svd(A, compute_uv=False)[0])
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda T: (np.zeros(len(T)), np.eye(len(T))))
+    assert _lanczos_norm(A) is None
+    assert operator_norm(A) == svd
+
+
+def test_spectrum_of_non_finite_eigenvalues_raises(monkeypatch):
+    # LAPACK returns finite eigenvalues of a finite matrix or raises, so a
+    # solver that returns NaN stands for one that did not converge
+    M = OperatorMatrix(LineGrid(0.0, 1.0, 2), [[0.0, 1.0], [0.0, 0.0]],
+                       "test", "atom", "symbol")
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda values: np.full(len(values), np.nan + 0j))
+    with pytest.raises(ArithmeticError,
+                       match="^eigenvalue computation did not converge$"):
+        spectrum(M)
+
+
 def test_operator_norm_reads_a_diagonal_off(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a solver was called")

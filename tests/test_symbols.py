@@ -192,6 +192,17 @@ def test_gamma_shannon_disjoint_band_is_zero(shannon):
     assert np.max(np.abs(gf.values)) <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["shannon", "gaussian"])
+def test_gamma_adaptive_of_a_symbol_out_of_reach_is_zero(request, name):
+    # a symbol with no pieces (so no table path) whose support no xi of the
+    # window reaches: no segment is integrated, and gamma is exactly 0
+    atom = request.getfixturevalue(name)
+    grid = WAVELET_GRID if atom.case == "wavelet" else GABOR_GRID
+    far = Symbol1D(np.cos, "cos-on-[1e3,2e3]", support=(1e3, 2e3))
+    gf = gamma(atom, far, grid, rule="adaptive")
+    assert not gf.values.any() and gf.abserr == 0.0
+
+
 def test_gamma_shannon_inverse_scale_linear_growth(shannon):
     # alpha(u) = 1/u: substitution gives |xi|/(2 ln 2)
     gf = gamma(shannon, Symbol1D.power(-1.0), WAVELET_GRID, rule="adaptive")

@@ -371,6 +371,30 @@ def test_public_transforms_leave_their_inputs_unchanged(gaussian, shannon):
         assert _bits(h.values) == _bits(field_before[0])
 
 
+def test_unpaired_grids_raise_before_any_field_is_made(gaussian):
+    # a second-axis grid the DFT cannot pair with the signal's (a doubled
+    # step, a missing sample) raises fourier's error before the chain makes
+    # a field, a block buffer or a fiber record: a few n-vectors at most
+    f = random_bandlimited(SIGNAL_GRID, seed=4)
+    axis = induced_grid(f.grid)
+    W = analyze(gaussian, f)
+    calls = {"bargmann_adjoint": lambda g: bargmann_adjoint(gaussian, f, g),
+             "round_trip": lambda g: round_trip(gaussian, f, field_grid=g),
+             "bargmann": lambda g: bargmann(gaussian, W, out_grid=g)}
+    unpaired = {"step": LineGrid(axis.start, 2 * axis.step, axis.count),
+                "count": LineGrid(axis.start, axis.step, axis.count - 1)}
+    for name, call in calls.items():
+        for wrong, grid in unpaired.items():
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"output grid .*{wrong}"):
+                    call(grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * axis.count * 16, (name, wrong, peak)
+
+
 def test_analyze_peak_memory(gaussian, shannon):
     # with the fiber record built, analyze holds the field's array, embedded,
     # transformed and checked finite in place a block at a time, and little
@@ -621,6 +645,12 @@ def test_one_dft_sandwich(scopes_where):
                 and node.value.id in ("np", "numpy"))
 
     assert sorted(set(scopes_where(uses_fft))) == ["fourier.py:_Sandwich.core"]
+    # and every pairing of two grids is checked once, where it is made
+    def checks_grids(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_check_compatible")
+
+    assert scopes_where(checks_grids) == ["fourier.py:_sandwich"]
 
 
 def test_one_scale_rule_near_the_float_range(scopes_where):
@@ -1455,6 +1485,15 @@ def test_an_error_in_either_half_reaches_the_caller(gaussian, monkeypatch):
     split = _bits(analyze(gaussian, f).values)
     monkeypatch.setattr(fields, "_PARTS", 1)
     assert _bits(analyze(gaussian, f).values) == split
+
+
+def test_cpus_without_an_affinity_mask(monkeypatch):
+    # a platform with no sched_getaffinity (macOS, Windows) counts the
+    # machine's CPUs, and one when even that count is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for count, cpus in ((3, 3), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert fields._cpus() == cpus
 
 
 def _analyze_in_child(atom, f, send):
