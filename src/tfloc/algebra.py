@@ -164,7 +164,9 @@ def commutator_diagnostics(atom: Atom, pool, xi_grid: LineGrid) -> dict:
         if not scale or mats[i].is_diagonal and mats[j].is_diagonal:
             out[i, j] = 0.0
             continue
-        A, B = mats[i].values, mats[j].values
+        # complex copies of real matrices, dropped with the pair: the
+        # complex products (zgemm) give the reported bits
+        A, B = (np.asarray(mats[k].values, dtype=complex) for k in (i, j))
         out[i, j] = operator_norm(A @ B - B @ A) / scale
     return out
 

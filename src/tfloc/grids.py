@@ -116,14 +116,17 @@ class ScaleGrid:
 
 
 class SampledFunction:
-    """Complex-valued function sampled on a LineGrid."""
+    """Complex-valued function sampled on a LineGrid; ``values`` is a
+    read-only view of the checked samples (the caller's array stays
+    writeable)."""
 
     def __init__(self, grid: LineGrid, values):
-        values = np.asarray(values, dtype=complex)
+        values = np.asarray(values, dtype=complex).view()
         if values.shape != (grid.count,):
             raise ValueError(f"expected {grid.count} values, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("sampled function contains non-finite values")
+        values.flags.writeable = False
         self.grid = grid
         self.values = values
 

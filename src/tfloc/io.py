@@ -208,7 +208,7 @@ def write_table(path: str, header: list[str], columns,
 
 def _write_grid_table(path: str, header: list[str], nodes1, nodes2, values,
                       metadata: dict):
-    """A complex matrix as rows ``nodes1[i], nodes2[j], re, im`` in row-major
+    """A matrix as rows ``nodes1[i], nodes2[j], re, im`` in row-major
     order, through ``_write_blocks``.  The node texts are formatted once
     per table and each block's columns gathered by row index when it is
     written, so no column of the table's length is ever made."""

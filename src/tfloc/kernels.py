@@ -54,7 +54,7 @@ from .atoms import Atom, _row_blocks
 from .grids import LineGrid
 from .quadrature import (GK_MAX_POINTS, _NODES, _kronrod_panels,
                          gauss_kronrod)
-from .symbols import Symbol1D
+from .symbols import Symbol1D, _exponent, _ldexp
 
 __all__ = [
     "GammaFunction",
@@ -113,9 +113,9 @@ class OperatorMatrix:
     is held dense, with ``is_diagonal`` False and ``diagonal`` None, even
     where no off-diagonal entry is nonzero.  The checks here, ``spectrum``
     and ``operator_norm`` read a diagonal operator's ``diagonal`` alone.
-    ``is_real`` is True when no entry has a
-    nonzero imaginary part; ``spectrum`` and ``operator_norm`` then run in
-    real arithmetic.  ``lowrank_rank``, ``lowrank_tail`` and ``gram_rows``
+    The entries are float64 exactly when none has a nonzero imaginary part
+    (``is_real``), complex128 otherwise; the builders hand real matrices
+    over as float64.  ``lowrank_rank``, ``lowrank_tail`` and ``gram_rows``
     are set by ``build_direct``: the rank of the symbol-field factorization
     it assembled from, the Frobenius tail it dropped, relative to the
     field's norm, and the most first-coordinate rows any rank's Gram
@@ -128,7 +128,10 @@ class OperatorMatrix:
                  lowrank_rank: int | None = None,
                  lowrank_tail: float | None = None,
                  gram_rows: int | None = None):
-        values = np.asarray(values, dtype=complex)
+        values = np.asarray(values)
+        self.is_real = not (np.iscomplexobj(values) and values.imag.any())
+        values = (np.ascontiguousarray(values.real, dtype=float)
+                  if self.is_real else values.astype(complex, copy=False))
         n = grid.count
         if values.shape == (n,):
             self._dense, self.diagonal = None, values
@@ -137,10 +140,10 @@ class OperatorMatrix:
         else:
             raise ValueError(f"operator must be {n}x{n}, got {values.shape}")
         self.is_diagonal = self.diagonal is not None
-        if not np.all(np.isfinite(values)):
+        # a NaN or an infinity carries through the maximum
+        scale = float(np.max(np.abs(values)))
+        if not math.isfinite(scale):
             raise ValueError("operator contains non-finite entries")
-        self.is_real = not values.imag.any()
-        scale = float(np.max(np.abs(values))) or 1.0
         # max |M - M^H|, a block of rows at a time: no n x n temporary (the
         # entries of a diagonal operator are their own transpose)
         dev = max(float(np.max(np.abs(values[rows]
@@ -364,17 +367,30 @@ def boundedness_verdict(reports: list[SpectrumReport]) -> str:
 
 # -- two-point kernels ------------------------------------------------------------
 
+def _weighted(L: np.ndarray, weights: np.ndarray):
+    """X = conj(L) diag(weights 2^-e) (one pass on a real L) and e, 2^e the
+    ``_exponent`` scale of the weights, for a Gram product X^T L scaled
+    back by 2^e: exact, so a tiny symbol forms no subnormal product.  L is
+    ``Fibers.gemm_rows``, with the parts below 2^-511 set to +0: a Gram
+    entry moves by at most 2^-510 max|L| sum_k |weights[k]|."""
+    e = _exponent(weights)
+    w = weights.copy()
+    _ldexp(w, -e)
+    return L.conj() * w[:, None], e
+
+
 def _fiber_overlap(atom: Atom, w: np.ndarray, xi_grid: LineGrid) -> np.ndarray:
     """First-coordinate quadrature of w * conj(ell(., xi_i)) * ell(., xi_j),
     over the rows that carry it (``Fibers.rows_for`` w): every other row
-    adds only zeros.  An empty slice gives the zero kernel.  The GEMM reads
-    ``Fibers.gemm_rows`` of those rows, a slice of the record's one copy
-    with the parts below 2^-511 set to +0 so that no product in it is
-    subnormal: an entry moves by at most 2^-510 max|ell| sum_k |w_k|."""
+    adds only zeros.  An empty slice gives the zero kernel.  One GEMM
+    X^T L, ``_weighted``, real when the record and w are."""
     fib = atom.fibers(xi_grid.samples)
     rows = fib.rows_for(w)
     L = fib.gemm_rows(rows)
-    return (L.conj() * w[rows, None]).T @ L
+    X, e = _weighted(L, w[rows])
+    K = X.T @ L
+    _ldexp(K, e)
+    return K
 
 
 def overlap_kernel(atom: Atom, xi_grid: LineGrid) -> OperatorMatrix:

@@ -60,9 +60,10 @@ given n x n, whatever their entries, and complex spectra keep the dense
 paths: odd n, off-centre windows and cto2/cto3.
 Both routes take the transform of a row that is real and even mod n as
 real (``_Sandwich.real_where_even``): with a real symbol even in s on a
-real record and the builders' grids, the matrix is exactly real
-(``OperatorMatrix.is_real``), and an exactly real Hermitian matrix goes to
-the real symmetric solver.
+real record and the builders' grids, the matrix is exactly real, and
+every route builds it as float64 (``OperatorMatrix``'s dtype contract):
+``spectrum`` and ``operator_norm`` run it in real arithmetic, and a real
+Hermitian matrix goes to the real symmetric solver.
 
 ``operator_norm`` takes the largest singular value of a matrix flagged
 Hermitian from its eigenvalues, and of any other dense matrix from the
@@ -94,8 +95,9 @@ from .atoms import Atom, _hull, _row_blocks
 from .fields import _analysis_axis, _stream, axis2_sign, omega_side
 from .fourier import _sandwich
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
-from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport, gamma,
-                      overlap_kernel, weighted_overlap_kernel)
+from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport,
+                      _weighted, gamma, overlap_kernel,
+                      weighted_overlap_kernel)
 from .symbols import (RANGE_EXPONENT, Symbol1D, SymbolSpec, _exponent,
                       _in_range, _ldexp)
 
@@ -238,7 +240,8 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     2^-510 max|L| sum_k |w q_r|, about 1e-152 for the gaussian.
     G_r = X^T L_s with X = conj(L_s) diag(w q_r), a real GEMM when L and
     q_r are real, and one real GEMM on the interleaved float view of X when
-    only q_r is complex, so a real record is never cast to complex.
+    only q_r is complex, so a real record is never cast to complex.  M is
+    float64 when the record, the factors and every generator are real.
     """
     n = xi_grid.count
     s_grid = induced_grid(xi_grid)
@@ -253,7 +256,8 @@ def build_direct(atom: Atom, spec: SymbolSpec,
                      induced_grid(s_grid)).real_where_even(V)
     lags *= xi_grid.step
     diagonal = all(map(_is_lag0_delta, lags))
-    M = np.zeros(n if diagonal else (n, n), dtype=complex)
+    M = np.zeros(n if diagonal else (n, n),
+                 dtype=np.result_type(fib.ell, Q, lags))
     gram_rows = 0
     # each rank's arrays dropped before the next: the peak is M, the fiber
     # record and one rank's temporaries, whatever the rank
@@ -272,18 +276,13 @@ def build_direct(atom: Atom, spec: SymbolSpec,
 
 
 def _gram(L: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The Gram product L^H diag(weights) L, as one GEMM X^T L with
-    X = conj(L) diag(weights), on L the record's rows as
-    ``Fibers.gemm_rows`` gives them, with the parts below 2^-511 set to +0
-    so that no product is subnormal: an entry moves by at most
-    2^-510 max|L| sum_k |weights[k]|."""
-    X = np.conj(L, out=np.empty(L.shape, np.result_type(L, weights)))
-    X *= weights[:, None]
-    if X.dtype == L.dtype:
-        return X.T @ L
+    """L^H diag(weights) L, one GEMM of ``kernels._weighted``."""
+    X, e = _weighted(L, weights)
     # complex weights on a real record: L^T X as one real GEMM on X's
     # interleaved float view, so the record is never cast
-    return (L.T @ X.view(L.dtype)).view(X.dtype).T
+    G = X.T @ L if X.dtype == L.dtype else L.T @ X.view(L.dtype)
+    _ldexp(G, e)
+    return G if X.dtype == L.dtype else G.view(X.dtype).T
 
 
 def _diagonal_gram(L: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -314,7 +313,8 @@ def _is_lag0_delta(c: np.ndarray) -> bool:
 
 def _add_lag_product(M: np.ndarray, G: np.ndarray, c: np.ndarray):
     """M += G * S in place, for the n x n M, with S[i, j] =
-    c[(i - j + n//2) mod n] the lag table of the generator c."""
+    c[(i - j + n//2) mod n] the lag table of the generator c: in real
+    arithmetic when M, G and c are real."""
     n = len(c)
     # a block of rows at a time: no n x n temporary
     S = _lag_table(np.tile(c, 3), n + n // 2, 1, n)
@@ -349,7 +349,8 @@ def _beta_hat_on_lattice(atom: Atom, beta: Symbol1D,
     4 times the reach.  Node k of the 4n-point transform grid sits at
     (k - 2n) * xi_grid.step, so the lattice difference sigma*(i - j), of
     size at most n - 1, is node 2n + sigma*(i - j).  Returns the full
-    difference table, shape (n, n), as a ``_lag_table`` view.
+    difference table, shape (n, n), as a ``_lag_table`` view, float64
+    when ``real_where_even`` takes the transform as real.
     """
     s_grid = induced_grid(xi_grid)
     count, step = s_grid.count * 4, s_grid.step / 4
@@ -402,16 +403,15 @@ def _hermitian_eigvals(M: OperatorMatrix) -> np.ndarray:
     """Eigenvalues of the symmetrized matrix H = (M + M^H) / 2, ascending:
     ``eigvalsh`` of H, or for a diagonal M the sorted real diagonal of H
     (what ``eigvalsh`` returns for it), taken from M's own diagonal entry
-    by entry as H would hold it, without forming H.  An exactly real M
-    forms H, the complex H's real part, in real arithmetic, and takes the
-    real symmetric solver."""
+    by entry as H would hold it, without forming H.  A real M (float64)
+    forms H in real arithmetic and takes the real symmetric solver."""
     # halved before the sum, the order the pinned spectra's bits come from
     if M.is_diagonal:
         d = 0.5 * M.diagonal
         d += d.conj()
         return np.sort(d.real)
-    H = 0.5 * (M.values.real if M.is_real else M.values)
-    H += H.conj().T
+    H = 0.5 * M.values
+    H += H.T.conj()
     return np.linalg.eigvalsh(H)
 
 
@@ -485,27 +485,26 @@ def operator_norm(M: OperatorMatrix | np.ndarray) -> float:
     ``OperatorMatrix`` given by its entries or a 1-D array of them, has it
     read off exactly as max |d_i|.  Of an n x n matrix it is the certified
     Lanczos estimate of ``_lanczos_norm``, or the dense SVD's sigma_1 where
-    that has no certificate, both on the real part alone when no entry has
-    a nonzero imaginary part.  A bare array that is not non-empty 1-D or
-    2-D, or has a part above 2^(2B), past what a symbol in the supported
-    range of ``symbols`` builds, or not finite, raises ``ValueError``.
+    that has no certificate, both in real arithmetic on a real operator
+    (float64) and on a bare array with no nonzero imaginary part.  A bare
+    array that is not non-empty 1-D or 2-D, or has a part above 2^(2B),
+    past what a symbol in the supported range of ``symbols`` builds, or not
+    finite, raises ``ValueError``.
     """
     if isinstance(M, OperatorMatrix):
         if M.is_hermitian:
             return float(np.max(np.abs(_hermitian_eigvals(M))))
         vals = M.diagonal if M.is_diagonal else M.values
-        real = M.is_real
     else:
         vals = _in_range(np.asarray(M), "matrix",
                          exponent=2 * RANGE_EXPONENT)
         if vals.ndim not in (1, 2) or not vals.size:
             raise ValueError("operator_norm needs a non-empty 1-D or 2-D "
                              f"array, got shape {vals.shape}")
-        real = not (np.iscomplexobj(vals) and vals.imag.any())
+        if np.iscomplexobj(vals) and not vals.imag.any():
+            vals = np.ascontiguousarray(vals.real)
     if vals.ndim == 1:
         return float(np.max(np.abs(vals)))
-    if real:
-        vals = np.ascontiguousarray(vals.real)
     est = _lanczos_norm(vals)
     if est is not None:
         return est
@@ -614,12 +613,17 @@ def verify_equivalence(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid,
     hd = hausdorff_distance(direct_spec.values, spectrum(other).values)
     apply = np.multiply if diagonal else np.matmul
     rng = np.random.default_rng(seed)
+    vs = [rng.standard_normal(xi_grid.count)
+          + 1j * rng.standard_normal(xi_grid.count) for _ in range(10)]
+
+    def actions(X):
+        # one complex copy at a time: zgemv gives the reported bits
+        X = X.astype(complex, copy=False)
+        return [apply(X, v) for v in vs]
+
     errs = []
-    for _ in range(10):
-        v = (rng.standard_normal(xi_grid.count)
-             + 1j * rng.standard_normal(xi_grid.count))
-        dv = apply(A, v)
-        diff = dv - apply(B, v)
+    for dv, bv in zip(actions(A), actions(B)):
+        diff = dv - bv
         # scaled exactly, so no square in the norms underflows
         e = _exponent(dv)
         _ldexp(dv, -e)

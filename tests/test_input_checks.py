@@ -44,9 +44,13 @@ def _field(case, g1, values, g2=G2):
 
 
 def _spoiled_signal():
-    """A signal whose values turned non-finite after it was made (its
-    constructor rejects non-finite values)."""
-    f = SampledFunction(G4, np.ones(4))
+    """A signal whose values are made non-finite after it was made (its
+    constructor rejects non-finite values): they are a read-only view, so
+    the edit raises and no non-finite value reaches ``fourier``; the
+    caller's array stays writeable."""
+    values = np.ones(4, dtype=complex)
+    f = SampledFunction(G4, values)
+    assert values.flags.writeable
     f.values[1] = np.nan
     return f
 
@@ -126,7 +130,7 @@ CHECKS = {
         ValueError, STEP_MESSAGE),
     "fourier-non-finite": (
         lambda s, g: fourier(_spoiled_signal()),
-        ValueError, "input contains non-finite values"),
+        ValueError, "assignment destination is read-only"),
     "fourier-sign": (
         lambda s, g: fourier(SIGNAL, "sideways"),
         ValueError, "sign must be 'forward' or 'inverse', got 'sideways'"),

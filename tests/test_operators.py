@@ -66,7 +66,10 @@ def test_direct_first_variable_hermitian_and_near_diagonal(gaussian, rect,
                 M = build_direct(atom, SymbolSpec.first_variable(alpha),
                                  _grid_for(atom, n))
                 assert M.is_hermitian
-                words = M.values.view(np.int64).reshape(n, n, 2)
+                # a real diagonal, |L|^2 summed, even on haar's complex
+                # record: one float64 word per entry
+                assert M.values.dtype == float
+                words = M.values.view(np.int64)
                 assert not words[~np.eye(n, dtype=bool)].any(), \
                     f"{atom.name} {alpha.descriptor}, {n}"
 
@@ -1903,8 +1906,18 @@ def _real_operators(gaussian, rect, shannon, n):
 @pytest.mark.parametrize("n", [64, 256])
 def test_even_real_symbols_give_exactly_real_matrices(gaussian, rect,
                                                       shannon, n):
-    for label, M in _real_operators(gaussian, rect, shannon, n):
-        assert M.is_real and not M.values.imag.any(), label
+    # every route hands a real matrix over as float64 (the dtype contract
+    # of OperatorMatrix): both routes of the cto2/cto3 symbols, the radial
+    # Gaussians and the disk, and both overlap kernels
+    mats = list(_real_operators(gaussian, rect, shannon, n))
+    for atom in (gaussian, rect, shannon):
+        grid = _grid_for(atom, n)
+        alpha = EQUIVALENCE_SYMBOLS["cto3", atom.case].alpha
+        mats += [(f"{atom.name}/overlap", overlap_kernel(atom, grid)),
+                 (f"{atom.name}/weighted",
+                  weighted_overlap_kernel(atom, alpha, grid))]
+    for label, M in mats:
+        assert M.is_real and M.values.dtype == np.float64, label
 
 
 def test_complex_paths_stay_complex(gaussian, shannon, haar):
@@ -1918,13 +1931,62 @@ def test_complex_paths_stay_complex(gaussian, shannon, haar):
                        (gaussian, LineGrid(-3.0, 8.0 / 65, 65))):
         cases += [(atom, EQUIVALENCE_SYMBOLS[suite, atom.case], grid)
                   for suite in ("cto1", "cto2", "cto3")]
+    # and a complex symbol, on a real record and on haar's
+    one_one = Symbol1D.constant(1 + 1j)
+    cases += [(atom, SymbolSpec.first_variable(one_one), _grid_for(atom, 64))
+              for atom in (gaussian, haar)]
     for atom, spec, grid in cases:
         routes = [build_direct(atom, spec, grid)]
         if spec.kind != "first" and atom is not haar:
             routes.append(_specialized(atom, spec, grid))
         for M in routes:
-            assert not M.is_real and M.values.imag.any(), \
+            assert not M.is_real and M.values.dtype == np.complex128, \
                 (atom.name, spec.descriptor, grid.count, M.builder)
+            assert M.values.imag.any()
+    for atom in (gaussian, haar):
+        grid = _grid_for(atom, 64)
+        kernels = [weighted_overlap_kernel(atom, one_one, grid)]
+        if atom is haar:
+            kernels.append(overlap_kernel(atom, grid))
+        for K in kernels:
+            assert K.values.dtype == np.complex128 and K.values.imag.any(), \
+                (atom.name, K.builder)
+
+
+def test_operator_matrix_holds_float64_exactly_when_real():
+    # a complex array with no nonzero imaginary part is stored as a float64
+    # copy of its real parts, and the caller's array is left as it is; one
+    # nonzero imaginary part (or a NaN there) keeps complex128
+    grid = LineGrid(0.0, 1.0, 3)
+    given = np.array([[1, -0.0j, 0], [0, 2, 0], [0, 0, 3]], dtype=complex)
+    for values in (given, given.real, given.real.astype(int), np.diag(given)):
+        M = OperatorMatrix(grid, values, "test", "atom", "symbol")
+        held = M.diagonal if M.is_diagonal else M.values
+        assert M.is_real and held.dtype == np.float64
+        assert held.flags.c_contiguous
+        assert np.array_equal(held, values.real)
+    assert given.dtype == np.complex128 and given[0, 1].imag == 0
+    given[0, 0] += 1e-300j
+    M = OperatorMatrix(grid, given, "test", "atom", "symbol")
+    assert not M.is_real and M.values is given
+    given[0, 0] += complex(0, np.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        OperatorMatrix(grid, given, "test", "atom", "symbol")
+
+
+def test_a_tiny_constant_weights_the_kernel_exactly(gaussian):
+    # the Gram weights are scaled by the exact power of two of their largest
+    # part, and the product back, so a tiny symbol forms no subnormal
+    # product: the const:2^-960 kernel is 2^-960 times the const:1 kernel
+    # wherever that product is normal
+    grid = default_operator_grid("gabor", 256)
+    one, tiny = (weighted_overlap_kernel(gaussian, Symbol1D.constant(c),
+                                         grid).values
+                 for c in (1.0, 2.0 ** -960))
+    ref = one * 2.0 ** -960
+    normal = np.abs(ref) >= np.finfo(float).tiny
+    assert normal.sum() > one.size // 2
+    assert np.array_equal(tiny[normal], ref[normal])
 
 
 def test_even_real_transforms_keep_the_real_parts(gaussian, rect, shannon,
