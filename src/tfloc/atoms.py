@@ -62,8 +62,8 @@ DEFAULT_TRANSLATION_COUNT = 512
 _BLOCK_ROWS = 64
 
 # 2^-511, the square root of the smallest normal float64: a product of two
-# parts at least this large is normal.  ``Fibers.gemm_rows`` sets the parts
-# below it to +0, so no product in a Gram GEMM is subnormal
+# parts at least this large is normal.  ``Fibers.gram`` reads the record with
+# the parts below it set to +0 (its docstring gives the bound)
 _FLUSH_BELOW = 2.0 ** -511
 
 
@@ -319,8 +319,8 @@ class Fibers:
     blocks, and the blocks where a row factor or a symbol is zero, and keep
     every bit of their outputs.  The direct route and the overlap kernels
     run over the rows of ``rows_for`` their weights, inside the span: the
-    diagonal of a diagonal direct matrix reads them in place, and the Gram
-    products read ``gemm_rows``, slices of the record's one flushed copy.
+    diagonal of a diagonal direct matrix reads them in place, and every
+    Gram product is ``gram`` (its docstring states the flush bound).
     """
 
     omegas: np.ndarray
@@ -356,37 +356,49 @@ class Fibers:
         flags[self.span] = np.asarray(weights)[self.span] != 0
         return _hull(flags)
 
-    def gemm_rows(self, rows: slice) -> np.ndarray:
-        """``ell[rows]`` as a Gram product reads it: a slice of
-        ``_gemm_span``, read-only, C-contiguous, with every real and
-        imaginary part below ``_FLUSH_BELOW`` (2^-511) in magnitude set to
-        +0.  ``rows`` is empty or inside ``span``, as ``rows_for`` gives
-        it; any other slice raises ``ValueError``.
+    def gram(self, weights: np.ndarray) -> tuple[np.ndarray, slice]:
+        """G = L^H diag(weights) L, n x n, over the rows of
+        ``rows_for(weights)``, and those rows: the package's one Gram
+        product (the overlap kernels, ``build_direct``'s dense ranks).
 
-        A GEMM on parts that small forms subnormal products, and each costs
-        a microcode assist on x86: the catalog gaussian's tails fall below
-        2^-511 near |x| = 15, 21 % of its record, and its Gram products ran
-        about 5x slower than the same GEMM on normal numbers.  A zeroed part
-        moves a term conj(L[k, i]) L[k, j] by less than 2^-510 max|L|, so a
-        Gram entry sum_k v_k conj(L[k, i]) L[k, j] moves by at most
-        2^-510 max|L| sum_k |v_k|, 1.1e-152 for the gaussian's overlap
-        kernel.  The rect, shannon and haar records have no nonzero part
-        that small."""
-        start, stop, step = rows.indices(len(self.ell))
-        if not range(start, stop, step):
-            return self.ell[:0]  # reads nothing, so makes no copy
-        if step != 1 or start < self.span.start or stop > self.span.stop:
-            raise ValueError(f"{rows} is not inside the record's span "
-                             f"{self.span}")
-        return self._gemm_span[start - self.span.start:stop - self.span.start]
+        L is read from ``_gemm_span``, with every part below 2^-511 in
+        magnitude set to +0: such parts form subnormal products, each a
+        microcode assist on x86 (the gaussian's tails fall below 2^-511 near
+        |x| = 15, 21 % of its record, and its GEMMs ran about 5x slower).  A
+        zeroed part moves a term conj(L[k, i]) L[k, j] by less than
+        2^-510 max|L|, so an entry moves by at most 2^-510 max|L| sum_k |w_k|,
+        1.1e-152 for the gaussian's overlap kernel; the rect, shannon and
+        haar records have no nonzero part that small.  The weights are
+        scaled by 2^-e, 2^e their ``_exponent`` scale, and G back by 2^e,
+        exactly, so a tiny symbol forms no subnormal product either.
+        G = X^T L with X = conj(L) diag(w 2^-e) is one GEMM: real when L and
+        the weights are, and a real GEMM L^T X on X's interleaved float view
+        when only the weights are complex, so a real record is never cast.
+        Weights with no nonzero entry in the span give the n x n matrix of
+        +0 and build no copy.
+        """
+        rows = self.rows_for(weights)
+        n = self.ell.shape[1]
+        if rows.start == rows.stop:
+            return np.zeros((n, n), np.result_type(self.ell, weights)), rows
+        L = self._gemm_span[rows.start - self.span.start:
+                            rows.stop - self.span.start]
+        w = weights[rows].copy()
+        e = _exponent(w)
+        _ldexp(w, -e)
+        X = L.conj() * w[:, None]
+        G = X.T @ L if X.dtype == L.dtype else L.T @ X.view(L.dtype)
+        _ldexp(G, e)
+        return (G if X.dtype == L.dtype else G.view(X.dtype).T), rows
 
     @cached_property
     def _gemm_span(self) -> np.ndarray:
-        """The record's ``span`` rows as ``gemm_rows`` reads them, made on
-        first use: the record's own rows when they are contiguous and the
-        flush changes none of their words (no part below 2^-511 but +0, as
-        in the wavelets' and rect's records off the lattice), else a copy
-        flushed a block of ``_BLOCK_ROWS`` rows at a time."""
+        """The record's ``span`` rows as ``gram`` reads them, read-only and
+        C-contiguous, made on first use: the record's own rows when they
+        are contiguous and the flush changes none of their words (no part
+        below 2^-511 but +0, as in the wavelets' and rect's records off the
+        lattice), else a copy flushed a block of ``_BLOCK_ROWS`` rows at a
+        time."""
         L = self.ell[self.span]
         if L.flags.c_contiguous and not any(
                 ((np.abs(w) < _FLUSH_BELOW) & (w.view(np.int64) != 0)).any()

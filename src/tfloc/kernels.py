@@ -54,7 +54,7 @@ from .atoms import Atom, _row_blocks
 from .grids import LineGrid
 from .quadrature import (GK_MAX_POINTS, _NODES, _kronrod_panels,
                          gauss_kronrod)
-from .symbols import Symbol1D, _exponent, _ldexp
+from .symbols import Symbol1D
 
 __all__ = [
     "GammaFunction",
@@ -74,7 +74,9 @@ GAMMA_RULES = ("grid", "adaptive", "fft")
 
 
 class GammaFunction:
-    """Sampled diagonal symbol of a first-variable localization operator."""
+    """Sampled diagonal symbol of a first-variable localization operator;
+    ``values`` is a read-only view of the checked samples, their float64
+    real part when ``is_real``."""
 
     def __init__(self, grid: LineGrid, values, atom_name: str,
                  symbol_descriptor: str, rule: str, unbounded: bool = False,
@@ -87,7 +89,8 @@ class GammaFunction:
             if dev > 1e-10 * max(1.0, float(np.max(np.abs(values.real)))):
                 raise ValueError(
                     f"real symbol produced imaginary gamma (dev {dev:.2e})")
-            values = values.real.astype(complex)
+        values = (values.real if is_real else values).view()
+        values.flags.writeable = False
         self.grid = grid
         self.values = values
         self.atom_name = atom_name
@@ -340,9 +343,8 @@ def spectrum_from_gamma(gf: GammaFunction) -> SpectrumReport:
     interval [min, max] is reported as well, and sup |gamma| estimates the
     operator norm (the operator is bounded iff gamma is).
     """
-    real = gf.is_real
-    vals = gf.values.real if real else gf.values
-    interval = (float(np.min(vals.real)), float(np.max(vals.real))) if real else None
+    real, vals = gf.is_real, gf.values
+    interval = (float(np.min(vals)), float(np.max(vals))) if real else None
     return SpectrumReport(
         values=np.array(vals), is_real=real,
         norm_estimate=float(np.max(np.abs(vals))), interval=interval,
@@ -367,47 +369,24 @@ def boundedness_verdict(reports: list[SpectrumReport]) -> str:
 
 # -- two-point kernels ------------------------------------------------------------
 
-def _weighted(L: np.ndarray, weights: np.ndarray):
-    """X = conj(L) diag(weights 2^-e) (one pass on a real L) and e, 2^e the
-    ``_exponent`` scale of the weights, for a Gram product X^T L scaled
-    back by 2^e: exact, so a tiny symbol forms no subnormal product.  L is
-    ``Fibers.gemm_rows``, with the parts below 2^-511 set to +0: a Gram
-    entry moves by at most 2^-510 max|L| sum_k |weights[k]|."""
-    e = _exponent(weights)
-    w = weights.copy()
-    _ldexp(w, -e)
-    return L.conj() * w[:, None], e
-
-
-def _fiber_overlap(atom: Atom, w: np.ndarray, xi_grid: LineGrid) -> np.ndarray:
-    """First-coordinate quadrature of w * conj(ell(., xi_i)) * ell(., xi_j),
-    over the rows that carry it (``Fibers.rows_for`` w): every other row
-    adds only zeros.  An empty slice gives the zero kernel.  One GEMM
-    X^T L, ``_weighted``, real when the record and w are."""
-    fib = atom.fibers(xi_grid.samples)
-    rows = fib.rows_for(w)
-    L = fib.gemm_rows(rows)
-    X, e = _weighted(L, w[rows])
-    K = X.T @ L
-    _ldexp(K, e)
-    return K
-
-
 def overlap_kernel(atom: Atom, xi_grid: LineGrid) -> OperatorMatrix:
     """Fiber overlap kernel: quadrature of ell(r, omega) conj(ell(r, xi)).
 
     Hermitian with unit diagonal on the healthy range (the diagonal is the
-    fiber norm).  Entry [i, j] pairs xi = xi_i with omega = xi_j.
+    fiber norm).  Entry [i, j] pairs xi = xi_i with omega = xi_j.  The
+    quadrature is ``Fibers.gram``, which states its flush bound.
     """
-    vals = _fiber_overlap(atom, atom.g1.measure_weights, xi_grid)
+    vals = atom.fibers(xi_grid.samples).gram(atom.g1.measure_weights)[0]
     return OperatorMatrix(xi_grid, vals, "overlap", atom.name, "const:1",
                           symbol_is_real=True)
 
 
 def weighted_overlap_kernel(atom: Atom, alpha: Symbol1D,
                             xi_grid: LineGrid) -> OperatorMatrix:
-    """Symbol-weighted overlap kernel; its diagonal is the grid-rule gamma."""
+    """Symbol-weighted overlap kernel; its diagonal is the grid-rule gamma.
+    ``Fibers.gram`` of the weighted cells, whose docstring states its flush
+    bound and its real GEMM for a complex symbol."""
     w = atom.g1.measure_weights * alpha.cell_values(atom.g1)
-    vals = _fiber_overlap(atom, w, xi_grid)
+    vals = atom.fibers(xi_grid.samples).gram(w)[0]
     return OperatorMatrix(xi_grid, vals, "weighted_overlap", atom.name,
                           alpha.descriptor, symbol_is_real=alpha.is_real)

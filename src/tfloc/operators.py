@@ -13,10 +13,12 @@ same operator along different routes:
   symbol is linear in a_k and depends only on the lag i - j, periodically
   with period n (the discrete transform wraps lags around), so a rank-r
   factorization a = sum_r q_r v_r^T of the K x n symbol field assembles the
-  matrix as r Gram GEMMs (one per q_r), each times an n x n gather of the
-  lag generator of v_r; one transform gives the generators of all ranks.
+  matrix as r Gram products (one per q_r), each times an n x n gather of
+  the lag generator of v_r; one transform gives the generators of all ranks.
   Each rank runs over the first-coordinate rows where w q_r and the fiber
-  record are nonzero.  When every rank's generator is a delta at lag 0
+  record are nonzero.  Every Gram product, here and in the overlap kernels,
+  is the record's ``Fibers.gram``, whose docstring states its flush bound
+  and its real GEMM.  When every rank's generator is a delta at lag 0
   (every first-variable symbol on the builders' grids) the matrix is
   diagonal: its n entries are summed from those rows of the record, with
   no Gram product, and held as they are.
@@ -95,9 +97,8 @@ from .atoms import Atom, _hull, _row_blocks
 from .fields import _analysis_axis, _stream, axis2_sign, omega_side
 from .fourier import _sandwich
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
-from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport,
-                      _weighted, gamma, overlap_kernel,
-                      weighted_overlap_kernel)
+from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport, gamma,
+                      overlap_kernel, weighted_overlap_kernel)
 from .symbols import (RANGE_EXPONENT, Symbol1D, SymbolSpec, _exponent,
                       _in_range, _ldexp)
 
@@ -232,16 +233,11 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     summed over those rows read in place from the record
     (``_diagonal_gram``), in O(K' n) per rank: no Gram product and no
     copy of the rows.  Any other M is dense: each rank, a lag-0 delta
-    among them, costs one Gram GEMM and one elementwise product with S_r, a
-    strided view of c_r tiled three times (``_add_lag_product``).  The GEMM
-    reads ``Fibers.gemm_rows``, a slice of the record's one contiguous copy
-    with every part below 2^-511 set to +0 (subnormal products slow the
-    GEMM about 5x on the gaussian's tails), which moves G_r by at most
-    2^-510 max|L| sum_k |w q_r|, about 1e-152 for the gaussian.
-    G_r = X^T L_s with X = conj(L_s) diag(w q_r), a real GEMM when L and
-    q_r are real, and one real GEMM on the interleaved float view of X when
-    only q_r is complex, so a real record is never cast to complex.  M is
-    float64 when the record, the factors and every generator are real.
+    among them, costs one Gram product G_r = ``Fibers.gram`` (w q_r), whose
+    docstring states its flush bound and its real GEMM, and one elementwise
+    product with S_r, a strided view of c_r tiled three times
+    (``_add_lag_product``).  M is float64 when the record, the factors and
+    every generator are real.
     """
     n = xi_grid.count
     s_grid = induced_grid(xi_grid)
@@ -263,26 +259,18 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     # record and one rank's temporaries, whatever the rank
     for q, c in zip(Q.T, lags):
         wq = w * q
-        rows = fib.rows_for(wq)
-        gram_rows = max(gram_rows, rows.stop - rows.start)
         if diagonal:
+            rows = fib.rows_for(wq)
             M += _diagonal_gram(fib.ell[rows], wq[rows]) * c[n // 2]
         else:
-            _add_lag_product(M, _gram(fib.gemm_rows(rows), wq[rows]), c)
+            G, rows = fib.gram(wq)
+            _add_lag_product(M, G, c)
+            del G
+        gram_rows = max(gram_rows, rows.stop - rows.start)
     return OperatorMatrix(xi_grid, M, "direct", atom.name, spec.descriptor,
                           symbol_is_real=spec.is_real,
                           lowrank_rank=len(V), lowrank_tail=tail,
                           gram_rows=gram_rows)
-
-
-def _gram(L: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """L^H diag(weights) L, one GEMM of ``kernels._weighted``."""
-    X, e = _weighted(L, weights)
-    # complex weights on a real record: L^T X as one real GEMM on X's
-    # interleaved float view, so the record is never cast
-    G = X.T @ L if X.dtype == L.dtype else L.T @ X.view(L.dtype)
-    _ldexp(G, e)
-    return G if X.dtype == L.dtype else G.view(X.dtype).T
 
 
 def _diagonal_gram(L: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -325,9 +313,8 @@ def _add_lag_product(M: np.ndarray, G: np.ndarray, c: np.ndarray):
 # -- specialized routes -----------------------------------------------------------
 
 def build_multiplication(gf: GammaFunction) -> OperatorMatrix:
-    """Diagonal operator of a sampled scalar symbol, held as a copy of its
-    samples."""
-    return OperatorMatrix(gf.grid, gf.values.copy(), "multiplication",
+    """Diagonal operator of a sampled scalar symbol, held as its samples."""
+    return OperatorMatrix(gf.grid, gf.values, "multiplication",
                           gf.atom_name, gf.symbol_descriptor,
                           symbol_is_real=gf.is_real)
 

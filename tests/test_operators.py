@@ -231,6 +231,30 @@ def test_build_direct_complex_symbol_peak_memory():
     assert peak <= 4.0 * K * n * 16, f"peak {peak / (K * n * 16):.3f} K*n*16"
 
 
+def test_complex_weighted_overlap_kernel_peak_memory():
+    # const:1+1j on the gaussian's real record: the kernel is the record's
+    # one Gram product, a real GEMM on the weighted copy's float view, so
+    # the record is not cast to complex and the peak is the weighted copy
+    # and the kernel (2.00 K x n x 16 B measured; the complex cast of the
+    # record read 3.00).  The record and its flushed copy are built by a
+    # first call, outside the window
+    n = 512
+    atom = make_atom("gabor", "gaussian")
+    alpha = Symbol1D.constant(1 + 1j)
+    grid = default_operator_grid("gabor", n)
+    weighted_overlap_kernel(atom, alpha, grid)
+    tracemalloc.start()
+    try:
+        W = weighted_overlap_kernel(atom, alpha, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W.values.dtype == np.complex128
+    assert atom.fibers(grid.samples).ell.dtype == np.float64
+    K = atom.g1.count
+    assert peak <= 2.2 * K * n * 16, f"peak {peak / (K * n * 16):.3f} K*n*16"
+
+
 def _oracle_specs(case):
     if case == "gabor":
         alpha, beta = Symbol1D.indicator(-1.0, 1.0), Symbol1D.cosine_window(2.0)
@@ -538,6 +562,20 @@ def _plain_gram(L, v):
     return (np.conj(L) * v[:, None]).T @ L
 
 
+def _spy_gram(monkeypatch, record):
+    """Patch ``Fibers.gram`` to hand ``record(rows, read)`` the rows of
+    each call and the rows of the flushed copy it read."""
+    original = Fibers.gram
+
+    def spy(self, weights):
+        G, rows = original(self, weights)
+        start, stop = (r - self.span.start for r in (rows.start, rows.stop))
+        record(rows, self._gemm_span[start:stop])
+        return G, rows
+
+    monkeypatch.setattr(Fibers, "gram", spy)
+
+
 def _plain_direct(atom, spec, xi_grid, L):
     """The dense direct matrix from the plain GEMM on every row of ``L``:
     sum_r G_r * S_r as ``build_direct`` forms it, and the sum over the
@@ -566,13 +604,7 @@ def test_gram_products_are_the_plain_gemm_within_the_flush_bound(
     alpha = Symbol1D.constant(0.5 + 2j)
     v = w * alpha.sample(atom.g1.nodes)
     read = []
-
-    def spy(self, rows):
-        read.append(original(self, rows))
-        return read[-1]
-
-    original = Fibers.gemm_rows
-    monkeypatch.setattr(Fibers, "gemm_rows", spy)
+    _spy_gram(monkeypatch, lambda rows, C: read.append(C))
     grids = [_grid_for(atom, n) for n in (64, 256, 512)]
     grids.append(_off_centre_grid(atom.case, 63))
     for grid in grids:
@@ -602,7 +634,8 @@ def test_gram_products_are_the_plain_gemm_within_the_flush_bound(
         flushed = tiny & (parts != 0)
         assert flushed.any() == (atom.name == "gaussian"), atom.name
         span = fib.span
-        C, tiny = fib.gemm_rows(span).view(np.int64), tiny[span]
+        assert fib.gram(np.ones(K))[1] == span
+        C, tiny = read[-1].view(np.int64), tiny[span]
         assert not C[tiny].any()
         assert np.array_equal(C[~tiny], L[span].view(np.int64)[~tiny])
     # one read per kernel, per rank of each direct build, and the check's
@@ -619,11 +652,10 @@ def test_a_record_is_flushed_once_for_all_its_gram_products(monkeypatch):
     # the record's span: its 8 blocks are flushed once, by the first Gram
     # product, and every product reads the memory of that one array
     flushes, read = [], []
-    flush, original = atoms._flush, Fibers.gemm_rows
+    flush = atoms._flush
     monkeypatch.setattr(atoms, "_flush",
                         lambda part: flushes.append(len(part)) or flush(part))
-    monkeypatch.setattr(Fibers, "gemm_rows", lambda self, rows: read.append(
-        original(self, rows)) or read[-1])
+    _spy_gram(monkeypatch, lambda rows, C: read.append(C))
     atom = make_atom("gabor", "gaussian")
     grid = default_operator_grid("gabor", 256)
     M = build_direct(atom, _support_specs("gabor")["disk"], grid)
@@ -647,11 +679,10 @@ def test_the_rank_20_disk_has_no_block_to_flush(monkeypatch, n):
     # them, and the overlap kernel, which reads all 512 rows, flushes no
     # block again but reads the tail rows with their tiny parts at +0
     flushes, read = [], []
-    flush, original = atoms._flush, Fibers.gemm_rows
+    flush = atoms._flush
     monkeypatch.setattr(atoms, "_flush",
                         lambda part: flushes.append(len(part)) or flush(part))
-    monkeypatch.setattr(Fibers, "gemm_rows", lambda self, rows: read.append(
-        (rows, original(self, rows))) or read[-1][1])
+    _spy_gram(monkeypatch, lambda rows, C: read.append((rows, C)))
     atom = make_atom("gabor", "gaussian")
     grid = default_operator_grid("gabor", n)
     M = build_direct(atom, _support_specs("gabor")["disk"], grid)
@@ -672,22 +703,27 @@ def test_the_rank_20_disk_has_no_block_to_flush(monkeypatch, n):
 
 
 @pytest.mark.parametrize("atom_name", ["gaussian", "rect", "shannon", "haar"])
-def test_gemm_rows_are_read_inside_the_span(atom_name, request):
-    # rows_for's slices: an empty one, or unit steps inside the span; any
-    # other is refused (rect and shannon have rows outside their span)
+def test_zero_weights_give_the_zero_gram_and_build_no_copy(atom_name,
+                                                           request):
+    # weights with no nonzero entry in the span -- +0, -0, complex zeros,
+    # and for rect and shannon weights on the rows outside the span alone
+    # -- read no row: the n x n matrix of +0, of the product's dtype, with
+    # the record's flushed copy left unbuilt
     atom = request.getfixturevalue(atom_name)
     fib = Fibers.of(atom, _grid_for(atom, 64).samples)
-    lo, hi = fib.span.start, fib.span.stop
-    # an empty slice reads nothing and makes no copy
-    assert fib.gemm_rows(slice(0, 0)).shape == (0, 64)
-    assert "_gemm_span" not in vars(fib)
-    assert fib.gemm_rows(fib.span).shape == (hi - lo, 64)
-    outside = [slice(lo, hi, 2), slice(hi - 1, lo, -1)]
+    K = atom.g1.count
+    outside = np.ones(K)
+    outside[fib.span] = 0.0
+    cases = [np.zeros(K), np.full(K, -0.0), np.zeros(K, dtype=complex)]
     if atom_name in ("rect", "shannon"):
-        outside += [slice(0, hi), slice(lo, atom.g1.count)]
-    for rows in outside:
-        with pytest.raises(ValueError, match="not inside the record's span"):
-            fib.gemm_rows(rows)
+        cases += [outside, outside * (1 + 2j)]
+    for w in cases:
+        G, rows = fib.gram(w)
+        assert rows.start == rows.stop
+        assert G.shape == (64, 64)
+        assert G.dtype == np.result_type(fib.ell, w)
+        assert not G.view(np.int64).any()
+    assert "_gemm_span" not in vars(fib)
 
 
 def test_the_flush_has_one_call_site(scopes_where):
@@ -697,6 +733,15 @@ def test_the_flush_has_one_call_site(scopes_where):
                 and node.func.id == "_flush")
 
     assert scopes_where(calls_flush) == ["atoms.py:Fibers._gemm_span"]
+
+
+def test_the_flushed_copy_is_read_only_by_the_gram_product(scopes_where):
+    # the overlap kernels and build_direct's dense ranks read the record's
+    # flushed copy through Fibers.gram alone: one Gram product
+    def reads_copy(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_gemm_span"
+
+    assert scopes_where(reads_copy) == ["atoms.py:Fibers.gram"]
 
 
 @pytest.mark.parametrize("name", ["gaussian", "shannon", "haar"])
