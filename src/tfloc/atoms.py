@@ -19,13 +19,23 @@ haar's normalization and the gaussian's unit norm integrate the closed forms
 with the package's one adaptive rule, ``quadrature.gauss_kronrod``; every
 integrand over |psi_hat|^2 reads ``Atom.eval_power``, which haar answers
 from the real form of its squared profile.
+
+``make_atom`` is the process's catalog: the first call per (case, name)
+runs ``make_wavelet`` or ``make_window`` on the default grid, certificate
+checks included, and builds the atom's cumulative profile table; every
+call returns a new ``Atom`` sharing that verified entry's read-only parts
+(samples, profiles, grid, normalization, ``freq_breakpoints`` and the
+table), with an empty fiber-record slot of its own, so no record outlives
+the atom it was built for.  ``make_wavelet`` and ``make_window`` build a
+new atom on every call, for custom grids and patched profiles.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -78,6 +88,13 @@ def _flush(part: np.ndarray):
     in magnitude to +0, in place."""
     words = part.view(float)
     words[np.abs(words) < _FLUSH_BELOW] = 0.0
+
+
+def _flush_rows(A: np.ndarray):
+    """``_flush`` over the C-contiguous ``A``, a block of ``_BLOCK_ROWS``
+    rows at a time: no temporary has A's size."""
+    for rows in _row_blocks(len(A)):
+        _flush(A[rows])
 
 
 def _hull(flags) -> slice:
@@ -142,7 +159,8 @@ class Atom:
         self.freq_profile = freq_profile
         self.power_profile = power_profile
         self.freq_support = freq_support
-        self.freq_breakpoints = np.asarray(freq_breakpoints, dtype=float)
+        self.freq_breakpoints = np.array(freq_breakpoints, dtype=float)
+        self.freq_breakpoints.flags.writeable = False
         self.time_support = time_support
         self.healthy_range = healthy_range
         self.fiber_tol = fiber_tol
@@ -179,7 +197,7 @@ class Atom:
         ``gauss_kronrod`` integral per unit panel (log2 panel on the scale
         axis) split at the support's ends and ``freq_breakpoints``, summed
         in order.  One table serves both signs of xi: catalog wavelets are
-        real, so |psi_hat| is even."""
+        real, so |psi_hat| is even.  The arrays are read-only."""
         if self.case == "wavelet":
             lo, hi = self.freq_support
             cuts = np.exp2(np.arange(math.ceil(math.log2(lo)),
@@ -192,7 +210,9 @@ class Atom:
         vals, errs = gauss_kronrod(
             lambda t, j: self._profile_density(t), e[:-1], e[1:],
             lambda j: f"{self!r} profile on [{e[j]:g}, {e[j + 1]:g}]")
-        return e, np.concatenate([[0.0], np.cumsum(vals.real)]), errs.sum()
+        P = np.concatenate([[0.0], np.cumsum(vals.real)])
+        e.flags.writeable = P.flags.writeable = False
+        return e, P, errs.sum()
 
     # -- fiber profile ------------------------------------------------------
 
@@ -365,17 +385,23 @@ class Fibers:
         magnitude set to +0: such parts form subnormal products, each a
         microcode assist on x86 (the gaussian's tails fall below 2^-511 near
         |x| = 15, 21 % of its record, and its GEMMs ran about 5x slower).  A
-        zeroed part moves a term conj(L[k, i]) L[k, j] by less than
-        2^-510 max|L|, so an entry moves by at most 2^-510 max|L| sum_k |w_k|,
-        1.1e-152 for the gaussian's overlap kernel; the rect, shannon and
-        haar records have no nonzero part that small.  The weights are
-        scaled by 2^-e, 2^e their ``_exponent`` scale, and G back by 2^e,
-        exactly, so a tiny symbol forms no subnormal product either.
-        G = X^T L with X = conj(L) diag(w 2^-e) is one GEMM: real when L and
-        the weights are, and a real GEMM L^T X on X's interleaved float view
-        when only the weights are complex, so a real record is never cast.
-        Weights with no nonzero entry in the span give the n x n matrix of
-        +0 and build no copy.
+        zeroed part moves a term conj(L[k, i]) w_k L[k, j] by less than
+        2^-510 max|L| |w_k|, so an entry moves by at most
+        2^-510 max|L| sum_k |w_k|, 1.1e-152 for the gaussian's overlap
+        kernel; the rect, shannon and haar records have no nonzero part that
+        small.  The weights are scaled by 2^-e, 2^e their ``_exponent``
+        scale, and G back by 2^e, exactly, so a tiny symbol forms no
+        subnormal product either.  G = X^T L with X = conj(L) diag(w 2^-e)
+        is one GEMM: real when L and the weights are, and a real GEMM L^T X
+        on X's interleaved float view when only the weights are complex, so
+        a real record is never cast.  X is flushed as L is (``_flush_rows``),
+        since weights spanning many decades leave parts of it subnormal (the
+        radial gaussian of sigma = 1 at n = 256: 1,103 of 125,696): a zeroed
+        part moves a term by less than 2^(e - 510) max|L| <= 2^-509 max|L|
+        max_k |w_k|, so an entry moves by at most a further
+        2^-509 max|L| max_k |w_k| times the number of rows read.  Weights
+        with no nonzero entry in the span give the n x n matrix of +0 and
+        build no copy.
         """
         rows = self.rows_for(weights)
         n = self.ell.shape[1]
@@ -387,6 +413,7 @@ class Fibers:
         e = _exponent(w)
         _ldexp(w, -e)
         X = L.conj() * w[:, None]
+        _flush_rows(X)
         G = X.T @ L if X.dtype == L.dtype else L.T @ X.view(L.dtype)
         _ldexp(G, e)
         return (G if X.dtype == L.dtype else G.view(X.dtype).T), rows
@@ -406,8 +433,7 @@ class Fibers:
                              _row_blocks(len(L)))):
             return L
         out = np.array(L, order="C")
-        for rows in _row_blocks(len(out)):
-            _flush(out[rows])
+        _flush_rows(out)
         out.flags.writeable = False
         return out
 
@@ -659,6 +685,24 @@ def make_window(name: str, translation_grid: LineGrid | None = None) -> Atom:
                 fiber_tol=1e-6)
 
 
+@cache
+def _catalog(case: str, name: str) -> Atom:
+    """The verified catalog entry of (case, name) on the default grid, its
+    profile table built: one per process, never handed out."""
+    atom = make_wavelet(name) if case == "wavelet" else make_window(name)
+    atom._profile_table
+    return atom
+
+
 def make_atom(case: str, name: str) -> Atom:
-    """Catalog dispatch by case tag."""
-    return make_wavelet(name) if case == "wavelet" else make_window(name)
+    """The catalog atom of ``name``, dispatched by case tag.
+
+    The first call per (case, name) builds and verifies the entry; every
+    call returns a new ``Atom`` that shares the entry's read-only parts
+    (samples, profiles, grid, normalization, ``freq_breakpoints`` and
+    ``_profile_table``) and starts with no fiber record, so the record it
+    keeps (``Atom.fibers``) is collected with it.
+    """
+    atom = copy.copy(_catalog(case, name))
+    atom._last_fibers = None
+    return atom

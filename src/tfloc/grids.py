@@ -16,8 +16,8 @@ Both kinds serve as the first phase-plane coordinate through one interface:
 ``u^{-2} du`` weights on a ScaleGrid).  First-coordinate quadrature uses only
 these two and ``count``, never the grid kind.
 
-Grids are immutable after construction; everything downstream treats them as
-value objects.
+Grids are immutable after construction, their arrays read-only; everything
+downstream treats them as value objects.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ class LineGrid:
             raise ValueError("grid samples overflow")
         self.nodes = self.samples
         self.measure_weights = np.full(self.count, self.step)
+        for a in (self.samples, self.measure_weights):
+            a.flags.writeable = False
 
     @property
     def stop(self) -> float:
@@ -110,6 +112,8 @@ class ScaleGrid:
             self.measure_weights = self.weights / self.nodes
         if not np.all(np.isfinite(self.measure_weights)):
             raise ValueError(f"scale grid [{u_min}, {u_max}] overflows")
+        for a in (self.nodes, self.weights, self.measure_weights):
+            a.flags.writeable = False
 
     def __repr__(self):
         return f"ScaleGrid(u_min={self.u_min:g}, u_max={self.u_max:g}, count={self.count})"

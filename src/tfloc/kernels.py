@@ -75,21 +75,25 @@ GAMMA_RULES = ("grid", "adaptive", "fft")
 
 class GammaFunction:
     """Sampled diagonal symbol of a first-variable localization operator;
-    ``values`` is a read-only view of the checked samples, their float64
-    real part when ``is_real``."""
+    ``values`` is a read-only view of the checked samples: C-contiguous
+    float64 when ``is_real`` (float64 input kept as it is, the real part of
+    complex input copied), complex128 otherwise."""
 
     def __init__(self, grid: LineGrid, values, atom_name: str,
                  symbol_descriptor: str, rule: str, unbounded: bool = False,
                  is_real: bool | None = None, abserr: float | None = None):
-        values = np.asarray(values, dtype=complex)
+        values = np.asarray(values)
+        if not (is_real and values.dtype == np.float64):
+            values = values.astype(complex, copy=False)
         if values.shape != (grid.count,):
             raise ValueError("gamma values must match the frequency grid")
-        if is_real:
+        if is_real and np.iscomplexobj(values):
             dev = float(np.max(np.abs(values.imag)))
             if dev > 1e-10 * max(1.0, float(np.max(np.abs(values.real)))):
                 raise ValueError(
                     f"real symbol produced imaginary gamma (dev {dev:.2e})")
-        values = (values.real if is_real else values).view()
+            values = values.real
+        values = np.ascontiguousarray(values).view()
         values.flags.writeable = False
         self.grid = grid
         self.values = values

@@ -1,11 +1,15 @@
+import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from tfloc import atoms
-from tfloc.atoms import AdmissibilityError, make_wavelet, make_window
+from tfloc.atoms import AdmissibilityError, make_atom, make_wavelet, make_window
 from tfloc.io import export_atom, import_atom
+from tfloc.operators import default_operator_grid
 
 LN2 = math.log(2.0)
 
@@ -153,6 +157,101 @@ def test_catalog_certificates_raise_admissibility_error(
     assert math.isclose(exc.value.residual, residual, rel_tol=1e-9)
     assert str(exc.value) == f"{message} (achieved residual {residual:.3e})"
     assert isinstance(exc.value, ValueError)
+
+
+# -- the catalog -----------------------------------------------------------------
+
+CATALOG = [("gabor", "gaussian"), ("gabor", "rect"),
+           ("wavelet", "shannon"), ("wavelet", "haar")]
+
+
+def _arrays(obj, depth=3):
+    """(path, array) of every ndarray reachable from ``obj`` through
+    attributes and tuples, ``depth`` levels deep."""
+    if isinstance(obj, np.ndarray):
+        yield "", obj
+        return
+    if depth == 0:
+        return
+    if isinstance(obj, tuple):
+        items = [(f"[{i}]", v) for i, v in enumerate(obj)]
+    elif hasattr(obj, "__dict__") and not callable(obj):
+        items = [(f".{k}", v) for k, v in vars(obj).items()]
+    else:
+        return
+    for key, value in items:
+        for path, a in _arrays(value, depth - 1):
+            yield key + path, a
+
+
+@pytest.mark.parametrize("case,name", CATALOG)
+def test_the_catalog_builds_each_atom_once(monkeypatch, case, name):
+    # the first make_atom of an entry builds and verifies it, its profile
+    # table included (gauss_kronrod); the second runs no quadrature and
+    # returns a new atom holding the first one's samples and table arrays
+    monkeypatch.setattr(atoms, "_catalog",
+                        functools.cache(atoms._catalog.__wrapped__))
+    passes = []
+    adaptive = atoms.gauss_kronrod
+    monkeypatch.setattr(atoms, "gauss_kronrod",
+                        lambda *a: passes.append(1) or adaptive(*a))
+    first = make_atom(case, name)
+    assert passes and "_profile_table" in vars(first)
+    passes.clear()
+    second = make_atom(case, name)
+    assert not passes
+    assert second is not first and type(second) is atoms.Atom
+    assert (second.case, second.name) == (case, name)
+    assert second.time_samples is first.time_samples
+    assert second.freq_samples is first.freq_samples
+    assert all(a is b for a, b in zip(second._profile_table[:2],
+                                      first._profile_table[:2]))
+    shared = dict(_arrays(first))
+    assert {"._profile_table[0]", "._profile_table[1]", ".freq_breakpoints",
+            ".g1.nodes", ".g1.measure_weights",
+            ".time_samples.values"} <= set(shared)
+    assert all(a is shared[path] for path, a in _arrays(second))
+
+
+@pytest.mark.parametrize("case,name", CATALOG)
+def test_every_shared_array_is_read_only(case, name):
+    atom = make_atom(case, name)
+    found = list(_arrays(atom))
+    assert len(found) >= 10
+    for path, a in found:
+        assert not a.flags.writeable, f"{atom!r}{path}"
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = a
+
+
+def test_each_catalog_atom_keeps_its_own_fiber_record():
+    # two atoms of one entry start with no record and build their own; a
+    # record is collected with the atom that built it
+    grid = default_operator_grid("gabor", 64)
+    a, b = make_atom("gabor", "gaussian"), make_atom("gabor", "gaussian")
+    record = a.fibers(grid.samples)
+    assert b._last_fibers is None
+    assert make_atom("gabor", "gaussian")._last_fibers is None
+    assert b.fibers(grid.samples) is not record
+    assert a.fibers(grid.samples) is record
+    ref = weakref.ref(record)
+    del a, record
+    gc.collect()
+    assert ref() is None
+    assert b._last_fibers is not None
+
+
+def test_patched_profiles_fail_their_certificate_after_the_catalog(
+        monkeypatch):
+    # make_wavelet builds and checks a new atom on every call: a patched
+    # profile raises, while the catalog keeps the entry it verified
+    verified = make_atom("wavelet", "shannon")
+    monkeypatch.setattr(atoms, "_shannon_profiles", _complex_shannon)
+    with pytest.raises(AdmissibilityError, match="must be real-valued"):
+        make_wavelet("shannon")
+    again = make_atom("wavelet", "shannon")
+    assert again.time_samples is verified.time_samples
+    assert not np.iscomplex(again.time_samples.values).any()
 
 
 # -- windows ---------------------------------------------------------------------

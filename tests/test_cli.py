@@ -2,6 +2,7 @@ import json
 import math
 import os
 import runpy
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -9,7 +10,9 @@ import warnings
 import numpy as np
 import pytest
 from scipy.special import erf
+from test_golden import one_blas_thread
 
+import tfloc
 from tfloc import cli, operators
 from tfloc.algebra import Partition, partition_gammas
 from tfloc.atoms import Fibers, make_atom
@@ -201,6 +204,33 @@ def test_python_m_tfloc_exits_with_the_code_of_main(tmp_path, monkeypatch,
     for suffix in ("", ".meta.json"):
         assert (open(via_m + suffix, "rb").read()
                 == open(direct + suffix, "rb").read())
+
+
+def test_in_process_commands_write_the_bytes_of_fresh_processes(tmp_path):
+    # the catalog's atoms are shared within a process: gamma (reading the
+    # gaussian's profile table), verify cto2 (building its fiber records)
+    # and gamma again write, in one process, the bytes a new
+    # ``python -m tfloc`` process writes for each
+    commands = [["gamma", "--symbol", "indicator:-1,1", "--rule", "adaptive",
+                 "--n", "64", "--out", "g.csv"],
+                ["verify", "cto2", "--n", "64", "--out", "v.json"]]
+    commands.append(commands[0])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(tfloc.__file__)))
+    for i, argv in enumerate(commands):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        here.mkdir()
+        fresh.mkdir()
+        with pytest.MonkeyPatch.context() as mp, one_blas_thread():
+            mp.chdir(here)
+            assert run(*argv) == 0
+        subprocess.run([sys.executable, "-m", "tfloc", *argv], cwd=fresh,
+                       env=env, check=True)
+        names = sorted(os.listdir(here))
+        assert names and names == sorted(os.listdir(fresh))
+        for name in names:
+            assert ((here / name).read_bytes()
+                    == (fresh / name).read_bytes()), (argv[0], name)
 
 
 def test_cmd_gamma_sidecar_abserr(tmp_path):

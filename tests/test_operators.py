@@ -576,33 +576,47 @@ def _spy_gram(monkeypatch, record):
     monkeypatch.setattr(Fibers, "gram", spy)
 
 
+def _flush_bound(L, v):
+    """What the flushes of ``Fibers.gram`` move an entry of the Gram product
+    of ``L`` and the weights ``v`` by at most: 2^-510 max|L| sum_k |v_k|
+    for the record's, 2^-509 max|L| max_k |v_k| per row for the weighted
+    operand's."""
+    top = np.max(np.abs(L))
+    return 2.0 ** -510 * top * (np.sum(np.abs(v)) + 2 * len(L) * np.max(np.abs(v)))
+
+
 def _plain_direct(atom, spec, xi_grid, L):
     """The dense direct matrix from the plain GEMM on every row of ``L``:
-    sum_r G_r * S_r as ``build_direct`` forms it, and the sum over the
-    ranks of sum_k |w q_r| max|c_r|, what scales a Gram entry's error."""
+    sum_r G_r * S_r as ``build_direct`` forms it, the sum over the ranks of
+    sum_k |w q_r| max|c_r|, what scales a Gram entry's rounding, and the
+    sum over the ranks of ``_flush_bound`` times max|c_r|."""
     n = xi_grid.count
     w = atom.g1.measure_weights
     M = np.zeros((n, n), dtype=complex)
-    scale = 0.0
+    scale = flushed = 0.0
     for q, c in _field_ranks(atom, spec, xi_grid):
         _add_lag_product(M, _plain_gram(L, w * q), c)
         scale += np.sum(np.abs(w * q)) * np.max(np.abs(c))
-    return M, scale
+        flushed += _flush_bound(L, w * q) * np.max(np.abs(c))
+    return M, scale, flushed
 
 
 @pytest.mark.parametrize("atom_name", ["gaussian", "rect", "shannon", "haar"])
 def test_gram_products_are_the_plain_gemm_within_the_flush_bound(
         atom_name, request, monkeypatch):
-    # the Gram products read the record's rows with every part below 2^-511
-    # set to +0, which moves an entry by at most 2^-510 max|L| sum_k |v_k|,
-    # on top of the rounding (``GRAM_ROUNDING_C``): the direct matrices of
-    # the cto2 and cto3 symbols and both overlap kernels, on the lattice
-    # grids (copies of a strided record) and off centre (a K x N record)
+    # the Gram products read the record's rows, and form the weighted
+    # operand, with every part below 2^-511 set to +0, which moves an entry
+    # by at most ``_flush_bound``, on top of the rounding
+    # (``GRAM_ROUNDING_C``): the direct matrices of the cto2 and cto3
+    # symbols, both overlap kernels and a Gram product of weights spanning
+    # 1e-320 ... 1 in random order, on the lattice grids (copies of a
+    # strided record) and off centre (a K x N record)
     atom = request.getfixturevalue(atom_name)
     K = atom.g1.count
     w = atom.g1.measure_weights
     alpha = Symbol1D.constant(0.5 + 2j)
     v = w * alpha.sample(atom.g1.nodes)
+    wide = np.random.default_rng(3).permutation(np.geomspace(1e-320, 1.0, K))
     read = []
     _spy_gram(monkeypatch, lambda rows, C: read.append(C))
     grids = [_grid_for(atom, n) for n in (64, 256, 512)]
@@ -611,16 +625,21 @@ def test_gram_products_are_the_plain_gemm_within_the_flush_bound(
         L = atom.ell_matrix(grid.samples)
         top = np.max(np.abs(L))
         built = {"overlap": (overlap_kernel(atom, grid).values,
-                             _plain_gram(L, w), np.sum(w)),
+                             _plain_gram(L, w), np.sum(w),
+                             _flush_bound(L, w)),
                  "weighted": (weighted_overlap_kernel(atom, alpha, grid).values,
-                              _plain_gram(L, v), np.sum(np.abs(v)))}
+                              _plain_gram(L, v), np.sum(np.abs(v)),
+                              _flush_bound(L, v)),
+                 "wide": (atom.fibers(grid.samples).gram(wide)[0],
+                          _plain_gram(L, wide), np.sum(wide),
+                          _flush_bound(L, wide))}
         for suite in ("cto2", "cto3"):
             spec = EQUIVALENCE_SYMBOLS[suite, atom.case]
             built[suite] = (build_direct(atom, spec, grid).values,
                             *_plain_direct(atom, spec, grid, L))
-        for kind, (got, ref, scale) in built.items():
-            bound = scale * (2.0 ** -510 * top + GRAM_ROUNDING_C * K
-                             * np.finfo(float).eps * top ** 2)
+        for kind, (got, ref, scale, flushed) in built.items():
+            bound = flushed + scale * (GRAM_ROUNDING_C * K
+                                       * np.finfo(float).eps * top ** 2)
             err = np.max(np.abs(got - ref))
             assert err <= bound, \
                 f"{atom.name}/{kind}, n={grid.count}: {err:.2e} > {bound:.2e}"
@@ -638,11 +657,27 @@ def test_gram_products_are_the_plain_gemm_within_the_flush_bound(
         C, tiny = read[-1].view(np.int64), tiny[span]
         assert not C[tiny].any()
         assert np.array_equal(C[~tiny], L[span].view(np.int64)[~tiny])
-    # one read per kernel, per rank of each direct build, and the check's
-    assert len(read) == 5 * len(grids)
+    # one read per kernel, per rank of each direct build, the wide weights'
+    # and the check's
+    assert len(read) == 6 * len(grids)
     for C in read:
         parts = C.view(float)
         assert not np.any((np.abs(parts) < FLUSH_BELOW) & (parts != 0))
+
+
+def _spy_flush(monkeypatch):
+    """Patch ``atoms._flush`` to record every part it flushes; returns the
+    list and ``blocks(A)``, the row counts of the recorded parts that lie in
+    the array ``A``, in call order."""
+    flushes = []
+    flush = atoms._flush
+    monkeypatch.setattr(atoms, "_flush",
+                        lambda part: flushes.append(part) or flush(part))
+
+    def blocks(A):
+        return [len(part) for part in flushes if np.shares_memory(part, A)]
+
+    return flushes, blocks
 
 
 def test_a_record_is_flushed_once_for_all_its_gram_products(monkeypatch):
@@ -650,11 +685,10 @@ def test_a_record_is_flushed_once_for_all_its_gram_products(monkeypatch):
     # overlap kernel and a weighted overlap kernel (all 512 rows) on one
     # gaussian lattice record at n = 256 read slices of one flushed copy of
     # the record's span: its 8 blocks are flushed once, by the first Gram
-    # product, and every product reads the memory of that one array
-    flushes, read = [], []
-    flush = atoms._flush
-    monkeypatch.setattr(atoms, "_flush",
-                        lambda part: flushes.append(len(part)) or flush(part))
+    # product, and every product reads the memory of that one array (each
+    # product flushes its own weighted operand too)
+    read = []
+    flushes, blocks = _spy_flush(monkeypatch)
     _spy_gram(monkeypatch, lambda rows, C: read.append(C))
     atom = make_atom("gabor", "gaussian")
     grid = default_operator_grid("gabor", 256)
@@ -662,12 +696,47 @@ def test_a_record_is_flushed_once_for_all_its_gram_products(monkeypatch):
     assert M.lowrank_rank == 20 and M.gram_rows == 65
     overlap_kernel(atom, grid)
     weighted_overlap_kernel(atom, Symbol1D.gaussian_bump(1.0), grid)
-    assert flushes == [_BLOCK_ROWS] * 8
     assert len(read) == 22
     whole = read[20]
+    assert blocks(whole) == [_BLOCK_ROWS] * 8
+    assert all(np.shares_memory(part, whole) for part in flushes[:8])
     assert whole.shape == (atom.g1.count, grid.count)
     assert whole.flags.c_contiguous and not whole.flags.writeable
     assert all(np.shares_memory(C, whole) for C in read)
+
+
+def _subnormal(part):
+    """The number of subnormal real and imaginary parts of ``part``."""
+    words = np.abs(part.view(float))
+    return int(np.count_nonzero((words > 0) & (words < 2.0 ** -1022)))
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_the_weighted_operand_has_no_subnormal_part(monkeypatch, n):
+    # the radial gaussian of sigma = 1 weights the gaussian record's rows
+    # over many decades, down to 4.6e-322: X = conj(L) diag(w) has subnormal
+    # parts (1,103 of 125,696 at n = 256), each a microcode assist in the
+    # GEMM, and Fibers.gram sets them to +0 before it, a block of rows at a
+    # time.  The record's flushed copy is excluded by its memory
+    counts = []
+    flush = atoms._flush
+
+    def spy(part):
+        before = _subnormal(part)
+        flush(part)
+        counts.append((part, before, _subnormal(part)))
+
+    monkeypatch.setattr(atoms, "_flush", spy)
+    atom = make_atom("gabor", "gaussian")
+    grid = default_operator_grid("gabor", n)
+    spec = SymbolSpec.general(
+        lambda q, p: np.exp(-np.pi * (q * q + p * p)), "radial:1")
+    build_direct(atom, spec, grid)
+    record = atom.fibers(grid.samples)._gemm_span
+    operand = [(before, after) for part, before, after in counts
+               if not np.shares_memory(part, record)]
+    assert operand and sum(before for before, _ in operand) > 0
+    assert all(after == 0 for _, after in operand)
 
 
 @pytest.mark.parametrize("n", [256, 512])
@@ -678,22 +747,21 @@ def test_the_rank_20_disk_has_no_block_to_flush(monkeypatch, n):
     # no part flushed.  The record's copy is flushed once, by the first of
     # them, and the overlap kernel, which reads all 512 rows, flushes no
     # block again but reads the tail rows with their tiny parts at +0
-    flushes, read = [], []
-    flush = atoms._flush
-    monkeypatch.setattr(atoms, "_flush",
-                        lambda part: flushes.append(len(part)) or flush(part))
+    read = []
+    _, blocks = _spy_flush(monkeypatch)
     _spy_gram(monkeypatch, lambda rows, C: read.append((rows, C)))
     atom = make_atom("gabor", "gaussian")
     grid = default_operator_grid("gabor", n)
     M = build_direct(atom, _support_specs("gabor")["disk"], grid)
     assert M.lowrank_rank == 20 and M.gram_rows == 65
-    L = atom.fibers(grid.samples).ell
+    fib = atom.fibers(grid.samples)
+    L = fib.ell
     assert len(read) == 20
     for rows, C in read:
         assert C.tobytes() == np.ascontiguousarray(L[rows]).tobytes()
-    assert flushes == [_BLOCK_ROWS] * 8
+    assert blocks(fib._gemm_span) == [_BLOCK_ROWS] * 8
     overlap_kernel(atom, grid)
-    assert flushes == [_BLOCK_ROWS] * 8
+    assert blocks(fib._gemm_span) == [_BLOCK_ROWS] * 8
     rows, C = read[-1]
     assert (C.shape[0], rows) == (atom.g1.count, slice(0, atom.g1.count))
     parts = L.view(float)
@@ -727,12 +795,16 @@ def test_zero_weights_give_the_zero_gram_and_build_no_copy(atom_name,
 
 
 def test_the_flush_has_one_call_site(scopes_where):
-    # the record's flushed copy is the one place that flushes
-    def calls_flush(node):
-        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "_flush")
+    # the flush runs a block of rows at a time, on the record's flushed copy
+    # and on each Gram product's weighted operand alone
+    def calls(name):
+        return lambda node: (isinstance(node, ast.Call)
+                             and isinstance(node.func, ast.Name)
+                             and node.func.id == name)
 
-    assert scopes_where(calls_flush) == ["atoms.py:Fibers._gemm_span"]
+    assert scopes_where(calls("_flush")) == ["atoms.py:_flush_rows"]
+    assert scopes_where(calls("_flush_rows")) == [
+        "atoms.py:Fibers.gram", "atoms.py:Fibers._gemm_span"]
 
 
 def test_the_flushed_copy_is_read_only_by_the_gram_product(scopes_where):
