@@ -104,6 +104,17 @@ def _hull(flags) -> slice:
     return slice(int(at[0]), int(at[-1]) + 1) if at.size else slice(0, 0)
 
 
+def _nonzero_words(V: np.ndarray, axis: int) -> np.ndarray:
+    """Per row (``axis`` 1) or column (0) of ``V``: whether it holds a word,
+    a real or an imaginary part, other than +0.  +0 is the one float whose
+    bits are all zero, so that is a bitwise or of the words as integers."""
+    parts = (V.real, V.imag) if np.iscomplexobj(V) else (V,)
+    words = np.bitwise_or.reduce(parts[0].view(np.int64), axis=axis)
+    for part in parts[1:]:
+        words |= np.bitwise_or.reduce(part.view(np.int64), axis=axis)
+    return words != 0
+
+
 class AdmissibilityError(ValueError):
     """Atom construction failed its admissibility / normalization check."""
 
@@ -130,6 +141,12 @@ class Atom:
         form, or None to square the modulus of ``eval_freq``
     freq_support : for wavelets, (lo, hi) of |xi| outside which the frequency
         profile is negligible; integration bounds for admissibility.
+    exact_support : (lo, hi), lo <= hi, of |xi| (wavelets) or x (windows)
+        outside which the profile is exactly +0 at every float, or None
+        when no such interval is declared (a profile truncated where it is
+        only small, as the gaussian's and haar's, and imported atoms).  The
+        catalog certifies it (``_certify_support``); ``Fibers`` stores an
+        atom's record only in the column windows it allows.
     freq_breakpoints : |xi| at which adaptive quadrature over the frequency
         profile splits (catalog haar: its profile zeros); empty by default.
     time_support : for windows, (lo, hi) support of the window itself.
@@ -144,7 +161,7 @@ class Atom:
     def __init__(self, case, name, time_samples, freq_samples, normalization,
                  g1, time_profile=None, freq_profile=None, power_profile=None,
                  freq_support=None, freq_breakpoints=(), time_support=None,
-                 healthy_range=None, fiber_tol=1e-6):
+                 healthy_range=None, fiber_tol=1e-6, exact_support=None):
         if case not in ("wavelet", "gabor"):
             raise ValueError(f"unknown case {case!r}")
         self.case = case
@@ -164,6 +181,7 @@ class Atom:
         self.time_support = time_support
         self.healthy_range = healthy_range
         self.fiber_tol = fiber_tol
+        self.exact_support = exact_support
         self._last_fibers = None  # (g1, record) of the last ``fibers`` build
 
     # -- profile evaluation -------------------------------------------------
@@ -221,8 +239,9 @@ class Atom:
         sqrt(z) conj(psi_hat(z omega)) at scales z (wavelets), conj(phi(omega - z))
         at translations z (windows).
 
-        The general evaluator, the oracle of a window's lattice record
-        (``Fibers``).  The dtype is the profile's at one probe sample:
+        The general evaluator, and the oracle of every record (``Fibers``):
+        it evaluates every entry, also outside the atom's ``exact_support``,
+        where a windowed record stores nothing.  The dtype is ``_fiber_dtype``:
         float64 for a real profile, complex128 for a complex one.  The
         result is allocated once, before the blocks' temporaries (a glibc
         heap layout that saves about 0.5 MiB of peak RSS), and the profile
@@ -230,16 +249,26 @@ class Atom:
         """
         omegas = np.asarray(omegas, dtype=float)
         z = self.g1.nodes
-        profile = self.eval_freq if self.case == "wavelet" else self.eval_time
-        out = np.empty((z.size, omegas.size), profile(np.zeros(1)).dtype)
+        out = np.empty((z.size, omegas.size), self._fiber_dtype())
         for rows in _row_blocks(z.size):
-            if self.case == "wavelet":
-                np.multiply(np.sqrt(z[rows])[:, None],
-                            profile(np.outer(z[rows], omegas)).conj(),
-                            out=out[rows])
-            else:
-                out[rows] = profile(omegas[None, :] - z[rows, None]).conj()
+            self._fiber_block(z[rows], omegas, out[rows])
         return out
+
+    def _fiber_dtype(self) -> np.dtype:
+        """The dtype of the fiber profile: the profile's at one probe."""
+        profile = self.eval_freq if self.case == "wavelet" else self.eval_time
+        return profile(np.zeros(1)).dtype
+
+    def _fiber_block(self, z, omegas, out):
+        """ell on the nodes ``z`` x ``omegas``, written into ``out``.  Each
+        entry is the profile at one rounded product z omega (wavelets) or
+        difference omega - z (windows), so it has the same bits in any
+        block that holds it."""
+        if self.case == "wavelet":
+            np.multiply(np.sqrt(z)[:, None],
+                        self.eval_freq(np.outer(z, omegas)).conj(), out=out)
+        else:
+            out[...] = self.eval_time(omegas[None, :] - z[:, None]).conj()
 
     def fibers(self, omegas) -> "Fibers":
         """The atom's fiber record on ``omegas``.
@@ -308,71 +337,150 @@ class Fibers:
     through ``Atom.fibers``, which keeps the last record per atom, so calls
     on one grid share one fiber matrix.  The arrays are read-only.
 
-    A window's fibers are translates, conj phi(omega - z).  On a *lattice*
-    grid (the builders', the CLI's and the benchmark's), the omegas and the
-    nodes are progressions (a + p i) u and (b + q k) u of integers below
-    2^52 times one power of two u, checked in O(N + K), so every
-    omega_i - z_k is exact, (a - b + p i - q k) u: ``ell`` is a strided
-    view (strides -q, p) of the window on the p(N - 1) + q(K - 1) + 1
-    differences, 64 KiB at N = 4096, K = 512 against 16 MiB.  Other grids
-    and wavelets take ``ell_matrix``'s K x N array.
+    *Windows.*  Each block of ``_BLOCK_ROWS`` rows has one column window,
+    ``windows[b]``: every entry of the block outside it is +0, and
+    ``values[b]`` holds the block's entries inside it.  An atom that
+    declares an ``exact_support`` (shannon's band 1 <= |xi| <= 2, rect's
+    [0, 1)) on omegas in increasing order gets the tight windows: a
+    vectorized ``searchsorted`` of each block's extreme nodes against the
+    support, widened by one float for the rounding of z omega or
+    omega - z, bounds the columns where the block can be nonzero, and the
+    block's values there are trimmed to the hull of the columns that are
+    not.  Other records (the gaussian's and haar's truncated supports,
+    imported atoms, unsorted omegas) take the whole row as every block's
+    window.  On the filter's N = 4096 grid, shannon's windows hold 3.3 MiB
+    where the K x N array is 16 MiB, 6.2 % of it nonzero.
+
+    *Storage.*  A window's fibers are translates, conj phi(omega - z).  On
+    a *lattice* grid (the builders', the CLI's and the benchmark's), the
+    omegas and the nodes are progressions (a + p i) u and (b + q k) u of
+    integers below 2^52 times one power of two u, checked in O(N + K), so
+    every omega_i - z_k is exact, (a - b + p i - q k) u: ``stored`` is a
+    strided view (strides -q, p) of the window on the p(N - 1) + q(K - 1)
+    + 1 differences, 64 KiB at N = 4096, K = 512 against 16 MiB, and the
+    blocks' values are views of it.  Off the lattice, a windowed record
+    stores only its window values (``stored`` is None), and any other
+    record is ``ell_matrix``'s K x N array.  The K x N matrix of a windowed
+    record off the lattice is made only on request: ``ell`` and ``dense``
+    make it anew on each call, and ``gram`` reads it for the n <= 512 Gram
+    products (``_gemm_span``).
 
     The dtype is ``ell_matrix``'s: float64 for a real profile, complex128
     otherwise (haar, imported atoms with complex samples); consumers are
     dtype-generic.  The catalog's real profiles (gaussian, rect, shannon)
     return float arrays, so their record meets no complex temporary.  The
-    reductions over the nodes (``norms``, ``power_sums``) run over blocks
-    of ``_BLOCK_ROWS`` rows, so no temporary has a dense record's size.
+    reductions over the nodes (``norms``, ``power_sums``) run over the
+    blocks' windows, so no temporary has a dense record's size.
 
     The record is finite by construction: the catalog's closed forms and
     the linear interpolation of an imported atom's finite samples give
     finite values.
 
     A row is *empty* when every entry has the bit pattern of +0 (a row
-    holding -0 is not), found by one scan of the record's words (the real
+    holding -0 is not), found by one scan of the windows' words (the real
     and imaginary parts of a complex record).  ``live`` has one flag per
     block of ``_BLOCK_ROWS`` rows, False when every row of the block is
     empty, and ``span`` is the slice from the first to the last row that is
     not.  A band-limited wavelet (shannon) or a compactly supported window
     (rect) has empty rows at the ends of the first coordinate.
     ``power_sums`` and the transform chain of ``fields`` skip the empty
-    blocks, and the blocks where a row factor or a symbol is zero, and keep
-    every bit of their outputs.  The direct route and the overlap kernels
-    run over the rows of ``rows_for`` their weights, inside the span: the
-    diagonal of a diagonal direct matrix reads them in place, and every
-    Gram product is ``gram`` (its docstring states the flush bound).
+    blocks, and the blocks where a row factor or a symbol is zero, read
+    only the windows of the others, and keep every bit of their outputs.
+    The direct route and the overlap kernels run over the rows of
+    ``rows_for`` their weights, inside the span: the diagonal of a diagonal
+    direct matrix reads them a block at a time (``dense``), and every Gram
+    product is ``gram`` (its docstring states the flush bound).
     """
 
     omegas: np.ndarray
-    ell: np.ndarray
     weights: np.ndarray  # first-coordinate measure weights
     live: tuple  # per block of rows: False when every entry is +0
     span: slice  # first to last row holding a word other than +0
+    windows: tuple  # per block of rows: the columns outside which it is +0
+    values: tuple  # per block of rows: its entries in its window
+    stored: np.ndarray | None  # the K x N array, None when windowed off it
 
     @classmethod
     def of(cls, atom: Atom, omegas) -> "Fibers":
         """A new read-only record of ``atom`` on ``omegas``: a view of one
-        window vector on a lattice grid, else one ``ell_matrix`` call."""
+        window vector on a lattice grid, else the windows' values of an
+        atom with an exact support on increasing omegas, else one
+        ``ell_matrix`` call."""
         omegas = np.array(omegas, dtype=float)
         omegas.flags.writeable = False
+        z = atom.g1.nodes
         L = _lattice_record(atom, omegas)
-        if L is None:
+        bounds = _window_bounds(atom, omegas)
+        if L is None and bounds is None:
             L = atom.ell_matrix(omegas)
             L.flags.writeable = False
-        # +0 is the one float whose bits are all zero: a row is empty when
-        # the bitwise or of its words as integers is 0
-        parts = (L.real, L.imag) if np.iscomplexobj(L) else (L,)
-        nonempty = np.bitwise_or.reduce([np.bitwise_or.reduce(
-            part.view(np.int64), axis=1) for part in parts]) != 0
-        live = tuple(bool(nonempty[rows].any())
-                     for rows in _row_blocks(len(L)))
-        return cls(omegas, L, atom.g1.measure_weights, live, _hull(nonempty))
+        blocks = list(_row_blocks(z.size))
+        if bounds is None:
+            windows = [slice(0, omegas.size)] * len(blocks)
+            values = [L[rows] for rows in blocks]
+            nonempty = _nonzero_words(L, axis=1)
+        else:
+            dtype = atom._fiber_dtype() if L is None else L.dtype
+            windows, values = [], []
+            nonempty = np.empty(z.size, dtype=bool)
+            for rows, (lo, hi) in zip(blocks, bounds.T.tolist()):
+                if L is not None:
+                    V = L[rows, lo:hi]
+                else:
+                    V = np.empty((rows.stop - rows.start, hi - lo), dtype)
+                    atom._fiber_block(z[rows], omegas[lo:hi], V)
+                    V.flags.writeable = False
+                nonempty[rows] = _nonzero_words(V, axis=1)
+                # trimmed to the hull of the columns holding a word not +0
+                used = _hull(_nonzero_words(V, axis=0))
+                windows.append(slice(lo + used.start, lo + used.stop))
+                values.append(V[:, used])
+        live = tuple(np.logical_or.reduceat(
+            nonempty, [rows.start for rows in blocks]).tolist())
+        return cls(omegas, atom.g1.measure_weights, live, _hull(nonempty),
+                   tuple(windows), tuple(values), L)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """``ell_matrix``'s dtype: float64 or complex128."""
+        return self.values[0].dtype
+
+    @property
+    def ell(self) -> np.ndarray:
+        """The K x N fiber matrix: ``stored``, or for a windowed record off
+        the lattice a new read-only array made on each call (``dense``)."""
+        if self.stored is not None:
+            return self.stored
+        return self.dense(slice(0, len(self.weights)))
+
+    def dense(self, rows: slice) -> np.ndarray:
+        """The record's rows ``rows`` as one array, read-only: a view of
+        ``stored``, or a new C-contiguous array of +0 with each block's
+        window values written in."""
+        if self.stored is not None:
+            return self.stored[rows]
+        out = np.zeros((rows.stop - rows.start, self.omegas.size), self.dtype)
+        for block, cols, V in zip(_row_blocks(len(self.weights)),
+                                  self.windows, self.values):
+            lo, hi = max(block.start, rows.start), min(block.stop, rows.stop)
+            if lo < hi:
+                out[lo - rows.start:hi - rows.start, cols] = \
+                    V[lo - block.start:hi - block.start]
+        out.flags.writeable = False
+        return out
+
+    def window(self, rows: slice) -> tuple[slice, np.ndarray]:
+        """(columns, entries) of ``rows``, rows of one block of
+        ``_BLOCK_ROWS``: the block's window, outside which each of the rows
+        is +0, and the rows' entries in it."""
+        b, r = divmod(rows.start, _BLOCK_ROWS)
+        return self.windows[b], self.values[b][r:r + rows.stop - rows.start]
 
     def rows_for(self, weights) -> slice:
         """The contiguous hull of the rows where ``weights`` (one value per
         node) is nonzero, inside ``span``: every row outside it adds only
         zeros to a sum over the nodes weighted by ``weights``."""
-        flags = np.zeros(len(self.ell), dtype=bool)
+        flags = np.zeros(len(self.weights), dtype=bool)
         flags[self.span] = np.asarray(weights)[self.span] != 0
         return _hull(flags)
 
@@ -404,9 +512,9 @@ class Fibers:
         build no copy.
         """
         rows = self.rows_for(weights)
-        n = self.ell.shape[1]
+        n = self.omegas.size
         if rows.start == rows.stop:
-            return np.zeros((n, n), np.result_type(self.ell, weights)), rows
+            return np.zeros((n, n), np.result_type(self.dtype, weights)), rows
         L = self._gemm_span[rows.start - self.span.start:
                             rows.stop - self.span.start]
         w = weights[rows].copy()
@@ -421,12 +529,13 @@ class Fibers:
     @cached_property
     def _gemm_span(self) -> np.ndarray:
         """The record's ``span`` rows as ``gram`` reads them, read-only and
-        C-contiguous, made on first use: the record's own rows when they
-        are contiguous and the flush changes none of their words (no part
-        below 2^-511 but +0, as in the wavelets' and rect's records off the
+        C-contiguous, made on first use: the rows of ``dense`` when they are
+        contiguous (a windowed record's off the lattice, or ``ell_matrix``'s
+        array) and the flush changes none of their words (no part below
+        2^-511 but +0, as in the wavelets' and rect's records off the
         lattice), else a copy flushed a block of ``_BLOCK_ROWS`` rows at a
         time."""
-        L = self.ell[self.span]
+        L = self.dense(self.span)
         if L.flags.c_contiguous and not any(
                 ((np.abs(w) < _FLUSH_BELOW) & (w.view(np.int64) != 0)).any()
                 for w in map(L.view(float).__getitem__,
@@ -449,32 +558,38 @@ class Fibers:
 
         The terms are formed and summed over k in order, the bits of
         ``np.einsum("ki,k,...->i", |L|^2, f_1, ...)``, one block of
-        ``_BLOCK_ROWS`` rows at a time: no array of the record's size is
-        made.  The dtype is complex when a factor is.
+        ``_BLOCK_ROWS`` rows at a time and over the block's window alone:
+        no array of the record's size is made.  The dtype is complex when
+        a factor is.
 
         A block that is empty (``live``) or where some factor is zero on
         every row adds only signed zeros, since no product of a finite
         record and factors in the supported range (``symbols``) overflows,
-        so it is skipped: the sum starts at +0, never holds -0, and adding
-        +-0 leaves every value as it is.
+        so it is skipped, and so are the columns outside a block's window:
+        the sum starts at +0, never holds -0, and adding +-0 leaves every
+        value as it is.
         """
-        L = self.ell
-        count, n = L.shape
+        count, n = len(self.weights), self.omegas.size
         acc = np.zeros(n, dtype=np.result_type(float, *row_factors))
-        block = np.empty((min(_BLOCK_ROWS, count), n), dtype=acc.dtype)
-        for live, rows in zip(self.live, _row_blocks(count)):
+        buf = np.empty(max(V.size for V in self.values), dtype=acc.dtype)
+        for live, rows, cols, V in zip(self.live, _row_blocks(count),
+                                       self.windows, self.values):
             fs = [f[rows] for f in row_factors]
             if not live or not all(f.any() for f in fs):
                 continue
-            t = block[:rows.stop - rows.start]
-            c = np.abs(L[rows]) if np.iscomplexobj(L) else L[rows]
+            t = buf[:V.size].reshape(V.shape)
+            c = np.abs(V) if np.iscomplexobj(V) else V
             np.multiply(c, c, out=t)
             for f in fs:
                 t *= f[:, None]
             # the running sum enters as the first term: the rows then add
             # up in order, as one reduction over k would add them
-            t[0] += acc
-            np.sum(t, axis=0, out=acc)
+            t[0] += acc[cols]
+            if t.shape[1] == 1 < n:
+                # NumPy sums a lone column pairwise, not row after row
+                acc[cols] = np.add.accumulate(t, axis=0)[-1]
+            else:
+                np.sum(t, axis=0, out=acc[cols])
         return acc
 
     def coverage(self, h: SampledFunction) -> float:
@@ -495,6 +610,47 @@ class Fibers:
         energy = np.abs(v) ** 2
         total = float(energy.sum())
         return float(self.norms @ energy) / total if total else 1.0
+
+
+def _window_bounds(atom: Atom, omegas: np.ndarray):
+    """(starts, stops), shape (2, blocks): per block of ``_BLOCK_ROWS``
+    nodes, columns outside which the block of the record is +0, from the
+    atom's ``exact_support``; None when the atom declares none or the
+    omegas are not in increasing order.
+
+    An entry is the profile at a rounded z omega (wavelets) or omega - z
+    (windows), and rounding is monotone: fl(x) in [lo, hi] needs x in
+    [prev(lo), next(hi)], prev and next the neighbouring floats.  So a
+    block of nodes in [z_min, z_max] is +0 outside |omega| in
+    [prev(lo) / z_max, next(hi) / z_min] (wavelets, z > 0) or omega in
+    [z_min + prev(lo), z_max + next(hi)] (windows), each bound rounded and
+    moved one float outward.  ``searchsorted`` finds the columns of the
+    bands for every block at once; a band with no column adds none.
+    """
+    if (atom.exact_support is None
+            or not np.all(omegas[:-1] <= omegas[1:])):
+        return None
+    lo, hi = np.nextafter(atom.exact_support, (-np.inf, np.inf))
+    z = atom.g1.nodes
+    starts = np.arange(0, z.size, _BLOCK_ROWS)
+    z_min, z_max = np.minimum.reduceat(z, starts), np.maximum.reduceat(z, starts)
+    with np.errstate(all="ignore"):  # a bound past the float range is inf
+        if atom.case == "wavelet":
+            inner = np.nextafter(lo / z_max, -np.inf)
+            outer = np.nextafter(hi / z_min, np.inf)
+            bands = ((-outer, -inner), (inner, outer))
+        else:
+            bands = ((np.nextafter(z_min + lo, -np.inf),
+                      np.nextafter(z_max + hi, np.inf)),)
+    first, last = np.full(starts.size, omegas.size), np.zeros(starts.size, int)
+    for a, b in bands:
+        left = np.searchsorted(omegas, a, "left")
+        right = np.searchsorted(omegas, b, "right")
+        some = left < right
+        first[some] = np.minimum(first[some], left[some])
+        last[some] = np.maximum(last[some], right[some])
+    first = np.minimum(first, last)  # an empty window starts at its stop
+    return np.stack([first, last])
 
 
 def _lattice_record(atom: Atom, omegas: np.ndarray):
@@ -580,6 +736,30 @@ def _haar_profiles(c: float):
     return time, freq, power
 
 
+def _certify_support(atom: Atom):
+    """Raise ``AdmissibilityError`` unless the fiber profile, conj psi_hat
+    (wavelets, on +-|xi|) or conj phi (windows), is +0 at the floats next
+    outside each end of the atom's ``exact_support`` and at probes past
+    them: the record's windows (``Fibers``) leave out every entry there.
+    The residual is the largest modulus found."""
+    lo, hi = atom.exact_support
+    below, above = np.nextafter([lo, hi], [-np.inf, np.inf])
+    if atom.case == "wavelet":
+        s = [above, 2.0 * hi, 16.0 * hi]
+        if lo > 0:
+            s += [below, 0.5 * lo, 0.0]
+        probes, profile = np.array(s + [-x for x in s]), atom.eval_freq
+    else:
+        probes = np.array([below, lo - 1.0, lo - 16.0,
+                           above, hi + 1.0, hi + 16.0])
+        profile = atom.eval_time
+    values = np.conj(profile(probes))
+    if values.view(float).view(np.int64).any():
+        raise AdmissibilityError(
+            f"{atom.name}: profile is not +0 outside its exact support "
+            f"[{lo:g}, {hi:g}]", float(np.max(np.abs(values))))
+
+
 def make_wavelet(name: str, scale_grid: ScaleGrid | None = None) -> Atom:
     """Construct a catalog wavelet, verified admissible.
 
@@ -596,6 +776,7 @@ def make_wavelet(name: str, scale_grid: ScaleGrid | None = None) -> Atom:
     if name == "shannon":
         time_p, freq_p, norm = _shannon_profiles()
         power_p, support, zeros = None, (1.0, 2.0), ()
+        exact = support
         tgrid = LineGrid.centered(8.0, 1024)
         fgrid = LineGrid.centered(4.0, 2048)
         healthy, ftol = (2.0 ** -4, 4.0), 1e-6
@@ -608,6 +789,7 @@ def make_wavelet(name: str, scale_grid: ScaleGrid | None = None) -> Atom:
                         [support[0], *zeros, support[1]])
         norm = 1.0 / math.sqrt(raw)
         time_p, freq_p, power_p = _haar_profiles(norm)
+        exact = None  # the support truncates the profile where it is small
         tgrid = LineGrid.centered(2.0, 1024)
         fgrid = LineGrid.centered(32.0, 4096)
         # default-grid fiber norms carry the scale-truncation tail, O(1e-4)
@@ -618,7 +800,7 @@ def make_wavelet(name: str, scale_grid: ScaleGrid | None = None) -> Atom:
                 SampledFunction(fgrid, freq_p(fgrid.samples)),
                 norm, g1, time_p, freq_p, power_p,
                 freq_support=support, freq_breakpoints=zeros,
-                healthy_range=healthy, fiber_tol=ftol)
+                healthy_range=healthy, fiber_tol=ftol, exact_support=exact)
 
     # checked first: the residual reads xi = 1 alone, which needs a real atom
     imag_max = float(np.max(np.abs(atom.time_samples.values.imag)))
@@ -628,6 +810,8 @@ def make_wavelet(name: str, scale_grid: ScaleGrid | None = None) -> Atom:
     if residual > tol:
         raise AdmissibilityError(
             f"{name}: admissibility tolerance {tol:g} not met", residual)
+    if exact is not None:
+        _certify_support(atom)
     return atom
 
 
@@ -654,6 +838,7 @@ def make_window(name: str, translation_grid: LineGrid | None = None) -> Atom:
         tgrid = LineGrid.centered(8.0, 1024)
         fgrid = LineGrid.centered(8.0, 1024)
         tsupport = (-6.5, 6.5)
+        exact = None  # the support truncates the window where it is small
         l2sq = _integral(lambda x: np.abs(time(x)) ** 2, tsupport)
     else:
         norm = 1.0
@@ -670,19 +855,22 @@ def make_window(name: str, translation_grid: LineGrid | None = None) -> Atom:
 
         tgrid = LineGrid(-2.0, 1.0 / 256, 1024)
         fgrid = LineGrid.centered(16.0, 2048)
-        tsupport = (0.0, 1.0)
+        tsupport = exact = (0.0, 1.0)
         l2sq = 1.0
 
     residual, tol = abs(math.sqrt(l2sq) - 1.0), 1e-10
     if residual > tol:
         raise AdmissibilityError(f"{name}: unit-norm tolerance {tol:g} not met",
                                  residual)
-    return Atom("gabor", name,
+    atom = Atom("gabor", name,
                 SampledFunction(tgrid, time(tgrid.samples)),
                 SampledFunction(fgrid, freq(fgrid.samples)),
                 norm, g1, time, freq,
                 time_support=tsupport, healthy_range=(-8.0, 8.0),
-                fiber_tol=1e-6)
+                fiber_tol=1e-6, exact_support=exact)
+    if exact is not None:
+        _certify_support(atom)
+    return atom
 
 
 @cache

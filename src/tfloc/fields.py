@@ -19,6 +19,11 @@ omega grid.  Every function here reads it as the atom's ``atoms.Fibers``
 record on that grid, ``Atom.fibers``: calls on one grid share one fiber
 matrix.  The record is float64 for the real catalog profiles (gaussian,
 rect, shannon) and complex128 otherwise; fields are always complex128.
+Each block of ``atoms._BLOCK_ROWS`` rows of the record is +0 outside one
+column window (``Fibers.windows``): the whole row for most records, and
+for an atom with an exact support (shannon, rect) only the columns where
+the block can be nonzero.  The chain reads each block's entries in its
+window alone (``Fibers.window``) and never a K x N record.
 
 ``_stream`` is the one implementation of the chain: ``bargmann``,
 ``bargmann_adjoint`` (so ``analyze``), ``round_trip`` and the slow path of
@@ -331,8 +336,8 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     on the column alone, so the blocks meet only the cores, and each
     diagonal rides on a vector the chain applies anyway:
 
-    - the backward pre-phase on h, formed once: the embedding is one pass,
-      L * (h * pre_b) with L the fiber record;
+    - the backward pre-phase on h, formed once: the embedding is
+      L * (h * pre_b) with L the fiber record, one multiply of the block;
     - the forward pre-phase on the copy of ``field``'s rows into a block;
     - between the two cores, the backward post-phase, times the forward
       pre-phase when a masked forward transform follows.  The round trip
@@ -375,6 +380,23 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     ``cell_field``'s.  With the split, the error raised is the lowest
     block's, as in a serial run.
 
+    Each block reads the record's entries in its window alone
+    (``Fibers.window``), and every output keeps the bits of the same chain
+    on the dense record:
+
+    - the embedding sets the columns outside the window to +0, copies the
+      window's entries in (a real record's cast to complex in place, so no
+      cast buffer is made) and multiplies the whole block by h * pre_b:
+      outside the window it holds the signed-zero row (+0) * (h * pre_b),
+      the bits of the dense record times h * pre_b;
+    - the projection sets the columns outside the window to +0 and
+      multiplies the window by the record's conjugate, and the GEMV keeps
+      the block's full width.  Each column of the GEMV is its own sum, and
+      one of +-0 terms adds +-0 to the running sum, which never holds -0,
+      so no bit moves; a GEMV over the window's columns alone would run
+      another BLAS kernel, and in a prototype it moved the golden
+      ``transforms-shannon-64.json``.
+
     Blocks of empty fiber rows (``Fibers.live``) are skipped, and every
     output keeps its bits, signs of zero included:
 
@@ -409,7 +431,6 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
         out = np.empty((count, g2.count), dtype=complex)
     else:
         fibers_out = atom.fibers(out_grid.samples)
-        L_out = fibers_out.ell
         weights = g1.measure_weights
         acc = np.zeros(out_grid.count, dtype=complex)
         shape = (min(_BLOCK_ROWS, count), g2.count)
@@ -420,7 +441,6 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
         projections = {}  # per block of an unmasked projection
     if h is not None:
         fibers_in = atom.fibers(h.grid.samples)
-        L_in = fibers_in.ell
         h_pre = h.values * backward.pre
         folded = spec is not None
         diag = backward.post * forward.pre if folded else backward.post
@@ -431,7 +451,12 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
         if h is None:
             np.multiply(field.values[rows], forward.pre, out=block)
         else:
-            np.multiply(L_in[rows], h_pre, out=block)
+            # the record's block, cast to complex in place, times h_pre
+            cols, V = fibers_in.window(rows)
+            block[:, :cols.start] = 0.0
+            block[:, cols.stop:] = 0.0
+            block[:, cols] = V
+            block *= h_pre
             backward.core(block)
             np.multiply(diag, block, out=block)
             if energy is not None:
@@ -446,7 +471,10 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
         if out_grid is not None:
             # conj() of a real record is the record; of a complex one, a
             # temporary of the part's size
-            block *= L_out[rows].conj()
+            cols, V = fibers_out.window(rows)
+            block[:, :cols.start] = 0.0
+            block[:, cols.stop:] = 0.0
+            block[:, cols] *= V.conj()
 
     def project(b, rows):
         """Block ``b``'s whole chain and projection, in a free buffer: each
@@ -472,8 +500,7 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
                     energy[rows] = 0.0
                 continue
             if empty_row is None:
-                empty_row = np.multiply(L_in[rows.start:rows.start + 1],
-                                        h_pre)
+                empty_row = np.multiply(np.zeros((1, 1)), h_pre)
                 backward.core(empty_row)
                 np.multiply(diag, empty_row, out=empty_row)
                 _require_finite(empty_row)

@@ -93,7 +93,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .atoms import Atom, _hull, _row_blocks
+from .atoms import Atom, Fibers, _hull, _row_blocks
 from .fields import _analysis_axis, _stream, axis2_sign, omega_side
 from .fourier import _sandwich
 from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
@@ -253,7 +253,7 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     lags *= xi_grid.step
     diagonal = all(map(_is_lag0_delta, lags))
     M = np.zeros(n if diagonal else (n, n),
-                 dtype=np.result_type(fib.ell, Q, lags))
+                 dtype=np.result_type(fib.dtype, Q, lags))
     gram_rows = 0
     # each rank's arrays dropped before the next: the peak is M, the fiber
     # record and one rank's temporaries, whatever the rank
@@ -261,7 +261,7 @@ def build_direct(atom: Atom, spec: SymbolSpec,
         wq = w * q
         if diagonal:
             rows = fib.rows_for(wq)
-            M += _diagonal_gram(fib.ell[rows], wq[rows]) * c[n // 2]
+            M += _diagonal_gram(fib, rows, wq[rows]) * c[n // 2]
         else:
             G, rows = fib.gram(wq)
             _add_lag_product(M, G, c)
@@ -273,24 +273,27 @@ def build_direct(atom: Atom, spec: SymbolSpec,
                           gram_rows=gram_rows)
 
 
-def _diagonal_gram(L: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k weights[k] conj(L[k, i]) L[k, i] for every column i of L: the
-    diagonal of the Gram product L^H diag(weights) L, without forming it.
+def _diagonal_gram(fib: Fibers, rows: slice,
+                   weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] conj(L[k, i]) L[k, i] for every column i of L, the
+    record ``fib``'s rows ``rows``: the diagonal of the Gram product
+    L^H diag(weights) L, without forming it.
 
-    L is read in place, a block of ``_BLOCK_ROWS`` rows at a time: each
-    block's |L|^2, real, is summed against the weights in one real product,
-    on the interleaved float view of complex weights, so a real record is
-    never cast to complex.  The dtype is complex when the weights are.
+    L is read a block of ``_BLOCK_ROWS`` rows at a time (``Fibers.dense``:
+    in place, or a windowed record's block made dense): each block's
+    |L|^2, real, is summed against the weights in one real product, on the
+    interleaved float view of complex weights, so a real record is never
+    cast to complex.  The dtype is complex when the weights are.
     """
     # one column of real weights, or the real and imaginary parts
     W = weights.view(float).reshape(-1, 2 if np.iscomplexobj(weights) else 1)
-    acc = np.zeros((L.shape[1], W.shape[1]))
-    for rows in _row_blocks(len(L)):
-        B = L[rows]
+    acc = np.zeros((fib.omegas.size, W.shape[1]))
+    for block in _row_blocks(rows.stop - rows.start):
+        B = fib.dense(slice(rows.start + block.start, rows.start + block.stop))
         P = B.real * B.real
         if np.iscomplexobj(B):
             P += np.square(B.imag)
-        acc += P.T @ W[rows]
+        acc += P.T @ W[block]
     return acc.view(complex)[:, 0] if W.shape[1] == 2 else acc[:, 0]
 
 

@@ -139,6 +139,21 @@ def _complex_shannon(original=atoms._shannon_profiles):
     return (lambda x: time(x) * (1 + 1e-9j)), freq, c
 
 
+def _leaky_shannon(original=atoms._shannon_profiles):
+    """Shannon's profiles with the band reaching one float past |xi| = 2:
+    admissible still, but not +0 outside its declared exact support."""
+    time, freq, c = original()
+    edge = np.nextafter(2.0, 3.0)
+    return time, (lambda xi: freq(xi) + ((np.abs(xi) > 2.0)
+                                         & (np.abs(xi) <= edge)) * c), c
+
+
+def _signed_zero_shannon(original=atoms._shannon_profiles):
+    """Shannon's profiles with -0 outside the band, where +0 was."""
+    time, freq, c = original()
+    return time, (lambda xi: np.where(freq(xi) != 0, freq(xi), -0.0)), c
+
+
 @pytest.mark.parametrize("name,patch,message,residual", [
     ("shannon", (atoms, "_shannon_profiles", _complex_shannon),
      "shannon: wavelet must be real-valued", 2 / math.sqrt(LN2) * 1e-9),
@@ -146,7 +161,13 @@ def _complex_shannon(original=atoms._shannon_profiles):
      "shannon: admissibility tolerance 1e-06 not met", 1e-3),
     ("gaussian", (atoms, "_integral", lambda fn, edges: 1.44),
      "gaussian: unit-norm tolerance 1e-10 not met", 0.2),
-], ids=["not-real", "not-admissible", "not-unit-norm"])
+    ("shannon", (atoms, "_shannon_profiles", _leaky_shannon),
+     "shannon: profile is not +0 outside its exact support [1, 2]",
+     1 / math.sqrt(LN2)),
+    ("shannon", (atoms, "_shannon_profiles", _signed_zero_shannon),
+     "shannon: profile is not +0 outside its exact support [1, 2]", 0.0),
+], ids=["not-real", "not-admissible", "not-unit-norm", "leaks-past-support",
+        "minus-zero-outside"])
 def test_catalog_certificates_raise_admissibility_error(
         monkeypatch, name, patch, message, residual):
     # no catalog atom fails its certificate; each patch makes one fail
@@ -161,8 +182,30 @@ def test_catalog_certificates_raise_admissibility_error(
 
 # -- the catalog -----------------------------------------------------------------
 
+
 CATALOG = [("gabor", "gaussian"), ("gabor", "rect"),
            ("wavelet", "shannon"), ("wavelet", "haar")]
+
+
+def test_support_certificate_reads_both_ends_and_both_signs(monkeypatch):
+    # a window leaking one float below 0 or past 1, and a wavelet leaking
+    # on the negative side alone, each fail the exact-support certificate
+    rect = make_window("rect")
+    below, above = np.nextafter([0.0, 1.0], [-1.0, 2.0])
+    for leak in (below, above):
+        atom = make_window("rect")
+        atom.time_profile = lambda x, leak=leak: rect.time_profile(x) + (x == leak)
+        with pytest.raises(AdmissibilityError, match=r"exact support \[0, 1\]"):
+            atoms._certify_support(atom)
+    shannon = make_wavelet("shannon")
+    edge = np.nextafter(-1.0, 0.0)
+    atom = make_wavelet("shannon")
+    atom.freq_profile = lambda xi: shannon.freq_profile(xi) + (xi == edge)
+    with pytest.raises(AdmissibilityError, match="exact support"):
+        atoms._certify_support(atom)
+    # the catalog's truncated supports declare no exact one
+    assert [make_atom(case, name).exact_support for case, name in CATALOG] == [
+        None, (0.0, 1.0), (1.0, 2.0), None]
 
 
 def _arrays(obj, depth=3):

@@ -2393,13 +2393,14 @@ def test_filter_builds_one_fiber_matrix(fiber_builds):
                 f"{atom.name} {method}: {fiber_builds}"
 
 
-def _filter_peaks(method) -> list[float]:
+def _filter_peaks(method, case="gabor", name="gaussian",
+                  band=(-1.0, 2.0)) -> list[float]:
     """tracemalloc peaks, in K x N complex arrays, of a cold and a warm
     ``filter_signal`` call on a fresh atom, which has no fiber record."""
     n = 4096
     f = random_bandlimited(LineGrid.centered(16.0, n), seed=3)
-    spec = SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 2.0))
-    atom = make_atom("gabor", "gaussian")
+    spec = SymbolSpec.first_variable(Symbol1D.indicator(*band))
+    atom = make_atom(case, name)
     peaks = []
     for _ in range(2):
         tracemalloc.start()
@@ -2429,6 +2430,17 @@ def test_filter_compare_peak_memory():
     # --compare holds no more than the slow path: about 0.16
     warm = _filter_peaks("compare")[1]
     assert warm <= 0.3, f"warm peak {warm:.3f} K*N*16"
+
+
+@pytest.mark.parametrize("method,bound", [("fast", 0.23), ("slow", 0.3),
+                                          ("compare", 0.3)])
+def test_filter_wavelet_cold_peak_memory(method, bound):
+    # a cold shannon filter builds its record off the lattice, which holds
+    # the blocks' windows alone: 0.208 K x N complex arrays (6.7 MiB) for
+    # the fast path, 0.268 and 0.270 for slow and compare, bounded at
+    # 110 %.  ell_matrix's 16 MiB array read 0.646-0.663 (20.7-21.2 MiB)
+    cold = _filter_peaks(method, "wavelet", "shannon", (0.5, 2.0))[0]
+    assert cold <= bound, f"cold peak {cold:.3f} K*N*16"
 
 
 def test_filter_rejects_signal_off_the_translation_grid(gaussian, shannon):
