@@ -148,7 +148,8 @@ class Atom:
         catalog certifies it (``_certify_support``); ``Fibers`` stores an
         atom's record only in the column windows it allows.
     freq_breakpoints : |xi| at which adaptive quadrature over the frequency
-        profile splits (catalog haar: its profile zeros); empty by default.
+        profile splits (catalog haar: its profile zeros, the 2,047 even
+        integers below 2^12); empty by default.
     time_support : for windows, (lo, hi) support of the window itself.
     healthy_range : documented range of the second coordinate on which the
         default g1 quadrature keeps fiber norms within fiber_tol.
@@ -328,7 +329,7 @@ class Atom:
 class Fibers:
     """An atom's fiber matrix on one omega grid.
 
-    ``ell[k, i]`` is ell(z_k, omega_i) on the atom's first-coordinate nodes
+    Entry [k, i] is ell(z_k, omega_i) on the atom's first-coordinate nodes
     z_k, with the bits of ``Atom.ell_matrix``: the embedding multiplies by
     it, and the fiber projection and the Gram products integrate against
     its conjugate.  Every consumer -- the transform chain (``bargmann``,
@@ -360,17 +361,21 @@ class Fibers:
     + 1 differences, 64 KiB at N = 4096, K = 512 against 16 MiB, and the
     blocks' values are views of it.  Off the lattice, a windowed record
     stores only its window values (``stored`` is None), and any other
-    record is ``ell_matrix``'s K x N array.  The K x N matrix of a windowed
-    record off the lattice is made only on request: ``ell`` and ``dense``
-    make it anew on each call, and ``gram`` reads it for the n <= 512 Gram
-    products (``_gemm_span``).
+    record is ``ell_matrix``'s K x N array.  The rows of a windowed record
+    off the lattice are made dense only on request: ``dense`` makes them
+    anew on each call, and ``gram`` reads its span once for the n <= 512
+    Gram products (``_gemm_span``).
 
     The dtype is ``ell_matrix``'s: float64 for a real profile, complex128
-    otherwise (haar, imported atoms with complex samples); consumers are
-    dtype-generic.  The catalog's real profiles (gaussian, rect, shannon)
-    return float arrays, so their record meets no complex temporary.  The
-    reductions over the nodes (``norms``, ``power_sums``) run over the
-    blocks' windows, so no temporary has a dense record's size.
+    otherwise (haar, and an imported wavelet, whose frequency samples are
+    the complex transform of its time samples; an imported window with real
+    samples interpolates them in real arithmetic); consumers are
+    dtype-generic, so a real record takes half the memory and its Gram
+    products are real GEMMs.  The catalog's real profiles (gaussian, rect,
+    shannon) return float arrays, so their record meets no complex
+    temporary.  The reductions over the nodes (``norms``, ``power_sums``)
+    run over the blocks' windows, so no temporary has a dense record's
+    size.
 
     The record is finite by construction: the catalog's closed forms and
     the linear interpolation of an imported atom's finite samples give
@@ -382,7 +387,8 @@ class Fibers:
     block of ``_BLOCK_ROWS`` rows, False when every row of the block is
     empty, and ``span`` is the slice from the first to the last row that is
     not.  A band-limited wavelet (shannon) or a compactly supported window
-    (rect) has empty rows at the ends of the first coordinate.
+    (rect) has empty rows at the ends of the first coordinate; the
+    gaussian's and haar's records have none on the benchmark's grids.
     ``power_sums`` and the transform chain of ``fields`` skip the empty
     blocks, and the blocks where a row factor or a symbol is zero, read
     only the windows of the others, and keep every bit of their outputs.
@@ -445,14 +451,6 @@ class Fibers:
         """``ell_matrix``'s dtype: float64 or complex128."""
         return self.values[0].dtype
 
-    @property
-    def ell(self) -> np.ndarray:
-        """The K x N fiber matrix: ``stored``, or for a windowed record off
-        the lattice a new read-only array made on each call (``dense``)."""
-        if self.stored is not None:
-            return self.stored
-        return self.dense(slice(0, len(self.weights)))
-
     def dense(self, rows: slice) -> np.ndarray:
         """The record's rows ``rows`` as one array, read-only: a view of
         ``stored``, or a new C-contiguous array of +0 with each block's
@@ -492,17 +490,20 @@ class Fibers:
         L is read from ``_gemm_span``, with every part below 2^-511 in
         magnitude set to +0: such parts form subnormal products, each a
         microcode assist on x86 (the gaussian's tails fall below 2^-511 near
-        |x| = 15, 21 % of its record, and its GEMMs ran about 5x slower).  A
-        zeroed part moves a term conj(L[k, i]) w_k L[k, j] by less than
-        2^-510 max|L| |w_k|, so an entry moves by at most
+        |x| = 15, 27,104 of its 131,072 entries at n = 256, and its GEMMs
+        ran about 5x slower).  A zeroed part moves a term
+        conj(L[k, i]) w_k L[k, j] by less than 2^-510 max|L| |w_k|, so an
+        entry moves by at most
         2^-510 max|L| sum_k |w_k|, 1.1e-152 for the gaussian's overlap
         kernel; the rect, shannon and haar records have no nonzero part that
         small.  The weights are scaled by 2^-e, 2^e their ``_exponent``
         scale, and G back by 2^e, exactly, so a tiny symbol forms no
-        subnormal product either.  G = X^T L with X = conj(L) diag(w 2^-e)
-        is one GEMM: real when L and the weights are, and a real GEMM L^T X
-        on X's interleaved float view when only the weights are complex, so
-        a real record is never cast.  X is flushed as L is (``_flush_rows``),
+        subnormal product either: the weighted kernel of the constant
+        2^-960 is 2^-960 times that of 1, bit for bit wherever that is
+        normal.  G = X^T L with X = conj(L) diag(w 2^-e) is one GEMM: real
+        when L and the weights are, and a real GEMM L^T X on X's interleaved
+        float view when only the weights are complex, so a real record is
+        never cast.  X is flushed as L is (``_flush_rows``),
         since weights spanning many decades leave parts of it subnormal (the
         radial gaussian of sigma = 1 at n = 256: 1,103 of 125,696): a zeroed
         part moves a term by less than 2^(e - 510) max|L| <= 2^-509 max|L|
@@ -534,7 +535,9 @@ class Fibers:
         array) and the flush changes none of their words (no part below
         2^-511 but +0, as in the wavelets' and rect's records off the
         lattice), else a copy flushed a block of ``_BLOCK_ROWS`` rows at a
-        time."""
+        time: at most K N 8 B for a real record, K N 16 B for a complex one,
+        shared by every Gram product on the record (a GEMM on the strided
+        lattice view runs slower, with the same bits)."""
         L = self.dense(self.span)
         if L.flags.c_contiguous and not any(
                 ((np.abs(w) < _FLUSH_BELOW) & (w.view(np.int64) != 0)).any()

@@ -196,10 +196,8 @@ def cmd_gamma(args) -> int:
     symbol = parse_symbol(args.symbol)
     atom = _atom(args)
     gf = gamma(atom, symbol, _xi_grid(args), rule=args.rule)
-    meta = _config_meta(args, symbol=symbol.descriptor, rule=args.rule,
-                        unbounded=gf.unbounded, tolerances={
-                            "adaptive_quadrature": 1e-10,
-                            "grid_rule_indicator_edges": "O(step)"})
+    meta = _config_meta(args, tolerances={
+        "adaptive_quadrature": 1e-10, "grid_rule_indicator_edges": "O(step)"})
     if gf.abserr is not None:
         meta["quadrature_abserr_max"] = gf.abserr
     tio.export_gamma(args.out, gf, metadata=meta)
@@ -257,8 +255,7 @@ def cmd_kernel(args) -> int:
         km = overlap_kernel(atom, grid)
         # only the unweighted diagonal, the fiber norm, has a unit target
         tolerances = {"hermitian": 1e-10, "diag_unit_healthy": atom.fiber_tol}
-    meta = _config_meta(args, symbol=km.symbol_descriptor, kind=km.builder,
-                        tolerances=tolerances)
+    meta = _config_meta(args, tolerances=tolerances)
     tio.export_kernel(args.out, km, metadata=meta)
     return 0
 
@@ -394,8 +391,7 @@ def cmd_algebra(args) -> int:
     if dev > VERIFY_TOL["algebra"]["simplex"]:
         raise ValueError(f"simplex sums deviate from 1 by {dev:.2e}; "
                          "sample inside the healthy range")
-    meta = _config_meta(args, partition=part.descriptor(), m=part.m,
-                        simplex_sum_deviation=dev)
+    meta = _config_meta(args, simplex_sum_deviation=dev)
     tio.export_cloud(args.out, cloud, metadata=meta)
     return 0
 

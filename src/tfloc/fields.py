@@ -37,25 +37,27 @@ grid they cannot pair (another count or step) raises ``ValueError`` before
 any field or block buffer is made.  Row transforms do not depend on the
 block they sit in, so analysis fields have the bits of the same steps on the
 whole array; a projection sums its blocks in turn, which moves it at
-rounding against one quadrature of the whole field.  ``round_trip`` is
-the reproducing formula in one pass: each block of an analysis field is
-formed, its row energies taken for the field's norm, and carried back at
-once, with the bits of ``bargmann_adjoint``, then ``weighted_norm``, then
-``bargmann``, and no field held.
+rounding (below 1e-15 relative, as property tests pin) against one
+quadrature of the whole field.  None of these functions writes into its
+input.  ``round_trip`` is the reproducing formula in one pass: each block
+of an analysis field is formed, its row energies taken for the field's
+norm, and carried back at once, with the bits of ``bargmann_adjoint``,
+then ``weighted_norm``, then ``bargmann``, and no field held.
 
 A band-limited wavelet (shannon) or a compactly supported window (rect) has
 whole blocks of first-axis rows where the fiber record is exactly +0: the
 record's *empty* blocks, ``Fibers.live``.  ``_stream`` does not transform them.
-With h, the rows of an empty block all embed to one row of signed zeros,
-which a returned field transforms once per call and copies into its rows; a
+With h, the rows of an empty block all embed to one row of signed zeros, which
+a returned field transforms once per call and copies into its rows; a
 projection leaves the block out (its terms are signed zeros, its row energies
-+0).  From a field, it skips a block whose output fibers are empty.  A slow
-filter skips each block that its symbol mask (``SymbolSpec.cell_field``, the
-seam) zeroes, so its cost follows the blocks the symbol touches.  Every
-output keeps its bits, signs of zero included: a skipped block is finite,
-since its inputs are in the supported range of ``symbols``, which
-``analyze``, ``bargmann_adjoint``, ``round_trip`` and ``bargmann`` check on
-theirs.
++0).  From a field, it skips a block whose output fibers are empty.  On shannon
+this skips 2 or 3 of the 8 blocks of the benchmark's filters and of
+``verify transforms``.  A slow filter skips each block that its symbol mask
+(``SymbolSpec.cell_field``, the seam) zeroes, so its cost follows the blocks
+the symbol touches.  Every output keeps its bits, signs of zero included: a
+skipped block is finite, since its inputs are in the supported range of
+``symbols``, which ``analyze``, ``bargmann_adjoint``, ``round_trip`` and
+``bargmann`` check on theirs.
 
 On two CPUs ``_stream`` shares its blocks between the caller and one pooled
 worker thread, which take parts from one queue in order; a part the worker
@@ -72,7 +74,12 @@ in block order, so every output keeps its bits.  The part count is the CPUs
 of the process's affinity mask, at most 2 (``_PARTS``), and rows shorter
 than ``_SPLIT_COLUMNS`` samples are not split.  Restricting the affinity
 (``taskset -c 0``) is the only way to keep the chain on one CPU: BLAS thread
-settings do not govern it.
+settings do not govern it.  A multi-threaded BLAS competes with the split for
+the second CPU, since after each block's projection GEMV its threads wait
+busily for more work: on a 2-CPU machine under OpenBLAS's default two
+threads the half-block split took ``bargmann`` at N = 1024 from 2.9 to
+3.3 ms (``analyze`` from 2.9 to 1.6 ms), and with one BLAS thread, as the
+benchmark and CI run, from 3.3 to 2.4 ms.
 """
 
 from __future__ import annotations

@@ -17,7 +17,12 @@ Both kinds serve as the first phase-plane coordinate through one interface:
 these two and ``count``, never the grid kind.
 
 Grids are immutable after construction, their arrays read-only; everything
-downstream treats them as value objects.
+downstream treats them as value objects.  A grid is built with its count of
+finite nodes and weights or not at all: a count below 2 or not a whole
+number, samples that overflow, or a ``ScaleGrid`` whose log ratio
+ln(u_max/u_min) is not finite or whose measure weights overflow
+(``ScaleGrid(1e-320, 1.0, 4)``, ``ScaleGrid(1.0, inf, 4)``) raise
+``ValueError``, with no warning.
 """
 
 from __future__ import annotations
@@ -140,7 +145,9 @@ class SampledFunction:
 
     def interp(self, x):
         """Linear interpolation between the samples, zero outside the grid:
-        float64 when the imaginary part is zero, complex128 otherwise."""
+        float64 when the imaginary part is zero, complex128 otherwise.  The
+        one interpolator of stored samples: imported atoms and ``sampled:``
+        symbols read their samples through it."""
         x = np.asarray(x, dtype=float)
         xs, v = self.grid.samples, self.values
         re = np.interp(x, xs, v.real, left=0.0, right=0.0)

@@ -34,6 +34,10 @@ kernel        header ``xi,omega,re,im``
 cloud         header ``xi,z1,...,zm``
 atom          time samples as a signal CSV plus a metadata sidecar
 Every CSV gets a JSON sidecar at ``<path>.meta.json`` recording provenance.
+An exporter writes the keys its object carries (``export_gamma``: atom,
+symbol, rule, unbounded, grid; ``export_kernel``: atom, kind, symbol, grid;
+``export_cloud``: atom, partition, m, grid), and the caller's ``metadata``
+adds the keys of its configuration.
 """
 
 from __future__ import annotations

@@ -22,12 +22,13 @@ signal-io workload runs and names it):
   (``Atom._profile_table``): a piece c on [a, b] is c (P(xi - a) - P(xi - b))
   (windows) or c (P(b|xi|) - P(a|xi|)) (wavelets), each P a table entry plus
   one K21 panel.  Any other symbol, or an imported atom, takes the adaptive
-  pass, the table's oracle in the tests: adaptive Gauss-Kronrod quadrature
-  (``quadrature.gauss_kronrod``) of the defining integral over the atom's
-  effective support, split at the symbol's breakpoints and (wavelets) at the
-  atom's ``freq_breakpoints``, with all frequencies of one call integrated
-  together, every atom alike.  Continuum-accurate, it samples the symbol at its
-  quadrature points, off the seam (epsabs 1e-12, epsrel 1e-11 per piece; the
+  pass, the table's oracle in the tests (they agree to 8 eps): adaptive
+  Gauss-Kronrod quadrature (``quadrature.gauss_kronrod``) of the defining
+  integral over the atom's effective support, split at the symbol's
+  breakpoints and (wavelets) at the atom's ``freq_breakpoints``, with all
+  frequencies of one call integrated together, every atom alike.
+  Continuum-accurate, it samples the symbol at its quadrature points, off
+  the seam (epsabs 1e-12, epsrel 1e-11 per piece; the
   largest per-frequency error estimate is kept as ``GammaFunction.abserr``);
   used wherever closed-form oracles are quoted.  Symbol jumps must be listed as
   breakpoints: unlisted ones exhaust the panel cap and raise
@@ -113,21 +114,23 @@ class GammaFunction:
 class OperatorMatrix:
     """Operator over a frequency window, with builder provenance.
 
-    ``values`` passed in is the n x n matrix, or the n diagonal entries of
-    a diagonal operator.  An operator given by its entries is held as them
-    alone: ``is_diagonal`` is True, ``diagonal`` holds them, and ``values``
-    is the n x n ``np.diag`` of them, built on each read.  An n x n matrix
-    is held dense, with ``is_diagonal`` False and ``diagonal`` None, even
-    where no off-diagonal entry is nonzero.  The checks here, ``spectrum``
-    and ``operator_norm`` read a diagonal operator's ``diagonal`` alone.
-    The entries are float64 exactly when none has a nonzero imaginary part
-    (``is_real``), complex128 otherwise; the builders hand real matrices
-    over as float64.  ``lowrank_rank``, ``lowrank_tail`` and ``gram_rows``
-    are set by ``build_direct``: the rank of the symbol-field factorization
-    it assembled from, the Frobenius tail it dropped, relative to the
-    field's norm, and the most first-coordinate rows any rank's Gram
-    product ran over (0 for a zero symbol).  Other builders leave them
-    ``None``.
+    ``values`` passed in is the n x n matrix, or the n diagonal entries of a
+    diagonal operator.  An operator given by its entries is held as them alone:
+    ``is_diagonal`` is True, ``diagonal`` holds them, and ``values`` is
+    the n x n ``np.diag`` of them, built on each read.  An n x n matrix is
+    held dense, with ``is_diagonal`` False and ``diagonal`` None, even where
+    no off-diagonal entry is nonzero.  The checks here, ``spectrum`` and
+    ``operator_norm`` read a diagonal operator's ``diagonal`` alone.  The
+    entries are float64 exactly when none has a nonzero imaginary part
+    (``is_real``), complex128 otherwise; the builders hand real matrices over
+    as float64.  ``is_hermitian`` flags max |M - M^H| <= 1e-8 max(1, max |M|),
+    taken a block of rows at a time; a real symbol's matrix
+    (``symbol_is_real``) must pass it, else ``ValueError``, and a complex one's
+    is only flagged.  ``lowrank_rank``, ``lowrank_tail`` and ``gram_rows`` are
+    set by ``build_direct``: the rank of the symbol-field factorization it
+    assembled from, the Frobenius tail it dropped, relative to the field's
+    norm, and the most first-coordinate rows any rank's Gram product ran over
+    (0 for a zero symbol).  Other builders leave them ``None``.
     """
 
     def __init__(self, grid: LineGrid, values, builder: str, atom_name: str,

@@ -59,7 +59,10 @@ a diagonal pair (max |d_A - d_B|), action check of a diagonal pair
 (elementwise), the ``verify algebra`` tau-isometry (sums of diagonals)
 and the Hausdorff distance of real spectra (sorted neighbours).  Matrices
 given n x n, whatever their entries, and complex spectra keep the dense
-paths: odd n, off-centre windows and cto2/cto3.
+paths: odd n, off-centre windows and cto2/cto3.  An odd n or a window whose
+step does not put the phases on quarter turns leaves a first-variable
+direct matrix off-diagonal entries at rounding (at most 1.7e-15 of the
+largest entry, measured), so it is dense and ``eigvalsh`` runs.
 Both routes take the transform of a row that is real and even mod n as
 real (``_Sandwich.real_where_even``): with a real symbol even in s on a
 real record and the builders' grids, the matrix is exactly real, and
@@ -220,7 +223,10 @@ def build_direct(atom: Atom, spec: SymbolSpec,
 
     Only the rows where w q_r and the fiber record (``Atom.fibers``) are
     both nonzero add to rank r: ``Fibers.rows_for`` gives their hull, and
-    every other row adds only zeros.  The rank, the relative tail and the
+    every other row adds only zeros (33 of K = 512 translations for the
+    gabor ``cto1`` indicator, 32 scales for the wavelet one, 65 for the
+    disk of radius 2, 271 for rect and 225 for shannon under a
+    second-variable symbol).  The rank, the relative tail and the
     most rows any rank ran over are recorded on the result as
     ``lowrank_rank``, ``lowrank_tail`` and ``gram_rows``.
 
@@ -507,7 +513,8 @@ def spectrum(M: OperatorMatrix) -> SpectrumReport:
     A diagonal operator -- every first-variable direct matrix on the
     default windows, held as its entries -- has its spectrum read off the
     diagonal, with no solver: sorted when Hermitian, as ``eigvalsh``
-    returns it, and in order otherwise, as ``eigvals`` does.  The norm
+    returns it, and in order otherwise, as ``eigvals`` does (bit for bit,
+    measured on the four catalog atoms at n = 64 and 512).  The norm
     estimate is the largest singular value: max |eigenvalue| of the
     symmetrized matrix when Hermitian, otherwise ``operator_norm``.  The
     size is not capped here; the CLI rejects sizes above its dense cap.
@@ -577,7 +584,11 @@ def verify_equivalence(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid,
     first -> ``build_multiplication`` of the grid-rule gamma, second ->
     ``build_integral``, separable -> ``build_pseudodiff``.  A general symbol
     has no specialized route and raises ``ValueError``.  A failed comparison
-    never raises: the report carries ``"pass": False`` instead.
+    never raises: the report carries ``"pass": False`` instead.  The action
+    check scales both products of each seeded vector by the power of two of
+    the direct one's largest entry before their norms, and runs its
+    matvecs on one complex copy of each matrix at a time, dropped before the
+    next: a real dgemv sums in another order than the reported bits'.
     """
     if spec.kind == "first":
         other = build_multiplication(gamma(atom, spec.alpha, xi_grid,

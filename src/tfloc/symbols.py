@@ -4,7 +4,8 @@ A full symbol is a function a(r, s) of the two phase-plane coordinates.  The
 library distinguishes the structured classes that admit specialized operator
 forms: symbols of the first variable only, of the second variable only,
 separable products, piecewise-constant first-variable symbols over a
-partition, and a generic sampled escape hatch.
+partition (``SymbolSpec.first_variable(Symbol1D.piecewise(pieces,
+coefficients))``), and a generic sampled escape hatch.
 
 One-variable factors are ``Symbol1D`` objects: a vectorized callable plus
 the metadata the quadrature rules need (breakpoints, support, realness, a
@@ -370,7 +371,18 @@ class SymbolSpec:
         return np.broadcast_to(vals, shape).copy()
 
     def cell_field(self, g1, g2, rows=slice(None)) -> np.ndarray:
-        """The seam: ``_compact_field`` on the cells of g1[rows] x g2."""
+        """The seam: ``_compact_field`` on the cells of g1[rows] x g2.
+
+        Every route that reads the grid reads the symbol here or in its
+        one-variable counterpart ``Symbol1D.cell_values``: the grid and fft
+        gamma rules, ``weighted_overlap_kernel``, ``build_direct``, the
+        compound route's beta on its 4x s lattice and the slow filter's
+        per-block mask.  Only the adaptive gamma, the continuum reference,
+        samples the symbol elsewhere, at its quadrature points.  The cells'
+        values are the nodes' today; exact cell quantities (cell fractions
+        of a jump, cell means of a plane domain, an exact beta_hat) are to
+        replace them here, in one place.
+        """
         return self._compact_field(g1.nodes[rows], g2.samples)
 
     def _compact_field(self, r_nodes, s_nodes) -> np.ndarray:

@@ -210,7 +210,8 @@ def test_in_process_commands_write_the_bytes_of_fresh_processes(tmp_path):
     # the catalog's atoms are shared within a process: gamma (reading the
     # gaussian's profile table), verify cto2 (building its fiber records)
     # and gamma again write, in one process, the bytes a new
-    # ``python -m tfloc`` process writes for each
+    # ``python -m tfloc`` process writes for each; every warning is an
+    # error on both sides, from import on in the fresh processes
     commands = [["gamma", "--symbol", "indicator:-1,1", "--rule", "adaptive",
                  "--n", "64", "--out", "g.csv"],
                 ["verify", "cto2", "--n", "64", "--out", "v.json"]]
@@ -221,11 +222,13 @@ def test_in_process_commands_write_the_bytes_of_fresh_processes(tmp_path):
         here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
         here.mkdir()
         fresh.mkdir()
-        with pytest.MonkeyPatch.context() as mp, one_blas_thread():
+        with (pytest.MonkeyPatch.context() as mp, one_blas_thread(),
+              warnings.catch_warnings()):
+            warnings.simplefilter("error")
             mp.chdir(here)
             assert run(*argv) == 0
-        subprocess.run([sys.executable, "-m", "tfloc", *argv], cwd=fresh,
-                       env=env, check=True)
+        subprocess.run([sys.executable, "-W", "error", "-m", "tfloc", *argv],
+                       cwd=fresh, env=env, check=True)
         names = sorted(os.listdir(here))
         assert names and names == sorted(os.listdir(fresh))
         for name in names:

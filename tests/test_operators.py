@@ -226,7 +226,7 @@ def test_build_direct_complex_symbol_peak_memory():
     finally:
         tracemalloc.stop()
     assert M.lowrank_rank == 13
-    assert atom.fibers(grid.samples).ell.dtype == np.float64
+    assert atom.fibers(grid.samples).dtype == np.float64
     K = atom.g1.count
     assert peak <= 4.0 * K * n * 16, f"peak {peak / (K * n * 16):.3f} K*n*16"
 
@@ -250,7 +250,7 @@ def test_complex_weighted_overlap_kernel_peak_memory():
     finally:
         tracemalloc.stop()
     assert W.values.dtype == np.complex128
-    assert atom.fibers(grid.samples).ell.dtype == np.float64
+    assert atom.fibers(grid.samples).dtype == np.float64
     K = atom.g1.count
     assert peak <= 2.2 * K * n * 16, f"peak {peak / (K * n * 16):.3f} K*n*16"
 
@@ -286,7 +286,7 @@ def _direct_batched(atom, spec, xi_grid):
     s_grid = induced_grid(xi_grid)
     Q, V, _ = _lowrank_factors(
         spec.evaluate_field(atom.g1.nodes, s_grid.samples))
-    L = atom.fibers(xi_grid.samples).ell
+    L = atom.ell_matrix(xi_grid.samples)
     w = atom.g1.measure_weights
     back_sign = "inverse" if atom.case == "wavelet" else "forward"
     fwd_sign = "forward" if atom.case == "wavelet" else "inverse"
@@ -453,7 +453,7 @@ def _gram_diagonal(atom, spec, xi_grid):
     factors of the K x n field, G_r = L^H diag(w q_r) L over every row of
     the record, and d = sum_r diag(G_r) c_r[n//2]."""
     n = xi_grid.count
-    L = atom.fibers(xi_grid.samples).ell
+    L = atom.ell_matrix(xi_grid.samples)
     w = atom.g1.measure_weights
     d = np.zeros(n, dtype=complex)
     for q, c in _field_ranks(atom, spec, xi_grid):
@@ -645,7 +645,7 @@ def test_gram_products_are_the_plain_gemm_within_the_flush_bound(
                 f"{atom.name}/{kind}, n={grid.count}: {err:.2e} > {bound:.2e}"
 
         fib = atom.fibers(grid.samples)
-        assert np.ascontiguousarray(fib.ell).tobytes() == L.tobytes()
+        assert fib.dense(slice(0, K)).tobytes() == L.tobytes()
         # every part below 2^-511 is +0 in what the products read, every
         # other part keeps its bits; the gaussian's tails have such parts
         parts = L.view(float)
@@ -755,7 +755,7 @@ def test_the_rank_20_disk_has_no_block_to_flush(monkeypatch, n):
     M = build_direct(atom, _support_specs("gabor")["disk"], grid)
     assert M.lowrank_rank == 20 and M.gram_rows == 65
     fib = atom.fibers(grid.samples)
-    L = fib.ell
+    L = fib.dense(slice(0, atom.g1.count))
     assert len(read) == 20
     for rows, C in read:
         assert C.tobytes() == np.ascontiguousarray(L[rows]).tobytes()
@@ -789,7 +789,7 @@ def test_zero_weights_give_the_zero_gram_and_build_no_copy(atom_name,
         G, rows = fib.gram(w)
         assert rows.start == rows.stop
         assert G.shape == (64, 64)
-        assert G.dtype == np.result_type(fib.ell, w)
+        assert G.dtype == np.result_type(fib.dtype, w)
         assert not G.view(np.int64).any()
     assert "_gemm_span" not in vars(fib)
 
@@ -868,7 +868,8 @@ def test_fiber_record_span_is_its_nonzero_row_hull(atom_name, request):
     for grid in (_grid_for(atom, 64), _grid_for(atom, 512),
                  _off_centre_grid(atom.case, 257)):
         fib = Fibers.of(atom, grid.samples)
-        full = np.flatnonzero(fib.ell.view(np.int64).any(axis=1))
+        full = np.flatnonzero(
+            atom.ell_matrix(grid.samples).view(np.int64).any(axis=1))
         assert fib.span == slice(full[0], full[-1] + 1)
         K = atom.g1.count
         assert (fib.span != slice(0, K)) == (atom_name in ("rect", "shannon"))

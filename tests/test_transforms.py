@@ -334,6 +334,17 @@ def _bits(a) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
 
+def _matrix(fib) -> np.ndarray:
+    """The record's K x N fiber matrix, made from what it stores."""
+    return fib.dense(slice(0, len(fib.weights)))
+
+
+def _read_only(fib) -> bool:
+    """Whether every array the record stores is read-only."""
+    stored = [] if fib.stored is None else [fib.stored]
+    return not any(a.flags.writeable for a in [*fib.values, *stored])
+
+
 @pytest.mark.parametrize("name,band", [("gaussian", (-1.0, 1.0)),
                                        ("shannon", (1.0, 2.0)),
                                        ("haar", (1.0, 2.0))])
@@ -458,9 +469,9 @@ def test_fibers_record_is_the_fiber_matrix(shannon, gaussian):
     grid = LineGrid.centered(8.0, 64)
     for atom in (shannon, gaussian):
         fib = Fibers.of(atom, grid.samples)
-        assert _bits(fib.ell) == _bits(atom.ell_matrix(grid.samples))
+        assert _bits(_matrix(fib)) == _bits(atom.ell_matrix(grid.samples))
         assert np.array_equal(fib.norms, atom.fibers(grid.samples).norms)
-        assert not fib.ell.flags.writeable
+        assert _read_only(fib)
         assert not fib.omegas.flags.writeable
 
 
@@ -481,11 +492,12 @@ def test_fibers_record_dtype_follows_the_values(shannon, haar, gaussian, rect,
         grid = LineGrid.centered(8.0, 64) if atom.case == "gabor" else \
             LineGrid(2.0 ** -4, 1 / 16, 64)
         fib = Fibers.of(atom, grid.samples)
-        assert fib.ell.dtype == dtype, atom
-        K, N = fib.ell.shape
-        assert fib.ell.nbytes == K * N * np.dtype(dtype).itemsize
-        assert _bits(fib.ell) == _bits(atom.ell_matrix(grid.samples))
-        assert not fib.ell.flags.writeable
+        L = _matrix(fib)
+        assert fib.dtype == L.dtype == dtype, atom
+        K, N = L.shape
+        assert L.nbytes == K * N * np.dtype(dtype).itemsize
+        assert _bits(L) == _bits(atom.ell_matrix(grid.samples))
+        assert _read_only(fib)
 
 
 def _footprint(a) -> int:
@@ -536,24 +548,24 @@ def test_lattice_record_keeps_the_bits_of_ell_matrix(grid, tmp_path):
         K, N = L.shape
         u = min(grid.step, atom.g1.step)
         p, q = grid.step / u, atom.g1.step / u
-        assert fib.ell.base is not None
-        assert _footprint(fib.ell) == (p * (N - 1) + q * (K - 1) + 1) \
+        assert fib.stored.base is not None
+        assert _footprint(fib.stored) == (p * (N - 1) + q * (K - 1) + 1) \
             * L.itemsize, atom
-        assert fib.ell.dtype == L.dtype and fib.ell.shape == L.shape
-        assert np.array_equal(np.ascontiguousarray(fib.ell).view(np.int64),
+        assert fib.stored.dtype == L.dtype and fib.stored.shape == L.shape
+        assert np.array_equal(np.ascontiguousarray(fib.stored).view(np.int64),
                               L.view(np.int64)), atom
         assert (fib.live, fib.span) == (live, span), atom
-        assert not fib.ell.flags.writeable
+        assert not fib.stored.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            fib.ell[0, 0] = 1.0
+            fib.stored[0, 0] = 1.0
 
 
 def test_lattice_record_at_4096_holds_one_window_vector(gaussian):
     # N + 8K floats, 64 KiB, where ell_matrix's array is 16 MiB
     n, K = 4096, gaussian.g1.count
     fib = Fibers.of(gaussian, LineGrid(-16.0, 32 / n, n).samples)
-    assert fib.ell.shape == (K, n)
-    assert _footprint(fib.ell) <= (n + 8 * K) * 8 == 64 * 2 ** 10
+    assert fib.stored.shape == (K, n)
+    assert _footprint(fib.stored) <= (n + 8 * K) * 8 == 64 * 2 ** 10
 
 
 @pytest.mark.parametrize("grid,g1", [
@@ -571,10 +583,16 @@ def test_record_off_the_lattice_is_ell_matrix(grid, g1, tmp_path):
             atom.g1 = g1
         fib = Fibers.of(atom, grid.samples)
         L, live, span = _materialized(atom, grid.samples)
-        assert fib.ell.flags.owndata and fib.ell.flags.c_contiguous
-        assert np.array_equal(fib.ell.view(np.int64), L.view(np.int64)), atom
+        # ell_matrix's own array, or (rect) the windows' values alone
+        if atom.exact_support is None:
+            assert fib.stored.flags.owndata and fib.stored.flags.c_contiguous
+        else:
+            assert fib.stored is None
+        D = _matrix(fib)
+        assert D.flags.c_contiguous
+        assert np.array_equal(D.view(np.int64), L.view(np.int64)), atom
         assert (fib.live, fib.span) == (live, span), atom
-        assert not fib.ell.flags.writeable
+        assert _read_only(fib)
 
 
 @pytest.mark.parametrize("omegas", [
@@ -587,8 +605,8 @@ def test_lattice_check_falls_back_without_a_warning(omegas, gaussian):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fib = Fibers.of(gaussian, omegas)
-    assert fib.ell.flags.owndata
-    assert _bits(fib.ell) == _bits(gaussian.ell_matrix(omegas))
+    assert fib.stored.flags.owndata
+    assert _bits(fib.stored) == _bits(gaussian.ell_matrix(omegas))
 
 
 def test_atom_keeps_its_last_fiber_record():
@@ -607,8 +625,8 @@ def test_atom_keeps_its_last_fiber_record():
             new = atom.fibers(other.samples)
             assert new is not fib
             assert np.array_equal(new.omegas, other.samples)
-            assert _bits(new.ell) == _bits(atom.ell_matrix(other.samples))
-            assert not new.ell.flags.writeable
+            assert _bits(_matrix(new)) == _bits(atom.ell_matrix(other.samples))
+            assert _read_only(new)
             assert not new.omegas.flags.writeable
             # the coverage of a signal on another grid is refused
             with pytest.raises(ValueError, match="fiber record"):
@@ -620,7 +638,8 @@ def test_atom_keeps_its_last_fiber_record():
                    if case == "wavelet" else LineGrid.centered(8.0, 256))
         rebuilt = atom.fibers(grid.samples)
         assert rebuilt is not fib
-        assert rebuilt.ell.shape == (atom.g1.count, grid.count)
+        assert _bits(_matrix(rebuilt)) == _bits(atom.ell_matrix(grid.samples))
+        assert _matrix(rebuilt).shape == (atom.g1.count, grid.count)
         assert rebuilt.weights is atom.g1.measure_weights
 
 
@@ -701,7 +720,7 @@ def test_verify_transforms_holds_one_field(tmp_path):
     for case, name in (("gabor", "gaussian"), ("wavelet", "shannon")):
         atom = make_atom(case, name)
         record = _footprint(
-            Fibers.of(atom, LineGrid.centered(8.0, n).samples).ell)
+            _matrix(Fibers.of(atom, LineGrid.centered(8.0, n).samples)))
         tracemalloc.start()
         try:
             assert main(["verify", "transforms", "--case", case, "--n", str(n),
@@ -826,7 +845,7 @@ def _whole_array_chain(atom, g2, h=None, field=None, spec=None,
     if h is not None:
         back = axis2_sign(atom.case, "backward")
         pre, post = _phases(h.grid, back, g2)
-        L = Fibers.of(atom, h.grid.samples).ell
+        L = atom.ell_matrix(h.grid.samples)
         W = post[None, :] * _dft(L * (h.values * pre), back)
     else:
         W = field.values
@@ -837,7 +856,7 @@ def _whole_array_chain(atom, g2, h=None, field=None, spec=None,
     fwd = axis2_sign(atom.case, "forward")
     pre, post = _phases(g2, fwd, out_grid)
     D = _dft(W * pre[None, :], fwd)
-    L = Fibers.of(atom, out_grid.samples).ell
+    L = atom.ell_matrix(out_grid.samples)
     return post * np.einsum("k,ki,ki->i", atom.g1.measure_weights,
                             np.conj(L), D)
 
@@ -967,14 +986,14 @@ def _unfused_stream(atom, g2, h=None, field=None, spec=None, out_grid=None):
     projection summed onto the last as a product with the weights."""
     count = atom.g1.count
     if h is not None:
-        L_in = Fibers.of(atom, h.grid.samples).ell
+        L_in = atom.ell_matrix(h.grid.samples)
         backward = _unfused_sandwich(h.grid, axis2_sign(atom.case, "backward"),
                                      g2)
     out = np.empty((count, g2.count), dtype=complex)
     if out_grid is not None:
         forward = _unfused_sandwich(g2, axis2_sign(atom.case, "forward"),
                                     out_grid)
-        L_out = Fibers.of(atom, out_grid.samples).ell
+        L_out = atom.ell_matrix(out_grid.samples)
         acc = np.zeros(out_grid.count, dtype=complex)
     for rows in range(0, count, _BLOCK_ROWS):
         rows = slice(rows, min(rows + _BLOCK_ROWS, count))
@@ -1056,7 +1075,7 @@ def test_power_sums_have_the_bits_of_the_one_shot_einsum(gaussian, shannon,
     for atom in (gaussian, shannon, haar):
         for n in (63, 256):
             fib = Fibers.of(atom, LineGrid(0.3, 3.4 / n, n).samples)
-            P = np.abs(fib.ell) ** 2
+            P = np.abs(_matrix(fib)) ** 2
             w = atom.g1.measure_weights
             a = rng.standard_normal(w.size)
             for factors in ((w,), (a, w), (a + 1j * a[::-1], w)):
@@ -1104,7 +1123,7 @@ def test_skipped_empty_blocks_keep_every_bit(monkeypatch, name, where):
 
     # the oracles
     assert _bits(W.values) == _bits(_whole_array_chain(atom, g2, h=h))
-    P = np.abs(fib.ell) ** 2
+    P = np.abs(_matrix(fib)) ** 2
     for fs, s in zip(factor_sets, sums):
         subs = ",".join(["ki"] + ["k"] * len(fs)) + "->i"
         assert _bits(s) == _bits(np.einsum(subs, P, *fs))
@@ -1141,7 +1160,7 @@ def test_a_block_of_negative_zeros_is_live(rect):
                 healthy_range=rect.healthy_range)
     grid = _EMPTY_BLOCK_GRIDS["centred"]
     plus, minus = Fibers.of(rect, grid.samples), Fibers.of(atom, grid.samples)
-    assert np.array_equal(plus.ell, minus.ell)
+    assert np.array_equal(_matrix(plus), _matrix(minus))
     assert False in plus.live and all(minus.live)
     h = random_bandlimited(grid, seed=5)
     g2 = induced_grid(grid)
@@ -1228,7 +1247,7 @@ def test_skipped_zero_mask_blocks_keep_every_bit(monkeypatch, case):
 
     # the oracles
     assert _bits(sums) == _bits(
-        np.einsum("ki,k,k->i", np.abs(fib.ell) ** 2, *factors))
+        np.einsum("ki,k,k->i", np.abs(_matrix(fib)) ** 2, *factors))
     if atom.name != "gaussian":
         # (the gaussian's subnormal products: test_folded_phases_keep_...)
         assert _bits(slow) == _bits(
