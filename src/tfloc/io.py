@@ -2,8 +2,10 @@
 
 All writers are atomic (write to a temporary file in the target directory,
 then rename), so failed runs never leave partial outputs.  Floats are
-rendered with ``%.17g`` (full double precision) and JSON objects are written
-with sorted keys, making repeated runs byte-identical.
+rendered with ``%.17g`` (full double precision), which reads back to the
+double whose repr JSON writes, so a CSV field and a JSON number of one value
+agree; JSON objects are written with sorted keys, making repeated runs
+byte-identical.
 
 Every CSV goes through ``write_table``'s block writer, which formats a
 table in blocks of ``_BLOCK_ROWS`` rows with the bytes of formatting every

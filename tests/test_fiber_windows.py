@@ -51,6 +51,7 @@ def _check_record(atom, fib, L):
     """The windowed record ``fib`` is ``ell_matrix``'s ``L`` bit for bit."""
     D = fib.dense(slice(0, len(L)))
     assert D.dtype == L.dtype and D.shape == L.shape
+    assert not D.flags.writeable
     assert np.array_equal(D.view(np.int64), L.view(np.int64)), atom
 
 

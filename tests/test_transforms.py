@@ -340,9 +340,11 @@ def _matrix(fib) -> np.ndarray:
 
 
 def _read_only(fib) -> bool:
-    """Whether every array the record stores is read-only."""
+    """Whether every array the record stores, and its dense matrix, is
+    read-only."""
     stored = [] if fib.stored is None else [fib.stored]
-    return not any(a.flags.writeable for a in [*fib.values, *stored])
+    return not any(a.flags.writeable
+                   for a in [*fib.values, *stored, _matrix(fib)])
 
 
 @pytest.mark.parametrize("name,band", [("gaussian", (-1.0, 1.0)),
