@@ -26,7 +26,7 @@ from .algebra import (Partition, commutator_diagnostics, evaluate_on_cloud,
                       partition_gammas)
 from .atoms import make_atom
 from .fields import (_analysis_axis, omega_side, random_bandlimited,
-                     round_trip)
+                     round_trips)
 from .grids import LineGrid, SampledFunction
 from .kernels import (GAMMA_RULES, boundedness_verdict, gamma,
                       overlap_kernel, spectrum_from_gamma,
@@ -274,19 +274,21 @@ def _verify_transforms_suite(args) -> dict:
     opg = default_operator_grid(args.case, min(args.n, 256))
     worst_iso, worst_fact, worst_round = 0.0, 0.0, 0.0
     # each signal's analysis field is formed, measured and carried back a
-    # block of rows at a time (round_trip): no field is held
+    # block of rows at a time, and one call takes every signal on a grid
+    # (round_trips): no field is held
+    signals = [random_bandlimited(grid, seed=args.seed + k) for k in range(20)]
+    hs = [omega_side(atom.case, f) for f in signals]
     axis = _analysis_axis(atom.case, grid)
-    for k in range(20):
-        f = random_bandlimited(grid, seed=args.seed + k)
-        h = omega_side(atom.case, f)
-        out, field_norm = round_trip(atom, h, field_grid=axis)
+    for f, h, (out, field_norm) in zip(signals, hs,
+                                       round_trips(atom, hs, field_grid=axis)):
         worst_iso = max(worst_iso, abs(field_norm - f.norm()))
         worst_fact = max(worst_fact, float(
             np.linalg.norm(out.values - h.values) / np.linalg.norm(h.values)))
     rng = np.random.default_rng(args.seed)
-    for _ in range(5):
-        v = rng.standard_normal(opg.count) + 1j * rng.standard_normal(opg.count)
-        rr, _ = round_trip(atom, SampledFunction(opg, v))
+    vs = [rng.standard_normal(opg.count) + 1j * rng.standard_normal(opg.count)
+          for _ in range(5)]
+    for v, (rr, _) in zip(vs, round_trips(
+            atom, [SampledFunction(opg, v) for v in vs])):
         worst_round = max(worst_round, float(np.max(np.abs(rr.values - v))))
     tol = VERIFY_TOL["transforms"]
     passed = (worst_iso <= tol["isometry"] and worst_fact <= tol["factorization"]

@@ -26,23 +26,25 @@ the block can be nonzero.  The chain reads each block's entries in its
 window alone (``Fibers.window``) and never a K x N record.
 
 ``_stream`` is the one implementation of the chain: ``bargmann``,
-``bargmann_adjoint`` (so ``analyze``), ``round_trip`` and the slow path of
-``operators.filter_signal`` all run it.  It takes the embedding, backward
-axis-2 transform, symbol mask, forward transform and fiber projection on
-blocks of ``atoms._BLOCK_ROWS`` first-axis rows.  A call that returns a
-function on the second axis never holds a K x N field or mask, and
-``bargmann_adjoint`` holds its field as the one array of its size.  Its two
-DFT sandwiches (``fourier._sandwich``) are made first, and a second-axis
-grid they cannot pair (another count or step) raises ``ValueError`` before
-any field or block buffer is made.  Row transforms do not depend on the
-block they sit in, so analysis fields have the bits of the same steps on the
-whole array; a projection sums its blocks in turn, which moves it at
-rounding (below 1e-15 relative, as property tests pin) against one
-quadrature of the whole field.  None of these functions writes into its
-input.  ``round_trip`` is the reproducing formula in one pass: each block
-of an analysis field is formed, its row energies taken for the field's
-norm, and carried back at once, with the bits of ``bargmann_adjoint``,
-then ``weighted_norm``, then ``bargmann``, and no field held.
+``bargmann_adjoint`` (so ``analyze``), ``round_trip``, ``round_trips`` and
+the slow path of ``operators.filter_signal`` all run it.  It takes the
+embedding, backward axis-2 transform, symbol mask, forward transform and
+fiber projection on blocks of ``atoms._BLOCK_ROWS`` first-axis rows.  A call
+that returns a function on the second axis never holds a K x N field or
+mask, and ``bargmann_adjoint`` holds its field as the one array of its
+size.  Its two DFT sandwiches (``fourier._sandwich``) are made first, and a
+second-axis grid they cannot pair (another count or step) raises
+``ValueError`` before any field or block buffer is made.  Row transforms do
+not depend on the block they sit in, so analysis fields have the bits of the
+same steps on the whole array; a projection sums its blocks in turn, which
+moves it at rounding (below 1e-15 relative, as property tests pin) against
+one quadrature of the whole field.  None of these functions writes into its
+input.  ``round_trip`` is the reproducing formula in one pass: each block of
+an analysis field is formed, its row energies taken for the field's norm,
+and carried back at once, with the bits of ``bargmann_adjoint``, then
+``weighted_norm``, then ``bargmann``, and no field held.  ``round_trips``
+runs a batch of such round trips on one grid in one pass, each output with
+the bits of its own ``round_trip``.
 
 A band-limited wavelet (shannon) or a compactly supported window (rect) has
 whole blocks of first-axis rows where the fiber record is exactly +0: the
@@ -62,15 +64,17 @@ skipped block is finite, since its inputs are in the supported range of
 On two CPUs ``_stream`` shares its blocks between the caller and one pooled
 worker thread, which take parts from one queue in order; a part the worker
 has not started when the caller is free runs on the caller.  A projection
-without a symbol mask (``bargmann``, ``round_trip``) hands out whole blocks
-in one hand-off: the thread that takes a block runs all of it, the
-projection GEMV included, in a block buffer of its own, and the caller sums
-the blocks' projections in block order.  A masked projection (the slow
-filter) and a returned field split each block into its two row halves, and
-the caller evaluates the symbol and runs a masked projection's GEMV, in
-block order; a whole-block split there would hold a second block per CPU,
-4 MiB at N = 4096.  Every pass works on each row alone and every sum runs
-in block order, so every output keeps its bits.  The part count is the CPUs
+without a symbol mask (``bargmann``, ``round_trips``) hands out whole blocks
+in one hand-off, the blocks of every function of a batch: the thread that
+takes a block runs all of it, the projection GEMV included, in a block
+buffer of its own, and each function's projections are summed in block
+order as soon as the parts before them are done, so only a few are held.  A
+masked projection (the slow filter) and a returned field split each block
+into its two row halves, and the caller evaluates the symbol and runs a
+masked projection's GEMV, in block order; a whole-block split there would
+hold a second block per CPU, 4 MiB at N = 4096.  Every pass works on each
+row alone and every sum runs in block order, so every output keeps its
+bits.  The part count is the CPUs
 of the process's affinity mask, at most 2 (``_PARTS``), and rows shorter
 than ``_SPLIT_COLUMNS`` samples are not split.  Restricting the affinity
 (``taskset -c 0``) is the only way to keep the chain on one CPU: BLAS thread
@@ -87,6 +91,7 @@ from __future__ import annotations
 import contextvars
 import os
 import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -105,6 +110,7 @@ __all__ = [
     "omega_side",
     "random_bandlimited",
     "round_trip",
+    "round_trips",
 ]
 
 
@@ -280,9 +286,9 @@ def _take(todo: queue.SimpleQueue):
 
 
 def _run_parts(k: int, passes, parts: list):
-    """``passes(*part)`` for every part (a block's half, or a whole
-    block): with ``k`` = 2 CPUs, on the caller and on the pooled worker at
-    once; with 1, in order on the caller.
+    """``passes(*part)`` for every part (a block's half, or a whole block
+    of one function of a batch): with ``k`` = 2 CPUs, on the caller and on
+    the pooled worker at once; with 1, in order on the caller.
 
     The two threads take the parts from one queue, in order, so a part the
     worker has not started when the caller is free runs on the caller: a
@@ -319,7 +325,8 @@ def _run_parts(k: int, passes, parts: list):
         raise min(failed, key=lambda f: f[0])[1]
 
 
-def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
+def _stream(atom: Atom, g2: LineGrid, *,
+            h: SampledFunction | list | None = None,
             field: PhasePlaneField | None = None, spec=None,
             out_grid: LineGrid | None = None,
             energy: np.ndarray | None = None) -> np.ndarray:
@@ -334,16 +341,18 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     onto ``out_grid`` and projected against the fibers there, and the
     blocks' projections, summed in block order, are returned: values on
     ``out_grid``.  With ``h``, ``out_grid`` and no symbol the chain is the
-    fused round trip (``round_trip``): ``energy`` (K floats), if given,
-    receives each row's energy sum |W[k, j]|^2 of the field W between the
-    two transforms, as ``PhasePlaneField.weighted_norm`` takes them.
+    fused round trip (``round_trips``), and ``h`` may be a list of
+    functions on one grid, a batch: their values, one row each, are
+    returned.  ``energy`` (a batch's count x K floats), if given, receives
+    each row's energy sum |W[k, j]|^2 of each function's field W between
+    the two transforms, as ``PhasePlaneField.weighted_norm`` takes them.
 
     Each transform is a DFT core between two phase diagonals, the post-phase
     carrying the grid step (``fourier._sandwich``).  The diagonals depend
     on the column alone, so the blocks meet only the cores, and each
     diagonal rides on a vector the chain applies anyway:
 
-    - the backward pre-phase on h, formed once: the embedding is
+    - the backward pre-phase on h, formed per part: the embedding is
       L * (h * pre_b) with L the fiber record, one multiply of the block;
     - the forward pre-phase on the copy of ``field``'s rows into a block;
     - between the two cores, the backward post-phase, times the forward
@@ -363,12 +372,16 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     in order.  Every pass works on each row alone, so either way every
     output keeps its bits.  The parts are:
 
-    - an unmasked projection (``bargmann``, ``round_trip``): whole blocks,
-      every live block in one call.  The thread that takes a block runs its
-      whole chain in a block buffer of its own, the projection GEMV
-      ``weights[rows] @ block`` included, into the block's own vector; the
-      caller then sums those vectors in block order, the bits of the serial
-      sum.  Two CPUs hold two block buffers, both made by the caller;
+    - an unmasked projection (``bargmann``, ``round_trips``): whole
+      blocks, every live block of every function of a batch in one call,
+      function by function.  The thread that takes a block runs its whole
+      chain in a block buffer of its own, the projection GEMV
+      ``weights[rows] @ block`` included, into the block's own vector.
+      Under a lock, it then sums into the outputs every vector done up to
+      the first part still running, in part order: each function's blocks
+      in block order, the bits of the serial sum, with only the vectors
+      after a running part held.  Two CPUs hold two block buffers, both
+      made by the caller;
     - a masked projection (the slow filter): the two row halves of each
       block, one call per block, in the caller's one block buffer.  The
       caller evaluates the symbol and runs the GEMV, in block order.  A
@@ -385,7 +398,7 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     ``ValueError`` of a non-finite ``PhasePlaneField``, so the returned
     field is finite; a symbol that is not finite raises
     ``cell_field``'s.  With the split, the error raised is the lowest
-    block's, as in a serial run.
+    block's (of a batch, the first function's), as in a serial run.
 
     Each block reads the record's entries in its window alone
     (``Fibers.window``), and every output keeps the bits of the same chain
@@ -428,46 +441,51 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
     count = g1.count
     k = _PARTS if g2.count >= _SPLIT_COLUMNS else 1  # CPUs that take parts
     whole = out_grid is not None and spec is None  # parts are whole blocks
+    batch = h if isinstance(h, list) else [h]  # [None] from a field
     parts = []  # the parts of one _run_parts call after the loop
     # the sandwiches check that their grids pair (module docstring)
     if out_grid is not None:
         forward = _sandwich(g2, axis2_sign(atom.case, "forward"), out_grid)
     if h is not None:
-        backward = _sandwich(h.grid, axis2_sign(atom.case, "backward"), g2)
+        backward = _sandwich(batch[0].grid, axis2_sign(atom.case, "backward"),
+                             g2)
     if out_grid is None:
         out = np.empty((count, g2.count), dtype=complex)
     else:
         fibers_out = atom.fibers(out_grid.samples)
         weights = g1.measure_weights
-        acc = np.zeros(out_grid.count, dtype=complex)
+        acc = np.zeros((len(batch), out_grid.count), dtype=complex)
         shape = (min(_BLOCK_ROWS, count), g2.count)
         # block buffers no thread is using: a masked projection's one, and
         # an unmasked one's, one per thread, made by the caller once its
         # parts are known, so that a block never sits in the worker's heap
         buffers = [] if whole else [np.empty(shape, dtype=complex)]
-        projections = {}  # per block of an unmasked projection
+        # an unmasked projection's parts done after one still running, the
+        # parts summed into acc, and the lock of the two
+        done, drained, lock = {}, 0, threading.Lock()
     if h is not None:
-        fibers_in = atom.fibers(h.grid.samples)
-        h_pre = h.values * backward.pre
+        fibers_in = atom.fibers(batch[0].grid.samples)
         folded = spec is not None
         diag = backward.post * forward.pre if folded else backward.post
         empty_row = None  # the transformed embedding of an empty block's row
 
-    def passes(rows, block, mask):
-        """The row-wise passes on ``rows``, in ``block``."""
+    def passes(rows, block, mask, s=0):
+        """The row-wise passes on ``rows`` of function ``s``, in
+        ``block``."""
         if h is None:
             np.multiply(field.values[rows], forward.pre, out=block)
         else:
-            # the record's block, cast to complex in place, times h_pre
+            # the record's block, cast to complex in place, times h * pre_b,
+            # formed per part: a batch holds no copy of its functions
             cols, V = fibers_in.window(rows)
             block[:, :cols.start] = 0.0
             block[:, cols.stop:] = 0.0
             block[:, cols] = V
-            block *= h_pre
+            block *= batch[s].values * backward.pre
             backward.core(block)
             np.multiply(diag, block, out=block)
             if energy is not None:
-                energy[rows] = _row_energies(block)
+                energy[s, rows] = _row_energies(block)
             if out_grid is not None and not folded:
                 np.multiply(block, forward.pre, out=block)
         if out_grid is not None:
@@ -483,14 +501,23 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
             block[:, cols.stop:] = 0.0
             block[:, cols] *= V.conj()
 
-    def project(b, rows):
-        """Block ``b``'s whole chain and projection, in a free buffer: each
-        thread holds one at a time, so one is free."""
+    def project(i, s, rows):
+        """Part ``i``, block ``rows`` of function ``s``: its whole chain and
+        projection in a free buffer (each thread holds one at a time, so one
+        is free), then every projection done up to the first part still
+        running summed into ``acc`` in part order."""
+        nonlocal drained
         buf = buffers.pop()
         block = buf[:rows.stop - rows.start]
-        passes(rows, block, None)
-        projections[b] = weights[rows] @ block
+        passes(rows, block, None, s)
+        projection = weights[rows] @ block
         buffers.append(buf)
+        with lock:
+            done[i] = s, projection
+            while drained in done:
+                t, summand = done.pop(drained)
+                acc[t] += summand
+                drained += 1
 
     for b, rows in enumerate(_row_blocks(count)):
         mask = None
@@ -504,10 +531,11 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
         elif not fibers_in.live[b]:
             if out_grid is not None:
                 if energy is not None:
-                    energy[rows] = 0.0
+                    energy[:, rows] = 0.0
                 continue
             if empty_row is None:
-                empty_row = np.multiply(np.zeros((1, 1)), h_pre)
+                empty_row = np.multiply(np.zeros((1, 1)),
+                                        h.values * backward.pre)
                 backward.core(empty_row)
                 np.multiply(diag, empty_row, out=empty_row)
                 _require_finite(empty_row)
@@ -516,7 +544,7 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
         if out_grid is None:
             parts += _parts(k, rows, out[rows], mask)
         elif whole:
-            parts.append((b, rows))
+            parts.append(rows)
         else:
             block = buffers[0][:rows.stop - rows.start]
             _run_parts(k, passes, _parts(k, rows, block, mask))
@@ -525,17 +553,18 @@ def _stream(atom: Atom, g2: LineGrid, *, h: SampledFunction | None = None,
         _run_parts(k, passes, parts)
         return out
     if whole:
+        # each function's live blocks in block order, function by function
+        parts = [(i, s, rows) for i, (s, rows) in enumerate(
+            (s, rows) for s in range(len(batch)) for rows in parts)]
         buffers += [np.empty(shape, dtype=complex)
                     for _ in range(min(k, len(parts)))]
         _run_parts(k, project, parts)
-        for b, _ in parts:
-            acc += projections[b]
     acc *= forward.post
     # a zero projection is +0, as a sum of the blocks' terms gives it; a
     # negative post-phase would leave it -0, which a CSV writes as "-0"
     acc += 0.0
     _require_finite(acc)
-    return acc
+    return acc if isinstance(h, list) else acc[0]
 
 
 def _row_energies(block: np.ndarray) -> np.ndarray:
@@ -589,7 +618,8 @@ def round_trip(atom: Atom, h: SampledFunction,
                field_grid: LineGrid | None = None
                ) -> tuple[SampledFunction, float]:
     """``bargmann`` of ``bargmann_adjoint`` of h, back onto h's grid, and
-    the field's ``weighted_norm``, in one streamed pass that holds no field.
+    the field's ``weighted_norm``, in one streamed pass that holds no field:
+    ``round_trips`` of the one function h.
 
     The field is ``bargmann_adjoint(atom, h, out_grid=field_grid)``, on the
     second axis ``field_grid`` (default ``induced_grid(h.grid)``); for h the
@@ -603,11 +633,38 @@ def round_trip(atom: Atom, h: SampledFunction,
     ``ValueError``.  No field is held for ``bargmann``'s range check: a
     block that a transform overflows raises the non-finite field's.
     """
-    _in_range(h.values, "omega-side function", exponent=2 * RANGE_EXPONENT)
-    g2 = induced_grid(h.grid) if field_grid is None else field_grid
-    energy = np.empty(atom.g1.count)
-    back = _stream(atom, g2, h=h, out_grid=h.grid, energy=energy)
-    return SampledFunction(h.grid, back), _weighted_norm(atom.g1, g2, energy)
+    return round_trips(atom, [h], field_grid)[0]
+
+
+def round_trips(atom: Atom, hs: list, field_grid: LineGrid | None = None
+                ) -> list[tuple[SampledFunction, float]]:
+    """``round_trip`` of each omega-side function of ``hs``, all on one
+    grid, in one ``_stream`` call: every output has the bits of its own
+    ``round_trip`` call.
+
+    The (function, block) parts of the whole batch share one hand-off to
+    the worker thread on two CPUs, and each function's block projections
+    are summed in block order as soon as the blocks before them are.  A
+    function above 2^(2B) raises before any is transformed, and a block
+    that is not finite raises the error of the first function's first such
+    block, as one call after another does.  Functions on other grids
+    (start, step or count) raise ``ValueError``.
+    """
+    if not hs:
+        return []
+    grid = hs[0].grid
+    for h in hs:
+        if (h.grid.start, h.grid.step, h.grid.count) != (
+                grid.start, grid.step, grid.count):
+            raise ValueError(f"round trips on {h.grid!r} and {grid!r}: "
+                             "one grid per call")
+        _in_range(h.values, "omega-side function",
+                  exponent=2 * RANGE_EXPONENT)
+    g2 = induced_grid(grid) if field_grid is None else field_grid
+    energy = np.empty((len(hs), atom.g1.count))
+    back = _stream(atom, g2, h=list(hs), out_grid=grid, energy=energy)
+    return [(SampledFunction(grid, b), _weighted_norm(atom.g1, g2, e))
+            for b, e in zip(back, energy)]
 
 
 def random_bandlimited(grid: LineGrid, seed: int) -> SampledFunction:

@@ -26,7 +26,7 @@ from tfloc.atoms import (_BLOCK_ROWS, Atom, Fibers, _row_blocks, make_atom,
 from tfloc.cli import VERIFY_TOL, main
 from tfloc.fields import (PhasePlaneField, _analysis_axis, _stream, analyze,
                           axis2_sign, bargmann, bargmann_adjoint, omega_side,
-                          random_bandlimited, round_trip)
+                          random_bandlimited, round_trip, round_trips)
 from tfloc.fourier import _cis, _Sandwich, _sandwich, fourier
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
 from tfloc.io import export_atom, import_atom
@@ -712,12 +712,34 @@ def test_verify_transforms_builds_one_record_per_grid(tmp_path, fiber_builds):
         assert fiber_builds == [1024, 256], f"{case}: {fiber_builds}"
 
 
+def test_verify_transforms_hands_off_once_per_grid(tmp_path, monkeypatch):
+    # the 20 signals' round trips share one _run_parts call, and the 5
+    # operator-grid vectors' another: 25 calls when each round trip had its
+    # own hand-off
+    calls = []
+    run = fields._run_parts
+
+    def counted(k, passes, parts):
+        calls.append(len(parts))
+        return run(k, passes, parts)
+
+    monkeypatch.setattr(fields, "_run_parts", counted)
+    for case in ("gabor", "wavelet"):
+        calls.clear()
+        assert main(["verify", "transforms", "--case", case, "--n", "1024",
+                     "--out", str(tmp_path / f"t-{case}.json")]) == 0
+        assert len(calls) == 2, f"{case}: {calls}"
+        # every live block of every function of a batch is a part
+        assert calls[0] % 20 == 0 and calls[1] % 5 == 0, f"{case}: {calls}"
+
+
 def test_verify_transforms_holds_one_field(tmp_path):
     # each signal's field is formed, measured and carried back a block of
-    # rows at a time (fields.round_trip), so the suite holds no K x n
-    # field: beside the fiber record it peaks at a block per CPU and the
-    # embedding's temporaries, 0.33-0.36 fields measured (1.17-1.30 when
-    # it held one field, 2.07-2.19 when it held two)
+    # rows at a time (fields.round_trips), so the suite holds no K x n
+    # field: beside the fiber record it peaks at a block per CPU, the
+    # embedding's temporaries and the batch's 20 signals and round trips,
+    # 0.39-0.40 fields measured (0.32-0.33 with one signal at a time,
+    # 1.17-1.30 when it held one field, 2.07-2.19 when it held two)
     n = 1024
     for case, name in (("gabor", "gaussian"), ("wavelet", "shannon")):
         atom = make_atom(case, name)
@@ -1438,6 +1460,138 @@ def test_a_non_finite_block_of_the_worker_raises_the_serial_error(
     assert waited == [True]
     assert errors[1] == errors[2] == \
         "field contains non-finite values in 1 rows"
+    assert len(raised_in) == 2 and "MainThread" in raised_in
+
+
+@pytest.mark.parametrize("parts", [1, 2], ids=["whole", "split"])
+@pytest.mark.parametrize("n", [63, 64, 1001, 1024])
+@pytest.mark.parametrize("name", ["gaussian", "rect", "shannon", "haar"])
+def test_a_batch_of_round_trips_has_the_bits_of_one_at_a_time(
+        request, monkeypatch, name, n, parts):
+    # a batch hands out every (function, block) part at once, and sums each
+    # function's projections in block order as they come: values (signed
+    # zeros included, as the zero function and rect's and shannon's empty
+    # blocks give them) and field norms keep the bits of round_trip, and of
+    # bargmann of bargmann_adjoint and weighted_norm
+    monkeypatch.setattr(fields, "_PARTS", parts)
+    monkeypatch.setattr(fields, "_SPLIT_COLUMNS", 1)
+    atom = request.getfixturevalue(name)
+    grid = LineGrid.centered(8.0, n)
+    axis = _analysis_axis(atom.case, grid)
+    hs = [omega_side(atom.case, random_bandlimited(grid, seed=s))
+          for s in range(3)]
+    hs.insert(1, SampledFunction(hs[0].grid, -0.0 * hs[0].values))
+    for h, (back, norm) in zip(hs, round_trips(atom, hs, field_grid=axis)):
+        one, one_norm = round_trip(atom, h, field_grid=axis)
+        W = bargmann_adjoint(atom, h, out_grid=axis)
+        unfused = bargmann(atom, W, out_grid=h.grid)
+        assert _bits(back.values) == _bits(one.values) == \
+            _bits(unfused.values), (name, n)
+        assert _bits(norm) == _bits(one_norm) == _bits(W.weighted_norm())
+    assert round_trips(atom, []) == []
+
+
+def test_a_batch_keeps_its_bits_under_fast_thread_switches(
+        gaussian, monkeypatch):
+    # both threads sum projections into a batch's outputs: with the
+    # interpreter switching threads every microsecond, 20 batches of 8
+    # round trips (64 parts each, of 64 x 64 blocks) keep the serial bits.
+    # A lost, doubled or reordered sum would change them
+    monkeypatch.setattr(fields, "_SPLIT_COLUMNS", 1)
+    grid = LineGrid.centered(8.0, 64)
+    hs = [random_bandlimited(grid, seed=s) for s in range(8)]
+    monkeypatch.setattr(fields, "_PARTS", 1)
+    serial = [_bits(b.values) for b, _ in round_trips(gaussian, hs)]
+    monkeypatch.setattr(fields, "_PARTS", 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert [_bits(b.values)
+                    for b, _ in round_trips(gaussian, hs)] == serial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_batch_on_two_grids_raises(gaussian):
+    grid = LineGrid.centered(8.0, 64)
+    other = LineGrid.centered(4.0, 64)
+    hs = [SampledFunction(g, np.ones(64)) for g in (grid, grid, other)]
+    with pytest.raises(ValueError, match="one grid per call"):
+        round_trips(gaussian, hs)
+
+
+def test_a_non_finite_function_of_a_batch_raises_the_serial_error(
+        gaussian, monkeypatch):
+    # round trips of 6 functions on 1024 samples, with the split on:
+    # function 3 overflows the backward transform of some rows of its last
+    # block, function 5 of more rows of its first (1e308 near the outer
+    # edge of each, as in test_adjoint_rejects_a_non_finite_block).  The
+    # caller's first transform waits (at most 20 s) until the worker has
+    # started one.  The batch raises the error that one call after another
+    # raises, function 3's and not the lower block's, once both threads
+    # have stopped taking parts
+    grid = LineGrid.centered(16.0, 1024)
+    g2 = induced_grid(grid)
+    K = gaussian.g1.count
+    hs = [random_bandlimited(grid, seed=s) for s in range(6)]
+    for i, edge, width in ((3, -1, 0.5), (5, 0, 1.0)):
+        near = np.abs(grid.samples - gaussian.g1.nodes[edge]) <= width
+        hs[i] = SampledFunction(grid, np.where(near, 1e308, 0.0))
+    check, core, take = fields._require_finite, _Sandwich.core, fields._take
+    raised_in, stopped = [], []
+    worker_ran, waited = threading.Event(), []
+
+    def named(a):
+        try:
+            check(a)
+        except ValueError as exc:
+            raised_in.append(threading.current_thread().name)
+            rows = np.count_nonzero(~np.isfinite(a).all(axis=1))
+            raise ValueError(f"{exc} in {rows} rows") from None
+
+    def gated(self, block):
+        if threading.current_thread() is not threading.main_thread():
+            worker_ran.set()
+        elif not waited:
+            waited.append(worker_ran.wait(20))
+        return core(self, block)
+
+    def counted(todo):
+        try:
+            return take(todo)
+        finally:
+            stopped.append(threading.current_thread().name)
+
+    def batch(functions):
+        return _stream(gaussian, g2, h=functions, out_grid=grid,
+                       energy=np.empty((len(functions), K)))
+
+    monkeypatch.setattr(fields, "_require_finite", named)
+    monkeypatch.setattr(fields, "_take", counted)
+    monkeypatch.setattr(fields, "_PARTS", 1)
+    errors = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in (3, 5):
+            with pytest.raises(ValueError) as info:
+                batch([hs[i]])
+            errors.append(str(info.value))
+        serial = None
+        for h in hs:
+            try:
+                batch([h])
+            except ValueError as exc:
+                serial = str(exc)
+                break
+        assert serial == errors[0] != errors[1]
+        monkeypatch.setattr(fields, "_PARTS", 2)
+        monkeypatch.setattr(_Sandwich, "core", gated)
+        raised_in.clear()
+        with pytest.raises(ValueError) as info:
+            batch(hs)
+        assert len(stopped) == 2, stopped
+    assert waited == [True]
+    assert str(info.value) == serial
     assert len(raised_in) == 2 and "MainThread" in raised_in
 
 
