@@ -273,7 +273,10 @@ def _parts(k: int, rows: slice, block: np.ndarray, mask) -> list:
 
 def _take(todo: queue.SimpleQueue):
     """Run the parts of ``todo`` until it is empty: (index, exception) of a
-    part that raised, which ends this thread's turn, else None."""
+    part that raised, else None.  A part that raises empties the queue, so
+    the other thread stops after the part it is running: the parts are
+    taken in order, so every part before the failing one has been taken,
+    and the lowest failing part still runs."""
     while True:
         try:
             i, passes, part = todo.get_nowait()
@@ -282,7 +285,11 @@ def _take(todo: queue.SimpleQueue):
         try:
             passes(*part)
         except Exception as exc:
-            return i, exc
+            try:
+                while True:
+                    todo.get_nowait()
+            except queue.Empty:
+                return i, exc
 
 
 def _run_parts(k: int, passes, parts: list):
@@ -294,12 +301,13 @@ def _run_parts(k: int, passes, parts: list):
     worker has not started when the caller is free runs on the caller: a
     worker that starts late costs at most its hand-off.  The worker runs in
     a copy of the caller's ``contextvars`` context, which holds NumPy's
-    ``errstate``.  An exception waits until both threads are done, and then
-    the one of the first part that raised is raised in the caller: the one a
-    serial run raises.  The task handed to the worker holds the queue and
-    the context copy alone, and the queue is empty when both threads are
-    done, so no array outlives the call in a task the worker has yet to
-    drop.
+    ``errstate``.  A part that raises empties the queue (``_take``), so the
+    other thread stops after the part it is running; once both threads are
+    done, the exception of the first part that raised is raised in the
+    caller: the one a serial run raises.  The task handed to the worker
+    holds the queue and the context copy alone, and the queue is empty when
+    both threads are done, so no array outlives the call in a task the
+    worker has yet to drop.
     """
     if k == 1 or len(parts) < 2:
         for part in parts:

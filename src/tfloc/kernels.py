@@ -21,8 +21,11 @@ signal-io workload runs and names it):
   a catalog atom reads the atom's cumulative profile P
   (``Atom._profile_table``): a piece c on [a, b] is c (P(xi - a) - P(xi - b))
   (windows) or c (P(b|xi|) - P(a|xi|)) (wavelets), each P a table entry plus
-  one K21 panel.  Any other symbol, or an imported atom, takes the adaptive
-  pass, the table's oracle in the tests (they agree to 8 eps): adaptive
+  one K21 panel.  ``_profile_at`` is the table's one reader: one read per
+  call at the pieces' distinct ends, and one per partition cloud
+  (``algebra.partition_gammas``) at its m + 1 edges.  Any other symbol, or
+  an imported atom, takes the adaptive pass, the table's oracle in the
+  tests (they agree to 8 eps): adaptive
   Gauss-Kronrod quadrature (``quadrature.gauss_kronrod``) of the defining
   integral over the atom's effective support, split at the symbol's
   breakpoints and (wavelets) at the atom's ``freq_breakpoints``, with all
@@ -318,21 +321,34 @@ def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
     return out, float(np.max(err))
 
 
-def _gamma_pieces(atom: Atom, pieces, xs: np.ndarray) -> tuple[np.ndarray, float]:
-    """The table path (module docstring): P at each distinct end of the
-    pieces, clipped into the table's range, is the entry at its panel's
-    left edge plus one K21 panel from that edge."""
-    edges, cum, table_err = atom._profile_table
-    ends = np.array(sorted({e for a, b, _ in pieces for e in (a, b)}))
+def _profile_at(atom: Atom, xs: np.ndarray, ends: np.ndarray):
+    """The atom's cumulative profile P at every (xi, end): P(xi - end)
+    (windows) or P(|xi| end) (wavelets), clipped into the table's range, is
+    the entry at its panel's left edge plus one K21 panel from that edge.
+    Returns ``live`` (the rows of ``xs`` read: all of them for windows,
+    xi != 0 for wavelets, whose gamma(0) is 0), P and the panel error
+    estimates, each (live xs, ends).  A row's sums do not depend on the
+    other rows or ends of the call, so each P keeps its bits however many
+    ends one call reads."""
+    edges, cum, _ = atom._profile_table
     wavelet = atom.case == "wavelet"
-    live = xs != 0 if wavelet else slice(None)  # a wavelet's gamma(0) is 0
+    live = xs != 0 if wavelet else slice(None)
     x = np.abs(xs[live, None]) * ends if wavelet else xs[live, None] - ends
     x = np.clip(x, edges[0], edges[-1])
     k = np.searchsorted(edges, x, side="right") - 1
     mid, half = 0.5 * (x + edges[k]), 0.5 * (x - edges[k])
     F = atom._profile_density(mid[..., None] + half[..., None] * _NODES)
     P, e = _kronrod_panels(F.reshape(-1, 1, _NODES.size), half.ravel())
-    P, e = cum[k] + P.reshape(x.shape), e.reshape(x.shape)
+    return live, cum[k] + P.reshape(x.shape), e.reshape(x.shape)
+
+
+def _gamma_pieces(atom: Atom, pieces, xs: np.ndarray) -> tuple[np.ndarray, float]:
+    """The table path (module docstring): one ``_profile_at`` read at the
+    distinct ends of the pieces; piece c on [a, b] adds c times the
+    difference of its ends' columns."""
+    ends = np.array(sorted({e for a, b, _ in pieces for e in (a, b)}))
+    live, P, e = _profile_at(atom, xs, ends)
+    wavelet, table_err = atom.case == "wavelet", atom._profile_table[2]
     vals, errs = np.zeros(xs.size, dtype=complex), np.zeros(xs.size)
     for a, b, c in pieces:
         i, j = np.searchsorted(ends, (a, b))

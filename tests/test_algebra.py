@@ -8,6 +8,9 @@ from tfloc import algebra, cli, kernels
 from tfloc.algebra import (Partition, commutator_diagnostics,
                            evaluate_on_cloud, partition_gammas,
                            semi_commutator)
+from tfloc.atoms import make_atom
+from tfloc.grids import LineGrid
+from tfloc.io import export_atom, import_atom
 from tfloc.kernels import gamma
 from tfloc.operators import (build_direct, default_operator_grid,
                              operator_norm)
@@ -169,22 +172,89 @@ def test_pool_builds_each_symbol_once(gaussian, monkeypatch):
     assert sorted(rel) == [(0, 1), (0, 2), (1, 2)]
 
 
-def test_verify_algebra_computes_one_gamma_per_piece(monkeypatch, tmp_path):
-    # the suite reports commutators, the simplex and the isometry, none of
-    # which needs a semi-commutator: its only gammas are the partition's
-    calls = []
-    gamma = algebra.gamma
+def test_algebra_commands_read_the_table_once_per_partition(monkeypatch,
+                                                           tmp_path):
+    # a catalog atom's cloud is one read of its cumulative-profile table at
+    # the partition's m + 1 edges and no gamma call: `verify algebra` (whose
+    # only cloud is the partition's; its commutators read the grid rule) and
+    # `tfloc algebra` alike.  An imported atom has no table, so it takes
+    # one gamma per piece and reads none
+    calls, reads = [], []
+    gamma, profile_at = algebra.gamma, kernels._profile_at
 
     def counting_gamma(atom, alpha, *args, **kwargs):
         calls.append(alpha.descriptor)
         return gamma(atom, alpha, *args, **kwargs)
 
-    monkeypatch.setattr(algebra, "gamma", counting_gamma)
-    for case in ("gabor", "wavelet"):
-        calls.clear()
-        assert cli.main(["verify", "algebra", "--case", case, "--n", "64",
-                         "--out", str(tmp_path / "v.json")]) == 0
-        assert len(calls) == len(cli.DEFAULT_CUTS[case]) + 1 == 2
+    def counting_read(atom, xs, ends):
+        reads.append(len(ends))
+        return profile_at(atom, xs, ends)
+
+    for module in (algebra, kernels):
+        monkeypatch.setattr(module, "_profile_at", counting_read)
+    for module in (algebra, kernels, cli):
+        monkeypatch.setattr(module, "gamma", counting_gamma)
+    out = str(tmp_path / "out")
+    for case, cuts in (("gabor", [-1.0, 0.5, 4.0]), ("wavelet", [0.5, 2.0])):
+        flag = "--cuts=" + ",".join(map(str, cuts))
+        for argv, m in ((["verify", "algebra"], 2),
+                        (["algebra", flag], len(cuts) + 1)):
+            calls.clear(), reads.clear()
+            assert cli.main([*argv, "--case", case, "--n", "64",
+                             "--out", out]) == 0
+            assert (calls, reads) == ([], [m + 1]), (argv, case)
+    export_atom(str(tmp_path / "rect.csv"), make_atom("gabor", "rect"))
+    imported = import_atom(str(tmp_path / "rect.csv"))
+    part = Partition(imported, [-1.0, 0.5])
+    calls.clear(), reads.clear()
+    partition_gammas(imported, part, default_operator_grid("gabor", 64))
+    assert calls == [s.descriptor for s in part.indicator_symbols()]
+    assert reads == []
+
+
+_CLOUD_CUTS = {"gabor": [[], [0.0], [-1.0, 0.5], [-3.0, 0.5, 4.0]],
+               "wavelet": [[], [1.0], [0.5, 2.0], [0.25, 1.0, 8.0]]}
+
+
+@pytest.mark.parametrize("atom_name", ["gaussian", "rect", "shannon", "haar"])
+def test_cloud_coordinates_have_the_bits_of_their_gammas(atom_name, request):
+    # each coordinate of the one-read cloud is its piece's adaptive gamma,
+    # bit for bit (signed zeros included, by the int64 view), on default
+    # grids of odd and even n, a wavelet grid through xi = 0 and an
+    # off-centre window grid, for 1 to 4 pieces
+    atom = request.getfixturevalue(atom_name)
+    grids = [default_operator_grid(atom.case, n) for n in (63, 64, 255, 256)]
+    grids.append(LineGrid.centered(8.0, 64) if atom.case == "wavelet"
+                 else LineGrid(-2.3, 0.07, 100))
+    for grid in grids:
+        for cuts in _CLOUD_CUTS[atom.case]:
+            part = Partition(atom, cuts)
+            cloud = partition_gammas(atom, part, grid)
+            cols = np.stack([gamma(atom, s, grid, rule="adaptive").values.real
+                             for s in part.indicator_symbols()], axis=1)
+            ref = algebra.PartitionCloud(grid, cols, part.descriptor(),
+                                         atom.name)
+            assert np.array_equal(cloud.points.view(np.int64),
+                                  cols.view(np.int64)), (grid, cuts)
+            assert cloud.simplex_sum_deviation == ref.simplex_sum_deviation
+
+
+@pytest.mark.parametrize("scale, match", [(2.0, "symbol bound"),
+                                          (math.nan, "not finite")])
+def test_cloud_keeps_the_checks_of_gamma(scale, match):
+    # a table whose cumulative profile reads twice the fiber mass pushes
+    # coordinates above their symbol bound of 1, and a NaN one makes them
+    # non-finite: the cloud raises as each piece's gamma does
+    atom = make_atom("gabor", "gaussian")
+    edges, cum, err = atom._profile_table
+    vars(atom)["_profile_table"] = edges, cum * scale, err
+    part = Partition(atom, [0.0])
+    grid = default_operator_grid("gabor", 64)
+    for piece in part.indicator_symbols():
+        with pytest.raises(ValueError, match=match):
+            gamma(atom, piece, grid, rule="adaptive")
+    with pytest.raises(ValueError, match=match):
+        partition_gammas(atom, part, grid)
 
 
 def test_semi_commutator_halfline_split_quarter(gaussian):
