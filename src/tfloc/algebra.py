@@ -14,14 +14,14 @@ with coefficients (a_1, ..., a_m) maps to the function sum a_k z_k on that
 set; the sup of its modulus reproduces the operator norm (the isometry
 checked by tests).
 
-A catalog atom's cloud reads the atom's cumulative-profile table P
-(``kernels``) once, at the partition's m + 1 edges, and each coordinate is
-the difference of neighbouring columns, so the pieces telescope: a
-coordinate sum is P at the domain's two ends, and ``simplex_sum_deviation``
-reads the first coordinate's truncation (4.4e-4 for haar) and rounding, not
-the pieces' quadrature error, which the tests pin by checking the table
-against the adaptive pass.  An imported atom has no table and takes one
-adaptive ``gamma`` per piece.
+A cloud reads the atom's cumulative-profile table P (``kernels``) once, at
+the partition's m + 1 edges, and each coordinate is the difference of
+neighbouring columns, so the pieces telescope: a coordinate sum is P at the
+domain's two ends, and ``simplex_sum_deviation`` reads the first
+coordinate's truncation (4.4e-4 for haar) and rounding, not the pieces'
+quadrature error, which the tests pin by checking the table against the
+adaptive pass.  Catalog and imported atoms alike: an imported atom's table
+integrates the interpolant of its samples.
 
 Operators in this algebra commute (``commutator_diagnostics`` measures it
 for every pair of a symbol pool), yet products of two of them are not
@@ -38,7 +38,7 @@ import numpy as np
 
 from .atoms import Atom
 from .grids import LineGrid, ScaleGrid
-from .kernels import _profile_at, gamma
+from .kernels import _check_gamma, _piece_columns, gamma
 from .operators import build_direct, operator_norm
 from .symbols import Symbol1D, SymbolSpec, format_number
 
@@ -128,33 +128,20 @@ def partition_gammas(atom: Atom, partition: Partition,
                      xi_grid: LineGrid) -> PartitionCloud:
     """Adaptive-rule gamma value of each piece indicator, per frequency.
 
-    A catalog atom's cumulative profile P is read once
-    (``kernels._profile_at``), at the partition's m + 1 edges, and piece
+    The atom's cumulative profile P is read once
+    (``kernels._piece_columns``), at the partition's m + 1 edges, and piece
     [a, b) is the difference of neighbouring columns: P(xi - a) - P(xi - b)
     (windows) or P(b|xi|) - P(a|xi|) (wavelets), +0 at xi = 0 -- the bits
     of the piece's own ``gamma(..., rule="adaptive")``, whose finite and
-    symbol-bound checks the cloud repeats.  An imported atom, which has no
-    table, takes one ``gamma`` per piece.
+    symbol-bound checks (``kernels._check_gamma``) the cloud passes too.
     """
     if partition.case != atom.case:
         raise ValueError("partition and atom case tags differ")
-    if atom.time_profile is None:
-        points = np.stack([gamma(atom, s, xi_grid, rule="adaptive").values.real
-                           for s in partition.indicator_symbols()], axis=1)
-    else:
-        ends = np.array([*(a for [(a, _)] in partition.pieces),
-                         partition.domain[1]])
-        live, P, _ = _profile_at(atom, xi_grid.samples, ends)
-        points = np.zeros((xi_grid.count, partition.m))
-        points[live] += (P[:, 1:] - P[:, :-1] if atom.case == "wavelet"
-                         else P[:, :-1] - P[:, 1:])
-        if not np.all(np.isfinite(points)):
-            raise ValueError(f"gamma of {partition.descriptor()} is not "
-                             "finite on the grid")
-        over = float(np.max(np.abs(points))) - 1.0
-        if over > 1e-8:
-            raise ValueError(f"gamma exceeded its symbol bound by {over:.2e}; "
-                             "quadrature bug")
+    live, cols, _ = _piece_columns(atom, xi_grid.samples,
+                                   [iv for [iv] in partition.pieces])
+    points = np.zeros((xi_grid.count, partition.m))
+    points[live] += cols
+    _check_gamma(points, 1.0, f"gamma of {partition.descriptor()}")
     return PartitionCloud(xi_grid, points, partition.descriptor(), atom.name)
 
 

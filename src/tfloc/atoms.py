@@ -9,11 +9,12 @@ Two families, selected by the ``case`` tag:
 * ``gabor`` -- unit L2-norm windows generating translation/modulation
   (short-time Fourier) transforms.
 
-Catalog atoms carry exact closed-form profiles in time and frequency.  All
-fiber evaluations use the closed forms; the stored samples exist for export,
-plotting and as the (less accurate) fallback for atoms imported from CSV.
-Linear interpolation of a sampled band-limited profile smears its band edges
-by one sample spacing, which is fatal to the 1e-10/1e-6 admissibility and
+Every atom evaluates its profiles through callables.  Catalog atoms carry
+exact closed forms in time and frequency, and their stored samples exist for
+export and plotting; an atom imported from CSV (``io.import_atom``) takes
+the linear interpolation of its samples as its profiles.  Linear
+interpolation of a sampled band-limited profile smears its band edges by
+one sample spacing, which is fatal to the 1e-10/1e-6 admissibility and
 fiber tolerances, hence the closed-form route for the catalog.  Admissibility,
 haar's normalization and the gaussian's unit norm integrate the closed forms
 with the package's one adaptive rule, ``quadrature.gauss_kronrod``; every
@@ -24,8 +25,8 @@ from the real form of its squared profile.
 runs ``make_wavelet`` or ``make_window`` on the default grid, certificate
 checks included, and builds the atom's cumulative profile table; every
 call returns a new ``Atom`` sharing that verified entry's read-only parts
-(samples, profiles, grid, normalization, ``freq_breakpoints`` and the
-table), with an empty fiber-record slot of its own, so no record outlives
+(samples, profiles, grid, normalization, ``profile_breakpoints`` and
+the table), with an empty fiber-record slot of its own, so no record outlives
 the atom it was built for.  ``make_wavelet`` and ``make_window`` build a
 new atom on every call, for custom grids and patched profiles.
 """
@@ -130,13 +131,13 @@ class Atom:
     ----------
     case : "wavelet" or "gabor"
     name : catalog identifier
-    time_samples, freq_samples : stored samples (export / fallback)
+    time_samples, freq_samples : stored samples (export)
     normalization : scalar factor applied to the raw profile
     g1 : the default quadrature grid for the first phase-plane coordinate
         (ScaleGrid for wavelets, LineGrid of translations for windows)
-    time_profile, freq_profile : exact vectorized callables, or None for
-        imported atoms (then stored samples are interpolated linearly,
-        zero outside their grid)
+    time_profile, freq_profile : vectorized callables: the catalog's closed
+        forms, or an imported atom's ``SampledFunction.interp`` of its
+        samples (linear, zero outside their grid)
     power_profile : exact vectorized |freq_profile|^2 in a real closed
         form, or None to square the modulus of ``eval_freq``
     freq_support : for wavelets, (lo, hi) of |xi| outside which the frequency
@@ -147,9 +148,11 @@ class Atom:
         only small, as the gaussian's and haar's, and imported atoms).  The
         catalog certifies it (``_certify_support``); ``Fibers`` stores an
         atom's record only in the column windows it allows.
-    freq_breakpoints : |xi| at which adaptive quadrature over the frequency
-        profile splits (catalog haar: its profile zeros, the 2,047 even
-        integers below 2^12); empty by default.
+    profile_breakpoints : |xi| (wavelets) or x (windows) at which every
+        quadrature over the profile splits: the profile table, the
+        admissibility integral and the adaptive gamma pass.  Catalog haar
+        lists its profile zeros, the 2,047 even integers below 2^12; an
+        imported atom the nodes of its interpolant; empty by default.
     time_support : for windows, (lo, hi) support of the window itself.
     healthy_range : documented range of the second coordinate on which the
         default g1 quadrature keeps fiber norms within fiber_tol.
@@ -160,8 +163,8 @@ class Atom:
     """
 
     def __init__(self, case, name, time_samples, freq_samples, normalization,
-                 g1, time_profile=None, freq_profile=None, power_profile=None,
-                 freq_support=None, freq_breakpoints=(), time_support=None,
+                 g1, time_profile, freq_profile, power_profile=None,
+                 freq_support=None, profile_breakpoints=(), time_support=None,
                  healthy_range=None, fiber_tol=1e-6, exact_support=None):
         if case not in ("wavelet", "gabor"):
             raise ValueError(f"unknown case {case!r}")
@@ -177,8 +180,8 @@ class Atom:
         self.freq_profile = freq_profile
         self.power_profile = power_profile
         self.freq_support = freq_support
-        self.freq_breakpoints = np.array(freq_breakpoints, dtype=float)
-        self.freq_breakpoints.flags.writeable = False
+        self.profile_breakpoints = np.array(profile_breakpoints, dtype=float)
+        self.profile_breakpoints.flags.writeable = False
         self.time_support = time_support
         self.healthy_range = healthy_range
         self.fiber_tol = fiber_tol
@@ -188,14 +191,13 @@ class Atom:
     # -- profile evaluation -------------------------------------------------
 
     def eval_time(self, x):
-        if self.time_profile is not None:
-            return self.time_profile(np.asarray(x, dtype=float))
-        return self.time_samples.interp(x)
+        """phi(x) (psi(x) for wavelets): ``time_profile`` of float64 ``x``."""
+        return self.time_profile(np.asarray(x, dtype=float))
 
     def eval_freq(self, xi):
-        if self.freq_profile is not None:
-            return self.freq_profile(np.asarray(xi, dtype=float))
-        return self.freq_samples.interp(xi)
+        """psi_hat(xi) (phi_hat for windows): ``freq_profile`` of float64
+        ``xi``."""
+        return self.freq_profile(np.asarray(xi, dtype=float))
 
     def eval_power(self, xi):
         """|psi_hat(xi)|^2 (|phi_hat|^2 for windows), real."""
@@ -214,9 +216,12 @@ class Atom:
         """(edges, P at the edges, summed panel error estimates) of P, the
         integral of ``_profile_density`` from the support's start: one
         ``gauss_kronrod`` integral per unit panel (log2 panel on the scale
-        axis) split at the support's ends and ``freq_breakpoints``, summed
-        in order.  One table serves both signs of xi: catalog wavelets are
-        real, so |psi_hat| is even.  The arrays are read-only."""
+        axis) split at the support's ends and ``profile_breakpoints``,
+        summed in order.  One table serves both signs of xi: |psi_hat| is
+        even on a wavelet's ``freq_support``, for the catalog's real
+        wavelets and for an imported wavelet, whose support ends at its last
+        positive frequency node (``io.import_atom``).  The arrays are
+        read-only."""
         if self.case == "wavelet":
             lo, hi = self.freq_support
             cuts = np.exp2(np.arange(math.ceil(math.log2(lo)),
@@ -224,8 +229,8 @@ class Atom:
         else:
             lo, hi = self.time_support
             cuts = np.arange(math.ceil(lo), math.floor(hi) + 1.0)
-        e = np.array(sorted(set(np.clip([lo, hi, *cuts, *self.freq_breakpoints],
-                                        lo, hi))))
+        e = np.array(sorted(set(np.clip(
+            [lo, hi, *cuts, *self.profile_breakpoints], lo, hi))))
         vals, errs = gauss_kronrod(
             lambda t, j: self._profile_density(t), e[:-1], e[1:],
             lambda j: f"{self!r} profile on [{e[j]:g}, {e[j + 1]:g}]")
@@ -293,8 +298,8 @@ class Atom:
 
         Wavelet case only.  Integrates |psi_hat(t*xi)|^2 dt/t over the atom's
         effective frequency support (substituted to s = t*|xi|, which is
-        exact), split at ``freq_breakpoints``; an imported atom's samples
-        take a dense log-midpoint rule.
+        exact) with ``quadrature.gauss_kronrod``, split at
+        ``profile_breakpoints``.
         """
         if self.case != "wavelet":
             raise ValueError("admissibility integral applies to wavelets")
@@ -302,22 +307,17 @@ class Atom:
             raise ValueError("admissibility is evaluated at nonzero frequencies")
         side = 1.0 if xi > 0 else -1.0
         lo, hi = self.freq_support
-        if self.freq_profile is not None:
-            cuts = self.freq_breakpoints
-            return _integral(lambda s: self.eval_power(side * s) / s,
-                             [lo, *cuts[(cuts > lo) & (cuts < hi)], hi])
-        n = 200_000
-        dt = math.log(hi / lo) / n
-        s = lo * np.exp((np.arange(n) + 0.5) * dt)
-        return float(np.sum(self.eval_power(side * s)) * dt)
+        cuts = self.profile_breakpoints
+        return _integral(lambda s: self.eval_power(side * s) / s,
+                         [lo, *cuts[(cuts > lo) & (cuts < hi)], hi])
 
     def admissibility_residual(self) -> float:
         """|energy integral - 1| at xi = 1.
 
-        After the substitution s = t*|xi| both rules of
-        ``admissibility_integral`` depend on the sign of xi alone, and a
-        real wavelet has |psi_hat(-s)| = |psi_hat(s)|, so xi = 1 stands for
-        every nonzero frequency.
+        After the substitution s = t*|xi| ``admissibility_integral`` depends
+        on the sign of xi alone, and |psi_hat| is even on the support of a
+        real wavelet (``_certify_real``, ``_profile_table``), so xi = 1
+        stands for every nonzero frequency.
         """
         return abs(self.admissibility_integral(1.0) - 1.0)
 
@@ -763,6 +763,17 @@ def _certify_support(atom: Atom):
             f"[{lo:g}, {hi:g}]", float(np.max(np.abs(values))))
 
 
+def _certify_real(atom: Atom):
+    """Raise ``AdmissibilityError`` unless the wavelet's time samples are
+    real, every imaginary part at most 1e-12: |psi_hat| is then even, so
+    the admissibility residual and the profile table read one sign of xi
+    for both.  The residual is the largest imaginary part."""
+    imag_max = float(np.max(np.abs(atom.time_samples.values.imag)))
+    if imag_max > 1e-12:
+        raise AdmissibilityError(f"{atom.name}: wavelet must be real-valued",
+                                 imag_max)
+
+
 def make_wavelet(name: str, scale_grid: ScaleGrid | None = None) -> Atom:
     """Construct a catalog wavelet, verified admissible.
 
@@ -802,13 +813,11 @@ def make_wavelet(name: str, scale_grid: ScaleGrid | None = None) -> Atom:
                 SampledFunction(tgrid, time_p(tgrid.samples)),
                 SampledFunction(fgrid, freq_p(fgrid.samples)),
                 norm, g1, time_p, freq_p, power_p,
-                freq_support=support, freq_breakpoints=zeros,
+                freq_support=support, profile_breakpoints=zeros,
                 healthy_range=healthy, fiber_tol=ftol, exact_support=exact)
 
     # checked first: the residual reads xi = 1 alone, which needs a real atom
-    imag_max = float(np.max(np.abs(atom.time_samples.values.imag)))
-    if imag_max > 1e-12:
-        raise AdmissibilityError(f"{name}: wavelet must be real-valued", imag_max)
+    _certify_real(atom)
     residual, tol = atom.admissibility_residual(), 1e-6
     if residual > tol:
         raise AdmissibilityError(
@@ -890,7 +899,7 @@ def make_atom(case: str, name: str) -> Atom:
 
     The first call per (case, name) builds and verifies the entry; every
     call returns a new ``Atom`` that shares the entry's read-only parts
-    (samples, profiles, grid, normalization, ``freq_breakpoints`` and
+    (samples, profiles, grid, normalization, ``profile_breakpoints`` and
     ``_profile_table``) and starts with no fiber record, so the record it
     keeps (``Atom.fibers``) is collected with it.
     """

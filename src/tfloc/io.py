@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -386,32 +387,65 @@ def export_atom(path: str, atom):
         "fiber_tol": atom.fiber_tol, "g1": g1md})
 
 
+def _sidecar_value(sidecar: str, md, key: str):
+    """The value of the dotted ``key`` of the atom sidecar ``md`` read from
+    ``sidecar``; ``ValueError`` naming the sidecar and the first missing
+    part of the key ("g1" when there is no g1)."""
+    value, parts = md, key.split(".")
+    for k, part in enumerate(parts):
+        if not isinstance(value, dict) or part not in value:
+            raise ValueError(f"{sidecar}: atom sidecar has no key "
+                             f"{'.'.join(parts[:k + 1])!r}")
+        value = value[part]
+    return value
+
+
 def import_atom(path: str):
     """Rebuild an atom from CSV samples and its sidecar.
 
-    Imported atoms have no closed-form profiles; fiber evaluations fall back
-    to linear interpolation of the stored samples (documented, lower
-    accuracy).
+    The atom is an ordinary ``Atom`` whose profiles are the linear
+    interpolation of its samples (``SampledFunction.interp``, zero outside
+    their grid): the time samples of the CSV and their forward transform
+    (``fourier``).  The interpolant's nodes are its
+    ``profile_breakpoints``, the positive frequency nodes for a wavelet and
+    the time nodes for a window, so every quadrature over the profile splits
+    at its kinks.  A wavelet's ``freq_support`` ends at its last positive
+    frequency node: the transform of its samples, real as the catalog's
+    (``AdmissibilityError`` otherwise), has an even modulus on it, so one
+    profile table serves both signs of xi.  A sidecar missing a key, or
+    whose ``g1`` kind does not match its case (a scale grid for a wavelet,
+    a line grid for a window), raises ``ValueError`` naming the sidecar.
     """
-    from .atoms import Atom
+    from .atoms import Atom, _certify_real
     from .fourier import fourier
 
-    with open(sidecar_path(path)) as fh:
+    sidecar = sidecar_path(path)
+    with open(sidecar) as fh:
         md = json.load(fh)
+    get = functools.partial(_sidecar_value, sidecar, md)
+    case, kind = get("case"), get("g1.kind")
+    want = {"wavelet": "scale", "gabor": "line"}.get(case, kind)
+    if kind != want:
+        raise ValueError(f"{sidecar}: a {case} atom needs a g1 of kind "
+                         f"{want!r}, got {kind!r}")
+    if kind == "scale":
+        g1 = ScaleGrid(get("g1.u_min"), get("g1.u_max"), get("g1.count"))
+    else:
+        g1 = LineGrid(get("g1.start"), get("g1.step"), get("g1.count"))
     time_samples = read_signal_csv(path)
     freq_samples = fourier(time_samples, "forward")
-    g1md = md["g1"]
-    if g1md["kind"] == "scale":
-        g1 = ScaleGrid(g1md["u_min"], g1md["u_max"], g1md["count"])
-    else:
-        g1 = LineGrid(g1md["start"], g1md["step"], g1md["count"])
-    return Atom(md["case"], md["name"], time_samples, freq_samples,
-                md["normalization"], g1,
-                freq_support=(1e-6, 1.0 / (2 * time_samples.grid.step)),
-                time_support=(time_samples.grid.start,
-                              time_samples.grid.stop),
-                healthy_range=tuple(md["healthy_range"]),
-                fiber_tol=md["fiber_tol"])
+    t, xi = time_samples.grid, freq_samples.grid.samples
+    atom = Atom(case, get("name"), time_samples, freq_samples,
+                get("normalization"), g1, time_samples.interp,
+                freq_samples.interp, freq_support=(1e-6, xi[-1]),
+                profile_breakpoints=(xi[xi > 0] if case == "wavelet"
+                                     else t.samples),
+                time_support=(t.start, t.stop),
+                healthy_range=tuple(get("healthy_range")),
+                fiber_tol=get("fiber_tol"))
+    if case == "wavelet":
+        _certify_real(atom)
+    return atom
 
 
 # -- library objects ----------------------------------------------------------

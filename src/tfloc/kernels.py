@@ -17,18 +17,19 @@ signal-io workload runs and names it):
 * ``rule="grid"`` -- the operator builders' first-coordinate rule on the
   seam, ``Symbol1D.cell_values``: diag(build_direct(alpha)) reproduces it
   to rounding, so all cross-operator consistency statements hold tightly.
-* ``rule="adaptive"`` -- a piecewise-constant symbol (``Symbol1D._pieces``) on
-  a catalog atom reads the atom's cumulative profile P
-  (``Atom._profile_table``): a piece c on [a, b] is c (P(xi - a) - P(xi - b))
-  (windows) or c (P(b|xi|) - P(a|xi|)) (wavelets), each P a table entry plus
-  one K21 panel.  ``_profile_at`` is the table's one reader: one read per
-  call at the pieces' distinct ends, and one per partition cloud
-  (``algebra.partition_gammas``) at its m + 1 edges.  Any other symbol, or
-  an imported atom, takes the adaptive pass, the table's oracle in the
-  tests (they agree to 8 eps): adaptive
+* ``rule="adaptive"`` -- a piecewise-constant symbol (``Symbol1D._pieces``)
+  reads the atom's cumulative profile P (``Atom._profile_table``): a piece
+  c on [a, b] is c (P(xi - a) - P(xi - b)) (windows) or
+  c (P(b|xi|) - P(a|xi|)) (wavelets), each P a table entry plus one K21
+  panel.  ``_piece_columns`` is the table's one reader: one read per call
+  at the pieces' distinct ends, and one per partition cloud
+  (``algebra.partition_gammas``) at its m + 1 edges.  Any other symbol
+  takes the adaptive pass, the table's oracle in the tests (they agree to
+  8 eps, for the catalog atoms and their imported exports alike): adaptive
   Gauss-Kronrod quadrature (``quadrature.gauss_kronrod``) of the defining
   integral over the atom's effective support, split at the symbol's
-  breakpoints and (wavelets) at the atom's ``freq_breakpoints``, with all
+  breakpoints and at the atom's ``profile_breakpoints`` (at
+  breakpoint / |xi| for wavelets, xi - breakpoint for windows), with all
   frequencies of one call integrated together, every atom alike.
   Continuum-accurate, it samples the symbol at its quadrature points, off
   the seam (epsabs 1e-12, epsrel 1e-11 per piece; the
@@ -207,17 +208,18 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
     Gabor case:   integral alpha(q) |phi(xi - q)|^2 dq.
 
     ``rule="adaptive"`` reads a symbol built by ``Symbol1D.constant``,
-    ``indicator`` or ``piecewise`` on a catalog atom from the atom's
-    cumulative-profile table (module docstring); ``abserr`` is then the
-    largest per-xi sum over the pieces of |c| times the table's summed panel
-    estimates plus the two lookups'.  Any other symbol takes the adaptive
-    pass: every (xi, breakpoint segment) piece with one batched adaptive
-    Gauss-Kronrod (G10/K21) pass to epsabs 1e-12, epsrel 1e-11 per piece,
-    and records the largest per-xi error estimate as ``abserr``.  The
-    segments split at the symbol's breakpoints and, for wavelets, at the
-    atom's ``freq_breakpoints`` (haar's profile zeros).  A piece that needs
-    more than ``quadrature.GK_LIMIT`` panels -- typically a symbol with
-    jumps not listed as breakpoints -- raises ``ArithmeticError``.
+    ``indicator`` or ``piecewise`` from the atom's cumulative-profile table
+    (module docstring); ``abserr`` is then the largest per-xi sum over the
+    pieces of |c| times the table's summed panel estimates plus the two
+    lookups'.  Any other symbol takes the adaptive pass: every
+    (xi, breakpoint segment) piece with one batched adaptive Gauss-Kronrod
+    (G10/K21) pass to epsabs 1e-12, epsrel 1e-11 per piece, and records the
+    largest per-xi error estimate as ``abserr``.  The segments split at the
+    symbol's breakpoints and at the atom's ``profile_breakpoints`` (haar's
+    profile zeros, an imported atom's interpolation nodes).  A piece that
+    needs more than ``quadrature.GK_LIMIT`` panels -- typically a symbol
+    with jumps not listed as breakpoints -- raises ``ArithmeticError``.
+    Either rule's values then pass ``_check_gamma``.
 
     The grid rule reads ``alpha.cell_values`` and the atom's fiber record on
     ``xi_grid`` (``Atom.fibers``); the adaptive rule evaluates no fiber matrix.
@@ -233,39 +235,47 @@ def gamma(atom: Atom, alpha: Symbol1D, xi_grid: LineGrid,
         # the power sums of the symbol on the cells, in range (Symbol1D.sample)
         vals = atom.fibers(xi_grid.samples).power_sums(
             alpha.cell_values(atom.g1), atom.g1.measure_weights)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"gamma for {alpha.descriptor} is not finite on the grid")
-    # a symbol with a sup bound gives a bounded operator (||H_a|| <= sup|a|),
-    # and the check below holds gamma to that bound
+    _check_gamma(vals, alpha.sup_bound, f"gamma for {alpha.descriptor}")
     unbounded = (alpha.sup_bound is None
                  and bool(np.max(np.abs(vals)) > OVERFLOW_GUARD))
-    gf = GammaFunction(xi_grid, vals, atom.name, alpha.descriptor, rule,
-                       unbounded=unbounded, is_real=alpha.is_real,
-                       abserr=abserr)
-    if alpha.sup_bound is not None:
-        over = float(np.max(np.abs(gf.values))) - alpha.sup_bound
-        if over > 1e-8 * max(1.0, alpha.sup_bound):
+    return GammaFunction(xi_grid, vals, atom.name, alpha.descriptor, rule,
+                         unbounded=unbounded, is_real=alpha.is_real,
+                         abserr=abserr)
+
+
+def _check_gamma(vals: np.ndarray, sup_bound: float | None, subject: str):
+    """Raise ``ValueError`` unless every value of gamma (``subject`` names
+    it) is finite and, for a symbol with a sup bound, |gamma| stays within
+    that bound to 1e-8 relative: a symbol with a sup bound gives a bounded
+    operator (||H_a|| <= sup|a|), so a larger value is a quadrature bug.
+    ``gamma`` and the partition cloud's coordinates pass it."""
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{subject} is not finite on the grid")
+    if sup_bound is not None:
+        over = float(np.max(np.abs(vals))) - sup_bound
+        if over > 1e-8 * max(1.0, sup_bound):
             raise ValueError(
                 f"gamma exceeded its symbol bound by {over:.2e}; quadrature bug")
-    return gf
 
 
 def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
                     xs: np.ndarray) -> tuple[np.ndarray, float]:
     """Adaptive-rule gamma on xs and the largest per-xi error estimate.
 
-    The integration range of each xi is the window (gabor) or the scaled
-    wavelet band (wavelet) clipped to the symbol's support, split at the
-    symbol's breakpoints and at the atom's ``freq_breakpoints`` / |xi|;
-    every (xi, segment) integral goes through one batched Gauss-Kronrod
-    pass.  The frequencies are halved until the segments of a pass number
-    at most ``GK_MAX_POINTS``, which bounds its memory.
+    A piecewise-constant symbol reads the profile table (``_gamma_pieces``).
+    Otherwise the integration range of each xi is the window (gabor) or the
+    scaled wavelet band (wavelet) clipped to the symbol's support, split at
+    the symbol's breakpoints and at the atom's ``profile_breakpoints`` as
+    first coordinates at xi: breakpoint / |xi| (wavelets), xi - breakpoint
+    (windows); every (xi, segment) integral goes through one batched
+    Gauss-Kronrod pass.  The frequencies are halved until the segments of a
+    pass number at most ``GK_MAX_POINTS``, which bounds its memory.
     """
-    if alpha._pieces is not None and atom.time_profile is not None:
+    if alpha._pieces is not None:
         return _gamma_pieces(atom, alpha._pieces, xs)  # the table path
     bps = np.sort(np.asarray(alpha.breakpoints, dtype=float))
-    fbps = atom.freq_breakpoints  # empty for every atom but haar
-    if xs.size > 1 and xs.size * (bps.size + fbps.size + 1) > GK_MAX_POINTS:
+    pbps = atom.profile_breakpoints
+    if xs.size > 1 and xs.size * (bps.size + pbps.size + 1) > GK_MAX_POINTS:
         # a piece's integral does not depend on the batch it is integrated
         # in, so halving changes no bit
         h = xs.size // 2
@@ -274,15 +284,13 @@ def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
         return np.concatenate([v0, v1]), max(e0, e1)
 
     a_lo, a_hi = alpha.support
-    cuts = np.broadcast_to(bps, (xs.size, bps.size))
     if atom.case == "wavelet":
         ax = np.abs(xs)
         s_lo, s_hi = atom.freq_support
         with np.errstate(divide="ignore"):
             lo = np.maximum(np.maximum(s_lo / ax, a_lo), 1e-300)
             hi = np.minimum(s_hi / ax, a_hi)
-            # the atom's frequency breakpoints as scales at each xi
-            cuts = np.column_stack([cuts, fbps / ax[:, None]])
+            at_xi = pbps / ax[:, None]
         # fibers vanish at zero frequency for zero-mean atoms; the value is
         # excluded from the documented healthy range
         live = (xs != 0.0) & (lo < hi)
@@ -290,7 +298,9 @@ def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
         t_lo, t_hi = atom.time_support
         lo = np.maximum(xs - t_hi, a_lo)
         hi = np.minimum(xs - t_lo, a_hi)
+        at_xi = xs[:, None] - pbps
         live = lo < hi
+    cuts = np.column_stack([np.broadcast_to(bps, (xs.size, bps.size)), at_xi])
 
     # segment edges per xi: the cuts clipped into [lo, hi] and sorted;
     # clipped duplicates give empty segments, which are dropped
@@ -329,7 +339,7 @@ def _profile_at(atom: Atom, xs: np.ndarray, ends: np.ndarray):
     xi != 0 for wavelets, whose gamma(0) is 0), P and the panel error
     estimates, each (live xs, ends).  A row's sums do not depend on the
     other rows or ends of the call, so each P keeps its bits however many
-    ends one call reads."""
+    ends one call reads.  Its one caller is ``_piece_columns``."""
     edges, cum, _ = atom._profile_table
     wavelet = atom.case == "wavelet"
     live = xs != 0 if wavelet else slice(None)
@@ -342,18 +352,29 @@ def _profile_at(atom: Atom, xs: np.ndarray, ends: np.ndarray):
     return live, cum[k] + P.reshape(x.shape), e.reshape(x.shape)
 
 
-def _gamma_pieces(atom: Atom, pieces, xs: np.ndarray) -> tuple[np.ndarray, float]:
-    """The table path (module docstring): one ``_profile_at`` read at the
-    distinct ends of the pieces; piece c on [a, b] adds c times the
-    difference of its ends' columns."""
-    ends = np.array(sorted({e for a, b, _ in pieces for e in (a, b)}))
+def _piece_columns(atom: Atom, xs: np.ndarray, intervals):
+    """The gamma of the indicator of each interval [a, b] of ``intervals``
+    on ``xs``, from one ``_profile_at`` read at their distinct ends:
+    P(xi - a) - P(xi - b) (windows) or P(b|xi|) - P(a|xi|) (wavelets).
+    Returns ``live`` (``_profile_at``'s rows), the columns, one per
+    interval, and each column's error estimate: the table's summed panel
+    estimates plus the two lookups'."""
+    ends = np.array(sorted({e for iv in intervals for e in iv}))
     live, P, e = _profile_at(atom, xs, ends)
-    wavelet, table_err = atom.case == "wavelet", atom._profile_table[2]
+    i, j = np.searchsorted(ends, np.reshape(intervals, (-1, 2))).T
+    cols = P[:, j] - P[:, i] if atom.case == "wavelet" else P[:, i] - P[:, j]
+    return live, cols, atom._profile_table[2] + e[:, i] + e[:, j]
+
+
+def _gamma_pieces(atom: Atom, pieces, xs: np.ndarray) -> tuple[np.ndarray, float]:
+    """The table path (module docstring): piece c on [a, b] adds c times
+    its ``_piece_columns`` column, in piece order."""
+    live, cols, col_errs = _piece_columns(atom, xs,
+                                          [(a, b) for a, b, _ in pieces])
     vals, errs = np.zeros(xs.size, dtype=complex), np.zeros(xs.size)
-    for a, b, c in pieces:
-        i, j = np.searchsorted(ends, (a, b))
-        vals[live] += c * (P[:, j] - P[:, i] if wavelet else P[:, i] - P[:, j])
-        errs[live] += abs(c) * (table_err + e[:, i] + e[:, j])
+    for k, (_, _, c) in enumerate(pieces):
+        vals[live] += c * cols[:, k]
+        errs[live] += abs(c) * col_errs[:, k]
     return vals, float(errs.max(initial=0.0))
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import tfloc
 from tfloc.atoms import Fibers, make_wavelet, make_window
+from tfloc.io import export_atom, import_atom
 from tfloc.symbols import Symbol1D
 
 
@@ -27,6 +28,20 @@ def gaussian():
 @pytest.fixture(scope="session")
 def rect():
     return make_window("rect")
+
+
+@pytest.fixture(scope="session")
+def imported(tmp_path_factory):
+    """``imported(atom)``: the atom exported to CSV and imported again
+    (``io.import_atom``), whose profiles interpolate its samples."""
+    folder = tmp_path_factory.mktemp("imported")
+
+    def load(atom):
+        path = str(folder / f"{atom.name}.csv")
+        export_atom(path, atom)
+        return import_atom(path)
+
+    return load
 
 
 @pytest.fixture()

@@ -10,7 +10,6 @@ from tfloc.algebra import (Partition, commutator_diagnostics,
                            semi_commutator)
 from tfloc.atoms import make_atom
 from tfloc.grids import LineGrid
-from tfloc.io import export_atom, import_atom
 from tfloc.kernels import gamma
 from tfloc.operators import (build_direct, default_operator_grid,
                              operator_norm)
@@ -173,12 +172,12 @@ def test_pool_builds_each_symbol_once(gaussian, monkeypatch):
 
 
 def test_algebra_commands_read_the_table_once_per_partition(monkeypatch,
-                                                           tmp_path):
-    # a catalog atom's cloud is one read of its cumulative-profile table at
-    # the partition's m + 1 edges and no gamma call: `verify algebra` (whose
+                                                           tmp_path,
+                                                           imported):
+    # a cloud is one read of the atom's cumulative-profile table at the
+    # partition's m + 1 edges and no gamma call: `verify algebra` (whose
     # only cloud is the partition's; its commutators read the grid rule) and
-    # `tfloc algebra` alike.  An imported atom has no table, so it takes
-    # one gamma per piece and reads none
+    # `tfloc algebra` alike, and an imported atom's cloud too
     calls, reads = [], []
     gamma, profile_at = algebra.gamma, kernels._profile_at
 
@@ -190,8 +189,7 @@ def test_algebra_commands_read_the_table_once_per_partition(monkeypatch,
         reads.append(len(ends))
         return profile_at(atom, xs, ends)
 
-    for module in (algebra, kernels):
-        monkeypatch.setattr(module, "_profile_at", counting_read)
+    monkeypatch.setattr(kernels, "_profile_at", counting_read)
     for module in (algebra, kernels, cli):
         monkeypatch.setattr(module, "gamma", counting_gamma)
     out = str(tmp_path / "out")
@@ -203,13 +201,13 @@ def test_algebra_commands_read_the_table_once_per_partition(monkeypatch,
             assert cli.main([*argv, "--case", case, "--n", "64",
                              "--out", out]) == 0
             assert (calls, reads) == ([], [m + 1]), (argv, case)
-    export_atom(str(tmp_path / "rect.csv"), make_atom("gabor", "rect"))
-    imported = import_atom(str(tmp_path / "rect.csv"))
-    part = Partition(imported, [-1.0, 0.5])
-    calls.clear(), reads.clear()
-    partition_gammas(imported, part, default_operator_grid("gabor", 64))
-    assert calls == [s.descriptor for s in part.indicator_symbols()]
-    assert reads == []
+    for case, name, cuts in (("gabor", "rect", [-1.0, 0.5]),
+                             ("wavelet", "haar", [0.5, 2.0, 8.0])):
+        atom = imported(make_atom(case, name))
+        calls.clear(), reads.clear()
+        partition_gammas(atom, Partition(atom, cuts),
+                         default_operator_grid(case, 64))
+        assert (calls, reads) == ([], [len(cuts) + 2]), name
 
 
 _CLOUD_CUTS = {"gabor": [[], [0.0], [-1.0, 0.5], [-3.0, 0.5, 4.0]],
@@ -217,26 +215,46 @@ _CLOUD_CUTS = {"gabor": [[], [0.0], [-1.0, 0.5], [-3.0, 0.5, 4.0]],
 
 
 @pytest.mark.parametrize("atom_name", ["gaussian", "rect", "shannon", "haar"])
-def test_cloud_coordinates_have_the_bits_of_their_gammas(atom_name, request):
+def test_cloud_coordinates_have_the_bits_of_their_gammas(atom_name, request,
+                                                         imported):
     # each coordinate of the one-read cloud is its piece's adaptive gamma,
     # bit for bit (signed zeros included, by the int64 view), on default
     # grids of odd and even n, a wavelet grid through xi = 0 and an
-    # off-centre window grid, for 1 to 4 pieces
-    atom = request.getfixturevalue(atom_name)
-    grids = [default_operator_grid(atom.case, n) for n in (63, 64, 255, 256)]
-    grids.append(LineGrid.centered(8.0, 64) if atom.case == "wavelet"
+    # off-centre window grid, for 1 to 4 pieces: for the catalog atom and
+    # for its imported export
+    catalog = request.getfixturevalue(atom_name)
+    grids = [default_operator_grid(catalog.case, n)
+             for n in (63, 64, 255, 256)]
+    grids.append(LineGrid.centered(8.0, 64) if catalog.case == "wavelet"
                  else LineGrid(-2.3, 0.07, 100))
-    for grid in grids:
-        for cuts in _CLOUD_CUTS[atom.case]:
-            part = Partition(atom, cuts)
-            cloud = partition_gammas(atom, part, grid)
-            cols = np.stack([gamma(atom, s, grid, rule="adaptive").values.real
-                             for s in part.indicator_symbols()], axis=1)
-            ref = algebra.PartitionCloud(grid, cols, part.descriptor(),
-                                         atom.name)
-            assert np.array_equal(cloud.points.view(np.int64),
-                                  cols.view(np.int64)), (grid, cuts)
-            assert cloud.simplex_sum_deviation == ref.simplex_sum_deviation
+    for atom in (catalog, imported(catalog)):
+        for grid in grids:
+            for cuts in _CLOUD_CUTS[atom.case]:
+                part = Partition(atom, cuts)
+                cloud = partition_gammas(atom, part, grid)
+                cols = np.stack([gamma(atom, s, grid, rule="adaptive")
+                                 .values.real
+                                 for s in part.indicator_symbols()], axis=1)
+                ref = algebra.PartitionCloud(grid, cols, part.descriptor(),
+                                             atom.name)
+                assert np.array_equal(cloud.points.view(np.int64),
+                                      cols.view(np.int64)), (grid, cuts)
+                assert cloud.simplex_sum_deviation == \
+                    ref.simplex_sum_deviation
+
+
+def test_imported_rect_cloud_sums_to_its_interpolant_mass(rect, imported):
+    # the interpolant of rect's samples (step 1/256) falls linearly over
+    # the last step of [0, 1), so its squared mass is 1 - 1/768, and every
+    # cloud point sums to it at every xi of the default grids
+    atom = imported(rect)
+    for n in (63, 64, 255, 256):
+        grid = default_operator_grid("gabor", n)
+        for cuts in _CLOUD_CUTS["gabor"]:
+            cloud = partition_gammas(atom, Partition(atom, cuts), grid)
+            sums = cloud.points.sum(axis=1)
+            assert np.max(np.abs(sums - (1.0 - 1.0 / 768))) <= 1e-15, \
+                (n, cuts)
 
 
 @pytest.mark.parametrize("scale, match", [(2.0, "symbol bound"),

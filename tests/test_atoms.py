@@ -1,3 +1,4 @@
+import ast
 import functools
 import gc
 import math
@@ -8,7 +9,8 @@ import pytest
 
 from tfloc import atoms
 from tfloc.atoms import AdmissibilityError, make_atom, make_wavelet, make_window
-from tfloc.io import export_atom, import_atom
+from tfloc.grids import SampledFunction
+from tfloc.io import export_atom, import_atom, write_signal_csv
 from tfloc.operators import default_operator_grid
 
 LN2 = math.log(2.0)
@@ -75,12 +77,12 @@ def test_admissibility_even_in_frequency(shannon, haar):
 
 def test_admissibility_integral_depends_on_the_sign_alone(shannon, haar,
                                                          tmp_path):
-    # after s = t|xi| both rules see only sign(xi): the Gauss-Kronrod pass
-    # of the closed-form profiles (shannon, haar) and, through
-    # export/import, the log-midpoint rule of the stored samples
+    # after s = t|xi| the Gauss-Kronrod pass sees only sign(xi): of the
+    # closed-form profiles (shannon, haar) and, through export/import, of
+    # the interpolant of the stored samples, the imported atom's profile
     export_atom(str(tmp_path / "shannon.csv"), shannon)
     imported = import_atom(str(tmp_path / "shannon.csv"))
-    assert imported.freq_profile is None
+    assert imported.freq_profile == imported.freq_samples.interp
     xis = np.array([-4.0, -1.3, -1.0, -0.37, -2.0 ** -4,
                     2.0 ** -4, 0.37, 1.0, 1.3, 4.0])
     for atom in (shannon, haar, imported):
@@ -100,16 +102,61 @@ def test_admissibility_integral_depends_on_the_sign_alone(shannon, haar,
                - imported.admissibility_integral(1.0)) <= 1e-11
 
 
-def test_freq_breakpoints_are_the_haar_profile_zeros(shannon, haar, gaussian,
-                                                    tmp_path):
-    bps = haar.freq_breakpoints
+def test_profile_breakpoints_are_haar_zeros_and_imported_nodes(
+        shannon, haar, gaussian, rect, imported):
+    # catalog haar lists its profile zeros; shannon and the catalog windows
+    # list none; an imported atom lists the nodes of its interpolant: the
+    # positive frequency nodes of a wavelet, whose support ends at the last
+    # of them, and the time nodes of a window
+    bps = haar.profile_breakpoints
     assert bps.size == 2047 and bps[0] == 2.0 and bps[-1] == 4094.0
     assert np.all(np.diff(bps) == 2.0) and bps[-1] < haar.freq_support[1]
     assert np.max(np.abs(haar.eval_freq(bps))) <= 1e-12
-    export_atom(str(tmp_path / "haar.csv"), haar)
-    imported = import_atom(str(tmp_path / "haar.csv"))
-    for atom in (shannon, gaussian, imported):
-        assert atom.freq_breakpoints.size == 0, atom
+    for atom in (shannon, gaussian, rect):
+        assert atom.profile_breakpoints.size == 0, atom
+    for atom in map(imported, (haar, shannon, gaussian, rect)):
+        if atom.case == "wavelet":
+            xi = atom.freq_samples.grid.samples
+            assert np.array_equal(atom.profile_breakpoints, xi[xi > 0])
+            assert atom.freq_support == (1e-6, xi[-1])
+        else:
+            assert np.array_equal(atom.profile_breakpoints,
+                                  atom.time_samples.grid.samples)
+
+
+def test_no_scope_asks_whether_an_atom_has_profiles(scopes_where):
+    # every atom, imported ones included, carries its time and frequency
+    # profiles, so no code forks on a missing one; the power profile stays
+    # optional (haar's real closed form), the one comparison left
+    def compares_with_none(names):
+        def match(node):
+            if not isinstance(node, ast.Compare):
+                return False
+            sides = [node.left, *node.comparators]
+            return (any(isinstance(x, ast.Attribute) and x.attr in names
+                        for x in sides)
+                    and any(isinstance(x, ast.Constant) and x.value is None
+                            for x in sides))
+        return match
+
+    assert scopes_where(compares_with_none({"time_profile",
+                                            "freq_profile"})) == []
+    assert scopes_where(compares_with_none({"power_profile"})) == [
+        "atoms.py:Atom.eval_power"]
+
+
+def test_an_imported_wavelet_is_real(shannon, tmp_path):
+    # one profile table serves both signs of xi because |psi_hat| is even:
+    # complex samples would make it odd, so import_atom refuses them as
+    # make_wavelet does
+    path = str(tmp_path / "shannon.csv")
+    export_atom(path, shannon)
+    samples = shannon.time_samples
+    write_signal_csv(path, SampledFunction(samples.grid,
+                                           samples.values * (1 + 1e-9j)))
+    with pytest.raises(AdmissibilityError,
+                       match="^shannon: wavelet must be real-valued"):
+        import_atom(path)
 
 
 def test_eval_power_is_the_squared_frequency_profile(shannon, haar,
@@ -122,7 +169,7 @@ def test_eval_power_is_the_squared_frequency_profile(shannon, haar,
     assert p.dtype == float and np.all(p >= 0.0)
     assert np.all(np.abs(p - ref) <= 4e-15 * np.max(ref))
     assert haar.eval_power(np.array([0.0]))[0] == 0.0
-    assert np.max(haar.eval_power(haar.freq_breakpoints[:50])) <= 1e-30
+    assert np.max(haar.eval_power(haar.profile_breakpoints[:50])) <= 1e-30
     for atom in (shannon, gaussian):
         assert np.array_equal(atom.eval_power(s),
                               np.abs(atom.eval_freq(s)) ** 2)
@@ -250,8 +297,8 @@ def test_the_catalog_builds_each_atom_once(monkeypatch, case, name):
     assert all(a is b for a, b in zip(second._profile_table[:2],
                                       first._profile_table[:2]))
     shared = dict(_arrays(first))
-    assert {"._profile_table[0]", "._profile_table[1]", ".freq_breakpoints",
-            ".g1.nodes", ".g1.measure_weights",
+    assert {"._profile_table[0]", "._profile_table[1]",
+            ".profile_breakpoints", ".g1.nodes", ".g1.measure_weights",
             ".time_samples.values"} <= set(shared)
     assert all(a is shared[path] for path, a in _arrays(second))
 

@@ -573,6 +573,53 @@ _ATOM_META = {"case": "gabor", "name": "gaussian", "normalization": 1.0,
                      "count": 512}}
 
 
+def _without(md, key):
+    """A deep copy of the sidecar ``md`` without its dotted ``key``."""
+    md = json.loads(json.dumps(md))
+    *parents, last = key.split(".")
+    inner = md
+    for part in parents:
+        inner = inner[part]
+    del inner[last]
+    return md
+
+
+_WAVELET_G1 = {"kind": "scale", "u_min": 2.0 ** -8, "u_max": 2.0 ** 8,
+               "count": 512}
+
+
+@pytest.mark.parametrize("md, message", [
+    *(pytest.param(_without(_ATOM_META, key), f"has no key '{key}'",
+                   id=f"no-{key}")
+      for key in ("case", "name", "normalization", "healthy_range",
+                  "fiber_tol", "g1", "g1.kind", "g1.start", "g1.step",
+                  "g1.count")),
+    pytest.param(_without({**_ATOM_META, "case": "wavelet",
+                           "g1": _WAVELET_G1}, "g1.u_max"),
+                 "has no key 'g1.u_max'", id="no-g1.u_max"),
+    pytest.param([], "has no key 'case'", id="not-an-object"),
+    pytest.param({**_ATOM_META, "case": "wavelet"},
+                 "a wavelet atom needs a g1 of kind 'scale', got 'line'",
+                 id="wavelet-on-a-line-grid"),
+    pytest.param({**_ATOM_META, "g1": _WAVELET_G1},
+                 "a gabor atom needs a g1 of kind 'line', got 'scale'",
+                 id="window-on-a-scale-grid"),
+])
+def test_import_atom_checks_its_sidecar(tmp_path, md, message):
+    # a sidecar missing a key the atom is rebuilt from, or pairing a case
+    # with the other case's first-coordinate grid, raises ValueError naming
+    # the sidecar, before any atom is built
+    path = str(tmp_path / "atom.csv")
+    write_signal_csv(path, SampledFunction(LineGrid(0.0, 0.25, 4),
+                                           np.ones(4)))
+    write_json(sidecar_path(path), md)
+    with pytest.raises(ValueError) as info:
+        import_atom(path)
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"{sidecar_path(path)}: ")
+    assert message in str(info.value)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(text=_signal_texts())
 @example(text="x,re,im\r\n0,1,0\r\n\r\n 0.5 ,2,0,7\r\n1,3,1\r\n")

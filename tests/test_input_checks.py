@@ -36,7 +36,8 @@ def _operator(values, **kw):
 
 
 def _atom(case, normalization):
-    return Atom(case, "test", SIGNAL, SIGNAL, normalization, G4)
+    return Atom(case, "test", SIGNAL, SIGNAL, normalization, G4,
+                SIGNAL.interp, SIGNAL.interp)
 
 
 def _field(case, g1, values, g2=G2):
@@ -61,7 +62,7 @@ def _huge_window_gamma(rule):
     def huge(x):
         return 1e200 * ((x >= 0) & (x < 1)).astype(float)
 
-    atom = Atom("gabor", "huge", SIGNAL, SIGNAL, 1.0, G4, huge,
+    atom = Atom("gabor", "huge", SIGNAL, SIGNAL, 1.0, G4, huge, SIGNAL.interp,
                 time_support=(0.0, 1.0))
     with np.errstate(over="ignore"):
         return gamma(atom, Symbol1D.constant(1.0), G4, rule=rule)

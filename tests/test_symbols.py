@@ -17,7 +17,7 @@ from scipy.special import erf, sici
 import tfloc
 import tfloc.kernels
 from tfloc.algebra import Partition
-from tfloc.atoms import Atom, make_wavelet
+from tfloc.atoms import make_wavelet
 from tfloc.fields import random_bandlimited
 from tfloc.grids import LineGrid, SampledFunction
 from tfloc.kernels import (GammaFunction, boundedness_verdict, gamma,
@@ -683,9 +683,20 @@ def _table_symbols(atom):
 
 
 @pytest.mark.parametrize("n", [64, 128, 512])
-@pytest.mark.parametrize("atom_name", ["gaussian", "rect", "shannon", "haar"])
-def test_gamma_table_matches_the_adaptive_pass(atom_name, n, request):
-    atom = request.getfixturevalue(atom_name)
+@pytest.mark.parametrize("atom_name", [
+    prefix + name for prefix in ("", "imported-")
+    for name in ("gaussian", "rect", "shannon", "haar")])
+def test_gamma_table_matches_the_adaptive_pass(atom_name, n, request,
+                                               imported):
+    # an imported atom's profile interpolates its samples, its nodes listed
+    # as profile breakpoints: the adaptive pass splits at them, and the
+    # table's panels end at them.  Its table sums 500 to 1,000 panels, and
+    # its bound is 8 eps per unit of sup |alpha| (10.0 eps read for
+    # imported shannon's complex 3-piece symbol, sup |alpha| = 2)
+    atom = request.getfixturevalue(atom_name.removeprefix("imported-"))
+    is_imported = atom_name != atom.name
+    if is_imported:
+        atom = imported(atom)
     grid = default_operator_grid(atom.case, n)
     if atom.case == "wavelet" and n == 64:
         # both signs of frequency, and zero
@@ -700,7 +711,9 @@ def test_gamma_table_matches_the_adaptive_pass(atom_name, n, request):
         table = gamma(atom, sym, grid, rule="adaptive")
         ref = gamma(atom, _without_pieces(sym), sub, rule="adaptive")
         diff = table.values[1 % stride::stride] - ref.values
-        assert np.max(np.abs(diff)) <= TABLE_BOUND, sym.descriptor
+        bound = TABLE_BOUND * (max(1.0, sym.sup_bound) if is_imported
+                               else 1.0)
+        assert np.max(np.abs(diff)) <= bound, sym.descriptor
         assert table.abserr <= 1e-11 * max(1.0, sym.sup_bound)
 
 
@@ -722,10 +735,11 @@ def test_profile_tables_reach_the_fiber_norm(gaussian, rect, shannon, haar):
         assert 0.0 < err <= 1e-12, (atom.name, err)
 
 
-def test_gamma_adaptive_path_of_each_symbol(gaussian, haar, monkeypatch):
+def test_gamma_adaptive_path_of_each_symbol(gaussian, haar, monkeypatch,
+                                            imported):
     # a symbol built by constant, indicator or piecewise takes the table;
     # a plain callable with an indicator's values and a sampled symbol
-    # take the adaptive pass, as an imported atom does
+    # take the adaptive pass; an imported atom's indicator takes the table
     passes = []
     adaptive = tfloc.kernels.gauss_kronrod
     monkeypatch.setattr(tfloc.kernels, "gauss_kronrod",
@@ -741,13 +755,10 @@ def test_gamma_adaptive_path_of_each_symbol(gaussian, haar, monkeypatch):
         passes.clear()
         gamma(haar, sym, grid, rule="adaptive")
         assert bool(passes) == pass_taken, sym.descriptor
-    imported = Atom(gaussian.case, "imported", gaussian.time_samples,
-                    gaussian.freq_samples, 1.0, gaussian.g1,
-                    time_support=gaussian.time_support)
     passes.clear()
-    gamma(imported, indicator, default_operator_grid("gabor", 8),
+    gamma(imported(gaussian), indicator, default_operator_grid("gabor", 8),
           rule="adaptive")
-    assert passes
+    assert not passes
 
 
 def test_gamma_table_profile_evaluations_are_bounded(monkeypatch):

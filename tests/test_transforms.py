@@ -520,7 +520,9 @@ def _materialized(atom, omegas):
 
 def _windows(tmp_path):
     """gaussian, rect, an imported gaussian and a complex window (a chirp
-    on [0, 1), -0j outside so that its conjugate holds empty rows)."""
+    on [0, 1), -0j outside so that its conjugate holds empty rows; its
+    samples and frequency profile are rect's, which no window record
+    reads)."""
     gaussian, rect = make_window("gaussian"), make_window("rect")
     export_atom(str(tmp_path / "gaussian.csv"), gaussian)
 
@@ -530,7 +532,7 @@ def _windows(tmp_path):
 
     return [gaussian, rect, import_atom(str(tmp_path / "gaussian.csv")),
             Atom("gabor", "chirp", rect.time_samples, rect.freq_samples, 1.0,
-                 rect.g1, chirp)]
+                 rect.g1, chirp, rect.freq_profile)]
 
 
 LATTICE_GRIDS = ([default_operator_grid("gabor", n)
