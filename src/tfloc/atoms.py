@@ -10,25 +10,27 @@ Two families, selected by the ``case`` tag:
   (short-time Fourier) transforms.
 
 Every atom evaluates its profiles through callables.  Catalog atoms carry
-exact closed forms in time and frequency, and their stored samples exist for
-export and plotting; an atom imported from CSV (``io.import_atom``) takes
-the linear interpolation of its samples as its profiles.  Linear
-interpolation of a sampled band-limited profile smears its band edges by
-one sample spacing, which is fatal to the 1e-10/1e-6 admissibility and
-fiber tolerances, hence the closed-form route for the catalog.  Admissibility,
-haar's normalization and the gaussian's unit norm integrate the closed forms
-with the package's one adaptive rule, ``quadrature.gauss_kronrod``; every
-integrand over |psi_hat|^2 reads ``Atom.eval_power``, which haar answers
-from the real form of its squared profile.
+exact closed forms in time and frequency, and their time samples exist for
+export (``io.export_atom``); an atom imported from CSV (``io.import_atom``)
+takes the linear interpolation of its samples and of their transform as its
+profiles.  Linear interpolation of a sampled band-limited profile smears its
+band edges by one sample spacing, which is fatal to the 1e-10/1e-6 mass and
+fiber tolerances, hence the closed-form route for the catalog.  An atom's
+mass -- the admissibility integral of a wavelet, the squared L2 norm of a
+window -- is the total of its cumulative profile table (``_profile_table``),
+which integrates the closed forms over the atom's ``support`` with the
+package's one adaptive rule, ``quadrature.gauss_kronrod``; so does haar's
+normalization.  Every integrand over |psi_hat|^2 reads ``Atom.eval_power``,
+which haar answers from the real form of its squared profile.
 
 ``make_atom`` is the process's catalog: the first call per (case, name)
-runs ``make_wavelet`` or ``make_window`` on the default grid, certificate
-checks included, and builds the atom's cumulative profile table; every
-call returns a new ``Atom`` sharing that verified entry's read-only parts
-(samples, profiles, grid, normalization, ``profile_breakpoints`` and
-the table), with an empty fiber-record slot of its own, so no record outlives
-the atom it was built for.  ``make_wavelet`` and ``make_window`` build a
-new atom on every call, for custom grids and patched profiles.
+runs ``make_wavelet`` or ``make_window`` on the default grid, whose
+certificates (``_certify``) build the atom's profile table; every call
+returns a new ``Atom`` sharing that verified entry's read-only parts
+(samples, profiles, grid, ``profile_breakpoints`` and the table), with an
+empty fiber-record slot of its own, so no record outlives the atom it was
+built for.  ``make_wavelet`` and ``make_window`` build a new atom on every
+call, for custom grids and patched profiles.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def _nonzero_words(V: np.ndarray, axis: int) -> np.ndarray:
 
 
 class AdmissibilityError(ValueError):
-    """Atom construction failed its admissibility / normalization check."""
+    """Atom construction failed one of its certificates (``_certify``)."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (achieved residual {residual:.3e})")
@@ -131,61 +133,57 @@ class Atom:
     ----------
     case : "wavelet" or "gabor"
     name : catalog identifier
-    time_samples, freq_samples : stored samples (export)
-    normalization : scalar factor applied to the raw profile
+    time_samples : the time profile on a grid: what ``io.export_atom``
+        writes, an imported atom interpolates and ``_certify_real`` reads
     g1 : the default quadrature grid for the first phase-plane coordinate
         (ScaleGrid for wavelets, LineGrid of translations for windows)
     time_profile, freq_profile : vectorized callables: the catalog's closed
         forms, or an imported atom's ``SampledFunction.interp`` of its
         samples (linear, zero outside their grid)
+    support : (lo, hi), lo < hi, of |xi| (wavelets) or x (windows) outside
+        which the profile is negligible: the range of every quadrature over
+        it, the profile table (so the atom's mass) and the adaptive gamma
+        pass.
     power_profile : exact vectorized |freq_profile|^2 in a real closed
         form, or None to square the modulus of ``eval_freq``
-    freq_support : for wavelets, (lo, hi) of |xi| outside which the frequency
-        profile is negligible; integration bounds for admissibility.
-    exact_support : (lo, hi), lo <= hi, of |xi| (wavelets) or x (windows)
-        outside which the profile is exactly +0 at every float, or None
-        when no such interval is declared (a profile truncated where it is
-        only small, as the gaussian's and haar's, and imported atoms).  The
-        catalog certifies it (``_certify_support``); ``Fibers`` stores an
-        atom's record only in the column windows it allows.
     profile_breakpoints : |xi| (wavelets) or x (windows) at which every
-        quadrature over the profile splits: the profile table, the
-        admissibility integral and the adaptive gamma pass.  Catalog haar
-        lists its profile zeros, the 2,047 even integers below 2^12; an
-        imported atom the nodes of its interpolant; empty by default.
-    time_support : for windows, (lo, hi) support of the window itself.
+        quadrature over the profile splits: the profile table and the
+        adaptive gamma pass.  Catalog haar lists its profile zeros, the
+        2,047 even integers below 2^12; an imported atom the nodes of its
+        interpolant; empty by default.
     healthy_range : documented range of the second coordinate on which the
         default g1 quadrature keeps fiber norms within fiber_tol.
+    support_is_exact : whether the profile is exactly +0 at every float
+        outside ``support`` (shannon's band, rect's [0, 1)); False when it
+        is only small there (the gaussian's and haar's truncated profiles,
+        and imported atoms).  The catalog certifies it
+        (``_certify_support``); ``Fibers`` stores an exact atom's record
+        only in the column windows its support allows.
 
     A profile is called with a float64 array and converts nothing:
     ``eval_time``, ``eval_freq`` and ``eval_power`` convert their input,
     and every other caller passes float64 grid samples or quadrature nodes.
     """
 
-    def __init__(self, case, name, time_samples, freq_samples, normalization,
-                 g1, time_profile, freq_profile, power_profile=None,
-                 freq_support=None, profile_breakpoints=(), time_support=None,
-                 healthy_range=None, fiber_tol=1e-6, exact_support=None):
+    def __init__(self, case, name, time_samples, g1, time_profile,
+                 freq_profile, support, power_profile=None,
+                 profile_breakpoints=(), healthy_range=None, fiber_tol=1e-6,
+                 support_is_exact=False):
         if case not in ("wavelet", "gabor"):
             raise ValueError(f"unknown case {case!r}")
         self.case = case
         self.name = name
         self.time_samples = time_samples
-        self.freq_samples = freq_samples
-        self.normalization = float(normalization)
-        if self.normalization <= 0:
-            raise ValueError("normalization must be positive")
         self.g1 = g1
         self.time_profile = time_profile
         self.freq_profile = freq_profile
+        self.support = support
         self.power_profile = power_profile
-        self.freq_support = freq_support
         self.profile_breakpoints = np.array(profile_breakpoints, dtype=float)
         self.profile_breakpoints.flags.writeable = False
-        self.time_support = time_support
         self.healthy_range = healthy_range
         self.fiber_tol = fiber_tol
-        self.exact_support = exact_support
+        self.support_is_exact = support_is_exact
         self._last_fibers = None  # (g1, record) of the last ``fibers`` build
 
     # -- profile evaluation -------------------------------------------------
@@ -214,20 +212,20 @@ class Atom:
     @cached_property
     def _profile_table(self):
         """(edges, P at the edges, summed panel error estimates) of P, the
-        integral of ``_profile_density`` from the support's start: one
-        ``gauss_kronrod`` integral per unit panel (log2 panel on the scale
-        axis) split at the support's ends and ``profile_breakpoints``,
-        summed in order.  One table serves both signs of xi: |psi_hat| is
-        even on a wavelet's ``freq_support``, for the catalog's real
-        wavelets and for an imported wavelet, whose support ends at its last
-        positive frequency node (``io.import_atom``).  The arrays are
-        read-only."""
+        integral of ``_profile_density`` over the ``support`` from its
+        start: one ``gauss_kronrod`` integral per unit panel (log2 panel on
+        the scale axis) split at the support's ends and
+        ``profile_breakpoints``, summed in order.  The total P[-1] is the
+        atom's mass, which the catalog certifies (``_certify``).  One table
+        serves both signs of xi: |psi_hat| is even on a wavelet's support,
+        for the catalog's real wavelets and for an imported wavelet, whose
+        support ends at its last positive frequency node
+        (``io.import_atom``).  The arrays are read-only."""
+        lo, hi = self.support
         if self.case == "wavelet":
-            lo, hi = self.freq_support
             cuts = np.exp2(np.arange(math.ceil(math.log2(lo)),
                                      math.floor(math.log2(hi)) + 1.0))
         else:
-            lo, hi = self.time_support
             cuts = np.arange(math.ceil(lo), math.floor(hi) + 1.0)
         e = np.array(sorted(set(np.clip(
             [lo, hi, *cuts, *self.profile_breakpoints], lo, hi))))
@@ -246,8 +244,8 @@ class Atom:
         at translations z (windows).
 
         The general evaluator, and the oracle of every record (``Fibers``):
-        it evaluates every entry, also outside the atom's ``exact_support``,
-        where a windowed record stores nothing.  The dtype is ``_fiber_dtype``:
+        it evaluates every entry, also outside an exact ``support``, where
+        a windowed record stores nothing.  The dtype is ``_fiber_dtype``:
         float64 for a real profile, complex128 for a complex one.  The
         result is allocated once, before the blocks' temporaries (a glibc
         heap layout that saves about 0.5 MiB of peak RSS), and the profile
@@ -296,29 +294,21 @@ class Atom:
     def admissibility_integral(self, xi: float) -> float:
         """Frequency-energy integral over scales at one test frequency.
 
-        Wavelet case only.  Integrates |psi_hat(t*xi)|^2 dt/t over the atom's
-        effective frequency support (substituted to s = t*|xi|, which is
-        exact) with ``quadrature.gauss_kronrod``, split at
-        ``profile_breakpoints``.
+        Wavelet case only.  The substitution s = t*|xi| turns the integral
+        of |psi_hat(t*xi)|^2 dt/t into that of |psi_hat(+-s)|^2 ds/s, and
+        |psi_hat| is even on the support of a real wavelet
+        (``_certify_real``), so every nonzero xi reads one value: the total
+        of the profile table (``_profile_table``) over the ``support``.
         """
         if self.case != "wavelet":
             raise ValueError("admissibility integral applies to wavelets")
         if xi == 0:
             raise ValueError("admissibility is evaluated at nonzero frequencies")
-        side = 1.0 if xi > 0 else -1.0
-        lo, hi = self.freq_support
-        cuts = self.profile_breakpoints
-        return _integral(lambda s: self.eval_power(side * s) / s,
-                         [lo, *cuts[(cuts > lo) & (cuts < hi)], hi])
+        return float(self._profile_table[1][-1])
 
     def admissibility_residual(self) -> float:
-        """|energy integral - 1| at xi = 1.
-
-        After the substitution s = t*|xi| ``admissibility_integral`` depends
-        on the sign of xi alone, and |psi_hat| is even on the support of a
-        real wavelet (``_certify_real``, ``_profile_table``), so xi = 1
-        stands for every nonzero frequency.
-        """
+        """|energy integral - 1|, the same at every nonzero frequency
+        (``admissibility_integral``)."""
         return abs(self.admissibility_integral(1.0) - 1.0)
 
     def __repr__(self):
@@ -340,16 +330,16 @@ class Fibers:
 
     *Windows.*  Each block of ``_BLOCK_ROWS`` rows has one column window,
     ``windows[b]``: every entry of the block outside it is +0, and
-    ``values[b]`` holds the block's entries inside it.  An atom that
-    declares an ``exact_support`` (shannon's band 1 <= |xi| <= 2, rect's
-    [0, 1)) on omegas in increasing order gets the tight windows: a
-    vectorized ``searchsorted`` of each block's extreme nodes against the
-    support, widened by one float for the rounding of z omega or
-    omega - z, bounds the columns where the block can be nonzero, and the
-    block's values there are trimmed to the hull of the columns that are
-    not.  Other records (the gaussian's and haar's truncated supports,
-    imported atoms, unsorted omegas) take the whole row as every block's
-    window.  On the filter's N = 4096 grid, shannon's windows hold 3.3 MiB
+    ``values[b]`` holds the block's entries inside it.  An atom whose
+    ``support`` is exact (``support_is_exact``: shannon's band
+    1 <= |xi| <= 2, rect's [0, 1)) on omegas in increasing order gets the
+    tight windows: a vectorized ``searchsorted`` of each block's extreme
+    nodes against the support, widened by one float for the rounding of
+    z omega or omega - z, bounds the columns where the block can be
+    nonzero, and the block's values there are trimmed to the hull of the
+    columns that are not.  Other records (the gaussian's and haar's
+    truncated supports, imported atoms, unsorted omegas) take the whole row
+    as every block's window.  On the filter's N = 4096 grid, shannon's windows hold 3.3 MiB
     where the K x N array is 16 MiB, 6.2 % of it nonzero.
 
     *Storage.*  A window's fibers are translates, conj phi(omega - z).  On
@@ -410,7 +400,7 @@ class Fibers:
     def of(cls, atom: Atom, omegas) -> "Fibers":
         """A new read-only record of ``atom`` on ``omegas``: a view of one
         window vector on a lattice grid, else the windows' values of an
-        atom with an exact support on increasing omegas, else one
+        atom with an exact ``support`` on increasing omegas, else one
         ``ell_matrix`` call."""
         omegas = np.array(omegas, dtype=float)
         omegas.flags.writeable = False
@@ -618,8 +608,8 @@ class Fibers:
 def _window_bounds(atom: Atom, omegas: np.ndarray):
     """(starts, stops), shape (2, blocks): per block of ``_BLOCK_ROWS``
     nodes, columns outside which the block of the record is +0, from the
-    atom's ``exact_support``; None when the atom declares none or the
-    omegas are not in increasing order.
+    atom's ``support``; None when the support is not exact or the omegas
+    are not in increasing order.
 
     An entry is the profile at a rounded z omega (wavelets) or omega - z
     (windows), and rounding is monotone: fl(x) in [lo, hi] needs x in
@@ -630,10 +620,9 @@ def _window_bounds(atom: Atom, omegas: np.ndarray):
     moved one float outward.  ``searchsorted`` finds the columns of the
     bands for every block at once; a band with no column adds none.
     """
-    if (atom.exact_support is None
-            or not np.all(omegas[:-1] <= omegas[1:])):
+    if not atom.support_is_exact or not np.all(omegas[:-1] <= omegas[1:]):
         return None
-    lo, hi = np.nextafter(atom.exact_support, (-np.inf, np.inf))
+    lo, hi = np.nextafter(atom.support, (-np.inf, np.inf))
     z = atom.g1.nodes
     starts = np.arange(0, z.size, _BLOCK_ROWS)
     z_min, z_max = np.minimum.reduceat(z, starts), np.maximum.reduceat(z, starts)
@@ -686,15 +675,6 @@ def _lattice_record(atom: Atom, omegas: np.ndarray):
         writeable=False)
 
 
-def _integral(fn, edges) -> float:
-    """Integral of a real fn from edges[0] to edges[-1], split at the edges
-    between: one ``gauss_kronrod`` pass, its pieces summed."""
-    e = np.asarray(edges, dtype=float)
-    vals, _ = gauss_kronrod(lambda t, j: fn(t), e[:-1], e[1:],
-                            lambda j: f"integral on [{e[j]:g}, {e[j + 1]:g}]")
-    return float(np.sum(vals.real))
-
-
 # -- catalog ------------------------------------------------------------------
 
 def _shannon_profiles():
@@ -712,7 +692,7 @@ def _shannon_profiles():
         out[~nz] = 2.0 * c
         return out
 
-    return time, freq, c
+    return time, freq
 
 
 def _haar_profiles(c: float):
@@ -742,10 +722,10 @@ def _haar_profiles(c: float):
 def _certify_support(atom: Atom):
     """Raise ``AdmissibilityError`` unless the fiber profile, conj psi_hat
     (wavelets, on +-|xi|) or conj phi (windows), is +0 at the floats next
-    outside each end of the atom's ``exact_support`` and at probes past
+    outside each end of the atom's exact ``support`` and at probes past
     them: the record's windows (``Fibers``) leave out every entry there.
     The residual is the largest modulus found."""
-    lo, hi = atom.exact_support
+    lo, hi = atom.support
     below, above = np.nextafter([lo, hi], [-np.inf, np.inf])
     if atom.case == "wavelet":
         s = [above, 2.0 * hi, 16.0 * hi]
@@ -766,16 +746,37 @@ def _certify_support(atom: Atom):
 def _certify_real(atom: Atom):
     """Raise ``AdmissibilityError`` unless the wavelet's time samples are
     real, every imaginary part at most 1e-12: |psi_hat| is then even, so
-    the admissibility residual and the profile table read one sign of xi
-    for both.  The residual is the largest imaginary part."""
+    the profile table reads one sign of xi for both.  The residual is the
+    largest imaginary part."""
     imag_max = float(np.max(np.abs(atom.time_samples.values.imag)))
     if imag_max > 1e-12:
         raise AdmissibilityError(f"{atom.name}: wavelet must be real-valued",
                                  imag_max)
 
 
+def _certify(atom: Atom):
+    """Every certificate of a catalog atom, in order, each raising
+    ``AdmissibilityError``: a wavelet is real (``_certify_real``); the
+    atom's mass, the total P of its profile table, is 1, |P - 1| <= 1e-6
+    for a wavelet (admissibility) and |sqrt(P) - 1| <= 1e-10 for a window
+    (unit L2 norm); and the profile is +0 outside a support declared exact
+    (``_certify_support``).  It builds the table that ``make_atom``'s
+    copies share."""
+    if atom.case == "wavelet":
+        _certify_real(atom)
+        residual, tol, what = atom.admissibility_residual(), 1e-6, "admissibility"
+    else:
+        mass = atom._profile_table[1][-1]
+        residual, tol, what = abs(math.sqrt(mass) - 1.0), 1e-10, "unit-norm"
+    if residual > tol:
+        raise AdmissibilityError(
+            f"{atom.name}: {what} tolerance {tol:g} not met", residual)
+    if atom.support_is_exact:
+        _certify_support(atom)
+
+
 def make_wavelet(name: str, scale_grid: ScaleGrid | None = None) -> Atom:
-    """Construct a catalog wavelet, verified admissible.
+    """Construct a catalog wavelet, verified admissible (``_certify``).
 
     Parameters
     ----------
@@ -788,47 +789,36 @@ def make_wavelet(name: str, scale_grid: ScaleGrid | None = None) -> Atom:
         *DEFAULT_SCALE_RANGE, DEFAULT_SCALE_COUNT)
 
     if name == "shannon":
-        time_p, freq_p, norm = _shannon_profiles()
-        power_p, support, zeros = None, (1.0, 2.0), ()
-        exact = support
+        time_p, freq_p = _shannon_profiles()
+        power_p, support, zeros, exact = None, (1.0, 2.0), (), True
         tgrid = LineGrid.centered(8.0, 1024)
-        fgrid = LineGrid.centered(4.0, 2048)
         healthy, ftol = (2.0 ** -4, 4.0), 1e-6
     else:
-        support = (2.0 ** -12, 2.0 ** 12)
+        # the support truncates the profile where it is small
+        support, exact = (2.0 ** -12, 2.0 ** 12), False
         # the profile's zeros in the support: the even integers
         zeros = np.arange(2.0, support[1], 2.0)
         power1 = _haar_profiles(1.0)[2]
-        raw = _integral(lambda s: power1(s) / s,
-                        [support[0], *zeros, support[1]])
-        norm = 1.0 / math.sqrt(raw)
-        time_p, freq_p, power_p = _haar_profiles(norm)
-        exact = None  # the support truncates the profile where it is small
+        e = np.array([support[0], *zeros, support[1]])
+        raw, _ = gauss_kronrod(
+            lambda s, j: power1(s) / s, e[:-1], e[1:],
+            lambda j: f"haar normalization on [{e[j]:g}, {e[j + 1]:g}]")
+        time_p, freq_p, power_p = _haar_profiles(
+            1.0 / math.sqrt(np.sum(raw.real)))
         tgrid = LineGrid.centered(2.0, 1024)
-        fgrid = LineGrid.centered(32.0, 4096)
         # default-grid fiber norms carry the scale-truncation tail, O(1e-4)
         healthy, ftol = (2.0 ** -2, 4.0), 1e-3
 
-    atom = Atom("wavelet", name,
-                SampledFunction(tgrid, time_p(tgrid.samples)),
-                SampledFunction(fgrid, freq_p(fgrid.samples)),
-                norm, g1, time_p, freq_p, power_p,
-                freq_support=support, profile_breakpoints=zeros,
-                healthy_range=healthy, fiber_tol=ftol, exact_support=exact)
-
-    # checked first: the residual reads xi = 1 alone, which needs a real atom
-    _certify_real(atom)
-    residual, tol = atom.admissibility_residual(), 1e-6
-    if residual > tol:
-        raise AdmissibilityError(
-            f"{name}: admissibility tolerance {tol:g} not met", residual)
-    if exact is not None:
-        _certify_support(atom)
+    atom = Atom("wavelet", name, SampledFunction(tgrid, time_p(tgrid.samples)),
+                g1, time_p, freq_p, support, power_p,
+                profile_breakpoints=zeros, healthy_range=healthy,
+                fiber_tol=ftol, support_is_exact=exact)
+    _certify(atom)
     return atom
 
 
 def make_window(name: str, translation_grid: LineGrid | None = None) -> Atom:
-    """Construct a catalog window with unit L2 norm (to 1e-10).
+    """Construct a catalog window with unit L2 norm (to 1e-10, ``_certify``).
 
     gaussian: phi(x) = 2^(1/4) exp(-pi x^2); rect: phi = indicator of [0, 1).
     The rect indicator is right-open so that on grids aligned with the unit
@@ -841,20 +831,14 @@ def make_window(name: str, translation_grid: LineGrid | None = None) -> Atom:
         lo, (hi - lo) / DEFAULT_TRANSLATION_COUNT, DEFAULT_TRANSLATION_COUNT)
 
     if name == "gaussian":
-        norm = 2.0 ** 0.25
-
         def time(x):
-            return norm * np.exp(-np.pi * x ** 2)
+            return 2.0 ** 0.25 * np.exp(-np.pi * x ** 2)
 
         freq = time  # self-dual in this convention
         tgrid = LineGrid.centered(8.0, 1024)
-        fgrid = LineGrid.centered(8.0, 1024)
-        tsupport = (-6.5, 6.5)
-        exact = None  # the support truncates the window where it is small
-        l2sq = _integral(lambda x: np.abs(time(x)) ** 2, tsupport)
+        # the support truncates the window where it is small
+        support, exact = (-6.5, 6.5), False
     else:
-        norm = 1.0
-
         def time(x):
             return ((x >= 0) & (x < 1.0)).astype(float)
 
@@ -866,32 +850,21 @@ def make_window(name: str, translation_grid: LineGrid | None = None) -> Atom:
             return out
 
         tgrid = LineGrid(-2.0, 1.0 / 256, 1024)
-        fgrid = LineGrid.centered(16.0, 2048)
-        tsupport = exact = (0.0, 1.0)
-        l2sq = 1.0
+        support, exact = (0.0, 1.0), True
 
-    residual, tol = abs(math.sqrt(l2sq) - 1.0), 1e-10
-    if residual > tol:
-        raise AdmissibilityError(f"{name}: unit-norm tolerance {tol:g} not met",
-                                 residual)
-    atom = Atom("gabor", name,
-                SampledFunction(tgrid, time(tgrid.samples)),
-                SampledFunction(fgrid, freq(fgrid.samples)),
-                norm, g1, time, freq,
-                time_support=tsupport, healthy_range=(-8.0, 8.0),
-                fiber_tol=1e-6, exact_support=exact)
-    if exact is not None:
-        _certify_support(atom)
+    atom = Atom("gabor", name, SampledFunction(tgrid, time(tgrid.samples)),
+                g1, time, freq, support, healthy_range=(-8.0, 8.0),
+                fiber_tol=1e-6, support_is_exact=exact)
+    _certify(atom)
     return atom
 
 
 @cache
 def _catalog(case: str, name: str) -> Atom:
     """The verified catalog entry of (case, name) on the default grid, its
-    profile table built: one per process, never handed out."""
-    atom = make_wavelet(name) if case == "wavelet" else make_window(name)
-    atom._profile_table
-    return atom
+    profile table built by its certificates: one per process, never handed
+    out."""
+    return make_wavelet(name) if case == "wavelet" else make_window(name)
 
 
 def make_atom(case: str, name: str) -> Atom:
@@ -899,7 +872,7 @@ def make_atom(case: str, name: str) -> Atom:
 
     The first call per (case, name) builds and verifies the entry; every
     call returns a new ``Atom`` that shares the entry's read-only parts
-    (samples, profiles, grid, normalization, ``profile_breakpoints`` and
+    (samples, profiles, grid, ``profile_breakpoints`` and
     ``_profile_table``) and starts with no fiber record, so the record it
     keeps (``Atom.fibers``) is collected with it.
     """

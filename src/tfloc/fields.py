@@ -21,8 +21,8 @@ matrix.  The record is float64 for the real catalog profiles (gaussian,
 rect, shannon) and complex128 otherwise; fields are always complex128.
 Each block of ``atoms._BLOCK_ROWS`` rows of the record is +0 outside one
 column window (``Fibers.windows``): the whole row for most records, and
-for an atom with an exact support (shannon, rect) only the columns where
-the block can be nonzero.  The chain reads each block's entries in its
+for an atom whose ``support`` is exact (``support_is_exact``: shannon,
+rect) only the columns where the block can be nonzero.  The chain reads each block's entries in its
 window alone (``Fibers.window``) and never a K x N record.
 
 ``_stream`` is the one implementation of the chain: ``bargmann``,

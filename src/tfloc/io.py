@@ -34,7 +34,8 @@ field         header ``z,omega,re,im``
 gamma         header ``xi,re,im``
 kernel        header ``xi,omega,re,im``
 cloud         header ``xi,z1,...,zm``
-atom          time samples as a signal CSV plus a metadata sidecar
+atom          time samples as a signal CSV plus a metadata sidecar: case,
+              name, time_grid, healthy_range, fiber_tol, g1
 Every CSV gets a JSON sidecar at ``<path>.meta.json`` recording provenance.
 An exporter writes the keys its object carries (``export_gamma``: atom,
 symbol, rule, unbounded, grid; ``export_kernel``: atom, kind, symbol, grid;
@@ -372,6 +373,8 @@ def read_signal_csv(path: str) -> SampledFunction:
 # -- atoms -------------------------------------------------------------------
 
 def export_atom(path: str, atom):
+    """Write the atom's time samples as a signal CSV, with the sidecar
+    that ``import_atom`` rebuilds the atom from."""
     g1 = atom.g1
     if isinstance(g1, ScaleGrid):
         g1md = {"kind": "scale", "u_min": g1.u_min, "u_max": g1.u_max,
@@ -380,9 +383,7 @@ def export_atom(path: str, atom):
         g1md = {"kind": "line", **_grid_meta(g1)}
     write_signal_csv(path, atom.time_samples, {
         "case": atom.case, "name": atom.name,
-        "normalization": atom.normalization,
         "time_grid": _grid_meta(atom.time_samples.grid),
-        "freq_grid": _grid_meta(atom.freq_samples.grid),
         "healthy_range": list(atom.healthy_range),
         "fiber_tol": atom.fiber_tol, "g1": g1md})
 
@@ -409,14 +410,22 @@ def import_atom(path: str):
     (``fourier``).  The interpolant's nodes are its
     ``profile_breakpoints``, the positive frequency nodes for a wavelet and
     the time nodes for a window, so every quadrature over the profile splits
-    at its kinks.  A wavelet's ``freq_support`` ends at its last positive
-    frequency node: the transform of its samples, real as the catalog's
-    (``AdmissibilityError`` otherwise), has an even modulus on it, so one
-    profile table serves both signs of xi.  A sidecar missing a key, or
-    whose ``g1`` kind does not match its case (a scale grid for a wavelet,
-    a line grid for a window), raises ``ValueError`` naming the sidecar.
+    at its kinks.  Its ``support`` is the time samples' grid for a window
+    and, for a wavelet, ends at its last positive frequency node: the
+    transform of its samples, real as the catalog's (``AdmissibilityError``
+    otherwise), has an even modulus on it, so one profile table serves both
+    signs of xi.  The support is not exact.
+
+    Its ``fiber_tol`` is the larger of the sidecar's and the largest
+    |fiber norm - 1| of its own record on 256 omegas spanning its healthy
+    range (lo, hi), ``LineGrid(lo, (hi - lo) / 256, 256)``: the interpolant
+    of a truncated or band-limited profile misses the catalog's tolerance
+    (shannon's reads 3.3e-2, haar's 0.12).  Sidecar keys other than those
+    ``export_atom`` writes are ignored.  A sidecar missing a key, or whose
+    ``g1`` kind does not match its case (a scale grid for a wavelet, a line
+    grid for a window), raises ``ValueError`` naming the sidecar.
     """
-    from .atoms import Atom, _certify_real
+    from .atoms import Atom, Fibers, _certify_real
     from .fourier import fourier
 
     sidecar = sidecar_path(path)
@@ -435,16 +444,21 @@ def import_atom(path: str):
     time_samples = read_signal_csv(path)
     freq_samples = fourier(time_samples, "forward")
     t, xi = time_samples.grid, freq_samples.grid.samples
-    atom = Atom(case, get("name"), time_samples, freq_samples,
-                get("normalization"), g1, time_samples.interp,
-                freq_samples.interp, freq_support=(1e-6, xi[-1]),
-                profile_breakpoints=(xi[xi > 0] if case == "wavelet"
-                                     else t.samples),
-                time_support=(t.start, t.stop),
+    wavelet = case == "wavelet"
+    atom = Atom(case, get("name"), time_samples, g1, time_samples.interp,
+                freq_samples.interp,
+                (1e-6, xi[-1]) if wavelet else (t.start, t.stop),
+                profile_breakpoints=xi[xi > 0] if wavelet else t.samples,
                 healthy_range=tuple(get("healthy_range")),
                 fiber_tol=get("fiber_tol"))
-    if case == "wavelet":
+    if wavelet:
         _certify_real(atom)
+    lo, hi = atom.healthy_range
+    omegas = LineGrid(lo, (hi - lo) / 256, 256).samples
+    # norms past the float range read inf, and so does the tolerance
+    with np.errstate(over="ignore"):
+        norms = Fibers.of(atom, omegas).norms
+    atom.fiber_tol = max(atom.fiber_tol, float(np.max(np.abs(norms - 1.0))))
     return atom
 
 

@@ -27,7 +27,7 @@ signal-io workload runs and names it):
   takes the adaptive pass, the table's oracle in the tests (they agree to
   8 eps, for the catalog atoms and their imported exports alike): adaptive
   Gauss-Kronrod quadrature (``quadrature.gauss_kronrod``) of the defining
-  integral over the atom's effective support, split at the symbol's
+  integral over the atom's ``support``, split at the symbol's
   breakpoints and at the atom's ``profile_breakpoints`` (at
   breakpoint / |xi| for wavelets, xi - breakpoint for windows), with all
   frequencies of one call integrated together, every atom alike.
@@ -263,10 +263,10 @@ def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
     """Adaptive-rule gamma on xs and the largest per-xi error estimate.
 
     A piecewise-constant symbol reads the profile table (``_gamma_pieces``).
-    Otherwise the integration range of each xi is the window (gabor) or the
-    scaled wavelet band (wavelet) clipped to the symbol's support, split at
-    the symbol's breakpoints and at the atom's ``profile_breakpoints`` as
-    first coordinates at xi: breakpoint / |xi| (wavelets), xi - breakpoint
+    Otherwise the integration range of each xi is the atom's ``support``
+    clipped to the symbol's, split at the symbol's breakpoints and at the
+    atom's ``profile_breakpoints``; the atom's support ends and breakpoints
+    b enter as first coordinates at xi, b / |xi| (wavelets) or xi - b
     (windows); every (xi, segment) integral goes through one batched
     Gauss-Kronrod pass.  The frequencies are halved until the segments of a
     pass number at most ``GK_MAX_POINTS``, which bounds its memory.
@@ -284,9 +284,9 @@ def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
         return np.concatenate([v0, v1]), max(e0, e1)
 
     a_lo, a_hi = alpha.support
+    s_lo, s_hi = atom.support
     if atom.case == "wavelet":
         ax = np.abs(xs)
-        s_lo, s_hi = atom.freq_support
         with np.errstate(divide="ignore"):
             lo = np.maximum(np.maximum(s_lo / ax, a_lo), 1e-300)
             hi = np.minimum(s_hi / ax, a_hi)
@@ -295,9 +295,8 @@ def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
         # excluded from the documented healthy range
         live = (xs != 0.0) & (lo < hi)
     else:
-        t_lo, t_hi = atom.time_support
-        lo = np.maximum(xs - t_hi, a_lo)
-        hi = np.minimum(xs - t_lo, a_hi)
+        lo = np.maximum(xs - s_hi, a_lo)
+        hi = np.minimum(xs - s_lo, a_hi)
         at_xi = xs[:, None] - pbps
         live = lo < hi
     cuts = np.column_stack([np.broadcast_to(bps, (xs.size, bps.size)), at_xi])

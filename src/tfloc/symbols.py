@@ -170,10 +170,13 @@ class Symbol1D:
 
     @classmethod
     def power(cls, p: float) -> "Symbol1D":
-        """x^p symbol for the positive scale axis; unbounded unless p == 0."""
+        """x^p symbol for the positive scale axis; unbounded unless p == 0.
+        Off that axis it may be nan or inf, silently: ``sample`` names the
+        symbol that is not finite."""
 
         def fn(x):
-            return np.power(x, p)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.power(x, p)
 
         return cls(fn, f"power:{format_number(p)}",
                    sup_bound=1.0 if p == 0 else None)

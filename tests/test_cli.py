@@ -260,18 +260,25 @@ def test_cmd_gamma_unlisted_jumps_exit_2(tmp_path, monkeypatch, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [("gamma", "--rule", "grid"),
-                                  ("gamma", "--rule", "fft"), ("kernel",)],
-                         ids=["gamma-grid", "gamma-fft", "kernel"])
-def test_cmd_symbol_not_finite_on_the_grid_exits_2(tmp_path, capsys, argv):
-    # u^-1 is infinite at the translation node 0
+@pytest.mark.parametrize("argv", [("gamma", "--rule", "grid", "--n", "64"),
+                                  ("gamma", "--rule", "fft", "--n", "64"),
+                                  ("kernel", "--n", "64"),
+                                  ("filter", "--input", None)],
+                         ids=["gamma-grid", "gamma-fft", "kernel", "filter"])
+def test_cmd_symbol_not_finite_on_the_grid_exits_2(tmp_path, capsys,
+                                                   signal_csv, argv):
+    # u^-1 is infinite at the translation node 0 and u^0.5 is nan at the
+    # negative nodes: with every warning an error, numpy's power warns of
+    # neither, and the one message is the symbol's
+    argv = [signal_csv if a is None else a for a in argv]
     out = tmp_path / "o.csv"
-    with np.errstate(divide="ignore"):
-        assert run(*argv, "--symbol", "power:-1", "--n", "64",
-                   "--out", str(out)) == 2
-    assert capsys.readouterr().err.endswith(
-        "error: symbol power:-1 is not finite on the grid\n")
-    assert not out.exists()
+    for symbol in ("power:-1", "power:0.5"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv, "--symbol", symbol, "--out", str(out)) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: symbol {symbol} is not finite on the grid\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -38,7 +38,7 @@ def _dense(atom):
     """A new atom with ``atom``'s profiles and no exact support: its
     records are the dense ones."""
     other = copy.copy(atom)
-    other.exact_support = None
+    other.support_is_exact = False
     other._last_fibers = None
     return other
 
@@ -121,7 +121,7 @@ def test_windows_hold_the_entries_rounded_into_the_support(case, name):
     atom = make_atom(case, name)
     if case == "gabor":
         atom.g1 = LineGrid(-16.0 + 1 / 3, 1 / 16, 512)
-    z, (lo, hi) = atom.g1.nodes, atom.exact_support
+    z, (lo, hi) = atom.g1.nodes, atom.support
     ends = []
     for rows in _row_blocks(z.size):
         z_min, z_max = z[rows].min(), z[rows].max()
@@ -217,7 +217,7 @@ def test_truncated_and_imported_atoms_keep_dense_records(tmp_path):
     unsorted = grid.samples[::-1].copy()
     for atom, omegas in [(a, grid.samples) for a in atoms] + [
             (make_atom(c, n), unsorted) for c, n in WINDOWED]:
-        assert atom.exact_support is None or omegas is unsorted
+        assert not atom.support_is_exact or omegas is unsorted
         fib = Fibers.of(atom, omegas)
         assert all(w == slice(0, omegas.size) for w in fib.windows), atom
         assert fib.stored is not None and fib.stored.flags.owndata

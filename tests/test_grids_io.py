@@ -544,7 +544,8 @@ def _read_symbol(path):
 def _read_atom(path):
     atom = import_atom(path)
     return (_read_signal(path), atom.time_samples.values.tobytes(),
-            atom.freq_samples.values.tobytes())
+            atom.eval_freq(np.linspace(-2.0, 2.0, 41)).tobytes(),
+            atom.fiber_tol)
 
 
 def _outcome(read, path):
@@ -567,7 +568,7 @@ def _looped(path):
 
 # the metadata of an atom sidecar: import_atom rebuilds an atom from it and
 # the samples of the CSV beside it
-_ATOM_META = {"case": "gabor", "name": "gaussian", "normalization": 1.0,
+_ATOM_META = {"case": "gabor", "name": "gaussian",
               "healthy_range": [-8.0, 8.0], "fiber_tol": 1e-6,
               "g1": {"kind": "line", "start": -16.0, "step": 0.0625,
                      "count": 512}}
@@ -591,9 +592,8 @@ _WAVELET_G1 = {"kind": "scale", "u_min": 2.0 ** -8, "u_max": 2.0 ** 8,
 @pytest.mark.parametrize("md, message", [
     *(pytest.param(_without(_ATOM_META, key), f"has no key '{key}'",
                    id=f"no-{key}")
-      for key in ("case", "name", "normalization", "healthy_range",
-                  "fiber_tol", "g1", "g1.kind", "g1.start", "g1.step",
-                  "g1.count")),
+      for key in ("case", "name", "healthy_range", "fiber_tol", "g1",
+                  "g1.kind", "g1.start", "g1.step", "g1.count")),
     pytest.param(_without({**_ATOM_META, "case": "wavelet",
                            "g1": _WAVELET_G1}, "g1.u_max"),
                  "has no key 'g1.u_max'", id="no-g1.u_max"),

@@ -35,11 +35,6 @@ def _operator(values, **kw):
                           "test", "atom", "symbol", **kw)
 
 
-def _atom(case, normalization):
-    return Atom(case, "test", SIGNAL, SIGNAL, normalization, G4,
-                SIGNAL.interp, SIGNAL.interp)
-
-
 def _field(case, g1, values, g2=G2):
     return PhasePlaneField(case, g1, g2, values)
 
@@ -62,8 +57,7 @@ def _huge_window_gamma(rule):
     def huge(x):
         return 1e200 * ((x >= 0) & (x < 1)).astype(float)
 
-    atom = Atom("gabor", "huge", SIGNAL, SIGNAL, 1.0, G4, huge, SIGNAL.interp,
-                time_support=(0.0, 1.0))
+    atom = Atom("gabor", "huge", SIGNAL, G4, huge, SIGNAL.interp, (0.0, 1.0))
     with np.errstate(over="ignore"):
         return gamma(atom, Symbol1D.constant(1.0), G4, rule=rule)
 
@@ -197,11 +191,9 @@ CHECKS = {
         lambda s, g: SymbolSpec("other"),
         ValueError, "unknown symbol kind 'other'"),
     "atom-case": (
-        lambda s, g: _atom("other", 1.0),
+        lambda s, g: Atom("other", "test", SIGNAL, G4, SIGNAL.interp,
+                          SIGNAL.interp, (0.0, 1.0)),
         ValueError, "unknown case 'other'"),
-    "atom-normalization": (
-        lambda s, g: _atom("gabor", 0.0),
-        ValueError, "normalization must be positive"),
     "admissibility-of-a-window": (
         lambda s, g: g.admissibility_integral(1.0),
         ValueError, "admissibility integral applies to wavelets"),

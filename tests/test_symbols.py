@@ -65,7 +65,8 @@ def haar_indicator_gamma(haar, a, b, xs):
 
     With s = u|xi| the gamma of [a, b] is the integral of
     |psi_hat(s)|^2 / s = (4c^2/pi^2) sin^4(pi s/2) / s^3 over [a|xi|, b|xi|]
-    clipped to the atom's frequency support (c the normalization).  With
+    clipped to the atom's support (c the normalization, haar's value on
+    [0, 1/2)).  With
     x = pi s/2, sin^4 x = 3/8 - cos(2x)/2 + cos(4x)/8, and
     integral cos(ws)/s^3 ds = -cos(ws)/(2s^2) + w sin(ws)/(2s) - (w^2/2) Ci(ws).
     The 1/s^2 terms cancel near s = 0, so keep a|xi| >= 1/64.
@@ -78,10 +79,11 @@ def haar_indicator_gamma(haar, a, b, xs):
         return (-0.375 / (2 * s ** 2) - 0.5 * prim(np.pi, s)
                 + 0.125 * prim(2 * np.pi, s))
 
-    s_lo, s_hi = haar.freq_support
+    s_lo, s_hi = haar.support
     lo = np.clip(a * np.abs(xs), s_lo, s_hi)
     hi = np.clip(b * np.abs(xs), s_lo, s_hi)
-    return 4 * haar.normalization ** 2 / np.pi ** 2 * (energy(hi) - energy(lo))
+    c = haar.eval_time(np.array([0.25]))[0].real
+    return 4 * c ** 2 / np.pi ** 2 * (energy(hi) - energy(lo))
 
 
 # -- DSL ----------------------------------------------------------------------
@@ -549,15 +551,15 @@ def _scipy_gamma_adaptive(atom, alpha, xs):
             if xi == 0.0:
                 continue
             a, side = abs(xi), (1.0 if xi > 0 else -1.0)
-            lo = max(atom.freq_support[0] / a, alpha.support[0], 1e-300)
-            hi = min(atom.freq_support[1] / a, alpha.support[1])
+            lo = max(atom.support[0] / a, alpha.support[0], 1e-300)
+            hi = min(atom.support[1] / a, alpha.support[1])
 
             def fn(u, a=a, side=side):
                 prof = complex(atom.eval_freq(np.asarray([side * u * a]))[0])
                 return sym(u) * abs(prof) ** 2 / u
         else:
-            lo = max(xi - atom.time_support[1], alpha.support[0])
-            hi = min(xi - atom.time_support[0], alpha.support[1])
+            lo = max(xi - atom.support[1], alpha.support[0])
+            hi = min(xi - atom.support[0], alpha.support[1])
 
             def fn(q, xi=xi):
                 return sym(q) * abs(complex(
@@ -718,20 +720,14 @@ def test_gamma_table_matches_the_adaptive_pass(atom_name, n, request,
 
 
 def test_profile_tables_reach_the_fiber_norm(gaussian, rect, shannon, haar):
-    # P rises from 0 over the support to the fiber norm: 1 for a unit-norm
-    # window, the admissibility integral at either sign of xi for a real
+    # P rises from 0 over the support to the atom's mass, the fiber norm:
+    # 1 to rounding, the unit norm of a window and the admissibility of a
     # wavelet; the table's summed panel error estimates are at most 1e-12
     for atom in (gaussian, rect, shannon, haar):
         edges, P, err = atom._profile_table
-        if atom.case == "wavelet":
-            support = atom.freq_support
-            norms = [atom.admissibility_integral(s) for s in (1.0, -1.0)]
-        else:
-            support, norms = atom.time_support, [1.0]
-        assert (edges[0], edges[-1]) == support
+        assert (edges[0], edges[-1]) == atom.support
         assert P[0] == 0.0 and np.all(np.diff(P) >= 0.0)
-        for norm in norms:
-            assert abs(P[-1] - norm) <= 4 * np.finfo(float).eps, atom.name
+        assert abs(P[-1] - 1.0) <= 4 * np.finfo(float).eps, atom.name
         assert 0.0 < err <= 1e-12, (atom.name, err)
 
 
@@ -764,8 +760,10 @@ def test_gamma_adaptive_path_of_each_symbol(gaussian, haar, monkeypatch,
 def test_gamma_table_profile_evaluations_are_bounded(monkeypatch):
     # haar const:1+1j at n = 512 reads the table at 2 ends per frequency,
     # one 21-point panel each, once the table is built; the adaptive pass
-    # integrated every frequency across haar's 2,047 profile zeros
+    # integrated every frequency across haar's 2,047 profile zeros.  The
+    # certificate built the table; it is dropped to count a build anew
     atom = make_wavelet("haar")
+    del atom._profile_table
     points = []
     power = atom.eval_power
     monkeypatch.setattr(atom, "eval_power",

@@ -531,8 +531,8 @@ def _windows(tmp_path):
                         complex(0.0, -0.0))
 
     return [gaussian, rect, import_atom(str(tmp_path / "gaussian.csv")),
-            Atom("gabor", "chirp", rect.time_samples, rect.freq_samples, 1.0,
-                 rect.g1, chirp, rect.freq_profile)]
+            Atom("gabor", "chirp", rect.time_samples, rect.g1, chirp,
+                 rect.freq_profile, rect.support)]
 
 
 LATTICE_GRIDS = ([default_operator_grid("gabor", n)
@@ -588,7 +588,7 @@ def test_record_off_the_lattice_is_ell_matrix(grid, g1, tmp_path):
         fib = Fibers.of(atom, grid.samples)
         L, live, span = _materialized(atom, grid.samples)
         # ell_matrix's own array, or (rect) the windows' values alone
-        if atom.exact_support is None:
+        if not atom.support_is_exact:
             assert fib.stored.flags.owndata and fib.stored.flags.c_contiguous
         else:
             assert fib.stored is None
@@ -1181,8 +1181,8 @@ def test_a_block_of_negative_zeros_is_live(rect):
         x = np.asarray(x, dtype=float)
         return np.where((x >= 0) & (x < 1.0), 1.0, -0.0)
 
-    atom = Atom("gabor", "rect-0", rect.time_samples, rect.freq_samples, 1.0,
-                rect.g1, time, rect.freq_profile, time_support=(0.0, 1.0),
+    atom = Atom("gabor", "rect-0", rect.time_samples, rect.g1, time,
+                rect.freq_profile, rect.support,
                 healthy_range=rect.healthy_range)
     grid = _EMPTY_BLOCK_GRIDS["centred"]
     plus, minus = Fibers.of(rect, grid.samples), Fibers.of(atom, grid.samples)
