@@ -1,6 +1,9 @@
 """Analyzing atoms: admissible wavelets and unit-norm windows.
 
-Two families, selected by the ``case`` tag:
+Two families, selected by the ``case`` tag, which names the atom's
+first-axis action (``Atom.action``: ``grids.DILATION`` for wavelets,
+``grids.TRANSLATION`` for windows; the ``grids`` docstring states what
+each action holds):
 
 * ``wavelet`` -- real-valued atoms generating scale/translation transforms.
   Admissibility means the scale-invariant frequency energy
@@ -24,7 +27,8 @@ normalization.  Every integrand over |psi_hat|^2 reads ``Atom.eval_power``,
 which haar answers from the real form of its squared profile.
 
 ``make_atom`` is the process's catalog: the first call per (case, name)
-runs ``make_wavelet`` or ``make_window`` on the default grid, whose
+runs ``make_wavelet`` or ``make_window``, the maker of the case's action,
+on the action's ``default_g1``, whose
 certificates (``_certify``) build the atom's profile table; every call
 returns a new ``Atom`` sharing that verified entry's read-only parts
 (samples, profiles, grid, ``profile_breakpoints`` and the table), with an
@@ -42,7 +46,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .grids import LineGrid, SampledFunction, ScaleGrid
+from .grids import (DILATION, TRANSLATION, LineGrid, SampledFunction,
+                    ScaleGrid, action_of)
 from .quadrature import gauss_kronrod
 from .symbols import _exponent, _ldexp
 
@@ -59,15 +64,6 @@ __all__ = [
 LN2 = math.log(2.0)
 WAVELET_NAMES = ("shannon", "haar")
 WINDOW_NAMES = ("gaussian", "rect")
-
-# Default quadrature domains for the first phase-plane coordinate.  The
-# wavelet grid spans 16 octaves at 32 nodes per octave: one octave is then
-# exactly 32 log-midpoint nodes, so band-limited-by-one-octave profiles
-# integrate exactly.
-DEFAULT_SCALE_RANGE = (2.0 ** -8, 2.0 ** 8)
-DEFAULT_SCALE_COUNT = 512
-DEFAULT_TRANSLATION_RANGE = (-16.0, 16.0)
-DEFAULT_TRANSLATION_COUNT = 512
 
 # first-coordinate rows per block of every streamed pass over a fiber
 # record (``Atom.ell_matrix``, ``Fibers.power_sums`` and the transform chain
@@ -131,12 +127,16 @@ class Atom:
 
     Parameters
     ----------
-    case : "wavelet" or "gabor"
+    case : "wavelet" or "gabor", the ``case`` of the atom's first-axis
+        action (``grids.DILATION`` or ``grids.TRANSLATION``), looked up once
+        as ``action``; an unknown case raises ``ValueError``
     name : catalog identifier
     time_samples : the time profile on a grid: what ``io.export_atom``
         writes, an imported atom interpolates and ``_certify_real`` reads
-    g1 : the default quadrature grid for the first phase-plane coordinate
-        (ScaleGrid for wavelets, LineGrid of translations for windows)
+    g1 : the default quadrature grid for the first phase-plane coordinate,
+        of the action's ``grid`` kind (ScaleGrid for wavelets, LineGrid of
+        translations for windows); a grid of the other kind raises
+        ``ValueError``
     time_profile, freq_profile : vectorized callables: the catalog's closed
         forms, or an imported atom's ``SampledFunction.interp`` of its
         samples (linear, zero outside their grid)
@@ -169,9 +169,9 @@ class Atom:
                  freq_profile, support, power_profile=None,
                  profile_breakpoints=(), healthy_range=None, fiber_tol=1e-6,
                  support_is_exact=False):
-        if case not in ("wavelet", "gabor"):
-            raise ValueError(f"unknown case {case!r}")
-        self.case = case
+        self.action = action_of(case)
+        if not isinstance(g1, self.action.grid):
+            raise ValueError(f"{case} atoms need a {self.action.grid.__name__} first axis")
         self.name = name
         self.time_samples = time_samples
         self.g1 = g1
@@ -185,6 +185,12 @@ class Atom:
         self.fiber_tol = fiber_tol
         self.support_is_exact = support_is_exact
         self._last_fibers = None  # (g1, record) of the last ``fibers`` build
+
+    @property
+    def case(self) -> str:
+        """The ``case`` of the atom's ``action``, "wavelet" or "gabor", as
+        the CLI and the sidecars write it."""
+        return self.action.case
 
     # -- profile evaluation -------------------------------------------------
 
@@ -203,18 +209,13 @@ class Atom:
             return self.power_profile(np.asarray(xi, dtype=float))
         return np.abs(self.eval_freq(xi)) ** 2
 
-    def _profile_density(self, t):
-        """|phi(t)|^2 (windows) or |psi_hat(t)|^2 / t (wavelets)."""
-        if self.case == "wavelet":
-            return self.eval_power(t) / t
-        return np.abs(self.eval_time(t)) ** 2
-
     @cached_property
     def _profile_table(self):
         """(edges, P at the edges, summed panel error estimates) of P, the
-        integral of ``_profile_density`` over the ``support`` from its
-        start: one ``gauss_kronrod`` integral per unit panel (log2 panel on
-        the scale axis) split at the support's ends and
+        integral of the action's ``density`` over the ``support`` from its
+        start: one ``gauss_kronrod`` integral per panel of its
+        ``panel_cuts`` (unit panels, log2 panels on the scale axis) split
+        at the support's ends and
         ``profile_breakpoints``, summed in order.  The total P[-1] is the
         atom's mass, which the catalog certifies (``_certify``).  One table
         serves both signs of xi: |psi_hat| is even on a wavelet's support,
@@ -222,15 +223,11 @@ class Atom:
         support ends at its last positive frequency node
         (``io.import_atom``).  The arrays are read-only."""
         lo, hi = self.support
-        if self.case == "wavelet":
-            cuts = np.exp2(np.arange(math.ceil(math.log2(lo)),
-                                     math.floor(math.log2(hi)) + 1.0))
-        else:
-            cuts = np.arange(math.ceil(lo), math.floor(hi) + 1.0)
         e = np.array(sorted(set(np.clip(
-            [lo, hi, *cuts, *self.profile_breakpoints], lo, hi))))
+            [lo, hi, *self.action.panel_cuts(lo, hi),
+             *self.profile_breakpoints], lo, hi))))
         vals, errs = gauss_kronrod(
-            lambda t, j: self._profile_density(t), e[:-1], e[1:],
+            lambda t, j: self.action.density(self, t), e[:-1], e[1:],
             lambda j: f"{self!r} profile on [{e[j]:g}, {e[j + 1]:g}]")
         P = np.concatenate([[0.0], np.cumsum(vals.real)])
         e.flags.writeable = P.flags.writeable = False
@@ -255,24 +252,14 @@ class Atom:
         z = self.g1.nodes
         out = np.empty((z.size, omegas.size), self._fiber_dtype())
         for rows in _row_blocks(z.size):
-            self._fiber_block(z[rows], omegas, out[rows])
+            # each entry is the profile at one rounded product z omega or
+            # difference omega - z: the same bits in any block that holds it
+            self.action.fiber_block(self, z[rows], omegas, out[rows])
         return out
 
     def _fiber_dtype(self) -> np.dtype:
         """The dtype of the fiber profile: the profile's at one probe."""
-        profile = self.eval_freq if self.case == "wavelet" else self.eval_time
-        return profile(np.zeros(1)).dtype
-
-    def _fiber_block(self, z, omegas, out):
-        """ell on the nodes ``z`` x ``omegas``, written into ``out``.  Each
-        entry is the profile at one rounded product z omega (wavelets) or
-        difference omega - z (windows), so it has the same bits in any
-        block that holds it."""
-        if self.case == "wavelet":
-            np.multiply(np.sqrt(z)[:, None],
-                        self.eval_freq(np.outer(z, omegas)).conj(), out=out)
-        else:
-            out[...] = self.eval_time(omegas[None, :] - z[:, None]).conj()
+        return self.action.profile(self)(np.zeros(1)).dtype
 
     def fibers(self, omegas) -> "Fibers":
         """The atom's fiber record on ``omegas``.
@@ -300,7 +287,7 @@ class Atom:
         (``_certify_real``), so every nonzero xi reads one value: the total
         of the profile table (``_profile_table``) over the ``support``.
         """
-        if self.case != "wavelet":
+        if not self.action.even:
             raise ValueError("admissibility integral applies to wavelets")
         if xi == 0:
             raise ValueError("admissibility is evaluated at nonzero frequencies")
@@ -424,7 +411,7 @@ class Fibers:
                     V = L[rows, lo:hi]
                 else:
                     V = np.empty((rows.stop - rows.start, hi - lo), dtype)
-                    atom._fiber_block(z[rows], omegas[lo:hi], V)
+                    atom.action.fiber_block(atom, z[rows], omegas[lo:hi], V)
                     V.flags.writeable = False
                 nonempty[rows] = _nonzero_words(V, axis=1)
                 # trimmed to the hull of the columns holding a word not +0
@@ -627,13 +614,7 @@ def _window_bounds(atom: Atom, omegas: np.ndarray):
     starts = np.arange(0, z.size, _BLOCK_ROWS)
     z_min, z_max = np.minimum.reduceat(z, starts), np.maximum.reduceat(z, starts)
     with np.errstate(all="ignore"):  # a bound past the float range is inf
-        if atom.case == "wavelet":
-            inner = np.nextafter(lo / z_max, -np.inf)
-            outer = np.nextafter(hi / z_min, np.inf)
-            bands = ((-outer, -inner), (inner, outer))
-        else:
-            bands = ((np.nextafter(z_min + lo, -np.inf),
-                      np.nextafter(z_max + hi, np.inf)),)
+        bands = atom.action.bands(lo, hi, z_min, z_max)
     first, last = np.full(starts.size, omegas.size), np.zeros(starts.size, int)
     for a, b in bands:
         left = np.searchsorted(omegas, a, "left")
@@ -650,7 +631,7 @@ def _lattice_record(atom: Atom, omegas: np.ndarray):
     one window vector (``Fibers``); None on any other grid."""
     z = atom.g1.nodes
     K, N = z.size, omegas.size
-    if atom.case != "gabor" or N < 2:
+    if not atom.action.exact_lattice or N < 2:
         return None
     u = min(omegas[1] - omegas[0], z[1] - z[0])
     with np.errstate(all="ignore"):  # a value out of range fails a check
@@ -727,16 +708,8 @@ def _certify_support(atom: Atom):
     The residual is the largest modulus found."""
     lo, hi = atom.support
     below, above = np.nextafter([lo, hi], [-np.inf, np.inf])
-    if atom.case == "wavelet":
-        s = [above, 2.0 * hi, 16.0 * hi]
-        if lo > 0:
-            s += [below, 0.5 * lo, 0.0]
-        probes, profile = np.array(s + [-x for x in s]), atom.eval_freq
-    else:
-        probes = np.array([below, lo - 1.0, lo - 16.0,
-                           above, hi + 1.0, hi + 16.0])
-        profile = atom.eval_time
-    values = np.conj(profile(probes))
+    probes = np.array(atom.action.support_probes(lo, hi, below, above))
+    values = np.conj(atom.action.profile(atom)(probes))
     if values.view(float).view(np.int64).any():
         raise AdmissibilityError(
             f"{atom.name}: profile is not +0 outside its exact support "
@@ -762,7 +735,7 @@ def _certify(atom: Atom):
     (unit L2 norm); and the profile is +0 outside a support declared exact
     (``_certify_support``).  It builds the table that ``make_atom``'s
     copies share."""
-    if atom.case == "wavelet":
+    if atom.action.even:
         _certify_real(atom)
         residual, tol, what = atom.admissibility_residual(), 1e-6, "admissibility"
     else:
@@ -781,12 +754,12 @@ def make_wavelet(name: str, scale_grid: ScaleGrid | None = None) -> Atom:
     Parameters
     ----------
     name : "shannon" or "haar"
-    scale_grid : quadrature grid for the scale axis (default 2^-8..2^8, 512)
+    scale_grid : quadrature grid for the scale axis (default
+        ``DILATION.default_g1()``)
     """
     if name not in WAVELET_NAMES:
         raise ValueError(f"unknown wavelet {name!r}; catalog: {WAVELET_NAMES}")
-    g1 = scale_grid if scale_grid is not None else ScaleGrid(
-        *DEFAULT_SCALE_RANGE, DEFAULT_SCALE_COUNT)
+    g1 = scale_grid if scale_grid is not None else DILATION.default_g1()
 
     if name == "shannon":
         time_p, freq_p = _shannon_profiles()
@@ -826,9 +799,8 @@ def make_window(name: str, translation_grid: LineGrid | None = None) -> Atom:
     """
     if name not in WINDOW_NAMES:
         raise ValueError(f"unknown window {name!r}; catalog: {WINDOW_NAMES}")
-    lo, hi = DEFAULT_TRANSLATION_RANGE
-    g1 = translation_grid if translation_grid is not None else LineGrid(
-        lo, (hi - lo) / DEFAULT_TRANSLATION_COUNT, DEFAULT_TRANSLATION_COUNT)
+    g1 = (translation_grid if translation_grid is not None
+          else TRANSLATION.default_g1())
 
     if name == "gaussian":
         def time(x):
@@ -864,7 +836,8 @@ def _catalog(case: str, name: str) -> Atom:
     """The verified catalog entry of (case, name) on the default grid, its
     profile table built by its certificates: one per process, never handed
     out."""
-    return make_wavelet(name) if case == "wavelet" else make_window(name)
+    return {DILATION: make_wavelet, TRANSLATION: make_window}[
+        action_of(case)](name)
 
 
 def make_atom(case: str, name: str) -> Atom:

@@ -25,9 +25,8 @@ from . import io as tio
 from .algebra import (Partition, commutator_diagnostics, evaluate_on_cloud,
                       partition_gammas)
 from .atoms import make_atom
-from .fields import (_analysis_axis, omega_side, random_bandlimited,
-                     round_trips)
-from .grids import LineGrid, SampledFunction
+from .fields import random_bandlimited, round_trips
+from .grids import LineGrid, SampledFunction, action_of
 from .kernels import (GAMMA_RULES, boundedness_verdict, gamma,
                       overlap_kernel, spectrum_from_gamma,
                       weighted_overlap_kernel)
@@ -36,7 +35,6 @@ from .operators import (build_direct, default_operator_grid, filter_signal,
                         verify_equivalence)
 from .symbols import Symbol1D, SymbolParseError, SymbolSpec, parse_symbol
 
-DEFAULT_ATOM = {"gabor": "gaussian", "wavelet": "shannon"}
 # largest --n the dense commands accept without --allow-large; the library
 # builders and solvers take any size
 MAX_DENSE_N = 512
@@ -45,9 +43,6 @@ MAX_DENSE_N = 512
 # 512 x n, 128 MiB (real) or 256 MiB (haar's complex one) at the cap, and
 # each CPU holds a 64 x n complex block
 MAX_FIELD_N = 32768
-# cuts of ``algebra`` without --cuts and of ``verify algebra``: the wavelet
-# first coordinate is a scale range, which excludes 0
-DEFAULT_CUTS = {"gabor": [0.0], "wavelet": [1.0]}
 # the symbol of each dual-route suite; its kind picks the specialized route
 EQUIVALENCE_SYMBOLS = {
     ("cto1", "gabor"): SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 1.0)),
@@ -173,7 +168,7 @@ def _xi_grid(args) -> LineGrid:
 
 
 def _atom_name(args) -> str:
-    return args.atom or DEFAULT_ATOM[args.case]
+    return args.atom or action_of(args.case).default_atom
 
 
 def _atom(args):
@@ -277,8 +272,8 @@ def _verify_transforms_suite(args) -> dict:
     # block of rows at a time, and one call takes every signal on a grid
     # (round_trips): no field is held
     signals = [random_bandlimited(grid, seed=args.seed + k) for k in range(20)]
-    hs = [omega_side(atom.case, f) for f in signals]
-    axis = _analysis_axis(atom.case, grid)
+    hs = [atom.action.omega_side(f) for f in signals]
+    axis = atom.action.analysis_axis(grid)
     for f, h, (out, field_norm) in zip(signals, hs,
                                        round_trips(atom, hs, field_grid=axis)):
         worst_iso = max(worst_iso, abs(field_norm - f.norm()))
@@ -305,18 +300,9 @@ def _verify_transforms_suite(args) -> dict:
 def _verify_algebra_suite(args) -> dict:
     atom = _atom(args)
     grid = default_operator_grid(args.case, args.n)
-    if args.case == "gabor":
-        pool = [Symbol1D.indicator(-1.0, 1.0),
-                Symbol1D.indicator(float("-inf"), 0.0),
-                Symbol1D.smooth_step(4.0),
-                Symbol1D.gaussian_bump(8.0)]
-    else:
-        pool = [Symbol1D.indicator(1.0, 2.0),
-                Symbol1D.indicator(0.5, 8.0),
-                Symbol1D.smooth_step(8.0, log2_axis=True),
-                Symbol1D.constant(0.5)]
-    worst_comm = max(commutator_diagnostics(atom, pool, grid).values())
-    part = Partition(atom, DEFAULT_CUTS[args.case])
+    worst_comm = max(commutator_diagnostics(
+        atom, atom.action.algebra_pool(), grid).values())
+    part = Partition(atom, atom.action.default_cuts)
     cloud = partition_gammas(atom, part, grid)
     # the direct route is linear in the symbol: one build per piece
     mats = [build_direct(atom, SymbolSpec.first_variable(ind), grid)
@@ -383,7 +369,7 @@ def cmd_filter(args) -> int:
 def cmd_algebra(args) -> int:
     atom = _atom(args)
     try:
-        cuts = (DEFAULT_CUTS[args.case] if args.cuts is None else
+        cuts = (atom.action.default_cuts if args.cuts is None else
                 [float(c) for c in args.cuts.split(",") if c.strip()])
     except ValueError:
         raise ValueError(f"malformed --cuts {args.cuts!r}") from None

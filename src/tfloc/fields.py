@@ -9,10 +9,11 @@ profile then lands in L2 of the second coordinate alone.  The composition is
 the diagonalizing (Bargmann-type) transform used by the operator builders.
 
 By the Calderon and Gabor reproducing formulas, analysis is the adjoint of
-the diagonalizing transform applied to the signal's omega side h (f_hat for
-wavelets, f for windows): ``analyze`` is ``bargmann_adjoint`` of h.  The
-axis-2 sign pairing that makes this hold (``axis2_sign``: forward transform
-for wavelets, inverse for windows) is asserted by tests.
+the diagonalizing transform applied to the signal's omega side h:
+``analyze`` is ``bargmann_adjoint`` of h.  The omega side, the axis-2 sign
+pairing that makes this hold (asserted by tests) and the analysis axis are
+facts of the atom's first-axis action (``grids``: ``omega_side``,
+``axis2_forward`` and ``axis2_backward``, ``analysis_axis``).
 
 Both directions meet in the fiber matrix ell(z, omega) of the atom on an
 omega grid.  Every function here reads it as the atom's ``atoms.Fibers``
@@ -98,16 +99,14 @@ import numpy as np
 
 from .atoms import Atom, _BLOCK_ROWS, _row_blocks
 from .fourier import _sandwich, fourier
-from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
+from .grids import LineGrid, SampledFunction, action_of, induced_grid
 from .symbols import RANGE_EXPONENT, _in_range
 
 __all__ = [
     "PhasePlaneField",
     "analyze",
-    "axis2_sign",
     "bargmann",
     "bargmann_adjoint",
-    "omega_side",
     "random_bandlimited",
     "round_trip",
     "round_trips",
@@ -134,12 +133,9 @@ class PhasePlaneField:
         return field
 
     def _bind(self, case, g1, g2, values):
-        if case not in ("wavelet", "gabor"):
-            raise ValueError(f"unknown case {case!r}")
-        if case == "wavelet" and not isinstance(g1, ScaleGrid):
-            raise ValueError("wavelet fields need a ScaleGrid first axis")
-        if case == "gabor" and not isinstance(g1, LineGrid):
-            raise ValueError("gabor fields need a LineGrid first axis")
+        grid = action_of(case).grid
+        if not isinstance(g1, grid):
+            raise ValueError(f"{case} fields need a {grid.__name__} first axis")
         values = np.asarray(values, dtype=complex)
         if values.shape != (g1.count, g2.count):
             raise ValueError(
@@ -164,37 +160,6 @@ class PhasePlaneField:
         return f"PhasePlaneField({self.case}, {self.g1!r} x {self.g2!r})"
 
 
-def omega_side(case: str, f: SampledFunction,
-               back_to: LineGrid | None = None) -> SampledFunction:
-    """The signal's omega side: f_hat for wavelets, f itself for windows.
-
-    With ``back_to`` an omega-side function is carried back to the signal
-    on ``back_to``; for windows both directions are the identity.
-    """
-    if case == "gabor":
-        return f
-    if back_to is None:
-        return fourier(f, "forward")
-    return fourier(f, "inverse", out_grid=back_to)
-
-
-def axis2_sign(case: str, direction: str) -> str:
-    """Fourier sign of the axis-2 transform: "forward" (analysis fields to
-    the diagonal plane) is the forward transform for wavelet fields and the
-    inverse for Gabor fields; "backward" takes the opposite sign."""
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward/backward, got {direction!r}")
-    return ("forward" if (case == "wavelet") == (direction == "forward")
-            else "inverse")
-
-
-def _analysis_axis(case: str, grid: LineGrid) -> LineGrid:
-    """Second axis of the analysis field of a signal on ``grid``: the grid
-    itself for wavelets (translations), its induced grid for windows
-    (modulations)."""
-    return grid if case == "wavelet" else induced_grid(grid)
-
-
 def analyze(atom: Atom, f: SampledFunction) -> PhasePlaneField:
     """Analysis transform: inner products of f with the transported atoms.
 
@@ -205,8 +170,8 @@ def analyze(atom: Atom, f: SampledFunction) -> PhasePlaneField:
     raises ``ValueError``.
     """
     _in_range(f.values, "signal")
-    return bargmann_adjoint(atom, omega_side(atom.case, f),
-                            out_grid=_analysis_axis(atom.case, f.grid))
+    return bargmann_adjoint(atom, atom.action.omega_side(f),
+                            out_grid=atom.action.analysis_axis(f.grid))
 
 
 def _check_first_axis(atom: Atom, field: PhasePlaneField):
@@ -453,10 +418,9 @@ def _stream(atom: Atom, g2: LineGrid, *,
     parts = []  # the parts of one _run_parts call after the loop
     # the sandwiches check that their grids pair (module docstring)
     if out_grid is not None:
-        forward = _sandwich(g2, axis2_sign(atom.case, "forward"), out_grid)
+        forward = _sandwich(g2, atom.action.axis2_forward, out_grid)
     if h is not None:
-        backward = _sandwich(batch[0].grid, axis2_sign(atom.case, "backward"),
-                             g2)
+        backward = _sandwich(batch[0].grid, atom.action.axis2_backward, g2)
     if out_grid is None:
         out = np.empty((count, g2.count), dtype=complex)
     else:
@@ -631,15 +595,16 @@ def round_trip(atom: Atom, h: SampledFunction,
 
     The field is ``bargmann_adjoint(atom, h, out_grid=field_grid)``, on the
     second axis ``field_grid`` (default ``induced_grid(h.grid)``); for h the
-    omega side of a signal f on f's grid (``omega_side``) and
-    ``field_grid = _analysis_axis(case, f.grid)``, it is ``analyze(atom,
-    f)``.  Each block of its rows is formed, its row energies taken, and it
-    is carried back at once (``_stream``), with the bits of the two calls
-    and of ``PhasePlaneField.weighted_norm``: the reproducing formula
-    (Calderon for wavelets, Gabor for windows) checked without the K x N
-    field.  A function above 2^(2B) raises ``bargmann_adjoint``'s
-    ``ValueError``.  No field is held for ``bargmann``'s range check: a
-    block that a transform overflows raises the non-finite field's.
+    omega side of a signal f on f's grid (the action's ``omega_side``) and
+    ``field_grid = atom.action.analysis_axis(f.grid)``, it is
+    ``analyze(atom, f)``.  Each block of its rows is formed, its row
+    energies taken, and it is carried back at once (``_stream``), with the
+    bits of the two calls and of ``PhasePlaneField.weighted_norm``: the
+    reproducing formula (Calderon for wavelets, Gabor for windows) checked
+    without the K x N field.  A function above 2^(2B) raises
+    ``bargmann_adjoint``'s ``ValueError``.  No field is held for
+    ``bargmann``'s range check: a block that a transform overflows raises
+    the non-finite field's.
     """
     return round_trips(atom, [h], field_grid)[0]
 

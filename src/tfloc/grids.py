@@ -23,6 +23,74 @@ number, samples that overflow, or a ``ScaleGrid`` whose log ratio
 ln(u_max/u_min) is not finite or whose measure weights overflow
 (``ScaleGrid(1e-320, 1.0, 4)``, ``ScaleGrid(1.0, inf, 4)``) raise
 ``ValueError``, with no warning.
+
+First-axis actions
+------------------
+The Calderon (wavelet) and Gabor (window) cases are one construction: an
+atom moves over the first phase-plane coordinate z either by dilation, with
+the profile argument z xi, or by translation, with the argument xi - z, and
+one reproducing formula holds for both.  ``DILATION`` and ``TRANSLATION``
+state that choice once, as frozen values.  This table is the one home of
+the facts they hold; every other module reads them as an attribute or a
+method of ``atom.action`` (``Atom.action``), and the CLI and the sidecars
+write the ``case`` string.
+
+=================  ===============================  ========================
+fact               ``DILATION``                     ``TRANSLATION``
+=================  ===============================  ========================
+``case``           "wavelet"                        "gabor"
+``grid``           ``ScaleGrid`` (``kind`` scale)   ``LineGrid`` (line)
+``default_g1``     2^-8..2^8, 512 nodes: 32 per     [-16, 16), 512 nodes
+                   octave, so a profile band-
+                   limited to octaves integrates
+                   exactly
+``describe``       "scales [lo, hi]"                "translations [lo, hi)"
+``fiber_block``    sqrt(z) conj(psi_hat(z w))       conj(phi(w - z))
+``profile``        ``Atom.eval_freq``               ``Atom.eval_time``
+``density``        |psi_hat(t)|^2 / t               |phi(t)|^2
+``panel_cuts``     powers of 2                      integers
+table argument     z |xi|, rows xi != 0 only        xi - z, every row
+table difference   P(b |xi|) - P(a |xi|)            P(xi - a) - P(xi - b)
+``coordinate``     z = t / |xi|, at least           z = xi - t
+                   ``floor`` = 1e-300
+gamma integrand    a(z) |psi_hat(xi z)|^2 / z       a(z) |phi(xi - z)|^2
+``even``           True: one sign of xi serves      False
+                   both (the atom is real), and
+                   the table total is the
+                   admissibility integral
+``exact_lattice``  False                            True: w - z is exact on
+                                                    a lattice grid
+axis-2 signs       forward, then inverse            inverse, then forward
+(forward,
+backward)
+``omega_side``     f_hat (back: inverse transform)  f (back: f)
+``analysis_axis``  the signal's grid                its ``induced_grid``
+``lattice_sign``   +1: beta_hat(+(xi - w))          -1: beta_hat(-(xi - w))
+``operator_grid``  [2^-4, 2^-4 + 4), n points       [-8, 8), n points
+``default_atom``   shannon                          gaussian
+``default_cuts``   1.0 (the scale axis excludes 0)  0.0
+=================  ===============================  ========================
+
+The dilation's operator window sits on the positive healthy band: at xi = 0
+the fibers vanish, and a window holding +-xi pairs couples mirrored bands
+across the lattice period of the discrete transform (wrap-around), an
+artifact the continuum operator does not have.  The axis-2 signs pair so
+that analysis is the adjoint of the diagonalizing transform, and the
+lattice sign follows from them: the compound phase is
+exp(-2 pi i (x - y) xi) for a dilation and exp(+2 pi i (x - y) xi) for a
+translation.  A record's column ``bands`` and the certificate's
+``support_probes`` follow the argument: a block of nodes [z_min, z_max]
+meets the support [lo, hi] on |w| in [lo / z_max, hi / z_min] or on w in
+[z_min + lo, z_max + hi], and an even profile is probed on both signs.  An
+imported atom (``io.import_atom``) takes its support and breakpoints from
+its positive frequency nodes or its time grid (``imported_support``).  The
+``verify algebra`` pool (``algebra_pool``) is four symbols on the action's
+first axis.
+
+An action holds geometry only, as a grid does, and no route's assembly, so
+the routes that read it stay independent (``tests/test_routes.py``).
+``action_of(case)`` looks a case string up, once per atom and per field,
+and raises ``ValueError`` for any other value.
 """
 
 from __future__ import annotations
@@ -32,9 +100,12 @@ import math
 import numpy as np
 
 __all__ = [
+    "DILATION",
     "LineGrid",
     "ScaleGrid",
     "SampledFunction",
+    "TRANSLATION",
+    "action_of",
     "induced_grid",
 ]
 
@@ -49,7 +120,11 @@ def _count(count, least: str) -> int:
 
 
 class LineGrid:
-    """Uniform grid x_j = start + j*step, j = 0..count-1."""
+    """Uniform grid x_j = start + j*step, j = 0..count-1.  ``kind`` names
+    the grid kind and ``params`` its constructor's parameters, in order, as
+    an atom sidecar writes them (``io.export_atom``)."""
+
+    kind, params = "line", ("start", "step", "count")
 
     def __init__(self, start: float, step: float, count: int):
         if not (step > 0 and math.isfinite(step) and math.isfinite(start)):
@@ -100,8 +175,11 @@ class ScaleGrid:
     Nodes are midpoints in log-coordinates, u_k = u_min * exp((k+1/2)*dt)
     with dt = ln(u_max/u_min)/count.  ``weights`` integrate against du/u
     (all equal to dt, exact on constants); ``measure_weights`` integrate
-    against the hyperbolic measure u^{-2} du.
+    against the hyperbolic measure u^{-2} du.  ``kind`` and ``params`` as
+    on ``LineGrid``.
     """
+
+    kind, params = "scale", ("u_min", "u_max", "count")
 
     def __init__(self, u_min: float, u_max: float, count: int):
         if not (0 < u_min < u_max):
@@ -157,3 +235,120 @@ class SampledFunction:
 
     def __repr__(self):
         return f"SampledFunction({self.grid!r})"
+
+
+
+class _Action:
+    """A first-axis action, ``DILATION`` or ``TRANSLATION``: a frozen value
+    whose attributes and one-line methods are the facts of the module
+    docstring's table, one per line."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return type(self).__name__[1:].upper()
+
+
+class _Dilation(_Action):
+    __slots__ = ()
+    case, grid = "wavelet", ScaleGrid
+    even, exact_lattice, lattice_sign, floor = True, False, 1, 1e-300
+    axis2_forward, axis2_backward = "forward", "inverse"
+    default_atom, default_cuts = "shannon", (1.0,)
+
+    def profile(self, atom): return atom.eval_freq
+    def density(self, atom, t): return atom.eval_power(t) / t
+    def table_difference(self, P, i, j): return P[:, j] - P[:, i]
+    def coordinate(self, t, xi): return t / np.abs(xi)
+    def gamma_integrand(self, atom, a, z, xi): return a * atom.eval_power(xi * z) / z
+    def imported_support(self, t, xi): return (1e-6, xi[-1]), xi[xi > 0]
+    def analysis_axis(self, grid): return grid
+    def operator_grid(self, n): return LineGrid(2.0 ** -4, 4.0 / n, n)
+    def default_g1(self): return ScaleGrid(2.0 ** -8, 2.0 ** 8, 512)
+    def describe(self, g1): return f"scales [{g1.u_min:g}, {g1.u_max:g}]"
+
+    def fiber_block(self, atom, z, omegas, out):
+        np.multiply(np.sqrt(z)[:, None],
+                    atom.eval_freq(np.outer(z, omegas)).conj(), out=out)
+
+    def panel_cuts(self, lo, hi):
+        return np.exp2(np.arange(math.ceil(math.log2(lo)),
+                                 math.floor(math.log2(hi)) + 1.0))
+
+    def table_argument(self, xs, ends):
+        live = xs != 0
+        return live, np.abs(xs[live, None]) * ends
+
+    def bands(self, lo, hi, z_min, z_max):
+        inner = np.nextafter(lo / z_max, -np.inf)
+        outer = np.nextafter(hi / z_min, np.inf)
+        return (-outer, -inner), (inner, outer)
+
+    def support_probes(self, lo, hi, below, above):
+        s = [above, 2.0 * hi, 16.0 * hi]
+        if lo > 0:
+            s += [below, 0.5 * lo, 0.0]
+        return s + [-x for x in s]
+
+    def omega_side(self, f, back_to=None):
+        from .fourier import fourier
+        return (fourier(f, "forward") if back_to is None
+                else fourier(f, "inverse", out_grid=back_to))
+
+    def algebra_pool(self):
+        from .symbols import Symbol1D
+        return [Symbol1D.indicator(1.0, 2.0), Symbol1D.indicator(0.5, 8.0),
+                Symbol1D.smooth_step(8.0, log2_axis=True),
+                Symbol1D.constant(0.5)]
+
+
+class _Translation(_Action):
+    __slots__ = ()
+    case, grid = "gabor", LineGrid
+    even, exact_lattice, lattice_sign, floor = False, True, -1, -np.inf
+    axis2_forward, axis2_backward = "inverse", "forward"
+    default_atom, default_cuts = "gaussian", (0.0,)
+
+    def profile(self, atom): return atom.eval_time
+    def density(self, atom, t): return np.abs(atom.eval_time(t)) ** 2
+    def table_difference(self, P, i, j): return P[:, i] - P[:, j]
+    def coordinate(self, t, xi): return xi - t
+    def gamma_integrand(self, atom, a, z, xi): return a * self.density(atom, xi - z)
+    def imported_support(self, t, xi): return (t.start, t.stop), t.samples
+    def analysis_axis(self, grid): return induced_grid(grid)
+    def operator_grid(self, n): return LineGrid.centered(8.0, n)
+    def default_g1(self): return LineGrid(-16.0, 32.0 / 512, 512)
+    def describe(self, g1): return f"translations [{g1.start:g}, {g1.stop:g})"
+    def table_argument(self, xs, ends): return slice(None), xs[:, None] - ends
+    def omega_side(self, f, back_to=None): return f
+
+    def fiber_block(self, atom, z, omegas, out):
+        out[...] = atom.eval_time(omegas[None, :] - z[:, None]).conj()
+
+    def panel_cuts(self, lo, hi):
+        return np.arange(math.ceil(lo), math.floor(hi) + 1.0)
+
+    def bands(self, lo, hi, z_min, z_max):
+        return ((np.nextafter(z_min + lo, -np.inf),
+                 np.nextafter(z_max + hi, np.inf)),)
+
+    def support_probes(self, lo, hi, below, above):
+        return [below, lo - 1.0, lo - 16.0, above, hi + 1.0, hi + 16.0]
+
+    def algebra_pool(self):
+        from .symbols import Symbol1D
+        return [Symbol1D.indicator(-1.0, 1.0),
+                Symbol1D.indicator(float("-inf"), 0.0),
+                Symbol1D.smooth_step(4.0), Symbol1D.gaussian_bump(8.0)]
+
+
+DILATION, TRANSLATION = _Dilation(), _Translation()
+
+
+def action_of(case) -> _Action:
+    """The action whose ``case`` is ``case``; ``ValueError`` for any other
+    value."""
+    for action in (DILATION, TRANSLATION):
+        if action.case == case:
+            return action
+    raise ValueError(f"unknown case {case!r}")

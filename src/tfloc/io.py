@@ -56,7 +56,7 @@ import tempfile
 
 import numpy as np
 
-from .grids import LineGrid, SampledFunction, ScaleGrid
+from .grids import LineGrid, SampledFunction, action_of
 
 __all__ = [
     "write_json",
@@ -232,8 +232,9 @@ def _write_grid_table(path: str, header: list[str], nodes1, nodes2, values,
     _write_blocks(path, header, values.size, block, metadata)
 
 
-def _grid_meta(grid: LineGrid) -> dict:
-    return {"start": grid.start, "step": grid.step, "count": grid.count}
+def _grid_meta(grid) -> dict:
+    """The grid's ``params`` and their values."""
+    return {key: getattr(grid, key) for key in grid.params}
 
 
 # -- signals -----------------------------------------------------------------
@@ -375,17 +376,12 @@ def read_signal_csv(path: str) -> SampledFunction:
 def export_atom(path: str, atom):
     """Write the atom's time samples as a signal CSV, with the sidecar
     that ``import_atom`` rebuilds the atom from."""
-    g1 = atom.g1
-    if isinstance(g1, ScaleGrid):
-        g1md = {"kind": "scale", "u_min": g1.u_min, "u_max": g1.u_max,
-                "count": g1.count}
-    else:
-        g1md = {"kind": "line", **_grid_meta(g1)}
     write_signal_csv(path, atom.time_samples, {
         "case": atom.case, "name": atom.name,
         "time_grid": _grid_meta(atom.time_samples.grid),
         "healthy_range": list(atom.healthy_range),
-        "fiber_tol": atom.fiber_tol, "g1": g1md})
+        "fiber_tol": atom.fiber_tol,
+        "g1": {"kind": atom.g1.kind, **_grid_meta(atom.g1)}})
 
 
 def _sidecar_value(sidecar: str, md, key: str):
@@ -422,36 +418,38 @@ def import_atom(path: str):
     of a truncated or band-limited profile misses the catalog's tolerance
     (shannon's reads 3.3e-2, haar's 0.12).  Sidecar keys other than those
     ``export_atom`` writes are ignored.  A sidecar missing a key, or whose
-    ``g1`` kind does not match its case (a scale grid for a wavelet, a line
-    grid for a window), raises ``ValueError`` naming the sidecar.
+    ``g1`` kind does not match its case (``grid.kind`` of the case's
+    first-axis action: a scale grid for a wavelet, a line grid for a
+    window), raises ``ValueError`` naming the sidecar.  Samples out of the
+    supported range of ``symbols`` (a part above 2^256) raise ``ValueError``
+    naming the CSV, before they are transformed.
     """
     from .atoms import Atom, Fibers, _certify_real
     from .fourier import fourier
+    from .symbols import _in_range
 
     sidecar = sidecar_path(path)
     with open(sidecar) as fh:
         md = json.load(fh)
     get = functools.partial(_sidecar_value, sidecar, md)
     case, kind = get("case"), get("g1.kind")
-    want = {"wavelet": "scale", "gabor": "line"}.get(case, kind)
-    if kind != want:
+    action = action_of(case)
+    if kind != action.grid.kind:
         raise ValueError(f"{sidecar}: a {case} atom needs a g1 of kind "
-                         f"{want!r}, got {kind!r}")
-    if kind == "scale":
-        g1 = ScaleGrid(get("g1.u_min"), get("g1.u_max"), get("g1.count"))
-    else:
-        g1 = LineGrid(get("g1.start"), get("g1.step"), get("g1.count"))
+                         f"{action.grid.kind!r}, got {kind!r}")
+    g1 = action.grid(*(get(f"g1.{key}") for key in action.grid.params))
     time_samples = read_signal_csv(path)
+    # checked before the transform, which a sample near the float maximum
+    # overflows
+    _in_range(time_samples.values, f"{path}: atom samples")
     freq_samples = fourier(time_samples, "forward")
-    t, xi = time_samples.grid, freq_samples.grid.samples
-    wavelet = case == "wavelet"
+    support, breakpoints = action.imported_support(
+        time_samples.grid, freq_samples.grid.samples)
     atom = Atom(case, get("name"), time_samples, g1, time_samples.interp,
-                freq_samples.interp,
-                (1e-6, xi[-1]) if wavelet else (t.start, t.stop),
-                profile_breakpoints=xi[xi > 0] if wavelet else t.samples,
+                freq_samples.interp, support, profile_breakpoints=breakpoints,
                 healthy_range=tuple(get("healthy_range")),
                 fiber_tol=get("fiber_tol"))
-    if wavelet:
+    if action.even:
         _certify_real(atom)
     lo, hi = atom.healthy_range
     omegas = LineGrid(lo, (hi - lo) / 256, 256).samples

@@ -284,21 +284,15 @@ def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
         return np.concatenate([v0, v1]), max(e0, e1)
 
     a_lo, a_hi = alpha.support
-    s_lo, s_hi = atom.support
-    if atom.case == "wavelet":
-        ax = np.abs(xs)
-        with np.errstate(divide="ignore"):
-            lo = np.maximum(np.maximum(s_lo / ax, a_lo), 1e-300)
-            hi = np.minimum(s_hi / ax, a_hi)
-            at_xi = pbps / ax[:, None]
-        # fibers vanish at zero frequency for zero-mean atoms; the value is
-        # excluded from the documented healthy range
-        live = (xs != 0.0) & (lo < hi)
-    else:
-        lo = np.maximum(xs - s_hi, a_lo)
-        hi = np.minimum(xs - s_lo, a_hi)
-        at_xi = xs[:, None] - pbps
-        live = lo < hi
+    # the first coordinates at which the argument reaches the support's ends
+    # and the breakpoints; a dilation's at xi = 0 are inf (its fibers vanish
+    # there, outside the documented healthy range), so that row is not live
+    with np.errstate(divide="ignore"):
+        ends = atom.action.coordinate(np.array(atom.support), xs[:, None])
+        at_xi = atom.action.coordinate(pbps, xs[:, None])
+    lo = np.maximum(np.maximum(ends.min(axis=1), a_lo), atom.action.floor)
+    hi = np.minimum(ends.max(axis=1), a_hi)
+    live = lo < hi
     cuts = np.column_stack([np.broadcast_to(bps, (xs.size, bps.size)), at_xi])
 
     # segment edges per xi: the cuts clipped into [lo, hi] and sorted;
@@ -311,12 +305,8 @@ def _gamma_adaptive(atom: Atom, alpha: Symbol1D,
         return np.zeros(xs.size, dtype=complex), 0.0
     xi = xs[owner]
 
-    if atom.case == "wavelet":
-        def integrand(u, j):
-            return alpha.sample(u) * atom.eval_power(xi[j] * u) / u
-    else:
-        def integrand(q, j):
-            return alpha.sample(q) * np.abs(atom.eval_time(xi[j] - q)) ** 2
+    def integrand(z, j):
+        return atom.action.gamma_integrand(atom, alpha.sample(z), z, xi[j])
 
     def describe(j):
         return f"gamma of {alpha.descriptor} at xi={xi[j]:.17g}"
@@ -340,13 +330,11 @@ def _profile_at(atom: Atom, xs: np.ndarray, ends: np.ndarray):
     other rows or ends of the call, so each P keeps its bits however many
     ends one call reads.  Its one caller is ``_piece_columns``."""
     edges, cum, _ = atom._profile_table
-    wavelet = atom.case == "wavelet"
-    live = xs != 0 if wavelet else slice(None)
-    x = np.abs(xs[live, None]) * ends if wavelet else xs[live, None] - ends
+    live, x = atom.action.table_argument(xs, ends)
     x = np.clip(x, edges[0], edges[-1])
     k = np.searchsorted(edges, x, side="right") - 1
     mid, half = 0.5 * (x + edges[k]), 0.5 * (x - edges[k])
-    F = atom._profile_density(mid[..., None] + half[..., None] * _NODES)
+    F = atom.action.density(atom, mid[..., None] + half[..., None] * _NODES)
     P, e = _kronrod_panels(F.reshape(-1, 1, _NODES.size), half.ravel())
     return live, cum[k] + P.reshape(x.shape), e.reshape(x.shape)
 
@@ -361,7 +349,7 @@ def _piece_columns(atom: Atom, xs: np.ndarray, intervals):
     ends = np.array(sorted({e for iv in intervals for e in iv}))
     live, P, e = _profile_at(atom, xs, ends)
     i, j = np.searchsorted(ends, np.reshape(intervals, (-1, 2))).T
-    cols = P[:, j] - P[:, i] if atom.case == "wavelet" else P[:, i] - P[:, j]
+    cols = atom.action.table_difference(P, i, j)
     return live, cols, atom._profile_table[2] + e[:, i] + e[:, j]
 
 

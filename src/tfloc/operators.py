@@ -76,17 +76,9 @@ certified Lanczos estimate of ``_lanczos_norm`` (the dense SVD when it
 has no certificate).  Values are in the supported range of ``symbols``,
 and a bare array passed to ``operator_norm`` is checked against it.
 
-Sign conventions: with the axis-2 transform pairing (wavelet forward, gabor
-inverse), the difference-lattice factor is beta_hat(+(xi - omega)) for the
-wavelet case and beta_hat(-(xi - omega)) for the gabor case; the compound
-phase is exp(-2*pi*i*(x-y)*xi) and exp(+2*pi*i*(x-y)*xi) respectively.
-A dedicated test asserts this resolution numerically.
-
-Default frequency windows: [-8, 8) for the gabor case; [2^-4, 2^-4 + 4) for
-the wavelet case.  The wavelet window sits on the positive healthy band:
-at xi = 0 the fibers vanish, and a window containing +/-xi pairs couples
-mirrored bands across the lattice period of the discrete transform
-(wrap-around), which is an artifact the continuum operator does not have.
+The difference-lattice sign and the default frequency windows are facts
+of the atom's first-axis action (``grids``: ``lattice_sign``,
+``operator_grid``); a dedicated test asserts the sign numerically.
 """
 
 from __future__ import annotations
@@ -97,9 +89,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .atoms import Atom, Fibers, _hull, _row_blocks
-from .fields import _analysis_axis, _stream, axis2_sign, omega_side
+from .fields import _stream
 from .fourier import _sandwich
-from .grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
+from .grids import LineGrid, SampledFunction, action_of, induced_grid
 from .kernels import (GammaFunction, OperatorMatrix, SpectrumReport, gamma,
                       overlap_kernel, weighted_overlap_kernel)
 from .symbols import (RANGE_EXPONENT, Symbol1D, SymbolSpec, _exponent,
@@ -122,15 +114,9 @@ __all__ = [
 
 
 def default_operator_grid(case: str, n: int) -> LineGrid:
-    """Documented frequency window for operator work."""
-    if case == "gabor":
-        return LineGrid.centered(8.0, n)
-    return LineGrid(2.0 ** -4, 4.0 / n, n)
-
-
-def case_sign(case: str) -> int:
-    """Sign of the difference-lattice argument in the integral form."""
-    return 1 if case == "wavelet" else -1
+    """Documented frequency window for operator work: the ``operator_grid``
+    of the case's first-axis action."""
+    return action_of(case).operator_grid(n)
 
 
 # -- direct (pipeline) route -----------------------------------------------------
@@ -254,7 +240,7 @@ def build_direct(atom: Atom, spec: SymbolSpec,
     fib = atom.fibers(xi_grid.samples)
     w = atom.g1.measure_weights
     # row r: the generator c_r, lag (m - n//2) * xi_grid.step at entry m
-    lags = _sandwich(s_grid, axis2_sign(atom.case, "forward"),
+    lags = _sandwich(s_grid, atom.action.axis2_forward,
                      induced_grid(s_grid)).real_where_even(V)
     lags *= xi_grid.step
     diagonal = all(map(_is_lag0_delta, lags))
@@ -354,7 +340,7 @@ def _beta_hat_on_lattice(atom: Atom, beta: Symbol1D,
     bhat = _sandwich(bg, "forward", induced_grid(bg)).real_where_even(
         beta.cell_values(bg)[None, :])[0]
     n = xi_grid.count
-    return _lag_table(bhat, 2 * n, case_sign(atom.case), n)
+    return _lag_table(bhat, 2 * n, atom.action.lattice_sign, n)
 
 
 def _compound(atom: Atom, spec: SymbolSpec,
@@ -651,12 +637,6 @@ def verify_equivalence(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid,
 MIN_FIBER_COVERAGE = 0.5
 
 
-def _first_coordinate_range(g1) -> str:
-    if isinstance(g1, ScaleGrid):
-        return f"scales [{g1.u_min:g}, {g1.u_max:g}]"
-    return f"translations [{g1.start:g}, {g1.stop:g})"
-
-
 def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
                   method: str = "fast"):
     """Apply the localization operator with symbol ``spec`` to a signal.
@@ -688,22 +668,22 @@ def filter_signal(atom: Atom, spec: SymbolSpec, f: SampledFunction,
             "the fast path requires a first-variable symbol; got "
             f"{spec.descriptor}")
     _in_range(f.values, "signal")
-    h = omega_side(atom.case, f)
+    h = atom.action.omega_side(f)
     coverage = atom.fibers(h.grid.samples).coverage(h)
     if coverage < MIN_FIBER_COVERAGE:
         raise ValueError(
             f"fiber coverage {coverage:.3g} of the signal is below "
             f"{MIN_FIBER_COVERAGE:g}: the signal lies outside the atom's "
-            f"first-coordinate range, {_first_coordinate_range(atom.g1)}")
+            f"first-coordinate range, {atom.action.describe(atom.g1)}")
 
     def back(vals):
-        return omega_side(atom.case, SampledFunction(h.grid, vals),
-                          back_to=f.grid)
+        return atom.action.omega_side(SampledFunction(h.grid, vals),
+                                      back_to=f.grid)
 
     def slow_path():
         # both transforms and the mask for every symbol kind: the fast
         # path's gamma is the oracle this route is compared against
-        g2 = _analysis_axis(atom.case, f.grid)
+        g2 = atom.action.analysis_axis(f.grid)
         return back(_stream(atom, g2, h=h, spec=spec, out_grid=h.grid))
 
     def fast_path():

@@ -192,6 +192,18 @@ def test_eval_power_is_the_squared_frequency_profile(shannon, haar,
                               np.abs(atom.eval_freq(s)) ** 2)
 
 
+def test_rect_frequency_profile_is_the_transform_of_its_window(rect):
+    # phi_hat(xi) = integral_0^1 exp(-2 pi i x xi) dx, by the midpoint rule
+    # on N = 2^14 cells, which errs by about |phi_hat(xi)| (pi xi / N)^2 / 6,
+    # below 2e-8 here; no window record reads the frequency profile, so
+    # nothing else evaluates it
+    xi = np.array([-7.5, -2.0, -0.3, 0.0, 0.25, 1.0, 3.7])
+    x = (np.arange(2 ** 14) + 0.5) / 2 ** 14
+    ref = np.exp(-2j * np.pi * np.outer(xi, x)).mean(axis=1)
+    assert np.max(np.abs(rect.eval_freq(xi) - ref)) <= 1e-7
+    assert rect.eval_freq(np.zeros(1))[0] == 1.0
+
+
 def test_wavelets_are_real_valued(shannon, haar):
     for atom in (shannon, haar):
         assert np.max(np.abs(atom.time_samples.values.imag)) <= 1e-12

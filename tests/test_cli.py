@@ -18,7 +18,7 @@ from tfloc.algebra import Partition, partition_gammas
 from tfloc.atoms import Fibers, make_atom
 from tfloc.cli import main
 from tfloc.fields import random_bandlimited
-from tfloc.grids import LineGrid, SampledFunction
+from tfloc.grids import LineGrid, SampledFunction, action_of
 from tfloc.io import read_signal_csv, sidecar_path, write_signal_csv
 from tfloc.kernels import gamma
 from tfloc.symbols import RANGE_EXPONENT, Symbol1D, SymbolSpec, parse_symbol
@@ -508,9 +508,9 @@ def test_cmd_verify_algebra_tau_isometry_is_the_dense_sum(tmp_path, case, n,
     out = str(tmp_path / "a.json")
     assert run("verify", "algebra", "--case", case, "--n", str(n),
                "--seed", str(seed), "--out", out) == 0
-    atom = make_atom(case, cli.DEFAULT_ATOM[case])
+    atom = make_atom(case, action_of(case).default_atom)
     grid = operators.default_operator_grid(case, n)
-    part = Partition(atom, cli.DEFAULT_CUTS[case])
+    part = Partition(atom, action_of(case).default_cuts)
     cloud = partition_gammas(atom, part, grid)
     pieces = [operators.build_direct(atom, SymbolSpec.first_variable(ind),
                                      grid)
@@ -552,7 +552,7 @@ def _plain(doc) -> bool:
 def test_verify_reports_hold_python_values_only(tmp_path, monkeypatch, case):
     # the JSON writer converts nothing, so each report is JSON-ready as made
     rep = operators.verify_equivalence(
-        make_atom(case, cli.DEFAULT_ATOM[case]),
+        make_atom(case, action_of(case).default_atom),
         cli.EQUIVALENCE_SYMBOLS["cto1", case],
         operators.default_operator_grid(case, 64), cli.VERIFY_TOL["cto1"])
     assert _plain(rep)
@@ -1019,8 +1019,8 @@ def test_cmd_algebra_default_cuts_follow_case(tmp_path, case, cut):
 def test_simplex_sum_deviation_is_the_clouds(tmp_path, case):
     # the algebra sidecar and the verify algebra report both state the
     # deviation that the cloud computed
-    atom = make_atom(case, cli.DEFAULT_ATOM[case])
-    cloud = partition_gammas(atom, Partition(atom, cli.DEFAULT_CUTS[case]),
+    atom = make_atom(case, action_of(case).default_atom)
+    cloud = partition_gammas(atom, Partition(atom, atom.action.default_cuts),
                              operators.default_operator_grid(case, 64))
     dev = cloud.simplex_sum_deviation
     assert dev == float(np.max(np.abs(cloud.points.sum(axis=1) - 1.0)))

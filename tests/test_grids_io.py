@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -15,7 +16,11 @@ from tfloc import io as tio
 from tfloc.algebra import Partition, PartitionCloud
 from tfloc.cli import main
 from tfloc.fields import PhasePlaneField, analyze, random_bandlimited
-from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
+from tfloc.atoms import (WAVELET_NAMES, WINDOW_NAMES, make_atom,
+                         make_wavelet, make_window)
+from tfloc.fourier import fourier
+from tfloc.grids import (DILATION, TRANSLATION, LineGrid, SampledFunction,
+                         ScaleGrid, action_of, induced_grid)
 from tfloc.io import (_BLOCK_ROWS, _write_blocks, export_cloud, export_field,
                       export_gamma, export_kernel, import_atom,
                       read_signal_csv, sidecar_path, write_json,
@@ -23,6 +28,128 @@ from tfloc.io import (_BLOCK_ROWS, _write_blocks, export_cloud, export_field,
 from tfloc.kernels import GammaFunction, overlap_kernel
 from tfloc.operators import OperatorMatrix, default_operator_grid
 from tfloc.symbols import parse_symbol
+
+
+# -- first-axis actions ------------------------------------------------------
+
+@pytest.mark.parametrize("case, name", [("wavelet", "shannon"),
+                                        ("wavelet", "haar"),
+                                        ("gabor", "gaussian"),
+                                        ("gabor", "rect")])
+def test_each_first_axis_action_states_its_facts(case, name):
+    # each fact of an action against its closed form, stated here without
+    # the action: the paper's dilation z xi (wavelets) and translation
+    # xi - z (windows) of one atom over the first coordinate z
+    action, atom = action_of(case), make_atom(case, name)
+    dilation = case == "wavelet"
+    assert action is (DILATION if dilation else TRANSLATION)
+    assert atom.action is action and atom.case == action.case == case
+    assert repr(action) == ("DILATION" if dilation else "TRANSLATION")
+    with pytest.raises(AttributeError):
+        action.case = "other"
+    # the first-axis grid: its kind, the sidecar's name of it, the default
+    assert type(atom.g1) is action.grid is (ScaleGrid if dilation
+                                             else LineGrid)
+    assert action.grid.kind == ("scale" if dilation else "line")
+    assert np.array_equal(action.default_g1().nodes, atom.g1.nodes)
+    # the fiber: sqrt(z) conj(psi_hat(z w)) or conj(phi(w - z)), bitwise
+    z, w = atom.g1.nodes[::37], np.linspace(-3.0, 3.0, 25)
+    out = np.empty((z.size, w.size), atom._fiber_dtype())
+    action.fiber_block(atom, z, w, out)
+    ref = (np.sqrt(z)[:, None] * np.conj(atom.freq_profile(z[:, None] * w))
+           if dilation else np.conj(atom.time_profile(w - z[:, None])))
+    assert out.tobytes() == ref.astype(out.dtype).tobytes()
+    assert action.profile(atom) == (atom.eval_freq if dilation
+                                    else atom.eval_time)
+    # the table's density, panels and argument, and its inverse
+    t = np.linspace(0.25, 3.0, 12)
+    dens = (np.abs(atom.freq_profile(t)) ** 2 / t if dilation
+            else np.abs(atom.time_profile(t)) ** 2)
+    assert np.allclose(action.density(atom, t), dens, rtol=1e-14, atol=0)
+    cuts = action.panel_cuts(0.3, 40.0)
+    assert np.array_equal(cuts, [0.5, 1, 2, 4, 8, 16, 32] if dilation
+                          else np.arange(1.0, 41.0))
+    xs, ends = np.array([-2.5, 0.0, 1.5]), np.array([0.5, 2.0])
+    live, x = action.table_argument(xs, ends)
+    arg = (np.abs(xs)[:, None] * ends if dilation else xs[:, None] - ends)
+    assert np.array_equal(x, arg[live])
+    assert np.array_equal(xs[live], xs[xs != 0] if dilation else xs)
+    with np.errstate(divide="ignore"):
+        back = action.coordinate(x, xs[live][:, None])
+    assert np.allclose(back, ends, rtol=1e-15, atol=0)
+    # the difference of a table read at a < b is the table over [a, b]:
+    # the argument rises with z under dilation and falls under translation
+    P = x  # a table that is the argument itself
+    assert np.all(action.table_difference(P, 0, 1) > 0)
+    # the support probes lie outside the support, on both signs of xi for
+    # a dilation, whose profile is even
+    lo, hi = atom.support
+    below, above = np.nextafter([lo, hi], [-np.inf, np.inf])
+    probes = np.array(action.support_probes(lo, hi, below, above))
+    outside = np.abs(probes) if dilation else probes
+    assert np.all((outside < lo) | (outside > hi))
+    assert action.even is dilation and action.exact_lattice is not dilation
+    # the axis-2 pairing, the omega side and the analysis axis
+    assert (action.axis2_forward, action.axis2_backward) == (
+        ("forward", "inverse") if dilation else ("inverse", "forward"))
+    grid = LineGrid.centered(8.0, 64)
+    f = random_bandlimited(grid, seed=3)
+    h = action.omega_side(f)
+    assert np.array_equal(h.values, fourier(f, "forward").values
+                          if dilation else f.values)
+    assert np.array_equal(action.omega_side(h, back_to=grid).values,
+                          fourier(h, "inverse", out_grid=grid).values
+                          if dilation else h.values)
+    axis = action.analysis_axis(grid)
+    assert axis.samples.tolist() == (grid if dilation
+                                     else induced_grid(grid)).samples.tolist()
+    # the difference lattice, the operator window and the CLI's defaults
+    assert action.lattice_sign == (1 if dilation else -1)
+    window = action.operator_grid(64)
+    assert (window.start, window.stop) == ((2.0 ** -4, 2.0 ** -4 + 4.0)
+                                           if dilation else (-8.0, 8.0))
+    assert action.default_atom in (WAVELET_NAMES if dilation
+                                   else WINDOW_NAMES)
+    g1_lo, g1_hi = ((atom.g1.u_min, atom.g1.u_max) if dilation
+                    else (atom.g1.start, atom.g1.stop))
+    assert all(g1_lo < c < g1_hi for c in action.default_cuts)
+    assert len(action.algebra_pool()) == 4
+    assert action.describe(atom.g1) == (
+        "scales [0.00390625, 256]" if dilation else "translations [-16, 16)")
+
+
+def test_an_atom_takes_its_actions_grid_kind(gaussian):
+    # a first-axis grid of the other kind is refused when the atom is
+    # built, as a field's is: the wavelet catalog on a line grid, and back
+    with pytest.raises(ValueError,
+                       match="wavelet atoms need a ScaleGrid first axis"):
+        make_wavelet("shannon", LineGrid(0.125, 0.25, 64))
+    with pytest.raises(ValueError,
+                       match="gabor atoms need a LineGrid first axis"):
+        make_window("gaussian", ScaleGrid(0.5, 2.0, 64))
+
+
+@pytest.mark.parametrize("case", ["other", "", None, ["wavelet"],
+                                  {"case": "gabor"}])
+def test_an_unknown_case_has_no_action(case):
+    # what a sidecar's JSON can hold, unhashable values included
+    with pytest.raises(ValueError, match="unknown case"):
+        action_of(case)
+
+
+def test_no_scope_outside_the_actions_compares_a_case_string(scopes_where):
+    # the Calderon/Gabor choice is stated once, by the first-axis actions:
+    # outside grids.py and the CLI's argument parser no scope compares a
+    # value with "gabor" or "wavelet"
+    def compares_a_case(node):
+        return isinstance(node, ast.Compare) and any(
+            isinstance(n, ast.Constant) and n.value in ("gabor", "wavelet")
+            for side in (node.left, *node.comparators)
+            for n in ast.walk(side))
+
+    allowed = ("grids.py:", "cli.py:build_parser", "cli.py:_add_common")
+    assert [scope for scope in scopes_where(compares_a_case)
+            if not scope.startswith(allowed)] == []
 
 
 def test_line_grid_validation():
@@ -587,6 +714,20 @@ def _without(md, key):
 
 _WAVELET_G1 = {"kind": "scale", "u_min": 2.0 ** -8, "u_max": 2.0 ** 8,
                "count": 512}
+
+
+@pytest.mark.parametrize("top", [1.7e308, 1e300])
+def test_import_atom_refuses_samples_out_of_range(tmp_path, top):
+    # the samples are checked before their transform: 1.7e308 overflowed
+    # it (a RuntimeWarning), and 1e300 imported with fiber_tol inf
+    path = str(tmp_path / "atom.csv")
+    write_signal_csv(path, SampledFunction(LineGrid(0.0, 0.25, 8),
+                                           np.full(8, top)))
+    write_json(sidecar_path(path), _ATOM_META)
+    with pytest.raises(ValueError) as info:
+        import_atom(path)
+    assert str(info.value).startswith(
+        f"{path}: atom samples exceeds the supported range")
 
 
 @pytest.mark.parametrize("md, message", [

@@ -10,8 +10,8 @@ import pytest
 from tfloc.algebra import (Partition, PartitionCloud, evaluate_on_cloud,
                            partition_gammas)
 from tfloc.atoms import Atom
-from tfloc.fields import (PhasePlaneField, axis2_sign, bargmann,
-                          bargmann_adjoint, round_trip)
+from tfloc.fields import (PhasePlaneField, bargmann, bargmann_adjoint,
+                          round_trip)
 from tfloc.fourier import fourier
 from tfloc.grids import LineGrid, SampledFunction, ScaleGrid
 from tfloc.kernels import GammaFunction, gamma
@@ -141,9 +141,6 @@ CHECKS = {
     "field-shape": (
         lambda s, g: _field("gabor", G2, np.zeros((2, 3))),
         ValueError, "field shape (2, 3) does not match grids (2, 2)"),
-    "axis2-direction": (
-        lambda s, g: axis2_sign("gabor", "sideways"),
-        ValueError, "direction must be forward/backward, got 'sideways'"),
     "scale-grid-count": (
         lambda s, g: ScaleGrid(1.0, 2.0, 1),
         ValueError, "scale grid needs at least 2 nodes, got 1"),

@@ -13,7 +13,7 @@ from tfloc.algebra import commutator_diagnostics
 from tfloc import atoms
 from tfloc.atoms import _BLOCK_ROWS, Fibers, make_atom
 from tfloc.cli import EQUIVALENCE_SYMBOLS
-from tfloc.fields import axis2_sign, omega_side, random_bandlimited
+from tfloc.fields import random_bandlimited
 from tfloc.fourier import _Sandwich, _sandwich, fourier
 from tfloc.grids import LineGrid, SampledFunction, induced_grid
 from tfloc.kernels import (gamma, overlap_kernel, spectrum_from_gamma,
@@ -443,7 +443,7 @@ def _field_ranks(atom, spec, xi_grid):
     s_grid = induced_grid(xi_grid)
     Q, V, _ = _lowrank_factors(
         spec.evaluate_field(atom.g1.nodes, s_grid.samples))
-    lags = _sandwich(s_grid, axis2_sign(atom.case, "forward"),
+    lags = _sandwich(s_grid, atom.action.axis2_forward,
                      induced_grid(s_grid)).real_where_even(V) * xi_grid.step
     return zip(Q.T, lags)
 
@@ -2190,7 +2190,7 @@ def test_even_real_transforms_keep_the_real_parts(gaussian, rect, shannon,
     for atom in (gaussian, shannon):
         for n in (64, 256):
             s_grid = induced_grid(_grid_for(atom, n))
-            sw = _sandwich(s_grid, axis2_sign(atom.case, "forward"),
+            sw = _sandwich(s_grid, atom.action.axis2_forward,
                            induced_grid(s_grid))
             for spec in [EQUIVALENCE_SYMBOLS[suite, atom.case]
                          for suite in ("cto2", "cto3")] + [odd]:
@@ -2530,7 +2530,7 @@ def test_filter_rejects_signal_off_the_translation_grid(gaussian, shannon):
     # on the healthy band the fibers carry the whole signal
     f = random_bandlimited(SIGNAL_GRID, seed=14)
     for atom in (gaussian, shannon):
-        h = omega_side(atom.case, f)
+        h = atom.action.omega_side(f)
         assert Fibers.of(atom, h.grid.samples).coverage(h) >= 0.999
 
 
@@ -2540,7 +2540,7 @@ def test_fiber_coverage_is_scale_invariant(name):
     # at 2^930 the squares would overflow (NaN coverage), at 2^-700
     # underflow (coverage 1)
     atom = make_atom("gabor" if name == "gaussian" else "wavelet", name)
-    h = omega_side(atom.case, random_bandlimited(SIGNAL_GRID, seed=15))
+    h = atom.action.omega_side(random_bandlimited(SIGNAL_GRID, seed=15))
     fib = atom.fibers(h.grid.samples)
     ref = fib.coverage(h)
     assert 0.999 <= ref <= 1.0 + 1e-9

@@ -24,11 +24,12 @@ from tfloc import fields
 from tfloc.atoms import (_BLOCK_ROWS, Atom, Fibers, _row_blocks, make_atom,
                          make_wavelet, make_window)
 from tfloc.cli import VERIFY_TOL, main
-from tfloc.fields import (PhasePlaneField, _analysis_axis, _stream, analyze,
-                          axis2_sign, bargmann, bargmann_adjoint, omega_side,
-                          random_bandlimited, round_trip, round_trips)
+from tfloc.fields import (PhasePlaneField, _stream, analyze, bargmann,
+                          bargmann_adjoint, random_bandlimited, round_trip,
+                          round_trips)
 from tfloc.fourier import _cis, _Sandwich, _sandwich, fourier
-from tfloc.grids import LineGrid, SampledFunction, ScaleGrid, induced_grid
+from tfloc.grids import (DILATION, LineGrid, SampledFunction, ScaleGrid,
+                         action_of, induced_grid)
 from tfloc.io import export_atom, import_atom
 from tfloc.operators import default_operator_grid, filter_signal
 from tfloc.symbols import Symbol1D, SymbolSpec
@@ -104,7 +105,7 @@ def test_analyze_wavelet_against_bruteforce_inner_products(haar):
 def _axis2(field, direction, out_grid):
     """Rows of ``field`` carried by the axis-2 transform onto ``out_grid``:
     the DFT sandwich ``fields._stream`` applies, with its sign."""
-    sign = axis2_sign(field.case, direction)
+    sign = getattr(action_of(field.case), f"axis2_{direction}")
     return field.copy_with(_sandwich(field.g2, sign, out_grid)(field.values),
                            g2=out_grid)
 
@@ -165,7 +166,7 @@ def _diagonal_plane_field(atom, g2, vals):
     """The field whose forward axis-2 transform onto ``g2`` is ``vals``:
     the oracle's backward transform of the diagonal-plane rows."""
     z_grid = induced_grid(g2)
-    back = _fourier_rows_reference(vals, g2, axis2_sign(atom.case, "backward"),
+    back = _fourier_rows_reference(vals, g2, atom.action.axis2_backward,
                                    z_grid)
     return PhasePlaneField(atom.case, atom.g1, z_grid, back)
 
@@ -357,7 +358,7 @@ def test_in_place_transforms_equal_the_out_of_place_composition(request, name,
     # slow filter's those of bargmann of its masked field
     atom = request.getfixturevalue(name)
     f = random_bandlimited(SIGNAL_GRID, seed=8)
-    h = omega_side(atom.case, f)
+    h = atom.action.omega_side(f)
     full_axis = f.grid if atom.case == "wavelet" else induced_grid(f.grid)
     W = _whole_array_chain(atom, full_axis, h=h)
     assert _bits(analyze(atom, f).values) == _bits(W)
@@ -367,8 +368,8 @@ def test_in_place_transforms_equal_the_out_of_place_composition(request, name,
     masked = PhasePlaneField(
         atom.case, atom.g1, full_axis,
         W * spec.evaluate_field(atom.g1.nodes, full_axis.samples))
-    ref = omega_side(atom.case, bargmann(atom, masked, out_grid=h.grid),
-                     back_to=f.grid)
+    ref = atom.action.omega_side(bargmann(atom, masked, out_grid=h.grid),
+                                 back_to=f.grid)
     out, _ = filter_signal(atom, spec, f, "slow")
     assert _bits(out.values) == _bits(ref.values)
 
@@ -771,7 +772,7 @@ def _unfused_transforms_report(case, name, n, seed) -> dict:
         f = random_bandlimited(grid, seed=seed + k)
         W = analyze(atom, f)
         iso = max(iso, abs(W.weighted_norm() - f.norm()))
-        h = omega_side(case, f)
+        h = atom.action.omega_side(f)
         out = bargmann(atom, W, out_grid=h.grid)
         fact = max(fact, float(np.linalg.norm(out.values - h.values)
                                / np.linalg.norm(h.values)))
@@ -869,7 +870,7 @@ def _whole_array_chain(atom, g2, h=None, field=None, spec=None,
     associate as in the chain: the backward pre-phase rides on h, and the
     forward post-phase (with its step) multiplies the projection."""
     if h is not None:
-        back = axis2_sign(atom.case, "backward")
+        back = atom.action.axis2_backward
         pre, post = _phases(h.grid, back, g2)
         L = atom.ell_matrix(h.grid.samples)
         W = post[None, :] * _dft(L * (h.values * pre), back)
@@ -879,7 +880,7 @@ def _whole_array_chain(atom, g2, h=None, field=None, spec=None,
         W = W * spec.evaluate_field(atom.g1.nodes, g2.samples)
     if out_grid is None:
         return W
-    fwd = axis2_sign(atom.case, "forward")
+    fwd = atom.action.axis2_forward
     pre, post = _phases(g2, fwd, out_grid)
     D = _dft(W * pre[None, :], fwd)
     L = atom.ell_matrix(out_grid.samples)
@@ -941,11 +942,11 @@ def test_streamed_transforms_match_the_whole_array_chain(setup, seed):
 def test_slow_filter_matches_the_whole_array_chain(setup, seed):
     atom, grid = setup
     f = random_bandlimited(grid, seed)
-    h = omega_side(atom.case, f)
+    h = atom.action.omega_side(f)
     band = (-1.0, 1.0) if atom.case == "gabor" else (1.0, 2.0)
     spec = SymbolSpec.first_variable(Symbol1D.indicator(*band))
     g2 = f.grid if atom.case == "wavelet" else induced_grid(f.grid)
-    ref = omega_side(atom.case, SampledFunction(
+    ref = atom.action.omega_side(SampledFunction(
         h.grid, _whole_array_chain(atom, g2, h=h, spec=spec,
                                    out_grid=h.grid)), back_to=f.grid)
     out, _ = filter_signal(atom, spec, f, "slow")
@@ -1013,12 +1014,10 @@ def _unfused_stream(atom, g2, h=None, field=None, spec=None, out_grid=None):
     count = atom.g1.count
     if h is not None:
         L_in = atom.ell_matrix(h.grid.samples)
-        backward = _unfused_sandwich(h.grid, axis2_sign(atom.case, "backward"),
-                                     g2)
+        backward = _unfused_sandwich(h.grid, atom.action.axis2_backward, g2)
     out = np.empty((count, g2.count), dtype=complex)
     if out_grid is not None:
-        forward = _unfused_sandwich(g2, axis2_sign(atom.case, "forward"),
-                                    out_grid)
+        forward = _unfused_sandwich(g2, atom.action.axis2_forward, out_grid)
         L_out = atom.ell_matrix(out_grid.samples)
         acc = np.zeros(out_grid.count, dtype=complex)
     for rows in range(0, count, _BLOCK_ROWS):
@@ -1048,8 +1047,8 @@ def test_folded_phases_keep_the_bits_on_power_of_two_grids(name):
     atom = make_atom("gabor" if name in ("gaussian", "rect") else "wavelet",
                      name)
     f = random_bandlimited(LineGrid.centered(16.0, 1024), seed=12)
-    h = omega_side(atom.case, f)
-    g2 = _analysis_axis(atom.case, f.grid)
+    h = atom.action.omega_side(f)
+    g2 = atom.action.analysis_axis(f.grid)
     band = (-1.0, 1.0) if atom.case == "gabor" else (1.0, 2.0)
     spec = SymbolSpec.first_variable(Symbol1D.indicator(*band))
     W = bargmann_adjoint(atom, h, out_grid=g2)
@@ -1130,8 +1129,8 @@ def test_skipped_empty_blocks_keep_every_bit(monkeypatch, name, where):
     atom = make_atom("gabor" if name in ("gaussian", "rect") else "wavelet",
                      name)
     f = random_bandlimited(_EMPTY_BLOCK_GRIDS[where], seed=5)
-    h = omega_side(atom.case, f)
-    g2 = _analysis_axis(atom.case, f.grid)
+    h = atom.action.omega_side(f)
+    g2 = atom.action.analysis_axis(f.grid)
     band = (-1.0, 1.0) if atom.case == "gabor" else (1.0, 2.0)
     spec = SymbolSpec.first_variable(Symbol1D.indicator(*band))
     fib = atom.fibers(h.grid.samples)
@@ -1200,7 +1199,7 @@ def test_a_symbol_not_finite_on_a_skipped_block_raises(shannon):
     # shannon's first block (scales below 2^-6) is empty on this signal's
     # omega side; the symbol is infinite there alone
     f = random_bandlimited(_EMPTY_BLOCK_GRIDS["centred"], seed=6)
-    assert not shannon.fibers(omega_side("wavelet", f).grid.samples).live[0]
+    assert not shannon.fibers(DILATION.omega_side(f).grid.samples).live[0]
     top = shannon.g1.nodes[_BLOCK_ROWS - 1]
     spec = SymbolSpec.first_variable(Symbol1D(
         lambda x: np.where(x <= top, np.inf, 1.0), "spike:inf"))
@@ -1253,8 +1252,8 @@ def _zero_mask_setup(case):
     atom = make_atom("gabor" if name in ("gaussian", "rect") else "wavelet",
                      name)
     f = random_bandlimited(SIGNAL_GRID, seed=8)
-    h = omega_side(atom.case, f)
-    g2 = _analysis_axis(atom.case, f.grid)
+    h = atom.action.omega_side(f)
+    g2 = atom.action.analysis_axis(f.grid)
     spec = SymbolSpec.first_variable(alpha)
     masked = [spec._compact_field(atom.g1.nodes[rows], g2.samples).any()
               for rows in _row_blocks(atom.g1.count)]
@@ -1364,9 +1363,9 @@ def _chain_outputs(atom, f, lengths: list) -> tuple[dict, dict]:
     the fused round trip (its norm too), and slow filters with a
     first-variable symbol that zeroes some blocks, one that zeroes every
     block, and a second-variable symbol (a one-row mask)."""
-    h = omega_side(atom.case, f)
+    h = atom.action.omega_side(f)
     W = analyze(atom, f)
-    axis = _analysis_axis(atom.case, f.grid)
+    axis = atom.action.analysis_axis(f.grid)
     band, far = (((-1.0, 1.0), (40.0, 50.0)) if atom.case == "gabor"
                  else ((1.0, 2.0), (600.0, 700.0)))
     specs = {"first": SymbolSpec.first_variable(Symbol1D.indicator(*band)),
@@ -1482,8 +1481,8 @@ def test_a_batch_of_round_trips_has_the_bits_of_one_at_a_time(
     monkeypatch.setattr(fields, "_SPLIT_COLUMNS", 1)
     atom = request.getfixturevalue(name)
     grid = LineGrid.centered(8.0, n)
-    axis = _analysis_axis(atom.case, grid)
-    hs = [omega_side(atom.case, random_bandlimited(grid, seed=s))
+    axis = atom.action.analysis_axis(grid)
+    hs = [atom.action.omega_side(random_bandlimited(grid, seed=s))
           for s in range(3)]
     hs.insert(1, SampledFunction(hs[0].grid, -0.0 * hs[0].values))
     for h, (back, norm) in zip(hs, round_trips(atom, hs, field_grid=axis)):
@@ -1740,8 +1739,8 @@ def test_concurrent_callers_share_the_worker(monkeypatch):
 
     def chain(atom):
         W = analyze(atom, f)
-        h = omega_side(atom.case, f)
-        back, norm = round_trip(atom, h, _analysis_axis(atom.case, f.grid))
+        h = atom.action.omega_side(f)
+        back, norm = round_trip(atom, h, atom.action.analysis_axis(f.grid))
         out = bargmann(atom, W, out_grid=h.grid)
         return _bits(W.values), _bits(out.values), _bits(back.values), norm
 
