@@ -18,6 +18,7 @@ import argparse
 import functools
 import sys
 import traceback
+from collections import namedtuple
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from .algebra import (Partition, commutator_diagnostics, evaluate_on_cloud,
                       partition_gammas)
 from .atoms import make_atom
 from .fields import random_bandlimited, round_trips
-from .grids import LineGrid, SampledFunction, action_of
+from .grids import (DILATION, TRANSLATION, LineGrid, SampledFunction,
+                    action_of)
 from .kernels import (GAMMA_RULES, boundedness_verdict, gamma,
                       overlap_kernel, spectrum_from_gamma,
                       weighted_overlap_kernel)
@@ -43,24 +45,6 @@ MAX_DENSE_N = 512
 # 512 x n, 128 MiB (real) or 256 MiB (haar's complex one) at the cap, and
 # each CPU holds a 64 x n complex block
 MAX_FIELD_N = 32768
-# the symbol of each dual-route suite; its kind picks the specialized route
-EQUIVALENCE_SYMBOLS = {
-    ("cto1", "gabor"): SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 1.0)),
-    ("cto1", "wavelet"): SymbolSpec.first_variable(Symbol1D.indicator(1.0, 2.0)),
-    ("cto2", "gabor"): SymbolSpec.second_variable(Symbol1D.gaussian_bump(1.0)),
-    ("cto2", "wavelet"): SymbolSpec.second_variable(Symbol1D.gaussian_bump(1.0)),
-    ("cto3", "gabor"): SymbolSpec.separable(
-        Symbol1D.indicator(0.0, float("inf")), Symbol1D.cosine_window(2.0)),
-    ("cto3", "wavelet"): SymbolSpec.separable(
-        Symbol1D.indicator(0.5, 8.0), Symbol1D.gaussian_bump(1.0)),
-}
-# every verify suite's tolerances: a suite's pass test and the tolerances
-# its report states read the same entry
-VERIFY_TOL = {
-    "cto1": 1e-3, "cto2": 5e-3, "cto3": 5e-3,
-    "transforms": {"isometry": 2e-3, "factorization": 2e-3, "roundtrip": 1e-6},
-    "algebra": {"commutator": 5e-3, "simplex": 1e-6, "tau_isometry": 2e-3},
-}
 
 
 def _grid_size(text: str) -> int:
@@ -129,8 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbol", default=None)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("cto1", "cto2", "cto3", "transforms",
-                                     "algebra"))
+    p.add_argument("suite", choices=tuple(VERIFY_SUITES))
     _add_common(p, xi_window=False, dense=True)
     p.add_argument("--seed", type=_seed, default=0,
                    help="seed of the suite's random test vectors")
@@ -255,18 +238,15 @@ def cmd_kernel(args) -> int:
     return 0
 
 
-def _verify_equivalence_suite(args) -> dict:
-    return verify_equivalence(
-        _atom(args), EQUIVALENCE_SYMBOLS[args.suite, args.case],
-        default_operator_grid(args.case, args.n), VERIFY_TOL[args.suite],
-        seed=args.seed)
+def _verify_routes(atom, args, tol, spec) -> dict:
+    return verify_equivalence(atom, spec, atom.action.operator_grid(args.n),
+                              tol, seed=args.seed)
 
 
-def _verify_transforms_suite(args) -> dict:
-    atom = _atom(args)
+def _verify_transforms(atom, args, tol, symbols) -> dict:
     n = max(args.n, 64)
     grid = LineGrid.centered(8.0, n)
-    opg = default_operator_grid(args.case, min(args.n, 256))
+    opg = atom.action.operator_grid(min(args.n, 256))
     worst_iso, worst_fact, worst_round = 0.0, 0.0, 0.0
     # each signal's analysis field is formed, measured and carried back a
     # block of rows at a time, and one call takes every signal on a grid
@@ -285,23 +265,19 @@ def _verify_transforms_suite(args) -> dict:
     for v, (rr, _) in zip(vs, round_trips(
             atom, [SampledFunction(opg, v) for v in vs])):
         worst_round = max(worst_round, float(np.max(np.abs(rr.values - v))))
-    tol = VERIFY_TOL["transforms"]
-    passed = (worst_iso <= tol["isometry"] and worst_fact <= tol["factorization"]
-              and worst_round <= tol["roundtrip"])
-    return {"case": args.case, "atom": atom.name, "N": n,
-            "roundtrip_N": opg.count,
+    worst = {"isometry": worst_iso, "factorization": worst_fact,
+             "roundtrip": worst_round}
+    return {"N": n, "roundtrip_N": opg.count,
             "isometry_error_max": worst_iso,
             "factorization_error_max": worst_fact,
             "roundtrip_error_max": worst_round,
             "tolerances": tol,
-            "pass": passed}
+            "pass": all(worst[key] <= bound for key, bound in tol.items())}
 
 
-def _verify_algebra_suite(args) -> dict:
-    atom = _atom(args)
-    grid = default_operator_grid(args.case, args.n)
-    worst_comm = max(commutator_diagnostics(
-        atom, atom.action.algebra_pool(), grid).values())
+def _verify_algebra(atom, args, tol, pool) -> dict:
+    grid = atom.action.operator_grid(args.n)
+    worst_comm = max(commutator_diagnostics(atom, pool, grid).values())
     part = Partition(atom, atom.action.default_cuts)
     cloud = partition_gammas(atom, part, grid)
     # the direct route is linear in the symbol: one build per piece
@@ -318,28 +294,66 @@ def _verify_algebra_suite(args) -> dict:
         combo = sum(c * M for c, M in zip(coeffs, basis))
         nm = operator_norm(combo)
         worst_iso = max(worst_iso, abs(sup - nm) / nm)
-    tol = VERIFY_TOL["algebra"]
-    passed = (worst_comm <= tol["commutator"]
-              and cloud.simplex_sum_deviation <= tol["simplex"]
-              and worst_iso <= tol["tau_isometry"])
-    return {"case": args.case, "atom": atom.name, "N": grid.count,
+    worst = {"commutator": worst_comm,
+             "simplex": cloud.simplex_sum_deviation,
+             "tau_isometry": worst_iso}
+    return {"N": grid.count,
             "commutator_rel_max": worst_comm,
             "simplex_sum_deviation": cloud.simplex_sum_deviation,
             "tau_isometry_rel_max": worst_iso,
             "tolerances": tol,
-            "pass": passed}
+            "pass": all(worst[key] <= bound for key, bound in tol.items())}
+
+
+# One verify suite: the largest --n it takes without --allow-large, its
+# measurement run(atom, args, tol, symbols), the tolerance (a number) or
+# tolerances (a dict keyed by check) that its pass test and its report both
+# read, and its symbols per first-axis action (None for transforms); run
+# receives those of the atom's action.
+Suite = namedtuple("Suite", "cap run tol symbols")
+# Every verify suite.  cto1, cto2 and cto3 compare the direct route with the
+# specialized route that their symbol's kind picks (first: multiplication by
+# the grid-rule gamma, second: integral, separable: compound symbol); they
+# and algebra build n x n matrices, so they take MAX_DENSE_N.  transforms
+# builds no n x n matrix and takes MAX_FIELD_N.  The algebra pools are four
+# symbols on each action's first axis, and cmd_algebra reads algebra's
+# simplex bound.
+VERIFY_SUITES = {
+    "cto1": Suite(MAX_DENSE_N, _verify_routes, 1e-3, {
+        DILATION: SymbolSpec.first_variable(Symbol1D.indicator(1.0, 2.0)),
+        TRANSLATION: SymbolSpec.first_variable(Symbol1D.indicator(-1.0, 1.0)),
+    }),
+    "cto2": Suite(MAX_DENSE_N, _verify_routes, 5e-3, dict.fromkeys(
+        (DILATION, TRANSLATION),
+        SymbolSpec.second_variable(Symbol1D.gaussian_bump(1.0)))),
+    "cto3": Suite(MAX_DENSE_N, _verify_routes, 5e-3, {
+        DILATION: SymbolSpec.separable(Symbol1D.indicator(0.5, 8.0),
+                                       Symbol1D.gaussian_bump(1.0)),
+        TRANSLATION: SymbolSpec.separable(Symbol1D.indicator(0.0, np.inf),
+                                          Symbol1D.cosine_window(2.0)),
+    }),
+    "transforms": Suite(MAX_FIELD_N, _verify_transforms, {
+        "isometry": 2e-3, "factorization": 2e-3, "roundtrip": 1e-6},
+        dict.fromkeys((DILATION, TRANSLATION))),
+    "algebra": Suite(MAX_DENSE_N, _verify_algebra, {
+        "commutator": 5e-3, "simplex": 1e-6, "tau_isometry": 2e-3}, {
+        DILATION: [Symbol1D.indicator(1.0, 2.0), Symbol1D.indicator(0.5, 8.0),
+                   Symbol1D.smooth_step(8.0, log2_axis=True),
+                   Symbol1D.constant(0.5)],
+        TRANSLATION: [Symbol1D.indicator(-1.0, 1.0),
+                      Symbol1D.indicator(-np.inf, 0.0),
+                      Symbol1D.smooth_step(4.0), Symbol1D.gaussian_bump(8.0)],
+    }),
+}
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "transforms":
-        _check_n(args, MAX_FIELD_N)  # checked before any record is built
-        report = _verify_transforms_suite(args)
-    else:
-        _check_n(args)  # every other suite builds n x n matrices
-        report = (_verify_algebra_suite(args) if args.suite == "algebra"
-                  else _verify_equivalence_suite(args))
-    report["suite"] = args.suite
-    report["seed"] = args.seed
+    cap, run, tol, symbols = VERIFY_SUITES[args.suite]
+    _check_n(args, cap)  # before any record or matrix is built
+    atom = _atom(args)
+    report = run(atom, args, tol, symbols[atom.action])
+    report.update(case=args.case, atom=atom.name, suite=args.suite,
+                  seed=args.seed)
     tio.write_json(args.out, report)
     return 0 if report["pass"] else 1
 
@@ -376,7 +390,7 @@ def cmd_algebra(args) -> int:
     part = Partition(atom, cuts)
     cloud = partition_gammas(atom, part, _xi_grid(args))
     dev = cloud.simplex_sum_deviation
-    if dev > VERIFY_TOL["algebra"]["simplex"]:
+    if dev > VERIFY_SUITES["algebra"].tol["simplex"]:
         raise ValueError(f"simplex sums deviate from 1 by {dev:.2e}; "
                          "sample inside the healthy range")
     meta = _config_meta(args, simplex_sum_deviation=dev)

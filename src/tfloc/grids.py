@@ -83,9 +83,7 @@ translation.  A record's column ``bands`` and the certificate's
 meets the support [lo, hi] on |w| in [lo / z_max, hi / z_min] or on w in
 [z_min + lo, z_max + hi], and an even profile is probed on both signs.  An
 imported atom (``io.import_atom``) takes its support and breakpoints from
-its positive frequency nodes or its time grid (``imported_support``).  The
-``verify algebra`` pool (``algebra_pool``) is four symbols on the action's
-first axis.
+its positive frequency nodes or its time grid (``imported_support``).
 
 An action holds geometry only, as a grid does, and no route's assembly, so
 the routes that read it stay independent (``tests/test_routes.py``).
@@ -295,12 +293,6 @@ class _Dilation(_Action):
         return (fourier(f, "forward") if back_to is None
                 else fourier(f, "inverse", out_grid=back_to))
 
-    def algebra_pool(self):
-        from .symbols import Symbol1D
-        return [Symbol1D.indicator(1.0, 2.0), Symbol1D.indicator(0.5, 8.0),
-                Symbol1D.smooth_step(8.0, log2_axis=True),
-                Symbol1D.constant(0.5)]
-
 
 class _Translation(_Action):
     __slots__ = ()
@@ -334,12 +326,6 @@ class _Translation(_Action):
 
     def support_probes(self, lo, hi, below, above):
         return [below, lo - 1.0, lo - 16.0, above, hi + 1.0, hi + 16.0]
-
-    def algebra_pool(self):
-        from .symbols import Symbol1D
-        return [Symbol1D.indicator(-1.0, 1.0),
-                Symbol1D.indicator(float("-inf"), 0.0),
-                Symbol1D.smooth_step(4.0), Symbol1D.gaussian_bump(8.0)]
 
 
 DILATION, TRANSLATION = _Dilation(), _Translation()

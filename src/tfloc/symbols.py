@@ -175,7 +175,7 @@ class Symbol1D:
         symbol that is not finite."""
 
         def fn(x):
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 return np.power(x, p)
 
         return cls(fn, f"power:{format_number(p)}",

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -267,12 +268,12 @@ def test_cmd_gamma_unlisted_jumps_exit_2(tmp_path, monkeypatch, capsys,
                          ids=["gamma-grid", "gamma-fft", "kernel", "filter"])
 def test_cmd_symbol_not_finite_on_the_grid_exits_2(tmp_path, capsys,
                                                    signal_csv, argv):
-    # u^-1 is infinite at the translation node 0 and u^0.5 is nan at the
-    # negative nodes: with every warning an error, numpy's power warns of
-    # neither, and the one message is the symbol's
+    # u^-1 is infinite at the translation node 0, u^0.5 is nan at the
+    # negative nodes and u^400 and u^-400 overflow: with every warning an
+    # error, numpy's power warns of none, and the one message is the symbol's
     argv = [signal_csv if a is None else a for a in argv]
     out = tmp_path / "o.csv"
-    for symbol in ("power:-1", "power:0.5"):
+    for symbol in ("power:-1", "power:0.5", "power:400", "power:-400"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(*argv, "--symbol", symbol, "--out", str(out)) == 2
@@ -551,10 +552,10 @@ def _plain(doc) -> bool:
 @pytest.mark.parametrize("case", ["gabor", "wavelet"])
 def test_verify_reports_hold_python_values_only(tmp_path, monkeypatch, case):
     # the JSON writer converts nothing, so each report is JSON-ready as made
+    action, cto1 = action_of(case), cli.VERIFY_SUITES["cto1"]
     rep = operators.verify_equivalence(
-        make_atom(case, action_of(case).default_atom),
-        cli.EQUIVALENCE_SYMBOLS["cto1", case],
-        operators.default_operator_grid(case, 64), cli.VERIFY_TOL["cto1"])
+        make_atom(case, action.default_atom), cto1.symbols[action],
+        operators.default_operator_grid(case, 64), cto1.tol)
     assert _plain(rep)
     handed = []
     monkeypatch.setattr(cli.tio, "write_json",
@@ -577,8 +578,9 @@ def test_cmd_verify_builds_one_fiber_matrix(tmp_path, fiber_builds, suite,
     assert fiber_builds == [64]
 
 
-_TOL_ENTRIES = [(suite, key) for suite, tol in cli.VERIFY_TOL.items()
-                for key in (tol if isinstance(tol, dict) else [None])]
+_TOL_ENTRIES = [(suite, key) for suite, entry in cli.VERIFY_SUITES.items()
+                for key in (entry.tol if isinstance(entry.tol, dict)
+                            else [None])]
 
 
 @pytest.mark.parametrize("suite,key", _TOL_ENTRIES)
@@ -588,17 +590,35 @@ def test_cmd_verify_every_tolerance_reaches_its_pass_test(
     # every check measures a nonnegative value (the algebra commutator an
     # exact 0), so a negative tolerance fails unless its check was left out
     # of the pass test
+    entry = cli.VERIFY_SUITES[suite]
     if key is None:
-        monkeypatch.setitem(cli.VERIFY_TOL, suite, -1.0)
+        monkeypatch.setitem(cli.VERIFY_SUITES, suite, entry._replace(tol=-1.0))
     else:
-        monkeypatch.setitem(cli.VERIFY_TOL[suite], key, -1.0)
+        monkeypatch.setitem(entry.tol, key, -1.0)
     out = str(tmp_path / "v.json")
     assert run("verify", suite, "--case", case, "--n", "64",
                "--out", out) == 1
     rep = json.loads(open(out).read())
     assert rep["pass"] is False
     assert rep["tolerance" if key is None else "tolerances"] == \
-        cli.VERIFY_TOL[suite]
+        cli.VERIFY_SUITES[suite].tol
+
+
+def test_no_scope_compares_a_suite_name(scopes_where):
+    # a verify suite is one entry of cli.VERIFY_SUITES: its cap, its
+    # measurement, its tolerances and its symbols are read from the entry,
+    # so no scope of the package compares a value with a suite's name
+    def names_a_suite(side):
+        items = side.elts if isinstance(side, (ast.Tuple, ast.List,
+                                               ast.Set)) else [side]
+        return any(isinstance(n, ast.Constant) and n.value in cli.VERIFY_SUITES
+                   for n in items)
+
+    def compares_a_suite(node):
+        return isinstance(node, ast.Compare) and any(
+            names_a_suite(side) for side in (node.left, *node.comparators))
+
+    assert scopes_where(compares_a_suite) == []
 
 
 @pytest.mark.parametrize("case", ["gabor", "wavelet"])
@@ -1043,7 +1063,8 @@ def test_simplex_deviation_over_tolerance_fails_verify(tmp_path, capsys):
     d = json.loads(open(report).read())
     assert d["pass"] is False
     assert abs(d["simplex_sum_deviation"] - 4.34e-4) <= 5e-7
-    assert d["tolerances"]["simplex"] == cli.VERIFY_TOL["algebra"]["simplex"]
+    assert d["tolerances"]["simplex"] == \
+        cli.VERIFY_SUITES["algebra"].tol["simplex"]
     capsys.readouterr()
     out = str(tmp_path / "c.csv")
     assert run("algebra", "--case", "wavelet", "--atom", "haar",
@@ -1092,7 +1113,8 @@ def test_cmd_verify_transforms_caps_n_before_allocating(tmp_path, capsys,
     assert not out.exists()
     # --allow-large lifts the cap, shown on a lowered one so that no size
     # over the real cap runs
-    monkeypatch.setattr(cli, "MAX_FIELD_N", 64)
+    monkeypatch.setitem(cli.VERIFY_SUITES, "transforms",
+                        cli.VERIFY_SUITES["transforms"]._replace(cap=64))
     assert run("verify", "transforms", "--n", "128", "--out", str(out)) == 2
     assert "n=128 exceeds the cap 64" in capsys.readouterr().err
     assert run("verify", "transforms", "--n", "128", "--allow-large",

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_acceptance import SYMBOL_POOLS
 
 from tfloc import io as tio
 from tfloc.algebra import Partition, PartitionCloud
-from tfloc.cli import main
+from tfloc.cli import VERIFY_SUITES, main
 from tfloc.fields import PhasePlaneField, analyze, random_bandlimited
 from tfloc.atoms import (WAVELET_NAMES, WINDOW_NAMES, make_atom,
                          make_wavelet, make_window)
@@ -113,7 +114,9 @@ def test_each_first_axis_action_states_its_facts(case, name):
     g1_lo, g1_hi = ((atom.g1.u_min, atom.g1.u_max) if dilation
                     else (atom.g1.start, atom.g1.stop))
     assert all(g1_lo < c < g1_hi for c in action.default_cuts)
-    assert len(action.algebra_pool()) == 4
+    # the verify algebra pool of the action: the acceptance suite's pool
+    assert [s.descriptor for s in VERIFY_SUITES["algebra"].symbols[action]] \
+        == [s.descriptor for s in SYMBOL_POOLS[action.case]]
     assert action.describe(atom.g1) == (
         "scales [0.00390625, 256]" if dilation else "translations [-16, 16)")
 

@@ -12,7 +12,7 @@ from scipy.special import gammainc
 from tfloc.algebra import commutator_diagnostics
 from tfloc import atoms
 from tfloc.atoms import _BLOCK_ROWS, Fibers, make_atom
-from tfloc.cli import EQUIVALENCE_SYMBOLS
+from tfloc.cli import VERIFY_SUITES
 from tfloc.fields import random_bandlimited
 from tfloc.fourier import _Sandwich, _sandwich, fourier
 from tfloc.grids import LineGrid, SampledFunction, induced_grid
@@ -37,6 +37,12 @@ OUT_OF_RANGE = r"exceeds the supported range.*above 2\^256"
 
 def _grid_for(atom, n=128):
     return default_operator_grid(atom.case, n)
+
+
+def _suite_symbol(suite, atom):
+    """The symbol that ``verify <suite>`` compares its routes on, for the
+    atom's first-axis action."""
+    return VERIFY_SUITES[suite].symbols[atom.action]
 
 
 # -- direct builder ------------------------------------------------------------
@@ -516,7 +522,7 @@ def test_first_variable_direct_peak_memory(name):
     atom.fibers(grid.samples)
     tracemalloc.start()
     try:
-        M = build_direct(atom, EQUIVALENCE_SYMBOLS["cto1", case], grid)
+        M = build_direct(atom, _suite_symbol("cto1", atom), grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -540,7 +546,7 @@ def test_cto1_verify_peak_memory(name):
     atom.fibers(grid.samples)
     tracemalloc.start()
     try:
-        rep = verify_equivalence(atom, EQUIVALENCE_SYMBOLS["cto1", case], grid,
+        rep = verify_equivalence(atom, _suite_symbol("cto1", atom), grid,
                                  1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -634,7 +640,7 @@ def test_gram_products_are_the_plain_gemm_within_the_flush_bound(
                           _plain_gram(L, wide), np.sum(wide),
                           _flush_bound(L, wide))}
         for suite in ("cto2", "cto3"):
-            spec = EQUIVALENCE_SYMBOLS[suite, atom.case]
+            spec = _suite_symbol(suite, atom)
             built[suite] = (build_direct(atom, spec, grid).values,
                             *_plain_direct(atom, spec, grid, L))
         for kind, (got, ref, scale, flushed) in built.items():
@@ -830,7 +836,7 @@ def test_second_variable_direct_peak_memory(name):
     atom.fibers(grid.samples)
     tracemalloc.start()
     try:
-        M = build_direct(atom, EQUIVALENCE_SYMBOLS["cto2", case], grid)
+        M = build_direct(atom, _suite_symbol("cto2", atom), grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -948,7 +954,7 @@ def test_diagonal_spectrum_is_read_without_forming_h(gaussian, shannon):
     # as the n x n H holds it, complex, near-overflow and subnormal entries
     # included (halving rounds an odd subnormal)
     rng = np.random.default_rng(4)
-    diags = [build_direct(atom, EQUIVALENCE_SYMBOLS["cto1", atom.case],
+    diags = [build_direct(atom, _suite_symbol("cto1", atom),
                           _grid_for(atom, 256)).diagonal
              for atom in (gaussian, shannon)]
     diags.append(rng.uniform(-1.7, 1.7, 64) * 1e308 + 0j)
@@ -994,7 +1000,7 @@ def test_a_diagonal_matrix_given_dense_is_held_dense(gaussian, shannon, n):
     # relative to max |d|; measured, they are equal but for a complex d's
     # Lanczos norm, 0.011 n eps off at n = 64
     eps = np.finfo(float).eps
-    diags = [build_direct(atom, EQUIVALENCE_SYMBOLS["cto1", atom.case],
+    diags = [build_direct(atom, _suite_symbol("cto1", atom),
                           _grid_for(atom, n)).diagonal
              for atom in (gaussian, shannon)]
     rng = np.random.default_rng(4)
@@ -1619,7 +1625,7 @@ def _verify_differences(gaussian, shannon):
     for atom in (gaussian, shannon):
         for suite, n in (("cto1", 64), ("cto2", 64), ("cto3", 64),
                          ("cto1", 128)):
-            spec = EQUIVALENCE_SYMBOLS[suite, atom.case]
+            spec = _suite_symbol(suite, atom)
             grid = _grid_for(atom, n)
             if spec.kind == "first":
                 other = build_multiplication(gamma(atom, spec.alpha, grid,
@@ -1805,7 +1811,7 @@ def no_svd(monkeypatch):
 def test_verify_runs_without_the_svd(gaussian, shannon, case, no_svd):
     atom = gaussian if case == "gabor" else shannon
     for suite in ("cto1", "cto2", "cto3"):
-        rep = verify_equivalence(atom, EQUIVALENCE_SYMBOLS[suite, case],
+        rep = verify_equivalence(atom, _suite_symbol(suite, atom),
                                  _grid_for(atom, 256), 5e-3)
         assert rep["pass"], (suite, rep)
 
@@ -1902,7 +1908,7 @@ def test_cto1_action_check_matches_the_dense_matvecs(gaussian, rect, shannon,
     # round differently, so its value agrees to a few eps
     eps = np.finfo(float).eps
     for atom in (gaussian, rect, shannon, haar):
-        spec = EQUIVALENCE_SYMBOLS["cto1", atom.case]
+        spec = _suite_symbol("cto1", atom)
         grid = _grid_for(atom, n)
         direct = build_direct(atom, spec, grid)
         other = build_multiplication(gamma(atom, spec.alpha, grid,
@@ -1923,7 +1929,7 @@ def test_diagonal_spectrum_is_the_sorted_diagonal(gaussian, shannon, case, n,
     # the cto1 multiplication operator is diagonal: its eigenvalues are read
     # off, equal to what eigvalsh returns, and no solver runs
     atom = gaussian if case == "gabor" else shannon
-    spec = EQUIVALENCE_SYMBOLS["cto1", case]
+    spec = _suite_symbol("cto1", atom)
     M = build_multiplication(gamma(atom, spec.alpha, _grid_for(atom, n),
                                    rule="grid"))
     ref = np.linalg.eigvalsh(0.5 * (M.values + M.values.conj().T))
@@ -2084,7 +2090,7 @@ def _real_operators(gaussian, rect, shannon, n):
     for atom in (gaussian, rect, shannon):
         grid = _grid_for(atom, n)
         for suite in ("cto2", "cto3"):
-            spec = EQUIVALENCE_SYMBOLS[suite, atom.case]
+            spec = _suite_symbol(suite, atom)
             yield f"{atom.name}/{suite}/direct", build_direct(atom, spec, grid)
             yield f"{atom.name}/{suite}/compound", _specialized(atom, spec,
                                                                 grid)
@@ -2102,7 +2108,7 @@ def test_even_real_symbols_give_exactly_real_matrices(gaussian, rect,
     mats = list(_real_operators(gaussian, rect, shannon, n))
     for atom in (gaussian, rect, shannon):
         grid = _grid_for(atom, n)
-        alpha = EQUIVALENCE_SYMBOLS["cto3", atom.case].alpha
+        alpha = _suite_symbol("cto3", atom).alpha
         mats += [(f"{atom.name}/overlap", overlap_kernel(atom, grid)),
                  (f"{atom.name}/weighted",
                   weighted_overlap_kernel(atom, alpha, grid))]
@@ -2113,13 +2119,13 @@ def test_even_real_symbols_give_exactly_real_matrices(gaussian, rect,
 def test_complex_paths_stay_complex(gaussian, shannon, haar):
     # haar's complex record, a beta that is not even, and the odd,
     # off-centre grids of CI, whose phases are not +-1
-    cases = [(haar, EQUIVALENCE_SYMBOLS[suite, "wavelet"], _grid_for(haar, 64))
+    cases = [(haar, _suite_symbol(suite, haar), _grid_for(haar, 64))
              for suite in ("cto2", "cto3")]
     odd = SymbolSpec.second_variable(Symbol1D.gaussian_bump(1.0, 0.3))
     cases += [(atom, odd, _grid_for(atom, 64)) for atom in (gaussian, shannon)]
     for atom, grid in ((shannon, LineGrid(0.3, 3.4 / 63, 63)),
                        (gaussian, LineGrid(-3.0, 8.0 / 65, 65))):
-        cases += [(atom, EQUIVALENCE_SYMBOLS[suite, atom.case], grid)
+        cases += [(atom, _suite_symbol(suite, atom), grid)
                   for suite in ("cto1", "cto2", "cto3")]
     # and a complex symbol, on a real record and on haar's
     one_one = Symbol1D.constant(1 + 1j)
@@ -2192,7 +2198,7 @@ def test_even_real_transforms_keep_the_real_parts(gaussian, rect, shannon,
             s_grid = induced_grid(_grid_for(atom, n))
             sw = _sandwich(s_grid, atom.action.axis2_forward,
                            induced_grid(s_grid))
-            for spec in [EQUIVALENCE_SYMBOLS[suite, atom.case]
+            for spec in [_suite_symbol(suite, atom)
                          for suite in ("cto2", "cto3")] + [odd]:
                 _, V, _ = _lowrank_factors(
                     spec.evaluate_field(atom.g1.nodes, s_grid.samples))
@@ -2273,7 +2279,7 @@ def test_real_operators_repeat_byte_for_byte(gaussian, rect, shannon):
     assert [tuple(map(_bits, x)) for x in first] == \
         [tuple(map(_bits, x)) for x in again]
     for atom in (gaussian, rect, shannon):
-        spec = EQUIVALENCE_SYMBOLS["cto3", atom.case]
+        spec = _suite_symbol("cto3", atom)
         grid = _grid_for(atom, 256)
         assert verify_equivalence(atom, spec, grid, 1e-3) == \
             verify_equivalence(atom, spec, grid, 1e-3)
@@ -2289,7 +2295,7 @@ def test_hausdorff_within_the_weyl_bound(gaussian, rect, shannon, haar, n):
     for atom in (gaussian, rect, shannon, haar):
         grid = _grid_for(atom, n)
         for suite in ("cto1", "cto2", "cto3"):
-            spec = EQUIVALENCE_SYMBOLS[suite, atom.case]
+            spec = _suite_symbol(suite, atom)
             hd = verify_equivalence(atom, spec, grid, 1.0)["hausdorff"]
             A = build_direct(atom, spec, grid).values
             B = _specialized(atom, spec, grid).values

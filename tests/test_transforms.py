@@ -23,7 +23,7 @@ import tfloc
 from tfloc import fields
 from tfloc.atoms import (_BLOCK_ROWS, Atom, Fibers, _row_blocks, make_atom,
                          make_wavelet, make_window)
-from tfloc.cli import VERIFY_TOL, main
+from tfloc.cli import VERIFY_SUITES, main
 from tfloc.fields import (PhasePlaneField, _stream, analyze, bargmann,
                           bargmann_adjoint, random_bandlimited, round_trip,
                           round_trips)
@@ -783,7 +783,7 @@ def _unfused_transforms_report(case, name, n, seed) -> dict:
         rr = bargmann(atom, bargmann_adjoint(atom, SampledFunction(opg, v)),
                       out_grid=opg)
         rnd = max(rnd, float(np.max(np.abs(rr.values - v))))
-    tol = VERIFY_TOL["transforms"]
+    tol = VERIFY_SUITES["transforms"].tol
     return {"case": case, "atom": name, "N": grid.count,
             "roundtrip_N": opg.count, "isometry_error_max": iso,
             "factorization_error_max": fact, "roundtrip_error_max": rnd,
