@@ -488,6 +488,11 @@ class Fibers:
         2^-509 max|L| max_k |w_k| times the number of rows read.  Weights
         with no nonzero entry in the span give the n x n matrix of +0 and
         build no copy.
+
+        Beside the record and ``_gemm_span``, a call holds X, as many rows
+        as it reads, and G, n x n, and drops X when it returns.  A dense
+        rank of ``build_direct`` holds its M beside them too, except the
+        first, which makes M only once this returns.
         """
         rows = self.rows_for(weights)
         n = self.omegas.size

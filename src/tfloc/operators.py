@@ -142,11 +142,12 @@ def _lowrank_factors(a_field: np.ndarray):
     nonzero entry (Q is zero outside them), copied in C order whatever the
     field's strides (a broadcast included), so the sums round one way: take
     the column of largest residual norm, q = R[:, j] / ||R[:, j]||,
-    v = q^H R, and subtract q v^T from R.  The column norms are recomputed
-    from R after every step, never downdated, so the stopping test reads the
-    true residual: the loop stops at the first rank r with ||R||_F <=
-    ``LOWRANK_TAIL`` * ||a||_F.  The work is O(r K' n).  Returns Q (K x r),
-    V (r x n) and the relative tail ||R||_F / ||a||_F dropped.
+    v = q^H R, and subtract q v^T from R, a block of ``_BLOCK_ROWS`` rows at
+    a time, so R is the one K' x n array held.  The column norms are
+    recomputed from R after every step, never downdated, so the stopping
+    test reads the true residual: the loop stops at the first rank r with
+    ||R||_F <= ``LOWRANK_TAIL`` * ||a||_F.  The work is O(r K' n).  Returns
+    Q (K x r), V (r x n) and the relative tail ||R||_F / ||a||_F dropped.
 
     R starts as a * 2^-e, e the ``_exponent`` of a, and Q is scaled
     back by 2^e: both exact, so no squared entry underflows.
@@ -165,7 +166,8 @@ def _lowrank_factors(a_field: np.ndarray):
         j = int(np.argmax(col_sq))
         q = R[:, j] / math.sqrt(col_sq[j])
         v = q.conj() @ R
-        R -= np.outer(q, v)
+        for block in _row_blocks(len(R)):
+            R[block] -= q[block, None] * v
         col_sq = _column_sq_norms(R)
         qs.append(q)
         vs.append(v)
@@ -244,11 +246,16 @@ def build_direct(atom: Atom, spec: SymbolSpec,
                      induced_grid(s_grid)).real_where_even(V)
     lags *= xi_grid.step
     diagonal = all(map(_is_lag0_delta, lags))
-    M = np.zeros(n if diagonal else (n, n),
-                 dtype=np.result_type(fib.dtype, Q, lags))
+    dtype = np.result_type(fib.dtype, Q, lags)
+    # a dense M is made once the first rank's Gram product has returned (a
+    # zero field has no rank, and is diagonal)
+    M = np.zeros(n, dtype) if diagonal else None
     gram_rows = 0
-    # each rank's arrays dropped before the next: the peak is M, the fiber
-    # record and one rank's temporaries, whatever the rank
+    # what a rank holds beside the fiber record, its arrays dropped before
+    # the next: a diagonal rank, M's n entries and one block of
+    # ``_diagonal_gram``; a dense rank, inside ``Fibers.gram`` its weighted
+    # copy X of the rows it runs over and the n x n G (the first one with no
+    # M yet), then M, G and one row block of the product with the lag table
     for q, c in zip(Q.T, lags):
         wq = w * q
         if diagonal:
@@ -256,6 +263,8 @@ def build_direct(atom: Atom, spec: SymbolSpec,
             M += _diagonal_gram(fib, rows, wq[rows]) * c[n // 2]
         else:
             G, rows = fib.gram(wq)
+            if M is None:
+                M = np.zeros((n, n), dtype)
             _add_lag_product(M, G, c)
             del G
         gram_rows = max(gram_rows, rows.stop - rows.start)
@@ -392,8 +401,12 @@ def _hermitian_eigvals(M: OperatorMatrix) -> np.ndarray:
         d = 0.5 * M.diagonal
         d += d.conj()
         return np.sort(d.real)
-    H = 0.5 * M.values
-    H += H.T.conj()
+    # a block of rows at a time, read from M: no n x n temporary beside H
+    A = M.values
+    H = np.empty_like(A)
+    for rows in _row_blocks(len(A)):
+        H[rows] = 0.5 * A[rows]
+        H[rows] += (0.5 * A[:, rows]).T.conj()
     return np.linalg.eigvalsh(H)
 
 
@@ -572,9 +585,10 @@ def verify_equivalence(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid,
     has no specialized route and raises ``ValueError``.  A failed comparison
     never raises: the report carries ``"pass": False`` instead.  The action
     check scales both products of each seeded vector by the power of two of
-    the direct one's largest entry before their norms, and runs its
-    matvecs on one complex copy of each matrix at a time, dropped before the
-    next: a real dgemv sums in another order than the reported bits'.
+    the direct one's largest entry before their norms, and runs the matvecs
+    of a dense pair on a complex copy of one block of ``_BLOCK_ROWS`` rows
+    of a matrix at a time: a real dgemv sums in another order than the
+    reported bits'.
     """
     if spec.kind == "first":
         other = build_multiplication(gamma(atom, spec.alpha, xi_grid,
@@ -599,14 +613,25 @@ def verify_equivalence(atom: Atom, spec: SymbolSpec, xi_grid: LineGrid,
     norm_disc = operator_norm(A - B) / dn if dn else 0.0
     hd = hausdorff_distance(direct_spec.values, spectrum(other).values)
     apply = np.multiply if diagonal else np.matmul
+    # a dense matrix is cast to complex a block of rows at a time, each
+    # row's zgemv giving the reported bits; a diagonal pair's entries whole
+    n = xi_grid.count
+    blocks = [slice(0, n)] if diagonal else list(_row_blocks(n))
+    if len(blocks) > 1 and blocks[-1].stop - blocks[-1].start == 1:
+        # numpy takes a one-row product as a dot, which sums in another
+        # order than zgemv: that row goes with the block before it
+        blocks[-2:] = [slice(blocks[-2].start, n)]
     rng = np.random.default_rng(seed)
-    vs = [rng.standard_normal(xi_grid.count)
-          + 1j * rng.standard_normal(xi_grid.count) for _ in range(10)]
+    vs = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+          for _ in range(10)]
 
     def actions(X):
-        # one complex copy at a time: zgemv gives the reported bits
-        X = X.astype(complex, copy=False)
-        return [apply(X, v) for v in vs]
+        out = np.empty((len(vs), n), dtype=complex)
+        for rows in blocks:
+            block = X[rows].astype(complex, copy=False)
+            for y, v in zip(out, vs):
+                y[rows] = apply(block, v)
+        return out
 
     errs = []
     for dv, bv in zip(actions(A), actions(B)):

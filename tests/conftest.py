@@ -10,6 +10,25 @@ from tfloc.io import export_atom, import_atom
 from tfloc.symbols import Symbol1D
 
 
+def point_field(spec, r, s):
+    """The symbol ``spec`` at every pair of the points r and s, shape
+    (len(r), len(s)), a new array: its own functions called at the points.
+    The tests' references sample symbols here, never through the routes'
+    seam (``SymbolSpec.cell_field``), which reads the cells at their nodes:
+    on a grid's nodes the values are the seam's bits."""
+    r = np.asarray(r, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if spec.kind == "first":
+        vals = np.asarray(spec.alpha(r))[:, None]
+    elif spec.kind == "second":
+        vals = np.asarray(spec.beta(s))[None, :]
+    elif spec.kind == "separable":
+        vals = np.outer(spec.alpha(r), spec.beta(s))
+    else:
+        vals = np.asarray(spec.general_fn(r[:, None], s[None, :]))
+    return np.broadcast_to(vals, (r.size, s.size)).copy()
+
+
 @pytest.fixture(scope="session")
 def shannon():
     return make_wavelet("shannon")

@@ -35,6 +35,16 @@ def _operator(values, **kw):
                           "test", "atom", "symbol", **kw)
 
 
+def _nan_in_last_block():
+    """A 256 x 256 operator of zeros but one NaN, in its last block of
+    ``_BLOCK_ROWS`` rows: a check that scans the rows block by block must
+    carry it to the end."""
+    values = np.zeros((256, 256))
+    values[-1, 3] = np.nan
+    return OperatorMatrix(LineGrid(0.0, 1.0, 256), values, "test", "atom",
+                          "symbol")
+
+
 def _field(case, g1, values, g2=G2):
     return PhasePlaneField(case, g1, g2, values)
 
@@ -78,6 +88,9 @@ CHECKS = {
         ValueError, "operator must be 4x4, got (3, 3)"),
     "operator-non-finite": (
         lambda s, g: _operator([[np.inf, 0.0], [0.0, 0.0]]),
+        ValueError, "operator contains non-finite entries"),
+    "operator-non-finite-last-block": (
+        lambda s, g: _nan_in_last_block(),
         ValueError, "operator contains non-finite entries"),
     "operator-real-symbol-not-hermitian": (
         lambda s, g: _operator([[0.0, 1.0], [0.0, 0.0]], symbol_is_real=True),

@@ -28,6 +28,8 @@ from tfloc.operators import (LOWRANK_TAIL, OperatorMatrix, _add_lag_product,
 from tfloc.symbols import (RANGE_EXPONENT, Symbol1D, SymbolSpec, _exponent,
                            _ldexp)
 
+from conftest import point_field
+
 G128 = default_operator_grid("gabor", 128)
 # the top of the supported range, the next float, and the error above it
 TOP = 2.0 ** RANGE_EXPONENT
@@ -111,8 +113,8 @@ def test_direct_linear_in_symbol(gaussian, shannon, case, n, c1, c2, width):
     a1 = SymbolSpec.separable(alpha, Symbol1D.gaussian_bump(width))
     a2 = SymbolSpec.first_variable(step)
     both = SymbolSpec.general(
-        lambda r, s: (c1 * a1.evaluate_field(r.ravel(), s.ravel())
-                      + c2 * a2.evaluate_field(r.ravel(), s.ravel())),
+        lambda r, s: (c1 * point_field(a1, r.ravel(), s.ravel())
+                      + c2 * point_field(a2, r.ravel(), s.ravel())),
         descriptor="c1*a1+c2*a2")
     grid = _grid_for(atom, n)
     parts = (c1 * build_direct(atom, a1, grid).values
@@ -174,7 +176,7 @@ def _direct_column_loop(atom, spec, xi_grid):
     n = xi_grid.count
     assert n <= 64
     s_grid = induced_grid(xi_grid)
-    a_field = spec.evaluate_field(atom.g1.nodes, s_grid.samples)
+    a_field = point_field(spec, atom.g1.nodes, s_grid.samples)
     L = atom.ell_matrix(xi_grid.samples)
     Lc = np.conj(L)
     w = atom.g1.measure_weights
@@ -291,7 +293,7 @@ def _direct_batched(atom, spec, xi_grid):
     n = xi_grid.count
     s_grid = induced_grid(xi_grid)
     Q, V, _ = _lowrank_factors(
-        spec.evaluate_field(atom.g1.nodes, s_grid.samples))
+        point_field(spec, atom.g1.nodes, s_grid.samples))
     L = atom.ell_matrix(xi_grid.samples)
     w = atom.g1.measure_weights
     back_sign = "inverse" if atom.case == "wavelet" else "forward"
@@ -448,7 +450,7 @@ def _field_ranks(atom, spec, xi_grid):
     generators of their sandwiches, as ``build_direct`` forms them."""
     s_grid = induced_grid(xi_grid)
     Q, V, _ = _lowrank_factors(
-        spec.evaluate_field(atom.g1.nodes, s_grid.samples))
+        point_field(spec, atom.g1.nodes, s_grid.samples))
     lags = _sandwich(s_grid, atom.action.axis2_forward,
                      induced_grid(s_grid)).real_where_even(V) * xi_grid.step
     return zip(Q.T, lags)
@@ -904,8 +906,8 @@ def test_direct_over_the_support_matches_column_loop(atom_name, request):
         ref = _direct_column_loop(atom, spec, grid)
         rel = operator_norm(M.values - ref) / operator_norm(ref)
         assert rel <= 1e-13, f"{atom.name}/{kind}: {rel:.2e}"
-        field = np.flatnonzero(spec.evaluate_field(
-            atom.g1.nodes, induced_grid(grid).samples).any(axis=1))
+        field = np.flatnonzero(point_field(
+            spec, atom.g1.nodes, induced_grid(grid).samples).any(axis=1))
         carried = (min(field[-1], record[-1]) + 1
                    - max(field[0], record[0]))
         assert 0 < M.gram_rows <= carried < atom.g1.count, \
@@ -1043,6 +1045,55 @@ def test_build_direct_disk_peak_memory():
     assert peak <= 2.35 * K * n * 16, f"peak {peak / (K * n * 16):.3f} K*n*16"
 
 
+# traced peaks in MiB at n = 512 on a fresh atom, its record built inside:
+# each elementwise pass over a K' x n field or an n x n matrix outside a
+# BLAS or LAPACK call takes a block of rows at a time (the deflation's
+# update, the action check's complex cast, the symmetrization before
+# eigvalsh) and the direct route makes its dense M once the first Gram
+# product has returned.  Whole passes read 10.27 (gaussian) and 9.47 MiB
+# (shannon) for both suites and 8.08 MiB for the radial Gaussian
+DENSE_PEAKS_512 = {("cto2", "gaussian"): 8.37, ("cto2", "shannon"): 7.57,
+                   ("cto3", "gaussian"): 8.37, ("cto3", "shannon"): 7.57,
+                   "radial": 6.37}
+
+
+def _traced_peak_mib(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("suite, name", [k for k in DENSE_PEAKS_512
+                                         if k != "radial"])
+def test_dense_verify_peak_memory(suite, name):
+    # both routes of a cto2 or cto3 suite and their comparison, within
+    # 110 % of the measured peak
+    n = 512
+    case = "gabor" if name == "gaussian" else "wavelet"
+    atom = make_atom(case, name)
+    peak = _traced_peak_mib(lambda: verify_equivalence(
+        atom, _suite_symbol(suite, atom), default_operator_grid(case, n),
+        5e-3))
+    bound = 1.1 * DENSE_PEAKS_512[suite, name]
+    assert peak <= bound, f"peak {peak:.2f} MiB, bound {bound:.2f}"
+
+
+def test_radial_gaussian_direct_and_spectrum_peak_memory():
+    # build_direct and spectrum of e^{-pi |z|^2} (rank 1, real and even
+    # in s, so real arithmetic throughout), within 110 % of the measured
+    # peak
+    atom = make_atom("gabor", "gaussian")
+    spec = SymbolSpec.general(
+        lambda r, s: np.exp(-np.pi * (r * r + s * s)), "radial")
+    grid = default_operator_grid("gabor", 512)
+    peak = _traced_peak_mib(lambda: spectrum(build_direct(atom, spec, grid)))
+    bound = 1.1 * DENSE_PEAKS_512["radial"]
+    assert peak <= bound, f"peak {peak:.2f} MiB, bound {bound:.2f}"
+
+
 @pytest.mark.parametrize("sigma", [1.0, 2.0])
 def test_direct_radial_gaussian_daubechies_eigenvalues(gaussian, sigma):
     # Daubechies (1988): with the Gaussian window, the radial symbol
@@ -1094,12 +1145,32 @@ ROTATED_GAUSSIANS = [((2.0, 0.7, math.pi / 6, (0.0, 0.0)), 37),
 # unrotated at most 0.0078 n eps: c = 0.02 is twice the largest
 CLOSED_FORM_C = 0.02
 EPS = np.finfo(float).eps
+# the trace identity of the rotated Gaussians, relative: at most 0.2 n eps
+# against the lattice sum at n = 256 and 512, and against the continuum
+# trace s1 s2 0.97 n eps (the rank-80 row at n = 256) and at most 0.15 n eps
+# otherwise; each c is about twice its measurement
+TRACE_LATTICE_C = 0.4
+TRACE_CONTINUUM_C = 2.0
 
 
 def _leading_eigs(atom, spec, n, k=20):
-    """The k leading eigenvalues of the direct route at n, and its rank."""
+    """The k leading eigenvalues of the direct route at n, and its
+    matrix."""
     M = build_direct(atom, spec, default_operator_grid("gabor", n))
-    return np.linalg.eigvalsh(M.values)[::-1][:k], M.lowrank_rank
+    return np.linalg.eigvalsh(M.values)[::-1][:k], M
+
+
+def _lattice_trace(atom, spec, xi_grid):
+    """sum_k w_k ds sum_j a(r_k, s_j): the symbol summed over the direct
+    route's lattice, the atom's first-coordinate nodes r_k with their
+    weights w_k and the samples s_j of ``induced_grid(xi_grid)``, its step
+    ds.  A unit-norm window gives tr H_a = integral a(z) dz (Wong 2002);
+    the gaussian's direct matrix has this sum as its trace to rounding.
+    The symbol is called at the points (``point_field``), not through the
+    seam or the fiber record."""
+    s_grid = induced_grid(xi_grid)
+    field = point_field(spec, atom.g1.nodes, s_grid.samples)
+    return atom.g1.measure_weights @ field.sum(axis=1) * s_grid.step
 
 
 @pytest.mark.parametrize("n, params, rank", [
@@ -1109,11 +1180,19 @@ def _leading_eigs(atom, spec, n, k=20):
 def test_direct_rotated_gaussian_closed_form(gaussian, n, params, rank):
     # the direct route at ranks 1 to 80 against the closed form, to
     # rounding: a deflation that drops a rank, a Gram product or a lag
-    # gather read wrong moves the spectrum far past c n eps
-    lead, got = _leading_eigs(gaussian, _rotated_gaussian(*params), n)
+    # gather read wrong moves the spectrum far past c n eps.  The trace
+    # identity holds on the same builds, against the lattice sum and the
+    # continuum trace s1 s2
+    spec = _rotated_gaussian(*params)
+    lead, M = _leading_eigs(gaussian, spec, n)
     ref = _rotated_gaussian_eigs(params[0], params[1], lead.size)
     assert np.max(np.abs(lead - ref)) <= CLOSED_FORM_C * n * EPS
-    assert got == rank
+    assert M.lowrank_rank == rank
+    trace = np.trace(M.values)
+    lattice = _lattice_trace(gaussian, spec, M.grid)
+    continuum = params[0] * params[1]
+    assert abs(trace - lattice) <= TRACE_LATTICE_C * n * EPS * abs(lattice)
+    assert abs(trace - continuum) <= TRACE_CONTINUUM_C * n * EPS * continuum
 
 
 @pytest.mark.parametrize("params, rank", ROTATED_GAUSSIANS[:3],
@@ -1123,10 +1202,46 @@ def test_direct_rotated_gaussian_rotation_covariance(gaussian, params, rank):
     # the field of rank 37-80 gives the spectrum of the rank-1 field at
     # theta = 0
     s1, s2, _, c = params
-    rotated, got = _leading_eigs(gaussian, _rotated_gaussian(*params), 256)
-    axis, one = _leading_eigs(gaussian, _rotated_gaussian(s1, s2, 0.0, c), 256)
+    rotated, M = _leading_eigs(gaussian, _rotated_gaussian(*params), 256)
+    axis, M0 = _leading_eigs(gaussian, _rotated_gaussian(s1, s2, 0.0, c), 256)
     assert np.max(np.abs(rotated - axis)) <= CLOSED_FORM_C * 256 * EPS
-    assert (got, one) == (rank, 1)
+    assert (M.lowrank_rank, M0.lowrank_rank) == (rank, 1)
+
+
+def _rotated_ellipse(q, p):
+    """The 3:1 ellipse (u / 3)^2 + v^2 <= 1, (u, v) = R_{pi/6} (q, p)."""
+    ct, st = math.cos(math.pi / 6), math.sin(math.pi / 6)
+    u, v = ct * q + st * p, ct * p - st * q
+    return (u * u / 9.0 + v * v <= 1.0).astype(float)
+
+
+# plane-domain symbols and the chirp (rank 129 at n = 256), with the c of
+# their trace identity's c n eps bound, relative, about twice the largest
+# measured at n = 256: at most 0.005 n eps (2.9e-16) for the domains and
+# 12 n eps (6.8e-13) for the chirp, whose terms cancel.  At n = 128 the s
+# window truncates the chirp (6.2e-8), so the pin is n = 256
+TRACE_SYMBOLS = {
+    "disk": (lambda q, p: (q * q + p * p <= 4.0).astype(float), 0.01),
+    "annulus": (lambda q, p: ((q * q + p * p >= 1.0)
+                              & (q * q + p * p <= 4.0)).astype(float), 0.01),
+    "ellipse": (_rotated_ellipse, 0.01),
+    "chirp": (lambda q, p: np.cos(np.pi * q * p)
+              * np.exp(-0.05 * (q * q + p * p)), 24.0),
+}
+
+
+@pytest.mark.parametrize("name", TRACE_SYMBOLS)
+def test_direct_trace_is_the_lattice_sum(gaussian, name):
+    # route-free: the trace of the direct matrix against the symbol summed
+    # over the lattice (``_lattice_trace``)
+    fn, c = TRACE_SYMBOLS[name]
+    n = 256
+    grid = default_operator_grid("gabor", n)
+    spec = SymbolSpec.general(fn, name)
+    trace = np.trace(build_direct(gaussian, spec, grid).values)
+    lattice = _lattice_trace(gaussian, spec, grid)
+    assert abs(trace - lattice) <= c * n * EPS * abs(lattice), \
+        f"{abs(trace - lattice) / abs(lattice) / (n * EPS):.4f} n eps"
 
 
 def test_direct_disk_daubechies_eigenvalues(gaussian):
@@ -1171,6 +1286,26 @@ def test_lowrank_factors_contract(rank, complex_field, shape, decades, seed):
     rel = np.linalg.norm(a - Q @ V) / a_norm if a_norm else 0.0
     assert rel <= LOWRANK_TAIL and tail <= LOWRANK_TAIL
     assert abs(rel - tail) <= 1e-14
+
+
+def test_lowrank_factors_peak_memory():
+    # the rank-one update q v^T is subtracted a block of _BLOCK_ROWS rows at
+    # a time: beside R, the working copy of the dense 512 x 256 field
+    # cos(r - s) (rank 2, no zero row), the deflation holds one block of
+    # the product, numpy's buffers for its broadcast (two of 8192 entries,
+    # one more block here) and vectors: 1.27 R measured.  The whole product,
+    # a second K' x n array, read 2.14 R
+    r = np.arange(512) / 16.0 - 16.0
+    s = np.arange(256) / 8.0 - 16.0
+    field = np.cos(r[:, None] - s[None, :])
+    tracemalloc.start()
+    try:
+        _, V, _ = _lowrank_factors(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(V) == 2
+    assert peak <= 1.3 * field.nbytes, f"peak {peak / field.nbytes:.3f} R"
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, TOP, OVER,
@@ -1922,6 +2057,23 @@ def test_cto1_action_check_matches_the_dense_matvecs(gaussian, rect, shannon,
             assert rep["action_error_max"] == dense, atom.name
 
 
+@pytest.mark.parametrize("n", [65, 100, 129])
+def test_dense_action_check_matches_the_whole_matvecs(gaussian, shannon, n):
+    # a dense pair is cast to complex a block of rows at a time, and each
+    # row's zgemv is the whole matrix's.  numpy takes a one-row product as
+    # a dot, which sums in another order, so a one-row last block (n = 65
+    # and 129) is read with the block before it
+    for atom in (gaussian, shannon):
+        spec = _suite_symbol("cto2", atom)
+        grid = _grid_for(atom, n)
+        direct = build_direct(atom, spec, grid)
+        other = _specialized(atom, spec, grid)
+        assert not (direct.is_diagonal or other.is_diagonal)
+        rep = verify_equivalence(atom, spec, grid, 5e-3, seed=n)
+        assert rep["action_error_max"] == _dense_action_error(direct, other,
+                                                               n), atom.name
+
+
 @pytest.mark.parametrize("case", ["gabor", "wavelet"])
 @pytest.mark.parametrize("n", [64, 256, 512])
 def test_diagonal_spectrum_is_the_sorted_diagonal(gaussian, shannon, case, n,
@@ -2201,7 +2353,7 @@ def test_even_real_transforms_keep_the_real_parts(gaussian, rect, shannon,
             for spec in [_suite_symbol(suite, atom)
                          for suite in ("cto2", "cto3")] + [odd]:
                 _, V, _ = _lowrank_factors(
-                    spec.evaluate_field(atom.g1.nodes, s_grid.samples))
+                    point_field(spec, atom.g1.nodes, s_grid.samples))
                 got, ref = sw.real_where_even(V), sw(V)
                 assert _bits(got.real) == _bits(ref.real)
                 if spec is odd:

@@ -34,6 +34,8 @@ from tfloc.io import export_atom, import_atom
 from tfloc.operators import default_operator_grid, filter_signal
 from tfloc.symbols import Symbol1D, SymbolSpec
 
+from conftest import point_field
+
 SIGNAL_GRID = LineGrid.centered(8.0, 1024)
 
 
@@ -367,7 +369,7 @@ def test_in_place_transforms_equal_the_out_of_place_composition(request, name,
     spec = SymbolSpec.first_variable(Symbol1D.indicator(*band))
     masked = PhasePlaneField(
         atom.case, atom.g1, full_axis,
-        W * spec.evaluate_field(atom.g1.nodes, full_axis.samples))
+        W * point_field(spec, atom.g1.nodes, full_axis.samples))
     ref = atom.action.omega_side(bargmann(atom, masked, out_grid=h.grid),
                                  back_to=f.grid)
     out, _ = filter_signal(atom, spec, f, "slow")
@@ -877,7 +879,7 @@ def _whole_array_chain(atom, g2, h=None, field=None, spec=None,
     else:
         W = field.values
     if spec is not None:
-        W = W * spec.evaluate_field(atom.g1.nodes, g2.samples)
+        W = W * point_field(spec, atom.g1.nodes, g2.samples)
     if out_grid is None:
         return W
     fwd = atom.action.axis2_forward
@@ -1031,7 +1033,7 @@ def _unfused_stream(atom, g2, h=None, field=None, spec=None, out_grid=None):
         if out_grid is None:
             continue
         if spec is not None:
-            block *= spec.evaluate_field(atom.g1.nodes[rows], g2.samples)
+            block *= point_field(spec, atom.g1.nodes[rows], g2.samples)
         forward(block)
         block *= np.conj(L_out[rows])
         acc += atom.g1.measure_weights[rows] @ block
